@@ -4,8 +4,8 @@
 //! Structure models exercise the paper's mechanisms with their actual
 //! implementations — call-table slot reuse (§3.1.3), pool recycling
 //! through the controller receive queue (§3.2), the trace ring, and the
-//! MPMC channel, the hook's install gate, and a sharded call table —
-//! and must pass every schedule. Bug models seed one classic
+//! MPMC channel, the hook's install gate, a sharded call table, and the
+//! receive role — and must pass every schedule. Bug models seed one classic
 //! concurrency defect each (ABBA deadlock, notify-before-wait lost
 //! wakeup, check-then-act double release, and three happens-before
 //! races: unsynchronized counter, publish-without-release,
@@ -22,6 +22,7 @@ use crate::{Model, ModelRun};
 use firefly_pool::BufferPool;
 use firefly_rpc::calltable::{CallTable, Deliver, Wait};
 use firefly_rpc::packet::Packet;
+use firefly_rpc::role::{Polled, ReceiveRole};
 use firefly_rpc::trace::{TraceRecord, Tracer};
 use firefly_rpc::witness::{row, ProtocolWitness};
 use firefly_sync::atomic as checked_atomic;
@@ -44,8 +45,12 @@ fn activity() -> ActivityId {
 
 /// Builds a single-fragment Result packet backed by `pool`.
 fn result_packet(pool: &BufferPool, seq: u32, data: &[u8]) -> Packet {
+    result_packet_for(pool, activity(), seq, data)
+}
+
+fn result_packet_for(pool: &BufferPool, activity: ActivityId, seq: u32, data: &[u8]) -> Packet {
     let frame = FrameBuilder::new(PacketType::Result)
-        .activity(activity())
+        .activity(activity)
         .call_seq(seq)
         .fragment(0, 1)
         .build(data)
@@ -668,6 +673,161 @@ fn make_sharded_calltable() -> ModelRun {
     }
 }
 
+/// The receive role (`firefly_rpc::role`): two callers and the resident
+/// receiver share one endpoint's socket, in the state a caller stream
+/// leaves it in — the resident has just ceded. Each caller registers a
+/// call, sends it and waits through the real
+/// `ReceiveRole::wait_receiving`: with the role it polls the socket and
+/// delivers whatever it finds (its own result silently, the other
+/// caller's with a wake-up), without it it parks on its call entry. The
+/// resident, once it has the role back, blocks in the socket's `recv`
+/// and cedes again when asked, exactly as `demux_loop` does.
+///
+/// Caller 0's server is an instant echo: its result is in the socket as
+/// soon as it has sent. Caller 1's server is slow: its result arrives
+/// only after caller 0's call has completed, so a caller 1 holding the
+/// role polls an empty socket, spends its budget (one poll here) and
+/// must hand the role to the resident before it parks.
+///
+/// Timeouts never fire under the checker, so the resident's idle
+/// detection is out of the picture and only the explicit hand-overs
+/// remain. The property: every schedule completes both calls. A schedule
+/// that ends with a datagram queued, a waiter parked on its entry and
+/// the role unheld has nobody left to run and is reported as a deadlock.
+fn make_receive_role() -> ModelRun {
+    #[derive(Default)]
+    struct Socket {
+        queue: std::collections::VecDeque<Packet>,
+        closed: bool,
+    }
+    fn send(socket: &(Mutex<Socket>, Condvar), pkt: Packet) {
+        socket.0.lock().queue.push_back(pkt);
+        socket.1.notify_one();
+    }
+    let caller_activity = |i: u16| ActivityId::new(7, 1, 1 + i);
+
+    let table = Arc::new(CallTable::new());
+    let role = Arc::new(ReceiveRole::new(table.parked_counter()));
+    let pool = BufferPool::new(2);
+    let socket = Arc::new((Mutex::new(Socket::default()), Condvar::new()));
+    // Both calls are registered up front (a server cannot answer a call
+    // that was never made), and completed calls keep their result
+    // buffers until the finale: the schedule explores the role
+    // protocol, not the table's or the pool's.
+    let entries = [0, 1].map(|i| table.register(caller_activity(i), 0));
+    let completed = Arc::new(Mutex::new(Vec::new()));
+
+    let label = {
+        let table = Arc::clone(&table);
+        let role = Arc::clone(&role);
+        let entries = entries.clone();
+        Box::new(move || {
+            table.check_labels();
+            role.check_labels();
+            for entry in &entries {
+                entry.check_labels();
+            }
+        }) as Box<dyn FnOnce() + Send>
+    };
+    // One call by caller `i`: `echo` is the result its server sends at
+    // once, `after` what this thread does once its call has completed.
+    let caller = |i: u16, echo: Option<Packet>, after: Box<dyn FnOnce() + Send>| {
+        let table = Arc::clone(&table);
+        let role = Arc::clone(&role);
+        let socket = Arc::clone(&socket);
+        let completed = Arc::clone(&completed);
+        let entry = Arc::clone(&entries[i as usize]);
+        Box::new(move || {
+            let me = caller_activity(i);
+            if let Some(result) = echo {
+                send(&socket, result);
+            }
+            let waited = role.wait_receiving(&entry, far_deadline(), 1, || {
+                let next = socket.0.lock().queue.pop_front();
+                let Some(pkt) = next else {
+                    return Polled::Empty;
+                };
+                let own = pkt.rpc.activity == me;
+                assert!(
+                    matches!(table.deliver_from(pkt, own), Deliver::Accepted),
+                    "caller {i}: a result was not accepted"
+                );
+                Polled::Datagram
+            });
+            match waited {
+                Wait::Complete(a) => {
+                    assert_eq!(a.data(), &[i as u8]);
+                    completed.lock().push(a);
+                }
+                other => panic!("caller {i}: unexpected wait outcome {other:?}"),
+            }
+            after();
+        }) as Box<dyn FnOnce() + Send>
+    };
+    let caller0 = {
+        let socket = Arc::clone(&socket);
+        let slow_result = result_packet_for(&pool, caller_activity(1), 0, &[1]);
+        let echo = result_packet_for(&pool, caller_activity(0), 0, &[0]);
+        caller(0, Some(echo), Box::new(move || send(&socket, slow_result)))
+    };
+    let caller1 = {
+        let role = Arc::clone(&role);
+        let socket = Arc::clone(&socket);
+        // The last call to complete (its result is sent only after
+        // caller 0's): shut the endpoint down.
+        let shutdown = move || {
+            role.shutdown();
+            socket.0.lock().closed = true;
+            socket.1.notify_one();
+        };
+        caller(1, None, Box::new(shutdown))
+    };
+    let resident = {
+        let table = Arc::clone(&table);
+        let role = Arc::clone(&role);
+        let socket = Arc::clone(&socket);
+        Box::new(move || {
+            let mut holding = role.cede();
+            while holding {
+                if role.should_cede() {
+                    holding = role.cede();
+                    continue;
+                }
+                // The blocking `recv`, role in hand.
+                let pkt = {
+                    let (sock, arrived) = &*socket;
+                    let mut sock = sock.lock();
+                    loop {
+                        if let Some(pkt) = sock.queue.pop_front() {
+                            break pkt;
+                        }
+                        if sock.closed {
+                            return;
+                        }
+                        arrived.wait_until(&mut sock, far_deadline());
+                    }
+                };
+                assert!(
+                    matches!(table.deliver(pkt), Deliver::Accepted),
+                    "resident: a result was not accepted"
+                );
+            }
+        }) as Box<dyn FnOnce() + Send>
+    };
+    let finale = Box::new(move || {
+        assert_eq!(completed.lock().len(), 2, "a call did not complete");
+        assert!(socket.0.lock().queue.is_empty(), "datagram left in the socket");
+        assert_eq!(role.parked(), 0, "parked-waiter count drifted");
+    }) as Box<dyn FnOnce() + Send>;
+    ModelRun {
+        label,
+        threads: vec![caller0, caller1, resident],
+        finale,
+        audit: None,
+        transitions: None,
+    }
+}
+
 /// Server-side activity slot retention (paper §3.1.3): the server keeps
 /// the last result packet's buffer in the activity slot so a duplicate
 /// call packet is answered by retransmission instead of re-execution,
@@ -970,6 +1130,11 @@ pub fn structure_models() -> Vec<Model> {
             name: "sharded-calltable",
             about: "4-shard call table + ascending-order stealer (DPOR exhausts, DFS drowns)",
             make: make_sharded_calltable,
+        },
+        Model {
+            name: "receive-role",
+            about: "receive role: 2 callers + ceded resident receiver, no result stranded in the socket",
+            make: make_receive_role,
         },
         Model {
             name: "activity-retention",

@@ -189,6 +189,11 @@ pub fn wire_transitions() -> Result<Vec<String>, String> {
     // protocol's "executing" state, held open while duplicates and
     // probes land. Dropping the sender unblocks any leftover handler,
     // so an early error cannot wedge the endpoint's worker join.
+    //
+    // A handler that may block must never be taken for a short one, or
+    // the endpoint's receiving thread would run it and be deaf to those
+    // very duplicates: it is slow from its first call (five times the
+    // inline ceiling), so it always runs on a server thread.
     let entered = Arc::new(AtomicUsize::new(0));
     let (token_tx, token_rx) = channel::unbounded::<()>();
     let service = {
@@ -196,6 +201,10 @@ pub fn wire_transitions() -> Result<Vec<String>, String> {
         ServiceBuilder::new(firefly_idl::test_interface())
             .on_call("Null", move |_args, _w| {
                 entered.fetch_add(1, Ordering::SeqCst);
+                let began = std::time::Instant::now();
+                while began.elapsed() < std::time::Duration::from_micros(100) {
+                    std::hint::spin_loop();
+                }
                 let _ = token_rx.recv();
                 Ok(())
             })

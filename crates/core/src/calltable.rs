@@ -10,16 +10,19 @@
 //! table. If successful, the interrupt routine directly awakens the caller
 //! thread."
 //!
-//! This module is that table for the caller role: the demux thread calls
-//! [`CallTable::deliver`], which attaches the packet to the entry and
-//! signals the entry's condition variable — **one wakeup per packet**, no
-//! intermediate datalink thread.
+//! This module is that table for the caller role: the thread holding the
+//! endpoint's receive role ([`crate::role`]) calls
+//! [`CallTable::deliver_from`], which attaches the packet to the entry
+//! and signals the entry's condition variable — **at most one wakeup per
+//! packet**, and none when the receiving thread is the waiter itself.
 
 use crate::packet::{Assembled, Packet};
 use crate::witness::{row, ProtocolWitness};
 use firefly_wire::{ActivityId, PacketFlags, PacketType, RpcHeader};
+use firefly_sync::atomic::AtomicUsize;
 use firefly_sync::{Condvar, Mutex};
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -73,6 +76,23 @@ struct EntryState {
     acked: Option<(u16, bool)>,
     /// Partial multi-packet result.
     reassembly: Option<Reassembly>,
+    /// This entry's waiter is in the table's parked-waiter count: it
+    /// committed to parking with nothing delivered. Whoever ends that
+    /// state first — the thread delivering a packet, or the waiter
+    /// giving up — clears the flag and takes the waiter out of the
+    /// count, under this entry's lock, so the count is exactly the
+    /// waiters nobody has a wake-up for.
+    counted: bool,
+}
+
+impl EntryState {
+    fn take_ready(&mut self) -> Option<Wait> {
+        if let Some(outcome) = self.outcome.take() {
+            return Some(Wait::Complete(outcome));
+        }
+        let (fragment, last) = self.acked.take()?;
+        Some(Wait::Acked { fragment, last })
+    }
 }
 
 /// One outstanding call, waited on by exactly one caller thread.
@@ -80,6 +100,8 @@ struct EntryState {
 pub struct CallEntry {
     state: Mutex<EntryState>,
     cond: Condvar,
+    /// The parked-waiter count of the table this entry is in.
+    parked: Arc<AtomicUsize>,
 }
 
 impl CallEntry {
@@ -90,38 +112,40 @@ impl CallEntry {
     }
 
     /// Non-blocking check: consumes an already-delivered outcome or
-    /// pending ack if one is attached; never parks. The polling half of
-    /// the §4.2.7 busy-wait ablation.
+    /// pending ack if one is attached; never parks. A waiter holding the
+    /// receive role looks here after each datagram it processes.
     pub fn poll(&self) -> Option<Wait> {
-        let mut st = self.state.lock();
-        if let Some(outcome) = st.outcome.take() {
-            return Some(Wait::Complete(outcome));
-        }
-        if let Some((fragment, last)) = st.acked.take() {
-            return Some(Wait::Acked { fragment, last });
-        }
-        None
+        self.state.lock().take_ready()
     }
 
-    /// Spin-then-park wait — the §4.2.7 busy-wait ablation, measured
-    /// live. Polls the entry in a spin loop for up to `spin`, then falls
-    /// back to the ordinary condvar [`CallEntry::wait`]. Spinning trades
-    /// caller CPU for the direct-wakeup scheduling latency the paper
-    /// estimates at 440 µs; the park fallback keeps the semantics (and
-    /// the timeout/retransmission machinery above it) identical.
-    pub fn wait_spinning(&self, deadline: Instant, spin: std::time::Duration) -> Wait {
-        let spin_until = Instant::now() + spin;
-        loop {
-            if let Some(w) = self.poll() {
-                return w;
-            }
-            let now = Instant::now();
-            if now >= spin_until || now >= deadline {
-                break;
-            }
-            std::hint::spin_loop();
+    /// Commits this entry's waiter to parking by counting it among the
+    /// table's parked waiters — unless something was delivered
+    /// meanwhile, which is returned instead.
+    ///
+    /// `SeqCst`: the waiter counts itself and then looks at who holds
+    /// the receive role, while a thread giving the role up stores that
+    /// and then looks at this count (see [`crate::role`]).
+    pub(crate) fn count_parked(&self) -> Option<Wait> {
+        let mut st = self.state.lock();
+        let ready = st.take_ready();
+        if ready.is_none() && !st.counted {
+            st.counted = true;
+            self.parked.fetch_add(1, Ordering::SeqCst);
         }
-        self.wait(deadline)
+        ready
+    }
+
+    /// Takes this entry's waiter back out of the count if no delivery
+    /// has done so already.
+    pub(crate) fn uncount_parked(&self) {
+        self.uncount(&mut self.state.lock());
+    }
+
+    fn uncount(&self, st: &mut EntryState) {
+        if st.counted {
+            st.counted = false;
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+        }
     }
 
     /// Blocks until the result arrives, the server acks, or the deadline
@@ -129,22 +153,13 @@ impl CallEntry {
     pub fn wait(&self, deadline: Instant) -> Wait {
         let mut st = self.state.lock();
         loop {
-            if let Some(outcome) = st.outcome.take() {
-                return Wait::Complete(outcome);
-            }
-            if let Some((fragment, last)) = st.acked.take() {
-                return Wait::Acked { fragment, last };
+            if let Some(ready) = st.take_ready() {
+                return ready;
             }
             if self.cond.wait_until(&mut st, deadline).timed_out() {
                 // Re-check before reporting timeout: the wakeup may have
                 // raced the deadline.
-                if let Some(outcome) = st.outcome.take() {
-                    return Wait::Complete(outcome);
-                }
-                if let Some((fragment, last)) = st.acked.take() {
-                    return Wait::Acked { fragment, last };
-                }
-                return Wait::TimedOut;
+                return st.take_ready().unwrap_or(Wait::TimedOut);
             }
         }
     }
@@ -158,6 +173,11 @@ pub struct CallTable {
     /// Caller-side protocol-transition witness: which protocol.toml rows
     /// this table's [`CallTable::deliver`] has taken. Relaxed counters.
     witness: ProtocolWitness,
+    /// Waiters parked on entries of this table with nothing delivered
+    /// to them: kept by the entries ([`CallEntry::count_parked`], every
+    /// delivery), one count for all shards of a [`ShardedCallTable`],
+    /// read by the endpoint's [`crate::role::ReceiveRole`].
+    parked: Arc<AtomicUsize>,
 }
 
 /// The spec row an orphaned caller-bound packet matches, if its exact
@@ -180,6 +200,12 @@ impl CallTable {
     /// Creates an empty table.
     pub fn new() -> CallTable {
         CallTable::default()
+    }
+
+    /// The parked-waiter count this table's entries maintain, for
+    /// [`crate::role::ReceiveRole::new`] to read.
+    pub fn parked_counter(&self) -> Arc<AtomicUsize> {
+        Arc::clone(&self.parked)
     }
 
     /// The protocol-transition witness for this table.
@@ -207,8 +233,10 @@ impl CallTable {
                 outcome: None,
                 acked: None,
                 reassembly: None,
+                counted: false,
             }),
             cond: Condvar::new(),
+            parked: Arc::clone(&self.parked),
         });
         self.entries.lock().insert(activity, Arc::clone(&entry));
         entry
@@ -225,8 +253,16 @@ impl CallTable {
     }
 
     /// Routes a caller-bound packet (Result, server→caller Ack, or
-    /// ProbeResponse) to its waiting thread.
+    /// ProbeResponse) to its waiting thread and wakes it.
     pub fn deliver(&self, pkt: Packet) -> Deliver {
+        self.deliver_from(pkt, false)
+    }
+
+    /// [`CallTable::deliver`] with the wake-up made conditional:
+    /// `by_waiter` says the delivering thread *is* the thread waiting on
+    /// the packet's activity (it holds the receive role and will look at
+    /// its entry next), so there is nobody to signal.
+    pub fn deliver_from(&self, pkt: Packet, by_waiter: bool) -> Deliver {
         let entry = {
             let entries = self.entries.lock();
             match entries.get(&pkt.rpc.activity) {
@@ -253,8 +289,11 @@ impl CallTable {
                 let last =
                     pkt.rpc.flags.last_fragment || pkt.rpc.fragment + 1 >= pkt.rpc.fragment_count;
                 st.acked = Some((pkt.rpc.fragment, last));
+                entry.uncount(&mut st);
                 drop(st);
-                entry.cond.notify_one();
+                if !by_waiter {
+                    entry.cond.notify_one();
+                }
                 if pkt.rpc.packet_type == PacketType::ProbeResponse {
                     self.witness.record(row::CALLER_PROBE_RESPONSE);
                 } else if pkt.rpc.flags.last_fragment {
@@ -268,8 +307,11 @@ impl CallTable {
                 if pkt.rpc.fragment_count <= 1 {
                     let flags = pkt.rpc.flags;
                     st.outcome = Some(Assembled::Single(pkt));
+                    entry.uncount(&mut st);
                     drop(st);
-                    entry.cond.notify_one();
+                    if !by_waiter {
+                        entry.cond.notify_one();
+                    }
                     if flags.last_fragment && !flags.please_ack {
                         self.witness.record(if flags.call_failed {
                             row::CALLER_FAIL
@@ -313,8 +355,11 @@ impl CallTable {
                     };
                     let data = parts.received.into_iter().flatten().flatten().collect();
                     st.outcome = Some(Assembled::Multi { rpc, data });
+                    entry.uncount(&mut st);
                     drop(st);
-                    entry.cond.notify_one();
+                    if !by_waiter {
+                        entry.cond.notify_one();
+                    }
                     // The final fragment needs no explicit ack unless asked:
                     // the next call from this activity implicitly acks it.
                     if rpc.flags.please_ack {
@@ -405,25 +450,30 @@ pub fn shard_for(activity: ActivityId, shards: usize) -> usize {
 #[derive(Debug)]
 pub struct ShardedCallTable {
     shards: Vec<CallTable>,
-    /// Lock-free count of registered calls, kept by register/unregister.
-    /// A *hint* (racy by design): callers read it to pick the contended
-    /// yield-wait over parking, where being off by one for an instant
-    /// only mis-picks a wait strategy, never correctness.
-    in_flight: std::sync::atomic::AtomicUsize,
 }
 
 impl ShardedCallTable {
     /// Creates a table with `shards` independent shards (at least one).
     pub fn new(shards: usize) -> ShardedCallTable {
+        let parked = Arc::new(AtomicUsize::new(0));
+        let shard = || CallTable {
+            parked: Arc::clone(&parked),
+            ..CallTable::default()
+        };
         ShardedCallTable {
-            shards: (0..shards.max(1)).map(|_| CallTable::new()).collect(),
-            in_flight: std::sync::atomic::AtomicUsize::new(0),
+            shards: (0..shards.max(1)).map(|_| shard()).collect(),
         }
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The parked-waiter count all shards share (see
+    /// [`CallTable::parked_counter`]).
+    pub fn parked_counter(&self) -> Arc<AtomicUsize> {
+        self.shards[0].parked_counter()
     }
 
     /// The shard that owns `activity`.
@@ -446,22 +496,12 @@ impl ShardedCallTable {
 
     /// Registers an outstanding call in its activity's shard.
     pub fn register(&self, activity: ActivityId, seq: u32) -> Arc<CallEntry> {
-        self.in_flight
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.shard(activity).register(activity, seq)
     }
 
     /// Removes the entry for an activity from its shard.
     pub fn unregister(&self, activity: ActivityId) {
         self.shard(activity).unregister(activity);
-        self.in_flight
-            .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Racy count of registered calls (see the field docs); cheap enough
-    /// for the per-wait caller fast path.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Number of outstanding calls across all shards.
@@ -471,7 +511,13 @@ impl ShardedCallTable {
 
     /// Routes a caller-bound packet to its activity's shard.
     pub fn deliver(&self, pkt: Packet) -> Deliver {
-        self.shards[shard_for(pkt.rpc.activity, self.shards.len())].deliver(pkt)
+        self.deliver_from(pkt, false)
+    }
+
+    /// [`ShardedCallTable::deliver`] for a packet whose waiter may be
+    /// the delivering thread (see [`CallTable::deliver_from`]).
+    pub fn deliver_from(&self, pkt: Packet, by_waiter: bool) -> Deliver {
+        self.shards[shard_for(pkt.rpc.activity, self.shards.len())].deliver_from(pkt, by_waiter)
     }
 
     /// Unions every shard's protocol-transition witness into `out`.

@@ -8,7 +8,9 @@
 //!    header,
 //! 2. **marshal** the arguments into the call packet (compiled stubs),
 //! 3. **Transporter** — register the call in the call table, transmit,
-//!    and wait for the result with retransmission and probing,
+//!    and wait for the result with retransmission and probing — receiving
+//!    it itself when the endpoint's receive role is free
+//!    ([`crate::role`]),
 //! 4. **unmarshal** the result packet into caller values,
 //! 5. **Ender** — return the packet buffer to the pool (recycled straight
 //!    to the receive queue, as the paper's interrupt handler does).
@@ -300,17 +302,6 @@ impl Client {
         Ok(values?)
     }
 
-    /// Waits on a call entry, honoring the configured §4.2.7 busy-wait
-    /// spin budget before parking (zero budget: plain condvar wait).
-    fn wait_on(&self, entry: &crate::calltable::CallEntry, deadline: Instant) -> Wait {
-        let spin = self.inner.shared.config.busy_wait_spin;
-        if spin.is_zero() {
-            entry.wait(deadline)
-        } else {
-            entry.wait_spinning(deadline, spin)
-        }
-    }
-
     /// Sends a single-packet call and waits for the result.
     fn transact_single(
         &self,
@@ -350,7 +341,7 @@ impl Client {
                 }
                 wake_at = wake_at.min(d);
             }
-            match self.wait_on(entry, wake_at) {
+            match shared.wait_on(entry, header.activity, wake_at) {
                 Wait::Complete(a) => {
                     span.stamp(crate::trace::Stamp::ResultReceived);
                     return Ok(a);
@@ -457,8 +448,9 @@ impl Client {
                         return Err(RpcError::DeadlineExceeded);
                     }
                 }
-                match self.wait_on(
+                match shared.wait_on(
                     entry,
+                    header.activity,
                     Instant::now()
                         + cfg
                             .retransmit_initial
@@ -571,7 +563,7 @@ impl Client {
                 }
                 wake_at = wake_at.min(d);
             }
-            match self.wait_on(entry, wake_at) {
+            match shared.wait_on(entry, header.activity, wake_at) {
                 Wait::Complete(a) => {
                     span.stamp(crate::trace::Stamp::ResultReceived);
                     return Ok(a);

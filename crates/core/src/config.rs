@@ -53,17 +53,6 @@ pub struct Config {
     /// Capacity (in records) of the per-endpoint completed-trace ring
     /// buffer, preallocated at endpoint creation.
     pub trace_capacity: usize,
-    /// Caller-side busy-wait budget — the §4.2.7 ablation, measured
-    /// live instead of estimated.
-    ///
-    /// When nonzero, a caller thread awaiting a result spins (polling
-    /// the call-table entry) for up to this long before parking on the
-    /// entry's condition variable, trading caller CPU for the
-    /// wakeup/scheduling latency the paper estimates at 440 µs. Zero
-    /// (the default) is the paper's shipped behavior: park immediately
-    /// and rely on the demultiplexer's direct wakeup. Server-side
-    /// threads are unaffected (they park in the work-queue hand-off).
-    pub busy_wait_spin: Duration,
     /// Number of runtime shards: the caller-side call table and the
     /// packet-buffer pool are split into this many independent
     /// instances, each with its own locks, selected by a pure hash of
@@ -119,7 +108,6 @@ impl Default for Config {
             rng_seed: 0x5eed_f1ef_0001,
             trace: false,
             trace_capacity: crate::trace::DEFAULT_RING_CAPACITY,
-            busy_wait_spin: Duration::ZERO,
             shards: 4,
             recv_batch: 16,
             fragment_blast: false,
@@ -149,16 +137,6 @@ impl Config {
     pub fn traced() -> Self {
         Config {
             trace: true,
-            ..Config::default()
-        }
-    }
-
-    /// Convenience: the §4.2.7 busy-wait ablation — spin up to 200 µs
-    /// (comfortably past the paper's 440 µs wakeup estimate scaled to a
-    /// modern loopback RTT) before parking.
-    pub fn busy_wait() -> Self {
-        Config {
-            busy_wait_spin: Duration::from_micros(200),
             ..Config::default()
         }
     }
@@ -196,10 +174,8 @@ mod tests {
         assert!(!Config::default().trace);
         assert!(Config::traced().trace);
         assert!(Config::traced().trace_capacity > 0);
-        // The ablation toggles must default to the paper's behavior.
-        assert!(Config::default().busy_wait_spin.is_zero());
+        // The ablation toggle must default to the paper's behavior.
         assert!(!Config::default().fragment_blast);
-        assert!(!Config::busy_wait().busy_wait_spin.is_zero());
         assert!(Config::batched_fragments().fragment_blast);
     }
 }

@@ -1,36 +1,45 @@
-//! Endpoints: one transport, one buffer pool, one demultiplexer.
+//! Endpoints: one transport, one buffer pool, one receive role.
 //!
 //! An `Endpoint` is this reproduction's Firefly: it can export services
 //! (server role) and bind clients (caller role) simultaneously over one
-//! transport. Its demux thread is the Ethernet receive interrupt routine
-//! of §3.1.3: it validates headers and the UDP checksum, consults the
-//! call table or the server dispatcher, wakes the destination thread
-//! directly, and recycles buffers on the fly.
+//! transport. The kernel's socket wake-up is the Ethernet receive
+//! interrupt of §3.1.3, and whichever thread holds the endpoint's
+//! receive role ([`crate::role`]) runs the interrupt routine's work —
+//! validate headers and the UDP checksum, consult the call table or the
+//! server dispatcher, recycle buffers on the fly — through the one
+//! `process_datagram` below. That thread is the waiting caller itself
+//! when it can be, and otherwise the resident receiver (`demux_loop`),
+//! which also executes measured-short single-packet calls to completion
+//! instead of waking a worker for them.
 
-use crate::calltable::{Deliver, ShardedCallTable};
+use crate::calltable::{CallEntry, Deliver, ShardedCallTable, Wait};
 use crate::client::Client;
 use crate::config::Config;
 use crate::local::LocalClient;
 use crate::packet::Packet;
+use crate::role::{Polled, ReceiveRole};
 use crate::send::SendCtx;
-use crate::server::ServerSide;
+use crate::server::{ResultBatch, ServerSide};
 use crate::service::Service;
 use crate::stats::RpcStats;
 use crate::transport::Transport;
 use crate::{Result, RpcError};
 use firefly_idl::InterfaceDef;
 use firefly_pool::{PacketBuf, ShardedPool};
-use firefly_wire::{coalesced_frame_len, PacketType};
+use firefly_wire::{coalesced_frame_len, ActivityId, PacketType};
 use firefly_sync::Mutex;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// State shared between an endpoint, its clients, and its demux thread.
+/// State shared between an endpoint, its clients, and its resident
+/// receiver.
 pub(crate) struct EndpointShared {
     pub ctx: Arc<SendCtx>,
     pub calls: ShardedCallTable,
+    pub server: Arc<ServerSide>,
+    pub role: ReceiveRole,
     pub config: Config,
     pub machine_id: u32,
     pub space_id: u16,
@@ -42,14 +51,13 @@ pub(crate) struct EndpointShared {
 /// A caller/server endpoint bound to one transport.
 pub struct Endpoint {
     shared: Arc<EndpointShared>,
-    server: Arc<ServerSide>,
     demux: Mutex<Option<JoinHandle<()>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Endpoint {
-    /// Creates an endpoint over `transport` and starts its demux and
-    /// server threads.
+    /// Creates an endpoint over `transport` and starts its resident
+    /// receiver and server threads.
     pub fn new(transport: Arc<dyn Transport>, config: Config) -> Result<Arc<Endpoint>> {
         let pool = ShardedPool::new(config.pool_size, config.shards);
         let stats = Arc::new(RpcStats::default());
@@ -69,32 +77,33 @@ impl Endpoint {
             let mac = crate::send::mac_for(&addr).0;
             u32::from_be_bytes([mac[2], mac[3], mac[4], mac[5]]) | 1
         };
+        let server = ServerSide::new(Arc::clone(&ctx), config.stub_style, config.server_threads);
+        // Every endpoint exports the built-in binder, so callers can
+        // verify interfaces before their first real call.
+        server.export(crate::binder::binder_service(&server)?)?;
+        let workers = server.spawn_workers()?;
+        let calls = ShardedCallTable::new(config.shards);
         let shared = Arc::new(EndpointShared {
-            ctx: Arc::clone(&ctx),
-            calls: ShardedCallTable::new(config.shards),
+            ctx,
+            role: ReceiveRole::new(calls.parked_counter()),
+            calls,
+            server,
             machine_id,
             space_id: config.space_id,
             config,
             next_thread: std::sync::atomic::AtomicU16::new(1),
         });
-        let server = ServerSide::new(ctx, shared.config.stub_style, shared.config.server_threads);
-        // Every endpoint exports the built-in binder, so callers can
-        // verify interfaces before their first real call.
-        server.export(crate::binder::binder_service(&server)?)?;
-        let workers = server.spawn_workers()?;
 
         let endpoint = Arc::new(Endpoint {
             shared: Arc::clone(&shared),
-            server: Arc::clone(&server),
             demux: Mutex::new(None),
             workers: Mutex::new(workers),
         });
         let demux = {
             let shared = Arc::clone(&shared);
-            let server = Arc::clone(&server);
             std::thread::Builder::new()
                 .name("firefly-demux".into())
-                .spawn(move || demux_loop(shared, server))?
+                .spawn(move || demux_loop(shared))?
         };
         *endpoint.demux.lock() = Some(demux);
         Ok(endpoint)
@@ -107,7 +116,7 @@ impl Endpoint {
 
     /// Exports a service (server role).
     pub fn export(&self, service: Arc<dyn Service>) -> Result<()> {
-        self.server.export(service)
+        self.shared.server.export(service)
     }
 
     /// Binds `interface` at the remote endpoint, returning a caller stub.
@@ -163,7 +172,7 @@ impl Endpoint {
     /// Binds an interface exported by **this** endpoint through the
     /// shared-memory local transport (the paper's same-machine RPC).
     pub fn bind_local(&self, interface: &InterfaceDef) -> Result<LocalClient> {
-        let service = self.server.service_for(interface.uid()).ok_or_else(|| {
+        let service = self.shared.server.service_for(interface.uid()).ok_or_else(|| {
             RpcError::Binding(format!(
                 "interface `{}` is not exported locally",
                 interface.name()
@@ -180,18 +189,18 @@ impl Endpoint {
     /// fast-path state only for conversations active "within a few
     /// seconds" (§3.1).
     pub fn prune_idle_activities(&self, max_idle: Duration) -> usize {
-        self.server.prune_idle(max_idle)
+        self.shared.server.prune_idle(max_idle)
     }
 
     /// Number of caller activities currently tracked by the server side.
     pub fn tracked_activities(&self) -> usize {
-        self.server.activity_count()
+        self.shared.server.activity_count()
     }
 
     /// Installs an authorization gate consulted for every incoming call
     /// (`None` clears it). See [`crate::auth::CallGate`].
     pub fn set_call_gate(&self, gate: Option<Arc<dyn crate::auth::CallGate>>) {
-        self.server.set_gate(gate);
+        self.shared.server.set_gate(gate);
     }
 
     /// Runtime counters.
@@ -237,10 +246,28 @@ impl Endpoint {
             .collect()
     }
 
-    /// Stops the demux and server threads and unblocks the transport.
+    /// The server's current estimate of how long procedure `procedure`
+    /// of the exported interface `interface_uid` keeps a thread busy
+    /// (gate, stub and service code), or `None` while it has no sample.
+    /// Together with [`Endpoint::handoff_estimate`] this is the whole
+    /// input of the inline-execution decision (docs/SHARDING.md, "Who
+    /// receives").
+    pub fn service_time_estimate(&self, interface_uid: u64, procedure: u16) -> Option<Duration> {
+        self.shared.server.service_time_estimate(interface_uid, procedure)
+    }
+
+    /// The server's estimate of what handing a call to a worker costs
+    /// here (enqueue to worker pick-up), measured on the calls that do
+    /// go through the queues; `None` before the first one.
+    pub fn handoff_estimate(&self) -> Option<Duration> {
+        self.shared.server.handoff_estimate()
+    }
+
+    /// Stops the receiver and server threads and unblocks the transport.
     pub fn shutdown(&self) {
         self.shared.ctx.transport.shutdown();
-        self.server.shutdown();
+        self.shared.role.shutdown();
+        self.shared.server.shutdown();
         // Take the handles out under the guards, join after they drop:
         // joining a thread that is itself draining the transport while
         // holding these mutexes would deadlock against `Drop` callers.
@@ -259,6 +286,21 @@ impl Drop for Endpoint {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// What the thread holding the receive role carries from datagram to
+/// datagram.
+struct Receiving {
+    /// Rotating pool-shard cursor, so receive-buffer pressure spreads
+    /// across shards.
+    cursor: usize,
+    /// The resident receiver's pending result frames. A caller thread
+    /// holding the role has none, and therefore never runs service
+    /// code: every call it receives goes to the workers.
+    results: Option<ResultBatch>,
+    /// The activity of the waiting caller that is doing the receiving;
+    /// a packet for it needs no wake-up.
+    own: Option<ActivityId>,
 }
 
 /// Takes a receive buffer, preferring recycled ones; rotates the shard
@@ -283,27 +325,80 @@ fn take_receive_buf(shared: &EndpointShared, cursor: &mut usize) -> PacketBuf {
 }
 
 /// Nonblocking receive attempts (each yielding the processor) the
-/// demux makes before falling back to a blocking receive; see the
-/// comment at the poll site.
-const DEMUX_POLLS_BEFORE_BLOCK: usize = 32;
+/// holder of the receive role makes before giving up polling: the
+/// resident receiver then blocks in `recv`, a waiting caller hands the
+/// role to the resident and parks on its call entry.
+const POLLS_BEFORE_BLOCK: usize = 32;
 
-/// The receive loop — the reproduction's Ethernet interrupt routine.
+impl EndpointShared {
+    /// Waits on a call entry — the caller half of the receive role.
+    ///
+    /// When the role is free this thread takes it and receives for the
+    /// whole endpoint until its own packet arrives: that packet then
+    /// completes the entry with no condvar signal, other activities'
+    /// packets are delivered and woken as the resident receiver would,
+    /// and incoming calls go to the server workers. When the role is
+    /// taken, or [`POLLS_BEFORE_BLOCK`] attempts found nothing, it
+    /// parks on the entry.
+    pub fn wait_on(&self, entry: &CallEntry, activity: ActivityId, deadline: Instant) -> Wait {
+        let mut rx = Receiving {
+            cursor: crate::calltable::shard_for(activity, self.ctx.pool.shard_count()),
+            results: None,
+            own: Some(activity),
+        };
+        let mut spare: Option<PacketBuf> = None;
+        self.role.wait_receiving(entry, deadline, POLLS_BEFORE_BLOCK, || {
+            let mut buf = match spare.take() {
+                Some(b) => b,
+                // Never block for a buffer with the role in hand.
+                None => match self.ctx.pool.take_receive_buffer_from(rx.cursor) {
+                    Ok(b) => b,
+                    Err(_) => return Polled::Closed,
+                },
+            };
+            match self.ctx.transport.try_recv(buf.raw_mut()) {
+                Ok(Some((n, src))) => {
+                    buf.set_len(n);
+                    process_datagram(self, &mut rx, buf, src);
+                    Polled::Datagram
+                }
+                Ok(None) => {
+                    spare = Some(buf);
+                    Polled::Empty
+                }
+                Err(_) => Polled::Closed,
+            }
+        })
+    }
+}
+
+/// The resident receiver's loop.
 ///
-/// Batching: the first datagram of a burst is taken with a blocking
-/// receive; up to `config.recv_batch` more are then drained with
-/// nonblocking receives, so one demux wakeup (and, over UDP, one
-/// blocking-mode transition) serves the whole burst. The unused buffer
-/// that discovers the end of the burst is carried into the next
-/// blocking receive, keeping the demux's held-buffer count at one.
-fn demux_loop(shared: Arc<EndpointShared>, server: Arc<ServerSide>) {
-    let stats = Arc::clone(&shared.ctx.stats);
+/// It holds the receive role whenever no caller does and is the only
+/// thread that blocks in `recv`. Batching: the first datagram of a burst
+/// is taken by polling or a blocking receive; up to `config.recv_batch`
+/// more are then drained with nonblocking receives, so one wakeup (and,
+/// over UDP, one blocking-mode transition) serves the whole burst. The
+/// result of the first datagram's inline calls is sent at once — a lone
+/// caller never waits for a batch — and the rest of the burst's results
+/// go out coalesced when the drain ends. The unused buffer that
+/// discovers the end of the burst is carried into the next receive,
+/// keeping the held-buffer count at one.
+fn demux_loop(shared: Arc<EndpointShared>) {
+    let stats = &shared.ctx.stats;
+    let transport = &*shared.ctx.transport;
     let batch = shared.config.recv_batch;
-    let mut cursor = 0usize;
+    let mut rx = Receiving {
+        cursor: 0,
+        results: Some(ResultBatch::new()),
+        own: None,
+    };
     let mut spare: Option<PacketBuf> = None;
+    shared.role.adopt_resident();
     loop {
         let mut buf = match spare.take() {
             Some(b) => b,
-            None => take_receive_buf(&shared, &mut cursor),
+            None => take_receive_buf(&shared, &mut rx.cursor),
         };
         // Cooperative poll before the blocking receive: during a steady
         // call stream the next datagram arrives within a few yields
@@ -313,8 +408,18 @@ fn demux_loop(shared: Arc<EndpointShared>, server: Arc<ServerSide>) {
         // budget is small enough to cost only a bounded handful of
         // no-op syscalls before an idle endpoint genuinely parks.
         let mut polled = None;
-        for _ in 0..DEMUX_POLLS_BEFORE_BLOCK {
-            match shared.ctx.transport.try_recv(buf.raw_mut()) {
+        for _ in 0..POLLS_BEFORE_BLOCK {
+            // A waiting caller asked for the role and every caller is
+            // awake: let the thread that waits be the thread that
+            // receives, and stay out of its way until it stops.
+            if shared.role.should_cede() {
+                RpcStats::bump(&stats.role_handovers);
+                if !shared.role.cede() {
+                    return; // Shutdown.
+                }
+                RpcStats::bump(&stats.role_handovers);
+            }
+            match transport.try_recv(buf.raw_mut()) {
                 Ok(Some(x)) => {
                     polled = Some(x);
                     break;
@@ -325,20 +430,21 @@ fn demux_loop(shared: Arc<EndpointShared>, server: Arc<ServerSide>) {
         }
         let (n, src) = match polled {
             Some(x) => x,
-            None => match shared.ctx.transport.recv(buf.raw_mut()) {
+            None => match transport.recv(buf.raw_mut()) {
                 Ok(x) => x,
                 Err(_) => return, // Shutdown.
             },
         };
         buf.set_len(n);
-        process_datagram(&shared, &server, &stats, &mut cursor, buf, src);
+        process_datagram(&shared, &mut rx, buf, src);
+        flush_results(&mut rx, transport);
         let mut drained = 0;
         while drained < batch {
-            let mut b = take_receive_buf(&shared, &mut cursor);
-            match shared.ctx.transport.try_recv(b.raw_mut()) {
+            let mut b = take_receive_buf(&shared, &mut rx.cursor);
+            match transport.try_recv(b.raw_mut()) {
                 Ok(Some((n, src))) => {
                     b.set_len(n);
-                    process_datagram(&shared, &server, &stats, &mut cursor, b, src);
+                    process_datagram(&shared, &mut rx, b, src);
                     drained += 1;
                 }
                 Ok(None) => {
@@ -348,6 +454,13 @@ fn demux_loop(shared: Arc<EndpointShared>, server: Arc<ServerSide>) {
                 Err(_) => return, // Shutdown.
             }
         }
+        flush_results(&mut rx, transport);
+    }
+}
+
+fn flush_results(rx: &mut Receiving, transport: &dyn Transport) {
+    if let Some(results) = &mut rx.results {
+        results.flush(transport);
     }
 }
 
@@ -368,14 +481,8 @@ const MAX_COALESCED_TAILS: usize = firefly_wire::MAX_FRAME_LEN / firefly_wire::M
 /// own pool buffer first, so every frame flows through the same owned
 /// [`Packet`] path; processing stays in wire order, so replies within
 /// one activity are never reordered.
-fn process_datagram(
-    shared: &EndpointShared,
-    server: &ServerSide,
-    stats: &RpcStats,
-    cursor: &mut usize,
-    mut buf: PacketBuf,
-    src: SocketAddr,
-) {
+fn process_datagram(shared: &EndpointShared, rx: &mut Receiving, mut buf: PacketBuf, src: SocketAddr) {
+    let stats = &shared.ctx.stats;
     let n = buf.len();
     let first = match coalesced_frame_len(&buf) {
         Some(len) => len,
@@ -390,7 +497,7 @@ fn process_datagram(
     };
     if first == n {
         // Common case: one frame per datagram, no copies.
-        process_frame(shared, server, stats, buf, src);
+        process_frame(shared, rx, buf, src);
         return;
     }
     // A split datagram means batched peer traffic: the frames below are
@@ -407,7 +514,22 @@ fn process_datagram(
             RpcStats::bump(&stats.validation_drops);
             break;
         };
-        let mut tail = take_receive_buf(shared, cursor);
+        let mut tail = if rx.results.is_some() {
+            take_receive_buf(shared, &mut rx.cursor)
+        } else {
+            // A waiting caller is receiving: as in `wait_on`, it never
+            // blocks for a buffer with the role in hand. The frames it
+            // has no buffer for are lost like any dropped packet, and
+            // retransmission recovers them.
+            rx.cursor = rx.cursor.wrapping_add(1);
+            match shared.ctx.pool.take_receive_buffer_from(rx.cursor) {
+                Ok(b) => b,
+                Err(_) => {
+                    RpcStats::bump(&stats.validation_drops);
+                    break;
+                }
+            }
+        };
         tail.raw_mut()[..len].copy_from_slice(&buf[off..off + len]);
         tail.set_len(len);
         tails[count] = Some(tail);
@@ -415,23 +537,19 @@ fn process_datagram(
         off += len;
     }
     buf.set_len(first);
-    process_frame(shared, server, stats, buf, src);
+    process_frame(shared, rx, buf, src);
     for slot in tails.iter_mut().take(count) {
         if let Some(tail) = slot.take() {
-            process_frame(shared, server, stats, tail, src);
+            process_frame(shared, rx, tail, src);
         }
     }
 }
 
 /// Demultiplexes one received frame — validation, routing, direct
 /// wakeup, on-the-fly buffer recycling (§3.1.3).
-fn process_frame(
-    shared: &EndpointShared,
-    server: &ServerSide,
-    stats: &RpcStats,
-    buf: PacketBuf,
-    src: SocketAddr,
-) {
+fn process_frame(shared: &EndpointShared, rx: &mut Receiving, buf: PacketBuf, src: SocketAddr) {
+    let stats = &shared.ctx.stats;
+    let server = &shared.server;
     let pkt = match Packet::from_buf(buf) {
         Ok(p) => p,
         Err(e) => {
@@ -449,27 +567,36 @@ fn process_frame(
         }
     };
     match pkt.rpc.packet_type {
-        PacketType::Call => server.handle_call_packet(pkt, src),
+        PacketType::Call => server.handle_call_packet(pkt, src, rx.results.as_mut()),
         PacketType::Probe => {
             server.handle_probe(&pkt.rpc, src);
             pkt.into_buf().recycle();
         }
-        PacketType::Result => match shared.calls.deliver(pkt) {
-            Deliver::Accepted => {
-                RpcStats::bump(&stats.results_received);
+        PacketType::Result => {
+            let own = rx.own == Some(pkt.rpc.activity);
+            let ack = match shared.calls.deliver_from(pkt, own) {
+                Deliver::Accepted => None,
+                Deliver::AcceptedNeedsAck(ack) => Some(ack),
+                Deliver::Orphan(pkt) => {
+                    RpcStats::bump(&stats.orphan_results);
+                    pkt.into_buf().recycle();
+                    RpcStats::bump(&stats.buffers_recycled);
+                    return;
+                }
+            };
+            RpcStats::bump(&stats.results_received);
+            // `results_received = self_received_results + the
+            // direct_wakeups a result packet caused`: a result the
+            // waiting thread received itself woke nobody.
+            if own {
+                RpcStats::bump(&stats.self_received_results);
+            } else {
                 RpcStats::bump(&stats.direct_wakeups);
             }
-            Deliver::AcceptedNeedsAck(ack) => {
-                RpcStats::bump(&stats.results_received);
-                RpcStats::bump(&stats.direct_wakeups);
+            if let Some(ack) = ack {
                 let _ = shared.ctx.send_ack(&ack, src);
             }
-            Deliver::Orphan(pkt) => {
-                RpcStats::bump(&stats.orphan_results);
-                pkt.into_buf().recycle();
-                RpcStats::bump(&stats.buffers_recycled);
-            }
-        },
+        }
         PacketType::Ack | PacketType::ProbeResponse => {
             if pkt.rpc.flags.acks_result {
                 // The caller acknowledged one of our result fragments.
@@ -478,9 +605,12 @@ fn process_frame(
             } else {
                 RpcStats::bump(&stats.acks_received);
                 let is_probe_response = pkt.rpc.packet_type == PacketType::ProbeResponse;
-                match shared.calls.deliver(pkt) {
+                let own = rx.own == Some(pkt.rpc.activity);
+                match shared.calls.deliver_from(pkt, own) {
                     Deliver::Accepted | Deliver::AcceptedNeedsAck(_) => {
-                        RpcStats::bump(&stats.direct_wakeups);
+                        if !own {
+                            RpcStats::bump(&stats.direct_wakeups);
+                        }
                     }
                     Deliver::Orphan(pkt) => {
                         // A ProbeResponse with no outstanding probe (the

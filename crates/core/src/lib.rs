@@ -3,9 +3,10 @@
 //! This crate is the reproduction's equivalent of the Firefly RPC runtime
 //! plus the RPC-relevant parts of the Nub (the Firefly kernel): the custom
 //! RPC packet exchange protocol layered on IP/UDP, the shared call table
-//! with **direct thread wakeup from the demultiplexer**, bind-time
-//! transport selection, retransmission with implicit acknowledgements, and
-//! multi-packet calls and results.
+//! with **direct thread wakeup from the receive path** — and no wakeup
+//! at all where the thread that waits can be the thread that receives —
+//! bind-time transport selection, retransmission with implicit
+//! acknowledgements, and multi-packet calls and results.
 //!
 //! # Architecture (mirrors §3.1 of the paper)
 //!
@@ -13,23 +14,29 @@
 //!  caller program ──▶ caller stub ──▶ Starter    (get pool buffer)
 //!                                  ─▶ marshal    (firefly-idl engines)
 //!                                  ─▶ Transporter(register in call table,
-//!                                                 send, await wakeup,
+//!                                                 send, receive the result
+//!                                                 itself or await wakeup,
 //!                                                 retransmit on timeout)
 //!                                  ─▶ unmarshal
 //!                                  ─▶ Ender      (recycle the buffer)
 //!
-//!  demux thread ("Ethernet interrupt routine"):
+//!  holder of the receive role (the "Ethernet interrupt routine": a
+//!  waiting caller, else the endpoint's resident receiver — see `role`):
 //!      recv → validate headers + UDP checksum → look up call table
-//!           → wake the waiting caller thread directly        (fast path)
+//!           → complete its own waiting call, no wakeup       (fast path)
+//!           → wake another waiting caller thread directly    (fast path)
+//!           → run a measured-short single-packet call itself (fast path,
+//!                                             resident receiver only)
 //!           → or hand a call packet to an idle server thread (fast path)
 //!           → or queue for the slow path when nobody waits
 //!
-//!  server thread ──▶ Receiver ──▶ server stub ─▶ service procedure
-//!                 ◀── marshal results into the result packet ◀──
+//!  executing thread ──▶ Receiver ──▶ server stub ─▶ service procedure
+//!                    ◀── marshal results into the result packet ◀──
 //! ```
 //!
-//! An [`Endpoint`] owns one transport, one buffer pool, one demux thread,
-//! a caller-side call table and a server-side dispatcher; it can act as
+//! An [`Endpoint`] owns one transport, one buffer pool, one receive role
+//! with its resident receiver thread, a pool of server threads, a
+//! caller-side call table and a server-side dispatcher; it can act as
 //! caller and server simultaneously, like a Firefly. [`Client`]s are
 //! created by binding an interface to a remote endpoint; services are
 //! exported with [`Endpoint::export`].
@@ -92,6 +99,7 @@ pub mod error;
 pub mod fragment;
 pub mod local;
 pub mod packet;
+pub mod role;
 pub(crate) mod send;
 pub mod server;
 pub mod service;

@@ -1,15 +1,28 @@
 //! The server side: Receiver, server threads, duplicate filtering, and
 //! result retention.
 //!
-//! One `ServerSide` per endpoint. The demux thread routes call packets
-//! here; `ServerSide::handle_call_packet` performs the interrupt-level
-//! work (duplicate filtering, fragment reassembly, retained-result
-//! retransmission) and hands fresh calls to a waiting server thread —
-//! "if the interrupt routine can find a server thread … it attaches the
-//! buffer containing the call packet to the call table entry and awakens
-//! the server thread directly" (§3.1.3). The server thread then plays
-//! `Receiver`: it up-calls the interface stub, which up-calls the service
-//! procedure, marshals the results into a result packet and sends it.
+//! One `ServerSide` per endpoint. The thread holding the receive role
+//! routes call packets here; `ServerSide::handle_call_packet` performs
+//! the interrupt-level work (duplicate filtering, fragment reassembly,
+//! retained-result retransmission) and then gets the fresh call
+//! executed by the cheapest thread that may run it:
+//!
+//! * the **receiving thread itself**, when that is the resident receiver
+//!   and the call is a single packet for a procedure whose measured
+//!   service time is below what waking a worker costs here — the eRPC
+//!   rule ("the thread that polls the network runs the handler to
+//!   completion"), and the Firefly's two-threads-per-call shape;
+//! * otherwise a **server thread**: "if the interrupt routine can find a
+//!   server thread … it attaches the buffer containing the call packet
+//!   to the call table entry and awakens the server thread directly"
+//!   (§3.1.3).
+//!
+//! Either way the executing thread plays `Receiver`: it up-calls the
+//! interface stub, which up-calls the service procedure, marshals the
+//! results into a result packet and sends it. The receiving thread never
+//! waits for what only it could receive: a multi-packet result it
+//! produced goes to a server thread, which transmits it stop-and-wait
+//! and finishes the call.
 
 use crate::calltable::shard_for;
 use crate::packet::{Assembled, Packet};
@@ -25,6 +38,7 @@ use firefly_sync::{Condvar, Mutex, RwLock};
 use firefly_wire::{ActivityId, PacketType, RpcHeader, DATA_OFFSET, MAX_SINGLE_PACKET_DATA};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,67 +110,131 @@ struct Activity {
 struct ServiceEntry {
     service: Arc<dyn Service>,
     stubs: Vec<Box<dyn StubEngine>>,
+    /// Per-procedure service-time estimate in ns (gate + stub + service
+    /// code), 0 while unmeasured; see [`note_service_time`].
+    service_ns: Vec<AtomicU64>,
     name: String,
     version: u16,
+}
+
+/// No procedure estimated slower than this runs on the receiving thread,
+/// however expensive a hand-off has been measured to be: the endpoint is
+/// deaf while it runs. (The hand-off estimate is a mean of samples
+/// clamped here, so it never exceeds it.)
+const INLINE_CEILING_NS: u64 = 20_000;
+
+/// Folds one service-time sample into a procedure's estimate: the
+/// largest recent sample, decaying by an eighth per call. One slow
+/// sample therefore demotes a procedure at once, and it takes a run of
+/// fast ones to promote it back.
+fn note_service_time(estimate: &AtomicU64, sample_ns: u64) {
+    let old = estimate.load(Ordering::Relaxed);
+    estimate.store(sample_ns.max(old - old / 8).max(1), Ordering::Relaxed);
+}
+
+/// Folds one queue-wait sample into the hand-off estimate: a running
+/// mean (weight an eighth) of samples clamped to [`INLINE_CEILING_NS`],
+/// so one descheduled worker moves it by a couple of µs at most and it
+/// can never argue for more than the ceiling allows anyway.
+fn note_handoff(estimate: &AtomicU64, sample_ns: u64) {
+    let sample = sample_ns.clamp(1, INLINE_CEILING_NS);
+    let new = match estimate.load(Ordering::Relaxed) {
+        0 => sample,
+        old => old - old / 8 + sample / 8,
+    };
+    estimate.store(new.max(1), Ordering::Relaxed);
 }
 
 enum Work {
     Call {
         call: Assembled,
         src: SocketAddr,
-        /// Demux-level receive stamp ([`crate::trace`] nanos); 0 when
-        /// tracing was off at receipt.
+        /// The caller activity's slot, looked up once at receipt.
+        act: Arc<Activity>,
+        /// Receive stamp ([`crate::trace`] nanos); 0 when tracing was
+        /// off at receipt.
         received_at: u64,
+        /// When the call was queued, for the hand-off estimate.
+        queued_at: u64,
+    },
+    /// A multi-packet result the receiving thread produced: only a
+    /// thread that is not receiving may wait for its fragment acks.
+    Result {
+        rpc: RpcHeader,
+        data: Vec<u8>,
+        src: SocketAddr,
+        act: Arc<Activity>,
     },
 }
 
-/// A worker's pending single-packet result frames, transmitted in one
-/// [`Transport::send_batch`] call — which coalesces consecutive frames
-/// to the same caller into single datagrams — whenever the worker runs
-/// out of immediately-available work or the batch reaches capacity.
+/// How [`ServerSide::execute`] left a call.
+enum Executed {
+    /// Result transmitted; these are the frames to retain.
+    Sent(Retained),
+    /// Result handed to a worker ([`Work::Result`]), which finishes the
+    /// call.
+    HandedOver,
+}
+
+/// An executing thread's pending single-packet result frames,
+/// transmitted in one [`Transport::send_batch`] call — which coalesces
+/// consecutive frames to the same caller into single datagrams —
+/// whenever the thread runs out of immediately-available work or the
+/// batch reaches capacity.
 ///
 /// Frames are *copied* in: retransmission retention keeps the pool
 /// buffer in the activity slot independently, so deferring the send
 /// never extends a buffer's lifetime.
-struct ResultBatch {
+///
+/// [`Transport::send_batch`]: crate::transport::Transport::send_batch
+pub(crate) struct ResultBatch {
     bytes: Vec<u8>,
     frames: Vec<(usize, SocketAddr)>,
 }
 
 impl ResultBatch {
-    /// Flush once this many frames are pending even if more local work
-    /// remains, bounding the latency batching can add under load.
+    /// Flushed as soon as this many frames are pending even if more
+    /// local work remains, bounding the latency batching can add under
+    /// load (and the size of `flush`'s slice list).
     const MAX_FRAMES: usize = 16;
 
-    fn new() -> ResultBatch {
+    pub fn new() -> ResultBatch {
         ResultBatch {
             bytes: Vec::with_capacity(Self::MAX_FRAMES * 96),
             frames: Vec::with_capacity(Self::MAX_FRAMES),
         }
     }
 
-    fn add(&mut self, frame: &[u8], dst: SocketAddr) {
+    /// Queues one frame, flushing the batch if that fills it.
+    fn add(&mut self, frame: &[u8], dst: SocketAddr, transport: &dyn crate::transport::Transport) {
         self.bytes.extend_from_slice(frame);
         self.frames.push((frame.len(), dst));
+        if self.frames.len() >= Self::MAX_FRAMES {
+            self.flush(transport);
+        }
     }
 
-    fn is_full(&self) -> bool {
-        self.frames.len() >= Self::MAX_FRAMES
-    }
-
-    fn flush(&mut self, transport: &dyn crate::transport::Transport) {
-        if self.frames.is_empty() {
-            return;
-        }
-        let mut batch: Vec<(&[u8], SocketAddr)> = Vec::with_capacity(self.frames.len());
-        let mut off = 0;
-        for &(len, dst) in &self.frames {
-            batch.push((&self.bytes[off..off + len], dst));
-            off += len;
-        }
+    pub fn flush(&mut self, transport: &dyn crate::transport::Transport) {
         // A UDP send failure here is indistinguishable from packet loss
         // on the wire; the caller's retransmission machinery recovers.
-        let _ = transport.send_batch(&batch);
+        match self.frames[..] {
+            [] => return,
+            // A lone caller's case, once per call: no list to build.
+            [(len, dst)] => {
+                let _ = transport.send(&self.bytes[..len], dst);
+            }
+            [(_, first), ..] => {
+                // The slice list lives on the stack; `add` flushes a
+                // full batch, which keeps it within.
+                let mut batch = [(&[][..], first); Self::MAX_FRAMES];
+                let mut off = 0;
+                for (slot, &(len, dst)) in batch.iter_mut().zip(&self.frames) {
+                    *slot = (&self.bytes[off..off + len], dst);
+                    off += len;
+                }
+                let _ = transport.send_batch(&batch[..self.frames.len().min(Self::MAX_FRAMES)]);
+            }
+        }
         self.bytes.clear();
         self.frames.clear();
     }
@@ -171,6 +249,9 @@ pub(crate) struct ServerSide {
     /// Per-worker receive queues with ascending-index work stealing;
     /// the demux enqueues each call on `shard_for(activity)`'s queue.
     queues: WorkQueues<Work>,
+    /// What handing a call to a worker costs here, in ns (enqueue to
+    /// pick-up), 0 while unmeasured; see [`note_handoff`].
+    handoff_ns: AtomicU64,
     ctx: Arc<SendCtx>,
 }
 
@@ -182,6 +263,7 @@ impl ServerSide {
             stub_style,
             activities: Mutex::new(HashMap::new()),
             queues: WorkQueues::new(workers),
+            handoff_ns: AtomicU64::new(0),
             ctx,
         })
     }
@@ -213,6 +295,38 @@ impl ServerSide {
             .read()
             .get(&uid)
             .map(|e| Arc::clone(&e.service))
+    }
+
+    /// See [`crate::Endpoint::service_time_estimate`].
+    pub fn service_time_estimate(&self, uid: u64, procedure: u16) -> Option<Duration> {
+        let ns = self.service_ns(uid, procedure);
+        (ns != 0).then(|| Duration::from_nanos(ns))
+    }
+
+    /// See [`crate::Endpoint::handoff_estimate`].
+    pub fn handoff_estimate(&self) -> Option<Duration> {
+        let ns = self.handoff_ns.load(Ordering::Relaxed);
+        (ns != 0).then(|| Duration::from_nanos(ns))
+    }
+
+    fn service_ns(&self, uid: u64, procedure: u16) -> u64 {
+        self.services
+            .read()
+            .get(&uid)
+            .and_then(|e| e.service_ns.get(procedure as usize))
+            .map_or(0, |ns| ns.load(Ordering::Relaxed))
+    }
+
+    /// Whether the receiving thread should execute this single-packet
+    /// call itself: only a procedure *measured* to take less than the
+    /// hand-off it would avoid, itself measured here (and never above
+    /// [`INLINE_CEILING_NS`]). Unmeasured procedures (every procedure's
+    /// first call) go to a worker, and so do procedures whose results
+    /// have lately been multi-packet: such a call counts as a sample of
+    /// the ceiling at least.
+    fn runs_inline(&self, rpc: &RpcHeader) -> bool {
+        let service = self.service_ns(rpc.interface_uid, rpc.procedure);
+        service != 0 && service < self.handoff_ns.load(Ordering::Relaxed)
     }
 
     /// Installs (or clears) the authorization gate.
@@ -260,6 +374,7 @@ impl ServerSide {
         // bind time (§3.1), before any call traffic.
         let interface = service.interface().clone();
         let stubs = engines_for_interface(&interface, self.stub_style);
+        let service_ns = stubs.iter().map(|_| AtomicU64::new(0)).collect();
         let mut services = self.services.write();
         if services.contains_key(&interface.uid()) {
             return Err(RpcError::Binding(format!(
@@ -272,6 +387,7 @@ impl ServerSide {
             ServiceEntry {
                 service,
                 stubs,
+                service_ns,
                 name: interface.name().to_string(),
                 version: interface.version(),
             },
@@ -307,9 +423,13 @@ impl ServerSide {
     }
 
     /// Interrupt-level handling of an incoming call packet.
-    pub fn handle_call_packet(&self, pkt: Packet, src: SocketAddr) {
+    ///
+    /// `inline` is the receiving thread's own result batch when that
+    /// thread may run service code (the resident receiver), `None` when
+    /// it may not (a caller thread holding the receive role).
+    pub fn handle_call_packet(&self, pkt: Packet, src: SocketAddr, inline: Option<&mut ResultBatch>) {
         // Stamp receipt first, before any protocol work, so the server
-        // account starts at the demux boundary (0 with tracing off).
+        // account starts at the receive boundary (0 with tracing off).
         let received_at = self.ctx.tracer.stamp_if_enabled();
         let stats = &self.ctx.stats;
         RpcStats::bump(&stats.calls_received);
@@ -459,14 +579,8 @@ impl ServerSide {
                 let _ = self.ctx.send_ack(&RpcHeader::ack_for(&rpc), src);
             }
             self.recycle(pkt);
-            self.enqueue(
-                rpc.activity,
-                Work::Call {
-                    call: Assembled::Multi { rpc, data },
-                    src,
-                    received_at,
-                },
-            );
+            // Multi-packet calls can wait.
+            self.enqueue(Assembled::Multi { rpc, data }, src, act, received_at);
             return;
         }
 
@@ -479,14 +593,22 @@ impl ServerSide {
         }
         self.begin_call(&mut st, rpc.call_seq);
         drop(st);
-        self.enqueue(
-            rpc.activity,
-            Work::Call {
-                call: Assembled::Single(pkt),
-                src,
-                received_at,
-            },
-        );
+        let call = Assembled::Single(pkt);
+        if let Some(results) = inline {
+            if self.runs_inline(&rpc) {
+                // Never block the receiver for a buffer: a dry pool
+                // sends the call round by the workers, which may wait.
+                let shard = shard_for(rpc.activity, self.ctx.pool.shard_count());
+                if let Ok(result_buf) = self.ctx.pool.alloc_from(shard) {
+                    // Reached its executing thread without queueing.
+                    RpcStats::bump(&stats.direct_wakeups);
+                    RpcStats::bump(&stats.inline_calls);
+                    self.dispatch(call, src, &act, received_at, Some(result_buf), results);
+                    return;
+                }
+            }
+        }
+        self.enqueue(call, src, act, received_at);
     }
 
     /// Marks a new call in progress and releases the previous retained
@@ -507,8 +629,15 @@ impl ServerSide {
     /// `true` from the push means a parked worker was woken directly —
     /// the paper's direct-handoff fast path; `false` means every worker
     /// was busy and the call waits in the queue (the slow path).
-    fn enqueue(&self, activity: ActivityId, work: Work) {
-        let target = shard_for(activity, self.queues.worker_count());
+    fn enqueue(&self, call: Assembled, src: SocketAddr, act: Arc<Activity>, received_at: u64) {
+        let target = shard_for(call.rpc().activity, self.queues.worker_count());
+        let work = Work::Call {
+            call,
+            src,
+            act,
+            received_at,
+            queued_at: self.ctx.tracer.now_nanos(),
+        };
         if self.queues.push(target, work) {
             RpcStats::bump(&self.ctx.stats.direct_wakeups);
         } else {
@@ -654,9 +783,6 @@ impl ServerSide {
         // accumulate and go out coalesced.
         let mut results = ResultBatch::new();
         loop {
-            if results.is_full() {
-                results.flush(&*self.ctx.transport);
-            }
             // `pop_with` flushes the pending results once the queues
             // have stayed quiet for a few rescans (and always before
             // this worker could park), so during a busy streak results
@@ -669,25 +795,60 @@ impl ServerSide {
                 Some(Work::Call {
                     call,
                     src,
+                    act,
                     received_at,
-                }) => self.dispatch(call, src, received_at, &mut results),
+                    queued_at,
+                }) => {
+                    let waited = self.ctx.tracer.now_nanos().saturating_sub(queued_at);
+                    note_handoff(&self.handoff_ns, waited);
+                    self.dispatch(call, src, &act, received_at, None, &mut results);
+                }
+                Some(Work::Result { rpc, data, src, act }) => {
+                    // As in `execute`: nobody's result waits behind
+                    // this one's fragment round trips.
+                    results.flush(&*self.ctx.transport);
+                    let mut span = crate::trace::Span::inert();
+                    let sent = self.send_multi_result(&rpc, &data, src, &act, &mut span);
+                    self.complete(&rpc, src, &act, sent);
+                }
                 None => break,
             }
         }
         results.flush(&*self.ctx.transport);
     }
 
-    /// The Receiver: execute one call and transmit its result.
-    fn dispatch(&self, call: Assembled, src: SocketAddr, received_at: u64, results: &mut ResultBatch) {
+    /// The Receiver: execute one call and transmit its result, on a
+    /// server thread or on the receiving thread itself. `inline_buf` is
+    /// the result buffer when this is the receiving thread, which waits
+    /// for nothing only it could receive: neither a buffer nor an ack.
+    fn dispatch(
+        &self,
+        call: Assembled,
+        src: SocketAddr,
+        act: &Arc<Activity>,
+        received_at: u64,
+        inline_buf: Option<PacketBuf>,
+        results: &mut ResultBatch,
+    ) {
         let rpc = *call.rpc();
         // The server half of the latency account: `Received` carries the
-        // demux stamp, `Dispatched` is stamped here (the wakeup delta).
+        // receive stamp, `Dispatched` is stamped here — the queue wait,
+        // or next to nothing when the receiving thread executes.
         let mut span = self.ctx.tracer.server_span(rpc.procedure, received_at);
-        let outcome = self.execute(&call, src, &mut span, results);
+        let outcome = match self.execute(&call, src, act, inline_buf, &mut span, results) {
+            Ok(Executed::HandedOver) => return,
+            Ok(Executed::Sent(retained)) => Ok(retained),
+            Err(e) => Err(e),
+        };
         if outcome.is_ok() && span.finish() {
             RpcStats::bump(&self.ctx.stats.trace_records);
         }
-        let act = self.activity(rpc.activity);
+        self.complete(&rpc, src, act, outcome);
+    }
+
+    /// Ends a call's execution: retains what was sent, or sends (and
+    /// retains) the error result.
+    fn complete(&self, rpc: &RpcHeader, src: SocketAddr, act: &Activity, outcome: Result<Retained>) {
         let mut st = act.state.lock();
         if st.last_seq != rpc.call_seq {
             // A newer call superseded us while executing; discard.
@@ -706,7 +867,7 @@ impl ServerSide {
                 // shape; spelling the header as `..rpc` here used to leak
                 // the call's please-ack bit into the error result, making
                 // the caller send an ack nobody consumed.
-                let header = RpcHeader::result_for(&rpc, data.len());
+                let header = RpcHeader::result_for(rpc, data.len());
                 let builder = self.ctx.builder_from(&header, src).call_failed(true);
                 let _ = self.ctx.send_built(&builder, data, src);
                 let mut st = act.state.lock();
@@ -719,16 +880,18 @@ impl ServerSide {
         }
     }
 
-    /// Runs the stub + service and transmits the result packets; returns
-    /// the frames to retain.
+    /// Runs the stub + service and transmits the result packets.
     fn execute(
         &self,
         call: &Assembled,
         src: SocketAddr,
+        act: &Arc<Activity>,
+        inline_buf: Option<PacketBuf>,
         span: &mut crate::trace::Span<'_>,
         results: &mut ResultBatch,
-    ) -> Result<Retained> {
+    ) -> Result<Executed> {
         let rpc = *call.rpc();
+        let started = self.ctx.tracer.now_nanos();
         // The authorization hook runs after duplicate filtering, before
         // any service code (§7's "structural hooks").
         if let Some(gate) = self.gate.read().as_ref() {
@@ -756,16 +919,30 @@ impl ServerSide {
         // Marshal the result straight into a fresh pool buffer from the
         // activity's shard (caller threads on other shards contend on
         // nothing); large results spill to the heap transparently.
-        let shard = shard_for(rpc.activity, self.ctx.pool.shard_count());
-        let mut result_buf = self
-            .ctx
-            .pool
-            .alloc_timeout_from(shard, Duration::from_secs(1))?;
+        let inline = inline_buf.is_some();
+        let mut result_buf = match inline_buf {
+            Some(buf) => buf,
+            None => {
+                let shard = shard_for(rpc.activity, self.ctx.pool.shard_count());
+                self.ctx
+                    .pool
+                    .alloc_timeout_from(shard, Duration::from_secs(1))?
+            }
+        };
         let raw = result_buf.raw_mut();
         let mut writer = stub.result_writer(&mut raw[DATA_OFFSET..]);
         entry.service.dispatch(rpc.procedure, &args, &mut writer)?;
         let written = writer.finish()?;
         drop(args);
+        if let Some(estimate) = entry.service_ns.get(rpc.procedure as usize) {
+            let mut took = self.ctx.tracer.now_nanos().saturating_sub(started);
+            if matches!(written, Written::Spilled(_)) {
+                // The call is not over until its fragments are acked,
+                // round trips the receiving thread cannot wait out.
+                took = took.max(INLINE_CEILING_NS);
+            }
+            note_service_time(estimate, took);
+        }
         drop(services);
         span.stamp(crate::trace::Stamp::StubDone);
 
@@ -781,17 +958,28 @@ impl ServerSide {
                     .builder_from(&result_header, src)
                     .encode_into(result_buf.raw_mut(), len)?;
                 result_buf.set_len(total);
-                results.add(&result_buf, src);
+                results.add(&result_buf, src, &*self.ctx.transport);
                 span.stamp(crate::trace::Stamp::ResultSent);
-                Ok(Retained::Pooled(result_buf))
+                Ok(Executed::Sent(Retained::Pooled(result_buf)))
             }
             Written::Spilled(data) => {
                 drop(result_buf);
+                if inline {
+                    // A procedure trusted for its speed returned more
+                    // than a packet. The acks of its fragments arrive
+                    // through this thread, so a worker does the waiting
+                    // (and this call goes untraced: the span stays here).
+                    let target = shard_for(rpc.activity, self.queues.worker_count());
+                    let act = Arc::clone(act);
+                    self.queues.push(target, Work::Result { rpc, data, src, act });
+                    return Ok(Executed::HandedOver);
+                }
                 // Stop-and-wait blocks on caller acks; flush pending
                 // results first so other callers aren't stalled behind
                 // this one's fragment round trips.
                 results.flush(&*self.ctx.transport);
-                self.send_multi_result(&rpc, &data, src, span)
+                let sent = self.send_multi_result(&rpc, &data, src, act, span)?;
+                Ok(Executed::Sent(sent))
             }
         }
     }
@@ -803,10 +991,10 @@ impl ServerSide {
         rpc: &RpcHeader,
         data: &[u8],
         src: SocketAddr,
+        act: &Activity,
         span: &mut crate::trace::Span<'_>,
     ) -> Result<Retained> {
         let count = crate::fragment::fragment_count(data.len())?;
-        let act = self.activity(rpc.activity);
         let mut retained: Vec<Vec<u8>> = Vec::with_capacity(count as usize);
         for (index, chunk) in crate::fragment::fragments(data) {
             let last = index + 1 == count;

@@ -56,7 +56,9 @@ counters! {
     acks_received,
     /// Probe packets answered.
     probes_answered,
-    /// Frames dropped because validation failed (bad checksum, bad header).
+    /// Frames dropped because validation failed (bad checksum, bad
+    /// header), and the rest of a coalesced datagram a receiving caller
+    /// thread found no buffer for (it never waits for one).
     validation_drops,
     /// Frames dropped because the packet-type byte is not a known type.
     /// Split from `validation_drops` so the chaos garbage-frame mix can
@@ -64,10 +66,24 @@ counters! {
     unknown_type_drops,
     /// ProbeResponse packets with no outstanding probe, dropped silently.
     stray_probe_responses,
-    /// Packets handed directly to a waiting thread (the fast path).
+    /// Packets that reached the thread they were for without queueing
+    /// (the fast path): a result or ack that woke its waiting caller, a
+    /// call that woke a parked server thread, or a call executed by the
+    /// receiving thread itself (`inline_calls`). A result received by
+    /// its own waiter wakes nobody and is counted in
+    /// `self_received_results` instead.
     direct_wakeups,
     /// Call packets queued because no server thread was waiting (slow path).
     slow_path_queued,
+    /// Single-packet calls executed to completion by the receiving
+    /// thread; a subset of `direct_wakeups`, never of `slow_path_queued`.
+    inline_calls,
+    /// Result packets received by the very thread waiting for them:
+    /// `results_received` minus the ones that needed a wake-up.
+    self_received_results,
+    /// Times the receive role changed hands between the resident
+    /// receiver and caller threads (a cede, or the resident's return).
+    role_handovers,
     /// Receive buffers recycled straight back to the receive queue.
     buffers_recycled,
     /// Multi-packet fragments sent.

@@ -1,7 +1,6 @@
-//! The measured §4.2 ablation toggles: busy-wait spin-then-park
-//! (§4.2.7) and fragment-window blasting (the batching direction of
-//! §4.2.5). These are bench knobs, but they must be *correct* knobs —
-//! every protocol guarantee holds with them on.
+//! The measured §4.2 ablation toggle: fragment-window blasting (the
+//! batching direction of §4.2.5). It is a bench knob, but it must be a
+//! *correct* knob — every protocol guarantee holds with it on.
 
 use firefly_idl::{parse_interface, test_interface, Value};
 use firefly_propcheck::{check, prop_assert_eq};
@@ -36,32 +35,6 @@ fn echo_setup(net: &LoopbackNet, cfg: Config) -> (Arc<Endpoint>, Arc<Endpoint>, 
     server.export(service).unwrap();
     let client = caller.bind(&iface, server.address()).unwrap();
     (server, caller, client)
-}
-
-#[test]
-fn busy_wait_calls_round_trip() {
-    let net = LoopbackNet::new();
-    let (_server, caller_ep, client) = echo_setup(&net, Config::busy_wait());
-    for i in 0..50i32 {
-        let r = client.call("Twice", &[Value::Integer(i)]).unwrap();
-        assert_eq!(r[0], Value::Integer(2 * i));
-    }
-    // Spinning is pure caller-side: a clean loopback run completes
-    // every call without a single retransmission.
-    assert_eq!(caller_ep.stats().calls_completed(), 50);
-    assert_eq!(caller_ep.stats().retransmissions(), 0);
-}
-
-#[test]
-fn busy_wait_handles_fragmented_bodies_too() {
-    // The spin wait also stands in for the per-fragment ack waits.
-    let net = LoopbackNet::new();
-    let (_server, _caller_ep, client) = echo_setup(&net, Config::busy_wait());
-    let data: Vec<u8> = (0..5000).map(|i| (i % 251) as u8).collect();
-    let r = client
-        .call("Blob", &[Value::Bytes(data.clone()), Value::Bytes(Vec::new())])
-        .unwrap();
-    assert_eq!(r[0].as_bytes().unwrap(), &data[..]);
 }
 
 #[test]

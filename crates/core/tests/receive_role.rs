@@ -1,0 +1,442 @@
+//! The receive role end to end: the thread that waits is the thread that
+//! receives, the resident receiver runs measured-short calls itself, and
+//! neither ever costs a caller its result or the server its ears.
+
+use firefly_idl::{parse_interface, InterfaceDef, Value};
+use firefly_propcheck::{check, prop_assert, prop_assert_eq};
+use firefly_rpc::role::IDLE_TICK;
+use firefly_rpc::transport::{FaultPlan, LoopbackNet};
+use firefly_rpc::{Config, Endpoint, ServiceBuilder};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// How long the slow procedure sleeps: long enough for a bystander's
+/// `Null()` to begin and end inside it even on a busy test machine.
+const NAP: Duration = Duration::from_millis(80);
+
+fn interface() -> InterfaceDef {
+    parse_interface(
+        "DEFINITION MODULE Role;
+           PROCEDURE Null();
+           PROCEDURE Work(n: INTEGER): INTEGER;
+           PROCEDURE Get(n: INTEGER; VAR OUT out: ARRAY OF CHAR);
+           PROCEDURE Relay(n: INTEGER): INTEGER;
+         END Role.",
+    )
+    .unwrap()
+}
+
+/// A nap of `Work`, as the procedure reports it.
+enum Nap {
+    Begun,
+    Ended(Instant),
+}
+
+/// Where `Work` ran and when it napped.
+struct Probe {
+    /// `Work` naps for [`NAP`] while set.
+    slow: AtomicBool,
+    /// Naps taken on the receiving thread.
+    naps_on_receiver: AtomicU64,
+    /// Executions of `Work`, anywhere.
+    executed: AtomicU64,
+    /// `Relay` calls `Work` through this client, when there is one, and
+    /// returns its result.
+    relay: Mutex<Option<firefly_rpc::Client>>,
+    /// Calls `Relay` made through `relay` from the receiving thread.
+    relays_on_receiver: AtomicU64,
+    /// Two messages per nap: as it begins, and when it ended.
+    napping: Mutex<mpsc::Sender<Nap>>,
+}
+
+fn on_receiving_thread() -> bool {
+    std::thread::current().name() == Some("firefly-demux")
+}
+
+fn serve(server: &Endpoint, probe: &Arc<Probe>) {
+    let p = Arc::clone(probe);
+    let relay = Arc::clone(probe);
+    let service = ServiceBuilder::new(interface())
+        .on_call("Null", |_a, _w| Ok(()))
+        .on_call("Work", move |args, w| {
+            p.executed.fetch_add(1, Ordering::Relaxed);
+            if p.slow.load(Ordering::Relaxed) {
+                if on_receiving_thread() {
+                    p.naps_on_receiver.fetch_add(1, Ordering::Relaxed);
+                }
+                let _ = p.napping.lock().unwrap().send(Nap::Begun);
+                std::thread::sleep(NAP);
+                let _ = p.napping.lock().unwrap().send(Nap::Ended(Instant::now()));
+            }
+            w.next_value(args[0].value().unwrap())?;
+            Ok(())
+        })
+        .on_call("Get", |args, w| {
+            let n = args[0].value().and_then(Value::as_integer).unwrap();
+            w.next_bytes(n as usize)?.fill(0x5a);
+            Ok(())
+        })
+        .on_call("Relay", move |args, w| {
+            let n = args[0].value().unwrap();
+            let next = relay.relay.lock().unwrap().clone();
+            let Some(next) = next else {
+                return Ok(w.next_value(n)?);
+            };
+            if on_receiving_thread() {
+                relay.relays_on_receiver.fetch_add(1, Ordering::Relaxed);
+            }
+            let r = next.call("Work", &[n.clone()])?;
+            w.next_value(&r[0])?;
+            Ok(())
+        })
+        .build()
+        .unwrap();
+    server.export(service).unwrap();
+}
+
+fn probe(slow: bool) -> (Arc<Probe>, mpsc::Receiver<Nap>) {
+    let (tx, rx) = mpsc::channel();
+    let probe = Probe {
+        slow: AtomicBool::new(slow),
+        naps_on_receiver: AtomicU64::new(0),
+        executed: AtomicU64::new(0),
+        relay: Mutex::new(None),
+        relays_on_receiver: AtomicU64::new(0),
+        napping: Mutex::new(tx),
+    };
+    (Arc::new(probe), rx)
+}
+
+fn nap_begins(napping: &mpsc::Receiver<Nap>) {
+    assert!(matches!(napping.recv().unwrap(), Nap::Begun));
+}
+
+fn nap_ends(napping: &mpsc::Receiver<Nap>) -> Instant {
+    match napping.recv().unwrap() {
+        Nap::Ended(at) => at,
+        Nap::Begun => panic!("two naps at once"),
+    }
+}
+
+/// Makes `slow_calls` napping calls of `Work` from one caller endpoint
+/// while a second endpoint calls `Null()` once a nap has begun; returns
+/// how many of those `Null()`s had their result before the nap ended —
+/// which none can if the napping thread is the one that receives.
+fn nulls_answered_during_naps(
+    net: &LoopbackNet,
+    server: &Endpoint,
+    worker: &firefly_rpc::Client,
+    napping: &mpsc::Receiver<Nap>,
+    slow_calls: i32,
+) -> i32 {
+    let bystander = Endpoint::new(net.station(3), Config::default()).unwrap();
+    let null = bystander.bind(&interface(), server.address()).unwrap();
+    null.call("Null", &[]).unwrap();
+    let mut during = 0;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for n in 0..slow_calls {
+                let r = worker.call("Work", &[Value::Integer(n)]).unwrap();
+                assert_eq!(r[0], Value::Integer(n));
+            }
+        });
+        for _ in 0..slow_calls {
+            nap_begins(napping);
+            null.call("Null", &[]).unwrap();
+            let answered = Instant::now();
+            during += i32::from(answered < nap_ends(napping));
+        }
+    });
+    during
+}
+
+/// 5 ms first retransmission: a nap draws a retransmission, which a
+/// server with a free receiver answers with the in-progress ack.
+fn impatient() -> Config {
+    Config::fast_retry()
+}
+
+#[test]
+fn a_procedure_slow_from_its_first_call_never_runs_on_the_receiving_thread() {
+    let net = LoopbackNet::new();
+    let server = Endpoint::new(net.station(1), impatient()).unwrap();
+    let caller = Endpoint::new(net.station(2), impatient()).unwrap();
+    let (probe, napping) = probe(true);
+    serve(&server, &probe);
+    let worker = caller.bind(&interface(), server.address()).unwrap();
+
+    let during = nulls_answered_during_naps(&net, &server, &worker, &napping, 4);
+
+    assert_eq!(probe.naps_on_receiver.load(Ordering::Relaxed), 0);
+    assert_eq!(during, 4, "a Null() waited behind a nap");
+    // The caller retransmitted into the naps and was told to wait: the
+    // receiver was listening while the procedure slept. (One per nap on
+    // a quiet machine; a busy one may sleep through a 5 ms timer.)
+    assert!(caller.stats().retransmissions() >= 1);
+    assert!(server.stats().acks_sent() >= 1, "stats:\n{}", server.stats());
+    let work = interface().procedure("Work").unwrap().index();
+    let estimate = server.service_time_estimate(interface().uid(), work).unwrap();
+    assert!(estimate >= NAP, "estimate {estimate:?}");
+    assert_eq!(probe.executed.load(Ordering::Relaxed), 4);
+}
+
+#[test]
+fn a_procedure_that_turns_slow_is_demoted_after_the_sample_that_shows_it() {
+    let net = LoopbackNet::new();
+    let server = Endpoint::new(net.station(1), impatient()).unwrap();
+    let caller = Endpoint::new(net.station(2), impatient()).unwrap();
+    let (probe, napping) = probe(false);
+    serve(&server, &probe);
+    let worker = caller.bind(&interface(), server.address()).unwrap();
+    for n in 0..1000 {
+        worker.call("Work", &[Value::Integer(n)]).unwrap();
+    }
+    let work = interface().procedure("Work").unwrap().index();
+    let fast = server.service_time_estimate(interface().uid(), work).unwrap();
+    assert!(fast < NAP / 4, "estimate {fast:?} after 1000 fast calls");
+
+    probe.slow.store(true, Ordering::Relaxed);
+    // The first nap may still find the procedure trusted; it is the
+    // sample that shows otherwise.
+    worker.call("Work", &[Value::Integer(-1)]).unwrap();
+    nap_begins(&napping);
+    nap_ends(&napping);
+    let acks_before = server.stats().acks_sent();
+    let during = nulls_answered_during_naps(&net, &server, &worker, &napping, 4);
+
+    assert!(probe.naps_on_receiver.load(Ordering::Relaxed) <= 1);
+    assert_eq!(during, 4, "a Null() waited behind a nap");
+    assert!(server.stats().acks_sent() > acks_before, "stats:\n{}", server.stats());
+    assert_eq!(probe.executed.load(Ordering::Relaxed), 1005);
+}
+
+/// Calls `procedure` until the server has run it on its receiving
+/// thread `times` more times (how soon it is trusted is a matter of
+/// measured times, so wait for it rather than count on it).
+fn call_until_inline(server: &Endpoint, times: u64, mut call: impl FnMut()) {
+    let before = server.stats().inline_calls();
+    for _ in 0..20_000 {
+        if server.stats().inline_calls() >= before + times {
+            return;
+        }
+        call();
+    }
+    panic!("never ran on the receiving thread; stats:\n{}", server.stats());
+}
+
+#[test]
+fn a_trusted_procedure_returning_a_multi_packet_result_is_finished_by_a_worker() {
+    // The acks of the result's fragments arrive through the receiving
+    // thread: were it to wait for them, nobody would receive them, the
+    // call would fail after ten retransmissions and the endpoint would
+    // be deaf meanwhile.
+    let net = LoopbackNet::new();
+    let server = Endpoint::new(net.station(1), Config::default()).unwrap();
+    let caller = Endpoint::new(net.station(2), Config::default()).unwrap();
+    let (probe, _napping) = probe(false);
+    serve(&server, &probe);
+    let client = caller.bind(&interface(), server.address()).unwrap();
+    // (A VAR OUT parameter is passed, though only its identity travels.)
+    let get = |n: i32| {
+        let args = [Value::Integer(n), Value::Bytes(Vec::new())];
+        client.call("Get", &args).unwrap()
+    };
+    call_until_inline(&server, 8, || {
+        get(16);
+    });
+
+    let began = Instant::now();
+    let r = get(5000);
+    let took = began.elapsed();
+    assert_eq!(r[0].as_bytes().unwrap(), &[0x5a; 5000][..]);
+    assert!(took < Duration::from_millis(150), "took {took:?}");
+    assert_eq!(server.stats().retransmissions(), 0, "stats:\n{}", server.stats());
+    assert_eq!(caller.stats().retransmissions(), 0, "stats:\n{}", caller.stats());
+    // That sample says the procedure's calls are not short: the next
+    // one goes to a worker whole, and small results win the trust back.
+    let inline = server.stats().inline_calls();
+    get(5000);
+    assert_eq!(server.stats().inline_calls(), inline);
+    call_until_inline(&server, 1, || {
+        get(16);
+    });
+    assert_eq!(server.stats().retransmissions(), 0);
+    assert_eq!(caller.stats().retransmissions(), 0);
+}
+
+#[test]
+fn a_call_made_by_service_code_on_the_receiving_thread_gets_its_result() {
+    // `Relay` on the middle endpoint answers by itself until it is
+    // trusted, and then calls `Work` on a third endpoint through the
+    // middle one: its receiving thread now waits for a result only it
+    // can receive. (That sample may cost `Relay` its trust; either way
+    // no call may wait for a retransmission.)
+    let cfg = Config {
+        retransmit_initial: Duration::from_millis(400),
+        ..Config::default()
+    };
+    let net = LoopbackNet::new();
+    let far = Endpoint::new(net.station(1), cfg.clone()).unwrap();
+    let middle = Endpoint::new(net.station(2), cfg.clone()).unwrap();
+    let caller = Endpoint::new(net.station(3), cfg.clone()).unwrap();
+    let (probe, _napping) = probe(false);
+    serve(&far, &probe);
+    serve(&middle, &probe);
+    let client = caller.bind(&interface(), middle.address()).unwrap();
+    let mut n = 0;
+    let mut relay = || {
+        n += 1;
+        let began = Instant::now();
+        let r = client.call("Relay", &[Value::Integer(n)]).unwrap();
+        assert_eq!(r[0], Value::Integer(n));
+        began.elapsed()
+    };
+    call_until_inline(&middle, 8, || {
+        relay();
+    });
+    *probe.relay.lock().unwrap() = Some(middle.bind(&interface(), far.address()).unwrap());
+    let longest = (0..200).map(|_| relay()).max().unwrap();
+    *probe.relay.lock().unwrap() = None;
+
+    assert!(probe.relays_on_receiver.load(Ordering::Relaxed) >= 1);
+    assert_eq!(probe.executed.load(Ordering::Relaxed), 200);
+    assert!(longest < cfg.retransmit_initial / 2, "longest call {longest:?}");
+    assert_eq!(middle.stats().retransmissions(), 0, "stats:\n{}", middle.stats());
+    assert_eq!(caller.stats().retransmissions(), 0);
+}
+
+#[test]
+fn four_callers_sharing_one_role_strand_no_result() {
+    const CALLERS: u32 = 4;
+    const CALLS: u32 = 5000;
+    // A result left in the socket while its waiter is parked and nobody
+    // holds the role is rescued by the retransmission timer, so it would
+    // show as a retransmission and a latency of `retransmit_initial`.
+    let cfg = Config {
+        retransmit_initial: Duration::from_millis(400),
+        ..Config::default()
+    };
+    let net = LoopbackNet::new();
+    let server = Endpoint::new(net.station(1), cfg.clone()).unwrap();
+    let caller = Endpoint::new(net.station(2), cfg.clone()).unwrap();
+    let (probe, _napping) = probe(false);
+    serve(&server, &probe);
+    let client = caller.bind(&interface(), server.address()).unwrap();
+    let longest = std::thread::scope(|s| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut longest = Duration::ZERO;
+                    for _ in 0..CALLS {
+                        let began = Instant::now();
+                        client.call("Null", &[]).unwrap();
+                        longest = longest.max(began.elapsed());
+                    }
+                    longest
+                })
+            })
+            .collect();
+        callers.into_iter().map(|c| c.join().unwrap()).max().unwrap()
+    });
+    let stats = caller.stats();
+    assert_eq!(stats.calls_completed(), u64::from(CALLERS * CALLS));
+    assert_eq!(stats.retransmissions(), 0, "stats:\n{stats}");
+    assert_eq!(server.stats().duplicate_calls(), 0);
+    assert!(longest < cfg.retransmit_initial / 2, "longest call {longest:?}");
+}
+
+#[test]
+fn an_endpoint_hears_again_once_its_caller_stream_stops() {
+    let net = LoopbackNet::new();
+    let both = Endpoint::new(net.station(1), Config::default()).unwrap();
+    let peer = Endpoint::new(net.station(2), Config::default()).unwrap();
+    let (probe, _napping) = probe(false);
+    serve(&both, &probe);
+    serve(&peer, &probe);
+    let out = both.bind(&interface(), peer.address()).unwrap();
+    let back = peer.bind(&interface(), both.address()).unwrap();
+    // A stream of calls out of `both`: its caller thread takes the
+    // receive role, its resident receiver cedes and sleeps.
+    for _ in 0..500 {
+        out.call("Null", &[]).unwrap();
+    }
+    let stats = both.stats();
+    assert!(stats.self_received_results() > 0, "stats:\n{stats}");
+    assert!(stats.role_handovers() > 0, "stats:\n{stats}");
+    // The stream stops with the role free and nobody receiving. A call
+    // *into* `both` must still be answered: the resident notices the
+    // unused role within two ticks and takes it back. (Were it not to,
+    // the call would sit in the socket until `peer` gave up.)
+    let began = Instant::now();
+    back.call("Null", &[]).unwrap();
+    let took = began.elapsed();
+    assert!(took < 20 * IDLE_TICK, "answered after {took:?}");
+    assert_eq!(peer.stats().retransmissions(), 0);
+}
+
+/// The chaos fault mix of `tests/chaos.rs` against a server that runs
+/// its procedure on the receiving thread: a duplicate or retransmitted
+/// call arriving while — or after — the receiver executed the original
+/// must never execute again, and every buffer must come home.
+#[test]
+fn inline_execution_is_exactly_once_and_leak_free_under_faults() {
+    check("inline_exactly_once", 6, |g| {
+        let seed = g.u64();
+        let loss = g.f64_unit() * 0.2;
+        let duplicate = g.f64_unit() * 0.4;
+        let delay_us = g.usize_in(0..1500);
+        let net = LoopbackNet::with_seed(seed);
+        let mut cfg = Config::fast_retry();
+        cfg.max_transmissions = 40; // Chaos needs patience.
+        cfg.retransmit_max = Duration::from_millis(50);
+        let server = Endpoint::new(net.station(1), cfg.clone()).unwrap();
+        let caller = Endpoint::new(net.station(2), cfg).unwrap();
+        let (probe, _napping) = probe(false);
+        serve(&server, &probe);
+        let client = caller.bind(&interface(), server.address()).unwrap();
+        // Lossless warm-up: the procedure gets its measurement and
+        // moves onto the receiving thread (how soon is a matter of
+        // measured times, so wait for it rather than count on it).
+        let mut warmup = 0u64;
+        while warmup < 300 || (server.stats().inline_calls() == 0 && warmup < 20_000) {
+            client.call("Work", &[Value::Integer(warmup as i32)]).unwrap();
+            warmup += 1;
+        }
+        prop_assert!(server.stats().inline_calls() > 0, "never ran inline");
+        net.set_faults(FaultPlan {
+            loss,
+            duplicate,
+            corrupt: 0.0,
+            delay: (delay_us > 0).then(|| Duration::from_micros(delay_us as u64)),
+        });
+        const CALLERS: u64 = 4;
+        const CALLS: u64 = 12;
+        std::thread::scope(|s| {
+            for t in 0..CALLERS {
+                let client = client.clone();
+                s.spawn(move || {
+                    for i in 0..CALLS {
+                        let v = (t * 100 + i) as i32;
+                        let r = client.call("Work", &[Value::Integer(v)]).unwrap();
+                        assert_eq!(r[0], Value::Integer(v), "caller {t} call {i}");
+                    }
+                });
+            }
+        });
+        prop_assert_eq!(
+            probe.executed.load(Ordering::Relaxed),
+            warmup + CALLERS * CALLS,
+            "a duplicated or retransmitted call executed more than once"
+        );
+        let pools = [server.pool().clone(), caller.pool().clone()];
+        drop(client);
+        drop(caller);
+        drop(server);
+        for pool in &pools {
+            prop_assert_eq!(pool.stats().outstanding(), 0, "leaked buffers at shutdown");
+        }
+        Ok(())
+    });
+}

@@ -171,12 +171,17 @@ fn tracing_does_not_change_counters_or_results() {
                 "trace_records" => {
                     assert_eq!(*a, 0, "records recorded with tracing off");
                 }
-                // Which of the two fast-path counters a packet lands in
-                // depends on worker scheduling; their sum is invariant.
-                "direct_wakeups" | "slow_path_queued" => {
+                // Which of these a packet lands in depends on scheduling
+                // (was a worker parked, did the waiter receive its own
+                // result); their sum is invariant.
+                "direct_wakeups" | "slow_path_queued" | "self_received_results" => {
                     wakeup_sum.0 += a;
                     wakeup_sum.1 += b;
                 }
+                // Scheduling again: how many calls were measured short
+                // enough to run on the receiving thread (a subset of
+                // `direct_wakeups`), and how often the role moved.
+                "inline_calls" | "role_handovers" => {}
                 // Server-side retained-result release races benignly:
                 // the worker stores the new retained buffer after
                 // sending the result, but the caller's *next* call can

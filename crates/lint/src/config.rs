@@ -107,8 +107,8 @@ impl Default for Config {
                 "crates/core/src/client.rs::transact_blast".into(),
                 "crates/core/src/endpoint.rs::demux_loop".into(),
                 "crates/core/src/calltable.rs::deliver".into(),
+                "crates/core/src/calltable.rs::deliver_from".into(),
                 "crates/core/src/calltable.rs::wait".into(),
-                "crates/core/src/calltable.rs::wait_spinning".into(),
                 "crates/core/src/server.rs::handle_call_packet".into(),
                 "crates/core/src/server.rs::handle_probe".into(),
                 "crates/core/src/server.rs::handle_result_ack".into(),
@@ -126,6 +126,7 @@ impl Default for Config {
                 "crates/core/src/fragment.rs".into(),
                 "crates/core/src/calltable.rs".into(),
                 "crates/core/src/endpoint.rs".into(),
+                "crates/core/src/role.rs".into(),
                 "crates/core/src/shard.rs".into(),
                 "crates/core/src/trace.rs".into(),
                 "crates/core/src/stats.rs".into(),

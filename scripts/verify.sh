@@ -18,6 +18,16 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
+# The repo benchmark is a package of its own (not a workspace member) and
+# compiles against the runtime's public API — `shard::WorkQueues`,
+# `calltable::{ShardedCallTable, Wait}`, the `RpcStats` accessors,
+# `Endpoint::{tracer, trace_report, pool, stats}`. Build and test it
+# here, so a change that breaks it fails locally and not in the
+# pipeline's benchmark run. (Its tests refuse to measure in a debug
+# build; they only drive every workload for a moment.)
+echo "==> cargo test --offline (rpcbench, the repo benchmark)"
+cargo test -q --offline --manifest-path rpcbench/Cargo.toml
+
 # Always-on static analysis: the in-tree linter needs no extra
 # components, so unlike fmt/clippy below it is not opt-in. The JSON
 # report must parse (python3 ships in the image) and the analysis —

@@ -48,15 +48,14 @@ fn snapshot_json(null_p50: f64, rps: f64) -> String {
   "latency_us": {{"Null": {{"p50": {null_p50}}}, "MaxResult": {{"p50": 13.0}}}},
   "throughput": {{"single_caller_null_rps": {rps}}},
   "trace": {{"procedure": "Null", "measured_mean_us": 14.0, "accounted_mean_us": 13.5}},
-  "ablations": [{a}, {b}, {c}],
+  "ablations": [{a}, {b}],
   "gate_metrics": {{
     "null_p50_us": {{"value": {null_p50}, "direction": "lower", "unit": "us"}},
     "single_caller_null_rps": {{"value": {rps}, "direction": "higher", "unit": "calls/s"}}
   }}
 }}"#,
         a = ablation("no_checksums", "4.2.4"),
-        b = ablation("busy_wait", "4.2.7"),
-        c = ablation("fragment_blast", "4.2.5"),
+        b = ablation("fragment_blast", "4.2.5"),
     )
 }
 
@@ -171,6 +170,18 @@ fn new_metric_in_candidate_bootstraps_instead_of_erroring() {
     let out = run_gate(&dir, &[], &[]);
     assert!(!out.status.success(), "{}", text(&out));
     assert!(text(&out).contains("MISSING"), "{}", text(&out));
+    // ... unless the snapshot itself declines to gate it and says why
+    // (the scaling ratio on a host with fewer processors than caller
+    // threads).
+    let declined = snapshot_json(12.0, 60000.0).replace(
+        r#""gate_metrics": {"#,
+        r#""ungated_metrics": {"null_scaling_ratio": "nproc 2 < 4 caller threads"},
+  "gate_metrics": {"#,
+    );
+    write_snapshot(&dir, 7, &declined);
+    let out = run_gate(&dir, &[], &[]);
+    assert!(out.status.success(), "{}", text(&out));
+    assert!(text(&out).contains("not gated (nproc 2 < 4 caller threads)"), "{}", text(&out));
 }
 
 #[test]

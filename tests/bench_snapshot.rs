@@ -72,14 +72,14 @@ fn snapshot_document_is_complete_finite_and_consistent() {
         }
     }
 
-    // Ablations: at least the three live §4.2 rows, each with both arms.
+    // Ablations: the live §4.2 rows, each with both arms.
     let ablations = doc.get("ablations").and_then(Json::as_array).unwrap();
-    assert!(ablations.len() >= 3, "need >= 3 ablation rows");
+    assert!(ablations.len() >= 2, "need >= 2 ablation rows");
     let names: Vec<&str> = ablations
         .iter()
         .map(|a| a.at(&["name"]).and_then(Json::as_str).unwrap())
         .collect();
-    for required in ["no_checksums", "busy_wait", "fragment_blast"] {
+    for required in ["no_checksums", "fragment_blast"] {
         assert!(names.contains(&required), "missing ablation {required}");
     }
     for row in ablations {
@@ -93,6 +93,16 @@ fn snapshot_document_is_complete_finite_and_consistent() {
     // Gate metrics: every row carries a finite value and a direction.
     let gate = doc.get("gate_metrics").and_then(Json::as_object).unwrap();
     assert!(gate.len() >= 5, "gate needs a real metric set");
+    // The scaling ratio is always measured, but gated only where there
+    // are processors for the caller threads to scale onto; where there
+    // are not, the snapshot says so instead of silently dropping it.
+    let nproc = doc.get("nproc").and_then(Json::as_f64).expect("nproc");
+    let threads = doc.at(&["shard_scaling", "threads"]).and_then(Json::as_f64).unwrap();
+    assert!(doc.at(&["shard_scaling", "null_scaling_ratio"]).is_some());
+    let gated = gate.iter().any(|(name, _)| name == "null_scaling_ratio");
+    let declined = doc.at(&["ungated_metrics", "null_scaling_ratio"]).is_some();
+    assert_eq!(gated, nproc >= threads, "nproc {nproc}, {threads} caller threads");
+    assert_eq!(declined, !gated);
     for (name, metric) in gate {
         let v = metric.at(&["value"]).and_then(Json::as_f64);
         assert!(v.is_some(), "gate metric {name} has no value");
