@@ -11,6 +11,7 @@
 use firefly_metrics::Table;
 
 pub mod account;
+pub mod gate;
 pub mod snapshot;
 
 /// Output mode selected by the command line.

@@ -17,7 +17,7 @@
 //!   blasting), baseline and ablated side by side.
 //!
 //! `gate_metrics` flattens the headline numbers into
-//! `name → {value, direction, unit}` rows so `scripts/bench_gate.sh` can
+//! `name → {value, direction, unit}` rows so the gate ([`crate::gate`]) can
 //! diff consecutive snapshots with the paper's ±10% discipline without
 //! re-deriving paths into the nested sections. The schema is documented
 //! in `docs/BENCH.md`.

@@ -1,9 +1,9 @@
 //! CLI argument parsing for the `firefly-check` binary.
 //!
 //! Lives in the library (not the binary) so the flag surface is unit
-//! tested: every mode — `--smoke`, `--json-edges`, the DPOR flags —
-//! goes through this one parser, and an unknown flag is always an
-//! error (exit 2 in the binary), never silently ignored.
+//! tested: every mode — `--smoke`, the `verify` subcommand, the DPOR
+//! flags — goes through this one parser, and an unknown flag is always
+//! an error (exit 2 in the binary), never silently ignored.
 
 /// Parsed command line.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -26,8 +26,12 @@ pub struct Args {
     pub schedules: Option<usize>,
     /// `--replay LIST`: replay one schedule (`-` for the empty list).
     pub replay: Option<Vec<usize>>,
-    /// `--json-edges PATH`: write observed lock edges as JSON.
-    pub json_edges: Option<String>,
+    /// `verify [ROOT]`: static analysis of the workspace at ROOT (found
+    /// from the current directory when omitted), the smoke run, and the
+    /// four cross-validation gates, in one process.
+    pub verify: bool,
+    /// The `ROOT` operand of `verify`.
+    pub root: Option<String>,
     /// `--budget N`: per-schedule step budget override.
     pub budget: Option<usize>,
 }
@@ -69,7 +73,7 @@ where
                 let v = value("--budget")?;
                 args.budget = Some(v.parse().map_err(|_| format!("bad budget {v}"))?);
             }
-            "--json-edges" => args.json_edges = Some(value("--json-edges")?),
+            "verify" => args.verify = true,
             "--replay" => {
                 let v = value("--replay")?;
                 let decisions = if v == "-" {
@@ -82,8 +86,19 @@ where
                 };
                 args.replay = Some(decisions);
             }
+            root if args.verify && args.root.is_none() && !root.starts_with('-') => {
+                args.root = Some(root.to_string());
+            }
             other => return Err(format!("unknown flag {other}")),
         }
+    }
+    let verify_only = Args {
+        verify: true,
+        root: args.root.clone(),
+        ..Args::default()
+    };
+    if args.verify && args != verify_only {
+        return Err("verify takes an optional root and no flags".to_string());
     }
     Ok(args)
 }
@@ -138,9 +153,19 @@ mod tests {
 
     #[test]
     fn dpor_and_smoke_flags_combine() {
-        let args = parse_strs(&["--dpor", "--smoke", "--json-edges", "/tmp/e.json"]).unwrap();
+        let args = parse_strs(&["--dpor", "--smoke"]).unwrap();
         assert!(args.dpor);
         assert!(args.smoke);
-        assert_eq!(args.json_edges.as_deref(), Some("/tmp/e.json"));
+    }
+
+    #[test]
+    fn verify_is_a_leading_subcommand_with_an_optional_root() {
+        let args = parse_strs(&["verify"]).unwrap();
+        assert!(args.verify && args.root.is_none());
+        let args = parse_strs(&["verify", "/some/tree"]).unwrap();
+        assert_eq!(args.root.as_deref(), Some("/some/tree"));
+        assert!(parse_strs(&["verify", "a", "b"]).is_err());
+        assert!(parse_strs(&["--smoke", "verify"]).is_err());
+        assert!(parse_strs(&["verify", "--dpor"]).is_err());
     }
 }

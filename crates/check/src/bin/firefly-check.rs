@@ -2,21 +2,18 @@
 //!
 //! Default run (and `--smoke`, a tighter bound for CI): explores every
 //! structure model with DFS plus seeded random sampling — all must pass
-//! — then every seeded-bug model, which all must *fail* with a
-//! replayable schedule. Exit 0 only when both halves hold.
+//! — drives the wire scenario, then every seeded-bug model, which all
+//! must *fail* with a replayable schedule. Exit 0 only when all hold.
 //!
-//! `--json-edges PATH` writes the union of observed class-level lock
-//! edges from passing structure schedules, the set of atomic location
-//! classes whose release→acquire publication edge was consumed, and
-//! each auditing model's quiescent accounting counters;
-//! scripts/cross_diff.py diffs all three against the static report from
-//! `firefly-lint --json`.
+//! `verify [ROOT]` is what scripts/verify.sh and tier-1 run: the smoke
+//! run above, `firefly-lint`'s static analysis of the workspace at ROOT,
+//! and the four static-vs-dynamic gates between them (lock edges,
+//! publications, pool accounting, protocol transitions — see
+//! `firefly_check::gates`), in one process.
 //!
 //! `--dpor` swaps DFS for sleep-set + source-set dynamic partial-order
-//! reduction; each DPOR run prints a machine-parseable
-//! `dpor <model> explored N schedule(s), pruned M, exhausted B` line
-//! that scripts/verify.sh gates on (the sharded call table must stay
-//! exhaustible under DPOR inside its budget).
+//! reduction; each DPOR run prints a
+//! `dpor <model> explored N schedule(s), pruned M, exhausted B` line.
 //!
 //! Single-model runs for debugging:
 //!   firefly-check --model pool --schedules 5000
@@ -24,198 +21,9 @@
 //!   firefly-check --model sharded-calltable --dpor --schedules 4000
 //!   firefly-check --model bug-abba --replay 0,1,1 --verbose
 
-use firefly_check::{args, models, render_failure, Explorer, Mode, Outcome};
-use std::collections::{BTreeMap, BTreeSet};
+use firefly_check::{args, gates, models, smoke, Explorer, Mode};
+use std::path::PathBuf;
 use std::process::ExitCode;
-
-fn summarize(outcome: &Outcome, expect_failure: bool, verbose: bool) -> bool {
-    let ok = match (&outcome.failure, expect_failure) {
-        (None, false) => {
-            println!(
-                "  pass  {:<18} {} schedule(s){}, digest {:#018x}",
-                outcome.model,
-                outcome.schedules,
-                if outcome.exhausted { " (exhausted)" } else { "" },
-                outcome.digest,
-            );
-            true
-        }
-        (Some(report), true) => {
-            println!(
-                "  caught {:<17} {} at schedule {} (replay --model {} --replay {})",
-                outcome.model,
-                report.failure,
-                report.schedule,
-                outcome.model,
-                if report.decisions.is_empty() {
-                    "-".to_string()
-                } else {
-                    report
-                        .decisions
-                        .iter()
-                        .map(|d| d.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                },
-            );
-            true
-        }
-        (Some(report), false) => {
-            print!("FAIL\n{}", render_failure(outcome.model, report, true));
-            false
-        }
-        (None, true) => {
-            println!(
-                "FAIL  {:<18} seeded bug NOT detected in {} schedule(s)",
-                outcome.model, outcome.schedules
-            );
-            false
-        }
-    };
-    if ok && verbose {
-        if let Some(report) = &outcome.failure {
-            print!("{}", render_failure(outcome.model, report, true));
-        }
-    }
-    ok
-}
-
-/// Splits a `class[index]` instance name into its class and numeric
-/// index, or `None` for plain (non-parametric) lock names.
-fn parse_instance(name: &str) -> Option<(&str, usize)> {
-    let open = name.find('[')?;
-    let inner = name.get(open + 1..name.len() - 1)?;
-    if !name.ends_with(']') || inner.is_empty() {
-        return None;
-    }
-    Some((&name[..open], inner.parse().ok()?))
-}
-
-/// Collapses observed instance-level edges to class-level edges: a
-/// `shard[2] -> shard[3]` nesting becomes the class self-edge
-/// `shard -> shard` annotated `ascending` (or `descending` for an
-/// index-order violation), and cross-class edges drop their indices.
-/// This is the form the static/dynamic lock-graph diff in
-/// scripts/verify.sh compares against `firefly-lint --json`.
-fn collapse_parametric(
-    edges: &BTreeSet<(String, String)>,
-) -> BTreeSet<(String, String, Option<&'static str>)> {
-    edges
-        .iter()
-        .map(|(from, to)| match (parse_instance(from), parse_instance(to)) {
-            (Some((fc, fi)), Some((tc, ti))) if fc == tc => {
-                let ordering = if fi < ti { "ascending" } else { "descending" };
-                (fc.to_string(), tc.to_string(), Some(ordering))
-            }
-            (fp, tp) => {
-                let strip = |p: Option<(&str, usize)>, raw: &str| {
-                    p.map_or_else(|| raw.to_string(), |(c, _)| c.to_string())
-                };
-                (strip(fp, from), strip(tp, to), None)
-            }
-        })
-        .collect()
-}
-
-fn write_edges_json(
-    path: &str,
-    edges: &BTreeSet<(String, String)>,
-    publications: &BTreeSet<String>,
-    accounting: &BTreeMap<&'static str, Vec<(String, u64)>>,
-    transitions: &BTreeSet<String>,
-) -> std::io::Result<()> {
-    let collapsed = collapse_parametric(edges);
-    let mut s = String::from("{\n  \"schema_version\": 1,\n  \"edges\": [");
-    for (i, (from, to, ordering)) in collapsed.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\n    {{\"from\": \"{from}\", \"to\": \"{to}\""));
-        if let Some(ord) = ordering {
-            s.push_str(&format!(", \"ordering\": \"{ord}\""));
-        }
-        s.push_str("}");
-    }
-    // Observed release→acquire publication classes (from the race
-    // detector) and per-model quiescent accounting audits: the other
-    // two halves of the scripts/cross_diff.py static-vs-dynamic diff.
-    s.push_str("\n  ],\n  \"publications\": [");
-    for (i, class) in publications.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\n    \"{class}\""));
-    }
-    s.push_str("\n  ],\n  \"accounting\": {");
-    for (i, (model, counters)) in accounting.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let rendered: Vec<String> = counters
-            .iter()
-            .map(|(name, value)| format!("\"{name}\": {value}"))
-            .collect();
-        s.push_str(&format!("\n    \"{model}\": {{{}}}", rendered.join(", ")));
-    }
-    // Protocol.toml rows the models and the wire scenario actually
-    // drove — the fourth cross_diff.py gate (spec-legality plus
-    // coverage) reads this array. Emitted in spec-table order.
-    s.push_str("\n  },\n  \"transitions\": [");
-    let ordered: Vec<&str> = firefly_rpc::witness::TRANSITIONS
-        .iter()
-        .filter(|t| transitions.contains(**t))
-        .copied()
-        .collect();
-    for (i, row) in ordered.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\n    \"{row}\""));
-    }
-    s.push_str("\n  ]\n}\n");
-    std::fs::write(path, s)
-}
-
-/// The machine-parseable DPOR summary line scripts/verify.sh greps for
-/// its pruning-regression gate.
-fn print_dpor_line(outcome: &Outcome) {
-    println!(
-        "dpor {} explored {} schedule(s), pruned {}, exhausted {}",
-        outcome.model, outcome.schedules, outcome.pruned, outcome.exhausted
-    );
-}
-
-/// Re-runs a caught bug from its recorded decision list and checks the
-/// same failure kind reproduces — the replay contract the failure
-/// report advertises.
-fn replay_reproduces(explorer: &Explorer, model: &firefly_check::Model, outcome: &Outcome) -> bool {
-    let Some(report) = &outcome.failure else {
-        return false;
-    };
-    let replayed = explorer.explore(
-        model,
-        &Mode::Replay {
-            decisions: report.decisions.clone(),
-        },
-    );
-    match &replayed.failure {
-        Some(r) => {
-            let same = std::mem::discriminant(&r.failure)
-                == std::mem::discriminant(&report.failure);
-            if !same {
-                println!(
-                    "FAIL  {:<18} replay produced {} instead of {}",
-                    model.name, r.failure, report.failure
-                );
-            }
-            same
-        }
-        None => {
-            println!("FAIL  {:<18} replay did not reproduce the failure", model.name);
-            false
-        }
-    }
-}
 
 fn main() -> ExitCode {
     let args = match args::parse(std::env::args().skip(1)) {
@@ -225,6 +33,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let out = &mut std::io::stdout();
     if args.list {
         println!("structure models (must pass):");
         for m in models::structure_models() {
@@ -235,6 +44,25 @@ fn main() -> ExitCode {
             println!("  {:<18} {}", m.name, m.about);
         }
         return ExitCode::SUCCESS;
+    }
+
+    if args.verify {
+        let Some(root) = args.root.map(PathBuf::from).or_else(firefly_lint::find_workspace_root)
+        else {
+            eprintln!("firefly-check: no workspace root found (looked for [workspace] in Cargo.toml)");
+            return ExitCode::from(2);
+        };
+        return match gates::verify(&root, out) {
+            Ok(true) => {
+                println!("firefly-check: OK");
+                ExitCode::SUCCESS
+            }
+            Ok(false) => ExitCode::FAILURE,
+            Err(e) => {
+                eprintln!("firefly-check: analysing {}: {e}", root.display());
+                ExitCode::from(2)
+            }
+        };
     }
 
     let mut explorer = Explorer::new();
@@ -265,98 +93,22 @@ fn main() -> ExitCode {
         };
         let outcome = explorer.explore(&model, &mode);
         if matches!(mode, Mode::Dpor { .. }) {
-            print_dpor_line(&outcome);
+            smoke::dpor_line(out, &outcome);
         }
         let expect_failure = name.starts_with("bug-");
-        let ok = summarize(&outcome, expect_failure, args.verbose);
+        let ok = smoke::summarize(out, &outcome, expect_failure, args.verbose);
         return if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
-    let (dfs_cap, rand_schedules) = if args.smoke { (400, 150) } else { (4000, 1000) };
-    let seed = args.seed.unwrap_or(0x00c0_ffee);
-    let mut all_ok = true;
-    let mut edges: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut publications: BTreeSet<String> = BTreeSet::new();
-    let mut accounting: BTreeMap<&'static str, Vec<(String, u64)>> = BTreeMap::new();
-    let mut transitions: BTreeSet<String> = BTreeSet::new();
-
-    if !args.bugs_only {
-        println!(
-            "firefly-check: structure models ({} cap {dfs_cap}, {rand_schedules} random schedules, seed {seed:#x})",
-            if args.dpor { "dpor" } else { "dfs" },
-        );
-        for model in models::structure_models() {
-            let mode = if args.dpor {
-                Mode::Dpor {
-                    max_schedules: dfs_cap,
-                }
-            } else {
-                Mode::Dfs {
-                    max_schedules: dfs_cap,
-                }
-            };
-            let dfs = explorer.explore(&model, &mode);
-            if args.dpor {
-                print_dpor_line(&dfs);
-            }
-            all_ok &= summarize(&dfs, false, args.verbose);
-            edges.extend(dfs.edges);
-            publications.extend(dfs.publications);
-            transitions.extend(dfs.transitions);
-            if !dfs.accounting.is_empty() {
-                accounting.insert(model.name, dfs.accounting);
-            }
-            let rand = explorer.explore(
-                &model,
-                &Mode::Random {
-                    seed,
-                    schedules: rand_schedules,
-                },
-            );
-            all_ok &= summarize(&rand, false, args.verbose);
-            edges.extend(rand.edges);
-            publications.extend(rand.publications);
-            transitions.extend(rand.transitions);
-            if !rand.accounting.is_empty() {
-                accounting.insert(model.name, rand.accounting);
-            }
-        }
-    }
-
-    println!("firefly-check: seeded-bug models (each must be caught and replay)");
-    for model in models::bug_models() {
-        let outcome = explorer.explore(&model, &Mode::Dfs { max_schedules: 500 });
-        let caught = summarize(&outcome, true, args.verbose);
-        all_ok &= caught;
-        if caught {
-            all_ok &= replay_reproduces(&explorer, &model, &outcome);
-        }
-    }
-
-    if let Some(path) = &args.json_edges {
-        // The wire scenario drives a live endpoint through the
-        // server-side spec rows the models cannot reach; run it only
-        // when exporting (it is a coverage driver, not a check).
-        match firefly_check::scenario::wire_transitions() {
-            Ok(rows) => transitions.extend(rows),
-            Err(e) => {
-                eprintln!("firefly-check: {e}");
-                all_ok = false;
-            }
-        }
-        if let Err(e) = write_edges_json(path, &edges, &publications, &accounting, &transitions) {
-            eprintln!("firefly-check: writing {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "firefly-check: {} observed lock edge(s), {} publication class(es), {} protocol transition(s) -> {path}",
-            edges.len(),
-            publications.len(),
-            transitions.len()
-        );
-    }
-
-    if all_ok {
+    let base = if args.smoke { smoke::Spec::smoke() } else { smoke::Spec::full() };
+    let spec = smoke::Spec {
+        seed: args.seed.unwrap_or(base.seed),
+        dpor: args.dpor,
+        bugs_only: args.bugs_only,
+        verbose: args.verbose,
+        ..base
+    };
+    if smoke::run(&explorer, &spec, out).ok {
         println!("firefly-check: OK");
         ExitCode::SUCCESS
     } else {

@@ -21,17 +21,21 @@
 //! Failures (deadlock, lost wakeup, lock-order inversion, invariant
 //! panic, step budget) come with the decision list and deterministic
 //! event trace of the failing schedule. Passing schedules contribute
-//! their observed class-level lock edges, which the `firefly-check`
-//! binary exports as JSON for the static-vs-dynamic diff against
-//! `firefly-lint --json` (see scripts/verify.sh and tests/check.rs).
+//! their observed lock edges, publication classes, audit counters and
+//! protocol transitions, which [`smoke::run`] unions into one typed
+//! [`smoke::Report`] and [`gates`] cross-validates in-process against
+//! `firefly-lint`'s static analysis (`firefly-check verify`,
+//! tests/verify.rs).
 
 #![forbid(unsafe_code)]
 
 pub mod args;
+pub mod gates;
 pub mod models;
 pub mod races;
 pub mod scenario;
 pub mod sched;
+pub mod smoke;
 pub mod vc;
 
 use sched::{AbortSignal, Failure, Op, Sched, SleepEntry, StepRec};
@@ -52,14 +56,13 @@ pub struct ModelRun {
     /// quiescent-state invariants (leak/double-release detection).
     pub finale: Box<dyn FnOnce() + Send>,
     /// Optional quiescent accounting readout, run after a clean finale:
-    /// named counters (e.g. pool `outstanding` vs slot `retained`) that
-    /// the binary exports for the static-vs-dynamic lifecycle diff.
+    /// named counters (e.g. pool `outstanding` vs slot `retained`) for
+    /// the accounting gate ([`gates::accounting`]).
     pub audit: Option<Box<dyn FnOnce() -> Vec<(String, u64)> + Send>>,
     /// Optional protocol-transition readout, run after a clean finale
     /// (and after `audit`): the protocol.toml rows this model's
-    /// structures actually drove, as canonical spec strings. The binary
-    /// unions them across models into `--json-edges` for the
-    /// scripts/cross_diff.py coverage gate.
+    /// structures actually drove, as canonical spec strings, for the
+    /// protocol gate ([`gates::protocol`]).
     pub transitions: Option<Box<dyn FnOnce() -> Vec<String> + Send>>,
 }
 

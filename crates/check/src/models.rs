@@ -506,10 +506,8 @@ struct ShardSlot {
     stolen: Vec<u32>,
 }
 
-/// Number of shards in the model — kept equal to the runtime default
-/// (`Config::default().shards`); [`make_sharded_calltable`] asserts the
-/// two never drift apart.
-const MODEL_SHARDS: usize = 4;
+/// Number of shards in the model: the runtime's own.
+const MODEL_SHARDS: usize = firefly_rpc::calltable::SHARDS;
 
 /// Sharded runtime mirror: per-shard call-table slots and per-worker
 /// receive queues, with home shards picked by the *real*
@@ -529,11 +527,6 @@ const MODEL_SHARDS: usize = 4;
 /// DPOR prunes and naive DFS drowns in: DFS cannot exhaust this model
 /// inside the smoke budget, DPOR can.
 fn make_sharded_calltable() -> ModelRun {
-    assert_eq!(
-        MODEL_SHARDS,
-        firefly_rpc::Config::default().shards,
-        "model shard count drifted from the runtime default"
-    );
     // Home shards by the real activity hash: the first thread ids that
     // shard_for maps to shards 0, 1 and 2 (machine/space fixed, as one
     // endpoint's callers share them). The model's shard assignment IS
@@ -841,7 +834,7 @@ fn make_receive_role() -> ModelRun {
 /// pool's outstanding counter equal to the retained count. That is the
 /// accounted-retention invariant firefly-lint's pool-lifecycle rule
 /// admits statically (`retained` is in its accounted-field list), and
-/// the audit readout below is what scripts/cross_diff.py compares
+/// the audit readout below is what `gates::accounting` compares
 /// against the static claim.
 fn make_activity_retention() -> ModelRun {
     #[derive(Default)]
@@ -896,14 +889,14 @@ fn make_activity_retention() -> ModelRun {
                 // after the ack already freed it is simply dropped.
                 if let Some(buf) = s.retained.take() {
                     s.retained = Some(buf);
-                    witness.record(row::DUP_RETAINED_BASE);
+                    witness.record(row::SERVER_DUP_RETAINED_CALL_LF_RETRANSMIT_RESULT);
                 } else {
-                    witness.record(row::DUP_RELEASED_BASE);
+                    witness.record(row::SERVER_DUP_RELEASED_CALL_LF_DROP_DUPLICATE);
                 }
             } else {
                 // Result not installed yet: the server is still
                 // computing, which is the executing-duplicate drop.
-                witness.record(row::DUP_EXEC_DROP_LF);
+                witness.record(row::SERVER_DUP_EXECUTING_CALL_LF_DROP_DUPLICATE);
             }
         }) as Box<dyn FnOnce() + Send>
     };
@@ -922,7 +915,7 @@ fn make_activity_retention() -> ModelRun {
             };
             if let Some(buf) = taken {
                 pool.recycle_to_receive_queue(buf);
-                witness.record(row::ACK_RELEASE);
+                witness.record(row::SERVER_KNOWN_ACK_LF_AR_RELEASE_RETAINED);
             }
         }) as Box<dyn FnOnce() + Send>
     };

@@ -77,8 +77,8 @@ pub struct Detector {
     atomics: BTreeMap<usize, Location>,
     /// Location classes (scheduler label with the `#N` instance suffix
     /// stripped) on which a real release→acquire publication edge was
-    /// consumed this schedule. verify.sh diffs these against the static
-    /// lint pass's paired atomic locations.
+    /// consumed this schedule. `gates::publications` checks these against
+    /// the static lint pass's paired atomic locations.
     publications: BTreeSet<String>,
 }
 

@@ -1,4 +1,4 @@
-//! Deterministic protocol-transition drills for `--json-edges`.
+//! Deterministic protocol-transition drills for the protocol gate.
 //!
 //! Two drivers, both over the *real* production types, both recording
 //! through [`firefly_rpc::witness::ProtocolWitness`]:
@@ -18,10 +18,10 @@
 //!   rows. A gated Null service (each call waits for an explicit token)
 //!   pins the activity in the executing state while duplicates land.
 //!
-//! Everything observed flows into the `transitions` array of the
-//! `--json-edges` report, which scripts/cross_diff.py checks against the
-//! spec: observed rows must be legal, legal rows must be observed (or
-//! explicitly allowlisted). Synchronization leans on two facts: the
+//! Everything observed flows into [`crate::smoke::Report::transitions`],
+//! which [`crate::gates::protocol`] checks against the spec: observed
+//! rows must be legal, legal rows must be observed (or explicitly
+//! allowlisted). Synchronization leans on two facts: the
 //! demux processes one station's frames in arrival order, so a frame's
 //! effect is visible to every later frame without handshakes; and a
 //! result frame reaching the injector means the worker already installed
@@ -157,9 +157,14 @@ pub fn caller_transitions() -> Vec<String> {
         .map(|t| (*t).to_string())
         .collect();
     // The drill's contract: every caller-side row, nothing server-side.
-    let want: Vec<&str> = TRANSITIONS[32..].to_vec();
+    let want: Vec<&str> = side_rows("caller-").collect();
     assert_eq!(out, want, "caller drill no longer covers the caller rows");
     out
+}
+
+/// The spec rows of one side (`"server-"` / `"caller-"`), in table order.
+fn side_rows(side: &'static str) -> impl Iterator<Item = &'static str> {
+    TRANSITIONS.iter().copied().filter(move |t| t.starts_with(side))
 }
 
 /// Spins until `done` holds; the drills are local and lock-free waits,
@@ -229,7 +234,7 @@ pub fn wire_transitions() -> Result<Vec<String>, String> {
         .iter()
         .map(|t| (*t).to_string())
         .collect();
-    for want in &TRANSITIONS[..32] {
+    for want in side_rows("server-") {
         if !rows.iter().any(|r| r == want) {
             return Err(format!("wire scenario: server row not driven: {want}"));
         }
@@ -413,15 +418,15 @@ mod tests {
     #[test]
     fn caller_drill_covers_every_caller_row() {
         let rows = caller_transitions();
-        assert_eq!(rows.len(), TRANSITIONS.len() - 32);
-        assert!(rows.iter().all(|r| TRANSITIONS.contains(&r.as_str())));
+        assert_eq!(rows.len(), side_rows("caller-").count());
+        assert!(rows.iter().all(|r| r.starts_with("caller-")));
     }
 
     #[test]
     fn wire_scenario_covers_every_server_row() {
         let rows = wire_transitions().expect("wire scenario drives cleanly");
-        for want in &TRANSITIONS[..32] {
-            assert!(rows.contains(&(*want).to_string()), "missing {want}");
+        for want in side_rows("server-") {
+            assert!(rows.contains(&want.to_string()), "missing {want}");
         }
     }
 }

@@ -186,12 +186,12 @@ pub struct CallTable {
 /// nothing: the witness only reports rows the spec knows.
 fn orphan_row(pkt_type: PacketType, f: PacketFlags) -> Option<usize> {
     match (pkt_type, f.please_ack, f.last_fragment, f.acks_result, f.call_failed) {
-        (PacketType::Result, false, true, false, false) => Some(row::CALLER_ORPHAN_RESULT_LF),
-        (PacketType::Result, true, false, false, false) => Some(row::CALLER_ORPHAN_RESULT_PA),
-        (PacketType::Result, false, true, false, true) => Some(row::CALLER_ORPHAN_RESULT_CF),
-        (PacketType::Ack, false, true, false, false) => Some(row::CALLER_ORPHAN_ACK_LF),
-        (PacketType::Ack, false, false, false, false) => Some(row::CALLER_ORPHAN_ACK),
-        (PacketType::ProbeResponse, false, true, false, false) => Some(row::CALLER_ORPHAN_PR),
+        (PacketType::Result, false, true, false, false) => Some(row::CALLER_ORPHAN_RESULT_LF_RECYCLE_ORPHAN),
+        (PacketType::Result, true, false, false, false) => Some(row::CALLER_ORPHAN_RESULT_PA_RECYCLE_ORPHAN),
+        (PacketType::Result, false, true, false, true) => Some(row::CALLER_ORPHAN_RESULT_LF_CF_RECYCLE_ORPHAN),
+        (PacketType::Ack, false, true, false, false) => Some(row::CALLER_ORPHAN_ACK_LF_DROP_STRAY),
+        (PacketType::Ack, false, false, false, false) => Some(row::CALLER_ORPHAN_ACK_DROP_STRAY),
+        (PacketType::ProbeResponse, false, true, false, false) => Some(row::CALLER_ORPHAN_PROBE_RESPONSE_LF_DROP_STRAY),
         _ => None,
     }
 }
@@ -295,11 +295,11 @@ impl CallTable {
                     entry.cond.notify_one();
                 }
                 if pkt.rpc.packet_type == PacketType::ProbeResponse {
-                    self.witness.record(row::CALLER_PROBE_RESPONSE);
+                    self.witness.record(row::CALLER_OPEN_PROBE_RESPONSE_LF_NOTE_ALIVE);
                 } else if pkt.rpc.flags.last_fragment {
-                    self.witness.record(row::CALLER_ACK_QUENCH);
+                    self.witness.record(row::CALLER_OPEN_ACK_LF_QUENCH_RETRANSMIT);
                 } else {
-                    self.witness.record(row::CALLER_ACK_ADVANCE);
+                    self.witness.record(row::CALLER_OPEN_ACK_ADVANCE_FRAGMENT);
                 }
                 Deliver::Accepted
             }
@@ -314,9 +314,9 @@ impl CallTable {
                     }
                     if flags.last_fragment && !flags.please_ack {
                         self.witness.record(if flags.call_failed {
-                            row::CALLER_FAIL
+                            row::CALLER_OPEN_RESULT_LF_CF_FAIL_CALL
                         } else {
-                            row::CALLER_COMPLETE
+                            row::CALLER_OPEN_RESULT_LF_COMPLETE_CALL
                         });
                     }
                     return Deliver::Accepted;
@@ -364,17 +364,17 @@ impl CallTable {
                     // the next call from this activity implicitly acks it.
                     if rpc.flags.please_ack {
                         self.witness.record(if rpc.flags.last_fragment {
-                            row::CALLER_COMPLETE_ACK_PA_LF
+                            row::CALLER_OPEN_RESULT_PA_LF_COMPLETE_ACK
                         } else {
-                            row::CALLER_COMPLETE_ACK_PA
+                            row::CALLER_OPEN_RESULT_PA_COMPLETE_ACK
                         });
                         return Deliver::AcceptedNeedsAck(ack);
                     }
                     if rpc.flags.last_fragment {
                         self.witness.record(if rpc.flags.call_failed {
-                            row::CALLER_FAIL
+                            row::CALLER_OPEN_RESULT_LF_CF_FAIL_CALL
                         } else {
-                            row::CALLER_COMPLETE
+                            row::CALLER_OPEN_RESULT_LF_COMPLETE_CALL
                         });
                     }
                     return Deliver::Accepted;
@@ -391,15 +391,15 @@ impl CallTable {
                 // until the server-side retransmission path recovers it.
                 if rpc.flags.please_ack || !rpc.flags.last_fragment {
                     self.witness.record(if rpc.flags.last_fragment {
-                        row::CALLER_ASSEMBLE_ACK_PA_LF
+                        row::CALLER_ASSEMBLING_RESULT_PA_LF_ASSEMBLE_ACK
                     } else if rpc.flags.please_ack {
-                        row::CALLER_ASSEMBLE_ACK_PA
+                        row::CALLER_ASSEMBLING_RESULT_PA_ASSEMBLE_ACK
                     } else {
-                        row::CALLER_ASSEMBLE_ACK
+                        row::CALLER_ASSEMBLING_RESULT_ASSEMBLE_ACK
                     });
                     return Deliver::AcceptedNeedsAck(ack);
                 }
-                self.witness.record(row::CALLER_ASSEMBLE_LF);
+                self.witness.record(row::CALLER_ASSEMBLING_RESULT_LF_ASSEMBLE);
                 Deliver::Accepted
             }
             PacketType::Call | PacketType::Probe => {
@@ -410,6 +410,16 @@ impl CallTable {
         }
     }
 }
+
+/// Number of runtime shards: the caller-side call table and the
+/// packet-buffer pool of every endpoint are split into this many
+/// independent instances, each with its own locks, selected by
+/// [`shard_for`] (docs/SHARDING.md).
+///
+/// The paper's §4.2 "recoded runtime" what-if removed the global lock
+/// chain from the fast path; sharding is the modern shape of that
+/// change (per-core state, eRPC-style).
+pub const SHARDS: usize = 4;
 
 /// Pure shard-selection function: maps an activity id to a shard index.
 ///

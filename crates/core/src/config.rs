@@ -53,21 +53,6 @@ pub struct Config {
     /// Capacity (in records) of the per-endpoint completed-trace ring
     /// buffer, preallocated at endpoint creation.
     pub trace_capacity: usize,
-    /// Number of runtime shards: the caller-side call table and the
-    /// packet-buffer pool are split into this many independent
-    /// instances, each with its own locks, selected by a pure hash of
-    /// the activity id (see `calltable::shard_for` and docs/SHARDING.md).
-    ///
-    /// The paper's §4.2 "recoded runtime" what-if removed the global
-    /// lock chain from the fast path; sharding is the modern shape of
-    /// that change (per-core state, eRPC-style). One shard reproduces
-    /// the seed's globally-locked behavior exactly.
-    pub shards: usize,
-    /// Upper bound on the number of extra datagrams the demultiplexer
-    /// drains with nonblocking receives after each blocking receive,
-    /// amortizing wakeups and syscalls across a burst. 0 disables
-    /// batching (one blocking recv per datagram, the seed behavior).
-    pub recv_batch: usize,
     /// Send multi-packet call bodies as one back-to-back blast instead
     /// of Birrell–Nelson stop-and-wait — the batching ablation.
     ///
@@ -108,8 +93,6 @@ impl Default for Config {
             rng_seed: 0x5eed_f1ef_0001,
             trace: false,
             trace_capacity: crate::trace::DEFAULT_RING_CAPACITY,
-            shards: 4,
-            recv_batch: 16,
             fragment_blast: false,
         }
     }
@@ -162,9 +145,8 @@ mod tests {
         assert!(c.max_transmissions > 1);
         assert!(c.retransmit_max >= c.retransmit_initial);
         assert!(c.checksum);
-        assert!(c.shards >= 1);
         // Each shard must get at least a couple of buffers.
-        assert!(c.pool_size >= 2 * c.shards);
+        assert!(c.pool_size >= 2 * crate::calltable::SHARDS);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! which also executes measured-short single-packet calls to completion
 //! instead of waking a worker for them.
 
-use crate::calltable::{CallEntry, Deliver, ShardedCallTable, Wait};
+use crate::calltable::{CallEntry, Deliver, ShardedCallTable, Wait, SHARDS};
 use crate::client::Client;
 use crate::config::Config;
 use crate::local::LocalClient;
@@ -59,7 +59,7 @@ impl Endpoint {
     /// Creates an endpoint over `transport` and starts its resident
     /// receiver and server threads.
     pub fn new(transport: Arc<dyn Transport>, config: Config) -> Result<Arc<Endpoint>> {
-        let pool = ShardedPool::new(config.pool_size, config.shards);
+        let pool = ShardedPool::new(config.pool_size, SHARDS);
         let stats = Arc::new(RpcStats::default());
         let ctx = Arc::new(SendCtx::new(
             transport,
@@ -82,7 +82,7 @@ impl Endpoint {
         // verify interfaces before their first real call.
         server.export(crate::binder::binder_service(&server)?)?;
         let workers = server.spawn_workers()?;
-        let calls = ShardedCallTable::new(config.shards);
+        let calls = ShardedCallTable::new(SHARDS);
         let shared = Arc::new(EndpointShared {
             ctx,
             role: ReceiveRole::new(calls.parked_counter()),
@@ -233,7 +233,7 @@ impl Endpoint {
     /// The distinct protocol.toml transition rows this endpoint has
     /// taken so far, across its server demux (send-context witness) and
     /// every caller call-table shard. This is what `firefly-check`'s
-    /// wire scenario exports for the cross-diff coverage gate.
+    /// wire scenario reads for the protocol coverage gate.
     pub fn protocol_transitions(&self) -> Vec<&'static str> {
         let mut rows = std::collections::BTreeSet::new();
         self.shared.ctx.witness.merge_into(&mut rows);
@@ -330,6 +330,11 @@ fn take_receive_buf(shared: &EndpointShared, cursor: &mut usize) -> PacketBuf {
 /// role to the resident and parks on its call entry.
 const POLLS_BEFORE_BLOCK: usize = 32;
 
+/// Upper bound on the extra datagrams the resident receiver drains with
+/// nonblocking receives after each blocking receive, amortizing wakeups
+/// and syscalls across a burst.
+pub const RECV_BATCH: usize = 16;
+
 impl EndpointShared {
     /// Waits on a call entry — the caller half of the receive role.
     ///
@@ -376,7 +381,7 @@ impl EndpointShared {
 ///
 /// It holds the receive role whenever no caller does and is the only
 /// thread that blocks in `recv`. Batching: the first datagram of a burst
-/// is taken by polling or a blocking receive; up to `config.recv_batch`
+/// is taken by polling or a blocking receive; up to [`RECV_BATCH`]
 /// more are then drained with nonblocking receives, so one wakeup (and,
 /// over UDP, one blocking-mode transition) serves the whole burst. The
 /// result of the first datagram's inline calls is sent at once — a lone
@@ -387,7 +392,6 @@ impl EndpointShared {
 fn demux_loop(shared: Arc<EndpointShared>) {
     let stats = &shared.ctx.stats;
     let transport = &*shared.ctx.transport;
-    let batch = shared.config.recv_batch;
     let mut rx = Receiving {
         cursor: 0,
         results: Some(ResultBatch::new()),
@@ -439,7 +443,7 @@ fn demux_loop(shared: Arc<EndpointShared>) {
         process_datagram(&shared, &mut rx, buf, src);
         flush_results(&mut rx, transport);
         let mut drained = 0;
-        while drained < batch {
+        while drained < RECV_BATCH {
             let mut b = take_receive_buf(&shared, &mut rx.cursor);
             match transport.try_recv(b.raw_mut()) {
                 Ok(Some((n, src))) => {

@@ -117,6 +117,27 @@ struct ServiceEntry {
     version: u16,
 }
 
+/// The four-row witness groups of a `Call` against a settled activity
+/// slot, indexed by [`call_slot`].
+const DUP_RETAINED_ROWS: [usize; 4] = [
+    row::SERVER_DUP_RETAINED_CALL_LF_RETRANSMIT_RESULT,
+    row::SERVER_DUP_RETAINED_CALL_PA_LF_RETRANSMIT_RESULT,
+    row::SERVER_DUP_RETAINED_CALL_PA_RETRANSMIT_RESULT,
+    row::SERVER_DUP_RETAINED_CALL_RETRANSMIT_RESULT,
+];
+const DUP_RELEASED_ROWS: [usize; 4] = [
+    row::SERVER_DUP_RELEASED_CALL_LF_DROP_DUPLICATE,
+    row::SERVER_DUP_RELEASED_CALL_PA_LF_DROP_DUPLICATE,
+    row::SERVER_DUP_RELEASED_CALL_PA_DROP_DUPLICATE,
+    row::SERVER_DUP_RELEASED_CALL_DROP_DUPLICATE,
+];
+const STALE_ROWS: [usize; 4] = [
+    row::SERVER_STALE_CALL_LF_DROP_STALE,
+    row::SERVER_STALE_CALL_PA_LF_DROP_STALE,
+    row::SERVER_STALE_CALL_PA_DROP_STALE,
+    row::SERVER_STALE_CALL_DROP_STALE,
+];
+
 /// No procedure estimated slower than this runs on the receiving thread,
 /// however expensive a hand-off has been measured to be: the endpoint is
 /// deaf while it runs. (The hand-off estimate is a mean of samples
@@ -442,7 +463,7 @@ impl ServerSide {
         if rpc.call_seq < st.last_seq {
             // A stale call from a past round; drop and recycle.
             if let Some(s) = slot {
-                self.ctx.witness.record(row::STALE_BASE + s);
+                self.ctx.witness.record(STALE_ROWS[s]);
             }
             self.recycle(pkt);
             return;
@@ -461,7 +482,7 @@ impl ServerSide {
                 // "the last result packet … must be retained for possible
                 // retransmission": answer the duplicate from it.
                 if let Some(s) = slot {
-                    self.ctx.witness.record(row::DUP_RETAINED_BASE + s);
+                    self.ctx.witness.record(DUP_RETAINED_ROWS[s]);
                 }
                 retained.for_each_frame(|frame| {
                     let _ = self.ctx.transport.send(frame, src);
@@ -473,9 +494,9 @@ impl ServerSide {
                 // retransmitting.
                 if slot.is_some() {
                     self.ctx.witness.record(if rpc.flags.last_fragment {
-                        row::DUP_EXEC_ACK_PA_LF
+                        row::SERVER_DUP_EXECUTING_CALL_PA_LF_ACK_EXECUTING
                     } else {
-                        row::DUP_EXEC_ACK_PA
+                        row::SERVER_DUP_EXECUTING_CALL_PA_ACK_EXECUTING
                     });
                 }
                 let _ = self.ctx.send_ack(&RpcHeader::ack_for(&rpc), src);
@@ -484,12 +505,12 @@ impl ServerSide {
                 // or the result was already delivered and released.
                 if executing {
                     self.ctx.witness.record(if rpc.flags.last_fragment {
-                        row::DUP_EXEC_DROP_LF
+                        row::SERVER_DUP_EXECUTING_CALL_LF_DROP_DUPLICATE
                     } else {
-                        row::DUP_EXEC_DROP
+                        row::SERVER_DUP_EXECUTING_CALL_DROP_DUPLICATE
                     });
                 } else {
-                    self.ctx.witness.record(row::DUP_RELEASED_BASE + s);
+                    self.ctx.witness.record(DUP_RELEASED_ROWS[s]);
                 }
             }
             self.recycle(pkt);
@@ -533,14 +554,14 @@ impl ServerSide {
                     self.ctx.witness.record(if rpc.flags.last_fragment {
                         // Early-arriving final fragment: assembly goes on.
                         if rpc.flags.please_ack {
-                            row::NEW_ASSEMBLE_PA
+                            row::SERVER_NEW_CALL_PA_LF_ASSEMBLE
                         } else {
-                            row::NEW_ASSEMBLE
+                            row::SERVER_NEW_CALL_LF_ASSEMBLE
                         }
                     } else if rpc.flags.please_ack {
-                        row::NEW_ASSEMBLE_ACK_PA
+                        row::SERVER_NEW_CALL_PA_ASSEMBLE_ACK
                     } else {
-                        row::NEW_ASSEMBLE_ACK
+                        row::SERVER_NEW_CALL_ASSEMBLE_ACK
                     });
                 }
                 drop(st);
@@ -563,14 +584,14 @@ impl ServerSide {
                     // A non-final fragment completed the call (the final
                     // one arrived early): ack it, then dispatch.
                     if rpc.flags.please_ack {
-                        row::NEW_DISPATCH_ACK_PA
+                        row::SERVER_NEW_CALL_PA_DISPATCH_ACK
                     } else {
-                        row::NEW_DISPATCH_ACK
+                        row::SERVER_NEW_CALL_DISPATCH_ACK
                     }
                 } else if rpc.flags.please_ack {
-                    row::NEW_DISPATCH_PA
+                    row::SERVER_NEW_CALL_PA_LF_DISPATCH
                 } else {
-                    row::NEW_DISPATCH
+                    row::SERVER_NEW_CALL_LF_DISPATCH
                 });
             }
             self.begin_call(&mut st, rpc.call_seq);
@@ -586,9 +607,9 @@ impl ServerSide {
 
         if slot.is_some() && rpc.flags.last_fragment {
             self.ctx.witness.record(if rpc.flags.please_ack {
-                row::NEW_DISPATCH_PA
+                row::SERVER_NEW_CALL_PA_LF_DISPATCH
             } else {
-                row::NEW_DISPATCH
+                row::SERVER_NEW_CALL_LF_DISPATCH
             });
         }
         self.begin_call(&mut st, rpc.call_seq);
@@ -665,7 +686,7 @@ impl ServerSide {
         let mut st = act.state.lock();
         if st.last_seq != rpc.call_seq {
             if spec_probe {
-                self.ctx.witness.record(row::PROBE_UNKNOWN);
+                self.ctx.witness.record(row::SERVER_UNKNOWN_PROBE_LF_DROP_SILENT);
             }
             return;
         }
@@ -677,7 +698,7 @@ impl ServerSide {
         drop(st);
         if !retained.is_none() {
             if spec_probe {
-                self.ctx.witness.record(row::PROBE_RETAINED);
+                self.ctx.witness.record(row::SERVER_RETAINED_PROBE_LF_RETRANSMIT_RESULT);
             }
             retained.for_each_frame(|frame| {
                 let _ = self.ctx.transport.send(frame, src);
@@ -689,7 +710,7 @@ impl ServerSide {
         }
         if executing {
             if spec_probe {
-                self.ctx.witness.record(row::PROBE_EXECUTING);
+                self.ctx.witness.record(row::SERVER_EXECUTING_PROBE_LF_PROBE_RESPONSE);
             }
             let response = RpcHeader {
                 packet_type: PacketType::ProbeResponse,
@@ -703,7 +724,7 @@ impl ServerSide {
         } else if spec_probe {
             // Result delivered and released: stay silent (the caller's
             // next call starts a fresh round).
-            self.ctx.witness.record(row::PROBE_RELEASED);
+            self.ctx.witness.record(row::SERVER_RELEASED_PROBE_LF_DROP_SILENT);
         }
     }
 
@@ -723,18 +744,18 @@ impl ServerSide {
         if rpc.call_seq != st.last_seq {
             if spec_ack {
                 self.ctx.witness.record(if rpc.flags.last_fragment {
-                    row::ACK_STALE_LF
+                    row::SERVER_UNKNOWN_ACK_LF_AR_DROP_STALE
                 } else {
-                    row::ACK_STALE
+                    row::SERVER_UNKNOWN_ACK_AR_DROP_STALE
                 });
             }
             return;
         }
         if spec_ack {
             self.ctx.witness.record(if rpc.flags.last_fragment {
-                row::ACK_RELEASE
+                row::SERVER_KNOWN_ACK_LF_AR_RELEASE_RETAINED
             } else {
-                row::ACK_ADVANCE
+                row::SERVER_KNOWN_ACK_AR_ADVANCE_FRAGMENT
             });
         }
         st.acked_frag = Some((rpc.call_seq, rpc.fragment));

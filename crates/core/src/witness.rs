@@ -3,123 +3,31 @@
 //! Every receive-side dispatch decision in the endpoint (server
 //! demultiplexer, caller call table) records the `(state, packet-type,
 //! flags) -> action` row it just took. The rows are the spec's
-//! `[transitions].legal` table verbatim — `TRANSITIONS[i]` must match
-//! protocol.toml line for line (a unit test below enforces it) — so
-//! `firefly-check --json-edges` can export exactly which spec rows the
-//! models and the wire scenario drove, and scripts/cross_diff.py can
-//! fail on any observed transition the spec does not allow and on any
-//! spec row nothing exercises.
+//! `[transitions].legal` table itself: build.rs generates
+//! [`TRANSITIONS`] and the [`row`] indices from protocol.toml, so there
+//! is no second copy to drift. `firefly-check verify` reads which rows
+//! its models and wire scenario drove and fails on any observed
+//! transition the spec does not allow and on any spec row nothing
+//! exercises (docs/CHECKING.md, "Static-vs-dynamic gates").
 //!
-//! Recording is a single relaxed counter increment on an `&'static`
-//! table: cheap enough for the demux path, and deliberately free of
-//! locks so it can sit inside lock-held regions without entering the
-//! lint lock graph.
+//! Only *seen / not seen* is recorded: one relaxed load per packet, and
+//! one relaxed store the first time a row fires. The cells are shared
+//! by the receiver, every worker and every caller, so a row that has
+//! already fired must not dirty its cache line again. Deliberately free
+//! of locks, so recording can sit inside lock-held regions without
+//! entering the lint lock graph.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// The legal transition table, in protocol.toml order.
-pub const TRANSITIONS: [&str; 49] = [
-    "server-new Call last_fragment -> dispatch",
-    "server-new Call please_ack+last_fragment -> dispatch",
-    "server-new Call please_ack -> assemble-ack",
-    "server-new Call - -> assemble-ack",
-    "server-new Call please_ack -> dispatch-ack",
-    "server-new Call - -> dispatch-ack",
-    "server-new Call last_fragment -> assemble",
-    "server-new Call please_ack+last_fragment -> assemble",
-    "server-dup-executing Call please_ack+last_fragment -> ack-executing",
-    "server-dup-executing Call please_ack -> ack-executing",
-    "server-dup-executing Call last_fragment -> drop-duplicate",
-    "server-dup-executing Call - -> drop-duplicate",
-    "server-dup-retained Call last_fragment -> retransmit-result",
-    "server-dup-retained Call please_ack+last_fragment -> retransmit-result",
-    "server-dup-retained Call please_ack -> retransmit-result",
-    "server-dup-retained Call - -> retransmit-result",
-    "server-dup-released Call last_fragment -> drop-duplicate",
-    "server-dup-released Call please_ack+last_fragment -> drop-duplicate",
-    "server-dup-released Call please_ack -> drop-duplicate",
-    "server-dup-released Call - -> drop-duplicate",
-    "server-stale Call last_fragment -> drop-stale",
-    "server-stale Call please_ack+last_fragment -> drop-stale",
-    "server-stale Call please_ack -> drop-stale",
-    "server-stale Call - -> drop-stale",
-    "server-executing Probe last_fragment -> probe-response",
-    "server-retained Probe last_fragment -> retransmit-result",
-    "server-released Probe last_fragment -> drop-silent",
-    "server-unknown Probe last_fragment -> drop-silent",
-    "server-known Ack acks_result -> advance-fragment",
-    "server-known Ack last_fragment+acks_result -> release-retained",
-    "server-unknown Ack acks_result -> drop-stale",
-    "server-unknown Ack last_fragment+acks_result -> drop-stale",
-    "caller-open Result last_fragment -> complete-call",
-    "caller-open Result last_fragment+call_failed -> fail-call",
-    "caller-open Result please_ack -> complete-ack",
-    "caller-open Result please_ack+last_fragment -> complete-ack",
-    "caller-assembling Result please_ack -> assemble-ack",
-    "caller-assembling Result - -> assemble-ack",
-    "caller-assembling Result last_fragment -> assemble",
-    "caller-assembling Result please_ack+last_fragment -> assemble-ack",
-    "caller-orphan Result last_fragment -> recycle-orphan",
-    "caller-orphan Result please_ack -> recycle-orphan",
-    "caller-orphan Result last_fragment+call_failed -> recycle-orphan",
-    "caller-open Ack last_fragment -> quench-retransmit",
-    "caller-open Ack - -> advance-fragment",
-    "caller-open ProbeResponse last_fragment -> note-alive",
-    "caller-orphan Ack last_fragment -> drop-stray",
-    "caller-orphan Ack - -> drop-stray",
-    "caller-orphan ProbeResponse last_fragment -> drop-stray",
-];
+// `TRANSITIONS` (the legal table, in protocol.toml order) and the
+// `row::*` indices, generated from protocol.toml by build.rs.
+include!(concat!(env!("OUT_DIR"), "/protocol_rows.rs"));
 
-/// Row indices, named so instrumentation sites read as the spec rows
-/// they record. The four-slot `Call` groups (retained / released /
-/// stale duplicates) use `BASE + call_slot(flags)`.
-pub mod row {
-    pub const NEW_DISPATCH: usize = 0;
-    pub const NEW_DISPATCH_PA: usize = 1;
-    pub const NEW_ASSEMBLE_ACK_PA: usize = 2;
-    pub const NEW_ASSEMBLE_ACK: usize = 3;
-    pub const NEW_DISPATCH_ACK_PA: usize = 4;
-    pub const NEW_DISPATCH_ACK: usize = 5;
-    pub const NEW_ASSEMBLE: usize = 6;
-    pub const NEW_ASSEMBLE_PA: usize = 7;
-    pub const DUP_EXEC_ACK_PA_LF: usize = 8;
-    pub const DUP_EXEC_ACK_PA: usize = 9;
-    pub const DUP_EXEC_DROP_LF: usize = 10;
-    pub const DUP_EXEC_DROP: usize = 11;
-    pub const DUP_RETAINED_BASE: usize = 12;
-    pub const DUP_RELEASED_BASE: usize = 16;
-    pub const STALE_BASE: usize = 20;
-    pub const PROBE_EXECUTING: usize = 24;
-    pub const PROBE_RETAINED: usize = 25;
-    pub const PROBE_RELEASED: usize = 26;
-    pub const PROBE_UNKNOWN: usize = 27;
-    pub const ACK_ADVANCE: usize = 28;
-    pub const ACK_RELEASE: usize = 29;
-    pub const ACK_STALE: usize = 30;
-    pub const ACK_STALE_LF: usize = 31;
-    pub const CALLER_COMPLETE: usize = 32;
-    pub const CALLER_FAIL: usize = 33;
-    pub const CALLER_COMPLETE_ACK_PA: usize = 34;
-    pub const CALLER_COMPLETE_ACK_PA_LF: usize = 35;
-    pub const CALLER_ASSEMBLE_ACK_PA: usize = 36;
-    pub const CALLER_ASSEMBLE_ACK: usize = 37;
-    pub const CALLER_ASSEMBLE_LF: usize = 38;
-    pub const CALLER_ASSEMBLE_ACK_PA_LF: usize = 39;
-    pub const CALLER_ORPHAN_RESULT_LF: usize = 40;
-    pub const CALLER_ORPHAN_RESULT_PA: usize = 41;
-    pub const CALLER_ORPHAN_RESULT_CF: usize = 42;
-    pub const CALLER_ACK_QUENCH: usize = 43;
-    pub const CALLER_ACK_ADVANCE: usize = 44;
-    pub const CALLER_PROBE_RESPONSE: usize = 45;
-    pub const CALLER_ORPHAN_ACK_LF: usize = 46;
-    pub const CALLER_ORPHAN_ACK: usize = 47;
-    pub const CALLER_ORPHAN_PR: usize = 48;
-}
-
-/// Slot offset inside the four-row `Call` duplicate groups, keyed by
-/// the duplicate's flag shape: `last_fragment` 0, `please_ack +
-/// last_fragment` 1, `please_ack` 2, bare 3.
+/// Slot of a `Call`'s flag shape inside a four-row duplicate group
+/// (retained / released / stale; `server.rs` holds the groups):
+/// `last_fragment` 0, `please_ack + last_fragment` 1, `please_ack` 2,
+/// bare 3.
 pub fn call_slot(please_ack: bool, last_fragment: bool) -> usize {
     match (please_ack, last_fragment) {
         (false, true) => 0,
@@ -129,14 +37,14 @@ pub fn call_slot(please_ack: bool, last_fragment: bool) -> usize {
     }
 }
 
-/// Which spec rows this component has taken, as relaxed counters.
+/// Which spec rows this component has taken.
 pub struct ProtocolWitness {
-    seen: [AtomicU64; TRANSITIONS.len()],
+    seen: [AtomicBool; TRANSITIONS.len()],
 }
 
 impl Default for ProtocolWitness {
     fn default() -> Self {
-        ProtocolWitness { seen: std::array::from_fn(|_| AtomicU64::new(0)) }
+        ProtocolWitness { seen: std::array::from_fn(|_| AtomicBool::new(false)) }
     }
 }
 
@@ -154,7 +62,10 @@ impl ProtocolWitness {
     /// Record one traversal of a spec row. Out-of-range rows are a
     /// programming error at the instrumentation site.
     pub fn record(&self, row: usize) {
-        self.seen[row].fetch_add(1, Ordering::Relaxed);
+        let seen = &self.seen[row];
+        if !seen.load(Ordering::Relaxed) {
+            seen.store(true, Ordering::Relaxed);
+        }
     }
 
     /// Record a row by its canonical spec string. Returns false (and
@@ -172,26 +83,19 @@ impl ProtocolWitness {
         }
     }
 
-    /// How many times a row fired.
-    pub fn count(&self, row: usize) -> u64 {
-        self.seen[row].load(Ordering::Relaxed)
-    }
-
     /// The distinct spec rows taken so far, in table order.
     pub fn observed(&self) -> Vec<&'static str> {
         self.seen
             .iter()
-            .enumerate()
-            .filter(|(_, c)| c.load(Ordering::Relaxed) > 0)
-            .map(|(i, _)| TRANSITIONS[i])
+            .zip(TRANSITIONS)
+            .filter(|(seen, _)| seen.load(Ordering::Relaxed))
+            .map(|(_, row)| row)
             .collect()
     }
 
     /// Union this witness's observations into a shared set.
     pub fn merge_into(&self, out: &mut BTreeSet<&'static str>) {
-        for t in self.observed() {
-            out.insert(t);
-        }
+        out.extend(self.observed());
     }
 }
 
@@ -208,28 +112,23 @@ mod tests {
     }
 
     #[test]
-    fn table_matches_protocol_toml() {
-        // The committed spec and this table must agree row for row;
-        // drift in either direction breaks the cross-diff contract.
-        let spec = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../protocol.toml"
-        ))
-        .expect("protocol.toml is committed at the workspace root");
-        let legal: Vec<&str> = spec
-            .lines()
-            .map(str::trim)
-            .filter(|l| l.starts_with('"') && l.contains("->"))
-            .map(|l| l.trim_start_matches('"').trim_end_matches(',').trim_end_matches('"'))
-            .collect();
+    fn generated_indices_name_their_rows() {
         assert_eq!(
-            legal.len(),
-            TRANSITIONS.len(),
-            "protocol.toml [transitions].legal row count drifted from witness table"
+            TRANSITIONS[row::SERVER_NEW_CALL_LF_DISPATCH],
+            "server-new Call last_fragment -> dispatch"
         );
-        for (i, (spec_row, table_row)) in legal.iter().zip(TRANSITIONS.iter()).enumerate() {
-            assert_eq!(spec_row, table_row, "row {i} drifted");
-        }
+        assert_eq!(
+            TRANSITIONS[row::CALLER_ORPHAN_PROBE_RESPONSE_LF_DROP_STRAY],
+            "caller-orphan ProbeResponse last_fragment -> drop-stray"
+        );
+        assert_eq!(
+            TRANSITIONS[row::SERVER_UNKNOWN_ACK_LF_AR_DROP_STALE],
+            "server-unknown Ack last_fragment+acks_result -> drop-stale"
+        );
+        assert_eq!(
+            TRANSITIONS[row::CALLER_ASSEMBLING_RESULT_ASSEMBLE_ACK],
+            "caller-assembling Result - -> assemble-ack"
+        );
     }
 
     #[test]
@@ -237,15 +136,9 @@ mod tests {
         let w = ProtocolWitness::new();
         for t in TRANSITIONS {
             assert!(w.record_named(t), "{t:?} not accepted");
+            assert!(w.record_named(t), "a second traversal is still a legal row");
         }
-        assert_eq!(w.observed().len(), TRANSITIONS.len());
-    }
-
-    #[test]
-    fn record_named_rejects_unknown_rows() {
-        let w = ProtocolWitness::new();
-        assert!(!w.record_named("server-new Call - -> explode"));
-        assert!(w.observed().is_empty());
+        assert_eq!(w.observed(), TRANSITIONS);
     }
 
     #[test]
@@ -259,5 +152,12 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(rows, (0..4).collect());
+    }
+
+    #[test]
+    fn record_named_rejects_unknown_rows() {
+        let w = ProtocolWitness::new();
+        assert!(!w.record_named("server-new Call - -> explode"));
+        assert!(w.observed().is_empty());
     }
 }

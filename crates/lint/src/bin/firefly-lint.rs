@@ -7,11 +7,11 @@
 //!
 //! `--json` prints a machine-readable report on stdout instead of the
 //! human format: diagnostics (with rule family and def-use witness
-//! chain), the computed fast-path reachability set, every lock-graph
-//! edge, the dataflow aggregates (condvar pairings, atomic publication
-//! locations, pool-lifecycle counts), and the suppression inventory.
-//! Exit codes are unchanged, so tooling can both parse the report and
-//! gate on it.
+//! chain), the computed fast-path reachability set, per-stage timings,
+//! and the suppression inventory. Exit codes are unchanged, so tooling
+//! can both parse the report and gate on it. (The lock graph, atomic
+//! locations and protocol table are read in-process, as typed values,
+//! by `firefly-check verify` — they are not serialized.)
 //!
 //! `--summary` prints one line for CI logs (diagnostic count by family,
 //! fast-path size, pairing counts) and exits with the same code.
@@ -21,21 +21,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use firefly_lint::{rules, Analysis, Engine};
-
-fn find_workspace_root() -> Option<PathBuf> {
-    let mut dir = env::current_dir().ok()?;
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
 
 /// Minimal JSON string escaping (std only): quotes, backslashes and
 /// control characters.
@@ -55,55 +40,14 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Splits a `class[index]` lock-graph node into its class and numeric
-/// index, or `None` for plain class / file-namespaced nodes.
-fn parse_instance(name: &str) -> Option<(&str, usize)> {
-    let open = name.find('[')?;
-    let inner = name.get(open + 1..name.len() - 1)?;
-    if !name.ends_with(']') || inner.is_empty() {
-        return None;
-    }
-    Some((&name[..open], inner.parse().ok()?))
-}
-
-/// Collapses one instance-level edge to class level: a
-/// `shard[2] -> shard[3]` nesting becomes `shard -> shard` annotated
-/// `ascending` (`descending` marks an index-order violation); indices
-/// are stripped from cross-class endpoints. Mirrors the collapse
-/// firefly-check applies to its observed edges, so the two JSON
-/// reports diff directly in scripts/verify.sh.
-fn collapse_edge(from: &str, to: &str) -> (String, String, Option<&'static str>) {
-    match (parse_instance(from), parse_instance(to)) {
-        (Some((fc, fi)), Some((tc, ti))) if fc == tc => {
-            let ordering = if fi < ti { "ascending" } else { "descending" };
-            (fc.to_string(), tc.to_string(), Some(ordering))
-        }
-        (fp, tp) => {
-            let strip = |p: Option<(&str, usize)>, raw: &str| {
-                p.map_or_else(|| raw.to_string(), |(c, _)| c.to_string())
-            };
-            (strip(fp, from), strip(tp, to), None)
-        }
-    }
-}
-
 /// Renders a list of strings as a JSON array of strings.
 fn json_strings(items: &[String]) -> String {
     let quoted: Vec<String> = items.iter().map(|w| format!("\"{}\"", esc(w))).collect();
     format!("[{}]", quoted.join(", "))
 }
 
-fn print_json(analysis: &Analysis, config: &firefly_lint::config::Config) {
-    let classes: Vec<String> = config.lock_order.iter().map(|c| c.name.clone()).collect();
-    let parametric: Vec<String> = config
-        .lock_order
-        .iter()
-        .filter(|c| c.parametric)
-        .map(|c| c.name.clone())
-        .collect();
-    // schema_version gates the cross-diff: scripts/cross_diff.py
-    // refuses to compare reports whose schema it does not know.
-    let mut s = String::from("{\n  \"schema_version\": 1,\n  \"diagnostics\": [");
+fn print_json(analysis: &Analysis) {
+    let mut s = String::from("{\n  \"diagnostics\": [");
     for (i, d) in analysis.diagnostics.iter().enumerate() {
         if i > 0 {
             s.push(',');
@@ -133,118 +77,7 @@ fn print_json(analysis: &Analysis, config: &firefly_lint::config::Config) {
         }
         s.push_str(&format!("\n      \"{}::{}\"", esc(file), esc(name)));
     }
-    // The configured class names in rank order, so consumers (the
-    // firefly-check static-vs-dynamic differ) can tell classified edge
-    // endpoints from raw `path::receiver` ones and validate rank order.
-    s.push_str("\n    ]\n  },\n  \"lock_graph\": {\n    \"classes\": [");
-    for (i, c) in classes.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\n      \"{}\"", esc(c)));
-    }
-    // Parametric class names: their instance edges below are collapsed
-    // to class self-edges carrying an index-ordering annotation.
-    s.push_str("\n    ],\n    \"parametric\": [");
-    for (i, c) in parametric.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\n      \"{}\"", esc(c)));
-    }
-    s.push_str("\n    ],\n    \"edges\": [");
-    for (i, e) in analysis.lock_edges.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let (from, to, ordering) = collapse_edge(&e.from, &e.to);
-        s.push_str(&format!(
-            "\n      {{\"from\": \"{}\", \"to\": \"{}\", ",
-            esc(&from),
-            esc(&to),
-        ));
-        if let Some(ord) = ordering {
-            s.push_str(&format!("\"ordering\": \"{ord}\", "));
-        }
-        s.push_str(&format!("\"path\": \"{}\", \"line\": {}}}", esc(&e.path), e.line));
-    }
-    // Dataflow aggregates: condvar pairings observed at wait sites,
-    // per-location atomic publication summaries (with the allowlist and
-    // the dynamic-label map for the verify.sh cross-diff), and the
-    // pool-lifecycle counts.
-    s.push_str("\n    ]\n  },\n  \"condvar\": {\n    \"pairs\": [");
-    for (i, (cond, mutexes)) in analysis.dataflow.condvar_pairs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n      {{\"cond\": \"{}\", \"mutexes\": {}}}",
-            esc(cond),
-            json_strings(mutexes)
-        ));
-    }
-    s.push_str(&format!(
-        "\n    ],\n    \"waits\": {},\n    \"notifies\": {}\n  }},",
-        analysis.dataflow.wait_sites, analysis.dataflow.notify_sites
-    ));
-    s.push_str("\n  \"atomic_publication\": {\n    \"allow_relaxed\": ");
-    s.push_str(&json_strings(&config.allow_relaxed));
-    s.push_str(",\n    \"label_map\": {");
-    for (i, (label, locations)) in config.publication_labels.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n      \"{}\": {}",
-            esc(label),
-            json_strings(locations)
-        ));
-    }
-    s.push_str("\n    },\n    \"locations\": [");
-    for (i, l) in analysis.dataflow.locations.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n      {{\"name\": \"{}\", \"releasing_writes\": {}, \"acquiring_reads\": {}, \
-             \"relaxed_loads\": {}, \"relaxed_writes\": {}, \"paired\": {}, \
-             \"allowlisted\": {}}}",
-            esc(&l.name),
-            l.releasing_writes,
-            l.acquiring_reads,
-            l.relaxed_loads,
-            l.relaxed_writes,
-            l.paired,
-            l.allowlisted
-        ));
-    }
-    s.push_str(&format!(
-        "\n    ]\n  }},\n  \"pool_lifecycle\": {{\"buffer_defs\": {}, \"violations\": {}}},",
-        analysis.dataflow.buffer_defs, analysis.dataflow.buffer_violations
-    ));
-    // The protocol spec as the engine loaded it: the legal transition
-    // table and coverage allowlist verbatim (scripts/cross_diff.py's
-    // fourth gate diffs them against firefly-check's observed
-    // transitions) plus the extracted-site counts.
-    s.push_str("\n  \"protocol\": {\n    \"types\": ");
-    s.push_str(&json_strings(&analysis.protocol.types));
-    s.push_str(",\n    \"transitions\": [");
-    for (i, t) in analysis.protocol.transitions.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\n      \"{}\"", esc(t)));
-    }
-    s.push_str("\n    ],\n    \"coverage_allowlist\": ");
-    s.push_str(&json_strings(&analysis.protocol.coverage_allowlist));
-    s.push_str(&format!(
-        ",\n    \"construction_sites\": {}, \"dispatch_sites\": {}, \
-         \"flag_read_sites\": {}, \"ack_sites\": {}\n  }},",
-        analysis.protocol.construction_sites,
-        analysis.protocol.dispatch_sites,
-        analysis.protocol.flag_read_sites,
-        analysis.protocol.ack_sites
-    ));
+    s.push_str("\n    ]\n  },");
     s.push_str("\n  \"timings_us\": {");
     for (i, (stage, us)) in analysis.timings.iter().enumerate() {
         if i > 0 {
@@ -274,7 +107,7 @@ fn print_json(analysis: &Analysis, config: &firefly_lint::config::Config) {
 
 /// The one-line CI summary: diagnostic count by family plus the sizes
 /// of the computed sets.
-fn print_summary(analysis: &Analysis) {
+fn print_summary(analysis: &Analysis, engine: &Engine) {
     let mut by_family: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
     for d in &analysis.diagnostics {
         *by_family.entry(rules::family(d.rule)).or_default() += 1;
@@ -307,7 +140,7 @@ fn print_summary(analysis: &Analysis) {
         analysis.dataflow.condvar_pairs.len(),
         analysis.dataflow.locations.len(),
         analysis.dataflow.buffer_defs,
-        analysis.protocol.transitions.len(),
+        engine.protocol.as_ref().map_or(0, |spec| spec.transitions.len()),
         analysis.suppressions.len()
     );
 }
@@ -327,7 +160,7 @@ fn main() -> ExitCode {
     }
     let root = match root_arg {
         Some(root) => root,
-        None => match find_workspace_root() {
+        None => match firefly_lint::find_workspace_root() {
             Some(root) => root,
             None => {
                 eprintln!("firefly-lint: no workspace root found (looked for [workspace] in Cargo.toml)");
@@ -339,9 +172,9 @@ fn main() -> ExitCode {
     match engine.analyze(&root) {
         Ok(analysis) => {
             if json {
-                print_json(&analysis, &engine.config);
+                print_json(&analysis);
             } else if summary {
-                print_summary(&analysis);
+                print_summary(&analysis, &engine);
             } else if analysis.diagnostics.is_empty() {
                 println!("firefly-lint: clean ({})", root.display());
             } else {

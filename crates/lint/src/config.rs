@@ -93,7 +93,7 @@ pub struct Config {
     pub buffer_types: Vec<String>,
     /// Maps dynamic publication labels (checked_atomic labels observed
     /// by firefly-check) to the static location identifiers that
-    /// implement them, for the verify.sh cross-diff.
+    /// implement them, for the publication gate (`firefly-check verify`).
     pub publication_labels: Vec<(String, Vec<String>)>,
 }
 

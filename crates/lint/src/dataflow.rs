@@ -166,15 +166,11 @@ impl DataflowFacts {
     }
 }
 
-/// Per-location aggregate for the `--json` report and the
-/// static↔dynamic publication diff.
+/// Per-location aggregate: what the static↔dynamic publication gate
+/// (`firefly_check::gates::publications`) reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocationSummary {
     pub name: String,
-    pub releasing_writes: usize,
-    pub acquiring_reads: usize,
-    pub relaxed_loads: usize,
-    pub relaxed_writes: usize,
     /// True when the location carries at least one releasing write and
     /// one acquiring read — a statically paired publication point.
     pub paired: bool,
@@ -186,11 +182,8 @@ pub struct LocationSummary {
 pub struct Summary {
     /// Workspace condvar→mutex pairings observed at wait sites.
     pub condvar_pairs: Vec<(String, Vec<String>)>,
-    pub wait_sites: usize,
-    pub notify_sites: usize,
     pub locations: Vec<LocationSummary>,
     pub buffer_defs: usize,
-    pub buffer_violations: usize,
 }
 
 const WAIT_CALLEES: &[&str] = &["wait", "wait_until", "wait_timeout"];
@@ -796,10 +789,6 @@ pub fn evaluate(facts: &DataflowFacts, config: &Config) -> (Vec<Diagnostic>, Sum
             .collect();
         locations.push(LocationSummary {
             name: (*loc).to_string(),
-            releasing_writes: releasing_writes.len(),
-            acquiring_reads,
-            relaxed_loads: relaxed_loads.len(),
-            relaxed_writes: relaxed_writes.len(),
             paired: !releasing_writes.is_empty() && acquiring_reads > 0,
             allowlisted,
         });
@@ -867,7 +856,6 @@ pub fn evaluate(facts: &DataflowFacts, config: &Config) -> (Vec<Diagnostic>, Sum
     }
 
     // --- pool lifecycle --------------------------------------------
-    let mut buffer_violations = 0usize;
     for def in &facts.buffers {
         for u in &def.uses {
             match u {
@@ -876,7 +864,6 @@ pub fn evaluate(facts: &DataflowFacts, config: &Config) -> (Vec<Diagnostic>, Sum
                     accounted: false,
                     line,
                 } => {
-                    buffer_violations += 1;
                     diags.push(Diagnostic {
                         rule: name::POOL_LIFECYCLE,
                         path: def.path.clone(),
@@ -897,7 +884,6 @@ pub fn evaluate(facts: &DataflowFacts, config: &Config) -> (Vec<Diagnostic>, Sum
                     });
                 }
                 BufferUse::Forgotten { line } => {
-                    buffer_violations += 1;
                     diags.push(Diagnostic {
                         rule: name::POOL_LIFECYCLE,
                         path: def.path.clone(),
@@ -924,11 +910,8 @@ pub fn evaluate(facts: &DataflowFacts, config: &Config) -> (Vec<Diagnostic>, Sum
             .into_iter()
             .map(|(c, m)| (c, m.into_iter().collect()))
             .collect(),
-        wait_sites: facts.waits.len(),
-        notify_sites: facts.notifies.len(),
         locations,
         buffer_defs: facts.buffers.len(),
-        buffer_violations,
     };
     (diags, summary)
 }

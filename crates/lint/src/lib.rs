@@ -128,7 +128,8 @@ impl Facts {
 }
 
 /// The result of a full workspace analysis: diagnostics plus the
-/// computed fast-path reachability (for `--json` consumers and tests).
+/// computed fast-path reachability and the typed facts the
+/// `firefly-check verify` gates read.
 pub struct Analysis {
     /// All surviving diagnostics, sorted by (path, line).
     pub diagnostics: Vec<Diagnostic>,
@@ -139,15 +140,11 @@ pub struct Analysis {
     /// Every recorded lock-graph edge.
     pub lock_edges: Vec<LockEdge>,
     /// Aggregated dataflow facts (condvar pairings, atomic location
-    /// summaries, pool counts) for `--json` and the verify.sh
-    /// static↔dynamic cross-diff.
+    /// summaries, pool counts) for `--summary` and the static↔dynamic
+    /// publication gate.
     pub dataflow: dataflow::Summary,
     /// Every `lint:allow` marker in the workspace.
     pub suppressions: Vec<SuppressionInfo>,
-    /// Protocol-conformance aggregates: the spec's transition table and
-    /// allowlist (verbatim, for the verify.sh fourth gate) plus the
-    /// extracted-site counts. Empty when no `protocol.toml` is loaded.
-    pub protocol: protocol::Report,
     /// Wall-clock per analysis stage, microseconds, in execution order.
     /// Stage names match rule families where one stage implements one
     /// family (`locking`, `fast-path`, `dataflow`,
@@ -418,12 +415,12 @@ impl Engine {
         stamp(&mut timings, "dataflow");
 
         // Workspace rules: protocol-conformance — the extracted packet
-        // state machine diffed against protocol.toml. Inert (empty
-        // report) when the root has no spec.
-        let (proto_diags, proto_report) = match &self.protocol {
-            Some(spec) => protocol::evaluate(&facts.protocol, spec),
-            None => (Vec::new(), protocol::Report::default()),
-        };
+        // state machine diffed against protocol.toml. Inert when the
+        // root has no spec.
+        let proto_diags = self
+            .protocol
+            .as_ref()
+            .map_or_else(Vec::new, |spec| protocol::evaluate(&facts.protocol, spec));
         for d in proto_diags {
             if !suppressed(&d) {
                 diags.push(d);
@@ -455,9 +452,23 @@ impl Engine {
             lock_edges,
             dataflow: df_summary,
             suppressions,
-            protocol: proto_report,
             timings,
         })
+    }
+}
+
+/// Walks upward from the current directory to the first `Cargo.toml`
+/// containing `[workspace]`: the default root of the `firefly-lint` and
+/// `firefly-check verify` command lines.
+pub fn find_workspace_root() -> Option<std::path::PathBuf> {
+    let mut dir = std::env::current_dir().ok()?;
+    loop {
+        if fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|t| t.contains("[workspace]")) {
+            return Some(dir);
+        }
+        if !dir.pop() {
+            return None;
+        }
     }
 }
 

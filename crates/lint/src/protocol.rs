@@ -22,8 +22,8 @@
 //! docs/LINTS.md, family `protocol-conformance`):
 //! `protocol-unhandled-type`, `protocol-missing-arm`,
 //! `protocol-unread-flag`, `protocol-ack-discipline`. The spec's
-//! transition table itself is exported verbatim in the `--json` report;
-//! scripts/cross_diff.py checks it against the transitions
+//! transition table itself is not evaluated here:
+//! `firefly_check::gates::protocol` checks it against the transitions
 //! `firefly-check` observes dynamically (the fourth gate).
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -140,21 +140,6 @@ impl ProtocolFacts {
         self.ack_sites.extend(other.ack_sites);
         self.retransmit_fns.extend(other.retransmit_fns);
     }
-}
-
-/// Workspace aggregates for the `--json` report and the verify.sh
-/// fourth gate (static spec vs dynamically observed transitions).
-#[derive(Debug, Default, Clone)]
-pub struct Report {
-    pub types: Vec<String>,
-    /// The spec's legal transitions, verbatim and in spec order.
-    pub transitions: Vec<String>,
-    /// Legal rows sanctioned to go unobserved dynamically.
-    pub coverage_allowlist: Vec<String>,
-    pub construction_sites: usize,
-    pub dispatch_sites: usize,
-    pub flag_read_sites: usize,
-    pub ack_sites: usize,
 }
 
 /// Extracts this file's protocol facts. Test files and files outside
@@ -434,9 +419,8 @@ fn scan_ack_discipline(
 }
 
 /// Diffs the accumulated facts against the spec: the four
-/// `protocol-conformance` rules plus the report the `--json` consumers
-/// and the verify.sh fourth gate read.
-pub fn evaluate(facts: &ProtocolFacts, spec: &ProtocolSpec) -> (Vec<Diagnostic>, Report) {
+/// `protocol-conformance` rules.
+pub fn evaluate(facts: &ProtocolFacts, spec: &ProtocolSpec) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let spec_anchor = |rule: &'static str, message: String| Diagnostic {
         rule,
@@ -609,16 +593,7 @@ pub fn evaluate(facts: &ProtocolFacts, spec: &ProtocolSpec) -> (Vec<Diagnostic>,
         }
     }
 
-    let report = Report {
-        types: spec.types.clone(),
-        transitions: spec.transitions.clone(),
-        coverage_allowlist: spec.coverage_allowlist.clone(),
-        construction_sites: facts.constructions.len(),
-        dispatch_sites: facts.dispatches.len(),
-        flag_read_sites: facts.flag_reads.len(),
-        ack_sites: facts.ack_sites.len(),
-    };
-    (diags, report)
+    diags
 }
 
 #[cfg(test)]
@@ -703,10 +678,10 @@ allowlist = []
     fn conforming_sources_are_clean() {
         let spec = ProtocolSpec::from_toml(SPEC);
         let facts = scan(&spec, &[("src/handler.rs", GOOD_HANDLER)]);
-        let (diags, report) = evaluate(&facts, &spec);
+        let diags = evaluate(&facts, &spec);
         assert!(diags.is_empty(), "{diags:?}");
-        assert_eq!(report.transitions.len(), 1);
-        assert!(report.construction_sites >= 2);
+        assert_eq!(spec.transitions.len(), 1);
+        assert!(facts.constructions.len() >= 2);
     }
 
     #[test]
@@ -725,7 +700,7 @@ allowlist = []
             RpcHeader { packet_type: PacketType::Call }\n\
             }\n";
         let facts = scan(&spec, &[("src/handler.rs", src)]);
-        let (diags, _) = evaluate(&facts, &spec);
+        let diags = evaluate(&facts, &spec);
         assert!(
             diags
                 .iter()
@@ -743,7 +718,7 @@ allowlist = []
             }\n\
             }\n";
         let facts = scan(&spec, &[("src/route.rs", src)]);
-        let (diags, _) = evaluate(&facts, &spec);
+        let diags = evaluate(&facts, &spec);
         let hit = diags
             .iter()
             .find(|d| d.rule == name::PROTOCOL_MISSING_ARM)
@@ -762,7 +737,7 @@ allowlist = []
             }\n\
             }\n";
         let facts = scan(&spec, &[("src/route.rs", src)]);
-        let (diags, _) = evaluate(&facts, &spec);
+        let diags = evaluate(&facts, &spec);
         assert!(!diags.iter().any(|d| d.rule == name::PROTOCOL_MISSING_ARM));
     }
 
@@ -775,7 +750,7 @@ allowlist = []
             RpcHeader { packet_type: PacketType::Result, please_ack: true }\n\
             }\n";
         let facts = scan(&spec, &[("src/build.rs", src)]);
-        let (diags, _) = evaluate(&facts, &spec);
+        let diags = evaluate(&facts, &spec);
         let hit = diags
             .iter()
             .find(|d| d.rule == name::PROTOCOL_UNREAD_FLAG && d.path == "src/build.rs")
@@ -790,7 +765,7 @@ allowlist = []
         // handle_call never reads flags.last_fragment.
         let src = "fn handle_call(rpc: &RpcHeader) { dispatch(); }\n";
         let facts = scan(&spec, &[("src/handler.rs", src)]);
-        let (diags, _) = evaluate(&facts, &spec);
+        let diags = evaluate(&facts, &spec);
         let hit = diags
             .iter()
             .find(|d| d.rule == name::PROTOCOL_UNREAD_FLAG && d.message.contains("handle_call"))
@@ -803,7 +778,7 @@ allowlist = []
         let spec = ProtocolSpec::from_toml(SPEC);
         let src = "fn rogue(rpc: &RpcHeader) { let a = RpcHeader::ack_for(rpc); }\n";
         let facts = scan(&spec, &[("src/rogue.rs", src)]);
-        let (diags, _) = evaluate(&facts, &spec);
+        let diags = evaluate(&facts, &spec);
         assert!(
             diags
                 .iter()
@@ -817,7 +792,7 @@ allowlist = []
         let spec = ProtocolSpec::from_toml(SPEC);
         let src = "fn transact() { just_once(); }\n";
         let facts = scan(&spec, &[("src/client.rs", src)]);
-        let (diags, _) = evaluate(&facts, &spec);
+        let diags = evaluate(&facts, &spec);
         assert!(
             diags
                 .iter()
@@ -832,7 +807,7 @@ allowlist = []
     fn missing_retransmit_function_fires_at_the_spec() {
         let spec = ProtocolSpec::from_toml(SPEC);
         let facts = scan(&spec, &[("src/empty.rs", "fn other() {}\n")]);
-        let (diags, _) = evaluate(&facts, &spec);
+        let diags = evaluate(&facts, &spec);
         assert!(
             diags
                 .iter()

@@ -55,7 +55,7 @@ pub mod name {
 }
 
 /// The rule family a diagnostic belongs to, for the `--json` report's
-/// machine consumers (verify.sh groups and diffs by family).
+/// machine consumers and the `--summary` per-family counts.
 pub fn family(rule: &str) -> &'static str {
     match rule {
         name::CONDVAR_WAIT_LOOP | name::CONDVAR_NOTIFY => "condvar-protocol",

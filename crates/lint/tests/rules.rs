@@ -128,7 +128,7 @@ fn protocol_lint(source: &str) -> Vec<Diagnostic> {
     let spec = ProtocolSpec::from_toml(include_str!("fixtures/protocol_spec.toml"));
     let mut facts = ProtocolFacts::default();
     scan_file(&SourceFile::new("src/handler.rs", source), &spec, &mut facts);
-    let (diags, _report) = evaluate(&facts, &spec);
+    let diags = evaluate(&facts, &spec);
     diags
 }
 

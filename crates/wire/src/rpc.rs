@@ -51,8 +51,8 @@ pub enum PacketType {
 impl PacketType {
     /// Every packet type, in wire-byte order. Introspection surface for
     /// the protocol-conformance tooling: protocol.toml must list each of
-    /// these (verify.sh's spec-drift check), and the witness/export code
-    /// iterates this rather than hand-maintaining a parallel list.
+    /// these (tests/verify.rs's spec-drift test enumerates them through
+    /// [`PacketType::from_u8`]).
     pub const ALL: [PacketType; 5] = [
         PacketType::Call,
         PacketType::Result,

@@ -1,26 +1,28 @@
-//! scripts/bench_gate.sh behaves as the trajectory contract promises:
-//! bootstrap passes, in-tolerance drift passes, a >10% regression fails
-//! loudly, the µs noise floor absorbs scheduler jitter on tiny
-//! latencies, non-finite snapshots are rejected, and --check mode
-//! reports without failing.
+//! `bench_snapshot --gate` behaves as the trajectory contract
+//! (docs/BENCH.md) promises: bootstrap passes, in-tolerance drift
+//! passes, a >10% regression fails loudly, the µs noise floor absorbs
+//! scheduler jitter on tiny latencies, non-finite snapshots are
+//! rejected, and --check mode reports without failing.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn gate_script() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scripts/bench_gate.sh")
-}
-
-/// Runs the gate with FIREFLY_BENCH_DIR pointed at `dir`.
+/// Runs `bench_snapshot --gate` with FIREFLY_BENCH_DIR pointed at `dir`.
 fn run_gate(dir: &std::path::Path, args: &[&str], env: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new("bash");
-    cmd.arg(gate_script())
+    // The binary belongs to the firefly-bench package, so cargo exposes
+    // no CARGO_BIN_EXE_ variable here; `cargo run` is the portable way
+    // to reach it (as tests/lint.rs reaches firefly-lint).
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    let mut cmd = Command::new(cargo);
+    cmd.args(["run", "--offline", "-q", "-p", "firefly-bench", "--bin", "bench_snapshot", "--"])
+        .arg("--gate")
         .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
         .env("FIREFLY_BENCH_DIR", dir);
     for (k, v) in env {
         cmd.env(k, v);
     }
-    cmd.output().expect("bench_gate.sh runs")
+    cmd.output().expect("bench_snapshot --gate runs")
 }
 
 fn text(out: &Output) -> String {
@@ -232,4 +234,14 @@ fn smoke_and_full_snapshots_are_never_compared() {
     let out = run_gate(&dir, &[], &[]);
     assert!(out.status.success(), "{}", text(&out));
     assert!(text(&out).contains("bootstrap"));
+}
+
+#[test]
+fn usage_errors_exit_2() {
+    let dir = temp_dir("usage");
+    let out = run_gate(&dir, &["a.json", "b.json"], &[]);
+    assert_eq!(out.status.code(), Some(2), "{}", text(&out));
+    let out = run_gate(&dir, &[], &[("FIREFLY_BENCH_TOLERANCE_PCT", "ten")]);
+    assert_eq!(out.status.code(), Some(2), "{}", text(&out));
+    assert!(text(&out).contains("FIREFLY_BENCH_TOLERANCE_PCT"), "{}", text(&out));
 }

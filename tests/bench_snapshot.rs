@@ -1,7 +1,7 @@
 //! End-to-end checks of the perf-trajectory snapshot (`bench_snapshot`):
 //! the document the real UDP stack emits must be valid, all-finite,
 //! internally consistent, and byte-stable through the JSON round trip —
-//! everything scripts/bench_gate.sh assumes about a BENCH_*.json file.
+//! everything `bench_snapshot --gate` assumes about a BENCH_*.json file.
 
 use firefly_bench::snapshot::{run_snapshot, SnapshotSpec, SCHEMA};
 use firefly_metrics::Json;

@@ -3,14 +3,14 @@
 //! schedules, the clean structure models must pass, exploration must be
 //! deterministic under a fixed seed, and every lock edge observed
 //! dynamically must be consistent with the static lock graph computed
-//! by `firefly-lint` (the cross-validation this PR exists for).
+//! by `firefly-lint` (gate one of `firefly_check::gates`).
 
 use std::collections::BTreeSet;
 use std::mem::discriminant;
 use std::path::PathBuf;
 
 use firefly_check::sched::Failure;
-use firefly_check::{models, Explorer, Mode};
+use firefly_check::{gates, models, Explorer, Mode};
 use firefly_lint::Engine;
 use firefly_propcheck::check;
 
@@ -237,7 +237,7 @@ fn dpor_exhausts_the_sharded_calltable_where_dfs_cannot() {
 
 /// The sharded-calltable model is a faithful miniature of the runtime:
 /// it shards by the runtime's own `shard_for` hash over the runtime's
-/// default shard count, and its steal policy produces exactly the
+/// shard count, and its steal policy produces exactly the
 /// ascending parametric `shard` bridge that the lint config's declared
 /// lock classes sanction — no other cross-shard nesting.
 #[test]
@@ -249,12 +249,12 @@ fn sharded_model_mirrors_runtime_shard_count_and_steal_policy() {
     assert!(dpor.exhausted, "DPOR must exhaust the sharded model");
 
     // Shard selection: the model routes each caller by the runtime's
-    // hash over the runtime's default shard count (the model asserts
-    // the count match internally; this pins the policy from outside
-    // the checker crate too). The hash must be a total, in-range, pure
+    // hash over the runtime's shard count (the model's width *is*
+    // `calltable::SHARDS`; this pins the policy from outside the
+    // checker crate too). The hash must be a total, in-range, pure
     // function of the activity id — retransmits and duplicates land on
     // the same shard as the original.
-    let shards = firefly_rpc::Config::default().shards;
+    let shards = firefly_rpc::calltable::SHARDS;
     for thread in 0..64u16 {
         let id = firefly_wire::ActivityId::new(9, 1, thread);
         let home = firefly_rpc::calltable::shard_for(id, shards);
@@ -268,34 +268,21 @@ fn sharded_model_mirrors_runtime_shard_count_and_steal_policy() {
 
     // Steal policy: the only cross-shard nesting is the victim -> thief
     // takeover bridge, and it must ascend — the exact edge shape the
-    // parametric `shard` class in lint.toml declares legal. The lint
-    // engine must agree the class is declared parametric.
-    let engine = Engine::for_root(&workspace_root());
-    assert!(
-        engine
-            .config
-            .lock_order
-            .iter()
-            .any(|c| c.name == "shard" && c.parametric),
-        "lint config no longer declares the shard class parametric"
-    );
-    let same_class: Vec<_> = dpor
+    // parametric `shard` class in lint.toml declares legal, which is
+    // what the lock gate holds same-class nestings to.
+    let same_class: BTreeSet<(String, String)> = dpor
         .edges
         .iter()
         .filter(|(f, t)| f.starts_with("shard[") && t.starts_with("shard["))
+        .cloned()
         .collect();
     assert!(
         !same_class.is_empty(),
         "model no longer exercises the parametric steal bridge"
     );
-    for (from, to) in &same_class {
-        let idx =
-            |s: &str| -> usize { s["shard[".len()..s.len() - 1].parse().expect("shard index") };
-        assert!(
-            idx(from) < idx(to),
-            "steal bridge {from} -> {to} is not ascending"
-        );
-    }
+    let engine = Engine::for_root(&workspace_root());
+    let found = gates::lock_edges(&engine.config.lock_order, &[], &same_class);
+    assert!(found.passed(), "{:#?}", found.problems);
 }
 
 /// The activity-retention model — the server keeps the last result
@@ -304,7 +291,7 @@ fn sharded_model_mirrors_runtime_shard_count_and_steal_policy() {
 /// quiescent audit must balance the pool's outstanding counter against
 /// slot retention in the final passing schedule: the dynamic half of
 /// the pool-lifecycle accounted-retention invariant that
-/// scripts/cross_diff.py gates on.
+/// `gates::accounting` gates on.
 #[test]
 fn dpor_exhausts_activity_retention_and_accounting_balances() {
     let explorer = Explorer::new();
@@ -376,39 +363,12 @@ fn receive_role_strands_no_waiter() {
     );
 }
 
-/// The race detector's publication record feeds the cross-diff: the
-/// install-gate model must consume a release→acquire edge on its
-/// labeled `installed` location, and the channel model on the labeled
-/// disconnect counters — the classes scripts/cross_diff.py maps back
-/// to statically paired atomic-publication locations.
-#[test]
-fn publication_classes_are_recorded_for_the_cross_diff() {
-    let explorer = Explorer::new();
-    let gate = models::find("gate").expect("gate model registered");
-    let outcome = explorer.explore(&gate, &Mode::Dfs { max_schedules: 400 });
-    assert!(outcome.failure.is_none(), "gate model failed");
-    assert!(
-        outcome.publications.contains("installed"),
-        "gate model recorded no publication on `installed`: {:?}",
-        outcome.publications
-    );
-
-    let channel = models::find("channel").expect("channel model registered");
-    let outcome = explorer.explore(&channel, &Mode::Dfs { max_schedules: 400 });
-    assert!(outcome.failure.is_none(), "channel model failed");
-    assert!(
-        outcome.publications.contains("senders"),
-        "channel model recorded no publication on `senders`: {:?}",
-        outcome.publications
-    );
-}
-
 /// Cross-validation against the static lock graph: every class-level
 /// edge the checker observes dynamically must already be present in
 /// `firefly-lint`'s static graph (same classified endpoints), and must
-/// respect the configured rank order. A dynamic edge missing from the
-/// static graph means the linter's view of the locking structure is
-/// incomplete — exactly the drift this gate exists to catch.
+/// respect the configured rank order — the first of the four gates in
+/// `firefly_check::gates` (tests/verify.rs runs all four on the full
+/// smoke report; this one pins the lock gate to a plain DFS pass).
 #[test]
 fn observed_edges_are_a_subset_of_the_static_lock_graph() {
     let explorer = Explorer::new();
@@ -418,77 +378,13 @@ fn observed_edges_are_a_subset_of_the_static_lock_graph() {
         assert!(dfs.failure.is_none(), "{}: unexpected failure", model.name);
         observed.extend(dfs.edges);
     }
+    assert!(!observed.is_empty(), "the models no longer nest any locks");
 
     let root = workspace_root();
     let engine = Engine::for_root(&root);
     let analysis = engine.analyze(&root).expect("walk workspace");
-    let classes: Vec<String> = engine
-        .config
-        .lock_order
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
-    let parametric: BTreeSet<&str> = engine
-        .config
-        .lock_order
-        .iter()
-        .filter(|c| c.parametric)
-        .map(|c| c.name.as_str())
-        .collect();
-    let rank = |name: &str| classes.iter().position(|c| c == name);
-    // `class[index]` instance name -> (class, index).
-    let parse_instance = |name: &str| -> Option<(String, usize)> {
-        let open = name.find('[')?;
-        let inner = name.get(open + 1..name.len().checked_sub(1)?)?;
-        if !name.ends_with(']') {
-            return None;
-        }
-        Some((name[..open].to_string(), inner.parse().ok()?))
-    };
-    let static_classified: BTreeSet<(String, String)> = analysis
-        .lock_edges
-        .iter()
-        .filter(|e| rank(&e.from).is_some() && rank(&e.to).is_some() && e.from != e.to)
-        .map(|e| (e.from.clone(), e.to.clone()))
-        .collect();
-
-    for (from, to) in &observed {
-        // Same-class instance nestings of a parametric class are
-        // sanctioned by the class declaration itself, provided the
-        // indices ascend (the lint-side acquisition discipline).
-        if let (Some((fc, fi)), Some((tc, ti))) = (parse_instance(from), parse_instance(to)) {
-            if fc == tc {
-                assert!(
-                    parametric.contains(fc.as_str()),
-                    "dynamic same-class nesting {from} -> {to} on a class not \
-                     declared parametric in the lint config"
-                );
-                assert!(
-                    fi < ti,
-                    "dynamic edge {from} -> {to} violates ascending shard order"
-                );
-                continue;
-            }
-        }
-        let strip = |name: &String| {
-            parse_instance(name).map_or_else(|| name.clone(), |(class, _)| class)
-        };
-        let (from, to) = (strip(from), strip(to));
-        let (Some(rf), Some(rt)) = (rank(&from), rank(&to)) else {
-            continue; // unclassified endpoint: outside the static model
-        };
-        assert!(
-            rf <= rt,
-            "dynamic edge {from} -> {to} violates the configured rank order"
-        );
-        if from != to {
-            assert!(
-                static_classified.contains(&(from.clone(), to.clone())),
-                "dynamic edge {from} -> {to} observed by firefly-check is missing \
-                 from the static lock graph — firefly-lint's receiver map is stale"
-            );
-        }
-    }
+    let found = gates::lock_edges(&engine.config.lock_order, &analysis.lock_edges, &observed);
+    assert!(found.passed(), "{:#?}", found.problems);
 }
 
 /// Stress the instrumented MPMC channel beyond what schedule

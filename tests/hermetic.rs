@@ -5,7 +5,8 @@
 //!
 //! This keeps `cargo build --offline` working from a clean checkout
 //! with an empty cargo registry — the property scripts/verify.sh
-//! exercises end to end.
+//! exercises end to end. The same file guards the tooling policy: the
+//! repo verifies itself in Rust, behind one bash launcher.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -188,10 +189,9 @@ fn check_crate_is_hermetic_and_forbids_unsafe() {
 
 #[test]
 fn bench_snapshot_pipeline_is_hermetic_and_forbids_unsafe() {
-    // The perf-trajectory pipeline (bench_snapshot + the JSON emitter in
-    // firefly-metrics) writes files consumed by scripts/bench_gate.sh;
-    // it must obey the same policy as the rest of the tree: path-only
-    // dependencies and no unsafe code.
+    // The perf-trajectory pipeline (bench_snapshot, its --gate, and the
+    // JSON emitter/parser in firefly-metrics) must obey the same policy
+    // as the rest of the tree: path-only dependencies and no unsafe code.
     for name in ["firefly-bench", "firefly-metrics"] {
         let entry = dependency_entries(&workspace_root().join("Cargo.toml"))
             .into_iter()
@@ -221,15 +221,72 @@ fn bench_snapshot_pipeline_is_hermetic_and_forbids_unsafe() {
             "crates/{crate_dir} must forbid unsafe code"
         );
     }
-    // The gate script itself must stay dependency-free: bash + python3
-    // stdlib only (both already required by scripts/verify.sh).
-    let gate = fs::read_to_string(workspace_root().join("scripts/bench_gate.sh"))
-        .expect("scripts/bench_gate.sh");
-    for banned in ["pip install", "import requests", "import numpy"] {
+}
+
+/// The interpreter the verification path used to shell out to. This line
+/// is the one place the scanned tree may spell it.
+const INTERPRETER: &str = "python";
+
+/// Every file under `dir` (recursively), skipping build output and VCS
+/// metadata.
+fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("readable directory") {
+        let path = entry.expect("readable dir entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if path.is_dir() {
+            if !matches!(name, "target" | ".git") {
+                files_under(&path, out);
+            }
+        } else {
+            out.push(path);
+        }
+    }
+}
+
+/// One verifier, one language: the verification path is Rust behind a
+/// bash launcher. No second script, no interpreter-language file
+/// anywhere in the tree, and no interpreter invoked from the launcher,
+/// the tests, the crates or the verify skill.
+#[test]
+fn verification_path_is_rust_behind_one_launcher() {
+    let root = workspace_root();
+    let scripts: Vec<_> = fs::read_dir(root.join("scripts"))
+        .expect("scripts/ directory")
+        .map(|e| e.expect("readable dir entry").file_name())
+        .collect();
+    assert_eq!(scripts, ["verify.sh"], "scripts/ holds the launcher and nothing else");
+
+    let mut tree = Vec::new();
+    files_under(&root, &mut tree);
+    for path in &tree {
         assert!(
-            !gate.contains(banned),
-            "scripts/bench_gate.sh must not use external packages ({banned})"
+            path.extension().is_none_or(|ext| ext != "py"),
+            "{} — the repo verifies itself in Rust",
+            path.display()
         );
+    }
+
+    // rpcbench/ is the benchmark's own package and is not scanned.
+    let scanned = |p: &Path| {
+        let rel = p.strip_prefix(&root).expect("under root").to_string_lossy().replace('\\', "/");
+        rel.starts_with("scripts/")
+            || rel.starts_with("tests/")
+            || (rel.starts_with("crates/") && rel.contains("/src/"))
+            || rel == ".claude/skills/verify/SKILL.md"
+    };
+    for path in tree.iter().filter(|p| scanned(p)) {
+        let Ok(text) = fs::read_to_string(path) else {
+            continue; // not text
+        };
+        for (i, line) in text.lines().enumerate() {
+            let guard_itself = line.starts_with("const INTERPRETER: &str");
+            assert!(
+                guard_itself || !line.to_ascii_lowercase().contains(INTERPRETER),
+                "{}:{}: the verification path names an interpreter: {line}",
+                path.display(),
+                i + 1
+            );
+        }
     }
 }
 
@@ -249,10 +306,11 @@ fn no_lockfile_entry_references_the_registry() {
 #[test]
 fn protocol_spec_is_committed_and_populated() {
     // The protocol-conformance contract hangs off protocol.toml: the
-    // lint extracts it, the witness table in crates/core mirrors it,
-    // and cross_diff.py checks observed transitions against it. The
-    // spec file must therefore always be committed at the workspace
-    // root and must carry the full transition table.
+    // lint extracts it, crates/core's build.rs generates the witness
+    // table from it, and `firefly-check verify` checks observed
+    // transitions against it. The spec file must therefore always be
+    // committed at the workspace root and must carry the full
+    // transition table.
     let spec = workspace_root().join("protocol.toml");
     assert!(
         spec.is_file(),
@@ -266,7 +324,7 @@ fn protocol_spec_is_committed_and_populated() {
         );
     }
     // Count quoted transition rows inside [transitions].legal — the
-    // same shape witness.rs's table_matches_protocol_toml parses.
+    // same shape crates/core/build.rs parses.
     let legal = text
         .split("legal = [")
         .nth(1)

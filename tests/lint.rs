@@ -508,197 +508,27 @@ fn binary_flags_each_seeded_dataflow_violation() {
     }
 }
 
-/// Runs scripts/cross_diff.py on a synthetic (lint-report, check-edges)
-/// pair and returns (exit_code, combined output). Skipped by callers
-/// when python3 is unavailable.
-fn run_cross_diff(tag: &str, lint_json: &str, check_json: &str) -> (i32, String) {
-    let dir = std::env::temp_dir().join(format!("firefly-crossdiff-{}-{tag}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("mkdir fixture");
-    let lint_path = dir.join("lint-report.json");
-    let check_path = dir.join("check-edges.json");
-    fs::write(&lint_path, lint_json).expect("write lint fixture");
-    fs::write(&check_path, check_json).expect("write check fixture");
-    let out = Command::new("python3")
-        .arg(workspace_root().join("scripts/cross_diff.py"))
-        .arg(&lint_path)
-        .arg(&check_path)
+/// `firefly-lint --json` on the live workspace: one well-formed JSON
+/// object carrying the diagnostics array, a populated fast-path set, the
+/// stage timings and the suppression inventory (docs/LINTS.md).
+#[test]
+fn binary_json_report_is_well_formed() {
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    let out = Command::new(cargo)
+        .args(["run", "--offline", "-q", "-p", "firefly-lint", "--", "--json"])
+        .arg(workspace_root())
+        .current_dir(workspace_root())
         .output()
-        .expect("run cross_diff.py");
-    let _ = fs::remove_dir_all(&dir);
-    let combined = format!(
-        "{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    (out.status.code().unwrap_or(-1), combined)
-}
-
-/// The static side all the fixtures below diff against: one paired
-/// (and allowlisted) atomic location, reachable from the dynamic
-/// `installed` class through the label map, plus a two-row protocol
-/// spec whose second row is deliberately allowlisted.
-const CROSS_DIFF_LINT_JSON: &str = r#"{
-  "schema_version": 1,
-  "lock_graph": {"classes": ["calltable", "pool"], "parametric": [], "edges": []},
-  "atomic_publication": {
-    "allow_relaxed": ["INSTALLED"],
-    "label_map": {"installed": ["INSTALLED"]},
-    "locations": [
-      {"name": "INSTALLED", "releasing_writes": 1, "acquiring_reads": 1,
-       "relaxed_loads": 1, "relaxed_writes": 0, "paired": true, "allowlisted": true}
-    ]
-  },
-  "protocol": {
-    "types": ["Call", "Result"],
-    "transitions": [
-      "server-new Call last_fragment -> dispatch",
-      "server-stale Call - -> drop-stale"
-    ],
-    "coverage_allowlist": ["server-stale Call - -> drop-stale"]
-  }
-}"#;
-
-/// The verify.sh cross-diff must accept a dynamic report whose
-/// publication classes map to statically paired locations and whose
-/// accounting balances — and reject an unpaired publication class and
-/// drifted pool accounting.
-#[test]
-fn cross_diff_gates_publications_and_accounting() {
-    if Command::new("python3").arg("--version").output().is_err() {
-        eprintln!("python3 unavailable; skipping cross-diff fixture test");
-        return;
-    }
-    let good = r#"{
-      "schema_version": 1,
-      "edges": [],
-      "publications": ["installed"],
-      "accounting": {"pool": {"outstanding": 1, "retained": 1}},
-      "transitions": ["server-new Call last_fragment -> dispatch"]
-    }"#;
-    let (code, out) = run_cross_diff("good", CROSS_DIFF_LINT_JSON, good);
-    assert_eq!(code, 0, "consistent reports must pass:\n{out}");
-    assert!(
-        out.contains("statically paired at INSTALLED"),
-        "pass output should attribute the publication:\n{out}"
-    );
-
-    let unpaired = r#"{
-      "schema_version": 1,
-      "edges": [],
-      "publications": ["ghost"],
-      "accounting": {},
-      "transitions": ["server-new Call last_fragment -> dispatch"]
-    }"#;
-    let (code, out) = run_cross_diff("unpaired", CROSS_DIFF_LINT_JSON, unpaired);
-    assert_ne!(
-        code, 0,
-        "a publication class with no statically paired location must fail:\n{out}"
-    );
-    assert!(
-        out.contains("ghost"),
-        "failure should name the unpaired class:\n{out}"
-    );
-
-    let drifted = r#"{
-      "schema_version": 1,
-      "edges": [],
-      "publications": [],
-      "accounting": {"pool": {"outstanding": 2, "retained": 1}},
-      "transitions": ["server-new Call last_fragment -> dispatch"]
-    }"#;
-    let (code, out) = run_cross_diff("drifted", CROSS_DIFF_LINT_JSON, drifted);
-    assert_ne!(code, 0, "drifted pool accounting must fail:\n{out}");
-    assert!(
-        out.contains("accounting drift"),
-        "failure should describe the drift:\n{out}"
-    );
-}
-
-/// The fourth cross-diff gate: observed transitions must be legal,
-/// legal rows must be covered (observed or allowlisted), and the
-/// allowlist must stay honest in both directions.
-#[test]
-fn cross_diff_gates_protocol_transitions() {
-    if Command::new("python3").arg("--version").output().is_err() {
-        eprintln!("python3 unavailable; skipping cross-diff fixture test");
-        return;
-    }
-    let check = |transitions: &str| {
-        format!(
-            r#"{{
-              "schema_version": 1,
-              "edges": [],
-              "publications": ["installed"],
-              "accounting": {{}},
-              "transitions": [{transitions}]
-            }}"#
-        )
-    };
-
-    // Legal observed row + allowlisted second row: clean.
-    let (code, out) = run_cross_diff(
-        "proto-good",
-        CROSS_DIFF_LINT_JSON,
-        &check(r#""server-new Call last_fragment -> dispatch""#),
-    );
-    assert_eq!(code, 0, "covered spec must pass:\n{out}");
-    assert!(
-        out.contains("allowlisted (unexercised by design)"),
-        "coverage table should show the allowlisted row:\n{out}"
-    );
-
-    // A transition outside the legal table fails.
-    let (code, out) = run_cross_diff(
-        "proto-illegal",
-        CROSS_DIFF_LINT_JSON,
-        &check(
-            r#""server-new Call last_fragment -> dispatch",
-               "server-new Probe - -> explode""#,
-        ),
-    );
-    assert_ne!(code, 0, "an illegal observed transition must fail:\n{out}");
-    assert!(
-        out.contains("not in the spec's legal table"),
-        "failure should name the illegal row:\n{out}"
-    );
-
-    // A legal row neither observed nor allowlisted is a coverage gap.
-    let (code, out) = run_cross_diff("proto-gap", CROSS_DIFF_LINT_JSON, &check(""));
-    assert_ne!(code, 0, "an uncovered legal row must fail:\n{out}");
-    assert!(
-        out.contains("coverage gap"),
-        "failure should describe the gap:\n{out}"
-    );
-
-    // An allowlisted row that is now observed is stale.
-    let (code, out) = run_cross_diff(
-        "proto-stale",
-        CROSS_DIFF_LINT_JSON,
-        &check(
-            r#""server-new Call last_fragment -> dispatch",
-               "server-stale Call - -> drop-stale""#,
-        ),
-    );
-    assert_ne!(code, 0, "a stale allowlist entry must fail:\n{out}");
-    assert!(
-        out.contains("stale coverage allowlist"),
-        "failure should flag the stale entry:\n{out}"
-    );
-
-    // A check report predating the transitions export fails fast.
-    let legacy = r#"{
-      "schema_version": 1,
-      "edges": [],
-      "publications": ["installed"],
-      "accounting": {}
-    }"#;
-    let (code, out) = run_cross_diff("proto-legacy", CROSS_DIFF_LINT_JSON, legacy);
-    assert_ne!(code, 0, "a report without transitions must fail fast:\n{out}");
-    assert!(
-        out.contains("lacks a 'transitions' array"),
-        "failure should say how to regenerate:\n{out}"
-    );
+        .expect("run firefly-lint --json");
+    assert!(out.status.success(), "the workspace is lint-clean");
+    let report = firefly_metrics::Json::parse(&String::from_utf8_lossy(&out.stdout))
+        .expect("--json prints one JSON document");
+    let len = |path: &[&str]| report.at(path).and_then(|v| v.as_array()).map(<[_]>::len);
+    assert_eq!(len(&["diagnostics"]), Some(0));
+    assert!(len(&["fast_path", "files"]) > Some(0), "empty fast-path file set");
+    assert!(len(&["fast_path", "functions"]) > Some(0), "empty fast-path fn set");
+    assert!(len(&["suppressions"]).is_some());
+    assert!(report.get("timings_us").and_then(|t| t.as_object()).is_some());
 }
 
 #[test]

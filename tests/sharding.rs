@@ -45,9 +45,9 @@ fn shard_assignment_is_a_pure_function_of_the_activity_id() {
                 prop_assert_eq!(shard_for(id, shards), home, "unstable assignment");
             }
         }
-        // Distribution sanity at the runtime's default width: 256
+        // Distribution sanity at the runtime's shard count: 256
         // consecutive threads of one address space hit every shard.
-        let n = Config::default().shards;
+        let n = firefly_rpc::calltable::SHARDS;
         let (machine, space) = (g.u32(), g.u16());
         let mut hit = vec![false; n];
         for thread in 0..256u16 {
