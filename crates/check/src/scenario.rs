@@ -15,7 +15,8 @@
 //!   fresh dispatch and assembly, duplicates against an executing /
 //!   retained / released / stale activity, the three probe answers plus
 //!   the unknown-probe drop, and the result-ack advance/release/stale
-//!   rows. A gated Null service (each call waits for an explicit token)
+//!   rows (the advance on a real two-fragment transfer: the row is
+//!   recorded where the next fragment is sent). A gated Null service (each call waits for an explicit token)
 //!   pins the activity in the executing state while duplicates land.
 //!
 //! Everything observed flows into [`crate::smoke::Report::transitions`],
@@ -35,7 +36,7 @@ use firefly_rpc::transport::{LoopbackNet, Transport};
 use firefly_rpc::witness::TRANSITIONS;
 use firefly_rpc::{Config, Endpoint, ServiceBuilder};
 use firefly_sync::channel;
-use firefly_wire::{ActivityId, FrameBuilder, PacketType, DATA_OFFSET, RPC_HEADER_LEN};
+use firefly_wire::{ActivityId, FrameBuilder, FrameView, PacketType};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -50,6 +51,17 @@ struct Shape {
     cf: bool,
 }
 
+/// The body of a drill fragment: full unless it is the last, as the
+/// reassembly on both sides insists (only the last fragment is short).
+fn drill_body(ty: PacketType, (index, count): (u16, u16)) -> &'static [u8] {
+    let carries_data = matches!(ty, PacketType::Call | PacketType::Result);
+    if carries_data && index + 1 < count {
+        &[0; firefly_wire::MAX_SINGLE_PACKET_DATA]
+    } else {
+        &[]
+    }
+}
+
 /// Builds a pool-backed packet of the given type and shape. The drills
 /// only craft shapes the spec names, so parse failures are panics, not
 /// scenario outcomes.
@@ -61,7 +73,7 @@ fn drill_packet(pool: &BufferPool, ty: PacketType, act: ActivityId, seq: u32, s:
         .please_ack(s.pa)
         .acks_result(s.ar)
         .call_failed(s.cf)
-        .build(&[])
+        .build(drill_body(ty, s.lf_frag))
         .expect("drill frame");
     let mut buf = pool.alloc().expect("drill pool");
     buf.fill_from(frame.bytes());
@@ -221,6 +233,17 @@ pub fn wire_transitions() -> Result<Vec<String>, String> {
     endpoint
         .export(service)
         .map_err(|e| format!("wire scenario: export: {e}"))?;
+    // A two-fragment result, for the ack that advances a transfer.
+    let bulk = ServiceBuilder::new(bulk_interface())
+        .on_call("Get", |_args, w| {
+            w.next_bytes(2000)?.fill(0x42);
+            Ok(())
+        })
+        .build()
+        .map_err(|e| format!("wire scenario: bulk service: {e}"))?;
+    endpoint
+        .export(bulk)
+        .map_err(|e| format!("wire scenario: export: {e}"))?;
 
     let result = drive_server_rows(&endpoint, injector.as_ref(), &token_tx, &entered);
     // Unblock any still-gated handler before the endpoint joins its
@@ -242,6 +265,14 @@ pub fn wire_transitions() -> Result<Vec<String>, String> {
     Ok(rows)
 }
 
+/// One procedure whose result takes two packets.
+fn bulk_interface() -> firefly_idl::InterfaceDef {
+    firefly_idl::parse_interface(
+        "DEFINITION MODULE Bulk; PROCEDURE Get(VAR OUT out: ARRAY OF CHAR); END Bulk.",
+    )
+    .expect("bulk interface parses")
+}
+
 /// The injection script proper. Separated out so the caller can always
 /// release the service gate and shut the endpoint down, whichever step
 /// failed.
@@ -260,6 +291,9 @@ fn drive_server_rows(
             .send(&frame, dst)
             .map_err(|e| format!("wire scenario: inject: {e}"))
     };
+    // Single-packet calls are the gated `Null()`; fragments belong to a
+    // `MaxArg` call, whose 1440-byte argument is exactly one full
+    // fragment followed by an empty last one.
     let call = |a: ActivityId, seq: u32, frag: (u16, u16), pa: bool| -> Vec<u8> {
         FrameBuilder::new(PacketType::Call)
             .activity(a)
@@ -267,8 +301,8 @@ fn drive_server_rows(
             .fragment(frag.0, frag.1)
             .please_ack(pa)
             .interface(iface.uid(), iface.version())
-            .procedure(0)
-            .build(&[])
+            .procedure(if frag.1 > 1 { 2 } else { 0 })
+            .build(drill_body(PacketType::Call, frag))
             .expect("call frame")
             .into_bytes()
     };
@@ -299,17 +333,19 @@ fn drive_server_rows(
             endpoint.protocol_transitions().iter().any(|t| *t == row)
         })
     };
-    // Drain injector-bound frames until a Result arrives. The worker
-    // installs the retained copy before the result frame is flushed, so
-    // this doubles as the retention barrier.
-    let await_result = || -> Result<(), String> {
+    // Drain injector-bound frames until a Result for activity `a`
+    // arrives (retransmissions to other activities may still be queued).
+    // The worker installs the retained copy before the result frame is
+    // sent, so this doubles as the retention barrier.
+    let await_result = |a: ActivityId| -> Result<(), String> {
         let mut buf = [0u8; 2048];
         wait_for("a result frame", || loop {
             match injector.try_recv(&mut buf) {
                 Ok(Some((n, _))) => {
-                    if n > DATA_OFFSET - RPC_HEADER_LEN
-                        && buf[DATA_OFFSET - RPC_HEADER_LEN] == PacketType::Result as u8
-                    {
+                    let result = FrameView::parse(&buf[..n]).is_ok_and(|f| {
+                        f.rpc.packet_type == PacketType::Result && f.rpc.activity == a
+                    });
+                    if result {
                         return true;
                     }
                 }
@@ -322,10 +358,10 @@ fn drive_server_rows(
     // Fresh single-packet dispatch, bare and please-ack.
     token()?;
     inject(call(act(1), 1, (0, 1), false))?;
-    await_result()?;
+    await_result(act(1))?;
     token()?;
     inject(call(act(2), 1, (0, 1), true))?;
-    await_result()?;
+    await_result(act(2))?;
 
     // Assembly of two-fragment calls: non-final first (assemble-ack,
     // both shapes), and the final fragment arriving early (assemble,
@@ -337,19 +373,17 @@ fn drive_server_rows(
 
     // Completion by a *non-final* fragment (the final arrived above):
     // dispatch-ack, with and without please-ack.
-    token()?;
     inject(call(act(5), 1, (0, 2), true))?;
-    await_result()?;
-    token()?;
+    await_result(act(5))?;
     inject(call(act(6), 1, (0, 2), false))?;
-    await_result()?;
+    await_result(act(6))?;
 
     // Pin act(7) in the executing state: no token, so the handler sits
     // in the gate once entered, and every duplicate below classifies
     // against an in-progress, not-yet-retained call.
     inject(call(act(7), 1, (0, 1), false))?;
     wait_for("the gated call to start executing", || {
-        entered.load(Ordering::SeqCst) == 5
+        entered.load(Ordering::SeqCst) == 3
     })?;
     inject(call(act(7), 1, (0, 1), true))?; // ack-executing, +last_fragment
     inject(call(act(7), 1, (0, 2), true))?; // ack-executing
@@ -363,7 +397,7 @@ fn drive_server_rows(
     // Release the gate; the result frame's arrival proves the retained
     // copy is installed, and the same duplicates now retransmit it.
     token()?;
-    await_result()?;
+    await_result(act(7))?;
     inject(call(act(7), 1, (0, 1), false))?;
     inject(call(act(7), 1, (0, 1), true))?;
     inject(call(act(7), 1, (0, 2), true))?;
@@ -372,9 +406,23 @@ fn drive_server_rows(
     expect_row("server-dup-retained Call - -> retransmit-result")?;
     expect_row("server-retained Probe last_fragment -> retransmit-result")?;
 
-    // Explicit result acks: a fragment advance, then the final ack that
-    // releases the retained result.
-    inject(result_ack(act(7), 1, (0, 2)))?;
+    // Explicit result acks. The ack of fragment 0 of a two-fragment
+    // result advances the transfer (the receiving thread sends fragment
+    // 1, the second result awaited here); the final ack releases a
+    // retained result.
+    let bulk = bulk_interface();
+    let get = FrameBuilder::new(PacketType::Call)
+        .activity(act(9))
+        .call_seq(1)
+        .interface(bulk.uid(), bulk.version())
+        .procedure(0)
+        .build(&[])
+        .expect("call frame")
+        .into_bytes();
+    inject(get)?;
+    await_result(act(9))?;
+    inject(result_ack(act(9), 1, (0, 2)))?;
+    await_result(act(9))?;
     inject(result_ack(act(7), 1, (0, 1)))?;
     expect_row("server-known Ack acks_result -> advance-fragment")?;
     expect_row("server-known Ack last_fragment+acks_result -> release-retained")?;
@@ -407,7 +455,7 @@ fn drive_server_rows(
     inject(call(act(7), 1, (0, 2), true))?;
     inject(call(act(7), 1, (0, 2), false))?;
     expect_row("server-stale Call - -> drop-stale")?;
-    await_result()?;
+    await_result(act(7))?;
     Ok(())
 }
 

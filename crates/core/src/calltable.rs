@@ -16,6 +16,7 @@
 //! and signals the entry's condition variable — **at most one wakeup per
 //! packet**, and none when the receiving thread is the waiter itself.
 
+use crate::fragment::{Accepted, Reassembly};
 use crate::packet::{Assembled, Packet};
 use crate::witness::{row, ProtocolWitness};
 use firefly_wire::{ActivityId, PacketFlags, PacketType, RpcHeader};
@@ -57,12 +58,6 @@ pub enum Wait {
     },
     /// The wait timed out; the caller should retransmit or give up.
     TimedOut,
-}
-
-#[derive(Debug, Default)]
-struct Reassembly {
-    count: u16,
-    received: Vec<Option<Vec<u8>>>,
 }
 
 #[derive(Debug)]
@@ -109,6 +104,13 @@ impl CallEntry {
     /// lock-order class ("calltable"). No-op outside a checked schedule.
     pub fn check_labels(&self) {
         self.state.check_label("calltable");
+    }
+
+    /// Fragments of a multi-packet result buffered so far. They are
+    /// delivered without a wake-up (the receiving thread acks them); a
+    /// waiter whose timer fires reads its transfer's progress here.
+    pub fn result_fragments(&self) -> u16 {
+        self.state.lock().reassembly.as_ref().map_or(0, Reassembly::received)
     }
 
     /// Non-blocking check: consumes an already-delivered outcome or
@@ -323,37 +325,19 @@ impl CallTable {
                 }
                 // Multi-packet result: buffer the fragment.
                 let rpc = pkt.rpc;
-                let frag = rpc.fragment as usize;
                 let count = rpc.fragment_count;
-                let reass = st.reassembly.get_or_insert_with(|| Reassembly {
-                    count,
-                    // lint:allow(no-alloc-on-fast-path): multi-fragment
-                    // reassembly is the stop-and-wait slow path; the
-                    // single-packet fast path never reaches this arm.
-                    received: vec![None; count as usize],
-                });
-                if reass.count != count || frag >= reass.received.len() {
-                    drop(st);
-                    return Deliver::Orphan(pkt);
-                }
-                if reass.received[frag].is_none() {
-                    // lint:allow(no-alloc-on-fast-path): fragment bodies
-                    // outlive the pooled packet buffer, so the slow path
-                    // copies them out; single-packet results never do.
-                    reass.received[frag] = Some(pkt.data().to_vec());
-                }
-                let complete = reass.received.iter().all(|f| f.is_some());
-                let ack = RpcHeader::ack_for(&rpc);
-                if complete {
-                    // `complete` has just verified every slot, so the
-                    // double flatten drops nothing; written without
-                    // expect() so the demultiplexer thread can never
-                    // panic here (a dead demux strands every caller).
-                    let Some(parts) = st.reassembly.take() else {
+                let reass = st.reassembly.get_or_insert_with(|| Reassembly::new(count));
+                let data = match reass.accept(rpc.fragment, count, pkt.data()) {
+                    Accepted::Refused => {
                         drop(st);
                         return Deliver::Orphan(pkt);
-                    };
-                    let data = parts.received.into_iter().flatten().flatten().collect();
+                    }
+                    Accepted::Buffered => None,
+                    Accepted::Complete(data) => Some(data),
+                };
+                let ack = RpcHeader::ack_for(&rpc);
+                if let Some(data) = data {
+                    st.reassembly = None;
                     st.outcome = Some(Assembled::Multi { rpc, data });
                     entry.uncount(&mut st);
                     drop(st);
@@ -562,6 +546,11 @@ mod tests {
         Packet::from_buf(buf).unwrap()
     }
 
+    /// A full (non-final) fragment's worth of `b`.
+    fn full(b: u8) -> [u8; crate::fragment::MAX_FRAGMENT_DATA] {
+        [b; crate::fragment::MAX_FRAGMENT_DATA]
+    }
+
     fn ack_packet(seq: u32) -> Packet {
         let frame = FrameBuilder::new(PacketType::Ack)
             .activity(activity())
@@ -609,20 +598,23 @@ mod tests {
             Deliver::Accepted
         ));
         assert!(matches!(
-            table.deliver(result_packet(9, &[10, 11], 0, 3)),
+            table.deliver(result_packet(9, &full(10), 0, 3)),
             Deliver::AcceptedNeedsAck(_)
         ));
         // Duplicate of an already-buffered fragment.
         assert!(matches!(
-            table.deliver(result_packet(9, &[10, 11], 0, 3)),
+            table.deliver(result_packet(9, &full(10), 0, 3)),
             Deliver::AcceptedNeedsAck(_)
         ));
+        assert_eq!(entry.result_fragments(), 2);
         assert!(matches!(
-            table.deliver(result_packet(9, &[20, 21], 1, 3)),
+            table.deliver(result_packet(9, &full(20), 1, 3)),
             Deliver::Accepted
         ));
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
-            Wait::Complete(a) => assert_eq!(a.data(), &[10, 11, 20, 21, 30, 31]),
+            Wait::Complete(a) => {
+                assert_eq!(a.data(), [&full(10)[..], &full(20), &[30, 31]].concat());
+            }
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -632,17 +624,22 @@ mod tests {
         let table = CallTable::new();
         let _entry = table.register(activity(), 9);
         assert!(matches!(
-            table.deliver(result_packet(9, &[1], 0, 3)),
+            table.deliver(result_packet(9, &full(1), 0, 3)),
             Deliver::AcceptedNeedsAck(_)
         ));
         // Claims fragment 7 of 3 — malformed; must be orphaned.
         assert!(matches!(
-            table.deliver(result_packet(9, &[2], 7, 3)),
+            table.deliver(result_packet(9, &full(2), 7, 3)),
             Deliver::Orphan(_)
         ));
-        // A count mismatch mid-reassembly is equally malformed.
+        // A count mismatch mid-reassembly is equally malformed, and so
+        // is a short fragment that is not the last.
         assert!(matches!(
-            table.deliver(result_packet(9, &[3], 1, 5)),
+            table.deliver(result_packet(9, &full(3), 1, 5)),
+            Deliver::Orphan(_)
+        ));
+        assert!(matches!(
+            table.deliver(result_packet(9, &[3], 1, 3)),
             Deliver::Orphan(_)
         ));
     }
@@ -674,15 +671,15 @@ mod tests {
     fn fragments_reassemble_in_any_order() {
         let table = CallTable::new();
         let entry = table.register(activity(), 2);
-        let p1 = result_packet(2, &[4, 5, 6], 1, 3);
-        let p0 = result_packet(2, &[1, 2, 3], 0, 3);
+        let p1 = result_packet(2, &full(4), 1, 3);
+        let p0 = result_packet(2, &full(1), 0, 3);
         let p2 = result_packet(2, &[7, 8], 2, 3);
         assert!(matches!(table.deliver(p1), Deliver::AcceptedNeedsAck(_)));
         assert!(matches!(table.deliver(p0), Deliver::AcceptedNeedsAck(_)));
         // The final fragment completes the call.
         assert!(matches!(table.deliver(p2), Deliver::Accepted));
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
-            Wait::Complete(a) => assert_eq!(a.data(), &[1, 2, 3, 4, 5, 6, 7, 8]),
+            Wait::Complete(a) => assert_eq!(a.data(), [&full(1)[..], &full(4), &[7, 8]].concat()),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -692,13 +689,13 @@ mod tests {
         let table = CallTable::new();
         let entry = table.register(activity(), 2);
         for _ in 0..3 {
-            let p0 = result_packet(2, &[1, 2], 0, 2);
+            let p0 = result_packet(2, &full(1), 0, 2);
             let _ = table.deliver(p0);
         }
         let p1 = result_packet(2, &[3], 1, 2);
         assert!(matches!(table.deliver(p1), Deliver::Accepted));
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
-            Wait::Complete(a) => assert_eq!(a.data(), &[1, 2, 3]),
+            Wait::Complete(a) => assert_eq!(a.data(), [&full(1)[..], &[3]].concat()),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -759,7 +756,7 @@ mod tests {
         let mut buf = pool.alloc().unwrap();
         buf.fill_from(frame.bytes());
         let final_frag = Packet::from_buf(buf).unwrap();
-        let first = result_packet(4, &[8], 0, 2);
+        let first = result_packet(4, &full(8), 0, 2);
         assert!(matches!(table.deliver(first), Deliver::AcceptedNeedsAck(_)));
         match table.deliver(final_frag) {
             Deliver::AcceptedNeedsAck(ack) => {

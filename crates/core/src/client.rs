@@ -25,9 +25,7 @@ use crate::endpoint::EndpointShared;
 use crate::packet::Assembled;
 use crate::{Result, RpcError};
 use firefly_idl::{engines_for_interface, InterfaceDef, StubEngine, Value};
-use firefly_wire::{
-    ActivityId, PacketFlags, PacketType, RpcHeader, DATA_OFFSET, MAX_SINGLE_PACKET_DATA,
-};
+use firefly_wire::{ActivityId, PacketFlags, PacketType, RpcHeader, DATA_OFFSET};
 use firefly_sync::Mutex;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -196,41 +194,17 @@ impl Client {
         span.stamp(crate::trace::Stamp::BufferAcquired);
 
         // --- Marshal the arguments. ---
-        // Fast path straight into the packet buffer; oversized argument
-        // lists re-marshal into a heap buffer for fragmentation
-        // (marshalling is pure, so the retry is safe).
+        // Fast path straight into the packet buffer; an argument list
+        // that does not fit goes to the heap for fragmentation.
         let mut heap_data: Option<Vec<u8>> = None;
-        let raw = call_buf.raw_mut();
-        let marshalled = (|| -> Result<usize> {
-            match stub.marshal_call(args, &mut raw[DATA_OFFSET..]) {
-                Ok(n) => Ok(n),
-                Err(firefly_idl::IdlError::BufferTooSmall { .. }) => {
-                    let mut size = 4 * MAX_SINGLE_PACKET_DATA;
-                    loop {
-                        // lint:allow(no-alloc-on-fast-path): oversized
-                        // argument lists take the fragmentation slow path;
-                        // single-packet calls marshal straight into the
-                        // pooled buffer above.
-                        let mut big = vec![0u8; size];
-                        match stub.marshal_call(args, &mut big) {
-                            Ok(n) => {
-                                big.truncate(n);
-                                heap_data = Some(big);
-                                return Ok(n);
-                            }
-                            Err(firefly_idl::IdlError::BufferTooSmall { needed, .. }) => {
-                                size = needed.max(size * 2);
-                                if size > crate::fragment::MAX_TRANSFER {
-                                    return Err(RpcError::TooLarge(size));
-                                }
-                            }
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
-                }
-                Err(e) => Err(e.into()),
+        let marshalled = match stub.marshal_call(args, &mut call_buf.raw_mut()[DATA_OFFSET..]) {
+            Ok(n) => Ok(n),
+            Err(firefly_idl::IdlError::BufferTooSmall { needed, .. }) => {
+                crate::fragment::marshal_spilled(&**stub, args, needed)
+                    .map(|big| heap_data.insert(big).len())
             }
-        })();
+            Err(e) => Err(e.into()),
+        };
         let data_len = match marshalled {
             Ok(n) => n,
             Err(e) => {
@@ -267,7 +241,9 @@ impl Client {
                     call_buf.set_len(total);
                     self.transact_single(&header, &call_buf, &entry, deadline, &mut span)
                 }
-                Some(data) => self.transact_multi(&header, data, &entry, deadline, &mut span),
+                Some(data) => {
+                    self.transact_multi(&header, data, &mut call_buf, &entry, deadline, &mut span)
+                }
             };
             shared.calls.unregister(activity);
             outcome
@@ -333,6 +309,7 @@ impl Client {
         let mut transmissions = 1u32;
         let mut acked = false;
         let mut probes = 0u32;
+        let mut result_fragments = 0u16;
         loop {
             let mut wake_at = Instant::now() + timeout;
             if let Some(d) = deadline {
@@ -362,6 +339,11 @@ impl Client {
                     }
                 }
                 Wait::TimedOut => {
+                    if progressed(entry, &mut result_fragments) {
+                        transmissions = 1;
+                        probes = 0;
+                        timeout = cfg.retransmit_initial;
+                    }
                     if acked {
                         // The server said it is working; probe instead of
                         // retransmitting the call.
@@ -408,10 +390,14 @@ impl Client {
     }
 
     /// Sends a multi-packet call stop-and-wait, then waits for the result.
+    ///
+    /// `call_buf` is the call's own pool buffer, still unused (the
+    /// arguments did not fit it): the final fragment is encoded there.
     fn transact_multi(
         &self,
         header: &RpcHeader,
         data: &[u8],
+        call_buf: &mut firefly_pool::PacketBuf,
         entry: &crate::calltable::CallEntry,
         deadline: Option<Instant>,
         span: &mut crate::trace::Span<'_>,
@@ -419,28 +405,31 @@ impl Client {
         let shared = &self.inner.shared;
         let cfg = &shared.config;
         let count = crate::fragment::fragment_count(data.len())?;
-        let chunks: Vec<(u16, &[u8])> = crate::fragment::fragments(data).collect();
-        if cfg.fragment_blast && chunks.len() > 1 {
-            return self.transact_blast(header, &chunks, count, entry, deadline, span);
+        if cfg.fragment_blast && count > 1 {
+            return self.transact_blast(header, data, count, entry, deadline, span);
         }
-        // Send every fragment but the last stop-and-wait.
-        for &(index, chunk) in &chunks[..chunks.len() - 1] {
+        for (index, chunk) in crate::fragment::fragments(data) {
             let frag_header = RpcHeader {
                 fragment: index,
                 fragment_count: count,
                 data_len: chunk.len() as u16,
                 ..*header
             };
-            let builder = shared
-                .ctx
-                .builder_from(&frag_header, self.inner.remote)
-                .fragment(index, count)
-                .please_ack(true);
+            let builder = shared.ctx.builder_from(&frag_header, self.inner.remote);
+            crate::stats::RpcStats::bump(&shared.ctx.stats.fragments_sent);
+            if index + 1 == count {
+                // The final fragment behaves like a single-packet call.
+                call_buf.raw_mut()[DATA_OFFSET..DATA_OFFSET + chunk.len()].copy_from_slice(chunk);
+                let total = builder.encode_into(call_buf.raw_mut(), chunk.len())?;
+                call_buf.set_len(total);
+                return self.transact_single(&frag_header, call_buf, entry, deadline, span);
+            }
+            // Every fragment but the last goes stop-and-wait.
+            let builder = builder.please_ack(true);
             shared.ctx.send_built(&builder, chunk, self.inner.remote)?;
             // The account's "send" boundary is the first transmission of
             // the first fragment (first-write-wins on later fragments).
             span.stamp(crate::trace::Stamp::Sent);
-            crate::stats::RpcStats::bump(&shared.ctx.stats.fragments_sent);
             let mut attempts = 1;
             loop {
                 if let Some(d) = deadline {
@@ -476,23 +465,9 @@ impl Client {
                 }
             }
         }
-        // The final fragment behaves like a single-packet call.
-        let (index, chunk) = *chunks.last().ok_or(RpcError::Internal {
+        Err(RpcError::Internal {
             context: "fragmented transfer produced zero fragments",
-        })?;
-        let final_header = RpcHeader {
-            fragment: index,
-            fragment_count: count,
-            data_len: chunk.len() as u16,
-            ..*header
-        };
-        let frame = shared
-            .ctx
-            .builder_from(&final_header, self.inner.remote)
-            .fragment(index, count)
-            .build(chunk)?;
-        crate::stats::RpcStats::bump(&shared.ctx.stats.fragments_sent);
-        self.transact_single(&final_header, frame.bytes(), entry, deadline, span)
+        })
     }
 
     /// Sends a multi-packet call as one back-to-back fragment blast —
@@ -508,7 +483,7 @@ impl Client {
     fn transact_blast(
         &self,
         header: &RpcHeader,
-        chunks: &[(u16, &[u8])],
+        data: &[u8],
         count: u16,
         entry: &crate::calltable::CallEntry,
         deadline: Option<Instant>,
@@ -516,16 +491,9 @@ impl Client {
     ) -> Result<Assembled> {
         let shared = &self.inner.shared;
         let cfg = &shared.config;
-        let final_index = match chunks.last() {
-            Some(&(index, _)) => index,
-            None => {
-                return Err(RpcError::Internal {
-                    context: "fragmented transfer produced zero fragments",
-                })
-            }
-        };
+        let final_index = count - 1;
         let send_window = |please_ack_final: bool| -> Result<()> {
-            for &(index, chunk) in chunks {
+            for (index, chunk) in crate::fragment::fragments(data) {
                 let frag_header = RpcHeader {
                     fragment: index,
                     fragment_count: count,
@@ -535,7 +503,6 @@ impl Client {
                 let builder = shared
                     .ctx
                     .builder_from(&frag_header, self.inner.remote)
-                    .fragment(index, count)
                     .please_ack(please_ack_final && index == final_index);
                 shared.ctx.send_built(&builder, chunk, self.inner.remote)?;
                 crate::stats::RpcStats::bump(&shared.ctx.stats.fragments_sent);
@@ -555,6 +522,7 @@ impl Client {
         let mut transmissions = 1u32;
         let mut acked = false;
         let mut probes = 0u32;
+        let mut result_fragments = 0u16;
         loop {
             let mut wake_at = Instant::now() + timeout;
             if let Some(d) = deadline {
@@ -579,6 +547,11 @@ impl Client {
                     }
                 }
                 Wait::TimedOut => {
+                    if progressed(entry, &mut result_fragments) {
+                        transmissions = 1;
+                        probes = 0;
+                        timeout = cfg.retransmit_initial;
+                    }
                     if acked {
                         // The server is executing; probe, don't re-blast.
                         probes += 1;
@@ -608,6 +581,17 @@ impl Client {
             }
         }
     }
+}
+
+/// Whether fragments of a multi-packet result have arrived since the last
+/// look (`seen`). They are acked by the receiving thread without waking
+/// this one, so a timer that fires mid-transfer finds its evidence here:
+/// the transfer is alive, and the caller's transmission budget, probe
+/// count and back-off start over — or a long result under loss would be
+/// given up on while it was getting through.
+fn progressed(entry: &crate::calltable::CallEntry, seen: &mut u16) -> bool {
+    let now = entry.result_fragments();
+    std::mem::replace(seen, now) < now
 }
 
 /// Extracts the data region from an encoded call frame for retransmission.

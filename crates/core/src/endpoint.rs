@@ -603,8 +603,9 @@ fn process_frame(shared: &EndpointShared, rx: &mut Receiving, buf: PacketBuf, sr
         }
         PacketType::Ack | PacketType::ProbeResponse => {
             if pkt.rpc.flags.acks_result {
-                // The caller acknowledged one of our result fragments.
-                server.handle_result_ack(&pkt.rpc);
+                // The caller acknowledged one of our result fragments;
+                // this thread sends the next one, if there is one.
+                server.handle_result_ack(&pkt.rpc, src);
                 pkt.into_buf().recycle();
             } else {
                 RpcStats::bump(&stats.acks_received);

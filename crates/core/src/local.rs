@@ -14,7 +14,7 @@
 //! LRPC work on speeding up Firefly local RPC).
 
 use crate::service::Service;
-use crate::{Result, RpcError};
+use crate::Result;
 use firefly_idl::{CompiledStub, InterfaceDef, StubEngine, Value, Written};
 use firefly_pool::BufferPool;
 use std::sync::Arc;
@@ -74,7 +74,7 @@ impl LocalClient {
             Ok(n) => n,
             Err(firefly_idl::IdlError::BufferTooSmall { needed, .. }) => {
                 // Local transport is size-independent: spill to the heap.
-                return self.call_large(index, stub, args, needed.max(4096));
+                return self.call_large(index, stub, args, needed);
             }
             Err(e) => return Err(e.into()),
         };
@@ -108,25 +108,9 @@ impl LocalClient {
         index: u16,
         stub: &CompiledStub,
         args: &[Value],
-        size_hint: usize,
+        needed: usize,
     ) -> Result<Vec<Value>> {
-        let mut size = size_hint;
-        let data = loop {
-            let mut big = vec![0u8; size];
-            match stub.marshal_call(args, &mut big) {
-                Ok(n) => {
-                    big.truncate(n);
-                    break big;
-                }
-                Err(firefly_idl::IdlError::BufferTooSmall { needed, .. }) => {
-                    size = needed.max(size * 2);
-                    if size > crate::fragment::MAX_TRANSFER {
-                        return Err(RpcError::TooLarge(size));
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
+        let data = crate::fragment::marshal_spilled(stub, args, needed)?;
         let server_args = stub.unmarshal_call(&data)?;
         let mut scratch = vec![0u8; data.len().max(4096)];
         let mut writer = stub.result_writer(&mut scratch);

@@ -8,10 +8,10 @@
 //! executed by the cheapest thread that may run it:
 //!
 //! * the **receiving thread itself**, when that is the resident receiver
-//!   and the call is a single packet for a procedure whose measured
-//!   service time is below what waking a worker costs here — the eRPC
-//!   rule ("the thread that polls the network runs the handler to
-//!   completion"), and the Firefly's two-threads-per-call shape;
+//!   and the call is for a procedure whose measured service time is
+//!   below what waking a worker costs here — the eRPC rule ("the thread
+//!   that polls the network runs the handler to completion"), and the
+//!   Firefly's two-threads-per-call shape;
 //! * otherwise a **server thread**: "if the interrupt routine can find a
 //!   server thread … it attaches the buffer containing the call packet
 //!   to the call table entry and awakens the server thread directly"
@@ -19,32 +19,40 @@
 //!
 //! Either way the executing thread plays `Receiver`: it up-calls the
 //! interface stub, which up-calls the service procedure, marshals the
-//! results into a result packet and sends it. The receiving thread never
-//! waits for what only it could receive: a multi-packet result it
-//! produced goes to a server thread, which transmits it stop-and-wait
-//! and finishes the call.
+//! results into a result packet and sends it.
+//!
+//! No thread waits for an acknowledgement. A multi-packet result is
+//! **state in the activity slot** ([`Transfer`]): the executing thread
+//! sends fragment 0 and is done; the ack of fragment *k* makes whichever
+//! thread received it send fragment *k + 1* (`handle_result_ack`). Loss
+//! is the caller's to notice: its duplicate call or probe gets the
+//! fragment at the cursor again, like any retained result.
 
 use crate::calltable::shard_for;
+use crate::fragment::{Accepted, Reassembly, MAX_FRAGMENT_DATA};
 use crate::packet::{Assembled, Packet};
 use crate::send::SendCtx;
 use crate::service::Service;
 use crate::shard::WorkQueues;
 use crate::stats::RpcStats;
+use crate::trace::{Stamp, TraceRecord};
 use crate::witness::{call_slot, row};
 use crate::{Result, RpcError};
 use firefly_idl::{engines_for_interface, StubEngine, StubStyle, Written};
 use firefly_pool::PacketBuf;
-use firefly_sync::{Condvar, Mutex, RwLock};
-use firefly_wire::{ActivityId, PacketType, RpcHeader, DATA_OFFSET, MAX_SINGLE_PACKET_DATA};
+use firefly_sync::{Mutex, RwLock};
+use firefly_wire::{
+    ActivityId, PacketType, RpcHeader, DATA_OFFSET, MAX_FRAME_LEN, MAX_SINGLE_PACKET_DATA,
+};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The retained (already transmitted) result of an activity's last call,
-/// kept for retransmission until the next call from the same activity
-/// implicitly acknowledges it.
+/// The retained result of an activity's last call, kept for
+/// retransmission until the next call from the same activity implicitly
+/// acknowledges it.
 ///
 /// The single-frame cases are inlined so the fast path stores its one
 /// pooled result buffer without allocating a list around it.
@@ -55,35 +63,78 @@ enum Retained {
     Pooled(PacketBuf),
     /// One heap-built frame (the call-failed path).
     Heap(Vec<u8>),
-    /// Multi-packet results: one heap-built frame per fragment.
-    Frames(Vec<Vec<u8>>),
+    /// A multi-packet result, in flight or delivered.
+    Transfer(Transfer),
+}
+
+/// A multi-packet result as slot state: the marshalled result, kept
+/// once, and how far its stop-and-wait transmission has got. Fragment
+/// frames are built when they are sent.
+struct Transfer {
+    /// The result header the fragments are stamped from.
+    header: RpcHeader,
+    data: Vec<u8>,
+    /// The fragment last sent: the one whose ack moves the transfer on,
+    /// and the one a duplicate call or probe gets again. (Everything
+    /// below it the caller has acknowledged, so it holds it.)
+    cursor: u16,
+    count: u16,
+    /// The call's server trace record, detached from the executing
+    /// thread's span; the thread that first sends the last fragment
+    /// finishes it.
+    record: Option<TraceRecord>,
+}
+
+/// One encoded frame of a retained result, on the sending thread's
+/// stack: encoded under the activity guard, handed to the transport
+/// after the guard drops — a send can block, and blocking under the
+/// activity lock would stall the receiver.
+struct Outgoing {
+    bytes: [u8; MAX_FRAME_LEN],
+    len: usize,
+    /// Set when this is the first hand-over of a transfer's last
+    /// fragment: the call's trace record, which ends there.
+    finished: Option<TraceRecord>,
 }
 
 impl Retained {
-    fn is_none(&self) -> bool {
-        matches!(self, Retained::None)
-    }
-
-    /// Visits every retained frame in transmission order.
-    fn for_each_frame(&self, mut f: impl FnMut(&[u8])) {
-        match self {
-            Retained::None => {}
-            Retained::Pooled(b) => f(b),
-            Retained::Heap(v) => f(v),
-            Retained::Frames(frames) => {
-                for v in frames {
-                    f(v);
-                }
-            }
+    /// Encodes the frame this result has to send, now or again: the one
+    /// frame of a single-packet result, the fragment at a transfer's
+    /// cursor. `None` when nothing is retained.
+    fn frame(&mut self, ctx: &SendCtx, dst: SocketAddr) -> Option<Outgoing> {
+        if let Retained::None = self {
+            return None;
         }
+        let mut out = Outgoing {
+            bytes: [0; MAX_FRAME_LEN],
+            len: 0,
+            finished: None,
+        };
+        let whole: &[u8] = match self {
+            Retained::None => return None,
+            Retained::Pooled(b) => b,
+            Retained::Heap(v) => v,
+            Retained::Transfer(t) => {
+                let start = t.cursor as usize * MAX_FRAGMENT_DATA;
+                let chunk = t.data.get(start..(start + MAX_FRAGMENT_DATA).min(t.data.len()))?;
+                let last = t.cursor + 1 == t.count;
+                out.bytes[DATA_OFFSET..DATA_OFFSET + chunk.len()].copy_from_slice(chunk);
+                out.len = ctx
+                    .builder_from(&t.header, dst)
+                    .fragment(t.cursor, t.count)
+                    .please_ack(!last)
+                    .encode_into(&mut out.bytes, chunk.len())
+                    .ok()?;
+                if last {
+                    out.finished = t.record.take();
+                }
+                return Some(out);
+            }
+        };
+        out.bytes.get_mut(..whole.len())?.copy_from_slice(whole);
+        out.len = whole.len();
+        Some(out)
     }
-}
-
-#[derive(Default)]
-struct Reassembly {
-    seq: u32,
-    count: u16,
-    received: Vec<Option<Vec<u8>>>,
 }
 
 struct ActState {
@@ -91,20 +142,16 @@ struct ActState {
     last_used: Instant,
     /// Highest call sequence number seen from this activity.
     last_seq: u32,
-    /// True while a server thread executes the current call.
+    /// True while a thread executes the current call.
     in_progress: bool,
-    /// Result frame(s) of the last completed call.
+    /// Result of the last completed call.
     retained: Retained,
-    /// Fragment-ack notification for multi-packet result transmission:
-    /// `(seq, fragment)` most recently acknowledged by the caller.
-    acked_frag: Option<(u32, u16)>,
-    /// Partial multi-packet call.
-    reassembly: Option<Reassembly>,
+    /// Partial multi-packet call, with its sequence number.
+    reassembly: Option<(u32, Reassembly)>,
 }
 
 struct Activity {
     state: Mutex<ActState>,
-    cond: Condvar,
 }
 
 struct ServiceEntry {
@@ -166,35 +213,17 @@ fn note_handoff(estimate: &AtomicU64, sample_ns: u64) {
     estimate.store(new.max(1), Ordering::Relaxed);
 }
 
-enum Work {
-    Call {
-        call: Assembled,
-        src: SocketAddr,
-        /// The caller activity's slot, looked up once at receipt.
-        act: Arc<Activity>,
-        /// Receive stamp ([`crate::trace`] nanos); 0 when tracing was
-        /// off at receipt.
-        received_at: u64,
-        /// When the call was queued, for the hand-off estimate.
-        queued_at: u64,
-    },
-    /// A multi-packet result the receiving thread produced: only a
-    /// thread that is not receiving may wait for its fragment acks.
-    Result {
-        rpc: RpcHeader,
-        data: Vec<u8>,
-        src: SocketAddr,
-        act: Arc<Activity>,
-    },
-}
-
-/// How [`ServerSide::execute`] left a call.
-enum Executed {
-    /// Result transmitted; these are the frames to retain.
-    Sent(Retained),
-    /// Result handed to a worker ([`Work::Result`]), which finishes the
-    /// call.
-    HandedOver,
+/// A call on its way to a server thread.
+struct Work {
+    call: Assembled,
+    src: SocketAddr,
+    /// The caller activity's slot, looked up once at receipt.
+    act: Arc<Activity>,
+    /// Receive stamp ([`crate::trace`] nanos); 0 when tracing was off at
+    /// receipt.
+    received_at: u64,
+    /// When the call was queued, for the hand-off estimate.
+    queued_at: u64,
 }
 
 /// An executing thread's pending single-packet result frames,
@@ -338,13 +367,12 @@ impl ServerSide {
             .map_or(0, |ns| ns.load(Ordering::Relaxed))
     }
 
-    /// Whether the receiving thread should execute this single-packet
-    /// call itself: only a procedure *measured* to take less than the
-    /// hand-off it would avoid, itself measured here (and never above
+    /// Whether the receiving thread should execute this call itself:
+    /// only a procedure *measured* to take less than the hand-off it
+    /// would avoid, itself measured here (and never above
     /// [`INLINE_CEILING_NS`]). Unmeasured procedures (every procedure's
-    /// first call) go to a worker, and so do procedures whose results
-    /// have lately been multi-packet: such a call counts as a sample of
-    /// the ceiling at least.
+    /// first call) go to a worker. How many packets the call or its
+    /// result takes does not enter into it: nothing waits for an ack.
     fn runs_inline(&self, rpc: &RpcHeader) -> bool {
         let service = self.service_ns(rpc.interface_uid, rpc.procedure);
         service != 0 && service < self.handoff_ns.load(Ordering::Relaxed)
@@ -425,10 +453,8 @@ impl ServerSide {
                     last_seq: 0,
                     in_progress: false,
                     retained: Retained::None,
-                    acked_frag: None,
                     reassembly: None,
                 }),
-                cond: Condvar::new(),
             })
         }))
     }
@@ -471,25 +497,19 @@ impl ServerSide {
         if rpc.call_seq == st.last_seq && st.last_seq != 0 {
             // Duplicate of the current call (a caller retransmission).
             RpcStats::bump(&stats.duplicate_calls);
-            // Move the retained result out and release the guard before
-            // touching the wire — a transport send can block, and
-            // blocking under the activity lock stalls the demux.
-            let retained = std::mem::replace(&mut st.retained, Retained::None);
+            let resend = st.retained.frame(&self.ctx, src);
             let executing = st.in_progress;
-            let ack_executing = retained.is_none() && executing && rpc.flags.please_ack;
             drop(st);
-            if !retained.is_none() {
+            if let Some(frame) = resend {
                 // "the last result packet … must be retained for possible
-                // retransmission": answer the duplicate from it.
+                // retransmission": answer the duplicate from it —
+                // mid-transfer, with the fragment the caller is missing.
                 if let Some(s) = slot {
                     self.ctx.witness.record(DUP_RETAINED_ROWS[s]);
                 }
-                retained.for_each_frame(|frame| {
-                    let _ = self.ctx.transport.send(frame, src);
-                });
+                self.send_frame(&frame, src);
                 RpcStats::bump(&stats.retransmissions);
-                self.restore_retained(&act, rpc.call_seq, retained);
-            } else if ack_executing {
+            } else if executing && rpc.flags.please_ack {
                 // The call is executing; tell the caller to stop
                 // retransmitting.
                 if slot.is_some() {
@@ -518,38 +538,26 @@ impl ServerSide {
         }
 
         // A new call (or the first fragment(s) of one).
-        if rpc.fragment_count > 1 {
+        let call = if rpc.fragment_count > 1 {
             let reass = match &mut st.reassembly {
-                Some(r) if r.seq == rpc.call_seq => r,
+                Some((seq, r)) if *seq == rpc.call_seq => r,
                 // A different (or no) sequence in the slot: start fresh.
                 // `Option::insert` hands back the new value without an
                 // expect(), so this path cannot panic the receiver.
-                slot => slot.insert(Reassembly {
-                    seq: rpc.call_seq,
-                    count: rpc.fragment_count,
-                    // lint:allow(no-alloc-on-fast-path): multi-fragment
-                    // calls take the stop-and-wait slow path; the
-                    // single-packet fast path never reaches this arm.
-                    received: vec![None; rpc.fragment_count as usize],
-                }),
+                slot => &mut slot.insert((rpc.call_seq, Reassembly::new(rpc.fragment_count))).1,
             };
-            if rpc.fragment_count != reass.count || rpc.fragment >= reass.count {
+            let accepted = reass.accept(rpc.fragment, rpc.fragment_count, pkt.data());
+            if accepted == Accepted::Refused {
+                drop(st);
+                RpcStats::bump(&stats.validation_drops);
                 self.recycle(pkt);
                 return;
             }
             RpcStats::bump(&stats.fragments_received);
-            let idx = rpc.fragment as usize;
-            if reass.received[idx].is_none() {
-                // lint:allow(no-alloc-on-fast-path): fragment bodies
-                // outlive the pooled packet buffer, so the slow path
-                // copies them out; single-packet calls never do.
-                reass.received[idx] = Some(pkt.data().to_vec());
-            }
-            let complete = reass.received.iter().all(|f| f.is_some());
             // Stop-and-wait: every non-final fragment is acked — after
             // the activity guard drops, since the ack hits the wire.
             let ack_fragment = !rpc.flags.last_fragment;
-            if !complete {
+            let Accepted::Complete(data) = accepted else {
                 if slot.is_some() {
                     self.ctx.witness.record(if rpc.flags.last_fragment {
                         // Early-arriving final fragment: assembly goes on.
@@ -570,15 +578,8 @@ impl ServerSide {
                 }
                 self.recycle(pkt);
                 return;
-            }
-            // `complete` has just verified every slot, so the double
-            // flatten drops nothing; written without expect() so a
-            // worker thread can never panic on a malformed interleaving.
-            let Some(parts) = st.reassembly.take() else {
-                self.recycle(pkt);
-                return;
             };
-            let data: Vec<u8> = parts.received.into_iter().flatten().flatten().collect();
+            st.reassembly = None;
             if slot.is_some() {
                 self.ctx.witness.record(if ack_fragment {
                     // A non-final fragment completed the call (the final
@@ -600,21 +601,19 @@ impl ServerSide {
                 let _ = self.ctx.send_ack(&RpcHeader::ack_for(&rpc), src);
             }
             self.recycle(pkt);
-            // Multi-packet calls can wait.
-            self.enqueue(Assembled::Multi { rpc, data }, src, act, received_at);
-            return;
-        }
-
-        if slot.is_some() && rpc.flags.last_fragment {
-            self.ctx.witness.record(if rpc.flags.please_ack {
-                row::SERVER_NEW_CALL_PA_LF_DISPATCH
-            } else {
-                row::SERVER_NEW_CALL_LF_DISPATCH
-            });
-        }
-        self.begin_call(&mut st, rpc.call_seq);
-        drop(st);
-        let call = Assembled::Single(pkt);
+            Assembled::Multi { rpc, data }
+        } else {
+            if slot.is_some() && rpc.flags.last_fragment {
+                self.ctx.witness.record(if rpc.flags.please_ack {
+                    row::SERVER_NEW_CALL_PA_LF_DISPATCH
+                } else {
+                    row::SERVER_NEW_CALL_LF_DISPATCH
+                });
+            }
+            self.begin_call(&mut st, rpc.call_seq);
+            drop(st);
+            Assembled::Single(pkt)
+        };
         if let Some(results) = inline {
             if self.runs_inline(&rpc) {
                 // Never block the receiver for a buffer: a dry pool
@@ -652,7 +651,7 @@ impl ServerSide {
     /// was busy and the call waits in the queue (the slow path).
     fn enqueue(&self, call: Assembled, src: SocketAddr, act: Arc<Activity>, received_at: u64) {
         let target = shard_for(call.rpc().activity, self.queues.worker_count());
-        let work = Work::Call {
+        let work = Work {
             call,
             src,
             act,
@@ -670,7 +669,8 @@ impl ServerSide {
     ///
     /// Three cases: the call is still executing — answer ProbeResponse so
     /// the caller keeps waiting; the call already completed — the result
-    /// packet must have been lost, so retransmit the retained result (a
+    /// packet must have been lost, so retransmit the retained result —
+    /// of a multi-packet one, the fragment at the cursor — (a
     /// ProbeResponse here would livelock: the caller would keep probing
     /// and the server would keep saying "in progress" forever); the call
     /// is unknown — stay silent and let the caller's transmission budget
@@ -690,21 +690,15 @@ impl ServerSide {
             }
             return;
         }
-        // As in the duplicate path: take the result out and drop the
-        // guard before retransmitting, so the wire is never touched
-        // under the activity lock.
-        let retained = std::mem::replace(&mut st.retained, Retained::None);
+        let resend = st.retained.frame(&self.ctx, src);
         let executing = st.in_progress;
         drop(st);
-        if !retained.is_none() {
+        if let Some(frame) = resend {
             if spec_probe {
                 self.ctx.witness.record(row::SERVER_RETAINED_PROBE_LF_RETRANSMIT_RESULT);
             }
-            retained.for_each_frame(|frame| {
-                let _ = self.ctx.transport.send(frame, src);
-            });
+            self.send_frame(&frame, src);
             RpcStats::bump(&self.ctx.stats.retransmissions);
-            self.restore_retained(&act, rpc.call_seq, retained);
             RpcStats::bump(&self.ctx.stats.probes_answered);
             return;
         }
@@ -729,8 +723,13 @@ impl ServerSide {
     }
 
     /// Interrupt-level handling of a caller's ack of one of our result
-    /// fragments.
-    pub fn handle_result_ack(&self, rpc: &RpcHeader) {
+    /// fragments, on whichever thread holds the receive role.
+    ///
+    /// The ack of the fragment at a transfer's cursor *is* the event
+    /// that sends the next one: this thread moves the cursor and hands
+    /// fragment `cursor + 1` to the transport itself — no server thread
+    /// sleeps through the round trip, none is woken by it.
+    pub fn handle_result_ack(&self, rpc: &RpcHeader, src: SocketAddr) {
         RpcStats::bump(&self.ctx.stats.acks_received);
         // Caller result-acks carry acks-result, optionally with
         // last-fragment for the final (releasing) ack; anything else is
@@ -739,35 +738,49 @@ impl ServerSide {
             && rpc.flags.acks_result
             && !rpc.flags.please_ack
             && !rpc.flags.call_failed;
+        let record = |row| {
+            if spec_ack {
+                self.ctx.witness.record(row);
+            }
+        };
         let act = self.activity(rpc.activity);
         let mut st = act.state.lock();
         if rpc.call_seq != st.last_seq {
-            if spec_ack {
-                self.ctx.witness.record(if rpc.flags.last_fragment {
-                    row::SERVER_UNKNOWN_ACK_LF_AR_DROP_STALE
-                } else {
-                    row::SERVER_UNKNOWN_ACK_AR_DROP_STALE
-                });
-            }
+            record(if rpc.flags.last_fragment {
+                row::SERVER_UNKNOWN_ACK_LF_AR_DROP_STALE
+            } else {
+                row::SERVER_UNKNOWN_ACK_AR_DROP_STALE
+            });
             return;
         }
-        if spec_ack {
-            self.ctx.witness.record(if rpc.flags.last_fragment {
-                row::SERVER_KNOWN_ACK_LF_AR_RELEASE_RETAINED
-            } else {
-                row::SERVER_KNOWN_ACK_AR_ADVANCE_FRAGMENT
-            });
-        }
-        st.acked_frag = Some((rpc.call_seq, rpc.fragment));
         if rpc.flags.last_fragment {
             // Explicit ack of the complete result: release retention.
+            record(row::SERVER_KNOWN_ACK_LF_AR_RELEASE_RETAINED);
             if let Retained::Pooled(buf) = std::mem::replace(&mut st.retained, Retained::None) {
                 buf.recycle();
                 RpcStats::bump(&self.ctx.stats.buffers_recycled);
             }
+            return;
         }
+        match &mut st.retained {
+            Retained::Transfer(t) if rpc.fragment == t.cursor && t.cursor + 1 < t.count => {
+                t.cursor += 1;
+            }
+            // Not the ack this slot is waiting for — a duplicate, one
+            // from below the cursor, one for a single-packet result —
+            // and so as stale as one of another call: it moves nothing.
+            _ => {
+                record(row::SERVER_UNKNOWN_ACK_AR_DROP_STALE);
+                return;
+            }
+        }
+        let next = st.retained.frame(&self.ctx, src);
         drop(st);
-        act.cond.notify_all();
+        if let Some(frame) = next {
+            record(row::SERVER_KNOWN_ACK_AR_ADVANCE_FRAGMENT);
+            self.send_frame(&frame, src);
+            RpcStats::bump(&self.ctx.stats.fragments_sent);
+        }
     }
 
     fn recycle(&self, pkt: Packet) {
@@ -775,21 +788,20 @@ impl ServerSide {
         RpcStats::bump(&self.ctx.stats.buffers_recycled);
     }
 
-    /// Puts a retained result back after a guard-free retransmission.
-    /// Retransmitting takes the result *out* of the activity slot so no
-    /// transport send happens under the state lock; if a newer call
-    /// claimed the slot while the guard was released, the pooled buffer
-    /// goes back to the receive queue instead of the slot.
-    fn restore_retained(&self, act: &Activity, seq: u32, retained: Retained) {
-        let mut st = act.state.lock();
-        if st.last_seq == seq && st.retained.is_none() {
-            st.retained = retained;
-            return;
-        }
-        drop(st);
-        if let Retained::Pooled(buf) = retained {
-            buf.recycle();
-            RpcStats::bump(&self.ctx.stats.buffers_recycled);
+    /// Hands an encoded frame of a retained result to the transport,
+    /// with no lock held. One routine for all the senders of a
+    /// transfer's fragments — `complete` (fragment 0),
+    /// `handle_result_ack` (the next one), the duplicate-call and probe
+    /// handlers (the same one again) — so whichever of them first hands
+    /// over the *last* fragment ends the call's trace record there.
+    fn send_frame(&self, frame: &Outgoing, dst: SocketAddr) {
+        // A send failure is indistinguishable from loss on the wire; the
+        // caller's retransmission recovers either.
+        let _ = self.ctx.transport.send(&frame.bytes[..frame.len], dst);
+        if let Some(record) = frame.finished {
+            // The account's boundary is the hand-off of the last fragment.
+            self.ctx.tracer.finish_detached(record, Stamp::ResultSent);
+            RpcStats::bump(&self.ctx.stats.trace_records);
         }
     }
 
@@ -812,41 +824,25 @@ impl ServerSide {
             let next = self
                 .queues
                 .pop_with(worker, &mut local, || results.flush(&*self.ctx.transport));
-            match next {
-                Some(Work::Call {
-                    call,
-                    src,
-                    act,
-                    received_at,
-                    queued_at,
-                }) => {
-                    let waited = self.ctx.tracer.now_nanos().saturating_sub(queued_at);
-                    note_handoff(&self.handoff_ns, waited);
-                    self.dispatch(call, src, &act, received_at, None, &mut results);
-                }
-                Some(Work::Result { rpc, data, src, act }) => {
-                    // As in `execute`: nobody's result waits behind
-                    // this one's fragment round trips.
-                    results.flush(&*self.ctx.transport);
-                    let mut span = crate::trace::Span::inert();
-                    let sent = self.send_multi_result(&rpc, &data, src, &act, &mut span);
-                    self.complete(&rpc, src, &act, sent);
-                }
-                None => break,
-            }
+            let Some(work) = next else {
+                break;
+            };
+            let waited = self.ctx.tracer.now_nanos().saturating_sub(work.queued_at);
+            note_handoff(&self.handoff_ns, waited);
+            self.dispatch(work.call, work.src, &work.act, work.received_at, None, &mut results);
         }
         results.flush(&*self.ctx.transport);
     }
 
     /// The Receiver: execute one call and transmit its result, on a
     /// server thread or on the receiving thread itself. `inline_buf` is
-    /// the result buffer when this is the receiving thread, which waits
-    /// for nothing only it could receive: neither a buffer nor an ack.
+    /// the result buffer when this is the receiving thread, which does
+    /// not wait for one.
     fn dispatch(
         &self,
         call: Assembled,
         src: SocketAddr,
-        act: &Arc<Activity>,
+        act: &Activity,
         received_at: u64,
         inline_buf: Option<PacketBuf>,
         results: &mut ResultBatch,
@@ -856,19 +852,18 @@ impl ServerSide {
         // receive stamp, `Dispatched` is stamped here — the queue wait,
         // or next to nothing when the receiving thread executes.
         let mut span = self.ctx.tracer.server_span(rpc.procedure, received_at);
-        let outcome = match self.execute(&call, src, act, inline_buf, &mut span, results) {
-            Ok(Executed::HandedOver) => return,
-            Ok(Executed::Sent(retained)) => Ok(retained),
-            Err(e) => Err(e),
-        };
+        let outcome = self.execute(&call, src, inline_buf, &mut span, results);
+        // A single-packet result is out and its record complete. A
+        // multi-packet one took the record along (`Span::detach`): it
+        // ends where the last fragment is sent.
         if outcome.is_ok() && span.finish() {
             RpcStats::bump(&self.ctx.stats.trace_records);
         }
         self.complete(&rpc, src, act, outcome);
     }
 
-    /// Ends a call's execution: retains what was sent, or sends (and
-    /// retains) the error result.
+    /// Ends a call's execution: retains what was sent, starts what is
+    /// still to send, or sends (and retains) the error result.
     fn complete(&self, rpc: &RpcHeader, src: SocketAddr, act: &Activity, outcome: Result<Retained>) {
         let mut st = act.state.lock();
         if st.last_seq != rpc.call_seq {
@@ -877,7 +872,20 @@ impl ServerSide {
         }
         st.in_progress = false;
         match outcome {
-            Ok(retained) => st.retained = retained,
+            Ok(retained) => {
+                st.retained = retained;
+                if let Retained::Transfer(_) = st.retained {
+                    // Fragment 0 goes out only now, with the transfer
+                    // where the receiver will look for it: its ack may
+                    // arrive on another thread before `send` returns.
+                    let first = st.retained.frame(&self.ctx, src);
+                    drop(st);
+                    if let Some(frame) = first {
+                        self.send_frame(&frame, src);
+                        RpcStats::bump(&self.ctx.stats.fragments_sent);
+                    }
+                }
+            }
             Err(e) => {
                 // Error result: single packet, call_failed flag, message
                 // as data.
@@ -901,16 +909,17 @@ impl ServerSide {
         }
     }
 
-    /// Runs the stub + service and transmits the result packets.
+    /// Runs the stub + service and hands back the result: a single
+    /// packet already queued for transmission, or a [`Transfer`] for
+    /// [`ServerSide::complete`] to start.
     fn execute(
         &self,
         call: &Assembled,
         src: SocketAddr,
-        act: &Arc<Activity>,
         inline_buf: Option<PacketBuf>,
         span: &mut crate::trace::Span<'_>,
         results: &mut ResultBatch,
-    ) -> Result<Executed> {
+    ) -> Result<Retained> {
         let rpc = *call.rpc();
         let started = self.ctx.tracer.now_nanos();
         // The authorization hook runs after duplicate filtering, before
@@ -940,7 +949,6 @@ impl ServerSide {
         // Marshal the result straight into a fresh pool buffer from the
         // activity's shard (caller threads on other shards contend on
         // nothing); large results spill to the heap transparently.
-        let inline = inline_buf.is_some();
         let mut result_buf = match inline_buf {
             Some(buf) => buf,
             None => {
@@ -956,18 +964,13 @@ impl ServerSide {
         let written = writer.finish()?;
         drop(args);
         if let Some(estimate) = entry.service_ns.get(rpc.procedure as usize) {
-            let mut took = self.ctx.tracer.now_nanos().saturating_sub(started);
-            if matches!(written, Written::Spilled(_)) {
-                // The call is not over until its fragments are acked,
-                // round trips the receiving thread cannot wait out.
-                took = took.max(INLINE_CEILING_NS);
-            }
+            let took = self.ctx.tracer.now_nanos().saturating_sub(started);
             note_service_time(estimate, took);
         }
         drop(services);
-        span.stamp(crate::trace::Stamp::StubDone);
+        span.stamp(Stamp::StubDone);
 
-        let result_header = RpcHeader::result_for(&rpc, written.len());
+        let header = RpcHeader::result_for(&rpc, written.len());
         match written {
             Written::InPlace { len } => {
                 // Single packet: headers in place around the data, queue
@@ -976,101 +979,20 @@ impl ServerSide {
                 // buffer — no per-call list around it.
                 let total = self
                     .ctx
-                    .builder_from(&result_header, src)
+                    .builder_from(&header, src)
                     .encode_into(result_buf.raw_mut(), len)?;
                 result_buf.set_len(total);
                 results.add(&result_buf, src, &*self.ctx.transport);
-                span.stamp(crate::trace::Stamp::ResultSent);
-                Ok(Executed::Sent(Retained::Pooled(result_buf)))
+                span.stamp(Stamp::ResultSent);
+                Ok(Retained::Pooled(result_buf))
             }
-            Written::Spilled(data) => {
-                drop(result_buf);
-                if inline {
-                    // A procedure trusted for its speed returned more
-                    // than a packet. The acks of its fragments arrive
-                    // through this thread, so a worker does the waiting
-                    // (and this call goes untraced: the span stays here).
-                    let target = shard_for(rpc.activity, self.queues.worker_count());
-                    let act = Arc::clone(act);
-                    self.queues.push(target, Work::Result { rpc, data, src, act });
-                    return Ok(Executed::HandedOver);
-                }
-                // Stop-and-wait blocks on caller acks; flush pending
-                // results first so other callers aren't stalled behind
-                // this one's fragment round trips.
-                results.flush(&*self.ctx.transport);
-                let sent = self.send_multi_result(&rpc, &data, src, act, span)?;
-                Ok(Executed::Sent(sent))
-            }
+            Written::Spilled(data) => Ok(Retained::Transfer(Transfer {
+                header,
+                count: crate::fragment::fragment_count(data.len())?,
+                data,
+                cursor: 0,
+                record: span.detach(),
+            })),
         }
-    }
-
-    /// Transmits a multi-packet result stop-and-wait and returns the
-    /// frames for retention.
-    fn send_multi_result(
-        &self,
-        rpc: &RpcHeader,
-        data: &[u8],
-        src: SocketAddr,
-        act: &Activity,
-        span: &mut crate::trace::Span<'_>,
-    ) -> Result<Retained> {
-        let count = crate::fragment::fragment_count(data.len())?;
-        let mut retained: Vec<Vec<u8>> = Vec::with_capacity(count as usize);
-        for (index, chunk) in crate::fragment::fragments(data) {
-            let last = index + 1 == count;
-            let header = RpcHeader {
-                packet_type: PacketType::Result,
-                fragment: index,
-                fragment_count: count,
-                ..*rpc
-            };
-            let builder = self
-                .ctx
-                .builder_from(&header, src)
-                .fragment(index, count)
-                .please_ack(!last);
-            let frame = builder.build(chunk)?;
-            self.ctx.transport.send(frame.bytes(), src)?;
-            RpcStats::bump(&self.ctx.stats.fragments_sent);
-            if !last {
-                // Stop and wait for the caller's ack, retransmitting a
-                // few times before giving up on the whole call.
-                let mut attempts = 0;
-                loop {
-                    let deadline = Instant::now() + Duration::from_millis(200);
-                    let mut st = act.state.lock();
-                    let acked = loop {
-                        if st.last_seq != rpc.call_seq {
-                            return Err(RpcError::Remote("superseded".into()));
-                        }
-                        if let Some((s, f)) = st.acked_frag {
-                            if s == rpc.call_seq && f >= index {
-                                break true;
-                            }
-                        }
-                        if act.cond.wait_until(&mut st, deadline).timed_out() {
-                            break false;
-                        }
-                    };
-                    drop(st);
-                    if acked {
-                        break;
-                    }
-                    attempts += 1;
-                    if attempts > 10 {
-                        return Err(RpcError::Remote(
-                            "caller stopped acking result fragments".into(),
-                        ));
-                    }
-                    self.ctx.transport.send(frame.bytes(), src)?;
-                    RpcStats::bump(&self.ctx.stats.retransmissions);
-                }
-            }
-            retained.push(frame.into_bytes());
-        }
-        // The account's boundary is the hand-off of the last fragment.
-        span.stamp(crate::trace::Stamp::ResultSent);
-        Ok(Retained::Frames(retained))
     }
 }

@@ -357,6 +357,13 @@ impl Tracer {
         }
     }
 
+    /// Completes a record that left its span ([`Span::detach`]): stamps
+    /// `last` now and pushes it, on whichever thread got there.
+    pub fn finish_detached(&self, mut record: TraceRecord, last: Stamp) {
+        record.stamps[last.slot()] = self.now_nanos();
+        self.push(record);
+    }
+
     /// Pushes a completed record into the ring. Public so tests and
     /// tools can exercise the ring without driving a real call.
     pub fn push(&self, rec: TraceRecord) {
@@ -412,6 +419,14 @@ impl<'t> Span<'t> {
                 *slot = tracer.now_nanos();
             }
         }
+    }
+
+    /// Takes the record out of the span, which goes inert: the stamps
+    /// so far travel on as plain data — in a multi-packet result's
+    /// transfer state — to the thread that will take the last one
+    /// ([`Tracer::finish_detached`]). `None` from an inert span.
+    pub fn detach(&mut self) -> Option<TraceRecord> {
+        self.tracer.take().map(|_| self.record)
     }
 
     /// Completes the span, pushing its record into the tracer's ring.
@@ -617,6 +632,28 @@ mod tests {
             assert!(rec.span_nanos() > 0);
         });
         assert_eq!(seen, 1);
+    }
+
+    #[test]
+    fn a_detached_record_is_finished_by_the_tracer_and_not_by_its_span() {
+        let tracer = Tracer::new(4);
+        tracer.set_enabled(true);
+        let mut span = tracer.server_span(7, tracer.now_nanos());
+        span.stamp(Stamp::StubDone);
+        let record = span.detach().expect("a recording span has a record");
+        assert!(span.detach().is_none());
+        assert!(!span.finish(), "the span must not push what it gave away");
+        assert_eq!(tracer.recorded(), 0);
+        assert!(!record.is_complete());
+        tracer.finish_detached(record, Stamp::ResultSent);
+        let mut seen = 0;
+        tracer.drain(|rec| {
+            seen += 1;
+            assert!(rec.is_complete());
+            assert!(rec.step_delta(2, 3).unwrap() >= 0);
+        });
+        assert_eq!(seen, 1);
+        assert!(Span::inert().detach().is_none());
     }
 
     #[test]

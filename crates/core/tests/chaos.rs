@@ -357,3 +357,50 @@ fn traced_fragments_survive_fault_mix() {
         Ok(())
     });
 }
+
+/// A transfer far longer than the caller's transmission budget, under
+/// loss: 70 fragments each way at 15 %, with `fast_retry`'s ten
+/// transmissions. Recovery in the result direction is the caller's —
+/// every loss costs it a timeout and a duplicate call — so the budget
+/// has to be per stall, not per call: result fragments arriving since
+/// the last timeout reset it. (Without that, the twenty-odd losses on
+/// the way back exhaust it a few fragments in.)
+#[test]
+fn a_long_result_under_loss_outlasts_the_transmission_budget() {
+    let iface = parse_interface(
+        "DEFINITION MODULE Echo;
+           PROCEDURE Blob(VAR IN data: ARRAY OF CHAR; VAR OUT copy: ARRAY OF CHAR);
+         END Echo.",
+    )
+    .unwrap();
+    let service = ServiceBuilder::new(iface.clone())
+        .on_call("Blob", |args, w| {
+            let data = args[0].bytes().unwrap();
+            w.next_bytes(data.len())?.copy_from_slice(data);
+            Ok(())
+        })
+        .build()
+        .unwrap();
+    let cfg = Config::fast_retry();
+    let net = LoopbackNet::with_seed(0x10_0000);
+    let server = Endpoint::new(net.station(1), cfg.clone()).unwrap();
+    let caller = Endpoint::new(net.station(2), cfg.clone()).unwrap();
+    server.export(service).unwrap();
+    let client = caller.bind(&iface, server.address()).unwrap();
+    net.set_faults(FaultPlan {
+        loss: 0.15,
+        ..FaultPlan::default()
+    });
+    let data: Vec<u8> = (0..100_000).map(|i| (i % 251) as u8).collect();
+    let r = client
+        .call("Blob", &[Value::Bytes(data.clone()), Value::Bytes(Vec::new())])
+        .unwrap();
+    assert_eq!(r[0].as_bytes().unwrap(), &data[..]);
+    // Each of these answered a caller timeout in the result direction:
+    // more of them than one budget allows.
+    let recoveries = server.stats().retransmissions();
+    assert!(
+        recoveries > u64::from(cfg.max_transmissions),
+        "only {recoveries} recoveries: the budget was never at stake"
+    );
+}

@@ -1,12 +1,15 @@
 //! The receive role end to end: the thread that waits is the thread that
-//! receives, the resident receiver runs measured-short calls itself, and
-//! neither ever costs a caller its result or the server its ears.
+//! receives, the resident receiver runs measured-short calls itself —
+//! multi-packet ones included, since it is also the thread that advances
+//! a result's fragments — and neither ever costs a caller its result or
+//! the server its ears.
 
 use firefly_idl::{parse_interface, InterfaceDef, Value};
 use firefly_propcheck::{check, prop_assert, prop_assert_eq};
 use firefly_rpc::role::IDLE_TICK;
-use firefly_rpc::transport::{FaultPlan, LoopbackNet};
+use firefly_rpc::transport::{FaultPlan, LoopbackNet, LoopbackStation, Transport};
 use firefly_rpc::{Config, Endpoint, ServiceBuilder};
+use firefly_wire::{ActivityId, Frame, FrameBuilder, PacketType, RpcHeader};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -23,6 +26,7 @@ fn interface() -> InterfaceDef {
            PROCEDURE Work(n: INTEGER): INTEGER;
            PROCEDURE Get(n: INTEGER; VAR OUT out: ARRAY OF CHAR);
            PROCEDURE Relay(n: INTEGER): INTEGER;
+           PROCEDURE Echo(VAR IN data: ARRAY OF CHAR; VAR OUT copy: ARRAY OF CHAR);
          END Role.",
     )
     .unwrap()
@@ -89,6 +93,11 @@ fn serve(server: &Endpoint, probe: &Arc<Probe>) {
             }
             let r = next.call("Work", &[n.clone()])?;
             w.next_value(&r[0])?;
+            Ok(())
+        })
+        .on_call("Echo", |args, w| {
+            let data = args[0].bytes().unwrap();
+            w.next_bytes(data.len())?.copy_from_slice(data);
             Ok(())
         })
         .build()
@@ -223,47 +232,255 @@ fn call_until_inline(server: &Endpoint, times: u64, mut call: impl FnMut()) {
         }
         call();
     }
-    panic!("never ran on the receiving thread; stats:\n{}", server.stats());
+    panic!(
+        "never ran on the receiving thread; hand-off {:?}; stats:\n{}",
+        server.handoff_estimate(),
+        server.stats()
+    );
 }
 
 #[test]
-fn a_trusted_procedure_returning_a_multi_packet_result_is_finished_by_a_worker() {
-    // The acks of the result's fragments arrive through the receiving
-    // thread: were it to wait for them, nobody would receive them, the
-    // call would fail after ten retransmissions and the endpoint would
-    // be deaf meanwhile.
+fn a_multi_packet_call_to_a_trusted_procedure_wakes_no_server_thread() {
+    // Four fragments each way. Nothing waits for an ack — the thread
+    // that receives the ack of result fragment k sends fragment k+1 —
+    // so the resident receiver may run the call like any short one: no
+    // worker is queued for, woken by, or parked through any of it.
+    let cfg = Config {
+        retransmit_initial: Duration::from_millis(400),
+        ..Config::default()
+    };
     let net = LoopbackNet::new();
-    let server = Endpoint::new(net.station(1), Config::default()).unwrap();
-    let caller = Endpoint::new(net.station(2), Config::default()).unwrap();
+    let server = Endpoint::new(net.station(1), cfg.clone()).unwrap();
+    let caller = Endpoint::new(net.station(2), cfg).unwrap();
     let (probe, _napping) = probe(false);
     serve(&server, &probe);
     let client = caller.bind(&interface(), server.address()).unwrap();
+    let blob: Vec<u8> = (0..5760).map(|i| (i % 251) as u8).collect();
     // (A VAR OUT parameter is passed, though only its identity travels.)
-    let get = |n: i32| {
-        let args = [Value::Integer(n), Value::Bytes(Vec::new())];
-        client.call("Get", &args).unwrap()
+    let echo = |data: &[u8]| {
+        let r = client.call("Echo", &[Value::Bytes(data.to_vec()), Value::Bytes(Vec::new())]);
+        assert_eq!(r.unwrap()[0].as_bytes().unwrap(), data);
     };
-    call_until_inline(&server, 8, || {
-        get(16);
-    });
-
-    let began = Instant::now();
-    let r = get(5000);
-    let took = began.elapsed();
-    assert_eq!(r[0].as_bytes().unwrap(), &[0x5a; 5000][..]);
-    assert!(took < Duration::from_millis(150), "took {took:?}");
-    assert_eq!(server.stats().retransmissions(), 0, "stats:\n{}", server.stats());
+    // Trust is earned on measured time, and an unoptimized build takes
+    // long over 5760 bytes: warm up small. The big call is decided on
+    // the estimate it finds, whatever its own sample then says — and a
+    // hiccup in the last warm-up sample can spoil that estimate, so try
+    // until one big call has run on the receiving thread.
+    let stats = server.stats();
+    let counts = || (stats.inline_calls(), stats.direct_wakeups(), stats.slow_path_queued());
+    let (mut before, mut acks, mut fragments) = (counts(), 0, 0);
+    for _ in 0..20 {
+        call_until_inline(&server, 8, || echo(&blob[..16]));
+        before = counts();
+        (acks, fragments) = (stats.acks_received(), stats.fragments_sent());
+        echo(&blob);
+        if stats.inline_calls() > before.0 {
+            break;
+        }
+    }
+    assert_eq!(stats.inline_calls(), before.0 + 1, "stats:\n{stats}");
+    // The one direct hand-off is the inline call's own: no worker's.
+    assert_eq!(stats.direct_wakeups(), before.1 + 1, "stats:\n{stats}");
+    assert_eq!(stats.slow_path_queued(), before.2, "stats:\n{stats}");
+    // The protocol is what it was: four result fragments, three acks.
+    assert_eq!(stats.fragments_sent(), fragments + 4);
+    assert_eq!(stats.acks_received(), acks + 3);
+    assert_eq!(stats.retransmissions(), 0, "stats:\n{stats}");
     assert_eq!(caller.stats().retransmissions(), 0, "stats:\n{}", caller.stats());
-    // That sample says the procedure's calls are not short: the next
-    // one goes to a worker whole, and small results win the trust back.
-    let inline = server.stats().inline_calls();
-    get(5000);
-    assert_eq!(server.stats().inline_calls(), inline);
-    call_until_inline(&server, 1, || {
-        get(16);
-    });
+}
+
+/// A caller made of raw frames: a loopback station that sends what it is
+/// told and acknowledges only when it is told, so a test can stop a
+/// result transfer between any two fragments.
+struct RawCaller {
+    station: Arc<LoopbackStation>,
+    server: std::net::SocketAddr,
+    activity: ActivityId,
+}
+
+impl RawCaller {
+    fn new(net: &LoopbackNet, id: u8, server: &Endpoint) -> RawCaller {
+        RawCaller {
+            station: net.station(id),
+            server: server.address(),
+            activity: ActivityId::new(0x7e57, 1, u16::from(id)),
+        }
+    }
+
+    /// Sends call `seq` of `Get(n)`: one packet, an `n`-byte result.
+    fn call_get(&self, seq: u32, n: i32) {
+        let iface = interface();
+        let get = iface.procedure("Get").unwrap().index();
+        let stubs = firefly_idl::engines_for_interface(&iface, firefly_idl::StubStyle::Compiled);
+        let mut data = [0u8; 64];
+        let args = [Value::Integer(n), Value::Bytes(Vec::new())];
+        let len = stubs[get as usize].marshal_call(&args, &mut data).unwrap();
+        let frame = FrameBuilder::new(PacketType::Call)
+            .activity(self.activity)
+            .call_seq(seq)
+            .interface(iface.uid(), iface.version())
+            .procedure(get)
+            .build(&data[..len])
+            .unwrap();
+        self.station.send(frame.bytes(), self.server).unwrap();
+    }
+
+    /// The next result fragment the server sends, or `None` if nothing
+    /// comes within `wait`.
+    fn next_result(&self, wait: Duration) -> Option<(RpcHeader, Vec<u8>)> {
+        let deadline = Instant::now() + wait;
+        let mut buf = [0u8; 2048];
+        while Instant::now() < deadline {
+            if let Some((n, _)) = self.station.try_recv(&mut buf).unwrap() {
+                let frame = Frame::parse(&buf[..n]).unwrap();
+                if frame.rpc.packet_type == PacketType::Result {
+                    return Some((frame.rpc, frame.data));
+                }
+            }
+            std::thread::yield_now();
+        }
+        None
+    }
+
+    fn ack(&self, fragment: &RpcHeader) {
+        self.send_ack(RpcHeader::ack_for(fragment));
+    }
+
+    fn send_ack(&self, ack: RpcHeader) {
+        let frame = FrameBuilder::new(PacketType::Ack)
+            .activity(ack.activity)
+            .call_seq(ack.call_seq)
+            .fragment(ack.fragment, ack.fragment_count)
+            .acks_result(true)
+            .build(&[])
+            .unwrap();
+        self.station.send(frame.bytes(), self.server).unwrap();
+    }
+}
+
+const SOON: Duration = Duration::from_secs(5);
+/// Long enough for the server to have answered, had it meant to.
+const QUIET: Duration = Duration::from_millis(100);
+
+#[test]
+fn a_bystander_null_is_answered_between_two_fragments_of_anothers_result() {
+    // (Patient timers: a retransmission below means a call waited.)
+    let cfg = Config {
+        retransmit_initial: Duration::from_millis(400),
+        ..Config::default()
+    };
+    let net = LoopbackNet::new();
+    let server = Endpoint::new(net.station(1), cfg.clone()).unwrap();
+    let (probe, _napping) = probe(false);
+    serve(&server, &probe);
+    let bystander = Endpoint::new(net.station(2), cfg).unwrap();
+    let null = bystander.bind(&interface(), server.address()).unwrap();
+    let raw = RawCaller::new(&net, 9, &server);
+
+    raw.call_get(1, 4000); // Three fragments.
+    let (first, data) = raw.next_result(SOON).expect("fragment 0");
+    assert_eq!((first.fragment, first.fragment_count), (0, 3));
+    assert!(first.flags.please_ack && data.len() == 1440);
+    // The transfer now stands at fragment 0, in nobody's hands.
+    assert!(raw.next_result(QUIET).is_none(), "fragment 1 before the ack of 0");
+    null.call("Null", &[]).unwrap();
+    // And goes on from where it stood.
+    raw.ack(&first);
+    let (second, _) = raw.next_result(SOON).expect("fragment 1");
+    assert_eq!(second.fragment, 1);
+    raw.ack(&second);
+    let (last, data) = raw.next_result(SOON).expect("fragment 2");
+    assert!(last.flags.last_fragment && !last.flags.please_ack);
+    assert!(data.ends_with(&[0x5a; 1000]) && 2 * 1440 + data.len() >= 4000);
     assert_eq!(server.stats().retransmissions(), 0);
-    assert_eq!(caller.stats().retransmissions(), 0);
+    assert_eq!(bystander.stats().retransmissions(), 0);
+}
+
+#[test]
+fn a_caller_that_stops_acking_holds_no_server_thread() {
+    // One worker. A caller takes fragment 0 of a result and falls
+    // silent. (A server that waited for the ack would sit on its only
+    // worker for ten retransmissions, about two seconds.)
+    let cfg = Config {
+        server_threads: 1,
+        ..Config::default()
+    };
+    let net = LoopbackNet::new();
+    let server = Endpoint::new(net.station(1), cfg).unwrap();
+    let (probe, napping) = probe(true);
+    serve(&server, &probe);
+    let other = Endpoint::new(net.station(2), Config::default()).unwrap();
+    let work = other.bind(&interface(), server.address()).unwrap();
+    let raw = RawCaller::new(&net, 9, &server);
+
+    // `Get`'s first call is unmeasured: the worker runs it.
+    raw.call_get(1, 5000);
+    let (first, _) = raw.next_result(SOON).expect("fragment 0");
+    assert_eq!(first.fragment_count, 4);
+    assert_eq!(server.stats().inline_calls(), 0);
+    // A second activity's slow call needs that worker, and gets it.
+    let began = Instant::now();
+    let r = work.call("Work", &[Value::Integer(7)]).unwrap();
+    let took = began.elapsed();
+    nap_begins(&napping);
+    nap_ends(&napping);
+    assert_eq!(r[0], Value::Integer(7));
+    assert_eq!(probe.naps_on_receiver.load(Ordering::Relaxed), 0);
+    assert!(took < NAP + Duration::from_millis(300), "the slow call took {took:?}");
+    // Nobody retransmitted the abandoned fragment either: recovery is
+    // the caller's to ask for.
+    assert!(raw.next_result(QUIET).is_none());
+    assert_eq!(server.stats().retransmissions(), 0);
+    // It does ask, once: a probe gets the fragment at the cursor again,
+    // and the transfer is where it was.
+    let probe_frame = FrameBuilder::new(PacketType::Probe)
+        .activity(first.activity)
+        .call_seq(first.call_seq)
+        .build(&[])
+        .unwrap();
+    raw.station.send(probe_frame.bytes(), raw.server).unwrap();
+    let (again, _) = raw.next_result(SOON).expect("fragment 0 again");
+    assert_eq!((again.fragment, again.flags.please_ack), (0, true));
+    assert_eq!(server.stats().retransmissions(), 1);
+}
+
+#[test]
+fn an_ack_that_is_not_the_one_awaited_advances_nothing() {
+    let net = LoopbackNet::new();
+    let server = Endpoint::new(net.station(1), Config::default()).unwrap();
+    let (probe, _napping) = probe(false);
+    serve(&server, &probe);
+    let raw = RawCaller::new(&net, 9, &server);
+    let stale = "server-unknown Ack acks_result -> drop-stale";
+    let advance = "server-known Ack acks_result -> advance-fragment";
+
+    raw.call_get(1, 100); // A call gone by, to have an older sequence.
+    raw.next_result(SOON).expect("the first call's result");
+    raw.call_get(2, 5000);
+    let (first, _) = raw.next_result(SOON).expect("fragment 0");
+    raw.ack(&first);
+    let (second, _) = raw.next_result(SOON).expect("fragment 1");
+    assert_eq!(second.fragment, 1);
+    assert!(server.protocol_transitions().contains(&advance));
+    assert!(!server.protocol_transitions().contains(&stale));
+    let sent = server.stats().fragments_sent();
+
+    // Below the cursor (a duplicated ack of fragment 0), beyond it, and
+    // of the older call: each is received, none moves the transfer.
+    raw.ack(&first);
+    raw.send_ack(RpcHeader { fragment: 2, ..RpcHeader::ack_for(&second) });
+    raw.send_ack(RpcHeader { call_seq: 1, ..RpcHeader::ack_for(&second) });
+    assert!(raw.next_result(QUIET).is_none(), "a stale ack moved the transfer");
+    assert_eq!(server.stats().fragments_sent(), sent);
+    assert_eq!(server.stats().acks_received(), 4);
+    assert!(server.protocol_transitions().contains(&stale));
+
+    // The awaited one still does.
+    raw.ack(&second);
+    let (third, _) = raw.next_result(SOON).expect("fragment 2");
+    assert_eq!(third.fragment, 2);
+    assert_eq!(server.stats().fragments_sent(), sent + 1);
+    assert_eq!(server.stats().retransmissions(), 0);
 }
 
 #[test]
@@ -293,15 +510,25 @@ fn a_call_made_by_service_code_on_the_receiving_thread_gets_its_result() {
         assert_eq!(r[0], Value::Integer(n));
         began.elapsed()
     };
-    call_until_inline(&middle, 8, || {
-        relay();
-    });
-    *probe.relay.lock().unwrap() = Some(middle.bind(&interface(), far.address()).unwrap());
-    let longest = (0..200).map(|_| relay()).max().unwrap();
-    *probe.relay.lock().unwrap() = None;
+    // Trust rests on measured times, so a hiccup in the last warm-up
+    // sample can cost `Relay` its trust just as the relaying starts
+    // (one run in ten on a busy machine): earn it again, until a call
+    // has relayed from the receiving thread.
+    let onward = middle.bind(&interface(), far.address()).unwrap();
+    let mut longest = Duration::ZERO;
+    let mut rounds = 0;
+    while probe.relays_on_receiver.load(Ordering::Relaxed) == 0 && rounds < 20 {
+        rounds += 1;
+        call_until_inline(&middle, 8, || {
+            relay();
+        });
+        *probe.relay.lock().unwrap() = Some(onward.clone());
+        longest = longest.max((0..200).map(|_| relay()).max().unwrap());
+        *probe.relay.lock().unwrap() = None;
+    }
 
     assert!(probe.relays_on_receiver.load(Ordering::Relaxed) >= 1);
-    assert_eq!(probe.executed.load(Ordering::Relaxed), 200);
+    assert_eq!(probe.executed.load(Ordering::Relaxed), 200 * rounds);
     assert!(longest < cfg.retransmit_initial / 2, "longest call {longest:?}");
     assert_eq!(middle.stats().retransmissions(), 0, "stats:\n{}", middle.stats());
     assert_eq!(caller.stats().retransmissions(), 0);

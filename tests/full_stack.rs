@@ -95,6 +95,53 @@ fn calculator_over_udp() {
 }
 
 #[test]
+fn multi_packet_echo_over_udp() {
+    // Four fragments each way over real sockets. The server parks no
+    // thread on the transfer: the thread that receives the ack of result
+    // fragment k sends fragment k+1, so the exchange is exactly four
+    // result fragments and three acks per call, with no timer involved.
+    let iface = parse_interface(
+        "DEFINITION MODULE Big;
+           PROCEDURE Echo(VAR IN input: ARRAY OF CHAR; VAR OUT output: ARRAY OF CHAR);
+         END Big.",
+    )
+    .unwrap();
+    let service = ServiceBuilder::new(iface.clone())
+        .on_call("Echo", |args, w| {
+            let input = args[0].bytes().unwrap();
+            w.next_bytes(input.len())?.copy_from_slice(input);
+            Ok(())
+        })
+        .build()
+        .unwrap();
+    // Patient timers: on a busy machine a stalled thread must not look
+    // like a lost packet to the zero-retransmission check below.
+    let cfg = Config {
+        retransmit_initial: std::time::Duration::from_secs(5),
+        ..Config::default()
+    };
+    let server = Endpoint::new(UdpTransport::localhost().unwrap(), cfg.clone()).unwrap();
+    let caller = Endpoint::new(UdpTransport::localhost().unwrap(), cfg).unwrap();
+    server.export(service).unwrap();
+    let c = caller.bind(&iface, server.address()).unwrap();
+
+    const CALLS: u64 = 200;
+    for call in 0..CALLS {
+        let input: Vec<u8> = (0..5760).map(|i| ((i + call) % 251) as u8).collect();
+        let r = c
+            .call("Echo", &[Value::Bytes(input.clone()), Value::Bytes(Vec::new())])
+            .unwrap();
+        assert_eq!(r[0].as_bytes().unwrap(), &input[..], "call {call}");
+    }
+    let (s, k) = (server.stats(), caller.stats());
+    assert_eq!(s.fragments_received(), 4 * CALLS, "server stats:\n{s}");
+    assert_eq!(s.fragments_sent(), 4 * CALLS, "server stats:\n{s}");
+    assert_eq!(s.acks_received(), 3 * CALLS, "server stats:\n{s}");
+    assert_eq!(s.retransmissions() + k.retransmissions(), 0, "server stats:\n{s}");
+    assert_eq!(s.duplicate_calls(), 0);
+}
+
+#[test]
 fn calculator_under_packet_loss() {
     let (iface, service) = calculator();
     let net = LoopbackNet::new();
