@@ -133,6 +133,9 @@ pub struct Outcome {
     /// DPOR only: schedules abandoned as sleep-set-redundant (their
     /// continuations were provably equivalent to explored ones).
     pub pruned: usize,
+    /// Condvar waits that parked a thread, summed over passing
+    /// schedules: zero means the model never reached a wait.
+    pub parks: usize,
     /// The first failure, if any (exploration stops there).
     pub failure: Option<FailureReport>,
     /// Class-level lock edges observed across all passing schedules.
@@ -226,6 +229,7 @@ impl Explorer {
             schedules: 0,
             exhausted: false,
             pruned: 0,
+            parks: 0,
             failure: None,
             edges: BTreeSet::new(),
             publications: BTreeSet::new(),
@@ -266,6 +270,7 @@ impl Explorer {
                 outcome.edges.insert(edge);
             }
             outcome.publications.extend(result.publications);
+            outcome.parks += result.parks;
             if let Some(accounting) = accounting {
                 outcome.accounting = accounting;
             }
@@ -339,6 +344,7 @@ impl Explorer {
             schedules: 0,
             exhausted: false,
             pruned: 0,
+            parks: 0,
             failure: None,
             edges: BTreeSet::new(),
             publications: BTreeSet::new(),
@@ -386,6 +392,7 @@ impl Explorer {
                     outcome.edges.insert(edge);
                 }
                 outcome.publications.extend(result.publications.iter().cloned());
+                outcome.parks += result.parks;
                 if let Some(accounting) = accounting {
                     outcome.accounting = accounting;
                 }

@@ -7,7 +7,8 @@
 //! MPMC channel, the hook's install gate, a sharded call table, and the
 //! receive role — and must pass every schedule. Bug models seed one classic
 //! concurrency defect each (ABBA deadlock, notify-before-wait lost
-//! wakeup, check-then-act double release, and three happens-before
+//! wakeup, a waiter gate registered after the mutex release,
+//! check-then-act double release, and three happens-before
 //! races: unsynchronized counter, publish-without-release,
 //! store-after-notify) and must *fail*; they prove the checker actually
 //! detects what it claims to.
@@ -391,6 +392,67 @@ fn make_bug_lost_wakeup() -> ModelRun {
     ModelRun {
         label,
         threads: vec![signaller, waiter],
+        finale: Box::new(|| {}),
+        audit: None,
+        transitions: None,
+    }
+}
+
+/// Seeded bug: the waiter gate (`firefly_sync::Condvar` skips a notify
+/// when its waiter count is zero) with the registration on the wrong
+/// side of the mutex release. The model builds the gate by hand around
+/// a checked counter so the scheduler can interleave it: the notifier
+/// is correct — predicate under the mutex, then the gated notify — but
+/// the waiter gives up the mutex *before* it registers, so a notifier
+/// that runs in that gap reads zero, skips, and the waiter then parks
+/// on a wakeup nobody will send. (Re-taking the mutex only to hand it
+/// to `wait_until` is the park; the predicate is deliberately not
+/// looked at again, as it is not between a real condvar's release and
+/// its sleep.) Must be reported as `LostWakeup`.
+fn make_bug_unregistered_waiter() -> ModelRun {
+    let flag = Arc::new(Mutex::new(false));
+    let cond = Arc::new(Condvar::new());
+    let waiters = Arc::new(checked_atomic::AtomicUsize::new(0));
+
+    let label = {
+        let flag = Arc::clone(&flag);
+        let waiters = Arc::clone(&waiters);
+        Box::new(move || {
+            flag.check_label("flag");
+            waiters.check_label("waiters");
+        }) as Box<dyn FnOnce() + Send>
+    };
+    let notifier = {
+        let flag = Arc::clone(&flag);
+        let cond = Arc::clone(&cond);
+        let waiters = Arc::clone(&waiters);
+        Box::new(move || {
+            *flag.lock() = true;
+            if waiters.load(Ordering::SeqCst) > 0 {
+                cond.notify_one();
+            }
+        }) as Box<dyn FnOnce() + Send>
+    };
+    let waiter = {
+        let flag = Arc::clone(&flag);
+        let cond = Arc::clone(&cond);
+        let waiters = Arc::clone(&waiters);
+        Box::new(move || {
+            let mut g = flag.lock();
+            while !*g {
+                // BUG: the mutex is released first and the waiter
+                // registered second; the gate needs the reverse.
+                drop(g);
+                waiters.fetch_add(1, Ordering::SeqCst);
+                g = flag.lock();
+                let _ = cond.wait_until(&mut g, far_deadline());
+                waiters.fetch_sub(1, Ordering::SeqCst);
+            }
+        }) as Box<dyn FnOnce() + Send>
+    };
+    ModelRun {
+        label,
+        threads: vec![notifier, waiter],
         finale: Box::new(|| {}),
         audit: None,
         transitions: None,
@@ -1150,6 +1212,11 @@ pub fn bug_models() -> Vec<Model> {
             name: "bug-lost-wakeup",
             about: "seeded notify-before-wait lost wakeup (expected: LostWakeup)",
             make: make_bug_lost_wakeup,
+        },
+        Model {
+            name: "bug-unregistered-waiter",
+            about: "seeded waiter gate registered after the mutex release (expected: LostWakeup)",
+            make: make_bug_unregistered_waiter,
         },
         Model {
             name: "bug-double-release",

@@ -352,6 +352,8 @@ struct Core {
     steps: usize,
     budget: usize,
     trace: Vec<String>,
+    /// Condvar waits that parked a thread in this schedule.
+    parks: usize,
     /// Per-step records for the DPOR driver.
     step_recs: Vec<StepRec>,
     /// The happens-before race detector (None until reset sizes it).
@@ -378,6 +380,11 @@ pub struct ScheduleResult {
     pub decisions: Vec<(usize, usize)>,
     /// Human-readable deterministic event log.
     pub trace: Vec<String>,
+    /// Condvar waits that parked a thread. A notify is only an event
+    /// when a waiter is registered (`firefly_sync::Condvar` skips the
+    /// rest), so a model that claims to cover a wait/notify protocol
+    /// must show it parked somewhere.
+    pub parks: usize,
     /// Class-level lock edges observed.
     pub named_edges: BTreeSet<(String, String)>,
     /// Per-step records (granted thread, alternatives, run slice).
@@ -449,6 +456,7 @@ impl Sched {
             failure: core.failure.take(),
             decisions: std::mem::take(&mut core.decisions),
             trace: std::mem::take(&mut core.trace),
+            parks: core.parks,
             named_edges: std::mem::take(&mut core.named_edges),
             steps: std::mem::take(&mut core.step_recs),
             redundant: core.redundant,
@@ -905,6 +913,7 @@ impl Scheduler for Sched {
             },
         );
         core.states[tid] = ThreadState::Waiting { cond, lock };
+        core.parks += 1;
         core.running = None;
         self.pick_next(&mut core);
         self.block_until_granted(core, tid);
@@ -924,8 +933,10 @@ impl Scheduler for Sched {
         let cond_idx = Self::op_index(&core, cond);
         Self::record_op(&mut core, tid, Op::Notify { cond: cond_idx });
         if waiters.is_empty() {
-            // The notification evaporates — exactly how a lost wakeup
-            // is born. Recorded so failing traces show it.
+            // Every registered waiter was already notified and has not
+            // run yet (with none registered the condvar reports no
+            // notify at all): the notification evaporates. Recorded so
+            // failing traces show it.
             core.trace.push(format!("t{tid} notifies {name}: no waiters"));
             return;
         }

@@ -170,7 +170,7 @@ impl Default for Config {
                 },
                 LockClass {
                     name: "pool".into(),
-                    receivers: vec!["free".into(), "receive_queue".into()],
+                    receivers: vec!["slabs".into()],
                     parametric: false,
                 },
                 LockClass {

@@ -1,5 +1,5 @@
 pub fn drop_then_relock(pool: &Pool, table: &Table) {
-    let buf = pool.free.lock();
+    let buf = pool.slabs.lock();
     consume(&buf);
     drop(buf);
     let _entry = table.entries.lock();
@@ -7,7 +7,7 @@ pub fn drop_then_relock(pool: &Pool, table: &Table) {
 
 pub fn scope_then_relock(pool: &Pool, table: &Table) {
     {
-        let _buf = pool.free.lock();
+        let _buf = pool.slabs.lock();
     }
     let _entry = table.entries.lock();
 }

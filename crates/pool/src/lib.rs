@@ -44,9 +44,8 @@ use firefly_sync::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The size of every pool buffer: one maximal Ethernet frame.
 pub const BUFFER_SIZE: usize = 1514;
@@ -72,66 +71,88 @@ impl fmt::Display for PoolError {
 impl std::error::Error for PoolError {}
 
 /// Counters describing pool behaviour; all monotonically increasing except
-/// the derived [`PoolStats::outstanding`].
-#[derive(Debug, Default)]
+/// the derived [`PoolStats::outstanding`]. A by-value snapshot: of one
+/// shard (taken under its lock, so the figures agree with each other)
+/// or, from [`ShardedPool::stats`], the sum over all shards.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    allocs: AtomicU64,
-    frees: AtomicU64,
-    recycles: AtomicU64,
-    exhaustions: AtomicU64,
-    high_water: AtomicU64,
+    allocs: u64,
+    frees: u64,
+    recycles: u64,
+    exhaustions: u64,
+    high_water: u64,
 }
 
 impl PoolStats {
     /// Total successful allocations.
     pub fn allocs(&self) -> u64 {
-        self.allocs.load(Ordering::Relaxed)
+        self.allocs
     }
 
     /// Total buffers returned through drop.
     pub fn frees(&self) -> u64 {
-        self.frees.load(Ordering::Relaxed)
+        self.frees
     }
 
     /// Buffers moved directly to the receive queue (the paper's
     /// interrupt-handler recycling).
     pub fn recycles(&self) -> u64 {
-        self.recycles.load(Ordering::Relaxed)
+        self.recycles
     }
 
     /// Allocation attempts that found the pool empty.
     pub fn exhaustions(&self) -> u64 {
-        self.exhaustions.load(Ordering::Relaxed)
+        self.exhaustions
     }
 
-    /// Maximum simultaneously outstanding buffers observed.
+    /// Maximum simultaneously outstanding buffers observed; summed over
+    /// shards it is an upper bound on the whole pool's true peak.
     pub fn high_water(&self) -> u64 {
-        self.high_water.load(Ordering::Relaxed)
+        self.high_water
     }
 
     /// Buffers currently held by users (allocs − frees − recycles).
     pub fn outstanding(&self) -> u64 {
-        self.allocs()
-            .saturating_sub(self.frees())
-            .saturating_sub(self.recycles())
+        self.allocs
+            .saturating_sub(self.frees)
+            .saturating_sub(self.recycles)
     }
+}
 
-    fn note_alloc(&self) {
-        let a = self.allocs.fetch_add(1, Ordering::Relaxed) + 1;
-        let out = a
-            .saturating_sub(self.frees.load(Ordering::Relaxed))
-            .saturating_sub(self.recycles.load(Ordering::Relaxed));
-        self.high_water.fetch_max(out, Ordering::Relaxed);
+/// Everything a pool shard shares, under its one lock: both lists and
+/// the counters that describe them, so every operation is one
+/// acquisition and the counters are plain integers that always agree
+/// with the lists.
+struct Slabs {
+    free: Vec<Box<[u8]>>,
+    /// Buffers parked on the simulated controller's receive queue.
+    receive_queue: VecDeque<Box<[u8]>>,
+    stats: PoolStats,
+}
+
+impl Slabs {
+    /// Hands out a slab from the preferred list, falling back to the
+    /// other one, and accounts for the outcome.
+    fn take(&mut self, receive_queue_first: bool) -> Option<Box<[u8]>> {
+        let slab = if receive_queue_first {
+            self.receive_queue.pop_front().or_else(|| self.free.pop())
+        } else {
+            self.free.pop().or_else(|| self.receive_queue.pop_front())
+        };
+        if slab.is_some() {
+            self.stats.allocs += 1;
+            self.stats.high_water = self.stats.high_water.max(self.stats.outstanding());
+        } else {
+            self.stats.exhaustions += 1;
+        }
+        slab
     }
 }
 
 struct PoolInner {
-    free: Mutex<Vec<Box<[u8]>>>,
-    /// Buffers parked on the simulated controller's receive queue.
-    receive_queue: Mutex<VecDeque<Box<[u8]>>>,
+    slabs: Mutex<Slabs>,
     available: Condvar,
     capacity: usize,
-    stats: PoolStats,
 }
 
 /// A fixed-size pool of packet buffers shared by the whole RPC machinery.
@@ -142,10 +163,11 @@ pub struct BufferPool {
 
 impl fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let slabs = self.inner.slabs.lock();
         f.debug_struct("BufferPool")
             .field("capacity", &self.inner.capacity)
-            .field("free", &self.free_count())
-            .field("outstanding", &self.stats().outstanding())
+            .field("free", &slabs.free.len())
+            .field("outstanding", &slabs.stats.outstanding())
             .finish()
     }
 }
@@ -163,11 +185,13 @@ impl BufferPool {
             .collect();
         BufferPool {
             inner: Arc::new(PoolInner {
-                free: Mutex::new(free),
-                receive_queue: Mutex::new(VecDeque::new()),
+                slabs: Mutex::new(Slabs {
+                    free,
+                    receive_queue: VecDeque::new(),
+                    stats: PoolStats::default(),
+                }),
                 available: Condvar::new(),
                 capacity,
-                stats: PoolStats::default(),
             }),
         }
     }
@@ -179,24 +203,38 @@ impl BufferPool {
 
     /// Number of buffers currently on the free list.
     pub fn free_count(&self) -> usize {
-        self.inner.free.lock().len()
+        self.inner.slabs.lock().free.len()
     }
 
     /// Number of buffers parked on the receive queue.
     pub fn receive_queue_len(&self) -> usize {
-        self.inner.receive_queue.lock().len()
+        self.inner.slabs.lock().receive_queue.len()
     }
 
     /// Pool statistics.
-    pub fn stats(&self) -> &PoolStats {
-        &self.inner.stats
+    pub fn stats(&self) -> PoolStats {
+        self.inner.slabs.lock().stats
     }
 
-    /// Labels this pool's locks for `firefly-check` with their lint
+    /// Labels this pool's lock for `firefly-check` with its lint
     /// lock-order class ("pool"). No-op outside a checked schedule.
     pub fn check_labels(&self) {
-        self.inner.free.check_label("pool");
-        self.inner.receive_queue.check_label("pool");
+        self.inner.slabs.check_label("pool");
+    }
+
+    fn wrap(&self, slab: Box<[u8]>) -> PacketBuf {
+        PacketBuf {
+            pool: BufferPool {
+                inner: Arc::clone(&self.inner),
+            },
+            slab: Some(slab),
+            len: 0,
+        }
+    }
+
+    fn take(&self, receive_queue_first: bool) -> Result<PacketBuf, PoolError> {
+        let slab = self.inner.slabs.lock().take(receive_queue_first);
+        slab.map(|s| self.wrap(s)).ok_or(PoolError::Exhausted)
     }
 
     /// Allocates a buffer, failing immediately if the pool is exhausted.
@@ -205,47 +243,24 @@ impl BufferPool {
     /// When the free list is empty the Nub reclaims an idle buffer from
     /// the controller receive queue rather than failing.
     pub fn alloc(&self) -> Result<PacketBuf, PoolError> {
-        let slab = {
-            let mut free = self.inner.free.lock();
-            match free.pop() {
-                Some(s) => s,
-                None => {
-                    drop(free);
-                    match self.inner.receive_queue.lock().pop_front() {
-                        Some(s) => s,
-                        None => {
-                            self.inner.stats.exhaustions.fetch_add(1, Ordering::Relaxed);
-                            return Err(PoolError::Exhausted);
-                        }
-                    }
-                }
-            }
-        };
-        self.inner.stats.note_alloc();
-        Ok(PacketBuf {
-            pool: BufferPool {
-                inner: Arc::clone(&self.inner),
-            },
-            slab: Some(slab),
-            len: 0,
-        })
+        self.take(false)
     }
 
     /// Allocates a buffer, blocking up to `timeout` for one to be freed.
+    /// The clock is read only once the pool has been found dry.
     pub fn alloc_timeout(&self, timeout: Duration) -> Result<PacketBuf, PoolError> {
-        let deadline = std::time::Instant::now() + timeout;
+        let mut deadline = None;
+        let mut slabs = self.inner.slabs.lock();
         loop {
-            if let Ok(buf) = self.alloc() {
-                return Ok(buf);
+            if let Some(slab) = slabs.take(false) {
+                drop(slabs);
+                return Ok(self.wrap(slab));
             }
-            let mut free = self.inner.free.lock();
-            if !free.is_empty() || self.receive_queue_len() > 0 {
-                continue;
-            }
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
             if self
                 .inner
                 .available
-                .wait_until(&mut free, deadline)
+                .wait_until(&mut slabs, deadline)
                 .timed_out()
             {
                 return Err(PoolError::Timeout);
@@ -261,92 +276,42 @@ impl BufferPool {
     /// (§3.2). The buffer is consumed without touching the free list.
     pub fn recycle_to_receive_queue(&self, mut buf: PacketBuf) {
         if let Some(slab) = buf.slab.take() {
-            self.inner.receive_queue.lock().push_back(slab);
-            self.inner.stats.recycles.fetch_add(1, Ordering::Relaxed);
-            // Allocation can reclaim receive-queue buffers, so wake one
-            // waiter — after a tap of the free-list mutex. `alloc_timeout`
-            // decides to park while holding `free` (checking both the free
-            // list and the receive queue) and then waits on `available`
-            // releasing that same mutex; a notify that never synchronizes
-            // on `free` can fire between that check and the wait and be
-            // lost, leaving the waiter parked until its deadline.
-            drop(self.inner.free.lock());
-            self.inner.available.notify_one();
+            self.recycle_slab(slab);
         }
+    }
+
+    fn recycle_slab(&self, slab: Box<[u8]>) {
+        self.put_back(|slabs| {
+            slabs.receive_queue.push_back(slab);
+            slabs.stats.recycles += 1;
+        });
     }
 
     /// Takes a buffer from the receive queue (what the controller does when
     /// a packet arrives), falling back to the free list when the queue is
     /// empty.
     pub fn take_receive_buffer(&self) -> Result<PacketBuf, PoolError> {
-        if let Some(slab) = self.inner.receive_queue.lock().pop_front() {
-            self.inner.stats.note_alloc();
-            return Ok(PacketBuf {
-                pool: BufferPool {
-                    inner: Arc::clone(&self.inner),
-                },
-                slab: Some(slab),
-                len: 0,
-            });
-        }
-        self.alloc()
+        self.take(true)
     }
 
     fn return_slab(&self, slab: Box<[u8]>) {
-        self.inner.free.lock().push(slab);
-        self.inner.stats.frees.fetch_add(1, Ordering::Relaxed);
+        self.put_back(|slabs| {
+            slabs.free.push(slab);
+            slabs.stats.frees += 1;
+        });
+    }
+
+    /// Puts a slab back under the shard lock, then wakes one blocked
+    /// allocator (either list satisfies it) with the lock released —
+    /// which costs a system call only when one is actually parked.
+    fn put_back(&self, put: impl FnOnce(&mut Slabs)) {
+        put(&mut self.inner.slabs.lock());
         self.inner.available.notify_one();
     }
 }
 
-/// Aggregate counters across every shard of a [`ShardedPool`];
-/// a by-value snapshot mirroring the [`PoolStats`] accessors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStatsSummary {
-    allocs: u64,
-    frees: u64,
-    recycles: u64,
-    exhaustions: u64,
-    high_water: u64,
-}
-
-impl PoolStatsSummary {
-    /// Total successful allocations across all shards.
-    pub fn allocs(&self) -> u64 {
-        self.allocs
-    }
-
-    /// Total buffers returned through drop across all shards.
-    pub fn frees(&self) -> u64 {
-        self.frees
-    }
-
-    /// Buffers moved directly to a receive queue across all shards.
-    pub fn recycles(&self) -> u64 {
-        self.recycles
-    }
-
-    /// Allocation attempts that found a shard empty.
-    pub fn exhaustions(&self) -> u64 {
-        self.exhaustions
-    }
-
-    /// Sum of per-shard high-water marks (an upper bound on the true
-    /// simultaneous peak across the whole pool).
-    pub fn high_water(&self) -> u64 {
-        self.high_water
-    }
-
-    /// Buffers currently held by users (allocs − frees − recycles).
-    pub fn outstanding(&self) -> u64 {
-        self.allocs
-            .saturating_sub(self.frees)
-            .saturating_sub(self.recycles)
-    }
-}
-
 /// A pool split into independent shards, each a full [`BufferPool`] with
-/// its own locks, free list and receive queue.
+/// its own lock, free list and receive queue.
 ///
 /// The shard for a call is chosen by the runtime as a pure function of
 /// the activity id (see `firefly_rpc::calltable::shard_for`), so a
@@ -423,20 +388,20 @@ impl ShardedPool {
     }
 
     /// Aggregate statistics across all shards.
-    pub fn stats(&self) -> PoolStatsSummary {
-        let mut sum = PoolStatsSummary::default();
+    pub fn stats(&self) -> PoolStats {
+        let mut sum = PoolStats::default();
         for s in &*self.shards {
             let st = s.stats();
-            sum.allocs += st.allocs();
-            sum.frees += st.frees();
-            sum.recycles += st.recycles();
-            sum.exhaustions += st.exhaustions();
-            sum.high_water += st.high_water();
+            sum.allocs += st.allocs;
+            sum.frees += st.frees;
+            sum.recycles += st.recycles;
+            sum.exhaustions += st.exhaustions;
+            sum.high_water += st.high_water;
         }
         sum
     }
 
-    /// Labels every shard's locks for `firefly-check`. No-op outside a
+    /// Labels every shard's lock for `firefly-check`. No-op outside a
     /// checked schedule.
     pub fn check_labels(&self) {
         for s in &*self.shards {
@@ -463,14 +428,16 @@ impl ShardedPool {
     }
 
     /// Allocates from the home shard with a deadline, scanning the other
-    /// shards between short blocking waits on the home shard.
+    /// shards between short blocking waits on the home shard. The
+    /// deadline starts at the first scan that finds every shard dry.
     pub fn alloc_timeout_from(&self, idx: usize, timeout: Duration) -> Result<PacketBuf, PoolError> {
-        let deadline = std::time::Instant::now() + timeout;
+        let mut deadline = None;
         loop {
             if let Ok(buf) = self.alloc_from(idx) {
                 return Ok(buf);
             }
-            let now = std::time::Instant::now();
+            let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + timeout);
             if now >= deadline {
                 return Err(PoolError::Timeout);
             }
@@ -561,11 +528,10 @@ impl PacketBuf {
     /// interrupt-handler recycling path). With a [`ShardedPool`] this
     /// keeps every slab in the shard that allocated it, so per-shard
     /// capacity is invariant no matter which thread recycles.
-    pub fn recycle(self) {
-        // UFCS: clones only the pool *handle* (an `Arc` bump), never the
-        // slab — the slab moves back to its home shard with `self`.
-        let pool = BufferPool::clone(&self.pool);
-        pool.recycle_to_receive_queue(self);
+    pub fn recycle(mut self) {
+        if let Some(slab) = self.slab.take() {
+            self.pool.recycle_slab(slab);
+        }
     }
 }
 

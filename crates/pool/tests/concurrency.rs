@@ -42,6 +42,46 @@ fn hammering_from_many_threads_preserves_capacity() {
     assert_eq!(pool.stats().outstanding(), 0);
 }
 
+/// The counters live under the shard lock with the lists, so the peak
+/// is exact: four threads cycling three buffers through every take and
+/// give-back path never see `high_water` above the capacity. (With the
+/// counters kept beside the lock, an allocator that popped a slab
+/// between its push and the `frees` bump counted one buffer too many.)
+#[test]
+fn high_water_never_exceeds_capacity_under_contention() {
+    const CAPACITY: usize = 3;
+    let pool = BufferPool::new(CAPACITY);
+    let barrier = Arc::new(std::sync::Barrier::new(4));
+    let handles: Vec<_> = (0..4)
+        .map(|t| {
+            let pool = pool.clone();
+            let barrier = barrier.clone();
+            thread::spawn(move || {
+                barrier.wait();
+                for i in 0..20_000usize {
+                    let taken = if (i + t) % 2 == 0 {
+                        pool.alloc()
+                    } else {
+                        pool.take_receive_buffer()
+                    };
+                    if let Ok(buf) = taken {
+                        if i % 3 == 0 {
+                            buf.recycle();
+                        }
+                    }
+                    let peak = pool.stats().high_water();
+                    assert!(peak <= CAPACITY as u64, "high_water {peak} > {CAPACITY}");
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert_eq!(pool.stats().outstanding(), 0);
+    assert_eq!(pool.free_count() + pool.receive_queue_len(), CAPACITY);
+}
+
 #[test]
 fn receive_queue_buffers_are_reusable() {
     let pool = BufferPool::new(4);

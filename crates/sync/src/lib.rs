@@ -15,6 +15,10 @@
 //! * [`Condvar::wait_until`] reproduces the `&mut guard` calling
 //!   convention over `std`'s by-value `wait_timeout` by briefly taking
 //!   the inner guard out of an `Option`.
+//! * [`Condvar`] counts its waiters, and a notify that nobody waits for
+//!   returns after one load — no `FUTEX_WAKE`, and under a scheduler no
+//!   notify event. This is the one thing here that `std` does not do;
+//!   the type's documentation carries the soundness argument.
 //! * [`channel`] is a small unbounded MPMC channel (both ends cloneable,
 //!   `recv` by `&self`), the surface of `crossbeam::channel` the runtime
 //!   uses for demux→worker hand-off and loopback frame delivery.
@@ -47,6 +51,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::PoisonError;
 use std::time::Instant;
 
@@ -169,18 +174,55 @@ impl WaitTimeoutResult {
 }
 
 /// A condition variable paired with [`Mutex`], with deadline-based waits.
+///
+/// It counts its waiters, so a notify that nobody is waiting for costs
+/// one load and no system call (`std`'s futex condvar issues a
+/// `FUTEX_WAKE` either way). A waiter registers in [`Condvar::wait_until`]
+/// while it still holds the mutex and leaves the count, holding the
+/// mutex again, when it wakes or times out. Skipping a notify at count
+/// zero is sound under the one rule the `condvar-protocol` lint
+/// enforces workspace-wide: *every notify follows a touch of the
+/// waiters' mutex*. A waiter whose critical section came before that
+/// touch is counted, and the mutex hand-over makes its increment
+/// visible to the notifier; a waiter whose critical section comes after
+/// it sees the changed predicate and does not wait. The count is
+/// therefore ordered by the mutex, not by itself — `Relaxed` suffices,
+/// and it is a plain `std` atomic so the checker gets no extra schedule
+/// points from it.
 #[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
+pub struct Condvar {
+    inner: std::sync::Condvar,
+    waiters: AtomicUsize,
+}
+
+/// One thread's membership in [`Condvar::waiters`], dropped on wake,
+/// timeout, or the unwind that ends an aborted checker schedule.
+struct Registered<'a>(&'a AtomicUsize);
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
 
 impl Condvar {
     /// Creates a new condition variable.
     pub fn new() -> Condvar {
-        Condvar(std::sync::Condvar::new())
+        Condvar::default()
+    }
+
+    /// True when no thread is registered: the notify has nobody to wake
+    /// and nothing to report (under a scheduler it is not an event).
+    fn unwatched(&self) -> bool {
+        self.waiters.load(Ordering::Relaxed) == 0
     }
 
     /// Wakes one waiting thread.
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        if self.unwatched() {
+            return;
+        }
+        self.inner.notify_one();
         if let Some(h) = hook::current() {
             h.notify(hook_addr(self), false);
         }
@@ -188,7 +230,10 @@ impl Condvar {
 
     /// Wakes all waiting threads.
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        if self.unwatched() {
+            return;
+        }
+        self.inner.notify_all();
         if let Some(h) = hook::current() {
             h.notify(hook_addr(self), true);
         }
@@ -217,6 +262,10 @@ impl Condvar {
         let Some(inner) = guard.inner.take() else {
             return WaitTimeoutResult(true);
         };
+        // Registered before the mutex is released — the order the gate
+        // in `notify_*` rests on — and dropped after it is held again.
+        self.waiters.fetch_add(1, Ordering::Relaxed);
+        let _registered = Registered(&self.waiters);
         if let Some(h) = hook::current() {
             // Only one checked thread runs at a time, so dropping the
             // real lock and then parking models an atomic
@@ -228,11 +277,17 @@ impl Condvar {
         }
         let timeout = deadline.saturating_duration_since(Instant::now());
         let (inner, result) = self
-            .0
+            .inner
             .wait_timeout(inner, timeout)
             .unwrap_or_else(PoisonError::into_inner);
         guard.inner = Some(inner);
         WaitTimeoutResult(result.timed_out())
+    }
+
+    /// Threads currently registered in [`Condvar::wait_until`].
+    #[cfg(test)]
+    fn waiters(&self) -> usize {
+        self.waiters.load(Ordering::Relaxed)
     }
 }
 
@@ -452,6 +507,99 @@ mod tests {
         assert!(cv
             .wait_until(&mut g, Instant::now() - Duration::from_secs(1))
             .timed_out());
+    }
+
+    #[test]
+    fn notify_with_nobody_waiting_is_skipped_and_a_timeout_unregisters() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        assert_eq!(cv.waiters(), 0);
+        cv.notify_one();
+        cv.notify_all();
+        let mut g = m.lock();
+        assert!(cv
+            .wait_until(&mut g, Instant::now() + Duration::from_millis(5))
+            .timed_out());
+        assert_eq!(cv.waiters(), 0, "a timed-out waiter stayed registered");
+    }
+
+    #[test]
+    fn notify_all_wakes_every_parked_waiter() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let handles: Vec<_> = (0..3)
+            .map(|_| {
+                let pair = Arc::clone(&pair);
+                std::thread::spawn(move || {
+                    let (m, cv) = &*pair;
+                    let mut flag = m.lock();
+                    let deadline = Instant::now() + Duration::from_secs(3600);
+                    while !*flag {
+                        if cv.wait_until(&mut flag, deadline).timed_out() {
+                            return false;
+                        }
+                    }
+                    true
+                })
+            })
+            .collect();
+        // The count itself is the barrier: all three are parked (or
+        // about to release the mutex into the park) once it reads 3.
+        while pair.1.waiters() < 3 {
+            std::thread::yield_now();
+        }
+        *pair.0.lock() = true;
+        pair.1.notify_all();
+        for h in handles {
+            assert!(h.join().unwrap(), "a parked waiter was not woken");
+        }
+        assert_eq!(pair.1.waiters(), 0);
+    }
+
+    /// The real, unhooked path loses no wakeup: two threads hand a turn
+    /// back and forth 10^5 times through one mutex and one gated
+    /// condvar. Each side notifies after flipping the turn under the
+    /// mutex, usually while the other is not yet parked (the skipped
+    /// case) and often just as it parks (the race the registration
+    /// order closes). A lost wakeup would park both for the hour-long
+    /// deadline; the watchdog turns that hang into a failure.
+    #[test]
+    fn ping_pong_handoffs_never_lose_a_wakeup() {
+        const HANDOFFS: u32 = 100_000;
+        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let sides = (0..2u32).map(|side| {
+            let pair = Arc::clone(&pair);
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                let (m, cv) = &*pair;
+                let deadline = Instant::now() + Duration::from_secs(3600);
+                let mut expired = false;
+                let mut turn = m.lock();
+                while *turn < HANDOFFS && !expired {
+                    if *turn % 2 == side {
+                        *turn += 1;
+                        drop(turn);
+                        cv.notify_one();
+                        turn = m.lock();
+                    } else {
+                        expired = cv.wait_until(&mut turn, deadline).timed_out();
+                    }
+                }
+                drop(turn);
+                let _ = done_tx.send(expired);
+            })
+        });
+        let sides: Vec<_> = sides.collect();
+        for _ in 0..2 {
+            let expired = done_rx
+                .recv_timeout(Duration::from_secs(300))
+                .expect("ping-pong stalled: a wakeup was lost");
+            assert!(!expired, "an hour-long wait expired");
+        }
+        for side in sides {
+            side.join().unwrap();
+        }
+        assert_eq!(pair.1.waiters(), 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn seeded_bugs_are_caught_and_replayable() {
                 earlier: String::new(),
                 later: String::new(),
             }),
-            "bug-lost-wakeup" => discriminant(&Failure::LostWakeup),
+            "bug-lost-wakeup" | "bug-unregistered-waiter" => discriminant(&Failure::LostWakeup),
             "bug-double-release" => discriminant(&Failure::Invariant {
                 message: String::new(),
             }),
@@ -322,6 +322,38 @@ fn dpor_exhausts_activity_retention_and_accounting_balances() {
         outstanding, retained,
         "pool outstanding must equal slot retention at quiescence"
     );
+}
+
+/// The pool model is the checker's cover for the waiter gate: three
+/// allocators over two buffers, each blocking for as long as it takes.
+/// Both explorers must exhaust it, and — because a notify with no
+/// registered waiter is not an event any more — they must be *seen* to
+/// park an allocator that a later give-back then wakes (a passing
+/// schedule with a park in it has exactly that: nothing else ends it).
+#[test]
+fn pool_model_exhausts_and_reaches_the_parked_waiter() {
+    let explorer = Explorer::new();
+    let model = models::find("pool").expect("pool model registered");
+    for mode in [
+        Mode::Dfs { max_schedules: 50_000 },
+        Mode::Dpor { max_schedules: 50_000 },
+    ] {
+        let outcome = explorer.explore(&model, &mode);
+        assert!(
+            outcome.failure.is_none(),
+            "pool ({mode:?}): {}",
+            outcome.failure.map(|f| f.failure.to_string()).unwrap_or_default()
+        );
+        assert!(
+            outcome.exhausted,
+            "pool ({mode:?}) not exhausted in {} schedule(s)",
+            outcome.schedules
+        );
+        assert!(
+            outcome.parks > 0,
+            "pool ({mode:?}): no schedule parked an allocator — the gated notify is untested"
+        );
+    }
 }
 
 /// The receive-role model (docs/SHARDING.md, "Who receives"): two
