@@ -12,7 +12,9 @@
 //!   FIREFLY_BENCH_SAMPLES overrides the sample count (default 9)
 
 use firefly_bench::{emit, mode_from_args};
-use firefly_idl::{parse_interface, test_interface, CompiledStub, InterpStub, StubEngine, Value};
+use firefly_idl::{
+    parse_interface, test_interface, ArgWriter, CompiledStub, InterpStub, StubEngine, Value,
+};
 use firefly_metrics::table::{fnum, Align, Table};
 use firefly_pool::BufferPool;
 use firefly_rng::Rng;
@@ -140,7 +142,8 @@ fn bench_frame_parse(r: &mut Runner) {
     }
 }
 
-/// Tables II–IV: marshalling by argument kind on the compiled engine.
+/// Tables II–IV: marshalling by argument kind, on the plan-driven engine
+/// (what `call_index` runs) and as a typed stub's direct assignments.
 fn bench_marshal(r: &mut Runner) {
     // Table II: four integers by value.
     let iface =
@@ -151,6 +154,13 @@ fn bench_marshal(r: &mut Runner) {
     let mut buf = vec![0u8; 64];
     r.bench("marshal/four_integers", None, || {
         black_box(ints.marshal_call(black_box(&args), &mut buf).unwrap());
+    });
+    r.bench("marshal/four_integers_typed", None, || {
+        let mut w = ArgWriter::new(&mut buf);
+        for i in 0..4 {
+            w.put_i32(black_box(i)).unwrap();
+        }
+        black_box(w.written());
     });
     // Table IV: the 1440-byte open array.
     let iface = test_interface();
@@ -188,6 +198,12 @@ fn bench_stub_dispatch(r: &mut Runner) {
     });
     r.bench("stub_dispatch/interpreted", Some(1440), || {
         black_box(interp.marshal_result(black_box(&out), &mut buf).unwrap());
+    });
+    let array = vec![0xabu8; 1440];
+    r.bench("stub_dispatch/typed", Some(1440), || {
+        let mut w = ArgWriter::new(&mut buf);
+        w.put_bytes(black_box(&array)).unwrap();
+        black_box(w.written());
     });
 }
 

@@ -3,9 +3,9 @@
 //! measures the real Rust stack's local (shared-memory) and remote
 //! (loopback) transports and compares the ratio.
 
-use firefly_bench::{emit, mode_from_args};
-use firefly_idl::{test_interface, Value};
-use firefly_metrics::{Stopwatch, Table};
+use firefly_bench::{emit, mode_from_args, time_ns};
+use firefly_idl::{test_interface, ArgReader, Value};
+use firefly_metrics::Table;
 use firefly_rpc::transport::LoopbackNet;
 use firefly_rpc::{Config, Endpoint, ServiceBuilder};
 
@@ -34,42 +34,79 @@ fn main() {
     // endpoint itself, where the service lives).
     let local = server.bind_local(&test_interface()).unwrap();
 
-    let iters = 5_000;
-    let measure_remote = |name: &str, args: &[Value]| {
-        let w = Stopwatch::start();
-        for _ in 0..iters {
-            remote.call(name, args).unwrap();
-        }
-        w.elapsed_micros() / iters as f64
+    // Each transport is driven twice: through the dynamic API (`call`,
+    // a `Vec<Value>` each way) and through `call_with`, the primitive
+    // under it and under every generated stub, reading the result in
+    // place into the caller's variable.
+    let null = test_interface().procedure("Null").unwrap().index();
+    let max_result = test_interface().procedure("MaxResult").unwrap().index();
+    let no_args = [Value::char_array(0)];
+    let variable = std::cell::RefCell::new(Vec::with_capacity(1440));
+    let into_variable = |r: &mut ArgReader<'_>| {
+        let mut v = variable.borrow_mut();
+        v.clear();
+        v.extend_from_slice(r.rest());
+        Ok(())
     };
-    let measure_local = |name: &str, args: &[Value]| {
-        let w = Stopwatch::start();
-        for _ in 0..iters {
-            local.call(name, args).unwrap();
-        }
-        w.elapsed_micros() / iters as f64
+    // Microseconds per call: the best of three rounds, so that a host
+    // hiccup in one round does not decide a row.
+    let us = |iters: u32, f: &mut dyn FnMut()| {
+        (0..3)
+            .map(|_| time_ns(iters, &mut *f) / 1e3)
+            .fold(f64::MAX, f64::min)
     };
+    let rows: [(&str, f64, f64); 4] = [
+        (
+            "Remote (loopback Ethernet), dynamic",
+            us(5_000, &mut || drop(remote.call_index(null, &[]).unwrap())),
+            us(5_000, &mut || {
+                drop(remote.call_index(max_result, &no_args).unwrap())
+            }),
+        ),
+        (
+            "Remote (loopback Ethernet), typed",
+            us(5_000, &mut || {
+                remote.call_with(null, |_w| Ok(()), |_r| Ok(())).unwrap()
+            }),
+            us(5_000, &mut || {
+                remote
+                    .call_with(max_result, |_w| Ok(()), into_variable)
+                    .unwrap()
+            }),
+        ),
+        (
+            "Local (shared memory), dynamic",
+            us(200_000, &mut || drop(local.call_index(null, &[]).unwrap())),
+            us(200_000, &mut || {
+                drop(local.call_index(max_result, &no_args).unwrap())
+            }),
+        ),
+        (
+            "Local (shared memory), typed",
+            us(200_000, &mut || {
+                local.call_with(null, |_w| Ok(()), |_r| Ok(())).unwrap()
+            }),
+            us(200_000, &mut || {
+                local
+                    .call_with(max_result, |_w| Ok(()), into_variable)
+                    .unwrap()
+            }),
+        ),
+    ];
 
-    let remote_null = measure_remote("Null", &[]);
-    let local_null = measure_local("Null", &[]);
-    let remote_max = measure_remote("MaxResult", &[Value::char_array(1440)]);
-    let local_max = measure_local("MaxResult", &[Value::char_array(1440)]);
-
-    let mut t = Table::new(&["Transport", "Null µs", "MaxResult µs"])
+    let mut t = Table::new(&["Transport, stubs", "Null µs", "MaxResult µs"])
         .title("Local vs remote RPC on the real Rust stack (this machine)");
-    t.row_owned(vec![
-        "Remote (loopback Ethernet)".into(),
-        format!("{remote_null:.1}"),
-        format!("{remote_max:.1}"),
-    ]);
-    t.row_owned(vec![
-        "Local (shared memory)".into(),
-        format!("{local_null:.1}"),
-        format!("{local_max:.1}"),
-    ]);
+    for (name, null_us, max_us) in rows {
+        t.row_owned(vec![
+            name.into(),
+            format!("{null_us:.2}"),
+            format!("{max_us:.2}"),
+        ]);
+    }
     emit(&t, mode);
+    let (remote_null, local_null, local_max) = (rows[1].1, rows[3].1, rows[3].2);
     println!(
-        "Remote/local Null ratio: {:.1}x (paper: 2661/937 = {:.1}x)",
+        "Remote/local Null ratio (typed): {:.1}x (paper: 2661/937 = {:.1}x)",
         remote_null / local_null,
         2661.0 / 937.0
     );

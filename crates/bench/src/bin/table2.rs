@@ -1,57 +1,59 @@
 //! Table II: marshalling time for 4-byte integers passed by value —
 //! 8 µs per argument on the MicroVAX II; plus the same experiment run on
-//! the real Rust marshalling engine (nanoseconds today, but the same
-//! per-argument linearity).
+//! the real Rust stubs (nanoseconds today, but the same per-argument
+//! linearity), three ways: typed, dynamic, interpreted.
 
-use firefly_bench::{emit, mode_from_args};
-use firefly_idl::{parse_interface, CompiledStub, StubEngine, Value};
-use firefly_metrics::{Stopwatch, Table};
-use std::sync::Arc;
+use firefly_bench::{emit, mode_from_args, StubTimes};
+use firefly_idl::{parse_interface, ArgReader, ArgWriter, Value};
+use firefly_metrics::Table;
 
-/// Measures the real engine's marshal+unmarshal time per call for `n`
-/// integer arguments, in nanoseconds.
-fn measure_real(n: usize) -> f64 {
+/// Marshal + unmarshal time per call for `n` integer arguments.
+fn measure_real(n: usize) -> StubTimes {
     let params = (0..n)
         .map(|i| format!("a{i}: INTEGER"))
         .collect::<Vec<_>>()
         .join("; ");
     let src = format!("DEFINITION MODULE M; PROCEDURE P({params}); END M.");
     let iface = parse_interface(&src).unwrap();
-    let p = iface.procedure("P").unwrap();
-    let stub = CompiledStub::new(p.name(), Arc::clone(p.plan()));
     let args: Vec<Value> = (0..n).map(|i| Value::Integer(i as i32)).collect();
-    let mut buf = vec![0u8; 64.max(4 * n)];
-    let iters = 200_000;
-    let w = Stopwatch::start();
-    for _ in 0..iters {
-        let len = stub.marshal_call(&args, &mut buf).unwrap();
-        let a = stub.unmarshal_call(&buf[..len]).unwrap();
-        std::hint::black_box(a);
-    }
-    w.elapsed().as_nanos() as f64 / iters as f64
+    StubTimes::measure(
+        iface.procedure("P").unwrap(),
+        200_000,
+        64.max(4 * n),
+        |buf| {
+            // What a generated stub does: one assignment per argument.
+            let mut w = ArgWriter::new(buf);
+            for i in 0..n {
+                w.put_i32(std::hint::black_box(i as i32)).unwrap();
+            }
+            let len = w.written();
+            let mut r = ArgReader::new(&buf[..len]);
+            for _ in 0..n {
+                std::hint::black_box(r.i32().unwrap());
+            }
+        },
+        |stub, buf| {
+            let len = stub.marshal_call(&args, buf).unwrap();
+            std::hint::black_box(stub.unmarshal_call(&buf[..len]).unwrap());
+        },
+    )
 }
 
 fn main() {
     let mode = mode_from_args();
-    let mut t = Table::new(&[
-        "# of arguments",
-        "paper µs (MicroVAX II)",
-        "model µs",
-        "real engine ns (this machine)",
-    ])
-    .title("Table II: 4-byte integer arguments, passed by value");
+    let mut columns = vec!["# of arguments", "paper µs (MicroVAX II)", "model µs"];
+    columns.extend(StubTimes::COLUMNS);
+    let mut t = Table::new(&columns).title("Table II: 4-byte integer arguments, passed by value");
 
     let zero = measure_real(0);
     for (n, paper) in [(1usize, 8.0), (2, 16.0), (4, 32.0)] {
         let model = firefly_idl::cost::int_by_value_micros(n);
-        let real = measure_real(n) - zero;
-        t.row_owned(vec![
-            n.to_string(),
-            format!("{paper:.0}"),
-            format!("{model:.0}"),
-            format!("{real:.0}"),
-        ]);
+        let mut row = vec![n.to_string(), format!("{paper:.0}"), format!("{model:.0}")];
+        row.extend(measure_real(n).over(&zero).cells());
+        t.row_owned(row);
     }
     emit(&t, mode);
-    println!("(real-engine column is incremental over a 0-argument call, as in the paper)");
+    println!(
+        "(ns columns are this machine's stubs, incremental over a 0-argument call as in the paper)"
+    );
 }

@@ -1,48 +1,53 @@
 //! Table III: marshalling time for fixed-length CHAR arrays passed by
 //! VAR OUT — 20 µs @ 4 bytes, 140 µs @ 400 bytes.
 
-use firefly_bench::{emit, mode_from_args};
-use firefly_idl::{parse_interface, CompiledStub, StubEngine, Value};
-use firefly_metrics::{Stopwatch, Table};
-use std::sync::Arc;
+use firefly_bench::{emit, mode_from_args, StubTimes};
+use firefly_idl::{parse_interface, ArgReader, ArgWriter, Value};
+use firefly_metrics::Table;
 
-fn measure_real(len: usize) -> f64 {
-    let src = format!(
+fn measure_real(len: usize) -> StubTimes {
+    let iface = parse_interface(&format!(
         "DEFINITION MODULE M; PROCEDURE P(VAR OUT b: ARRAY [0..{}] OF CHAR); END M.",
         len - 1
-    );
-    let iface = parse_interface(&src).unwrap();
-    let p = iface.procedure("P").unwrap();
-    let stub = CompiledStub::new(p.name(), Arc::clone(p.plan()));
-    let out = vec![Value::Bytes(vec![7u8; len])];
-    let mut buf = vec![0u8; len + 16];
-    let iters = 100_000;
-    let w = Stopwatch::start();
-    for _ in 0..iters {
-        let n = stub.marshal_result(&out, &mut buf).unwrap();
-        let v = stub.unmarshal_result(&buf[..n]).unwrap();
-        std::hint::black_box(v);
-    }
-    w.elapsed().as_nanos() as f64 / iters as f64
+    ))
+    .unwrap();
+    let array = vec![7u8; len];
+    let out = vec![Value::Bytes(array.clone())];
+    // The caller's variable: the one copy of a VAR OUT array is into it.
+    let mut variable = vec![0u8; len];
+    StubTimes::measure(
+        iface.procedure("P").unwrap(),
+        100_000,
+        len + 16,
+        |buf| {
+            let mut w = ArgWriter::new(buf);
+            w.put_bytes(std::hint::black_box(&array)).unwrap();
+            let n = w.written();
+            let mut r = ArgReader::new(&buf[..n]);
+            variable.copy_from_slice(r.bytes(len).unwrap());
+            std::hint::black_box(&variable);
+        },
+        |stub, buf| {
+            let n = stub.marshal_result(&out, buf).unwrap();
+            std::hint::black_box(stub.unmarshal_result(&buf[..n]).unwrap());
+        },
+    )
 }
 
 fn main() {
     let mode = mode_from_args();
-    let mut t = Table::new(&[
-        "Array size (bytes)",
-        "paper µs",
-        "model µs",
-        "real engine ns",
-    ])
-    .title("Table III: fixed length array, passed by VAR OUT");
+    let mut columns = vec!["Array size (bytes)", "paper µs", "model µs"];
+    columns.extend(StubTimes::COLUMNS);
+    let mut t = Table::new(&columns).title("Table III: fixed length array, passed by VAR OUT");
     for (len, paper) in [(4usize, 20.0), (400, 140.0)] {
         let model = firefly_idl::cost::fixed_array_micros(len);
-        t.row_owned(vec![
+        let mut row = vec![
             len.to_string(),
             format!("{paper:.0}"),
             format!("{model:.0}"),
-            format!("{:.0}", measure_real(len)),
-        ]);
+        ];
+        row.extend(measure_real(len).cells());
+        t.row_owned(row);
     }
     emit(&t, mode);
 }

@@ -8,7 +8,9 @@
 // No unsafe anywhere in this crate — see DESIGN.md ("Unsafe policy").
 #![forbid(unsafe_code)]
 
-use firefly_metrics::Table;
+use firefly_idl::{CompiledStub, InterpStub, ProcedureDef, StubEngine};
+use firefly_metrics::{Stopwatch, Table};
+use std::sync::Arc;
 
 pub mod account;
 pub mod gate;
@@ -37,6 +39,65 @@ pub fn emit(table: &Table, mode: Mode) {
     match mode {
         Mode::Text => println!("{table}"),
         Mode::Markdown => println!("{}", table.render_markdown()),
+    }
+}
+
+/// Nanoseconds per run of `f`, averaged over `iters` runs.
+pub fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
+    let w = Stopwatch::start();
+    for _ in 0..iters {
+        f();
+    }
+    w.elapsed().as_nanos() as f64 / f64::from(iters)
+}
+
+/// One marshalling round in nanoseconds, done the three ways the stub
+/// layer offers: straight-line codec calls (what a generated stub is),
+/// the plan-driven engine over `Value`s (the dynamic API), and the
+/// interpreted engine (Table IX's baseline).
+#[derive(Debug, Clone, Copy)]
+pub struct StubTimes {
+    pub typed: f64,
+    pub dynamic: f64,
+    pub interpreted: f64,
+}
+
+impl StubTimes {
+    /// Column headings matching [`StubTimes::cells`].
+    pub const COLUMNS: [&'static str; 3] = ["typed ns", "dynamic ns", "interpreted ns"];
+
+    /// Times `typed` and, over both engines of `procedure`, `round`;
+    /// each gets the same `buf_len`-byte packet buffer to work in.
+    pub fn measure(
+        procedure: &ProcedureDef,
+        iters: u32,
+        buf_len: usize,
+        mut typed: impl FnMut(&mut [u8]),
+        round: impl Fn(&dyn StubEngine, &mut [u8]),
+    ) -> StubTimes {
+        let compiled = CompiledStub::new(procedure.name(), Arc::clone(procedure.plan()));
+        let interp = InterpStub::new(procedure.name(), Arc::clone(procedure.plan()));
+        let mut buf = vec![0u8; buf_len];
+        StubTimes {
+            typed: time_ns(iters, || typed(&mut buf)),
+            dynamic: time_ns(iters, || round(&compiled, &mut buf)),
+            interpreted: time_ns(iters, || round(&interp, &mut buf)),
+        }
+    }
+
+    /// The three times less `base`'s (the paper states marshalling costs
+    /// as increments over a call without the argument).
+    pub fn over(&self, base: &StubTimes) -> StubTimes {
+        StubTimes {
+            typed: self.typed - base.typed,
+            dynamic: self.dynamic - base.dynamic,
+            interpreted: self.interpreted - base.interpreted,
+        }
+    }
+
+    /// The three times as table cells.
+    pub fn cells(&self) -> [String; 3] {
+        [self.typed, self.dynamic, self.interpreted].map(|ns| format!("{ns:.0}"))
     }
 }
 

@@ -24,7 +24,7 @@ use crate::calltable::Wait;
 use crate::endpoint::EndpointShared;
 use crate::packet::Assembled;
 use crate::{Result, RpcError};
-use firefly_idl::{engines_for_interface, InterfaceDef, StubEngine, Value};
+use firefly_idl::{ArgReader, ArgWriter, CompiledStub, IdlError, InterfaceDef, Value};
 use firefly_wire::{ActivityId, PacketFlags, PacketType, RpcHeader, DATA_OFFSET};
 use firefly_sync::Mutex;
 use std::net::SocketAddr;
@@ -84,7 +84,7 @@ pub struct Client {
 struct ClientInner {
     shared: Arc<EndpointShared>,
     interface: InterfaceDef,
-    stubs: Vec<Box<dyn StubEngine>>,
+    stubs: Vec<CompiledStub>,
     remote: SocketAddr,
     activities: ActivityPool,
 }
@@ -95,7 +95,7 @@ impl Client {
         interface: InterfaceDef,
         remote: SocketAddr,
     ) -> Client {
-        let stubs = engines_for_interface(&interface, shared.config.stub_style);
+        let stubs = CompiledStub::for_interface(&interface);
         let machine = shared.machine_id;
         let space = shared.space_id;
         Client {
@@ -130,7 +130,7 @@ impl Client {
     /// plan order.
     pub fn call(&self, procedure: &str, args: &[Value]) -> Result<Vec<Value>> {
         let p = self.inner.interface.procedure(procedure)?;
-        self.call_inner(p.index(), args, None)
+        self.call_values(p.index(), args, None)
     }
 
     /// Calls a procedure by name with an overall deadline.
@@ -147,25 +147,62 @@ impl Client {
         deadline: std::time::Duration,
     ) -> Result<Vec<Value>> {
         let p = self.inner.interface.procedure(procedure)?;
-        self.call_inner(p.index(), args, Some(Instant::now() + deadline))
+        self.call_values(p.index(), args, Some(Instant::now() + deadline))
     }
 
     /// Calls a procedure by its on-wire index.
     pub fn call_index(&self, index: u16, args: &[Value]) -> Result<Vec<Value>> {
-        self.call_inner(index, args, None)
+        self.call_values(index, args, None)
     }
 
-    fn call_inner(
+    /// The dynamic API: [`Client::call_with`] with the procedure's plan
+    /// doing the writing and the reading.
+    fn call_values(
         &self,
         index: u16,
         args: &[Value],
         deadline: Option<Instant>,
     ) -> Result<Vec<Value>> {
-        let inner = &self.inner;
-        let stub = inner
+        let stub = self
+            .inner
             .stubs
             .get(index as usize)
-            .ok_or_else(|| firefly_idl::IdlError::NoSuchProcedure(format!("#{index}")))?;
+            .ok_or_else(|| IdlError::NoSuchProcedure(format!("#{index}")))?;
+        self.call_inner(
+            index,
+            deadline,
+            |w| stub.write_call(args, w),
+            |r| stub.read_result(r),
+        )
+    }
+
+    /// Calls procedure `index` with the caller doing its own marshalling:
+    /// `marshal` writes the arguments straight into the call packet and
+    /// `unmarshal` reads the results in place from the result packet —
+    /// the paper's direct-assignment stubs (§2.2). This is the one path
+    /// every call takes; generated typed stubs call it through
+    /// [`firefly_idl::RpcCall`].
+    ///
+    /// `marshal` runs a second time, into a heap buffer that is then
+    /// fragmented, when the arguments outgrow one packet; `unmarshal`
+    /// must read the result to its end.
+    pub fn call_with<R>(
+        &self,
+        index: u16,
+        marshal: impl FnMut(&mut ArgWriter<'_>) -> firefly_idl::Result<()>,
+        unmarshal: impl FnOnce(&mut ArgReader<'_>) -> firefly_idl::Result<R>,
+    ) -> Result<R> {
+        self.call_inner(index, None, marshal, unmarshal)
+    }
+
+    fn call_inner<R>(
+        &self,
+        index: u16,
+        deadline: Option<Instant>,
+        mut marshal: impl FnMut(&mut ArgWriter<'_>) -> firefly_idl::Result<()>,
+        unmarshal: impl FnOnce(&mut ArgReader<'_>) -> firefly_idl::Result<R>,
+    ) -> Result<R> {
+        let inner = &self.inner;
         let shared = &inner.shared;
         // The live latency account (Table VII): stamp each step boundary
         // into the stack-resident span. Inert unless tracing is enabled.
@@ -197,10 +234,11 @@ impl Client {
         // Fast path straight into the packet buffer; an argument list
         // that does not fit goes to the heap for fragmentation.
         let mut heap_data: Option<Vec<u8>> = None;
-        let marshalled = match stub.marshal_call(args, &mut call_buf.raw_mut()[DATA_OFFSET..]) {
+        let packet = &mut call_buf.raw_mut()[DATA_OFFSET..];
+        let marshalled = match ArgWriter::fill(packet, &mut marshal) {
             Ok(n) => Ok(n),
-            Err(firefly_idl::IdlError::BufferTooSmall { needed, .. }) => {
-                crate::fragment::marshal_spilled(&**stub, args, needed)
+            Err(IdlError::BufferTooSmall { needed, .. }) => {
+                crate::fragment::marshal_spilled(marshal, needed)
                     .map(|big| heap_data.insert(big).len())
             }
             Err(e) => Err(e.into()),
@@ -264,7 +302,7 @@ impl Client {
             inner.activities.release(slot);
             return Err(RpcError::Remote(msg));
         }
-        let values = stub.unmarshal_result(outcome.data());
+        let values = ArgReader::read_all(outcome.data(), unmarshal);
         span.stamp(crate::trace::Stamp::UnmarshalDone);
         inner.activities.release(slot);
         // Ender: recycle the call buffer straight onto its home shard's
@@ -580,6 +618,19 @@ impl Client {
                 }
             }
         }
+    }
+}
+
+impl firefly_idl::RpcCall for Client {
+    type Error = RpcError;
+
+    fn call_with<R>(
+        &self,
+        index: u16,
+        marshal: impl FnMut(&mut ArgWriter<'_>) -> firefly_idl::Result<()>,
+        unmarshal: impl FnOnce(&mut ArgReader<'_>) -> firefly_idl::Result<R>,
+    ) -> Result<R> {
+        Client::call_with(self, index, marshal, unmarshal)
     }
 }
 

@@ -35,10 +35,6 @@ pub struct Config {
     pub machine_id: u32,
     /// Address-space identifier within the machine.
     pub space_id: u16,
-    /// Stub engine style: compiled direct-assignment stubs (the shipped
-    /// fast path) or interpreted library-style marshalling — the real
-    /// stack's version of Table IX's Modula-2+/assembly axis.
-    pub stub_style: firefly_idl::StubStyle,
     /// Seed for the endpoint's deterministic RNG (retransmission-backoff
     /// jitter). Fixed by default so test runs are reproducible; vary it
     /// per endpoint to decorrelate retry storms between machines.
@@ -89,7 +85,6 @@ impl Default for Config {
             checksum: true,
             machine_id: 0, // 0 means "derive from the transport address".
             space_id: 1,
-            stub_style: firefly_idl::StubStyle::Compiled,
             rng_seed: 0x5eed_f1ef_0001,
             trace: false,
             trace_capacity: crate::trace::DEFAULT_RING_CAPACITY,

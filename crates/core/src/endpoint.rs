@@ -77,7 +77,7 @@ impl Endpoint {
             let mac = crate::send::mac_for(&addr).0;
             u32::from_be_bytes([mac[2], mac[3], mac[4], mac[5]]) | 1
         };
-        let server = ServerSide::new(Arc::clone(&ctx), config.stub_style, config.server_threads);
+        let server = ServerSide::new(Arc::clone(&ctx), config.server_threads);
         // Every endpoint exports the built-in binder, so callers can
         // verify interfaces before their first real call.
         server.export(crate::binder::binder_service(&server)?)?;

@@ -11,7 +11,7 @@
 //! `Config::fragment_blast`, replaces the caller's stop-and-wait with a
 //! back-to-back window blast; see `Client::transact_blast`.)
 
-use firefly_idl::{IdlError, StubEngine, Value};
+use firefly_idl::{ArgWriter, IdlError};
 use firefly_wire::MAX_SINGLE_PACKET_DATA;
 
 use crate::{Result, RpcError};
@@ -41,15 +41,14 @@ pub fn fragments(data: &[u8]) -> impl Iterator<Item = (u16, &[u8])> {
     })
 }
 
-/// Marshals an argument list that did not fit a packet buffer into a
-/// heap buffer for fragmentation (or, locally, for a size-independent
-/// hand-over). `needed` is what the failed in-packet attempt reported:
-/// the bytes up to and including the argument that did not fit, so the
-/// first retry fits unless more arguments follow. Marshalling is pure,
-/// which makes the retry safe.
+/// Runs `marshal` again for an argument list that did not fit a packet
+/// buffer, into a heap buffer for fragmentation (or, locally, for a
+/// size-independent hand-over). `needed` is what the failed in-packet
+/// attempt reported: the bytes up to and including the argument that did
+/// not fit, so the first retry fits unless more arguments follow.
+/// Marshalling is pure, which makes the retry safe.
 pub(crate) fn marshal_spilled(
-    stub: &dyn StubEngine,
-    args: &[Value],
+    mut marshal: impl FnMut(&mut ArgWriter<'_>) -> firefly_idl::Result<()>,
     needed: usize,
 ) -> Result<Vec<u8>> {
     let mut size = needed;
@@ -61,7 +60,7 @@ pub(crate) fn marshal_spilled(
         // take the fragmentation slow path; single-packet calls marshal
         // straight into the pooled buffer.
         let mut big = vec![0u8; size];
-        match stub.marshal_call(args, &mut big) {
+        match ArgWriter::fill(&mut big, &mut marshal) {
             Ok(n) => {
                 big.truncate(n);
                 return Ok(big);

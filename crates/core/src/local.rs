@@ -14,8 +14,8 @@
 //! LRPC work on speeding up Firefly local RPC).
 
 use crate::service::Service;
-use crate::Result;
-use firefly_idl::{CompiledStub, InterfaceDef, StubEngine, Value, Written};
+use crate::{Result, RpcError};
+use firefly_idl::{ArgReader, ArgWriter, CompiledStub, IdlError, InterfaceDef, Value, Written};
 use firefly_pool::BufferPool;
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,73 +55,99 @@ impl LocalClient {
         self.call_index(p.index(), args)
     }
 
-    /// Calls a procedure by index.
+    /// Calls a procedure by index: [`LocalClient::call_with`] with the
+    /// procedure's plan doing the writing and the reading.
+    pub fn call_index(&self, index: u16, args: &[Value]) -> Result<Vec<Value>> {
+        let stub = self.stub(index)?;
+        self.call_with(
+            index,
+            |w| stub.write_call(args, w),
+            |r| stub.read_result(r),
+        )
+    }
+
+    fn stub(&self, index: u16) -> Result<&CompiledStub> {
+        self.stubs
+            .get(index as usize)
+            .ok_or_else(|| IdlError::NoSuchProcedure(format!("#{index}")).into())
+    }
+
+    /// Calls procedure `index` with the caller doing its own marshalling
+    /// (see `Client::call_with`, whose contract this shares).
     ///
     /// The full stub pipeline runs — marshal into a shared buffer,
     /// unmarshal at the "server", dispatch, marshal results, unmarshal at
     /// the caller — so measured local-RPC time is directly comparable
     /// with the paper's 937 µs figure, minus the wire.
-    pub fn call_index(&self, index: u16, args: &[Value]) -> Result<Vec<Value>> {
-        let stub = self
-            .stubs
-            .get(index as usize)
-            .ok_or_else(|| firefly_idl::IdlError::NoSuchProcedure(format!("#{index}")))?;
-
+    pub fn call_with<R>(
+        &self,
+        index: u16,
+        mut marshal: impl FnMut(&mut ArgWriter<'_>) -> firefly_idl::Result<()>,
+        unmarshal: impl FnOnce(&mut ArgReader<'_>) -> firefly_idl::Result<R>,
+    ) -> Result<R> {
+        let stub = self.stub(index)?;
         // Marshal the call into a shared pool buffer (caller stub).
         let mut call_buf = self.pool.alloc_timeout(Duration::from_secs(1))?;
-        let raw = call_buf.raw_mut();
-        let call_len = match stub.marshal_call(args, raw) {
-            Ok(n) => n,
-            Err(firefly_idl::IdlError::BufferTooSmall { needed, .. }) => {
-                // Local transport is size-independent: spill to the heap.
-                return self.call_large(index, stub, args, needed);
+        match ArgWriter::fill(call_buf.raw_mut(), &mut marshal) {
+            Ok(call_len) => {
+                call_buf.set_len(call_len);
+                self.serve(index, stub, &call_buf, unmarshal)
             }
-            Err(e) => return Err(e.into()),
-        };
-        call_buf.set_len(call_len);
+            Err(IdlError::BufferTooSmall { needed, .. }) => {
+                // Local transport is size-independent: spill to the heap.
+                drop(call_buf);
+                let data = crate::fragment::marshal_spilled(marshal, needed)?;
+                self.serve(index, stub, &data, unmarshal)
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
 
+    /// The server half and the caller's unmarshalling, given the
+    /// marshalled call.
+    fn serve<R>(
+        &self,
+        index: u16,
+        stub: &CompiledStub,
+        call: &[u8],
+        unmarshal: impl FnOnce(&mut ArgReader<'_>) -> firefly_idl::Result<R>,
+    ) -> Result<R> {
         // Server stub: unmarshal in place from the shared buffer.
-        let server_args = stub.unmarshal_call(&call_buf)?;
+        let server_args = stub.unmarshal_call(call)?;
 
         // Server procedure writes results into a second shared buffer.
         let mut result_buf = self.pool.alloc_timeout(Duration::from_secs(1))?;
-        let rraw = result_buf.raw_mut();
-        let mut writer = stub.result_writer(rraw);
+        let mut writer = stub.result_writer(result_buf.raw_mut());
         self.service.dispatch(index, &server_args, &mut writer)?;
         let written = writer.finish()?;
         drop(server_args);
 
         // Caller stub: unmarshal the results.
-        let values = match written {
+        let spilled;
+        let result = match written {
             Written::InPlace { len } => {
                 result_buf.set_len(len);
-                stub.unmarshal_result(&result_buf)?
+                &result_buf[..]
             }
-            Written::Spilled(data) => stub.unmarshal_result(&data)?,
+            Written::Spilled(data) => {
+                spilled = data;
+                &spilled[..]
+            }
         };
-        Ok(values)
+        Ok(ArgReader::read_all(result, unmarshal)?)
     }
+}
 
-    /// Slow path for calls whose arguments exceed one packet buffer.
-    fn call_large(
+impl firefly_idl::RpcCall for LocalClient {
+    type Error = RpcError;
+
+    fn call_with<R>(
         &self,
         index: u16,
-        stub: &CompiledStub,
-        args: &[Value],
-        needed: usize,
-    ) -> Result<Vec<Value>> {
-        let data = crate::fragment::marshal_spilled(stub, args, needed)?;
-        let server_args = stub.unmarshal_call(&data)?;
-        let mut scratch = vec![0u8; data.len().max(4096)];
-        let mut writer = stub.result_writer(&mut scratch);
-        self.service.dispatch(index, &server_args, &mut writer)?;
-        let written = writer.finish()?;
-        drop(server_args);
-        let values = match written {
-            Written::InPlace { len } => stub.unmarshal_result(&scratch[..len])?,
-            Written::Spilled(d) => stub.unmarshal_result(&d)?,
-        };
-        Ok(values)
+        marshal: impl FnMut(&mut ArgWriter<'_>) -> firefly_idl::Result<()>,
+        unmarshal: impl FnOnce(&mut ArgReader<'_>) -> firefly_idl::Result<R>,
+    ) -> Result<R> {
+        LocalClient::call_with(self, index, marshal, unmarshal)
     }
 }
 
@@ -194,6 +220,19 @@ mod tests {
         let c = local_client();
         for _ in 0..100 {
             c.call("MaxResult", &[Value::char_array(0)]).unwrap();
+        }
+        // Nor by a call that fails, whichever step fails it: the caller's
+        // marshalling, the dynamic path's checks, the server's
+        // unmarshalling, or the caller's reading of the result.
+        let refuse = || IdlError::Marshal("refused".into());
+        for _ in 0..10 {
+            assert!(c.call_with(0, |_w| Err(refuse()), |_r| Ok(())).is_err());
+            assert!(c.call_with(1, |_w| Ok(()), |_r| Err::<(), _>(refuse())).is_err());
+            assert!(c.call_with(1, |_w| Ok(()), |r| r.bytes(7).map(|_| ())).is_err());
+            assert!(c.call_with(0, |w| w.put_i32(1), |_r| Ok(())).is_err());
+            assert!(c.call("MaxArg", &[]).is_err());
+            assert!(c.call("MaxArg", &[Value::Integer(1)]).is_err());
+            assert!(c.call_index(9, &[]).is_err());
         }
         assert_eq!(c.pool.stats().outstanding(), 0);
         assert_eq!(c.pool.free_count() + c.pool.receive_queue_len(), 8);

@@ -38,7 +38,7 @@ use crate::stats::RpcStats;
 use crate::trace::{Stamp, TraceRecord};
 use crate::witness::{call_slot, row};
 use crate::{Result, RpcError};
-use firefly_idl::{engines_for_interface, StubEngine, StubStyle, Written};
+use firefly_idl::{CompiledStub, Written};
 use firefly_pool::PacketBuf;
 use firefly_sync::{Mutex, RwLock};
 use firefly_wire::{
@@ -156,7 +156,7 @@ struct Activity {
 
 struct ServiceEntry {
     service: Arc<dyn Service>,
-    stubs: Vec<Box<dyn StubEngine>>,
+    stubs: Vec<CompiledStub>,
     /// Per-procedure service-time estimate in ns (gate + stub + service
     /// code), 0 while unmeasured; see [`note_service_time`].
     service_ns: Vec<AtomicU64>,
@@ -294,7 +294,6 @@ impl ResultBatch {
 pub(crate) struct ServerSide {
     services: RwLock<HashMap<u64, ServiceEntry>>,
     gate: RwLock<Option<Arc<dyn crate::auth::CallGate>>>,
-    stub_style: StubStyle,
     activities: Mutex<HashMap<ActivityId, Arc<Activity>>>,
     /// Per-worker receive queues with ascending-index work stealing;
     /// the demux enqueues each call on `shard_for(activity)`'s queue.
@@ -306,11 +305,10 @@ pub(crate) struct ServerSide {
 }
 
 impl ServerSide {
-    pub fn new(ctx: Arc<SendCtx>, stub_style: StubStyle, workers: usize) -> Arc<ServerSide> {
+    pub fn new(ctx: Arc<SendCtx>, workers: usize) -> Arc<ServerSide> {
         Arc::new(ServerSide {
             services: RwLock::new(HashMap::new()),
             gate: RwLock::new(None),
-            stub_style,
             activities: Mutex::new(HashMap::new()),
             queues: WorkQueues::new(workers),
             handoff_ns: AtomicU64::new(0),
@@ -422,7 +420,7 @@ impl ServerSide {
         // lint:allow(no-alloc-on-fast-path): export happens once at
         // bind time (§3.1), before any call traffic.
         let interface = service.interface().clone();
-        let stubs = engines_for_interface(&interface, self.stub_style);
+        let stubs = CompiledStub::for_interface(&interface);
         let service_ns = stubs.iter().map(|_| AtomicU64::new(0)).collect();
         let mut services = self.services.write();
         if services.contains_key(&interface.uid()) {

@@ -172,7 +172,7 @@ mod tests {
         let iface = firefly_idl::test_interface();
         let plan = std::sync::Arc::clone(iface.procedure("MaxResult").unwrap().plan());
         let mut buf = vec![0u8; 64];
-        let mut w = ResultWriter::new(plan, &mut buf);
+        let mut w = ResultWriter::new(&plan, &mut buf);
         service.dispatch(1, &[ServerArg::Out], &mut w).unwrap();
         let n = w.finish().unwrap().len();
         assert_eq!(&buf[..n], b"abcd");
@@ -189,7 +189,7 @@ mod tests {
         let iface = firefly_idl::test_interface();
         let plan = std::sync::Arc::clone(iface.procedure("Null").unwrap().plan());
         let mut buf = vec![0u8; 8];
-        let mut w = ResultWriter::new(plan, &mut buf);
+        let mut w = ResultWriter::new(&plan, &mut buf);
         assert!(service.dispatch(9, &[], &mut w).is_err());
     }
 
@@ -204,7 +204,7 @@ mod tests {
         let iface = firefly_idl::test_interface();
         let plan = std::sync::Arc::clone(iface.procedure("Null").unwrap().plan());
         let mut buf = vec![0u8; 8];
-        let mut w = ResultWriter::new(plan, &mut buf);
+        let mut w = ResultWriter::new(&plan, &mut buf);
         let e = service.dispatch(0, &[], &mut w).unwrap_err();
         assert!(e.to_string().contains("not today"));
     }
@@ -226,7 +226,7 @@ mod tests {
             .unwrap();
         let plan = std::sync::Arc::clone(iface.procedure("Add").unwrap().plan());
         let mut buf = vec![0u8; 8];
-        let mut w = ResultWriter::new(plan, &mut buf);
+        let mut w = ResultWriter::new(&plan, &mut buf);
         service
             .dispatch(
                 0,

@@ -398,27 +398,6 @@ fn delayed_packets_cause_retransmissions_but_correct_results() {
 }
 
 #[test]
-fn interpreted_stubs_interoperate_with_compiled() {
-    // Table IX's axis on the real stack: an interpreted-stub caller talks
-    // to a compiled-stub server (and vice versa) because both produce
-    // byte-identical wire data.
-    let net = LoopbackNet::new();
-    let interp_cfg = Config {
-        stub_style: firefly_idl::StubStyle::Interpreted,
-        ..Config::default()
-    };
-    let server = Endpoint::new(net.station(1), Config::default()).unwrap();
-    let caller = Endpoint::new(net.station(2), interp_cfg).unwrap();
-    server.export(test_service()).unwrap();
-    let client = caller.bind(&test_interface(), server.address()).unwrap();
-    let r = client
-        .call("MaxResult", &[Value::char_array(1440)])
-        .unwrap();
-    assert_eq!(r[0].as_bytes().unwrap().len(), 1440);
-    client.call("MaxArg", &[Value::char_array(1440)]).unwrap();
-}
-
-#[test]
 fn checksums_can_be_disabled_like_424() {
     // §4.2.4: omit UDP checksums. Calls still work; corruption would go
     // undetected (tested at the wire layer).
@@ -723,4 +702,89 @@ fn a_forged_fragment_header_is_counted_and_reserves_nothing_it_claims() {
     // The server is none the worse.
     let client = _caller.bind(&test_interface(), server.address()).unwrap();
     client.call("Null", &[]).unwrap();
+}
+
+#[test]
+fn a_forged_element_count_fails_its_call_and_nothing_else() {
+    // Four bytes off the wire used to size an allocation: a call packet
+    // for `Sum(xs: ARRAY OF INTEGER)` claiming 0xfffffff0 elements asked
+    // the allocator for 137 GB, and a failed allocation aborts the
+    // process — the server's, on a packet anyone can send.
+    let sums = parse_interface(
+        "DEFINITION MODULE Sums; PROCEDURE Sum(xs: ARRAY OF INTEGER): INTEGER; END Sums.",
+    )
+    .unwrap();
+    let service = ServiceBuilder::new(sums.clone())
+        .on_call("Sum", |args, w| {
+            let Some(Value::Array(xs)) = args[0].value() else {
+                return Err(RpcError::Remote("not an array".into()));
+            };
+            let sum = xs.iter().filter_map(Value::as_integer).fold(0i32, i32::wrapping_add);
+            w.next_value(&Value::Integer(sum))?;
+            Ok(())
+        })
+        .build()
+        .unwrap();
+    let net = LoopbackNet::new();
+    let server = Endpoint::new(net.station(1), Config::default()).unwrap();
+    let caller = Endpoint::new(net.station(2), Config::default()).unwrap();
+    server.export(service).unwrap();
+
+    let forger = net.station(66);
+    let frame = FrameBuilder::new(PacketType::Call)
+        .activity(ActivityId::new(0xbad, 1, 1))
+        .call_seq(1)
+        .interface(sums.uid(), sums.version())
+        .procedure(0)
+        .build(&[0xff, 0xff, 0xff, 0xf0])
+        .unwrap();
+    forger.send(frame.bytes(), server.address()).unwrap();
+    // The call is answered — with a failure, cleanly.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let mut buf = [0u8; 2048];
+    let answer = loop {
+        assert!(std::time::Instant::now() < deadline, "no answer; stats:\n{}", server.stats());
+        if let Some((n, _)) = forger.try_recv(&mut buf).unwrap() {
+            break FrameView::parse(&buf[..n]).unwrap();
+        }
+        std::thread::yield_now();
+    };
+    assert_eq!(answer.rpc.packet_type, PacketType::Result);
+    assert!(answer.rpc.flags.call_failed);
+    assert!(String::from_utf8_lossy(answer.data).contains("count"));
+
+    // The server answers the next call.
+    let client = caller.bind(&sums, server.address()).unwrap();
+    let xs = Value::Array((1..=4).map(Value::Integer).collect());
+    assert_eq!(client.call("Sum", &[xs]).unwrap(), vec![Value::Integer(10)]);
+    drop(client);
+
+    // The same forgery in a result packet (`Counts` returns the array)
+    // fails the caller's call, not the caller.
+    let counts = parse_interface(
+        "DEFINITION MODULE Counts; PROCEDURE Get(): ARRAY OF INTEGER; END Counts.",
+    )
+    .unwrap();
+    let client = caller.bind(&counts, forger.local_addr()).unwrap();
+    let call = std::thread::spawn(move || client.call("Get", &[]));
+    let request = loop {
+        assert!(std::time::Instant::now() < deadline, "no call; stats:\n{}", caller.stats());
+        if let Some((n, _)) = forger.try_recv(&mut buf).unwrap() {
+            break FrameView::parse(&buf[..n]).unwrap().rpc;
+        }
+        std::thread::yield_now();
+    };
+    let frame = FrameBuilder::new(PacketType::Result)
+        .activity(request.activity)
+        .call_seq(request.call_seq)
+        .interface(counts.uid(), counts.version())
+        .build(&[0xff, 0xff, 0xff, 0xf0])
+        .unwrap();
+    forger.send(frame.bytes(), caller.address()).unwrap();
+    let e = call.join().unwrap().unwrap_err();
+    assert!(matches!(e, RpcError::Idl(_)), "{e}");
+    std::thread::sleep(Duration::from_millis(50));
+    // The demux thread holds one receive buffer while it blocks.
+    assert!(server.pool().stats().outstanding() <= 1, "server leaks buffers");
+    assert!(caller.pool().stats().outstanding() <= 1, "caller leaks buffers");
 }

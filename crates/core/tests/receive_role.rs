@@ -311,7 +311,7 @@ impl RawCaller {
     fn call_get(&self, seq: u32, n: i32) {
         let iface = interface();
         let get = iface.procedure("Get").unwrap().index();
-        let stubs = firefly_idl::engines_for_interface(&iface, firefly_idl::StubStyle::Compiled);
+        let stubs = firefly_idl::CompiledStub::for_interface(&iface);
         let mut data = [0u8; 64];
         let args = [Value::Integer(n), Value::Bytes(Vec::new())];
         let len = stubs[get as usize].marshal_call(&args, &mut data).unwrap();

@@ -1,60 +1,44 @@
 //! Rust source generation for static stubs.
 //!
 //! The historical stub compiler emitted Modula-2+ source that was "compiled
-//! by the normal compiler" (§2.2). The equivalent here emits Rust: a
-//! server trait (documentation of the service shape) and a **compilable**
-//! typed client wrapper that drives any [`RpcCall`]-shaped dynamic call
-//! surface — the generated analog of the hand-written caller stub module.
-//! [`rust_stubs`] output is self-contained modulo `firefly_idl` and is
-//! exercised end-to-end by the umbrella crate, whose build script
-//! generates stubs for the paper's `Test` interface.
+//! by the normal compiler" (§2.2), and its stubs moved arguments with
+//! "direct assignment statements". The equivalent here emits Rust whose
+//! stub bodies are straight-line calls on the in-place
+//! [`codec`](crate::codec) — `w.put_i32(n)?`, `r.text()?` — with no
+//! [`Value`](crate::Value) and no plan in between:
 //!
-//! Typed signatures: scalars map to `i32`/`u32`/`u8`/`bool`/`f64`,
-//! `Text.T` to `Option<String>`, CHAR arrays to `Vec<u8>`, scalar arrays
-//! to `Vec<{elem}>`, flat records of scalars to tuples. Types beyond that
-//! (nested records in results, arrays of records) pass through as raw
-//! [`Value`]s.
+//! * a **caller stub** `…Client<C>` over any [`RpcCall`](crate::RpcCall)
+//!   (`firefly_rpc::Client` and `LocalClient` implement it): each method
+//!   writes its arguments into the call packet and reads its results out
+//!   of the result packet inside one `call_with`,
+//! * a **server trait** `…Server` and the **server stub** `dispatch_…`
+//!   that routes a decoded call to it: CHAR arrays reach the procedure as
+//!   `&[u8]` in place in the call packet, a `VAR OUT` CHAR array that
+//!   leads the result packet is filled in place through an
+//!   [`OutBytes`](crate::OutBytes), and every other result is written
+//!   through the [`ResultWriter`](crate::ResultWriter)'s codec path.
 //!
-//! [`RpcCall`]: crate::Value
-//! [`Value`]: crate::Value
+//! [`rust_stubs`] output is self-contained modulo `firefly_idl`. The
+//! umbrella crate's build script generates it for the paper's `Test`
+//! interface (`firefly::generated`, pinned by `tests/golden/test_stubs.rs`)
+//! and, for the tests, for an interface with every supported shape.
+//!
+//! Typed signatures follow the marshalling plan: scalars map to
+//! `i32`/`u32`/`u8`/`bool`/`f64`; `Text.T` to `Option<&str>` going in and
+//! `Option<String>` coming out; CHAR arrays to `&[u8]` / `Vec<u8>`; scalar
+//! arrays to `&[T]` / `Vec<T>`; records to tuples of their fields. A
+//! caller passes call-direction parameters (a `VAR` parameter's current
+//! value included) and gets the result-direction ones back, in declaration
+//! order with the function result last, as one value or a tuple.
 
-use crate::ast::{Mode, TypeExpr};
-use crate::interface::InterfaceDef;
+use crate::ast::Mode;
+use crate::interface::{InterfaceDef, ProcedureDef};
+use crate::plan::{MarshalOp, PlannedParam, ScalarKind};
+use std::fmt::Write;
 
-/// Maps an IDL type to the Rust type used in generated signatures.
-fn rust_type(ty: &TypeExpr) -> String {
-    match ty {
-        TypeExpr::Integer => "i32".into(),
-        TypeExpr::Cardinal => "u32".into(),
-        TypeExpr::Char => "u8".into(),
-        TypeExpr::Boolean => "bool".into(),
-        TypeExpr::Real => "f64".into(),
-        TypeExpr::Text => "Option<String>".into(),
-        TypeExpr::FixedArray { elem, .. } | TypeExpr::OpenArray { elem } => match &**elem {
-            TypeExpr::Char => "Vec<u8>".into(),
-            inner => format!("Vec<{}>", rust_type(inner)),
-        },
-        TypeExpr::Record { fields } => {
-            if fields.iter().all(|(_, t)| is_scalar(t)) {
-                let fs: Vec<String> = fields.iter().map(|(_, t)| rust_type(t)).collect();
-                format!("({})", fs.join(", "))
-            } else {
-                // Complex records pass through dynamically.
-                "Value".into()
-            }
-        }
-    }
-}
-
-fn is_scalar(ty: &TypeExpr) -> bool {
-    matches!(
-        ty,
-        TypeExpr::Integer
-            | TypeExpr::Cardinal
-            | TypeExpr::Char
-            | TypeExpr::Boolean
-            | TypeExpr::Real
-    )
+/// Appends formatted text to a `String` (which cannot fail).
+macro_rules! emit {
+    ($out:expr, $($arg:tt)*) => {{ let _ = write!($out, $($arg)*); }};
 }
 
 fn snake(name: &str) -> String {
@@ -72,479 +56,598 @@ fn snake(name: &str) -> String {
     out
 }
 
-/// Scalar constructor name for a `Value` variant.
-fn scalar_variant(ty: &TypeExpr) -> &'static str {
-    match ty {
-        TypeExpr::Integer => "Integer",
-        TypeExpr::Cardinal => "Cardinal",
-        TypeExpr::Char => "Char",
-        TypeExpr::Boolean => "Boolean",
-        TypeExpr::Real => "Real",
-        _ => unreachable!("scalar_variant on non-scalar"),
+/// A Modula-2+ name as a Rust identifier: snake case, and clear of
+/// Rust's keywords and of the cursor the caller stub's closure binds.
+fn ident(name: &str) -> String {
+    const TAKEN: &[&str] = &[
+        "abstract", "as", "async", "await", "become", "box", "break", "const", "continue", "crate",
+        "do", "dyn", "else", "enum", "extern", "false", "final", "fn", "for", "if", "impl", "in",
+        "let", "loop", "macro", "match", "mod", "move", "mut", "override", "priv", "pub", "ref",
+        "return", "self", "static", "struct", "super", "trait", "true", "try", "type", "typeof",
+        "unsafe", "unsized", "use", "virtual", "where", "while", "yield", "w",
+    ];
+    let mut id = snake(name);
+    if TAKEN.contains(&id.as_str()) {
+        id.push('_');
+    }
+    id
+}
+
+fn scalar_type(kind: ScalarKind) -> &'static str {
+    match kind {
+        ScalarKind::Integer => "i32",
+        ScalarKind::Cardinal => "u32",
+        ScalarKind::Char => "u8",
+        ScalarKind::Boolean => "bool",
+        ScalarKind::Real => "f64",
     }
 }
 
-/// An expression converting the typed Rust value `var` into a `Value`.
-fn to_value_expr(ty: &TypeExpr, var: &str) -> String {
-    match ty {
-        t @ (TypeExpr::Integer
-        | TypeExpr::Cardinal
-        | TypeExpr::Char
-        | TypeExpr::Boolean
-        | TypeExpr::Real) => {
-            format!("Value::{}({var})", scalar_variant(t))
+/// The `ArgWriter::put_…` / `ArgReader::…` method pair of a scalar.
+fn scalar_codec(kind: ScalarKind) -> (&'static str, &'static str) {
+    match kind {
+        ScalarKind::Integer => ("put_i32", "i32"),
+        ScalarKind::Cardinal => ("put_u32", "u32"),
+        ScalarKind::Char => ("put_char", "char"),
+        ScalarKind::Boolean => ("put_bool", "bool"),
+        ScalarKind::Real => ("put_real", "real"),
+    }
+}
+
+fn scalar_variant(kind: ScalarKind) -> &'static str {
+    match kind {
+        ScalarKind::Integer => "Integer",
+        ScalarKind::Cardinal => "Cardinal",
+        ScalarKind::Char => "Char",
+        ScalarKind::Boolean => "Boolean",
+        ScalarKind::Real => "Real",
+    }
+}
+
+fn is_char_array(op: &MarshalOp) -> bool {
+    matches!(
+        op,
+        MarshalOp::FixedBytes(_) | MarshalOp::OpenBytes | MarshalOp::OpenBytesTail
+    )
+}
+
+fn tuple(parts: &[String]) -> String {
+    match parts {
+        [one] => format!("({one},)"),
+        _ => format!("({})", parts.join(", ")),
+    }
+}
+
+/// The Rust type of a value travelling under `op`: borrowed where a
+/// caller hands it in (`owned` false), owned where it is handed back.
+fn rust_type(op: &MarshalOp, owned: bool) -> String {
+    let pick =
+        |owned_type: &str, borrowed: &str| if owned { owned_type } else { borrowed }.to_string();
+    match op {
+        MarshalOp::Scalar(k) => scalar_type(*k).into(),
+        MarshalOp::Text => pick("Option<String>", "Option<&str>"),
+        MarshalOp::FixedBytes(_) | MarshalOp::OpenBytes | MarshalOp::OpenBytesTail => {
+            pick("Vec<u8>", "&[u8]")
         }
-        TypeExpr::Text => format!("Value::Text({var}.map(std::sync::Arc::from))"),
-        TypeExpr::FixedArray { elem, .. } | TypeExpr::OpenArray { elem } => match &**elem {
-            TypeExpr::Char => format!("Value::Bytes({var})"),
-            inner if is_scalar(inner) => format!(
-                "Value::Array({var}.into_iter().map(Value::{}).collect())",
-                scalar_variant(inner)
-            ),
-            _ => var.to_string(),
-        },
-        TypeExpr::Record { fields } => {
-            if fields.iter().all(|(_, t)| is_scalar(t)) {
-                let parts: Vec<String> = fields
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (_, t))| to_value_expr(t, &format!("{var}.{i}")))
-                    .collect();
-                format!("Value::Record(vec![{}])", parts.join(", "))
+        MarshalOp::FixedArray { elem, .. } | MarshalOp::OpenArray { elem } => {
+            let elem = scalar_type(*elem);
+            pick(&format!("Vec<{elem}>"), &format!("&[{elem}]"))
+        }
+        MarshalOp::Record(fields) => {
+            let parts: Vec<String> = fields.iter().map(|f| rust_type(f, owned)).collect();
+            tuple(&parts)
+        }
+    }
+}
+
+/// A parameter as a server procedure receives it: like the caller's
+/// borrowed form, except that scalar arrays arrive owned (they are
+/// rebuilt from the decoded call, not borrowed from the packet).
+fn server_type(op: &MarshalOp) -> String {
+    match op {
+        MarshalOp::FixedArray { .. } | MarshalOp::OpenArray { .. } => rust_type(op, true),
+        MarshalOp::Record(fields) => {
+            let parts: Vec<String> = fields.iter().map(server_type).collect();
+            tuple(&parts)
+        }
+        _ => rust_type(op, false),
+    }
+}
+
+/// Statements that write `expr` (a value of `rust_type(op, _)`, owned or
+/// borrowed) through the `ArgWriter` `w`.
+fn put_stmts(out: &mut String, pad: &str, op: &MarshalOp, expr: &str, context: &str) {
+    let length_check = |out: &mut String, len: usize| {
+        emit!(
+            out,
+            "{pad}if {expr}.len() != {len} {{\n{pad}    return Err(IdlError::Marshal(format!(\
+             \"{context}: fixed array needs {len} elements, value has {{}}\", {expr}.len())));\n{pad}}}\n"
+        );
+    };
+    match op {
+        MarshalOp::Scalar(k) => emit!(out, "{pad}w.{}({expr})?;\n", scalar_codec(*k).0),
+        MarshalOp::FixedBytes(len) => {
+            length_check(out, *len);
+            emit!(out, "{pad}w.put_bytes(&{expr})?;\n");
+        }
+        MarshalOp::OpenBytes => emit!(out, "{pad}w.put_open_bytes(&{expr})?;\n"),
+        MarshalOp::OpenBytesTail => emit!(out, "{pad}w.put_bytes(&{expr})?;\n"),
+        MarshalOp::FixedArray { elem, .. } | MarshalOp::OpenArray { elem } => {
+            if let MarshalOp::FixedArray { len, .. } = op {
+                length_check(out, *len);
             } else {
-                var.to_string()
+                emit!(out, "{pad}w.put_count({expr}.len())?;\n");
             }
-        }
-    }
-}
-
-/// A neutral placeholder value for a VAR OUT parameter (content never
-/// travels; only the arity matters).
-fn default_value_expr(ty: &TypeExpr) -> String {
-    match ty {
-        TypeExpr::Integer => "Value::Integer(0)".into(),
-        TypeExpr::Cardinal => "Value::Cardinal(0)".into(),
-        TypeExpr::Char => "Value::Char(0)".into(),
-        TypeExpr::Boolean => "Value::Boolean(false)".into(),
-        TypeExpr::Real => "Value::Real(0.0)".into(),
-        TypeExpr::Text => "Value::Text(None)".into(),
-        TypeExpr::FixedArray { elem, len } if **elem == TypeExpr::Char => {
-            format!("Value::Bytes(vec![0; {len}])")
-        }
-        TypeExpr::FixedArray { .. } | TypeExpr::OpenArray { .. } => {
-            // Open arrays and scalar arrays: empty is enough for arity.
-            match ty {
-                TypeExpr::FixedArray { elem, .. } | TypeExpr::OpenArray { elem }
-                    if **elem == TypeExpr::Char =>
-                {
-                    "Value::Bytes(Vec::new())".into()
-                }
-                _ => "Value::Array(Vec::new())".into(),
-            }
-        }
-        TypeExpr::Record { fields } => {
-            let parts: Vec<String> = fields.iter().map(|(_, t)| default_value_expr(t)).collect();
-            format!("Value::Record(vec![{}])", parts.join(", "))
-        }
-    }
-}
-
-/// Statements extracting one typed result from `it` (an iterator over
-/// result `Value`s), binding it to `bind`.
-fn extract_stmt(ty: &TypeExpr, bind: &str, context: &str) -> String {
-    let err = format!(
-        "other => return Err(C::Error::from(IdlError::Marshal(format!(\
-         \"{context}: unexpected {{other:?}}\"))))"
-    );
-    match ty {
-        t @ (TypeExpr::Integer | TypeExpr::Cardinal | TypeExpr::Char | TypeExpr::Boolean | TypeExpr::Real) => format!(
-            "        let {bind} = match it.next() {{\n            \
-             Some(Value::{v}(x)) => x,\n            {err},\n        }};\n",
-            v = scalar_variant(t)
-        ),
-        TypeExpr::Text => format!(
-            "        let {bind} = match it.next() {{\n            \
-             Some(Value::Text(t)) => t.map(|s| s.to_string()),\n            {err},\n        }};\n"
-        ),
-        TypeExpr::FixedArray { elem, .. } | TypeExpr::OpenArray { elem } => match &**elem {
-            TypeExpr::Char => format!(
-                "        let {bind} = match it.next() {{\n            \
-                 Some(Value::Bytes(b)) => b,\n            {err},\n        }};\n"
-            ),
-            inner if is_scalar(inner) => format!(
-                "        let {bind} = match it.next() {{\n            \
-                 Some(Value::Array(a)) => a\n                .into_iter()\n                \
-                 .map(|v| match v {{\n                    Value::{v}(x) => Ok(x),\n                    \
-                 other => Err(C::Error::from(IdlError::Marshal(format!(\
-                 \"{context} element: unexpected {{other:?}}\")))),\n                }})\n                \
-                 .collect::<Result<Vec<_>, _>>()?,\n            {err},\n        }};\n",
-                v = scalar_variant(inner)
-            ),
-            _ => format!(
-                "        let {bind} = match it.next() {{\n            \
-                 Some(v) => v,\n            {err},\n        }};\n"
-            ),
-        },
-        TypeExpr::Record { fields } if fields.iter().all(|(_, t)| is_scalar(t)) => {
-            let mut s = format!(
-                "        let {bind} = match it.next() {{\n            \
-                 Some(Value::Record(f)) => {{\n                \
-                 let mut f = f.into_iter();\n"
+            emit!(
+                out,
+                "{pad}for x in {expr}.iter() {{\n{pad}    w.{}(*x)?;\n{pad}}}\n",
+                scalar_codec(*elem).0
             );
-            let mut names = Vec::new();
-            for (i, (_, t)) in fields.iter().enumerate() {
-                let fname = format!("f{i}");
-                s.push_str(&format!(
-                    "                let {fname} = match f.next() {{\n                    \
-                     Some(Value::{v}(x)) => x,\n                    \
-                     other => return Err(C::Error::from(IdlError::Marshal(format!(\
-                     \"{context} field {i}: unexpected {{other:?}}\")))),\n                }};\n",
-                    v = scalar_variant(t)
-                ));
-                names.push(fname);
-            }
-            s.push_str(&format!(
-                "                ({names})\n            }}\n            {err},\n        }};\n",
-                names = names.join(", ")
-            ));
-            s
         }
-        TypeExpr::Record { .. } => format!(
-            "        let {bind} = match it.next() {{\n            \
-             Some(v) => v,\n            {err},\n        }};\n"
-        ),
+        MarshalOp::Text => emit!(out, "{pad}w.put_text({expr}.as_deref())?;\n"),
+        MarshalOp::Record(fields) => {
+            for (i, f) in fields.iter().enumerate() {
+                put_stmts(out, pad, f, &format!("{expr}.{i}"), context);
+            }
+        }
     }
 }
 
-/// The prelude emitted once per generated module: the dynamic call
-/// surface the stubs drive.
-pub fn prelude() -> String {
-    "\
-use firefly_idl::{IdlError, Value};
-
-/// The dynamic call surface a generated client stub drives: anything
-/// that can perform \"procedure `index` with these marshalled values\" —
-/// typically a thin wrapper over an RPC runtime client.
-pub trait RpcCall {
-    /// Transport-level error; must absorb marshalling errors.
-    type Error: From<IdlError>;
-
-    /// Performs the call and returns the result-direction values.
-    fn call(&self, index: u16, args: &[Value]) -> Result<Vec<Value>, Self::Error>;
+/// An expression for the encoded size of `expr` under `op`.
+fn size_expr(op: &MarshalOp, expr: &str) -> String {
+    match op {
+        MarshalOp::OpenBytes => format!("4 + {expr}.len()"),
+        MarshalOp::OpenBytesTail => format!("{expr}.len()"),
+        MarshalOp::OpenArray { elem } => format!("4 + {expr}.len() * {}", elem.size()),
+        MarshalOp::Text => format!("4 + {expr}.as_deref().map_or(0, str::len)"),
+        MarshalOp::Record(fields) => {
+            let parts: Vec<String> = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| size_expr(f, &format!("{expr}.{i}")))
+                .collect();
+            parts.join(" + ")
+        }
+        fixed => fixed
+            .fixed_size()
+            .map_or_else(String::new, |n| n.to_string()),
+    }
 }
-"
-    .to_string()
+
+/// An expression that reads one owned value of `op` from the `ArgReader`
+/// `r` (it uses `?`).
+fn read_expr(op: &MarshalOp) -> String {
+    // `count` is a statement binding `n`, already checked against what
+    // remains of the packet: neither a wire count nor a declared length
+    // sizes an allocation the packet cannot fill.
+    let scalars = |count: String, elem: ScalarKind| {
+        format!(
+            "{{\n                    {count}\n                    \
+             let mut a = Vec::with_capacity(n);\n                    \
+             for _ in 0..n {{\n                        a.push(r.{}()?);\n                    }}\n                    \
+             a\n                }}",
+            scalar_codec(elem).1
+        )
+    };
+    match op {
+        MarshalOp::Scalar(k) => format!("r.{}()?", scalar_codec(*k).1),
+        MarshalOp::FixedBytes(len) => format!("r.bytes({len})?.to_vec()"),
+        MarshalOp::OpenBytes => "r.open_bytes()?.to_vec()".into(),
+        MarshalOp::OpenBytesTail => "r.rest().to_vec()".into(),
+        MarshalOp::FixedArray { len, elem } => scalars(
+            format!(
+                "let n = {len};\n                    \
+                 if n > r.remaining() / {} {{\n                        \
+                 return Err(IdlError::Marshal(\"fixed array of {len} elements in a short packet\".into()));\n                    \
+                 }}",
+                elem.size()
+            ),
+            *elem,
+        ),
+        MarshalOp::OpenArray { elem } => {
+            scalars(format!("let n = r.count({})?;", elem.size()), *elem)
+        }
+        MarshalOp::Text => "r.text()?.map(str::to_owned)".into(),
+        MarshalOp::Record(fields) => {
+            let parts: Vec<String> = fields.iter().map(read_expr).collect();
+            tuple(&parts)
+        }
+    }
+}
+
+/// What a procedure's stubs are generated from: its parameters with
+/// their plan ops, and the two packet sequences.
+struct Shape<'p> {
+    procedure: &'p ProcedureDef,
+    /// `interface.procedure` for error messages.
+    context: String,
+}
+
+impl<'p> Shape<'p> {
+    fn new(interface: &InterfaceDef, procedure: &'p ProcedureDef) -> Self {
+        Shape {
+            procedure,
+            context: format!("{}.{}", interface.name(), procedure.name()),
+        }
+    }
+
+    fn mode(&self, index: usize) -> Mode {
+        // The function result, planned at index `params.len()`, behaves
+        // like a trailing VAR OUT.
+        self.procedure
+            .params()
+            .get(index)
+            .map_or(Mode::VarOut, |p| p.mode)
+    }
+
+    /// The Rust identifier of planned parameter `index`.
+    fn name(&self, index: usize) -> String {
+        self.procedure
+            .params()
+            .get(index)
+            .map_or_else(|| "result".into(), |p| ident(&p.name))
+    }
+
+    fn call_seq(&self) -> &'p [PlannedParam] {
+        &self.procedure.plan().call_seq
+    }
+
+    fn result_seq(&self) -> &'p [PlannedParam] {
+        &self.procedure.plan().result_seq
+    }
+
+    /// The `VAR OUT` CHAR array a server fills in place, if the result
+    /// packet starts with one.
+    fn leading_out_array(&self) -> Option<&'p PlannedParam> {
+        self.result_seq()
+            .first()
+            .filter(|p| is_char_array(&p.op) && self.mode(p.index) == Mode::VarOut)
+    }
+
+    /// The return type of a method handing back `types`.
+    fn returns(types: &[String]) -> String {
+        match types {
+            [] => "()".into(),
+            [one] => one.clone(),
+            many => format!("({})", many.join(", ")),
+        }
+    }
 }
 
 /// Generates the Rust server trait for an interface.
 ///
-/// Each procedure becomes a method; `VAR OUT` parameters become return
-/// values, `VAR` parameters become `&mut` references, everything else is
-/// taken by value.
+/// Each procedure becomes a method taking its call-direction parameters
+/// (CHAR arrays as `&[u8]` in place in the call packet, `VAR` parameters
+/// as `&mut` to an owned copy) and returning its `VAR OUT` parameters
+/// and function result — except a `VAR OUT` CHAR array that leads the
+/// result packet, which the method fills in place through an `OutBytes`.
 pub fn server_trait(interface: &InterfaceDef) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
+    emit!(
+        out,
         "/// Server implementation of the `{}` interface (uid {:#018x}).\n",
         interface.name(),
         interface.uid()
-    ));
-    out.push_str(&format!(
+    );
+    emit!(
+        out,
         "pub trait {}Server: Send + Sync {{\n",
         interface.name()
-    ));
+    );
     for p in interface.procedures() {
+        let shape = Shape::new(interface, p);
+        let in_place = shape.leading_out_array().map(|o| o.index);
         let mut args = vec!["&self".to_string()];
         let mut outs = Vec::new();
-        for param in p.params() {
-            let rt = rust_type(&param.ty);
-            match param.mode {
-                Mode::Value | Mode::VarIn => args.push(format!("{}: {}", snake(&param.name), rt)),
-                Mode::VarInOut => args.push(format!("{}: &mut {}", snake(&param.name), rt)),
-                Mode::VarOut => outs.push(rt),
+        for planned in &p.plan().params {
+            let name = shape.name(planned.index);
+            match shape.mode(planned.index) {
+                Mode::Value | Mode::VarIn => {
+                    args.push(format!("{name}: {}", server_type(&planned.op)));
+                }
+                Mode::VarInOut => {
+                    args.push(format!("{name}: &mut {}", rust_type(&planned.op, true)));
+                }
+                Mode::VarOut if in_place == Some(planned.index) => {
+                    args.push(format!("{name}: &mut OutBytes<'_, '_>"));
+                }
+                Mode::VarOut => outs.push(rust_type(&planned.op, true)),
             }
         }
-        if let Some(r) = p.result() {
-            outs.push(rust_type(r));
-        }
-        let ret = match outs.len() {
-            0 => String::new(),
-            1 => format!(" -> {}", outs[0]),
-            _ => format!(" -> ({})", outs.join(", ")),
+        emit!(out, "    /// `{}`\n", p.to_modula());
+        let ret = match outs.as_slice() {
+            [] => String::new(),
+            types => format!(" -> {}", Shape::returns(types)),
         };
-        out.push_str(&format!("    /// `{}`\n", p.to_modula()));
-        out.push_str(&format!(
-            "    fn {}({}){};\n",
-            snake(p.name()),
-            args.join(", "),
-            ret
-        ));
+        emit!(
+            out,
+            "    fn {}({}){ret};\n",
+            ident(p.name()),
+            args.join(", ")
+        );
     }
     out.push_str("}\n");
     out
 }
 
-/// Generates a typed, compilable client wrapper (caller stub) for an
-/// interface.
+/// Generates a typed client wrapper (caller stub) for an interface.
 pub fn client_stub(interface: &InterfaceDef) -> String {
     let mut out = String::new();
     let name = interface.name();
-    out.push_str(&format!(
+    emit!(
+        out,
         "/// Caller stub for the `{name}` interface (uid {:#018x}).\n",
         interface.uid()
-    ));
-    out.push_str(&format!(
-        "pub struct {name}Client<C> {{\n    inner: C,\n}}\n\n"
-    ));
-    out.push_str(&format!("impl<C: RpcCall> {name}Client<C> {{\n"));
+    );
+    emit!(out, "pub struct {name}Client<C> {{\n    inner: C,\n}}\n\n");
+    emit!(out, "impl<C: RpcCall> {name}Client<C> {{\n");
     out.push_str("    /// Wraps a bound RPC handle.\n");
     out.push_str("    pub fn new(inner: C) -> Self {\n        Self { inner }\n    }\n");
     for p in interface.procedures() {
+        let shape = Shape::new(interface, p);
         let mut args = vec!["&self".to_string()];
-        let mut arg_exprs = Vec::new();
-        let mut outs: Vec<(String, TypeExpr)> = Vec::new();
-        for param in p.params() {
-            let rt = rust_type(&param.ty);
-            let pname = snake(&param.name);
-            match param.mode {
-                Mode::Value | Mode::VarIn => {
-                    arg_exprs.push(to_value_expr(&param.ty, &pname));
-                    args.push(format!("{pname}: {rt}"));
-                }
-                Mode::VarInOut => {
-                    // The caller passes the current value; the updated
-                    // value comes back as a result.
-                    arg_exprs.push(to_value_expr(&param.ty, &pname));
-                    args.push(format!("{pname}: {rt}"));
-                    outs.push((rt.clone(), param.ty.clone()));
-                }
-                Mode::VarOut => {
-                    // Nothing travels out; a typed placeholder keeps the
-                    // arity (the value is ignored by the runtime).
-                    arg_exprs.push(default_value_expr(&param.ty));
-                    outs.push((rt.clone(), param.ty.clone()));
-                }
-            }
+        for planned in shape.call_seq() {
+            // `call_seq` is in declaration order; its op may be the tail
+            // form, which has the same Rust type.
+            args.push(format!(
+                "{}: {}",
+                shape.name(planned.index),
+                rust_type(&planned.op, false)
+            ));
         }
-        if let Some(r) = p.result() {
-            outs.push((rust_type(r), r.clone()));
-        }
-        let ret_ty = match outs.len() {
-            0 => "()".to_string(),
-            1 => outs[0].0.clone(),
-            _ => format!(
-                "({})",
-                outs.iter()
-                    .map(|(t, _)| t.clone())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        };
-        out.push_str(&format!("\n    /// `{}`\n", p.to_modula()));
-        out.push_str(&format!(
-            "    pub fn {}({}) -> Result<{ret_ty}, C::Error> {{\n",
-            snake(p.name()),
+        let outs: Vec<String> = shape
+            .result_seq()
+            .iter()
+            .map(|planned| rust_type(&planned.op, true))
+            .collect();
+        emit!(out, "\n    /// `{}`\n", p.to_modula());
+        emit!(
+            out,
+            "    pub fn {}({}) -> Result<{}, C::Error> {{\n",
+            ident(p.name()),
             args.join(", "),
-        ));
-        out.push_str(&format!(
-            "        let results = self.inner.call({}, &[{}])?;\n",
-            p.index(),
-            arg_exprs.join(", ")
-        ));
-        if outs.is_empty() {
-            out.push_str("        let _ = results;\n        Ok(())\n    }\n");
-            continue;
-        }
-        out.push_str("        let mut it = results.into_iter();\n");
-        let mut binds = Vec::new();
-        for (i, (_, ty)) in outs.iter().enumerate() {
-            let bind = format!("r{i}");
-            let context = format!("{}.{} result {i}", name, p.name());
-            out.push_str(&extract_stmt(ty, &bind, &context));
-            binds.push(bind);
-        }
-        if binds.len() == 1 {
-            out.push_str(&format!("        Ok({})\n    }}\n", binds[0]));
+            Shape::returns(&outs)
+        );
+        emit!(
+            out,
+            "        self.inner.call_with(\n            {},\n",
+            p.index()
+        );
+        if shape.call_seq().is_empty() {
+            out.push_str("            |_w| Ok(()),\n");
         } else {
-            out.push_str(&format!("        Ok(({}))\n    }}\n", binds.join(", ")));
+            out.push_str("            |w| {\n");
+            for planned in shape.call_seq() {
+                put_stmts(
+                    &mut out,
+                    "                ",
+                    &planned.op,
+                    &shape.name(planned.index),
+                    &shape.context,
+                );
+            }
+            out.push_str("                Ok(())\n            },\n");
         }
+        if shape.result_seq().is_empty() {
+            out.push_str("            |_r| Ok(()),\n");
+        } else {
+            out.push_str("            |r| {\n");
+            let mut binds = Vec::new();
+            for (i, planned) in shape.result_seq().iter().enumerate() {
+                emit!(
+                    out,
+                    "                let r{i} = {};\n",
+                    read_expr(&planned.op)
+                );
+                binds.push(format!("r{i}"));
+            }
+            emit!(
+                out,
+                "                Ok({})\n            }},\n",
+                Shape::returns(&binds)
+            );
+        }
+        out.push_str("        )\n    }\n");
     }
     out.push_str("}\n");
     out
 }
 
-/// An expression converting call argument `args[idx]` (a `ServerArg`)
-/// into the typed Rust value the server trait expects.
-fn from_server_arg_expr(ty: &TypeExpr, idx: usize, context: &str) -> String {
-    let err = format!(
-        "return Err(IdlError::Marshal(format!(\"{context}: unexpected {{:?}}\", args[{idx}])))"
-    );
-    match ty {
-        t @ (TypeExpr::Integer
-        | TypeExpr::Cardinal
-        | TypeExpr::Char
-        | TypeExpr::Boolean
-        | TypeExpr::Real) => format!(
-            "match &args[{idx}] {{ ServerArg::Val(Value::{v}(x)) => *x, _ => {err} }}",
-            v = scalar_variant(t)
+/// An expression turning the decoded `&Value` `expr` into the server's
+/// form of a parameter (see [`server_type`]); `bail` is the expression
+/// of type `!` to take when the value has another shape.
+fn from_value_expr(op: &MarshalOp, expr: &str, bail: &str) -> String {
+    match op {
+        MarshalOp::Scalar(k) => format!(
+            "match {expr} {{ Value::{}(x) => *x, _ => {bail} }}",
+            scalar_variant(*k)
         ),
-        TypeExpr::Text => format!(
-            "match &args[{idx}] {{ ServerArg::Val(Value::Text(t)) => \
-             t.as_ref().map(|s| s.to_string()), _ => {err} }}"
+        MarshalOp::Text => {
+            format!("match {expr} {{ Value::Text(t) => t.as_deref(), _ => {bail} }}")
+        }
+        MarshalOp::FixedBytes(_) | MarshalOp::OpenBytes | MarshalOp::OpenBytesTail => {
+            format!("match {expr} {{ Value::Bytes(b) => &b[..], _ => {bail} }}")
+        }
+        MarshalOp::FixedArray { elem, .. } | MarshalOp::OpenArray { elem } => format!(
+            "match {expr} {{\n                    \
+             Value::Array(a) => {{\n                        \
+             let mut xs = Vec::with_capacity(a.len());\n                        \
+             for v in a {{\n                            \
+             xs.push(match v {{ Value::{}(x) => *x, _ => {bail} }});\n                        \
+             }}\n                        xs\n                    }}\n                    \
+             _ => {bail},\n                }}",
+            scalar_variant(*elem)
         ),
-        TypeExpr::FixedArray { elem, .. } | TypeExpr::OpenArray { elem } => match &**elem {
-            TypeExpr::Char => format!(
-                "match &args[{idx}] {{\n            \
-                 ServerArg::Bytes(b) => b.to_vec(),\n            \
-                 ServerArg::Val(Value::Bytes(b)) => b.clone(),\n            _ => {err},\n        }}"
-            ),
-            inner if is_scalar(inner) => format!(
-                "match &args[{idx}] {{\n            \
-                 ServerArg::Val(Value::Array(a)) => {{\n                \
-                 let mut out = Vec::with_capacity(a.len());\n                \
-                 for v in a {{\n                    match v {{\n                        \
-                 Value::{v}(x) => out.push(*x),\n                        _ => {err},\n                    \
-                 }}\n                }}\n                out\n            }},\n            _ => {err},\n        }}",
-                v = scalar_variant(inner)
-            ),
-            _ => format!(
-                "match &args[{idx}] {{ ServerArg::Val(v) => v.clone(), _ => {err} }}"
-            ),
-        },
-        TypeExpr::Record { fields } if fields.iter().all(|(_, t)| is_scalar(t)) => {
-            let mut parts = Vec::new();
-            for (i, (_, t)) in fields.iter().enumerate() {
-                parts.push(format!(
-                    "match &f[{i}] {{ Value::{v}(x) => *x, _ => {err} }}",
-                    v = scalar_variant(t)
-                ));
-            }
+        MarshalOp::Record(fields) => {
+            let parts: Vec<String> = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| from_value_expr(f, &format!("&f[{i}]"), bail))
+                .collect();
             format!(
-                "match &args[{idx}] {{\n            \
-                 ServerArg::Val(Value::Record(f)) if f.len() == {n} => ({parts}),\n            \
-                 _ => {err},\n        }}",
-                n = fields.len(),
-                parts = parts.join(", ")
+                "match {expr} {{\n                    \
+                 Value::Record(f) if f.len() == {} => {},\n                    \
+                 _ => {bail},\n                }}",
+                fields.len(),
+                tuple(&parts)
             )
         }
-        TypeExpr::Record { .. } => format!(
-            "match &args[{idx}] {{ ServerArg::Val(v) => v.clone(), _ => {err} }}"
+    }
+}
+
+/// An expression turning call argument `args[index]` into the server's
+/// form of the parameter.
+fn from_server_arg_expr(op: &MarshalOp, index: usize, bail: &str) -> String {
+    if is_char_array(op) {
+        // In place in the call packet; an engine that copies hands over
+        // an owned value instead.
+        return format!(
+            "match &args[{index}] {{\n                \
+             ServerArg::Bytes(b) => *b,\n                \
+             ServerArg::Val(Value::Bytes(b)) => &b[..],\n                \
+             _ => {bail},\n            }}"
+        );
+    }
+    match op {
+        MarshalOp::Scalar(k) => format!(
+            "match &args[{index}] {{ ServerArg::Val(Value::{}(x)) => *x, _ => {bail} }}",
+            scalar_variant(*k)
+        ),
+        MarshalOp::Text => format!(
+            "match &args[{index}] {{ ServerArg::Val(Value::Text(t)) => t.as_deref(), _ => {bail} }}"
+        ),
+        _ => format!(
+            "match &args[{index}] {{\n                \
+             ServerArg::Val(v) => {},\n                \
+             _ => {bail},\n            }}",
+            from_value_expr(op, "v", bail)
         ),
     }
 }
 
-/// Generates the server-side dispatch glue: a function that unmarshals
-/// typed arguments, calls the `{Name}Server` trait, and writes the
-/// results through the [`ResultWriter`](crate::ResultWriter) — the
-/// generated server stub of §3.1.2.
+/// An expression giving an owned copy of the borrowed `expr` (a `VAR`
+/// parameter's incoming value, which the procedure may overwrite).
+fn to_owned_expr(op: &MarshalOp, expr: &str) -> String {
+    match op {
+        MarshalOp::Text => format!("{expr}.map(str::to_owned)"),
+        MarshalOp::FixedBytes(_) | MarshalOp::OpenBytes | MarshalOp::OpenBytesTail => {
+            format!("{expr}.to_vec()")
+        }
+        MarshalOp::Record(fields) => {
+            let parts: Vec<String> = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| to_owned_expr(f, &format!("{expr}.{i}")))
+                .collect();
+            tuple(&parts)
+        }
+        // Scalars are `Copy`; scalar arrays arrive owned.
+        _ => expr.to_string(),
+    }
+}
+
+/// Generates the server-side dispatch glue: a function that takes the
+/// typed arguments out of the decoded call, calls the `{Name}Server`
+/// trait, and writes the results through the
+/// [`ResultWriter`](crate::ResultWriter) — the generated server stub of
+/// §3.1.2.
 pub fn server_dispatch(interface: &InterfaceDef) -> String {
     let name = interface.name();
     let mut out = String::new();
-    out.push_str(&format!(
+    emit!(
+        out,
         "/// Generated server stub: routes procedure `index` of `{name}` to a\n\
          /// [`{name}Server`] implementation.\n"
-    ));
-    out.push_str(&format!(
+    );
+    emit!(
+        out,
         "#[allow(unused_variables, clippy::all)]\n\
          pub fn dispatch_{sn}<S: {name}Server>(\n    \
-         server: &S,\n    index: u16,\n    args: &[firefly_idl::ServerArg<'_>],\n    \
-         w: &mut firefly_idl::ResultWriter<'_>,\n) -> Result<(), IdlError> {{\n    \
-         use firefly_idl::ServerArg;\n    match index {{\n",
+         server: &S,\n    index: u16,\n    args: &[ServerArg<'_>],\n    \
+         w: &mut ResultWriter<'_>,\n) -> Result<(), IdlError> {{\n    match index {{\n",
         sn = snake(name)
-    ));
+    );
     for p in interface.procedures() {
-        out.push_str(&format!("        {} => {{\n", p.index()));
-        // Typed argument extraction (call-direction parameters only).
+        let shape = Shape::new(interface, p);
+        let in_place = shape.leading_out_array().map(|o| o.index);
+        emit!(out, "        {} => {{\n", p.index());
+        emit!(
+            out,
+            "            if args.len() != {arity} {{\n                \
+             return Err(IdlError::Marshal(format!(\"{}: {arity} arguments expected, {{}} decoded\", args.len())));\n            \
+             }}\n",
+            shape.context,
+            arity = p.params().len()
+        );
+        emit!(
+            out,
+            "            let bad = |i: usize| IdlError::Marshal(format!(\"{} argument {{i}}: unexpected {{:?}}\", args[i]));\n",
+            shape.context
+        );
+        // Typed arguments, in declaration order.
         let mut call_args = Vec::new();
-        let mut outs: Vec<TypeExpr> = Vec::new();
-        for (idx, param) in p.params().iter().enumerate() {
-            match param.mode {
+        let mut returned = Vec::new();
+        for planned in &p.plan().params {
+            let index = planned.index;
+            let var = format!("a{index}");
+            let bail = format!("return Err(bad({index}))");
+            match shape.mode(index) {
                 Mode::Value | Mode::VarIn => {
-                    let var = format!("a{idx}");
-                    out.push_str(&format!(
+                    emit!(
+                        out,
                         "            let {var} = {};\n",
-                        from_server_arg_expr(
-                            &param.ty,
-                            idx,
-                            &format!("{}.{} arg {idx}", name, p.name())
-                        )
-                    ));
+                        from_server_arg_expr(&planned.op, index, &bail)
+                    );
                     call_args.push(var);
                 }
                 Mode::VarInOut => {
-                    let var = format!("a{idx}");
-                    out.push_str(&format!(
+                    emit!(
+                        out,
+                        "            let {var} = {};\n",
+                        from_server_arg_expr(&planned.op, index, &bail)
+                    );
+                    emit!(
+                        out,
                         "            let mut {var} = {};\n",
-                        from_server_arg_expr(
-                            &param.ty,
-                            idx,
-                            &format!("{}.{} arg {idx}", name, p.name())
-                        )
-                    ));
+                        to_owned_expr(&planned.op, &var)
+                    );
                     call_args.push(format!("&mut {var}"));
-                    outs.push(param.ty.clone());
                 }
-                Mode::VarOut => outs.push(param.ty.clone()),
-            }
-        }
-        if let Some(r) = p.result() {
-            outs.push(r.clone());
-        }
-        // Invoke the trait method.
-        let call = format!("server.{}({})", snake(p.name()), call_args.join(", "));
-        // Bind the returned outputs. VAR params write back through their
-        // mutable binding; VAR OUT and function results come from the
-        // return value (single value or tuple).
-        let returned: Vec<&TypeExpr> = p
-            .params()
-            .iter()
-            .filter(|prm| prm.mode == Mode::VarOut)
-            .map(|prm| &prm.ty)
-            .chain(p.result())
-            .collect();
-        match returned.len() {
-            0 => out.push_str(&format!("            {call};\n")),
-            1 => out.push_str(&format!("            let o0 = {call};\n")),
-            n => {
-                let binds: Vec<String> = (0..n).map(|i| format!("o{i}")).collect();
-                out.push_str(&format!(
-                    "            let ({}) = {call};\n",
-                    binds.join(", ")
-                ));
-            }
-        }
-        // Write result-direction values in plan order: declared parameter
-        // order (VAR and VAR OUT interleaved), then the function result.
-        let mut ret_i = 0usize;
-        let mut var_i_names: Vec<String> = Vec::new();
-        for (idx, param) in p.params().iter().enumerate() {
-            match param.mode {
-                Mode::VarInOut => var_i_names.push(format!("a{idx}")),
-                Mode::VarOut => {
-                    var_i_names.push(format!("o{ret_i}"));
-                    ret_i += 1;
+                Mode::VarOut if in_place == Some(index) => {
+                    emit!(out, "            let mut {var} = OutBytes::new(w);\n");
+                    call_args.push(format!("&mut {var}"));
                 }
-                _ => {}
+                Mode::VarOut => returned.push(format!("a{index}")),
             }
         }
-        if p.result().is_some() {
-            var_i_names.push(format!("o{ret_i}"));
+        // The up-call. VAR parameters come back through their `&mut`
+        // binding, VAR OUT parameters and the function result as the
+        // return value.
+        let call = format!("server.{}({})", ident(p.name()), call_args.join(", "));
+        match returned.as_slice() {
+            [] => emit!(out, "            {call};\n"),
+            binds => emit!(out, "            let {} = {call};\n", Shape::returns(binds)),
         }
-        // Re-walk in result order, emitting writes.
-        let mut wi = 0usize;
-        for param in p.params() {
-            if matches!(param.mode, Mode::VarInOut | Mode::VarOut) {
-                out.push_str(&format!(
-                    "            w.next_value(&{})?;\n",
-                    to_value_expr(&param.ty, &var_i_names[wi])
-                ));
-                wi += 1;
+        // The result packet, in plan order.
+        for planned in shape.result_seq() {
+            let var = format!("a{}", planned.index);
+            if in_place == Some(planned.index) {
+                emit!(out, "            {var}.done()?;\n");
+                continue;
             }
-        }
-        if let Some(r) = p.result() {
-            out.push_str(&format!(
-                "            w.next_value(&{})?;\n",
-                to_value_expr(r, &var_i_names[wi])
-            ));
+            emit!(
+                out,
+                "            w.next_with({}, |w| {{\n",
+                size_expr(&planned.op, &var)
+            );
+            put_stmts(
+                &mut out,
+                "                ",
+                &planned.op,
+                &var,
+                &shape.context,
+            );
+            out.push_str("                Ok(())\n            })?;\n");
         }
         out.push_str("            Ok(())\n        }\n");
     }
@@ -554,12 +657,16 @@ pub fn server_dispatch(interface: &InterfaceDef) -> String {
     out
 }
 
-/// Generates the full stub module: prelude, server trait, client wrapper.
+/// Generates the full stub module: imports, server trait, client
+/// wrapper, server dispatch.
 pub fn rust_stubs(interface: &InterfaceDef) -> String {
     format!(
-        "// Generated by firefly-idl from DEFINITION MODULE {}; do not edit.\n\n{}\n{}\n{}\n{}",
+        "// Generated by firefly-idl from DEFINITION MODULE {}; do not edit.\n\n\
+         pub use firefly_idl::RpcCall;\n\
+         #[allow(unused_imports)]\n\
+         use firefly_idl::{{IdlError, OutBytes, ResultWriter, ServerArg, Value}};\n\n\
+         {}\n{}\n{}",
         interface.name(),
-        prelude(),
         server_trait(interface),
         client_stub(interface),
         server_dispatch(interface)
@@ -577,8 +684,9 @@ mod tests {
         let src = server_trait(&i);
         assert!(src.contains("pub trait TestServer"));
         assert!(src.contains("fn null(&self);"));
-        assert!(src.contains("fn max_result(&self) -> Vec<u8>;"));
-        assert!(src.contains("fn max_arg(&self, buffer: Vec<u8>);"));
+        // The paper's two arrays never leave the packets.
+        assert!(src.contains("fn max_result(&self, buffer: &mut OutBytes<'_, '_>);"));
+        assert!(src.contains("fn max_arg(&self, buffer: &[u8]);"));
     }
 
     #[test]
@@ -591,13 +699,17 @@ mod tests {
     }
 
     #[test]
-    fn client_methods_are_typed() {
+    fn client_methods_assign_straight_into_the_packet() {
         let i = crate::test_interface();
         let src = client_stub(&i);
         assert!(src.contains("pub fn null(&self) -> Result<(), C::Error>"));
         assert!(src.contains("pub fn max_result(&self) -> Result<Vec<u8>, C::Error>"));
-        assert!(src.contains("pub fn max_arg(&self, buffer: Vec<u8>) -> Result<(), C::Error>"));
-        assert!(src.contains("self.inner.call(1,"));
+        assert!(src.contains("pub fn max_arg(&self, buffer: &[u8]) -> Result<(), C::Error>"));
+        assert!(src.contains("self.inner.call_with(\n            1,"));
+        // Tail arrays travel without a count, both ways.
+        assert!(src.contains("w.put_bytes(&buffer)?;"));
+        assert!(src.contains("let r0 = r.rest().to_vec();"));
+        assert!(!src.contains("Value"), "no dynamic values in a caller stub");
     }
 
     #[test]
@@ -613,11 +725,14 @@ mod tests {
             src.contains("-> Result<(i32, (bool, i32)), C::Error>"),
             "{src}"
         );
-        assert!(src.contains("Value::Integer(0)"), "placeholder for VAR OUT");
+        assert!(src.contains("let r1 = (r.bool()?, r.i32()?);"), "{src}");
+        let src = server_dispatch(&i);
+        assert!(src.contains("let (a0, a1) = server.stat();"), "{src}");
+        assert!(src.contains("w.next_with(1 + 4, |w| {"), "{src}");
     }
 
     #[test]
-    fn scalar_arrays_map_to_typed_vecs() {
+    fn scalar_arrays_map_to_typed_slices() {
         let i = parse_interface(
             "DEFINITION MODULE M;
                PROCEDURE Sum(VAR IN xs: ARRAY OF INTEGER): INTEGER;
@@ -625,8 +740,28 @@ mod tests {
         )
         .unwrap();
         let src = client_stub(&i);
-        assert!(src.contains("xs: Vec<i32>"), "{src}");
-        assert!(src.contains("map(Value::Integer)"), "{src}");
+        assert!(src.contains("xs: &[i32]"), "{src}");
+        assert!(src.contains("w.put_count(xs.len())?;"), "{src}");
+        assert!(server_trait(&i).contains("fn sum(&self, xs: Vec<i32>) -> i32;"));
+    }
+
+    #[test]
+    fn only_a_leading_var_out_array_is_filled_in_place() {
+        let i = parse_interface(
+            "DEFINITION MODULE M;
+               PROCEDURE A(VAR OUT n: INTEGER; VAR OUT b: ARRAY OF CHAR);
+               PROCEDURE B(VAR b: ARRAY OF CHAR);
+               PROCEDURE C(VAR OUT b: ARRAY [0..3] OF CHAR; VAR OUT c: ARRAY OF CHAR);
+             END M.",
+        )
+        .unwrap();
+        let src = server_trait(&i);
+        assert!(src.contains("fn a(&self) -> (i32, Vec<u8>);"), "{src}");
+        assert!(src.contains("fn b(&self, b: &mut Vec<u8>);"), "{src}");
+        assert!(
+            src.contains("fn c(&self, b: &mut OutBytes<'_, '_>) -> Vec<u8>;"),
+            "{src}"
+        );
     }
 
     #[test]
@@ -635,13 +770,16 @@ mod tests {
         let b = rust_stubs(&crate::test_interface());
         assert_eq!(a, b);
         assert!(a.starts_with("// Generated by firefly-idl"));
-        assert!(a.contains("pub trait RpcCall"));
+        assert!(a.contains("pub use firefly_idl::RpcCall;"));
     }
 
     #[test]
-    fn snake_case_conversion() {
+    fn names_become_rust_identifiers() {
         assert_eq!(snake("MaxResult"), "max_result");
         assert_eq!(snake("Null"), "null");
         assert_eq!(snake("already_snake"), "already_snake");
+        assert_eq!(ident("Type"), "type_");
+        assert_eq!(ident("w"), "w_", "`w` is the caller stub's writer");
+        assert_eq!(ident("Buffer"), "buffer");
     }
 }

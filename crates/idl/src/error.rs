@@ -34,15 +34,6 @@ pub enum IdlError {
     },
     /// Marshalled data did not match the expected plan.
     Marshal(String),
-    /// A value's type did not match the parameter's declared type.
-    TypeMismatch {
-        /// The parameter involved.
-        param: String,
-        /// Human-readable expectation.
-        expected: String,
-        /// Human-readable actual.
-        found: String,
-    },
     /// Wrong number of arguments for a procedure.
     ArityMismatch {
         /// Procedure name.
@@ -73,14 +64,6 @@ impl fmt::Display for IdlError {
                 )
             }
             IdlError::Marshal(m) => write!(f, "marshal error: {m}"),
-            IdlError::TypeMismatch {
-                param,
-                expected,
-                found,
-            } => write!(
-                f,
-                "type mismatch for `{param}`: expected {expected}, found {found}"
-            ),
             IdlError::ArityMismatch {
                 procedure,
                 expected,
@@ -99,6 +82,13 @@ impl std::error::Error for IdlError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn errors_stay_small() {
+        // Every marshalling step returns `Result<_, IdlError>`; the error
+        // sets the size of all of them.
+        assert!(std::mem::size_of::<IdlError>() <= 48);
+    }
 
     #[test]
     fn display_mentions_position() {

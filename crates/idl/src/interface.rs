@@ -55,20 +55,6 @@ impl ProcedureDef {
     pub fn plan(&self) -> &Arc<MarshalPlan> {
         &self.plan
     }
-
-    /// Renders the declaration in Modula-2+ syntax.
-    pub fn to_modula(&self) -> String {
-        let params: Vec<String> = self
-            .params
-            .iter()
-            .map(|p| format!("{}{}: {}", p.mode.to_modula(), p.name, p.ty.to_modula()))
-            .collect();
-        let ret = match &self.result {
-            Some(t) => format!(": {}", t.to_modula()),
-            None => String::new(),
-        };
-        format!("PROCEDURE {}({}){};", self.name, params.join("; "), ret)
-    }
 }
 
 /// A complete interface: name, UID, and procedures with their plans.
@@ -85,25 +71,28 @@ impl InterfaceDef {
     /// Builds an interface from a parsed module, computing plans and the
     /// UID, and rejecting duplicate procedure names.
     pub fn from_ast(module: Module) -> Result<InterfaceDef> {
+        let uid = Self::compute_uid(&module);
         let mut procedures = Vec::with_capacity(module.procedures.len());
         let mut by_name = HashMap::new();
-        for (i, p) in module.procedures.iter().enumerate() {
+        for (i, p) in module.procedures.into_iter().enumerate() {
+            let plan = MarshalPlan::build(&p.params, p.result.as_ref())?;
+            // lint:allow(no-alloc-on-fast-path): stub-compile time (once
+            // per interface): the name is both the map's key and the
+            // procedure's own.
             if by_name.insert(p.name.clone(), i as u16).is_some() {
                 return Err(IdlError::Semantic(format!(
                     "duplicate procedure `{}` in module `{}`",
                     p.name, module.name
                 )));
             }
-            let plan = MarshalPlan::build(&p.params, p.result.as_ref())?;
             procedures.push(ProcedureDef {
-                name: p.name.clone(),
+                name: p.name,
                 index: i as u16,
-                params: p.params.clone().into(),
-                result: p.result.clone(),
+                params: p.params.into(),
+                result: p.result,
                 plan: Arc::new(plan),
             });
         }
-        let uid = Self::compute_uid(&module);
         Ok(InterfaceDef {
             name: module.name,
             uid,
@@ -181,22 +170,6 @@ impl InterfaceDef {
         self.procedures
             .get(index as usize)
             .ok_or_else(|| IdlError::NoSuchProcedure(format!("#{index}")))
-    }
-
-    /// Renders the whole interface back to `DEFINITION MODULE` source.
-    ///
-    /// Reparsing the rendered source yields an interface with the same
-    /// UID — the property `crates/idl/tests/roundtrip.rs` checks for
-    /// generated interfaces.
-    pub fn to_modula_source(&self) -> String {
-        let mut out = format!("DEFINITION MODULE {};\n", self.name);
-        for p in self.procedures.iter() {
-            out.push_str("  ");
-            out.push_str(&p.to_modula());
-            out.push('\n');
-        }
-        out.push_str(&format!("END {}.\n", self.name));
-        out
     }
 }
 

@@ -9,9 +9,11 @@
 //! ```text
 //! DEFINITION MODULE text ──lexer──▶ tokens ──parser──▶ ast::Module
 //!        ──typecheck──▶ InterfaceDef ──plan──▶ MarshalPlan
-//!                 ├──▶ engine::InterpStub      (library-procedure style)
-//!                 ├──▶ engine::CompiledStub    (direct-assignment style)
-//!                 └──▶ codegen::rust_stubs     (what the stub compiler emitted)
+//!                 ├──▶ engine::CompiledStub    (the plan over `Value`s: the dynamic API)
+//!                 ├──▶ codegen::rust_stubs     (what the stub compiler emitted: typed,
+//!                 │                             direct assignment, no `Value`s)
+//!                 └──▶ interp::InterpStub      (library-procedure style: Table IX's baseline)
+//!                          all three over codec::{ArgWriter, ArgReader}
 //! ```
 //!
 //! The type system covers what the paper measures: by-value scalars
@@ -46,24 +48,27 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
+pub mod codec;
 pub mod codegen;
 pub mod cost;
 pub mod engine;
 pub mod error;
 pub mod interface;
+pub mod interp;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
 pub mod value;
+pub mod writer;
 
-pub use engine::{
-    engines_for_interface, CompiledStub, InterpStub, ResultWriter, ServerArg, StubEngine,
-    StubStyle, Written,
-};
+pub use codec::{ArgReader, ArgWriter, RpcCall};
+pub use engine::{CompiledStub, ServerArg, ServerArgs, StubEngine};
 pub use error::IdlError;
 pub use interface::{InterfaceDef, ProcedureDef};
+pub use interp::InterpStub;
 pub use plan::{Direction, MarshalOp, MarshalPlan};
 pub use value::{Type, Value};
+pub use writer::{OutBytes, ResultWriter, Written};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = core::result::Result<T, IdlError>;

@@ -133,9 +133,6 @@ pub enum MarshalOp {
 impl MarshalOp {
     /// Lowers a type expression to an op, flattening nested fixed arrays.
     pub fn from_type(ty: &TypeExpr) -> Result<MarshalOp> {
-        if let Some(k) = ScalarKind::from_type(ty) {
-            return Ok(MarshalOp::Scalar(k));
-        }
         match ty {
             TypeExpr::Text => Ok(MarshalOp::Text),
             TypeExpr::FixedArray { .. } => {
@@ -166,7 +163,9 @@ impl MarshalOp {
                     .collect();
                 Ok(MarshalOp::Record(ops?.into()))
             }
-            _ => unreachable!("scalars handled above"),
+            scalar => ScalarKind::from_type(scalar)
+                .map(MarshalOp::Scalar)
+                .ok_or_else(|| IdlError::Semantic(format!("no plan for {}", scalar.to_modula()))),
         }
     }
 

@@ -50,6 +50,8 @@ impl Value {
     /// A zero-filled CHAR array of the given length — the paper's
     /// `VAR b: ARRAY [0..1439] OF CHAR` test variable.
     pub fn char_array(len: usize) -> Value {
+        // lint:allow(no-alloc-on-fast-path): a constructor for the
+        // caller's own variable, run before any call is made.
         Value::Bytes(vec![0; len])
     }
 

@@ -105,6 +105,7 @@ impl Default for Config {
                 "crates/core/src/client.rs::transact_single".into(),
                 "crates/core/src/client.rs::transact_multi".into(),
                 "crates/core/src/client.rs::transact_blast".into(),
+                "crates/core/src/local.rs::call_with".into(),
                 "crates/core/src/endpoint.rs::demux_loop".into(),
                 "crates/core/src/calltable.rs::deliver".into(),
                 "crates/core/src/calltable.rs::deliver_from".into(),
@@ -115,6 +116,9 @@ impl Default for Config {
                 "crates/core/src/server.rs::worker_loop".into(),
                 "crates/core/src/transport.rs::send".into(),
                 "crates/core/src/transport.rs::recv".into(),
+                "crates/idl/src/writer.rs::next_bytes".into(),
+                "crates/idl/src/writer.rs::next_value".into(),
+                "crates/idl/src/writer.rs::next_with".into(),
             ],
             fast_path_files: vec![
                 "crates/core/src/auth.rs".into(),
@@ -124,6 +128,7 @@ impl Default for Config {
                 "crates/core/src/send.rs".into(),
                 "crates/core/src/packet.rs".into(),
                 "crates/core/src/fragment.rs".into(),
+                "crates/core/src/local.rs".into(),
                 "crates/core/src/calltable.rs".into(),
                 "crates/core/src/endpoint.rs".into(),
                 "crates/core/src/role.rs".into(),
@@ -137,9 +142,18 @@ impl Default for Config {
                 "crates/sync/src/atomic.rs".into(),
                 "crates/rng/src/lib.rs".into(),
                 "crates/wire/src".into(),
+                "crates/idl/src/codec.rs".into(),
+                "crates/idl/src/engine.rs".into(),
+                "crates/idl/src/writer.rs".into(),
+                "crates/idl/src/interface.rs".into(),
+                "crates/idl/src/plan.rs".into(),
+                "crates/idl/src/value.rs".into(),
             ],
             fast_path_stop_files: vec![
-                "crates/idl/src".into(),
+                "crates/idl/src/lexer.rs".into(),
+                "crates/idl/src/parser.rs".into(),
+                "crates/idl/src/codegen.rs".into(),
+                "crates/idl/src/interp.rs".into(),
                 "crates/check/src".into(),
                 "crates/metrics/src".into(),
             ],

@@ -7,6 +7,7 @@
 //!
 //! Run with `cargo run --release --example local_rpc`.
 
+use firefly::generated::TestClient;
 use firefly::idl::{test_interface, Value};
 use firefly::metrics::Stopwatch;
 use firefly::rpc::transport::LoopbackNet;
@@ -39,6 +40,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let local_us = w.elapsed_micros() / iters as f64;
 
+    // The generated caller stub wraps either binding; it marshals by
+    // direct assignment instead of through `Value`s.
+    let typed = TestClient::new(local.clone());
+    let w = Stopwatch::start();
+    for _ in 0..iters {
+        typed.null()?;
+    }
+    let typed_us = w.elapsed_micros() / iters as f64;
+
     let iters_remote = 5_000;
     let w = Stopwatch::start();
     for _ in 0..iters_remote {
@@ -47,6 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let remote_us = w.elapsed_micros() / iters_remote as f64;
 
     println!("local  Null(): {local_us:.2} µs/call   (paper, MicroVAX II: 937 µs)");
+    println!("local  Null(): {typed_us:.2} µs/call   through the generated typed stub");
     println!("remote Null(): {remote_us:.2} µs/call   (paper, MicroVAX II: 2661 µs)");
     println!(
         "remote/local ratio: {:.1}x   (paper: {:.1}x)",
@@ -59,6 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(r[0].as_bytes().unwrap(), &[7u8; 1440][..]);
     let r = remote.call("MaxResult", &[Value::char_array(1440)])?;
     assert_eq!(r[0].as_bytes().unwrap(), &[7u8; 1440][..]);
+    assert_eq!(typed.max_result()?, [7u8; 1440]);
+    assert_eq!(TestClient::new(remote).max_result()?, [7u8; 1440]);
     println!("MaxResult round-trips verified on both transports");
     Ok(())
 }

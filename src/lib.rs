@@ -23,10 +23,10 @@ pub use firefly_wire as wire;
 
 /// Typed stubs for the paper's `Test` interface, generated at build time.
 ///
-/// Contains `TestClient<C>` (the caller stub), `TestServer` (the service
-/// trait shape) and the `RpcCall` trait the stub drives; see
-/// `tests/typed_stubs.rs` for the end-to-end wiring over a real
-/// [`rpc::Client`].
+/// Contains `TestClient<C>` (the caller stub over any
+/// [`idl::RpcCall`] — [`rpc::Client`] and [`rpc::local::LocalClient`]
+/// are two), `TestServer` (the service trait) and `dispatch_test` (the
+/// server stub); see `tests/typed_stubs.rs` for the end-to-end wiring.
 pub mod generated {
     include!(concat!(env!("OUT_DIR"), "/test_stubs.rs"));
 }

@@ -1,7 +1,7 @@
 //! Cross-crate assertions of the paper's quantitative claims — the
 //! fidelity checklist of DESIGN.md §6.
 
-use firefly::idl::{test_interface, CompiledStub, StubEngine, Value};
+use firefly::idl::{test_interface, CompiledStub, Value};
 use firefly::sim::workload::{run, Procedure, WorkloadSpec};
 use firefly::sim::{CostModel, Improvement};
 use firefly::wire::{FrameBuilder, PacketType, MAX_FRAME_LEN, MIN_FRAME_LEN, RPC_HEADERS_LEN};
