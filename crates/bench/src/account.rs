@@ -8,7 +8,7 @@
 //! reproduces that: it drives traced calls, pairs each call's stopwatch
 //! measurement with its drained trace record, and reports the per-step
 //! means next to an accounted-vs-measured comparison. The
-//! `latency_account` binary prints it; `tests/latency_account.rs`
+//! `latency_account` experiment prints it; `tests/latency_account.rs`
 //! asserts the ±10% bound so the account cannot silently rot.
 
 use firefly_idl::{test_interface, Value};
@@ -148,7 +148,7 @@ impl Account {
 /// account describes the steady state (pools warm, activity registered,
 /// caches hot), matching the paper's measurement discipline.
 /// Renders one role's per-step histograms as a paper-style table.
-/// Shared by the `latency_account` binary and the RPC exerciser, which
+/// Shared by the `latency_account` experiment and the RPC exerciser, which
 /// drains [`Endpoint::trace_report`](firefly_rpc::Endpoint) directly.
 pub fn role_table(title: &str, role: &RoleReport) -> Table {
     let mut t = Table::new(&["Step", "Mean µs", "p50", "p95", "p99"])

@@ -10,7 +10,7 @@
 //! simulator, quantifying what that feature buys on `Null()` and
 //! `MaxResult(b)` — numbers the paper implies but never tabulates.
 
-use firefly_bench::{emit, mode_from_args};
+use crate::{emit, Args};
 use firefly_metrics::Table;
 use firefly_sim::workload::{run, Procedure, WorkloadSpec};
 use firefly_sim::CostModel;
@@ -33,8 +33,7 @@ struct Ablation {
     build: fn() -> CostModel,
 }
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let ablations = [
         Ablation {
             name: "demux via datalink thread",
@@ -127,7 +126,7 @@ fn main() {
             format!("{m:.0} (+{:.0})", m - base_max),
         ]);
     }
-    emit(&t, mode);
+    emit(&t, args.mode);
     println!("Rationale, per ablation:");
     for a in &ablations {
         println!("  - {}: {}", a.name, a.rationale);

@@ -2,7 +2,7 @@
 //! paper's own arithmetic over the cost model, and by actually running
 //! the simulator with the modified parameters.
 
-use firefly_bench::{emit, mode_from_args, paper_num, IMPROVEMENTS};
+use crate::{emit, paper_num, Args, IMPROVEMENTS};
 use firefly_metrics::Table;
 use firefly_sim::workload::{run, Procedure, WorkloadSpec};
 use firefly_sim::{CostModel, Improvement};
@@ -19,8 +19,7 @@ fn simulate(cost: CostModel, p: Procedure) -> f64 {
     .mean_latency_us
 }
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let improvements = [
         Improvement::BetterController,
         Improvement::FasterNetwork,
@@ -63,7 +62,7 @@ fn main() {
             format!("{max_pct:.0} ({})", paper_num(p_max_pct, 0)),
         ]);
     }
-    emit(&t, mode);
+    emit(&t, args.mode);
 
     // The cost-model arithmetic (the paper's own derivation), which the
     // crate's unit tests pin to the published numbers.

@@ -15,22 +15,18 @@
 //!   --flame      emit folded stacks (flamegraph.pl input) on stdout
 //!                instead of tables: `proc;role;step total-us`
 
-use firefly_bench::account::{folded_stacks, paper_procedures, profile_table, run_account};
-use firefly_bench::{emit, mode_from_args};
+use crate::account::{folded_stacks, paper_procedures, profile_table, run_account};
+use crate::{emit, Args};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let profile = args.iter().any(|a| a == "--profile");
-    let flame = args.iter().any(|a| a == "--flame");
+pub fn main(args: &Args) {
+    let smoke = args.flag("--smoke");
+    let profile = args.flag("--profile");
+    let flame = args.flag("--flame");
     let calls = args
-        .iter()
-        .position(|a| a == "--calls")
-        .and_then(|i| args.get(i + 1))
+        .value("--calls")
         .and_then(|v| v.parse().ok())
         .unwrap_or(if smoke { 50 } else { 2000 });
     let warmup = if smoke { 10 } else { 200 };
-    let mode = mode_from_args();
 
     for (procedure, call_args) in paper_procedures() {
         let account = run_account(procedure, &call_args, calls, warmup);
@@ -42,15 +38,15 @@ fn main() {
             }
             continue;
         }
-        emit(&account.caller_table(), mode);
-        emit(&account.server_table(), mode);
+        emit(&account.caller_table(), args.mode);
+        emit(&account.server_table(), args.mode);
         if profile {
             emit(
                 &profile_table(
                     &format!("Profile: {procedure} (steps by total time)"),
                     &account.report,
                 ),
-                mode,
+                args.mode,
             );
         }
         println!(

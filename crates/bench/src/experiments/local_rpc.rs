@@ -1,9 +1,9 @@
 //! Local (same-machine) RPC: the paper's footnote gives 937 µs for a
-//! local `Null()` against 2661 µs remote — a 2.8x ratio. This binary
+//! local `Null()` against 2661 µs remote — a 2.8x ratio. This experiment
 //! measures the real Rust stack's local (shared-memory) and remote
 //! (loopback) transports and compares the ratio.
 
-use firefly_bench::{emit, mode_from_args, time_ns};
+use crate::{emit, time_ns, Args};
 use firefly_idl::{test_interface, ArgReader, Value};
 use firefly_metrics::Table;
 use firefly_rpc::transport::LoopbackNet;
@@ -21,8 +21,7 @@ fn service() -> std::sync::Arc<dyn firefly_rpc::Service> {
         .unwrap()
 }
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let net = LoopbackNet::new();
     let server = Endpoint::new(net.station(1), Config::default()).unwrap();
     let caller = Endpoint::new(net.station(2), Config::default()).unwrap();
@@ -103,7 +102,7 @@ fn main() {
             format!("{max_us:.2}"),
         ]);
     }
-    emit(&t, mode);
+    emit(&t, args.mode);
     let (remote_null, local_null, local_max) = (rows[1].1, rows[3].1, rows[3].2);
     println!(
         "Remote/local Null ratio (typed): {:.1}x (paper: 2661/937 = {:.1}x)",

@@ -7,14 +7,13 @@
 //! server controller's limit no matter how many machines offer load. The
 //! §4.2.1 improved controller shifts the bottleneck toward the wire.
 
-use firefly_bench::{emit, mode_from_args};
+use crate::{emit, Args};
 use firefly_metrics::Table;
 use firefly_sim::multi::{run_multi, MultiSpec};
 use firefly_sim::rpc::Procedure;
 use firefly_sim::{CostModel, Improvement};
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let mut t = Table::new(&[
         "caller machines",
         "stock: Mb/s (srv ctrl / ether util)",
@@ -52,7 +51,7 @@ fn main() {
             ),
         ]);
     }
-    emit(&t, mode);
+    emit(&t, args.mode);
     println!(
         "Stock: the server's DEQNA saturates (~100% busy) at the same \
          ~4.6 Mb/s whether one or four machines offer load — §7's claim. \

@@ -8,7 +8,7 @@
 //! N threads × MaxResult calls (the paper's design) versus one streamed
 //! call (Amoeba/V/Sprite style) — on multiprocessors and uniprocessors.
 
-use firefly_bench::{emit, mode_from_args};
+use crate::{emit, Args};
 use firefly_metrics::Table;
 use firefly_sim::stream::run_streaming;
 use firefly_sim::workload::{run, Procedure, WorkloadSpec};
@@ -27,8 +27,7 @@ fn threaded(threads: usize, calls: u64, cpus: usize) -> (f64, f64) {
     (r.megabits_per_sec, r.caller_cpus_used)
 }
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let packets = 1000u64;
     let mut t = Table::new(&[
         "Configuration",
@@ -45,7 +44,7 @@ fn main() {
             format!("{:.2} ({:.2})", s.megabits_per_sec, s.caller_cpus_used),
         ]);
     }
-    emit(&t, mode);
+    emit(&t, args.mode);
     println!(
         "The conjecture holds: on the uniprocessor, streaming recovers \
          most of the multiprocessor's throughput because the per-packet \

@@ -1,13 +1,12 @@
 //! Table X: 1000 calls to Null() with varying processor counts, using the
 //! RPC Exerciser (hand stubs, §5's swapped-lines fix installed).
 
-use firefly_bench::{emit, mode_from_args, vs, TABLE_X};
+use crate::{emit, vs, Args, TABLE_X};
 use firefly_metrics::Table;
 use firefly_sim::workload::{run, Procedure, WorkloadSpec};
 use firefly_sim::CostModel;
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let mut t = Table::new(&[
         "caller processors",
         "server processors",
@@ -26,7 +25,7 @@ fn main() {
         });
         t.row_owned(vec![c.to_string(), s.to_string(), vs(r.seconds, paper, 2)]);
     }
-    emit(&t, mode);
+    emit(&t, args.mode);
     println!(
         "Shape check: the paper's signature is a gentle slope from 5 to 2 \
          caller CPUs and a sharp jump at 1 (the uniprocessor scheduler \

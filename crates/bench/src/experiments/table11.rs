@@ -1,13 +1,12 @@
 //! Table XI: throughput of MaxResult(b) in megabits/second with varying
 //! processor counts and 1–5 caller threads (1000 calls per thread).
 
-use firefly_bench::{emit, mode_from_args, TABLE_XI};
+use crate::{emit, Args, TABLE_XI};
 use firefly_metrics::Table;
 use firefly_sim::workload::{run, Procedure, WorkloadSpec};
 use firefly_sim::CostModel;
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let configs = [(5usize, 5usize), (1, 5), (1, 1)];
     let mut t = Table::new(&[
         "caller threads",
@@ -36,7 +35,7 @@ fn main() {
         }
         t.row_owned(cells);
     }
-    emit(&t, mode);
+    emit(&t, args.mode);
     println!(
         "Shape check: \"Uniprocessor throughput is slightly more than half \
          of 5 processor performance for the same number of caller threads.\""

@@ -1,7 +1,7 @@
 //! Table XII: published RPC performance of other systems, with this
 //! reproduction's simulated Firefly rows next to the paper's.
 
-use firefly_bench::{emit, mode_from_args, FIREFLY_ROWS, OTHER_SYSTEMS};
+use crate::{emit, Args, FIREFLY_ROWS, OTHER_SYSTEMS};
 use firefly_metrics::Table;
 use firefly_sim::workload::{run, Procedure, WorkloadSpec};
 use firefly_sim::CostModel;
@@ -31,8 +31,7 @@ fn firefly_row(cpus: usize) -> (f64, f64) {
     (lat.mean_latency_us / 1000.0, thr.megabits_per_sec)
 }
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let mut t = Table::new(&[
         "System",
         "Machine - Processor",
@@ -65,7 +64,7 @@ fn main() {
             format!("{thr:.1} (paper {p_thr})"),
         ]);
     }
-    emit(&t, mode);
+    emit(&t, args.mode);
     println!(
         "All measurements are inter-machine Null() over 10 Mb Ethernet \
          except Cedar (3 Mb Ethernet). The paper's point stands: \

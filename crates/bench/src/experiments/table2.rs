@@ -3,7 +3,7 @@
 //! the real Rust stubs (nanoseconds today, but the same per-argument
 //! linearity), three ways: typed, dynamic, interpreted.
 
-use firefly_bench::{emit, mode_from_args, StubTimes};
+use crate::{emit, Args, StubTimes};
 use firefly_idl::{parse_interface, ArgReader, ArgWriter, Value};
 use firefly_metrics::Table;
 
@@ -39,8 +39,7 @@ fn measure_real(n: usize) -> StubTimes {
     )
 }
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let mut columns = vec!["# of arguments", "paper µs (MicroVAX II)", "model µs"];
     columns.extend(StubTimes::COLUMNS);
     let mut t = Table::new(&columns).title("Table II: 4-byte integer arguments, passed by value");
@@ -52,7 +51,7 @@ fn main() {
         row.extend(measure_real(n).over(&zero).cells());
         t.row_owned(row);
     }
-    emit(&t, mode);
+    emit(&t, args.mode);
     println!(
         "(ns columns are this machine's stubs, incremental over a 0-argument call as in the paper)"
     );

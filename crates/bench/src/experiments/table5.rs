@@ -4,7 +4,7 @@
 //! of a fresh immutable text, which the engines reproduce with a fresh
 //! `Arc<str>` per call; a typed stub reads the text in place instead.
 
-use firefly_bench::{emit, mode_from_args, StubTimes};
+use crate::{emit, Args, StubTimes};
 use firefly_idl::{parse_interface, ArgReader, ArgWriter, Value};
 use firefly_metrics::Table;
 
@@ -29,8 +29,7 @@ fn measure_real(v: &Value) -> StubTimes {
     )
 }
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let mut columns = vec!["Text size", "paper µs", "model µs"];
     columns.extend(StubTimes::COLUMNS);
     let mut t = Table::new(&columns).title("Table V: Text.T argument");
@@ -49,5 +48,5 @@ fn main() {
         row.extend(measure_real(&value).cells());
         t.row_owned(row);
     }
-    emit(&t, mode);
+    emit(&t, args.mode);
 }

@@ -2,7 +2,7 @@
 //! 1514-byte packets, from the cost model — cross-checked against a
 //! traced simulation of a single packet transit.
 
-use firefly_bench::{emit, mode_from_args};
+use crate::{emit, Args};
 use firefly_metrics::Table;
 use firefly_sim::CostModel;
 
@@ -24,8 +24,7 @@ const PAPER: &[(&str, f64, f64)] = &[
     ("Wakeup RPC thread", 220.0, 220.0),
 ];
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let m = CostModel::paper();
     let small = m.send_receive_steps(74);
     let large = m.send_receive_steps(1514);
@@ -45,7 +44,7 @@ fn main() {
         format!("{:.0} (954)", m.send_receive_total(74)),
         format!("{:.0} (4414)", m.send_receive_total(1514)),
     ]);
-    emit(&t, mode);
+    emit(&t, args.mode);
 
     let ok = m.send_receive_total(74) == 954.0 && m.send_receive_total(1514) == 4414.0;
     println!(

@@ -1,12 +1,11 @@
 //! Table VII: latency of stubs and RPC runtime for a call to Null()
 //! (606 µs total on the MicroVAX II).
 
-use firefly_bench::{emit, mode_from_args};
+use crate::{emit, Args};
 use firefly_metrics::Table;
 use firefly_sim::CostModel;
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let m = CostModel::paper();
     let mut t = Table::new(&["Machine", "Procedure", "Microseconds"])
         .title("Table VII: Latency of stubs and RPC runtime");
@@ -22,7 +21,7 @@ fn main() {
         "TOTAL".into(),
         format!("{:.0} (paper: 606)", m.runtime_total()),
     ]);
-    emit(&t, mode);
+    emit(&t, args.mode);
     println!(
         "The Modula-2+ code includes 9 procedure calls at ~15 µs each — \
          about 20% of this time is calling sequence (paper §3.3)."

@@ -2,7 +2,7 @@
 //! latency, and checking the composition against the simulator's measured
 //! end-to-end time — the paper's "accounted … to within about 5%".
 
-use firefly_bench::{emit, mode_from_args};
+use crate::{emit, Args};
 use firefly_metrics::Table;
 use firefly_sim::workload::{run, Procedure, WorkloadSpec};
 use firefly_sim::CostModel;
@@ -18,8 +18,7 @@ fn simulate(p: Procedure) -> f64 {
     r.mean_latency_us
 }
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let m = CostModel::paper();
 
     let mut t = Table::new(&["Procedure", "Action", "Microseconds"])
@@ -61,7 +60,7 @@ fn main() {
         "TOTAL (paper: 6524)".into(),
         format!("{:.0}", m.max_result_composed()),
     ]);
-    emit(&t, mode);
+    emit(&t, args.mode);
 
     // The 5% account check against the simulated "measured" latency.
     let null_measured = simulate(Procedure::Null);
@@ -88,6 +87,6 @@ fn main() {
         // we carry the same residual explicitly, so allow ≤6%.
         assert!(gap.abs() < 6.0, "account off by more than ~5%");
     }
-    emit(&c, mode);
+    emit(&c, args.mode);
     println!("Both gaps are within the paper's \"within about 5%\" accounting claim.");
 }

@@ -3,15 +3,13 @@
 //! assembly), its effect on end-to-end RPC, and the modern analog:
 //! interpreted vs plan-driven vs typed stubs on the real codec.
 
-use firefly_bench::{emit, mode_from_args, StubTimes};
+use crate::{emit, Args, StubTimes};
 use firefly_idl::{test_interface, ArgWriter, Value};
 use firefly_metrics::Table;
 use firefly_sim::workload::{run, Procedure, WorkloadSpec};
 use firefly_sim::{CodeVersion, CostModel};
 
-fn main() {
-    let mode = mode_from_args();
-
+pub fn main(args: &Args) {
     let mut t = Table::new(&[
         "Version",
         "Interrupt routine µs (paper)",
@@ -38,7 +36,7 @@ fn main() {
             format!("{:.0}", r.mean_latency_us),
         ]);
     }
-    emit(&t, mode);
+    emit(&t, args.mode);
 
     // Modern analog: one 1440-byte array marshalled by the interpreted
     // engine (per-element dispatch), by the plan-driven engine (a block
@@ -74,7 +72,7 @@ fn main() {
             format!("{:.1}x", ns / times.typed),
         ]);
     }
-    emit(&a, mode);
+    emit(&a, args.mode);
     println!(
         "The paper's assembly rewrite bought 758/177 = {:.1}x on the interrupt routine.",
         758.0 / 177.0

@@ -6,7 +6,7 @@
 //! We sweep a software-speed factor over the cost model and report
 //! saturated MaxResult throughput and caller CPU utilization.
 
-use firefly_bench::{emit, mode_from_args};
+use crate::{emit, Args};
 use firefly_metrics::Table;
 use firefly_sim::workload::{run, Procedure, WorkloadSpec};
 use firefly_sim::CostModel;
@@ -44,8 +44,7 @@ fn scaled(k: f64) -> CostModel {
     m
 }
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let mut t = Table::new(&[
         "software speed vs shipped",
         "MaxResult Mb/s (4 threads)",
@@ -74,7 +73,7 @@ fn main() {
         ]);
         last_mb = r.megabits_per_sec;
     }
-    emit(&t, mode);
+    emit(&t, args.mode);
     println!(
         "Once the software is fast enough, throughput pins at the \
          controller's limit (~{last_mb:.1} Mb/s here) and further code \

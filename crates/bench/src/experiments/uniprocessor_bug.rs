@@ -9,15 +9,14 @@
 //! orders of magnitude even though the loss rate is tiny. The "fix"
 //! (losing no packets) restores microsecond latency.
 
-use firefly_bench::{emit, mode_from_args};
+use crate::{emit, Args};
 use firefly_idl::test_interface;
 use firefly_metrics::{Histogram, Stopwatch, Table};
 use firefly_rpc::transport::{FaultPlan, LoopbackNet};
 use firefly_rpc::{Config, Endpoint, ServiceBuilder};
 use std::time::Duration;
 
-fn main() {
-    let mode = mode_from_args();
+pub fn main(args: &Args) {
     let net = LoopbackNet::new();
     // The historical retransmission timeout: ~600 ms.
     let cfg = Config {
@@ -62,7 +61,7 @@ fn main() {
             retr.to_string(),
         ]);
     }
-    emit(&t, mode);
+    emit(&t, args.mode);
     println!(
         "The paper measured ~20 ms average Null() latency under this bug \
          against ~2.7 ms fixed — a tiny loss rate is catastrophic when \

@@ -1,306 +1,159 @@
-//! The ±10% performance-trajectory gate over `BENCH_*.json` snapshots
-//! (`bench_snapshot --gate`, contract in docs/BENCH.md).
+//! The trajectory gate over `BENCH_NNNN.json` snapshots (docs/BENCH.md).
 //!
-//! The paper holds its latency account to "all but a few percent"; this
-//! repo holds its own perf numbers to the same discipline: each snapshot
-//! is diffed against its predecessor, metric by metric, and a regression
-//! beyond the tolerance fails the gate loudly with a per-metric table.
+//! A snapshot must be fit to compare ([`defects`]) and is held against
+//! its predecessor on the contract workloads' end-to-end metrics, each
+//! in the direction and within the bound `BENCHMARK.json` gives it — the
+//! tolerance derived from the benchmark's measured spread, and the only
+//! place one is defined. The metrics of workloads outside the contract
+//! are printed and never fail.
 
-use crate::snapshot::{parse_snapshot_number, SCHEMA};
+use crate::snapshot::{defects, read_json, snapshot_number, trajectory, workloads};
 use firefly_metrics::Json;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::fmt;
+use std::path::Path;
 
-/// One gate invocation.
-#[derive(Debug, Clone)]
-pub struct GateSpec {
-    /// Validate and report, but never fail on a regression (`--check`).
-    pub check: bool,
-    /// The snapshot to gate; the newest in `dir` when `None`.
-    pub candidate: Option<PathBuf>,
-    /// Where the trajectory lives (`FIREFLY_BENCH_DIR`, default `.`).
-    pub dir: PathBuf,
-    /// Relative tolerance per metric (`FIREFLY_BENCH_TOLERANCE_PCT`,
-    /// default 10).
-    pub tolerance_pct: f64,
-    /// Absolute noise floor for µs-unit metrics (`FIREFLY_BENCH_NOISE_US`,
-    /// default 5): a µs metric must exceed *both* bounds to fail.
-    pub noise_us: f64,
+/// One line of the gate's table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    pub workload: String,
+    pub metric: String,
+    pub previous: Option<f64>,
+    pub candidate: Option<f64>,
+    pub verdict: &'static str,
 }
 
-impl GateSpec {
-    /// Reads the three environment knobs; a value that is set but not a
-    /// number is an error, not a silent default.
-    pub fn from_env(check: bool, candidate: Option<PathBuf>) -> Result<GateSpec, String> {
-        let number = |name: &str, default: f64| match std::env::var(name) {
-            Ok(v) => v
-                .parse()
-                .map_err(|_| format!("{name}={v:?} is not a number")),
-            Err(_) => Ok(default),
+/// What [`compare`] found: every metric looked at, and every reason the
+/// candidate fails (none: it passes).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Report {
+    pub rows: Vec<Row>,
+    pub failures: Vec<String>,
+}
+
+impl Report {
+    pub fn passed(&self) -> bool {
+        self.failures.is_empty()
+    }
+}
+
+impl fmt::Display for Report {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Four significant digits, whatever the metric's magnitude.
+        let digits = |v: f64| (3 - v.abs().log10().floor() as i32).clamp(0, 9) as usize;
+        let cell = |v: Option<f64>| match v {
+            Some(v) => format!("{v:.*}", digits(v)),
+            None => "—".to_string(),
         };
-        Ok(GateSpec {
-            check,
-            candidate,
-            dir: std::env::var_os("FIREFLY_BENCH_DIR")
-                .map_or_else(|| PathBuf::from("."), PathBuf::from),
-            tolerance_pct: number("FIREFLY_BENCH_TOLERANCE_PCT", 10.0)?,
-            noise_us: number("FIREFLY_BENCH_NOISE_US", 5.0)?,
-        })
-    }
-}
-
-/// The snapshot must be all-finite: `Json::num` writes non-finite
-/// measurements as `null`, so any `null` marks a broken measurement.
-fn first_null(node: &Json, path: String) -> Option<String> {
-    match node {
-        Json::Null => Some(path),
-        Json::Arr(items) => items
-            .iter()
-            .enumerate()
-            .find_map(|(i, v)| first_null(v, format!("{path}[{i}]"))),
-        Json::Obj(fields) => fields
-            .iter()
-            .find_map(|(k, v)| first_null(v, format!("{path}.{k}"))),
-        Json::Bool(_) | Json::Num(_) | Json::Str(_) => None,
-    }
-}
-
-/// One `gate_metrics` row.
-struct Metric<'a> {
-    name: &'a str,
-    value: f64,
-    lower_is_better: bool,
-    unit: &'a str,
-}
-
-fn gate_metrics(doc: &Json) -> impl Iterator<Item = Metric<'_>> {
-    let rows = doc
-        .get("gate_metrics")
-        .and_then(Json::as_object)
-        .unwrap_or(&[]);
-    rows.iter().filter_map(|(name, m)| {
-        Some(Metric {
-            name,
-            value: m.get("value")?.as_f64()?,
-            lower_is_better: m.get("direction")?.as_str()? == "lower",
-            unit: m.get("unit").and_then(Json::as_str).unwrap_or(""),
-        })
-    })
-}
-
-/// Reads and validates one snapshot: schema id, required sections, ≥ 2
-/// ablation rows, well-formed gate metrics, no `null` anywhere.
-fn load_snapshot(path: &Path) -> Result<Json, String> {
-    let shown = path.display();
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {shown}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{shown} is not valid JSON: {e}"))?;
-    let schema = doc.get("schema").and_then(Json::as_str);
-    if schema != Some(SCHEMA) {
-        return Err(format!(
-            "{shown} has schema {schema:?}, expected {SCHEMA:?}"
-        ));
-    }
-    if let Some(at) = first_null(&doc, "$".to_string()) {
-        return Err(format!(
-            "{shown}: non-finite measurement at {at} (serialized as null)"
-        ));
-    }
-    for section in [
-        "mode",
-        "latency_us",
-        "throughput",
-        "trace",
-        "ablations",
-        "gate_metrics",
-    ] {
-        if doc.get(section).is_none() {
-            return Err(format!("{shown} is missing section {section:?}"));
+        for row in &self.rows {
+            let change = match (row.previous, row.candidate) {
+                (Some(old), Some(new)) if old != 0.0 => {
+                    format!("{:+.1}%", (new - old) / old * 100.0)
+                }
+                _ => "—".to_string(),
+            };
+            let (old, new) = (cell(row.previous), cell(row.candidate));
+            let (workload, metric, verdict) = (&row.workload, &row.metric, row.verdict);
+            writeln!(
+                f,
+                "    {workload:<13} {metric:<16} {old:>11} {new:>11} {change:>8}  {verdict}"
+            )?;
         }
-    }
-    let ablations = doc
-        .get("ablations")
-        .and_then(Json::as_array)
-        .map_or(0, <[Json]>::len);
-    if ablations < 2 {
-        return Err(format!("{shown} has {ablations} ablation rows, need >= 2"));
-    }
-    let declared = doc
-        .get("gate_metrics")
-        .and_then(Json::as_object)
-        .unwrap_or(&[]);
-    if declared.is_empty() {
-        return Err(format!("{shown} has no gate metrics"));
-    }
-    for (name, m) in declared {
-        if m.get("value").and_then(Json::as_f64).is_none() {
-            return Err(format!("{shown} gate metric {name:?} has no numeric value"));
+        for failure in &self.failures {
+            writeln!(f, "bench gate: FAIL — {failure}")?;
         }
-        let direction = m.get("direction").and_then(Json::as_str);
-        if !matches!(direction, Some("lower" | "higher")) {
-            return Err(format!(
-                "{shown} gate metric {name:?} has direction {direction:?}"
-            ));
+        if self.passed() {
+            writeln!(f, "bench gate: OK — nothing worse beyond its bound")?;
         }
-    }
-    Ok(doc)
-}
-
-fn snapshot_number(path: &Path) -> Option<u32> {
-    parse_snapshot_number(&path.file_name()?.to_string_lossy())
-}
-
-/// `(number, path)` of the snapshot trajectory in `dir`, oldest first.
-fn trajectory(dir: &Path) -> Vec<(u32, PathBuf)> {
-    let mut entries: Vec<(u32, PathBuf)> = std::fs::read_dir(dir)
-        .into_iter()
-        .flatten()
-        .flatten()
-        .filter_map(|e| Some((snapshot_number(&e.path())?, e.path())))
-        .collect();
-    entries.sort();
-    entries
-}
-
-/// Relative change from `old` to `new`, in percent.
-fn delta_pct(old: f64, new: f64) -> f64 {
-    if old != 0.0 {
-        (new - old) / old * 100.0
-    } else {
-        0.0
+        Ok(())
     }
 }
 
-/// Runs the gate, printing the report to `out`. `Err` carries the
-/// failure message (an invalid snapshot, or — outside `--check` — a
-/// regression); bootstrap and in-tolerance runs are `Ok`.
-pub fn run(spec: &GateSpec, out: &mut dyn Write) -> Result<(), String> {
-    let trajectory = trajectory(&spec.dir);
-    let cand_path = match (&spec.candidate, trajectory.last()) {
-        (Some(path), _) => path.clone(),
-        (None, Some((_, newest))) => newest.clone(),
-        (None, None) => {
-            let dir = spec.dir.display();
-            let _ = writeln!(
-                out,
-                "bench_gate: no BENCH_*.json in {dir} — nothing to gate (bootstrap)"
-            );
-            return Ok(());
-        }
+/// The `name`d entries of one of the contract's lists.
+fn listed<'a>(contract: &'a Json, key: &str) -> impl Iterator<Item = (&'a str, &'a Json)> {
+    let entries = contract.get(key).and_then(Json::as_array).unwrap_or(&[]);
+    let named = |entry: &'a Json| Some((entry.get("name")?.as_str()?, entry));
+    entries.iter().filter_map(named)
+}
+
+/// One end-to-end metric of one workload of a snapshot.
+fn value(doc: &Json, workload: &str, metric: &str) -> Option<f64> {
+    let run = doc.at(&["workloads", workload, "end_to_end"])?;
+    run.at(&["metrics", metric, "value"])?.as_f64()
+}
+
+/// Holds `candidate` against `previous` (none: it bootstraps, and only
+/// its own fitness is checked) under `contract` (`BENCHMARK.json`).
+pub fn compare(previous: Option<&Json>, candidate: &Json, contract: &Json) -> Report {
+    let mut report = Report {
+        rows: Vec::new(),
+        failures: defects(candidate),
     };
-    let cand = load_snapshot(&cand_path)?;
-    let cand_number = snapshot_number(&cand_path);
-    let same_file = |other: &Path| match (
-        std::fs::canonicalize(other),
-        std::fs::canonicalize(&cand_path),
-    ) {
-        (Ok(a), Ok(b)) => a == b,
-        _ => other == cand_path,
-    };
-
-    // Baseline: the highest-numbered snapshot in the trajectory that is
-    // older than the candidate and ran in the same mode (smoke numbers
-    // are CI-sized and must never be compared against full runs).
-    let mut baseline = None;
-    for (number, path) in trajectory.iter().rev() {
-        if cand_number.is_some_and(|c| *number >= c) || same_file(path) {
+    let in_contract = |workload: &str| listed(contract, "workloads").any(|(w, _)| w == workload);
+    let others = workloads(candidate).iter().map(|(name, _)| name.as_str());
+    let contracted = listed(contract, "workloads").map(|(name, _)| name);
+    for workload in contracted.chain(others.filter(|w| !in_contract(w))) {
+        if candidate.at(&["workloads", workload]).is_none() {
+            report.failures.push(format!("{workload} vanished"));
             continue;
         }
-        let doc = load_snapshot(path)?;
-        if doc.get("mode") == cand.get("mode") {
-            baseline = Some((path, doc));
-            break;
-        }
-    }
-    let (cand_shown, tolerance) = (cand_path.display(), spec.tolerance_pct);
-    let Some((base_path, base)) = baseline else {
-        let mode = cand.get("mode").and_then(Json::as_str).unwrap_or("?");
-        let _ = writeln!(
-            out,
-            "bench_gate: {cand_shown} is valid; no earlier {mode}-mode snapshot to compare against (bootstrap) — OK"
-        );
-        return Ok(());
-    };
-    let base_shown = base_path.display();
-    let _ = writeln!(
-        out,
-        "bench_gate: {cand_shown} vs {base_shown} (tolerance ±{tolerance}%, µs noise floor {})",
-        spec.noise_us
-    );
-
-    // (name, baseline value, candidate value, verdict) per table line.
-    let mut rows: Vec<(&str, Option<f64>, Option<f64>, String)> = Vec::new();
-    let mut regressions = 0;
-    for bm in gate_metrics(&base) {
-        let Some(cm) = gate_metrics(&cand).find(|m| m.name == bm.name) else {
-            // A snapshot may decline to gate a metric it cannot measure
-            // meaningfully on its host, saying why (`ungated_metrics`).
-            let verdict = match cand
-                .at(&["ungated_metrics", bm.name])
-                .and_then(Json::as_str)
-            {
-                Some(why) => format!("not gated ({why})"),
-                None => {
-                    regressions += 1;
-                    "MISSING".to_string()
+        for (metric, spec) in listed(contract, "end_to_end") {
+            let higher = spec.get("better").and_then(Json::as_str) == Some("higher");
+            let bound = spec.get("bound").and_then(Json::as_f64).unwrap_or(0.0);
+            let old = previous.and_then(|p| value(p, workload, metric));
+            let new = value(candidate, workload, metric);
+            let verdict = match (old, new) {
+                _ if !in_contract(workload) => "information only",
+                (_, None) => "MISSING",
+                (None, Some(_)) => "new",
+                (Some(old), Some(new)) => {
+                    let worse = if higher { old - new } else { new - old };
+                    match worse / old {
+                        share if share > bound => "REGRESSED",
+                        share if share < -bound => "improved",
+                        _ => "ok",
+                    }
                 }
             };
-            rows.push((bm.name, Some(bm.value), None, verdict));
-            continue;
-        };
-        let delta = delta_pct(bm.value, cm.value);
-        let worse_pct = if bm.lower_is_better { delta } else { -delta };
-        let within_noise = bm.unit == "us" && (cm.value - bm.value).abs() <= spec.noise_us;
-        let verdict = if worse_pct > tolerance && !within_noise {
-            regressions += 1;
-            "REGRESSED"
-        } else if worse_pct < -tolerance {
-            "improved"
-        } else {
-            "ok"
-        };
-        rows.push((bm.name, Some(bm.value), Some(cm.value), verdict.to_string()));
-    }
-    // Metrics the candidate introduces (no baseline value yet) bootstrap:
-    // they are reported, never compared, and start gating only once a
-    // baseline snapshot carries them.
-    for cm in gate_metrics(&cand) {
-        if !gate_metrics(&base).any(|m| m.name == cm.name) {
-            rows.push((cm.name, None, Some(cm.value), "NEW (bootstrap)".to_string()));
+            if matches!(verdict, "MISSING" | "REGRESSED") {
+                let bound = bound * 100.0;
+                let failure = format!("{workload} {metric} {verdict} (bound {bound:.0}%)");
+                report.failures.push(failure);
+            }
+            report.rows.push(Row {
+                workload: workload.to_string(),
+                metric: metric.to_string(),
+                previous: old,
+                candidate: new,
+                verdict,
+            });
         }
     }
+    report
+}
 
-    let width = rows.iter().map(|r| r.0.len()).max().unwrap_or(6);
-    let cell = |v: Option<f64>| v.map_or_else(|| "—".to_string(), |v| format!("{v:.2}"));
-    let _ = writeln!(
-        out,
-        "    {:<width$}  {:>12}  {:>12}  {:>8}  verdict",
-        "metric", "baseline", "current", "delta"
-    );
-    for (name, old, new, verdict) in rows {
-        let delta = match (old, new) {
-            (Some(old), Some(new)) => format!("{:+.1}%", delta_pct(old, new)),
-            _ => "—".to_string(),
-        };
-        let (old, new) = (cell(old), cell(new));
-        let _ = writeln!(
-            out,
-            "    {name:<width$}  {old:>12}  {new:>12}  {delta:>8}  {verdict}"
-        );
+/// Gates `file` — or, without one, the newest snapshot of `dir` —
+/// against the newest snapshot of `dir` that is older than it, under
+/// `dir`'s `BENCHMARK.json`. Returns what was compared, and the report.
+pub fn run(dir: &Path, file: Option<&Path>) -> Result<(String, Report), String> {
+    let contract = read_json(&dir.join("BENCHMARK.json"))?;
+    let mut older = trajectory(dir);
+    let candidate = match (file, older.last()) {
+        (Some(file), _) => file.to_path_buf(),
+        (None, Some((_, newest))) => newest.clone(),
+        (None, None) => {
+            let nothing = format!("no BENCH_*.json in {} — nothing to gate", dir.display());
+            return Ok((nothing, Report::default()));
+        }
+    };
+    if let Some(number) = snapshot_number(&candidate) {
+        older.retain(|(n, _)| *n < number);
     }
-
-    if regressions == 0 {
-        let _ = writeln!(out, "bench_gate: OK — no metric regressed beyond tolerance");
-        return Ok(());
-    }
-    let message = format!(
-        "{regressions} metric(s) regressed beyond ±{tolerance}% ({cand_shown} vs {base_shown})"
-    );
-    if spec.check {
-        let _ = writeln!(
-            out,
-            "bench_gate: WARNING — {message} (check mode: not failing)"
-        );
-        return Ok(());
-    }
-    Err(message)
+    let previous = older.last().map(|(_, path)| path);
+    let compared = match previous {
+        Some(previous) => format!("{} vs {}", candidate.display(), previous.display()),
+        None => format!("{}, no predecessor (bootstrap)", candidate.display()),
+    };
+    let previous = previous.map(|path| read_json(path)).transpose()?;
+    let report = compare(previous.as_ref(), &read_json(&candidate)?, &contract);
+    Ok((compared, report))
 }

@@ -1,9 +1,10 @@
-//! Shared helpers for the table-regeneration binaries.
+//! Everything behind the one `firefly-bench <experiment>` executable.
 //!
-//! Each `bin/tableN` prints the paper's published numbers next to this
-//! reproduction's, plus relative deltas, in plain text (default) or
+//! Each table experiment prints the paper's published numbers next to
+//! this reproduction's, plus relative deltas, in plain text (default) or
 //! Markdown (`--markdown`), so EXPERIMENTS.md can be regenerated
-//! mechanically.
+//! mechanically. [`snapshot`] and [`gate`] keep the repo's own
+//! performance ledger (`BENCH_NNNN.json`, docs/BENCH.md).
 
 // No unsafe anywhere in this crate — see DESIGN.md ("Unsafe policy").
 #![forbid(unsafe_code)]
@@ -13,6 +14,7 @@ use firefly_metrics::{Stopwatch, Table};
 use std::sync::Arc;
 
 pub mod account;
+pub mod experiments;
 pub mod gate;
 pub mod snapshot;
 
@@ -25,12 +27,39 @@ pub enum Mode {
     Markdown,
 }
 
-/// Parses the standard bench-binary command line.
-pub fn mode_from_args() -> Mode {
-    if std::env::args().any(|a| a == "--markdown") {
-        Mode::Markdown
-    } else {
-        Mode::Text
+/// What follows the experiment's name on the command line.
+#[derive(Debug, Clone)]
+pub struct Args {
+    /// `--markdown`, parsed once for every experiment.
+    pub mode: Mode,
+    /// Every other word, in order.
+    pub rest: Vec<String>,
+}
+
+impl Args {
+    /// Splits `--markdown` off the words after the experiment's name.
+    pub fn parse(words: impl IntoIterator<Item = String>) -> Args {
+        let (markdown, rest): (Vec<String>, Vec<String>) =
+            words.into_iter().partition(|w| w == "--markdown");
+        Args {
+            mode: if markdown.is_empty() {
+                Mode::Text
+            } else {
+                Mode::Markdown
+            },
+            rest,
+        }
+    }
+
+    /// Whether `name` (e.g. `--smoke`) was given.
+    pub fn flag(&self, name: &str) -> bool {
+        self.rest.iter().any(|w| w == name)
+    }
+
+    /// The word after `name` (e.g. `--calls 500`), if both are there.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        let at = self.rest.iter().position(|w| w == name)?;
+        self.rest.get(at + 1).map(String::as_str)
     }
 }
 
@@ -200,6 +229,18 @@ pub const IMPROVEMENTS: &[(&str, f64, f64, f64, f64)] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn args_take_markdown_out_and_keep_the_rest() {
+        let words = ["--calls", "500", "--markdown", "--smoke"].map(String::from);
+        let args = Args::parse(words);
+        assert_eq!(args.mode, Mode::Markdown);
+        assert_eq!(args.rest, ["--calls", "500", "--smoke"]);
+        assert!(args.flag("--smoke") && !args.flag("--flame"));
+        assert_eq!(args.value("--calls"), Some("500"));
+        assert_eq!(args.value("--smoke"), None);
+        assert_eq!(Args::parse(Vec::new()).mode, Mode::Text);
+    }
 
     #[test]
     fn vs_formats_deltas() {

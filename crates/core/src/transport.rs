@@ -225,10 +225,10 @@ impl Transport for UdpTransport {
 
     fn shutdown(&self) {
         self.down.store(true, Ordering::Release);
-        // Poison the socket so a blocked recv wakes up.
-        if let Ok(poison) = UdpSocket::bind("127.0.0.1:0") {
-            let _ = poison.send_to(&[], self.addr);
-        }
+        // Poison the socket so a blocked recv wakes up: a zero-length
+        // datagram from the socket to itself, which is routable whatever
+        // family (or wildcard) it is bound to.
+        let _ = self.socket.send_to(&[], self.addr);
     }
 }
 
@@ -560,9 +560,7 @@ mod tests {
         assert_eq!(src, a.local_addr());
     }
 
-    #[test]
-    fn udp_shutdown_unblocks_recv() {
-        let t = UdpTransport::localhost().unwrap();
+    fn shutdown_unblocks_recv(t: Arc<UdpTransport>) {
         let t2 = Arc::clone(&t);
         let h = std::thread::spawn(move || {
             let mut buf = [0u8; 64];
@@ -571,6 +569,18 @@ mod tests {
         firefly_sync::test_sleep();
         t.shutdown();
         assert!(h.join().unwrap().is_err());
+    }
+
+    #[test]
+    fn udp_shutdown_unblocks_recv() {
+        shutdown_unblocks_recv(UdpTransport::localhost().unwrap());
+        shutdown_unblocks_recv(UdpTransport::bind("0.0.0.0:0".parse().unwrap()).unwrap());
+        // The poison used to come from a fresh 127.0.0.1 socket, which
+        // cannot send to `[::1]`: the receiver stayed blocked for good.
+        match UdpTransport::bind("[::1]:0".parse().unwrap()) {
+            Ok(v6) => shutdown_unblocks_recv(v6),
+            Err(e) => eprintln!("skipped: this host has no IPv6 loopback ({e})"),
+        }
     }
 
     #[test]

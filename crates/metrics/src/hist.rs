@@ -5,10 +5,10 @@
 /// Buckets grow geometrically (`GROWTH = 1.022`: ~2.2% per bucket, ~92
 /// buckets per factor of e²; 1024 buckets in total) so percentiles are
 /// accurate to about one bucket width (~±1.1% at the reported midpoint)
-/// across the covered range from 1 µs to `GROWTH`¹⁰²⁴ ≈ 4.8·10⁹ µs
-/// (~80 minutes) — wide enough to span both the paper's 2.66 ms RPCs and
-/// the 600 ms retransmission penalty of §5 with orders of magnitude to
-/// spare. Values past the top bucket clamp into it.
+/// across the covered range from 1 ns to `GROWTH`¹⁰²⁴ ns ≈ 4.8 s — from
+/// the sub-µs steps of this stack's own trace, through the paper's
+/// 2.66 ms RPCs, to the 600 ms retransmission penalty of §5. Values
+/// past either end clamp into the end bucket.
 ///
 /// # Examples
 ///
@@ -32,7 +32,10 @@ pub struct Histogram {
 }
 
 const BUCKETS: usize = 1024;
-/// Growth factor per bucket; bucket i covers [GROWTH^i, GROWTH^(i+1)) µs.
+/// Lower edge of bucket 0: one nanosecond, in µs.
+const FLOOR: f64 = 1e-3;
+/// Growth factor per bucket; bucket i covers
+/// `FLOOR` × [GROWTH^i, GROWTH^(i+1)) µs.
 const GROWTH: f64 = 1.022;
 
 impl Default for Histogram {
@@ -54,23 +57,23 @@ impl Histogram {
     }
 
     fn bucket_index(micros: f64) -> usize {
-        if micros <= 1.0 {
+        if micros <= FLOOR {
             return 0;
         }
-        let idx = micros.ln() / GROWTH.ln();
+        let idx = (micros / FLOOR).ln() / GROWTH.ln();
         (idx as usize).min(BUCKETS - 1)
     }
 
     /// The representative value reported for a bucket: its midpoint.
     ///
-    /// Bucket `i` covers `[GROWTH^i, GROWTH^(i+1))`; reporting the upper
-    /// edge (as this function once did) biased every percentile high by
-    /// one bucket width before the min/max clamp. The midpoint is
-    /// unbiased to within half a bucket width either way.
+    /// Bucket `i` covers `FLOOR × [GROWTH^i, GROWTH^(i+1))`; reporting
+    /// the upper edge (as this function once did) biased every
+    /// percentile high by one bucket width before the min/max clamp. The
+    /// midpoint is unbiased to within half a bucket width either way.
     fn bucket_value(index: usize) -> f64 {
         let lower = GROWTH.powi(index as i32);
         let upper = GROWTH.powi(index as i32 + 1);
-        (lower + upper) / 2.0
+        FLOOR * (lower + upper) / 2.0
     }
 
     /// Records one latency observation in microseconds.
@@ -160,58 +163,6 @@ impl Histogram {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-
-    /// A serialization-safe summary of this histogram: every field is
-    /// finite (an empty histogram summarizes to all zeros), so the
-    /// result can be embedded in a `BENCH_*.json` snapshot without ever
-    /// producing the invalid JSON tokens `inf`/`NaN`.
-    pub fn summary(&self) -> HistSummary {
-        HistSummary {
-            count: self.count,
-            mean: self.mean(),
-            min: self.min(),
-            max: self.max(),
-            p50: self.percentile(50.0),
-            p95: self.percentile(95.0),
-            p99: self.percentile(99.0),
-        }
-    }
-}
-
-/// The fixed percentile summary the perf trajectory records per metric.
-///
-/// Produced by [`Histogram::summary`]; all fields are guaranteed finite.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistSummary {
-    /// Number of observations.
-    pub count: u64,
-    /// Arithmetic mean, µs.
-    pub mean: f64,
-    /// Smallest observation, µs (0 when empty).
-    pub min: f64,
-    /// Largest observation, µs (0 when empty).
-    pub max: f64,
-    /// Median, µs.
-    pub p50: f64,
-    /// 95th percentile, µs.
-    pub p95: f64,
-    /// 99th percentile, µs.
-    pub p99: f64,
-}
-
-impl HistSummary {
-    /// Renders as a JSON object in stable field order.
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        Json::obj()
-            .set("count", Json::num(self.count as f64))
-            .set("mean", Json::num(self.mean))
-            .set("min", Json::num(self.min))
-            .set("max", Json::num(self.max))
-            .set("p50", Json::num(self.p50))
-            .set("p95", Json::num(self.p95))
-            .set("p99", Json::num(self.p99))
     }
 }
 
@@ -304,6 +255,20 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.min(), 1.0);
         assert_eq!(h.max(), 20_000_000.0);
+    }
+
+    #[test]
+    fn sub_microsecond_values_keep_their_percentiles() {
+        // Regression: everything at or below 1 µs shared bucket 0, so a
+        // trace step of a few hundred ns printed p50 = p95 = p99.
+        let mut h = Histogram::new();
+        for v in [0.1, 0.2, 0.3, 0.9] {
+            h.record(v);
+        }
+        let p50 = h.percentile(50.0);
+        assert!((p50 - 0.2).abs() / 0.2 < 0.025, "p50 = {p50}");
+        let p99 = h.percentile(99.0);
+        assert!((p99 - 0.9).abs() / 0.9 < 0.025, "p99 = {p99}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   the invalid tokens `inf`/`NaN` (the bug that motivated this module:
 //!   an empty histogram's `min()` once returned `+∞`, which would have
 //!   poisoned the very first snapshot). Consumers that must not see
-//!   `null` assert that at the schema level (`bench_snapshot --gate` does).
+//!   `null` assert that at the schema level (`firefly-bench gate` does).
 //! * **Round-trip stable.** `parse(s).to_string() == s` for any string
 //!   this writer produced: object key order is preserved (objects are
 //!   association lists, not maps), numbers use Rust's shortest-exact

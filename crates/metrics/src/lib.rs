@@ -14,9 +14,9 @@
 //!   paper's "about 1.2 CPUs being used on the caller machine" figures,
 //! * [`Table`] — fixed-width text tables shaped like the paper's
 //!   Tables I–XII, with optional Markdown output for EXPERIMENTS.md,
-//! * [`Json`] — a dependency-free, round-trip-stable JSON value (with
-//!   [`HistSummary`], the serialization-safe percentile summary) used by
-//!   the `BENCH_*.json` perf trajectory and its regression gate.
+//! * [`Json`] — a dependency-free, round-trip-stable JSON value: what
+//!   the repo benchmark prints and the `BENCH_NNNN.json` ledger and its
+//!   gate read back.
 
 // No unsafe anywhere in this crate — see DESIGN.md ("Unsafe policy").
 #![forbid(unsafe_code)]
@@ -27,7 +27,7 @@ pub mod table;
 pub mod throughput;
 pub mod util;
 
-pub use hist::{HistSummary, Histogram};
+pub use hist::Histogram;
 pub use json::Json;
 pub use table::Table;
 pub use throughput::{megabits_per_sec, rpcs_per_sec};

@@ -1,6 +1,6 @@
 //! Fixed-width text tables shaped like the paper's Tables I–XII.
 //!
-//! Every `firefly-bench` binary prints its reproduction side by side with
+//! Every `firefly-bench` experiment prints its reproduction side by side with
 //! the paper's published numbers; this module renders those tables in plain
 //! text for the terminal and in Markdown for EXPERIMENTS.md.
 

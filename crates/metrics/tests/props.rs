@@ -3,7 +3,7 @@
 //! `BENCH_*.json` perf trajectory depends on.
 
 use firefly_metrics::json::Json;
-use firefly_metrics::{HistSummary, Histogram};
+use firefly_metrics::Histogram;
 use firefly_propcheck::{check, prop_assert, prop_assert_eq, Gen};
 
 /// The histogram's growth factor (kept in sync with `hist.rs` by the
@@ -22,12 +22,13 @@ fn exact_percentile(sorted: &[f64], p: f64) -> f64 {
 #[test]
 fn percentile_is_within_one_bucket_of_the_order_statistic() {
     check("hist_percentile_accuracy", 200, |g: &mut Gen| {
-        // Positive inputs spanning the histogram's useful range; start
-        // at 2 µs so a value and its bucket never straddle the clamped
-        // bucket 0 (values ≤ 1 µs all share it by design).
+        // Positive inputs spanning the histogram's useful range, from
+        // a few ns (the sub-µs trace steps) to a second; start at 2 ns
+        // so a value and its bucket never straddle the clamped bucket 0
+        // (values ≤ 1 ns all share it by design).
         let values = g.vec(1..400, |g| {
-            let exp = g.rng().f64() * 6.0; // 10^0 .. 10^6
-            2.0 + 10f64.powf(exp)
+            let exp = g.rng().f64() * 8.5 - 2.5; // 10^-2.5 .. 10^6 µs
+            0.002 + 10f64.powf(exp)
         });
         let mut h = Histogram::new();
         for &v in &values {
@@ -62,30 +63,6 @@ fn percentile_is_within_one_bucket_of_the_order_statistic() {
             p100,
             h.max()
         );
-        Ok(())
-    });
-}
-
-#[test]
-fn summary_is_always_finite() {
-    check("hist_summary_finite", 100, |g: &mut Gen| {
-        let mut h = Histogram::new();
-        // Sometimes empty, sometimes with extreme values.
-        for _ in 0..g.usize_in(0..20) {
-            h.record(g.rng().f64() * 1e12);
-        }
-        let s = h.summary();
-        for (name, v) in [
-            ("mean", s.mean),
-            ("min", s.min),
-            ("max", s.max),
-            ("p50", s.p50),
-            ("p95", s.p95),
-            ("p99", s.p99),
-        ] {
-            prop_assert!(v.is_finite(), "{name} = {v} not finite");
-        }
-        prop_assert!(!s.to_json().contains_null());
         Ok(())
     });
 }
@@ -138,26 +115,6 @@ fn json_emit_parse_reemit_is_identical() {
         let reparsed = Json::parse(&pretty).map_err(|e| format!("{e}: {pretty}"))?;
         prop_assert_eq!(&reparsed, &doc);
         prop_assert_eq!(reparsed.to_pretty(), pretty);
-        Ok(())
-    });
-}
-
-#[test]
-fn summary_json_round_trips() {
-    check("hist_summary_roundtrip", 100, |g: &mut Gen| {
-        let mut h = Histogram::new();
-        for _ in 0..g.usize_in(0..50) {
-            h.record(1.0 + g.rng().f64() * 1e7);
-        }
-        let s: HistSummary = h.summary();
-        let text = s.to_json().to_pretty();
-        let parsed = Json::parse(&text).map_err(|e| e.to_string())?;
-        prop_assert_eq!(
-            parsed.get("count").and_then(Json::as_f64),
-            Some(s.count as f64)
-        );
-        prop_assert_eq!(parsed.get("p99").and_then(Json::as_f64), Some(s.p99));
-        prop_assert_eq!(parsed.to_pretty(), text);
         Ok(())
     });
 }

@@ -12,7 +12,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 verify_started=$(date +%s%N)
-run() { local package=$1 bin=$2; shift 2; cargo run --release --offline -q -p "$package" --bin "$bin" -- "$@"; }
+run() { local tool=$1; shift; cargo run --release --offline -q -p "$tool" -- "$@"; }
 
 # budgeted LIMIT_MS CMD...: runs CMD and fails if it took LIMIT_MS or more.
 budgeted() {
@@ -33,43 +33,41 @@ cargo build --release --offline --workspace
 
 # Includes tier-1's root suite: the four static-vs-dynamic gates on the
 # live workspace (tests/verify.rs), the DPOR pruning bound
-# (tests/check.rs) and the bench gate's contract (tests/bench_gate.rs).
+# (tests/check.rs) and the ledger's gate on typed values
+# (tests/bench_gate.rs).
 echo "==> cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
 # The repo benchmark is a package of its own (not a workspace member)
 # that compiles against the runtime's public API; build and test it here
 # so a change that breaks it fails locally, not in the benchmark run.
+# Its 27 tests drive every workload and the traced pass.
 echo "==> cargo test --offline (rpcbench, the repo benchmark)"
 cargo test -q --offline --manifest-path rpcbench/Cargo.toml
 
 # Static analysis must stay interactive: tokenizing the workspace,
 # building the call graph and walking reachability in under 5 seconds.
 echo "==> firefly-lint --summary"
-budgeted 5000 run firefly-lint firefly-lint --summary
+budgeted 5000 run firefly-lint --summary
 
 # Dynamic checking plus cross-validation in one process: bounded
 # schedule exploration of the structure models, the seeded-bug fixtures
 # (each caught with a replayable schedule), the wire scenario, and the
 # four gates against firefly-lint's analysis (docs/CHECKING.md).
 echo "==> firefly-check verify"
-budgeted 25000 run firefly-check firefly-check verify
+budgeted 25000 run firefly-check verify
 
 # The live latency account must produce a complete per-step table (the
 # ±10% accounted-vs-measured bound itself is asserted by
-# tests/latency_account.rs above; this proves the binary end to end).
-echo "==> latency_account --smoke"
+# tests/latency_account.rs above; this proves the executable end to end).
+echo "==> firefly-bench latency_account --smoke"
 run firefly-bench latency_account --smoke
 
-# The perf trajectory (docs/BENCH.md): a smoke snapshot proves the
-# pipeline end to end — real UDP stack, every section, all-finite JSON —
-# then the gate validates it and reports the committed BENCH_*.json
-# trajectory in check mode (the hard gate, `bench_snapshot --gate`, is
-# for comparable hardware, not whatever machine runs this).
-echo "==> bench_snapshot --smoke, then --check on it and on the trajectory"
-budgeted 30000 run firefly-bench bench_snapshot --smoke --out target/bench-smoke.json
-run firefly-bench bench_snapshot --check target/bench-smoke.json
-run firefly-bench bench_snapshot --check
+# The performance ledger (docs/BENCH.md): the newest committed
+# BENCH_NNNN.json held against its predecessor under BENCHMARK.json's
+# bounds. It measures nothing, so it cannot flake, and it is hard.
+echo "==> firefly-bench gate"
+run firefly-bench gate
 
 # Opt-in: rustfmt/clippy may be absent from a minimal toolchain, and
 # their absence must not fail the hermetic check.

@@ -267,3 +267,34 @@ fn generated_stub_source_compiles_conceptually() {
         assert!(src.contains(name), "missing {name} in generated stubs");
     }
 }
+
+#[test]
+fn an_ipv6_endpoint_calls_and_shuts_down() {
+    // The receiver of a transport bound on `[::1]` could not be woken
+    // for shutdown (the poison datagram came from an IPv4 socket), so
+    // dropping such an endpoint joined its receiver forever.
+    let v6 = || UdpTransport::bind("[::1]:0".parse().unwrap());
+    let (Ok(server_socket), Ok(caller_socket)) = (v6(), v6()) else {
+        eprintln!("skipped: this host has no IPv6 loopback");
+        return;
+    };
+    let (iface, service) = calculator();
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let server = Endpoint::new(server_socket, Config::default()).unwrap();
+        let caller = Endpoint::new(caller_socket, Config::default()).unwrap();
+        server.export(service).unwrap();
+        let c = caller.bind(&iface, server.address()).unwrap();
+        let r = c
+            .call("Add", &[Value::Integer(40), Value::Integer(2)])
+            .unwrap();
+        assert_eq!(r[0], Value::Integer(42));
+        // Long enough for both receivers to run out of polls and block.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        drop((c, caller, server));
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("create -> call -> drop on [::1] finishes");
+}

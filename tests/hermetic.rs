@@ -187,40 +187,91 @@ fn check_crate_is_hermetic_and_forbids_unsafe() {
     );
 }
 
+/// One executable, one rig: `crates/bench` builds `firefly-bench` and
+/// nothing else, takes nothing from the environment, and every
+/// experiment the documentation tells a reader to run exists.
 #[test]
-fn bench_snapshot_pipeline_is_hermetic_and_forbids_unsafe() {
-    // The perf-trajectory pipeline (bench_snapshot, its --gate, and the
-    // JSON emitter/parser in firefly-metrics) must obey the same policy
-    // as the rest of the tree: path-only dependencies and no unsafe code.
-    for name in ["firefly-bench", "firefly-metrics"] {
-        let entry = dependency_entries(&workspace_root().join("Cargo.toml"))
-            .into_iter()
-            .filter(|d| d.section == "workspace.dependencies")
-            .find(|d| d.name == name)
-            .unwrap_or_else(|| panic!("{name} is declared in [workspace.dependencies]"));
+fn bench_crate_is_one_executable_and_the_docs_name_only_what_it_runs() {
+    let root = workspace_root();
+    let bench = root.join("crates/bench");
+    let manifest = fs::read_to_string(bench.join("Cargo.toml")).expect("crates/bench/Cargo.toml");
+    for table in ["[[bin]]", "[[bench]]", "[[example]]"] {
         assert!(
-            is_path_only(&entry.spec) && entry.spec.contains("crates/"),
-            "{name} must be a path dependency into crates/: {}",
-            entry.spec
+            !manifest.contains(table),
+            "crates/bench declares a {table} target"
         );
     }
-    for crate_dir in ["bench", "metrics"] {
-        let manifest = workspace_root().join(format!("crates/{crate_dir}/Cargo.toml"));
-        for dep in dependency_entries(&manifest) {
+    assert!(
+        bench.join("src/main.rs").is_file(),
+        "the one executable is src/main.rs"
+    );
+    for extra in ["src/bin", "benches", "examples"] {
+        assert!(
+            !bench.join(extra).exists(),
+            "crates/bench/{extra} would be a second target"
+        );
+    }
+
+    let mut sources = Vec::new();
+    files_under(&bench.join("src"), &mut sources);
+    assert!(sources.len() > 20, "the experiments are modules under src/");
+    for path in &sources {
+        let text = fs::read_to_string(path).expect("readable source");
+        for reader in ["env::var", "env!("] {
             assert!(
-                dep.spec.contains("workspace = true") || is_path_only(&dep.spec),
-                "crates/{crate_dir} dependency `{}` is not path-only: {}",
-                dep.name,
-                dep.spec
+                !text.contains(reader),
+                "{} reads the environment ({reader})",
+                path.display()
             );
         }
-        let lib = fs::read_to_string(workspace_root().join(format!("crates/{crate_dir}/src/lib.rs")))
-            .expect("crate lib.rs");
+    }
+    for crate_dir in ["bench", "metrics"] {
+        let lib = fs::read_to_string(root.join(format!("crates/{crate_dir}/src/lib.rs")))
+            .expect("lib.rs");
         assert!(
             lib.contains("#![forbid(unsafe_code)]"),
             "crates/{crate_dir} must forbid unsafe code"
         );
     }
+
+    let mut docs = vec![
+        root.join("README.md"),
+        root.join("EXPERIMENTS.md"),
+        root.join("DESIGN.md"),
+        root.join(".claude/skills/verify/SKILL.md"),
+    ];
+    files_under(&root.join("docs"), &mut docs);
+    let mut cited = 0;
+    for path in &docs {
+        let text = fs::read_to_string(path).expect("readable document");
+        assert!(
+            !text.contains("firefly-bench --bin") && !text.contains("cargo bench -"),
+            "{} still spells a command of the 21-binary layout",
+            path.display()
+        );
+        for (_, after) in text
+            .match_indices("firefly-bench -- ")
+            .map(|(at, m)| text.split_at(at + m.len()))
+        {
+            if after.starts_with('<') {
+                continue; // `<name>`, `<experiment>`: the general form, not a citation
+            }
+            let name: String = after
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect();
+            assert!(
+                firefly_bench::experiments::find(&name).is_some(),
+                "{} cites `firefly-bench -- {name}`, which the registry does not have",
+                path.display()
+            );
+            cited += 1;
+        }
+    }
+    assert!(
+        cited >= 10,
+        "only {cited} cited commands were found; the guard is not looking"
+    );
 }
 
 /// The interpreter the verification path used to shell out to. This line
