@@ -5,19 +5,21 @@
 //!
 //! * [`caller_transitions`] — a scripted packet sequence against a real
 //!   [`ShardedCallTable`] that walks every caller-side row of
-//!   protocol.toml (Result completion/assembly in all flag shapes, Ack
-//!   quench/advance, ProbeResponse, and the six orphan shapes). It runs
-//!   as the `sharded-calltable` model's transition readout, hook-free,
-//!   after the model's own schedules all pass.
+//!   protocol.toml (Result completion/assembly in all flag shapes, with
+//!   and without a prefix to ack, Ack quench/advance, ProbeResponse, and
+//!   the seven orphan shapes). It runs as the `sharded-calltable`
+//!   model's transition readout, hook-free, after the model's own
+//!   schedules all pass.
 //!
 //! * [`wire_transitions`] — a live [`Endpoint`] on a loopback station
 //!   poked by a raw-frame injector, driving every server-side row:
 //!   fresh dispatch and assembly, duplicates against an executing /
-//!   retained / released / stale activity, the three probe answers plus
-//!   the unknown-probe drop, and the result-ack advance/release/stale
-//!   rows (the advance on a real two-fragment transfer: the row is
-//!   recorded where the next fragment is sent). A gated Null service (each call waits for an explicit token)
-//!   pins the activity in the executing state while duplicates land.
+//!   retained / released / stale activity, the probe answers in every
+//!   state (assembling: the prefix, or silence), and the result-ack
+//!   advance/hole/release/stale rows (on a real transfer of one window
+//!   and a fragment: each row is recorded where its fragment is sent).
+//!   A gated Null service (each call waits for an explicit token) pins
+//!   the activity in the executing state while duplicates land.
 //!
 //! Everything observed flows into [`crate::smoke::Report::transitions`],
 //! which [`crate::gates::protocol`] checks against the spec: observed
@@ -31,6 +33,7 @@
 
 use firefly_pool::BufferPool;
 use firefly_rpc::calltable::{Deliver, ShardedCallTable};
+use firefly_rpc::fragment::WINDOW;
 use firefly_rpc::packet::Packet;
 use firefly_rpc::transport::{LoopbackNet, Transport};
 use firefly_rpc::witness::TRANSITIONS;
@@ -114,28 +117,40 @@ pub fn caller_transitions() -> Vec<String> {
     assert!(matches!(table.deliver(pkt), Deliver::Accepted));
 
     // Early final fragment (assemble), then a please-ack non-final
-    // completes: complete-ack without last-fragment.
+    // completes: complete-call, unacked (the next call acks it).
     open.push(table.register(act(3), 1));
     let pkt = drill_packet(&pool, PacketType::Result, act(3), 1, frag(1, 2, false));
     assert!(matches!(table.deliver(pkt), Deliver::Accepted));
     let pkt = drill_packet(&pool, PacketType::Result, act(3), 1, frag(0, 2, true));
-    assert!(matches!(table.deliver(pkt), Deliver::AcceptedNeedsAck(_)));
+    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
 
-    // Non-final first (assemble-ack), then a please-ack final completes:
-    // complete-ack with last-fragment.
+    // Non-final first, not asking (assemble), then a please-ack final
+    // completes: complete-call with last-fragment, unacked too.
     open.push(table.register(act(4), 1));
     let pkt = drill_packet(&pool, PacketType::Result, act(4), 1, frag(0, 2, false));
-    assert!(matches!(table.deliver(pkt), Deliver::AcceptedNeedsAck(_)));
+    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
     let pkt = drill_packet(&pool, PacketType::Result, act(4), 1, frag(1, 2, true));
-    assert!(matches!(table.deliver(pkt), Deliver::AcceptedNeedsAck(_)));
+    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
 
-    // Still-assembling shapes with please-ack: non-final and reordered
-    // final (three fragments, so neither delivery completes).
+    // Still-assembling shapes with please-ack and a prefix to name:
+    // non-final and reordered final (three fragments, so neither
+    // delivery completes).
     open.push(table.register(act(5), 1));
     let pkt = drill_packet(&pool, PacketType::Result, act(5), 1, frag(0, 3, true));
     assert!(matches!(table.deliver(pkt), Deliver::AcceptedNeedsAck(_)));
     let pkt = drill_packet(&pool, PacketType::Result, act(5), 1, frag(2, 3, true));
     assert!(matches!(table.deliver(pkt), Deliver::AcceptedNeedsAck(_)));
+
+    // The same two while fragment 0 is the hole: nothing to name, no
+    // ack. Then fragment 0, not asking, fills it: complete-call from a
+    // non-final fragment.
+    open.push(table.register(act(7), 1));
+    let pkt = drill_packet(&pool, PacketType::Result, act(7), 1, frag(1, 3, true));
+    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
+    let pkt = drill_packet(&pool, PacketType::Result, act(7), 1, frag(2, 3, true));
+    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
+    let pkt = drill_packet(&pool, PacketType::Result, act(7), 1, frag(0, 3, false));
+    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
 
     // Server ack (quench / fragment-advance) and probe-response against
     // an open call that has not produced a result yet.
@@ -151,6 +166,7 @@ pub fn caller_transitions() -> Vec<String> {
     // registered (a caller long since timed out and moved on).
     for shape in [
         (PacketType::Result, single(false)),
+        (PacketType::Result, frag(0, 2, false)),
         (PacketType::Result, frag(0, 2, true)),
         (PacketType::Result, Shape { cf: true, lf_frag: (0, 1), ..Shape::default() }),
         (PacketType::Ack, single(false)),
@@ -233,10 +249,11 @@ pub fn wire_transitions() -> Result<Vec<String>, String> {
     endpoint
         .export(service)
         .map_err(|e| format!("wire scenario: export: {e}"))?;
-    // A two-fragment result, for the ack that advances a transfer.
+    // A result of one window and one fragment more, for the acks that
+    // move a transfer.
     let bulk = ServiceBuilder::new(bulk_interface())
         .on_call("Get", |_args, w| {
-            w.next_bytes(2000)?.fill(0x42);
+            w.next_bytes(usize::from(WINDOW) * 1440 + 560)?.fill(0x42);
             Ok(())
         })
         .build()
@@ -265,7 +282,7 @@ pub fn wire_transitions() -> Result<Vec<String>, String> {
     Ok(rows)
 }
 
-/// One procedure whose result takes two packets.
+/// One procedure whose result takes more than a window of packets.
 fn bulk_interface() -> firefly_idl::InterfaceDef {
     firefly_idl::parse_interface(
         "DEFINITION MODULE Bulk; PROCEDURE Get(VAR OUT out: ARRAY OF CHAR); END Bulk.",
@@ -363,20 +380,33 @@ fn drive_server_rows(
     inject(call(act(2), 1, (0, 1), true))?;
     await_result(act(2))?;
 
-    // Assembly of two-fragment calls: non-final first (assemble-ack,
-    // both shapes), and the final fragment arriving early (assemble,
-    // both shapes) — none of these dispatch yet.
+    // Assembly of two-fragment calls: non-final first (assemble-ack when
+    // it asks, assemble when not), and the final fragment arriving early
+    // (assemble, both shapes: asking, it finds no prefix to name) —
+    // none of these dispatch yet.
     inject(call(act(3), 1, (0, 2), true))?;
     inject(call(act(4), 1, (0, 2), false))?;
     inject(call(act(5), 1, (1, 2), false))?;
     inject(call(act(6), 1, (1, 2), true))?;
 
     // Completion by a *non-final* fragment (the final arrived above):
-    // dispatch-ack, with and without please-ack.
+    // dispatch, asking or not (the Result acks the call).
     inject(call(act(5), 1, (0, 2), true))?;
     await_result(act(5))?;
     inject(call(act(6), 1, (0, 2), false))?;
     await_result(act(6))?;
+
+    // Three-fragment calls that never complete. A non-final fragment
+    // asking while fragment 0 is the hole: no prefix, no ack; a probe
+    // then finds the call being assembled and goes unanswered too. A
+    // final one asking behind fragment 0: assemble-ack, and a probe is
+    // answered with the prefix.
+    inject(call(act(10), 1, (1, 3), true))?;
+    inject(probe(act(10), 1))?;
+    inject(call(act(11), 1, (0, 3), false))?;
+    inject(call(act(11), 1, (2, 3), true))?;
+    inject(probe(act(11), 1))?;
+    expect_row("server-assembling Probe last_fragment -> ack-prefix")?;
 
     // Pin act(7) in the executing state: no token, so the handler sits
     // in the gate once entered, and every duplicate below classifies
@@ -406,10 +436,11 @@ fn drive_server_rows(
     expect_row("server-dup-retained Call - -> retransmit-result")?;
     expect_row("server-retained Probe last_fragment -> retransmit-result")?;
 
-    // Explicit result acks. The ack of fragment 0 of a two-fragment
-    // result advances the transfer (the receiving thread sends fragment
-    // 1, the second result awaited here); the final ack releases a
-    // retained result.
+    // Explicit result acks, on a result of one window and one fragment
+    // more. An ack short of the window names a hole (the receiving
+    // thread sends that fragment again); the ack of the window's edge
+    // advances the transfer (it sends the last fragment). Each is a
+    // result awaited here. The final ack releases a retained result.
     let bulk = bulk_interface();
     let get = FrameBuilder::new(PacketType::Call)
         .activity(act(9))
@@ -420,10 +451,15 @@ fn drive_server_rows(
         .expect("call frame")
         .into_bytes();
     inject(get)?;
+    for _ in 0..WINDOW {
+        await_result(act(9))?;
+    }
+    inject(result_ack(act(9), 1, (1, WINDOW + 1)))?;
     await_result(act(9))?;
-    inject(result_ack(act(9), 1, (0, 2)))?;
+    inject(result_ack(act(9), 1, (WINDOW - 1, WINDOW + 1)))?;
     await_result(act(9))?;
     inject(result_ack(act(7), 1, (0, 1)))?;
+    expect_row("server-known Ack acks_result -> resend-hole")?;
     expect_row("server-known Ack acks_result -> advance-fragment")?;
     expect_row("server-known Ack last_fragment+acks_result -> release-retained")?;
 

@@ -33,8 +33,8 @@ pub enum Deliver {
     /// The packet was attached to a waiting call (or buffered as a
     /// fragment) and the thread was awakened if complete.
     Accepted,
-    /// The packet was accepted and the sender expects an explicit
-    /// acknowledgement (non-final result fragment, or please-ack).
+    /// The packet was accepted and the sender asked for an explicit
+    /// acknowledgement: this one, naming the prefix of the result held.
     AcceptedNeedsAck(RpcHeader),
     /// Nobody is waiting for this packet; the buffer should be recycled.
     Orphan(Packet),
@@ -45,15 +45,15 @@ pub enum Deliver {
 pub enum Wait {
     /// The complete result arrived.
     Complete(Assembled),
-    /// The server acknowledged a packet of ours; `fragment` says which
-    /// fragment was acknowledged and `last` whether it was the final one
-    /// (an ack of the final fragment, or of a retransmitted single-packet
-    /// call, means the call is in progress — keep waiting, do not
-    /// retransmit).
+    /// The server acknowledged a packet of ours; `held` is the prefix of
+    /// the call's fragments it names and `last` whether that is the whole
+    /// call (an ack of the final fragment, or of a retransmitted
+    /// single-packet call, means the call is in progress — keep waiting,
+    /// do not retransmit).
     Acked {
-        /// Fragment index acknowledged.
-        fragment: u16,
-        /// True when the acknowledged fragment was the last.
+        /// Fragments the server holds, from the first on.
+        held: u16,
+        /// True when the ack covers the final fragment.
         last: bool,
     },
     /// The wait timed out; the caller should retransmit or give up.
@@ -67,10 +67,11 @@ struct EntryState {
     /// Set when the complete result has arrived.
     outcome: Option<Assembled>,
     /// The server acknowledged our call since the last wait:
-    /// `(fragment, last)`.
+    /// `(held, last)`.
     acked: Option<(u16, bool)>,
-    /// Partial multi-packet result.
-    reassembly: Option<Reassembly>,
+    /// Partial multi-packet result, with the header of its first
+    /// fragment to arrive (what an ack of it is made from).
+    reassembly: Option<(RpcHeader, Reassembly)>,
     /// This entry's waiter is in the table's parked-waiter count: it
     /// committed to parking with nothing delivered. Whoever ends that
     /// state first — the thread delivering a packet, or the waiter
@@ -85,8 +86,8 @@ impl EntryState {
         if let Some(outcome) = self.outcome.take() {
             return Some(Wait::Complete(outcome));
         }
-        let (fragment, last) = self.acked.take()?;
-        Some(Wait::Acked { fragment, last })
+        let (held, last) = self.acked.take()?;
+        Some(Wait::Acked { held, last })
     }
 }
 
@@ -107,10 +108,19 @@ impl CallEntry {
     }
 
     /// Fragments of a multi-packet result buffered so far. They are
-    /// delivered without a wake-up (the receiving thread acks them); a
-    /// waiter whose timer fires reads its transfer's progress here.
+    /// delivered without a wake-up; a waiter whose timer fires reads its
+    /// transfer's progress here.
     pub fn result_fragments(&self) -> u16 {
-        self.state.lock().reassembly.as_ref().map_or(0, Reassembly::received)
+        self.state.lock().reassembly.as_ref().map_or(0, |(_, r)| r.received())
+    }
+
+    /// The ack a waiter whose timer fired sends to show the server the
+    /// hole in its multi-packet result: it names the prefix held. `None`
+    /// while no result fragment, or not fragment 0, has arrived.
+    pub fn hole_ack(&self) -> Option<RpcHeader> {
+        let st = self.state.lock();
+        let (first, r) = st.reassembly.as_ref()?;
+        crate::fragment::prefix_ack(first, r)
     }
 
     /// Non-blocking check: consumes an already-delivered outcome or
@@ -189,6 +199,7 @@ pub struct CallTable {
 fn orphan_row(pkt_type: PacketType, f: PacketFlags) -> Option<usize> {
     match (pkt_type, f.please_ack, f.last_fragment, f.acks_result, f.call_failed) {
         (PacketType::Result, false, true, false, false) => Some(row::CALLER_ORPHAN_RESULT_LF_RECYCLE_ORPHAN),
+        (PacketType::Result, false, false, false, false) => Some(row::CALLER_ORPHAN_RESULT_RECYCLE_ORPHAN),
         (PacketType::Result, true, false, false, false) => Some(row::CALLER_ORPHAN_RESULT_PA_RECYCLE_ORPHAN),
         (PacketType::Result, false, true, false, true) => Some(row::CALLER_ORPHAN_RESULT_LF_CF_RECYCLE_ORPHAN),
         (PacketType::Ack, false, true, false, false) => Some(row::CALLER_ORPHAN_ACK_LF_DROP_STRAY),
@@ -288,9 +299,9 @@ impl CallTable {
         }
         match pkt.rpc.packet_type {
             PacketType::Ack | PacketType::ProbeResponse => {
-                let last =
-                    pkt.rpc.flags.last_fragment || pkt.rpc.fragment + 1 >= pkt.rpc.fragment_count;
-                st.acked = Some((pkt.rpc.fragment, last));
+                let last = pkt.rpc.flags.last_fragment
+                    || pkt.rpc.fragment.saturating_add(1) >= pkt.rpc.fragment_count;
+                st.acked = Some((crate::fragment::held(&pkt.rpc), last));
                 entry.uncount(&mut st);
                 drop(st);
                 if !by_waiter {
@@ -326,7 +337,9 @@ impl CallTable {
                 // Multi-packet result: buffer the fragment.
                 let rpc = pkt.rpc;
                 let count = rpc.fragment_count;
-                let reass = st.reassembly.get_or_insert_with(|| Reassembly::new(count));
+                let (_, reass) = st
+                    .reassembly
+                    .get_or_insert_with(|| (rpc, Reassembly::new(count)));
                 let data = match reass.accept(rpc.fragment, count, pkt.data()) {
                     Accepted::Refused => {
                         drop(st);
@@ -335,7 +348,6 @@ impl CallTable {
                     Accepted::Buffered => None,
                     Accepted::Complete(data) => Some(data),
                 };
-                let ack = RpcHeader::ack_for(&rpc);
                 if let Some(data) = data {
                     st.reassembly = None;
                     st.outcome = Some(Assembled::Multi { rpc, data });
@@ -344,47 +356,35 @@ impl CallTable {
                     if !by_waiter {
                         entry.cond.notify_one();
                     }
-                    // The final fragment needs no explicit ack unless asked:
-                    // the next call from this activity implicitly acks it.
-                    if rpc.flags.please_ack {
-                        self.witness.record(if rpc.flags.last_fragment {
-                            row::CALLER_OPEN_RESULT_PA_LF_COMPLETE_ACK
-                        } else {
-                            row::CALLER_OPEN_RESULT_PA_COMPLETE_ACK
-                        });
-                        return Deliver::AcceptedNeedsAck(ack);
-                    }
-                    if rpc.flags.last_fragment {
-                        self.witness.record(if rpc.flags.call_failed {
-                            row::CALLER_OPEN_RESULT_LF_CF_FAIL_CALL
-                        } else {
-                            row::CALLER_OPEN_RESULT_LF_COMPLETE_CALL
-                        });
+                    // Asking or not, the fragment that completes the
+                    // result is acked by the next call.
+                    let f = rpc.flags;
+                    if let Some(row) = match (f.please_ack, f.last_fragment, f.call_failed) {
+                        (true, true, _) => Some(row::CALLER_OPEN_RESULT_PA_LF_COMPLETE_CALL),
+                        (true, false, _) => Some(row::CALLER_OPEN_RESULT_PA_COMPLETE_CALL),
+                        (false, true, true) => Some(row::CALLER_OPEN_RESULT_LF_CF_FAIL_CALL),
+                        (false, true, false) => Some(row::CALLER_OPEN_RESULT_LF_COMPLETE_CALL),
+                        (false, false, false) => Some(row::CALLER_OPEN_RESULT_COMPLETE_CALL),
+                        // No sender fails a call in a non-final fragment.
+                        (false, false, true) => None,
+                    } {
+                        self.witness.record(row);
                     }
                     return Deliver::Accepted;
                 }
+                // A fragment that asks (a window's edge, one sent again)
+                // is acked with the prefix held, if there is one.
+                let ack = crate::fragment::prefix_ack(&rpc, reass).filter(|_| rpc.flags.please_ack);
                 drop(st);
-                // Non-final fragments are always acknowledged explicitly
-                // (Birrell–Nelson stop-and-wait for multi-packet bodies),
-                // as is any fragment that asks. A reordered *final*
-                // fragment arriving before the rest must NOT be acked
-                // unless it asks: an ack carrying last-fragment tells the
-                // server the whole result got through, and it would
-                // release the retained result while earlier fragments are
-                // still in flight — a lost fragment then strands the call
-                // until the server-side retransmission path recovers it.
-                if rpc.flags.please_ack || !rpc.flags.last_fragment {
-                    self.witness.record(if rpc.flags.last_fragment {
-                        row::CALLER_ASSEMBLING_RESULT_PA_LF_ASSEMBLE_ACK
-                    } else if rpc.flags.please_ack {
-                        row::CALLER_ASSEMBLING_RESULT_PA_ASSEMBLE_ACK
-                    } else {
-                        row::CALLER_ASSEMBLING_RESULT_ASSEMBLE_ACK
-                    });
-                    return Deliver::AcceptedNeedsAck(ack);
-                }
-                self.witness.record(row::CALLER_ASSEMBLING_RESULT_LF_ASSEMBLE);
-                Deliver::Accepted
+                self.witness.record(match (rpc.flags.please_ack, rpc.flags.last_fragment, ack) {
+                    (true, true, Some(_)) => row::CALLER_ASSEMBLING_RESULT_PA_LF_ASSEMBLE_ACK,
+                    (true, true, None) => row::CALLER_ASSEMBLING_RESULT_PA_LF_ASSEMBLE,
+                    (true, false, Some(_)) => row::CALLER_ASSEMBLING_RESULT_PA_ASSEMBLE_ACK,
+                    (true, false, None) => row::CALLER_ASSEMBLING_RESULT_PA_ASSEMBLE,
+                    (false, true, _) => row::CALLER_ASSEMBLING_RESULT_LF_ASSEMBLE,
+                    (false, false, _) => row::CALLER_ASSEMBLING_RESULT_ASSEMBLE,
+                });
+                ack.map_or(Deliver::Accepted, Deliver::AcceptedNeedsAck)
             }
             PacketType::Call | PacketType::Probe => {
                 // Caller-bound routing never sees these.
@@ -533,11 +533,12 @@ mod tests {
         ActivityId::new(7, 1, 1)
     }
 
-    fn result_packet(seq: u32, data: &[u8], frag: u16, count: u16) -> Packet {
+    fn result_packet(seq: u32, data: &[u8], frag: u16, count: u16, please_ack: bool) -> Packet {
         let frame = FrameBuilder::new(PacketType::Result)
             .activity(activity())
             .call_seq(seq)
             .fragment(frag, count)
+            .please_ack(please_ack)
             .build(data)
             .unwrap();
         let pool = BufferPool::new(1);
@@ -567,7 +568,7 @@ mod tests {
     fn single_packet_result_wakes_waiter() {
         let table = CallTable::new();
         let entry = table.register(activity(), 5);
-        let pkt = result_packet(5, &[1, 2, 3], 0, 1);
+        let pkt = result_packet(5, &[1, 2, 3], 0, 1, false);
         assert!(matches!(table.deliver(pkt), Deliver::Accepted));
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
             Wait::Complete(a) => assert_eq!(a.data(), &[1, 2, 3]),
@@ -579,7 +580,7 @@ mod tests {
     fn wrong_seq_is_orphaned() {
         let table = CallTable::new();
         let _entry = table.register(activity(), 5);
-        let pkt = result_packet(4, &[], 0, 1);
+        let pkt = result_packet(4, &[], 0, 1, false);
         assert!(matches!(table.deliver(pkt), Deliver::Orphan(_)));
     }
 
@@ -590,25 +591,24 @@ mod tests {
         // (the old expect()-based code assumed a clean interleaving).
         let table = CallTable::new();
         let entry = table.register(activity(), 9);
-        // A reordered final fragment arriving first is buffered but NOT
-        // acked (it carries last-fragment without please-ack; acking it
-        // would tell the server the whole result arrived).
+        // A reordered final fragment arriving first is buffered, and
+        // none of them asks for an ack.
         assert!(matches!(
-            table.deliver(result_packet(9, &[30, 31], 2, 3)),
+            table.deliver(result_packet(9, &[30, 31], 2, 3, false)),
             Deliver::Accepted
         ));
         assert!(matches!(
-            table.deliver(result_packet(9, &full(10), 0, 3)),
-            Deliver::AcceptedNeedsAck(_)
+            table.deliver(result_packet(9, &full(10), 0, 3, false)),
+            Deliver::Accepted
         ));
         // Duplicate of an already-buffered fragment.
         assert!(matches!(
-            table.deliver(result_packet(9, &full(10), 0, 3)),
-            Deliver::AcceptedNeedsAck(_)
+            table.deliver(result_packet(9, &full(10), 0, 3, false)),
+            Deliver::Accepted
         ));
         assert_eq!(entry.result_fragments(), 2);
         assert!(matches!(
-            table.deliver(result_packet(9, &full(20), 1, 3)),
+            table.deliver(result_packet(9, &full(20), 1, 3, false)),
             Deliver::Accepted
         ));
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
@@ -624,22 +624,22 @@ mod tests {
         let table = CallTable::new();
         let _entry = table.register(activity(), 9);
         assert!(matches!(
-            table.deliver(result_packet(9, &full(1), 0, 3)),
-            Deliver::AcceptedNeedsAck(_)
+            table.deliver(result_packet(9, &full(1), 0, 3, false)),
+            Deliver::Accepted
         ));
         // Claims fragment 7 of 3 — malformed; must be orphaned.
         assert!(matches!(
-            table.deliver(result_packet(9, &full(2), 7, 3)),
+            table.deliver(result_packet(9, &full(2), 7, 3, false)),
             Deliver::Orphan(_)
         ));
         // A count mismatch mid-reassembly is equally malformed, and so
         // is a short fragment that is not the last.
         assert!(matches!(
-            table.deliver(result_packet(9, &full(3), 1, 5)),
+            table.deliver(result_packet(9, &full(3), 1, 5, false)),
             Deliver::Orphan(_)
         ));
         assert!(matches!(
-            table.deliver(result_packet(9, &[3], 1, 3)),
+            table.deliver(result_packet(9, &[3], 1, 3, false)),
             Deliver::Orphan(_)
         ));
     }
@@ -647,7 +647,7 @@ mod tests {
     #[test]
     fn unknown_activity_is_orphaned() {
         let table = CallTable::new();
-        let pkt = result_packet(1, &[], 0, 1);
+        let pkt = result_packet(1, &[], 0, 1, false);
         assert!(matches!(table.deliver(pkt), Deliver::Orphan(_)));
     }
 
@@ -671,11 +671,11 @@ mod tests {
     fn fragments_reassemble_in_any_order() {
         let table = CallTable::new();
         let entry = table.register(activity(), 2);
-        let p1 = result_packet(2, &full(4), 1, 3);
-        let p0 = result_packet(2, &full(1), 0, 3);
-        let p2 = result_packet(2, &[7, 8], 2, 3);
-        assert!(matches!(table.deliver(p1), Deliver::AcceptedNeedsAck(_)));
-        assert!(matches!(table.deliver(p0), Deliver::AcceptedNeedsAck(_)));
+        let p1 = result_packet(2, &full(4), 1, 3, false);
+        let p0 = result_packet(2, &full(1), 0, 3, false);
+        let p2 = result_packet(2, &[7, 8], 2, 3, false);
+        assert!(matches!(table.deliver(p1), Deliver::Accepted));
+        assert!(matches!(table.deliver(p0), Deliver::Accepted));
         // The final fragment completes the call.
         assert!(matches!(table.deliver(p2), Deliver::Accepted));
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
@@ -689,10 +689,10 @@ mod tests {
         let table = CallTable::new();
         let entry = table.register(activity(), 2);
         for _ in 0..3 {
-            let p0 = result_packet(2, &full(1), 0, 2);
+            let p0 = result_packet(2, &full(1), 0, 2, false);
             let _ = table.deliver(p0);
         }
-        let p1 = result_packet(2, &[3], 1, 2);
+        let p1 = result_packet(2, &[3], 1, 2, false);
         assert!(matches!(table.deliver(p1), Deliver::Accepted));
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
             Wait::Complete(a) => assert_eq!(a.data(), [&full(1)[..], &[3]].concat()),
@@ -705,12 +705,12 @@ mod tests {
         let table = CallTable::new();
         let entry = table.register(activity(), 3);
         assert!(matches!(
-            table.deliver(result_packet(3, &[1], 0, 1)),
+            table.deliver(result_packet(3, &[1], 0, 1, false)),
             Deliver::Accepted
         ));
         // A duplicate of the same result (e.g. server retransmission).
         assert!(matches!(
-            table.deliver(result_packet(3, &[1], 0, 1)),
+            table.deliver(result_packet(3, &[1], 0, 1, false)),
             Deliver::Orphan(_)
         ));
         assert!(matches!(
@@ -726,7 +726,7 @@ mod tests {
         let t2 = Arc::clone(&table);
         let h = std::thread::spawn(move || {
             firefly_sync::test_sleep();
-            t2.deliver(result_packet(1, &[42], 0, 1));
+            t2.deliver(result_packet(1, &[42], 0, 1, false));
         });
         match entry.wait(Instant::now() + Duration::from_secs(5)) {
             Wait::Complete(a) => assert_eq!(a.data(), &[42]),
@@ -738,63 +738,33 @@ mod tests {
     }
 
     #[test]
-    fn please_ack_on_final_fragment_requests_ack() {
-        let table = CallTable::new();
-        let _entry = table.register(activity(), 4);
-        // A retransmitted single-fragment result sets please_ack; we should
-        // accept it (completing the call) and still send the ack — but for
-        // single-packet results the runtime acks implicitly via next call,
-        // so only the multi-fragment final case requests one here.
-        let frame = FrameBuilder::new(PacketType::Result)
-            .activity(activity())
-            .call_seq(4)
-            .fragment(1, 2)
-            .please_ack(true)
-            .build(&[9])
-            .unwrap();
-        let pool = BufferPool::new(2);
-        let mut buf = pool.alloc().unwrap();
-        buf.fill_from(frame.bytes());
-        let final_frag = Packet::from_buf(buf).unwrap();
-        let first = result_packet(4, &full(8), 0, 2);
-        assert!(matches!(table.deliver(first), Deliver::AcceptedNeedsAck(_)));
-        match table.deliver(final_frag) {
+    fn a_fragment_that_asks_is_acked_with_the_prefix_held() {
+        let acked = |d: Deliver| match d {
             Deliver::AcceptedNeedsAck(ack) => {
                 assert_eq!(ack.packet_type, PacketType::Ack);
                 assert!(ack.flags.acks_result);
+                Some(ack.fragment)
             }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn early_final_fragment_acked_only_when_asked() {
-        // Without please-ack, a reordered final fragment buffers
-        // silently: an ack would carry last-fragment and the server
-        // would release its retained result prematurely.
+            Deliver::Accepted => None,
+            Deliver::Orphan(_) => panic!("orphaned"),
+        };
         let table = CallTable::new();
-        let _entry = table.register(activity(), 6);
+        let entry = table.register(activity(), 6);
+        // Fragment 0 lost: an edge that asks finds no prefix to name.
+        assert_eq!(acked(table.deliver(result_packet(6, &full(2), 2, 4, true))), None);
+        assert_eq!(entry.hole_ack(), None);
+        assert_eq!(acked(table.deliver(result_packet(6, &full(0), 0, 4, false))), None);
+        // Now it names fragment 0, the one before the hole at 1 — and so
+        // does the ack a waiter sends when its timer fires.
+        assert_eq!(acked(table.deliver(result_packet(6, &full(0), 0, 4, true))), Some(0));
+        assert_eq!(entry.hole_ack().map(|a| a.fragment), Some(0));
+        // The hole filled by a fragment sent again, asking: that
+        // completes the result, which the next call acknowledges.
+        assert_eq!(acked(table.deliver(result_packet(6, &[9], 3, 4, false))), None);
+        assert_eq!(acked(table.deliver(result_packet(6, &full(1), 1, 4, true))), None);
         assert!(matches!(
-            table.deliver(result_packet(6, &[9], 1, 2)),
-            Deliver::Accepted
-        ));
-        // With please-ack the sender explicitly wants the fragment
-        // confirmed, so the ack goes out.
-        let table2 = CallTable::new();
-        let _entry2 = table2.register(activity(), 6);
-        let frame = FrameBuilder::new(PacketType::Result)
-            .activity(activity())
-            .call_seq(6)
-            .fragment(1, 2)
-            .please_ack(true)
-            .build(&[9])
-            .unwrap();
-        let pool = BufferPool::new(1);
-        let mut buf = pool.alloc().unwrap();
-        buf.fill_from(frame.bytes());
-        assert!(matches!(
-            table2.deliver(Packet::from_buf(buf).unwrap()),
-            Deliver::AcceptedNeedsAck(_)
+            entry.wait(Instant::now() + Duration::from_secs(1)),
+            Wait::Complete(_)
         ));
     }
 
@@ -802,9 +772,9 @@ mod tests {
     fn deliver_records_spec_transitions() {
         let table = CallTable::new();
         let _entry = table.register(activity(), 5);
-        let _ = table.deliver(result_packet(5, &[1], 0, 1));
+        let _ = table.deliver(result_packet(5, &[1], 0, 1, false));
         // A duplicate of the completed result orphans.
-        let _ = table.deliver(result_packet(5, &[1], 0, 1));
+        let _ = table.deliver(result_packet(5, &[1], 0, 1, false));
         let observed = table.witness().observed();
         assert!(observed.contains(&"caller-open Result last_fragment -> complete-call"));
         assert!(observed.contains(&"caller-orphan Result last_fragment -> recycle-orphan"));
@@ -847,7 +817,7 @@ mod tests {
         assert_eq!(table.shard(id).outstanding(), 1);
         assert_eq!(table.outstanding(), 1);
         assert!(matches!(
-            table.deliver(result_packet(5, &[1], 0, 1)),
+            table.deliver(result_packet(5, &[1], 0, 1, false)),
             Deliver::Accepted
         ));
         match entry.wait(Instant::now() + Duration::from_secs(1)) {

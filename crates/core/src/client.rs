@@ -22,7 +22,9 @@
 
 use crate::calltable::Wait;
 use crate::endpoint::EndpointShared;
+use crate::fragment::{Acked, Window};
 use crate::packet::Assembled;
+use crate::stats::RpcStats;
 use crate::{Result, RpcError};
 use firefly_idl::{ArgReader, ArgWriter, CompiledStub, IdlError, InterfaceDef, Value};
 use firefly_wire::{ActivityId, PacketFlags, PacketType, RpcHeader, DATA_OFFSET};
@@ -266,26 +268,16 @@ impl Client {
             data_len: data_len as u16,
         };
 
-        let result = (|| -> Result<Assembled> {
-            let entry = shared.calls.register(activity, seq);
-            let outcome = match &heap_data {
-                None => {
-                    // Single packet, zero copy: headers around the data in
-                    // the pool buffer.
-                    let total = shared
-                        .ctx
-                        .builder_from(&header, inner.remote)
-                        .encode_into(call_buf.raw_mut(), data_len)?;
-                    call_buf.set_len(total);
-                    self.transact_single(&header, &call_buf, &entry, deadline, &mut span)
-                }
-                Some(data) => {
-                    self.transact_multi(&header, data, &mut call_buf, &entry, deadline, &mut span)
-                }
-            };
-            shared.calls.unregister(activity);
-            outcome
-        })();
+        let entry = shared.calls.register(activity, seq);
+        let result = self.transact(
+            &header,
+            heap_data.as_deref(),
+            &mut call_buf,
+            &entry,
+            deadline,
+            &mut span,
+        );
+        shared.calls.unregister(activity);
 
         // --- Unmarshal + Ender. ---
         let outcome = match result {
@@ -316,22 +308,79 @@ impl Client {
         Ok(values?)
     }
 
-    /// Sends a single-packet call and waits for the result.
-    fn transact_single(
+    /// The Transporter: sends the call and waits for its result. A call
+    /// of one packet goes out as it is; a spilled one (`spilled`) a
+    /// window of fragments at a time ([`Window`]), each encoded in `buf`,
+    /// the call's own pool buffer. Silences are the timer's: a lost lone
+    /// packet is sent again; a call that went out in fragments is probed
+    /// first, which the server answers with the prefix it holds, so only
+    /// what is missing goes out again; a result with a hole gets the ack
+    /// that names the hole. An answer that names no more than the last
+    /// ack did moves nothing (a copy looks the same), so the silence
+    /// after it sends the first unacknowledged fragment — or has the
+    /// server send it — again.
+    fn transact(
         &self,
         header: &RpcHeader,
-        frame: &[u8],
+        spilled: Option<&[u8]>,
+        buf: &mut firefly_pool::PacketBuf,
         entry: &crate::calltable::CallEntry,
         deadline: Option<Instant>,
         span: &mut crate::trace::Span<'_>,
     ) -> Result<Assembled> {
         let shared = &self.inner.shared;
-        let cfg = &shared.config;
-        shared.ctx.send_call(frame, self.inner.remote)?;
-        // First-write-wins: for fragmented calls the `Sent` stamp was
-        // already taken at the first fragment.
-        span.stamp(crate::trace::Stamp::Sent);
-        crate::stats::RpcStats::bump(&shared.ctx.stats.calls_sent);
+        let (cfg, stats, remote) = (&shared.config, &shared.ctx.stats, self.inner.remote);
+        let count = match spilled {
+            Some(data) => crate::fragment::fragment_count(data.len())?,
+            None => 1,
+        };
+        let mut window = Window::new(count);
+        // Fragment `index`, encoded around its bytes in the call buffer (a
+        // spilled call's are copied in first) and sent; a one-packet call
+        // through the combining sender.
+        let mut send = |index: u16, please_ack: bool| -> Result<()> {
+            let len = match spilled {
+                None => header.data_len as usize,
+                Some(data) => {
+                    let chunk = crate::fragment::chunk(data, index);
+                    buf.raw_mut()[DATA_OFFSET..DATA_OFFSET + chunk.len()].copy_from_slice(chunk);
+                    chunk.len()
+                }
+            };
+            let total = shared
+                .ctx
+                .builder_from(header, remote)
+                .fragment(index, count)
+                .please_ack(please_ack)
+                .encode_into(buf.raw_mut(), len)?;
+            buf.set_len(total);
+            if count == 1 {
+                return shared.ctx.send_call(buf, remote);
+            }
+            Ok(shared.ctx.transport.send(buf, remote)?)
+        };
+        let probe = RpcHeader {
+            packet_type: PacketType::Probe,
+            fragment: count - 1,
+            fragment_count: count,
+            data_len: 0,
+            ..*header
+        };
+        let send_probe = || {
+            let builder = shared.ctx.builder_from(&probe, remote);
+            shared.ctx.send_built(&builder, &[], remote)
+        };
+
+        while let Some((index, ask)) = window.advance() {
+            send(index, ask)?;
+            // The account's "send" boundary is the first transmission of
+            // the first packet (first-write-wins).
+            span.stamp(crate::trace::Stamp::Sent);
+            if count > 1 {
+                RpcStats::bump(&stats.fragments_sent);
+            }
+        }
+        RpcStats::bump(&stats.calls_sent);
 
         // Backoff jitter is seeded from the endpoint config (mixed with
         // the activity and sequence number so concurrent callers
@@ -345,8 +394,15 @@ impl Client {
         );
         let mut timeout = cfg.retransmit_initial;
         let mut transmissions = 1u32;
-        let mut acked = false;
+        // The server holds the whole call: it said so, or its result is
+        // arriving.
+        let mut whole = false;
         let mut probes = 0u32;
+        // The last silence asked where a hole is instead of re-sending: a
+        // probe asked the server where the call's is, or an ack told it
+        // where the result's is. If nothing came of it, the next silence
+        // re-sends the first fragment not acknowledged.
+        let mut asked = false;
         let mut result_fragments = 0u16;
         loop {
             let mut wake_at = Instant::now() + timeout;
@@ -361,260 +417,77 @@ impl Client {
                     span.stamp(crate::trace::Stamp::ResultReceived);
                     return Ok(a);
                 }
-                Wait::Acked { fragment, .. } => {
-                    // Only an ack that covers *this* packet proves the
-                    // server holds the complete call. Acks of earlier
-                    // fragments can surface here (delayed, duplicated,
-                    // or left in the slot by the fragment loop) while
-                    // the final fragment itself was lost; believing
-                    // them would switch to probing a call the server
-                    // never started — which it answers with silence —
-                    // instead of retransmitting the missing packet.
-                    if fragment >= header.fragment {
-                        acked = true;
-                        probes = 0;
-                        timeout = cfg.retransmit_max;
+                Wait::Acked { last: true, .. } => {
+                    // Only an ack covering the final fragment proves the
+                    // server holds the complete call: stop sending it.
+                    (whole, probes, asked) = (true, 0, false);
+                    timeout = cfg.retransmit_max;
+                }
+                Wait::Acked { .. } if whole => {}
+                Wait::Acked { held, .. } => {
+                    // A prefix: it opens the next window, or shows a hole.
+                    match window.ack(held) {
+                        Acked::Open => {
+                            while let Some((index, ask)) = window.advance() {
+                                send(index, ask)?;
+                                RpcStats::bump(&stats.fragments_sent);
+                            }
+                        }
+                        Acked::Hole(index) => {
+                            send(index, true)?;
+                            RpcStats::bump(&stats.retransmissions);
+                        }
+                        Acked::Stale => continue,
                     }
+                    (transmissions, asked, timeout) = (1, false, cfg.retransmit_initial);
                 }
                 Wait::TimedOut => {
                     if progressed(entry, &mut result_fragments) {
-                        transmissions = 1;
-                        probes = 0;
+                        (transmissions, probes, asked) = (1, 0, false);
                         timeout = cfg.retransmit_initial;
                     }
-                    if acked {
-                        // The server said it is working; probe instead of
-                        // retransmitting the call.
+                    whole |= result_fragments > 0;
+                    // Name the result's hole, unless the last silence did
+                    // and nothing came of it: the server had heard that
+                    // prefix, so its window starts at the hole.
+                    let hole = entry.hole_ack().filter(|_| !asked);
+                    if whole && hole.is_none() {
+                        // The server is working on it, or is to re-send
+                        // its first unacknowledged result fragment:
+                        // probe, don't send the call again.
                         probes += 1;
                         if probes > 120 {
                             return Err(RpcError::CallFailed { transmissions });
                         }
-                        let probe = RpcHeader {
-                            packet_type: PacketType::Probe,
-                            data_len: 0,
-                            ..*header
-                        };
-                        shared.ctx.send_built(
-                            &shared.ctx.builder_from(&probe, self.inner.remote),
-                            &[],
-                            self.inner.remote,
-                        )?;
+                        asked = false;
+                        send_probe()?;
+                        continue;
+                    }
+                    if transmissions >= cfg.max_transmissions {
+                        return Err(RpcError::CallFailed { transmissions });
+                    }
+                    transmissions += 1;
+                    if let Some(ack) = hole {
+                        // The result has a hole: name the prefix held.
+                        asked = true;
+                        shared.ctx.send_ack(&ack, remote)?;
+                    } else if count > 1 && !asked {
+                        // Where is the call's hole? The server answers a
+                        // probe with the prefix it holds.
+                        asked = true;
+                        send_probe()?;
                     } else {
-                        if transmissions >= cfg.max_transmissions {
-                            return Err(RpcError::CallFailed { transmissions });
-                        }
-                        // Retransmit with please-ack so the server answers
+                        // Again, with please-ack, so the server answers
                         // even while the call executes.
-                        let retransmit = shared
-                            .ctx
-                            .builder_from(header, self.inner.remote)
-                            .please_ack(true);
-                        shared.ctx.send_built(
-                            &retransmit,
-                            frame_data(frame, header),
-                            self.inner.remote,
-                        )?;
-                        transmissions += 1;
-                        crate::stats::RpcStats::bump(&shared.ctx.stats.retransmissions);
-                        // Exponential backoff with up to +25% deterministic
-                        // jitter so synchronized callers spread out.
-                        timeout = (timeout * 2)
-                            .min(cfg.retransmit_max)
-                            .mul_f64(1.0 + jitter.f64() * 0.25);
+                        asked = false;
+                        send(window.unacked, true)?;
+                        RpcStats::bump(&stats.retransmissions);
                     }
-                }
-            }
-        }
-    }
-
-    /// Sends a multi-packet call stop-and-wait, then waits for the result.
-    ///
-    /// `call_buf` is the call's own pool buffer, still unused (the
-    /// arguments did not fit it): the final fragment is encoded there.
-    fn transact_multi(
-        &self,
-        header: &RpcHeader,
-        data: &[u8],
-        call_buf: &mut firefly_pool::PacketBuf,
-        entry: &crate::calltable::CallEntry,
-        deadline: Option<Instant>,
-        span: &mut crate::trace::Span<'_>,
-    ) -> Result<Assembled> {
-        let shared = &self.inner.shared;
-        let cfg = &shared.config;
-        let count = crate::fragment::fragment_count(data.len())?;
-        if cfg.fragment_blast && count > 1 {
-            return self.transact_blast(header, data, count, entry, deadline, span);
-        }
-        for (index, chunk) in crate::fragment::fragments(data) {
-            let frag_header = RpcHeader {
-                fragment: index,
-                fragment_count: count,
-                data_len: chunk.len() as u16,
-                ..*header
-            };
-            let builder = shared.ctx.builder_from(&frag_header, self.inner.remote);
-            crate::stats::RpcStats::bump(&shared.ctx.stats.fragments_sent);
-            if index + 1 == count {
-                // The final fragment behaves like a single-packet call.
-                call_buf.raw_mut()[DATA_OFFSET..DATA_OFFSET + chunk.len()].copy_from_slice(chunk);
-                let total = builder.encode_into(call_buf.raw_mut(), chunk.len())?;
-                call_buf.set_len(total);
-                return self.transact_single(&frag_header, call_buf, entry, deadline, span);
-            }
-            // Every fragment but the last goes stop-and-wait.
-            let builder = builder.please_ack(true);
-            shared.ctx.send_built(&builder, chunk, self.inner.remote)?;
-            // The account's "send" boundary is the first transmission of
-            // the first fragment (first-write-wins on later fragments).
-            span.stamp(crate::trace::Stamp::Sent);
-            let mut attempts = 1;
-            loop {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return Err(RpcError::DeadlineExceeded);
-                    }
-                }
-                match shared.wait_on(
-                    entry,
-                    header.activity,
-                    Instant::now()
-                        + cfg
-                            .retransmit_initial
-                            .max(std::time::Duration::from_millis(20)),
-                ) {
-                    Wait::Acked { fragment, .. } if fragment >= index => break,
-                    Wait::Acked { .. } => continue,
-                    Wait::Complete(a) => {
-                        // Server already answered (dup of an earlier call).
-                        span.stamp(crate::trace::Stamp::ResultReceived);
-                        return Ok(a);
-                    }
-                    Wait::TimedOut => {
-                        attempts += 1;
-                        if attempts > cfg.max_transmissions {
-                            return Err(RpcError::CallFailed {
-                                transmissions: attempts,
-                            });
-                        }
-                        shared.ctx.send_built(&builder, chunk, self.inner.remote)?;
-                        crate::stats::RpcStats::bump(&shared.ctx.stats.retransmissions);
-                    }
-                }
-            }
-        }
-        Err(RpcError::Internal {
-            context: "fragmented transfer produced zero fragments",
-        })
-    }
-
-    /// Sends a multi-packet call as one back-to-back fragment blast —
-    /// the batching ablation ([`Config::fragment_blast`]).
-    ///
-    /// The whole window goes out at once and the caller waits only for
-    /// the result. Timeout recovery re-blasts the entire window (with
-    /// please-ack on the final fragment so progress is observable);
-    /// server-side reassembly is idempotent, so duplicates are harmless.
-    /// The ack/probe state machine mirrors [`Client::transact_single`]:
-    /// only an acknowledgement covering the final fragment proves the
-    /// server holds the complete call and switches us to probing.
-    fn transact_blast(
-        &self,
-        header: &RpcHeader,
-        data: &[u8],
-        count: u16,
-        entry: &crate::calltable::CallEntry,
-        deadline: Option<Instant>,
-        span: &mut crate::trace::Span<'_>,
-    ) -> Result<Assembled> {
-        let shared = &self.inner.shared;
-        let cfg = &shared.config;
-        let final_index = count - 1;
-        let send_window = |please_ack_final: bool| -> Result<()> {
-            for (index, chunk) in crate::fragment::fragments(data) {
-                let frag_header = RpcHeader {
-                    fragment: index,
-                    fragment_count: count,
-                    data_len: chunk.len() as u16,
-                    ..*header
-                };
-                let builder = shared
-                    .ctx
-                    .builder_from(&frag_header, self.inner.remote)
-                    .please_ack(please_ack_final && index == final_index);
-                shared.ctx.send_built(&builder, chunk, self.inner.remote)?;
-                crate::stats::RpcStats::bump(&shared.ctx.stats.fragments_sent);
-            }
-            Ok(())
-        };
-        send_window(false)?;
-        span.stamp(crate::trace::Stamp::Sent);
-        crate::stats::RpcStats::bump(&shared.ctx.stats.calls_sent);
-
-        let final_header = RpcHeader {
-            fragment: final_index,
-            fragment_count: count,
-            ..*header
-        };
-        let mut timeout = cfg.retransmit_initial;
-        let mut transmissions = 1u32;
-        let mut acked = false;
-        let mut probes = 0u32;
-        let mut result_fragments = 0u16;
-        loop {
-            let mut wake_at = Instant::now() + timeout;
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Err(RpcError::DeadlineExceeded);
-                }
-                wake_at = wake_at.min(d);
-            }
-            match shared.wait_on(entry, header.activity, wake_at) {
-                Wait::Complete(a) => {
-                    span.stamp(crate::trace::Stamp::ResultReceived);
-                    return Ok(a);
-                }
-                Wait::Acked { fragment, .. } => {
-                    // The server acks every non-final fragment it
-                    // buffers; only an ack covering the final fragment
-                    // proves it holds the complete call.
-                    if fragment >= final_index {
-                        acked = true;
-                        probes = 0;
-                        timeout = cfg.retransmit_max;
-                    }
-                }
-                Wait::TimedOut => {
-                    if progressed(entry, &mut result_fragments) {
-                        transmissions = 1;
-                        probes = 0;
-                        timeout = cfg.retransmit_initial;
-                    }
-                    if acked {
-                        // The server is executing; probe, don't re-blast.
-                        probes += 1;
-                        if probes > 120 {
-                            return Err(RpcError::CallFailed { transmissions });
-                        }
-                        let probe = RpcHeader {
-                            packet_type: PacketType::Probe,
-                            data_len: 0,
-                            ..final_header
-                        };
-                        shared.ctx.send_built(
-                            &shared.ctx.builder_from(&probe, self.inner.remote),
-                            &[],
-                            self.inner.remote,
-                        )?;
-                    } else {
-                        if transmissions >= cfg.max_transmissions {
-                            return Err(RpcError::CallFailed { transmissions });
-                        }
-                        send_window(true)?;
-                        transmissions += 1;
-                        crate::stats::RpcStats::bump(&shared.ctx.stats.retransmissions);
-                        timeout = (timeout * 2).min(cfg.retransmit_max);
-                    }
+                    // Exponential backoff with up to +25% deterministic
+                    // jitter so synchronized callers spread out.
+                    timeout = (timeout * 2)
+                        .min(cfg.retransmit_max)
+                        .mul_f64(1.0 + jitter.f64() * 0.25);
                 }
             }
         }
@@ -635,19 +508,14 @@ impl firefly_idl::RpcCall for Client {
 }
 
 /// Whether fragments of a multi-packet result have arrived since the last
-/// look (`seen`). They are acked by the receiving thread without waking
-/// this one, so a timer that fires mid-transfer finds its evidence here:
-/// the transfer is alive, and the caller's transmission budget, probe
-/// count and back-off start over — or a long result under loss would be
-/// given up on while it was getting through.
+/// look (`seen`). They are taken in by the receiving thread without
+/// waking this one, so a timer that fires mid-transfer finds its evidence
+/// here: the transfer is alive, and the caller's transmission budget,
+/// probe count and back-off start over — or a long result under loss
+/// would be given up on while it was getting through.
 fn progressed(entry: &crate::calltable::CallEntry, seen: &mut u16) -> bool {
     let now = entry.result_fragments();
     std::mem::replace(seen, now) < now
-}
-
-/// Extracts the data region from an encoded call frame for retransmission.
-fn frame_data<'f>(frame: &'f [u8], header: &RpcHeader) -> &'f [u8] {
-    &frame[DATA_OFFSET..DATA_OFFSET + header.data_len as usize]
 }
 
 impl Drop for ClientInner {

@@ -49,19 +49,6 @@ pub struct Config {
     /// Capacity (in records) of the per-endpoint completed-trace ring
     /// buffer, preallocated at endpoint creation.
     pub trace_capacity: usize,
-    /// Send multi-packet call bodies as one back-to-back blast instead
-    /// of Birrell–Nelson stop-and-wait — the batching ablation.
-    ///
-    /// Off (the default), every non-final fragment waits for its
-    /// explicit acknowledgement before the next is sent, exactly as the
-    /// paper does; large transfers pay one round trip per fragment. On,
-    /// the whole fragment window is transmitted at once and the caller
-    /// waits only for the result, re-blasting the entire window on
-    /// timeout (server-side reassembly is idempotent, so duplicated
-    /// fragments are harmless). This is the §4.2.5 "redesign the RPC
-    /// protocol" direction: fewer round trips in exchange for
-    /// retransmitting a whole window when any fragment is lost.
-    pub fragment_blast: bool,
 }
 
 /// Default worker count: one server thread per available processor,
@@ -88,7 +75,6 @@ impl Default for Config {
             rng_seed: 0x5eed_f1ef_0001,
             trace: false,
             trace_capacity: crate::trace::DEFAULT_RING_CAPACITY,
-            fragment_blast: false,
         }
     }
 }
@@ -118,15 +104,6 @@ impl Config {
             ..Config::default()
         }
     }
-
-    /// Convenience: the fragment-batching ablation — blast multi-packet
-    /// call bodies instead of stop-and-wait.
-    pub fn batched_fragments() -> Self {
-        Config {
-            fragment_blast: true,
-            ..Config::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -151,8 +128,5 @@ mod tests {
         assert!(!Config::default().trace);
         assert!(Config::traced().trace);
         assert!(Config::traced().trace_capacity > 0);
-        // The ablation toggle must default to the paper's behavior.
-        assert!(!Config::default().fragment_blast);
-        assert!(Config::batched_fragments().fragment_blast);
     }
 }

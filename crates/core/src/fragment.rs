@@ -3,16 +3,19 @@
 //!
 //! "The RPC implementation allows arguments and results larger than 1440
 //! bytes, but such larger arguments and results necessarily are
-//! transmitted in multiple packets." (§2.) Following Birrell–Nelson,
-//! every fragment except the last is sent stop-and-wait: it carries the
-//! please-ack flag and the sender waits for the explicit acknowledgement
-//! before sending the next, so no more than one packet per call is ever
-//! outstanding without an ack. (The batching ablation,
-//! `Config::fragment_blast`, replaces the caller's stop-and-wait with a
-//! back-to-back window blast; see `Client::transact_blast`.)
+//! transmitted in multiple packets." (§2.) Both directions send them the
+//! same way, through a window (the shape eRPC gives a session's packets
+//! in flight, and the §4.2.5 "redesign the RPC protocol" what-if): up to
+//! [`WINDOW`] fragments beyond the last acknowledged one go out back to
+//! back. Only the fragment at a window's edge asks for an ack; the ack
+//! names the prefix the receiver holds ([`prefix_ack`]), so it both
+//! opens the next window and points at the first hole, which is all a
+//! loss costs: that fragment is sent again, asking where the next hole
+//! is. A transfer that fits one window sends no ack at all — the Result
+//! acks the Call, the next Call acks the Result.
 
 use firefly_idl::{ArgWriter, IdlError};
-use firefly_wire::MAX_SINGLE_PACKET_DATA;
+use firefly_wire::{RpcHeader, MAX_SINGLE_PACKET_DATA};
 
 use crate::{Result, RpcError};
 
@@ -31,14 +34,92 @@ pub fn fragment_count(len: usize) -> Result<u16> {
     Ok(len.div_ceil(MAX_FRAGMENT_DATA).max(1) as u16)
 }
 
-/// Iterates `(index, chunk)` fragments of `data`.
-pub fn fragments(data: &[u8]) -> impl Iterator<Item = (u16, &[u8])> {
-    let count = data.len().div_ceil(MAX_FRAGMENT_DATA).max(1);
-    (0..count).map(move |i| {
-        let start = i * MAX_FRAGMENT_DATA;
-        let end = (start + MAX_FRAGMENT_DATA).min(data.len());
-        (i as u16, &data[start..end])
+/// Fragment `index` of `data` (empty past its end).
+pub(crate) fn chunk(data: &[u8], index: u16) -> &[u8] {
+    let start = (index as usize * MAX_FRAGMENT_DATA).min(data.len());
+    &data[start..(start + MAX_FRAGMENT_DATA).min(data.len())]
+}
+
+/// A sender's view of one transfer: what the receiver has acknowledged
+/// holding, and what has gone out. The caller keeps one for a call, the
+/// server's activity slot one for a result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Window {
+    /// The first fragment the receiver has not acknowledged: it holds
+    /// every one below.
+    pub unacked: u16,
+    /// The first fragment not sent yet.
+    pub next: u16,
+    pub count: u16,
+}
+
+/// What an ack told a [`Window`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Acked {
+    /// It holds everything sent: send what the window now lets out.
+    Open,
+    /// It lacks this fragment, which was sent: send it again.
+    Hole(u16),
+    /// It named no more than an earlier ack, or more than was sent.
+    Stale,
+}
+
+impl Window {
+    pub fn new(count: u16) -> Window {
+        Window { unacked: 0, next: 0, count }
+    }
+
+    /// The next fragment to send for the first time, if the window lets
+    /// one out, and whether it asks for an ack: only the window's edge
+    /// does, and never the last fragment (the Result, or the next Call,
+    /// acknowledges that).
+    pub fn advance(&mut self) -> Option<(u16, bool)> {
+        let edge = self.unacked.saturating_add(WINDOW).min(self.count);
+        let index = self.next;
+        if index >= edge {
+            return None;
+        }
+        self.next += 1;
+        Some((index, self.next == edge && self.next < self.count))
+    }
+
+    /// Takes in an ack naming a prefix of `held` fragments. Only one that
+    /// names more than the last moves anything: a copy of an ack is
+    /// stale, and so, indistinguishably, is a hole at the fragment the
+    /// last ack opened the window at — the sender's timer finds that one.
+    /// No prefix ack names the whole transfer, so `unacked` is always a
+    /// fragment of it.
+    pub fn ack(&mut self, held: u16) -> Acked {
+        if held <= self.unacked || held > self.next || held == self.count {
+            return Acked::Stale;
+        }
+        self.unacked = held;
+        if held < self.next {
+            Acked::Hole(held)
+        } else {
+            Acked::Open
+        }
+    }
+}
+
+/// The ack of `asked`, a fragment that asks for one, by the receiver
+/// reassembling its transfer in `r`: it names the prefix held, as the
+/// index of its last fragment. `None` while fragment 0 is missing (there
+/// is no prefix to name) and once the transfer is whole (its Result, or
+/// the next Call, acks it).
+pub(crate) fn prefix_ack(asked: &RpcHeader, r: &Reassembly) -> Option<RpcHeader> {
+    let held = r.contiguous;
+    (held > 0 && held < r.count).then(|| {
+        let mut ack = RpcHeader::ack_for(asked);
+        ack.fragment = held - 1;
+        ack.flags.last_fragment = false;
+        ack
     })
+}
+
+/// The prefix a [`prefix_ack`] names: the fragments the receiver holds.
+pub(crate) fn held(ack: &RpcHeader) -> u16 {
+    ack.fragment.saturating_add(1)
 }
 
 /// Runs `marshal` again for an argument list that did not fit a packet
@@ -72,11 +153,25 @@ pub(crate) fn marshal_spilled(
 }
 
 /// How far past the fragments already buffered a fragment's index may
-/// lie: the number of *holes* a reassembly tolerates below it. In-order
-/// (stop-and-wait) traffic has none; a blasted window has one per frame
-/// lost or overtaken. What lies further ahead is refused and comes
-/// again with the sender's next retransmission.
+/// lie: the number of *holes* a reassembly tolerates below it. A window
+/// in flight has one per frame lost or overtaken, and never more than
+/// [`WINDOW`]. What lies further ahead is refused and comes again with
+/// the sender's next retransmission.
 const MAX_HOLES: usize = 32;
+
+/// Fragments a sender puts on the wire beyond the last one acknowledged,
+/// and so how often a long transfer asks for an ack: at each window's
+/// edge. Chosen from a measured table of 2 / 4 / 8 / 16 (EXPERIMENTS.md,
+/// "A window, not stop-and-wait"): from 4 up `blob_4f_1c`'s 5760-byte
+/// body fits one window and draws no ack; a larger window stalls a long
+/// body less often, but under loss a smaller one finds more of its holes
+/// at an edge instead of by the caller's timer. 8 is the best or tied on
+/// both counts.
+pub const WINDOW: u16 = 8;
+
+// A window's fragments are never refused for being too far ahead: the
+// sender only sends past what the receiver has acknowledged holding.
+const _: () = assert!(WINDOW as usize <= MAX_HOLES);
 
 /// What [`Reassembly::accept`] made of one fragment.
 #[derive(Debug, PartialEq, Eq)]
@@ -105,6 +200,8 @@ pub struct Reassembly {
     count: u16,
     /// Distinct fragments buffered.
     received: u16,
+    /// Fragments `0..contiguous` are all buffered; `contiguous` is not.
+    contiguous: u16,
     /// Length of the final fragment, once it has arrived.
     last_len: Option<usize>,
     /// One bit per fragment buffered, grown like `body`.
@@ -124,6 +221,16 @@ impl Reassembly {
     /// Distinct fragments buffered so far.
     pub fn received(&self) -> u16 {
         self.received
+    }
+
+    /// How many fragments from the first on are all buffered: the prefix
+    /// an ack names, and the index of the first hole.
+    pub fn contiguous(&self) -> u16 {
+        self.contiguous
+    }
+
+    fn holds(&self, index: usize) -> bool {
+        self.have.get(index / 64).is_some_and(|w| w & (1u64 << (index % 64)) != 0)
     }
 
     /// Bytes of heap this reassembly holds.
@@ -165,6 +272,9 @@ impl Reassembly {
             if last {
                 self.last_len = Some(chunk.len());
             }
+            while self.contiguous < self.count && self.holds(self.contiguous as usize) {
+                self.contiguous += 1;
+            }
         }
         match self.last_len {
             Some(last_len) if self.received == self.count => {
@@ -189,10 +299,15 @@ mod tests {
         assert_eq!(fragment_count(1441).unwrap(), 2);
     }
 
+    /// Every `(index, chunk)` of `data`, as a sender sends them.
+    fn fragments(data: &[u8]) -> Vec<(u16, &[u8])> {
+        (0..fragment_count(data.len()).unwrap()).map(|i| (i, chunk(data, i))).collect()
+    }
+
     #[test]
     fn fragments_cover_data_exactly() {
         let data: Vec<u8> = (0..4000u32).map(|i| (i % 251) as u8).collect();
-        let parts: Vec<_> = fragments(&data).collect();
+        let parts = fragments(&data);
         assert_eq!(parts.len(), 3);
         assert_eq!(parts[0].1.len(), 1440);
         assert_eq!(parts[1].1.len(), 1440);
@@ -200,13 +315,54 @@ mod tests {
         let rejoined: Vec<u8> = parts.iter().flat_map(|(_, c)| c.iter().copied()).collect();
         assert_eq!(rejoined, data);
         assert_eq!(parts[2].0, 2);
+        assert!(chunk(&data, 3).is_empty(), "past the end");
     }
 
     #[test]
     fn empty_data_yields_one_empty_fragment() {
-        let parts: Vec<_> = fragments(&[]).collect();
+        let parts = fragments(&[]);
         assert_eq!(parts.len(), 1);
         assert!(parts[0].1.is_empty());
+    }
+
+    #[test]
+    fn a_window_asks_only_at_its_edge_and_never_on_the_last_fragment() {
+        let sent = |w: &mut Window| std::iter::from_fn(|| w.advance()).collect::<Vec<_>>();
+        // A transfer that fits one window asks for nothing.
+        let mut w = Window::new(4);
+        assert_eq!(sent(&mut w), [(0, false), (1, false), (2, false), (3, false)]);
+        // A longer one asks at each edge; an ack of the edge opens the
+        // next window, which ends at the last fragment.
+        let n = WINDOW + 3;
+        let mut w = Window::new(n);
+        let first = sent(&mut w);
+        assert_eq!(first.len(), WINDOW as usize);
+        assert!(first.iter().all(|&(i, ask)| ask == (i + 1 == WINDOW)));
+        assert_eq!(w.ack(WINDOW), Acked::Open);
+        // A copy of that ack, arriving after the next window went out,
+        // moves nothing and sends nothing.
+        assert_eq!(sent(&mut w), [(WINDOW, false), (WINDOW + 1, false), (WINDOW + 2, false)]);
+        assert_eq!(w.ack(WINDOW), Acked::Stale);
+        assert_eq!((w.unacked, w.next), (WINDOW, WINDOW + 3));
+    }
+
+    #[test]
+    fn an_ack_short_of_what_was_sent_names_the_hole() {
+        let mut w = Window::new(WINDOW * 2);
+        while w.advance().is_some() {}
+        // Fragment 2 lost: the edge's ack names two.
+        assert_eq!(w.ack(2), Acked::Hole(2));
+        // A copy of that report is stale: the hole was sent again once
+        // (if that is lost too, the sender's timer finds it).
+        assert_eq!(w.ack(2), Acked::Stale);
+        // An older ack, or one claiming what was never sent, is stale.
+        assert_eq!(w.ack(1), Acked::Stale);
+        assert_eq!(w.ack(WINDOW + 1), Acked::Stale);
+        assert_eq!(Window { unacked: 0, next: 3, count: 3 }.ack(3), Acked::Stale, "the whole");
+        assert_eq!(w.unacked, 2);
+        // The hole filled, everything sent is held: the window moves on.
+        assert_eq!(w.ack(WINDOW), Acked::Open);
+        assert_eq!(w.advance(), Some((WINDOW, false)));
     }
 
     #[test]
@@ -224,7 +380,7 @@ mod tests {
     #[test]
     fn reassembles_in_any_order_and_ignores_duplicates() {
         let data = body(4000);
-        let parts: Vec<_> = fragments(&data).collect();
+        let parts = fragments(&data);
         for order in [[0, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]] {
             let mut r = Reassembly::new(3);
             for (n, &i) in order.iter().enumerate() {
@@ -292,5 +448,42 @@ mod tests {
             assert_eq!(r.accept(i, 200, &chunk), Accepted::Buffered, "fragment {i}");
         }
         assert_eq!(r.received(), 99);
+        assert_eq!(r.contiguous(), 0, "the hole is fragment 0");
+        assert_eq!(r.accept(0, 200, &chunk), Accepted::Buffered);
+        assert_eq!(r.contiguous(), 100);
+    }
+
+    #[test]
+    fn contiguous_is_the_prefix_held_and_points_at_the_first_hole() {
+        let chunk = [5u8; MAX_FRAGMENT_DATA];
+        let mut r = Reassembly::new(5);
+        for (index, prefix) in [(0, 1), (2, 1), (2, 1), (4, 1), (1, 3), (3, 5)] {
+            let chunk = if index == 4 { &chunk[..7] } else { &chunk[..] };
+            let _ = r.accept(index, 5, chunk);
+            assert_eq!(r.contiguous(), prefix, "after fragment {index}");
+        }
+        // Refused fragments move nothing.
+        let mut r = Reassembly::new(3);
+        assert_eq!(r.accept(1, 3, &chunk[..9]), Accepted::Refused);
+        assert_eq!(r.contiguous(), 0);
+    }
+
+    #[test]
+    fn a_prefix_ack_names_what_is_held_and_only_while_there_is_a_prefix() {
+        let chunk = [5u8; MAX_FRAGMENT_DATA];
+        let asked = RpcHeader {
+            fragment: 2,
+            fragment_count: 3,
+            ..RpcHeader::call(Default::default(), 1, 7, 1, 0, MAX_FRAGMENT_DATA)
+        };
+        let mut r = Reassembly::new(3);
+        let _ = r.accept(2, 3, &chunk[..4]);
+        assert_eq!(prefix_ack(&asked, &r), None, "fragment 0 is the hole");
+        let _ = r.accept(0, 3, &chunk);
+        let ack = prefix_ack(&asked, &r).expect("a prefix of one");
+        assert_eq!((held(&ack), ack.fragment_count), (1, 3));
+        assert!(!ack.flags.last_fragment && !ack.flags.please_ack);
+        assert!(matches!(r.accept(1, 3, &chunk), Accepted::Complete(_)));
+        assert_eq!(prefix_ack(&asked, &r), None, "whole: the Result acks it");
     }
 }

@@ -23,13 +23,14 @@
 //!
 //! No thread waits for an acknowledgement. A multi-packet result is
 //! **state in the activity slot** ([`Transfer`]): the executing thread
-//! sends fragment 0 and is done; the ack of fragment *k* makes whichever
-//! thread received it send fragment *k + 1* (`handle_result_ack`). Loss
-//! is the caller's to notice: its duplicate call or probe gets the
-//! fragment at the cursor again, like any retained result.
+//! sends its first window and is done; an ack of the window's edge makes
+//! whichever thread received it send the next window, and an ack that
+//! stops short of what was sent makes it send the hole again
+//! (`handle_result_ack`). Loss is the caller's to notice: its hole
+//! report, duplicate call or probe gets the missing fragment again.
 
 use crate::calltable::shard_for;
-use crate::fragment::{Accepted, Reassembly, MAX_FRAGMENT_DATA};
+use crate::fragment::{Accepted, Acked, Reassembly, Window};
 use crate::packet::{Assembled, Packet};
 use crate::send::SendCtx;
 use crate::service::Service;
@@ -68,21 +69,43 @@ enum Retained {
 }
 
 /// A multi-packet result as slot state: the marshalled result, kept
-/// once, and how far its stop-and-wait transmission has got. Fragment
-/// frames are built when they are sent.
+/// once, and how far its windowed transmission has got. Fragment frames
+/// are built when they are sent.
 struct Transfer {
     /// The result header the fragments are stamped from.
     header: RpcHeader,
     data: Vec<u8>,
-    /// The fragment last sent: the one whose ack moves the transfer on,
-    /// and the one a duplicate call or probe gets again. (Everything
-    /// below it the caller has acknowledged, so it holds it.)
-    cursor: u16,
-    count: u16,
+    /// The first fragment the caller has not acknowledged — the one a
+    /// duplicate call or probe gets again — and the next one to send.
+    window: Window,
     /// The call's server trace record, detached from the executing
     /// thread's span; the thread that first sends the last fragment
     /// finishes it.
     record: Option<TraceRecord>,
+}
+
+impl Transfer {
+    /// Encodes fragment `index` (one the window let out) onto the
+    /// sender's stack, asking for an ack when `ask` and it is not the
+    /// last. `None` only if the frame fails to encode.
+    fn frame(&mut self, ctx: &SendCtx, dst: SocketAddr, index: u16, ask: bool) -> Option<Outgoing> {
+        let count = self.window.count;
+        debug_assert!(index < count, "fragment {index} of {count}");
+        let chunk = crate::fragment::chunk(&self.data, index);
+        let last = index + 1 == count;
+        let mut out = Outgoing::new();
+        out.bytes[DATA_OFFSET..DATA_OFFSET + chunk.len()].copy_from_slice(chunk);
+        out.len = ctx
+            .builder_from(&self.header, dst)
+            .fragment(index, count)
+            .please_ack(ask && !last)
+            .encode_into(&mut out.bytes, chunk.len())
+            .ok()?;
+        if last {
+            out.finished = self.record.take();
+        }
+        Some(out)
+    }
 }
 
 /// One encoded frame of a retained result, on the sending thread's
@@ -97,40 +120,32 @@ struct Outgoing {
     finished: Option<TraceRecord>,
 }
 
-impl Retained {
-    /// Encodes the frame this result has to send, now or again: the one
-    /// frame of a single-packet result, the fragment at a transfer's
-    /// cursor. `None` when nothing is retained.
-    fn frame(&mut self, ctx: &SendCtx, dst: SocketAddr) -> Option<Outgoing> {
-        if let Retained::None = self {
-            return None;
-        }
-        let mut out = Outgoing {
+impl Outgoing {
+    fn new() -> Outgoing {
+        Outgoing {
             bytes: [0; MAX_FRAME_LEN],
             len: 0,
             finished: None,
-        };
+        }
+    }
+}
+
+impl Retained {
+    /// Encodes the frame a duplicate call or a probe gets again: the one
+    /// frame of a single-packet result, or a transfer's first
+    /// unacknowledged fragment, asking where the caller's hole is.
+    /// `None` when nothing is retained.
+    fn resend(&mut self, ctx: &SendCtx, dst: SocketAddr) -> Option<Outgoing> {
         let whole: &[u8] = match self {
             Retained::None => return None,
             Retained::Pooled(b) => b,
             Retained::Heap(v) => v,
             Retained::Transfer(t) => {
-                let start = t.cursor as usize * MAX_FRAGMENT_DATA;
-                let chunk = t.data.get(start..(start + MAX_FRAGMENT_DATA).min(t.data.len()))?;
-                let last = t.cursor + 1 == t.count;
-                out.bytes[DATA_OFFSET..DATA_OFFSET + chunk.len()].copy_from_slice(chunk);
-                out.len = ctx
-                    .builder_from(&t.header, dst)
-                    .fragment(t.cursor, t.count)
-                    .please_ack(!last)
-                    .encode_into(&mut out.bytes, chunk.len())
-                    .ok()?;
-                if last {
-                    out.finished = t.record.take();
-                }
-                return Some(out);
+                let first = t.window.unacked;
+                return t.frame(ctx, dst, first, true);
             }
         };
+        let mut out = Outgoing::new();
         out.bytes.get_mut(..whole.len())?.copy_from_slice(whole);
         out.len = whole.len();
         Some(out)
@@ -495,13 +510,13 @@ impl ServerSide {
         if rpc.call_seq == st.last_seq && st.last_seq != 0 {
             // Duplicate of the current call (a caller retransmission).
             RpcStats::bump(&stats.duplicate_calls);
-            let resend = st.retained.frame(&self.ctx, src);
+            let resend = st.retained.resend(&self.ctx, src);
             let executing = st.in_progress;
             drop(st);
             if let Some(frame) = resend {
                 // "the last result packet … must be retained for possible
                 // retransmission": answer the duplicate from it —
-                // mid-transfer, with the fragment the caller is missing.
+                // mid-transfer, with the first fragment not acknowledged.
                 if let Some(s) = slot {
                     self.ctx.witness.record(DUP_RETAINED_ROWS[s]);
                 }
@@ -509,7 +524,7 @@ impl ServerSide {
                 RpcStats::bump(&stats.retransmissions);
             } else if executing && rpc.flags.please_ack {
                 // The call is executing; tell the caller to stop
-                // retransmitting.
+                // retransmitting: the ack names the whole call.
                 if slot.is_some() {
                     self.ctx.witness.record(if rpc.flags.last_fragment {
                         row::SERVER_DUP_EXECUTING_CALL_PA_LF_ACK_EXECUTING
@@ -517,7 +532,11 @@ impl ServerSide {
                         row::SERVER_DUP_EXECUTING_CALL_PA_ACK_EXECUTING
                     });
                 }
-                let _ = self.ctx.send_ack(&RpcHeader::ack_for(&rpc), src);
+                let whole = RpcHeader {
+                    fragment: rpc.fragment_count.saturating_sub(1),
+                    ..RpcHeader::ack_for(&rpc)
+                };
+                let _ = self.ctx.send_ack(&whole, src);
             } else if let Some(s) = slot {
                 // Dropped without answer: still executing (no ack asked),
                 // or the result was already delivered and released.
@@ -552,52 +571,40 @@ impl ServerSide {
                 return;
             }
             RpcStats::bump(&stats.fragments_received);
-            // Stop-and-wait: every non-final fragment is acked — after
-            // the activity guard drops, since the ack hits the wire.
-            let ack_fragment = !rpc.flags.last_fragment;
+            // Only a fragment that asks is acked — after the activity
+            // guard drops, since the ack hits the wire — with the prefix
+            // held, if there is one. The Result acks a whole call.
+            let (pa, lf) = (rpc.flags.please_ack, rpc.flags.last_fragment);
+            let ack = crate::fragment::prefix_ack(&rpc, reass).filter(|_| pa);
             let Accepted::Complete(data) = accepted else {
                 if slot.is_some() {
-                    self.ctx.witness.record(if rpc.flags.last_fragment {
-                        // Early-arriving final fragment: assembly goes on.
-                        if rpc.flags.please_ack {
-                            row::SERVER_NEW_CALL_PA_LF_ASSEMBLE
-                        } else {
-                            row::SERVER_NEW_CALL_LF_ASSEMBLE
-                        }
-                    } else if rpc.flags.please_ack {
-                        row::SERVER_NEW_CALL_PA_ASSEMBLE_ACK
-                    } else {
-                        row::SERVER_NEW_CALL_ASSEMBLE_ACK
+                    self.ctx.witness.record(match (pa, lf, ack.is_some()) {
+                        (false, false, _) => row::SERVER_NEW_CALL_ASSEMBLE,
+                        (true, false, true) => row::SERVER_NEW_CALL_PA_ASSEMBLE_ACK,
+                        (true, false, false) => row::SERVER_NEW_CALL_PA_ASSEMBLE,
+                        (false, true, _) => row::SERVER_NEW_CALL_LF_ASSEMBLE,
+                        (true, true, true) => row::SERVER_NEW_CALL_PA_LF_ASSEMBLE_ACK,
+                        (true, true, false) => row::SERVER_NEW_CALL_PA_LF_ASSEMBLE,
                     });
                 }
                 drop(st);
-                if ack_fragment {
-                    let _ = self.ctx.send_ack(&RpcHeader::ack_for(&rpc), src);
+                if let Some(ack) = ack {
+                    let _ = self.ctx.send_ack(&ack, src);
                 }
                 self.recycle(pkt);
                 return;
             };
             st.reassembly = None;
             if slot.is_some() {
-                self.ctx.witness.record(if ack_fragment {
-                    // A non-final fragment completed the call (the final
-                    // one arrived early): ack it, then dispatch.
-                    if rpc.flags.please_ack {
-                        row::SERVER_NEW_CALL_PA_DISPATCH_ACK
-                    } else {
-                        row::SERVER_NEW_CALL_DISPATCH_ACK
-                    }
-                } else if rpc.flags.please_ack {
-                    row::SERVER_NEW_CALL_PA_LF_DISPATCH
-                } else {
-                    row::SERVER_NEW_CALL_LF_DISPATCH
+                self.ctx.witness.record(match (pa, lf) {
+                    (true, false) => row::SERVER_NEW_CALL_PA_DISPATCH,
+                    (false, false) => row::SERVER_NEW_CALL_DISPATCH,
+                    (true, true) => row::SERVER_NEW_CALL_PA_LF_DISPATCH,
+                    (false, true) => row::SERVER_NEW_CALL_LF_DISPATCH,
                 });
             }
             self.begin_call(&mut st, rpc.call_seq);
             drop(st);
-            if ack_fragment {
-                let _ = self.ctx.send_ack(&RpcHeader::ack_for(&rpc), src);
-            }
             self.recycle(pkt);
             Assembled::Multi { rpc, data }
         } else {
@@ -665,14 +672,15 @@ impl ServerSide {
 
     /// Interrupt-level handling of a probe.
     ///
-    /// Three cases: the call is still executing — answer ProbeResponse so
+    /// Four cases: the call is still executing — answer ProbeResponse so
     /// the caller keeps waiting; the call already completed — the result
     /// packet must have been lost, so retransmit the retained result —
-    /// of a multi-packet one, the fragment at the cursor — (a
+    /// of a multi-packet one, the first fragment not acknowledged — (a
     /// ProbeResponse here would livelock: the caller would keep probing
     /// and the server would keep saying "in progress" forever); the call
-    /// is unknown — stay silent and let the caller's transmission budget
-    /// expire.
+    /// is being put together — ack the prefix held, which tells the
+    /// caller where the hole is; the call is unknown — stay silent and
+    /// let the caller's transmission budget expire.
     pub fn handle_probe(&self, rpc: &RpcHeader, src: SocketAddr) {
         // Probes on the wire carry exactly last-fragment; the witness
         // records only that spec shape.
@@ -680,30 +688,41 @@ impl ServerSide {
             && !rpc.flags.please_ack
             && !rpc.flags.acks_result
             && !rpc.flags.call_failed;
+        let record = |row| {
+            if spec_probe {
+                self.ctx.witness.record(row);
+            }
+        };
         let act = self.activity(rpc.activity);
         let mut st = act.state.lock();
         if st.last_seq != rpc.call_seq {
-            if spec_probe {
-                self.ctx.witness.record(row::SERVER_UNKNOWN_PROBE_LF_DROP_SILENT);
+            let ack = match &st.reassembly {
+                Some((seq, r)) if *seq == rpc.call_seq => Some(crate::fragment::prefix_ack(rpc, r)),
+                _ => None,
+            };
+            drop(st);
+            match ack {
+                Some(None) => record(row::SERVER_ASSEMBLING_PROBE_LF_DROP_SILENT),
+                Some(Some(ack)) => {
+                    record(row::SERVER_ASSEMBLING_PROBE_LF_ACK_PREFIX);
+                    let _ = self.ctx.send_ack(&ack, src);
+                }
+                None => record(row::SERVER_UNKNOWN_PROBE_LF_DROP_SILENT),
             }
             return;
         }
-        let resend = st.retained.frame(&self.ctx, src);
+        let resend = st.retained.resend(&self.ctx, src);
         let executing = st.in_progress;
         drop(st);
         if let Some(frame) = resend {
-            if spec_probe {
-                self.ctx.witness.record(row::SERVER_RETAINED_PROBE_LF_RETRANSMIT_RESULT);
-            }
+            record(row::SERVER_RETAINED_PROBE_LF_RETRANSMIT_RESULT);
             self.send_frame(&frame, src);
             RpcStats::bump(&self.ctx.stats.retransmissions);
             RpcStats::bump(&self.ctx.stats.probes_answered);
             return;
         }
         if executing {
-            if spec_probe {
-                self.ctx.witness.record(row::SERVER_EXECUTING_PROBE_LF_PROBE_RESPONSE);
-            }
+            record(row::SERVER_EXECUTING_PROBE_LF_PROBE_RESPONSE);
             let response = RpcHeader {
                 packet_type: PacketType::ProbeResponse,
                 data_len: 0,
@@ -713,20 +732,21 @@ impl ServerSide {
                 .ctx
                 .send_built(&self.ctx.builder_from(&response, src), &[], src);
             RpcStats::bump(&self.ctx.stats.probes_answered);
-        } else if spec_probe {
+        } else {
             // Result delivered and released: stay silent (the caller's
             // next call starts a fresh round).
-            self.ctx.witness.record(row::SERVER_RELEASED_PROBE_LF_DROP_SILENT);
+            record(row::SERVER_RELEASED_PROBE_LF_DROP_SILENT);
         }
     }
 
-    /// Interrupt-level handling of a caller's ack of one of our result
+    /// Interrupt-level handling of a caller's ack of our result
     /// fragments, on whichever thread holds the receive role.
     ///
-    /// The ack of the fragment at a transfer's cursor *is* the event
-    /// that sends the next one: this thread moves the cursor and hands
-    /// fragment `cursor + 1` to the transport itself — no server thread
-    /// sleeps through the round trip, none is woken by it.
+    /// The ack names the prefix the caller holds, and *is* the event that
+    /// sends what comes next: the next window when it covers everything
+    /// sent, the hole again when it stops short — handed to the
+    /// transport by this thread itself, so no server thread sleeps
+    /// through the round trip and none is woken by it.
     pub fn handle_result_ack(&self, rpc: &RpcHeader, src: SocketAddr) {
         RpcStats::bump(&self.ctx.stats.acks_received);
         // Caller result-acks carry acks-result, optionally with
@@ -760,24 +780,58 @@ impl ServerSide {
             }
             return;
         }
-        match &mut st.retained {
-            Retained::Transfer(t) if rpc.fragment == t.cursor && t.cursor + 1 < t.count => {
-                t.cursor += 1;
+        // An ack for a single-packet result is as stale as one of another
+        // call: it moves nothing.
+        let Retained::Transfer(t) = &mut st.retained else {
+            record(row::SERVER_UNKNOWN_ACK_AR_DROP_STALE);
+            return;
+        };
+        match t.window.ack(crate::fragment::held(rpc)) {
+            Acked::Open => {
+                drop(st);
+                record(row::SERVER_KNOWN_ACK_AR_ADVANCE_FRAGMENT);
+                self.send_window(&act, src);
             }
-            // Not the ack this slot is waiting for — a duplicate, one
-            // from below the cursor, one for a single-packet result —
-            // and so as stale as one of another call: it moves nothing.
-            _ => {
-                record(row::SERVER_UNKNOWN_ACK_AR_DROP_STALE);
+            Acked::Hole(index) => {
+                // The caller lacks that fragment: again, asking where the
+                // next hole is.
+                let frame = t.frame(&self.ctx, src, index, true);
+                drop(st);
+                record(row::SERVER_KNOWN_ACK_AR_RESEND_HOLE);
+                if let Some(frame) = frame {
+                    self.send_frame(&frame, src);
+                    RpcStats::bump(&self.ctx.stats.retransmissions);
+                }
+            }
+            Acked::Stale => record(row::SERVER_UNKNOWN_ACK_AR_DROP_STALE),
+        }
+    }
+
+    /// Sends one window of `act`'s result transfer — the fragments it
+    /// lets out that nobody has sent yet — one at a time with the
+    /// activity guard dropped around each send. Called by the thread that
+    /// opened the window: the one that executed the call, or the one that
+    /// received the ack of the last window's edge. It stops at this
+    /// window's edge even if that ack has already come: the next window
+    /// is its receiver's to send.
+    fn send_window(&self, act: &Activity, dst: SocketAddr) {
+        loop {
+            let mut st = act.state.lock();
+            let Retained::Transfer(t) = &mut st.retained else {
+                return;
+            };
+            let Some((index, edge)) = t.window.advance() else {
+                return;
+            };
+            let frame = t.frame(&self.ctx, dst, index, edge);
+            drop(st);
+            if let Some(frame) = frame {
+                self.send_frame(&frame, dst);
+                RpcStats::bump(&self.ctx.stats.fragments_sent);
+            }
+            if edge {
                 return;
             }
-        }
-        let next = st.retained.frame(&self.ctx, src);
-        drop(st);
-        if let Some(frame) = next {
-            record(row::SERVER_KNOWN_ACK_AR_ADVANCE_FRAGMENT);
-            self.send_frame(&frame, src);
-            RpcStats::bump(&self.ctx.stats.fragments_sent);
         }
     }
 
@@ -788,10 +842,10 @@ impl ServerSide {
 
     /// Hands an encoded frame of a retained result to the transport,
     /// with no lock held. One routine for all the senders of a
-    /// transfer's fragments — `complete` (fragment 0),
-    /// `handle_result_ack` (the next one), the duplicate-call and probe
-    /// handlers (the same one again) — so whichever of them first hands
-    /// over the *last* fragment ends the call's trace record there.
+    /// transfer's fragments — `send_window` (for `complete` and
+    /// `handle_result_ack`), the hole `handle_result_ack` is shown, the
+    /// duplicate-call and probe handlers — so whichever of them first
+    /// hands over the *last* fragment ends the call's trace record there.
     fn send_frame(&self, frame: &Outgoing, dst: SocketAddr) {
         // A send failure is indistinguishable from loss on the wire; the
         // caller's retransmission recovers either.
@@ -871,17 +925,15 @@ impl ServerSide {
         st.in_progress = false;
         match outcome {
             Ok(retained) => {
+                let transfer = matches!(retained, Retained::Transfer(_));
                 st.retained = retained;
-                if let Retained::Transfer(_) = st.retained {
-                    // Fragment 0 goes out only now, with the transfer
-                    // where the receiver will look for it: its ack may
-                    // arrive on another thread before `send` returns.
-                    let first = st.retained.frame(&self.ctx, src);
-                    drop(st);
-                    if let Some(frame) = first {
-                        self.send_frame(&frame, src);
-                        RpcStats::bump(&self.ctx.stats.fragments_sent);
-                    }
+                drop(st);
+                if transfer {
+                    // The first window goes out only now, with the
+                    // transfer where the receiver will look for it: an
+                    // ack may arrive on another thread before `send`
+                    // returns.
+                    self.send_window(act, src);
                 }
             }
             Err(e) => {
@@ -986,9 +1038,8 @@ impl ServerSide {
             }
             Written::Spilled(data) => Ok(Retained::Transfer(Transfer {
                 header,
-                count: crate::fragment::fragment_count(data.len())?,
+                window: Window::new(crate::fragment::fragment_count(data.len())?),
                 data,
-                cursor: 0,
                 record: span.detach(),
             })),
         }

@@ -126,8 +126,8 @@ mod tests {
             "server-unknown Ack last_fragment+acks_result -> drop-stale"
         );
         assert_eq!(
-            TRANSITIONS[row::CALLER_ASSEMBLING_RESULT_ASSEMBLE_ACK],
-            "caller-assembling Result - -> assemble-ack"
+            TRANSITIONS[row::CALLER_ASSEMBLING_RESULT_PA_ASSEMBLE_ACK],
+            "caller-assembling Result please_ack -> assemble-ack"
         );
     }
 

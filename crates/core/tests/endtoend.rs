@@ -1,9 +1,10 @@
 //! End-to-end protocol tests over the loopback Ethernet and real UDP.
 
 use firefly_idl::{parse_interface, test_interface, Value};
+use firefly_rpc::fragment::WINDOW;
 use firefly_rpc::transport::{FaultPlan, LoopbackNet, Transport, UdpTransport};
 use firefly_rpc::{Config, Endpoint, RpcError, ServiceBuilder};
-use firefly_wire::{ActivityId, FrameBuilder, FrameView, PacketType};
+use firefly_wire::{ActivityId, FrameBuilder, FrameView, PacketType, RpcHeader};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -495,24 +496,20 @@ fn exporting_same_interface_twice_fails() {
     assert!(err.to_string().contains("already exported"));
 }
 
-/// A network with a grudge against one frame: the first packet of type
-/// `kind` carrying fragment index `fragment` sent through it is lost
-/// (or, with `duplicate`, delivered twice); everything else passes.
+/// A network with a grudge against one frame: the first packet either
+/// endpoint sends that `target` picks is lost (or, with `duplicate`,
+/// delivered twice); everything else passes.
 struct Meddler {
     inner: Arc<dyn Transport>,
-    kind: PacketType,
-    fragment: u16,
+    target: Arc<dyn Fn(&RpcHeader) -> bool + Send + Sync>,
     duplicate: bool,
-    armed: AtomicBool,
+    armed: Arc<AtomicBool>,
 }
 
 impl Transport for Meddler {
     fn send(&self, frame: &[u8], dst: std::net::SocketAddr) -> std::io::Result<()> {
         let rpc = FrameView::parse(frame).expect("endpoints send valid frames").rpc;
-        let hit = rpc.packet_type == self.kind
-            && rpc.fragment == self.fragment
-            && rpc.fragment_count > 1
-            && self.armed.swap(false, Ordering::SeqCst);
+        let hit = (self.target)(&rpc) && self.armed.swap(false, Ordering::SeqCst);
         if hit && !self.duplicate {
             return Ok(()); // Lost.
         }
@@ -539,23 +536,37 @@ impl Transport for Meddler {
     }
 }
 
-/// What one 5760-byte echo (four fragments each way) looked like from
-/// the server, with one result-direction packet mistreated.
-struct Meddled {
+/// What one endpoint sent during a meddled echo.
+#[derive(Debug, PartialEq, Eq)]
+struct Sent {
+    /// First transmissions of fragments.
+    fragments: u64,
+    /// Fragments (or whole packets) sent again.
     retransmissions: u64,
-    recoveries_asked: u64,
-    fragments_sent: u64,
-    result_acks: u64,
-    caller_retransmissions: u64,
-    transitions: Vec<&'static str>,
+    acks: u64,
 }
 
-/// Echoes 5760 bytes once while the network loses (or duplicates) the
-/// first `kind` packet of result fragment `fragment` — a `Result` on its
-/// way out of the server, or the caller's `Ack` of one — and checks what
-/// must hold whatever happened to it: the bytes, exactly one execution,
-/// every buffer home at shutdown.
-fn echo_with_one_fault(cfg: Config, kind: PacketType, fragment: u16, duplicate: bool) -> Meddled {
+impl Sent {
+    fn of(endpoint: &Endpoint) -> Sent {
+        let s = endpoint.stats();
+        Sent {
+            fragments: s.fragments_sent(),
+            retransmissions: s.retransmissions(),
+            acks: s.acks_sent(),
+        }
+    }
+}
+
+/// Echoes `size` bytes once while the network mistreats the first
+/// packet `target` picks, and checks what must hold whatever happened to
+/// it: the bytes, exactly one execution, every buffer home at shutdown.
+/// Returns what each side sent, caller first.
+fn echo_with_one_fault(
+    cfg: Config,
+    size: usize,
+    duplicate: bool,
+    target: impl Fn(&RpcHeader) -> bool + Send + Sync + 'static,
+) -> (Sent, Sent) {
     let iface = parse_interface(
         "DEFINITION MODULE Big;
            PROCEDURE Echo(VAR IN input: ARRAY OF CHAR; VAR OUT output: ARRAY OF CHAR);
@@ -574,43 +585,29 @@ fn echo_with_one_fault(cfg: Config, kind: PacketType, fragment: u16, duplicate: 
         .build()
         .unwrap();
     let net = LoopbackNet::new();
-    let meddled = |id: u8, on: bool| -> Arc<dyn Transport> {
-        let inner: Arc<dyn Transport> = net.station(id);
-        if !on {
-            return inner;
-        }
+    let (target, armed) = (Arc::new(target), Arc::new(AtomicBool::new(true)));
+    let meddled = |id: u8| -> Arc<dyn Transport> {
         Arc::new(Meddler {
-            inner,
-            kind,
-            fragment,
+            inner: net.station(id),
+            target: target.clone(),
             duplicate,
-            armed: AtomicBool::new(true),
+            armed: Arc::clone(&armed),
         })
     };
-    // Results leave through the server's transport, their acks through
-    // the caller's. (The call's own fragments are acked by the server,
-    // whose transport passes acks untouched.)
-    let server = Endpoint::new(meddled(1, kind == PacketType::Result), cfg.clone()).unwrap();
-    let caller = Endpoint::new(meddled(2, kind == PacketType::Ack), cfg).unwrap();
+    let server = Endpoint::new(meddled(1), cfg.clone()).unwrap();
+    let caller = Endpoint::new(meddled(2), cfg).unwrap();
     server.export(service).unwrap();
     let client = caller.bind(&iface, server.address()).unwrap();
 
-    let input: Vec<u8> = (0..5760).map(|i| (i % 251) as u8).collect();
+    let input: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
     let r = client
         .call("Echo", &[Value::Bytes(input.clone()), Value::Bytes(Vec::new())])
         .unwrap();
     assert_eq!(r[0].as_bytes().unwrap(), &input[..]);
     assert_eq!(executed.load(Ordering::SeqCst), 1, "executed more than once");
+    assert!(!armed.load(Ordering::SeqCst), "the fault never happened");
 
-    let stats = server.stats();
-    let out = Meddled {
-        retransmissions: stats.retransmissions(),
-        recoveries_asked: stats.duplicate_calls() + stats.probes_answered(),
-        fragments_sent: stats.fragments_sent(),
-        result_acks: stats.acks_received(),
-        caller_retransmissions: caller.stats().retransmissions(),
-        transitions: server.protocol_transitions(),
-    };
+    let sent = (Sent::of(&caller), Sent::of(&server));
     let pools = [server.pool().clone(), caller.pool().clone()];
     drop(client);
     drop(caller);
@@ -618,52 +615,130 @@ fn echo_with_one_fault(cfg: Config, kind: PacketType, fragment: u16, duplicate: 
     for pool in &pools {
         assert_eq!(pool.stats().outstanding(), 0, "leaked buffers at shutdown");
     }
-    out
+    sent
 }
 
-fn retransmitted_result(m: &Meddled) -> bool {
-    m.transitions.iter().any(|t| t.ends_with("-> retransmit-result"))
+/// Four fragments each way: one window, no acks.
+const BLOB: usize = 5760;
+
+fn fragment_of(kind: PacketType, index: u16) -> impl Fn(&RpcHeader) -> bool {
+    move |h| h.packet_type == kind && h.fragment == index && h.fragment_count > 1
 }
 
-#[test]
-fn a_lost_result_fragment_is_recovered_by_the_callers_duplicate_call() {
-    for fragment in [0, 2, 3] {
-        let m = echo_with_one_fault(Config::fast_retry(), PacketType::Result, fragment, false);
-        // The server sent each fragment once and waited for nothing; the
-        // caller's timer noticed, and its duplicate call (or probe) got
-        // the fragment at the cursor again.
-        assert_eq!(m.fragments_sent, 4, "fragment {fragment}");
-        assert!(m.caller_retransmissions >= 1, "fragment {fragment}");
-        assert!(m.recoveries_asked >= 1 && m.retransmissions >= 1, "fragment {fragment}");
-        assert!(retransmitted_result(&m), "fragment {fragment}: {:?}", m.transitions);
+/// Timers slow enough that only a real loss fires one: a retransmission
+/// the fault did not cause would fail the exact counts below.
+fn patient() -> Config {
+    Config {
+        retransmit_initial: Duration::from_millis(100),
+        ..Config::default()
     }
 }
 
 #[test]
-fn a_lost_result_ack_is_recovered_by_the_callers_duplicate_call() {
-    for fragment in [0, 2] {
-        let m = echo_with_one_fault(Config::fast_retry(), PacketType::Ack, fragment, false);
-        // The re-sent fragment is one the caller holds; it acks it
-        // again, and that ack moves the transfer on.
-        assert_eq!(m.fragments_sent, 4, "fragment {fragment}");
-        assert!(m.recoveries_asked >= 1 && m.retransmissions >= 1, "fragment {fragment}");
-        assert!(retransmitted_result(&m), "fragment {fragment}: {:?}", m.transitions);
+fn a_lost_fragment_is_the_only_one_sent_again() {
+    for index in 0..4 {
+        // A call fragment: the caller's timer asks where the hole is (a
+        // probe, answered with the prefix the server holds — or, while
+        // fragment 0 is the hole, not at all) and sends that one again.
+        let (caller, server) =
+            echo_with_one_fault(patient(), BLOB, false, fragment_of(PacketType::Call, index));
+        assert_eq!((caller.fragments, caller.retransmissions), (4, 1), "call fragment {index}");
+        assert_eq!((server.fragments, server.retransmissions), (4, 0), "call fragment {index}");
+        // A result fragment: the caller's timer names the prefix it holds
+        // (or probes, while fragment 0 is the hole), and the server sends
+        // that one again.
+        let (caller, server) =
+            echo_with_one_fault(patient(), BLOB, false, fragment_of(PacketType::Result, index));
+        assert_eq!((caller.fragments, caller.retransmissions), (4, 0), "result fragment {index}");
+        assert_eq!((server.fragments, server.retransmissions), (4, 1), "result fragment {index}");
     }
 }
 
 #[test]
-fn a_duplicated_result_ack_advances_the_transfer_once() {
-    // Patient timers: nothing here is lost, so nothing may be re-sent.
+fn a_duplicated_fragment_is_taken_once_and_nothing_is_sent_again() {
     let cfg = Config {
         retransmit_initial: Duration::from_secs(5),
         ..Config::default()
     };
-    let m = echo_with_one_fault(cfg, PacketType::Ack, 1, true);
-    assert_eq!(m.result_acks, 4, "three acks, one of them twice");
-    assert_eq!(m.fragments_sent, 4, "the second copy sent a fragment too");
-    assert_eq!((m.retransmissions, m.caller_retransmissions), (0, 0));
-    assert!(m.transitions.contains(&"server-known Ack acks_result -> advance-fragment"));
-    assert!(m.transitions.contains(&"server-unknown Ack acks_result -> drop-stale"));
+    for kind in [PacketType::Call, PacketType::Result] {
+        for index in 0..4 {
+            let (caller, server) =
+                echo_with_one_fault(cfg.clone(), BLOB, true, fragment_of(kind, index));
+            let what = format!("{kind:?} fragment {index}");
+            assert_eq!(caller, Sent { fragments: 4, retransmissions: 0, acks: 0 }, "{what}");
+            // A copy of the call's last fragment can land after the
+            // result went out; like any duplicate call it is then
+            // answered from the retained result.
+            let late_copy = u64::from(kind == PacketType::Call && index == 3);
+            assert_eq!(server.fragments, 4, "{what}");
+            assert!(server.retransmissions <= late_copy && server.acks == 0, "{what}: {server:?}");
+        }
+    }
+}
+
+#[test]
+fn a_lost_window_edge_ack_costs_a_timeout_not_a_fragment() {
+    // Two windows each way: the edge of the first asks for an ack.
+    let fragments = u64::from(WINDOW) + 2;
+    let size = fragments as usize * 1440;
+    for acks_result in [false, true] {
+        let edge_ack = move |h: &RpcHeader| {
+            h.packet_type == PacketType::Ack && h.flags.acks_result == acks_result
+        };
+        let (caller, server) = echo_with_one_fault(patient(), size, false, edge_ack);
+        // The sender's timer (the caller's, either way) asks again, the
+        // answer opens the window, and nothing is sent twice.
+        let what = if acks_result { "result" } else { "call" };
+        assert_eq!((caller.fragments, caller.retransmissions), (fragments, 0), "{what}");
+        assert_eq!((server.fragments, server.retransmissions), (fragments, 0), "{what}");
+        assert!(caller.acks >= 1 && server.acks >= 1, "{what}: {caller:?} {server:?}");
+    }
+}
+
+#[test]
+fn a_hole_where_a_window_begins_is_found_by_the_timer() {
+    // The edge's ack then names the prefix the last ack named, as a copy
+    // of that ack would, and moves nothing. The caller's timer asks once
+    // more (a probe, or the result's prefix) and, that answered the same,
+    // has the hole sent again: still only the lost fragment.
+    let fragments = 2 * u64::from(WINDOW) + 2;
+    let size = fragments as usize * 1440;
+    for kind in [PacketType::Call, PacketType::Result] {
+        let (caller, server) =
+            echo_with_one_fault(patient(), size, false, fragment_of(kind, WINDOW));
+        let resent = |sender| (fragments, u64::from(kind == sender));
+        let what = format!("{kind:?} fragment {WINDOW}");
+        assert_eq!((caller.fragments, caller.retransmissions), resent(PacketType::Call), "{what}");
+        assert_eq!((server.fragments, server.retransmissions), resent(PacketType::Result), "{what}");
+    }
+}
+
+#[test]
+fn a_duplicated_window_edge_ack_moves_the_transfer_once() {
+    // Three windows each way, so the ack of each edge opens a window. A
+    // copy of it lands after that window went out, naming the prefix the
+    // window starts at: it must not read as a hole there.
+    let fragments = 2 * u64::from(WINDOW) + 2;
+    let size = fragments as usize * 1440;
+    let cfg = Config {
+        retransmit_initial: Duration::from_secs(5),
+        ..Config::default()
+    };
+    for acks_result in [false, true] {
+        for edge in [WINDOW - 1, 2 * WINDOW - 1] {
+            let edge_ack = move |h: &RpcHeader| {
+                h.packet_type == PacketType::Ack
+                    && h.flags.acks_result == acks_result
+                    && h.fragment == edge
+            };
+            let (caller, server) = echo_with_one_fault(cfg.clone(), size, true, edge_ack);
+            let what = format!("{} edge {edge}", if acks_result { "result" } else { "call" });
+            // Each fragment once, nothing again, and one ack per edge.
+            let exact = || Sent { fragments, retransmissions: 0, acks: 2 };
+            assert_eq!(caller, exact(), "{what}");
+            assert_eq!(server, exact(), "{what}");
+        }
+    }
 }
 
 #[test]
@@ -678,6 +753,7 @@ fn a_forged_fragment_header_is_counted_and_reserves_nothing_it_claims() {
             .activity(ActivityId::new(0xbad, 1, 1))
             .call_seq(1)
             .fragment(fragment, u16::MAX)
+            .please_ack(true)
             .build(&vec![0u8; len])
             .unwrap();
         forger.send(frame.bytes(), server.address()).unwrap();
@@ -690,7 +766,8 @@ fn a_forged_fragment_header_is_counted_and_reserves_nothing_it_claims() {
         }
     };
     let stats = server.stats();
-    // A plausible first fragment is buffered, counted and acked.
+    // A plausible first fragment that asks is buffered, counted and
+    // acked (all three forgeries ask).
     forge(0, 1440);
     settle("fragment 0 buffered", &|| stats.fragments_received() == 1 && stats.acks_sent() == 1);
     // One from the far end of the claimed 94 MB, and a short one from

@@ -102,9 +102,7 @@ impl Default for Config {
         Config {
             fast_path_entry_points: vec![
                 "crates/core/src/client.rs::call_inner".into(),
-                "crates/core/src/client.rs::transact_single".into(),
-                "crates/core/src/client.rs::transact_multi".into(),
-                "crates/core/src/client.rs::transact_blast".into(),
+                "crates/core/src/client.rs::transact".into(),
                 "crates/core/src/local.rs::call_with".into(),
                 "crates/core/src/endpoint.rs::demux_loop".into(),
                 "crates/core/src/calltable.rs::deliver".into(),

@@ -10,8 +10,6 @@
 //! * [`Summary`] — count/mean/stddev/min/max accumulator,
 //! * [`throughput`] — the paper's two throughput units, RPCs/second and
 //!   megabits/second of useful payload,
-//! * [`UtilizationTracker`] — busy-time accounting that reproduces the
-//!   paper's "about 1.2 CPUs being used on the caller machine" figures,
 //! * [`Table`] — fixed-width text tables shaped like the paper's
 //!   Tables I–XII, with optional Markdown output for EXPERIMENTS.md,
 //! * [`Json`] — a dependency-free, round-trip-stable JSON value: what
@@ -25,13 +23,11 @@ pub mod hist;
 pub mod json;
 pub mod table;
 pub mod throughput;
-pub mod util;
 
 pub use hist::Histogram;
 pub use json::Json;
 pub use table::Table;
 pub use throughput::{megabits_per_sec, rpcs_per_sec};
-pub use util::UtilizationTracker;
 
 use std::time::{Duration, Instant};
 
