@@ -21,9 +21,10 @@
 //! duplicate-filtering structure.
 
 use crate::calltable::Wait;
-use crate::endpoint::EndpointShared;
+use crate::endpoint::{EndpointShared, RoleBuffers};
 use crate::fragment::{Acked, Window};
 use crate::packet::Assembled;
+use crate::send::Batch;
 use crate::stats::RpcStats;
 use crate::{Result, RpcError};
 use firefly_idl::{ArgReader, ArgWriter, CompiledStub, IdlError, InterfaceDef, Value};
@@ -33,12 +34,14 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One reusable activity slot with its sequence counter and the header of
-/// the last result received (so an explicit ack can be sent at teardown).
+/// One reusable activity slot with its sequence counter, the header of
+/// the last result received (so an explicit ack can be sent at teardown),
+/// and the buffers its calls send windows and receive datagrams with.
 struct Slot {
     activity: ActivityId,
     next_seq: u32,
     last_result: Option<RpcHeader>,
+    bufs: RoleBuffers,
 }
 
 /// Pool of activity slots: one per concurrently calling thread.
@@ -65,6 +68,7 @@ impl ActivityPool {
             activity: ActivityId::new(self.machine, self.space, next),
             next_seq: 1,
             last_result: None,
+            bufs: RoleBuffers::new(),
         }
     }
 
@@ -273,6 +277,7 @@ impl Client {
             &header,
             heap_data.as_deref(),
             &mut call_buf,
+            &mut slot.bufs,
             &entry,
             deadline,
             &mut span,
@@ -309,21 +314,25 @@ impl Client {
     }
 
     /// The Transporter: sends the call and waits for its result. A call
-    /// of one packet goes out as it is; a spilled one (`spilled`) a
-    /// window of fragments at a time ([`Window`]), each encoded in `buf`,
-    /// the call's own pool buffer. Silences are the timer's: a lost lone
-    /// packet is sent again; a call that went out in fragments is probed
-    /// first, which the server answers with the prefix it holds, so only
-    /// what is missing goes out again; a result with a hole gets the ack
-    /// that names the hole. An answer that names no more than the last
-    /// ack did moves nothing (a copy looks the same), so the silence
-    /// after it sends the first unacknowledged fragment — or has the
-    /// server send it — again.
+    /// of one packet goes out as it is, encoded around its bytes in
+    /// `buf`, the call's own pool buffer; a spilled one (`spilled`) a
+    /// window of fragments at a time ([`Window`]), encoded back to back
+    /// on the activity's batch and handed to the transport in one
+    /// `send_batch`: over UDP, one datagram per window. Silences are the
+    /// timer's: a lost lone packet is sent again; a call that went out in
+    /// fragments is probed first, which the server answers with the
+    /// prefix it holds, so only what is missing goes out again, one
+    /// fragment at a time; a result with a hole gets the ack that names
+    /// the hole. An answer that names no more than the last ack did moves
+    /// nothing (a copy looks the same), so the silence after it sends the
+    /// first unacknowledged fragment — or has the server send it — again.
+    #[allow(clippy::too_many_arguments)]
     fn transact(
         &self,
         header: &RpcHeader,
         spilled: Option<&[u8]>,
         buf: &mut firefly_pool::PacketBuf,
+        bufs: &mut RoleBuffers,
         entry: &crate::calltable::CallEntry,
         deadline: Option<Instant>,
         span: &mut crate::trace::Span<'_>,
@@ -335,30 +344,24 @@ impl Client {
             None => 1,
         };
         let mut window = Window::new(count);
-        // Fragment `index`, encoded around its bytes in the call buffer (a
-        // spilled call's are copied in first) and sent; a one-packet call
-        // through the combining sender.
-        let mut send = |index: u16, please_ack: bool| -> Result<()> {
-            let len = match spilled {
-                None => header.data_len as usize,
-                Some(data) => {
-                    let chunk = crate::fragment::chunk(data, index);
-                    buf.raw_mut()[DATA_OFFSET..DATA_OFFSET + chunk.len()].copy_from_slice(chunk);
-                    chunk.len()
-                }
-            };
-            let total = shared
+        // Fragment `index` of a spilled call, queued on `out`; a one-packet
+        // call, sent through the combining sender.
+        let mut send = |out: &mut Batch, index: u16, please_ack: bool| -> Result<()> {
+            let builder = shared
                 .ctx
                 .builder_from(header, remote)
                 .fragment(index, count)
-                .please_ack(please_ack)
-                .encode_into(buf.raw_mut(), len)?;
-            buf.set_len(total);
-            if count == 1 {
-                return shared.ctx.send_call(buf, remote);
+                .please_ack(please_ack);
+            match spilled {
+                Some(data) => out.encode(&builder, crate::fragment::chunk(data, index), remote),
+                None => {
+                    let total = builder.encode_into(buf.raw_mut(), header.data_len as usize)?;
+                    buf.set_len(total);
+                    shared.ctx.send_call(buf, remote)
+                }
             }
-            Ok(shared.ctx.transport.send(buf, remote)?)
         };
+        let flush = |out: &mut Batch| -> Result<()> { Ok(out.send(&*shared.ctx.transport)?) };
         let probe = RpcHeader {
             packet_type: PacketType::Probe,
             fragment: count - 1,
@@ -372,14 +375,14 @@ impl Client {
         };
 
         while let Some((index, ask)) = window.advance() {
-            send(index, ask)?;
-            // The account's "send" boundary is the first transmission of
-            // the first packet (first-write-wins).
-            span.stamp(crate::trace::Stamp::Sent);
+            send(&mut bufs.out, index, ask)?;
             if count > 1 {
                 RpcStats::bump(&stats.fragments_sent);
             }
         }
+        flush(&mut bufs.out)?;
+        // The account's "send" boundary: the first window is on the wire.
+        span.stamp(crate::trace::Stamp::Sent);
         RpcStats::bump(&stats.calls_sent);
 
         // Backoff jitter is seeded from the endpoint config (mixed with
@@ -412,7 +415,7 @@ impl Client {
                 }
                 wake_at = wake_at.min(d);
             }
-            match shared.wait_on(entry, header.activity, wake_at) {
+            match shared.wait_on(entry, header.activity, wake_at, bufs) {
                 Wait::Complete(a) => {
                     span.stamp(crate::trace::Stamp::ResultReceived);
                     return Ok(a);
@@ -429,12 +432,14 @@ impl Client {
                     match window.ack(held) {
                         Acked::Open => {
                             while let Some((index, ask)) = window.advance() {
-                                send(index, ask)?;
+                                send(&mut bufs.out, index, ask)?;
                                 RpcStats::bump(&stats.fragments_sent);
                             }
+                            flush(&mut bufs.out)?;
                         }
                         Acked::Hole(index) => {
-                            send(index, true)?;
+                            send(&mut bufs.out, index, true)?;
+                            flush(&mut bufs.out)?;
                             RpcStats::bump(&stats.retransmissions);
                         }
                         Acked::Stale => continue,
@@ -480,7 +485,8 @@ impl Client {
                         // Again, with please-ack, so the server answers
                         // even while the call executes.
                         asked = false;
-                        send(window.unacked, true)?;
+                        send(&mut bufs.out, window.unacked, true)?;
+                        flush(&mut bufs.out)?;
                         RpcStats::bump(&stats.retransmissions);
                     }
                     // Exponential backoff with up to +25% deterministic

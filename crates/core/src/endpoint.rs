@@ -18,11 +18,11 @@ use crate::config::Config;
 use crate::local::LocalClient;
 use crate::packet::Packet;
 use crate::role::{Polled, ReceiveRole};
-use crate::send::SendCtx;
-use crate::server::{ResultBatch, ServerSide};
+use crate::send::{Batch, SendCtx};
+use crate::server::ServerSide;
 use crate::service::Service;
 use crate::stats::RpcStats;
-use crate::transport::Transport;
+use crate::transport::{Transport, MAX_DATAGRAM_LEN};
 use crate::{Result, RpcError};
 use firefly_idl::InterfaceDef;
 use firefly_pool::{PacketBuf, ShardedPool};
@@ -288,16 +288,49 @@ impl Drop for Endpoint {
     }
 }
 
+/// What a thread owns so that it can hold the receive role: a buffer any
+/// datagram fits in, and the batch it sends the server's frames through
+/// (the results it executes, a result window an ack opens, a fragment
+/// sent again). The resident receiver allocates its own when it starts;
+/// a caller's lives in its activity slot, so every call the activity
+/// makes reuses it, and a call that service code makes on the resident,
+/// which receives for itself, brings its own instead of overwriting the
+/// datagram the resident is in the middle of.
+pub(crate) struct RoleBuffers {
+    datagram: Box<[u8]>,
+    /// Also where a caller encodes the windows of its own multi-packet
+    /// calls, between its waits.
+    pub out: Batch,
+}
+
+impl RoleBuffers {
+    pub fn new() -> RoleBuffers {
+        RoleBuffers {
+            // lint:allow(no-alloc-on-fast-path): once per resident
+            // receiver and per activity slot, then reused for every
+            // datagram they receive.
+            datagram: vec![0; MAX_DATAGRAM_LEN].into_boxed_slice(),
+            out: Batch::default(),
+        }
+    }
+}
+
 /// What the thread holding the receive role carries from datagram to
 /// datagram.
-struct Receiving {
+struct Receiving<'a> {
     /// Rotating pool-shard cursor, so receive-buffer pressure spreads
     /// across shards.
     cursor: usize,
-    /// The resident receiver's pending result frames. A caller thread
-    /// holding the role has none, and therefore never runs service
-    /// code: every call it receives goes to the workers.
-    results: Option<ResultBatch>,
+    /// A waiting caller's pool buffer for a datagram's first frame, taken
+    /// before it receives: it takes none, and so receives nothing, while
+    /// the pool is dry.
+    spare: Option<PacketBuf>,
+    out: &'a mut Batch,
+    /// Whether this is the resident receiver. It waits for pool buffers
+    /// and executes measured-short calls itself; a caller thread holding
+    /// the role does neither: every call it receives goes to the
+    /// workers.
+    resident: bool,
     /// The activity of the waiting caller that is doing the receiving;
     /// a packet for it needs no wake-up.
     own: Option<ActivityId>,
@@ -345,32 +378,35 @@ impl EndpointShared {
     /// and incoming calls go to the server workers. When the role is
     /// taken, or [`POLLS_BEFORE_BLOCK`] attempts found nothing, it
     /// parks on the entry.
-    pub fn wait_on(&self, entry: &CallEntry, activity: ActivityId, deadline: Instant) -> Wait {
+    pub fn wait_on(
+        &self,
+        entry: &CallEntry,
+        activity: ActivityId,
+        deadline: Instant,
+        bufs: &mut RoleBuffers,
+    ) -> Wait {
+        let RoleBuffers { datagram, out } = bufs;
         let mut rx = Receiving {
             cursor: crate::calltable::shard_for(activity, self.ctx.pool.shard_count()),
-            results: None,
+            spare: None,
+            out,
+            resident: false,
             own: Some(activity),
         };
-        let mut spare: Option<PacketBuf> = None;
         self.role.wait_receiving(entry, deadline, POLLS_BEFORE_BLOCK, || {
-            let mut buf = match spare.take() {
-                Some(b) => b,
+            if rx.spare.is_none() {
                 // Never block for a buffer with the role in hand.
-                None => match self.ctx.pool.take_receive_buffer_from(rx.cursor) {
-                    Ok(b) => b,
+                match self.ctx.pool.take_receive_buffer_from(rx.cursor) {
+                    Ok(b) => rx.spare = Some(b),
                     Err(_) => return Polled::Closed,
-                },
-            };
-            match self.ctx.transport.try_recv(buf.raw_mut()) {
+                }
+            }
+            match self.ctx.transport.try_recv(datagram) {
                 Ok(Some((n, src))) => {
-                    buf.set_len(n);
-                    process_datagram(self, &mut rx, buf, src);
+                    process_datagram(self, &mut rx, &datagram[..n], src);
                     Polled::Datagram
                 }
-                Ok(None) => {
-                    spare = Some(buf);
-                    Polled::Empty
-                }
+                Ok(None) => Polled::Empty,
                 Err(_) => Polled::Closed,
             }
         })
@@ -386,24 +422,21 @@ impl EndpointShared {
 /// over UDP, one blocking-mode transition) serves the whole burst. The
 /// result of the first datagram's inline calls is sent at once — a lone
 /// caller never waits for a batch — and the rest of the burst's results
-/// go out coalesced when the drain ends. The unused buffer that
-/// discovers the end of the burst is carried into the next receive,
-/// keeping the held-buffer count at one.
+/// go out packed when the drain ends. It takes a pool buffer per frame
+/// received, and holds none while it waits.
 fn demux_loop(shared: Arc<EndpointShared>) {
     let stats = &shared.ctx.stats;
     let transport = &*shared.ctx.transport;
+    let RoleBuffers { mut datagram, mut out } = RoleBuffers::new();
     let mut rx = Receiving {
         cursor: 0,
-        results: Some(ResultBatch::new()),
+        spare: None,
+        out: &mut out,
+        resident: true,
         own: None,
     };
-    let mut spare: Option<PacketBuf> = None;
     shared.role.adopt_resident();
     loop {
-        let mut buf = match spare.take() {
-            Some(b) => b,
-            None => take_receive_buf(&shared, &mut rx.cursor),
-        };
         // Cooperative poll before the blocking receive: during a steady
         // call stream the next datagram arrives within a few yields
         // (the sender is runnable on this very machine in tests and
@@ -423,7 +456,7 @@ fn demux_loop(shared: Arc<EndpointShared>) {
                 }
                 RpcStats::bump(&stats.role_handovers);
             }
-            match transport.try_recv(buf.raw_mut()) {
+            match transport.try_recv(&mut datagram) {
                 Ok(Some(x)) => {
                     polled = Some(x);
                     break;
@@ -434,146 +467,113 @@ fn demux_loop(shared: Arc<EndpointShared>) {
         }
         let (n, src) = match polled {
             Some(x) => x,
-            None => match transport.recv(buf.raw_mut()) {
+            None => match transport.recv(&mut datagram) {
                 Ok(x) => x,
                 Err(_) => return, // Shutdown.
             },
         };
-        buf.set_len(n);
-        process_datagram(&shared, &mut rx, buf, src);
-        flush_results(&mut rx, transport);
+        process_datagram(&shared, &mut rx, &datagram[..n], src);
+        // A send failure is loss on the wire; the callers' timers
+        // recover it.
+        let _ = rx.out.send(transport);
         let mut drained = 0;
         while drained < RECV_BATCH {
-            let mut b = take_receive_buf(&shared, &mut rx.cursor);
-            match transport.try_recv(b.raw_mut()) {
+            match transport.try_recv(&mut datagram) {
                 Ok(Some((n, src))) => {
-                    b.set_len(n);
-                    process_datagram(&shared, &mut rx, b, src);
+                    process_datagram(&shared, &mut rx, &datagram[..n], src);
                     drained += 1;
                 }
-                Ok(None) => {
-                    spare = Some(b);
-                    break;
-                }
+                Ok(None) => break,
                 Err(_) => return, // Shutdown.
             }
         }
-        flush_results(&mut rx, transport);
+        let _ = rx.out.send(transport);
     }
 }
 
-fn flush_results(rx: &mut Receiving, transport: &dyn Transport) {
-    if let Some(results) = &mut rx.results {
-        results.flush(transport);
-    }
-}
-
-/// Largest number of *trailing* frames one coalesced datagram can
-/// carry: a 1514-byte datagram holds at most ⌊1514 / 74⌋ = 20
-/// minimum-size frames, and the first stays in the receive buffer.
-const MAX_COALESCED_TAILS: usize = firefly_wire::MAX_FRAME_LEN / firefly_wire::MIN_FRAME_LEN;
-
-/// Splits one received datagram into its coalesced frames and processes
-/// each in arrival order.
+/// Processes the frames of one received datagram, each in turn and in
+/// wire order, so replies within one activity are never reordered.
 ///
 /// The sending transport may pack several complete frames back to back
-/// into one datagram ([`Transport::send_batch`]); each frame's IP
-/// total-length field gives its boundary. The common case — one frame
-/// per datagram — is detected by the first boundary matching the
-/// datagram length and stays zero-copy. For a packed datagram the head
-/// frame is processed in place and each tail frame is copied into its
-/// own pool buffer first, so every frame flows through the same owned
-/// [`Packet`] path; processing stays in wire order, so replies within
-/// one activity are never reordered.
-fn process_datagram(shared: &EndpointShared, rx: &mut Receiving, mut buf: PacketBuf, src: SocketAddr) {
+/// into one datagram ([`Transport::send_batch`]) — a window of a
+/// transfer, or results for several callers; each frame's IP
+/// total-length field gives its boundary. Each frame is copied into a
+/// pool buffer of its own, so every frame flows through the same owned
+/// [`Packet`] path and the datagram buffer is free for the next receive.
+fn process_datagram(shared: &EndpointShared, rx: &mut Receiving, datagram: &[u8], src: SocketAddr) {
     let stats = &shared.ctx.stats;
-    let n = buf.len();
-    let first = match coalesced_frame_len(&buf) {
-        Some(len) => len,
-        None => {
-            // Shorter than any frame, or an implausible length field;
-            // `Packet::from_buf` would reject it anyway, but without a
-            // boundary there is nothing to walk.
+    let mut rest = datagram;
+    let mut first: Option<ActivityId> = None;
+    while !rest.is_empty() {
+        let Some(len) = coalesced_frame_len(rest) else {
+            // Shorter than any frame, an implausible length field, or a
+            // truncated pack: without a boundary there is nothing more
+            // to walk.
             RpcStats::bump(&stats.validation_drops);
-            buf.recycle();
             return;
-        }
-    };
-    if first == n {
-        // Common case: one frame per datagram, no copies.
-        process_frame(shared, rx, buf, src);
-        return;
-    }
-    // A split datagram means batched peer traffic: the frames below are
-    // about to wake several local threads at once, so arm the send-side
-    // combining window before any of them reaches the transport.
-    shared.ctx.note_coalesced_delivery();
-    // Copy the tail frames out *before* shrinking the head in place.
-    let mut tails: [Option<PacketBuf>; MAX_COALESCED_TAILS] = [const { None }; MAX_COALESCED_TAILS];
-    let mut count = 0;
-    let mut off = first;
-    while off < n && count < tails.len() {
-        let Some(len) = coalesced_frame_len(&buf[off..n]) else {
-            // Trailing garbage or a truncated pack: drop the remainder.
-            RpcStats::bump(&stats.validation_drops);
-            break;
         };
-        let mut tail = if rx.results.is_some() {
-            take_receive_buf(shared, &mut rx.cursor)
-        } else {
-            // A waiting caller is receiving: as in `wait_on`, it never
-            // blocks for a buffer with the role in hand. The frames it
-            // has no buffer for are lost like any dropped packet, and
-            // retransmission recovers them.
-            rx.cursor = rx.cursor.wrapping_add(1);
-            match shared.ctx.pool.take_receive_buffer_from(rx.cursor) {
-                Ok(b) => b,
-                Err(_) => {
-                    RpcStats::bump(&stats.validation_drops);
-                    break;
+        let Some(mut buf) = frame_buf(shared, rx) else {
+            // A waiting caller never blocks for a buffer with the role
+            // in hand. The frames it has no buffer for are lost like any
+            // dropped packet, and retransmission recovers them.
+            RpcStats::bump(&stats.validation_drops);
+            return;
+        };
+        buf.fill_from(&rest[..len]);
+        rest = &rest[len..];
+        let pkt = match Packet::from_buf(buf) {
+            Ok(p) => p,
+            Err(e) => {
+                // A garbage packet-type byte is counted apart from other
+                // validation failures: it is the shape a version-skewed
+                // or hostile peer produces, and the chaos garbage-frame
+                // mix asserts it never errors the demux loop.
+                match e {
+                    crate::RpcError::Wire(firefly_wire::WireError::BadPacketType(_)) => {
+                        RpcStats::bump(&stats.unknown_type_drops);
+                    }
+                    _ => RpcStats::bump(&stats.validation_drops),
                 }
+                continue;
             }
         };
-        tail.raw_mut()[..len].copy_from_slice(&buf[off..off + len]);
-        tail.set_len(len);
-        tails[count] = Some(tail);
-        count += 1;
-        off += len;
-    }
-    buf.set_len(first);
-    process_frame(shared, rx, buf, src);
-    for slot in tails.iter_mut().take(count) {
-        if let Some(tail) = slot.take() {
-            process_frame(shared, rx, tail, src);
+        // Frames for more than one activity mean batched peer traffic:
+        // several local threads are being woken at once, so arm the
+        // send-side combining window. The first of them is woken before
+        // this, but it is not running yet; a caller receiving for itself
+        // goes on to the end of the datagram before it sends again.
+        match first {
+            None => first = Some(pkt.rpc.activity),
+            Some(a) if a != pkt.rpc.activity => shared.ctx.note_batched_delivery(),
+            Some(_) => {}
         }
+        process_packet(shared, rx, pkt, src);
     }
 }
 
-/// Demultiplexes one received frame — validation, routing, direct
-/// wakeup, on-the-fly buffer recycling (§3.1.3).
-fn process_frame(shared: &EndpointShared, rx: &mut Receiving, buf: PacketBuf, src: SocketAddr) {
+/// A pool buffer for the next frame of a datagram: a caller's spare, then
+/// fresh ones — which the resident waits for, and a caller holding the
+/// role does not.
+fn frame_buf(shared: &EndpointShared, rx: &mut Receiving) -> Option<PacketBuf> {
+    if let Some(b) = rx.spare.take() {
+        return Some(b);
+    }
+    if rx.resident {
+        return Some(take_receive_buf(shared, &mut rx.cursor));
+    }
+    rx.cursor = rx.cursor.wrapping_add(1);
+    shared.ctx.pool.take_receive_buffer_from(rx.cursor).ok()
+}
+
+/// Demultiplexes one received packet — routing, direct wakeup,
+/// on-the-fly buffer recycling (§3.1.3).
+fn process_packet(shared: &EndpointShared, rx: &mut Receiving, pkt: Packet, src: SocketAddr) {
     let stats = &shared.ctx.stats;
     let server = &shared.server;
-    let pkt = match Packet::from_buf(buf) {
-        Ok(p) => p,
-        Err(e) => {
-            // A garbage packet-type byte is counted apart from other
-            // validation failures: it is the shape a version-skewed or
-            // hostile peer produces, and the chaos garbage-frame mix
-            // asserts it never errors the demux loop.
-            match e {
-                crate::RpcError::Wire(firefly_wire::WireError::BadPacketType(_)) => {
-                    RpcStats::bump(&stats.unknown_type_drops);
-                }
-                _ => RpcStats::bump(&stats.validation_drops),
-            }
-            return;
-        }
-    };
     match pkt.rpc.packet_type {
-        PacketType::Call => server.handle_call_packet(pkt, src, rx.results.as_mut()),
+        PacketType::Call => server.handle_call_packet(pkt, src, rx.out, rx.resident),
         PacketType::Probe => {
-            server.handle_probe(&pkt.rpc, src);
+            server.handle_probe(&pkt.rpc, src, rx.out);
             pkt.into_buf().recycle();
         }
         PacketType::Result => {
@@ -605,7 +605,7 @@ fn process_frame(shared: &EndpointShared, rx: &mut Receiving, buf: PacketBuf, sr
             if pkt.rpc.flags.acks_result {
                 // The caller acknowledged one of our result fragments;
                 // this thread sends the next one, if there is one.
-                server.handle_result_ack(&pkt.rpc, src);
+                server.handle_result_ack(&pkt.rpc, src, rx.out);
                 pkt.into_buf().recycle();
             } else {
                 RpcStats::bump(&stats.acks_received);
@@ -629,5 +629,47 @@ fn process_frame(shared: &EndpointShared, rx: &mut Receiving, buf: PacketBuf, sr
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::LoopbackNet;
+    use firefly_wire::FrameBuilder;
+
+    #[test]
+    fn only_results_for_several_activities_arm_the_combining_window() {
+        let net = LoopbackNet::new();
+        let endpoint = Endpoint::new(net.station(1), Config::default()).unwrap();
+        let peer = net.station(2);
+        let stats = endpoint.stats();
+        // One datagram of results, `(thread, fragment, count)` each, for
+        // calls nobody made here: every frame is orphaned once processed.
+        let deliver = |frames: &[(u16, u16, u16)]| {
+            let before = stats.orphan_results();
+            let mut datagram = Vec::new();
+            for &(thread, fragment, count) in frames {
+                let frame = FrameBuilder::new(PacketType::Result)
+                    .activity(ActivityId::new(9, 1, thread))
+                    .call_seq(1)
+                    .fragment(fragment, count)
+                    .build(&[])
+                    .unwrap();
+                datagram.extend_from_slice(frame.bytes());
+            }
+            peer.send(&datagram, endpoint.address()).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while stats.orphan_results() < before + frames.len() as u64 {
+                assert!(Instant::now() < deadline, "stats:\n{stats}");
+                std::thread::yield_now();
+            }
+        };
+        // A window of one transfer wakes one caller: nothing to combine.
+        deliver(&[(1, 0, 4), (1, 1, 4), (1, 2, 4), (1, 3, 4)]);
+        assert!(!endpoint.shared.ctx.combining());
+        // Results for two callers wake both at once.
+        deliver(&[(2, 0, 1), (3, 0, 1)]);
+        assert!(endpoint.shared.ctx.combining());
     }
 }

@@ -10,7 +10,7 @@ use crate::transport::Transport;
 use crate::Result;
 use firefly_pool::ShardedPool;
 use firefly_sync::Mutex;
-use firefly_wire::{FrameBuilder, MacAddr, PacketType, RpcHeader};
+use firefly_wire::{FrameBuilder, MacAddr, PacketType, RpcHeader, DATA_OFFSET};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
 use std::sync::atomic::{AtomicBool, AtomicU16, Ordering};
 use std::sync::Arc;
@@ -39,11 +39,72 @@ pub(crate) fn ipv4_of(addr: &SocketAddr) -> Ipv4Addr {
     }
 }
 
+/// Frames laid back to back for one [`Transport::send_batch`]: their
+/// bytes, and each one's length and destination. Whoever sends through
+/// one owns it and reuses it, so it allocates only while it grows past
+/// the largest batch it has carried.
+#[derive(Default)]
+pub(crate) struct Batch {
+    bytes: Vec<u8>,
+    frames: Vec<(usize, SocketAddr)>,
+}
+
+impl Batch {
+    /// Frames queued.
+    pub fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// Queues a copy of `frame`.
+    pub fn push(&mut self, frame: &[u8], dst: SocketAddr) {
+        self.bytes.extend_from_slice(frame);
+        self.frames.push((frame.len(), dst));
+    }
+
+    /// Queues the frame `builder` makes around `data`, encoded in place.
+    pub fn encode(&mut self, builder: &FrameBuilder, data: &[u8], dst: SocketAddr) -> Result<()> {
+        let start = self.bytes.len();
+        self.bytes.resize(start + DATA_OFFSET, 0);
+        self.bytes.extend_from_slice(data);
+        match builder.encode_into(&mut self.bytes[start..], data.len()) {
+            Ok(len) => {
+                self.frames.push((len, dst));
+                Ok(())
+            }
+            Err(e) => {
+                self.bytes.truncate(start);
+                Err(e.into())
+            }
+        }
+    }
+
+    /// Hands every queued frame to `transport` in one
+    /// [`Transport::send_batch`] and empties the batch, whatever the
+    /// outcome.
+    pub fn send(&mut self, transport: &dyn Transport) -> std::io::Result<()> {
+        if self.is_empty() {
+            return Ok(());
+        }
+        let sent = transport.send_batch(&self.bytes, &self.frames);
+        self.bytes.clear();
+        self.frames.clear();
+        sent
+    }
+}
+
 /// Call frames queued by concurrent caller threads for one combined
 /// transmission (see [`SendCtx::send_call`]).
+#[derive(Default)]
 struct Combined {
-    bytes: Vec<u8>,
-    spans: Vec<(usize, SocketAddr)>,
+    queued: Batch,
+    /// The batch the active sender ships from, swapped with `queued` so
+    /// enqueuers keep a queue while it is in the send syscall; empty
+    /// here whenever nobody is sending.
+    shipping: Batch,
     /// True while one caller thread drains the queue through the
     /// transport. Enqueuers seeing this return immediately; the active
     /// sender re-checks the queue before clearing the flag, so no
@@ -96,22 +157,25 @@ impl SendCtx {
             witness: crate::witness::ProtocolWitness::new(),
             checksum,
             ip_ident: AtomicU16::new(1),
-            combiner: Mutex::new(Combined {
-                bytes: Vec::with_capacity(firefly_wire::MAX_FRAME_LEN),
-                spans: Vec::with_capacity(16),
-                sending: false,
-            }),
+            combiner: Mutex::new(Combined::default()),
             combining_hot: AtomicBool::new(false),
         }
     }
 
-    /// Demux hint: a coalesced multi-frame datagram just arrived, so
-    /// several local threads are about to be woken near-simultaneously
+    /// Demux hint: one datagram carried frames for several activities,
+    /// so several local threads are about to be woken near-simultaneously
     /// (batched results wake their callers back-to-back). Arms the
     /// combining window for the next sender; a drain that finds only
-    /// its own frame disarms it again.
-    pub fn note_coalesced_delivery(&self) {
+    /// its own frame disarms it again. A window of one transfer wakes one
+    /// thread and arms nothing.
+    pub fn note_batched_delivery(&self) {
         self.combining_hot.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether the next sender opens the combining window.
+    #[cfg(test)]
+    pub fn combining(&self) -> bool {
+        self.combining_hot.load(Ordering::Relaxed)
     }
 
     /// Transmits a call frame through the flat-combining sender.
@@ -131,8 +195,7 @@ impl SendCtx {
     /// activity's calls.
     pub fn send_call(&self, frame: &[u8], dst: SocketAddr) -> Result<()> {
         let mut q = self.combiner.lock();
-        q.bytes.extend_from_slice(frame);
-        q.spans.push((frame.len(), dst));
+        q.queued.push(frame, dst);
         if q.sending {
             // The active sender's re-check loop picks this frame up
             // before it clears `sending`; that is as good as sent.
@@ -162,35 +225,26 @@ impl SendCtx {
             std::thread::yield_now();
             q = self.combiner.lock();
         }
-        // Local staging keeps the queue usable (and its capacity
-        // intact) while this thread is in the send syscall.
-        let mut bytes: Vec<u8> = Vec::with_capacity(q.bytes.len());
-        let mut spans: Vec<(usize, SocketAddr)> = Vec::with_capacity(q.spans.len());
+        // The queued frames ship from a batch of their own, swapped out
+        // of the lock, so the queue stays usable while this thread is in
+        // the send syscall; both batches keep their capacity, and the
+        // emptied one goes back when the queue is found empty.
+        let mut shipping = std::mem::take(&mut q.shipping);
         let mut outcome = Ok(());
         let mut max_batch = 0;
         loop {
-            bytes.clear();
-            spans.clear();
-            bytes.extend_from_slice(&q.bytes);
-            spans.extend_from_slice(&q.spans);
-            q.bytes.clear();
-            q.spans.clear();
+            std::mem::swap(&mut shipping, &mut q.queued);
             drop(q);
-            max_batch = max_batch.max(spans.len());
-            let mut frames: Vec<(&[u8], SocketAddr)> = Vec::with_capacity(spans.len());
-            let mut off = 0;
-            for &(len, d) in &spans {
-                frames.push((&bytes[off..off + len], d));
-                off += len;
-            }
-            if let Err(e) = self.transport.send_batch(&frames) {
+            max_batch = max_batch.max(shipping.len());
+            if let Err(e) = shipping.send(&*self.transport) {
                 // Report the failure to the sender; enqueuers already
                 // returned and rely on retransmission, exactly as for a
                 // frame lost on the wire.
                 outcome = Err(e.into());
             }
             q = self.combiner.lock();
-            if q.spans.is_empty() {
+            if q.queued.is_empty() {
+                q.shipping = shipping;
                 self.combining_hot.store(max_batch > 1, Ordering::Relaxed);
                 q.sending = false;
                 return outcome;

@@ -32,7 +32,7 @@
 use crate::calltable::shard_for;
 use crate::fragment::{Accepted, Acked, Reassembly, Window};
 use crate::packet::{Assembled, Packet};
-use crate::send::SendCtx;
+use crate::send::{Batch, SendCtx};
 use crate::service::Service;
 use crate::shard::WorkQueues;
 use crate::stats::RpcStats;
@@ -42,9 +42,7 @@ use crate::{Result, RpcError};
 use firefly_idl::{CompiledStub, Written};
 use firefly_pool::PacketBuf;
 use firefly_sync::{Mutex, RwLock};
-use firefly_wire::{
-    ActivityId, PacketType, RpcHeader, DATA_OFFSET, MAX_FRAME_LEN, MAX_SINGLE_PACKET_DATA,
-};
+use firefly_wire::{ActivityId, PacketType, RpcHeader, DATA_OFFSET, MAX_SINGLE_PACKET_DATA};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,76 +77,53 @@ struct Transfer {
     /// duplicate call or probe gets again — and the next one to send.
     window: Window,
     /// The call's server trace record, detached from the executing
-    /// thread's span; the thread that first sends the last fragment
+    /// thread's span; the window that carries the last fragment
     /// finishes it.
     record: Option<TraceRecord>,
 }
 
 impl Transfer {
-    /// Encodes fragment `index` (one the window let out) onto the
-    /// sender's stack, asking for an ack when `ask` and it is not the
-    /// last. `None` only if the frame fails to encode.
-    fn frame(&mut self, ctx: &SendCtx, dst: SocketAddr, index: u16, ask: bool) -> Option<Outgoing> {
+    /// Queues fragment `index` on `out`, asking for an ack when `ask`
+    /// and it is not the last. Frames are encoded under the activity
+    /// guard and handed to the transport after it drops: a send can
+    /// block, and blocking under the activity lock would stall the
+    /// receiver.
+    fn encode(
+        &self,
+        ctx: &SendCtx,
+        out: &mut Batch,
+        dst: SocketAddr,
+        index: u16,
+        ask: bool,
+    ) -> Result<()> {
         let count = self.window.count;
         debug_assert!(index < count, "fragment {index} of {count}");
-        let chunk = crate::fragment::chunk(&self.data, index);
-        let last = index + 1 == count;
-        let mut out = Outgoing::new();
-        out.bytes[DATA_OFFSET..DATA_OFFSET + chunk.len()].copy_from_slice(chunk);
-        out.len = ctx
+        let builder = ctx
             .builder_from(&self.header, dst)
             .fragment(index, count)
-            .please_ack(ask && !last)
-            .encode_into(&mut out.bytes, chunk.len())
-            .ok()?;
-        if last {
-            out.finished = self.record.take();
-        }
-        Some(out)
-    }
-}
-
-/// One encoded frame of a retained result, on the sending thread's
-/// stack: encoded under the activity guard, handed to the transport
-/// after the guard drops — a send can block, and blocking under the
-/// activity lock would stall the receiver.
-struct Outgoing {
-    bytes: [u8; MAX_FRAME_LEN],
-    len: usize,
-    /// Set when this is the first hand-over of a transfer's last
-    /// fragment: the call's trace record, which ends there.
-    finished: Option<TraceRecord>,
-}
-
-impl Outgoing {
-    fn new() -> Outgoing {
-        Outgoing {
-            bytes: [0; MAX_FRAME_LEN],
-            len: 0,
-            finished: None,
-        }
+            .please_ack(ask && index + 1 < count);
+        out.encode(&builder, crate::fragment::chunk(&self.data, index), dst)
     }
 }
 
 impl Retained {
-    /// Encodes the frame a duplicate call or a probe gets again: the one
-    /// frame of a single-packet result, or a transfer's first
-    /// unacknowledged fragment, asking where the caller's hole is.
-    /// `None` when nothing is retained.
-    fn resend(&mut self, ctx: &SendCtx, dst: SocketAddr) -> Option<Outgoing> {
-        let whole: &[u8] = match self {
-            Retained::None => return None,
-            Retained::Pooled(b) => b,
-            Retained::Heap(v) => v,
-            Retained::Transfer(t) => {
-                let first = t.window.unacked;
-                return t.frame(ctx, dst, first, true);
+    /// Queues on `out` the frame a duplicate call or a probe gets again:
+    /// the one frame of a single-packet result, or a transfer's first
+    /// unacknowledged fragment, asking where the caller's hole is. False
+    /// when nothing is retained.
+    fn resend(&self, ctx: &SendCtx, out: &mut Batch, dst: SocketAddr) -> bool {
+        match self {
+            Retained::None => false,
+            Retained::Pooled(b) => {
+                out.push(b, dst);
+                true
             }
-        };
-        let mut out = Outgoing::new();
-        out.bytes.get_mut(..whole.len())?.copy_from_slice(whole);
-        out.len = whole.len();
-        Some(out)
+            Retained::Heap(v) => {
+                out.push(v, dst);
+                true
+            }
+            Retained::Transfer(t) => t.encode(ctx, out, dst, t.window.unacked, true).is_ok(),
+        }
     }
 }
 
@@ -241,69 +216,19 @@ struct Work {
     queued_at: u64,
 }
 
-/// An executing thread's pending single-packet result frames,
-/// transmitted in one [`Transport::send_batch`] call — which coalesces
-/// consecutive frames to the same caller into single datagrams —
-/// whenever the thread runs out of immediately-available work or the
-/// batch reaches capacity.
+/// An executing thread's single-packet results wait in its [`Batch`]
+/// until the thread runs out of immediately-available work, or until
+/// this many are pending even if more local work remains, which bounds
+/// the latency batching can add under load. They then go out in one
+/// [`Transport::send_batch`], which packs consecutive frames to the same
+/// caller into single datagrams.
 ///
 /// Frames are *copied* in: retransmission retention keeps the pool
 /// buffer in the activity slot independently, so deferring the send
 /// never extends a buffer's lifetime.
 ///
 /// [`Transport::send_batch`]: crate::transport::Transport::send_batch
-pub(crate) struct ResultBatch {
-    bytes: Vec<u8>,
-    frames: Vec<(usize, SocketAddr)>,
-}
-
-impl ResultBatch {
-    /// Flushed as soon as this many frames are pending even if more
-    /// local work remains, bounding the latency batching can add under
-    /// load (and the size of `flush`'s slice list).
-    const MAX_FRAMES: usize = 16;
-
-    pub fn new() -> ResultBatch {
-        ResultBatch {
-            bytes: Vec::with_capacity(Self::MAX_FRAMES * 96),
-            frames: Vec::with_capacity(Self::MAX_FRAMES),
-        }
-    }
-
-    /// Queues one frame, flushing the batch if that fills it.
-    fn add(&mut self, frame: &[u8], dst: SocketAddr, transport: &dyn crate::transport::Transport) {
-        self.bytes.extend_from_slice(frame);
-        self.frames.push((frame.len(), dst));
-        if self.frames.len() >= Self::MAX_FRAMES {
-            self.flush(transport);
-        }
-    }
-
-    pub fn flush(&mut self, transport: &dyn crate::transport::Transport) {
-        // A UDP send failure here is indistinguishable from packet loss
-        // on the wire; the caller's retransmission machinery recovers.
-        match self.frames[..] {
-            [] => return,
-            // A lone caller's case, once per call: no list to build.
-            [(len, dst)] => {
-                let _ = transport.send(&self.bytes[..len], dst);
-            }
-            [(_, first), ..] => {
-                // The slice list lives on the stack; `add` flushes a
-                // full batch, which keeps it within.
-                let mut batch = [(&[][..], first); Self::MAX_FRAMES];
-                let mut off = 0;
-                for (slot, &(len, dst)) in batch.iter_mut().zip(&self.frames) {
-                    *slot = (&self.bytes[off..off + len], dst);
-                    off += len;
-                }
-                let _ = transport.send_batch(&batch[..self.frames.len().min(Self::MAX_FRAMES)]);
-            }
-        }
-        self.bytes.clear();
-        self.frames.clear();
-    }
-}
+const MAX_BATCHED_RESULTS: usize = 16;
 
 /// The server half of an endpoint.
 pub(crate) struct ServerSide {
@@ -484,10 +409,17 @@ impl ServerSide {
 
     /// Interrupt-level handling of an incoming call packet.
     ///
-    /// `inline` is the receiving thread's own result batch when that
-    /// thread may run service code (the resident receiver), `None` when
-    /// it may not (a caller thread holding the receive role).
-    pub fn handle_call_packet(&self, pkt: Packet, src: SocketAddr, inline: Option<&mut ResultBatch>) {
+    /// `out` is the receiving thread's own batch, for what it sends;
+    /// `inline` says whether that thread may run service code (the
+    /// resident receiver may, a caller thread holding the receive role
+    /// may not).
+    pub(crate) fn handle_call_packet(
+        &self,
+        pkt: Packet,
+        src: SocketAddr,
+        out: &mut Batch,
+        inline: bool,
+    ) {
         // Stamp receipt first, before any protocol work, so the server
         // account starts at the receive boundary (0 with tracing off).
         let received_at = self.ctx.tracer.stamp_if_enabled();
@@ -510,17 +442,17 @@ impl ServerSide {
         if rpc.call_seq == st.last_seq && st.last_seq != 0 {
             // Duplicate of the current call (a caller retransmission).
             RpcStats::bump(&stats.duplicate_calls);
-            let resend = st.retained.resend(&self.ctx, src);
+            let resent = st.retained.resend(&self.ctx, out, src);
             let executing = st.in_progress;
             drop(st);
-            if let Some(frame) = resend {
+            if resent {
                 // "the last result packet … must be retained for possible
                 // retransmission": answer the duplicate from it —
                 // mid-transfer, with the first fragment not acknowledged.
                 if let Some(s) = slot {
                     self.ctx.witness.record(DUP_RETAINED_ROWS[s]);
                 }
-                self.send_frame(&frame, src);
+                self.transmit(out);
                 RpcStats::bump(&stats.retransmissions);
             } else if executing && rpc.flags.please_ack {
                 // The call is executing; tell the caller to stop
@@ -619,18 +551,16 @@ impl ServerSide {
             drop(st);
             Assembled::Single(pkt)
         };
-        if let Some(results) = inline {
-            if self.runs_inline(&rpc) {
-                // Never block the receiver for a buffer: a dry pool
-                // sends the call round by the workers, which may wait.
-                let shard = shard_for(rpc.activity, self.ctx.pool.shard_count());
-                if let Ok(result_buf) = self.ctx.pool.alloc_from(shard) {
-                    // Reached its executing thread without queueing.
-                    RpcStats::bump(&stats.direct_wakeups);
-                    RpcStats::bump(&stats.inline_calls);
-                    self.dispatch(call, src, &act, received_at, Some(result_buf), results);
-                    return;
-                }
+        if inline && self.runs_inline(&rpc) {
+            // Never block the receiver for a buffer: a dry pool sends the
+            // call round by the workers, which may wait.
+            let shard = shard_for(rpc.activity, self.ctx.pool.shard_count());
+            if let Ok(result_buf) = self.ctx.pool.alloc_from(shard) {
+                // Reached its executing thread without queueing.
+                RpcStats::bump(&stats.direct_wakeups);
+                RpcStats::bump(&stats.inline_calls);
+                self.dispatch(call, src, &act, received_at, Some(result_buf), out);
+                return;
             }
         }
         self.enqueue(call, src, act, received_at);
@@ -681,7 +611,7 @@ impl ServerSide {
     /// is being put together — ack the prefix held, which tells the
     /// caller where the hole is; the call is unknown — stay silent and
     /// let the caller's transmission budget expire.
-    pub fn handle_probe(&self, rpc: &RpcHeader, src: SocketAddr) {
+    pub(crate) fn handle_probe(&self, rpc: &RpcHeader, src: SocketAddr, out: &mut Batch) {
         // Probes on the wire carry exactly last-fragment; the witness
         // records only that spec shape.
         let spec_probe = rpc.flags.last_fragment
@@ -694,7 +624,7 @@ impl ServerSide {
             }
         };
         let act = self.activity(rpc.activity);
-        let mut st = act.state.lock();
+        let st = act.state.lock();
         if st.last_seq != rpc.call_seq {
             let ack = match &st.reassembly {
                 Some((seq, r)) if *seq == rpc.call_seq => Some(crate::fragment::prefix_ack(rpc, r)),
@@ -711,12 +641,12 @@ impl ServerSide {
             }
             return;
         }
-        let resend = st.retained.resend(&self.ctx, src);
+        let resent = st.retained.resend(&self.ctx, out, src);
         let executing = st.in_progress;
         drop(st);
-        if let Some(frame) = resend {
+        if resent {
             record(row::SERVER_RETAINED_PROBE_LF_RETRANSMIT_RESULT);
-            self.send_frame(&frame, src);
+            self.transmit(out);
             RpcStats::bump(&self.ctx.stats.retransmissions);
             RpcStats::bump(&self.ctx.stats.probes_answered);
             return;
@@ -745,9 +675,10 @@ impl ServerSide {
     /// The ack names the prefix the caller holds, and *is* the event that
     /// sends what comes next: the next window when it covers everything
     /// sent, the hole again when it stops short — handed to the
-    /// transport by this thread itself, so no server thread sleeps
-    /// through the round trip and none is woken by it.
-    pub fn handle_result_ack(&self, rpc: &RpcHeader, src: SocketAddr) {
+    /// transport by this thread itself, through its batch `out`, so no
+    /// server thread sleeps through the round trip and none is woken by
+    /// it.
+    pub(crate) fn handle_result_ack(&self, rpc: &RpcHeader, src: SocketAddr, out: &mut Batch) {
         RpcStats::bump(&self.ctx.stats.acks_received);
         // Caller result-acks carry acks-result, optionally with
         // last-fragment for the final (releasing) ack; anything else is
@@ -790,16 +721,16 @@ impl ServerSide {
             Acked::Open => {
                 drop(st);
                 record(row::SERVER_KNOWN_ACK_AR_ADVANCE_FRAGMENT);
-                self.send_window(&act, src);
+                self.send_window(&act, src, out);
             }
             Acked::Hole(index) => {
                 // The caller lacks that fragment: again, asking where the
                 // next hole is.
-                let frame = t.frame(&self.ctx, src, index, true);
+                let queued = t.encode(&self.ctx, out, src, index, true).is_ok();
                 drop(st);
                 record(row::SERVER_KNOWN_ACK_AR_RESEND_HOLE);
-                if let Some(frame) = frame {
-                    self.send_frame(&frame, src);
+                if queued {
+                    self.transmit(out);
                     RpcStats::bump(&self.ctx.stats.retransmissions);
                 }
             }
@@ -808,30 +739,34 @@ impl ServerSide {
     }
 
     /// Sends one window of `act`'s result transfer — the fragments it
-    /// lets out that nobody has sent yet — one at a time with the
-    /// activity guard dropped around each send. Called by the thread that
-    /// opened the window: the one that executed the call, or the one that
-    /// received the ack of the last window's edge. It stops at this
-    /// window's edge even if that ack has already come: the next window
-    /// is its receiver's to send.
-    fn send_window(&self, act: &Activity, dst: SocketAddr) {
-        loop {
-            let mut st = act.state.lock();
-            let Retained::Transfer(t) = &mut st.retained else {
-                return;
-            };
-            let Some((index, edge)) = t.window.advance() else {
-                return;
-            };
-            let frame = t.frame(&self.ctx, dst, index, edge);
-            drop(st);
-            if let Some(frame) = frame {
-                self.send_frame(&frame, dst);
-                RpcStats::bump(&self.ctx.stats.fragments_sent);
+    /// lets out that nobody has sent yet — in one batch, encoded under
+    /// the activity guard and handed to the transport after it drops.
+    /// Called by the thread that opened the window: the one that
+    /// executed the call, or the one that received the ack of the last
+    /// window's edge. Holding the guard while it encodes, it sees no ack
+    /// of this window's edge: the next window is that ack's receiver's
+    /// to send.
+    fn send_window(&self, act: &Activity, dst: SocketAddr, out: &mut Batch) {
+        let mut st = act.state.lock();
+        let Retained::Transfer(t) = &mut st.retained else {
+            return;
+        };
+        let (mut sent, mut finished) = (0, None);
+        while let Some((index, edge)) = t.window.advance() {
+            if t.encode(&self.ctx, out, dst, index, edge).is_ok() {
+                sent += 1;
             }
-            if edge {
-                return;
+            if index + 1 == t.window.count {
+                finished = t.record.take();
             }
+        }
+        drop(st);
+        self.transmit(out);
+        self.ctx.stats.fragments_sent.fetch_add(sent, Ordering::Relaxed);
+        if let Some(record) = finished {
+            // The account's boundary is the hand-off of the last fragment.
+            self.ctx.tracer.finish_detached(record, Stamp::ResultSent);
+            RpcStats::bump(&self.ctx.stats.trace_records);
         }
     }
 
@@ -840,42 +775,32 @@ impl ServerSide {
         RpcStats::bump(&self.ctx.stats.buffers_recycled);
     }
 
-    /// Hands an encoded frame of a retained result to the transport,
-    /// with no lock held. One routine for all the senders of a
-    /// transfer's fragments — `send_window` (for `complete` and
-    /// `handle_result_ack`), the hole `handle_result_ack` is shown, the
-    /// duplicate-call and probe handlers — so whichever of them first
-    /// hands over the *last* fragment ends the call's trace record there.
-    fn send_frame(&self, frame: &Outgoing, dst: SocketAddr) {
-        // A send failure is indistinguishable from loss on the wire; the
-        // caller's retransmission recovers either.
-        let _ = self.ctx.transport.send(&frame.bytes[..frame.len], dst);
-        if let Some(record) = frame.finished {
-            // The account's boundary is the hand-off of the last fragment.
-            self.ctx.tracer.finish_detached(record, Stamp::ResultSent);
-            RpcStats::bump(&self.ctx.stats.trace_records);
-        }
+    /// Hands what `out` holds to the transport, with no lock held. A send
+    /// failure is indistinguishable from loss on the wire; the caller's
+    /// retransmission recovers either.
+    fn transmit(&self, out: &mut Batch) {
+        let _ = out.send(&*self.ctx.transport);
     }
 
     fn worker_loop(self: Arc<Self>, worker: usize) {
         // The worker's private batch: a whole queue drained (own or
         // stolen) is processed from here without further locking.
         let mut local = VecDeque::new();
-        // Pending result frames. Flushed when the batch fills or the
+        // Pending result frames. Sent when the batch fills or the
         // queues go quiet (never later than the pre-park check inside
         // `pop_with`), so no caller ever waits on a parked worker's
         // buffered result; while work keeps arriving, results
-        // accumulate and go out coalesced.
-        let mut results = ResultBatch::new();
+        // accumulate and go out packed.
+        let mut results = Batch::default();
         loop {
-            // `pop_with` flushes the pending results once the queues
-            // have stayed quiet for a few rescans (and always before
-            // this worker could park), so during a busy streak results
-            // keep coalescing across drains and steals, while an idle
-            // lull bounds their latency at a handful of yields.
+            // `pop_with` sends the pending results once the queues have
+            // stayed quiet for a few rescans (and always before this
+            // worker could park), so during a busy streak results keep
+            // packing across drains and steals, while an idle lull
+            // bounds their latency at a handful of yields.
             let next = self
                 .queues
-                .pop_with(worker, &mut local, || results.flush(&*self.ctx.transport));
+                .pop_with(worker, &mut local, || self.transmit(&mut results));
             let Some(work) = next else {
                 break;
             };
@@ -883,13 +808,13 @@ impl ServerSide {
             note_handoff(&self.handoff_ns, waited);
             self.dispatch(work.call, work.src, &work.act, work.received_at, None, &mut results);
         }
-        results.flush(&*self.ctx.transport);
+        self.transmit(&mut results);
     }
 
-    /// The Receiver: execute one call and transmit its result, on a
-    /// server thread or on the receiving thread itself. `inline_buf` is
-    /// the result buffer when this is the receiving thread, which does
-    /// not wait for one.
+    /// The Receiver: execute one call and transmit its result through the
+    /// executing thread's batch `out`, on a server thread or on the
+    /// receiving thread itself. `inline_buf` is the result buffer when
+    /// this is the receiving thread, which does not wait for one.
     fn dispatch(
         &self,
         call: Assembled,
@@ -897,26 +822,33 @@ impl ServerSide {
         act: &Activity,
         received_at: u64,
         inline_buf: Option<PacketBuf>,
-        results: &mut ResultBatch,
+        out: &mut Batch,
     ) {
         let rpc = *call.rpc();
         // The server half of the latency account: `Received` carries the
         // receive stamp, `Dispatched` is stamped here — the queue wait,
         // or next to nothing when the receiving thread executes.
         let mut span = self.ctx.tracer.server_span(rpc.procedure, received_at);
-        let outcome = self.execute(&call, src, inline_buf, &mut span, results);
+        let outcome = self.execute(&call, src, inline_buf, &mut span, out);
         // A single-packet result is out and its record complete. A
         // multi-packet one took the record along (`Span::detach`): it
         // ends where the last fragment is sent.
         if outcome.is_ok() && span.finish() {
             RpcStats::bump(&self.ctx.stats.trace_records);
         }
-        self.complete(&rpc, src, act, outcome);
+        self.complete(&rpc, src, act, outcome, out);
     }
 
     /// Ends a call's execution: retains what was sent, starts what is
     /// still to send, or sends (and retains) the error result.
-    fn complete(&self, rpc: &RpcHeader, src: SocketAddr, act: &Activity, outcome: Result<Retained>) {
+    fn complete(
+        &self,
+        rpc: &RpcHeader,
+        src: SocketAddr,
+        act: &Activity,
+        outcome: Result<Retained>,
+        out: &mut Batch,
+    ) {
         let mut st = act.state.lock();
         if st.last_seq != rpc.call_seq {
             // A newer call superseded us while executing; discard.
@@ -933,7 +865,7 @@ impl ServerSide {
                     // transfer where the receiver will look for it: an
                     // ack may arrive on another thread before `send`
                     // returns.
-                    self.send_window(act, src);
+                    self.send_window(act, src, out);
                 }
             }
             Err(e) => {
@@ -968,7 +900,7 @@ impl ServerSide {
         src: SocketAddr,
         inline_buf: Option<PacketBuf>,
         span: &mut crate::trace::Span<'_>,
-        results: &mut ResultBatch,
+        out: &mut Batch,
     ) -> Result<Retained> {
         let rpc = *call.rpc();
         let started = self.ctx.tracer.now_nanos();
@@ -1024,15 +956,18 @@ impl ServerSide {
         match written {
             Written::InPlace { len } => {
                 // Single packet: headers in place around the data, queue
-                // the frame on the worker's result batch (coalesced into
-                // shared datagrams at the next flush), retain the pool
-                // buffer — no per-call list around it.
+                // a copy of the frame on the executing thread's batch
+                // (packed into shared datagrams when it is sent), retain
+                // the pool buffer — no per-call list around it.
                 let total = self
                     .ctx
                     .builder_from(&header, src)
                     .encode_into(result_buf.raw_mut(), len)?;
                 result_buf.set_len(total);
-                results.add(&result_buf, src, &*self.ctx.transport);
+                out.push(&result_buf, src);
+                if out.len() >= MAX_BATCHED_RESULTS {
+                    self.transmit(out);
+                }
                 span.stamp(Stamp::ResultSent);
                 Ok(Retained::Pooled(result_buf))
             }

@@ -209,8 +209,9 @@ struct Ring {
 
 impl Ring {
     fn with_capacity(capacity: usize) -> Ring {
-        // Preallocated once at endpoint creation (bind time, §3.1);
-        // the per-call push below only overwrites these slots.
+        // lint:allow(no-alloc-on-fast-path): preallocated once at
+        // endpoint creation (bind time, §3.1); the per-call push below
+        // only overwrites these slots.
         let mut records = Vec::with_capacity(capacity);
         for _ in 0..capacity {
             records.push(TraceRecord::empty());
@@ -456,6 +457,8 @@ pub struct RoleReport {
 
 impl RoleReport {
     fn empty(steps: &'static [(&'static str, usize, usize)]) -> RoleReport {
+        // lint:allow(no-alloc-on-fast-path): a report is built when the
+        // ring is drained for reading, never per call.
         let mut out = Vec::with_capacity(steps.len());
         for (name, _, _) in steps {
             out.push((*name, Histogram::new()));

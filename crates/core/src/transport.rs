@@ -5,27 +5,52 @@
 //! [`Transport`] trait; the choice is made when an [`Endpoint`] is created
 //! and when a [`Client`] binds.
 //!
-//! * [`UdpTransport`] sends each frame — including its Ethernet, IP, UDP
-//!   and RPC headers — as the payload of a real UDP datagram. The inner
-//!   headers are redundant with the host stack's, but they keep every byte
-//!   the paper counts observable and checksummed end to end.
+//! * [`UdpTransport`] sends frames — each with its own Ethernet, IP, UDP
+//!   and RPC headers and checksum — as the payload of real UDP datagrams.
+//!   The inner headers are redundant with the host stack's, but they keep
+//!   every byte the paper counts observable and checksummed end to end.
+//!   A datagram carries one frame, or the frames of one
+//!   [`Transport::send_batch`] that go to one destination, back to back,
+//!   up to [`MAX_DATAGRAM_LEN`]: a whole window of a multi-packet call or
+//!   result ([`WINDOW`] full fragments), or a burst of small results.
+//!   The receiver walks a datagram frame by frame by each inner IP
+//!   header's total length. Over loopback a window datagram costs one
+//!   send and one receive instead of one per fragment; over a real link
+//!   the kernel IP-fragments it to the link's MTU, and losing any piece
+//!   loses the whole window. Recovery is then what it is for any lost
+//!   window: the caller's timer and the prefix ack find the holes, one
+//!   fragment per round trip (docs/PROTOCOL.md).
 //! * [`LoopbackNet`] is an in-process Ethernet segment: deterministic,
 //!   instant delivery, with injectable loss, duplication, corruption and
 //!   delay for protocol tests (the paper's §5 "lost packet" pathology is
-//!   reproduced this way).
+//!   reproduced this way). It sends a batch frame by frame, so its faults
+//!   strike single fragments.
 //!
 //! [`Endpoint`]: crate::Endpoint
 //! [`Client`]: crate::Client
+//! [`WINDOW`]: crate::fragment::WINDOW
 
 use firefly_rng::Rng;
 use firefly_sync::channel::{unbounded, Receiver, Sender};
 use firefly_sync::Mutex;
+use firefly_wire::MAX_FRAME_LEN;
 use std::collections::HashMap;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The most a datagram carries: one window of full fragments, 12 112
+/// bytes, well under UDP's 65 507. A thread that receives does so into a
+/// buffer this large.
+pub const MAX_DATAGRAM_LEN: usize = crate::fragment::WINDOW as usize * MAX_FRAME_LEN;
+
+/// The frame of `len` bytes at offset `at` of a batch's bytes.
+fn framed(bytes: &[u8], at: usize, len: usize) -> io::Result<&[u8]> {
+    let overrun = || io::Error::new(io::ErrorKind::InvalidInput, "frame lengths overrun the batch");
+    bytes.get(at..at.saturating_add(len)).ok_or_else(overrun)
+}
 
 /// A datagram-style transport carrying complete RPC frames.
 pub trait Transport: Send + Sync + 'static {
@@ -53,13 +78,17 @@ pub trait Transport: Send + Sync + 'static {
         Ok(None)
     }
 
-    /// Sends a batch of frames, stopping at the first error.
+    /// Sends a batch of frames, stopping at the first error. The frames
+    /// lie back to back in `bytes`; `frames` gives each one's length and
+    /// destination, in order.
     ///
-    /// The default implementation loops over [`Transport::send`];
-    /// transports with a cheaper aggregate path can override it.
-    fn send_batch(&self, frames: &[(&[u8], SocketAddr)]) -> io::Result<()> {
-        for (frame, dst) in frames {
-            self.send(frame, *dst)?;
+    /// The default implementation sends them one [`Transport::send`] at a
+    /// time; transports with a cheaper aggregate path can override it.
+    fn send_batch(&self, bytes: &[u8], frames: &[(usize, SocketAddr)]) -> io::Result<()> {
+        let mut at = 0;
+        for &(len, dst) in frames {
+            self.send(framed(bytes, at, len)?, dst)?;
+            at += len;
         }
         Ok(())
     }
@@ -79,6 +108,21 @@ fn aborted() -> io::Error {
 // UDP.
 // ---------------------------------------------------------------------
 
+/// The system calls a [`UdpTransport`] has made, by kind, since it was
+/// bound: what a call costs in the kernel, counted where it is paid.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UdpCounts {
+    /// Datagrams handed to `sendto` (the shutdown poison excepted).
+    pub datagrams_sent: u64,
+    /// Datagrams a `recvfrom` returned, blocking or not.
+    pub datagrams_received: u64,
+    /// Nonblocking receives that found nothing waiting.
+    pub empty_polls: u64,
+    /// `set_nonblocking` calls: the socket changing hands between a
+    /// polling thread and the blocking resident receiver.
+    pub mode_flips: u64,
+}
+
 /// A [`Transport`] over a real UDP socket.
 pub struct UdpTransport {
     socket: UdpSocket,
@@ -88,6 +132,11 @@ pub struct UdpTransport {
     /// `fcntl` syscall only when the mode actually changes, not per
     /// `try_recv`.
     nonblocking: AtomicBool,
+    // The fields of `UdpCounts`: statistics, so `Relaxed`.
+    sent: AtomicU64,
+    received: AtomicU64,
+    empty_polls: AtomicU64,
+    mode_flips: AtomicU64,
 }
 
 impl UdpTransport {
@@ -100,6 +149,10 @@ impl UdpTransport {
             addr,
             down: AtomicBool::new(false),
             nonblocking: AtomicBool::new(false),
+            sent: AtomicU64::new(0),
+            received: AtomicU64::new(0),
+            empty_polls: AtomicU64::new(0),
+            mode_flips: AtomicU64::new(0),
         }))
     }
 
@@ -108,8 +161,19 @@ impl UdpTransport {
         Self::bind(SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0)))
     }
 
+    /// The system calls made so far.
+    pub fn counts(&self) -> UdpCounts {
+        UdpCounts {
+            datagrams_sent: self.sent.load(Ordering::Relaxed),
+            datagrams_received: self.received.load(Ordering::Relaxed),
+            empty_polls: self.empty_polls.load(Ordering::Relaxed),
+            mode_flips: self.mode_flips.load(Ordering::Relaxed),
+        }
+    }
+
     fn set_mode(&self, nonblocking: bool) -> io::Result<()> {
         if self.nonblocking.swap(nonblocking, Ordering::AcqRel) != nonblocking {
+            self.mode_flips.fetch_add(1, Ordering::Relaxed);
             self.socket.set_nonblocking(nonblocking)?;
         }
         Ok(())
@@ -124,7 +188,10 @@ impl Transport for UdpTransport {
         // (UDP sends never otherwise block for long).
         loop {
             match self.socket.send_to(frame, dst) {
-                Ok(_) => return Ok(()),
+                Ok(_) => {
+                    self.sent.fetch_add(1, Ordering::Relaxed);
+                    return Ok(());
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::yield_now(),
                 Err(e) => return Err(e),
             }
@@ -150,6 +217,7 @@ impl Transport for UdpTransport {
             // Zero-length datagrams are the shutdown poison; real frames
             // are at least 74 bytes.
             if n > 0 {
+                self.received.fetch_add(1, Ordering::Relaxed);
                 return Ok((n, src));
             }
         }
@@ -162,61 +230,48 @@ impl Transport for UdpTransport {
             }
             self.set_mode(true)?;
             match self.socket.recv_from(buf) {
-                Ok((n, src)) if n > 0 => return Ok(Some((n, src))),
+                Ok((n, src)) if n > 0 => {
+                    self.received.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Some((n, src)));
+                }
                 Ok(_) => continue, // shutdown poison while still up: skip
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.empty_polls.fetch_add(1, Ordering::Relaxed);
+                    return Ok(None);
+                }
                 Err(e) => return Err(e),
             }
         }
     }
 
-    /// Coalesces consecutive same-destination frames into single UDP
-    /// datagrams of at most [`firefly_wire::MAX_FRAME_LEN`] bytes.
+    /// Packs each run of consecutive frames to one destination into as
+    /// few datagrams of at most [`MAX_DATAGRAM_LEN`] bytes as it fits,
+    /// each sent straight from `bytes` — no staging copy.
     ///
     /// Each RPC frame carries its own Ethernet/IP/UDP/RPC headers with a
     /// self-describing IP total length, so a receiver can walk the
     /// datagram with [`firefly_wire::coalesced_frame_len`] and recover
-    /// every frame boundary. Packing up to 20 Null-sized (74-byte)
-    /// results per datagram amortizes the `sendto`/`recvfrom` syscall
-    /// pair that dominates the small-packet path — the same observation
-    /// that drives the paper's §4 "fewer packets" arguments. A 1514-byte
-    /// MaxResult frame fills the datagram alone and degenerates to the
-    /// unbatched path.
-    fn send_batch(&self, frames: &[(&[u8], SocketAddr)]) -> io::Result<()> {
-        let mut packed = [0u8; firefly_wire::MAX_FRAME_LEN];
-        let mut filled = 0usize;
-        let mut dst: Option<SocketAddr> = None;
-        for (frame, to) in frames {
-            if frame.len() > packed.len() {
-                // Oversized frame (cannot happen for wire-built frames,
-                // which cap at MAX_FRAME_LEN): flush and send it alone.
-                if let Some(d) = dst.take() {
-                    if filled > 0 {
-                        self.send(&packed[..filled], d)?;
-                    }
+    /// every frame boundary. One `sendto`/`recvfrom` pair then carries a
+    /// window of a multi-packet transfer, or a burst of results, instead
+    /// of one pair per frame — the same observation that drives the
+    /// paper's §4 "fewer packets" arguments. A lone frame is one datagram.
+    fn send_batch(&self, bytes: &[u8], frames: &[(usize, SocketAddr)]) -> io::Result<()> {
+        // The run being packed: `bytes[start..end]`, all to `dst`.
+        let (mut start, mut end) = (0, 0);
+        let mut dst = None;
+        for &(len, to) in frames {
+            if dst != Some(to) || end - start + len > MAX_DATAGRAM_LEN {
+                if let Some(d) = dst.filter(|_| end > start) {
+                    self.send(framed(bytes, start, end - start)?, d)?;
                 }
-                filled = 0;
-                self.send(frame, *to)?;
-                continue;
+                (start, dst) = (end, Some(to));
             }
-            if dst != Some(*to) || filled + frame.len() > packed.len() {
-                if let Some(d) = dst {
-                    if filled > 0 {
-                        self.send(&packed[..filled], d)?;
-                    }
-                }
-                filled = 0;
-                dst = Some(*to);
-            }
-            packed[filled..filled + frame.len()].copy_from_slice(frame);
-            filled += frame.len();
+            end += len;
         }
-        if let Some(d) = dst {
-            if filled > 0 {
-                self.send(&packed[..filled], d)?;
-            }
+        match dst.filter(|_| end > start) {
+            Some(d) => self.send(framed(bytes, start, end - start)?, d),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn local_addr(&self) -> SocketAddr {
@@ -631,6 +686,18 @@ mod tests {
         a.send(b"third", b.local_addr()).unwrap();
         let (n, _) = b.recv(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"third");
+        // Every system call was counted: the socket went nonblocking for
+        // the drain and back for the last receive.
+        let counts = b.counts();
+        assert_eq!((counts.datagrams_received, counts.mode_flips), (3, 2), "{counts:?}");
+        assert!(counts.empty_polls >= 1, "{counts:?}");
+        assert_eq!(a.counts().datagrams_sent, 3);
+    }
+
+    /// `frames` laid out as [`Transport::send_batch`] takes them.
+    fn batch(frames: &[(&[u8], SocketAddr)]) -> (Vec<u8>, Vec<(usize, SocketAddr)>) {
+        let bytes = frames.iter().flat_map(|(f, _)| f.iter().copied()).collect();
+        (bytes, frames.iter().map(|&(f, dst)| (f.len(), dst)).collect())
     }
 
     #[test]
@@ -639,10 +706,15 @@ mod tests {
         let a = net.station(1);
         let b = net.station(2);
         let dst = b.local_addr();
-        a.send_batch(&[(b"x", dst), (b"y", dst)]).unwrap();
+        let (bytes, frames) = batch(&[(b"x", dst), (b"yz", dst)]);
+        a.send_batch(&bytes, &frames).unwrap();
         let mut buf = [0u8; 8];
-        assert_eq!(b.recv(&mut buf).unwrap().0, 1);
-        assert_eq!(b.recv(&mut buf).unwrap().0, 1);
+        let (n, _) = b.recv(&mut buf).unwrap();
+        assert_eq!(&buf[..n], b"x");
+        let (n, _) = b.recv(&mut buf).unwrap();
+        assert_eq!(&buf[..n], b"yz");
+        // Lengths that overrun the bytes are refused, not read past.
+        assert!(a.send_batch(b"short", &[(9, dst)]).is_err());
     }
 
     #[test]
@@ -653,16 +725,18 @@ mod tests {
         let f1 = FrameBuilder::new(PacketType::Result).build(&[]).unwrap();
         let f2 = FrameBuilder::new(PacketType::Result).build(&[5; 8]).unwrap();
         let dst = b.local_addr();
-        a.send_batch(&[(f1.bytes(), dst), (f2.bytes(), dst)])
-            .unwrap();
+        let (bytes, frames) = batch(&[(f1.bytes(), dst), (f2.bytes(), dst)]);
+        a.send_batch(&bytes, &frames).unwrap();
         // Both frames arrive in ONE datagram, back to back.
-        let mut buf = [0u8; firefly_wire::MAX_FRAME_LEN];
+        let mut buf = [0u8; MAX_DATAGRAM_LEN];
         let (n, _) = b.recv(&mut buf).unwrap();
         assert_eq!(n, f1.len() + f2.len());
         let first = coalesced_frame_len(&buf[..n]).unwrap();
         assert_eq!(first, MIN_FRAME_LEN);
         let second = coalesced_frame_len(&buf[first..n]).unwrap();
         assert_eq!(first + second, n);
+        let (sent, received) = (a.counts(), b.counts());
+        assert_eq!((sent.datagrams_sent, received.datagrams_received), (1, 1));
     }
 
     #[test]
@@ -672,21 +746,23 @@ mod tests {
         let b = UdpTransport::localhost().unwrap();
         let c = UdpTransport::localhost().unwrap();
         let f = FrameBuilder::new(PacketType::Result).build(&[]).unwrap();
-        a.send_batch(&[
+        let (bytes, frames) = batch(&[
             (f.bytes(), b.local_addr()),
             (f.bytes(), c.local_addr()),
             (f.bytes(), b.local_addr()),
-        ])
-        .unwrap();
-        let mut buf = [0u8; firefly_wire::MAX_FRAME_LEN];
+        ]);
+        a.send_batch(&bytes, &frames).unwrap();
+        let mut buf = [0u8; MAX_DATAGRAM_LEN];
         // b gets two separate datagrams (the run was broken by c's frame).
         assert_eq!(b.recv(&mut buf).unwrap().0, MIN_FRAME_LEN);
         assert_eq!(b.recv(&mut buf).unwrap().0, MIN_FRAME_LEN);
         assert_eq!(c.recv(&mut buf).unwrap().0, MIN_FRAME_LEN);
+        assert_eq!(a.counts().datagrams_sent, 3);
     }
 
     #[test]
     fn udp_send_batch_splits_at_datagram_capacity() {
+        use crate::fragment::WINDOW;
         use firefly_wire::{FrameBuilder, PacketType, MAX_SINGLE_PACKET_DATA};
         let a = UdpTransport::localhost().unwrap();
         let b = UdpTransport::localhost().unwrap();
@@ -695,12 +771,49 @@ mod tests {
             .build(&vec![0u8; MAX_SINGLE_PACKET_DATA])
             .unwrap();
         let dst = b.local_addr();
-        // small + max overflows 1514, so the batch must split.
-        a.send_batch(&[(small.bytes(), dst), (max.bytes(), dst)])
-            .unwrap();
-        let mut buf = [0u8; firefly_wire::MAX_FRAME_LEN];
+        // A window of full frames fills a datagram exactly; one more frame
+        // of any size starts the next.
+        let mut frames = vec![(max.bytes(), dst); WINDOW as usize];
+        frames.push((small.bytes(), dst));
+        let (bytes, frames) = batch(&frames);
+        a.send_batch(&bytes, &frames).unwrap();
+        let mut buf = [0u8; MAX_DATAGRAM_LEN + 1];
+        assert_eq!(b.recv(&mut buf).unwrap().0, MAX_DATAGRAM_LEN);
         assert_eq!(b.recv(&mut buf).unwrap().0, small.len());
-        assert_eq!(b.recv(&mut buf).unwrap().0, max.len());
+        assert_eq!(a.counts().datagrams_sent, 2);
+    }
+
+    #[test]
+    fn a_datagram_of_forty_frames_is_processed_whole() {
+        use firefly_wire::{ActivityId, FrameBuilder, PacketType, MIN_FRAME_LEN};
+        // Forty results for calls nobody made: each is processed — and
+        // orphaned — on its own. A receiver that kept at most twenty
+        // frames of a datagram dropped the rest.
+        let socket = UdpTransport::localhost().unwrap();
+        let endpoint = crate::Endpoint::new(socket, crate::Config::default()).unwrap();
+        let peer = UdpTransport::localhost().unwrap();
+        let frames: Vec<_> = (0..40u16)
+            .map(|i| {
+                let frame = FrameBuilder::new(PacketType::Result)
+                    .activity(ActivityId::new(9, 1, i + 1))
+                    .call_seq(1)
+                    .build(&[])
+                    .unwrap();
+                (frame.into_bytes(), endpoint.address())
+            })
+            .collect();
+        let frames: Vec<_> = frames.iter().map(|(f, dst)| (&f[..], *dst)).collect();
+        let (bytes, frames) = batch(&frames);
+        assert_eq!(bytes.len(), 40 * MIN_FRAME_LEN);
+        peer.send_batch(&bytes, &frames).unwrap();
+        assert_eq!(peer.counts().datagrams_sent, 1);
+        let stats = endpoint.stats();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while stats.orphan_results() < 40 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(stats.orphan_results(), 40, "stats:\n{stats}");
+        assert_eq!(stats.validation_drops(), 0, "stats:\n{stats}");
     }
 
     #[test]

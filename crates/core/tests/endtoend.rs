@@ -558,14 +558,34 @@ impl Sent {
 }
 
 /// Echoes `size` bytes once while the network mistreats the first
-/// packet `target` picks, and checks what must hold whatever happened to
-/// it: the bytes, exactly one execution, every buffer home at shutdown.
-/// Returns what each side sent, caller first.
+/// packet `target` picks (see [`echo_through`]).
 fn echo_with_one_fault(
     cfg: Config,
     size: usize,
     duplicate: bool,
     target: impl Fn(&RpcHeader) -> bool + Send + Sync + 'static,
+) -> (Sent, Sent) {
+    let (target, armed) = (Arc::new(target), Arc::new(AtomicBool::new(true)));
+    let sent = echo_through(cfg, size, |inner| {
+        Arc::new(Meddler {
+            inner,
+            target: target.clone(),
+            duplicate,
+            armed: Arc::clone(&armed),
+        })
+    });
+    assert!(!armed.load(Ordering::SeqCst), "the fault never happened");
+    sent
+}
+
+/// Echoes `size` bytes once over the network `wrap` makes of each
+/// endpoint's station, and checks what must hold whatever that network
+/// did: the bytes, exactly one execution, every buffer home at shutdown.
+/// Returns what each side sent, caller first.
+fn echo_through(
+    cfg: Config,
+    size: usize,
+    wrap: impl Fn(Arc<dyn Transport>) -> Arc<dyn Transport>,
 ) -> (Sent, Sent) {
     let iface = parse_interface(
         "DEFINITION MODULE Big;
@@ -585,17 +605,8 @@ fn echo_with_one_fault(
         .build()
         .unwrap();
     let net = LoopbackNet::new();
-    let (target, armed) = (Arc::new(target), Arc::new(AtomicBool::new(true)));
-    let meddled = |id: u8| -> Arc<dyn Transport> {
-        Arc::new(Meddler {
-            inner: net.station(id),
-            target: target.clone(),
-            duplicate,
-            armed: Arc::clone(&armed),
-        })
-    };
-    let server = Endpoint::new(meddled(1), cfg.clone()).unwrap();
-    let caller = Endpoint::new(meddled(2), cfg).unwrap();
+    let server = Endpoint::new(wrap(net.station(1)), cfg.clone()).unwrap();
+    let caller = Endpoint::new(wrap(net.station(2)), cfg).unwrap();
     server.export(service).unwrap();
     let client = caller.bind(&iface, server.address()).unwrap();
 
@@ -605,7 +616,6 @@ fn echo_with_one_fault(
         .unwrap();
     assert_eq!(r[0].as_bytes().unwrap(), &input[..]);
     assert_eq!(executed.load(Ordering::SeqCst), 1, "executed more than once");
-    assert!(!armed.load(Ordering::SeqCst), "the fault never happened");
 
     let sent = (Sent::of(&caller), Sent::of(&server));
     let pools = [server.pool().clone(), caller.pool().clone()];
@@ -737,6 +747,107 @@ fn a_duplicated_window_edge_ack_moves_the_transfer_once() {
             let exact = || Sent { fragments, retransmissions: 0, acks: 2 };
             assert_eq!(caller, exact(), "{what}");
             assert_eq!(server, exact(), "{what}");
+        }
+    }
+}
+
+/// A network that loses the first whole window of `kind` fragments — one
+/// multi-frame `send_batch`, which over UDP is one datagram — and, while
+/// `then_one` is set, the next single fragment of that kind after it.
+struct WindowLoss {
+    inner: Arc<dyn Transport>,
+    kind: PacketType,
+    window: Arc<AtomicBool>,
+    then_one: Arc<AtomicBool>,
+}
+
+impl WindowLoss {
+    fn fragment_of_kind(&self, frame: &[u8]) -> bool {
+        let rpc = FrameView::parse(frame).expect("endpoints send valid frames").rpc;
+        rpc.packet_type == self.kind && rpc.fragment_count > 1
+    }
+}
+
+impl Transport for WindowLoss {
+    fn send(&self, frame: &[u8], dst: std::net::SocketAddr) -> std::io::Result<()> {
+        let after_window = !self.window.load(Ordering::SeqCst);
+        if after_window
+            && self.fragment_of_kind(frame)
+            && self.then_one.swap(false, Ordering::SeqCst)
+        {
+            return Ok(()); // Lost too.
+        }
+        self.inner.send(frame, dst)
+    }
+
+    fn send_batch(
+        &self,
+        bytes: &[u8],
+        frames: &[(usize, std::net::SocketAddr)],
+    ) -> std::io::Result<()> {
+        let first = &bytes[..frames[0].0];
+        if frames.len() > 1
+            && self.fragment_of_kind(first)
+            && self.window.swap(false, Ordering::SeqCst)
+        {
+            return Ok(()); // The whole window is lost.
+        }
+        let mut at = 0;
+        for &(len, dst) in frames {
+            self.send(&bytes[at..at + len], dst)?;
+            at += len;
+        }
+        Ok(())
+    }
+
+    fn recv(&self, buf: &mut [u8]) -> std::io::Result<(usize, std::net::SocketAddr)> {
+        self.inner.recv(buf)
+    }
+
+    fn try_recv(&self, buf: &mut [u8]) -> std::io::Result<Option<(usize, std::net::SocketAddr)>> {
+        self.inner.try_recv(buf)
+    }
+
+    fn local_addr(&self) -> std::net::SocketAddr {
+        self.inner.local_addr()
+    }
+
+    fn shutdown(&self) {
+        self.inner.shutdown()
+    }
+}
+
+#[test]
+fn a_lost_window_datagram_is_found_one_fragment_per_round_trip() {
+    // Over UDP a window is one datagram, so one loss takes all four
+    // fragments of it. The caller's timer finds the first hole; after
+    // that each prefix ack names the next, and each fragment is sent
+    // again once — twice for the first, if that copy is lost too.
+    for kind in [PacketType::Call, PacketType::Result] {
+        for then_one in [false, true] {
+            let window = Arc::new(AtomicBool::new(true));
+            let second = Arc::new(AtomicBool::new(then_one));
+            let (caller, server) = echo_through(patient(), BLOB, |inner| {
+                Arc::new(WindowLoss {
+                    inner,
+                    kind,
+                    window: Arc::clone(&window),
+                    then_one: Arc::clone(&second),
+                })
+            });
+            let what = format!("{kind:?} window, then one more: {then_one}");
+            assert!(!window.load(Ordering::SeqCst), "{what}: no window was lost");
+            assert!(!second.load(Ordering::SeqCst), "{what}: no second fragment was lost");
+            assert_eq!((caller.fragments, server.fragments), (4, 4), "{what}");
+            let again = 4 + u64::from(then_one);
+            let expected = match kind {
+                PacketType::Call => (again, 0),
+                // The server's first re-send lost, the caller's next
+                // silence sends the call's first fragment again, and the
+                // server answers the duplicate from the retained result.
+                _ => (u64::from(then_one), again),
+            };
+            assert_eq!((caller.retransmissions, server.retransmissions), expected, "{what}");
         }
     }
 }

@@ -72,6 +72,8 @@ impl InterfaceDef {
     /// UID, and rejecting duplicate procedure names.
     pub fn from_ast(module: Module) -> Result<InterfaceDef> {
         let uid = Self::compute_uid(&module);
+        // lint:allow(no-alloc-on-fast-path): stub-compile time, once per
+        // interface.
         let mut procedures = Vec::with_capacity(module.procedures.len());
         let mut by_name = HashMap::new();
         for (i, p) in module.procedures.into_iter().enumerate() {

@@ -241,6 +241,8 @@ fn apply_tail_optimization(seq: &mut [PlannedParam]) {
 impl MarshalPlan {
     /// Builds the plan for a procedure.
     pub fn build(params: &[ParamDecl], result: Option<&TypeExpr>) -> Result<MarshalPlan> {
+        // lint:allow(no-alloc-on-fast-path): stub-compile time, once per
+        // procedure.
         let mut planned = Vec::with_capacity(params.len() + 1);
         for (index, p) in params.iter().enumerate() {
             planned.push(PlannedParam {

@@ -104,6 +104,8 @@ impl<'a> ResultWriter<'a> {
         self.pos += n;
         let out = &*self.out;
         let v = self.spill.get_or_insert_with(|| {
+            // lint:allow(no-alloc-on-fast-path): a result that outgrows
+            // its packet moves to the heap once, to be fragmented.
             let mut v = Vec::with_capacity(pos + n);
             v.extend_from_slice(&out[..pos]);
             v

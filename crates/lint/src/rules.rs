@@ -134,9 +134,10 @@ fn no_panic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `Vec::new`, `vec!`, `to_vec()`, `.clone()`, `format!`, `Box::new`
-/// are banned in fast-path modules (tests exempt; lines constructing
-/// errors exempt — error paths are off the fast path by definition).
+/// `Vec::new`, `Vec::with_capacity`, `vec!`, `to_vec()`, `.clone()`,
+/// `format!`, `Box::new` are banned in fast-path modules (tests exempt;
+/// lines constructing errors exempt — error paths are off the fast path
+/// by definition).
 ///
 /// Paper rationale: §3.2 — packet buffers live in a shared pool so the
 /// fast path copies and allocates nothing ("This strategy eliminates
@@ -164,6 +165,7 @@ fn no_alloc(file: &SourceFile, config: &Config, out: &mut Vec<Diagnostic>) {
         };
         let construct = match tok.text.as_str() {
             "new" if path_call("Vec") => Some("Vec::new"),
+            "with_capacity" if path_call("Vec") => Some("Vec::with_capacity"),
             "new" if path_call("Box") => Some("Box::new"),
             "to_vec" if preceded_by_dot && next_is(1, "(") => Some(".to_vec()"),
             "clone" if preceded_by_dot && next_is(1, "(") => Some(".clone()"),

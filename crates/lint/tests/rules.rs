@@ -50,6 +50,15 @@ fn no_alloc_fires_and_error_lines_are_exempt() {
 }
 
 #[test]
+fn no_alloc_fires_on_vec_with_capacity() {
+    // The per-call staging of a flat-combining sender: both reservations
+    // allocate, the `capacity()` query does not.
+    let diags = lint(include_str!("fixtures/no_alloc_with_capacity_fire.rs"));
+    assert_eq!(rules_of(&diags), vec![name::NO_ALLOC, name::NO_ALLOC]);
+    assert_eq!((diags[0].line, diags[1].line), (2, 3));
+}
+
+#[test]
 fn no_alloc_justified_allow_suppresses() {
     let diags = lint(include_str!("fixtures/no_alloc_allow.rs"));
     assert!(diags.is_empty(), "{diags:?}");

@@ -120,21 +120,50 @@ fn big_echo() -> (
     (iface, service, executed)
 }
 
+/// A server and a caller endpoint over real sockets, with patient timers:
+/// on a busy machine a stalled thread must not look like a lost packet
+/// to the exact counts the tests check. The sockets come along so their
+/// system calls can be counted.
+fn udp_pair() -> (Arc<Endpoint>, Arc<Endpoint>, [Arc<UdpTransport>; 2]) {
+    let cfg = Config {
+        retransmit_initial: std::time::Duration::from_secs(5),
+        ..Config::default()
+    };
+    let sockets = [UdpTransport::localhost().unwrap(), UdpTransport::localhost().unwrap()];
+    let server = Endpoint::new(sockets[0].clone(), cfg.clone()).unwrap();
+    let caller = Endpoint::new(sockets[1].clone(), cfg).unwrap();
+    (server, caller, sockets)
+}
+
+#[test]
+fn null_echo_over_udp_is_one_datagram_each_way() {
+    let (server, caller, [server_socket, caller_socket]) = udp_pair();
+    let iface = firefly::idl::test_interface();
+    let service = ServiceBuilder::new(iface.clone())
+        .on_call("Null", |_args, _w| Ok(()))
+        .on_call("MaxResult", |_args, _w| Ok(()))
+        .on_call("MaxArg", |_args, _w| Ok(()))
+        .build()
+        .unwrap();
+    server.export(service).unwrap();
+    let c = caller.bind(&iface, server.address()).unwrap();
+    const CALLS: u64 = 200;
+    for _ in 0..CALLS {
+        c.call("Null", &[]).unwrap();
+    }
+    let (s, k) = (server_socket.counts(), caller_socket.counts());
+    assert_eq!((k.datagrams_sent, s.datagrams_received), (CALLS, CALLS), "{k:?} {s:?}");
+    assert_eq!((s.datagrams_sent, k.datagrams_received), (CALLS, CALLS), "{s:?} {k:?}");
+}
+
 #[test]
 fn multi_packet_echo_over_udp() {
     // Four fragments each way over real sockets: one window each way,
     // so the whole exchange is eight fragments and not one explicit ack
     // — the Result acks the Call, the next Call acks the Result — and the
-    // server parks no thread on the transfer.
+    // server parks no thread on the transfer. A window is one datagram.
     let (iface, service, _) = big_echo();
-    // Patient timers: on a busy machine a stalled thread must not look
-    // like a lost packet to the zero-retransmission check below.
-    let cfg = Config {
-        retransmit_initial: std::time::Duration::from_secs(5),
-        ..Config::default()
-    };
-    let server = Endpoint::new(UdpTransport::localhost().unwrap(), cfg.clone()).unwrap();
-    let caller = Endpoint::new(UdpTransport::localhost().unwrap(), cfg).unwrap();
+    let (server, caller, [server_socket, caller_socket]) = udp_pair();
     server.export(service).unwrap();
     let c = caller.bind(&iface, server.address()).unwrap();
 
@@ -152,6 +181,9 @@ fn multi_packet_echo_over_udp() {
     assert_eq!(k.acks_sent() + s.acks_sent(), 0, "server stats:\n{s}");
     assert_eq!(s.retransmissions() + k.retransmissions(), 0, "server stats:\n{s}");
     assert_eq!(s.duplicate_calls(), 0);
+    let (s, k) = (server_socket.counts(), caller_socket.counts());
+    assert_eq!((k.datagrams_sent, s.datagrams_received), (CALLS, CALLS), "{k:?} {s:?}");
+    assert_eq!((s.datagrams_sent, k.datagrams_received), (CALLS, CALLS), "{s:?} {k:?}");
 }
 
 #[test]
