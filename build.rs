@@ -12,6 +12,8 @@
 //! Generating must never fail the library build: whatever goes wrong is
 //! a `cargo:warning=`, and the library falls back on the golden copy.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 
 const GOLDEN: &str = "tests/golden/test_stubs.rs";

@@ -21,6 +21,8 @@
 //!   firefly-check --model sharded-calltable --dpor --schedules 4000
 //!   firefly-check --model bug-abba --replay 0,1,1 --verbose
 
+#![forbid(unsafe_code)]
+
 use firefly_check::{args, gates, models, smoke, Explorer, Mode};
 use std::path::PathBuf;
 use std::process::ExitCode;

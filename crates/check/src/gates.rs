@@ -1,7 +1,8 @@
 //! The four static-vs-dynamic cross-validation gates: pure functions
-//! over `firefly-lint`'s [`Engine`] (lock order, publication labels,
-//! protocol spec), its static [`Analysis`], and the checker's dynamic
-//! [`Report`], in one process.
+//! over `firefly-lint`'s [`Engine`] (lock order, publication labels),
+//! its static [`Analysis`], the generated protocol table
+//! ([`TRANSITIONS`]) and the checker's dynamic [`Report`], in one
+//! process.
 //!
 //! 1. **Lock edges** — every class-level lock edge observed dynamically
 //!    must already be in the static lock graph and respect the
@@ -16,10 +17,10 @@
 //! 3. **Accounting** — each auditing model's quiescent counters must
 //!    balance: the pool's `outstanding` equals the buffers `retained` in
 //!    activity slots (the retention the pool-lifecycle rule admits).
-//! 4. **Protocol transitions** — every observed `(state, packet-type,
-//!    flags) -> action` row must be in protocol.toml's legal table, every
-//!    legal row must be observed or allowlisted, an allowlisted row that
-//!    *is* observed is stale, and one the spec lacks is invalid.
+//! 4. **Protocol transitions** — the observed `(state, packet-type,
+//!    flags) -> action` rows must be exactly the legal table that
+//!    `crates/core/build.rs` generates from protocol.toml: a row outside
+//!    it is illegal, a legal row not observed is a coverage gap.
 //!
 //! [`verify`] is the whole pipeline — analysis, smoke run, gates — and
 //! is what `firefly-check verify` and the tier-1 test both call.
@@ -30,6 +31,7 @@ use firefly_lint::config::LockClass;
 use firefly_lint::dataflow::LocationSummary;
 use firefly_lint::lockgraph::LockEdge;
 use firefly_lint::{Analysis, Engine};
+use firefly_rpc::witness::TRANSITIONS;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
 use std::path::Path;
@@ -185,45 +187,29 @@ pub fn accounting(audits: &BTreeMap<&'static str, Vec<(String, u64)>>) -> Findin
     found
 }
 
-/// Gate 4: observed protocol transitions against the spec's legal table
-/// and coverage allowlist.
-pub fn protocol(legal: &[String], allowlist: &[String], observed: &BTreeSet<String>) -> Findings {
+/// Gate 4: observed protocol transitions against the legal table.
+pub fn protocol(legal: &[&str], observed: &BTreeSet<String>) -> Findings {
     let mut found = Findings::default();
-    for row in observed.iter().filter(|r| !legal.contains(r)) {
+    for row in observed.iter().filter(|r| !legal.contains(&r.as_str())) {
         found.problems.push(format!(
             "observed protocol transition not in the spec's legal table: {row:?}"
         ));
     }
-    for row in allowlist {
-        if !legal.contains(row) {
-            found.problems.push(format!(
-                "coverage allowlist names a row the spec does not contain: {row:?}"
-            ));
-        } else if observed.contains(row) {
-            found.problems.push(format!(
-                "stale coverage allowlist entry: {row:?} is now observed dynamically"
-            ));
-        }
-    }
-    let (mut seen, mut allowed) = (0, 0);
-    for row in legal {
-        if observed.contains(row) {
-            seen += 1;
-        } else if allowlist.contains(row) {
-            allowed += 1;
-            found.notes.push(format!(
-                "transition {row}: allowlisted (unexercised by design)"
-            ));
-        } else {
-            found.problems.push(format!(
-                "spec transition never observed dynamically (coverage gap): {row:?}"
-            ));
-        }
+    let gaps: Vec<&str> = legal
+        .iter()
+        .copied()
+        .filter(|r| !observed.contains(*r))
+        .collect();
+    for row in &gaps {
+        found.problems.push(format!(
+            "spec transition never observed dynamically (coverage gap): {row:?}"
+        ));
     }
     found.notes.push(format!(
-        "{} legal transition(s): {seen} observed, {allowed} allowlisted, {} gap(s)",
+        "{} legal transition(s): {} observed, {} gap(s)",
         legal.len(),
-        legal.len() - seen - allowed
+        legal.len() - gaps.len(),
+        gaps.len()
     ));
     found
 }
@@ -238,11 +224,7 @@ pub fn all(engine: &Engine, analysis: &Analysis, report: &Report) -> Findings {
         &report.publications,
     ));
     found.merge(accounting(&report.accounting));
-    // Without a protocol.toml every observed row is off-spec.
-    let (legal, allowlist) = engine.protocol.as_ref().map_or((&[][..], &[][..]), |spec| {
-        (&spec.transitions[..], &spec.coverage_allowlist[..])
-    });
-    found.merge(protocol(legal, allowlist, &report.transitions));
+    found.merge(protocol(&TRANSITIONS, &report.transitions));
     found
 }
 

@@ -5,6 +5,8 @@
 //! here, and every instrumentation site naming the old row stops
 //! compiling. The output lands in `OUT_DIR/protocol_rows.rs`.
 
+#![forbid(unsafe_code)]
+
 use std::error::Error;
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -13,6 +13,8 @@
 //! arguments according to the procedure's declared call-direction
 //! parameter types (`VAR OUT` parameters take no argument).
 
+#![forbid(unsafe_code)]
+
 use firefly_idl::ast::{Mode, TypeExpr};
 use firefly_idl::{parse_interface, InterfaceDef, Value};
 use firefly_metrics::table::{fnum, Align, Table};

@@ -102,13 +102,6 @@ impl<T> WorkQueues<T> {
         true
     }
 
-    /// Dequeues the next item for worker `worker`, blocking until one
-    /// arrives. `local` is the worker's private batch (stack-owned by
-    /// the worker loop): items drained from a queue are processed from
-    /// it without further locking. Returns `None` once [`shutdown`] was
-    /// called and every queue (and the local batch) is empty.
-    ///
-    /// [`shutdown`]: WorkQueues::shutdown
     /// Empty rescans (each yielding the processor) a worker performs
     /// before parking on the condvar. A parked worker costs its waker a
     /// futex syscall and a scheduling round trip; during a steady call
@@ -125,6 +118,13 @@ impl<T> WorkQueues<T> {
     /// rather than several yields.
     const POLLS_BEFORE_QUIET: u32 = 1;
 
+    /// Dequeues the next item for worker `worker`, blocking until one
+    /// arrives. `local` is the worker's private batch (stack-owned by
+    /// the worker loop): items drained from a queue are processed from
+    /// it without further locking. Returns `None` once [`shutdown`] was
+    /// called and every queue (and the local batch) is empty.
+    ///
+    /// [`shutdown`]: WorkQueues::shutdown
     pub fn pop(&self, worker: usize, local: &mut VecDeque<T>) -> Option<T> {
         self.pop_with(worker, local, || {})
     }

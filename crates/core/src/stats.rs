@@ -75,8 +75,9 @@ counters! {
     direct_wakeups,
     /// Call packets queued because no server thread was waiting (slow path).
     slow_path_queued,
-    /// Single-packet calls executed to completion by the receiving
-    /// thread; a subset of `direct_wakeups`, never of `slow_path_queued`.
+    /// Calls executed to completion by the receiving thread, single- or
+    /// multi-packet (a multi-packet one once its last fragment is in); a
+    /// subset of `direct_wakeups`, never of `slow_path_queued`.
     inline_calls,
     /// Result packets received by the very thread waiting for them:
     /// `results_received` minus the ones that needed a wake-up.

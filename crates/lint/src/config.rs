@@ -1,11 +1,12 @@
-//! Lint configuration: compiled-in defaults plus a `lint.toml` overlay.
+//! Lint configuration, parsed from `lint.toml`.
 //!
-//! The checked-in `lint.toml` at the workspace root is the source of
-//! truth for the fast-path entry points and scope snapshot, the global
-//! lock order, the blocking-call list, and the banned dependency list.
-//! The compiled-in defaults are kept identical so the engine still runs
-//! sensibly if the file is absent (e.g. when linting a fixture tree in
-//! tests).
+//! The checked-in `lint.toml` at the workspace root is the one copy of
+//! the fast-path entry points and scope snapshot, the global lock
+//! order, the blocking-call list and the dataflow scopes.
+//! [`Config::default`] is that file, compiled in, so the rule tests and
+//! the live engine read the same text; a tree with a `lint.toml` of its
+//! own (a fixture tree) gets exactly what its file says, and a key the
+//! file lacks is empty.
 //!
 //! Only the TOML subset the config needs is parsed: `[section]`
 //! headers, `key = "string"`, and `key = ["a", "b", ...]` arrays
@@ -43,8 +44,7 @@ pub struct Config {
     /// computed reachability set.
     pub fast_path_files: Vec<String>,
     /// Reachability boundary: calls into these paths are not followed
-    /// (the IDL marshalling engine allocates by design and is measured
-    /// as its own step in the latency account).
+    /// (lint.toml says why each path is one).
     pub fast_path_stop_files: Vec<String>,
     /// Substrings marking a line as error construction — allocation
     /// there is exempt from `no-alloc-on-fast-path`, because error
@@ -61,8 +61,6 @@ pub struct Config {
     /// special-cased in the rule (only `transport.send`/`socket.send`
     /// block; channel sends are unbounded and never do).
     pub blocking_calls: Vec<String>,
-    /// Banned registry crates for `hermetic-deps`.
-    pub banned_deps: Vec<String>,
     /// Path prefixes where the condvar-protocol rules apply. The
     /// primitive implementations in `crates/sync/src/lib.rs` are
     /// excluded: they *are* the wait/notify machinery.
@@ -71,9 +69,8 @@ pub struct Config {
     pub atomic_files: Vec<String>,
     /// Atomic location identifiers sanctioned to use `Relaxed` where
     /// paired ordering would otherwise be required. Each entry needs a
-    /// protocol proof (comment in lint.toml / SAFETY comment at the
-    /// site); hook.rs's disabled-path `INSTALLED` load is the canonical
-    /// member.
+    /// protocol proof (comment in lint.toml / at the site); hook.rs's
+    /// disabled-path `INSTALLED` load is the canonical member.
     pub allow_relaxed: Vec<String>,
     /// Path prefixes where `pool-lifecycle` applies.
     pub pool_files: Vec<String>,
@@ -98,269 +95,58 @@ pub struct Config {
 }
 
 impl Default for Config {
+    /// The workspace's own `lint.toml`.
     fn default() -> Config {
-        Config {
-            fast_path_entry_points: vec![
-                "crates/core/src/client.rs::call_inner".into(),
-                "crates/core/src/client.rs::transact".into(),
-                "crates/core/src/local.rs::call_with".into(),
-                "crates/core/src/endpoint.rs::demux_loop".into(),
-                "crates/core/src/calltable.rs::deliver".into(),
-                "crates/core/src/calltable.rs::deliver_from".into(),
-                "crates/core/src/calltable.rs::wait".into(),
-                "crates/core/src/server.rs::handle_call_packet".into(),
-                "crates/core/src/server.rs::handle_probe".into(),
-                "crates/core/src/server.rs::handle_result_ack".into(),
-                "crates/core/src/server.rs::worker_loop".into(),
-                "crates/core/src/transport.rs::send".into(),
-                "crates/core/src/transport.rs::recv".into(),
-                "crates/idl/src/writer.rs::next_bytes".into(),
-                "crates/idl/src/writer.rs::next_value".into(),
-                "crates/idl/src/writer.rs::next_with".into(),
-            ],
-            fast_path_files: vec![
-                "crates/core/src/auth.rs".into(),
-                "crates/core/src/client.rs".into(),
-                "crates/core/src/server.rs".into(),
-                "crates/core/src/transport.rs".into(),
-                "crates/core/src/send.rs".into(),
-                "crates/core/src/packet.rs".into(),
-                "crates/core/src/fragment.rs".into(),
-                "crates/core/src/local.rs".into(),
-                "crates/core/src/calltable.rs".into(),
-                "crates/core/src/endpoint.rs".into(),
-                "crates/core/src/role.rs".into(),
-                "crates/core/src/shard.rs".into(),
-                "crates/core/src/trace.rs".into(),
-                "crates/core/src/stats.rs".into(),
-                "crates/core/src/witness.rs".into(),
-                "crates/pool/src/lib.rs".into(),
-                "crates/sync/src/lib.rs".into(),
-                "crates/sync/src/hook.rs".into(),
-                "crates/sync/src/atomic.rs".into(),
-                "crates/rng/src/lib.rs".into(),
-                "crates/wire/src".into(),
-                "crates/idl/src/codec.rs".into(),
-                "crates/idl/src/engine.rs".into(),
-                "crates/idl/src/writer.rs".into(),
-                "crates/idl/src/interface.rs".into(),
-                "crates/idl/src/plan.rs".into(),
-                "crates/idl/src/value.rs".into(),
-            ],
-            fast_path_stop_files: vec![
-                "crates/idl/src/lexer.rs".into(),
-                "crates/idl/src/parser.rs".into(),
-                "crates/idl/src/codegen.rs".into(),
-                "crates/idl/src/interp.rs".into(),
-                "crates/check/src".into(),
-                "crates/metrics/src".into(),
-            ],
-            error_markers: vec![
-                "Err(".into(),
-                "RpcError::".into(),
-                "WireError::".into(),
-                "IdlError::".into(),
-                "PoolError::".into(),
-                "map_err".into(),
-                "ok_or_else".into(),
-            ],
-            lock_order: vec![
-                LockClass {
-                    name: "calltable".into(),
-                    receivers: vec![
-                        "entries".into(),
-                        "state".into(),
-                        "activities".into(),
-                        "calls".into(),
-                    ],
-                    parametric: false,
-                },
-                LockClass {
-                    name: "shard".into(),
-                    receivers: vec!["shards".into()],
-                    parametric: true,
-                },
-                LockClass {
-                    name: "pool".into(),
-                    receivers: vec!["slabs".into()],
-                    parametric: false,
-                },
-                LockClass {
-                    name: "stats".into(),
-                    receivers: vec![
-                        "stats".into(),
-                        "frames_sent".into(),
-                        "frames_dropped".into(),
-                    ],
-                    parametric: false,
-                },
-                LockClass {
-                    name: "trace".into(),
-                    receivers: vec!["ring".into()],
-                    parametric: false,
-                },
-            ],
-            lock_files: vec!["crates/core/src".into(), "crates/pool/src".into()],
-            blocking_files: vec!["crates/core/src".into(), "crates/pool/src".into()],
-            blocking_calls: vec![
-                "recv".into(),
-                "recv_from".into(),
-                "wait".into(),
-                "wait_until".into(),
-                "wait_timeout".into(),
-                "park".into(),
-                "test_sleep".into(),
-                "send_to".into(),
-                "send_built".into(),
-                "send_ack".into(),
-                "join".into(),
-            ],
-            banned_deps: vec![
-                "parking_lot".into(),
-                "crossbeam".into(),
-                "crossbeam-channel".into(),
-                "rand".into(),
-                "rand_core".into(),
-                "proptest".into(),
-                "criterion".into(),
-            ],
-            condvar_files: vec![
-                "crates/core/src".into(),
-                "crates/pool/src".into(),
-                "crates/sync/src/channel.rs".into(),
-            ],
-            atomic_files: vec![
-                "crates/core/src".into(),
-                "crates/sync/src".into(),
-                "crates/pool/src".into(),
-            ],
-            allow_relaxed: vec!["INSTALLED".into()],
-            pool_files: vec!["crates/core/src".into(), "crates/pool/src".into()],
-            pool_receivers: vec!["pool".into()],
-            pool_allocs: vec![
-                "alloc".into(),
-                "alloc_timeout".into(),
-                "alloc_from".into(),
-                "alloc_timeout_from".into(),
-                "take_receive_buffer".into(),
-                "take_receive_buffer_from".into(),
-            ],
-            pool_sinks: vec![
-                "recycle".into(),
-                "recycle_to_receive_queue".into(),
-                "return_slab".into(),
-                "into_buf".into(),
-            ],
-            pool_accounted: vec![
-                "free".into(),
-                "receive_queue".into(),
-                "retained".into(),
-                "results".into(),
-            ],
-            buffer_types: vec!["PacketBuf".into()],
-            publication_labels: vec![("installed".into(), vec!["INSTALLED".into()])],
-        }
+        Config::from_toml(include_str!("../../../lint.toml"))
     }
 }
 
 impl Config {
-    /// Parses a `lint.toml` overlay on top of the defaults. Keys that
-    /// are present replace the corresponding default wholesale.
+    /// Parses `lint.toml` text. Every field is what the text says; a
+    /// key it lacks leaves the field empty.
     pub fn from_toml(text: &str) -> Config {
-        let mut config = Config::default();
         let sections = parse_sections(text);
-        if let Some(s) = sections.get("fast-path") {
-            if let Some(v) = s.get("entry_points") {
-                config.fast_path_entry_points = v.clone();
-            }
-            if let Some(v) = s.get("files") {
-                config.fast_path_files = v.clone();
-            }
-            if let Some(v) = s.get("stop_files") {
-                config.fast_path_stop_files = v.clone();
-            }
+        let get = |section: &str, key: &str| sections.get(section)?.get(key).cloned();
+        let list = |section: &str, key: &str| get(section, key).unwrap_or_default();
+        let parametric = list("lock-order", "parametric");
+        let lock_order = list("lock-order", "order")
+            .into_iter()
+            .map(|name| LockClass {
+                receivers: list("lock-order", &name),
+                parametric: parametric.contains(&name),
+                name,
+            })
+            .collect();
+        let lock_files = list("lock-order", "files");
+        // The blocking rule rides the lock scope unless it declares its
+        // own.
+        let blocking_files =
+            get("no-blocking-under-lock", "files").unwrap_or_else(|| lock_files.clone());
+        let mut publication_labels: Vec<(String, Vec<String>)> = sections
+            .get("publication-labels")
+            .map(|s| s.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
+            .unwrap_or_default();
+        publication_labels.sort();
+        Config {
+            fast_path_entry_points: list("fast-path", "entry_points"),
+            fast_path_files: list("fast-path", "files"),
+            fast_path_stop_files: list("fast-path", "stop_files"),
+            error_markers: list("no-alloc-on-fast-path", "error_markers"),
+            lock_order,
+            lock_files,
+            blocking_files,
+            blocking_calls: list("no-blocking-under-lock", "blocking"),
+            condvar_files: list("condvar-protocol", "files"),
+            atomic_files: list("atomic-publication", "files"),
+            allow_relaxed: list("atomic-publication", "allow_relaxed"),
+            pool_files: list("pool-lifecycle", "files"),
+            pool_receivers: list("pool-lifecycle", "pools"),
+            pool_allocs: list("pool-lifecycle", "allocs"),
+            pool_sinks: list("pool-lifecycle", "sinks"),
+            pool_accounted: list("pool-lifecycle", "accounted"),
+            buffer_types: list("pool-lifecycle", "buffer_types"),
+            publication_labels,
         }
-        if let Some(s) = sections.get("no-alloc-on-fast-path") {
-            if let Some(v) = s.get("error_markers") {
-                config.error_markers = v.clone();
-            }
-        }
-        if let Some(s) = sections.get("lock-order") {
-            if let Some(order) = s.get("order") {
-                let parametric = s.get("parametric").cloned().unwrap_or_default();
-                config.lock_order = order
-                    .iter()
-                    .map(|name| LockClass {
-                        name: name.clone(),
-                        receivers: s.get(name.as_str()).cloned().unwrap_or_default(),
-                        parametric: parametric.iter().any(|p| p == name),
-                    })
-                    .collect();
-            }
-            if let Some(v) = s.get("files") {
-                config.lock_files = v.clone();
-                // The blocking rule rides the lock scope unless it
-                // declares its own.
-                config.blocking_files = v.clone();
-            }
-        }
-        if let Some(s) = sections.get("no-blocking-under-lock") {
-            if let Some(v) = s.get("files") {
-                config.blocking_files = v.clone();
-            }
-            if let Some(v) = s.get("blocking") {
-                config.blocking_calls = v.clone();
-            }
-        }
-        if let Some(s) = sections.get("hermetic-deps") {
-            if let Some(v) = s.get("banned") {
-                config.banned_deps = v.clone();
-            }
-        }
-        if let Some(s) = sections.get("condvar-protocol") {
-            if let Some(v) = s.get("files") {
-                config.condvar_files = v.clone();
-            }
-        }
-        if let Some(s) = sections.get("atomic-publication") {
-            if let Some(v) = s.get("files") {
-                config.atomic_files = v.clone();
-            }
-            if let Some(v) = s.get("allow_relaxed") {
-                config.allow_relaxed = v.clone();
-            }
-        }
-        if let Some(s) = sections.get("pool-lifecycle") {
-            if let Some(v) = s.get("files") {
-                config.pool_files = v.clone();
-            }
-            if let Some(v) = s.get("pools") {
-                config.pool_receivers = v.clone();
-            }
-            if let Some(v) = s.get("allocs") {
-                config.pool_allocs = v.clone();
-            }
-            if let Some(v) = s.get("sinks") {
-                config.pool_sinks = v.clone();
-            }
-            if let Some(v) = s.get("accounted") {
-                config.pool_accounted = v.clone();
-            }
-            if let Some(v) = s.get("buffer_types") {
-                config.buffer_types = v.clone();
-            }
-        }
-        if let Some(s) = sections.get("publication-labels") {
-            if !s.is_empty() {
-                let mut labels: Vec<(String, Vec<String>)> = s
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                labels.sort();
-                config.publication_labels = labels;
-            }
-        }
-        config
     }
 
     /// True when `rel_path` falls under any of the given prefixes.
@@ -372,9 +158,8 @@ impl Config {
 }
 
 /// `[section] → key → list-of-strings` (a bare string parses as a
-/// one-element list). Shared with the protocol-conformance pass, whose
-/// `protocol.toml` uses the same TOML subset.
-pub(crate) fn parse_sections(text: &str) -> HashMap<String, HashMap<String, Vec<String>>> {
+/// one-element list).
+fn parse_sections(text: &str) -> HashMap<String, HashMap<String, Vec<String>>> {
     let mut sections: HashMap<String, HashMap<String, Vec<String>>> = HashMap::new();
     let mut current = String::new();
     let mut lines = text.lines().peekable();
@@ -443,7 +228,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_cover_the_fast_path_modules() {
+    fn the_workspace_file_covers_the_runtime_modules() {
         let c = Config::default();
         assert!(Config::path_matches(
             "crates/core/src/calltable.rs",
@@ -464,23 +249,27 @@ mod tests {
             "crates/sync/src/channel.rs",
             &c.fast_path_files
         ));
-        assert_eq!(c.lock_order.len(), 5);
-        assert_eq!(c.lock_order[0].name, "calltable");
-        assert_eq!(c.lock_order[4].name, "trace");
-        // Exactly one parametric class, ranked right after calltable.
-        let parametric: Vec<&str> = c
-            .lock_order
-            .iter()
-            .filter(|cls| cls.parametric)
-            .map(|cls| cls.name.as_str())
-            .collect();
-        assert_eq!(parametric, vec!["shard"]);
-        assert_eq!(c.lock_order[1].name, "shard");
+        // (The lock order itself is held by tests/lint.rs.)
+        assert!(c.lock_order.iter().any(|cls| cls.parametric));
         assert!(c.blocking_calls.iter().any(|b| b == "wait_until"));
+        assert!(Config::path_matches(
+            "crates/pool/src/lib.rs",
+            &c.condvar_files
+        ));
+        assert!(!Config::path_matches(
+            "crates/sync/src/lib.rs",
+            &c.condvar_files
+        ));
+        assert!(Config::path_matches(
+            "crates/sync/src/hook.rs",
+            &c.atomic_files
+        ));
+        assert!(c.allow_relaxed.iter().any(|a| a == "INSTALLED"));
+        assert!(c.pool_allocs.iter().any(|a| a == "alloc_timeout_from"));
     }
 
     #[test]
-    fn toml_overlay_replaces_lists() {
+    fn absent_keys_are_empty_and_blocking_follows_the_lock_scope() {
         let toml = r#"
 # a comment
 [fast-path]
@@ -497,9 +286,6 @@ parametric = ["beta"]
 alpha = ["x"]
 beta = ["y", "z"]
 files = ["src"]
-
-[hermetic-deps]
-banned = ["tokio"]
 "#;
         let c = Config::from_toml(toml);
         assert_eq!(c.fast_path_entry_points, vec!["a/b.rs::run"]);
@@ -513,10 +299,10 @@ banned = ["tokio"]
         assert_eq!(c.lock_files, vec!["src"]);
         // Without its own section the blocking scope follows lock-order.
         assert_eq!(c.blocking_files, vec!["src"]);
-        assert_eq!(c.banned_deps, vec!["tokio"]);
-        // Untouched sections keep their defaults.
-        assert!(!c.error_markers.is_empty());
-        assert!(!c.blocking_calls.is_empty());
+        // Nothing is inherited from the workspace file.
+        assert!(c.error_markers.is_empty());
+        assert!(c.blocking_calls.is_empty());
+        assert!(c.publication_labels.is_empty());
     }
 
     #[test]
@@ -528,7 +314,7 @@ banned = ["tokio"]
     }
 
     #[test]
-    fn dataflow_sections_overlay_the_defaults() {
+    fn dataflow_sections_parse() {
         let toml = r#"
 [condvar-protocol]
 files = ["src"]
@@ -569,22 +355,8 @@ gate = ["GATE_WORD"]
     }
 
     #[test]
-    fn dataflow_defaults_cover_the_runtime_modules() {
-        let c = Config::default();
-        assert!(Config::path_matches("crates/pool/src/lib.rs", &c.condvar_files));
-        assert!(!Config::path_matches("crates/sync/src/lib.rs", &c.condvar_files));
-        assert!(Config::path_matches("crates/sync/src/hook.rs", &c.atomic_files));
-        assert!(c.allow_relaxed.iter().any(|a| a == "INSTALLED"));
-        assert!(c.pool_allocs.iter().any(|a| a == "alloc_timeout_from"));
-    }
-
-    #[test]
     fn hash_inside_string_is_not_a_comment() {
-        let toml = "[s]\nfiles = [\"a#b\"]\n";
-        let c = Config::from_toml(toml);
-        // Section `s` is unknown; just proving the parser didn't choke.
-        assert!(!c.fast_path_files.is_empty());
-        let sections = parse_sections(toml);
+        let sections = parse_sections("[s]\nfiles = [\"a#b\"]\n");
         assert_eq!(sections["s"]["files"], vec!["a#b"]);
     }
 }

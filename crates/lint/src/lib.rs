@@ -1,11 +1,10 @@
 //! firefly-lint: in-tree static analysis for the Firefly RPC workspace.
 //!
 //! The paper's performance argument rests on invariants the compiler
-//! cannot check: the packet fast path never allocates or panics, locks
-//! are taken in one global order, and the build depends on nothing
-//! outside the tree. This crate enforces them with a lightweight
-//! comment- and string-aware tokenizer — no rustc internals, no
-//! external parser, std only.
+//! cannot check: the packet fast path never allocates or panics, and
+//! locks are taken in one global order. This crate enforces them with a
+//! lightweight comment- and string-aware tokenizer — no rustc internals,
+//! no external parser, std only.
 //!
 //! Rules (see docs/LINTS.md for the full rationale):
 //! - `no-panic-on-fast-path` / `no-alloc-on-fast-path` — scoped by the
@@ -15,8 +14,6 @@
 //! - `no-blocking-under-lock`
 //! - `stale-scope` — lint.toml's fast-path snapshot vs the computed set
 //! - `no-sleep-in-lib`
-//! - `safety-comment`
-//! - `hermetic-deps`
 //! - `condvar-wait-loop` / `condvar-notify-write` — the condvar
 //!   protocol, from the interprocedural dataflow pass ([`dataflow`])
 //! - `atomic-publication` — release/acquire pairing for cross-thread
@@ -35,7 +32,6 @@ pub mod callgraph;
 pub mod config;
 pub mod dataflow;
 pub mod lockgraph;
-pub mod protocol;
 pub mod rules;
 pub mod scope;
 pub mod source;
@@ -74,19 +70,12 @@ impl fmt::Display for Diagnostic {
             f,
             "{}:{}: [{}] {}",
             self.path, self.line, self.rule, self.message
-        )
+        )?;
+        if !self.witness.is_empty() {
+            write!(f, " (witness: {})", self.witness.join(" → "))?;
+        }
+        Ok(())
     }
-}
-
-/// One `lint:allow` site, exported in the `--json` suppression
-/// inventory so CI can audit the exemption surface over time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuppressionInfo {
-    pub rule: String,
-    pub path: String,
-    pub line: usize,
-    pub file_wide: bool,
-    pub justified: bool,
 }
 
 /// A parsed `lint:allow` marker.
@@ -112,8 +101,6 @@ pub struct Facts {
     pub call_graph: CallGraph,
     /// Def-use sites for the dataflow rule families.
     pub dataflow: dataflow::DataflowFacts,
-    /// Packet-protocol facts for the conformance rules.
-    pub protocol: protocol::ProtocolFacts,
 }
 
 impl Facts {
@@ -123,7 +110,6 @@ impl Facts {
         self.lock_graph.merge(other.lock_graph);
         self.call_graph.merge(other.call_graph);
         self.dataflow.merge(other.dataflow);
-        self.protocol.merge(other.protocol);
     }
 }
 
@@ -143,47 +129,33 @@ pub struct Analysis {
     /// summaries, pool counts) for `--summary` and the static↔dynamic
     /// publication gate.
     pub dataflow: dataflow::Summary,
-    /// Every `lint:allow` marker in the workspace.
-    pub suppressions: Vec<SuppressionInfo>,
+    /// Number of `lint:allow` markers in the workspace.
+    pub suppressions: usize,
     /// Wall-clock per analysis stage, microseconds, in execution order.
     /// Stage names match rule families where one stage implements one
-    /// family (`locking`, `fast-path`, `dataflow`,
-    /// `protocol-conformance`).
+    /// family (`locking`, `fast-path`, `dataflow`).
     pub timings: Vec<(String, u128)>,
 }
 
 /// The rule engine: configuration plus the workspace walker.
 pub struct Engine {
     pub config: Config,
-    /// The packet-protocol spec, when the root has a `protocol.toml`.
-    /// Without it the protocol-conformance rules are inert.
-    pub protocol: Option<protocol::ProtocolSpec>,
 }
 
 impl Engine {
-    /// An engine with the given configuration and no protocol spec.
+    /// An engine with the given configuration.
     pub fn new(config: Config) -> Engine {
-        Engine {
-            config,
-            protocol: None,
-        }
+        Engine { config }
     }
 
-    /// An engine configured from `<root>/lint.toml` and
-    /// `<root>/protocol.toml` when present, compiled-in defaults (and
-    /// no protocol spec) otherwise.
+    /// An engine configured from `<root>/lint.toml`, or from the
+    /// workspace's own `lint.toml` (compiled in) when the root has none.
     pub fn for_root(root: &Path) -> Engine {
         let config = match fs::read_to_string(root.join("lint.toml")) {
             Ok(text) => Config::from_toml(&text),
             Err(_) => Config::default(),
         };
-        let protocol = fs::read_to_string(root.join("protocol.toml"))
-            .ok()
-            .map(|text| protocol::ProtocolSpec::from_toml(&text));
-        Engine {
-            config,
-            protocol,
-        }
+        Engine { config }
     }
 
     /// Lints one Rust source file given its workspace-relative path.
@@ -211,9 +183,6 @@ impl Engine {
             .into_iter()
             .filter(|d| !is_suppressed(d, &allows))
             .collect();
-        if let Some(spec) = &self.protocol {
-            protocol::scan_file(&file, spec, &mut facts.protocol);
-        }
         for allow in &allows {
             if !allow.justified {
                 out.push(file.diagnostic(
@@ -230,14 +199,9 @@ impl Engine {
         (out, allows)
     }
 
-    /// Lints one `Cargo.toml` given its workspace-relative path.
-    pub fn check_manifest_text(&self, rel_path: &str, text: &str) -> Vec<Diagnostic> {
-        rules::check_manifest(rel_path, text, &self.config)
-    }
-
-    /// Walks the workspace at `root` and lints every `.rs` file and
-    /// every `Cargo.toml`. Skips `target/`, VCS metadata, and lint
-    /// test fixtures (which contain violations on purpose). Returns
+    /// Walks the workspace at `root` and lints every `.rs` file. Skips
+    /// `target/`, VCS metadata, and lint test fixtures (which contain
+    /// violations on purpose). Returns
     /// just the diagnostics; [`Engine::analyze`] also exposes the
     /// computed fast-path set and lock graph.
     pub fn run(&self, root: &Path) -> io::Result<Vec<Diagnostic>> {
@@ -280,12 +244,8 @@ impl Engine {
                     stack.push(path);
                     continue;
                 }
-                let rel = rel_path(root, &path);
-                if file_name == "Cargo.toml" {
-                    let text = fs::read_to_string(&path)?;
-                    diags.extend(self.check_manifest_text(&rel, &text));
-                } else if file_name.ends_with(".rs") {
-                    rs_files.push((rel, fs::read_to_string(&path)?));
+                if file_name.ends_with(".rs") {
+                    rs_files.push((rel_path(root, &path), fs::read_to_string(&path)?));
                 }
             }
         }
@@ -414,34 +374,7 @@ impl Engine {
         }
         stamp(&mut timings, "dataflow");
 
-        // Workspace rules: protocol-conformance — the extracted packet
-        // state machine diffed against protocol.toml. Inert when the
-        // root has no spec.
-        let proto_diags = self
-            .protocol
-            .as_ref()
-            .map_or_else(Vec::new, |spec| protocol::evaluate(&facts.protocol, spec));
-        for d in proto_diags {
-            if !suppressed(&d) {
-                diags.push(d);
-            }
-        }
-        stamp(&mut timings, "protocol-conformance");
-
-        let mut suppressions: Vec<SuppressionInfo> = allows_by_path
-            .iter()
-            .flat_map(|(path, allows)| {
-                allows.iter().map(|a| SuppressionInfo {
-                    rule: a.rule.clone(),
-                    path: path.clone(),
-                    line: a.line,
-                    file_wide: a.file_wide,
-                    justified: a.justified,
-                })
-            })
-            .collect();
-        suppressions.sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
-
+        let suppressions = allows_by_path.iter().map(|(_, allows)| allows.len()).sum();
         diags.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
         let mut lock_edges: Vec<LockEdge> = facts.lock_graph.edges().cloned().collect();
         lock_edges.sort();

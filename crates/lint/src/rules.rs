@@ -1,6 +1,6 @@
-//! The lint rules. Each rule walks a tokenized source file (or a
-//! manifest) and yields [`Diagnostic`]s; suppression filtering happens
-//! in the engine, not here.
+//! The lint rules. Each rule walks a tokenized source file and yields
+//! [`Diagnostic`]s; suppression filtering happens in the engine, not
+//! here.
 
 use crate::config::Config;
 use crate::scope::{functions, walk_guards, GuardEvent, LiveGuard};
@@ -26,10 +26,6 @@ pub mod name {
     pub const STALE_SCOPE: &str = "stale-scope";
     /// `thread::sleep` in library code.
     pub const NO_SLEEP: &str = "no-sleep-in-lib";
-    /// `unsafe` without a `// SAFETY:` comment.
-    pub const SAFETY_COMMENT: &str = "safety-comment";
-    /// Non-path dependencies in a manifest.
-    pub const HERMETIC_DEPS: &str = "hermetic-deps";
     /// A `lint:allow` with no justification.
     pub const UNJUSTIFIED_ALLOW: &str = "unjustified-allow";
     /// A `Condvar::wait` outside a predicate loop.
@@ -40,22 +36,10 @@ pub mod name {
     pub const ATOMIC_PUBLICATION: &str = "atomic-publication";
     /// A pool buffer that escapes the alloc→recycle/return lifecycle.
     pub const POOL_LIFECYCLE: &str = "pool-lifecycle";
-    /// A packet type declared in protocol.toml with no construction
-    /// site or no dispatch arm in the scanned sources.
-    pub const PROTOCOL_UNHANDLED_TYPE: &str = "protocol-unhandled-type";
-    /// A `match` over a packet type that neither names every declared
-    /// type nor carries a `_` wildcard.
-    pub const PROTOCOL_MISSING_ARM: &str = "protocol-missing-arm";
-    /// A flag set but undeclared in [flag-reads] (dead on the wire), or
-    /// declared but never read by the type's handlers.
-    pub const PROTOCOL_UNREAD_FLAG: &str = "protocol-unread-flag";
-    /// An `ack_for` outside the allowed callers, or a gutted/missing
-    /// retransmission function.
-    pub const PROTOCOL_ACK_DISCIPLINE: &str = "protocol-ack-discipline";
 }
 
-/// The rule family a diagnostic belongs to, for the `--json` report's
-/// machine consumers and the `--summary` per-family counts.
+/// The rule family a diagnostic belongs to, for the `--summary`
+/// per-family counts.
 pub fn family(rule: &str) -> &'static str {
     match rule {
         name::CONDVAR_WAIT_LOOP | name::CONDVAR_NOTIFY => "condvar-protocol",
@@ -63,10 +47,6 @@ pub fn family(rule: &str) -> &'static str {
         name::POOL_LIFECYCLE => "pool-lifecycle",
         name::LOCK_ORDER | name::LOCK_CYCLE | name::NO_BLOCKING => "locking",
         name::NO_PANIC | name::NO_ALLOC | name::STALE_SCOPE => "fast-path",
-        name::PROTOCOL_UNHANDLED_TYPE
-        | name::PROTOCOL_MISSING_ARM
-        | name::PROTOCOL_UNREAD_FLAG
-        | name::PROTOCOL_ACK_DISCIPLINE => "protocol-conformance",
         _ => "hygiene",
     }
 }
@@ -96,7 +76,6 @@ pub fn check_source(file: &SourceFile, config: &Config, facts: &mut Facts) -> Ve
     }
     guard_rules(file, config, facts, &mut out);
     no_sleep(file, &mut out);
-    safety_comment(file, &mut out);
     crate::dataflow::scan_file(file, config, &mut facts.dataflow);
     out
 }
@@ -391,85 +370,4 @@ fn no_sleep(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             ));
         }
     }
-}
-
-/// Every `unsafe` keyword needs a `// SAFETY:` comment on one of the
-/// three preceding lines (tests exempt). Crates with no unsafe at all
-/// should declare `#![forbid(unsafe_code)]` instead — see DESIGN.md.
-fn safety_comment(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for tok in &file.tokens.tokens {
-        if tok.kind != TokenKind::Ident || tok.text != "unsafe" || file.is_test_line(tok.line) {
-            continue;
-        }
-        let documented = (tok.line.saturating_sub(3)..=tok.line)
-            .any(|l| file.comment_on(l).is_some_and(|c| c.contains("SAFETY:")));
-        if !documented {
-            out.push(file.diagnostic(
-                name::SAFETY_COMMENT,
-                tok.line,
-                "`unsafe` without a `// SAFETY:` comment on the preceding lines".to_string(),
-            ));
-        }
-    }
-}
-
-/// Every dependency in every manifest must be an in-tree path (directly
-/// or via `workspace = true`), and the crates this repo replaced with
-/// in-tree equivalents must never come back. Subsumes the grep in
-/// `tests/hermetic.rs`: the build stays reproducible from a clean
-/// checkout with an empty cargo registry.
-pub fn check_manifest(rel_path: &str, text: &str, config: &Config) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut section = String::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line.starts_with('[') {
-            section = line.trim_matches(['[', ']']).to_string();
-            continue;
-        }
-        if !section.contains("dependencies") {
-            continue;
-        }
-        let Some((name_part, spec)) = line.split_once('=') else {
-            continue;
-        };
-        let mut dep = name_part.trim().trim_matches('"').to_string();
-        let mut spec = spec.trim().to_string();
-        if let Some(bare) = dep.strip_suffix(".workspace") {
-            dep = bare.to_string();
-            spec = format!("workspace = {spec}");
-        }
-        let diag = |msg: String| Diagnostic {
-            rule: name::HERMETIC_DEPS,
-            path: rel_path.to_string(),
-            line: line_no,
-            message: msg,
-            witness: Vec::new(),
-        };
-        if config.banned_deps.iter().any(|b| b == &dep) {
-            out.push(diag(format!(
-                "dependency `{dep}` was replaced by an in-tree crate and is banned"
-            )));
-            continue;
-        }
-        let workspace_ref = spec.contains("workspace = true");
-        let path_only = spec.contains("path =")
-            && !spec.contains("version =")
-            && !spec.contains("git =")
-            && !spec.contains("registry =");
-        if !(workspace_ref || path_only) {
-            out.push(diag(format!(
-                "[{section}] `{dep}` is not a pure path dependency: {spec}"
-            )));
-        } else if section == "workspace.dependencies" && !spec.contains("crates/") {
-            out.push(diag(format!(
-                "workspace dependency `{dep}` must point into crates/: {spec}"
-            )));
-        }
-    }
-    out
 }

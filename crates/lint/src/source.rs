@@ -43,15 +43,6 @@ impl SourceFile {
             .is_some_and(|l| markers.iter().any(|m| l.contains(m.as_str())))
     }
 
-    /// The comment text on `line`, if any.
-    pub fn comment_on(&self, line: usize) -> Option<&str> {
-        self.tokens
-            .comments
-            .iter()
-            .find(|c| c.line == line)
-            .map(|c| c.text.as_str())
-    }
-
     /// Builds a diagnostic anchored to this file.
     pub fn diagnostic(&self, rule: &'static str, line: usize, message: String) -> Diagnostic {
         Diagnostic {
@@ -189,13 +180,5 @@ mod tests {
         for line in 1..=4 {
             assert!(!f.is_test_line(line), "line {line}");
         }
-    }
-
-    #[test]
-    fn comment_lookup() {
-        let src = "// SAFETY: fine\nlet x = 1;\n";
-        let f = SourceFile::new("a.rs", src);
-        assert!(f.comment_on(1).is_some_and(|c| c.contains("SAFETY:")));
-        assert!(f.comment_on(2).is_none());
     }
 }

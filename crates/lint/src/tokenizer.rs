@@ -49,7 +49,7 @@ pub struct LineComment {
 }
 
 /// Token stream plus the line comments, which carry `lint:allow(...)`
-/// suppressions and `SAFETY:` justifications.
+/// suppressions.
 #[derive(Debug, Default)]
 pub struct Tokenized {
     /// All non-comment tokens in source order.

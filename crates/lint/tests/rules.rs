@@ -103,99 +103,10 @@ fn no_sleep_justified_allow_suppresses() {
 }
 
 #[test]
-fn safety_comment_fires_without_and_not_with() {
-    let fire = lint(include_str!("fixtures/safety_comment_fire.rs"));
-    assert_eq!(rules_of(&fire), vec![name::SAFETY_COMMENT]);
-    let ok = lint(include_str!("fixtures/safety_comment_allow.rs"));
-    assert!(ok.is_empty(), "{ok:?}");
-}
-
-#[test]
-fn hermetic_deps_fires_on_registry_and_banned_deps() {
-    let engine = Engine::new(Config::default());
-    let diags =
-        engine.check_manifest_text("Cargo.toml", include_str!("fixtures/hermetic_deps_fire.toml"));
-    // `rand` is banned outright; `serde` is a versioned registry dep;
-    // the path-only `firefly-wire` is fine.
-    assert_eq!(
-        rules_of(&diags),
-        vec![name::HERMETIC_DEPS, name::HERMETIC_DEPS]
-    );
-    assert!(diags[0].message.contains("rand"));
-    assert!(diags[1].message.contains("serde"));
-
-    let clean = engine
-        .check_manifest_text("Cargo.toml", include_str!("fixtures/hermetic_deps_clean.toml"));
-    assert!(clean.is_empty(), "{clean:?}");
-}
-
-/// Runs the protocol-conformance pass over one fixture handler file
-/// against the miniature spec in `fixtures/protocol_spec.toml`.
-fn protocol_lint(source: &str) -> Vec<Diagnostic> {
-    use firefly_lint::protocol::{evaluate, scan_file, ProtocolFacts, ProtocolSpec};
-    use firefly_lint::source::SourceFile;
-    let spec = ProtocolSpec::from_toml(include_str!("fixtures/protocol_spec.toml"));
-    let mut facts = ProtocolFacts::default();
-    scan_file(&SourceFile::new("src/handler.rs", source), &spec, &mut facts);
-    let diags = evaluate(&facts, &spec);
-    diags
-}
-
-#[test]
-fn protocol_conforming_fixture_is_clean() {
-    let diags = protocol_lint(include_str!("fixtures/protocol_clean.rs"));
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn protocol_unhandled_type_fires_on_unconstructed_result() {
-    let diags = protocol_lint(include_str!("fixtures/protocol_unhandled_type_fire.rs"));
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == name::PROTOCOL_UNHANDLED_TYPE && d.message.contains("`Result`")),
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn protocol_missing_arm_fires_on_unrouted_result() {
-    let diags = protocol_lint(include_str!("fixtures/protocol_missing_arm_fire.rs"));
-    let arm = diags
-        .iter()
-        .find(|d| d.rule == name::PROTOCOL_MISSING_ARM)
-        .unwrap_or_else(|| panic!("{diags:?}"));
-    assert!(arm.message.contains("`Result`"));
-    assert_eq!(arm.path, "src/handler.rs");
-}
-
-#[test]
-fn protocol_unread_flag_fires_on_dead_please_ack() {
-    let diags = protocol_lint(include_str!("fixtures/protocol_unread_flag_fire.rs"));
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == name::PROTOCOL_UNREAD_FLAG && d.message.contains("please_ack")),
-        "{diags:?}"
-    );
-}
-
-#[test]
-fn protocol_ack_discipline_fires_on_rogue_ack_builder() {
-    let diags = protocol_lint(include_str!("fixtures/protocol_ack_discipline_fire.rs"));
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == name::PROTOCOL_ACK_DISCIPLINE && d.message.contains("rogue")),
-        "{diags:?}"
-    );
-}
-
-#[test]
 fn rules_stay_quiet_off_the_fast_path() {
     // The same allocating/panicking source at a non-fast-path location
-    // only answers to the everywhere-rules (sleep, safety), which it
-    // does not violate.
+    // only answers to the everywhere-rule (sleep), which it does not
+    // violate.
     let engine = Engine::new(Config::default());
     let diags = engine.check_source_text(
         "crates/sim/src/engine.rs",

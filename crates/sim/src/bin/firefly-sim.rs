@@ -10,6 +10,8 @@
 //! Improvement names: controller, network, cpus, checksums, protocol,
 //! raw-ethernet, busy-wait, runtime.
 
+#![forbid(unsafe_code)]
+
 use firefly_sim::workload::{run, Procedure, WorkloadSpec};
 use firefly_sim::{CodeVersion, CostModel, Improvement};
 

@@ -49,10 +49,9 @@ pub enum PacketType {
 }
 
 impl PacketType {
-    /// Every packet type, in wire-byte order. Introspection surface for
-    /// the protocol-conformance tooling: protocol.toml must list each of
-    /// these (tests/verify.rs's spec-drift test enumerates them through
-    /// [`PacketType::from_u8`]).
+    /// Every packet type, in wire-byte order. protocol.toml's legal table
+    /// must name each of these in some row (tests/verify.rs's spec-drift
+    /// test enumerates them through [`PacketType::from_u8`]).
     pub const ALL: [PacketType; 5] = [
         PacketType::Call,
         PacketType::Result,
@@ -108,8 +107,8 @@ impl PacketFlags {
     const ACKS_RESULT: u8 = 0b0000_0100;
     const CALL_FAILED: u8 = 0b0000_1000;
 
-    /// Flag names in the canonical rendering order used by
-    /// protocol.toml's `[flags].order` and the transition table.
+    /// Flag names in the canonical rendering order: the order of the
+    /// flags column in protocol.toml's transition rows.
     pub const NAMES: [&'static str; 4] =
         ["please_ack", "last_fragment", "acks_result", "call_failed"];
 

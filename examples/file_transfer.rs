@@ -7,6 +7,8 @@
 //!
 //! Run with `cargo run --example file_transfer`.
 
+#![forbid(unsafe_code)]
+
 use firefly::idl::{parse_interface, Value};
 use firefly::rpc::transport::UdpTransport;
 use firefly::rpc::{Config, Endpoint, RpcError, ServiceBuilder};

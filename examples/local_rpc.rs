@@ -7,6 +7,8 @@
 //!
 //! Run with `cargo run --release --example local_rpc`.
 
+#![forbid(unsafe_code)]
+
 use firefly::generated::TestClient;
 use firefly::idl::{test_interface, Value};
 use firefly::metrics::Stopwatch;

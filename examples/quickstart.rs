@@ -3,6 +3,8 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
+#![forbid(unsafe_code)]
+
 use firefly::idl::{parse_interface, Value};
 use firefly::rpc::transport::UdpTransport;
 use firefly::rpc::{Config, Endpoint, ServiceBuilder};

@@ -7,6 +7,8 @@
 //!
 //! Run with `cargo run --release --example rpc_exerciser [-- calls-per-config]`.
 
+#![forbid(unsafe_code)]
+
 use firefly::idl::{test_interface, Value};
 use firefly::metrics::{megabits_per_sec, rpcs_per_sec, Stopwatch, Table};
 use firefly::rpc::trace::TraceReport;

@@ -3,6 +3,8 @@
 //!
 //! Run with `cargo run --release --example simulate_paper`.
 
+#![forbid(unsafe_code)]
+
 use firefly::sim::workload::{run, Procedure, WorkloadSpec};
 use firefly::sim::{CodeVersion, CostModel, Improvement};
 

@@ -7,6 +7,8 @@
 //!
 //! Run with `cargo run --example task_queue`.
 
+#![forbid(unsafe_code)]
+
 use firefly::idl::{parse_interface, Value};
 use firefly::rpc::auth::GateFn;
 use firefly::rpc::transport::UdpTransport;

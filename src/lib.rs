@@ -14,6 +14,8 @@
 //!   [`idl::codegen`](firefly_idl::codegen) exactly the way the Firefly
 //!   stub compiler produced Modula-2+ stubs.
 
+#![forbid(unsafe_code)]
+
 pub use firefly_idl as idl;
 pub use firefly_metrics as metrics;
 pub use firefly_pool as pool;

@@ -6,13 +6,16 @@
 //! This keeps `cargo build --offline` working from a clean checkout
 //! with an empty cargo registry — the property scripts/verify.sh
 //! exercises end to end. The same file guards the tooling policy: the
-//! repo verifies itself in Rust, behind one bash launcher.
+//! repo verifies itself in Rust, behind one bash launcher; and the
+//! unsafe policy: every crate root forbids unsafe code, so rustc
+//! rejects an `unsafe` anywhere.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Crate names this repo deliberately replaced with in-tree equivalents;
-/// they must never reappear in any manifest section.
+/// they must never reappear in any manifest section. (The one copy of
+/// the list.)
 const BANNED: &[&str] = &[
     "parking_lot",
     "crossbeam",
@@ -27,22 +30,70 @@ fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
-fn manifests() -> Vec<PathBuf> {
+/// The root package, every workspace crate, and the benchmark's own
+/// package (`rpcbench/`, outside the workspace).
+fn package_dirs() -> Vec<PathBuf> {
     let root = workspace_root();
-    let mut found = vec![root.join("Cargo.toml")];
+    let mut found = vec![root.clone(), root.join("rpcbench")];
     for entry in fs::read_dir(root.join("crates")).expect("crates/ directory") {
         let dir = entry.expect("readable dir entry").path();
-        let manifest = dir.join("Cargo.toml");
-        if manifest.is_file() {
-            found.push(manifest);
+        if dir.join("Cargo.toml").is_file() {
+            found.push(dir);
         }
     }
     assert!(
-        found.len() >= 8,
-        "expected the root and at least 7 crate manifests, found {}",
+        found.len() >= 9,
+        "expected the root, rpcbench and at least 7 crates, found {}",
         found.len()
     );
     found
+}
+
+fn manifests() -> Vec<PathBuf> {
+    package_dirs()
+        .into_iter()
+        .map(|dir| dir.join("Cargo.toml"))
+        .collect()
+}
+
+/// Every crate root of a package: `src/lib.rs`, `src/main.rs`,
+/// `src/bin/*.rs`, `build.rs` and `examples/*.rs`, where present.
+fn crate_roots(package: &Path) -> Vec<PathBuf> {
+    let mut roots: Vec<PathBuf> = ["src/lib.rs", "src/main.rs", "build.rs"]
+        .iter()
+        .map(|rel| package.join(rel))
+        .filter(|path| path.is_file())
+        .collect();
+    for dir in ["src/bin", "examples"] {
+        if let Ok(entries) = fs::read_dir(package.join(dir)) {
+            roots.extend(
+                entries
+                    .map(|e| e.expect("readable dir entry").path())
+                    .filter(|p| p.extension().is_some_and(|ext| ext == "rs")),
+            );
+        }
+    }
+    roots
+}
+
+/// No `unsafe` anywhere: every crate root carries
+/// `#![forbid(unsafe_code)]`, so the compiler rejects an `unsafe` block
+/// in any file of any target (DESIGN.md, "Unsafe policy").
+#[test]
+fn every_crate_root_forbids_unsafe_code() {
+    let mut roots = Vec::new();
+    for package in package_dirs() {
+        roots.extend(crate_roots(&package));
+    }
+    assert!(roots.len() >= 25, "only {} crate roots found", roots.len());
+    for root in &roots {
+        let text = fs::read_to_string(root).expect("readable crate root");
+        assert!(
+            text.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]"),
+            "{} does not forbid unsafe code",
+            root.display()
+        );
+    }
 }
 
 /// One `name = ...` entry from a dependency section.
@@ -225,15 +276,6 @@ fn bench_crate_is_one_executable_and_the_docs_name_only_what_it_runs() {
             );
         }
     }
-    for crate_dir in ["bench", "metrics"] {
-        let lib = fs::read_to_string(root.join(format!("crates/{crate_dir}/src/lib.rs")))
-            .expect("lib.rs");
-        assert!(
-            lib.contains("#![forbid(unsafe_code)]"),
-            "crates/{crate_dir} must forbid unsafe code"
-        );
-    }
-
     let mut docs = vec![
         root.join("README.md"),
         root.join("EXPERIMENTS.md"),
@@ -356,34 +398,16 @@ fn no_lockfile_entry_references_the_registry() {
 
 #[test]
 fn protocol_spec_is_committed_and_populated() {
-    // The protocol-conformance contract hangs off protocol.toml: the
-    // lint extracts it, crates/core's build.rs generates the witness
-    // table from it, and `firefly-check verify` checks observed
-    // transitions against it. The spec file must therefore always be
-    // committed at the workspace root and must carry the full
-    // transition table.
-    let spec = workspace_root().join("protocol.toml");
+    // crates/core's build.rs — the file's one reader — generates the
+    // witness table from protocol.toml, and `firefly-check verify`
+    // checks observed transitions against that table. The spec file
+    // must therefore always be committed at the workspace root, and the
+    // table generated from it must be the full one.
     assert!(
-        spec.is_file(),
+        workspace_root().join("protocol.toml").is_file(),
         "protocol.toml is missing from the workspace root"
     );
-    let text = fs::read_to_string(&spec).expect("readable protocol.toml");
-    for section in ["[packet-types]", "[flags]", "[handlers]", "[transitions]", "[coverage]"] {
-        assert!(
-            text.contains(section),
-            "protocol.toml lost its {section} section"
-        );
-    }
-    // Count quoted transition rows inside [transitions].legal — the
-    // same shape crates/core/build.rs parses.
-    let legal = text
-        .split("legal = [")
-        .nth(1)
-        .expect("protocol.toml has a [transitions].legal list")
-        .split(']')
-        .next()
-        .expect("legal list is terminated");
-    let rows = legal.lines().filter(|l| l.trim_start().starts_with('"') && l.contains("->")).count();
+    let rows = firefly_rpc::witness::TRANSITIONS.len();
     assert!(
         rows >= 32,
         "protocol.toml declares only {rows} legal transitions; the server \
@@ -393,8 +417,8 @@ fn protocol_spec_is_committed_and_populated() {
 
 #[test]
 fn lint_crate_is_itself_hermetic() {
-    // The static-analysis crate guards the dependency policy, so it
-    // must satisfy that policy: reachable as a path-only workspace
+    // The static-analysis crate runs inside tier-1, so it must satisfy
+    // the dependency policy: reachable as a path-only workspace
     // dependency, and depending on nothing outside the tree itself.
     let root = workspace_root().join("Cargo.toml");
     let entry = dependency_entries(&root)

@@ -11,11 +11,12 @@ use firefly_check::gates;
 use firefly_lint::config::LockClass;
 use firefly_lint::dataflow::LocationSummary;
 use firefly_lint::lockgraph::LockEdge;
+use firefly_rpc::witness::TRANSITIONS;
 use firefly_wire::PacketType;
 
 /// `firefly-check verify` on this checkout: lint-clean, every model and
 /// seeded bug as expected, all four gates quiet, and every row of
-/// protocol.toml observed with nothing allowlisted.
+/// protocol.toml observed.
 #[test]
 fn live_workspace_passes_all_four_gates() {
     let mut log = Vec::new();
@@ -23,12 +24,12 @@ fn live_workspace_passes_all_four_gates() {
         gates::verify(Path::new(env!("CARGO_MANIFEST_DIR")), &mut log).expect("walk workspace");
     let log = String::from_utf8_lossy(&log);
     assert!(ok, "firefly-check verify failed:\n{log}");
-    let rows = firefly_rpc::witness::TRANSITIONS.len();
+    let rows = TRANSITIONS.len();
     assert!(
         log.contains(&format!(
-            "{rows} legal transition(s): {rows} observed, 0 allowlisted, 0 gap(s)"
+            "{rows} legal transition(s): {rows} observed, 0 gap(s)"
         )),
-        "protocol coverage is not {rows}/{rows} with an empty allowlist:\n{log}"
+        "protocol coverage is not {rows}/{rows}:\n{log}"
     );
     // The evidence the other gates need is really being collected: the
     // retention model's audit, and the publication edges the race
@@ -43,23 +44,23 @@ fn live_workspace_passes_all_four_gates() {
 }
 
 /// Spec drift, both directions: every `PacketType` the wire crate can
-/// decode is declared in protocol.toml `[packet-types]`, and the spec
-/// names no type the wire crate lacks. The variants are enumerated
-/// through the decoder itself, so a new wire byte cannot hide from this.
+/// decode has a row in protocol.toml's legal table, and the table names
+/// no type the wire crate lacks. The variants are enumerated through the
+/// decoder itself, so a new wire byte cannot hide from this.
 #[test]
 fn packet_types_match_the_spec_both_ways() {
     let decoded: BTreeSet<&str> = (0..=u8::MAX)
         .filter_map(|byte| PacketType::from_u8(byte).ok())
         .map(PacketType::name)
         .collect();
-    let engine = firefly_lint::Engine::for_root(Path::new(env!("CARGO_MANIFEST_DIR")));
-    let spec = engine
-        .protocol
-        .expect("protocol.toml is committed at the workspace root");
-    let listed: BTreeSet<&str> = spec.types.iter().map(String::as_str).collect();
+    // `state Type flags -> action`: the second word names the type.
+    let named: BTreeSet<&str> = TRANSITIONS
+        .iter()
+        .map(|row| row.split(' ').nth(1).expect("a row names its packet type"))
+        .collect();
     assert_eq!(
-        decoded, listed,
-        "wire PacketType variants (left) and protocol.toml [packet-types] (right) drifted"
+        decoded, named,
+        "wire PacketType variants (left) and the types protocol.toml's rows name (right) drifted"
     );
 }
 
@@ -216,52 +217,32 @@ fn accounting_gate_rejects_drift_and_missing_counters() {
 const DISPATCH: &str = "server-new Call last_fragment -> dispatch";
 const DROP_STALE: &str = "server-stale Call - -> drop-stale";
 
-/// A two-row spec whose second row is deliberately allowlisted.
-fn protocol_gate(allowlist: &[&str], observed: &[&str]) -> gates::Findings {
-    let strings = |rows: &[&str]| rows.iter().map(|r| r.to_string()).collect::<Vec<_>>();
+/// The gate over a two-row legal table.
+fn protocol_gate(observed: &[&str]) -> gates::Findings {
     gates::protocol(
-        &strings(&[DISPATCH, DROP_STALE]),
-        &strings(allowlist),
-        &strings(observed).into_iter().collect(),
+        &[DISPATCH, DROP_STALE],
+        &observed.iter().map(|r| r.to_string()).collect(),
     )
 }
 
 #[test]
-fn protocol_gate_accepts_observed_plus_allowlisted_coverage() {
-    let found = protocol_gate(&[DROP_STALE], &[DISPATCH]);
+fn protocol_gate_accepts_exactly_the_legal_rows() {
+    let found = protocol_gate(&[DISPATCH, DROP_STALE]);
     assert!(found.passed(), "{found:?}");
-    assert!(
-        found
-            .notes
-            .iter()
-            .any(|n| n.contains("allowlisted (unexercised by design)")),
-        "{found:?}"
-    );
-    assert!(protocol_gate(&[], &[DISPATCH, DROP_STALE]).passed());
+    assert_eq!(found.notes, ["2 legal transition(s): 2 observed, 0 gap(s)"]);
 }
 
 #[test]
-fn protocol_gate_rejects_illegal_rows_gaps_and_a_dishonest_allowlist() {
+fn protocol_gate_rejects_illegal_rows_and_gaps() {
     // A transition outside the legal table.
-    let found = protocol_gate(&[DROP_STALE], &[DISPATCH, "server-new Probe - -> explode"]);
+    let found = protocol_gate(&[DISPATCH, DROP_STALE, "server-new Probe - -> explode"]);
+    assert_eq!(found.problems.len(), 1, "{found:?}");
     assert!(
         found.problems[0].contains("not in the spec's legal table"),
         "{found:?}"
     );
-    // A legal row neither observed nor allowlisted.
-    let found = protocol_gate(&[DROP_STALE], &[]);
+    // A legal row not observed.
+    let found = protocol_gate(&[DISPATCH]);
     assert_eq!(found.problems.len(), 1, "{found:?}");
     assert!(found.problems[0].contains("coverage gap"), "{found:?}");
-    // An allowlisted row that is now observed.
-    let found = protocol_gate(&[DROP_STALE], &[DISPATCH, DROP_STALE]);
-    assert!(
-        found.problems[0].contains("stale coverage allowlist"),
-        "{found:?}"
-    );
-    // An allowlisted row the spec does not contain.
-    let found = protocol_gate(&[DROP_STALE, "server-new Call - -> vanish"], &[DISPATCH]);
-    assert!(
-        found.problems[0].contains("the spec does not contain"),
-        "{found:?}"
-    );
 }
