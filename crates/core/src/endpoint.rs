@@ -178,10 +178,12 @@ impl Endpoint {
                 interface.name()
             ))
         })?;
-        // Local RPC is lock-free per call, so one pool shard suffices.
+        // A local call takes no pool buffer: it marshals through frames
+        // the calling thread keeps (local.rs), so the client needs no
+        // pool handle.
         // lint:allow(no-alloc-on-fast-path): bind-time setup; the local
-        // client holds its own interface copy and pool handle.
-        LocalClient::new(interface.clone(), service, self.shared.ctx.pool.shard(0).clone())
+        // client holds its own interface copy.
+        LocalClient::new(interface.clone(), service)
     }
 
     /// Reclaims server-side state for caller activities idle longer than

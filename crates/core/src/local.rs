@@ -9,16 +9,33 @@
 //! remote).
 //!
 //! This implementation dispatches the service procedure on the calling
-//! thread after marshalling into a shared pool buffer — the zero-switch
-//! variant that the paper's footnote 1 points toward (Bershad et al.'s
-//! LRPC work on speeding up Firefly local RPC).
+//! thread — the zero-switch variant that the paper's footnote 1 points
+//! toward (Bershad et al.'s LRPC work on speeding up Firefly local RPC).
+//! As in LRPC, the buffers a call passes through are set aside in advance
+//! rather than taken from a shared pool per call: LRPC gives each binding
+//! an argument stack that caller and server share, and here the calling
+//! thread keeps a pair of [`BUFFER_SIZE`]-byte *frames*, one the caller
+//! stub marshals the call into and one the service writes its results
+//! into. A thread's frames sit on a thread-local free list; a call pops a
+//! pair (making one only the first time a thread, or a nesting depth, needs
+//! it) and a guard pushes it back when the call ends, however it ends. A
+//! service that makes a local call of its own therefore gets a pair of its
+//! own, and no call touches a lock, a counter or the endpoint's
+//! `firefly-pool` buffers. Frames are not cleared between calls: readers
+//! read only what writers wrote, the contract of a recycled pool buffer.
+//!
+//! The call frame cannot double as the result frame (the paper's reuse of
+//! the call packet for the result): the server's arguments borrow the call
+//! frame (`ServerArg::Bytes` is a slice of it) for as long as the service
+//! writes its results, so the two must be distinct. Keeping the pair per
+//! thread removes both pool cycles a call used to make, not just one.
 
 use crate::service::Service;
 use crate::{Result, RpcError};
 use firefly_idl::{ArgReader, ArgWriter, CompiledStub, IdlError, InterfaceDef, Value, Written};
-use firefly_pool::BufferPool;
+use firefly_pool::BUFFER_SIZE;
+use std::cell::Cell;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A caller stub bound to a service in this process via shared memory.
 #[derive(Clone)]
@@ -26,21 +43,15 @@ pub struct LocalClient {
     interface: InterfaceDef,
     service: Arc<dyn Service>,
     stubs: Arc<[CompiledStub]>,
-    pool: BufferPool,
 }
 
 impl LocalClient {
-    pub(crate) fn new(
-        interface: InterfaceDef,
-        service: Arc<dyn Service>,
-        pool: BufferPool,
-    ) -> Result<LocalClient> {
+    pub(crate) fn new(interface: InterfaceDef, service: Arc<dyn Service>) -> Result<LocalClient> {
         let stubs: Arc<[CompiledStub]> = CompiledStub::for_interface(&interface).into();
         Ok(LocalClient {
             interface,
             service,
             stubs,
-            pool,
         })
     }
 
@@ -75,10 +86,11 @@ impl LocalClient {
     /// Calls procedure `index` with the caller doing its own marshalling
     /// (see `Client::call_with`, whose contract this shares).
     ///
-    /// The full stub pipeline runs — marshal into a shared buffer,
-    /// unmarshal at the "server", dispatch, marshal results, unmarshal at
-    /// the caller — so measured local-RPC time is directly comparable
-    /// with the paper's 937 µs figure, minus the wire.
+    /// The full stub pipeline runs — marshal into the thread's call frame,
+    /// unmarshal at the "server", dispatch, marshal results into the
+    /// result frame, unmarshal at the caller — so measured local-RPC time
+    /// is directly comparable with the paper's 937 µs figure, minus the
+    /// wire.
     pub fn call_with<R>(
         &self,
         index: u16,
@@ -86,38 +98,35 @@ impl LocalClient {
         unmarshal: impl FnOnce(&mut ArgReader<'_>) -> firefly_idl::Result<R>,
     ) -> Result<R> {
         let stub = self.stub(index)?;
-        // Marshal the call into a shared pool buffer (caller stub).
-        let mut call_buf = self.pool.alloc_timeout(Duration::from_secs(1))?;
-        match ArgWriter::fill(call_buf.raw_mut(), &mut marshal) {
-            Ok(call_len) => {
-                call_buf.set_len(call_len);
-                self.serve(index, stub, &call_buf, unmarshal)
-            }
+        let mut kept = KeptFrames(Frames::pop());
+        let Frames { call, result, .. } = &mut **kept.0.get_or_insert_with(Frames::boxed);
+        // Marshal the call into the call frame (caller stub).
+        match ArgWriter::fill(&mut call[..], &mut marshal) {
+            Ok(call_len) => self.serve(index, stub, &call[..call_len], result, unmarshal),
             Err(IdlError::BufferTooSmall { needed, .. }) => {
                 // Local transport is size-independent: spill to the heap.
-                drop(call_buf);
                 let data = crate::fragment::marshal_spilled(marshal, needed)?;
-                self.serve(index, stub, &data, unmarshal)
+                self.serve(index, stub, &data, result, unmarshal)
             }
             Err(e) => Err(e.into()),
         }
     }
 
     /// The server half and the caller's unmarshalling, given the
-    /// marshalled call.
+    /// marshalled call and the frame the results are written into.
     fn serve<R>(
         &self,
         index: u16,
         stub: &CompiledStub,
         call: &[u8],
+        result_frame: &mut [u8],
         unmarshal: impl FnOnce(&mut ArgReader<'_>) -> firefly_idl::Result<R>,
     ) -> Result<R> {
-        // Server stub: unmarshal in place from the shared buffer.
+        // Server stub: unmarshal in place from the call frame.
         let server_args = stub.unmarshal_call(call)?;
 
-        // Server procedure writes results into a second shared buffer.
-        let mut result_buf = self.pool.alloc_timeout(Duration::from_secs(1))?;
-        let mut writer = stub.result_writer(result_buf.raw_mut());
+        // Server procedure writes results into the result frame.
+        let mut writer = stub.result_writer(result_frame);
         self.service.dispatch(index, &server_args, &mut writer)?;
         let written = writer.finish()?;
         drop(server_args);
@@ -125,16 +134,68 @@ impl LocalClient {
         // Caller stub: unmarshal the results.
         let spilled;
         let result = match written {
-            Written::InPlace { len } => {
-                result_buf.set_len(len);
-                &result_buf[..]
-            }
+            Written::InPlace { len } => &result_frame[..len],
             Written::Spilled(data) => {
                 spilled = data;
                 &spilled[..]
             }
         };
         Ok(ArgReader::read_all(result, unmarshal)?)
+    }
+}
+
+/// A thread's call and result frames, linked into its free list while no
+/// call uses them.
+struct Frames {
+    call: [u8; BUFFER_SIZE],
+    result: [u8; BUFFER_SIZE],
+    next: Option<Box<Frames>>,
+}
+
+thread_local! {
+    /// The calling thread's idle frame pairs; one per nesting depth this
+    /// thread has reached.
+    static FREE_FRAMES: Cell<Option<Box<Frames>>> = const { Cell::new(None) };
+}
+
+impl Frames {
+    fn boxed() -> Box<Frames> {
+        // lint:allow(no-alloc-on-fast-path): once per thread per local-call
+        // nesting depth; every later call at that depth reuses the pair.
+        Box::new(Frames {
+            call: [0; BUFFER_SIZE],
+            result: [0; BUFFER_SIZE],
+            next: None,
+        })
+    }
+
+    /// Takes an idle pair off this thread's free list, if it has one.
+    fn pop() -> Option<Box<Frames>> {
+        FREE_FRAMES
+            .try_with(|free| {
+                let mut head = free.take()?;
+                free.set(head.next.take());
+                Some(head)
+            })
+            .ok()
+            .flatten()
+    }
+}
+
+/// Returns a call's frame pair to the thread's free list when the call
+/// ends — on success, on an error return and on a panic alike.
+struct KeptFrames(Option<Box<Frames>>);
+
+impl Drop for KeptFrames {
+    fn drop(&mut self) {
+        if let Some(mut frames) = self.0.take() {
+            // During thread teardown the list may be gone; the pair is
+            // then simply freed.
+            let _ = FREE_FRAMES.try_with(move |free| {
+                frames.next = free.take();
+                free.set(Some(frames));
+            });
+        }
     }
 }
 
@@ -154,11 +215,17 @@ impl firefly_idl::RpcCall for LocalClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::Endpoint;
     use crate::service::ServiceBuilder;
+    use crate::transport::LoopbackNet;
+    use crate::Config;
     use firefly_idl::{parse_interface, test_interface};
+    use firefly_pool::PacketBuf;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::OnceLock;
 
-    fn local_client() -> LocalClient {
-        let service = ServiceBuilder::new(test_interface())
+    fn test_service() -> Arc<dyn Service> {
+        ServiceBuilder::new(test_interface())
             .on_call("Null", |_a, _w| Ok(()))
             .on_call("MaxResult", |_a, w| {
                 w.next_bytes(1440)?.fill(0x42);
@@ -169,8 +236,47 @@ mod tests {
                 Ok(())
             })
             .build()
-            .unwrap();
-        LocalClient::new(test_interface(), service, BufferPool::new(8)).unwrap()
+            .unwrap()
+    }
+
+    fn local_client() -> LocalClient {
+        LocalClient::new(test_interface(), test_service()).unwrap()
+    }
+
+    /// An endpoint exporting the test service, and a local binding to it.
+    fn local_endpoint() -> (Arc<Endpoint>, LocalClient) {
+        let net = LoopbackNet::new();
+        let endpoint = Endpoint::new(net.station(1), Config::default()).unwrap();
+        endpoint.export(test_service()).unwrap();
+        let client = endpoint.bind_local(&test_interface()).unwrap();
+        (endpoint, client)
+    }
+
+    /// Takes every buffer the endpoint's pool has left.
+    fn hold_every_buffer(endpoint: &Endpoint) -> Vec<PacketBuf> {
+        let mut held = Vec::new();
+        for shard in endpoint.pool().shards() {
+            while let Ok(buf) = shard.alloc() {
+                held.push(buf);
+            }
+        }
+        assert_eq!(endpoint.pool().free_count() + endpoint.pool().receive_queue_len(), 0);
+        held
+    }
+
+    /// Frame pairs on this thread's free list.
+    fn idle_frames() -> usize {
+        FREE_FRAMES.with(|free| {
+            let head = free.take();
+            let mut n = 0;
+            let mut at = head.as_deref();
+            while let Some(frames) = at {
+                n += 1;
+                at = frames.next.as_deref();
+            }
+            free.set(head);
+            n
+        })
     }
 
     #[test]
@@ -209,32 +315,131 @@ mod tests {
             })
             .build()
             .unwrap();
-        let c = LocalClient::new(iface, service, BufferPool::new(4)).unwrap();
+        let c = LocalClient::new(iface, service).unwrap();
         let blob = vec![1u8; 10_000];
         let r = c.call("Sum", &[Value::Bytes(blob)]).unwrap();
         assert_eq!(r[0], Value::Integer(10_000));
     }
 
     #[test]
-    fn local_pool_is_not_leaked() {
+    fn nested_local_calls_each_get_their_own_frames() {
+        let iface = parse_interface(
+            "DEFINITION MODULE Nest;
+               PROCEDURE Echo(depth: INTEGER; VAR IN data: ARRAY OF CHAR;
+                              VAR OUT copy: ARRAY OF CHAR);
+             END Nest.",
+        )
+        .unwrap();
+        // The service calls itself locally until `depth` reaches 0, and
+        // each level adds one to every byte the level below returned: the
+        // result is right only if no level's frames were overwritten by
+        // the level it called.
+        let client: Arc<OnceLock<LocalClient>> = Arc::new(OnceLock::new());
+        let inner = client.clone();
+        let service = ServiceBuilder::new(iface.clone())
+            .on_call("Echo", move |args, w| {
+                let Some(&Value::Integer(depth)) = args[0].value() else {
+                    panic!("depth is an INTEGER");
+                };
+                let data = args[1].bytes().unwrap();
+                let out = w.next_bytes(data.len())?;
+                if depth == 0 {
+                    out.copy_from_slice(data);
+                    return Ok(());
+                }
+                let below = inner
+                    .get()
+                    .unwrap()
+                    .call(
+                        "Echo",
+                        &[
+                            Value::Integer(depth - 1),
+                            Value::Bytes(data.to_vec()),
+                            Value::char_array(0),
+                        ],
+                    )
+                    .unwrap();
+                for (o, b) in out.iter_mut().zip(below[0].as_bytes().unwrap()) {
+                    *o = b.wrapping_add(1);
+                }
+                Ok(())
+            })
+            .build()
+            .unwrap();
+        let _ = client.set(LocalClient::new(iface, service).unwrap());
+        let c = client.get().unwrap();
+        let data: Vec<u8> = (0..600u32).map(|i| (i * 7 % 251) as u8).collect();
+        let expected: Vec<u8> = data.iter().map(|b| b.wrapping_add(2)).collect();
+        for round in 0..2 {
+            let r = c
+                .call(
+                    "Echo",
+                    &[Value::Integer(2), Value::Bytes(data.clone()), Value::char_array(0)],
+                )
+                .unwrap();
+            assert_eq!(r[0].as_bytes().unwrap(), &expected[..], "round {round}");
+            // Three calls were live at once, so three pairs are idle now;
+            // the second round reused them rather than making more.
+            assert_eq!(idle_frames(), 3, "round {round}");
+        }
+    }
+
+    #[test]
+    fn a_local_call_needs_no_pool_buffer() {
+        let (endpoint, c) = local_endpoint();
+        let held = hold_every_buffer(&endpoint);
+        let r = c.call("MaxResult", &[Value::char_array(0)]).unwrap();
+        assert_eq!(r[0].as_bytes().unwrap(), &[0x42u8; 1440][..]);
+        c.call("MaxArg", &[Value::char_array(1440)]).unwrap();
+        drop(held);
+    }
+
+    #[test]
+    fn a_panicking_service_leaves_the_next_call_working() {
         let c = local_client();
+        // The service's own assertion fails on a short array.
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            c.call("MaxArg", &[Value::char_array(10)])
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(idle_frames(), 1, "the unwinding call returned its frames");
+        let r = c.call("MaxResult", &[Value::char_array(0)]).unwrap();
+        assert_eq!(r[0].as_bytes().unwrap(), &[0x42u8; 1440][..]);
+        assert_eq!(idle_frames(), 1);
+    }
+
+    #[test]
+    fn local_pool_is_not_leaked() {
+        // Local calls take no pool buffer at all, succeeding or failing:
+        // with every buffer held, none of them waits for one or fails for
+        // want of one, and the pool counts no allocation meanwhile.
+        let (endpoint, c) = local_endpoint();
+        let held = hold_every_buffer(&endpoint);
+        let allocs = endpoint.pool().stats().allocs();
         for _ in 0..100 {
             c.call("MaxResult", &[Value::char_array(0)]).unwrap();
         }
-        // Nor by a call that fails, whichever step fails it: the caller's
-        // marshalling, the dynamic path's checks, the server's
-        // unmarshalling, or the caller's reading of the result.
+        // Whichever step fails a call: the caller's marshalling, the
+        // dynamic path's checks, the server's unmarshalling, or the
+        // caller's reading of the result.
         let refuse = || IdlError::Marshal("refused".into());
         for _ in 0..10 {
-            assert!(c.call_with(0, |_w| Err(refuse()), |_r| Ok(())).is_err());
-            assert!(c.call_with(1, |_w| Ok(()), |_r| Err::<(), _>(refuse())).is_err());
-            assert!(c.call_with(1, |_w| Ok(()), |r| r.bytes(7).map(|_| ())).is_err());
-            assert!(c.call_with(0, |w| w.put_i32(1), |_r| Ok(())).is_err());
-            assert!(c.call("MaxArg", &[]).is_err());
-            assert!(c.call("MaxArg", &[Value::Integer(1)]).is_err());
-            assert!(c.call_index(9, &[]).is_err());
+            let failures = [
+                c.call_with(0, |_w| Err(refuse()), |_r| Ok(())),
+                c.call_with(1, |_w| Ok(()), |_r| Err::<(), _>(refuse())),
+                c.call_with(1, |_w| Ok(()), |r| r.bytes(7).map(|_| ())),
+                c.call_with(0, |w| w.put_i32(1), |_r| Ok(())),
+                c.call("MaxArg", &[]).map(|_| ()),
+                c.call("MaxArg", &[Value::Integer(1)]).map(|_| ()),
+                c.call_index(9, &[]).map(|_| ()),
+            ];
+            for failure in failures {
+                let e = failure.unwrap_err();
+                assert!(!matches!(e, RpcError::Pool(_)), "{e}");
+            }
         }
-        assert_eq!(c.pool.stats().outstanding(), 0);
-        assert_eq!(c.pool.free_count() + c.pool.receive_queue_len(), 8);
+        assert_eq!(endpoint.pool().stats().allocs(), allocs);
+        assert_eq!(idle_frames(), 1);
+        drop(held);
     }
 }

@@ -60,8 +60,12 @@ impl Checksum {
             }
         }
         let mut chunks = bytes.chunks_exact(2);
-        for chunk in &mut chunks {
-            self.sum += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+        if bytes.len() >= BULK_MIN {
+            self.sum += u32::from(bulk_sum(&bytes[..bytes.len() & !1]));
+        } else {
+            for chunk in &mut chunks {
+                self.sum += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+            }
         }
         if let [last] = chunks.remainder() {
             self.pending = Some(*last);
@@ -92,6 +96,60 @@ impl Checksum {
         }
     }
 }
+
+/// Slices at least this long take [`bulk_sum`]; shorter ones (headers,
+/// the pseudo-header's words) stay on the 16-bit loop, whose set-up is
+/// nothing.
+const BULK_MIN: usize = 64;
+
+/// The one's-complement sum of an even-length slice's big-endian 16-bit
+/// words, folded to 16 bits.
+///
+/// It adds the words, read native-endian, into eight 32-bit lanes (one
+/// 16-byte vector, which the compiler keeps in a register), folds the
+/// lanes, and byte-swaps the folded sum on a little-endian machine: a
+/// one's-complement sum of byte-swapped words is the byte-swapped sum
+/// (RFC 1071 §2(B)). A lane gains at most `0xffff` per 16-byte block, so
+/// the lanes are emptied into a 64-bit sum every [`BULK_PIECE`] bytes,
+/// before one could carry out. Over 1514 bytes this takes ≈ 53 ns where
+/// 32-bit words into 64-bit lanes take 49–60 on a quiet host, and it keeps
+/// ≈ 94 ns in the host's slow phases where they take 120–133.
+///
+/// Never inlined, and the header encoders (`Ipv4Header::encode`,
+/// `add_pseudo_header`, `UdpHeader::encode`) are `#[inline]`: `add_bytes`
+/// is inlined at every header-checksum site, and the bigger bodies that
+/// made pushed the encoders out of `FrameBuilder::encode_into` (building a
+/// null frame went 22 → 30 ns, 45 with this loop inlined too).
+#[inline(never)]
+fn bulk_sum(bytes: &[u8]) -> u16 {
+    let mut sum = 0u64;
+    for piece in bytes.chunks(BULK_PIECE) {
+        let mut lanes = [0u32; 8];
+        let mut blocks = piece.chunks_exact(16);
+        for block in &mut blocks {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(2)) {
+                *lane += u32::from(u16::from_ne_bytes([word[0], word[1]]));
+            }
+        }
+        sum += lanes.iter().map(|&lane| u64::from(lane)).sum::<u64>();
+        for word in blocks.remainder().chunks_exact(2) {
+            sum += u64::from(u16::from_ne_bytes([word[0], word[1]]));
+        }
+    }
+    while sum > 0xffff {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    let sum = sum as u16;
+    if cfg!(target_endian = "little") {
+        sum.swap_bytes()
+    } else {
+        sum
+    }
+}
+
+/// Bytes [`bulk_sum`] adds into its 32-bit lanes before emptying them:
+/// 65 536 blocks of 16 bytes, each adding at most `0xffff` to a lane.
+const BULK_PIECE: usize = 16 << 16;
 
 /// Computes the Internet checksum of `bytes` in one shot.
 ///
@@ -190,6 +248,23 @@ mod tests {
         c.add_bytes(&[0xff, 0xff]);
         // Sum folds to 0xffff, complement is 0, UDP transmits 0xffff.
         assert_eq!(c.finish_udp(), 0xffff);
+    }
+
+    #[test]
+    fn bulk_lanes_never_carry_out() {
+        // All-ones words fill every lane as fast as possible; three pieces
+        // and a few words more cross each point where the lanes empty.
+        let len = 3 * BULK_PIECE + 6;
+        assert_eq!(internet_checksum(&vec![0xff; len]), 0);
+        let data: Vec<u8> = (0..len).map(|i| 0xc0 | (i % 61) as u8).collect();
+        let mut sum: u64 = data
+            .chunks(2)
+            .map(|w| u64::from(u16::from_be_bytes([w[0], w[1]])))
+            .sum();
+        while sum > 0xffff {
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        assert_eq!(internet_checksum(&data), !(sum as u16));
     }
 
     #[test]

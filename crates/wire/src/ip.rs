@@ -51,6 +51,7 @@ impl Ipv4Header {
 
     /// Encodes the header, computing the header checksum, into the first
     /// [`IPV4_HEADER_LEN`] bytes of `out`.
+    #[inline]
     pub fn encode(&self, out: &mut [u8]) -> Result<()> {
         if out.len() < IPV4_HEADER_LEN {
             return Err(WireError::Truncated {
@@ -119,6 +120,7 @@ impl Ipv4Header {
 
     /// Adds this header's IPv4 pseudo-header contribution (source,
     /// destination, protocol, UDP length) to a UDP checksum accumulator.
+    #[inline]
     pub fn add_pseudo_header(&self, c: &mut Checksum, udp_len: u16) {
         c.add_bytes(&self.src.octets());
         c.add_bytes(&self.dst.octets());

@@ -49,6 +49,7 @@ impl UdpHeader {
     /// Encodes the header and, when `with_checksum` is set, computes the
     /// UDP checksum over the pseudo-header (from `ip`), this header and
     /// `data`, storing it in the checksum field.
+    #[inline]
     pub fn encode(
         &self,
         out: &mut [u8],
