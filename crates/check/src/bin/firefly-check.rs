@@ -2,14 +2,15 @@
 //!
 //! Default run (and `--smoke`, a tighter bound for CI): explores every
 //! structure model with DFS plus seeded random sampling — all must pass
-//! — drives the wire scenario, then every seeded-bug model, which all
-//! must *fail* with a replayable schedule. Exit 0 only when all hold.
+//! — drives the caller drill and the wire scenario, then every
+//! seeded-bug model, which all must *fail* with a replayable schedule.
+//! Exit 0 only when all hold.
 //!
 //! `verify [ROOT]` is what scripts/verify.sh and tier-1 run: the smoke
 //! run above, `firefly-lint`'s static analysis of the workspace at ROOT,
-//! and the four static-vs-dynamic gates between them (lock edges,
-//! publications, pool accounting, protocol transitions — see
-//! `firefly_check::gates`), in one process.
+//! and the three static-vs-dynamic gates between them (lock edges,
+//! publications, protocol transitions — see `firefly_check::gates`), in
+//! one process.
 //!
 //! `--dpor` swaps DFS for sleep-set + source-set dynamic partial-order
 //! reduction; each DPOR run prints a
@@ -18,7 +19,7 @@
 //! Single-model runs for debugging:
 //!   firefly-check --model pool --schedules 5000
 //!   firefly-check --model pool --seed 0xdecafbad --schedules 500
-//!   firefly-check --model sharded-calltable --dpor --schedules 4000
+//!   firefly-check --model pool --dpor
 //!   firefly-check --model bug-abba --replay 0,1,1 --verbose
 
 #![forbid(unsafe_code)]

@@ -1,23 +1,16 @@
-//! The four static-vs-dynamic cross-validation gates: pure functions
-//! over `firefly-lint`'s [`Engine`] (lock order, publication labels),
-//! its static [`Analysis`], the generated protocol table
-//! ([`TRANSITIONS`]) and the checker's dynamic [`Report`], in one
-//! process.
+//! The three static-vs-dynamic cross-validation gates: pure functions
+//! over `firefly-lint`'s [`Engine`] (lock order), its static
+//! [`Analysis`], the generated protocol table ([`TRANSITIONS`]) and the
+//! checker's dynamic [`Report`], in one process.
 //!
 //! 1. **Lock edges** — every class-level lock edge observed dynamically
 //!    must already be in the static lock graph and respect the
-//!    configured rank order. `class[index]` instances collapse to their
-//!    class; a same-class nesting is valid only for a declared-parametric
-//!    class and only in ascending index order. A dynamic edge the static
-//!    graph lacks means the linter's receiver map went stale.
+//!    configured rank order. A dynamic edge the static graph lacks means
+//!    the linter's receiver map went stale.
 //! 2. **Publications** — every atomic location class on which the race
-//!    detector consumed a release→acquire edge must map — through
-//!    lint.toml's `[publication-labels]`, or identically by name — to a
-//!    location the static atomic-publication pass proved paired.
-//! 3. **Accounting** — each auditing model's quiescent counters must
-//!    balance: the pool's `outstanding` equals the buffers `retained` in
-//!    activity slots (the retention the pool-lifecycle rule admits).
-//! 4. **Protocol transitions** — the observed `(state, packet-type,
+//!    detector consumed a release→acquire edge must name a location the
+//!    static atomic-publication pass proved paired.
+//! 3. **Protocol transitions** — the observed `(state, packet-type,
 //!    flags) -> action` rows must be exactly the legal table that
 //!    `crates/core/build.rs` generates from protocol.toml: a row outside
 //!    it is illegal, a legal row not observed is a coverage gap.
@@ -32,7 +25,7 @@ use firefly_lint::dataflow::LocationSummary;
 use firefly_lint::lockgraph::LockEdge;
 use firefly_lint::{Analysis, Engine};
 use firefly_rpc::witness::TRANSITIONS;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -56,17 +49,6 @@ impl Findings {
     }
 }
 
-/// Splits a `class[index]` lock instance into class and index; `None`
-/// for plain class (or `file::receiver`) names.
-fn instance(name: &str) -> Option<(&str, usize)> {
-    let (class, rest) = name.split_once('[')?;
-    Some((class, rest.strip_suffix(']')?.parse().ok()?))
-}
-
-fn class_of(name: &str) -> &str {
-    instance(name).map_or(name, |(class, _)| class)
-}
-
 /// Gate 1: observed lock edges against the static lock graph.
 pub fn lock_edges(
     order: &[LockClass],
@@ -78,29 +60,10 @@ pub fn lock_edges(
     let ranks: Vec<&str> = order.iter().map(|c| c.name.as_str()).collect();
     let static_classified: BTreeSet<(&str, &str)> = static_edges
         .iter()
-        .map(|e| (class_of(&e.from), class_of(&e.to)))
+        .map(|e| (e.from.as_str(), e.to.as_str()))
         .filter(|(f, t)| f != t && rank(f).is_some() && rank(t).is_some())
         .collect();
-    let mut observed_classes: BTreeSet<(&str, &str)> = BTreeSet::new();
-    let mut parametric = 0;
-    for (from, to) in observed {
-        let (f, t) = (class_of(from), class_of(to));
-        observed_classes.insert((f, t));
-        if let (Some((_, fi)), Some((_, ti))) = (instance(from), instance(to)) {
-            if f == t {
-                parametric += 1;
-                if !order.iter().any(|c| c.name == f && c.parametric) {
-                    found.problems.push(format!(
-                        "dynamic same-class edge {from} -> {to} on a class not declared parametric"
-                    ));
-                } else if fi >= ti {
-                    found.problems.push(format!(
-                        "dynamic edge {from} -> {to} acquired in descending index order"
-                    ));
-                }
-                continue;
-            }
-        }
+    for (f, t) in observed {
         let (Some(rf), Some(rt)) = (rank(f), rank(t)) else {
             continue; // unclassified endpoint: outside the static model
         };
@@ -108,7 +71,7 @@ pub fn lock_edges(
             found.problems.push(format!(
                 "dynamic edge {f} -> {t} violates rank order {ranks:?}"
             ));
-        } else if f != t && !static_classified.contains(&(f, t)) {
+        } else if f != t && !static_classified.contains(&(f.as_str(), t.as_str())) {
             found.problems.push(format!(
                 "dynamic edge {f} -> {t} missing from the static lock graph \
                  (firefly-lint's receiver map is stale)"
@@ -116,7 +79,7 @@ pub fn lock_edges(
         }
     }
     for (f, t) in &static_classified {
-        let mark = if observed_classes.contains(&(*f, *t)) {
+        let mark = if observed.contains(&(f.to_string(), t.to_string())) {
             "observed"
         } else {
             "not observed dynamically"
@@ -124,70 +87,35 @@ pub fn lock_edges(
         found.notes.push(format!("static edge {f} -> {t}: {mark}"));
     }
     found.notes.push(format!(
-        "{} observed lock edge(s) ({parametric} parametric) checked against the static graph",
+        "{} observed lock edge(s) checked against the static graph",
         observed.len()
     ));
     found
 }
 
 /// Gate 2: observed publication classes against statically paired
-/// atomic locations.
-pub fn publications(
-    labels: &[(String, Vec<String>)],
-    locations: &[LocationSummary],
-    observed: &BTreeSet<String>,
-) -> Findings {
+/// atomic locations, matched by name.
+pub fn publications(locations: &[LocationSummary], observed: &BTreeSet<String>) -> Findings {
     let mut found = Findings::default();
     for class in observed {
-        let own = [class.clone()];
-        let candidates: &[String] = labels
+        let paired = locations
             .iter()
-            .find(|(label, _)| label == class)
-            .map_or(&own[..], |(_, mapped)| mapped.as_slice());
-        let matched: Vec<&str> = locations
-            .iter()
-            .filter(|l| (l.paired || l.allowlisted) && candidates.contains(&l.name))
-            .map(|l| l.name.as_str())
-            .collect();
-        if matched.is_empty() {
+            .any(|l| (l.paired || l.allowlisted) && l.name == *class);
+        if paired {
+            found
+                .notes
+                .push(format!("publication class {class}: statically paired at {class}"));
+        } else {
             found.problems.push(format!(
                 "dynamic release->acquire publication on {class:?} has no statically \
-                 paired atomic location (candidates: {candidates:?})"
-            ));
-        } else {
-            found.notes.push(format!(
-                "publication class {class}: statically paired at {}",
-                matched.join(", ")
+                 paired atomic location of that name"
             ));
         }
     }
     found
 }
 
-/// Gate 3: each auditing model's quiescent pool accounting.
-pub fn accounting(audits: &BTreeMap<&'static str, Vec<(String, u64)>>) -> Findings {
-    let mut found = Findings::default();
-    for (model, counters) in audits {
-        let counter = |name: &str| counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-        match (counter("outstanding"), counter("retained")) {
-            (Some(outstanding), Some(retained)) if outstanding == retained => {
-                found.notes.push(format!(
-                    "accounting {model}: outstanding {outstanding} == retained {retained}"
-                ));
-            }
-            (Some(outstanding), Some(retained)) => found.problems.push(format!(
-                "model {model}: pool accounting drift -- outstanding {outstanding} \
-                 != retained {retained}"
-            )),
-            _ => found.problems.push(format!(
-                "model {model}: audit missing outstanding/retained counters ({counters:?})"
-            )),
-        }
-    }
-    found
-}
-
-/// Gate 4: observed protocol transitions against the legal table.
+/// Gate 3: observed protocol transitions against the legal table.
 pub fn protocol(legal: &[&str], observed: &BTreeSet<String>) -> Findings {
     let mut found = Findings::default();
     for row in observed.iter().filter(|r| !legal.contains(&r.as_str())) {
@@ -214,21 +142,15 @@ pub fn protocol(legal: &[&str], observed: &BTreeSet<String>) -> Findings {
     found
 }
 
-/// All four gates over one static analysis and one dynamic report.
+/// All three gates over one static analysis and one dynamic report.
 pub fn all(engine: &Engine, analysis: &Analysis, report: &Report) -> Findings {
-    let config = &engine.config;
-    let mut found = lock_edges(&config.lock_order, &analysis.lock_edges, &report.edges);
-    found.merge(publications(
-        &config.publication_labels,
-        &analysis.dataflow.locations,
-        &report.publications,
-    ));
-    found.merge(accounting(&report.accounting));
+    let mut found = lock_edges(&engine.config.lock_order, &analysis.lock_edges, &report.edges);
+    found.merge(publications(&analysis.dataflow.locations, &report.publications));
     found.merge(protocol(&TRANSITIONS, &report.transitions));
     found
 }
 
-/// Static analysis of the tree at `root`, the smoke run, then the four
+/// Static analysis of the tree at `root`, the smoke run, then the three
 /// gates, narrated to `out`. `Ok(true)` only when the tree is lint-clean,
 /// the smoke run held, and no gate objected.
 pub fn verify(root: &Path, out: &mut dyn Write) -> io::Result<bool> {
@@ -238,7 +160,7 @@ pub fn verify(root: &Path, out: &mut dyn Write) -> io::Result<bool> {
     let found = all(&engine, &analysis, &report);
     writeln!(
         out,
-        "firefly-check: static-vs-dynamic gates (lock edges, publications, accounting, protocol)"
+        "firefly-check: static-vs-dynamic gates (lock edges, publications, protocol)"
     )?;
     for note in &found.notes {
         writeln!(out, "    {note}")?;

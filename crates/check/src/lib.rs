@@ -21,11 +21,11 @@
 //! Failures (deadlock, lost wakeup, lock-order inversion, invariant
 //! panic, step budget) come with the decision list and deterministic
 //! event trace of the failing schedule. Passing schedules contribute
-//! their observed lock edges, publication classes, audit counters and
-//! protocol transitions, which [`smoke::run`] unions into one typed
-//! [`smoke::Report`] and [`gates`] cross-validates in-process against
-//! `firefly-lint`'s static analysis (`firefly-check verify`,
-//! tests/verify.rs).
+//! their observed lock edges and publication classes, which
+//! [`smoke::run`] unions with the protocol rows of the
+//! [`scenario`] drivers into one typed [`smoke::Report`] and [`gates`]
+//! cross-validates in-process against `firefly-lint`'s static analysis
+//! (`firefly-check verify`, tests/verify.rs).
 
 #![forbid(unsafe_code)]
 
@@ -55,15 +55,6 @@ pub struct ModelRun {
     /// Runs after all threads joined, *without* the hook: asserts the
     /// quiescent-state invariants (leak/double-release detection).
     pub finale: Box<dyn FnOnce() + Send>,
-    /// Optional quiescent accounting readout, run after a clean finale:
-    /// named counters (e.g. pool `outstanding` vs slot `retained`) for
-    /// the accounting gate ([`gates::accounting`]).
-    pub audit: Option<Box<dyn FnOnce() -> Vec<(String, u64)> + Send>>,
-    /// Optional protocol-transition readout, run after a clean finale
-    /// (and after `audit`): the protocol.toml rows this model's
-    /// structures actually drove, as canonical spec strings, for the
-    /// protocol gate ([`gates::protocol`]).
-    pub transitions: Option<Box<dyn FnOnce() -> Vec<String> + Send>>,
 }
 
 /// A named model in the registry.
@@ -143,14 +134,6 @@ pub struct Outcome {
     /// Atomic location classes on which a release→acquire publication
     /// edge was consumed in at least one passing schedule.
     pub publications: BTreeSet<String>,
-    /// The last passing schedule's audit readout (named counters),
-    /// empty when the model declares no audit.
-    pub accounting: Vec<(String, u64)>,
-    /// Protocol.toml transition rows observed across all passing
-    /// schedules (union). Deliberately *not* folded into `digest`: the
-    /// digest fingerprints schedules, and the transition set is a
-    /// coverage artifact, not a scheduling one.
-    pub transitions: BTreeSet<String>,
     /// FNV-1a digest over every passing schedule's event log: two runs
     /// with the same mode and seed must produce identical digests.
     pub digest: u64,
@@ -233,8 +216,6 @@ impl Explorer {
             failure: None,
             edges: BTreeSet::new(),
             publications: BTreeSet::new(),
-            accounting: Vec::new(),
-            transitions: BTreeSet::new(),
             digest: FNV_OFFSET,
         };
         let mut prefix: Vec<usize> = match mode {
@@ -251,7 +232,7 @@ impl Explorer {
                 Mode::Random { .. } => Some(firefly_rng::splitmix64(&mut seed_state)),
                 _ => None,
             };
-            let (result, finale_err, accounting, transitions) =
+            let (result, finale_err) =
                 self.run_one(model, prefix.clone(), schedule_seed.map(firefly_rng::Rng::new));
             let failure = result.failure.or_else(|| {
                 finale_err.map(|message| Failure::Invariant { message })
@@ -271,12 +252,6 @@ impl Explorer {
             }
             outcome.publications.extend(result.publications);
             outcome.parks += result.parks;
-            if let Some(accounting) = accounting {
-                outcome.accounting = accounting;
-            }
-            if let Some(transitions) = transitions {
-                outcome.transitions.extend(transitions);
-            }
             for line in &result.trace {
                 outcome.digest = fnv_fold(outcome.digest, line.as_bytes());
                 outcome.digest = fnv_fold(outcome.digest, b"\n");
@@ -348,8 +323,6 @@ impl Explorer {
             failure: None,
             edges: BTreeSet::new(),
             publications: BTreeSet::new(),
-            accounting: Vec::new(),
-            transitions: BTreeSet::new(),
             digest: FNV_OFFSET,
         };
         let mut nodes: Vec<Node> = Vec::new();
@@ -357,7 +330,7 @@ impl Explorer {
         let mut sleep: Vec<SleepEntry> = Vec::new();
         let mut sleep_from = usize::MAX;
         loop {
-            let (result, finale_err, accounting, transitions) =
+            let (result, finale_err) =
                 self.run_one_plan(model, prefix.clone(), None, sleep.clone(), sleep_from);
             if std::env::var_os("FIREFLY_DPOR_DEBUG").is_some() {
                 eprintln!(
@@ -393,12 +366,6 @@ impl Explorer {
                 }
                 outcome.publications.extend(result.publications.iter().cloned());
                 outcome.parks += result.parks;
-                if let Some(accounting) = accounting {
-                    outcome.accounting = accounting;
-                }
-                if let Some(transitions) = transitions {
-                    outcome.transitions.extend(transitions);
-                }
                 for line in &result.trace {
                     outcome.digest = fnv_fold(outcome.digest, line.as_bytes());
                     outcome.digest = fnv_fold(outcome.digest, b"\n");
@@ -512,9 +479,8 @@ impl Explorer {
         }
     }
 
-    /// Runs exactly one schedule; returns the schedule result, any
-    /// finale panic message, and the audit and transition readouts
-    /// (clean runs only).
+    /// Runs exactly one schedule; returns the schedule result and any
+    /// finale panic message.
     fn run_one(
         &self,
         model: &Model,
@@ -584,51 +550,22 @@ impl Explorer {
 
         // Finale: quiescent single-threaded asserts, no hook installed.
         // A sleep-set-redundant run was abandoned mid-flight, so its
-        // quiescent invariants are meaningless — skip them. The audit
-        // and transition readouts only run after a clean finale: they
-        // describe a state the invariants have just vouched for.
-        let (finale_err, accounting, transitions) = if result.failure.is_none() && !result.redundant
-        {
+        // quiescent invariants are meaningless — skip them.
+        let finale_err = if result.failure.is_none() && !result.redundant {
             let _ = SILENCED.try_with(|c| c.set(true));
             let r = catch_unwind(AssertUnwindSafe(run.finale));
-            let out = match r {
-                Ok(()) => {
-                    let (audit_err, counters) = match run.audit {
-                        Some(audit) => match catch_unwind(AssertUnwindSafe(audit)) {
-                            Ok(counters) => (None, Some(counters)),
-                            Err(p) => (Some(panic_message(p.as_ref())), None),
-                        },
-                        None => (None, None),
-                    };
-                    let (err, rows) = match (audit_err, run.transitions) {
-                        (None, Some(hook)) => match catch_unwind(AssertUnwindSafe(hook)) {
-                            Ok(rows) => (None, Some(rows)),
-                            Err(p) => (Some(panic_message(p.as_ref())), None),
-                        },
-                        (e, _) => (e, None),
-                    };
-                    (err, counters, rows)
-                }
-                Err(p) => (Some(panic_message(p.as_ref())), None, None),
-            };
             let _ = SILENCED.try_with(|c| c.set(false));
-            out
+            r.err().map(|p| panic_message(p.as_ref()))
         } else {
-            (None, None, None)
+            None
         };
-        (result, finale_err, accounting, transitions)
+        (result, finale_err)
     }
 }
 
 /// What one schedule hands back to the exploration loop: the scheduler
-/// result plus any finale panic and the clean-run audit / transition
-/// readouts.
-type RunReadout = (
-    sched::ScheduleResult,
-    Option<String>,
-    Option<Vec<(String, u64)>>,
-    Option<Vec<String>>,
-);
+/// result plus any finale panic message.
+type RunReadout = (sched::ScheduleResult, Option<String>);
 
 impl Default for Explorer {
     fn default() -> Explorer {

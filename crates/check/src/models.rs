@@ -3,9 +3,10 @@
 //!
 //! Structure models exercise the paper's mechanisms with their actual
 //! implementations — call-table slot reuse (§3.1.3), pool recycling
-//! through the controller receive queue (§3.2), the trace ring, and the
-//! MPMC channel, the hook's install gate, a sharded call table, and the
-//! receive role — and must pass every schedule. Bug models seed one classic
+//! through the controller receive queue (§3.2), the trace ring, the
+//! MPMC channel and the receive role — and must pass every schedule.
+//! Each runs `firefly_rpc`, `firefly_pool` or `firefly_sync` code; none
+//! is a hand-written copy of it. Bug models seed one classic
 //! concurrency defect each (ABBA deadlock, notify-before-wait lost
 //! wakeup, a waiter gate registered after the mutex release,
 //! check-then-act double release, and three happens-before
@@ -25,7 +26,6 @@ use firefly_rpc::calltable::{CallTable, Deliver, Wait};
 use firefly_rpc::packet::Packet;
 use firefly_rpc::role::{Polled, ReceiveRole};
 use firefly_rpc::trace::{TraceRecord, Tracer};
-use firefly_rpc::witness::{row, ProtocolWitness};
 use firefly_sync::atomic as checked_atomic;
 use firefly_sync::{channel, Condvar, Mutex};
 use firefly_wire::{ActivityId, FrameBuilder, PacketType};
@@ -123,15 +123,6 @@ fn make_calltable() -> ModelRun {
             );
         }) as Box<dyn FnOnce() + Send>
     };
-    let transitions = {
-        let table = Arc::clone(&table);
-        // The real CallTable records its protocol.toml rows itself: this
-        // model's accepted result is `caller-open Result last_fragment ->
-        // complete-call` and the late duplicate is `caller-orphan Result
-        // last_fragment -> recycle-orphan`.
-        Box::new(move || table.witness().observed().iter().map(|t| (*t).to_string()).collect())
-            as Box<dyn FnOnce() -> Vec<String> + Send>
-    };
     let finale = Box::new(move || {
         assert_eq!(table.outstanding(), 0, "call table entry leaked");
         assert_eq!(pool.stats().outstanding(), 0, "packet buffer leaked");
@@ -140,8 +131,6 @@ fn make_calltable() -> ModelRun {
         label,
         threads: vec![caller, demux],
         finale,
-        audit: None,
-        transitions: Some(transitions),
     }
 }
 
@@ -183,15 +172,6 @@ fn make_pool() -> ModelRun {
             }
         }) as Box<dyn FnOnce() + Send>
     };
-    let audit = {
-        let pool = pool.clone();
-        Box::new(move || {
-            vec![
-                ("outstanding".to_string(), pool.stats().outstanding()),
-                ("retained".to_string(), 0),
-            ]
-        }) as Box<dyn FnOnce() -> Vec<(String, u64)> + Send>
-    };
     let finale = Box::new(move || {
         assert_eq!(
             pool.free_count() + pool.receive_queue_len(),
@@ -204,8 +184,6 @@ fn make_pool() -> ModelRun {
         label,
         threads: vec![t0, t1, t2],
         finale,
-        audit: Some(audit),
-        transitions: None,
     }
 }
 
@@ -251,8 +229,6 @@ fn make_trace_ring() -> ModelRun {
         label,
         threads: vec![t0, t1, t2],
         finale,
-        audit: None,
-        transitions: None,
     }
 }
 
@@ -306,8 +282,6 @@ fn make_channel() -> ModelRun {
         label,
         threads: vec![s0, s1, r0, r1],
         finale,
-        audit: None,
-        transitions: None,
     }
 }
 
@@ -350,8 +324,6 @@ fn make_bug_abba() -> ModelRun {
         label,
         threads: vec![t0, t1],
         finale: Box::new(|| {}),
-        audit: None,
-        transitions: None,
     }
 }
 
@@ -393,8 +365,6 @@ fn make_bug_lost_wakeup() -> ModelRun {
         label,
         threads: vec![signaller, waiter],
         finale: Box::new(|| {}),
-        audit: None,
-        transitions: None,
     }
 }
 
@@ -454,8 +424,6 @@ fn make_bug_unregistered_waiter() -> ModelRun {
         label,
         threads: vec![notifier, waiter],
         finale: Box::new(|| {}),
-        audit: None,
-        transitions: None,
     }
 }
 
@@ -495,236 +463,6 @@ fn make_bug_double_release() -> ModelRun {
         label,
         threads: vec![t0, t1],
         finale,
-        audit: None,
-        transitions: None,
-    }
-}
-
-/// Clean model of the hook's `INSTALLED` gate protocol with the fixed
-/// orderings (`AcqRel` install, `Release` uninstall, `Acquire`
-/// cross-thread check): two installers balance the counter while an
-/// observer polls it. Every access is sanctioned, so the race detector
-/// must stay silent in every schedule — this is the regression test for
-/// the `crates/sync/src/hook.rs` ordering fix. (The production
-/// `current()` load stays `Relaxed` because only the installing thread
-/// reads its own thread-local; a cross-thread observer like this one
-/// needs `Acquire`, which is what the model encodes.)
-fn make_gate() -> ModelRun {
-    let installed = Arc::new(checked_atomic::AtomicUsize::new(0));
-
-    let label = {
-        let installed = Arc::clone(&installed);
-        Box::new(move || installed.check_label("installed")) as Box<dyn FnOnce() + Send>
-    };
-    let installer = |installed: Arc<checked_atomic::AtomicUsize>| {
-        Box::new(move || {
-            installed.fetch_add(1, Ordering::AcqRel);
-            installed.fetch_sub(1, Ordering::Release);
-        }) as Box<dyn FnOnce() + Send>
-    };
-    let t0 = installer(Arc::clone(&installed));
-    let t1 = installer(Arc::clone(&installed));
-    let observer = {
-        let installed = Arc::clone(&installed);
-        Box::new(move || {
-            let n = installed.load(Ordering::Acquire);
-            assert!(n <= 2, "gate counter overshot: {n}");
-        }) as Box<dyn FnOnce() + Send>
-    };
-    let finale = Box::new(move || {
-        assert_eq!(
-            installed.load(Ordering::Acquire),
-            0,
-            "install gate unbalanced"
-        );
-    }) as Box<dyn FnOnce() + Send>;
-    ModelRun {
-        label,
-        threads: vec![t0, t1, observer],
-        finale,
-        audit: None,
-        transitions: None,
-    }
-}
-
-/// Shard-class labels for the sharded call-table model. The `class[i]`
-/// form is what the parametric lock-order support in `firefly-lint`
-/// understands: instances of one class, ordered by index.
-const SHARD_LABELS: [&str; 4] = ["shard[0]", "shard[1]", "shard[2]", "shard[3]"];
-
-/// Per-shard state for [`make_sharded_calltable`]: the call-table slot
-/// plus the worker's receive queue, both guarded by the shard's lock
-/// exactly as in the real runtime (`ShardedCallTable` shard +
-/// `WorkQueues` queue, selected by the same activity hash).
-#[derive(Default)]
-struct ShardSlot {
-    /// Call-table slot: `Some(seq)` while a call is mid-dispatch.
-    cur: Option<u32>,
-    completed: u32,
-    orphans: u32,
-    /// The worker's receive queue (FIFO backlog of call seqs).
-    backlog: Vec<u32>,
-    /// Items this worker's queue received from a steal, takeover order.
-    stolen: Vec<u32>,
-}
-
-/// Number of shards in the model: the runtime's own.
-const MODEL_SHARDS: usize = firefly_rpc::calltable::SHARDS;
-
-/// Sharded runtime mirror: per-shard call-table slots and per-worker
-/// receive queues, with home shards picked by the *real*
-/// [`firefly_rpc::calltable::shard_for`] hash of each caller's activity
-/// id. Two fast-path callers (shards 0 and 2) each run one
-/// register/enqueue/dispatch round plus a late-duplicate orphan check
-/// on their own shard; the thief worker's thread enqueues a two-call
-/// backlog on donor shard 1 (whose own worker never shows up) and then
-/// runs the steal scan: victims in ascending index order, one lock at
-/// a time, skipping queues whose owner is mid-dispatch (stealing those
-/// would double-dispatch), and taking the donor's whole backlog in one
-/// FIFO-preserving takeover that bridges donor and thief queues in
-/// ascending index order — the declared-parametric `shard` lock
-/// discipline firefly-lint enforces. The scan's probe of shard 0
-/// contends with that shard's own worker (the dependency DPOR must
-/// explore); the rest is pairwise independent, which is exactly what
-/// DPOR prunes and naive DFS drowns in: DFS cannot exhaust this model
-/// inside the smoke budget, DPOR can.
-fn make_sharded_calltable() -> ModelRun {
-    // Home shards by the real activity hash: the first thread ids that
-    // shard_for maps to shards 0, 1 and 2 (machine/space fixed, as one
-    // endpoint's callers share them). The model's shard assignment IS
-    // the runtime's, so a hash change reshapes this model too.
-    let home = |want: usize| {
-        (0..u16::MAX)
-            .find(|&t| {
-                firefly_rpc::calltable::shard_for(ActivityId::new(9, 1, t), MODEL_SHARDS) == want
-            })
-            .expect("shard_for covers every shard")
-    };
-    // Ascending scan order makes shard 0 the first victim the thief
-    // probes (contended with that shard's own worker — the dependency
-    // DPOR must actually explore), shard 1 the donor it robs, and
-    // shard 2 pure independent fast-path work it prunes away.
-    let (fast_a, donor, fast_b) = (
-        firefly_rpc::calltable::shard_for(ActivityId::new(9, 1, home(0)), MODEL_SHARDS),
-        firefly_rpc::calltable::shard_for(ActivityId::new(9, 1, home(1)), MODEL_SHARDS),
-        firefly_rpc::calltable::shard_for(ActivityId::new(9, 1, home(2)), MODEL_SHARDS),
-    );
-    assert_eq!((fast_a, donor, fast_b), (0, 1, 2), "shard_for is stable");
-    const THIEF: usize = 3;
-
-    let shards: Arc<Vec<Mutex<ShardSlot>>> = Arc::new(
-        (0..MODEL_SHARDS)
-            .map(|_| Mutex::new(ShardSlot::default()))
-            .collect(),
-    );
-
-    let label = {
-        let shards = Arc::clone(&shards);
-        Box::new(move || {
-            for (i, shard) in shards.iter().enumerate() {
-                shard.check_label(SHARD_LABELS[i]);
-            }
-        }) as Box<dyn FnOnce() + Send>
-    };
-    // A fast-path caller on shard `k`: the demux registers the slot and
-    // enqueues on the home queue, the home worker drains its own queue
-    // FIFO and completes the call (slot reuse across two rounds), and a
-    // late duplicate of seq 0 must be orphaned, never delivered.
-    let caller = |shards: Arc<Vec<Mutex<ShardSlot>>>, k: usize| {
-        Box::new(move || {
-            let seq = 0u32;
-            {
-                let mut s = shards[k].lock();
-                assert!(s.cur.is_none(), "shard {k}: slot registered twice");
-                s.cur = Some(seq);
-                s.backlog.push(seq);
-            }
-            {
-                let mut s = shards[k].lock();
-                assert_eq!(s.cur, Some(seq), "shard {k}: slot clobbered");
-                let item = s.backlog.first().copied();
-                assert_eq!(item, Some(seq), "shard {k}: queue reordered");
-                s.backlog.remove(0);
-                s.cur = None;
-                s.completed += 1;
-            }
-            // Late duplicate of the completed call: the slot was torn
-            // down, so it must be orphaned, never dispatched again.
-            let mut s = shards[k].lock();
-            assert!(s.cur.is_none(), "shard {k}: duplicate hit a live slot");
-            s.orphans += 1;
-        }) as Box<dyn FnOnce() + Send>
-    };
-    let t0 = caller(Arc::clone(&shards), fast_a);
-    let t1 = caller(Arc::clone(&shards), fast_b);
-    // Demux-then-steal: two calls land on the donor queue, whose own
-    // worker never shows up (all its threads are busy), and the idle
-    // thief worker then runs its steal scan. The two phases live on one
-    // thread because the real thief loops until work appears — a scan
-    // that beats the enqueue just comes around again, which a
-    // terminating model collapses to scanning after the enqueue.
-    let stealer = {
-        let shards = Arc::clone(&shards);
-        Box::new(move || {
-            for seq in 0..2u32 {
-                shards[donor].lock().backlog.push(seq);
-            }
-            // Own queue first (mirrors WorkQueues::pop), then victims
-            // in ascending index order, exactly the runtime scan.
-            assert!(shards[THIEF].lock().backlog.is_empty(), "thief not idle");
-            let mut took = false;
-            for victim in 0..MODEL_SHARDS {
-                if victim == THIEF || took {
-                    continue;
-                }
-                // One victim lock at a time; skip queues whose owner is
-                // mid-dispatch — their backlog is already claimed, and
-                // stealing it would dispatch the call twice.
-                let mut donor_q = shards[victim].lock();
-                if donor_q.cur.is_some() || donor_q.backlog.is_empty() {
-                    continue;
-                }
-                // Whole-backlog takeover into the thief's queue, donor
-                // and thief locks bridged in ascending index order (the
-                // declared-parametric discipline; victim < THIEF for
-                // every victim this scan can reach).
-                let mut thief_q = shards[THIEF].lock();
-                let taken = std::mem::take(&mut donor_q.backlog);
-                thief_q.stolen.extend(taken);
-                took = true;
-            }
-            // Dispatch the stolen batch in takeover order.
-            let mut s = shards[THIEF].lock();
-            let n = s.stolen.len() as u32;
-            s.completed += n;
-        }) as Box<dyn FnOnce() + Send>
-    };
-    let finale = Box::new(move || {
-        let mut completed = 0;
-        let mut orphans = 0;
-        for shard in shards.iter() {
-            let s = shard.lock();
-            assert!(s.cur.is_none(), "slot leaked past the schedule");
-            assert!(s.backlog.is_empty(), "call stranded on a queue");
-            completed += s.completed;
-            orphans += s.orphans;
-        }
-        assert_eq!(completed, 4, "calls lost or duplicated across shards");
-        assert_eq!(orphans, 2, "late duplicate not orphaned");
-        let stolen = &shards[THIEF].lock().stolen;
-        assert_eq!(*stolen, vec![0, 1], "steal reordered the donor backlog");
-    }) as Box<dyn FnOnce() + Send>;
-    ModelRun {
-        label,
-        threads: vec![t0, t1, stealer],
-        finale,
-        audit: None,
-        // The model proper runs on an abstract shard mirror, so the
-        // protocol rows its scenario stands for (caller-side Result /
-        // Ack / ProbeResponse handling, including every orphan shape)
-        // come from a deterministic drill over the real sharded table,
-        // run hook-free after the clean finale.
-        transitions: Some(Box::new(crate::scenario::caller_transitions)),
     }
 }
 
@@ -878,150 +616,6 @@ fn make_receive_role() -> ModelRun {
         label,
         threads: vec![caller0, caller1, resident],
         finale,
-        audit: None,
-        transitions: None,
-    }
-}
-
-/// Server-side activity slot retention (paper §3.1.3): the server keeps
-/// the last result packet's buffer in the activity slot so a duplicate
-/// call packet is answered by retransmission instead of re-execution,
-/// and frees it only when the next call on the activity (an implicit
-/// ack) arrives. Three threads race over a two-buffer pool and one
-/// slot: the server computes a result and retains its buffer, the demux
-/// answers a duplicate request from the retained copy (take, send,
-/// reinstall under one guard), and the acker releases the retained
-/// buffer onto the controller receive queue. Every interleaving must
-/// conserve slabs — free list + receive queue + retained — and keep the
-/// pool's outstanding counter equal to the retained count. That is the
-/// accounted-retention invariant firefly-lint's pool-lifecycle rule
-/// admits statically (`retained` is in its accounted-field list), and
-/// the audit readout below is what `gates::accounting` compares
-/// against the static claim.
-fn make_activity_retention() -> ModelRun {
-    #[derive(Default)]
-    struct Slot {
-        /// Seq of the call whose result is retained for retransmission.
-        last_seq: Option<u32>,
-        /// The retained result buffer (accounted pool retention).
-        retained: Option<firefly_pool::PacketBuf>,
-    }
-    let pool = BufferPool::new(2);
-    let slot = Arc::new(Mutex::new(Slot::default()));
-    // Which protocol.toml rows each interleaving stands for. Plain std
-    // atomics inside: recording adds no scheduler events, so the DPOR
-    // schedule count is exactly what it was before instrumentation.
-    let witness = Arc::new(ProtocolWitness::new());
-
-    let label = {
-        let pool = pool.clone();
-        let slot = Arc::clone(&slot);
-        Box::new(move || {
-            pool.check_labels();
-            slot.check_label("calltable");
-        }) as Box<dyn FnOnce() + Send>
-    };
-    // Server: run the call, then install the result buffer in the slot.
-    // The alloc happens outside the slot guard, like the real server
-    // path — nesting it would invent a calltable→pool lock edge the
-    // static graph rightly doesn't have.
-    let server = {
-        let pool = pool.clone();
-        let slot = Arc::clone(&slot);
-        Box::new(move || {
-            let mut buf = pool.alloc().expect("two slabs, one alloc");
-            buf.fill_from(&[7]);
-            let mut s = slot.lock();
-            s.last_seq = Some(0);
-            s.retained = Some(buf);
-        }) as Box<dyn FnOnce() + Send>
-    };
-    // Demux: a duplicate of call 0 arrives. If the result is already
-    // retained, answer from the copy — take, send, reinstall — without
-    // re-running the procedure; if not, the server is still computing
-    // and the duplicate is dropped (the caller will retransmit).
-    let demux = {
-        let slot = Arc::clone(&slot);
-        let witness = Arc::clone(&witness);
-        Box::new(move || {
-            let mut s = slot.lock();
-            if s.last_seq == Some(0) {
-                // Answer from the retained copy when it is still there
-                // (take, "send", reinstall); a duplicate that arrives
-                // after the ack already freed it is simply dropped.
-                if let Some(buf) = s.retained.take() {
-                    s.retained = Some(buf);
-                    witness.record(row::SERVER_DUP_RETAINED_CALL_LF_RETRANSMIT_RESULT);
-                } else {
-                    witness.record(row::SERVER_DUP_RELEASED_CALL_LF_DROP_DUPLICATE);
-                }
-            } else {
-                // Result not installed yet: the server is still
-                // computing, which is the executing-duplicate drop.
-                witness.record(row::SERVER_DUP_EXECUTING_CALL_LF_DROP_DUPLICATE);
-            }
-        }) as Box<dyn FnOnce() + Send>
-    };
-    // Acker: the next call on the activity implicitly acks call 0, so
-    // the retained result is released to the controller receive queue.
-    // When the ack beats the server, the buffer simply stays retained —
-    // which the finale and audit must then account for.
-    let acker = {
-        let pool = pool.clone();
-        let slot = Arc::clone(&slot);
-        let witness = Arc::clone(&witness);
-        Box::new(move || {
-            let taken = {
-                let mut s = slot.lock();
-                s.retained.take()
-            };
-            if let Some(buf) = taken {
-                pool.recycle_to_receive_queue(buf);
-                witness.record(row::SERVER_KNOWN_ACK_LF_AR_RELEASE_RETAINED);
-            }
-        }) as Box<dyn FnOnce() + Send>
-    };
-    let finale = {
-        let pool = pool.clone();
-        let slot = Arc::clone(&slot);
-        Box::new(move || {
-            let retained = slot.lock().retained.is_some();
-            assert_eq!(
-                pool.free_count() + pool.receive_queue_len() + usize::from(retained),
-                2,
-                "slab neither free, queued, nor retained"
-            );
-            assert_eq!(
-                pool.stats().outstanding(),
-                u64::from(retained),
-                "outstanding counter disagrees with slot retention"
-            );
-        }) as Box<dyn FnOnce() + Send>
-    };
-    let audit = {
-        let pool = pool.clone();
-        let slot = Arc::clone(&slot);
-        Box::new(move || {
-            vec![
-                ("outstanding".to_string(), pool.stats().outstanding()),
-                (
-                    "retained".to_string(),
-                    u64::from(slot.lock().retained.is_some()),
-                ),
-            ]
-        }) as Box<dyn FnOnce() -> Vec<(String, u64)> + Send>
-    };
-    let transitions = {
-        let witness = Arc::clone(&witness);
-        Box::new(move || witness.observed().iter().map(|t| (*t).to_string()).collect())
-            as Box<dyn FnOnce() -> Vec<String> + Send>
-    };
-    ModelRun {
-        label,
-        threads: vec![server, demux, acker],
-        finale,
-        audit: Some(audit),
-        transitions: Some(transitions),
     }
 }
 
@@ -1050,8 +644,6 @@ fn make_bug_race_counter() -> ModelRun {
         label,
         threads: vec![t0, t1],
         finale: Box::new(|| {}),
-        audit: None,
-        transitions: None,
     }
 }
 
@@ -1093,8 +685,6 @@ fn make_bug_race_publish() -> ModelRun {
         label,
         threads: vec![writer, reader],
         finale: Box::new(|| {}),
-        audit: None,
-        transitions: None,
     }
 }
 
@@ -1147,8 +737,6 @@ fn make_bug_race_notify() -> ModelRun {
         label,
         threads: vec![signaller, waiter],
         finale: Box::new(|| {}),
-        audit: None,
-        transitions: None,
     }
 }
 
@@ -1177,24 +765,9 @@ pub fn structure_models() -> Vec<Model> {
             make: make_channel,
         },
         Model {
-            name: "gate",
-            about: "hook INSTALLED gate protocol: sanctioned orderings, race-free",
-            make: make_gate,
-        },
-        Model {
-            name: "sharded-calltable",
-            about: "4-shard call table + ascending-order stealer (DPOR exhausts, DFS drowns)",
-            make: make_sharded_calltable,
-        },
-        Model {
             name: "receive-role",
             about: "receive role: 2 callers + ceded resident receiver, no result stranded in the socket",
             make: make_receive_role,
-        },
-        Model {
-            name: "activity-retention",
-            about: "server-side activity slot retains the last result for retransmit (paper §3.1.3)",
-            make: make_activity_retention,
         },
     ]
 }

@@ -7,9 +7,7 @@
 //!   [`ShardedCallTable`] that walks every caller-side row of
 //!   protocol.toml (Result completion/assembly in all flag shapes, with
 //!   and without a prefix to ack, Ack quench/advance, ProbeResponse, and
-//!   the seven orphan shapes). It runs as the `sharded-calltable`
-//!   model's transition readout, hook-free, after the model's own
-//!   schedules all pass.
+//!   the seven orphan shapes).
 //!
 //! * [`wire_transitions`] — a live [`Endpoint`] on a loopback station
 //!   poked by a raw-frame injector, driving every server-side row:
@@ -23,8 +21,8 @@
 //!
 //! Everything observed flows into [`crate::smoke::Report::transitions`],
 //! which [`crate::gates::protocol`] checks against the spec: observed
-//! rows must be legal, legal rows must be observed (or explicitly
-//! allowlisted). Synchronization leans on two facts: the
+//! rows must be legal, and every legal row must be observed.
+//! Synchronization in the wire scenario leans on two facts: the
 //! demux processes one station's frames in arrival order, so a frame's
 //! effect is visible to every later frame without handshakes; and a
 //! result frame reaching the injector means the worker already installed

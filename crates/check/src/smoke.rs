@@ -1,14 +1,15 @@
 //! The full-registry run: every structure model under DFS (or DPOR) plus
-//! seeded random sampling — all must pass — then the wire scenario, then
-//! every seeded-bug model, which must each *fail* with a schedule that
-//! replays. One function, [`run`], drives it and hands back the dynamic
-//! evidence the cross-validation gates ([`crate::gates`]) read: observed
-//! lock edges, publication classes, per-model accounting and protocol
-//! transitions. The `firefly-check` binary's default mode and `verify`
-//! subcommand, and the tier-1 test in `tests/verify.rs`, all call it.
+//! seeded random sampling — all must pass — then the two protocol
+//! drivers, then every seeded-bug model, which must each *fail* with a
+//! schedule that replays. One function, [`run`], drives it and hands
+//! back the dynamic evidence the cross-validation gates
+//! ([`crate::gates`]) read: observed lock edges, publication classes and
+//! protocol transitions. The `firefly-check` binary's default mode and
+//! `verify` subcommand, and the tier-1 test in `tests/verify.rs`, all
+//! call it.
 
 use crate::{models, render_failure, scenario, Explorer, Mode, Model, Outcome};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::io::Write;
 
 /// How hard to explore.
@@ -22,7 +23,7 @@ pub struct Spec {
     pub seed: u64,
     /// Explore with partial-order reduction instead of plain DFS.
     pub dpor: bool,
-    /// Skip the structure models and the wire scenario.
+    /// Skip the structure models and the protocol drivers.
     pub bugs_only: bool,
     /// Print caught bugs' failing schedules in full.
     pub verbose: bool,
@@ -54,30 +55,18 @@ impl Spec {
 /// What a run observed, unioned over every passing schedule.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Every structure model passed, the wire scenario drove its rows,
-    /// and every seeded bug was caught and replayed.
+    /// Every structure model passed, both protocol drivers drove their
+    /// rows, and every seeded bug was caught and replayed.
     pub ok: bool,
-    /// Lock edges by instance name (`shard[2]` → `shard[3]`, `calltable`
-    /// → `pool`).
+    /// Lock edges by lock label (`calltable` → `pool`).
     pub edges: BTreeSet<(String, String)>,
     /// Atomic location classes on which a release→acquire publication
     /// edge was consumed.
     pub publications: BTreeSet<String>,
-    /// Quiescent audit counters of each auditing model.
-    pub accounting: BTreeMap<&'static str, Vec<(String, u64)>>,
-    /// protocol.toml rows the models and the wire scenario drove.
+    /// protocol.toml rows the caller drill and the wire scenario drove
+    /// ([`scenario::caller_transitions`] ∪
+    /// [`scenario::wire_transitions`]).
     pub transitions: BTreeSet<String>,
-}
-
-impl Report {
-    fn absorb(&mut self, outcome: Outcome) {
-        self.edges.extend(outcome.edges);
-        self.publications.extend(outcome.publications);
-        self.transitions.extend(outcome.transitions);
-        if !outcome.accounting.is_empty() {
-            self.accounting.insert(outcome.model, outcome.accounting);
-        }
-    }
 }
 
 /// Prints one outcome the way the binary reports it and returns whether
@@ -225,11 +214,14 @@ pub fn run(explorer: &Explorer, spec: &Spec, out: &mut dyn Write) -> Report {
                     dpor_line(out, &outcome);
                 }
                 report.ok &= summarize(out, &outcome, false, spec.verbose);
-                report.absorb(outcome);
+                report.edges.extend(outcome.edges);
+                report.publications.extend(outcome.publications);
             }
         }
-        // The wire scenario drives a live endpoint through the
-        // server-side spec rows the models cannot reach.
+        // The protocol rows come from production code driven directly:
+        // the real sharded call table through every caller row, a live
+        // endpoint through every server row.
+        report.transitions.extend(scenario::caller_transitions());
         match scenario::wire_transitions() {
             Ok(rows) => report.transitions.extend(rows),
             Err(e) => {

@@ -13,9 +13,9 @@
 //! `mem::take` holds exactly one queue lock, preserves FIFO order
 //! within the stolen batch (so replies within one activity can never
 //! reorder — see tests/sharding.rs), and moves a burst of work in one
-//! lock acquisition. The ascending scan order matches the
-//! workspace-wide parametric `shard` lock discipline (docs/SHARDING.md)
-//! even though no two queue locks are ever held at once here.
+//! lock acquisition. No two queue locks are ever held at once, so the
+//! ascending scan is only the order victims are visited in, not a lock
+//! discipline (docs/SHARDING.md).
 //!
 //! Parking uses an epoch counter under a separate lock: a worker
 //! records the epoch, scans every queue, and parks only if the epoch is
@@ -45,7 +45,7 @@ struct ParkState {
 pub struct WorkQueues<T> {
     /// One receive queue per worker. The field is named `shards` so the
     /// lint lock-order rule classifies `shards[w].lock()` under the
-    /// parametric `shard` class.
+    /// `shard` class; no two of these locks are ever held at once.
     shards: Vec<Mutex<VecDeque<T>>>,
     park: Mutex<ParkState>,
     ready: Condvar,

@@ -24,11 +24,6 @@ pub struct LockClass {
     /// Identifiers of fields whose `.lock()`/`.read()`/`.write()`
     /// acquire this class (e.g. `entries`, `state`).
     pub receivers: Vec<String>,
-    /// Parametric classes are arrays of same-class locks acquired via
-    /// an index (`shards[i].lock()`). Instances must be acquired in
-    /// ascending index order; each constant index becomes its own
-    /// `class[N]` node in the lock graph.
-    pub parametric: bool,
 }
 
 /// Full engine configuration.
@@ -83,15 +78,12 @@ pub struct Config {
     pub pool_sinks: Vec<String>,
     /// Container receiver fields where retention is accounted (the
     /// pool's own queues, the call table's `Retained` slot, result
-    /// delivery): the checker's outstanding accounting covers them.
+    /// delivery): a buffer held there still counts as outstanding in
+    /// the pool's own stats.
     pub pool_accounted: Vec<String>,
     /// Type names that move pool ownership across a call boundary when
     /// taken by value — the interprocedural leg of the tracking.
     pub buffer_types: Vec<String>,
-    /// Maps dynamic publication labels (checked_atomic labels observed
-    /// by firefly-check) to the static location identifiers that
-    /// implement them, for the publication gate (`firefly-check verify`).
-    pub publication_labels: Vec<(String, Vec<String>)>,
 }
 
 impl Default for Config {
@@ -108,12 +100,10 @@ impl Config {
         let sections = parse_sections(text);
         let get = |section: &str, key: &str| sections.get(section)?.get(key).cloned();
         let list = |section: &str, key: &str| get(section, key).unwrap_or_default();
-        let parametric = list("lock-order", "parametric");
         let lock_order = list("lock-order", "order")
             .into_iter()
             .map(|name| LockClass {
                 receivers: list("lock-order", &name),
-                parametric: parametric.contains(&name),
                 name,
             })
             .collect();
@@ -122,11 +112,6 @@ impl Config {
         // own.
         let blocking_files =
             get("no-blocking-under-lock", "files").unwrap_or_else(|| lock_files.clone());
-        let mut publication_labels: Vec<(String, Vec<String>)> = sections
-            .get("publication-labels")
-            .map(|s| s.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
-            .unwrap_or_default();
-        publication_labels.sort();
         Config {
             fast_path_entry_points: list("fast-path", "entry_points"),
             fast_path_files: list("fast-path", "files"),
@@ -145,7 +130,6 @@ impl Config {
             pool_sinks: list("pool-lifecycle", "sinks"),
             pool_accounted: list("pool-lifecycle", "accounted"),
             buffer_types: list("pool-lifecycle", "buffer_types"),
-            publication_labels,
         }
     }
 
@@ -250,7 +234,6 @@ mod tests {
             &c.fast_path_files
         ));
         // (The lock order itself is held by tests/lint.rs.)
-        assert!(c.lock_order.iter().any(|cls| cls.parametric));
         assert!(c.blocking_calls.iter().any(|b| b == "wait_until"));
         assert!(Config::path_matches(
             "crates/pool/src/lib.rs",
@@ -282,7 +265,6 @@ stop_files = ["d"]
 
 [lock-order]
 order = ["alpha", "beta"]
-parametric = ["beta"]
 alpha = ["x"]
 beta = ["y", "z"]
 files = ["src"]
@@ -294,15 +276,12 @@ files = ["src"]
         assert_eq!(c.lock_order.len(), 2);
         assert_eq!(c.lock_order[1].name, "beta");
         assert_eq!(c.lock_order[1].receivers, vec!["y", "z"]);
-        assert!(!c.lock_order[0].parametric);
-        assert!(c.lock_order[1].parametric);
         assert_eq!(c.lock_files, vec!["src"]);
         // Without its own section the blocking scope follows lock-order.
         assert_eq!(c.blocking_files, vec!["src"]);
         // Nothing is inherited from the workspace file.
         assert!(c.error_markers.is_empty());
         assert!(c.blocking_calls.is_empty());
-        assert!(c.publication_labels.is_empty());
     }
 
     #[test]
@@ -330,10 +309,6 @@ allocs = ["alloc"]
 sinks = ["recycle"]
 accounted = ["free"]
 buffer_types = ["Buf"]
-
-[publication-labels]
-installed = ["INSTALLED"]
-gate = ["GATE_WORD"]
 "#;
         let c = Config::from_toml(toml);
         assert_eq!(c.condvar_files, vec!["src"]);
@@ -345,13 +320,6 @@ gate = ["GATE_WORD"]
         assert_eq!(c.pool_sinks, vec!["recycle"]);
         assert_eq!(c.pool_accounted, vec!["free"]);
         assert_eq!(c.buffer_types, vec!["Buf"]);
-        assert_eq!(
-            c.publication_labels,
-            vec![
-                ("gate".to_string(), vec!["GATE_WORD".to_string()]),
-                ("installed".to_string(), vec!["INSTALLED".to_string()]),
-            ]
-        );
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   exit — is a publication race waiting for a weaker machine, unless
 //!   the location is allowlisted (`[atomic-publication].allow_relaxed`
 //!   in lint.toml sanctions hook.rs's disabled-path `INSTALLED` load,
-//!   whose protocol the checker's `gate` model proves dynamically).
+//!   whose proof is the comment at that site).
 //! * **pool lifecycle** — every pool buffer definition (an alloc-method
 //!   call bound with `let`, or a by-value `PacketBuf` parameter — the
 //!   interprocedural hand-off) has its uses classified: reaching a

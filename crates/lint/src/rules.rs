@@ -198,23 +198,11 @@ fn guard_rules(file: &SourceFile, config: &Config, facts: &mut Facts, out: &mut 
             .enumerate()
             .find(|(_, class)| class.receivers.iter().any(|r| r == ident))
     };
-    // Constant index of a guard on a parametric class, if any.
-    let const_index = |g: &LiveGuard| -> Option<usize> {
-        let (_, class) = rank_of(&g.receiver)?;
-        if !class.parametric {
-            return None;
-        }
-        g.index.as_ref()?.parse().ok()
-    };
-    // Lock-graph node: the global class name for classified receivers
-    // (`class[N]` for a parametric class at a constant index),
+    // Lock-graph node: the global class name for classified receivers,
     // file-namespaced otherwise so unrelated private locks never alias.
     let node_of = |g: &LiveGuard| -> String {
         match rank_of(&g.receiver) {
-            Some((_, class)) => match const_index(g) {
-                Some(idx) => format!("{}[{idx}]", class.name),
-                None => class.name.clone(),
-            },
+            Some((_, class)) => class.name.clone(),
             None => format!("{}::{}", file.rel_path, g.receiver),
         }
     };
@@ -271,28 +259,6 @@ fn guard_rules(file: &SourceFile, config: &Config, facts: &mut Facts, out: &mut 
                                 order.join(" → ")
                             ),
                         ));
-                    }
-                    // Parametric same-class discipline: instances must
-                    // be taken in strictly ascending index order.
-                    if let Some(idx) = const_index(guard) {
-                        if let Some((held, held_idx)) = live
-                            .iter()
-                            .filter(|g| rank_of(&g.receiver).map(|(r, _)| r) == Some(rank))
-                            .filter_map(|g| const_index(g).map(|h| (g, h)))
-                            .filter(|(_, h)| idx <= *h)
-                            .next_back()
-                        {
-                            diags.push(file.diagnostic(
-                                name::LOCK_ORDER,
-                                guard.line,
-                                format!(
-                                    "`{class}[{idx}]` acquired while `{class}[{held_idx}]` \
-                                     (line {}) is still held; parametric `{class}` locks \
-                                     must be acquired in ascending index order",
-                                    held.line
-                                ),
-                            ));
-                        }
                     }
                 }
                 GuardEvent::Blocking {

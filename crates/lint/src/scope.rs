@@ -86,10 +86,6 @@ pub struct LiveGuard {
     pub name: Option<String>,
     /// Receiver field identifier (`free`, `entries`, `ring`, ...).
     pub receiver: String,
-    /// For indexed acquisitions (`shards[2].lock()`), the single index
-    /// token between the brackets; `None` for plain receivers and for
-    /// compound index expressions (`shards[i + 1]`).
-    pub index: Option<String>,
     /// 1-based line of the acquisition.
     pub line: usize,
 }
@@ -134,29 +130,35 @@ fn match_paren(tokens: &[Token], open: usize) -> usize {
     tokens.len().saturating_sub(1)
 }
 
+/// From `k`, the last token of one receiver chain segment, steps back
+/// over a trailing `[...]` index group to the indexed token:
+/// `shards [ i + 1 ]` from the final `]` lands on `shards`.
+fn skip_index(tokens: &[Token], mut k: usize) -> Option<usize> {
+    if tokens[k].text != "]" {
+        return Some(k);
+    }
+    let mut depth = 0usize;
+    loop {
+        match tokens[k].text.as_str() {
+            "]" => depth += 1,
+            "[" => {
+                depth -= 1;
+                if depth == 0 {
+                    return k.checked_sub(1);
+                }
+            }
+            _ => {}
+        }
+        k = k.checked_sub(1)?;
+    }
+}
+
 /// Walks backwards from `k` (the last token of a receiver chain
 /// segment) to the chain-head identifier, stepping over `[...]` index
 /// groups: `self . shards [ 2 ]` from the final `]` lands on `self`.
 fn chain_head(tokens: &[Token], mut k: usize) -> Option<usize> {
     loop {
-        if tokens[k].text == "]" {
-            // Skip back over the bracket group to its `[`.
-            let mut depth = 0usize;
-            loop {
-                match tokens[k].text.as_str() {
-                    "]" => depth += 1,
-                    "[" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                k = k.checked_sub(1)?;
-            }
-            k = k.checked_sub(1)?; // the indexed ident before `[`
-        }
+        k = skip_index(tokens, k)?;
         if tokens[k].kind != TokenKind::Ident {
             return None;
         }
@@ -169,44 +171,11 @@ fn chain_head(tokens: &[Token], mut k: usize) -> Option<usize> {
 }
 
 /// Receiver of the acquisition whose `lock/read/write` ident sits at
-/// `j`: `recv.lock()` yields `("recv", None)`; an indexed
-/// `recv[2].lock()` yields `("recv", Some("2"))` when the index is a
-/// single token, `("recv", None)` for compound index expressions.
-fn receiver_of(tokens: &[Token], j: usize) -> Option<(String, Option<String>)> {
-    let prev = j.checked_sub(2)?;
-    let t = &tokens[prev];
-    if t.kind == TokenKind::Ident {
-        return Some((t.text.clone(), None));
-    }
-    if t.text != "]" {
-        return None;
-    }
-    // Scan back to the matching `[`.
-    let mut depth = 0usize;
-    let mut k = prev;
-    loop {
-        match tokens[k].text.as_str() {
-            "]" => depth += 1,
-            "[" => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ => {}
-        }
-        k = k.checked_sub(1)?;
-    }
-    let recv = tokens.get(k.checked_sub(1)?)?;
-    if recv.kind != TokenKind::Ident {
-        return None;
-    }
-    let index = if prev == k + 2 {
-        Some(tokens[k + 1].text.clone())
-    } else {
-        None
-    };
-    Some((recv.text.clone(), index))
+/// `j`: `recv.lock()` and an indexed `recv[i].lock()`, whatever the
+/// index expression, both yield `recv`.
+fn receiver_of(tokens: &[Token], j: usize) -> Option<String> {
+    let recv = &tokens[skip_index(tokens, j.checked_sub(2)?)?];
+    (recv.kind == TokenKind::Ident).then(|| recv.text.clone())
 }
 
 /// True when the acquisition whose `lock/read/write` ident sits at `j`
@@ -336,7 +305,7 @@ pub fn walk_guards(
             && matches!(t.text.as_str(), "lock" | "read" | "write")
             && tokens.get(j + 2).map(|x| x.text.as_str()) == Some(")")
         {
-            let Some((receiver, index)) = receiver_of(tokens, j) else {
+            let Some(receiver) = receiver_of(tokens, j) else {
                 j += 1;
                 continue;
             };
@@ -344,7 +313,6 @@ pub fn walk_guards(
             let guard = LiveGuard {
                 name: name.clone(),
                 receiver,
-                index,
                 line: t.line,
             };
             visit(GuardEvent::Acquire {
@@ -450,51 +418,13 @@ mod tests {
         assert!(ev[1].1.is_empty());
     }
 
-    /// (receiver, index) pairs of every acquisition in a one-fn body.
-    fn acquisitions(src: &str) -> Vec<(String, Option<String>)> {
-        let toks = tokenize(src).tokens;
-        let fns = functions(&toks);
-        assert_eq!(fns.len(), 1, "expected one fn in {src}");
-        let mut out = Vec::new();
-        walk_guards(
-            &toks,
-            fns[0].open,
-            fns[0].close,
-            &|_| false,
-            &|_, _| false,
-            &mut |ev| {
-                if let GuardEvent::Acquire { guard, .. } = ev {
-                    out.push((guard.receiver.clone(), guard.index.clone()));
-                }
-            },
-        );
-        out
-    }
-
     #[test]
-    fn indexed_acquisition_captures_the_index() {
-        let ev = acquisitions(
-            "fn f() { let a = self.shards[0].lock(); let b = self.shards[3].lock(); }",
+    fn indexed_acquisition_resolves_to_the_receiver() {
+        let ev = body_events(
+            "fn f() { self.shards[0].lock(); shards[i].lock(); shards[i + 1].lock(); }",
         );
-        assert_eq!(
-            ev,
-            vec![
-                ("shards".to_string(), Some("0".to_string())),
-                ("shards".to_string(), Some("3".to_string())),
-            ]
-        );
-    }
-
-    #[test]
-    fn compound_or_variable_index_has_no_constant() {
-        let ev = acquisitions("fn f() { let g = shards[i + 1].lock(); shards[i].lock(); }");
-        assert_eq!(
-            ev,
-            vec![
-                ("shards".to_string(), None),
-                ("shards".to_string(), Some("i".to_string())),
-            ]
-        );
+        let acquired: Vec<&str> = ev.iter().map(|(e, _)| e.as_str()).collect();
+        assert_eq!(acquired, ["acquire:shards"; 3]);
     }
 
     #[test]

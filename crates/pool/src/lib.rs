@@ -322,10 +322,10 @@ impl BufferPool {
 /// cross-shard borrowing during exhaustion cannot leak buffers between
 /// shards.
 ///
-/// The exhaustion fallback scans the remaining shards in ascending
-/// index order, matching the workspace-wide parametric lock discipline;
-/// no two shard locks are ever held at once here (each attempt releases
-/// its locks before the next shard is tried).
+/// The exhaustion fallback visits the remaining shards in ascending
+/// (wrapped) index order. That is a visiting order, not a lock
+/// discipline: no two shard locks are ever held at once (each attempt
+/// releases its lock before the next shard is tried).
 #[derive(Clone)]
 pub struct ShardedPool {
     shards: Arc<[BufferPool]>,

@@ -103,7 +103,6 @@ files = ["src"]
 
 [lock-order]
 order = ["calltable", "shard", "pool"]
-parametric = ["shard"]
 calltable = ["entries"]
 shard = ["shards"]
 pool = ["free"]
@@ -126,9 +125,6 @@ pools = ["pool"]
 allocs = ["alloc"]
 sinks = ["recycle"]
 accounted = ["free", "receive_queue", "retained"]
-
-[publication-labels]
-installed = ["INSTALLED"]
 "#;
 
 #[test]
@@ -321,56 +317,6 @@ fn workspace_config_covers_the_trace_module() {
     let order: Vec<&str> = config.lock_order.iter().map(|c| c.name.as_str()).collect();
     assert_eq!(order, ["calltable", "shard", "pool", "stats", "trace"]);
     assert_eq!(config.lock_order[4].receivers, ["ring"]);
-    assert!(
-        config.lock_order[1].parametric,
-        "the shard class must be declared parametric in lint.toml"
-    );
-}
-
-/// Parametric shard locks must be acquired in ascending index order:
-/// a seeded descending acquisition is a `lock-order` violation, while
-/// the ascending nesting (the work-stealer pattern) passes clean.
-#[test]
-fn binary_flags_descending_shard_acquisition() {
-    let (code, stderr) = run_binary_on(
-        "shard-descending",
-        &[
-            ("lint.toml", FIXTURE_LINT_TOML),
-            (
-                "src/lib.rs",
-                "pub fn f(t: &T) { let a = t.shards[3].lock(); let b = t.shards[1].lock(); \
-                 drop(b); drop(a); }\n",
-            ),
-        ],
-    );
-    assert_eq!(
-        code, 1,
-        "descending shard acquisition should exit 1; stderr:\n{stderr}"
-    );
-    assert!(
-        stderr.contains("lock-order"),
-        "stderr should name `lock-order`:\n{stderr}"
-    );
-    assert!(
-        stderr.contains("ascending index order"),
-        "stderr should explain the parametric discipline:\n{stderr}"
-    );
-
-    let (code, stderr) = run_binary_on(
-        "shard-ascending",
-        &[
-            ("lint.toml", FIXTURE_LINT_TOML),
-            (
-                "src/lib.rs",
-                "pub fn f(t: &T) { let a = t.shards[1].lock(); let b = t.shards[3].lock(); \
-                 drop(b); drop(a); }\n",
-            ),
-        ],
-    );
-    assert_eq!(
-        code, 0,
-        "ascending shard acquisition must pass; stderr:\n{stderr}"
-    );
 }
 
 /// A seeded violation inside a trace-module analog proves the scope is

@@ -1,10 +1,10 @@
-//! Tier-1 home of the four static-vs-dynamic cross-validation gates
+//! Tier-1 home of the three static-vs-dynamic cross-validation gates
 //! (`firefly_check::gates`, docs/CHECKING.md): the live workspace must
 //! pass all of them — the same call `firefly-check verify` makes — and
 //! each gate must reject its seeded inconsistency. Everything runs
 //! in-process on typed values, so no missing tool can skip it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::Path;
 
 use firefly_check::gates;
@@ -15,10 +15,10 @@ use firefly_rpc::witness::TRANSITIONS;
 use firefly_wire::PacketType;
 
 /// `firefly-check verify` on this checkout: lint-clean, every model and
-/// seeded bug as expected, all four gates quiet, and every row of
+/// seeded bug as expected, all three gates quiet, and every row of
 /// protocol.toml observed.
 #[test]
-fn live_workspace_passes_all_four_gates() {
+fn live_workspace_passes_all_three_gates() {
     let mut log = Vec::new();
     let ok =
         gates::verify(Path::new(env!("CARGO_MANIFEST_DIR")), &mut log).expect("walk workspace");
@@ -31,16 +31,11 @@ fn live_workspace_passes_all_four_gates() {
         )),
         "protocol coverage is not {rows}/{rows}:\n{log}"
     );
-    // The evidence the other gates need is really being collected: the
-    // retention model's audit, and the publication edges the race
-    // detector consumes in the install-gate and channel models.
-    for evidence in [
-        "accounting activity-retention: outstanding",
-        "publication class installed: statically paired at INSTALLED",
-        "publication class senders: statically paired at senders",
-    ] {
-        assert!(log.contains(evidence), "missing {evidence:?}:\n{log}");
-    }
+    // The publication gate's evidence is really being collected: the
+    // release->acquire edge the race detector consumes in the channel
+    // model.
+    let evidence = "publication class senders: statically paired at senders";
+    assert!(log.contains(evidence), "missing {evidence:?}:\n{log}");
 }
 
 /// Spec drift, both directions: every `PacketType` the wire crate can
@@ -70,7 +65,6 @@ fn order() -> Vec<LockClass> {
         .map(|name| LockClass {
             name: name.to_string(),
             receivers: Vec::new(),
-            parametric: name == "shard",
         })
         .collect()
 }
@@ -93,17 +87,12 @@ fn edge(from: &str, to: &str) -> (String, String) {
 }
 
 #[test]
-fn lock_gate_accepts_ranked_static_edges_and_ascending_instances() {
+fn lock_gate_accepts_ranked_static_edges() {
     let found = gates::lock_edges(
         &order(),
-        &[
-            static_edge("calltable", "pool"),
-            static_edge("shard[1]", "pool"),
-        ],
+        &[static_edge("calltable", "pool")],
         &set(&[
             edge("calltable", "pool"),
-            edge("shard[0]", "pool"),
-            edge("shard[2]", "shard[3]"),
             edge("src/lib.rs::scratch", "pool"), // unclassified: outside the model
         ]),
     );
@@ -112,24 +101,6 @@ fn lock_gate_accepts_ranked_static_edges_and_ascending_instances() {
         found
             .notes
             .contains(&"static edge calltable -> pool: observed".to_string()),
-        "{found:?}"
-    );
-}
-
-#[test]
-fn lock_gate_rejects_a_descending_index_nesting() {
-    let found = gates::lock_edges(&order(), &[], &set(&[edge("shard[3]", "shard[1]")]));
-    assert_eq!(found.problems.len(), 1, "{found:?}");
-    assert!(
-        found.problems[0].contains("descending index order"),
-        "{found:?}"
-    );
-    // Re-acquiring the held index is not ascending either.
-    assert!(!gates::lock_edges(&order(), &[], &set(&[edge("shard[2]", "shard[2]")])).passed());
-    // And a same-class nesting needs the class declared parametric.
-    let found = gates::lock_edges(&order(), &[], &set(&[edge("pool[0]", "pool[1]")]));
-    assert!(
-        found.problems[0].contains("not declared parametric"),
         "{found:?}"
     );
 }
@@ -155,15 +126,13 @@ fn lock_gate_rejects_an_edge_the_static_graph_lacks() {
     );
 }
 
-/// One paired (and allowlisted) location, reachable from the dynamic
-/// `installed` class through the label map.
-fn static_publications() -> (Vec<(String, Vec<String>)>, Vec<LocationSummary>) {
-    let labels = vec![("installed".to_string(), vec!["INSTALLED".to_string()])];
-    let locations = vec![
+#[test]
+fn publication_gate_pairs_by_name_and_rejects_a_ghost_class() {
+    let locations = [
         LocationSummary {
-            name: "INSTALLED".to_string(),
+            name: "senders".to_string(),
             paired: true,
-            allowlisted: true,
+            allowlisted: false,
         },
         LocationSummary {
             name: "ghost".to_string(), // present, but never proved paired
@@ -171,47 +140,16 @@ fn static_publications() -> (Vec<(String, Vec<String>)>, Vec<LocationSummary>) {
             allowlisted: false,
         },
     ];
-    (labels, locations)
-}
-
-#[test]
-fn publication_gate_pairs_through_the_label_map_and_rejects_a_ghost_class() {
-    let (labels, locations) = static_publications();
-    let found = gates::publications(&labels, &locations, &set(&["installed".to_string()]));
+    let found = gates::publications(&locations, &set(&["senders".to_string()]));
     assert!(found.passed(), "{found:?}");
     assert_eq!(
         found.notes,
-        ["publication class installed: statically paired at INSTALLED"]
+        ["publication class senders: statically paired at senders"]
     );
 
-    let found = gates::publications(&labels, &locations, &set(&["ghost".to_string()]));
+    let found = gates::publications(&locations, &set(&["ghost".to_string()]));
     assert_eq!(found.problems.len(), 1, "{found:?}");
     assert!(found.problems[0].contains("\"ghost\""), "{found:?}");
-}
-
-#[test]
-fn accounting_gate_rejects_drift_and_missing_counters() {
-    let audit = |outstanding, retained| {
-        BTreeMap::from([(
-            "pool",
-            vec![
-                ("outstanding".to_string(), outstanding),
-                ("retained".to_string(), retained),
-            ],
-        )])
-    };
-    assert!(gates::accounting(&audit(1, 1)).passed());
-    assert!(gates::accounting(&BTreeMap::new()).passed());
-    let found = gates::accounting(&audit(2, 1));
-    assert!(found.problems[0].contains("accounting drift"), "{found:?}");
-    let found = gates::accounting(&BTreeMap::from([(
-        "pool",
-        vec![("outstanding".to_string(), 1)],
-    )]));
-    assert!(
-        found.problems[0].contains("missing outstanding/retained"),
-        "{found:?}"
-    );
 }
 
 const DISPATCH: &str = "server-new Call last_fragment -> dispatch";
