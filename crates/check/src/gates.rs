@@ -118,7 +118,11 @@ pub fn publications(locations: &[LocationSummary], observed: &BTreeSet<String>) 
 /// Gate 3: observed protocol transitions against the legal table.
 pub fn protocol(legal: &[&str], observed: &BTreeSet<String>) -> Findings {
     let mut found = Findings::default();
-    for row in observed.iter().filter(|r| !legal.contains(&r.as_str())) {
+    let off_spec: Vec<&String> = observed
+        .iter()
+        .filter(|r| !legal.contains(&r.as_str()))
+        .collect();
+    for row in &off_spec {
         found.problems.push(format!(
             "observed protocol transition not in the spec's legal table: {row:?}"
         ));
@@ -134,10 +138,11 @@ pub fn protocol(legal: &[&str], observed: &BTreeSet<String>) -> Findings {
         ));
     }
     found.notes.push(format!(
-        "{} legal transition(s): {} observed, {} gap(s)",
+        "{} legal transition(s): {} observed, {} gap(s), {} off-spec",
         legal.len(),
         legal.len() - gaps.len(),
-        gaps.len()
+        gaps.len(),
+        off_spec.len()
     ));
     found
 }

@@ -18,8 +18,8 @@
 
 use crate::fragment::{Accepted, Reassembly};
 use crate::packet::{Assembled, Packet};
-use crate::witness::{row, ProtocolWitness};
-use firefly_wire::{ActivityId, PacketFlags, PacketType, RpcHeader};
+use crate::witness::{Action, ProtocolWitness, State};
+use firefly_wire::{ActivityId, PacketType, RpcHeader};
 use firefly_sync::atomic::AtomicUsize;
 use firefly_sync::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -183,30 +183,14 @@ impl CallEntry {
 pub struct CallTable {
     entries: Mutex<HashMap<ActivityId, Arc<CallEntry>>>,
     /// Caller-side protocol-transition witness: which protocol.toml rows
-    /// this table's [`CallTable::deliver`] has taken. Relaxed counters.
-    witness: ProtocolWitness,
+    /// this table's [`CallTable::deliver`] has taken, one for all shards
+    /// of a [`ShardedCallTable`]. Relaxed counters.
+    witness: Arc<ProtocolWitness>,
     /// Waiters parked on entries of this table with nothing delivered
     /// to them: kept by the entries ([`CallEntry::count_parked`], every
     /// delivery), one count for all shards of a [`ShardedCallTable`],
     /// read by the endpoint's [`crate::role::ReceiveRole`].
     parked: Arc<AtomicUsize>,
-}
-
-/// The spec row an orphaned caller-bound packet matches, if its exact
-/// `(type, flags)` shape is one the protocol table names. Shapes the
-/// legal senders never produce (e.g. a malformed fragment index) record
-/// nothing: the witness only reports rows the spec knows.
-fn orphan_row(pkt_type: PacketType, f: PacketFlags) -> Option<usize> {
-    match (pkt_type, f.please_ack, f.last_fragment, f.acks_result, f.call_failed) {
-        (PacketType::Result, false, true, false, false) => Some(row::CALLER_ORPHAN_RESULT_LF_RECYCLE_ORPHAN),
-        (PacketType::Result, false, false, false, false) => Some(row::CALLER_ORPHAN_RESULT_RECYCLE_ORPHAN),
-        (PacketType::Result, true, false, false, false) => Some(row::CALLER_ORPHAN_RESULT_PA_RECYCLE_ORPHAN),
-        (PacketType::Result, false, true, false, true) => Some(row::CALLER_ORPHAN_RESULT_LF_CF_RECYCLE_ORPHAN),
-        (PacketType::Ack, false, true, false, false) => Some(row::CALLER_ORPHAN_ACK_LF_DROP_STRAY),
-        (PacketType::Ack, false, false, false, false) => Some(row::CALLER_ORPHAN_ACK_DROP_STRAY),
-        (PacketType::ProbeResponse, false, true, false, false) => Some(row::CALLER_ORPHAN_PROBE_RESPONSE_LF_DROP_STRAY),
-        _ => None,
-    }
 }
 
 impl CallTable {
@@ -219,11 +203,6 @@ impl CallTable {
     /// [`crate::role::ReceiveRole::new`] to read.
     pub fn parked_counter(&self) -> Arc<AtomicUsize> {
         Arc::clone(&self.parked)
-    }
-
-    /// The protocol-transition witness for this table.
-    pub fn witness(&self) -> &ProtocolWitness {
-        &self.witness
     }
 
     /// Labels the table lock for `firefly-check` with its lint
@@ -265,6 +244,18 @@ impl CallTable {
         self.entries.lock().len()
     }
 
+    /// Hands back a packet nobody waits for: a result to recycle, a
+    /// stray ack or probe response to drop.
+    fn orphan(&self, pkt: Packet) -> Deliver {
+        let action = if pkt.rpc.packet_type == PacketType::Result {
+            Action::RecycleOrphan
+        } else {
+            Action::DropStray
+        };
+        self.witness.record(State::CallerOrphan, &pkt.rpc, action);
+        Deliver::Orphan(pkt)
+    }
+
     /// Routes a caller-bound packet (Result, server→caller Ack, or
     /// ProbeResponse) to its waiting thread and wakes it.
     pub fn deliver(&self, pkt: Packet) -> Deliver {
@@ -276,115 +267,84 @@ impl CallTable {
     /// the packet's activity (it holds the receive role and will look at
     /// its entry next), so there is nobody to signal.
     pub fn deliver_from(&self, pkt: Packet, by_waiter: bool) -> Deliver {
-        let entry = {
-            let entries = self.entries.lock();
-            match entries.get(&pkt.rpc.activity) {
-                Some(e) => Arc::clone(e),
-                None => {
-                    if let Some(r) = orphan_row(pkt.rpc.packet_type, pkt.rpc.flags) {
-                        self.witness.record(r);
-                    }
-                    return Deliver::Orphan(pkt);
-                }
-            }
+        let entry = match self.entries.lock().get(&pkt.rpc.activity) {
+            Some(e) => Arc::clone(e),
+            None => return self.orphan(pkt),
         };
         let mut st = entry.state.lock();
         if pkt.rpc.call_seq != st.seq || st.outcome.is_some() {
             // A late duplicate from an earlier transmission round.
             drop(st);
-            if let Some(r) = orphan_row(pkt.rpc.packet_type, pkt.rpc.flags) {
-                self.witness.record(r);
-            }
-            return Deliver::Orphan(pkt);
+            return self.orphan(pkt);
         }
-        match pkt.rpc.packet_type {
+        let rpc = pkt.rpc;
+        match rpc.packet_type {
             PacketType::Ack | PacketType::ProbeResponse => {
-                let last = pkt.rpc.flags.last_fragment
-                    || pkt.rpc.fragment.saturating_add(1) >= pkt.rpc.fragment_count;
-                st.acked = Some((crate::fragment::held(&pkt.rpc), last));
+                let last =
+                    rpc.flags.last_fragment || rpc.fragment.saturating_add(1) >= rpc.fragment_count;
+                st.acked = Some((crate::fragment::held(&rpc), last));
                 entry.uncount(&mut st);
                 drop(st);
                 if !by_waiter {
                     entry.cond.notify_one();
                 }
-                if pkt.rpc.packet_type == PacketType::ProbeResponse {
-                    self.witness.record(row::CALLER_OPEN_PROBE_RESPONSE_LF_NOTE_ALIVE);
-                } else if pkt.rpc.flags.last_fragment {
-                    self.witness.record(row::CALLER_OPEN_ACK_LF_QUENCH_RETRANSMIT);
-                } else {
-                    self.witness.record(row::CALLER_OPEN_ACK_ADVANCE_FRAGMENT);
-                }
+                let action = match (rpc.packet_type, last) {
+                    (PacketType::ProbeResponse, _) => Action::NoteAlive,
+                    (_, true) => Action::QuenchRetransmit,
+                    (_, false) => Action::AdvanceFragment,
+                };
+                self.witness.record(State::CallerOpen, &rpc, action);
                 Deliver::Accepted
             }
             PacketType::Result => {
-                if pkt.rpc.fragment_count <= 1 {
-                    let flags = pkt.rpc.flags;
-                    st.outcome = Some(Assembled::Single(pkt));
-                    entry.uncount(&mut st);
-                    drop(st);
-                    if !by_waiter {
-                        entry.cond.notify_one();
+                let outcome = if rpc.fragment_count <= 1 {
+                    Assembled::Single(pkt)
+                } else {
+                    // Multi-packet result: buffer the fragment.
+                    let count = rpc.fragment_count;
+                    let (_, reass) = st
+                        .reassembly
+                        .get_or_insert_with(|| (rpc, Reassembly::new(count)));
+                    match reass.accept(rpc.fragment, count, pkt.data()) {
+                        Accepted::Refused => {
+                            drop(st);
+                            return Deliver::Orphan(pkt);
+                        }
+                        Accepted::Buffered => {
+                            // A fragment that asks (a window's edge, one
+                            // sent again) is acked with the prefix held,
+                            // if there is one.
+                            let ack = crate::fragment::prefix_ack(&rpc, reass)
+                                .filter(|_| rpc.flags.please_ack);
+                            drop(st);
+                            let action = match ack {
+                                Some(_) => Action::AssembleAck,
+                                None => Action::Assemble,
+                            };
+                            self.witness.record(State::CallerAssembling, &rpc, action);
+                            return ack.map_or(Deliver::Accepted, Deliver::AcceptedNeedsAck);
+                        }
+                        Accepted::Complete(data) => {
+                            st.reassembly = None;
+                            Assembled::Multi { rpc, data }
+                        }
                     }
-                    if flags.last_fragment && !flags.please_ack {
-                        self.witness.record(if flags.call_failed {
-                            row::CALLER_OPEN_RESULT_LF_CF_FAIL_CALL
-                        } else {
-                            row::CALLER_OPEN_RESULT_LF_COMPLETE_CALL
-                        });
-                    }
-                    return Deliver::Accepted;
-                }
-                // Multi-packet result: buffer the fragment.
-                let rpc = pkt.rpc;
-                let count = rpc.fragment_count;
-                let (_, reass) = st
-                    .reassembly
-                    .get_or_insert_with(|| (rpc, Reassembly::new(count)));
-                let data = match reass.accept(rpc.fragment, count, pkt.data()) {
-                    Accepted::Refused => {
-                        drop(st);
-                        return Deliver::Orphan(pkt);
-                    }
-                    Accepted::Buffered => None,
-                    Accepted::Complete(data) => Some(data),
                 };
-                if let Some(data) = data {
-                    st.reassembly = None;
-                    st.outcome = Some(Assembled::Multi { rpc, data });
-                    entry.uncount(&mut st);
-                    drop(st);
-                    if !by_waiter {
-                        entry.cond.notify_one();
-                    }
-                    // Asking or not, the fragment that completes the
-                    // result is acked by the next call.
-                    let f = rpc.flags;
-                    if let Some(row) = match (f.please_ack, f.last_fragment, f.call_failed) {
-                        (true, true, _) => Some(row::CALLER_OPEN_RESULT_PA_LF_COMPLETE_CALL),
-                        (true, false, _) => Some(row::CALLER_OPEN_RESULT_PA_COMPLETE_CALL),
-                        (false, true, true) => Some(row::CALLER_OPEN_RESULT_LF_CF_FAIL_CALL),
-                        (false, true, false) => Some(row::CALLER_OPEN_RESULT_LF_COMPLETE_CALL),
-                        (false, false, false) => Some(row::CALLER_OPEN_RESULT_COMPLETE_CALL),
-                        // No sender fails a call in a non-final fragment.
-                        (false, false, true) => None,
-                    } {
-                        self.witness.record(row);
-                    }
-                    return Deliver::Accepted;
-                }
-                // A fragment that asks (a window's edge, one sent again)
-                // is acked with the prefix held, if there is one.
-                let ack = crate::fragment::prefix_ack(&rpc, reass).filter(|_| rpc.flags.please_ack);
+                st.outcome = Some(outcome);
+                entry.uncount(&mut st);
                 drop(st);
-                self.witness.record(match (rpc.flags.please_ack, rpc.flags.last_fragment, ack) {
-                    (true, true, Some(_)) => row::CALLER_ASSEMBLING_RESULT_PA_LF_ASSEMBLE_ACK,
-                    (true, true, None) => row::CALLER_ASSEMBLING_RESULT_PA_LF_ASSEMBLE,
-                    (true, false, Some(_)) => row::CALLER_ASSEMBLING_RESULT_PA_ASSEMBLE_ACK,
-                    (true, false, None) => row::CALLER_ASSEMBLING_RESULT_PA_ASSEMBLE,
-                    (false, true, _) => row::CALLER_ASSEMBLING_RESULT_LF_ASSEMBLE,
-                    (false, false, _) => row::CALLER_ASSEMBLING_RESULT_ASSEMBLE,
-                });
-                ack.map_or(Deliver::Accepted, Deliver::AcceptedNeedsAck)
+                if !by_waiter {
+                    entry.cond.notify_one();
+                }
+                // Asking or not, the packet that completes the result is
+                // acked by the next call.
+                let action = if rpc.flags.call_failed {
+                    Action::FailCall
+                } else {
+                    Action::CompleteCall
+                };
+                self.witness.record(State::CallerOpen, &rpc, action);
+                Deliver::Accepted
             }
             PacketType::Call | PacketType::Probe => {
                 // Caller-bound routing never sees these.
@@ -450,9 +410,11 @@ impl ShardedCallTable {
     /// Creates a table with `shards` independent shards (at least one).
     pub fn new(shards: usize) -> ShardedCallTable {
         let parked = Arc::new(AtomicUsize::new(0));
+        let witness = Arc::new(ProtocolWitness::default());
         let shard = || CallTable {
+            entries: Mutex::default(),
+            witness: Arc::clone(&witness),
             parked: Arc::clone(&parked),
-            ..CallTable::default()
         };
         ShardedCallTable {
             shards: (0..shards.max(1)).map(|_| shard()).collect(),
@@ -468,6 +430,11 @@ impl ShardedCallTable {
     /// [`CallTable::parked_counter`]).
     pub fn parked_counter(&self) -> Arc<AtomicUsize> {
         self.shards[0].parked_counter()
+    }
+
+    /// The protocol-transition witness all shards share.
+    pub fn witness(&self) -> &ProtocolWitness {
+        &self.shards[0].witness
     }
 
     /// The shard that owns `activity`.
@@ -513,20 +480,13 @@ impl ShardedCallTable {
     pub fn deliver_from(&self, pkt: Packet, by_waiter: bool) -> Deliver {
         self.shards[shard_for(pkt.rpc.activity, self.shards.len())].deliver_from(pkt, by_waiter)
     }
-
-    /// Unions every shard's protocol-transition witness into `out`.
-    pub fn merge_witnesses(&self, out: &mut std::collections::BTreeSet<&'static str>) {
-        for s in &self.shards {
-            s.witness().merge_into(out);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use firefly_pool::BufferPool;
-    use firefly_wire::{FrameBuilder, PacketFlags, PacketType};
+    use firefly_wire::{FrameBuilder, PacketFlags};
     use std::time::Duration;
 
     fn activity() -> ActivityId {
@@ -775,13 +735,13 @@ mod tests {
         let _ = table.deliver(result_packet(5, &[1], 0, 1, false));
         // A duplicate of the completed result orphans.
         let _ = table.deliver(result_packet(5, &[1], 0, 1, false));
-        let observed = table.witness().observed();
-        assert!(observed.contains(&"caller-open Result last_fragment -> complete-call"));
-        assert!(observed.contains(&"caller-orphan Result last_fragment -> recycle-orphan"));
-        // Every observed row is a spec row by construction.
-        for t in &observed {
-            assert!(crate::witness::TRANSITIONS.contains(t));
-        }
+        assert_eq!(
+            ProtocolWitness::union(&[&table.witness]),
+            [
+                "caller-open Result last_fragment -> complete-call",
+                "caller-orphan Result last_fragment -> recycle-orphan",
+            ]
+        );
     }
 
     #[test]

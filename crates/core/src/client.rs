@@ -44,6 +44,10 @@ struct Slot {
     bufs: RoleBuffers,
 }
 
+/// The address space every activity of an endpoint names: an endpoint
+/// is one address space, and its machine id tells endpoints apart.
+const SPACE_ID: u16 = 1;
+
 /// Pool of activity slots: one per concurrently calling thread.
 ///
 /// Thread ids come from the endpoint-wide allocator so activities are
@@ -52,7 +56,6 @@ struct ActivityPool {
     free: Mutex<Vec<Slot>>,
     shared: Arc<EndpointShared>,
     machine: u32,
-    space: u16,
 }
 
 impl ActivityPool {
@@ -65,7 +68,7 @@ impl ActivityPool {
             .next_thread
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Slot {
-            activity: ActivityId::new(self.machine, self.space, next),
+            activity: ActivityId::new(self.machine, SPACE_ID, next),
             next_seq: 1,
             last_result: None,
             bufs: RoleBuffers::new(),
@@ -103,7 +106,6 @@ impl Client {
     ) -> Client {
         let stubs = CompiledStub::for_interface(&interface);
         let machine = shared.machine_id;
-        let space = shared.space_id;
         Client {
             inner: Arc::new(ClientInner {
                 activities: ActivityPool {
@@ -112,7 +114,6 @@ impl Client {
                     free: Mutex::new(Vec::new()),
                     shared: Arc::clone(&shared),
                     machine,
-                    space,
                 },
                 shared,
                 interface,

@@ -33,8 +33,6 @@ pub struct Config {
     /// Machine identifier carried in activity IDs; must differ between
     /// endpoints that talk to each other.
     pub machine_id: u32,
-    /// Address-space identifier within the machine.
-    pub space_id: u16,
     /// Seed for the endpoint's deterministic RNG (retransmission-backoff
     /// jitter). Fixed by default so test runs are reproducible; vary it
     /// per endpoint to decorrelate retry storms between machines.
@@ -71,7 +69,6 @@ impl Default for Config {
             max_transmissions: 10,
             checksum: true,
             machine_id: 0, // 0 means "derive from the transport address".
-            space_id: 1,
             rng_seed: 0x5eed_f1ef_0001,
             trace: false,
             trace_capacity: crate::trace::DEFAULT_RING_CAPACITY,

@@ -42,7 +42,6 @@ pub(crate) struct EndpointShared {
     pub role: ReceiveRole,
     pub config: Config,
     pub machine_id: u32,
-    pub space_id: u16,
     /// Endpoint-wide activity thread-id allocator: activities must be
     /// unique across every client bound through this endpoint.
     pub next_thread: std::sync::atomic::AtomicU16,
@@ -89,7 +88,6 @@ impl Endpoint {
             calls,
             server,
             machine_id,
-            space_id: config.space_id,
             config,
             next_thread: std::sync::atomic::AtomicU16::new(1),
         });
@@ -233,19 +231,14 @@ impl Endpoint {
     }
 
     /// The distinct protocol.toml transition rows this endpoint has
-    /// taken so far, across its server demux (send-context witness) and
-    /// every caller call-table shard. This is what `firefly-check`'s
-    /// wire scenario reads for the protocol coverage gate.
-    pub fn protocol_transitions(&self) -> Vec<&'static str> {
-        let mut rows = std::collections::BTreeSet::new();
-        self.shared.ctx.witness.merge_into(&mut rows);
-        self.shared.calls.merge_witnesses(&mut rows);
-        // Table order reads better than BTreeSet's lexicographic order.
-        crate::witness::TRANSITIONS
-            .iter()
-            .copied()
-            .filter(|t| rows.contains(t))
-            .collect()
+    /// taken so far, in table order, across its server demux
+    /// (send-context witness) and its call table, followed by the first
+    /// tuple each recorded that is no spec row, rendered like one. This
+    /// is what `firefly-check`'s wire scenario reads for the protocol
+    /// coverage gate.
+    pub fn protocol_transitions(&self) -> Vec<String> {
+        let witnesses = [&self.shared.ctx.witness, self.shared.calls.witness()];
+        crate::witness::ProtocolWitness::union(&witnesses)
     }
 
     /// The server's current estimate of how long procedure `procedure`

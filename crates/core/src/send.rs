@@ -126,7 +126,7 @@ pub(crate) struct SendCtx {
     pub src_ip: Ipv4Addr,
     /// Server-side protocol-transition witness (protocol.toml rows the
     /// demux/server handlers took); the caller-side rows live on the
-    /// call-table shards. Relaxed counters, safe under any lock.
+    /// call table's one witness. Relaxed counters, safe under any lock.
     pub witness: crate::witness::ProtocolWitness,
     ip_ident: AtomicU16,
     combiner: Mutex<Combined>,
@@ -154,7 +154,7 @@ impl SendCtx {
             pool,
             stats,
             tracer: Tracer::new(trace_capacity),
-            witness: crate::witness::ProtocolWitness::new(),
+            witness: crate::witness::ProtocolWitness::default(),
             checksum,
             ip_ident: AtomicU16::new(1),
             combiner: Mutex::new(Combined::default()),

@@ -37,7 +37,7 @@ use crate::service::Service;
 use crate::shard::WorkQueues;
 use crate::stats::RpcStats;
 use crate::trace::{Stamp, TraceRecord};
-use crate::witness::{call_slot, row};
+use crate::witness::{Action, State};
 use crate::{Result, RpcError};
 use firefly_idl::{CompiledStub, Written};
 use firefly_pool::PacketBuf;
@@ -153,27 +153,6 @@ struct ServiceEntry {
     name: String,
     version: u16,
 }
-
-/// The four-row witness groups of a `Call` against a settled activity
-/// slot, indexed by [`call_slot`].
-const DUP_RETAINED_ROWS: [usize; 4] = [
-    row::SERVER_DUP_RETAINED_CALL_LF_RETRANSMIT_RESULT,
-    row::SERVER_DUP_RETAINED_CALL_PA_LF_RETRANSMIT_RESULT,
-    row::SERVER_DUP_RETAINED_CALL_PA_RETRANSMIT_RESULT,
-    row::SERVER_DUP_RETAINED_CALL_RETRANSMIT_RESULT,
-];
-const DUP_RELEASED_ROWS: [usize; 4] = [
-    row::SERVER_DUP_RELEASED_CALL_LF_DROP_DUPLICATE,
-    row::SERVER_DUP_RELEASED_CALL_PA_LF_DROP_DUPLICATE,
-    row::SERVER_DUP_RELEASED_CALL_PA_DROP_DUPLICATE,
-    row::SERVER_DUP_RELEASED_CALL_DROP_DUPLICATE,
-];
-const STALE_ROWS: [usize; 4] = [
-    row::SERVER_STALE_CALL_LF_DROP_STALE,
-    row::SERVER_STALE_CALL_PA_LF_DROP_STALE,
-    row::SERVER_STALE_CALL_PA_DROP_STALE,
-    row::SERVER_STALE_CALL_DROP_STALE,
-];
 
 /// No procedure estimated slower than this runs on the receiving thread,
 /// however expensive a hand-off has been measured to be: the endpoint is
@@ -397,16 +376,6 @@ impl ServerSide {
         }))
     }
 
-    /// The duplicate-group slot of a call's flag shape, or `None` for a
-    /// shape no legal sender produces (stray ack/failed bits on a Call):
-    /// the witness records only rows the spec names.
-    fn call_witness_slot(rpc: &RpcHeader) -> Option<usize> {
-        if rpc.flags.acks_result || rpc.flags.call_failed {
-            return None;
-        }
-        Some(call_slot(rpc.flags.please_ack, rpc.flags.last_fragment))
-    }
-
     /// Interrupt-level handling of an incoming call packet.
     ///
     /// `out` is the receiving thread's own batch, for what it sends;
@@ -426,16 +395,14 @@ impl ServerSide {
         let stats = &self.ctx.stats;
         RpcStats::bump(&stats.calls_received);
         let rpc = pkt.rpc;
-        let slot = Self::call_witness_slot(&rpc);
+        let witness = &self.ctx.witness;
         let act = self.activity(rpc.activity);
         let mut st = act.state.lock();
         st.last_used = Instant::now();
 
         if rpc.call_seq < st.last_seq {
             // A stale call from a past round; drop and recycle.
-            if let Some(s) = slot {
-                self.ctx.witness.record(STALE_ROWS[s]);
-            }
+            witness.record(State::ServerStale, &rpc, Action::DropStale);
             self.recycle(pkt);
             return;
         }
@@ -449,38 +416,27 @@ impl ServerSide {
                 // "the last result packet … must be retained for possible
                 // retransmission": answer the duplicate from it —
                 // mid-transfer, with the first fragment not acknowledged.
-                if let Some(s) = slot {
-                    self.ctx.witness.record(DUP_RETAINED_ROWS[s]);
-                }
+                witness.record(State::ServerDupRetained, &rpc, Action::RetransmitResult);
                 self.transmit(out);
                 RpcStats::bump(&stats.retransmissions);
             } else if executing && rpc.flags.please_ack {
                 // The call is executing; tell the caller to stop
                 // retransmitting: the ack names the whole call.
-                if slot.is_some() {
-                    self.ctx.witness.record(if rpc.flags.last_fragment {
-                        row::SERVER_DUP_EXECUTING_CALL_PA_LF_ACK_EXECUTING
-                    } else {
-                        row::SERVER_DUP_EXECUTING_CALL_PA_ACK_EXECUTING
-                    });
-                }
+                witness.record(State::ServerDupExecuting, &rpc, Action::AckExecuting);
                 let whole = RpcHeader {
                     fragment: rpc.fragment_count.saturating_sub(1),
                     ..RpcHeader::ack_for(&rpc)
                 };
                 let _ = self.ctx.send_ack(&whole, src);
-            } else if let Some(s) = slot {
+            } else {
                 // Dropped without answer: still executing (no ack asked),
                 // or the result was already delivered and released.
-                if executing {
-                    self.ctx.witness.record(if rpc.flags.last_fragment {
-                        row::SERVER_DUP_EXECUTING_CALL_LF_DROP_DUPLICATE
-                    } else {
-                        row::SERVER_DUP_EXECUTING_CALL_DROP_DUPLICATE
-                    });
+                let state = if executing {
+                    State::ServerDupExecuting
                 } else {
-                    self.ctx.witness.record(DUP_RELEASED_ROWS[s]);
-                }
+                    State::ServerDupReleased
+                };
+                witness.record(state, &rpc, Action::DropDuplicate);
             }
             self.recycle(pkt);
             return;
@@ -506,51 +462,29 @@ impl ServerSide {
             // Only a fragment that asks is acked — after the activity
             // guard drops, since the ack hits the wire — with the prefix
             // held, if there is one. The Result acks a whole call.
-            let (pa, lf) = (rpc.flags.please_ack, rpc.flags.last_fragment);
-            let ack = crate::fragment::prefix_ack(&rpc, reass).filter(|_| pa);
+            let ack = crate::fragment::prefix_ack(&rpc, reass).filter(|_| rpc.flags.please_ack);
             let Accepted::Complete(data) = accepted else {
-                if slot.is_some() {
-                    self.ctx.witness.record(match (pa, lf, ack.is_some()) {
-                        (false, false, _) => row::SERVER_NEW_CALL_ASSEMBLE,
-                        (true, false, true) => row::SERVER_NEW_CALL_PA_ASSEMBLE_ACK,
-                        (true, false, false) => row::SERVER_NEW_CALL_PA_ASSEMBLE,
-                        (false, true, _) => row::SERVER_NEW_CALL_LF_ASSEMBLE,
-                        (true, true, true) => row::SERVER_NEW_CALL_PA_LF_ASSEMBLE_ACK,
-                        (true, true, false) => row::SERVER_NEW_CALL_PA_LF_ASSEMBLE,
-                    });
-                }
                 drop(st);
                 if let Some(ack) = ack {
+                    witness.record(State::ServerNew, &rpc, Action::AssembleAck);
                     let _ = self.ctx.send_ack(&ack, src);
+                } else {
+                    witness.record(State::ServerNew, &rpc, Action::Assemble);
                 }
                 self.recycle(pkt);
                 return;
             };
             st.reassembly = None;
-            if slot.is_some() {
-                self.ctx.witness.record(match (pa, lf) {
-                    (true, false) => row::SERVER_NEW_CALL_PA_DISPATCH,
-                    (false, false) => row::SERVER_NEW_CALL_DISPATCH,
-                    (true, true) => row::SERVER_NEW_CALL_PA_LF_DISPATCH,
-                    (false, true) => row::SERVER_NEW_CALL_LF_DISPATCH,
-                });
-            }
             self.begin_call(&mut st, rpc.call_seq);
             drop(st);
             self.recycle(pkt);
             Assembled::Multi { rpc, data }
         } else {
-            if slot.is_some() && rpc.flags.last_fragment {
-                self.ctx.witness.record(if rpc.flags.please_ack {
-                    row::SERVER_NEW_CALL_PA_LF_DISPATCH
-                } else {
-                    row::SERVER_NEW_CALL_LF_DISPATCH
-                });
-            }
             self.begin_call(&mut st, rpc.call_seq);
             drop(st);
             Assembled::Single(pkt)
         };
+        witness.record(State::ServerNew, &rpc, Action::Dispatch);
         if inline && self.runs_inline(&rpc) {
             // Never block the receiver for a buffer: a dry pool sends the
             // call round by the workers, which may wait.
@@ -612,17 +546,7 @@ impl ServerSide {
     /// caller where the hole is; the call is unknown — stay silent and
     /// let the caller's transmission budget expire.
     pub(crate) fn handle_probe(&self, rpc: &RpcHeader, src: SocketAddr, out: &mut Batch) {
-        // Probes on the wire carry exactly last-fragment; the witness
-        // records only that spec shape.
-        let spec_probe = rpc.flags.last_fragment
-            && !rpc.flags.please_ack
-            && !rpc.flags.acks_result
-            && !rpc.flags.call_failed;
-        let record = |row| {
-            if spec_probe {
-                self.ctx.witness.record(row);
-            }
-        };
+        let record = |state, action| self.ctx.witness.record(state, rpc, action);
         let act = self.activity(rpc.activity);
         let st = act.state.lock();
         if st.last_seq != rpc.call_seq {
@@ -632,12 +556,12 @@ impl ServerSide {
             };
             drop(st);
             match ack {
-                Some(None) => record(row::SERVER_ASSEMBLING_PROBE_LF_DROP_SILENT),
+                Some(None) => record(State::ServerAssembling, Action::DropSilent),
                 Some(Some(ack)) => {
-                    record(row::SERVER_ASSEMBLING_PROBE_LF_ACK_PREFIX);
+                    record(State::ServerAssembling, Action::AckPrefix);
                     let _ = self.ctx.send_ack(&ack, src);
                 }
-                None => record(row::SERVER_UNKNOWN_PROBE_LF_DROP_SILENT),
+                None => record(State::ServerUnknown, Action::DropSilent),
             }
             return;
         }
@@ -645,14 +569,14 @@ impl ServerSide {
         let executing = st.in_progress;
         drop(st);
         if resent {
-            record(row::SERVER_RETAINED_PROBE_LF_RETRANSMIT_RESULT);
+            record(State::ServerRetained, Action::RetransmitResult);
             self.transmit(out);
             RpcStats::bump(&self.ctx.stats.retransmissions);
             RpcStats::bump(&self.ctx.stats.probes_answered);
             return;
         }
         if executing {
-            record(row::SERVER_EXECUTING_PROBE_LF_PROBE_RESPONSE);
+            record(State::ServerExecuting, Action::ProbeResponse);
             let response = RpcHeader {
                 packet_type: PacketType::ProbeResponse,
                 data_len: 0,
@@ -665,7 +589,7 @@ impl ServerSide {
         } else {
             // Result delivered and released: stay silent (the caller's
             // next call starts a fresh round).
-            record(row::SERVER_RELEASED_PROBE_LF_DROP_SILENT);
+            record(State::ServerReleased, Action::DropSilent);
         }
     }
 
@@ -680,31 +604,16 @@ impl ServerSide {
     /// it.
     pub(crate) fn handle_result_ack(&self, rpc: &RpcHeader, src: SocketAddr, out: &mut Batch) {
         RpcStats::bump(&self.ctx.stats.acks_received);
-        // Caller result-acks carry acks-result, optionally with
-        // last-fragment for the final (releasing) ack; anything else is
-        // off-spec and goes unrecorded.
-        let spec_ack = rpc.packet_type == PacketType::Ack
-            && rpc.flags.acks_result
-            && !rpc.flags.please_ack
-            && !rpc.flags.call_failed;
-        let record = |row| {
-            if spec_ack {
-                self.ctx.witness.record(row);
-            }
-        };
+        let record = |state, action| self.ctx.witness.record(state, rpc, action);
         let act = self.activity(rpc.activity);
         let mut st = act.state.lock();
         if rpc.call_seq != st.last_seq {
-            record(if rpc.flags.last_fragment {
-                row::SERVER_UNKNOWN_ACK_LF_AR_DROP_STALE
-            } else {
-                row::SERVER_UNKNOWN_ACK_AR_DROP_STALE
-            });
+            record(State::ServerUnknown, Action::DropStale);
             return;
         }
         if rpc.flags.last_fragment {
             // Explicit ack of the complete result: release retention.
-            record(row::SERVER_KNOWN_ACK_LF_AR_RELEASE_RETAINED);
+            record(State::ServerKnown, Action::ReleaseRetained);
             if let Retained::Pooled(buf) = std::mem::replace(&mut st.retained, Retained::None) {
                 buf.recycle();
                 RpcStats::bump(&self.ctx.stats.buffers_recycled);
@@ -714,13 +623,13 @@ impl ServerSide {
         // An ack for a single-packet result is as stale as one of another
         // call: it moves nothing.
         let Retained::Transfer(t) = &mut st.retained else {
-            record(row::SERVER_UNKNOWN_ACK_AR_DROP_STALE);
+            record(State::ServerUnknown, Action::DropStale);
             return;
         };
         match t.window.ack(crate::fragment::held(rpc)) {
             Acked::Open => {
                 drop(st);
-                record(row::SERVER_KNOWN_ACK_AR_ADVANCE_FRAGMENT);
+                record(State::ServerKnown, Action::AdvanceFragment);
                 self.send_window(&act, src, out);
             }
             Acked::Hole(index) => {
@@ -728,13 +637,13 @@ impl ServerSide {
                 // next hole is.
                 let queued = t.encode(&self.ctx, out, src, index, true).is_ok();
                 drop(st);
-                record(row::SERVER_KNOWN_ACK_AR_RESEND_HOLE);
+                record(State::ServerKnown, Action::ResendHole);
                 if queued {
                     self.transmit(out);
                     RpcStats::bump(&self.ctx.stats.retransmissions);
                 }
             }
-            Acked::Stale => record(row::SERVER_UNKNOWN_ACK_AR_DROP_STALE),
+            Acked::Stale => record(State::ServerUnknown, Action::DropStale),
         }
     }
 

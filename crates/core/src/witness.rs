@@ -1,101 +1,116 @@
 //! Protocol-transition witness: the runtime half of protocol.toml.
 //!
 //! Every receive-side dispatch decision in the endpoint (server
-//! demultiplexer, caller call table) records the `(state, packet-type,
-//! flags) -> action` row it just took. The rows are the spec's
-//! `[transitions].legal` table itself: build.rs generates
-//! [`TRANSITIONS`] and the [`row`] indices from protocol.toml, so there
-//! is no second copy to drift. `firefly-check verify` reads which rows
-//! its models and wire scenario drove and fails on any observed
-//! transition the spec does not allow and on any spec row nothing
-//! exercises (docs/CHECKING.md, "Static-vs-dynamic gates").
+//! demultiplexer, caller call table) records the state it found, the
+//! packet and the action it took; the packet's type and flags come from
+//! its header, so no site works out a row itself. build.rs generates the
+//! [`State`] and [`Action`] tokens, [`TRANSITIONS`] and the [`row`]
+//! lookup from protocol.toml, so there is no second copy to drift. A
+//! tuple the spec has no row for is kept too, and reported rendered as
+//! one. `firefly-check verify` reads which transitions its wire scenario
+//! and caller drill drove and fails on any the spec does not allow and on
+//! any spec row nothing exercises (docs/CHECKING.md, "Static-vs-dynamic
+//! gates").
 //!
-//! Only *seen / not seen* is recorded: one relaxed load per packet, and
-//! one relaxed store the first time a row fires. The cells are shared
-//! by the receiver, every worker and every caller, so a row that has
-//! already fired must not dirty its cache line again. Deliberately free
-//! of locks, so recording can sit inside lock-held regions without
-//! entering the lint lock graph.
+//! Only *seen / not seen* is recorded: one lookup and one relaxed load
+//! per packet, and one relaxed store the first time a row fires. The
+//! cells are shared by the receiver, every worker and every caller, so a
+//! row that has already fired must not dirty its cache line again.
+//! Deliberately free of locks, so recording can sit inside lock-held
+//! regions without entering the lint lock graph.
 
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use firefly_wire::{PacketFlags, PacketType, RpcHeader};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
-// `TRANSITIONS` (the legal table, in protocol.toml order) and the
-// `row::*` indices, generated from protocol.toml by build.rs.
+// `TRANSITIONS`, `State`, `Action`, `ROWS` and `row`, generated from
+// protocol.toml by build.rs.
 include!(concat!(env!("OUT_DIR"), "/protocol_rows.rs"));
 
-/// Slot of a `Call`'s flag shape inside a four-row duplicate group
-/// (retained / released / stale; `server.rs` holds the groups):
-/// `last_fragment` 0, `please_ack + last_fragment` 1, `please_ack` 2,
-/// bare 3.
-pub fn call_slot(please_ack: bool, last_fragment: bool) -> usize {
-    match (please_ack, last_fragment) {
-        (false, true) => 0,
-        (true, true) => 1,
-        (true, false) => 2,
-        (false, false) => 3,
-    }
-}
-
-/// Which spec rows this component has taken.
+/// Which spec rows this component has taken, and the first tuple it
+/// recorded that is no row.
 pub struct ProtocolWitness {
     seen: [AtomicBool; TRANSITIONS.len()],
+    /// The first off-spec tuple as the bytes `[state, type, flags,
+    /// action]`; 0 until there is one (no packet type is 0 on the wire).
+    off_spec: AtomicU32,
 }
 
 impl Default for ProtocolWitness {
     fn default() -> Self {
-        ProtocolWitness { seen: std::array::from_fn(|_| AtomicBool::new(false)) }
+        ProtocolWitness {
+            seen: std::array::from_fn(|_| AtomicBool::new(false)),
+            off_spec: AtomicU32::new(0),
+        }
     }
 }
 
 impl std::fmt::Debug for ProtocolWitness {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProtocolWitness").field("observed", &self.observed()).finish()
+        f.debug_struct("ProtocolWitness")
+            .field("transitions", &Self::union(&[self]))
+            .finish()
     }
 }
 
+/// `state Type flags -> action`, the way protocol.toml spells a row.
+fn render(state: State, ty: PacketType, flags: PacketFlags, action: Action) -> String {
+    [
+        state.name(),
+        ty.name(),
+        &flags.canonical(),
+        "->",
+        action.name(),
+    ]
+    .join(" ")
+}
+
 impl ProtocolWitness {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one traversal of a spec row. Out-of-range rows are a
-    /// programming error at the instrumentation site.
-    pub fn record(&self, row: usize) {
-        let seen = &self.seen[row];
-        if !seen.load(Ordering::Relaxed) {
-            seen.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Record a row by its canonical spec string. Returns false (and
-    /// records nothing) for a string not in the table, which keeps
-    /// harness annotations an exact subset of the spec instead of
-    /// silently inventing transitions — callers assert on the result.
-    #[must_use]
-    pub fn record_named(&self, name: &str) -> bool {
-        match TRANSITIONS.iter().position(|t| *t == name) {
+    /// Records that a packet with header `rpc`, found in `state`, was
+    /// handled by `action`.
+    #[inline]
+    pub fn record(&self, state: State, rpc: &RpcHeader, action: Action) {
+        match row(state, rpc.packet_type, rpc.flags, action) {
             Some(row) => {
-                self.record(row);
-                true
+                let seen = &self.seen[row];
+                if !seen.load(Ordering::Relaxed) {
+                    seen.store(true, Ordering::Relaxed);
+                }
             }
-            None => false,
+            None => {
+                let first = &self.off_spec;
+                if first.load(Ordering::Relaxed) == 0 {
+                    let ty = rpc.packet_type as u8;
+                    let word =
+                        u32::from_le_bytes([state as u8, ty, rpc.flags.to_u8(), action as u8]);
+                    let _ = first.compare_exchange(0, word, Ordering::Relaxed, Ordering::Relaxed);
+                }
+            }
         }
     }
 
-    /// The distinct spec rows taken so far, in table order.
-    pub fn observed(&self) -> Vec<&'static str> {
-        self.seen
-            .iter()
-            .zip(TRANSITIONS)
-            .filter(|(seen, _)| seen.load(Ordering::Relaxed))
-            .map(|(_, row)| row)
-            .collect()
+    /// The first recorded tuple the spec has no row for, rendered like
+    /// one.
+    pub fn off_spec(&self) -> Option<String> {
+        let [state, ty, flags, action] = self.off_spec.load(Ordering::Relaxed).to_le_bytes();
+        let ty = PacketType::from_u8(ty).ok()?;
+        Some(render(
+            State::ALL[usize::from(state)],
+            ty,
+            PacketFlags::from_u8(flags),
+            Action::ALL[usize::from(action)],
+        ))
     }
 
-    /// Union this witness's observations into a shared set.
-    pub fn merge_into(&self, out: &mut BTreeSet<&'static str>) {
-        out.extend(self.observed());
+    /// Every transition `witnesses` took: the rows any of them saw, in
+    /// table order, then each one's off-spec tuple.
+    pub fn union(witnesses: &[&ProtocolWitness]) -> Vec<String> {
+        let rows = TRANSITIONS
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| witnesses.iter().any(|w| w.seen[i].load(Ordering::Relaxed)))
+            .map(|(_, row)| row.to_string());
+        rows.chain(witnesses.iter().filter_map(|w| w.off_spec()))
+            .collect()
     }
 }
 
@@ -103,61 +118,35 @@ impl ProtocolWitness {
 mod tests {
     use super::*;
 
-    #[test]
-    fn rows_are_distinct() {
-        let mut set = BTreeSet::new();
-        for t in TRANSITIONS {
-            assert!(set.insert(t), "duplicate spec row {t:?}");
+    fn header(packet_type: PacketType, flags: PacketFlags) -> RpcHeader {
+        RpcHeader {
+            packet_type,
+            flags,
+            ..RpcHeader::call(Default::default(), 1, 0, 0, 0, 0)
         }
     }
 
     #[test]
-    fn generated_indices_name_their_rows() {
-        assert_eq!(
-            TRANSITIONS[row::SERVER_NEW_CALL_LF_DISPATCH],
-            "server-new Call last_fragment -> dispatch"
-        );
-        assert_eq!(
-            TRANSITIONS[row::CALLER_ORPHAN_PROBE_RESPONSE_LF_DROP_STRAY],
-            "caller-orphan ProbeResponse last_fragment -> drop-stray"
-        );
-        assert_eq!(
-            TRANSITIONS[row::SERVER_UNKNOWN_ACK_LF_AR_DROP_STALE],
-            "server-unknown Ack last_fragment+acks_result -> drop-stale"
-        );
-        assert_eq!(
-            TRANSITIONS[row::CALLER_ASSEMBLING_RESULT_PA_ASSEMBLE_ACK],
-            "caller-assembling Result please_ack -> assemble-ack"
-        );
-    }
-
-    #[test]
-    fn record_named_round_trips_every_row() {
-        let w = ProtocolWitness::new();
-        for t in TRANSITIONS {
-            assert!(w.record_named(t), "{t:?} not accepted");
-            assert!(w.record_named(t), "a second traversal is still a legal row");
+    fn every_row_looks_up_to_its_index_renders_back_and_is_recorded() {
+        let w = ProtocolWitness::default();
+        for (i, &(state, ty, flags, action)) in ROWS.iter().enumerate() {
+            assert_eq!(row(state, ty, flags, action), Some(i), "{}", TRANSITIONS[i]);
+            assert_eq!(render(state, ty, flags, action), TRANSITIONS[i]);
+            w.record(state, &header(ty, flags), action);
         }
-        assert_eq!(w.observed(), TRANSITIONS);
+        assert_eq!(ProtocolWitness::union(&[&w]), TRANSITIONS);
     }
 
     #[test]
-    fn call_slot_covers_all_shapes() {
-        let rows: BTreeSet<usize> = [
-            call_slot(false, true),
-            call_slot(true, true),
-            call_slot(true, false),
-            call_slot(false, false),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(rows, (0..4).collect());
-    }
-
-    #[test]
-    fn record_named_rejects_unknown_rows() {
-        let w = ProtocolWitness::new();
-        assert!(!w.record_named("server-new Call - -> explode"));
-        assert!(w.observed().is_empty());
+    fn the_first_off_spec_tuple_is_kept_and_reported() {
+        let w = ProtocolWitness::default();
+        let mut failed = RpcHeader::call(Default::default(), 1, 0, 0, 0, 0);
+        failed.flags.call_failed = true;
+        w.record(State::ServerNew, &failed, Action::Dispatch);
+        failed.packet_type = PacketType::Probe;
+        w.record(State::CallerOrphan, &failed, Action::DropStray);
+        let first = "server-new Call last_fragment+call_failed -> dispatch";
+        assert_eq!(w.off_spec().as_deref(), Some(first));
+        assert_eq!(ProtocolWitness::union(&[&w, &ProtocolWitness::default()]), [first]);
     }
 }

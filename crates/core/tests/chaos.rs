@@ -4,6 +4,7 @@
 use firefly_idl::{parse_interface, Value};
 use firefly_propcheck::{check, prop_assert, prop_assert_eq};
 use firefly_rpc::transport::{FaultPlan, LoopbackNet};
+use firefly_rpc::witness::TRANSITIONS;
 use firefly_rpc::{Config, Endpoint, ServiceBuilder};
 use std::time::Duration;
 
@@ -274,13 +275,18 @@ fn garbage_frames_are_counted_dropped_and_harmless() {
     }
     assert_eq!(server.stats().validation_drops(), 0);
 
-    // Whatever rows the endpoints took, each is a declared spec row —
-    // the exporter filters through the table, so an out-of-table row
-    // can only mean a recording bug; the dispatch row must be present.
-    let observed = server.protocol_transitions();
-    assert!(observed.contains(&"server-new Call last_fragment -> dispatch"));
-    let caller_rows = caller.protocol_transitions();
-    assert!(caller_rows.contains(&"caller-open Result last_fragment -> complete-call"));
+    // Whatever the endpoints took, each is a spec row — a bad type never
+    // reaches a witness, and a stray probe response is an orphan row —
+    // and the dispatch rows are among them.
+    for (endpoint, dispatch) in [
+        (&server, "server-new Call last_fragment -> dispatch"),
+        (&caller, "caller-open Result last_fragment -> complete-call"),
+    ] {
+        let taken = endpoint.protocol_transitions();
+        let legal = |t: &String| TRANSITIONS.contains(&t.as_str());
+        assert!(taken.iter().all(legal), "{taken:?}");
+        assert!(taken.iter().any(|t| t == dispatch), "{taken:?}");
+    }
 }
 
 /// Tracing stays truthful under chaos: fragmented calls through loss and

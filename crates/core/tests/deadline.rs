@@ -36,14 +36,18 @@ fn slow_pair() -> (
 #[test]
 fn deadline_expires_on_a_slow_server() {
     let (_server, _caller, client) = slow_pair();
+    let nap = Duration::from_secs(2);
     let start = std::time::Instant::now();
+    let args = [Value::Integer(nap.as_millis() as i32)];
     let err = client
-        .call_with_deadline("Nap", &[Value::Integer(2000)], Duration::from_millis(80))
+        .call_with_deadline("Nap", &args, Duration::from_millis(80))
         .expect_err("deadline must fire");
     assert!(matches!(err, RpcError::DeadlineExceeded), "{err}");
+    // The bound only tells "the 80 ms deadline fired" from "the call
+    // waited the nap out", so a stalled host cannot trip it.
     assert!(
-        start.elapsed() < Duration::from_millis(600),
-        "deadline was not enforced promptly: {:?}",
+        start.elapsed() < nap / 2,
+        "the call waited the nap out: {:?}",
         start.elapsed()
     );
 }

@@ -467,6 +467,7 @@ fn an_ack_moves_the_transfer_only_by_what_it_names() {
     let (probe, _napping) = probe(false);
     serve(&server, &probe);
     let raw = RawCaller::new(&net, 9, &server);
+    let taken = |row: &str| server.protocol_transitions().iter().any(|t| t == row);
     let stale = "server-unknown Ack acks_result -> drop-stale";
     let advance = "server-known Ack acks_result -> advance-fragment";
     let hole = "server-known Ack acks_result -> resend-hole";
@@ -477,8 +478,8 @@ fn an_ack_moves_the_transfer_only_by_what_it_names() {
     let first_edge = raw.next_window(0);
     raw.ack(&first_edge);
     let second_edge = raw.next_window(WINDOW);
-    assert!(server.protocol_transitions().contains(&advance));
-    assert!(!server.protocol_transitions().contains(&stale));
+    assert!(taken(advance));
+    assert!(!taken(stale));
     let sent = server.stats().fragments_sent();
 
     // A copy of the ack that opened this window, one naming less (a late
@@ -491,7 +492,7 @@ fn an_ack_moves_the_transfer_only_by_what_it_names() {
     assert!(raw.next_result(QUIET).is_none(), "a stale ack moved the transfer");
     assert_eq!(server.stats().fragments_sent(), sent);
     assert_eq!(server.stats().acks_received(), 5);
-    assert!(server.protocol_transitions().contains(&stale));
+    assert!(taken(stale));
 
     // One that stops short of what was sent names a hole: that fragment,
     // and only it, comes again, asking — once, however many copies of the
@@ -503,7 +504,7 @@ fn an_ack_moves_the_transfer_only_by_what_it_names() {
     assert_eq!((again.fragment, again.flags.please_ack), (WINDOW + 2, true));
     assert!(raw.next_result(QUIET).is_none(), "more than the hole came again");
     assert_eq!(server.stats().retransmissions(), 1);
-    assert!(server.protocol_transitions().contains(&hole));
+    assert!(taken(hole));
 
     // The ack of everything sent opens the last window.
     raw.ack(&second_edge);
@@ -519,9 +520,12 @@ fn a_call_made_by_service_code_on_the_receiving_thread_gets_its_result() {
     // trusted, and then calls `Work` on a third endpoint through the
     // middle one: its receiving thread now waits for a result only it
     // can receive. (That sample may cost `Relay` its trust; either way
-    // no call may wait for a retransmission.)
+    // no call may wait for a retransmission.) The retransmission counts
+    // are the guard; the wall-clock bound only says "did not hang", so
+    // it sits far above any scheduling stall, as in
+    // `four_callers_sharing_one_role_strand_no_result`.
     let cfg = Config {
-        retransmit_initial: Duration::from_millis(400),
+        retransmit_initial: Duration::from_secs(10),
         ..Config::default()
     };
     let net = LoopbackNet::new();

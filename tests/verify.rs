@@ -11,8 +11,8 @@ use firefly_check::gates;
 use firefly_lint::config::LockClass;
 use firefly_lint::dataflow::LocationSummary;
 use firefly_lint::lockgraph::LockEdge;
-use firefly_rpc::witness::TRANSITIONS;
-use firefly_wire::PacketType;
+use firefly_rpc::witness::{Action, ProtocolWitness, State, TRANSITIONS};
+use firefly_wire::{ActivityId, PacketType, RpcHeader};
 
 /// `firefly-check verify` on this checkout: lint-clean, every model and
 /// seeded bug as expected, all three gates quiet, and every row of
@@ -27,7 +27,7 @@ fn live_workspace_passes_all_three_gates() {
     let rows = TRANSITIONS.len();
     assert!(
         log.contains(&format!(
-            "{rows} legal transition(s): {rows} observed, 0 gap(s)"
+            "{rows} legal transition(s): {rows} observed, 0 gap(s), 0 off-spec"
         )),
         "protocol coverage is not {rows}/{rows}:\n{log}"
     );
@@ -167,7 +167,10 @@ fn protocol_gate(observed: &[&str]) -> gates::Findings {
 fn protocol_gate_accepts_exactly_the_legal_rows() {
     let found = protocol_gate(&[DISPATCH, DROP_STALE]);
     assert!(found.passed(), "{found:?}");
-    assert_eq!(found.notes, ["2 legal transition(s): 2 observed, 0 gap(s)"]);
+    assert_eq!(
+        found.notes,
+        ["2 legal transition(s): 2 observed, 0 gap(s), 0 off-spec"]
+    );
 }
 
 #[test]
@@ -183,4 +186,25 @@ fn protocol_gate_rejects_illegal_rows_and_gaps() {
     let found = protocol_gate(&[DISPATCH]);
     assert_eq!(found.problems.len(), 1, "{found:?}");
     assert!(found.problems[0].contains("coverage gap"), "{found:?}");
+}
+
+/// A shape no row names, recorded by a real witness, reaches the gate
+/// rendered like a row, and the gate rejects it by that name.
+#[test]
+fn protocol_gate_rejects_an_off_spec_shape_a_witness_recorded() {
+    let witness = ProtocolWitness::default();
+    let mut call = RpcHeader::call(ActivityId::new(1, 1, 1), 1, 0, 0, 0, 0);
+    witness.record(State::ServerNew, &call, Action::Dispatch);
+    call.flags.acks_result = true;
+    witness.record(State::ServerNew, &call, Action::Dispatch);
+
+    let observed = ProtocolWitness::union(&[&witness]).into_iter().collect();
+    let found = gates::protocol(&[DISPATCH], &observed);
+    let shape = "server-new Call last_fragment+acks_result -> dispatch";
+    assert_eq!(found.problems.len(), 1, "{found:?}");
+    assert!(found.problems[0].contains(shape), "{found:?}");
+    assert_eq!(
+        found.notes,
+        ["1 legal transition(s): 1 observed, 0 gap(s), 1 off-spec"]
+    );
 }
