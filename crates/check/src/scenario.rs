@@ -30,9 +30,9 @@
 //! await the result.
 
 use firefly_pool::BufferPool;
-use firefly_rpc::calltable::{Deliver, ShardedCallTable};
+use firefly_rpc::calltable::{Deliver, Delivered, ShardedCallTable};
 use firefly_rpc::fragment::WINDOW;
-use firefly_rpc::packet::Packet;
+use firefly_rpc::packet::{Fragment, Packet};
 use firefly_rpc::transport::{LoopbackNet, Transport};
 use firefly_rpc::witness::{ProtocolWitness, TRANSITIONS};
 use firefly_rpc::{Config, Endpoint, ServiceBuilder};
@@ -62,11 +62,11 @@ fn drill_body(ty: PacketType, (index, count): (u16, u16)) -> &'static [u8] {
     }
 }
 
-/// Builds a pool-backed packet of the given type and shape. The drills
-/// only craft shapes the spec names, so parse failures are panics, not
+/// Builds a frame of the given type and shape. The drills only craft
+/// shapes the spec names, so build and parse failures are panics, not
 /// scenario outcomes.
-fn drill_packet(pool: &BufferPool, ty: PacketType, act: ActivityId, seq: u32, s: Shape) -> Packet {
-    let frame = FrameBuilder::new(ty)
+fn drill_frame(ty: PacketType, act: ActivityId, seq: u32, s: Shape) -> Vec<u8> {
+    FrameBuilder::new(ty)
         .activity(act)
         .call_seq(seq)
         .fragment(s.lf_frag.0, s.lf_frag.1)
@@ -74,10 +74,27 @@ fn drill_packet(pool: &BufferPool, ty: PacketType, act: ActivityId, seq: u32, s:
         .acks_result(s.ar)
         .call_failed(s.cf)
         .build(drill_body(ty, s.lf_frag))
-        .expect("drill frame");
+        .expect("drill frame")
+        .into_bytes()
+}
+
+/// A pool-backed packet of the given type and shape.
+fn drill_packet(pool: &BufferPool, ty: PacketType, act: ActivityId, seq: u32, s: Shape) -> Packet {
     let mut buf = pool.alloc().expect("drill pool");
-    buf.fill_from(frame.bytes());
+    buf.fill_from(&drill_frame(ty, act, seq, s));
     Packet::from_buf(buf).expect("drill packet")
+}
+
+/// Delivers a result fragment of the given shape, as the receiving thread
+/// does — a run of one, read where it landed — and says what became of
+/// it.
+fn drill_fragment(table: &ShardedCallTable, act: ActivityId, seq: u32, s: Shape) -> Delivered {
+    let frame = drill_frame(PacketType::Result, act, seq, s);
+    let view = FrameView::parse(&frame).expect("drill fragment");
+    let fragment = Fragment::of(&view).expect("a fragment of a multi-packet result");
+    let mut took = None;
+    table.deliver_fragments(&[fragment], false, |d| took = Some(d));
+    took.expect("one outcome for one fragment")
 }
 
 /// Walks a real [`ShardedCallTable`] through every caller-side spec row
@@ -116,38 +133,30 @@ pub fn caller_transitions() -> Vec<String> {
     // Early final fragment (assemble), then a please-ack non-final
     // completes: complete-call, unacked (the next call acks it).
     open.push(table.register(act(3), 1));
-    let pkt = drill_packet(&pool, PacketType::Result, act(3), 1, frag(1, 2, false));
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
-    let pkt = drill_packet(&pool, PacketType::Result, act(3), 1, frag(0, 2, true));
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
+    assert_eq!(drill_fragment(&table, act(3), 1, frag(1, 2, false)), Delivered::Accepted);
+    assert_eq!(drill_fragment(&table, act(3), 1, frag(0, 2, true)), Delivered::Accepted);
 
     // Non-final first, not asking (assemble), then a please-ack final
     // completes: complete-call with last-fragment, unacked too.
     open.push(table.register(act(4), 1));
-    let pkt = drill_packet(&pool, PacketType::Result, act(4), 1, frag(0, 2, false));
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
-    let pkt = drill_packet(&pool, PacketType::Result, act(4), 1, frag(1, 2, true));
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
+    assert_eq!(drill_fragment(&table, act(4), 1, frag(0, 2, false)), Delivered::Accepted);
+    assert_eq!(drill_fragment(&table, act(4), 1, frag(1, 2, true)), Delivered::Accepted);
 
     // Still-assembling shapes with please-ack and a prefix to name:
     // non-final and reordered final (three fragments, so neither
     // delivery completes).
     open.push(table.register(act(5), 1));
-    let pkt = drill_packet(&pool, PacketType::Result, act(5), 1, frag(0, 3, true));
-    assert!(matches!(table.deliver(pkt), Deliver::AcceptedNeedsAck(_)));
-    let pkt = drill_packet(&pool, PacketType::Result, act(5), 1, frag(2, 3, true));
-    assert!(matches!(table.deliver(pkt), Deliver::AcceptedNeedsAck(_)));
+    let asked = |d| matches!(d, Delivered::AcceptedNeedsAck(_));
+    assert!(asked(drill_fragment(&table, act(5), 1, frag(0, 3, true))));
+    assert!(asked(drill_fragment(&table, act(5), 1, frag(2, 3, true))));
 
     // The same two while fragment 0 is the hole: nothing to name, no
     // ack. Then fragment 0, not asking, fills it: complete-call from a
     // non-final fragment.
     open.push(table.register(act(7), 1));
-    let pkt = drill_packet(&pool, PacketType::Result, act(7), 1, frag(1, 3, true));
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
-    let pkt = drill_packet(&pool, PacketType::Result, act(7), 1, frag(2, 3, true));
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
-    let pkt = drill_packet(&pool, PacketType::Result, act(7), 1, frag(0, 3, false));
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
+    assert_eq!(drill_fragment(&table, act(7), 1, frag(1, 3, true)), Delivered::Accepted);
+    assert_eq!(drill_fragment(&table, act(7), 1, frag(2, 3, true)), Delivered::Accepted);
+    assert_eq!(drill_fragment(&table, act(7), 1, frag(0, 3, false)), Delivered::Accepted);
 
     // Server ack (quench / fragment-advance) and probe-response against
     // an open call that has not produced a result yet.
@@ -163,8 +172,6 @@ pub fn caller_transitions() -> Vec<String> {
     // registered (a caller long since timed out and moved on).
     for shape in [
         (PacketType::Result, single(false)),
-        (PacketType::Result, frag(0, 2, false)),
-        (PacketType::Result, frag(0, 2, true)),
         (PacketType::Result, Shape { cf: true, lf_frag: (0, 1), ..Shape::default() }),
         (PacketType::Ack, single(false)),
         (PacketType::Ack, frag(0, 2, false)),
@@ -172,6 +179,9 @@ pub fn caller_transitions() -> Vec<String> {
     ] {
         let pkt = drill_packet(&pool, shape.0, act(9), 1, shape.1);
         assert!(matches!(table.deliver(pkt), Deliver::Orphan(_)));
+    }
+    for shape in [frag(0, 2, false), frag(0, 2, true)] {
+        assert_eq!(drill_fragment(&table, act(9), 1, shape), Delivered::Orphan);
     }
 
     // The drill's contract: every caller-side row, nothing else.

@@ -15,9 +15,14 @@
 //! [`CallTable::deliver_from`], which attaches the packet to the entry
 //! and signals the entry's condition variable — **at most one wakeup per
 //! packet**, and none when the receiving thread is the waiter itself.
+//! The fragments of a multi-packet result take no packet buffer: they
+//! come as a run from the datagram they landed in
+//! ([`CallTable::deliver_fragments`]), which finds and locks the entry
+//! once for the run and copies each fragment's data straight into the
+//! reassembly.
 
 use crate::fragment::{Accepted, Reassembly};
-use crate::packet::{Assembled, Packet};
+use crate::packet::{Assembled, Fragment, Packet, MAX_RUN};
 use crate::witness::{Action, ProtocolWitness, State};
 use firefly_wire::{ActivityId, PacketType, RpcHeader};
 use firefly_sync::atomic::AtomicUsize;
@@ -30,14 +35,23 @@ use std::time::Instant;
 /// What the demultiplexer should do after a delivery attempt.
 #[derive(Debug)]
 pub enum Deliver {
-    /// The packet was attached to a waiting call (or buffered as a
-    /// fragment) and the thread was awakened if complete.
+    /// The packet was attached to a waiting call and its thread awakened.
     Accepted,
-    /// The packet was accepted and the sender asked for an explicit
-    /// acknowledgement: this one, naming the prefix of the result held.
-    AcceptedNeedsAck(RpcHeader),
     /// Nobody is waiting for this packet; the buffer should be recycled.
     Orphan(Packet),
+}
+
+/// What became of one fragment of a run ([`CallTable::deliver_fragments`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delivered {
+    /// Buffered — or, the last one missing, it completed the result and
+    /// the waiting thread was woken.
+    Accepted,
+    /// Buffered, and the sender asked for an acknowledgement: this one,
+    /// naming the prefix of the result held.
+    AcceptedNeedsAck(RpcHeader),
+    /// Nobody is waiting for it, or it does not fit the transfer.
+    Orphan,
 }
 
 /// Result of waiting on a call entry.
@@ -256,8 +270,10 @@ impl CallTable {
         Deliver::Orphan(pkt)
     }
 
-    /// Routes a caller-bound packet (Result, server→caller Ack, or
-    /// ProbeResponse) to its waiting thread and wakes it.
+    /// Routes a caller-bound packet (a single-packet Result, a
+    /// server→caller Ack, or a ProbeResponse) to its waiting thread and
+    /// wakes it. A fragment of a multi-packet result is an orphan here:
+    /// fragments go through [`CallTable::deliver_fragments`].
     pub fn deliver(&self, pkt: Packet) -> Deliver {
         self.deliver_from(pkt, false)
     }
@@ -296,62 +312,118 @@ impl CallTable {
                 self.witness.record(State::CallerOpen, &rpc, action);
                 Deliver::Accepted
             }
-            PacketType::Result => {
-                let outcome = if rpc.fragment_count <= 1 {
-                    Assembled::Single(pkt)
-                } else {
-                    // Multi-packet result: buffer the fragment.
-                    let count = rpc.fragment_count;
-                    let (_, reass) = st
-                        .reassembly
-                        .get_or_insert_with(|| (rpc, Reassembly::new(count)));
-                    match reass.accept(rpc.fragment, count, pkt.data()) {
-                        Accepted::Refused => {
-                            drop(st);
-                            return Deliver::Orphan(pkt);
-                        }
-                        Accepted::Buffered => {
-                            // A fragment that asks (a window's edge, one
-                            // sent again) is acked with the prefix held,
-                            // if there is one.
-                            let ack = crate::fragment::prefix_ack(&rpc, reass)
-                                .filter(|_| rpc.flags.please_ack);
-                            drop(st);
-                            let action = match ack {
-                                Some(_) => Action::AssembleAck,
-                                None => Action::Assemble,
-                            };
-                            self.witness.record(State::CallerAssembling, &rpc, action);
-                            return ack.map_or(Deliver::Accepted, Deliver::AcceptedNeedsAck);
-                        }
-                        Accepted::Complete(data) => {
-                            st.reassembly = None;
-                            Assembled::Multi { rpc, data }
-                        }
-                    }
-                };
-                st.outcome = Some(outcome);
+            PacketType::Result if rpc.fragment_count <= 1 => {
+                st.outcome = Some(Assembled::Single(pkt));
                 entry.uncount(&mut st);
                 drop(st);
                 if !by_waiter {
                     entry.cond.notify_one();
                 }
-                // Asking or not, the packet that completes the result is
-                // acked by the next call.
-                let action = if rpc.flags.call_failed {
-                    Action::FailCall
-                } else {
-                    Action::CompleteCall
-                };
-                self.witness.record(State::CallerOpen, &rpc, action);
+                self.witness.record(State::CallerOpen, &rpc, complete_action(&rpc));
                 Deliver::Accepted
             }
-            PacketType::Call | PacketType::Probe => {
-                // Caller-bound routing never sees these.
+            _ => {
+                // Caller-bound routing never sees a Call or a Probe, and
+                // the fragments of a result come through
+                // `deliver_fragments`.
                 drop(st);
                 Deliver::Orphan(pkt)
             }
         }
+    }
+
+    /// Routes a run of fragments of one multi-packet result — consecutive
+    /// frames of a datagram, of one activity and call — to its waiting
+    /// thread: the entry is found and locked once for the run, each
+    /// fragment's data is copied from where it landed straight into the
+    /// result's reassembly, and the thread is woken (unless `by_waiter`,
+    /// as for [`CallTable::deliver_from`]) if the run completed it.
+    /// `each` then learns, with no lock held and in run order, what
+    /// became of every fragment.
+    pub fn deliver_fragments(
+        &self,
+        run: &[Fragment<'_>],
+        by_waiter: bool,
+        mut each: impl FnMut(Delivered),
+    ) {
+        for run in run.chunks(MAX_RUN) {
+            let mut took = [Delivered::Orphan; MAX_RUN];
+            let entry = self.assemble(run, &mut took);
+            if let Some(entry) = entry {
+                if !by_waiter {
+                    entry.cond.notify_one();
+                }
+            }
+            took[..run.len()].iter().for_each(|&t| each(t));
+        }
+    }
+
+    /// Takes a run of at most [`MAX_RUN`] fragments into its entry,
+    /// recording in `took` what became of each; returns the entry if the
+    /// run completed its result.
+    fn assemble(&self, run: &[Fragment<'_>], took: &mut [Delivered]) -> Option<Arc<CallEntry>> {
+        let first = run.first()?;
+        let entry = self.entries.lock().get(&first.rpc.activity).map(Arc::clone);
+        let Some(entry) = entry else {
+            for f in run {
+                self.witness.record(State::CallerOrphan, &f.rpc, Action::RecycleOrphan);
+            }
+            return None;
+        };
+        let mut completed = false;
+        let mut st = entry.state.lock();
+        for (f, took) in run.iter().zip(took) {
+            let rpc = f.rpc;
+            if rpc.call_seq != st.seq || st.outcome.is_some() {
+                // A late duplicate from an earlier transmission round, or
+                // a copy of a fragment of the result just completed.
+                self.witness.record(State::CallerOrphan, &rpc, Action::RecycleOrphan);
+                continue;
+            }
+            let count = rpc.fragment_count;
+            let (_, reass) = st
+                .reassembly
+                .get_or_insert_with(|| (rpc, Reassembly::new(count)));
+            match reass.accept(rpc.fragment, count, f.data) {
+                // Inconsistent with the transfer: an orphan, and no row.
+                Accepted::Refused => {}
+                Accepted::Buffered => {
+                    // A fragment that asks (a window's edge, one sent
+                    // again) is acked with the prefix held, if there is
+                    // one.
+                    let ack = crate::fragment::prefix_ack(&rpc, reass)
+                        .filter(|_| rpc.flags.please_ack);
+                    let action = match ack {
+                        Some(_) => Action::AssembleAck,
+                        None => Action::Assemble,
+                    };
+                    self.witness.record(State::CallerAssembling, &rpc, action);
+                    *took = ack.map_or(Delivered::Accepted, Delivered::AcceptedNeedsAck);
+                }
+                Accepted::Complete(data) => {
+                    st.reassembly = None;
+                    st.outcome = Some(Assembled::Multi { rpc, data });
+                    entry.uncount(&mut st);
+                    completed = true;
+                    // Asking or not, the fragment that completes the
+                    // result is acked by the next call.
+                    self.witness.record(State::CallerOpen, &rpc, complete_action(&rpc));
+                    *took = Delivered::Accepted;
+                }
+            }
+        }
+        drop(st);
+        completed.then_some(entry)
+    }
+}
+
+/// The row a result's completing packet takes: the call failed remotely
+/// or completed.
+fn complete_action(rpc: &RpcHeader) -> Action {
+    if rpc.flags.call_failed {
+        Action::FailCall
+    } else {
+        Action::CompleteCall
     }
 }
 
@@ -480,31 +552,76 @@ impl ShardedCallTable {
     pub fn deliver_from(&self, pkt: Packet, by_waiter: bool) -> Deliver {
         self.shards[shard_for(pkt.rpc.activity, self.shards.len())].deliver_from(pkt, by_waiter)
     }
+
+    /// Routes a run of fragments of one result to its activity's shard
+    /// (see [`CallTable::deliver_fragments`]).
+    pub fn deliver_fragments(
+        &self,
+        run: &[Fragment<'_>],
+        by_waiter: bool,
+        each: impl FnMut(Delivered),
+    ) {
+        if let Some(first) = run.first() {
+            self.shard(first.rpc.activity).deliver_fragments(run, by_waiter, each);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use firefly_pool::BufferPool;
-    use firefly_wire::{FrameBuilder, PacketFlags};
+    use firefly_wire::{FrameBuilder, FrameView, PacketFlags};
     use std::time::Duration;
 
     fn activity() -> ActivityId {
         ActivityId::new(7, 1, 1)
     }
 
-    fn result_packet(seq: u32, data: &[u8], frag: u16, count: u16, please_ack: bool) -> Packet {
+    fn result_packet(seq: u32, data: &[u8]) -> Packet {
         let frame = FrameBuilder::new(PacketType::Result)
             .activity(activity())
             .call_seq(seq)
-            .fragment(frag, count)
-            .please_ack(please_ack)
             .build(data)
             .unwrap();
         let pool = BufferPool::new(1);
         let mut buf = pool.alloc().unwrap();
         buf.fill_from(frame.bytes());
         Packet::from_buf(buf).unwrap()
+    }
+
+    /// Result fragment `frag` of `count`, as it lands in a datagram.
+    fn result_frame(seq: u32, data: &[u8], frag: u16, count: u16, please_ack: bool) -> Vec<u8> {
+        FrameBuilder::new(PacketType::Result)
+            .activity(activity())
+            .call_seq(seq)
+            .fragment(frag, count)
+            .please_ack(please_ack)
+            .build(data)
+            .unwrap()
+            .into_bytes()
+    }
+
+    /// Delivers `frames` as one run; what became of each.
+    fn deliver_run(table: &CallTable, frames: &[Vec<u8>]) -> Vec<Delivered> {
+        let views: Vec<_> = frames.iter().map(|f| FrameView::parse(f).unwrap()).collect();
+        let run: Vec<_> = views.iter().map(|v| Fragment::of(v).unwrap()).collect();
+        let mut took = Vec::new();
+        table.deliver_fragments(&run, false, |d| took.push(d));
+        assert_eq!(took.len(), frames.len(), "one outcome per fragment");
+        took
+    }
+
+    /// Delivers one result fragment on its own.
+    fn deliver_fragment(
+        table: &CallTable,
+        seq: u32,
+        data: &[u8],
+        frag: u16,
+        count: u16,
+        please_ack: bool,
+    ) -> Delivered {
+        deliver_run(table, &[result_frame(seq, data, frag, count, please_ack)])[0]
     }
 
     /// A full (non-final) fragment's worth of `b`.
@@ -528,7 +645,7 @@ mod tests {
     fn single_packet_result_wakes_waiter() {
         let table = CallTable::new();
         let entry = table.register(activity(), 5);
-        let pkt = result_packet(5, &[1, 2, 3], 0, 1, false);
+        let pkt = result_packet(5, &[1, 2, 3]);
         assert!(matches!(table.deliver(pkt), Deliver::Accepted));
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
             Wait::Complete(a) => assert_eq!(a.data(), &[1, 2, 3]),
@@ -540,7 +657,7 @@ mod tests {
     fn wrong_seq_is_orphaned() {
         let table = CallTable::new();
         let _entry = table.register(activity(), 5);
-        let pkt = result_packet(4, &[], 0, 1, false);
+        let pkt = result_packet(4, &[]);
         assert!(matches!(table.deliver(pkt), Deliver::Orphan(_)));
     }
 
@@ -553,24 +670,12 @@ mod tests {
         let entry = table.register(activity(), 9);
         // A reordered final fragment arriving first is buffered, and
         // none of them asks for an ack.
-        assert!(matches!(
-            table.deliver(result_packet(9, &[30, 31], 2, 3, false)),
-            Deliver::Accepted
-        ));
-        assert!(matches!(
-            table.deliver(result_packet(9, &full(10), 0, 3, false)),
-            Deliver::Accepted
-        ));
+        assert_eq!(deliver_fragment(&table, 9, &[30, 31], 2, 3, false), Delivered::Accepted);
+        assert_eq!(deliver_fragment(&table, 9, &full(10), 0, 3, false), Delivered::Accepted);
         // Duplicate of an already-buffered fragment.
-        assert!(matches!(
-            table.deliver(result_packet(9, &full(10), 0, 3, false)),
-            Deliver::Accepted
-        ));
+        assert_eq!(deliver_fragment(&table, 9, &full(10), 0, 3, false), Delivered::Accepted);
         assert_eq!(entry.result_fragments(), 2);
-        assert!(matches!(
-            table.deliver(result_packet(9, &full(20), 1, 3, false)),
-            Deliver::Accepted
-        ));
+        assert_eq!(deliver_fragment(&table, 9, &full(20), 1, 3, false), Delivered::Accepted);
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
             Wait::Complete(a) => {
                 assert_eq!(a.data(), [&full(10)[..], &full(20), &[30, 31]].concat());
@@ -583,31 +688,48 @@ mod tests {
     fn fragment_index_out_of_range_is_orphaned_not_a_panic() {
         let table = CallTable::new();
         let _entry = table.register(activity(), 9);
-        assert!(matches!(
-            table.deliver(result_packet(9, &full(1), 0, 3, false)),
-            Deliver::Accepted
-        ));
+        assert_eq!(deliver_fragment(&table, 9, &full(1), 0, 3, false), Delivered::Accepted);
         // Claims fragment 7 of 3 — malformed; must be orphaned.
-        assert!(matches!(
-            table.deliver(result_packet(9, &full(2), 7, 3, false)),
-            Deliver::Orphan(_)
-        ));
+        assert_eq!(deliver_fragment(&table, 9, &full(2), 7, 3, false), Delivered::Orphan);
         // A count mismatch mid-reassembly is equally malformed, and so
         // is a short fragment that is not the last.
-        assert!(matches!(
-            table.deliver(result_packet(9, &full(3), 1, 5, false)),
-            Deliver::Orphan(_)
-        ));
-        assert!(matches!(
-            table.deliver(result_packet(9, &[3], 1, 3, false)),
-            Deliver::Orphan(_)
-        ));
+        assert_eq!(deliver_fragment(&table, 9, &full(3), 1, 5, false), Delivered::Orphan);
+        assert_eq!(deliver_fragment(&table, 9, &[3], 1, 3, false), Delivered::Orphan);
+    }
+
+    #[test]
+    fn a_window_in_one_run_completes_its_result_and_orphans_what_follows() {
+        let table = CallTable::new();
+        let entry = table.register(activity(), 4);
+        // One datagram: the whole result, a copy of its last fragment,
+        // and a fragment of an earlier call's result.
+        let frames = [
+            result_frame(4, &full(1), 0, 3, false),
+            result_frame(4, &full(2), 1, 3, false),
+            result_frame(4, &[3], 2, 3, false),
+            result_frame(4, &[3], 2, 3, false),
+            result_frame(3, &full(9), 0, 3, false),
+        ];
+        let took = deliver_run(&table, &frames);
+        let [a, b, c, late, stale] = took[..] else { unreachable!() };
+        assert_eq!([a, b, c], [Delivered::Accepted; 3]);
+        assert_eq!([late, stale], [Delivered::Orphan; 2]);
+        match entry.poll() {
+            Some(Wait::Complete(a)) => {
+                assert_eq!(a.data(), [&full(1)[..], &full(2), &[3]].concat());
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // Nobody registered: every fragment of a run is an orphan.
+        table.unregister(activity());
+        let took = deliver_run(&table, &frames[..2]);
+        assert_eq!(took, [Delivered::Orphan; 2]);
     }
 
     #[test]
     fn unknown_activity_is_orphaned() {
         let table = CallTable::new();
-        let pkt = result_packet(1, &[], 0, 1, false);
+        let pkt = result_packet(1, &[]);
         assert!(matches!(table.deliver(pkt), Deliver::Orphan(_)));
     }
 
@@ -631,13 +753,10 @@ mod tests {
     fn fragments_reassemble_in_any_order() {
         let table = CallTable::new();
         let entry = table.register(activity(), 2);
-        let p1 = result_packet(2, &full(4), 1, 3, false);
-        let p0 = result_packet(2, &full(1), 0, 3, false);
-        let p2 = result_packet(2, &[7, 8], 2, 3, false);
-        assert!(matches!(table.deliver(p1), Deliver::Accepted));
-        assert!(matches!(table.deliver(p0), Deliver::Accepted));
+        assert_eq!(deliver_fragment(&table, 2, &full(4), 1, 3, false), Delivered::Accepted);
+        assert_eq!(deliver_fragment(&table, 2, &full(1), 0, 3, false), Delivered::Accepted);
         // The final fragment completes the call.
-        assert!(matches!(table.deliver(p2), Deliver::Accepted));
+        assert_eq!(deliver_fragment(&table, 2, &[7, 8], 2, 3, false), Delivered::Accepted);
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
             Wait::Complete(a) => assert_eq!(a.data(), [&full(1)[..], &full(4), &[7, 8]].concat()),
             other => panic!("unexpected {other:?}"),
@@ -649,11 +768,9 @@ mod tests {
         let table = CallTable::new();
         let entry = table.register(activity(), 2);
         for _ in 0..3 {
-            let p0 = result_packet(2, &full(1), 0, 2, false);
-            let _ = table.deliver(p0);
+            let _ = deliver_fragment(&table, 2, &full(1), 0, 2, false);
         }
-        let p1 = result_packet(2, &[3], 1, 2, false);
-        assert!(matches!(table.deliver(p1), Deliver::Accepted));
+        assert_eq!(deliver_fragment(&table, 2, &[3], 1, 2, false), Delivered::Accepted);
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
             Wait::Complete(a) => assert_eq!(a.data(), [&full(1)[..], &[3]].concat()),
             other => panic!("unexpected {other:?}"),
@@ -664,13 +781,10 @@ mod tests {
     fn late_duplicate_result_after_completion_is_orphaned() {
         let table = CallTable::new();
         let entry = table.register(activity(), 3);
-        assert!(matches!(
-            table.deliver(result_packet(3, &[1], 0, 1, false)),
-            Deliver::Accepted
-        ));
+        assert!(matches!(table.deliver(result_packet(3, &[1])), Deliver::Accepted));
         // A duplicate of the same result (e.g. server retransmission).
         assert!(matches!(
-            table.deliver(result_packet(3, &[1], 0, 1, false)),
+            table.deliver(result_packet(3, &[1])),
             Deliver::Orphan(_)
         ));
         assert!(matches!(
@@ -686,7 +800,7 @@ mod tests {
         let t2 = Arc::clone(&table);
         let h = std::thread::spawn(move || {
             firefly_sync::test_sleep();
-            t2.deliver(result_packet(1, &[42], 0, 1, false));
+            t2.deliver(result_packet(1, &[42]));
         });
         match entry.wait(Instant::now() + Duration::from_secs(5)) {
             Wait::Complete(a) => assert_eq!(a.data(), &[42]),
@@ -699,29 +813,29 @@ mod tests {
 
     #[test]
     fn a_fragment_that_asks_is_acked_with_the_prefix_held() {
-        let acked = |d: Deliver| match d {
-            Deliver::AcceptedNeedsAck(ack) => {
+        let acked = |d: Delivered| match d {
+            Delivered::AcceptedNeedsAck(ack) => {
                 assert_eq!(ack.packet_type, PacketType::Ack);
                 assert!(ack.flags.acks_result);
                 Some(ack.fragment)
             }
-            Deliver::Accepted => None,
-            Deliver::Orphan(_) => panic!("orphaned"),
+            Delivered::Accepted => None,
+            Delivered::Orphan => panic!("orphaned"),
         };
         let table = CallTable::new();
         let entry = table.register(activity(), 6);
         // Fragment 0 lost: an edge that asks finds no prefix to name.
-        assert_eq!(acked(table.deliver(result_packet(6, &full(2), 2, 4, true))), None);
+        assert_eq!(acked(deliver_fragment(&table, 6, &full(2), 2, 4, true)), None);
         assert_eq!(entry.hole_ack(), None);
-        assert_eq!(acked(table.deliver(result_packet(6, &full(0), 0, 4, false))), None);
+        assert_eq!(acked(deliver_fragment(&table, 6, &full(0), 0, 4, false)), None);
         // Now it names fragment 0, the one before the hole at 1 — and so
         // does the ack a waiter sends when its timer fires.
-        assert_eq!(acked(table.deliver(result_packet(6, &full(0), 0, 4, true))), Some(0));
+        assert_eq!(acked(deliver_fragment(&table, 6, &full(0), 0, 4, true)), Some(0));
         assert_eq!(entry.hole_ack().map(|a| a.fragment), Some(0));
         // The hole filled by a fragment sent again, asking: that
         // completes the result, which the next call acknowledges.
-        assert_eq!(acked(table.deliver(result_packet(6, &[9], 3, 4, false))), None);
-        assert_eq!(acked(table.deliver(result_packet(6, &full(1), 1, 4, true))), None);
+        assert_eq!(acked(deliver_fragment(&table, 6, &[9], 3, 4, false)), None);
+        assert_eq!(acked(deliver_fragment(&table, 6, &full(1), 1, 4, true)), None);
         assert!(matches!(
             entry.wait(Instant::now() + Duration::from_secs(1)),
             Wait::Complete(_)
@@ -732,9 +846,9 @@ mod tests {
     fn deliver_records_spec_transitions() {
         let table = CallTable::new();
         let _entry = table.register(activity(), 5);
-        let _ = table.deliver(result_packet(5, &[1], 0, 1, false));
+        let _ = table.deliver(result_packet(5, &[1]));
         // A duplicate of the completed result orphans.
-        let _ = table.deliver(result_packet(5, &[1], 0, 1, false));
+        let _ = table.deliver(result_packet(5, &[1]));
         assert_eq!(
             ProtocolWitness::union(&[&table.witness]),
             [
@@ -776,10 +890,7 @@ mod tests {
         let entry = table.register(id, 5);
         assert_eq!(table.shard(id).outstanding(), 1);
         assert_eq!(table.outstanding(), 1);
-        assert!(matches!(
-            table.deliver(result_packet(5, &[1], 0, 1, false)),
-            Deliver::Accepted
-        ));
+        assert!(matches!(table.deliver(result_packet(5, &[1])), Deliver::Accepted));
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
             Wait::Complete(a) => assert_eq!(a.data(), &[1]),
             other => panic!("unexpected {other:?}"),

@@ -12,11 +12,11 @@
 //! which also executes measured-short single-packet calls to completion
 //! instead of waking a worker for them.
 
-use crate::calltable::{CallEntry, Deliver, ShardedCallTable, Wait, SHARDS};
+use crate::calltable::{CallEntry, Deliver, Delivered, ShardedCallTable, Wait, SHARDS};
 use crate::client::Client;
 use crate::config::Config;
 use crate::local::LocalClient;
-use crate::packet::Packet;
+use crate::packet::{Fragment, Packet, MAX_RUN};
 use crate::role::{Polled, ReceiveRole};
 use crate::send::{Batch, SendCtx};
 use crate::server::ServerSide;
@@ -26,7 +26,7 @@ use crate::transport::{Transport, MAX_DATAGRAM_LEN};
 use crate::{Result, RpcError};
 use firefly_idl::InterfaceDef;
 use firefly_pool::{PacketBuf, ShardedPool};
-use firefly_wire::{coalesced_frame_len, ActivityId, PacketType};
+use firefly_wire::{coalesced_frame_len, ActivityId, FrameView, PacketType};
 use firefly_sync::Mutex;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -284,7 +284,9 @@ impl Drop for Endpoint {
 }
 
 /// What a thread owns so that it can hold the receive role: a buffer any
-/// datagram fits in, and the batch it sends the server's frames through
+/// datagram fits in — where every frame is validated, and the fragments
+/// of a multi-packet call or result are read from by reassembly, so no
+/// pool buffer holds them — and the batch it sends the server's frames through
 /// (the results it executes, a result window an ack opens, a fragment
 /// sent again). The resident receiver allocates its own when it starts;
 /// a caller's lives in its activity slot, so every call the activity
@@ -316,10 +318,6 @@ struct Receiving<'a> {
     /// Rotating pool-shard cursor, so receive-buffer pressure spreads
     /// across shards.
     cursor: usize,
-    /// A waiting caller's pool buffer for a datagram's first frame, taken
-    /// before it receives: it takes none, and so receives nothing, while
-    /// the pool is dry.
-    spare: Option<PacketBuf>,
     out: &'a mut Batch,
     /// Whether this is the resident receiver. It waits for pool buffers
     /// and executes measured-short calls itself; a caller thread holding
@@ -383,23 +381,20 @@ impl EndpointShared {
         let RoleBuffers { datagram, out } = bufs;
         let mut rx = Receiving {
             cursor: crate::calltable::shard_for(activity, self.ctx.pool.shard_count()),
-            spare: None,
             out,
             resident: false,
             own: Some(activity),
         };
         self.role.wait_receiving(entry, deadline, POLLS_BEFORE_BLOCK, || {
-            if rx.spare.is_none() {
-                // Never block for a buffer with the role in hand.
-                match self.ctx.pool.take_receive_buffer_from(rx.cursor) {
-                    Ok(b) => rx.spare = Some(b),
-                    Err(_) => return Polled::Closed,
-                }
-            }
             match self.ctx.transport.try_recv(datagram) {
                 Ok(Some((n, src))) => {
-                    process_datagram(self, &mut rx, &datagram[..n], src);
-                    Polled::Datagram
+                    if process_datagram(self, &mut rx, &datagram[..n], src) {
+                        Polled::Datagram
+                    } else {
+                        // The pool is dry: park, and leave receiving to
+                        // the resident, which waits for buffers.
+                        Polled::Closed
+                    }
                 }
                 Ok(None) => Polled::Empty,
                 Err(_) => Polled::Closed,
@@ -418,14 +413,14 @@ impl EndpointShared {
 /// result of the first datagram's inline calls is sent at once — a lone
 /// caller never waits for a batch — and the rest of the burst's results
 /// go out packed when the drain ends. It takes a pool buffer per frame
-/// received, and holds none while it waits.
+/// received that needs one (no fragment of a multi-packet call or result
+/// does), and holds none while it waits.
 fn demux_loop(shared: Arc<EndpointShared>) {
     let stats = &shared.ctx.stats;
     let transport = &*shared.ctx.transport;
     let RoleBuffers { mut datagram, mut out } = RoleBuffers::new();
     let mut rx = Receiving {
         cursor: 0,
-        spare: None,
         out: &mut out,
         resident: true,
         own: None,
@@ -492,39 +487,47 @@ fn demux_loop(shared: Arc<EndpointShared>) {
 /// The sending transport may pack several complete frames back to back
 /// into one datagram ([`Transport::send_batch`]) — a window of a
 /// transfer, or results for several callers; each frame's IP
-/// total-length field gives its boundary. Each frame is copied into a
-/// pool buffer of its own, so every frame flows through the same owned
-/// [`Packet`] path and the datagram buffer is free for the next receive.
-fn process_datagram(shared: &EndpointShared, rx: &mut Receiving, datagram: &[u8], src: SocketAddr) {
+/// total-length field gives its boundary. Every frame is validated where
+/// it landed ([`FrameView::parse`]: every check, once). A fragment of a
+/// multi-packet call or result is not copied out: each run of
+/// consecutive fragments of one transfer goes to the server or the call
+/// table as a unit, read from this buffer, and reassembly copies its
+/// data once, into the body. Every other frame — a single-packet call or
+/// result, which must outlive the datagram (handed to a worker or a
+/// waiter, or retained), an ack, a probe — is copied into a pool buffer
+/// of its own and flows through the owned [`Packet`] path. False when a
+/// waiting caller found the pool dry for such a frame: that frame and
+/// the rest of the datagram are dropped, like any lost packet, and
+/// retransmission recovers them.
+fn process_datagram(
+    shared: &EndpointShared,
+    rx: &mut Receiving,
+    datagram: &[u8],
+    src: SocketAddr,
+) -> bool {
     let stats = &shared.ctx.stats;
     let mut rest = datagram;
     let mut first: Option<ActivityId> = None;
+    let mut run: Option<Run<'_>> = None;
     while !rest.is_empty() {
         let Some(len) = coalesced_frame_len(rest) else {
             // Shorter than any frame, an implausible length field, or a
             // truncated pack: without a boundary there is nothing more
             // to walk.
             RpcStats::bump(&stats.validation_drops);
-            return;
+            break;
         };
-        let Some(mut buf) = frame_buf(shared, rx) else {
-            // A waiting caller never blocks for a buffer with the role
-            // in hand. The frames it has no buffer for are lost like any
-            // dropped packet, and retransmission recovers them.
-            RpcStats::bump(&stats.validation_drops);
-            return;
-        };
-        buf.fill_from(&rest[..len]);
-        rest = &rest[len..];
-        let pkt = match Packet::from_buf(buf) {
-            Ok(p) => p,
+        let (frame, tail) = rest.split_at(len);
+        rest = tail;
+        let view = match FrameView::parse(frame) {
+            Ok(view) => view,
             Err(e) => {
                 // A garbage packet-type byte is counted apart from other
                 // validation failures: it is the shape a version-skewed
                 // or hostile peer produces, and the chaos garbage-frame
                 // mix asserts it never errors the demux loop.
                 match e {
-                    crate::RpcError::Wire(firefly_wire::WireError::BadPacketType(_)) => {
+                    firefly_wire::WireError::BadPacketType(_) => {
                         RpcStats::bump(&stats.unknown_type_drops);
                     }
                     _ => RpcStats::bump(&stats.validation_drops),
@@ -538,26 +541,117 @@ fn process_datagram(shared: &EndpointShared, rx: &mut Receiving, datagram: &[u8]
         // this, but it is not running yet; a caller receiving for itself
         // goes on to the end of the datagram before it sends again.
         match first {
-            None => first = Some(pkt.rpc.activity),
-            Some(a) if a != pkt.rpc.activity => shared.ctx.note_batched_delivery(),
+            None => first = Some(view.rpc.activity),
+            Some(a) if a != view.rpc.activity => shared.ctx.note_batched_delivery(),
             Some(_) => {}
         }
-        process_packet(shared, rx, pkt, src);
+        if let Some(fragment) = Fragment::of(&view) {
+            // Another transfer's fragment, or one past a full run, starts
+            // a run of its own; the run so far goes first.
+            if !run.as_mut().is_some_and(|r| r.push(fragment)) {
+                if let Some(done) = run.replace(Run::new(fragment)) {
+                    hand_over(shared, rx, done.frames(), src);
+                }
+            }
+            continue;
+        }
+        if let Some(done) = run.take() {
+            hand_over(shared, rx, done.frames(), src);
+        }
+        let Some(mut buf) = frame_buf(shared, rx) else {
+            // A waiting caller never blocks for a buffer with the role
+            // in hand.
+            RpcStats::bump(&stats.validation_drops);
+            return false;
+        };
+        buf.fill_from(frame);
+        process_packet(shared, rx, Packet::validated(buf, view.rpc, view.data.len()), src);
+    }
+    if let Some(done) = run {
+        hand_over(shared, rx, done.frames(), src);
+    }
+    true
+}
+
+/// Consecutive fragments of one transfer in the datagram being processed,
+/// up to [`MAX_RUN`] of them.
+struct Run<'d> {
+    frames: [Fragment<'d>; MAX_RUN],
+    len: usize,
+}
+
+impl<'d> Run<'d> {
+    fn new(first: Fragment<'d>) -> Run<'d> {
+        Run {
+            frames: [first; MAX_RUN],
+            len: 1,
+        }
+    }
+
+    /// Adds `next` if it is of the run's transfer and there is room.
+    fn push(&mut self, next: Fragment<'d>) -> bool {
+        let same = self.frames[0].same_transfer(&next);
+        match self.frames.get_mut(self.len) {
+            Some(slot) if same => {
+                *slot = next;
+                self.len += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn frames(&self) -> &[Fragment<'d>] {
+        &self.frames[..self.len]
     }
 }
 
-/// A pool buffer for the next frame of a datagram: a caller's spare, then
-/// fresh ones — which the resident waits for, and a caller holding the
-/// role does not.
-fn frame_buf(shared: &EndpointShared, rx: &mut Receiving) -> Option<PacketBuf> {
-    if let Some(b) = rx.spare.take() {
-        return Some(b);
+/// Hands a run of fragments of one transfer to the side it is for: a
+/// call's to the server, a result's to the call table — which tells,
+/// fragment by fragment, what each became, for the counters and the acks
+/// the sender asked for.
+fn hand_over(shared: &EndpointShared, rx: &mut Receiving, run: &[Fragment<'_>], src: SocketAddr) {
+    let Some(first) = run.first() else {
+        return;
+    };
+    if first.rpc.packet_type == PacketType::Call {
+        shared.server.handle_call_fragments(run, src, rx.out, rx.resident);
+        return;
     }
+    let stats = &shared.ctx.stats;
+    let own = rx.own == Some(first.rpc.activity);
+    shared.calls.deliver_fragments(run, own, |delivered| match delivered {
+        Delivered::Orphan => RpcStats::bump(&stats.orphan_results),
+        Delivered::Accepted => count_result(stats, own),
+        Delivered::AcceptedNeedsAck(ack) => {
+            count_result(stats, own);
+            let _ = shared.ctx.send_ack(&ack, src);
+        }
+    });
+}
+
+/// Counts a result packet or fragment the call table took:
+/// `results_received = self_received_results + the direct_wakeups a
+/// result caused` — one the waiting thread received itself woke nobody.
+fn count_result(stats: &RpcStats, own: bool) {
+    RpcStats::bump(&stats.results_received);
+    if own {
+        RpcStats::bump(&stats.self_received_results);
+    } else {
+        RpcStats::bump(&stats.direct_wakeups);
+    }
+}
+
+/// A pool buffer for the next frame of a datagram that needs one — which
+/// the resident waits for, and a caller holding the role does not: it
+/// tries its activity's shard first, then the next.
+fn frame_buf(shared: &EndpointShared, rx: &mut Receiving) -> Option<PacketBuf> {
     if rx.resident {
         return Some(take_receive_buf(shared, &mut rx.cursor));
     }
+    let buf = shared.ctx.pool.take_receive_buffer_from(rx.cursor).ok();
     rx.cursor = rx.cursor.wrapping_add(1);
-    shared.ctx.pool.take_receive_buffer_from(rx.cursor).ok()
+    buf
 }
 
 /// Demultiplexes one received packet — routing, direct wakeup,
@@ -573,27 +667,13 @@ fn process_packet(shared: &EndpointShared, rx: &mut Receiving, pkt: Packet, src:
         }
         PacketType::Result => {
             let own = rx.own == Some(pkt.rpc.activity);
-            let ack = match shared.calls.deliver_from(pkt, own) {
-                Deliver::Accepted => None,
-                Deliver::AcceptedNeedsAck(ack) => Some(ack),
+            match shared.calls.deliver_from(pkt, own) {
+                Deliver::Accepted => count_result(stats, own),
                 Deliver::Orphan(pkt) => {
                     RpcStats::bump(&stats.orphan_results);
                     pkt.into_buf().recycle();
                     RpcStats::bump(&stats.buffers_recycled);
-                    return;
                 }
-            };
-            RpcStats::bump(&stats.results_received);
-            // `results_received = self_received_results + the
-            // direct_wakeups a result packet caused`: a result the
-            // waiting thread received itself woke nobody.
-            if own {
-                RpcStats::bump(&stats.self_received_results);
-            } else {
-                RpcStats::bump(&stats.direct_wakeups);
-            }
-            if let Some(ack) = ack {
-                let _ = shared.ctx.send_ack(&ack, src);
             }
         }
         PacketType::Ack | PacketType::ProbeResponse => {
@@ -607,7 +687,7 @@ fn process_packet(shared: &EndpointShared, rx: &mut Receiving, pkt: Packet, src:
                 let is_probe_response = pkt.rpc.packet_type == PacketType::ProbeResponse;
                 let own = rx.own == Some(pkt.rpc.activity);
                 match shared.calls.deliver_from(pkt, own) {
-                    Deliver::Accepted | Deliver::AcceptedNeedsAck(_) => {
+                    Deliver::Accepted => {
                         if !own {
                             RpcStats::bump(&stats.direct_wakeups);
                         }
@@ -630,8 +710,162 @@ fn process_packet(shared: &EndpointShared, rx: &mut Receiving, pkt: Packet, src:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LoopbackNet;
-    use firefly_wire::FrameBuilder;
+    use crate::transport::{LoopbackNet, LoopbackStation};
+    use crate::ServiceBuilder;
+    use firefly_idl::{parse_interface, CompiledStub, Value};
+    use firefly_wire::{Frame, FrameBuilder, DATA_OFFSET};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    fn sum_interface() -> InterfaceDef {
+        parse_interface(
+            "DEFINITION MODULE Frag;
+               PROCEDURE Sum(VAR IN data: ARRAY OF CHAR): INTEGER;
+             END Frag.",
+        )
+        .unwrap()
+    }
+
+    /// An endpoint exporting `Sum`, which adds up its argument's bytes,
+    /// and how many times it ran.
+    fn summing_server(net: &LoopbackNet) -> (Arc<Endpoint>, Arc<AtomicU64>) {
+        let executed = Arc::new(AtomicU64::new(0));
+        let runs = Arc::clone(&executed);
+        let service = ServiceBuilder::new(sum_interface())
+            .on_call("Sum", move |args, w| {
+                runs.fetch_add(1, Ordering::SeqCst);
+                let sum = args[0].bytes().unwrap().iter().map(|&b| i32::from(b)).sum();
+                w.next_value(&Value::Integer(sum))?;
+                Ok(())
+            })
+            .build()
+            .unwrap();
+        let server = Endpoint::new(net.station(1), Config::default()).unwrap();
+        server.export(service).unwrap();
+        (server, executed)
+    }
+
+    /// The frames of call `seq` of `Sum(data)` from `activity`, the
+    /// fragment at `ask` asking for an ack.
+    fn sum_call(activity: ActivityId, seq: u32, data: &[u8], ask: Option<u16>) -> Vec<Vec<u8>> {
+        let iface = sum_interface();
+        let mut args = vec![0; data.len() + 64];
+        let len = CompiledStub::for_interface(&iface)[0]
+            .marshal_call(&[Value::Bytes(data.to_vec())], &mut args)
+            .unwrap();
+        let args = &args[..len];
+        let count = crate::fragment::fragment_count(len).unwrap();
+        (0..count)
+            .map(|i| {
+                FrameBuilder::new(PacketType::Call)
+                    .activity(activity)
+                    .call_seq(seq)
+                    .interface(iface.uid(), iface.version())
+                    .procedure(0)
+                    .fragment(i, count)
+                    .please_ack(ask == Some(i))
+                    .build(crate::fragment::chunk(args, i))
+                    .unwrap()
+                    .into_bytes()
+            })
+            .collect()
+    }
+
+    /// What the peer receives of type `ty` within ten seconds.
+    fn next_of(peer: &LoopbackStation, ty: PacketType) -> Frame {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut buf = vec![0; MAX_DATAGRAM_LEN];
+        loop {
+            assert!(Instant::now() < deadline, "no {ty:?} came");
+            match peer.try_recv(&mut buf).unwrap() {
+                Some((n, _)) => {
+                    let frame = Frame::parse(&buf[..n]).unwrap();
+                    if frame.rpc.packet_type == ty {
+                        return frame;
+                    }
+                }
+                None => std::thread::yield_now(),
+            }
+        }
+    }
+
+    fn wait_until(what: &str, stats: &RpcStats, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}; stats:\n{stats}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_bad_fragment_in_a_good_datagram_costs_only_itself() {
+        let net = LoopbackNet::new();
+        let (server, executed) = summing_server(&net);
+        let peer = net.station(2);
+        let stats = server.stats();
+        let data: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+        let expected: i32 = data.iter().map(|&b| i32::from(b)).sum();
+        let frames = sum_call(ActivityId::new(9, 1, 1), 1, &data, None);
+        assert_eq!(frames.len(), 4);
+        // One datagram, the whole window; fragment 1 corrupted on the way.
+        let mut datagram = frames.concat();
+        let bad = frames[0].len() + DATA_OFFSET + 100;
+        datagram[bad] ^= 0x10;
+        let drops = stats.validation_drops();
+        peer.send(&datagram, server.address()).unwrap();
+        wait_until("three of four held", stats, || stats.fragments_received() == 3);
+        assert_eq!(stats.validation_drops(), drops + 1);
+        assert_eq!(executed.load(Ordering::SeqCst), 0, "ran with a hole");
+        // The hole sent again completes the call, which runs once.
+        peer.send(&frames[1], server.address()).unwrap();
+        let result = next_of(&peer, PacketType::Result);
+        assert_eq!(result.rpc.call_seq, 1);
+        let stub = &CompiledStub::for_interface(&sum_interface())[0];
+        assert_eq!(stub.unmarshal_result(&result.data).unwrap(), [Value::Integer(expected)]);
+        assert_eq!(executed.load(Ordering::SeqCst), 1);
+        assert_eq!(stats.fragments_received(), 4);
+        assert_eq!(stats.validation_drops(), drops + 1);
+        // No fragment took a pool buffer; what is out is the result
+        // retained for retransmission, and it comes back at shutdown.
+        assert_eq!(server.pool().stats().allocs(), 1, "stats:\n{stats}");
+        assert_eq!(server.pool().stats().outstanding(), 1);
+        let pool = server.pool().clone();
+        drop(server);
+        assert_eq!(pool.stats().outstanding(), 0, "leaked buffers at shutdown");
+    }
+
+    #[test]
+    fn two_transfers_back_to_back_in_one_datagram_each_complete() {
+        let net = LoopbackNet::new();
+        let (server, executed) = summing_server(&net);
+        let peer = net.station(2);
+        let (a, b) = (ActivityId::new(9, 1, 1), ActivityId::new(9, 1, 2));
+        let data = vec![1u8; 3000];
+        // Three fragments each; `a`'s middle one asks for an ack, which
+        // names the two fragments `a` holds by then.
+        let datagram = [sum_call(a, 1, &data, Some(1)), sum_call(b, 1, &data, None)].concat();
+        assert_eq!(datagram.len(), 6);
+        peer.send(&datagram.concat(), server.address()).unwrap();
+        let ack = next_of(&peer, PacketType::Ack);
+        assert_eq!((ack.rpc.activity, ack.rpc.fragment), (a, 1));
+        let results = [next_of(&peer, PacketType::Result), next_of(&peer, PacketType::Result)];
+        let mut done: Vec<ActivityId> = results.iter().map(|r| r.rpc.activity).collect();
+        done.sort_by_key(|id| id.thread);
+        assert_eq!(done, [a, b]);
+        assert_eq!(executed.load(Ordering::SeqCst), 2);
+        let stats = server.stats();
+        assert_eq!((stats.fragments_received(), stats.acks_sent()), (6, 1), "stats:\n{stats}");
+        // Each fragment took the row it takes alone: `a`'s asking one
+        // the acked assembly, the others plain assembly, each transfer's
+        // last its dispatch.
+        assert_eq!(
+            server.protocol_transitions(),
+            [
+                "server-new Call last_fragment -> dispatch",
+                "server-new Call - -> assemble",
+                "server-new Call please_ack -> assemble-ack",
+            ]
+        );
+    }
 
     #[test]
     fn only_results_for_several_activities_arm_the_combining_window() {

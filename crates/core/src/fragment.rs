@@ -191,7 +191,9 @@ pub enum Accepted {
 ///
 /// The body is a single contiguous buffer: fragment `i` is copied once,
 /// to `i × MAX_FRAGMENT_DATA` (only the last fragment is short), and
-/// completion hands that buffer over as it is. Memory is committed for
+/// completion hands that buffer over as it is. The first fragment
+/// reserves room for a window, so a transfer that fits one is one
+/// allocation however its fragments arrive. Memory is committed for
 /// fragments *received* — at most [`MAX_HOLES`] fragments' worth beyond
 /// them — never for the count or the index a header merely claims, so a
 /// forged header costs its sender more than its target.
@@ -257,6 +259,13 @@ impl Reassembly {
             self.have.resize(word + 1, 0);
         }
         if self.have[word] & bit == 0 {
+            if self.body.capacity() == 0 {
+                // Room for the window in flight: a transfer of up to a
+                // window is one allocation, and a longer one grows by
+                // doubling from there.
+                let room = self.count.min(self.received.saturating_add(WINDOW));
+                self.body.reserve_exact(usize::from(room) * MAX_FRAGMENT_DATA);
+            }
             let start = idx * MAX_FRAGMENT_DATA;
             if self.body.len() == start {
                 // In order: one copy, nothing zeroed first.
@@ -437,6 +446,24 @@ mod tests {
             assert_eq!(long.accept(i, u16::MAX, &chunk), Accepted::Buffered);
         }
         assert!(long.committed() <= 2 * 1001 * MAX_FRAGMENT_DATA + 1024);
+    }
+
+    #[test]
+    fn an_in_order_window_never_reallocates() {
+        let data = body(4 * MAX_FRAGMENT_DATA);
+        let mut r = Reassembly::new(4);
+        let _ = r.accept(0, 4, chunk(&data, 0));
+        let (at, room) = (r.body.as_ptr(), r.body.capacity());
+        assert_eq!(room, 4 * MAX_FRAGMENT_DATA, "the window, reserved once");
+        for i in 1..3 {
+            assert_eq!(r.accept(i, 4, chunk(&data, i)), Accepted::Buffered);
+            assert_eq!((r.body.as_ptr(), r.body.capacity()), (at, room), "fragment {i}");
+        }
+        let Accepted::Complete(whole) = r.accept(3, 4, chunk(&data, 3)) else {
+            panic!("four of four");
+        };
+        assert_eq!((whole.as_ptr(), whole.capacity()), (at, room));
+        assert_eq!(whole, data);
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! Received packets: a pool buffer plus its validated headers.
+//! Received packets: a pool buffer plus its validated headers — or, for a
+//! fragment of a multi-packet call or result, its validated header and
+//! data where they landed.
 
 use firefly_pool::PacketBuf;
-use firefly_wire::{FrameView, RpcHeader, DATA_OFFSET};
+use firefly_wire::{FrameView, PacketType, RpcHeader, DATA_OFFSET};
 
 use crate::Result;
 
@@ -32,6 +34,13 @@ impl Packet {
         Ok(Packet { buf, rpc, data_len })
     }
 
+    /// Wraps `buf`, holding a copy of a frame whose validation
+    /// ([`FrameView::parse`]) produced `rpc` and a data region of
+    /// `data_len` bytes where it landed: the checks are not made twice.
+    pub(crate) fn validated(buf: PacketBuf, rpc: RpcHeader, data_len: usize) -> Packet {
+        Packet { buf, rpc, data_len }
+    }
+
     /// The marshalled data region, in place in the pool buffer.
     pub fn data(&self) -> &[u8] {
         &self.buf[DATA_OFFSET..DATA_OFFSET + self.data_len]
@@ -50,6 +59,46 @@ impl Packet {
     /// Consumes the packet, returning its buffer (for recycling).
     pub fn into_buf(self) -> PacketBuf {
         self.buf
+    }
+}
+
+/// The most fragments handed over as one run: a window, which is as many
+/// full frames as one datagram carries
+/// ([`crate::transport::MAX_DATAGRAM_LEN`]). A longer run of one
+/// transfer's fragments is handed over in pieces of this size.
+pub const MAX_RUN: usize = crate::fragment::WINDOW as usize;
+
+/// One fragment of a multi-packet call or result, validated where it
+/// landed: its header, and its data borrowed from the datagram buffer it
+/// arrived in. Reassembly copies the data from there into the body — the
+/// one copy a fragment's bytes get (§3.1.3's "zero remapping/copy"
+/// receive buffer; eRPC copies a multi-packet message once, from the
+/// receive ring into its message buffer).
+#[derive(Debug, Clone, Copy)]
+pub struct Fragment<'d> {
+    /// The validated RPC header.
+    pub rpc: RpcHeader,
+    /// The fragment's marshalled data.
+    pub data: &'d [u8],
+}
+
+impl<'d> Fragment<'d> {
+    /// The fragment a validated frame carries, if it is one: a Call or a
+    /// Result of more than one packet.
+    pub fn of(view: &FrameView<'d>) -> Option<Fragment<'d>> {
+        let rpc = view.rpc;
+        let transfer = matches!(rpc.packet_type, PacketType::Call | PacketType::Result);
+        (transfer && rpc.fragment_count > 1).then_some(Fragment {
+            rpc,
+            data: view.data,
+        })
+    }
+
+    /// Whether `next` belongs to the same transfer: the same activity,
+    /// call and packet type.
+    pub fn same_transfer(&self, next: &Fragment<'_>) -> bool {
+        let (a, b) = (&self.rpc, &next.rpc);
+        a.activity == b.activity && a.call_seq == b.call_seq && a.packet_type == b.packet_type
     }
 }
 

@@ -2,10 +2,20 @@
 //! result retention.
 //!
 //! One `ServerSide` per endpoint. The thread holding the receive role
-//! routes call packets here; `ServerSide::handle_call_packet` performs
-//! the interrupt-level work (duplicate filtering, fragment reassembly,
-//! retained-result retransmission) and then gets the fresh call
-//! executed by the cheapest thread that may run it:
+//! routes call packets here and performs the interrupt-level work —
+//! duplicate filtering, fragment reassembly, retained-result
+//! retransmission — then gets the fresh call executed by the cheapest
+//! thread that may run it. A single-packet call comes as an owned
+//! [`Packet`] (`handle_call_packet`): its pool buffer travels with the
+//! call to whichever thread runs it. The fragments of a multi-packet
+//! call come as a run, validated in the datagram they landed in
+//! (`handle_call_fragments`): the activity is found, locked and marked
+//! used (a clock read) once for the run, and each fragment's data is copied
+//! straight from the datagram into the call's reassembly — no pool
+//! buffer, no copy before that one. Either way the packet's round is
+//! decided once, by the same `seen`: stale, a duplicate, or new.
+//!
+//! The executing thread is:
 //!
 //! * the **receiving thread itself**, when that is the resident receiver
 //!   and the call is for a procedure whose measured service time is
@@ -31,7 +41,7 @@
 
 use crate::calltable::shard_for;
 use crate::fragment::{Accepted, Acked, Reassembly, Window};
-use crate::packet::{Assembled, Packet};
+use crate::packet::{Assembled, Fragment, Packet};
 use crate::send::{Batch, SendCtx};
 use crate::service::Service;
 use crate::shard::WorkQueues;
@@ -41,7 +51,7 @@ use crate::witness::{Action, State};
 use crate::{Result, RpcError};
 use firefly_idl::{CompiledStub, Written};
 use firefly_pool::PacketBuf;
-use firefly_sync::{Mutex, RwLock};
+use firefly_sync::{Mutex, MutexGuard, RwLock};
 use firefly_wire::{ActivityId, PacketType, RpcHeader, DATA_OFFSET, MAX_SINGLE_PACKET_DATA};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -142,6 +152,27 @@ struct ActState {
 
 struct Activity {
     state: Mutex<ActState>,
+}
+
+/// Where a call packet stands against its activity's slot — one
+/// decision for single packets and fragments alike.
+enum Seen {
+    /// From a round before the current call.
+    Stale,
+    /// Of the current call: a retransmission.
+    Duplicate,
+    /// Of a call newer than any seen (or a fragment of one).
+    New,
+}
+
+fn seen(st: &ActState, rpc: &RpcHeader) -> Seen {
+    if rpc.call_seq < st.last_seq {
+        Seen::Stale
+    } else if rpc.call_seq == st.last_seq && st.last_seq != 0 {
+        Seen::Duplicate
+    } else {
+        Seen::New
+    }
 }
 
 struct ServiceEntry {
@@ -376,7 +407,7 @@ impl ServerSide {
         }))
     }
 
-    /// Interrupt-level handling of an incoming call packet.
+    /// Interrupt-level handling of an incoming single-packet call.
     ///
     /// `out` is the receiving thread's own batch, for what it sends;
     /// `inline` says whether that thread may run service code (the
@@ -392,58 +423,70 @@ impl ServerSide {
         // Stamp receipt first, before any protocol work, so the server
         // account starts at the receive boundary (0 with tracing off).
         let received_at = self.ctx.tracer.stamp_if_enabled();
-        let stats = &self.ctx.stats;
-        RpcStats::bump(&stats.calls_received);
+        RpcStats::bump(&self.ctx.stats.calls_received);
         let rpc = pkt.rpc;
-        let witness = &self.ctx.witness;
         let act = self.activity(rpc.activity);
         let mut st = act.state.lock();
         st.last_used = Instant::now();
-
-        if rpc.call_seq < st.last_seq {
-            // A stale call from a past round; drop and recycle.
-            witness.record(State::ServerStale, &rpc, Action::DropStale);
-            self.recycle(pkt);
-            return;
-        }
-        if rpc.call_seq == st.last_seq && st.last_seq != 0 {
-            // Duplicate of the current call (a caller retransmission).
-            RpcStats::bump(&stats.duplicate_calls);
-            let resent = st.retained.resend(&self.ctx, out, src);
-            let executing = st.in_progress;
-            drop(st);
-            if resent {
-                // "the last result packet … must be retained for possible
-                // retransmission": answer the duplicate from it —
-                // mid-transfer, with the first fragment not acknowledged.
-                witness.record(State::ServerDupRetained, &rpc, Action::RetransmitResult);
-                self.transmit(out);
-                RpcStats::bump(&stats.retransmissions);
-            } else if executing && rpc.flags.please_ack {
-                // The call is executing; tell the caller to stop
-                // retransmitting: the ack names the whole call.
-                witness.record(State::ServerDupExecuting, &rpc, Action::AckExecuting);
-                let whole = RpcHeader {
-                    fragment: rpc.fragment_count.saturating_sub(1),
-                    ..RpcHeader::ack_for(&rpc)
-                };
-                let _ = self.ctx.send_ack(&whole, src);
-            } else {
-                // Dropped without answer: still executing (no ack asked),
-                // or the result was already delivered and released.
-                let state = if executing {
-                    State::ServerDupExecuting
-                } else {
-                    State::ServerDupReleased
-                };
-                witness.record(state, &rpc, Action::DropDuplicate);
+        match seen(&st, &rpc) {
+            Seen::New => {}
+            old => {
+                self.answer_old(st, old, &rpc, src, out);
+                self.recycle(pkt);
+                return;
             }
-            self.recycle(pkt);
-            return;
         }
+        self.begin_call(&mut st, rpc.call_seq);
+        drop(st);
+        self.run_call(Assembled::Single(pkt), src, act, received_at, out, inline);
+    }
 
-        // A new call (or the first fragment(s) of one).
-        let call = if rpc.fragment_count > 1 {
+    /// Interrupt-level handling of a run of fragments of one multi-packet
+    /// call — consecutive frames of one datagram, of one activity and
+    /// call — validated where they landed.
+    ///
+    /// The activity is found, locked and marked used (a clock read) once
+    /// for the run, and each fragment is decided and taken in turn, its data
+    /// copied from the datagram straight into the call's reassembly. The
+    /// guard is given up only for what hits the wire (an ack, a
+    /// duplicate's answer) or runs the completed call, and taken again
+    /// for the next fragment, so every fragment sees and does exactly
+    /// what it would alone. `out` and `inline` as for
+    /// [`ServerSide::handle_call_packet`].
+    pub(crate) fn handle_call_fragments(
+        &self,
+        run: &[Fragment<'_>],
+        src: SocketAddr,
+        out: &mut Batch,
+        inline: bool,
+    ) {
+        let Some(first) = run.first() else {
+            return;
+        };
+        let stats = &self.ctx.stats;
+        let witness = &self.ctx.witness;
+        let act = self.activity(first.rpc.activity);
+        let mut st = act.state.lock();
+        st.last_used = Instant::now();
+        let mut held = Some(st);
+        for f in run {
+            // The server account of a multi-packet call starts at the
+            // receipt of the fragment that completes it (0 with tracing
+            // off): reassembly is the caller's send step.
+            let received_at = self.ctx.tracer.stamp_if_enabled();
+            RpcStats::bump(&stats.calls_received);
+            let rpc = f.rpc;
+            let mut st = match held.take() {
+                Some(st) => st,
+                None => act.state.lock(),
+            };
+            match seen(&st, &rpc) {
+                Seen::New => {}
+                old => {
+                    self.answer_old(st, old, &rpc, src, out);
+                    continue;
+                }
+            }
             let reass = match &mut st.reassembly {
                 Some((seq, r)) if *seq == rpc.call_seq => r,
                 // A different (or no) sequence in the slot: start fresh.
@@ -451,12 +494,11 @@ impl ServerSide {
                 // expect(), so this path cannot panic the receiver.
                 slot => &mut slot.insert((rpc.call_seq, Reassembly::new(rpc.fragment_count))).1,
             };
-            let accepted = reass.accept(rpc.fragment, rpc.fragment_count, pkt.data());
+            let accepted = reass.accept(rpc.fragment, rpc.fragment_count, f.data);
             if accepted == Accepted::Refused {
-                drop(st);
                 RpcStats::bump(&stats.validation_drops);
-                self.recycle(pkt);
-                return;
+                held = Some(st);
+                continue;
             }
             RpcStats::bump(&stats.fragments_received);
             // Only a fragment that asks is acked — after the activity
@@ -464,35 +506,99 @@ impl ServerSide {
             // held, if there is one. The Result acks a whole call.
             let ack = crate::fragment::prefix_ack(&rpc, reass).filter(|_| rpc.flags.please_ack);
             let Accepted::Complete(data) = accepted else {
-                drop(st);
                 if let Some(ack) = ack {
+                    drop(st);
                     witness.record(State::ServerNew, &rpc, Action::AssembleAck);
                     let _ = self.ctx.send_ack(&ack, src);
                 } else {
                     witness.record(State::ServerNew, &rpc, Action::Assemble);
+                    held = Some(st);
                 }
-                self.recycle(pkt);
-                return;
+                continue;
             };
             st.reassembly = None;
             self.begin_call(&mut st, rpc.call_seq);
             drop(st);
-            self.recycle(pkt);
-            Assembled::Multi { rpc, data }
-        } else {
-            self.begin_call(&mut st, rpc.call_seq);
+            let call = Assembled::Multi { rpc, data };
+            self.run_call(call, src, Arc::clone(&act), received_at, out, inline);
+        }
+    }
+
+    /// Answers a call packet of a round already seen, releasing the
+    /// activity guard first if it sends: a stale one is dropped; a
+    /// duplicate of the current call gets the retained result again, an
+    /// ack that the call is executing, or nothing.
+    fn answer_old(
+        &self,
+        st: MutexGuard<'_, ActState>,
+        old: Seen,
+        rpc: &RpcHeader,
+        src: SocketAddr,
+        out: &mut Batch,
+    ) {
+        let witness = &self.ctx.witness;
+        if let Seen::Stale = old {
+            // A stale call from a past round.
             drop(st);
-            Assembled::Single(pkt)
-        };
-        witness.record(State::ServerNew, &rpc, Action::Dispatch);
+            witness.record(State::ServerStale, rpc, Action::DropStale);
+            return;
+        }
+        // Duplicate of the current call (a caller retransmission).
+        RpcStats::bump(&self.ctx.stats.duplicate_calls);
+        let resent = st.retained.resend(&self.ctx, out, src);
+        let executing = st.in_progress;
+        drop(st);
+        if resent {
+            // "the last result packet … must be retained for possible
+            // retransmission": answer the duplicate from it —
+            // mid-transfer, with the first fragment not acknowledged.
+            witness.record(State::ServerDupRetained, rpc, Action::RetransmitResult);
+            self.transmit(out);
+            RpcStats::bump(&self.ctx.stats.retransmissions);
+        } else if executing && rpc.flags.please_ack {
+            // The call is executing; tell the caller to stop
+            // retransmitting: the ack names the whole call.
+            witness.record(State::ServerDupExecuting, rpc, Action::AckExecuting);
+            let whole = RpcHeader {
+                fragment: rpc.fragment_count.saturating_sub(1),
+                ..RpcHeader::ack_for(rpc)
+            };
+            let _ = self.ctx.send_ack(&whole, src);
+        } else {
+            // Dropped without answer: still executing (no ack asked),
+            // or the result was already delivered and released.
+            let state = if executing {
+                State::ServerDupExecuting
+            } else {
+                State::ServerDupReleased
+            };
+            witness.record(state, rpc, Action::DropDuplicate);
+        }
+    }
+
+    /// Gets a fresh call executed by the cheapest thread that may run
+    /// it: the receiving thread itself when it may run service code
+    /// (`inline`) and the procedure is measured short, else the worker
+    /// owning the activity's shard.
+    fn run_call(
+        &self,
+        call: Assembled,
+        src: SocketAddr,
+        act: Arc<Activity>,
+        received_at: u64,
+        out: &mut Batch,
+        inline: bool,
+    ) {
+        let rpc = *call.rpc();
+        self.ctx.witness.record(State::ServerNew, &rpc, Action::Dispatch);
         if inline && self.runs_inline(&rpc) {
             // Never block the receiver for a buffer: a dry pool sends the
             // call round by the workers, which may wait.
             let shard = shard_for(rpc.activity, self.ctx.pool.shard_count());
             if let Ok(result_buf) = self.ctx.pool.alloc_from(shard) {
                 // Reached its executing thread without queueing.
-                RpcStats::bump(&stats.direct_wakeups);
-                RpcStats::bump(&stats.inline_calls);
+                RpcStats::bump(&self.ctx.stats.direct_wakeups);
+                RpcStats::bump(&self.ctx.stats.inline_calls);
                 self.dispatch(call, src, &act, received_at, Some(result_buf), out);
                 return;
             }

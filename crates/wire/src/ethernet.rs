@@ -117,25 +117,29 @@ impl EthernetHeader {
     }
 
     /// Decodes a header from the front of `bytes`.
+    #[inline]
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < ETHERNET_HEADER_LEN {
-            return Err(WireError::Truncated {
+        match bytes.first_chunk() {
+            Some(header) => Ok(Self::read(header)),
+            None => Err(WireError::Truncated {
                 needed: ETHERNET_HEADER_LEN,
                 available: bytes.len(),
-            });
+            }),
         }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&bytes[0..6]);
-        src.copy_from_slice(&bytes[6..12]);
-        Ok(EthernetHeader {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
-            ethertype: EtherType::from_u16(u16::from_be_bytes([bytes[12], bytes[13]])),
-        })
+    }
+
+    /// Reads the header's fields; nothing here can fail.
+    #[inline]
+    pub(crate) fn read(b: &[u8; ETHERNET_HEADER_LEN]) -> Self {
+        EthernetHeader {
+            dst: MacAddr([b[0], b[1], b[2], b[3], b[4], b[5]]),
+            src: MacAddr([b[6], b[7], b[8], b[9], b[10], b[11]]),
+            ethertype: EtherType::from_u16(u16::from_be_bytes([b[12], b[13]])),
+        }
     }
 
     /// Decodes and additionally requires the payload to be IPv4.
+    #[inline]
     pub fn decode_ipv4(bytes: &[u8]) -> Result<Self> {
         let h = Self::decode(bytes)?;
         match h.ethertype {

@@ -76,40 +76,46 @@ impl Ipv4Header {
 
     /// Decodes a header from the front of `bytes`, verifying the version,
     /// header length and header checksum.
+    #[inline]
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < IPV4_HEADER_LEN {
+        let Some(header) = bytes.first_chunk() else {
             return Err(WireError::Truncated {
                 needed: IPV4_HEADER_LEN,
                 available: bytes.len(),
             });
+        };
+        Self::check(header)?;
+        Ok(Self::read(header))
+    }
+
+    /// The checks [`Ipv4Header::decode`] makes of a whole header: version
+    /// and header length, then the header checksum.
+    #[inline]
+    pub(crate) fn check(b: &[u8; IPV4_HEADER_LEN]) -> Result<()> {
+        if b[0] != 0x45 {
+            return Err(WireError::BadIpHeader(b[0]));
         }
-        if bytes[0] != 0x45 {
-            return Err(WireError::BadIpHeader(bytes[0]));
+        if internet_checksum(b) != 0 {
+            return Err(bad_checksum(b));
         }
-        let computed = internet_checksum(&bytes[..IPV4_HEADER_LEN]);
-        if computed != 0 {
-            let found = u16::from_be_bytes([bytes[10], bytes[11]]);
-            // Recompute what the sender should have stored, for the error.
-            let mut c = Checksum::new();
-            c.add_bytes(&bytes[..10]);
-            c.add_bytes(&[0, 0]);
-            c.add_bytes(&bytes[12..IPV4_HEADER_LEN]);
-            return Err(WireError::BadIpChecksum {
-                found,
-                computed: c.finish(),
-            });
+        Ok(())
+    }
+
+    /// Reads the header's fields; nothing here can fail.
+    #[inline]
+    pub(crate) fn read(b: &[u8; IPV4_HEADER_LEN]) -> Self {
+        Ipv4Header {
+            total_len: u16::from_be_bytes([b[2], b[3]]),
+            ident: u16::from_be_bytes([b[4], b[5]]),
+            ttl: b[8],
+            protocol: b[9],
+            src: Ipv4Addr::new(b[12], b[13], b[14], b[15]),
+            dst: Ipv4Addr::new(b[16], b[17], b[18], b[19]),
         }
-        Ok(Ipv4Header {
-            total_len: u16::from_be_bytes([bytes[2], bytes[3]]),
-            ident: u16::from_be_bytes([bytes[4], bytes[5]]),
-            ttl: bytes[8],
-            protocol: bytes[9],
-            src: Ipv4Addr::new(bytes[12], bytes[13], bytes[14], bytes[15]),
-            dst: Ipv4Addr::new(bytes[16], bytes[17], bytes[18], bytes[19]),
-        })
     }
 
     /// Decodes and additionally requires the payload protocol to be UDP.
+    #[inline]
     pub fn decode_udp(bytes: &[u8]) -> Result<Self> {
         let h = Self::decode(bytes)?;
         if h.protocol != PROTO_UDP {
@@ -126,6 +132,22 @@ impl Ipv4Header {
         c.add_bytes(&self.dst.octets());
         c.add_word(u16::from(self.protocol));
         c.add_word(udp_len);
+    }
+}
+
+/// The error for a header whose sum does not fold to zero: what its
+/// checksum field holds and what it should. Out of line, so the check
+/// that passes carries none of it.
+#[cold]
+#[inline(never)]
+fn bad_checksum(b: &[u8; IPV4_HEADER_LEN]) -> WireError {
+    let mut c = Checksum::new();
+    c.add_bytes(&b[..10]);
+    c.add_bytes(&[0, 0]);
+    c.add_bytes(&b[12..]);
+    WireError::BadIpChecksum {
+        found: u16::from_be_bytes([b[10], b[11]]),
+        computed: c.finish(),
     }
 }
 

@@ -72,6 +72,7 @@ impl PacketType {
     }
 
     /// Interprets a wire byte.
+    #[inline]
     pub fn from_u8(v: u8) -> Result<Self> {
         Ok(match v {
             1 => PacketType::Call,
@@ -323,32 +324,39 @@ impl RpcHeader {
     }
 
     /// Decodes a header from the front of `bytes`.
+    #[inline]
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < RPC_HEADER_LEN {
+        let Some(header) = bytes.first_chunk() else {
             return Err(WireError::Truncated {
                 needed: RPC_HEADER_LEN,
                 available: bytes.len(),
             });
-        }
-        Ok(RpcHeader {
-            packet_type: PacketType::from_u8(bytes[0])?,
-            flags: PacketFlags::from_u8(bytes[1]),
+        };
+        Ok(Self::read(PacketType::from_u8(header[0])?, header))
+    }
+
+    /// Reads the fields after the packet type, which the caller has
+    /// already checked; nothing here can fail.
+    #[inline]
+    pub(crate) fn read(packet_type: PacketType, b: &[u8; RPC_HEADER_LEN]) -> Self {
+        RpcHeader {
+            packet_type,
+            flags: PacketFlags::from_u8(b[1]),
             activity: ActivityId {
-                machine: u32::from_be_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]),
-                space: u16::from_be_bytes([bytes[6], bytes[7]]),
-                thread: u16::from_be_bytes([bytes[8], bytes[9]]),
+                machine: u32::from_be_bytes([b[2], b[3], b[4], b[5]]),
+                space: u16::from_be_bytes([b[6], b[7]]),
+                thread: u16::from_be_bytes([b[8], b[9]]),
             },
-            call_seq: u32::from_be_bytes([bytes[10], bytes[11], bytes[12], bytes[13]]),
-            fragment: u16::from_be_bytes([bytes[14], bytes[15]]),
-            fragment_count: u16::from_be_bytes([bytes[16], bytes[17]]),
+            call_seq: u32::from_be_bytes([b[10], b[11], b[12], b[13]]),
+            fragment: u16::from_be_bytes([b[14], b[15]]),
+            fragment_count: u16::from_be_bytes([b[16], b[17]]),
             interface_uid: u64::from_be_bytes([
-                bytes[18], bytes[19], bytes[20], bytes[21], bytes[22], bytes[23], bytes[24],
-                bytes[25],
+                b[18], b[19], b[20], b[21], b[22], b[23], b[24], b[25],
             ]),
-            interface_version: u16::from_be_bytes([bytes[26], bytes[27]]),
-            procedure: u16::from_be_bytes([bytes[28], bytes[29]]),
-            data_len: u16::from_be_bytes([bytes[30], bytes[31]]),
-        })
+            interface_version: u16::from_be_bytes([b[26], b[27]]),
+            procedure: u16::from_be_bytes([b[28], b[29]]),
+            data_len: u16::from_be_bytes([b[30], b[31]]),
+        }
     }
 
     /// Returns the `(activity, call_seq)` pair that names this call.

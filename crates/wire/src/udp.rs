@@ -81,19 +81,26 @@ impl UdpHeader {
 
     /// Decodes a header from the front of `bytes` without verifying the
     /// checksum (use [`UdpHeader::verify_checksum`] for that).
+    #[inline]
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < UDP_HEADER_LEN {
-            return Err(WireError::Truncated {
+        match bytes.first_chunk() {
+            Some(header) => Ok(Self::read(header)),
+            None => Err(WireError::Truncated {
                 needed: UDP_HEADER_LEN,
                 available: bytes.len(),
-            });
+            }),
         }
-        Ok(UdpHeader {
-            src_port: u16::from_be_bytes([bytes[0], bytes[1]]),
-            dst_port: u16::from_be_bytes([bytes[2], bytes[3]]),
-            length: u16::from_be_bytes([bytes[4], bytes[5]]),
-            checksum: u16::from_be_bytes([bytes[6], bytes[7]]),
-        })
+    }
+
+    /// Reads the header's fields; nothing here can fail.
+    #[inline]
+    pub(crate) fn read(b: &[u8; UDP_HEADER_LEN]) -> Self {
+        UdpHeader {
+            src_port: u16::from_be_bytes([b[0], b[1]]),
+            dst_port: u16::from_be_bytes([b[2], b[3]]),
+            length: u16::from_be_bytes([b[4], b[5]]),
+            checksum: u16::from_be_bytes([b[6], b[7]]),
+        }
     }
 
     /// Verifies the UDP checksum over pseudo-header, header and data.
@@ -101,6 +108,7 @@ impl UdpHeader {
     /// A transmitted checksum of zero means the sender did not compute one;
     /// per RFC 768 the packet is then accepted without verification (this is
     /// exactly the §4.2.4 "omit UDP checksums" mode).
+    #[inline]
     pub fn verify_checksum(&self, ip: &Ipv4Header, header_bytes: &[u8], data: &[u8]) -> Result<()> {
         if self.checksum == 0 {
             return Ok(());
@@ -111,20 +119,32 @@ impl UdpHeader {
         c.add_bytes(data);
         // Including the transmitted checksum, the sum must fold to zero
         // (finish() returns the complement, so a valid packet yields 0).
-        let residue = c.finish();
-        if residue != 0 {
-            // Recompute the expected value for the error message.
-            let mut c2 = Checksum::new();
-            ip.add_pseudo_header(&mut c2, self.length);
-            c2.add_bytes(&header_bytes[..6]);
-            c2.add_bytes(&[0, 0]);
-            c2.add_bytes(data);
-            return Err(WireError::BadUdpChecksum {
-                found: self.checksum,
-                computed: c2.finish_udp(),
-            });
+        if c.finish() != 0 {
+            return Err(self.bad_checksum(ip, header_bytes, data));
         }
         Ok(())
+    }
+
+    /// The error for a sum that does not fold to zero: the checksum the
+    /// sender should have stored. Out of line, so the check that passes
+    /// carries none of it.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn bad_checksum(
+        &self,
+        ip: &Ipv4Header,
+        header_bytes: &[u8],
+        data: &[u8],
+    ) -> WireError {
+        let mut c = Checksum::new();
+        ip.add_pseudo_header(&mut c, self.length);
+        c.add_bytes(&header_bytes[..6]);
+        c.add_bytes(&[0, 0]);
+        c.add_bytes(data);
+        WireError::BadUdpChecksum {
+            found: self.checksum,
+            computed: c.finish_udp(),
+        }
     }
 
     /// Returns the payload length implied by the header.

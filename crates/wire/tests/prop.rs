@@ -2,8 +2,10 @@
 
 use firefly_propcheck::{check, prop_assert, prop_assert_eq, Gen};
 use firefly_wire::{
-    internet_checksum, ActivityId, Frame, FrameBuilder, MacAddr, PacketFlags, PacketType,
-    RpcHeader, MAX_SINGLE_PACKET_DATA, RPC_HEADERS_LEN, RPC_HEADER_LEN,
+    internet_checksum, ActivityId, EthernetHeader, Frame, FrameBuilder, FrameView, Ipv4Header,
+    MacAddr, PacketFlags, PacketType, RpcHeader, UdpHeader, WireError, ETHERNET_HEADER_LEN,
+    IPV4_HEADER_LEN, MAX_FRAME_LEN, MAX_SINGLE_PACKET_DATA, RPC_HEADERS_LEN, RPC_HEADER_LEN,
+    UDP_HEADER_LEN,
 };
 use std::net::Ipv4Addr;
 
@@ -98,6 +100,113 @@ fn single_bit_corruption_never_passes_checksum() {
         // same way, which a one-bit flip in the payload never is) a
         // different payload. A flip in the checksummed region must fail.
         prop_assert!(Frame::parse(&bytes).is_err());
+        Ok(())
+    });
+}
+
+/// A checksummed frame of random shape: packet type, flags, addresses,
+/// identifiers and 0–256 data bytes.
+fn arb_frame(g: &mut Gen) -> Vec<u8> {
+    let count = g.u16_in(1..16);
+    FrameBuilder::new(arb_packet_type(g))
+        .macs(MacAddr::from_host_id(g.u32()), MacAddr::from_host_id(g.u32()))
+        .ips(Ipv4Addr::from(g.u32()), Ipv4Addr::from(g.u32()))
+        .activity(ActivityId::new(g.u32(), g.u16(), g.u16()))
+        .call_seq(g.u32())
+        .fragment(g.u16_in(0..count), count)
+        .please_ack(g.bool())
+        .acks_result(g.bool())
+        .call_failed(g.bool())
+        .interface(g.u64(), g.u16())
+        .procedure(g.u16())
+        .ip_ident(g.u16())
+        .build(&g.bytes(0..257))
+        .unwrap()
+        .into_bytes()
+}
+
+/// Byte offset of the UDP checksum field in a frame.
+const UDP_CHECKSUM_AT: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + 6;
+
+#[test]
+fn every_single_bit_flip_outside_the_macs_is_rejected() {
+    // The two MAC addresses (bytes 0..12) are the only bytes no check
+    // covers: the EtherType is compared, the IP header summed, and the
+    // UDP checksum covers the UDP header, the RPC header and the data.
+    // One flip cannot slip through: it changes the one's-complement sum
+    // it falls in. The one exception is the UDP checksum field itself: a
+    // checksum with a single bit set, flipped to zero, says "the sender
+    // computed none" (RFC 768) and is accepted as unchecked — with every
+    // other byte as it was sent.
+    check("every_single_bit_flip_outside_the_macs_is_rejected", 48, |g| {
+        let mut bytes = arb_frame(g);
+        let sent = FrameView::parse(&bytes).unwrap().rpc;
+        for at in 12..bytes.len() {
+            for bit in 0..8 {
+                bytes[at] ^= 1 << bit;
+                let unchecked = bytes[UDP_CHECKSUM_AT..UDP_CHECKSUM_AT + 2] == [0, 0];
+                match FrameView::parse(&bytes) {
+                    Err(_) => prop_assert!(!unchecked, "byte {at} bit {bit}"),
+                    Ok(view) => {
+                        prop_assert!(unchecked, "byte {at} bit {bit} passed every check");
+                        prop_assert_eq!(view.rpc, sent);
+                    }
+                }
+                bytes[at] ^= 1 << bit;
+            }
+        }
+        Ok(())
+    });
+}
+
+/// The frame parser spelled the long way: each header through its own
+/// public decoder, the checks in the order `FrameView::parse` documents.
+fn parse_by_decoders(bytes: &[u8]) -> Result<(RpcHeader, &[u8]), WireError> {
+    if bytes.len() > MAX_FRAME_LEN {
+        return Err(WireError::FrameTooLong(bytes.len()));
+    }
+    EthernetHeader::decode_ipv4(bytes)?;
+    let ip_bytes = &bytes[ETHERNET_HEADER_LEN..];
+    let ip = Ipv4Header::decode_udp(ip_bytes)?;
+    let udp_bytes = &ip_bytes[IPV4_HEADER_LEN..];
+    let udp = UdpHeader::decode(udp_bytes)?;
+    let available = udp_bytes.len() - UDP_HEADER_LEN;
+    if udp.data_len() < RPC_HEADER_LEN || udp.data_len() > available {
+        return Err(WireError::BadUdpLength {
+            claimed: udp.length as usize,
+            available: udp_bytes.len(),
+        });
+    }
+    let payload = &udp_bytes[UDP_HEADER_LEN..UDP_HEADER_LEN + udp.data_len()];
+    udp.verify_checksum(&ip, udp_bytes, payload)?;
+    let rpc = RpcHeader::decode(payload)?;
+    let data = &payload[RPC_HEADER_LEN..];
+    if rpc.data_len as usize != data.len() {
+        return Err(WireError::BadDataLength {
+            claimed: rpc.data_len as usize,
+            available: data.len(),
+        });
+    }
+    Ok((rpc, data))
+}
+
+#[test]
+fn parse_agrees_with_the_header_decoders_on_any_input() {
+    // Same verdict, same error, same header and data: nothing the
+    // decoders check is skipped or checked in another order.
+    check("parse_agrees_with_the_header_decoders_on_any_input", 512, |g| {
+        let mut bytes = arb_frame(g);
+        match g.usize_in(0..4) {
+            0 => {}
+            1 => {
+                let at = g.usize_in(0..bytes.len());
+                bytes[at] = g.u8();
+            }
+            2 => bytes.truncate(g.usize_in(0..bytes.len())),
+            _ => bytes = g.bytes(0..MAX_FRAME_LEN + 2),
+        }
+        let parsed = FrameView::parse(&bytes).map(|v| (v.rpc, v.data));
+        prop_assert_eq!(parsed, parse_by_decoders(&bytes));
         Ok(())
     });
 }

@@ -161,13 +161,18 @@ fn multi_packet_echo_over_udp() {
     // Four fragments each way over real sockets: one window each way,
     // so the whole exchange is eight fragments and not one explicit ack
     // — the Result acks the Call, the next Call acks the Result — and the
-    // server parks no thread on the transfer. A window is one datagram.
+    // server parks no thread on the transfer. A window is one datagram,
+    // and its fragments are reassembled from where they landed: neither
+    // side takes a pool buffer for a fragment it receives.
     let (iface, service, _) = big_echo();
     let (server, caller, [server_socket, caller_socket]) = udp_pair();
     server.export(service).unwrap();
     let c = caller.bind(&iface, server.address()).unwrap();
 
     const CALLS: u64 = 200;
+    // Pool buffers taken, free list and receive queue alike.
+    let takes = || [server.pool().stats().allocs(), caller.pool().stats().allocs()];
+    let before = takes();
     for call in 0..CALLS {
         let input: Vec<u8> = (0..5760).map(|i| ((i + call) % 251) as u8).collect();
         let r = c
@@ -175,6 +180,12 @@ fn multi_packet_echo_over_udp() {
             .unwrap();
         assert_eq!(r[0].as_bytes().unwrap(), &input[..], "call {call}");
     }
+    // One each per call: the buffer the result is first marshalled into
+    // on the server, the one the arguments are on the caller — both
+    // found too small and spilled. (Each fragment received took one
+    // more: five per call on the server, five or more on the caller.)
+    let after = takes();
+    assert_eq!([after[0] - before[0], after[1] - before[1]], [CALLS, CALLS]);
     let (s, k) = (server.stats(), caller.stats());
     assert_eq!(s.fragments_received(), 4 * CALLS, "server stats:\n{s}");
     assert_eq!(k.fragments_sent() + s.fragments_sent(), 8 * CALLS, "server stats:\n{s}");
