@@ -16,19 +16,19 @@
 //!
 //! Determinism note: every lock/condvar a model registers with the
 //! scheduler stays alive until the schedule ends (the call-table model
-//! keeps completed entries in a scratch vector). Freed-and-reallocated
+//! keeps the entry it waited on in a scratch vector). Freed-and-reallocated
 //! addresses could otherwise inherit a previous object's registration
 //! index, making event names depend on allocator reuse.
 
 use crate::{Model, ModelRun};
 use firefly_pool::BufferPool;
-use firefly_rpc::calltable::{CallTable, Deliver, Wait};
-use firefly_rpc::packet::Packet;
+use firefly_rpc::calltable::{CallTable, Deliver, Delivered, Wait};
+use firefly_rpc::packet::{Fragment, Packet};
 use firefly_rpc::role::{Polled, ReceiveRole};
 use firefly_rpc::trace::{TraceRecord, Tracer};
 use firefly_sync::atomic as checked_atomic;
 use firefly_sync::{channel, Condvar, Mutex};
-use firefly_wire::{ActivityId, FrameBuilder, PacketType};
+use firefly_wire::{ActivityId, FrameBuilder, FrameView, PacketType};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,16 +61,41 @@ fn result_packet_for(pool: &BufferPool, activity: ActivityId, seq: u32, data: &[
     Packet::from_buf(buf).expect("packet parse")
 }
 
-/// Call-table slot reuse: one caller runs two back-to-back calls under
-/// the same activity (the slot is reassigned), a demux thread delivers
-/// each result, and a late duplicate of the first call's result must be
-/// classified as an orphan — never delivered into the reused slot.
+/// Call-table entry reuse: one caller runs two back-to-back calls under
+/// the same activity, on the one entry the activity keeps, and a demux
+/// thread delivers each result. Once call 1 is registered, the demux
+/// also delivers a late ack and a late result-fragment run of call 0,
+/// and after call 1's result a late duplicate of call 0's: each must be
+/// classified as an orphan — never taken into the reused entry — and
+/// call 1 must complete with its own bytes.
 fn make_calltable() -> ModelRun {
     let table = Arc::new(CallTable::new());
     let pool = BufferPool::new(4);
     let pkt0 = result_packet(&pool, 0, &[0]);
     let pkt1 = result_packet(&pool, 1, &[1]);
     let dup = result_packet(&pool, 0, &[9]);
+    let late_ack = {
+        let frame = FrameBuilder::new(PacketType::Ack)
+            .activity(activity())
+            .call_seq(0)
+            .build(&[])
+            .expect("frame build");
+        let mut buf = pool.alloc().expect("model pool alloc");
+        buf.fill_from(frame.bytes());
+        Packet::from_buf(buf).expect("packet parse")
+    };
+    // Call 0's result as two full fragments, one datagram's run.
+    let late_run: Vec<Vec<u8>> = (0..2u16)
+        .map(|i| {
+            FrameBuilder::new(PacketType::Result)
+                .activity(activity())
+                .call_seq(0)
+                .fragment(i, 2)
+                .build(&[9; firefly_rpc::fragment::MAX_FRAGMENT_DATA])
+                .expect("frame build")
+                .into_bytes()
+        })
+        .collect();
     let (tx, rx) = channel::unbounded::<u32>();
 
     let label = {
@@ -106,8 +131,26 @@ fn make_calltable() -> ModelRun {
         let table = Arc::clone(&table);
         Box::new(move || {
             let mut pkts = [Some(pkt0), Some(pkt1)];
+            let mut late_ack = Some(late_ack);
             for _ in 0..2 {
                 let seq = rx.recv().expect("caller alive") as usize;
+                if seq == 1 {
+                    // Call 1 is registered on the entry call 0 used: what
+                    // is still on its way for call 0 must not reach it.
+                    let ack = late_ack.take().expect("sent once");
+                    assert!(
+                        matches!(table.deliver(ack), Deliver::Orphan(_)),
+                        "late ack of call 0 taken by call 1"
+                    );
+                    let views: Vec<_> = late_run
+                        .iter()
+                        .map(|f| FrameView::parse(f).expect("frame parse"))
+                        .collect();
+                    let run: Vec<_> = views.iter().filter_map(Fragment::of).collect();
+                    table.deliver_fragments(&run, false, |d| {
+                        assert_eq!(d, Delivered::Orphan, "late fragment of call 0 taken by call 1");
+                    });
+                }
                 let pkt = pkts[seq].take().expect("each seq sent once");
                 assert!(
                     matches!(table.deliver(pkt), Deliver::Accepted),

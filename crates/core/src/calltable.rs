@@ -10,24 +10,36 @@
 //! table. If successful, the interrupt routine directly awakens the caller
 //! thread."
 //!
-//! This module is that table for the caller role: the thread holding the
-//! endpoint's receive role ([`crate::role`]) calls
-//! [`CallTable::deliver_from`], which attaches the packet to the entry
-//! and signals the entry's condition variable — **at most one wakeup per
-//! packet**, and none when the receiving thread is the waiter itself.
-//! The fragments of a multi-packet result take no packet buffer: they
-//! come as a run from the datagram they landed in
-//! ([`CallTable::deliver_fragments`]), which finds and locks the entry
-//! once for the run and copies each fragment's data straight into the
-//! reassembly.
+//! This module is that table for the caller role, and like the paper's it
+//! is a table, not a map of calls: an activity's [`CallEntry`] is made
+//! once, with the activity slot that owns it, and lives as long as the
+//! slot does. A shard keeps its entries in a vector indexed by the
+//! activity's dense `thread` number, and a delivery checks the full
+//! [`ActivityId`] against the entry it indexes. Registering a call is
+//! "lock the entry, set the sequence number, clear what the last call
+//! left"; its waiter taking the result closes it again; nothing is
+//! allocated, hashed or removed per call.
+//!
+//! The thread holding the endpoint's receive role ([`crate::role`])
+//! delivers each caller-bound frame where it landed
+//! ([`CallTable::deliver_frame`]): a single-packet result's data is
+//! copied into the entry's own result frame — a heap buffer the activity
+//! keeps from call to call, room for one packet's data, made at its
+//! first result; a reassembled result is freed once read, not kept —
+//! and the entry's condition variable is signalled: **at most one
+//! wakeup per packet**, and none when the receiving thread is the waiter
+//! itself. The fragments of a multi-packet result come as a run from the
+//! datagram they landed in ([`CallTable::deliver_fragments`]), which finds
+//! and locks the entry once for the run and copies each fragment's data
+//! straight into the reassembly. No caller-bound frame takes a pool
+//! buffer.
 
 use crate::fragment::{Accepted, Reassembly};
 use crate::packet::{Assembled, Fragment, Packet, MAX_RUN};
 use crate::witness::{Action, ProtocolWitness, State};
-use firefly_wire::{ActivityId, PacketType, RpcHeader};
+use firefly_wire::{ActivityId, PacketType, RpcHeader, MAX_SINGLE_PACKET_DATA};
 use firefly_sync::atomic::AtomicUsize;
 use firefly_sync::{Condvar, Mutex};
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,7 +47,8 @@ use std::time::Instant;
 /// What the demultiplexer should do after a delivery attempt.
 #[derive(Debug)]
 pub enum Deliver {
-    /// The packet was attached to a waiting call and its thread awakened.
+    /// The packet's data was attached to a waiting call and its thread
+    /// awakened; the packet's buffer has gone back to its pool.
     Accepted,
     /// Nobody is waiting for this packet; the buffer should be recycled.
     Orphan(Packet),
@@ -74,10 +87,13 @@ pub enum Wait {
     TimedOut,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct EntryState {
     /// The call sequence number this entry expects.
     seq: u32,
+    /// A call is registered and its result not yet taken by its waiter.
+    /// Whatever arrives for a closed entry is an orphan.
+    open: bool,
     /// Set when the complete result has arrived.
     outcome: Option<Assembled>,
     /// The server acknowledged our call since the last wait:
@@ -93,21 +109,38 @@ struct EntryState {
     /// count, under this entry's lock, so the count is exactly the
     /// waiters nobody has a wake-up for.
     counted: bool,
+    /// The result frame a single-packet result's data is copied into.
+    /// It leaves with the outcome ([`Assembled::Owned`]) and comes back
+    /// with the activity's next call ([`CallEntry::open`]).
+    frame: Vec<u8>,
 }
 
 impl EntryState {
     fn take_ready(&mut self) -> Option<Wait> {
         if let Some(outcome) = self.outcome.take() {
+            // The result is its waiter's now: the call is over, and a
+            // copy of it arriving later is an orphan.
+            self.open = false;
             return Some(Wait::Complete(outcome));
         }
         let (held, last) = self.acked.take()?;
         Some(Wait::Acked { held, last })
     }
+
+    /// Whether a packet of call `seq` belongs to the open call and
+    /// finds it still waiting for its result.
+    fn wants(&self, seq: u32) -> bool {
+        self.open && seq == self.seq && self.outcome.is_none()
+    }
 }
 
-/// One outstanding call, waited on by exactly one caller thread.
+/// The call-table entry of one activity, waited on by the one caller
+/// thread that is making the activity's call.
 #[derive(Debug)]
 pub struct CallEntry {
+    /// The activity this entry is for; a delivery indexes by its
+    /// `thread` and checks the whole id.
+    id: ActivityId,
     state: Mutex<EntryState>,
     cond: Condvar,
     /// The parked-waiter count of the table this entry is in.
@@ -119,6 +152,40 @@ impl CallEntry {
     /// lock-order class ("calltable"). No-op outside a checked schedule.
     pub fn check_labels(&self) {
         self.state.check_label("calltable");
+    }
+
+    /// The activity this entry is for.
+    pub(crate) fn activity(&self) -> ActivityId {
+        self.id
+    }
+
+    /// Opens call `seq` on this entry: what the last call left (an
+    /// outcome nobody took, an ack, a partial result) is cleared. `frame`
+    /// is the result frame the last call's outcome carried away, handed
+    /// back for this call's result; `None` keeps the one the entry has.
+    pub(crate) fn open(&self, seq: u32, frame: Option<Vec<u8>>) {
+        let mut st = self.state.lock();
+        st.seq = seq;
+        if let Some(frame) = frame {
+            st.frame = frame;
+        }
+        self.reset(&mut st, true);
+    }
+
+    /// Closes the entry's call without a result (it failed, or its
+    /// deadline passed): whatever arrives for it from now on is an
+    /// orphan.
+    pub(crate) fn close(&self) {
+        self.reset(&mut self.state.lock(), false);
+    }
+
+    /// Clears what the entry's last call left and opens or closes it.
+    fn reset(&self, st: &mut EntryState, open: bool) {
+        st.open = open;
+        st.outcome = None;
+        st.acked = None;
+        st.reassembly = None;
+        self.uncount(st);
     }
 
     /// Fragments of a multi-packet result buffered so far. They are
@@ -195,10 +262,12 @@ impl CallEntry {
 /// thread.
 #[derive(Debug, Default)]
 pub struct CallTable {
-    entries: Mutex<HashMap<ActivityId, Arc<CallEntry>>>,
+    /// Every activity's entry, at its `ActivityId.thread`; made with the
+    /// activity's slot ([`CallTable::entry`]), dropped with it.
+    entries: Mutex<Vec<Option<Arc<CallEntry>>>>,
     /// Caller-side protocol-transition witness: which protocol.toml rows
-    /// this table's [`CallTable::deliver`] has taken, one for all shards
-    /// of a [`ShardedCallTable`]. Relaxed counters.
+    /// this table's deliveries have taken, one for all shards of a
+    /// [`ShardedCallTable`]. Relaxed counters.
     witness: Arc<ProtocolWitness>,
     /// Waiters parked on entries of this table with nothing delivered
     /// to them: kept by the entries ([`CallEntry::count_parked`], every
@@ -225,7 +294,47 @@ impl CallTable {
         self.entries.check_label("calltable");
     }
 
-    /// Registers an outstanding call; at most one per activity.
+    /// The entry of `activity`, made the first time it is asked for. An
+    /// activity slot asks once, when it is made, and keeps the entry for
+    /// every call it makes; the entry stays in the table until the slot
+    /// is dropped ([`CallTable::remove`]). An endpoint's activities differ
+    /// only in their thread number; one of another machine or space at
+    /// the same number takes the place over.
+    pub(crate) fn entry(&self, activity: ActivityId) -> Arc<CallEntry> {
+        let index = usize::from(activity.thread);
+        let mut entries = self.entries.lock();
+        if entries.len() <= index {
+            entries.resize(index + 1, None);
+        }
+        if let Some(Some(entry)) = entries.get(index) {
+            if entry.id == activity {
+                return Arc::clone(entry);
+            }
+        }
+        // lint:allow(no-alloc-on-fast-path): once per activity slot;
+        // every call the slot makes reuses the entry.
+        let entry = Arc::new(CallEntry {
+            id: activity,
+            state: Mutex::default(),
+            cond: Condvar::new(),
+            parked: Arc::clone(&self.parked),
+        });
+        if let Some(at) = entries.get_mut(index) {
+            *at = Some(Arc::clone(&entry));
+        }
+        entry
+    }
+
+    /// The entry a packet of `activity` is for, if there is one: the one
+    /// at its thread number, when it is this activity's.
+    fn find(&self, activity: ActivityId) -> Option<Arc<CallEntry>> {
+        let entries = self.entries.lock();
+        let entry = entries.get(usize::from(activity.thread))?.as_ref()?;
+        (entry.id == activity).then(|| Arc::clone(entry))
+    }
+
+    /// Registers an outstanding call; at most one per activity. Opens
+    /// call `seq` on the activity's entry, made on first use.
     ///
     /// The paper registers the call *after* transmitting the packet,
     /// overlapping registration with transmission ("For the RPC fast path
@@ -233,103 +342,139 @@ impl CallTable {
     /// packet arrives"); we register before sending, which is equivalent
     /// but immune to an instant result racing the registration.
     pub fn register(&self, activity: ActivityId, seq: u32) -> Arc<CallEntry> {
-        let entry = Arc::new(CallEntry {
-            state: Mutex::new(EntryState {
-                seq,
-                outcome: None,
-                acked: None,
-                reassembly: None,
-                counted: false,
-            }),
-            cond: Condvar::new(),
-            parked: Arc::clone(&self.parked),
-        });
-        self.entries.lock().insert(activity, Arc::clone(&entry));
+        let entry = self.entry(activity);
+        entry.open(seq, None);
         entry
     }
 
-    /// Removes the entry for an activity (after completion or failure).
+    /// Ends the activity's call, if one is open: what arrives for it
+    /// from now on is an orphan. The entry stays.
     pub fn unregister(&self, activity: ActivityId) {
-        self.entries.lock().remove(&activity);
+        if let Some(entry) = self.find(activity) {
+            entry.close();
+        }
+    }
+
+    /// Drops the activity's entry: its slot is gone.
+    pub(crate) fn remove(&self, activity: ActivityId) {
+        let mut entries = self.entries.lock();
+        if let Some(at) = entries.get_mut(usize::from(activity.thread)) {
+            if at.as_ref().is_some_and(|e| e.id == activity) {
+                *at = None;
+            }
+        }
     }
 
     /// Number of outstanding calls.
     pub fn outstanding(&self) -> usize {
-        self.entries.lock().len()
+        let entries = self.entries.lock();
+        entries.iter().flatten().filter(|e| e.state.lock().open).count()
     }
 
-    /// Hands back a packet nobody waits for: a result to recycle, a
-    /// stray ack or probe response to drop.
-    fn orphan(&self, pkt: Packet) -> Deliver {
-        let action = if pkt.rpc.packet_type == PacketType::Result {
+    /// Number of entries: one per activity slot.
+    pub(crate) fn entries(&self) -> usize {
+        self.entries.lock().iter().flatten().count()
+    }
+
+    /// Records an orphan: a result or result fragment to drop, a stray
+    /// ack or probe response.
+    fn orphan(&self, rpc: &RpcHeader) {
+        let action = if rpc.packet_type == PacketType::Result {
             Action::RecycleOrphan
         } else {
             Action::DropStray
         };
-        self.witness.record(State::CallerOrphan, &pkt.rpc, action);
-        Deliver::Orphan(pkt)
+        self.witness.record(State::CallerOrphan, rpc, action);
     }
 
-    /// Routes a caller-bound packet (a single-packet Result, a
-    /// server→caller Ack, or a ProbeResponse) to its waiting thread and
-    /// wakes it. A fragment of a multi-packet result is an orphan here:
-    /// fragments go through [`CallTable::deliver_fragments`].
+    /// Routes a caller-bound packet held in a pool buffer (a
+    /// single-packet Result, a server→caller Ack, or a ProbeResponse) to
+    /// its waiting thread and wakes it: [`CallTable::deliver_frame`] on
+    /// the packet's header and data. A fragment of a multi-packet result
+    /// is an orphan here: fragments go through
+    /// [`CallTable::deliver_fragments`].
     pub fn deliver(&self, pkt: Packet) -> Deliver {
         self.deliver_from(pkt, false)
     }
 
-    /// [`CallTable::deliver`] with the wake-up made conditional:
-    /// `by_waiter` says the delivering thread *is* the thread waiting on
-    /// the packet's activity (it holds the receive role and will look at
-    /// its entry next), so there is nobody to signal.
+    /// [`CallTable::deliver`] with the wake-up made conditional (see
+    /// [`CallTable::deliver_frame`]).
     pub fn deliver_from(&self, pkt: Packet, by_waiter: bool) -> Deliver {
-        let entry = match self.entries.lock().get(&pkt.rpc.activity) {
-            Some(e) => Arc::clone(e),
-            None => return self.orphan(pkt),
-        };
-        let mut st = entry.state.lock();
-        if pkt.rpc.call_seq != st.seq || st.outcome.is_some() {
-            // A late duplicate from an earlier transmission round.
-            drop(st);
-            return self.orphan(pkt);
+        if self.deliver_frame(&pkt.rpc, pkt.data(), by_waiter) {
+            Deliver::Accepted
+        } else {
+            Deliver::Orphan(pkt)
         }
-        let rpc = pkt.rpc;
-        match rpc.packet_type {
+    }
+
+    /// Routes a caller-bound frame, validated where it landed, to its
+    /// waiting thread and wakes it; true when it was taken, false for an
+    /// orphan. A result's `data` is copied into the entry's result frame.
+    /// `by_waiter` says the delivering thread *is* the thread waiting on
+    /// the frame's activity (it holds the receive role and will look at
+    /// its entry next), so there is nobody to signal.
+    pub(crate) fn deliver_frame(&self, rpc: &RpcHeader, data: &[u8], by_waiter: bool) -> bool {
+        match self.find(rpc.activity) {
+            Some(entry) => self.deliver_to(&entry, rpc, data, by_waiter),
+            None => {
+                self.orphan(rpc);
+                false
+            }
+        }
+    }
+
+    /// [`CallTable::deliver_frame`] into `entry`, which the frame's
+    /// activity has already been found to own: the thread receiving for
+    /// itself holds its own entry and looks nothing up.
+    pub(crate) fn deliver_to(
+        &self,
+        entry: &CallEntry,
+        rpc: &RpcHeader,
+        data: &[u8],
+        by_waiter: bool,
+    ) -> bool {
+        let mut st = entry.state.lock();
+        if !st.wants(rpc.call_seq) {
+            // A late duplicate from an earlier transmission round, or
+            // for a call that is over.
+            drop(st);
+            self.orphan(rpc);
+            return false;
+        }
+        let action = match rpc.packet_type {
             PacketType::Ack | PacketType::ProbeResponse => {
                 let last =
                     rpc.flags.last_fragment || rpc.fragment.saturating_add(1) >= rpc.fragment_count;
-                st.acked = Some((crate::fragment::held(&rpc), last));
-                entry.uncount(&mut st);
-                drop(st);
-                if !by_waiter {
-                    entry.cond.notify_one();
-                }
-                let action = match (rpc.packet_type, last) {
+                st.acked = Some((crate::fragment::held(rpc), last));
+                match (rpc.packet_type, last) {
                     (PacketType::ProbeResponse, _) => Action::NoteAlive,
                     (_, true) => Action::QuenchRetransmit,
                     (_, false) => Action::AdvanceFragment,
-                };
-                self.witness.record(State::CallerOpen, &rpc, action);
-                Deliver::Accepted
+                }
             }
             PacketType::Result if rpc.fragment_count <= 1 => {
-                st.outcome = Some(Assembled::Single(pkt));
-                entry.uncount(&mut st);
-                drop(st);
-                if !by_waiter {
-                    entry.cond.notify_one();
+                let mut frame = std::mem::take(&mut st.frame);
+                frame.clear();
+                if frame.capacity() < data.len() {
+                    // Once per entry: room for any one-packet result.
+                    frame.reserve_exact(data.len().max(MAX_SINGLE_PACKET_DATA));
                 }
-                self.witness.record(State::CallerOpen, &rpc, complete_action(&rpc));
-                Deliver::Accepted
+                frame.extend_from_slice(data);
+                st.outcome = Some(Assembled::Owned { rpc: *rpc, data: frame });
+                complete_action(rpc)
             }
-            _ => {
-                // Caller-bound routing never sees a Call or a Probe, and
-                // the fragments of a result come through
-                // `deliver_fragments`.
-                drop(st);
-                Deliver::Orphan(pkt)
-            }
+            // Caller-bound routing never sees a Call or a Probe, and
+            // the fragments of a result come through
+            // `deliver_fragments`.
+            _ => return false,
+        };
+        entry.uncount(&mut st);
+        drop(st);
+        if !by_waiter {
+            entry.cond.notify_one();
         }
+        self.witness.record(State::CallerOpen, rpc, action);
+        true
     }
 
     /// Routes a run of fragments of one multi-packet result — consecutive
@@ -337,7 +482,7 @@ impl CallTable {
     /// thread: the entry is found and locked once for the run, each
     /// fragment's data is copied from where it landed straight into the
     /// result's reassembly, and the thread is woken (unless `by_waiter`,
-    /// as for [`CallTable::deliver_from`]) if the run completed it.
+    /// as for [`CallTable::deliver_frame`]) if the run completed it.
     /// `each` then learns, with no lock held and in run order, what
     /// became of every fragment.
     pub fn deliver_fragments(
@@ -363,8 +508,7 @@ impl CallTable {
     /// run completed its result.
     fn assemble(&self, run: &[Fragment<'_>], took: &mut [Delivered]) -> Option<Arc<CallEntry>> {
         let first = run.first()?;
-        let entry = self.entries.lock().get(&first.rpc.activity).map(Arc::clone);
-        let Some(entry) = entry else {
+        let Some(entry) = self.find(first.rpc.activity) else {
             for f in run {
                 self.witness.record(State::CallerOrphan, &f.rpc, Action::RecycleOrphan);
             }
@@ -374,9 +518,10 @@ impl CallTable {
         let mut st = entry.state.lock();
         for (f, took) in run.iter().zip(took) {
             let rpc = f.rpc;
-            if rpc.call_seq != st.seq || st.outcome.is_some() {
-                // A late duplicate from an earlier transmission round, or
-                // a copy of a fragment of the result just completed.
+            if !st.wants(rpc.call_seq) {
+                // A late duplicate from an earlier transmission round, a
+                // copy of a fragment of the result just completed, or one
+                // for a call that is over.
                 self.witness.record(State::CallerOrphan, &rpc, Action::RecycleOrphan);
                 continue;
             }
@@ -402,7 +547,7 @@ impl CallTable {
                 }
                 Accepted::Complete(data) => {
                     st.reassembly = None;
-                    st.outcome = Some(Assembled::Multi { rpc, data });
+                    st.outcome = Some(Assembled::Owned { rpc, data });
                     entry.uncount(&mut st);
                     completed = true;
                     // Asking or not, the fragment that completes the
@@ -468,9 +613,9 @@ pub fn shard_for(activity: ActivityId, shards: usize) -> usize {
 /// The caller-side call table split into independent shards, each a
 /// full [`CallTable`] with its own lock, selected by [`shard_for`].
 ///
-/// One shard reproduces the seed's single global table exactly; with
-/// more, concurrent callers on different activities take disjoint
-/// locks on register/deliver/unregister. The demultiplexer holds at
+/// With more than one shard, concurrent callers on different activities
+/// take disjoint table locks when their entries are made and their
+/// packets delivered (a call's own registration locks only its entry). The demultiplexer holds at
 /// most one shard's lock at a time (each delivery resolves its shard
 /// before locking), so no cross-shard lock order arises here at all.
 #[derive(Debug)]
@@ -481,7 +626,9 @@ pub struct ShardedCallTable {
 impl ShardedCallTable {
     /// Creates a table with `shards` independent shards (at least one).
     pub fn new(shards: usize) -> ShardedCallTable {
+        // lint:allow(no-alloc-on-fast-path): once per endpoint.
         let parked = Arc::new(AtomicUsize::new(0));
+        // lint:allow(no-alloc-on-fast-path): once per endpoint.
         let witness = Arc::new(ProtocolWitness::default());
         let shard = || CallTable {
             entries: Mutex::default(),
@@ -527,19 +674,35 @@ impl ShardedCallTable {
         }
     }
 
+    /// The entry of `activity` in its shard, made the first time (see
+    /// [`CallTable::entry`]).
+    pub(crate) fn entry(&self, activity: ActivityId) -> Arc<CallEntry> {
+        self.shard(activity).entry(activity)
+    }
+
     /// Registers an outstanding call in its activity's shard.
     pub fn register(&self, activity: ActivityId, seq: u32) -> Arc<CallEntry> {
         self.shard(activity).register(activity, seq)
     }
 
-    /// Removes the entry for an activity from its shard.
+    /// Ends the activity's call in its shard; the entry stays.
     pub fn unregister(&self, activity: ActivityId) {
         self.shard(activity).unregister(activity);
+    }
+
+    /// Drops the activity's entry from its shard: its slot is gone.
+    pub(crate) fn remove(&self, activity: ActivityId) {
+        self.shard(activity).remove(activity);
     }
 
     /// Number of outstanding calls across all shards.
     pub fn outstanding(&self) -> usize {
         self.shards.iter().map(|s| s.outstanding()).sum()
+    }
+
+    /// Number of entries across all shards: one per activity slot.
+    pub(crate) fn entries(&self) -> usize {
+        self.shards.iter().map(|s| s.entries()).sum()
     }
 
     /// Routes a caller-bound packet to its activity's shard.
@@ -548,9 +711,23 @@ impl ShardedCallTable {
     }
 
     /// [`ShardedCallTable::deliver`] for a packet whose waiter may be
-    /// the delivering thread (see [`CallTable::deliver_from`]).
+    /// the delivering thread (see [`CallTable::deliver_frame`]).
     pub fn deliver_from(&self, pkt: Packet, by_waiter: bool) -> Deliver {
-        self.shards[shard_for(pkt.rpc.activity, self.shards.len())].deliver_from(pkt, by_waiter)
+        self.shard(pkt.rpc.activity).deliver_from(pkt, by_waiter)
+    }
+
+    /// Routes a caller-bound frame, validated where it landed, to its
+    /// activity's shard (see [`CallTable::deliver_frame`]).
+    pub(crate) fn deliver_frame(&self, rpc: &RpcHeader, data: &[u8], by_waiter: bool) -> bool {
+        self.shard(rpc.activity).deliver_frame(rpc, data, by_waiter)
+    }
+
+    /// Delivers a frame the receiving thread has found to be for its own
+    /// call into that call's `entry` (see [`CallTable::deliver_to`]): no
+    /// lookup, and nobody to wake. Any shard records it: they share one
+    /// witness.
+    pub(crate) fn deliver_own(&self, entry: &CallEntry, rpc: &RpcHeader, data: &[u8]) -> bool {
+        self.shards[0].deliver_to(entry, rpc, data, true)
     }
 
     /// Routes a run of fragments of one result to its activity's shard
@@ -650,6 +827,64 @@ mod tests {
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
             Wait::Complete(a) => assert_eq!(a.data(), &[1, 2, 3]),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_activity_keeps_one_entry_and_a_late_packet_finds_it_closed() {
+        let table = CallTable::new();
+        let first = table.register(activity(), 1);
+        assert!(matches!(table.deliver(result_packet(1, &[1])), Deliver::Accepted));
+        assert!(matches!(first.poll(), Some(Wait::Complete(_))));
+        // Taken by its waiter, the result closed the call: a copy of it
+        // is an orphan, and so is an ack of it.
+        assert_eq!(table.outstanding(), 0);
+        assert!(matches!(table.deliver(result_packet(1, &[1])), Deliver::Orphan(_)));
+        let second = table.register(activity(), 2);
+        assert!(Arc::ptr_eq(&first, &second), "the entry was not reused");
+        assert!(matches!(table.deliver(ack_packet(1)), Deliver::Orphan(_)));
+        assert!(matches!(table.deliver(result_packet(2, &[2])), Deliver::Accepted));
+        match second.poll() {
+            Some(Wait::Complete(a)) => assert_eq!(a.data(), &[2]),
+            other => panic!("unexpected {other:?}"),
+        }
+        // Another activity on the same thread number is another entry.
+        let other = ActivityId::new(8, 1, 1);
+        assert!(!Arc::ptr_eq(&table.entry(other), &second));
+        assert_eq!(table.entries(), 1);
+        table.remove(other);
+        assert_eq!(table.entries(), 0);
+    }
+
+    #[test]
+    fn a_big_result_leaves_the_entry_a_one_packet_frame() {
+        let table = CallTable::new();
+        let entry = table.register(activity(), 1);
+        // A reassembled result bigger than a packet buffer is freed when
+        // its caller is done with it, not kept as the next result's frame.
+        let frames = [
+            result_frame(1, &full(1), 0, 3, false),
+            result_frame(1, &full(2), 1, 3, false),
+            result_frame(1, &[3], 2, 3, false),
+        ];
+        let _ = deliver_run(&table, &frames);
+        let Some(Wait::Complete(big)) = entry.poll() else {
+            panic!("the big result did not complete");
+        };
+        assert!(big.data().len() > firefly_pool::BUFFER_SIZE);
+        let mut frame = big.into_frame();
+        assert!(frame.is_none(), "the reassembled result's buffer was kept");
+        // The small results after it come in one frame of one packet's size.
+        for seq in 2..5 {
+            entry.open(seq, frame.take());
+            assert!(matches!(table.deliver(result_packet(seq, &[seq as u8])), Deliver::Accepted));
+            let Some(Wait::Complete(small)) = entry.poll() else {
+                panic!("result {seq} did not complete");
+            };
+            assert_eq!(small.data(), &[seq as u8]);
+            frame = small.into_frame();
+            let capacity = frame.as_ref().map(Vec::capacity);
+            assert!(capacity.is_some_and(|c| c <= firefly_pool::BUFFER_SIZE), "{capacity:?}");
         }
     }
 

@@ -4,23 +4,29 @@
 //! endpoint. Its [`Client::call`] follows the five caller-stub steps of
 //! §3.1.1 exactly:
 //!
-//! 1. **Starter** — obtain a packet buffer with a partially filled-in
-//!    header,
-//! 2. **marshal** the arguments into the call packet (compiled stubs),
-//! 3. **Transporter** — register the call in the call table, transmit,
-//!    and wait for the result with retransmission and probing — receiving
-//!    it itself when the endpoint's receive role is free
+//! 1. **Starter** — obtain an activity slot, which owns the call frame
+//!    the call is built in,
+//! 2. **marshal** the arguments into the call frame (compiled stubs),
+//! 3. **Transporter** — open the call on the slot's call-table entry,
+//!    transmit, and wait for the result with retransmission and probing
+//!    — receiving it itself when the endpoint's receive role is free
 //!    ([`crate::role`]),
-//! 4. **unmarshal** the result packet into caller values,
-//! 5. **Ender** — return the packet buffer to the pool (recycled straight
-//!    to the receive queue, as the paper's interrupt handler does).
+//! 4. **unmarshal** the result in place from the entry's result frame,
+//! 5. **Ender** — give the slot back, frames and all.
 //!
 //! Each OS thread making calls concurrently gets its own *activity*; an
 //! activity has at most one outstanding call, and its monotonically
 //! increasing sequence number gives the protocol its implicit-ack and
-//! duplicate-filtering structure.
+//! duplicate-filtering structure. An activity's slot owns everything its
+//! calls touch, made at its first call and reused by every later one (as
+//! an eRPC session slot is, or the argument frames of a local call,
+//! [`crate::local`]): its call-table entry, the heap frame a one-packet
+//! call is marshalled and encoded in, the result frame its entry copies a
+//! one-packet result into, and the buffers it receives and sends windows
+//! with. A remote call therefore takes no pool buffer, makes no hash
+//! lookup and allocates nothing.
 
-use crate::calltable::Wait;
+use crate::calltable::{CallEntry, Wait};
 use crate::endpoint::{EndpointShared, RoleBuffers};
 use crate::fragment::{Acked, Window};
 use crate::packet::Assembled;
@@ -28,6 +34,7 @@ use crate::send::Batch;
 use crate::stats::RpcStats;
 use crate::{Result, RpcError};
 use firefly_idl::{ArgReader, ArgWriter, CompiledStub, IdlError, InterfaceDef, Value};
+use firefly_pool::BUFFER_SIZE;
 use firefly_wire::{ActivityId, PacketFlags, PacketType, RpcHeader, DATA_OFFSET};
 use firefly_sync::Mutex;
 use std::net::SocketAddr;
@@ -36,11 +43,19 @@ use std::time::Instant;
 
 /// One reusable activity slot with its sequence counter, the header of
 /// the last result received (so an explicit ack can be sent at teardown),
-/// and the buffers its calls send windows and receive datagrams with.
+/// and everything its calls touch.
 struct Slot {
     activity: ActivityId,
     next_seq: u32,
     last_result: Option<RpcHeader>,
+    /// The activity's call-table entry, made with the slot.
+    entry: Arc<CallEntry>,
+    /// The call frame: a [`BUFFER_SIZE`]-byte buffer a one-packet call is
+    /// marshalled into and encoded around.
+    frame: Box<[u8]>,
+    /// The result frame between calls: the last result came in it, and
+    /// the next call hands it back to the entry.
+    result: Option<Vec<u8>>,
     bufs: RoleBuffers,
 }
 
@@ -67,10 +82,16 @@ impl ActivityPool {
             .shared
             .next_thread
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let activity = ActivityId::new(self.machine, SPACE_ID, next);
         Slot {
-            activity: ActivityId::new(self.machine, SPACE_ID, next),
+            activity,
             next_seq: 1,
             last_result: None,
+            entry: self.shared.calls.entry(activity),
+            // lint:allow(no-alloc-on-fast-path): once per activity slot,
+            // at its first call; every later call reuses the frame.
+            frame: vec![0; BUFFER_SIZE].into_boxed_slice(),
+            result: None,
             bufs: RoleBuffers::new(),
         }
     }
@@ -107,6 +128,7 @@ impl Client {
         let stubs = CompiledStub::for_interface(&interface);
         let machine = shared.machine_id;
         Client {
+            // lint:allow(no-alloc-on-fast-path): once per binding.
             inner: Arc::new(ClientInner {
                 activities: ActivityPool {
                     // lint:allow(no-alloc-on-fast-path): one-time Client
@@ -215,33 +237,18 @@ impl Client {
         // into the stack-resident span. Inert unless tracing is enabled.
         let mut span = shared.ctx.tracer.caller_span(index);
 
-        // --- Starter: obtain an activity and a packet buffer. ---
-        // The activity is acquired first so the buffer can come from the
-        // activity's home shard: caller, demultiplexer and server worker
-        // then all touch the same pool shard for this call.
+        // --- Starter: obtain an activity slot and its call frame. ---
         let mut slot = inner.activities.acquire();
         let seq = slot.next_seq;
         slot.next_seq += 1;
         let activity = slot.activity;
-        let shard = crate::calltable::shard_for(activity, shared.ctx.pool.shard_count());
-        let mut call_buf = match shared
-            .ctx
-            .pool
-            .alloc_timeout_from(shard, std::time::Duration::from_secs(2))
-        {
-            Ok(buf) => buf,
-            Err(e) => {
-                inner.activities.release(slot);
-                return Err(e.into());
-            }
-        };
         span.stamp(crate::trace::Stamp::BufferAcquired);
 
         // --- Marshal the arguments. ---
-        // Fast path straight into the packet buffer; an argument list
-        // that does not fit goes to the heap for fragmentation.
+        // Fast path straight into the call frame; an argument list that
+        // does not fit goes to the heap for fragmentation.
         let mut heap_data: Option<Vec<u8>> = None;
-        let packet = &mut call_buf.raw_mut()[DATA_OFFSET..];
+        let packet = slot.frame.get_mut(DATA_OFFSET..).unwrap_or_default();
         let marshalled = match ArgWriter::fill(packet, &mut marshal) {
             Ok(n) => Ok(n),
             Err(IdlError::BufferTooSmall { needed, .. }) => {
@@ -273,22 +280,27 @@ impl Client {
             data_len: data_len as u16,
         };
 
-        let entry = shared.calls.register(activity, seq);
+        // Registration: the slot's entry opens the call, and gets back
+        // the result frame the last call's result came in.
+        slot.entry.open(seq, slot.result.take());
+        let Slot {
+            entry, frame, bufs, ..
+        } = &mut slot;
         let result = self.transact(
             &header,
             heap_data.as_deref(),
-            &mut call_buf,
-            &mut slot.bufs,
-            &entry,
+            frame,
+            bufs,
+            entry,
             deadline,
             &mut span,
         );
-        shared.calls.unregister(activity);
 
         // --- Unmarshal + Ender. ---
         let outcome = match result {
             Ok(o) => o,
             Err(e) => {
+                slot.entry.close();
                 inner.activities.release(slot);
                 return Err(e);
             }
@@ -297,16 +309,15 @@ impl Client {
         slot.last_result = Some(*outcome.rpc());
         if outcome.rpc().flags.call_failed {
             let msg = String::from_utf8_lossy(outcome.data()).into_owned();
+            slot.result = outcome.into_frame();
             inner.activities.release(slot);
             return Err(RpcError::Remote(msg));
         }
         let values = ArgReader::read_all(outcome.data(), unmarshal);
         span.stamp(crate::trace::Stamp::UnmarshalDone);
+        // Ender: the result frame goes back with the slot.
+        slot.result = outcome.into_frame();
         inner.activities.release(slot);
-        // Ender: recycle the call buffer straight onto its home shard's
-        // receive queue, the paper's on-the-fly buffer replacement.
-        call_buf.recycle();
-        crate::stats::RpcStats::bump(&shared.ctx.stats.buffers_recycled);
         span.stamp(crate::trace::Stamp::CallEnd);
         if span.finish() {
             crate::stats::RpcStats::bump(&shared.ctx.stats.trace_records);
@@ -316,7 +327,7 @@ impl Client {
 
     /// The Transporter: sends the call and waits for its result. A call
     /// of one packet goes out as it is, encoded around its bytes in
-    /// `buf`, the call's own pool buffer; a spilled one (`spilled`) a
+    /// `frame`, the slot's call frame; a spilled one (`spilled`) a
     /// window of fragments at a time ([`Window`]), encoded back to back
     /// on the activity's batch and handed to the transport in one
     /// `send_batch`: over UDP, one datagram per window. Silences are the
@@ -327,14 +338,16 @@ impl Client {
     /// the hole. An answer that names no more than the last ack did moves
     /// nothing (a copy looks the same), so the silence after it sends the
     /// first unacknowledged fragment — or has the server send it — again.
+    /// A call that went out and ends without a result counts in
+    /// `calls_failed`.
     #[allow(clippy::too_many_arguments)]
     fn transact(
         &self,
         header: &RpcHeader,
         spilled: Option<&[u8]>,
-        buf: &mut firefly_pool::PacketBuf,
+        frame: &mut [u8],
         bufs: &mut RoleBuffers,
-        entry: &crate::calltable::CallEntry,
+        entry: &CallEntry,
         deadline: Option<Instant>,
         span: &mut crate::trace::Span<'_>,
     ) -> Result<Assembled> {
@@ -356,9 +369,8 @@ impl Client {
             match spilled {
                 Some(data) => out.encode(&builder, crate::fragment::chunk(data, index), remote),
                 None => {
-                    let total = builder.encode_into(buf.raw_mut(), header.data_len as usize)?;
-                    buf.set_len(total);
-                    shared.ctx.send_call(buf, remote)
+                    let total = builder.encode_into(frame, header.data_len as usize)?;
+                    shared.ctx.send_call(frame.get(..total).unwrap_or_default(), remote)
                 }
             }
         };
@@ -385,119 +397,127 @@ impl Client {
         // The account's "send" boundary: the first window is on the wire.
         span.stamp(crate::trace::Stamp::Sent);
         RpcStats::bump(&stats.calls_sent);
-
-        // Backoff jitter is seeded from the endpoint config (mixed with
-        // the activity and sequence number so concurrent callers
-        // decorrelate), which keeps retry timing reproducible in tests.
-        let mut jitter = firefly_rng::Rng::new(
-            cfg.rng_seed
-                ^ (u64::from(header.activity.machine) << 32)
-                ^ (u64::from(header.activity.space) << 16)
-                ^ u64::from(header.activity.thread)
-                ^ (u64::from(header.call_seq) << 48),
-        );
-        let mut timeout = cfg.retransmit_initial;
-        let mut transmissions = 1u32;
-        // The server holds the whole call: it said so, or its result is
-        // arriving.
-        let mut whole = false;
-        let mut probes = 0u32;
-        // The last silence asked where a hole is instead of re-sending: a
-        // probe asked the server where the call's is, or an ack told it
-        // where the result's is. If nothing came of it, the next silence
-        // re-sends the first fragment not acknowledged.
-        let mut asked = false;
-        let mut result_fragments = 0u16;
-        loop {
-            let mut wake_at = Instant::now() + timeout;
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Err(RpcError::DeadlineExceeded);
+        // From here on the call is out: it ends with its result, or counts
+        // as failed.
+        let mut wait = || -> Result<Assembled> {
+            // Backoff jitter is seeded from the endpoint config (mixed with
+            // the activity and sequence number so concurrent callers
+            // decorrelate), which keeps retry timing reproducible in tests.
+            let mut jitter = firefly_rng::Rng::new(
+                cfg.rng_seed
+                    ^ (u64::from(header.activity.machine) << 32)
+                    ^ (u64::from(header.activity.space) << 16)
+                    ^ u64::from(header.activity.thread)
+                    ^ (u64::from(header.call_seq) << 48),
+            );
+            let mut timeout = cfg.retransmit_initial;
+            let mut transmissions = 1u32;
+            // The server holds the whole call: it said so, or its result is
+            // arriving.
+            let mut whole = false;
+            let mut probes = 0u32;
+            // The last silence asked where a hole is instead of re-sending: a
+            // probe asked the server where the call's is, or an ack told it
+            // where the result's is. If nothing came of it, the next silence
+            // re-sends the first fragment not acknowledged.
+            let mut asked = false;
+            let mut result_fragments = 0u16;
+            loop {
+                let mut wake_at = Instant::now() + timeout;
+                if let Some(d) = deadline {
+                    if Instant::now() >= d {
+                        return Err(RpcError::DeadlineExceeded);
+                    }
+                    wake_at = wake_at.min(d);
                 }
-                wake_at = wake_at.min(d);
-            }
-            match shared.wait_on(entry, header.activity, wake_at, bufs) {
-                Wait::Complete(a) => {
-                    span.stamp(crate::trace::Stamp::ResultReceived);
-                    return Ok(a);
-                }
-                Wait::Acked { last: true, .. } => {
-                    // Only an ack covering the final fragment proves the
-                    // server holds the complete call: stop sending it.
-                    (whole, probes, asked) = (true, 0, false);
-                    timeout = cfg.retransmit_max;
-                }
-                Wait::Acked { .. } if whole => {}
-                Wait::Acked { held, .. } => {
-                    // A prefix: it opens the next window, or shows a hole.
-                    match window.ack(held) {
-                        Acked::Open => {
-                            while let Some((index, ask)) = window.advance() {
-                                send(&mut bufs.out, index, ask)?;
-                                RpcStats::bump(&stats.fragments_sent);
+                match shared.wait_on(entry, header.activity, wake_at, bufs) {
+                    Wait::Complete(a) => {
+                        span.stamp(crate::trace::Stamp::ResultReceived);
+                        return Ok(a);
+                    }
+                    Wait::Acked { last: true, .. } => {
+                        // Only an ack covering the final fragment proves the
+                        // server holds the complete call: stop sending it.
+                        (whole, probes, asked) = (true, 0, false);
+                        timeout = cfg.retransmit_max;
+                    }
+                    Wait::Acked { .. } if whole => {}
+                    Wait::Acked { held, .. } => {
+                        // A prefix: it opens the next window, or shows a hole.
+                        match window.ack(held) {
+                            Acked::Open => {
+                                while let Some((index, ask)) = window.advance() {
+                                    send(&mut bufs.out, index, ask)?;
+                                    RpcStats::bump(&stats.fragments_sent);
+                                }
+                                flush(&mut bufs.out)?;
                             }
-                            flush(&mut bufs.out)?;
+                            Acked::Hole(index) => {
+                                send(&mut bufs.out, index, true)?;
+                                flush(&mut bufs.out)?;
+                                RpcStats::bump(&stats.retransmissions);
+                            }
+                            Acked::Stale => continue,
                         }
-                        Acked::Hole(index) => {
-                            send(&mut bufs.out, index, true)?;
+                        (transmissions, asked, timeout) = (1, false, cfg.retransmit_initial);
+                    }
+                    Wait::TimedOut => {
+                        if progressed(entry, &mut result_fragments) {
+                            (transmissions, probes, asked) = (1, 0, false);
+                            timeout = cfg.retransmit_initial;
+                        }
+                        whole |= result_fragments > 0;
+                        // Name the result's hole, unless the last silence did
+                        // and nothing came of it: the server had heard that
+                        // prefix, so its window starts at the hole.
+                        let hole = entry.hole_ack().filter(|_| !asked);
+                        if whole && hole.is_none() {
+                            // The server is working on it, or is to re-send
+                            // its first unacknowledged result fragment:
+                            // probe, don't send the call again.
+                            probes += 1;
+                            if probes > 120 {
+                                return Err(RpcError::CallFailed { transmissions });
+                            }
+                            asked = false;
+                            send_probe()?;
+                            continue;
+                        }
+                        if transmissions >= cfg.max_transmissions {
+                            return Err(RpcError::CallFailed { transmissions });
+                        }
+                        transmissions += 1;
+                        if let Some(ack) = hole {
+                            // The result has a hole: name the prefix held.
+                            asked = true;
+                            shared.ctx.send_ack(&ack, remote)?;
+                        } else if count > 1 && !asked {
+                            // Where is the call's hole? The server answers a
+                            // probe with the prefix it holds.
+                            asked = true;
+                            send_probe()?;
+                        } else {
+                            // Again, with please-ack, so the server answers
+                            // even while the call executes.
+                            asked = false;
+                            send(&mut bufs.out, window.unacked, true)?;
                             flush(&mut bufs.out)?;
                             RpcStats::bump(&stats.retransmissions);
                         }
-                        Acked::Stale => continue,
+                        // Exponential backoff with up to +25% deterministic
+                        // jitter so synchronized callers spread out.
+                        timeout = (timeout * 2)
+                            .min(cfg.retransmit_max)
+                            .mul_f64(1.0 + jitter.f64() * 0.25);
                     }
-                    (transmissions, asked, timeout) = (1, false, cfg.retransmit_initial);
-                }
-                Wait::TimedOut => {
-                    if progressed(entry, &mut result_fragments) {
-                        (transmissions, probes, asked) = (1, 0, false);
-                        timeout = cfg.retransmit_initial;
-                    }
-                    whole |= result_fragments > 0;
-                    // Name the result's hole, unless the last silence did
-                    // and nothing came of it: the server had heard that
-                    // prefix, so its window starts at the hole.
-                    let hole = entry.hole_ack().filter(|_| !asked);
-                    if whole && hole.is_none() {
-                        // The server is working on it, or is to re-send
-                        // its first unacknowledged result fragment:
-                        // probe, don't send the call again.
-                        probes += 1;
-                        if probes > 120 {
-                            return Err(RpcError::CallFailed { transmissions });
-                        }
-                        asked = false;
-                        send_probe()?;
-                        continue;
-                    }
-                    if transmissions >= cfg.max_transmissions {
-                        return Err(RpcError::CallFailed { transmissions });
-                    }
-                    transmissions += 1;
-                    if let Some(ack) = hole {
-                        // The result has a hole: name the prefix held.
-                        asked = true;
-                        shared.ctx.send_ack(&ack, remote)?;
-                    } else if count > 1 && !asked {
-                        // Where is the call's hole? The server answers a
-                        // probe with the prefix it holds.
-                        asked = true;
-                        send_probe()?;
-                    } else {
-                        // Again, with please-ack, so the server answers
-                        // even while the call executes.
-                        asked = false;
-                        send(&mut bufs.out, window.unacked, true)?;
-                        flush(&mut bufs.out)?;
-                        RpcStats::bump(&stats.retransmissions);
-                    }
-                    // Exponential backoff with up to +25% deterministic
-                    // jitter so synchronized callers spread out.
-                    timeout = (timeout * 2)
-                        .min(cfg.retransmit_max)
-                        .mul_f64(1.0 + jitter.f64() * 0.25);
                 }
             }
+        };
+        let outcome = wait();
+        if outcome.is_err() {
+            RpcStats::bump(&stats.calls_failed);
         }
+        outcome
     }
 }
 
@@ -529,9 +549,11 @@ impl Drop for ClientInner {
     fn drop(&mut self) {
         // Explicitly acknowledge the last results so the server can free
         // its retained result packets (otherwise they wait for an implicit
-        // ack that will never come).
+        // ack that will never come), and take the slots' entries out of
+        // the call table.
         let slots = std::mem::take(&mut *self.activities.free.lock());
         for slot in slots {
+            self.shared.calls.remove(slot.activity);
             if let Some(res) = slot.last_result {
                 let mut ack = firefly_wire::RpcHeader::ack_for(&res);
                 // The retained result may be multi-packet and the slot

@@ -12,11 +12,11 @@
 //! which also executes measured-short single-packet calls to completion
 //! instead of waking a worker for them.
 
-use crate::calltable::{CallEntry, Deliver, Delivered, ShardedCallTable, Wait, SHARDS};
+use crate::calltable::{CallEntry, Delivered, ShardedCallTable, Wait, SHARDS};
 use crate::client::Client;
 use crate::config::Config;
 use crate::local::LocalClient;
-use crate::packet::{Fragment, Packet, MAX_RUN};
+use crate::packet::{Fragment, MAX_RUN};
 use crate::role::{Polled, ReceiveRole};
 use crate::send::{Batch, SendCtx};
 use crate::server::ServerSide;
@@ -26,7 +26,7 @@ use crate::transport::{Transport, MAX_DATAGRAM_LEN};
 use crate::{Result, RpcError};
 use firefly_idl::InterfaceDef;
 use firefly_pool::{PacketBuf, ShardedPool};
-use firefly_wire::{coalesced_frame_len, ActivityId, FrameView, PacketType};
+use firefly_wire::{coalesced_frame_len, ActivityId, FrameView, PacketType, RpcHeader};
 use firefly_sync::Mutex;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -59,7 +59,9 @@ impl Endpoint {
     /// receiver and server threads.
     pub fn new(transport: Arc<dyn Transport>, config: Config) -> Result<Arc<Endpoint>> {
         let pool = ShardedPool::new(config.pool_size, SHARDS);
+        // lint:allow(no-alloc-on-fast-path): once per endpoint.
         let stats = Arc::new(RpcStats::default());
+        // lint:allow(no-alloc-on-fast-path): once per endpoint.
         let ctx = Arc::new(SendCtx::new(
             transport,
             pool,
@@ -82,6 +84,7 @@ impl Endpoint {
         server.export(crate::binder::binder_service(&server)?)?;
         let workers = server.spawn_workers()?;
         let calls = ShardedCallTable::new(SHARDS);
+        // lint:allow(no-alloc-on-fast-path): once per endpoint.
         let shared = Arc::new(EndpointShared {
             ctx,
             role: ReceiveRole::new(calls.parked_counter()),
@@ -92,6 +95,7 @@ impl Endpoint {
             next_thread: std::sync::atomic::AtomicU16::new(1),
         });
 
+        // lint:allow(no-alloc-on-fast-path): once per endpoint.
         let endpoint = Arc::new(Endpoint {
             shared: Arc::clone(&shared),
             demux: Mutex::new(None),
@@ -197,6 +201,21 @@ impl Endpoint {
         self.shared.server.activity_count()
     }
 
+    /// Number of call-table entries the caller side holds: one per
+    /// activity slot of a live client, each reused by every call the
+    /// slot makes.
+    pub fn call_entries(&self) -> usize {
+        self.shared.calls.entries()
+    }
+
+    /// Number of results the server side retains in pool buffers (one-
+    /// packet results kept for retransmission until acknowledged). With
+    /// no call in flight, these are every pool buffer the endpoint has
+    /// out.
+    pub fn retained_buffers(&self) -> usize {
+        self.shared.server.retained_buffers()
+    }
+
     /// Installs an authorization gate consulted for every incoming call
     /// (`None` clears it). See [`crate::auth::CallGate`].
     pub fn set_call_gate(&self, gate: Option<Arc<dyn crate::auth::CallGate>>) {
@@ -284,9 +303,11 @@ impl Drop for Endpoint {
 }
 
 /// What a thread owns so that it can hold the receive role: a buffer any
-/// datagram fits in — where every frame is validated, and the fragments
-/// of a multi-packet call or result are read from by reassembly, so no
-/// pool buffer holds them — and the batch it sends the server's frames through
+/// datagram fits in — where every frame is validated and read: a result
+/// or a result fragment is copied from there into its call entry, a call
+/// the resident runs itself is read in place, and only a call handed to
+/// a server thread is copied into a pool buffer — and the batch it sends
+/// the server's frames through
 /// (the results it executes, a result window an ack opens, a fragment
 /// sent again). The resident receiver allocates its own when it starts;
 /// a caller's lives in its activity slot, so every call the activity
@@ -319,14 +340,23 @@ struct Receiving<'a> {
     /// across shards.
     cursor: usize,
     out: &'a mut Batch,
-    /// Whether this is the resident receiver. It waits for pool buffers
-    /// and executes measured-short calls itself; a caller thread holding
-    /// the role does neither: every call it receives goes to the
-    /// workers.
+    /// Whether this is the resident receiver. It executes measured-short
+    /// calls itself, and waits for the pool buffer a call it hands over
+    /// is copied into; a caller thread holding the role does neither:
+    /// every call it receives goes to the workers, or is dropped when no
+    /// pool buffer is free.
     resident: bool,
-    /// The activity of the waiting caller that is doing the receiving;
-    /// a packet for it needs no wake-up.
-    own: Option<ActivityId>,
+    /// The call entry of the waiting caller that is doing the receiving;
+    /// a packet for it is delivered there directly and needs no wake-up.
+    own: Option<&'a CallEntry>,
+}
+
+impl Receiving<'_> {
+    /// The receiving thread's own entry, if the packet `rpc` heads is
+    /// for it.
+    fn owns(&self, rpc: &RpcHeader) -> Option<&CallEntry> {
+        self.own.filter(|entry| entry.activity() == rpc.activity)
+    }
 }
 
 /// Takes a receive buffer, preferring recycled ones; rotates the shard
@@ -383,7 +413,7 @@ impl EndpointShared {
             cursor: crate::calltable::shard_for(activity, self.ctx.pool.shard_count()),
             out,
             resident: false,
-            own: Some(activity),
+            own: Some(entry),
         };
         self.role.wait_receiving(entry, deadline, POLLS_BEFORE_BLOCK, || {
             match self.ctx.transport.try_recv(datagram) {
@@ -412,9 +442,8 @@ impl EndpointShared {
 /// over UDP, one blocking-mode transition) serves the whole burst. The
 /// result of the first datagram's inline calls is sent at once — a lone
 /// caller never waits for a batch — and the rest of the burst's results
-/// go out packed when the drain ends. It takes a pool buffer per frame
-/// received that needs one (no fragment of a multi-packet call or result
-/// does), and holds none while it waits.
+/// go out packed when the drain ends. It takes a pool buffer only for a
+/// call it hands to a server thread, and holds none while it waits.
 fn demux_loop(shared: Arc<EndpointShared>) {
     let stats = &shared.ctx.stats;
     let transport = &*shared.ctx.transport;
@@ -488,17 +517,16 @@ fn demux_loop(shared: Arc<EndpointShared>) {
 /// into one datagram ([`Transport::send_batch`]) — a window of a
 /// transfer, or results for several callers; each frame's IP
 /// total-length field gives its boundary. Every frame is validated where
-/// it landed ([`FrameView::parse`]: every check, once). A fragment of a
-/// multi-packet call or result is not copied out: each run of
-/// consecutive fragments of one transfer goes to the server or the call
-/// table as a unit, read from this buffer, and reassembly copies its
-/// data once, into the body. Every other frame — a single-packet call or
-/// result, which must outlive the datagram (handed to a worker or a
-/// waiter, or retained), an ack, a probe — is copied into a pool buffer
-/// of its own and flows through the owned [`Packet`] path. False when a
-/// waiting caller found the pool dry for such a frame: that frame and
-/// the rest of the datagram are dropped, like any lost packet, and
-/// retransmission recovers them.
+/// it landed ([`FrameView::parse`]: every check, once), and read there.
+/// Each run of consecutive fragments of one transfer goes to the server
+/// or the call table as a unit, and reassembly copies its data once, into
+/// the body; a single-packet result's data is copied once, into its call
+/// entry's result frame; an ack or a probe is its header. Only a
+/// single-packet call that goes to a server thread is copied into a pool
+/// buffer, since it must outlive the datagram. False when a waiting
+/// caller found the pool dry for such a call: that frame and the rest of
+/// the datagram are dropped, like any lost packet, and retransmission
+/// recovers them.
 fn process_datagram(
     shared: &EndpointShared,
     rx: &mut Receiving,
@@ -558,14 +586,12 @@ fn process_datagram(
         if let Some(done) = run.take() {
             hand_over(shared, rx, done.frames(), src);
         }
-        let Some(mut buf) = frame_buf(shared, rx) else {
+        if !process_frame(shared, rx, &view, frame, src) {
             // A waiting caller never blocks for a buffer with the role
             // in hand.
             RpcStats::bump(&stats.validation_drops);
             return false;
-        };
-        buf.fill_from(frame);
-        process_packet(shared, rx, Packet::validated(buf, view.rpc, view.data.len()), src);
+        }
     }
     if let Some(done) = run {
         hand_over(shared, rx, done.frames(), src);
@@ -619,92 +645,107 @@ fn hand_over(shared: &EndpointShared, rx: &mut Receiving, run: &[Fragment<'_>], 
         return;
     }
     let stats = &shared.ctx.stats;
-    let own = rx.own == Some(first.rpc.activity);
-    shared.calls.deliver_fragments(run, own, |delivered| match delivered {
+    let own = rx.owns(&first.rpc);
+    shared.calls.deliver_fragments(run, own.is_some(), |delivered| match delivered {
         Delivered::Orphan => RpcStats::bump(&stats.orphan_results),
-        Delivered::Accepted => count_result(stats, own),
+        Delivered::Accepted => count_result(stats, own.is_some()),
         Delivered::AcceptedNeedsAck(ack) => {
-            count_result(stats, own);
+            count_result(stats, own.is_some());
             let _ = shared.ctx.send_ack(&ack, src);
         }
     });
 }
 
+/// Delivers a caller-bound frame: into `own`, the receiving thread's own
+/// entry, when it is for that; else through the call table.
+fn deliver(shared: &EndpointShared, own: Option<&CallEntry>, rpc: &RpcHeader, data: &[u8]) -> bool {
+    match own {
+        Some(entry) => shared.calls.deliver_own(entry, rpc, data),
+        None => shared.calls.deliver_frame(rpc, data, false),
+    }
+}
+
 /// Counts a result packet or fragment the call table took:
-/// `results_received = self_received_results + the direct_wakeups a
-/// result caused` — one the waiting thread received itself woke nobody.
+/// `results_received = self_received_results + result_wakeups` — one the
+/// waiting thread received itself woke nobody.
 fn count_result(stats: &RpcStats, own: bool) {
     RpcStats::bump(&stats.results_received);
     if own {
         RpcStats::bump(&stats.self_received_results);
     } else {
         RpcStats::bump(&stats.direct_wakeups);
+        RpcStats::bump(&stats.result_wakeups);
     }
 }
 
-/// A pool buffer for the next frame of a datagram that needs one — which
-/// the resident waits for, and a caller holding the role does not: it
-/// tries its activity's shard first, then the next.
-fn frame_buf(shared: &EndpointShared, rx: &mut Receiving) -> Option<PacketBuf> {
-    if rx.resident {
-        return Some(take_receive_buf(shared, &mut rx.cursor));
+/// The pool buffer a call handed to a server thread is copied into —
+/// which the resident waits for, and a caller holding the role does not:
+/// it tries its activity's shard first, then the next.
+fn call_buf(shared: &EndpointShared, resident: bool, cursor: &mut usize) -> Option<PacketBuf> {
+    if resident {
+        return Some(take_receive_buf(shared, cursor));
     }
-    let buf = shared.ctx.pool.take_receive_buffer_from(rx.cursor).ok();
-    rx.cursor = rx.cursor.wrapping_add(1);
+    let buf = shared.ctx.pool.take_receive_buffer_from(*cursor).ok();
+    *cursor = cursor.wrapping_add(1);
     buf
 }
 
-/// Demultiplexes one received packet — routing, direct wakeup,
-/// on-the-fly buffer recycling (§3.1.3).
-fn process_packet(shared: &EndpointShared, rx: &mut Receiving, pkt: Packet, src: SocketAddr) {
+/// Demultiplexes one frame validated where it landed — routing, direct
+/// wakeup (§3.1.3). False when a waiting caller found no pool buffer for
+/// a call it would hand over.
+fn process_frame(
+    shared: &EndpointShared,
+    rx: &mut Receiving,
+    view: &FrameView<'_>,
+    frame: &[u8],
+    src: SocketAddr,
+) -> bool {
     let stats = &shared.ctx.stats;
     let server = &shared.server;
-    match pkt.rpc.packet_type {
-        PacketType::Call => server.handle_call_packet(pkt, src, rx.out, rx.resident),
-        PacketType::Probe => {
-            server.handle_probe(&pkt.rpc, src, rx.out);
-            pkt.into_buf().recycle();
+    let rpc = &view.rpc;
+    match rpc.packet_type {
+        PacketType::Call => {
+            let Receiving {
+                cursor,
+                out,
+                resident,
+                ..
+            } = rx;
+            let resident = *resident;
+            let buffer = || call_buf(shared, resident, cursor);
+            return server.handle_call(view, frame, src, out, resident, buffer);
         }
+        PacketType::Probe => server.handle_probe(rpc, src, rx.out),
         PacketType::Result => {
-            let own = rx.own == Some(pkt.rpc.activity);
-            match shared.calls.deliver_from(pkt, own) {
-                Deliver::Accepted => count_result(stats, own),
-                Deliver::Orphan(pkt) => {
-                    RpcStats::bump(&stats.orphan_results);
-                    pkt.into_buf().recycle();
-                    RpcStats::bump(&stats.buffers_recycled);
-                }
+            let own = rx.owns(rpc);
+            if deliver(shared, own, rpc, view.data) {
+                count_result(stats, own.is_some());
+            } else {
+                RpcStats::bump(&stats.orphan_results);
             }
         }
         PacketType::Ack | PacketType::ProbeResponse => {
-            if pkt.rpc.flags.acks_result {
+            if rpc.flags.acks_result {
                 // The caller acknowledged one of our result fragments;
                 // this thread sends the next one, if there is one.
-                server.handle_result_ack(&pkt.rpc, src, rx.out);
-                pkt.into_buf().recycle();
+                server.handle_result_ack(rpc, src, rx.out);
             } else {
                 RpcStats::bump(&stats.acks_received);
-                let is_probe_response = pkt.rpc.packet_type == PacketType::ProbeResponse;
-                let own = rx.own == Some(pkt.rpc.activity);
-                match shared.calls.deliver_from(pkt, own) {
-                    Deliver::Accepted => {
-                        if !own {
-                            RpcStats::bump(&stats.direct_wakeups);
-                        }
+                let own = rx.owns(rpc);
+                if deliver(shared, own, rpc, view.data) {
+                    if own.is_none() {
+                        RpcStats::bump(&stats.direct_wakeups);
                     }
-                    Deliver::Orphan(pkt) => {
-                        // A ProbeResponse with no outstanding probe (the
-                        // probing call already completed, or the probe was
-                        // a duplicate) is protocol noise, not an error.
-                        if is_probe_response {
-                            RpcStats::bump(&stats.stray_probe_responses);
-                        }
-                        pkt.into_buf().recycle();
-                    }
+                } else if rpc.packet_type == PacketType::ProbeResponse {
+                    // A ProbeResponse with no outstanding probe (the
+                    // probing call already completed, or the probe was a
+                    // duplicate) is protocol noise, not an error.
+                    RpcStats::bump(&stats.stray_probe_responses);
                 }
             }
         }
     }
+    true
 }
 
 #[cfg(test)]

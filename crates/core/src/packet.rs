@@ -2,7 +2,7 @@
 //! fragment of a multi-packet call or result, its validated header and
 //! data where they landed.
 
-use firefly_pool::PacketBuf;
+use firefly_pool::{PacketBuf, BUFFER_SIZE};
 use firefly_wire::{FrameView, PacketType, RpcHeader, DATA_OFFSET};
 
 use crate::Result;
@@ -102,17 +102,22 @@ impl<'d> Fragment<'d> {
     }
 }
 
-/// A complete incoming call or result: either a single packet (data read
-/// in place, zero copy) or a reassembly of fragments.
+/// A complete incoming call or result: a single packet in a pool buffer
+/// (data read in place), or data its receiver holds in a buffer of its
+/// own.
 #[derive(Debug)]
 pub enum Assembled {
-    /// A single-packet call/result, data still in the pool buffer.
+    /// A single-packet call handed to a server thread: data still in the
+    /// pool buffer it was copied into at receipt.
     Single(Packet),
-    /// A multi-packet call/result, data concatenated during reassembly.
-    Multi {
-        /// Header of the final fragment.
+    /// Data copied once, from the datagram it landed in, into a heap
+    /// buffer of its receiver's: a reassembled multi-packet call or
+    /// result, or a single-packet result in its call entry's result
+    /// frame.
+    Owned {
+        /// Header of the packet, or of the final fragment.
         rpc: RpcHeader,
-        /// The concatenated data of all fragments.
+        /// The complete data.
         data: Vec<u8>,
     },
 }
@@ -122,7 +127,7 @@ impl Assembled {
     pub fn rpc(&self) -> &RpcHeader {
         match self {
             Assembled::Single(p) => &p.rpc,
-            Assembled::Multi { rpc, .. } => rpc,
+            Assembled::Owned { rpc, .. } => rpc,
         }
     }
 
@@ -130,7 +135,18 @@ impl Assembled {
     pub fn data(&self) -> &[u8] {
         match self {
             Assembled::Single(p) => p.data(),
-            Assembled::Multi { data, .. } => data,
+            Assembled::Owned { data, .. } => data,
+        }
+    }
+
+    /// The buffer an [`Assembled::Owned`] holds, for its receiver to use
+    /// again as a one-packet result's frame; `None` for a packet, whose
+    /// buffer goes back to its pool, and for a buffer bigger than a
+    /// packet buffer (a reassembled result), which is freed.
+    pub(crate) fn into_frame(self) -> Option<Vec<u8>> {
+        match self {
+            Assembled::Owned { data, .. } if data.capacity() <= BUFFER_SIZE => Some(data),
+            _ => None,
         }
     }
 }
@@ -179,7 +195,7 @@ mod tests {
         let rpc = p.rpc;
         let single = Assembled::Single(p);
         assert_eq!(single.data(), &[9, 9]);
-        let multi = Assembled::Multi {
+        let multi = Assembled::Owned {
             rpc,
             data: vec![1, 2, 3],
         };

@@ -5,15 +5,26 @@
 //! routes call packets here and performs the interrupt-level work —
 //! duplicate filtering, fragment reassembly, retained-result
 //! retransmission — then gets the fresh call executed by the cheapest
-//! thread that may run it. A single-packet call comes as an owned
-//! [`Packet`] (`handle_call_packet`): its pool buffer travels with the
-//! call to whichever thread runs it. The fragments of a multi-packet
-//! call come as a run, validated in the datagram they landed in
+//! thread that may run it. Every call frame comes validated where it
+//! landed in the receiving thread's datagram. A single-packet call
+//! (`handle_call`) is read there by the receiving thread when it runs
+//! the call itself, and copied into a pool buffer only when it goes to a
+//! server thread. The fragments of a multi-packet call come as a run
 //! (`handle_call_fragments`): the activity is found, locked and marked
-//! used (a clock read) once for the run, and each fragment's data is copied
-//! straight from the datagram into the call's reassembly — no pool
-//! buffer, no copy before that one. Either way the packet's round is
-//! decided once, by the same `seen`: stale, a duplicate, or new.
+//! used (a clock read) once for the run, and each fragment's data is
+//! copied straight from the datagram into the call's reassembly — no
+//! pool buffer, no copy before that one. Either way the packet's round
+//! is decided once, by the same `seen`: stale, a duplicate, or new.
+//!
+//! A caller activity's state is one entry of a table keyed by its 8-byte
+//! id, found once per packet; only a call
+//! makes one, so a probe or an ack for an activity never seen leaves
+//! nothing behind. The entry keeps the activity's last result for
+//! retransmission, and a one-packet result's pool buffer, once the next
+//! call acknowledges it, is where that call's result is marshalled: a
+//! call the receiving thread runs itself takes no pool buffer at all.
+//! The exported service is looked up once per call, by the thread that
+//! runs it.
 //!
 //! The executing thread is:
 //!
@@ -52,7 +63,9 @@ use crate::{Result, RpcError};
 use firefly_idl::{CompiledStub, Written};
 use firefly_pool::PacketBuf;
 use firefly_sync::{Mutex, MutexGuard, RwLock};
-use firefly_wire::{ActivityId, PacketType, RpcHeader, DATA_OFFSET, MAX_SINGLE_PACKET_DATA};
+use firefly_wire::{
+    ActivityId, FrameView, PacketType, RpcHeader, DATA_OFFSET, MAX_SINGLE_PACKET_DATA,
+};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -154,6 +167,29 @@ struct Activity {
     state: Mutex<ActState>,
 }
 
+/// An activity's key in the activity table: its 8 bytes.
+fn activity_key(id: ActivityId) -> u64 {
+    u64::from(id.machine) << 32 | u64::from(id.space) << 16 | u64::from(id.thread)
+}
+
+/// A fresh call as the receiving thread holds it.
+enum Landed<'d> {
+    /// A single-packet call, validated where it landed: its frame and
+    /// the data region in it.
+    Frame { frame: &'d [u8], data: &'d [u8] },
+    /// A multi-packet call, reassembled.
+    Body(Vec<u8>),
+}
+
+impl Landed<'_> {
+    fn data(&self) -> &[u8] {
+        match self {
+            Landed::Frame { data, .. } => data,
+            Landed::Body(data) => data,
+        }
+    }
+}
+
 /// Where a call packet stands against its activity's slot — one
 /// decision for single packets and fragments alike.
 enum Seen {
@@ -183,6 +219,14 @@ struct ServiceEntry {
     service_ns: Vec<AtomicU64>,
     name: String,
     version: u16,
+}
+
+impl ServiceEntry {
+    fn service_ns(&self, procedure: u16) -> u64 {
+        self.service_ns
+            .get(procedure as usize)
+            .map_or(0, |ns| ns.load(Ordering::Relaxed))
+    }
 }
 
 /// No procedure estimated slower than this runs on the receiving thread,
@@ -219,6 +263,8 @@ struct Work {
     src: SocketAddr,
     /// The caller activity's slot, looked up once at receipt.
     act: Arc<Activity>,
+    /// The previous result's pool buffer, for this call's result.
+    frame: Option<PacketBuf>,
     /// Receive stamp ([`crate::trace`] nanos); 0 when tracing was off at
     /// receipt.
     received_at: u64,
@@ -240,11 +286,17 @@ struct Work {
 /// [`Transport::send_batch`]: crate::transport::Transport::send_batch
 const MAX_BATCHED_RESULTS: usize = 16;
 
+/// What the endpoint exports, and who may call it: read once per call.
+#[derive(Default)]
+struct Exports {
+    services: HashMap<u64, ServiceEntry>,
+    gate: Option<Arc<dyn crate::auth::CallGate>>,
+}
+
 /// The server half of an endpoint.
 pub(crate) struct ServerSide {
-    services: RwLock<HashMap<u64, ServiceEntry>>,
-    gate: RwLock<Option<Arc<dyn crate::auth::CallGate>>>,
-    activities: Mutex<HashMap<ActivityId, Arc<Activity>>>,
+    exports: RwLock<Exports>,
+    activities: Mutex<HashMap<u64, Arc<Activity>>>,
     /// Per-worker receive queues with ascending-index work stealing;
     /// the demux enqueues each call on `shard_for(activity)`'s queue.
     queues: WorkQueues<Work>,
@@ -256,10 +308,10 @@ pub(crate) struct ServerSide {
 
 impl ServerSide {
     pub fn new(ctx: Arc<SendCtx>, workers: usize) -> Arc<ServerSide> {
+        // lint:allow(no-alloc-on-fast-path): once per endpoint.
         Arc::new(ServerSide {
-            services: RwLock::new(HashMap::new()),
-            gate: RwLock::new(None),
-            activities: Mutex::new(HashMap::new()),
+            exports: RwLock::default(),
+            activities: Mutex::default(),
             queues: WorkQueues::new(workers),
             handoff_ns: AtomicU64::new(0),
             ctx,
@@ -289,8 +341,9 @@ impl ServerSide {
 
     /// Looks up an exported service by interface UID.
     pub fn service_for(&self, uid: u64) -> Option<Arc<dyn Service>> {
-        self.services
+        self.exports
             .read()
+            .services
             .get(&uid)
             .map(|e| Arc::clone(&e.service))
     }
@@ -308,27 +361,27 @@ impl ServerSide {
     }
 
     fn service_ns(&self, uid: u64, procedure: u16) -> u64 {
-        self.services
+        self.exports
             .read()
+            .services
             .get(&uid)
-            .and_then(|e| e.service_ns.get(procedure as usize))
-            .map_or(0, |ns| ns.load(Ordering::Relaxed))
+            .map_or(0, |e| e.service_ns(procedure))
     }
 
-    /// Whether the receiving thread should execute this call itself:
-    /// only a procedure *measured* to take less than the hand-off it
-    /// would avoid, itself measured here (and never above
+    /// Whether the receiving thread should execute a call of `procedure`
+    /// of `entry` itself: only a procedure *measured* to take less than
+    /// the hand-off it would avoid, itself measured here (and never above
     /// [`INLINE_CEILING_NS`]). Unmeasured procedures (every procedure's
     /// first call) go to a worker. How many packets the call or its
     /// result takes does not enter into it: nothing waits for an ack.
-    fn runs_inline(&self, rpc: &RpcHeader) -> bool {
-        let service = self.service_ns(rpc.interface_uid, rpc.procedure);
+    fn runs_inline(&self, entry: &ServiceEntry, procedure: u16) -> bool {
+        let service = entry.service_ns(procedure);
         service != 0 && service < self.handoff_ns.load(Ordering::Relaxed)
     }
 
     /// Installs (or clears) the authorization gate.
     pub fn set_gate(&self, gate: Option<Arc<dyn crate::auth::CallGate>>) {
-        *self.gate.write() = gate;
+        self.exports.write().gate = gate;
     }
 
     /// Reclaims per-activity state idle for longer than `max_idle`.
@@ -354,10 +407,21 @@ impl ServerSide {
         self.activities.lock().len()
     }
 
+    /// Number of tracked caller activities whose retained result holds a
+    /// pool buffer (a one-packet result): at quiescence, every pool
+    /// buffer the endpoint has out.
+    pub fn retained_buffers(&self) -> usize {
+        let map = self.activities.lock();
+        map.values()
+            .filter(|act| matches!(act.state.lock().retained, Retained::Pooled(_)))
+            .count()
+    }
+
     /// Lists exported interfaces as `(name, uid, version)`.
     pub fn exported(&self) -> Vec<(String, u64, u16)> {
-        self.services
+        self.exports
             .read()
+            .services
             .iter()
             // lint:allow(no-alloc-on-fast-path): introspection for the
             // binder and tooling, never on the per-call path.
@@ -372,7 +436,8 @@ impl ServerSide {
         let interface = service.interface().clone();
         let stubs = CompiledStub::for_interface(&interface);
         let service_ns = stubs.iter().map(|_| AtomicU64::new(0)).collect();
-        let mut services = self.services.write();
+        let mut exports = self.exports.write();
+        let services = &mut exports.services;
         if services.contains_key(&interface.uid()) {
             return Err(RpcError::Binding(format!(
                 "interface `{}` is already exported",
@@ -392,9 +457,12 @@ impl ServerSide {
         Ok(())
     }
 
+    /// The state of activity `id`, made on its first call.
     fn activity(&self, id: ActivityId) -> Arc<Activity> {
         let mut map = self.activities.lock();
-        Arc::clone(map.entry(id).or_insert_with(|| {
+        Arc::clone(map.entry(activity_key(id)).or_insert_with(|| {
+            // lint:allow(no-alloc-on-fast-path): once per caller
+            // activity, at its first call; pruned when idle.
             Arc::new(Activity {
                 state: Mutex::new(ActState {
                     last_used: Instant::now(),
@@ -407,24 +475,44 @@ impl ServerSide {
         }))
     }
 
-    /// Interrupt-level handling of an incoming single-packet call.
+    /// The state of activity `id`, if it has made a call: a probe or an
+    /// ack makes none.
+    fn find(&self, id: ActivityId) -> Option<Arc<Activity>> {
+        self.activities.lock().get(&activity_key(id)).map(Arc::clone)
+    }
+
+    /// Interrupt-level handling of an incoming single-packet call,
+    /// validated where it landed (`view`, over `frame`).
     ///
     /// `out` is the receiving thread's own batch, for what it sends;
     /// `inline` says whether that thread may run service code (the
     /// resident receiver may, a caller thread holding the receive role
-    /// may not).
-    pub(crate) fn handle_call_packet(
+    /// may not). `buffer` gives the pool buffer a call is copied into
+    /// when it goes to a server thread: a thread that may not run
+    /// service code asks for it first, and the call is dropped, like a
+    /// lost packet, when it gets none (false); the resident asks only
+    /// when it hands the call over, and waits for one.
+    pub(crate) fn handle_call(
         &self,
-        pkt: Packet,
+        view: &FrameView<'_>,
+        frame: &[u8],
         src: SocketAddr,
         out: &mut Batch,
         inline: bool,
-    ) {
+        mut buffer: impl FnMut() -> Option<PacketBuf>,
+    ) -> bool {
         // Stamp receipt first, before any protocol work, so the server
         // account starts at the receive boundary (0 with tracing off).
         let received_at = self.ctx.tracer.stamp_if_enabled();
+        let mut copy = None;
+        if !inline {
+            copy = buffer();
+            if copy.is_none() {
+                return false;
+            }
+        }
         RpcStats::bump(&self.ctx.stats.calls_received);
-        let rpc = pkt.rpc;
+        let rpc = view.rpc;
         let act = self.activity(rpc.activity);
         let mut st = act.state.lock();
         st.last_used = Instant::now();
@@ -432,13 +520,18 @@ impl ServerSide {
             Seen::New => {}
             old => {
                 self.answer_old(st, old, &rpc, src, out);
-                self.recycle(pkt);
-                return;
+                return true;
             }
         }
-        self.begin_call(&mut st, rpc.call_seq);
+        let frame_out = self.begin_call(&mut st, rpc.call_seq);
         drop(st);
-        self.run_call(Assembled::Single(pkt), src, act, received_at, out, inline);
+        let landed = Landed::Frame {
+            frame,
+            data: view.data,
+        };
+        let buffer = || copy.take().or_else(&mut buffer);
+        self.run_call(&rpc, landed, src, act, frame_out, received_at, out, inline, buffer);
+        true
     }
 
     /// Interrupt-level handling of a run of fragments of one multi-packet
@@ -452,7 +545,7 @@ impl ServerSide {
     /// duplicate's answer) or runs the completed call, and taken again
     /// for the next fragment, so every fragment sees and does exactly
     /// what it would alone. `out` and `inline` as for
-    /// [`ServerSide::handle_call_packet`].
+    /// [`ServerSide::handle_call`].
     pub(crate) fn handle_call_fragments(
         &self,
         run: &[Fragment<'_>],
@@ -517,10 +610,11 @@ impl ServerSide {
                 continue;
             };
             st.reassembly = None;
-            self.begin_call(&mut st, rpc.call_seq);
+            let frame = self.begin_call(&mut st, rpc.call_seq);
             drop(st);
-            let call = Assembled::Multi { rpc, data };
-            self.run_call(call, src, Arc::clone(&act), received_at, out, inline);
+            let act = Arc::clone(&act);
+            let body = Landed::Body(data);
+            self.run_call(&rpc, body, src, act, frame, received_at, out, inline, || None);
         }
     }
 
@@ -578,58 +672,104 @@ impl ServerSide {
 
     /// Gets a fresh call executed by the cheapest thread that may run
     /// it: the receiving thread itself when it may run service code
-    /// (`inline`) and the procedure is measured short, else the worker
-    /// owning the activity's shard.
+    /// (`inline`), the procedure is measured short and there is a result
+    /// frame — the last result's pool buffer (`frame`), or one the pool
+    /// has free — else the worker owning the activity's shard, with the
+    /// call copied into a pool buffer from `buffer` if it is still where
+    /// it landed.
+    #[allow(clippy::too_many_arguments)]
     fn run_call(
+        &self,
+        rpc: &RpcHeader,
+        landed: Landed<'_>,
+        src: SocketAddr,
+        act: Arc<Activity>,
+        mut frame: Option<PacketBuf>,
+        received_at: u64,
+        out: &mut Batch,
+        inline: bool,
+        buffer: impl FnOnce() -> Option<PacketBuf>,
+    ) {
+        self.ctx.witness.record(State::ServerNew, rpc, Action::Dispatch);
+        if inline {
+            let exports = self.exports.read();
+            let service = exports.services.get(&rpc.interface_uid);
+            if service.is_some_and(|entry| self.runs_inline(entry, rpc.procedure)) {
+                // Never block the receiver for a buffer: a dry pool sends
+                // the call round by the workers, which may wait.
+                let fresh = || {
+                    let shard = shard_for(rpc.activity, self.ctx.pool.shard_count());
+                    self.ctx.pool.alloc_from(shard).ok()
+                };
+                if let Some(result_buf) = frame.take().or_else(fresh) {
+                    // Reached its executing thread without queueing.
+                    RpcStats::bump(&self.ctx.stats.direct_wakeups);
+                    RpcStats::bump(&self.ctx.stats.inline_calls);
+                    let mut span = self.ctx.tracer.server_span(rpc.procedure, received_at);
+                    let (data, frame) = (landed.data(), Some(result_buf));
+                    let outcome =
+                        self.execute(&exports, service, rpc, data, src, frame, &mut span, out);
+                    drop(exports);
+                    self.finish(rpc, src, &act, span, outcome, out);
+                    return;
+                }
+            }
+        }
+        let call = match landed {
+            Landed::Body(data) => Assembled::Owned { rpc: *rpc, data },
+            Landed::Frame { frame: bytes, data } => match buffer() {
+                Some(mut buf) => {
+                    buf.fill_from(bytes);
+                    Assembled::Single(Packet::validated(buf, *rpc, data.len()))
+                }
+                None => {
+                    // Only the resident hands a call over without a
+                    // buffer in hand, and it waits for one; should none
+                    // come, the call fails rather than stay in progress.
+                    let err = Err(firefly_pool::PoolError::Exhausted.into());
+                    let span = self.ctx.tracer.server_span(rpc.procedure, received_at);
+                    self.finish(rpc, src, &act, span, err, out);
+                    return;
+                }
+            },
+        };
+        self.enqueue(call, src, act, frame, received_at);
+    }
+
+    /// Marks a new call in progress and takes the previous retained
+    /// result out — the arrival of a newer call is its implicit ack
+    /// (§3.2). A one-packet result's pool buffer is handed back as the
+    /// frame the new call's result is marshalled into: "the interrupt
+    /// handler removes the buffer found in that call table entry", and
+    /// here the entry's next result is built in it.
+    fn begin_call(&self, st: &mut ActState, seq: u32) -> Option<PacketBuf> {
+        st.last_seq = seq;
+        st.in_progress = true;
+        match std::mem::replace(&mut st.retained, Retained::None) {
+            Retained::Pooled(buf) => Some(buf),
+            _ => None,
+        }
+    }
+
+    /// Routes a call to the worker owning its activity's shard, with the
+    /// activity's result frame if it has one. A `true` from the push
+    /// means a parked worker was woken directly — the paper's
+    /// direct-handoff fast path; `false` means every worker was busy and
+    /// the call waits in the queue (the slow path).
+    fn enqueue(
         &self,
         call: Assembled,
         src: SocketAddr,
         act: Arc<Activity>,
+        frame: Option<PacketBuf>,
         received_at: u64,
-        out: &mut Batch,
-        inline: bool,
     ) {
-        let rpc = *call.rpc();
-        self.ctx.witness.record(State::ServerNew, &rpc, Action::Dispatch);
-        if inline && self.runs_inline(&rpc) {
-            // Never block the receiver for a buffer: a dry pool sends the
-            // call round by the workers, which may wait.
-            let shard = shard_for(rpc.activity, self.ctx.pool.shard_count());
-            if let Ok(result_buf) = self.ctx.pool.alloc_from(shard) {
-                // Reached its executing thread without queueing.
-                RpcStats::bump(&self.ctx.stats.direct_wakeups);
-                RpcStats::bump(&self.ctx.stats.inline_calls);
-                self.dispatch(call, src, &act, received_at, Some(result_buf), out);
-                return;
-            }
-        }
-        self.enqueue(call, src, act, received_at);
-    }
-
-    /// Marks a new call in progress and releases the previous retained
-    /// result — the arrival of a newer call is its implicit ack (§3.2).
-    fn begin_call(&self, st: &mut ActState, seq: u32) {
-        st.last_seq = seq;
-        st.in_progress = true;
-        if let Retained::Pooled(buf) = std::mem::replace(&mut st.retained, Retained::None) {
-            // "the interrupt handler removes the buffer found in that
-            // call table entry and adds it to the … receive queue."
-            // `recycle` returns it to the shard that allocated it.
-            buf.recycle();
-            RpcStats::bump(&self.ctx.stats.buffers_recycled);
-        }
-    }
-
-    /// Routes a call to the worker owning its activity's shard. A
-    /// `true` from the push means a parked worker was woken directly —
-    /// the paper's direct-handoff fast path; `false` means every worker
-    /// was busy and the call waits in the queue (the slow path).
-    fn enqueue(&self, call: Assembled, src: SocketAddr, act: Arc<Activity>, received_at: u64) {
         let target = shard_for(call.rpc().activity, self.queues.worker_count());
         let work = Work {
             call,
             src,
             act,
+            frame,
             received_at,
             queued_at: self.ctx.tracer.now_nanos(),
         };
@@ -653,7 +793,10 @@ impl ServerSide {
     /// let the caller's transmission budget expire.
     pub(crate) fn handle_probe(&self, rpc: &RpcHeader, src: SocketAddr, out: &mut Batch) {
         let record = |state, action| self.ctx.witness.record(state, rpc, action);
-        let act = self.activity(rpc.activity);
+        let Some(act) = self.find(rpc.activity) else {
+            record(State::ServerUnknown, Action::DropSilent);
+            return;
+        };
         let st = act.state.lock();
         if st.last_seq != rpc.call_seq {
             let ack = match &st.reassembly {
@@ -711,7 +854,10 @@ impl ServerSide {
     pub(crate) fn handle_result_ack(&self, rpc: &RpcHeader, src: SocketAddr, out: &mut Batch) {
         RpcStats::bump(&self.ctx.stats.acks_received);
         let record = |state, action| self.ctx.witness.record(state, rpc, action);
-        let act = self.activity(rpc.activity);
+        let Some(act) = self.find(rpc.activity) else {
+            record(State::ServerUnknown, Action::DropStale);
+            return;
+        };
         let mut st = act.state.lock();
         if rpc.call_seq != st.last_seq {
             record(State::ServerUnknown, Action::DropStale);
@@ -785,11 +931,6 @@ impl ServerSide {
         }
     }
 
-    fn recycle(&self, pkt: Packet) {
-        pkt.into_buf().recycle();
-        RpcStats::bump(&self.ctx.stats.buffers_recycled);
-    }
-
     /// Hands what `out` holds to the transport, with no lock held. A send
     /// failure is indistinguishable from loss on the wire; the caller's
     /// retransmission recovers either.
@@ -821,37 +962,46 @@ impl ServerSide {
             };
             let waited = self.ctx.tracer.now_nanos().saturating_sub(work.queued_at);
             note_handoff(&self.handoff_ns, waited);
-            self.dispatch(work.call, work.src, &work.act, work.received_at, None, &mut results);
+            self.dispatch(work, &mut results);
         }
         self.transmit(&mut results);
     }
 
-    /// The Receiver: execute one call and transmit its result through the
-    /// executing thread's batch `out`, on a server thread or on the
-    /// receiving thread itself. `inline_buf` is the result buffer when
-    /// this is the receiving thread, which does not wait for one.
-    fn dispatch(
+    /// The Receiver on a server thread: execute one handed-over call and
+    /// transmit its result through the thread's batch `out`.
+    fn dispatch(&self, work: Work, out: &mut Batch) {
+        let Work {
+            call, src, act, frame, received_at, ..
+        } = work;
+        let rpc = call.rpc();
+        // The server half of the latency account: `Received` carries the
+        // receive stamp, `Dispatched` is stamped here — the queue wait.
+        let mut span = self.ctx.tracer.server_span(rpc.procedure, received_at);
+        let exports = self.exports.read();
+        let service = exports.services.get(&rpc.interface_uid);
+        let outcome =
+            self.execute(&exports, service, rpc, call.data(), src, frame, &mut span, out);
+        drop(exports);
+        self.finish(rpc, src, &act, span, outcome, out);
+    }
+
+    /// Closes an executed call's trace record and completes it. A
+    /// single-packet result is out and its record complete; a
+    /// multi-packet one took the record along (`Span::detach`): it ends
+    /// where the last fragment is sent.
+    fn finish(
         &self,
-        call: Assembled,
+        rpc: &RpcHeader,
         src: SocketAddr,
         act: &Activity,
-        received_at: u64,
-        inline_buf: Option<PacketBuf>,
+        span: crate::trace::Span<'_>,
+        outcome: Result<Retained>,
         out: &mut Batch,
     ) {
-        let rpc = *call.rpc();
-        // The server half of the latency account: `Received` carries the
-        // receive stamp, `Dispatched` is stamped here — the queue wait,
-        // or next to nothing when the receiving thread executes.
-        let mut span = self.ctx.tracer.server_span(rpc.procedure, received_at);
-        let outcome = self.execute(&call, src, inline_buf, &mut span, out);
-        // A single-packet result is out and its record complete. A
-        // multi-packet one took the record along (`Span::detach`): it
-        // ends where the last fragment is sent.
         if outcome.is_ok() && span.finish() {
             RpcStats::bump(&self.ctx.stats.trace_records);
         }
-        self.complete(&rpc, src, act, outcome, out);
+        self.complete(rpc, src, act, outcome, out);
     }
 
     /// Ends a call's execution: retains what was sent, starts what is
@@ -906,27 +1056,32 @@ impl ServerSide {
         }
     }
 
-    /// Runs the stub + service and hands back the result: a single
-    /// packet already queued for transmission, or a [`Transfer`] for
-    /// [`ServerSide::complete`] to start.
+    /// Runs the stub + service on the call's `data` and hands back the
+    /// result: a single packet already queued for transmission, or a
+    /// [`Transfer`] for [`ServerSide::complete`] to start. `service` is
+    /// the call's interface as `exports` has it, looked up once by the
+    /// thread that runs the call; `frame` is the pool buffer to marshal
+    /// the result into, and a server thread without one waits for one.
+    #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
-        call: &Assembled,
+        exports: &Exports,
+        service: Option<&ServiceEntry>,
+        rpc: &RpcHeader,
+        data: &[u8],
         src: SocketAddr,
-        inline_buf: Option<PacketBuf>,
+        frame: Option<PacketBuf>,
         span: &mut crate::trace::Span<'_>,
         out: &mut Batch,
     ) -> Result<Retained> {
-        let rpc = *call.rpc();
         let started = self.ctx.tracer.now_nanos();
         // The authorization hook runs after duplicate filtering, before
         // any service code (§7's "structural hooks").
-        if let Some(gate) = self.gate.read().as_ref() {
+        if let Some(gate) = exports.gate.as_ref() {
             gate.authorize(rpc.activity, rpc.interface_uid, rpc.procedure)
                 .map_err(|reason| RpcError::Remote(format!("call refused: {reason}")))?;
         }
-        let services = self.services.read();
-        let entry = services.get(&rpc.interface_uid).ok_or_else(|| {
+        let entry = service.ok_or_else(|| {
             RpcError::Remote(format!("no such interface {:#x}", rpc.interface_uid))
         })?;
         if entry.version != rpc.interface_version {
@@ -941,12 +1096,13 @@ impl ServerSide {
             .ok_or_else(|| RpcError::Remote(format!("no procedure #{}", rpc.procedure)))?;
 
         // Unmarshal in place: CHAR arrays borrow the call packet.
-        let args = stub.unmarshal_call(call.data())?;
+        let args = stub.unmarshal_call(data)?;
 
-        // Marshal the result straight into a fresh pool buffer from the
-        // activity's shard (caller threads on other shards contend on
-        // nothing); large results spill to the heap transparently.
-        let mut result_buf = match inline_buf {
+        // Marshal the result straight into the result frame — the last
+        // result's buffer, or a fresh one from the activity's shard
+        // (caller threads on other shards contend on nothing); large
+        // results spill to the heap transparently.
+        let mut result_buf = match frame {
             Some(buf) => buf,
             None => {
                 let shard = shard_for(rpc.activity, self.ctx.pool.shard_count());
@@ -964,10 +1120,9 @@ impl ServerSide {
             let took = self.ctx.tracer.now_nanos().saturating_sub(started);
             note_service_time(estimate, took);
         }
-        drop(services);
         span.stamp(Stamp::StubDone);
 
-        let header = RpcHeader::result_for(&rpc, written.len());
+        let header = RpcHeader::result_for(rpc, written.len());
         match written {
             Written::InPlace { len } => {
                 // Single packet: headers in place around the data, queue
@@ -993,5 +1148,53 @@ impl ServerSide {
                 record: span.detach(),
             })),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::LoopbackNet;
+    use firefly_pool::ShardedPool;
+    use std::collections::HashSet;
+    use std::hash::BuildHasher;
+
+    fn server() -> Arc<ServerSide> {
+        let station = LoopbackNet::new().station(1);
+        let stats = Arc::new(RpcStats::default());
+        let ctx = SendCtx::new(station, ShardedPool::new(1, 1), stats, true, 0);
+        ServerSide::new(Arc::new(ctx), 1)
+    }
+
+    #[test]
+    fn a_call_dropped_for_want_of_a_buffer_is_not_received() {
+        let server = server();
+        let frame = firefly_wire::FrameBuilder::new(PacketType::Call)
+            .activity(ActivityId::new(5, 1, 2))
+            .call_seq(1)
+            .build(&[])
+            .unwrap()
+            .into_bytes();
+        let view = FrameView::parse(&frame).unwrap();
+        let src = "10.0.0.2:3072".parse().unwrap();
+        let mut out = Batch::default();
+        assert!(!server.handle_call(&view, &frame, src, &mut out, false, || None));
+        assert_eq!(server.ctx.stats.calls_received(), 0);
+        assert_eq!(server.activity_count(), 0, "the dropped call made an activity");
+    }
+
+    #[test]
+    fn ids_differing_only_in_the_top_machine_bits_spread_over_buckets() {
+        // A hash table takes the bucket from a hash's low bits, and the
+        // machine number comes off the wire: ids a peer forges by varying
+        // only its top bits must not share one probe sequence.
+        let server = server();
+        let table = server.activities.lock();
+        let low: HashSet<u64> = (0..256u32)
+            .map(|top| activity_key(ActivityId::new(top << 24 | 7, 1, 1)))
+            .map(|key| table.hasher().hash_one(key) & 0xffff)
+            .collect();
+        // 256 random 16-bit values collide about once in expectation.
+        assert!(low.len() >= 250, "{} distinct low 16 bits of 256", low.len());
     }
 }

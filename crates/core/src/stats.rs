@@ -40,11 +40,18 @@ counters! {
     calls_sent,
     /// Calls completed with a result delivered to the caller.
     calls_completed,
+    /// Calls sent that ended without a result: the transmission or probe
+    /// budget ran out, the deadline passed, or a retransmission could not
+    /// be sent. With no call in flight, `calls_sent = calls_completed +
+    /// calls_failed`.
+    calls_failed,
     /// Call/result retransmissions performed by callers on this endpoint.
     retransmissions,
     /// Result packets received that completed a waiting call.
     results_received,
-    /// Call packets received by the server side.
+    /// Call packets received by the server side. A call a receiving
+    /// caller thread finds no pool buffer for is not one of them: it
+    /// counts in `validation_drops`.
     calls_received,
     /// Duplicate call packets answered from the retained result.
     duplicate_calls,
@@ -82,6 +89,10 @@ counters! {
     /// Result packets received by the very thread waiting for them:
     /// `results_received` minus the ones that needed a wake-up.
     self_received_results,
+    /// Result packets or fragments taken that woke their waiting caller:
+    /// the part of `direct_wakeups` results caused, so that
+    /// `results_received = self_received_results + result_wakeups`.
+    result_wakeups,
     /// Times the receive role changed hands between the resident
     /// receiver and caller threads (a cede, or the resident's return).
     role_handovers,

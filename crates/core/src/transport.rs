@@ -144,6 +144,7 @@ impl UdpTransport {
     pub fn bind(addr: SocketAddr) -> io::Result<Arc<UdpTransport>> {
         let socket = UdpSocket::bind(addr)?;
         let addr = socket.local_addr()?;
+        // lint:allow(no-alloc-on-fast-path): once per socket, at bind.
         Ok(Arc::new(UdpTransport {
             socket,
             addr,
@@ -343,6 +344,8 @@ impl LoopbackNet {
     /// Creates a segment whose fault decisions use the given seed.
     pub fn with_seed(seed: u64) -> LoopbackNet {
         LoopbackNet {
+            // lint:allow(no-alloc-on-fast-path): once per simulated
+            // segment, before any traffic.
             inner: Arc::new(NetInner {
                 stations: Mutex::new(HashMap::new()),
                 faults: Mutex::new(FaultPlan::default()),
@@ -384,6 +387,8 @@ impl LoopbackNet {
             "station {id} already attached"
         );
         stations.insert(addr, tx);
+        // lint:allow(no-alloc-on-fast-path): once per station attached,
+        // before any traffic.
         Arc::new(LoopbackStation {
             // lint:allow(no-alloc-on-fast-path): station attach is test
             // topology setup, run once before traffic starts.

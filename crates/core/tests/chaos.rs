@@ -8,6 +8,10 @@ use firefly_rpc::witness::TRANSITIONS;
 use firefly_rpc::{Config, Endpoint, ServiceBuilder};
 use std::time::Duration;
 
+#[path = "support/conservation.rs"]
+mod conservation;
+use conservation::assert_conserved;
+
 fn echo_setup(
     net: &LoopbackNet,
 ) -> (
@@ -66,7 +70,7 @@ fn calls_survive_fault_mix() {
         let duplicate = g.f64_unit() * 0.5;
         let corrupt = g.f64_unit() * 0.15;
         let net = LoopbackNet::with_seed(seed);
-        let (_server, _caller, client) = echo_setup(&net);
+        let (server, caller, client) = echo_setup(&net);
         net.set_faults(FaultPlan {
             loss,
             duplicate,
@@ -77,6 +81,7 @@ fn calls_survive_fault_mix() {
             let r = client.call("Twice", &[Value::Integer(i)]).unwrap();
             prop_assert_eq!(r[0].clone(), Value::Integer(2 * i), "call {}", i);
         }
+        assert_conserved(&[&server, &caller]);
         Ok(())
     });
 }
@@ -90,7 +95,7 @@ fn fragments_survive_fault_mix() {
         let duplicate = g.f64_unit() * 0.3;
         let size = g.usize_in(2000..12_000);
         let net = LoopbackNet::with_seed(seed);
-        let (_server, _caller, client) = echo_setup(&net);
+        let (server, caller, client) = echo_setup(&net);
         net.set_faults(FaultPlan {
             loss,
             duplicate,
@@ -102,6 +107,7 @@ fn fragments_survive_fault_mix() {
             .call("Blob", &[Value::Bytes(data.clone()), Value::Bytes(Vec::new())])
             .unwrap();
         prop_assert_eq!(r[0].as_bytes().unwrap(), &data[..]);
+        assert_conserved(&[&server, &caller]);
         Ok(())
     });
 }
@@ -182,6 +188,8 @@ fn sharded_dispatch_survives_fault_mix_exactly_once() {
             CALLERS as u64 * CALLS,
             "a duplicated or retransmitted call was dispatched more than once"
         );
+
+        assert_conserved(&[&server, &caller]);
 
         // Shutdown leak check, per shard: keep a pool handle, tear the
         // endpoints down (shutdown joins the demux and every worker),
@@ -287,6 +295,7 @@ fn garbage_frames_are_counted_dropped_and_harmless() {
         assert!(taken.iter().all(legal), "{taken:?}");
         assert!(taken.iter().any(|t| t == dispatch), "{taken:?}");
     }
+    assert_conserved(&[&server, &caller]);
 }
 
 /// Tracing stays truthful under chaos: fragmented calls through loss and
@@ -360,6 +369,7 @@ fn traced_fragments_survive_fault_mix() {
                 prop_assert!(delta >= 0, "server step `{}` negative", name);
             }
         }
+        assert_conserved(&[&server, &caller]);
         Ok(())
     });
 }
@@ -409,4 +419,5 @@ fn a_long_result_under_loss_outlasts_the_transmission_budget() {
         recoveries > u64::from(cfg.max_transmissions),
         "only {recoveries} recoveries: the budget was never at stake"
     );
+    assert_conserved(&[&server, &caller]);
 }

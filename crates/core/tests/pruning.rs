@@ -104,3 +104,57 @@ fn conversation_restarts_after_pruning() {
     client.call("Null", &[]).unwrap();
     assert_eq!(caller.stats().calls_completed(), 2);
 }
+
+#[test]
+fn forged_probes_and_acks_leave_no_server_state() {
+    // Only a call makes server state for an activity: a probe or a
+    // result ack for an activity the server has never seen is answered
+    // (or not) from nothing, so a stream of forged ones cannot grow the
+    // activity table — nothing prunes it until an idle timeout.
+    use firefly_rpc::transport::Transport;
+    use firefly_wire::{ActivityId, FrameBuilder, PacketType};
+    let net = LoopbackNet::new();
+    let server = Endpoint::new(net.station(1), Config::default()).unwrap();
+    let caller = Endpoint::new(net.station(2), Config::default()).unwrap();
+    let service = ServiceBuilder::new(test_interface())
+        .on_call("Null", |_a, _w| Ok(()))
+        .on_call("MaxResult", |_a, _w| Ok(()))
+        .on_call("MaxArg", |_a, _w| Ok(()))
+        .build()
+        .unwrap();
+    server.export(service).unwrap();
+    let client = caller.bind(&test_interface(), server.address()).unwrap();
+    client.call("Null", &[]).unwrap();
+    assert_eq!(server.tracked_activities(), 1);
+
+    const FORGED: u16 = 10_000;
+    let forger = net.station(66);
+    for thread in 0..FORGED {
+        let activity = ActivityId::new(0x0bad, 1, thread);
+        let probe = FrameBuilder::new(PacketType::Probe)
+            .activity(activity)
+            .call_seq(7)
+            .build(&[])
+            .unwrap();
+        forger.send(probe.bytes(), server.address()).unwrap();
+        let ack = FrameBuilder::new(PacketType::Ack)
+            .activity(activity)
+            .call_seq(7)
+            .acks_result(true)
+            .build(&[])
+            .unwrap();
+        forger.send(ack.bytes(), server.address()).unwrap();
+    }
+    // The receiver takes the frames in order: once it has counted the
+    // last ack, it has handled every probe before it.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while server.stats().acks_received() < u64::from(FORGED) {
+        assert!(std::time::Instant::now() < deadline, "stats:\n{}", server.stats());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(server.tracked_activities(), 1, "forged packets made server state");
+    assert_eq!(server.stats().probes_answered(), 0);
+    // The real conversation goes on as before.
+    client.call("Null", &[]).unwrap();
+    assert_eq!(server.tracked_activities(), 1);
+}

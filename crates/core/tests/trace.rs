@@ -179,19 +179,10 @@ fn tracing_does_not_change_counters_or_results() {
                     wakeup_sum.1 += b;
                 }
                 // Scheduling again: how many calls were measured short
-                // enough to run on the receiving thread (a subset of
+                // enough to run on the receiving thread, and how many
+                // results woke their caller (both subsets of
                 // `direct_wakeups`), and how often the role moved.
-                "inline_calls" | "role_handovers" => {}
-                // Server-side retained-result release races benignly:
-                // the worker stores the new retained buffer after
-                // sending the result, but the caller's *next* call can
-                // reach `begin_call` first. Whichever side wins, the
-                // old buffer goes back to the pool — via the counted
-                // receive-queue recycle or via a plain (uncounted)
-                // free — so this counter varies run to run even with
-                // tracing off both times. The caller's copy (the Ender
-                // recycle, one per call) stays exact.
-                "buffers_recycled" if role == "server" => {}
+                "inline_calls" | "result_wakeups" | "role_handovers" => {}
                 _ => assert_eq!(
                     a, b,
                     "{role} counter `{name_a}` differs with tracing on"

@@ -92,6 +92,8 @@ impl InterfaceDef {
                 index: i as u16,
                 params: p.params.into(),
                 result: p.result,
+                // lint:allow(no-alloc-on-fast-path): once per procedure,
+                // when the interface is compiled.
                 plan: Arc::new(plan),
             });
         }
@@ -100,6 +102,8 @@ impl InterfaceDef {
             uid,
             version: INTERFACE_VERSION,
             procedures: procedures.into(),
+            // lint:allow(no-alloc-on-fast-path): once per interface,
+            // when it is compiled.
             by_name: Arc::new(by_name),
         })
     }

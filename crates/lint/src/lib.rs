@@ -533,6 +533,25 @@ mod tests {
     }
 
     #[test]
+    fn a_per_call_shared_allocation_on_the_fast_path_is_reported() {
+        // A call-table entry made per call: `Arc::new` allocates as
+        // surely as `Box::new`, and `Rc::new` likewise.
+        let src = "pub fn register(t: &T, seq: u32) -> Arc<Entry> {\n\
+                   let e = Arc::new(Entry::new(seq));\n\
+                   t.insert(Arc::clone(&e));\n\
+                   let _local = std::rc::Rc::new(seq);\n\
+                   e\n\
+                   }\n";
+        let diags = engine().check_source_text("crates/core/src/calltable.rs", src);
+        let lines: Vec<_> = diags
+            .iter()
+            .filter(|d| d.rule == rules::name::NO_ALLOC)
+            .map(|d| d.line)
+            .collect();
+        assert_eq!(lines, [2, 4], "{diags:?}");
+    }
+
+    #[test]
     fn rules_do_not_fire_outside_scoped_files(){
         let src = "fn f() { x.unwrap(); let v = vec![0u8; 4]; }\n";
         let diags = engine().check_source_text("crates/sim/src/engine.rs", src);

@@ -114,9 +114,9 @@ fn no_panic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 /// `Vec::new`, `Vec::with_capacity`, `vec!`, `to_vec()`, `.clone()`,
-/// `format!`, `Box::new` are banned in fast-path modules (tests exempt;
-/// lines constructing errors exempt — error paths are off the fast path
-/// by definition).
+/// `format!`, `Box::new`, `Arc::new`, `Rc::new` are banned in fast-path
+/// modules (tests exempt; lines constructing errors exempt — error paths
+/// are off the fast path by definition).
 ///
 /// Paper rationale: §3.2 — packet buffers live in a shared pool so the
 /// fast path copies and allocates nothing ("This strategy eliminates
@@ -146,6 +146,8 @@ fn no_alloc(file: &SourceFile, config: &Config, out: &mut Vec<Diagnostic>) {
             "new" if path_call("Vec") => Some("Vec::new"),
             "with_capacity" if path_call("Vec") => Some("Vec::with_capacity"),
             "new" if path_call("Box") => Some("Box::new"),
+            "new" if path_call("Arc") => Some("Arc::new"),
+            "new" if path_call("Rc") => Some("Rc::new"),
             "to_vec" if preceded_by_dot && next_is(1, "(") => Some(".to_vec()"),
             "clone" if preceded_by_dot && next_is(1, "(") => Some(".clone()"),
             "format" if next_is(1, "!") => Some("format!"),

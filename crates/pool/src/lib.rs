@@ -184,6 +184,7 @@ impl BufferPool {
             .map(|_| vec![0u8; BUFFER_SIZE].into_boxed_slice())
             .collect();
         BufferPool {
+            // lint:allow(no-alloc-on-fast-path): once per pool.
             inner: Arc::new(PoolInner {
                 slabs: Mutex::new(Slabs {
                     free,

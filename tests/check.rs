@@ -246,6 +246,28 @@ fn pool_model_exhausts_and_reaches_the_parked_waiter() {
     );
 }
 
+/// The call-table model runs to exhaustion: DPOR explores every
+/// schedule of one activity's entry carrying two calls, with a late ack,
+/// a late result-fragment run and a late duplicate result of call 0
+/// delivered around call 1, and in none of them is a late packet taken
+/// into the reused entry or call 1 completed with bytes not its own.
+#[test]
+fn calltable_model_exhausts_under_dpor() {
+    let explorer = Explorer::new();
+    let model = models::find("calltable").expect("calltable model registered");
+    let outcome = explorer.explore(&model, &Mode::Dpor { max_schedules: 20_000 });
+    assert!(
+        outcome.failure.is_none(),
+        "calltable (dpor): {}",
+        outcome.failure.map(|f| f.failure.to_string()).unwrap_or_default()
+    );
+    assert!(
+        outcome.exhausted,
+        "calltable (dpor) not exhausted in {} schedule(s)",
+        outcome.schedules
+    );
+}
+
 /// The receive-role model (docs/SHARDING.md, "Who receives"): two
 /// callers and the resident receiver over the real `ReceiveRole` and
 /// `CallTable`. No explored schedule may end with a datagram queued, a

@@ -6,6 +6,10 @@ use firefly::rpc::transport::{FaultPlan, LoopbackNet, UdpTransport};
 use firefly::rpc::{Config, Endpoint, ServiceBuilder};
 use std::sync::Arc;
 
+#[path = "../crates/core/tests/support/conservation.rs"]
+mod conservation;
+use conservation::assert_conserved;
+
 /// A calculator service exercising every scalar type plus Text.T.
 fn calculator() -> (firefly::idl::InterfaceDef, Arc<dyn firefly::rpc::Service>) {
     let iface = parse_interface(
@@ -92,6 +96,7 @@ fn calculator_over_udp() {
         .call("Accumulate", &[Value::Integer(100), Value::Integer(-1)])
         .unwrap();
     assert_eq!(r[0], Value::Integer(99));
+    assert_conserved(&[&server, &caller]);
 }
 
 /// An echo of its one argument; the counter counts executions.
@@ -154,6 +159,55 @@ fn null_echo_over_udp_is_one_datagram_each_way() {
     let (s, k) = (server_socket.counts(), caller_socket.counts());
     assert_eq!((k.datagrams_sent, s.datagrams_received), (CALLS, CALLS), "{k:?} {s:?}");
     assert_eq!((s.datagrams_sent, k.datagrams_received), (CALLS, CALLS), "{s:?} {k:?}");
+    assert_conserved(&[&server, &caller]);
+}
+
+#[test]
+fn null_calls_over_udp_take_no_pool_buffer_and_reuse_one_call_entry() {
+    // A call lives in its activity slot: the caller marshals into the
+    // slot's call frame and its entry copies the result into the entry's
+    // result frame; the server runs a measured-short call where it
+    // landed and marshals its result into the buffer it retained for the
+    // last one. Once a warm-up call has measured the procedure, a Null()
+    // takes no pool buffer at either end, and the caller's one activity
+    // keeps one call-table entry for every call.
+    let (server, caller, _) = udp_pair();
+    let iface = firefly::idl::test_interface();
+    let service = ServiceBuilder::new(iface.clone())
+        .on_call("Null", |_args, _w| Ok(()))
+        .on_call("MaxResult", |_args, _w| Ok(()))
+        .on_call("MaxArg", |_args, _w| Ok(()))
+        .build()
+        .unwrap();
+    server.export(service).unwrap();
+    let c = caller.bind(&iface, server.address()).unwrap();
+    c.call("Null", &[]).unwrap();
+    assert_eq!(caller.call_entries(), 1);
+    // Pool buffers taken, free list and receive queue alike; and the
+    // calls the server handed to a worker rather than running them where
+    // they landed.
+    let takes = || [server.pool().stats().allocs(), caller.pool().stats().allocs()];
+    let handed = || server.stats().calls_received() - server.stats().inline_calls();
+    let (before, handed_before) = (takes(), handed());
+    const CALLS: u64 = 200;
+    for _ in 0..CALLS {
+        c.call("Null", &[]).unwrap();
+    }
+    let after = takes();
+    // A call handed to a worker — which happens only if a preempted
+    // service sample made Null() look slow — is copied into one pool
+    // buffer at the server; every other call takes none, and the caller
+    // takes none ever.
+    let handed = handed() - handed_before;
+    let s = server.stats();
+    assert_eq!(
+        [after[0] - before[0], after[1] - before[1]],
+        [handed, 0],
+        "server stats:\n{s}"
+    );
+    assert_eq!(caller.call_entries(), 1, "the activity's entry was not reused");
+    assert_eq!(s.buffers_recycled() + caller.stats().buffers_recycled(), 0);
+    assert_conserved(&[&server, &caller]);
 }
 
 #[test]
@@ -163,7 +217,8 @@ fn multi_packet_echo_over_udp() {
     // — the Result acks the Call, the next Call acks the Result — and the
     // server parks no thread on the transfer. A window is one datagram,
     // and its fragments are reassembled from where they landed: neither
-    // side takes a pool buffer for a fragment it receives.
+    // side takes a pool buffer for a fragment it receives, and the
+    // caller takes none at all.
     let (iface, service, _) = big_echo();
     let (server, caller, [server_socket, caller_socket]) = udp_pair();
     server.export(service).unwrap();
@@ -180,12 +235,12 @@ fn multi_packet_echo_over_udp() {
             .unwrap();
         assert_eq!(r[0].as_bytes().unwrap(), &input[..], "call {call}");
     }
-    // One each per call: the buffer the result is first marshalled into
-    // on the server, the one the arguments are on the caller — both
-    // found too small and spilled. (Each fragment received took one
-    // more: five per call on the server, five or more on the caller.)
+    // One per call on the server: the buffer the result is first
+    // marshalled into, found too small and spilled (the last result was
+    // a transfer, which retains no buffer to marshal into). The caller
+    // marshals its arguments into its activity slot's call frame.
     let after = takes();
-    assert_eq!([after[0] - before[0], after[1] - before[1]], [CALLS, CALLS]);
+    assert_eq!([after[0] - before[0], after[1] - before[1]], [CALLS, 0]);
     let (s, k) = (server.stats(), caller.stats());
     assert_eq!(s.fragments_received(), 4 * CALLS, "server stats:\n{s}");
     assert_eq!(k.fragments_sent() + s.fragments_sent(), 8 * CALLS, "server stats:\n{s}");
@@ -195,6 +250,7 @@ fn multi_packet_echo_over_udp() {
     let (s, k) = (server_socket.counts(), caller_socket.counts());
     assert_eq!((k.datagrams_sent, s.datagrams_received), (CALLS, CALLS), "{k:?} {s:?}");
     assert_eq!((s.datagrams_sent, k.datagrams_received), (CALLS, CALLS), "{s:?} {k:?}");
+    assert_conserved(&[&server, &caller]);
 }
 
 #[test]
@@ -374,6 +430,7 @@ fn an_ipv6_endpoint_calls_and_shuts_down() {
             .call("Add", &[Value::Integer(40), Value::Integer(2)])
             .unwrap();
         assert_eq!(r[0], Value::Integer(42));
+        assert_conserved(&[&server, &caller]);
         // Long enough for both receivers to run out of polls and block.
         std::thread::sleep(std::time::Duration::from_millis(50));
         drop((c, caller, server));
