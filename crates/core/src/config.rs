@@ -8,12 +8,12 @@ pub struct Config {
     /// Size of the shared packet-buffer pool.
     ///
     /// The paper's pool is shared between all user address spaces and the
-    /// Nub. Here it holds what the server side keeps or hands over: the
-    /// one-packet results retained for retransmission (one per recently
-    /// active caller activity, each becoming its next call's result
-    /// frame), the calls handed to server threads, and the result frames
-    /// those threads take when none is retained. A caller takes nothing
-    /// from it: each activity slot owns its call and result frames.
+    /// Nub. Here it holds only the single-packet calls handed to server
+    /// threads, each copied out of the datagram it landed in until its
+    /// worker is done with it. A caller takes nothing from it (each
+    /// activity slot owns its call and result frames), and neither does
+    /// a result: each server activity owns the frame its results are
+    /// marshalled into and retained in.
     pub pool_size: usize,
     /// Number of server threads kept waiting for incoming calls.
     ///

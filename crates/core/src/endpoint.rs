@@ -208,14 +208,6 @@ impl Endpoint {
         self.shared.calls.entries()
     }
 
-    /// Number of results the server side retains in pool buffers (one-
-    /// packet results kept for retransmission until acknowledged). With
-    /// no call in flight, these are every pool buffer the endpoint has
-    /// out.
-    pub fn retained_buffers(&self) -> usize {
-        self.shared.server.retained_buffers()
-    }
-
     /// Installs an authorization gate consulted for every incoming call
     /// (`None` clears it). See [`crate::auth::CallGate`].
     pub fn set_call_gate(&self, gate: Option<Arc<dyn crate::auth::CallGate>>) {
@@ -336,8 +328,8 @@ impl RoleBuffers {
 /// What the thread holding the receive role carries from datagram to
 /// datagram.
 struct Receiving<'a> {
-    /// Rotating pool-shard cursor, so receive-buffer pressure spreads
-    /// across shards.
+    /// Rotating pool-shard cursor, so the pressure of call copies
+    /// spreads across shards.
     cursor: usize,
     out: &'a mut Batch,
     /// Whether this is the resident receiver. It executes measured-short
@@ -356,27 +348,6 @@ impl Receiving<'_> {
     /// for it.
     fn owns(&self, rpc: &RpcHeader) -> Option<&CallEntry> {
         self.own.filter(|entry| entry.activity() == rpc.activity)
-    }
-}
-
-/// Takes a receive buffer, preferring recycled ones; rotates the shard
-/// cursor so receive-buffer pressure spreads across shards.
-fn take_receive_buf(shared: &EndpointShared, cursor: &mut usize) -> PacketBuf {
-    loop {
-        *cursor = cursor.wrapping_add(1);
-        match shared.ctx.pool.take_receive_buffer_from(*cursor) {
-            Ok(b) => return b,
-            Err(_) => {
-                // Every shard exhausted: wait briefly for a free.
-                if let Ok(b) = shared
-                    .ctx
-                    .pool
-                    .alloc_timeout_from(*cursor, Duration::from_millis(100))
-                {
-                    return b;
-                }
-            }
-        }
     }
 }
 
@@ -679,15 +650,23 @@ fn count_result(stats: &RpcStats, own: bool) {
 }
 
 /// The pool buffer a call handed to a server thread is copied into —
-/// which the resident waits for, and a caller holding the role does not:
-/// it tries its activity's shard first, then the next.
+/// which the resident waits for, and a caller holding the role does not.
+/// The shard cursor rotates, so the pressure spreads across shards. The
+/// pool holds nothing but such copies: the resident's wait ends when a
+/// server thread is done with one.
 fn call_buf(shared: &EndpointShared, resident: bool, cursor: &mut usize) -> Option<PacketBuf> {
-    if resident {
-        return Some(take_receive_buf(shared, cursor));
+    let pool = &shared.ctx.pool;
+    if !resident {
+        let buf = pool.alloc_from(*cursor).ok();
+        *cursor = cursor.wrapping_add(1);
+        return buf;
     }
-    let buf = shared.ctx.pool.take_receive_buffer_from(*cursor).ok();
-    *cursor = cursor.wrapping_add(1);
-    buf
+    loop {
+        *cursor = cursor.wrapping_add(1);
+        if let Ok(buf) = pool.alloc_timeout_from(*cursor, Duration::from_millis(100)) {
+            return Some(buf);
+        }
+    }
 }
 
 /// Demultiplexes one frame validated where it landed — routing, direct
@@ -865,10 +844,10 @@ mod tests {
         assert_eq!(executed.load(Ordering::SeqCst), 1);
         assert_eq!(stats.fragments_received(), 4);
         assert_eq!(stats.validation_drops(), drops + 1);
-        // No fragment took a pool buffer; what is out is the result
-        // retained for retransmission, and it comes back at shutdown.
-        assert_eq!(server.pool().stats().allocs(), 1, "stats:\n{stats}");
-        assert_eq!(server.pool().stats().outstanding(), 1);
+        // No fragment took a pool buffer, and the result retained for
+        // retransmission is in the activity's own frame.
+        assert_eq!(server.pool().stats().allocs(), 0, "stats:\n{stats}");
+        assert_eq!(server.pool().stats().outstanding(), 0);
         let pool = server.pool().clone();
         drop(server);
         assert_eq!(pool.stats().outstanding(), 0, "leaked buffers at shutdown");

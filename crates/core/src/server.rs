@@ -19,12 +19,17 @@
 //! A caller activity's state is one entry of a table keyed by its 8-byte
 //! id, found once per packet; only a call
 //! makes one, so a probe or an ack for an activity never seen leaves
-//! nothing behind. The entry keeps the activity's last result for
-//! retransmission, and a one-packet result's pool buffer, once the next
-//! call acknowledges it, is where that call's result is marshalled: a
-//! call the receiving thread runs itself takes no pool buffer at all.
-//! The exported service is looked up once per call, by the thread that
-//! runs it.
+//! nothing behind. The entry owns the frame its calls' results are
+//! marshalled into, made at its first call and lent to the thread that
+//! executes each call, which hands it back with the result. It keeps the
+//! activity's last result for retransmission (§3.2's "last result
+//! packet"): a one-packet result, a failure's included, as the frame's
+//! first bytes; a multi-packet one as its bytes and window, with the
+//! frame kept for the next call. The next call's arrival acknowledges
+//! the result and lends the frame again; an explicit ack of the last
+//! result frees it. No result takes a pool buffer, and a call the
+//! receiving thread runs itself takes none at all. The exported service
+//! is looked up once per call, by the thread that runs it.
 //!
 //! The executing thread is:
 //!
@@ -64,7 +69,8 @@ use firefly_idl::{CompiledStub, Written};
 use firefly_pool::PacketBuf;
 use firefly_sync::{Mutex, MutexGuard, RwLock};
 use firefly_wire::{
-    ActivityId, FrameView, PacketType, RpcHeader, DATA_OFFSET, MAX_SINGLE_PACKET_DATA,
+    ActivityId, FrameBuilder, FrameView, PacketType, RpcHeader, DATA_OFFSET, MAX_FRAME_LEN,
+    MAX_SINGLE_PACKET_DATA,
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -75,16 +81,12 @@ use std::time::{Duration, Instant};
 /// The retained result of an activity's last call, kept for
 /// retransmission until the next call from the same activity implicitly
 /// acknowledges it.
-///
-/// The single-frame cases are inlined so the fast path stores its one
-/// pooled result buffer without allocating a list around it.
 enum Retained {
     /// Nothing retained (initial state, or released by an explicit ack).
     None,
-    /// The result frame lives in a pool buffer (single-packet fast path).
-    Pooled(PacketBuf),
-    /// One heap-built frame (the call-failed path).
-    Heap(Vec<u8>),
+    /// A one-packet result — a call's or a failure's: the first `len`
+    /// bytes of the activity's result frame.
+    Frame(usize),
     /// A multi-packet result, in flight or delivered.
     Transfer(Transfer),
 }
@@ -129,27 +131,6 @@ impl Transfer {
     }
 }
 
-impl Retained {
-    /// Queues on `out` the frame a duplicate call or a probe gets again:
-    /// the one frame of a single-packet result, or a transfer's first
-    /// unacknowledged fragment, asking where the caller's hole is. False
-    /// when nothing is retained.
-    fn resend(&self, ctx: &SendCtx, out: &mut Batch, dst: SocketAddr) -> bool {
-        match self {
-            Retained::None => false,
-            Retained::Pooled(b) => {
-                out.push(b, dst);
-                true
-            }
-            Retained::Heap(v) => {
-                out.push(v, dst);
-                true
-            }
-            Retained::Transfer(t) => t.encode(ctx, out, dst, t.window.unacked, true).is_ok(),
-        }
-    }
-}
-
 struct ActState {
     /// When the activity last carried traffic (for idle reclamation).
     last_used: Instant,
@@ -159,8 +140,30 @@ struct ActState {
     in_progress: bool,
     /// Result of the last completed call.
     retained: Retained,
+    /// The frame the activity's results are marshalled into: made at its
+    /// first call, lent to the thread that executes each call and handed
+    /// back with the result, freed by an explicit ack. It holds a
+    /// one-packet result while that is retained.
+    frame: Option<Box<[u8]>>,
     /// Partial multi-packet call, with its sequence number.
     reassembly: Option<(u32, Reassembly)>,
+}
+
+impl ActState {
+    /// Queues on `out` the frame a duplicate call or a probe gets again:
+    /// the one frame of a single-packet result, or a transfer's first
+    /// unacknowledged fragment, asking where the caller's hole is. False
+    /// when nothing is retained.
+    fn resend(&self, ctx: &SendCtx, out: &mut Batch, dst: SocketAddr) -> bool {
+        match (&self.retained, &self.frame) {
+            (Retained::Frame(len), Some(frame)) => {
+                out.push(&frame[..*len], dst);
+                true
+            }
+            (Retained::Transfer(t), _) => t.encode(ctx, out, dst, t.window.unacked, true).is_ok(),
+            _ => false,
+        }
+    }
 }
 
 struct Activity {
@@ -263,8 +266,8 @@ struct Work {
     src: SocketAddr,
     /// The caller activity's slot, looked up once at receipt.
     act: Arc<Activity>,
-    /// The previous result's pool buffer, for this call's result.
-    frame: Option<PacketBuf>,
+    /// The activity's result frame, lent for this call's result.
+    frame: Box<[u8]>,
     /// Receive stamp ([`crate::trace`] nanos); 0 when tracing was off at
     /// receipt.
     received_at: u64,
@@ -279,9 +282,9 @@ struct Work {
 /// [`Transport::send_batch`], which packs consecutive frames to the same
 /// caller into single datagrams.
 ///
-/// Frames are *copied* in: retransmission retention keeps the pool
-/// buffer in the activity slot independently, so deferring the send
-/// never extends a buffer's lifetime.
+/// Frames are *copied* in: retransmission retention keeps the result
+/// frame in the activity slot independently, so deferring the send
+/// never extends a frame's loan.
 ///
 /// [`Transport::send_batch`]: crate::transport::Transport::send_batch
 const MAX_BATCHED_RESULTS: usize = 16;
@@ -390,8 +393,8 @@ impl ServerSide {
     /// calls from this caller address space to the same remote server
     /// address space have occurred recently, within a few seconds"
     /// (§3.1); older conversations fall off the fast path and their
-    /// retained buffers return to the pool. Returns the number of
-    /// activities reclaimed.
+    /// result frames are freed. Returns the number of activities
+    /// reclaimed.
     pub fn prune_idle(&self, max_idle: Duration) -> usize {
         let mut map = self.activities.lock();
         let before = map.len();
@@ -405,16 +408,6 @@ impl ServerSide {
     /// Number of tracked caller activities.
     pub fn activity_count(&self) -> usize {
         self.activities.lock().len()
-    }
-
-    /// Number of tracked caller activities whose retained result holds a
-    /// pool buffer (a one-packet result): at quiescence, every pool
-    /// buffer the endpoint has out.
-    pub fn retained_buffers(&self) -> usize {
-        let map = self.activities.lock();
-        map.values()
-            .filter(|act| matches!(act.state.lock().retained, Retained::Pooled(_)))
-            .count()
     }
 
     /// Lists exported interfaces as `(name, uid, version)`.
@@ -469,6 +462,7 @@ impl ServerSide {
                     last_seq: 0,
                     in_progress: false,
                     retained: Retained::None,
+                    frame: None,
                     reassembly: None,
                 }),
             })
@@ -639,7 +633,7 @@ impl ServerSide {
         }
         // Duplicate of the current call (a caller retransmission).
         RpcStats::bump(&self.ctx.stats.duplicate_calls);
-        let resent = st.retained.resend(&self.ctx, out, src);
+        let resent = st.resend(&self.ctx, out, src);
         let executing = st.in_progress;
         drop(st);
         if resent {
@@ -671,12 +665,11 @@ impl ServerSide {
     }
 
     /// Gets a fresh call executed by the cheapest thread that may run
-    /// it: the receiving thread itself when it may run service code
-    /// (`inline`), the procedure is measured short and there is a result
-    /// frame — the last result's pool buffer (`frame`), or one the pool
-    /// has free — else the worker owning the activity's shard, with the
-    /// call copied into a pool buffer from `buffer` if it is still where
-    /// it landed.
+    /// it, with the activity's result `frame`: the receiving thread
+    /// itself when it may run service code (`inline`) and the procedure
+    /// is measured short, else the worker owning the activity's shard,
+    /// with the call copied into a pool buffer from `buffer` if it is
+    /// still where it landed.
     #[allow(clippy::too_many_arguments)]
     fn run_call(
         &self,
@@ -684,7 +677,7 @@ impl ServerSide {
         landed: Landed<'_>,
         src: SocketAddr,
         act: Arc<Activity>,
-        mut frame: Option<PacketBuf>,
+        mut frame: Box<[u8]>,
         received_at: u64,
         out: &mut Batch,
         inline: bool,
@@ -695,24 +688,16 @@ impl ServerSide {
             let exports = self.exports.read();
             let service = exports.services.get(&rpc.interface_uid);
             if service.is_some_and(|entry| self.runs_inline(entry, rpc.procedure)) {
-                // Never block the receiver for a buffer: a dry pool sends
-                // the call round by the workers, which may wait.
-                let fresh = || {
-                    let shard = shard_for(rpc.activity, self.ctx.pool.shard_count());
-                    self.ctx.pool.alloc_from(shard).ok()
-                };
-                if let Some(result_buf) = frame.take().or_else(fresh) {
-                    // Reached its executing thread without queueing.
-                    RpcStats::bump(&self.ctx.stats.direct_wakeups);
-                    RpcStats::bump(&self.ctx.stats.inline_calls);
-                    let mut span = self.ctx.tracer.server_span(rpc.procedure, received_at);
-                    let (data, frame) = (landed.data(), Some(result_buf));
-                    let outcome =
-                        self.execute(&exports, service, rpc, data, src, frame, &mut span, out);
-                    drop(exports);
-                    self.finish(rpc, src, &act, span, outcome, out);
-                    return;
-                }
+                // Reached its executing thread without queueing.
+                RpcStats::bump(&self.ctx.stats.direct_wakeups);
+                RpcStats::bump(&self.ctx.stats.inline_calls);
+                let mut span = self.ctx.tracer.server_span(rpc.procedure, received_at);
+                let data = landed.data();
+                let outcome =
+                    self.execute(&exports, service, rpc, data, src, &mut frame, &mut span, out);
+                drop(exports);
+                self.finish(rpc, src, &act, span, outcome, frame, out);
+                return;
             }
         }
         let call = match landed {
@@ -728,7 +713,7 @@ impl ServerSide {
                     // come, the call fails rather than stay in progress.
                     let err = Err(firefly_pool::PoolError::Exhausted.into());
                     let span = self.ctx.tracer.server_span(rpc.procedure, received_at);
-                    self.finish(rpc, src, &act, span, err, out);
+                    self.finish(rpc, src, &act, span, err, frame, out);
                     return;
                 }
             },
@@ -738,30 +723,33 @@ impl ServerSide {
 
     /// Marks a new call in progress and takes the previous retained
     /// result out — the arrival of a newer call is its implicit ack
-    /// (§3.2). A one-packet result's pool buffer is handed back as the
-    /// frame the new call's result is marshalled into: "the interrupt
-    /// handler removes the buffer found in that call table entry", and
-    /// here the entry's next result is built in it.
-    fn begin_call(&self, st: &mut ActState, seq: u32) -> Option<PacketBuf> {
+    /// (§3.2) — and with it the activity's result frame, lent to the
+    /// thread that executes the call: "the interrupt handler removes the
+    /// buffer found in that call table entry", and here the entry's next
+    /// result is built in it. The activity's first call makes the frame.
+    fn begin_call(&self, st: &mut ActState, seq: u32) -> Box<[u8]> {
         st.last_seq = seq;
         st.in_progress = true;
-        match std::mem::replace(&mut st.retained, Retained::None) {
-            Retained::Pooled(buf) => Some(buf),
-            _ => None,
-        }
+        st.retained = Retained::None;
+        st.frame.take().unwrap_or_else(|| {
+            // lint:allow(no-alloc-on-fast-path): once per caller activity,
+            // at its first call — again only after an explicit ack freed
+            // the frame, or while a superseded execution still has it.
+            vec![0; MAX_FRAME_LEN].into_boxed_slice()
+        })
     }
 
     /// Routes a call to the worker owning its activity's shard, with the
-    /// activity's result frame if it has one. A `true` from the push
-    /// means a parked worker was woken directly — the paper's
-    /// direct-handoff fast path; `false` means every worker was busy and
-    /// the call waits in the queue (the slow path).
+    /// activity's result frame. A `true` from the push means a parked
+    /// worker was woken directly — the paper's direct-handoff fast path;
+    /// `false` means every worker was busy and the call waits in the
+    /// queue (the slow path).
     fn enqueue(
         &self,
         call: Assembled,
         src: SocketAddr,
         act: Arc<Activity>,
-        frame: Option<PacketBuf>,
+        frame: Box<[u8]>,
         received_at: u64,
     ) {
         let target = shard_for(call.rpc().activity, self.queues.worker_count());
@@ -814,7 +802,7 @@ impl ServerSide {
             }
             return;
         }
-        let resent = st.retained.resend(&self.ctx, out, src);
+        let resent = st.resend(&self.ctx, out, src);
         let executing = st.in_progress;
         drop(st);
         if resent {
@@ -864,10 +852,11 @@ impl ServerSide {
             return;
         }
         if rpc.flags.last_fragment {
-            // Explicit ack of the complete result: release retention.
+            // Explicit ack of the complete result: release retention and
+            // the frame with it.
             record(State::ServerKnown, Action::ReleaseRetained);
-            if let Retained::Pooled(buf) = std::mem::replace(&mut st.retained, Retained::None) {
-                buf.recycle();
+            st.frame = None;
+            if !matches!(std::mem::replace(&mut st.retained, Retained::None), Retained::None) {
                 RpcStats::bump(&self.ctx.stats.buffers_recycled);
             }
             return;
@@ -971,7 +960,7 @@ impl ServerSide {
     /// transmit its result through the thread's batch `out`.
     fn dispatch(&self, work: Work, out: &mut Batch) {
         let Work {
-            call, src, act, frame, received_at, ..
+            call, src, act, mut frame, received_at, ..
         } = work;
         let rpc = call.rpc();
         // The server half of the latency account: `Received` carries the
@@ -979,16 +968,22 @@ impl ServerSide {
         let mut span = self.ctx.tracer.server_span(rpc.procedure, received_at);
         let exports = self.exports.read();
         let service = exports.services.get(&rpc.interface_uid);
-        let outcome =
-            self.execute(&exports, service, rpc, call.data(), src, frame, &mut span, out);
+        let data = call.data();
+        let outcome = self.execute(&exports, service, rpc, data, src, &mut frame, &mut span, out);
         drop(exports);
-        self.finish(rpc, src, &act, span, outcome, out);
+        self.finish(rpc, src, &act, span, outcome, frame, out);
     }
 
-    /// Closes an executed call's trace record and completes it. A
-    /// single-packet result is out and its record complete; a
+    /// Ends a call's execution: closes its trace record, retains what
+    /// was sent — a failure's result encoded into the activity's result
+    /// `frame` and queued on `out` first, like any one-packet result —
+    /// and hands the activity its frame back, or starts what is still to
+    /// send. A single-packet result is out and its record complete; a
     /// multi-packet one took the record along (`Span::detach`): it ends
-    /// where the last fragment is sent.
+    /// where the last fragment is sent. A call superseded while it
+    /// executed retains nothing, and gives the frame back only to an
+    /// activity that has none.
+    #[allow(clippy::too_many_arguments)]
     fn finish(
         &self,
         rpc: &RpcHeader,
@@ -996,72 +991,78 @@ impl ServerSide {
         act: &Activity,
         span: crate::trace::Span<'_>,
         outcome: Result<Retained>,
+        mut frame: Box<[u8]>,
         out: &mut Batch,
     ) {
-        if outcome.is_ok() && span.finish() {
-            RpcStats::bump(&self.ctx.stats.trace_records);
-        }
-        self.complete(rpc, src, act, outcome, out);
-    }
-
-    /// Ends a call's execution: retains what was sent, starts what is
-    /// still to send, or sends (and retains) the error result.
-    fn complete(
-        &self,
-        rpc: &RpcHeader,
-        src: SocketAddr,
-        act: &Activity,
-        outcome: Result<Retained>,
-        out: &mut Batch,
-    ) {
+        let retained = match outcome {
+            Ok(retained) => {
+                if span.finish() {
+                    RpcStats::bump(&self.ctx.stats.trace_records);
+                }
+                retained
+            }
+            Err(e) => {
+                // Call-failed flag, message as data. `result_for` resets
+                // the flag word to the single-packet shape: spelling the
+                // header as `..rpc` used to leak the call's please-ack
+                // bit into the error result.
+                let msg = e.to_string();
+                let len = msg.len().min(MAX_SINGLE_PACKET_DATA);
+                let data = frame.get_mut(DATA_OFFSET..DATA_OFFSET + len);
+                if let (Some(data), Some(msg)) = (data, msg.as_bytes().get(..len)) {
+                    data.copy_from_slice(msg);
+                }
+                let header = RpcHeader::result_for(rpc, len);
+                let builder = self.ctx.builder_from(&header, src).call_failed(true);
+                let queued = self.queue_frame(&builder, &mut frame, len, src, out);
+                queued.unwrap_or(Retained::None)
+            }
+        };
         let mut st = act.state.lock();
         if st.last_seq != rpc.call_seq {
             // A newer call superseded us while executing; discard.
+            st.frame.get_or_insert(frame);
             return;
         }
         st.in_progress = false;
-        match outcome {
-            Ok(retained) => {
-                let transfer = matches!(retained, Retained::Transfer(_));
-                st.retained = retained;
-                drop(st);
-                if transfer {
-                    // The first window goes out only now, with the
-                    // transfer where the receiver will look for it: an
-                    // ack may arrive on another thread before `send`
-                    // returns.
-                    self.send_window(act, src, out);
-                }
-            }
-            Err(e) => {
-                // Error result: single packet, call_failed flag, message
-                // as data.
-                drop(st);
-                let msg = e.to_string();
-                let data = &msg.as_bytes()[..msg.len().min(MAX_SINGLE_PACKET_DATA)];
-                // `result_for` resets the flag word to the single-packet
-                // shape; spelling the header as `..rpc` here used to leak
-                // the call's please-ack bit into the error result, making
-                // the caller send an ack nobody consumed.
-                let header = RpcHeader::result_for(rpc, data.len());
-                let builder = self.ctx.builder_from(&header, src).call_failed(true);
-                let _ = self.ctx.send_built(&builder, data, src);
-                let mut st = act.state.lock();
-                if st.last_seq == rpc.call_seq {
-                    if let Ok(frame) = builder.build(data) {
-                        st.retained = Retained::Heap(frame.into_bytes());
-                    }
-                }
-            }
+        let transfer = matches!(retained, Retained::Transfer(_));
+        st.retained = retained;
+        st.frame = Some(frame);
+        drop(st);
+        if transfer {
+            // The first window goes out only now, with the transfer where
+            // the receiver will look for it: an ack may arrive on another
+            // thread before `send` returns.
+            self.send_window(act, src, out);
         }
     }
 
-    /// Runs the stub + service on the call's `data` and hands back the
-    /// result: a single packet already queued for transmission, or a
-    /// [`Transfer`] for [`ServerSide::complete`] to start. `service` is
+    /// Puts the headers `builder` makes around the `len` data bytes
+    /// marshalled in `frame` and queues a copy of the frame on the
+    /// executing thread's batch `out` (packed into shared datagrams when
+    /// it is sent); the frame's first bytes are then the retained result.
+    fn queue_frame(
+        &self,
+        builder: &FrameBuilder,
+        frame: &mut [u8],
+        len: usize,
+        src: SocketAddr,
+        out: &mut Batch,
+    ) -> Result<Retained> {
+        let total = builder.encode_into(frame, len)?;
+        out.push(&frame[..total], src);
+        if out.len() >= MAX_BATCHED_RESULTS {
+            self.transmit(out);
+        }
+        Ok(Retained::Frame(total))
+    }
+
+    /// Runs the stub + service on the call's `data`, marshalling the
+    /// result straight into the activity's result `frame`, and hands back
+    /// the result: a single packet already queued for transmission, or a
+    /// [`Transfer`] for [`ServerSide::finish`] to start. `service` is
     /// the call's interface as `exports` has it, looked up once by the
-    /// thread that runs the call; `frame` is the pool buffer to marshal
-    /// the result into, and a server thread without one waits for one.
+    /// thread that runs the call.
     #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
@@ -1070,7 +1071,7 @@ impl ServerSide {
         rpc: &RpcHeader,
         data: &[u8],
         src: SocketAddr,
-        frame: Option<PacketBuf>,
+        frame: &mut [u8],
         span: &mut crate::trace::Span<'_>,
         out: &mut Batch,
     ) -> Result<Retained> {
@@ -1098,21 +1099,9 @@ impl ServerSide {
         // Unmarshal in place: CHAR arrays borrow the call packet.
         let args = stub.unmarshal_call(data)?;
 
-        // Marshal the result straight into the result frame — the last
-        // result's buffer, or a fresh one from the activity's shard
-        // (caller threads on other shards contend on nothing); large
+        // Marshal the result straight into the result frame; large
         // results spill to the heap transparently.
-        let mut result_buf = match frame {
-            Some(buf) => buf,
-            None => {
-                let shard = shard_for(rpc.activity, self.ctx.pool.shard_count());
-                self.ctx
-                    .pool
-                    .alloc_timeout_from(shard, Duration::from_secs(1))?
-            }
-        };
-        let raw = result_buf.raw_mut();
-        let mut writer = stub.result_writer(&mut raw[DATA_OFFSET..]);
+        let mut writer = stub.result_writer(frame.get_mut(DATA_OFFSET..).unwrap_or_default());
         entry.service.dispatch(rpc.procedure, &args, &mut writer)?;
         let written = writer.finish()?;
         drop(args);
@@ -1125,21 +1114,12 @@ impl ServerSide {
         let header = RpcHeader::result_for(rpc, written.len());
         match written {
             Written::InPlace { len } => {
-                // Single packet: headers in place around the data, queue
-                // a copy of the frame on the executing thread's batch
-                // (packed into shared datagrams when it is sent), retain
-                // the pool buffer — no per-call list around it.
-                let total = self
-                    .ctx
-                    .builder_from(&header, src)
-                    .encode_into(result_buf.raw_mut(), len)?;
-                result_buf.set_len(total);
-                out.push(&result_buf, src);
-                if out.len() >= MAX_BATCHED_RESULTS {
-                    self.transmit(out);
-                }
+                // Single packet: headers in place around the data, queued,
+                // and the frame retained — no per-call list around it.
+                let builder = self.ctx.builder_from(&header, src);
+                let retained = self.queue_frame(&builder, frame, len, src, out)?;
                 span.stamp(Stamp::ResultSent);
-                Ok(Retained::Pooled(result_buf))
+                Ok(retained)
             }
             Written::Spilled(data) => Ok(Retained::Transfer(Transfer {
                 header,

@@ -96,7 +96,9 @@ counters! {
     /// Times the receive role changed hands between the resident
     /// receiver and caller threads (a cede, or the resident's return).
     role_handovers,
-    /// Receive buffers recycled straight back to the receive queue.
+    /// Retained results released by an explicit ack of the last result
+    /// (a caller's teardown ack), which frees the activity's result
+    /// frame.
     buffers_recycled,
     /// Multi-packet fragments sent.
     fragments_sent,

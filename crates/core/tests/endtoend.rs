@@ -904,8 +904,11 @@ fn a_forged_element_count_fails_its_call_and_nothing_else() {
         "DEFINITION MODULE Sums; PROCEDURE Sum(xs: ARRAY OF INTEGER): INTEGER; END Sums.",
     )
     .unwrap();
+    let ran = Arc::new(AtomicU64::new(0));
+    let runs = Arc::clone(&ran);
     let service = ServiceBuilder::new(sums.clone())
-        .on_call("Sum", |args, w| {
+        .on_call("Sum", move |args, w| {
+            runs.fetch_add(1, Ordering::SeqCst);
             let Some(Value::Array(xs)) = args[0].value() else {
                 return Err(RpcError::Remote("not an array".into()));
             };
@@ -932,21 +935,31 @@ fn a_forged_element_count_fails_its_call_and_nothing_else() {
     // The call is answered — with a failure, cleanly.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let mut buf = [0u8; 2048];
-    let answer = loop {
+    let mut next_answer = || loop {
         assert!(std::time::Instant::now() < deadline, "no answer; stats:\n{}", server.stats());
         if let Some((n, _)) = forger.try_recv(&mut buf).unwrap() {
-            break FrameView::parse(&buf[..n]).unwrap();
+            break buf[..n].to_vec();
         }
         std::thread::yield_now();
     };
+    let failed = next_answer();
+    let answer = FrameView::parse(&failed).unwrap();
     assert_eq!(answer.rpc.packet_type, PacketType::Result);
     assert!(answer.rpc.flags.call_failed);
     assert!(String::from_utf8_lossy(answer.data).contains("count"));
+    // The failure is the retained result: the same call again gets it
+    // again, byte for byte, as a duplicate that runs nothing.
+    let duplicates = server.stats().duplicate_calls();
+    forger.send(frame.bytes(), server.address()).unwrap();
+    assert_eq!(next_answer(), failed, "the retransmitted failure differs");
+    assert_eq!(server.stats().duplicate_calls(), duplicates + 1);
+    assert_eq!(ran.load(Ordering::SeqCst), 0, "the forged call ran the procedure");
 
     // The server answers the next call.
     let client = caller.bind(&sums, server.address()).unwrap();
     let xs = Value::Array((1..=4).map(Value::Integer).collect());
     assert_eq!(client.call("Sum", &[xs]).unwrap(), vec![Value::Integer(10)]);
+    assert_eq!(ran.load(Ordering::SeqCst), 1);
     drop(client);
 
     // The same forgery in a result packet (`Counts` returns the array)
@@ -977,4 +990,35 @@ fn a_forged_element_count_fails_its_call_and_nothing_else() {
     // The demux thread holds one receive buffer while it blocks.
     assert!(server.pool().stats().outstanding() <= 1, "server leaks buffers");
     assert!(caller.pool().stats().outstanding() <= 1, "caller leaks buffers");
+}
+
+#[test]
+fn twice_a_pool_of_live_callers_all_get_their_results_and_shut_down() {
+    // A result retained for retransmission must not hold a pool buffer:
+    // a pool's worth of bound callers that have each called once would
+    // hold every buffer, the next call would fail, and the resident
+    // receiver, waiting for a buffer only an ack it can no longer
+    // receive would free, would go deaf — so dropping the endpoint would
+    // join it forever. The body runs on its own thread so that a hang
+    // fails this test instead of the suite.
+    let callers = 2 * Config::default().pool_size;
+    let (report, reports) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (_net, server, caller) = loopback_pair(Config::default());
+        let clients: Vec<_> = (0..callers)
+            .map(|_| caller.bind(&test_interface(), server.address()).unwrap())
+            .collect();
+        let first_failure = clients.iter().enumerate().find_map(|(i, c)| {
+            let outcome = c.call_with_deadline("Null", &[], Duration::from_secs(5));
+            outcome.err().map(|e| format!("call {i} of {callers}: {e}"))
+        });
+        report.send(first_failure).unwrap();
+        drop((clients, caller, server));
+        report.send(None).unwrap();
+    });
+    let calls = reports.recv_timeout(Duration::from_secs(60));
+    assert_eq!(calls.expect("every call returned"), None);
+    reports
+        .recv_timeout(Duration::from_secs(10))
+        .expect("both endpoints dropped");
 }

@@ -80,14 +80,14 @@ fn active_conversations_survive_pruning() {
 fn pruning_releases_retained_pool_buffers() {
     let (server, caller) = pair();
     let client = caller.bind(&test_interface(), server.address()).unwrap();
-    // MaxResult leaves a retained single-packet result in a pool buffer.
+    // MaxResult leaves a retained single-packet result: in the
+    // activity's own frame, not in a pool buffer.
     client.call("MaxResult", &[Value::char_array(8)]).unwrap();
     std::thread::sleep(Duration::from_millis(30));
-    let before = server.pool().free_count() + server.pool().receive_queue_len();
-    server.prune_idle_activities(Duration::from_millis(5));
-    std::thread::sleep(Duration::from_millis(10));
-    let after = server.pool().free_count() + server.pool().receive_queue_len();
-    assert!(after >= before, "retained buffer returned to the pool");
+    assert_eq!(server.pool().stats().outstanding(), 0, "a retained result holds a pool buffer");
+    assert_eq!(server.tracked_activities(), 1);
+    let pruned = server.prune_idle_activities(Duration::from_millis(5));
+    assert_eq!(pruned, 1);
     assert_eq!(server.tracked_activities(), 0);
 }
 

@@ -167,10 +167,10 @@ fn null_calls_over_udp_take_no_pool_buffer_and_reuse_one_call_entry() {
     // A call lives in its activity slot: the caller marshals into the
     // slot's call frame and its entry copies the result into the entry's
     // result frame; the server runs a measured-short call where it
-    // landed and marshals its result into the buffer it retained for the
-    // last one. Once a warm-up call has measured the procedure, a Null()
-    // takes no pool buffer at either end, and the caller's one activity
-    // keeps one call-table entry for every call.
+    // landed and marshals its result into its activity's result frame.
+    // Once a warm-up call has measured the procedure, a Null() takes no
+    // pool buffer at either end, and the caller's one activity keeps one
+    // call-table entry for every call.
     let (server, caller, _) = udp_pair();
     let iface = firefly::idl::test_interface();
     let service = ServiceBuilder::new(iface.clone())
@@ -235,12 +235,11 @@ fn multi_packet_echo_over_udp() {
             .unwrap();
         assert_eq!(r[0].as_bytes().unwrap(), &input[..], "call {call}");
     }
-    // One per call on the server: the buffer the result is first
-    // marshalled into, found too small and spilled (the last result was
-    // a transfer, which retains no buffer to marshal into). The caller
-    // marshals its arguments into its activity slot's call frame.
+    // None at either end: the server marshals each result into its
+    // activity's result frame (found too small and spilled), and the
+    // caller its arguments into its activity slot's call frame.
     let after = takes();
-    assert_eq!([after[0] - before[0], after[1] - before[1]], [CALLS, 0]);
+    assert_eq!([after[0] - before[0], after[1] - before[1]], [0, 0]);
     let (s, k) = (server.stats(), caller.stats());
     assert_eq!(s.fragments_received(), 4 * CALLS, "server stats:\n{s}");
     assert_eq!(k.fragments_sent() + s.fragments_sent(), 8 * CALLS, "server stats:\n{s}");
