@@ -59,10 +59,6 @@ struct Slot {
     bufs: RoleBuffers,
 }
 
-/// The address space every activity of an endpoint names: an endpoint
-/// is one address space, and its machine id tells endpoints apart.
-const SPACE_ID: u16 = 1;
-
 /// Pool of activity slots: one per concurrently calling thread.
 ///
 /// Thread ids come from the endpoint-wide allocator so activities are
@@ -70,7 +66,6 @@ const SPACE_ID: u16 = 1;
 struct ActivityPool {
     free: Mutex<Vec<Slot>>,
     shared: Arc<EndpointShared>,
-    machine: u32,
 }
 
 impl ActivityPool {
@@ -82,7 +77,7 @@ impl ActivityPool {
             .shared
             .next_thread
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let activity = ActivityId::new(self.machine, SPACE_ID, next);
+        let activity = ActivityId::new(self.shared.machine_id, self.shared.space, next);
         Slot {
             activity,
             next_seq: 1,
@@ -126,7 +121,6 @@ impl Client {
         remote: SocketAddr,
     ) -> Client {
         let stubs = CompiledStub::for_interface(&interface);
-        let machine = shared.machine_id;
         Client {
             // lint:allow(no-alloc-on-fast-path): once per binding.
             inner: Arc::new(ClientInner {
@@ -135,7 +129,6 @@ impl Client {
                     // construction at bind time, not the per-call path.
                     free: Mutex::new(Vec::new()),
                     shared: Arc::clone(&shared),
-                    machine,
                 },
                 shared,
                 interface,
@@ -403,10 +396,11 @@ impl Client {
             // Backoff jitter is seeded from the endpoint config (mixed with
             // the activity and sequence number so concurrent callers
             // decorrelate), which keeps retry timing reproducible in tests.
+            // The activity's space is left out: it is a nonce drawn per
+            // endpoint, and retry timing stays a function of the seed.
             let mut jitter = firefly_rng::Rng::new(
                 cfg.rng_seed
                     ^ (u64::from(header.activity.machine) << 32)
-                    ^ (u64::from(header.activity.space) << 16)
                     ^ u64::from(header.activity.thread)
                     ^ (u64::from(header.call_seq) << 48),
             );
@@ -430,7 +424,7 @@ impl Client {
                     }
                     wake_at = wake_at.min(d);
                 }
-                match shared.wait_on(entry, header.activity, wake_at, bufs) {
+                match shared.wait_on(entry, wake_at, bufs) {
                     Wait::Complete(a) => {
                         span.stamp(crate::trace::Stamp::ResultReceived);
                         return Ok(a);

@@ -3,26 +3,20 @@
 use std::time::Duration;
 
 /// Tunable parameters of an [`Endpoint`](crate::Endpoint).
+///
+/// Only what some caller, test or benchmark sets is a field: the endpoint
+/// fixes its pool size, machine id and address space itself. UDP
+/// checksums are always on, as the measured Firefly kept them (§4.2.4
+/// prices turning them off); a received zero checksum is still accepted.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Size of the shared packet-buffer pool.
-    ///
-    /// The paper's pool is shared between all user address spaces and the
-    /// Nub. Here it holds only the single-packet calls handed to server
-    /// threads, each copied out of the datagram it landed in until its
-    /// worker is done with it. A caller takes nothing from it (each
-    /// activity slot owns its call and result frames), and neither does
-    /// a result: each server activity owns the frame its results are
-    /// marshalled into and retained in.
-    pub pool_size: usize,
     /// Number of server threads kept waiting for incoming calls.
     ///
     /// The fast path requires "having enough server threads waiting"
     /// (§3.1); when all are busy, call packets take the slow path through
     /// the work queue. Defaults to the machine's available parallelism
     /// (clamped to [1, 4]): the Firefly ran one Receiver per processor,
-    /// and extra workers on fewer cores only break up the receive-burst
-    /// waves that the result batcher coalesces.
+    /// and extra workers on fewer cores only contend for them.
     pub server_threads: usize,
     /// First retransmission timeout; doubles on every retry.
     pub retransmit_initial: Duration,
@@ -31,12 +25,6 @@ pub struct Config {
     /// Total transmissions (first send + retransmissions) before a call
     /// fails.
     pub max_transmissions: u32,
-    /// Compute and verify software UDP checksums (§4.2.4 measures the cost
-    /// of turning this off).
-    pub checksum: bool,
-    /// Machine identifier carried in activity IDs; must differ between
-    /// endpoints that talk to each other.
-    pub machine_id: u32,
     /// Seed for the endpoint's deterministic RNG (retransmission-backoff
     /// jitter). Fixed by default so test runs are reproducible; vary it
     /// per endpoint to decorrelate retry storms between machines.
@@ -66,13 +54,10 @@ fn default_server_threads() -> usize {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            pool_size: 64,
             server_threads: default_server_threads(),
             retransmit_initial: Duration::from_millis(50),
             retransmit_max: Duration::from_secs(2),
             max_transmissions: 10,
-            checksum: true,
-            machine_id: 0, // 0 means "derive from the transport address".
             rng_seed: 0x5eed_f1ef_0001,
             trace: false,
             trace_capacity: crate::trace::DEFAULT_RING_CAPACITY,
@@ -81,14 +66,6 @@ impl Default for Config {
 }
 
 impl Config {
-    /// Convenience: a config with checksums disabled (§4.2.4).
-    pub fn without_checksums() -> Self {
-        Config {
-            checksum: false,
-            ..Config::default()
-        }
-    }
-
     /// Convenience: tight timeouts for loss-injection tests.
     pub fn fast_retry() -> Self {
         Config {
@@ -114,17 +91,13 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = Config::default();
-        assert!(c.pool_size >= 2 * c.server_threads);
+        assert!((1..=4).contains(&c.server_threads));
         assert!(c.max_transmissions > 1);
         assert!(c.retransmit_max >= c.retransmit_initial);
-        assert!(c.checksum);
-        // Each shard must get at least a couple of buffers.
-        assert!(c.pool_size >= 2 * crate::calltable::SHARDS);
     }
 
     #[test]
     fn presets() {
-        assert!(!Config::without_checksums().checksum);
         assert!(Config::fast_retry().retransmit_initial < Duration::from_millis(50));
         assert!(!Config::default().trace);
         assert!(Config::traced().trace);

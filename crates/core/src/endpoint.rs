@@ -25,13 +25,14 @@ use crate::stats::RpcStats;
 use crate::transport::{Transport, MAX_DATAGRAM_LEN};
 use crate::{Result, RpcError};
 use firefly_idl::InterfaceDef;
-use firefly_pool::{PacketBuf, ShardedPool};
+use firefly_pool::ShardedPool;
 use firefly_wire::{coalesced_frame_len, ActivityId, FrameView, PacketType, RpcHeader};
 use firefly_sync::Mutex;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// State shared between an endpoint, its clients, and its resident
 /// receiver.
@@ -41,10 +42,38 @@ pub(crate) struct EndpointShared {
     pub server: Arc<ServerSide>,
     pub role: ReceiveRole,
     pub config: Config,
+    /// The machine and address space every activity minted here names.
     pub machine_id: u32,
+    pub space: u16,
     /// Endpoint-wide activity thread-id allocator: activities must be
     /// unique across every client bound through this endpoint.
     pub next_thread: std::sync::atomic::AtomicU16,
+}
+
+/// Size of an endpoint's packet-buffer pool. It holds nothing but the
+/// single-packet calls handed to server threads, each copied out of the
+/// datagram it landed in: callers and results take no pool buffer.
+const POOL_SIZE: usize = 64;
+
+// Each pool shard gets at least a couple of buffers.
+const _: () = assert!(POOL_SIZE >= 2 * SHARDS);
+
+/// The address space of an endpoint's activities: the wall clock's
+/// nanoseconds, the endpoint's address and a process-wide count of
+/// endpoints, hashed to a non-zero `u16`. A caller re-created at the same
+/// address thus names new activities, whose restarted sequence numbers
+/// the server does not take for stale ones (docs/PROTOCOL.md, "RPC header").
+fn space_nonce(addr: &SocketAddr) -> u16 {
+    use std::hash::{DefaultHasher, Hash, Hasher};
+    static ENDPOINTS: AtomicU64 = AtomicU64::new(0);
+    let mut h = DefaultHasher::new();
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos())
+        .hash(&mut h);
+    addr.hash(&mut h);
+    ENDPOINTS.fetch_add(1, Ordering::Relaxed).hash(&mut h);
+    (h.finish() as u16).max(1)
 }
 
 /// A caller/server endpoint bound to one transport.
@@ -58,7 +87,7 @@ impl Endpoint {
     /// Creates an endpoint over `transport` and starts its resident
     /// receiver and server threads.
     pub fn new(transport: Arc<dyn Transport>, config: Config) -> Result<Arc<Endpoint>> {
-        let pool = ShardedPool::new(config.pool_size, SHARDS);
+        let pool = ShardedPool::new(POOL_SIZE, SHARDS);
         // lint:allow(no-alloc-on-fast-path): once per endpoint.
         let stats = Arc::new(RpcStats::default());
         // lint:allow(no-alloc-on-fast-path): once per endpoint.
@@ -66,18 +95,13 @@ impl Endpoint {
             transport,
             pool,
             Arc::clone(&stats),
-            config.checksum,
             config.trace_capacity,
         ));
         ctx.tracer.set_enabled(config.trace);
-        let machine_id = if config.machine_id != 0 {
-            config.machine_id
-        } else {
-            // Derive a stable nonzero id from the transport address.
-            let addr = ctx.transport.local_addr();
-            let mac = crate::send::mac_for(&addr).0;
-            u32::from_be_bytes([mac[2], mac[3], mac[4], mac[5]]) | 1
-        };
+        // A stable nonzero machine id from the transport address.
+        let addr = ctx.transport.local_addr();
+        let mac = crate::send::mac_for(&addr).0;
+        let machine_id = u32::from_be_bytes([mac[2], mac[3], mac[4], mac[5]]) | 1;
         let server = ServerSide::new(Arc::clone(&ctx), config.server_threads);
         // Every endpoint exports the built-in binder, so callers can
         // verify interfaces before their first real call.
@@ -91,6 +115,7 @@ impl Endpoint {
             calls,
             server,
             machine_id,
+            space: space_nonce(&addr),
             config,
             next_thread: std::sync::atomic::AtomicU16::new(1),
         });
@@ -328,9 +353,6 @@ impl RoleBuffers {
 /// What the thread holding the receive role carries from datagram to
 /// datagram.
 struct Receiving<'a> {
-    /// Rotating pool-shard cursor, so the pressure of call copies
-    /// spreads across shards.
-    cursor: usize,
     out: &'a mut Batch,
     /// Whether this is the resident receiver. It executes measured-short
     /// calls itself, and waits for the pool buffer a call it hands over
@@ -372,16 +394,9 @@ impl EndpointShared {
     /// and incoming calls go to the server workers. When the role is
     /// taken, or [`POLLS_BEFORE_BLOCK`] attempts found nothing, it
     /// parks on the entry.
-    pub fn wait_on(
-        &self,
-        entry: &CallEntry,
-        activity: ActivityId,
-        deadline: Instant,
-        bufs: &mut RoleBuffers,
-    ) -> Wait {
+    pub fn wait_on(&self, entry: &CallEntry, deadline: Instant, bufs: &mut RoleBuffers) -> Wait {
         let RoleBuffers { datagram, out } = bufs;
         let mut rx = Receiving {
-            cursor: crate::calltable::shard_for(activity, self.ctx.pool.shard_count()),
             out,
             resident: false,
             own: Some(entry),
@@ -420,7 +435,6 @@ fn demux_loop(shared: Arc<EndpointShared>) {
     let transport = &*shared.ctx.transport;
     let RoleBuffers { mut datagram, mut out } = RoleBuffers::new();
     let mut rx = Receiving {
-        cursor: 0,
         out: &mut out,
         resident: true,
         own: None,
@@ -649,26 +663,6 @@ fn count_result(stats: &RpcStats, own: bool) {
     }
 }
 
-/// The pool buffer a call handed to a server thread is copied into —
-/// which the resident waits for, and a caller holding the role does not.
-/// The shard cursor rotates, so the pressure spreads across shards. The
-/// pool holds nothing but such copies: the resident's wait ends when a
-/// server thread is done with one.
-fn call_buf(shared: &EndpointShared, resident: bool, cursor: &mut usize) -> Option<PacketBuf> {
-    let pool = &shared.ctx.pool;
-    if !resident {
-        let buf = pool.alloc_from(*cursor).ok();
-        *cursor = cursor.wrapping_add(1);
-        return buf;
-    }
-    loop {
-        *cursor = cursor.wrapping_add(1);
-        if let Ok(buf) = pool.alloc_timeout_from(*cursor, Duration::from_millis(100)) {
-            return Some(buf);
-        }
-    }
-}
-
 /// Demultiplexes one frame validated where it landed — routing, direct
 /// wakeup (§3.1.3). False when a waiting caller found no pool buffer for
 /// a call it would hand over.
@@ -683,17 +677,7 @@ fn process_frame(
     let server = &shared.server;
     let rpc = &view.rpc;
     match rpc.packet_type {
-        PacketType::Call => {
-            let Receiving {
-                cursor,
-                out,
-                resident,
-                ..
-            } = rx;
-            let resident = *resident;
-            let buffer = || call_buf(shared, resident, cursor);
-            return server.handle_call(view, frame, src, out, resident, buffer);
-        }
+        PacketType::Call => return server.handle_call(view, frame, src, rx.out, rx.resident),
         PacketType::Probe => server.handle_probe(rpc, src, rx.out),
         PacketType::Result => {
             let own = rx.owns(rpc);
@@ -734,7 +718,6 @@ mod tests {
     use crate::ServiceBuilder;
     use firefly_idl::{parse_interface, CompiledStub, Value};
     use firefly_wire::{Frame, FrameBuilder, DATA_OFFSET};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn sum_interface() -> InterfaceDef {
         parse_interface(

@@ -121,7 +121,6 @@ pub(crate) struct SendCtx {
     /// both the caller path and the server path reach it through the
     /// context they already hold.
     pub tracer: Tracer,
-    pub checksum: bool,
     pub src_mac: MacAddr,
     pub src_ip: Ipv4Addr,
     /// Server-side protocol-transition witness (protocol.toml rows the
@@ -143,7 +142,6 @@ impl SendCtx {
         transport: Arc<dyn Transport>,
         pool: ShardedPool,
         stats: Arc<RpcStats>,
-        checksum: bool,
         trace_capacity: usize,
     ) -> SendCtx {
         let addr = transport.local_addr();
@@ -155,7 +153,6 @@ impl SendCtx {
             stats,
             tracer: Tracer::new(trace_capacity),
             witness: crate::witness::ProtocolWitness::default(),
-            checksum,
             ip_ident: AtomicU16::new(1),
             combiner: Mutex::new(Combined::default()),
             combining_hot: AtomicBool::new(false),
@@ -253,12 +250,11 @@ impl SendCtx {
     }
 
     /// Starts a frame builder addressed to `dst` with this endpoint's
-    /// identity and checksum policy filled in.
+    /// identity filled in; the frame carries a UDP checksum.
     pub fn builder(&self, packet_type: PacketType, dst: SocketAddr) -> FrameBuilder {
         FrameBuilder::new(packet_type)
             .macs(self.src_mac, mac_for(&dst))
             .ips(self.src_ip, ipv4_of(&dst))
-            .with_checksum(self.checksum)
             .ip_ident(self.ip_ident.fetch_add(1, Ordering::Relaxed))
     }
 
@@ -324,7 +320,7 @@ mod tests {
             }
             fn shutdown(&self) {}
         }
-        let ctx = SendCtx::new(Arc::new(Nop(a)), pool, stats, true, 8);
+        let ctx = SendCtx::new(Arc::new(Nop(a)), pool, stats, 8);
         let hdr = RpcHeader {
             packet_type: PacketType::Result,
             flags: PacketFlags {

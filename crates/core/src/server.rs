@@ -275,20 +275,6 @@ struct Work {
     queued_at: u64,
 }
 
-/// An executing thread's single-packet results wait in its [`Batch`]
-/// until the thread runs out of immediately-available work, or until
-/// this many are pending even if more local work remains, which bounds
-/// the latency batching can add under load. They then go out in one
-/// [`Transport::send_batch`], which packs consecutive frames to the same
-/// caller into single datagrams.
-///
-/// Frames are *copied* in: retransmission retention keeps the result
-/// frame in the activity slot independently, so deferring the send
-/// never extends a frame's loan.
-///
-/// [`Transport::send_batch`]: crate::transport::Transport::send_batch
-const MAX_BATCHED_RESULTS: usize = 16;
-
 /// What the endpoint exports, and who may call it: read once per call.
 #[derive(Default)]
 struct Exports {
@@ -481,11 +467,11 @@ impl ServerSide {
     /// `out` is the receiving thread's own batch, for what it sends;
     /// `inline` says whether that thread may run service code (the
     /// resident receiver may, a caller thread holding the receive role
-    /// may not). `buffer` gives the pool buffer a call is copied into
-    /// when it goes to a server thread: a thread that may not run
-    /// service code asks for it first, and the call is dropped, like a
-    /// lost packet, when it gets none (false); the resident asks only
-    /// when it hands the call over, and waits for one.
+    /// may not). A call that goes to a server thread is copied into a
+    /// pool buffer: a thread that may not run service code takes one
+    /// first, and the call is dropped, like a lost packet, when none is
+    /// free (false); the resident takes one only when it hands the call
+    /// over, and waits for one.
     pub(crate) fn handle_call(
         &self,
         view: &FrameView<'_>,
@@ -493,20 +479,20 @@ impl ServerSide {
         src: SocketAddr,
         out: &mut Batch,
         inline: bool,
-        mut buffer: impl FnMut() -> Option<PacketBuf>,
     ) -> bool {
         // Stamp receipt first, before any protocol work, so the server
         // account starts at the receive boundary (0 with tracing off).
         let received_at = self.ctx.tracer.stamp_if_enabled();
-        let mut copy = None;
-        if !inline {
-            copy = buffer();
-            if copy.is_none() {
-                return false;
-            }
+        let rpc = view.rpc;
+        let copy = if inline {
+            None
+        } else {
+            self.call_copy(rpc.activity)
+        };
+        if !inline && copy.is_none() {
+            return false;
         }
         RpcStats::bump(&self.ctx.stats.calls_received);
-        let rpc = view.rpc;
         let act = self.activity(rpc.activity);
         let mut st = act.state.lock();
         st.last_used = Instant::now();
@@ -523,9 +509,30 @@ impl ServerSide {
             frame,
             data: view.data,
         };
-        let buffer = || copy.take().or_else(&mut buffer);
-        self.run_call(&rpc, landed, src, act, frame_out, received_at, out, inline, buffer);
+        self.run_call(&rpc, landed, src, act, frame_out, received_at, out, inline, copy);
         true
+    }
+
+    /// The pool buffer a call of `activity` handed to a server thread is
+    /// copied into: from the activity's shard ([`shard_for`]), or the next
+    /// one with a buffer free; `None` when every shard is dry.
+    fn call_copy(&self, activity: ActivityId) -> Option<PacketBuf> {
+        let pool = &self.ctx.pool;
+        let home = shard_for(activity, pool.shard_count());
+        pool.alloc_from(home).ok()
+    }
+
+    /// [`ServerSide::call_copy`] for the resident receiver, which waits
+    /// for a buffer. The pool holds nothing but call copies, so the wait
+    /// ends when a server thread is done with one.
+    fn wait_for_copy(&self, activity: ActivityId) -> PacketBuf {
+        let pool = &self.ctx.pool;
+        let home = shard_for(activity, pool.shard_count());
+        loop {
+            if let Ok(buf) = pool.alloc_timeout_from(home, Duration::from_millis(100)) {
+                return buf;
+            }
+        }
     }
 
     /// Interrupt-level handling of a run of fragments of one multi-packet
@@ -608,7 +615,7 @@ impl ServerSide {
             drop(st);
             let act = Arc::clone(&act);
             let body = Landed::Body(data);
-            self.run_call(&rpc, body, src, act, frame, received_at, out, inline, || None);
+            self.run_call(&rpc, body, src, act, frame, received_at, out, inline, None);
         }
     }
 
@@ -668,8 +675,8 @@ impl ServerSide {
     /// it, with the activity's result `frame`: the receiving thread
     /// itself when it may run service code (`inline`) and the procedure
     /// is measured short, else the worker owning the activity's shard,
-    /// with the call copied into a pool buffer from `buffer` if it is
-    /// still where it landed.
+    /// with the call copied into a pool buffer — `copy`, if the receiving
+    /// thread took one — if it is still where it landed.
     #[allow(clippy::too_many_arguments)]
     fn run_call(
         &self,
@@ -681,7 +688,7 @@ impl ServerSide {
         received_at: u64,
         out: &mut Batch,
         inline: bool,
-        buffer: impl FnOnce() -> Option<PacketBuf>,
+        copy: Option<PacketBuf>,
     ) {
         self.ctx.witness.record(State::ServerNew, rpc, Action::Dispatch);
         if inline {
@@ -702,21 +709,13 @@ impl ServerSide {
         }
         let call = match landed {
             Landed::Body(data) => Assembled::Owned { rpc: *rpc, data },
-            Landed::Frame { frame: bytes, data } => match buffer() {
-                Some(mut buf) => {
-                    buf.fill_from(bytes);
-                    Assembled::Single(Packet::validated(buf, *rpc, data.len()))
-                }
-                None => {
-                    // Only the resident hands a call over without a
-                    // buffer in hand, and it waits for one; should none
-                    // come, the call fails rather than stay in progress.
-                    let err = Err(firefly_pool::PoolError::Exhausted.into());
-                    let span = self.ctx.tracer.server_span(rpc.procedure, received_at);
-                    self.finish(rpc, src, &act, span, err, frame, out);
-                    return;
-                }
-            },
+            Landed::Frame { frame: bytes, data } => {
+                // Only the resident hands a call over without a buffer in
+                // hand, and it waits for one.
+                let mut buf = copy.unwrap_or_else(|| self.wait_for_copy(rpc.activity));
+                buf.fill_from(bytes);
+                Assembled::Single(Packet::validated(buf, *rpc, data.len()))
+            }
         };
         self.enqueue(call, src, act, frame, received_at);
     }
@@ -931,33 +930,20 @@ impl ServerSide {
         // The worker's private batch: a whole queue drained (own or
         // stolen) is processed from here without further locking.
         let mut local = VecDeque::new();
-        // Pending result frames. Sent when the batch fills or the
-        // queues go quiet (never later than the pre-park check inside
-        // `pop_with`), so no caller ever waits on a parked worker's
-        // buffered result; while work keeps arriving, results
-        // accumulate and go out packed.
-        let mut results = Batch::default();
-        loop {
-            // `pop_with` sends the pending results once the queues have
-            // stayed quiet for a few rescans (and always before this
-            // worker could park), so during a busy streak results keep
-            // packing across drains and steals, while an idle lull
-            // bounds their latency at a handful of yields.
-            let next = self
-                .queues
-                .pop_with(worker, &mut local, || self.transmit(&mut results));
-            let Some(work) = next else {
-                break;
-            };
+        // What the call being executed sends, reused from call to call.
+        let mut out = Batch::default();
+        while let Some(work) = self.queues.pop(worker, &mut local) {
             let waited = self.ctx.tracer.now_nanos().saturating_sub(work.queued_at);
             note_handoff(&self.handoff_ns, waited);
-            self.dispatch(work, &mut results);
+            self.dispatch(work, &mut out);
+            // Each call's result goes out when the call ends: nothing
+            // waits behind the next item.
+            self.transmit(&mut out);
         }
-        self.transmit(&mut results);
     }
 
     /// The Receiver on a server thread: execute one handed-over call and
-    /// transmit its result through the thread's batch `out`.
+    /// queue its result on the thread's batch `out`.
     fn dispatch(&self, work: Work, out: &mut Batch) {
         let Work {
             call, src, act, mut frame, received_at, ..
@@ -1039,8 +1025,9 @@ impl ServerSide {
 
     /// Puts the headers `builder` makes around the `len` data bytes
     /// marshalled in `frame` and queues a copy of the frame on the
-    /// executing thread's batch `out` (packed into shared datagrams when
-    /// it is sent); the frame's first bytes are then the retained result.
+    /// executing thread's batch `out`, which the thread sends when the
+    /// call ends (the resident receiver, at the end of its burst); the
+    /// frame's first bytes are then the retained result.
     fn queue_frame(
         &self,
         builder: &FrameBuilder,
@@ -1051,9 +1038,6 @@ impl ServerSide {
     ) -> Result<Retained> {
         let total = builder.encode_into(frame, len)?;
         out.push(&frame[..total], src);
-        if out.len() >= MAX_BATCHED_RESULTS {
-            self.transmit(out);
-        }
         Ok(Retained::Frame(total))
     }
 
@@ -1142,13 +1126,15 @@ mod tests {
     fn server() -> Arc<ServerSide> {
         let station = LoopbackNet::new().station(1);
         let stats = Arc::new(RpcStats::default());
-        let ctx = SendCtx::new(station, ShardedPool::new(1, 1), stats, true, 0);
+        let ctx = SendCtx::new(station, ShardedPool::new(1, 1), stats, 0);
         ServerSide::new(Arc::new(ctx), 1)
     }
 
     #[test]
     fn a_call_dropped_for_want_of_a_buffer_is_not_received() {
         let server = server();
+        // The pool's one buffer is out.
+        let _held = server.ctx.pool.alloc_from(0).unwrap();
         let frame = firefly_wire::FrameBuilder::new(PacketType::Call)
             .activity(ActivityId::new(5, 1, 2))
             .call_seq(1)
@@ -1158,7 +1144,7 @@ mod tests {
         let view = FrameView::parse(&frame).unwrap();
         let src = "10.0.0.2:3072".parse().unwrap();
         let mut out = Batch::default();
-        assert!(!server.handle_call(&view, &frame, src, &mut out, false, || None));
+        assert!(!server.handle_call(&view, &frame, src, &mut out, false));
         assert_eq!(server.ctx.stats.calls_received(), 0);
         assert_eq!(server.activity_count(), 0, "the dropped call made an activity");
     }

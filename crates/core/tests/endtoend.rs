@@ -399,18 +399,32 @@ fn delayed_packets_cause_retransmissions_but_correct_results() {
 }
 
 #[test]
-fn checksums_can_be_disabled_like_424() {
-    // §4.2.4: omit UDP checksums. Calls still work; corruption would go
-    // undetected (tested at the wire layer).
+fn a_caller_restarted_at_its_address_is_answered_at_once() {
+    // A caller endpoint re-created at the same address mints the same
+    // machine and thread numbers and starts its sequence numbers over,
+    // while the server still holds the first life's last one. Only the
+    // address-space nonce each endpoint draws tells the two lives apart:
+    // with a constant space the server classes the new life's first
+    // calls as stale and drops them until the call fails.
     let net = LoopbackNet::new();
-    let server = Endpoint::new(net.station(1), Config::without_checksums()).unwrap();
-    let caller = Endpoint::new(net.station(2), Config::without_checksums()).unwrap();
+    let server = Endpoint::new(net.station(1), Config::default()).unwrap();
     server.export(test_service()).unwrap();
-    let client = caller.bind(&test_interface(), server.address()).unwrap();
-    for _ in 0..10 {
+    let first = Endpoint::new(net.station(2), Config::fast_retry()).unwrap();
+    let client = first.bind(&test_interface(), server.address()).unwrap();
+    for _ in 0..5 {
         client.call("Null", &[]).unwrap();
     }
-    assert_eq!(caller.stats().calls_completed(), 10);
+    drop(client);
+    drop(first);
+    let second = Endpoint::new(net.station(2), Config::fast_retry()).unwrap();
+    let client = second.bind(&test_interface(), server.address()).unwrap();
+    client.call("Null", &[]).unwrap();
+    assert_eq!(second.stats().calls_completed(), 1);
+    assert_eq!(
+        server.tracked_activities(),
+        2,
+        "the second life is a new activity"
+    );
 }
 
 #[test]
@@ -1001,10 +1015,10 @@ fn twice_a_pool_of_live_callers_all_get_their_results_and_shut_down() {
     // receive would free, would go deaf — so dropping the endpoint would
     // join it forever. The body runs on its own thread so that a hang
     // fails this test instead of the suite.
-    let callers = 2 * Config::default().pool_size;
     let (report, reports) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let (_net, server, caller) = loopback_pair(Config::default());
+        let callers = 2 * caller.pool().capacity();
         let clients: Vec<_> = (0..callers)
             .map(|_| caller.bind(&test_interface(), server.address()).unwrap())
             .collect();

@@ -92,7 +92,7 @@ fn serve(server: &Endpoint, probe: &Arc<Probe>) {
             if on_receiving_thread() {
                 relay.relays_on_receiver.fetch_add(1, Ordering::Relaxed);
             }
-            let r = next.call("Work", &[n.clone()])?;
+            let r = next.call("Work", std::slice::from_ref(n))?;
             w.next_value(&r[0])?;
             Ok(())
         })

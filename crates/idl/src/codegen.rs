@@ -154,9 +154,15 @@ fn server_type(op: &MarshalOp) -> String {
     }
 }
 
-/// Statements that write `expr` (a value of `rust_type(op, _)`, owned or
-/// borrowed) through the `ArgWriter` `w`.
-fn put_stmts(out: &mut String, pad: &str, op: &MarshalOp, expr: &str, context: &str) {
+/// Statements that write `expr` (a value of `rust_type(op, owned)`)
+/// through the `ArgWriter` `w`.
+fn put_stmts(out: &mut String, pad: &str, op: &MarshalOp, expr: &str, owned: bool, context: &str) {
+    // A byte array is borrowed for the codec unless it already is a borrow.
+    let bytes = if owned {
+        format!("&{expr}")
+    } else {
+        expr.to_string()
+    };
     let length_check = |out: &mut String, len: usize| {
         emit!(
             out,
@@ -168,10 +174,10 @@ fn put_stmts(out: &mut String, pad: &str, op: &MarshalOp, expr: &str, context: &
         MarshalOp::Scalar(k) => emit!(out, "{pad}w.{}({expr})?;\n", scalar_codec(*k).0),
         MarshalOp::FixedBytes(len) => {
             length_check(out, *len);
-            emit!(out, "{pad}w.put_bytes(&{expr})?;\n");
+            emit!(out, "{pad}w.put_bytes({bytes})?;\n");
         }
-        MarshalOp::OpenBytes => emit!(out, "{pad}w.put_open_bytes(&{expr})?;\n"),
-        MarshalOp::OpenBytesTail => emit!(out, "{pad}w.put_bytes(&{expr})?;\n"),
+        MarshalOp::OpenBytes => emit!(out, "{pad}w.put_open_bytes({bytes})?;\n"),
+        MarshalOp::OpenBytesTail => emit!(out, "{pad}w.put_bytes({bytes})?;\n"),
         MarshalOp::FixedArray { elem, .. } | MarshalOp::OpenArray { elem } => {
             if let MarshalOp::FixedArray { len, .. } = op {
                 length_check(out, *len);
@@ -187,7 +193,7 @@ fn put_stmts(out: &mut String, pad: &str, op: &MarshalOp, expr: &str, context: &
         MarshalOp::Text => emit!(out, "{pad}w.put_text({expr}.as_deref())?;\n"),
         MarshalOp::Record(fields) => {
             for (i, f) in fields.iter().enumerate() {
-                put_stmts(out, pad, f, &format!("{expr}.{i}"), context);
+                put_stmts(out, pad, f, &format!("{expr}.{i}"), owned, context);
             }
         }
     }
@@ -423,6 +429,7 @@ pub fn client_stub(interface: &InterfaceDef) -> String {
                     "                ",
                     &planned.op,
                     &shape.name(planned.index),
+                    false,
                     &shape.context,
                 );
             }
@@ -645,6 +652,7 @@ pub fn server_dispatch(interface: &InterfaceDef) -> String {
                 "                ",
                 &planned.op,
                 &var,
+                true,
                 &shape.context,
             );
             out.push_str("                Ok(())\n            })?;\n");
@@ -707,7 +715,7 @@ mod tests {
         assert!(src.contains("pub fn max_arg(&self, buffer: &[u8]) -> Result<(), C::Error>"));
         assert!(src.contains("self.inner.call_with(\n            1,"));
         // Tail arrays travel without a count, both ways.
-        assert!(src.contains("w.put_bytes(&buffer)?;"));
+        assert!(src.contains("w.put_bytes(buffer)?;"));
         assert!(src.contains("let r0 = r.rest().to_vec();"));
         assert!(!src.contains("Value"), "no dynamic values in a caller stub");
     }

@@ -39,6 +39,9 @@ fn arb_type(g: &mut Gen) -> TypeExpr {
     }
 }
 
+/// A generated procedure: its parameters and its return type.
+type Proc = (Vec<(Mode, TypeExpr)>, Option<TypeExpr>);
+
 fn arb_mode(g: &mut Gen) -> Mode {
     *g.choose(&[Mode::Value, Mode::VarIn, Mode::VarOut, Mode::VarInOut])
 }
@@ -46,7 +49,7 @@ fn arb_mode(g: &mut Gen) -> Mode {
 #[test]
 fn render_then_parse_is_identity() {
     check("render_then_parse_is_identity", 64, |g| {
-        let procs: Vec<(Vec<(Mode, TypeExpr)>, Option<TypeExpr>)> = g.vec(1..5, |g| {
+        let procs: Vec<Proc> = g.vec(1..5, |g| {
             let params = g.vec(0..4, |g| (arb_mode(g), arb_type(g)));
             let ret = if g.bool() { Some(arb_type(g)) } else { None };
             (params, ret)

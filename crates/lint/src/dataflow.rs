@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::config::Config;
 use crate::rules::name;
 use crate::scope::functions;
-use crate::source::SourceFile;
+use crate::source::{match_paren, SourceFile};
 use crate::tokenizer::{Token, TokenKind};
 use crate::Diagnostic;
 
@@ -210,25 +210,6 @@ fn releasing(tag: &str) -> bool {
 
 fn acquiring(tag: &str) -> bool {
     matches!(tag, "Acquire" | "AcqRel" | "SeqCst")
-}
-
-/// Token index of the `)` matching the `(` at `open` (degrades to the
-/// last token when unbalanced).
-fn match_paren(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (j, tok) in tokens.iter().enumerate().skip(open) {
-        match tok.text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    tokens.len().saturating_sub(1)
 }
 
 /// Walks a receiver chain backwards from `k` (the token just before a
@@ -449,17 +430,13 @@ fn scan_function(
         match t.text.as_str() {
             "(" => paren_depth += 1,
             ")" => paren_depth = paren_depth.saturating_sub(1),
-            "{" => {
-                if paren_depth == 0 {
-                    brace_stack.push(pending_loop);
-                    pending_loop = false;
-                    pending_while = None;
-                }
+            "{" if paren_depth == 0 => {
+                brace_stack.push(pending_loop);
+                pending_loop = false;
+                pending_while = None;
             }
-            "}" => {
-                if paren_depth == 0 {
-                    brace_stack.pop();
-                }
+            "}" if paren_depth == 0 => {
+                brace_stack.pop();
             }
             _ => {}
         }

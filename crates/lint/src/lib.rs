@@ -137,6 +137,10 @@ pub struct Analysis {
     pub timings: Vec<(String, u128)>,
 }
 
+/// What the per-file pass yields for one file: its diagnostics, its
+/// `lint:allow` markers and its cross-file facts.
+type FileOutcome = (Vec<Diagnostic>, Vec<Allow>, Facts);
+
 /// The rule engine: configuration plus the workspace walker.
 pub struct Engine {
     pub config: Config,
@@ -260,8 +264,7 @@ impl Engine {
             .min(8)
             .clamp(1, rs_files.len().max(1));
         let chunk = rs_files.len().div_ceil(workers).max(1);
-        let mut slots: Vec<Option<(Vec<Diagnostic>, Vec<Allow>, Facts)>> =
-            rs_files.iter().map(|_| None).collect();
+        let mut slots: Vec<Option<FileOutcome>> = rs_files.iter().map(|_| None).collect();
         std::thread::scope(|scope| {
             for (file_chunk, slot_chunk) in rs_files.chunks(chunk).zip(slots.chunks_mut(chunk)) {
                 scope.spawn(move || {

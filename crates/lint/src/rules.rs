@@ -317,7 +317,7 @@ fn no_sleep(file: &SourceFile, out: &mut Vec<Diagnostic>) {
         if tok.kind != TokenKind::Ident
             || tok.text != "sleep"
             || file.is_test_line(tok.line)
-            || !toks.get(i + 1).is_some_and(|t| t.text == "(")
+            || toks.get(i + 1).is_none_or(|t| t.text != "(")
         {
             continue;
         }

@@ -27,7 +27,7 @@
 //!   is where the approximation lands, which only ever *extends* the
 //!   modeled lifetime relative to a plain statement.
 
-use crate::source::match_brace;
+use crate::source::{match_brace, match_paren};
 use crate::tokenizer::{Token, TokenKind};
 
 /// One `fn` item with its body token range.
@@ -109,25 +109,6 @@ pub enum GuardEvent<'a> {
         args: (usize, usize),
         live: &'a [LiveGuard],
     },
-}
-
-/// Token index of the `)` matching the `(` at `open` (or the last
-/// token when unbalanced — degrade, never panic).
-fn match_paren(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (j, tok) in tokens.iter().enumerate().skip(open) {
-        match tok.text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    tokens.len().saturating_sub(1)
 }
 
 /// From `k`, the last token of one receiver chain segment, steps back

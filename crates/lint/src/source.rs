@@ -59,11 +59,22 @@ impl SourceFile {
 /// the file is unbalanced — the mask degrades gracefully, it never
 /// panics).
 pub fn match_brace(tokens: &[Token], open: usize) -> usize {
+    match_bracket(tokens, open, "{", "}")
+}
+
+/// Index of the `)` matching the `(` at `open`, degrading like
+/// [`match_brace`].
+pub fn match_paren(tokens: &[Token], open: usize) -> usize {
+    match_bracket(tokens, open, "(", ")")
+}
+
+/// Index of the `close` token matching the `opening` one at `open`.
+fn match_bracket(tokens: &[Token], open: usize, opening: &str, close: &str) -> usize {
     let mut depth = 0usize;
     for (j, tok) in tokens.iter().enumerate().skip(open) {
         match tok.text.as_str() {
-            "{" => depth += 1,
-            "}" => {
+            t if t == opening => depth += 1,
+            t if t == close => {
                 depth = depth.saturating_sub(1);
                 if depth == 0 {
                     return j;

@@ -45,7 +45,7 @@ use std::ops::Range;
 
 /// Default base seed; stable across runs so CI failures reproduce
 /// locally without copying numbers around.
-pub const DEFAULT_SEED: u64 = 0xf1ef_1e5_5eed;
+pub const DEFAULT_SEED: u64 = 0x0f1e_f1e5_5eed;
 
 /// The base seed: `FIREFLY_PROP_SEED` if set, else [`DEFAULT_SEED`].
 pub fn base_seed() -> u64 {

@@ -51,7 +51,7 @@ impl<C: RpcCall> TestClient<C> {
         self.inner.call_with(
             2,
             |w| {
-                w.put_bytes(&buffer)?;
+                w.put_bytes(buffer)?;
                 Ok(())
             },
             |_r| Ok(()),
