@@ -22,7 +22,7 @@
 
 use crate::{Model, ModelRun};
 use firefly_pool::BufferPool;
-use firefly_rpc::calltable::{CallTable, Deliver, Delivered, Wait};
+use firefly_rpc::calltable::{Delivered, ShardedCallTable, Wait};
 use firefly_rpc::packet::{Fragment, Packet};
 use firefly_rpc::role::{Polled, ReceiveRole};
 use firefly_rpc::trace::{TraceRecord, Tracer};
@@ -69,7 +69,7 @@ fn result_packet_for(pool: &BufferPool, activity: ActivityId, seq: u32, data: &[
 /// classified as an orphan — never taken into the reused entry — and
 /// call 1 must complete with its own bytes.
 fn make_calltable() -> ModelRun {
-    let table = Arc::new(CallTable::new());
+    let table = Arc::new(ShardedCallTable::new(1));
     let pool = BufferPool::new(4);
     let pkt0 = result_packet(&pool, 0, &[0]);
     let pkt1 = result_packet(&pool, 1, &[1]);
@@ -138,32 +138,23 @@ fn make_calltable() -> ModelRun {
                     // Call 1 is registered on the entry call 0 used: what
                     // is still on its way for call 0 must not reach it.
                     let ack = late_ack.take().expect("sent once");
-                    assert!(
-                        matches!(table.deliver(ack), Deliver::Orphan(_)),
-                        "late ack of call 0 taken by call 1"
-                    );
+                    assert!(!table.deliver(ack), "late ack of call 0 taken by call 1");
                     let views: Vec<_> = late_run
                         .iter()
                         .map(|f| FrameView::parse(f).expect("frame parse"))
                         .collect();
                     let run: Vec<_> = views.iter().filter_map(Fragment::of).collect();
-                    table.deliver_fragments(&run, false, |d| {
+                    table.deliver_fragments(&run, None, |d| {
                         assert_eq!(d, Delivered::Orphan, "late fragment of call 0 taken by call 1");
                     });
                 }
                 let pkt = pkts[seq].take().expect("each seq sent once");
-                assert!(
-                    matches!(table.deliver(pkt), Deliver::Accepted),
-                    "round {seq}: result not accepted"
-                );
+                assert!(table.deliver(pkt), "round {seq}: result not accepted");
             }
             // The duplicate arrives only after the slot was reassigned
             // to call 1 (and possibly already torn down): it must never
             // complete the reused slot.
-            assert!(
-                matches!(table.deliver(dup), Deliver::Orphan(_)),
-                "late duplicate delivered into a reused slot"
-            );
+            assert!(!table.deliver(dup), "late duplicate delivered into a reused slot");
         }) as Box<dyn FnOnce() + Send>
     };
     let finale = Box::new(move || {
@@ -542,7 +533,7 @@ fn make_receive_role() -> ModelRun {
     }
     let caller_activity = |i: u16| ActivityId::new(7, 1, 1 + i);
 
-    let table = Arc::new(CallTable::new());
+    let table = Arc::new(ShardedCallTable::new(1));
     let role = Arc::new(ReceiveRole::new(table.parked_counter()));
     let pool = BufferPool::new(2);
     let socket = Arc::new((Mutex::new(Socket::default()), Condvar::new()));
@@ -583,9 +574,9 @@ fn make_receive_role() -> ModelRun {
                 let Some(pkt) = next else {
                     return Polled::Empty;
                 };
-                let own = pkt.rpc.activity == me;
+                let own = (pkt.rpc.activity == me).then_some(&*entry);
                 assert!(
-                    matches!(table.deliver_from(pkt, own), Deliver::Accepted),
+                    table.deliver_frame(&pkt.rpc, pkt.data(), own),
                     "caller {i}: a result was not accepted"
                 );
                 Polled::Datagram
@@ -643,10 +634,7 @@ fn make_receive_role() -> ModelRun {
                         arrived.wait_until(&mut sock, far_deadline());
                     }
                 };
-                assert!(
-                    matches!(table.deliver(pkt), Deliver::Accepted),
-                    "resident: a result was not accepted"
-                );
+                assert!(table.deliver(pkt), "resident: a result was not accepted");
             }
         }) as Box<dyn FnOnce() + Send>
     };

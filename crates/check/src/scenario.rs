@@ -30,7 +30,7 @@
 //! await the result.
 
 use firefly_pool::BufferPool;
-use firefly_rpc::calltable::{Deliver, Delivered, ShardedCallTable};
+use firefly_rpc::calltable::{Delivered, ShardedCallTable};
 use firefly_rpc::fragment::WINDOW;
 use firefly_rpc::packet::{Fragment, Packet};
 use firefly_rpc::transport::{LoopbackNet, Transport};
@@ -93,7 +93,7 @@ fn drill_fragment(table: &ShardedCallTable, act: ActivityId, seq: u32, s: Shape)
     let view = FrameView::parse(&frame).expect("drill fragment");
     let fragment = Fragment::of(&view).expect("a fragment of a multi-packet result");
     let mut took = None;
-    table.deliver_fragments(&[fragment], false, |d| took = Some(d));
+    table.deliver_fragments(&[fragment], None, |d| took = Some(d));
     took.expect("one outcome for one fragment")
 }
 
@@ -119,7 +119,7 @@ pub fn caller_transitions() -> Vec<String> {
     // caller-open Result, single packet: complete-call / fail-call.
     open.push(table.register(act(1), 1));
     let pkt = drill_packet(&pool, PacketType::Result, act(1), 1, single(false));
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
+    assert!(table.deliver(pkt));
     open.push(table.register(act(2), 1));
     let pkt = drill_packet(
         &pool,
@@ -128,7 +128,7 @@ pub fn caller_transitions() -> Vec<String> {
         1,
         Shape { cf: true, lf_frag: (0, 1), ..Shape::default() },
     );
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
+    assert!(table.deliver(pkt));
 
     // Early final fragment (assemble), then a please-ack non-final
     // completes: complete-call, unacked (the next call acks it).
@@ -162,11 +162,11 @@ pub fn caller_transitions() -> Vec<String> {
     // an open call that has not produced a result yet.
     open.push(table.register(act(6), 1));
     let pkt = drill_packet(&pool, PacketType::Ack, act(6), 1, single(false));
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
+    assert!(table.deliver(pkt));
     let pkt = drill_packet(&pool, PacketType::Ack, act(6), 1, frag(0, 2, false));
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
+    assert!(table.deliver(pkt));
     let pkt = drill_packet(&pool, PacketType::ProbeResponse, act(6), 1, single(false));
-    assert!(matches!(table.deliver(pkt), Deliver::Accepted));
+    assert!(table.deliver(pkt));
 
     // The orphan shapes: the same packets against an activity nobody
     // registered (a caller long since timed out and moved on).
@@ -178,7 +178,7 @@ pub fn caller_transitions() -> Vec<String> {
         (PacketType::ProbeResponse, single(false)),
     ] {
         let pkt = drill_packet(&pool, shape.0, act(9), 1, shape.1);
-        assert!(matches!(table.deliver(pkt), Deliver::Orphan(_)));
+        assert!(!table.deliver(pkt));
     }
     for shape in [frag(0, 2, false), frag(0, 2, true)] {
         assert_eq!(drill_fragment(&table, act(9), 1, shape), Delivered::Orphan);

@@ -13,25 +13,25 @@
 //! This module is that table for the caller role, and like the paper's it
 //! is a table, not a map of calls: an activity's [`CallEntry`] is made
 //! once, with the activity slot that owns it, and lives as long as the
-//! slot does. A shard keeps its entries in a vector indexed by the
-//! activity's dense `thread` number, and a delivery checks the full
-//! [`ActivityId`] against the entry it indexes. Registering a call is
+//! slot does. Each shard of the table keeps its entries in a vector
+//! indexed by the activity's dense `thread` number, and a delivery checks
+//! the full [`ActivityId`] against the entry it indexes. Registering a call is
 //! "lock the entry, set the sequence number, clear what the last call
 //! left"; its waiter taking the result closes it again; nothing is
 //! allocated, hashed or removed per call.
 //!
 //! The thread holding the endpoint's receive role ([`crate::role`])
 //! delivers each caller-bound frame where it landed
-//! ([`CallTable::deliver_frame`]): a single-packet result's data is
+//! ([`ShardedCallTable::deliver_frame`]): a single-packet result's data is
 //! copied into the entry's own result frame — a heap buffer the activity
 //! keeps from call to call, room for one packet's data, made at its
 //! first result; a reassembled result is freed once read, not kept —
 //! and the entry's condition variable is signalled: **at most one
 //! wakeup per packet**, and none when the receiving thread is the waiter
 //! itself. The fragments of a multi-packet result come as a run from the
-//! datagram they landed in ([`CallTable::deliver_fragments`]), which finds
-//! and locks the entry once for the run and copies each fragment's data
-//! straight into the reassembly. No caller-bound frame takes a pool
+//! datagram they landed in ([`ShardedCallTable::deliver_fragments`]),
+//! which finds and locks the entry once for the run and copies each
+//! fragment's data straight into the reassembly. No caller-bound frame takes a pool
 //! buffer.
 
 use crate::fragment::{Accepted, Reassembly};
@@ -39,22 +39,13 @@ use crate::packet::{Assembled, Fragment, Packet, MAX_RUN};
 use crate::witness::{Action, ProtocolWitness, State};
 use firefly_wire::{ActivityId, PacketType, RpcHeader, MAX_SINGLE_PACKET_DATA};
 use firefly_sync::atomic::AtomicUsize;
-use firefly_sync::{Condvar, Mutex};
+use firefly_sync::{Condvar, Mutex, MutexGuard};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// What the demultiplexer should do after a delivery attempt.
-#[derive(Debug)]
-pub enum Deliver {
-    /// The packet's data was attached to a waiting call and its thread
-    /// awakened; the packet's buffer has gone back to its pool.
-    Accepted,
-    /// Nobody is waiting for this packet; the buffer should be recycled.
-    Orphan(Packet),
-}
-
-/// What became of one fragment of a run ([`CallTable::deliver_fragments`]).
+/// What became of one fragment of a run
+/// ([`ShardedCallTable::deliver_fragments`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delivered {
     /// Buffered — or, the last one missing, it completed the result and
@@ -258,28 +249,77 @@ impl CallEntry {
     }
 }
 
-/// The caller-side call table, shared by caller threads and the demux
-/// thread.
-#[derive(Debug, Default)]
-pub struct CallTable {
-    /// Every activity's entry, at its `ActivityId.thread`; made with the
-    /// activity's slot ([`CallTable::entry`]), dropped with it.
-    entries: Mutex<Vec<Option<Arc<CallEntry>>>>,
+/// Number of call-table shards: every endpoint's [`ShardedCallTable`]
+/// is split into this many independent entry vectors, each under its own
+/// lock, selected by [`shard_for`] (docs/SHARDING.md).
+///
+/// The paper's §4.2 "recoded runtime" what-if removed the global lock
+/// chain from the fast path; sharding is the modern shape of that
+/// change (per-core state, eRPC-style).
+pub const SHARDS: usize = 4;
+
+/// Pure shard-selection function: maps an activity id to a shard index.
+///
+/// Both layers that shard by activity — the caller-side call table and
+/// the server's work queues — use this one function, so a retransmission
+/// or a duplicate (the id is in the packet header) lands where its first
+/// copy did. FNV-1a over the id's three fields spreads the sequential
+/// `thread` counters that [`crate::client::ActivityPool`] mints.
+pub fn shard_for(activity: ActivityId, shards: usize) -> usize {
+    if shards <= 1 {
+        return 0;
+    }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let machine = activity.machine.to_le_bytes();
+    let space = activity.space.to_le_bytes();
+    let thread = activity.thread.to_le_bytes();
+    let bytes = [machine.as_slice(), space.as_slice(), thread.as_slice()];
+    for chunk in bytes {
+        for &b in chunk {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    (h % shards as u64) as usize
+}
+
+/// One shard's entries, at their activities' `thread` numbers.
+type Entries = Vec<Option<Arc<CallEntry>>>;
+
+/// The caller-side call table, shared by caller threads and whichever
+/// thread holds the receive role: the entries of an endpoint's
+/// activities, split into shards selected by [`shard_for`], each under a
+/// lock of its own.
+///
+/// Concurrent callers on different activities take disjoint shard locks
+/// when their entries are made and their packets delivered (a call's own
+/// registration locks only its entry). A delivery holds at most one
+/// shard's lock, and only to find the entry, so no two shard locks are
+/// ever held together.
+#[derive(Debug)]
+pub struct ShardedCallTable {
+    /// Every shard's entries; an entry is made with its activity's slot
+    /// ([`ShardedCallTable::entry`]) and dropped with it.
+    entries: Vec<Mutex<Entries>>,
     /// Caller-side protocol-transition witness: which protocol.toml rows
-    /// this table's deliveries have taken, one for all shards of a
-    /// [`ShardedCallTable`]. Relaxed counters.
-    witness: Arc<ProtocolWitness>,
+    /// the table's deliveries have taken. Relaxed counters.
+    witness: ProtocolWitness,
     /// Waiters parked on entries of this table with nothing delivered
     /// to them: kept by the entries ([`CallEntry::count_parked`], every
-    /// delivery), one count for all shards of a [`ShardedCallTable`],
-    /// read by the endpoint's [`crate::role::ReceiveRole`].
+    /// delivery), read by the endpoint's [`crate::role::ReceiveRole`].
     parked: Arc<AtomicUsize>,
 }
 
-impl CallTable {
-    /// Creates an empty table.
-    pub fn new() -> CallTable {
-        CallTable::default()
+impl ShardedCallTable {
+    /// Creates an empty table of `shards` shards (at least one).
+    pub fn new(shards: usize) -> ShardedCallTable {
+        ShardedCallTable {
+            // lint:allow(no-alloc-on-fast-path): once per endpoint.
+            entries: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
+            witness: ProtocolWitness::default(),
+            // lint:allow(no-alloc-on-fast-path): once per endpoint.
+            parked: Arc::new(AtomicUsize::new(0)),
+        }
     }
 
     /// The parked-waiter count this table's entries maintain, for
@@ -288,21 +328,33 @@ impl CallTable {
         Arc::clone(&self.parked)
     }
 
-    /// Labels the table lock for `firefly-check` with its lint
+    /// The protocol-transition witness of the table's deliveries.
+    pub fn witness(&self) -> &ProtocolWitness {
+        &self.witness
+    }
+
+    /// Labels every shard's lock for `firefly-check` with its lint
     /// lock-order class ("calltable"). No-op outside a checked schedule.
     pub fn check_labels(&self) {
-        self.entries.check_label("calltable");
+        for entries in &self.entries {
+            entries.check_label("calltable");
+        }
+    }
+
+    /// The locked shard that owns `activity`.
+    fn shard(&self, activity: ActivityId) -> MutexGuard<'_, Entries> {
+        self.entries[shard_for(activity, self.entries.len())].lock()
     }
 
     /// The entry of `activity`, made the first time it is asked for. An
     /// activity slot asks once, when it is made, and keeps the entry for
     /// every call it makes; the entry stays in the table until the slot
-    /// is dropped ([`CallTable::remove`]). An endpoint's activities differ
-    /// only in their thread number; one of another machine or space at
-    /// the same number takes the place over.
+    /// is dropped ([`ShardedCallTable::remove`]). An endpoint's
+    /// activities differ only in their thread number; one of another
+    /// machine or space at the same number takes the place over.
     pub(crate) fn entry(&self, activity: ActivityId) -> Arc<CallEntry> {
         let index = usize::from(activity.thread);
-        let mut entries = self.entries.lock();
+        let mut entries = self.shard(activity);
         if entries.len() <= index {
             entries.resize(index + 1, None);
         }
@@ -328,7 +380,7 @@ impl CallTable {
     /// The entry a packet of `activity` is for, if there is one: the one
     /// at its thread number, when it is this activity's.
     fn find(&self, activity: ActivityId) -> Option<Arc<CallEntry>> {
-        let entries = self.entries.lock();
+        let entries = self.shard(activity);
         let entry = entries.get(usize::from(activity.thread))?.as_ref()?;
         (entry.id == activity).then(|| Arc::clone(entry))
     }
@@ -357,7 +409,7 @@ impl CallTable {
 
     /// Drops the activity's entry: its slot is gone.
     pub(crate) fn remove(&self, activity: ActivityId) {
-        let mut entries = self.entries.lock();
+        let mut entries = self.shard(activity);
         if let Some(at) = entries.get_mut(usize::from(activity.thread)) {
             if at.as_ref().is_some_and(|e| e.id == activity) {
                 *at = None;
@@ -367,13 +419,16 @@ impl CallTable {
 
     /// Number of outstanding calls.
     pub fn outstanding(&self) -> usize {
-        let entries = self.entries.lock();
-        entries.iter().flatten().filter(|e| e.state.lock().open).count()
+        let open = |entries: &Mutex<Entries>| {
+            let entries = entries.lock();
+            entries.iter().flatten().filter(|e| e.state.lock().open).count()
+        };
+        self.entries.iter().map(open).sum()
     }
 
     /// Number of entries: one per activity slot.
     pub(crate) fn entries(&self) -> usize {
-        self.entries.lock().iter().flatten().count()
+        self.entries.iter().map(|entries| entries.lock().iter().flatten().count()).sum()
     }
 
     /// Records an orphan: a result or result fragment to drop, a stray
@@ -387,52 +442,30 @@ impl CallTable {
         self.witness.record(State::CallerOrphan, rpc, action);
     }
 
-    /// Routes a caller-bound packet held in a pool buffer (a
-    /// single-packet Result, a server→caller Ack, or a ProbeResponse) to
-    /// its waiting thread and wakes it: [`CallTable::deliver_frame`] on
-    /// the packet's header and data. A fragment of a multi-packet result
-    /// is an orphan here: fragments go through
-    /// [`CallTable::deliver_fragments`].
-    pub fn deliver(&self, pkt: Packet) -> Deliver {
-        self.deliver_from(pkt, false)
-    }
-
-    /// [`CallTable::deliver`] with the wake-up made conditional (see
-    /// [`CallTable::deliver_frame`]).
-    pub fn deliver_from(&self, pkt: Packet, by_waiter: bool) -> Deliver {
-        if self.deliver_frame(&pkt.rpc, pkt.data(), by_waiter) {
-            Deliver::Accepted
-        } else {
-            Deliver::Orphan(pkt)
-        }
+    /// [`ShardedCallTable::deliver_frame`] for a caller-bound packet held
+    /// in a pool buffer (a single-packet Result, a server→caller Ack, or
+    /// a ProbeResponse), by a thread that is not its waiter. A fragment
+    /// of a multi-packet result is an orphan here: fragments go through
+    /// [`ShardedCallTable::deliver_fragments`].
+    pub fn deliver(&self, pkt: Packet) -> bool {
+        self.deliver_frame(&pkt.rpc, pkt.data(), None)
     }
 
     /// Routes a caller-bound frame, validated where it landed, to its
     /// waiting thread and wakes it; true when it was taken, false for an
     /// orphan. A result's `data` is copied into the entry's result frame.
-    /// `by_waiter` says the delivering thread *is* the thread waiting on
-    /// the frame's activity (it holds the receive role and will look at
-    /// its entry next), so there is nobody to signal.
-    pub(crate) fn deliver_frame(&self, rpc: &RpcHeader, data: &[u8], by_waiter: bool) -> bool {
-        match self.find(rpc.activity) {
-            Some(entry) => self.deliver_to(&entry, rpc, data, by_waiter),
-            None => {
-                self.orphan(rpc);
-                false
-            }
-        }
-    }
-
-    /// [`CallTable::deliver_frame`] into `entry`, which the frame's
-    /// activity has already been found to own: the thread receiving for
-    /// itself holds its own entry and looks nothing up.
-    pub(crate) fn deliver_to(
-        &self,
-        entry: &CallEntry,
-        rpc: &RpcHeader,
-        data: &[u8],
-        by_waiter: bool,
-    ) -> bool {
+    /// `own` is the delivering thread's own entry when the frame is for
+    /// it: the thread holds the receive role while it waits and will look
+    /// at its entry next, so nothing is looked up and nobody is signalled.
+    /// An `own` of another activity is passed over, and the frame's entry
+    /// looked up as without one.
+    pub fn deliver_frame(&self, rpc: &RpcHeader, data: &[u8], own: Option<&CallEntry>) -> bool {
+        let own = own.filter(|entry| entry.id == rpc.activity);
+        let found = if own.is_some() { None } else { self.find(rpc.activity) };
+        let Some(entry) = own.or(found.as_deref()) else {
+            self.orphan(rpc);
+            return false;
+        };
         let mut st = entry.state.lock();
         if !st.wants(rpc.call_seq) {
             // A late duplicate from an earlier transmission round, or
@@ -470,7 +503,7 @@ impl CallTable {
         };
         entry.uncount(&mut st);
         drop(st);
-        if !by_waiter {
+        if own.is_none() {
             entry.cond.notify_one();
         }
         self.witness.record(State::CallerOpen, rpc, action);
@@ -481,38 +514,38 @@ impl CallTable {
     /// frames of a datagram, of one activity and call — to its waiting
     /// thread: the entry is found and locked once for the run, each
     /// fragment's data is copied from where it landed straight into the
-    /// result's reassembly, and the thread is woken (unless `by_waiter`,
-    /// as for [`CallTable::deliver_frame`]) if the run completed it.
+    /// result's reassembly, and the thread is woken (unless `own`, as for
+    /// [`ShardedCallTable::deliver_frame`]) if the run completed it.
     /// `each` then learns, with no lock held and in run order, what
     /// became of every fragment.
     pub fn deliver_fragments(
         &self,
         run: &[Fragment<'_>],
-        by_waiter: bool,
+        own: Option<&CallEntry>,
         mut each: impl FnMut(Delivered),
     ) {
         for run in run.chunks(MAX_RUN) {
             let mut took = [Delivered::Orphan; MAX_RUN];
-            let entry = self.assemble(run, &mut took);
-            if let Some(entry) = entry {
-                if !by_waiter {
-                    entry.cond.notify_one();
-                }
-            }
+            self.assemble(run, own, &mut took);
             took[..run.len()].iter().for_each(|&t| each(t));
         }
     }
 
-    /// Takes a run of at most [`MAX_RUN`] fragments into its entry,
-    /// recording in `took` what became of each; returns the entry if the
-    /// run completed its result.
-    fn assemble(&self, run: &[Fragment<'_>], took: &mut [Delivered]) -> Option<Arc<CallEntry>> {
-        let first = run.first()?;
-        let Some(entry) = self.find(first.rpc.activity) else {
+    /// Takes a run of at most [`MAX_RUN`] fragments into its entry —
+    /// `own`, or the one the table holds — recording in `took` what
+    /// became of each, and wakes the entry's waiter if the run completed
+    /// its result.
+    fn assemble(&self, run: &[Fragment<'_>], own: Option<&CallEntry>, took: &mut [Delivered]) {
+        let Some(first) = run.first() else {
+            return;
+        };
+        let own = own.filter(|entry| entry.id == first.rpc.activity);
+        let found = if own.is_some() { None } else { self.find(first.rpc.activity) };
+        let Some(entry) = own.or(found.as_deref()) else {
             for f in run {
                 self.witness.record(State::CallerOrphan, &f.rpc, Action::RecycleOrphan);
             }
-            return None;
+            return;
         };
         let mut completed = false;
         let mut st = entry.state.lock();
@@ -558,7 +591,9 @@ impl CallTable {
             }
         }
         drop(st);
-        completed.then_some(entry)
+        if completed && own.is_none() {
+            entry.cond.notify_one();
+        }
     }
 }
 
@@ -569,178 +604,6 @@ fn complete_action(rpc: &RpcHeader) -> Action {
         Action::FailCall
     } else {
         Action::CompleteCall
-    }
-}
-
-/// Number of runtime shards: the caller-side call table and the
-/// packet-buffer pool of every endpoint are split into this many
-/// independent instances, each with its own locks, selected by
-/// [`shard_for`] (docs/SHARDING.md).
-///
-/// The paper's §4.2 "recoded runtime" what-if removed the global lock
-/// chain from the fast path; sharding is the modern shape of that
-/// change (per-core state, eRPC-style).
-pub const SHARDS: usize = 4;
-
-/// Pure shard-selection function: maps an activity id to a shard index.
-///
-/// Every layer that shards by activity — the call table, the buffer
-/// pool, the server work queues — uses this one function, so a caller
-/// thread, the demultiplexer, and a server worker handling the same
-/// call always land on the same shard, across retransmissions and
-/// duplicates (the id is in the packet header, so a duplicate hashes
-/// identically). FNV-1a over the id's three fields spreads the
-/// sequential `thread` counters that [`crate::client::ActivityPool`]
-/// mints.
-pub fn shard_for(activity: ActivityId, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let machine = activity.machine.to_le_bytes();
-    let space = activity.space.to_le_bytes();
-    let thread = activity.thread.to_le_bytes();
-    let bytes = [machine.as_slice(), space.as_slice(), thread.as_slice()];
-    for chunk in bytes {
-        for &b in chunk {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    (h % shards as u64) as usize
-}
-
-/// The caller-side call table split into independent shards, each a
-/// full [`CallTable`] with its own lock, selected by [`shard_for`].
-///
-/// With more than one shard, concurrent callers on different activities
-/// take disjoint table locks when their entries are made and their
-/// packets delivered (a call's own registration locks only its entry). The demultiplexer holds at
-/// most one shard's lock at a time (each delivery resolves its shard
-/// before locking), so no cross-shard lock order arises here at all.
-#[derive(Debug)]
-pub struct ShardedCallTable {
-    shards: Vec<CallTable>,
-}
-
-impl ShardedCallTable {
-    /// Creates a table with `shards` independent shards (at least one).
-    pub fn new(shards: usize) -> ShardedCallTable {
-        // lint:allow(no-alloc-on-fast-path): once per endpoint.
-        let parked = Arc::new(AtomicUsize::new(0));
-        // lint:allow(no-alloc-on-fast-path): once per endpoint.
-        let witness = Arc::new(ProtocolWitness::default());
-        let shard = || CallTable {
-            entries: Mutex::default(),
-            witness: Arc::clone(&witness),
-            parked: Arc::clone(&parked),
-        };
-        ShardedCallTable {
-            shards: (0..shards.max(1)).map(|_| shard()).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The parked-waiter count all shards share (see
-    /// [`CallTable::parked_counter`]).
-    pub fn parked_counter(&self) -> Arc<AtomicUsize> {
-        self.shards[0].parked_counter()
-    }
-
-    /// The protocol-transition witness all shards share.
-    pub fn witness(&self) -> &ProtocolWitness {
-        &self.shards[0].witness
-    }
-
-    /// The shard that owns `activity`.
-    pub fn shard(&self, activity: ActivityId) -> &CallTable {
-        &self.shards[shard_for(activity, self.shards.len())]
-    }
-
-    /// All shards, for per-shard introspection in tests.
-    pub fn shards(&self) -> &[CallTable] {
-        &self.shards
-    }
-
-    /// Labels every shard's lock for `firefly-check`. No-op outside a
-    /// checked schedule.
-    pub fn check_labels(&self) {
-        for s in &self.shards {
-            s.check_labels();
-        }
-    }
-
-    /// The entry of `activity` in its shard, made the first time (see
-    /// [`CallTable::entry`]).
-    pub(crate) fn entry(&self, activity: ActivityId) -> Arc<CallEntry> {
-        self.shard(activity).entry(activity)
-    }
-
-    /// Registers an outstanding call in its activity's shard.
-    pub fn register(&self, activity: ActivityId, seq: u32) -> Arc<CallEntry> {
-        self.shard(activity).register(activity, seq)
-    }
-
-    /// Ends the activity's call in its shard; the entry stays.
-    pub fn unregister(&self, activity: ActivityId) {
-        self.shard(activity).unregister(activity);
-    }
-
-    /// Drops the activity's entry from its shard: its slot is gone.
-    pub(crate) fn remove(&self, activity: ActivityId) {
-        self.shard(activity).remove(activity);
-    }
-
-    /// Number of outstanding calls across all shards.
-    pub fn outstanding(&self) -> usize {
-        self.shards.iter().map(|s| s.outstanding()).sum()
-    }
-
-    /// Number of entries across all shards: one per activity slot.
-    pub(crate) fn entries(&self) -> usize {
-        self.shards.iter().map(|s| s.entries()).sum()
-    }
-
-    /// Routes a caller-bound packet to its activity's shard.
-    pub fn deliver(&self, pkt: Packet) -> Deliver {
-        self.deliver_from(pkt, false)
-    }
-
-    /// [`ShardedCallTable::deliver`] for a packet whose waiter may be
-    /// the delivering thread (see [`CallTable::deliver_frame`]).
-    pub fn deliver_from(&self, pkt: Packet, by_waiter: bool) -> Deliver {
-        self.shard(pkt.rpc.activity).deliver_from(pkt, by_waiter)
-    }
-
-    /// Routes a caller-bound frame, validated where it landed, to its
-    /// activity's shard (see [`CallTable::deliver_frame`]).
-    pub(crate) fn deliver_frame(&self, rpc: &RpcHeader, data: &[u8], by_waiter: bool) -> bool {
-        self.shard(rpc.activity).deliver_frame(rpc, data, by_waiter)
-    }
-
-    /// Delivers a frame the receiving thread has found to be for its own
-    /// call into that call's `entry` (see [`CallTable::deliver_to`]): no
-    /// lookup, and nobody to wake. Any shard records it: they share one
-    /// witness.
-    pub(crate) fn deliver_own(&self, entry: &CallEntry, rpc: &RpcHeader, data: &[u8]) -> bool {
-        self.shards[0].deliver_to(entry, rpc, data, true)
-    }
-
-    /// Routes a run of fragments of one result to its activity's shard
-    /// (see [`CallTable::deliver_fragments`]).
-    pub fn deliver_fragments(
-        &self,
-        run: &[Fragment<'_>],
-        by_waiter: bool,
-        each: impl FnMut(Delivered),
-    ) {
-        if let Some(first) = run.first() {
-            self.shard(first.rpc.activity).deliver_fragments(run, by_waiter, each);
-        }
     }
 }
 
@@ -780,18 +643,18 @@ mod tests {
     }
 
     /// Delivers `frames` as one run; what became of each.
-    fn deliver_run(table: &CallTable, frames: &[Vec<u8>]) -> Vec<Delivered> {
+    fn deliver_run(table: &ShardedCallTable, frames: &[Vec<u8>]) -> Vec<Delivered> {
         let views: Vec<_> = frames.iter().map(|f| FrameView::parse(f).unwrap()).collect();
         let run: Vec<_> = views.iter().map(|v| Fragment::of(v).unwrap()).collect();
         let mut took = Vec::new();
-        table.deliver_fragments(&run, false, |d| took.push(d));
+        table.deliver_fragments(&run, None, |d| took.push(d));
         assert_eq!(took.len(), frames.len(), "one outcome per fragment");
         took
     }
 
     /// Delivers one result fragment on its own.
     fn deliver_fragment(
-        table: &CallTable,
+        table: &ShardedCallTable,
         seq: u32,
         data: &[u8],
         frag: u16,
@@ -820,10 +683,10 @@ mod tests {
 
     #[test]
     fn single_packet_result_wakes_waiter() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let entry = table.register(activity(), 5);
         let pkt = result_packet(5, &[1, 2, 3]);
-        assert!(matches!(table.deliver(pkt), Deliver::Accepted));
+        assert!(table.deliver(pkt));
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
             Wait::Complete(a) => assert_eq!(a.data(), &[1, 2, 3]),
             other => panic!("unexpected {other:?}"),
@@ -832,18 +695,18 @@ mod tests {
 
     #[test]
     fn an_activity_keeps_one_entry_and_a_late_packet_finds_it_closed() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let first = table.register(activity(), 1);
-        assert!(matches!(table.deliver(result_packet(1, &[1])), Deliver::Accepted));
+        assert!(table.deliver(result_packet(1, &[1])));
         assert!(matches!(first.poll(), Some(Wait::Complete(_))));
         // Taken by its waiter, the result closed the call: a copy of it
         // is an orphan, and so is an ack of it.
         assert_eq!(table.outstanding(), 0);
-        assert!(matches!(table.deliver(result_packet(1, &[1])), Deliver::Orphan(_)));
+        assert!(!table.deliver(result_packet(1, &[1])));
         let second = table.register(activity(), 2);
         assert!(Arc::ptr_eq(&first, &second), "the entry was not reused");
-        assert!(matches!(table.deliver(ack_packet(1)), Deliver::Orphan(_)));
-        assert!(matches!(table.deliver(result_packet(2, &[2])), Deliver::Accepted));
+        assert!(!table.deliver(ack_packet(1)));
+        assert!(table.deliver(result_packet(2, &[2])));
         match second.poll() {
             Some(Wait::Complete(a)) => assert_eq!(a.data(), &[2]),
             other => panic!("unexpected {other:?}"),
@@ -858,7 +721,7 @@ mod tests {
 
     #[test]
     fn a_big_result_leaves_the_entry_a_one_packet_frame() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let entry = table.register(activity(), 1);
         // A reassembled result bigger than a packet buffer is freed when
         // its caller is done with it, not kept as the next result's frame.
@@ -877,7 +740,7 @@ mod tests {
         // The small results after it come in one frame of one packet's size.
         for seq in 2..5 {
             entry.open(seq, frame.take());
-            assert!(matches!(table.deliver(result_packet(seq, &[seq as u8])), Deliver::Accepted));
+            assert!(table.deliver(result_packet(seq, &[seq as u8])));
             let Some(Wait::Complete(small)) = entry.poll() else {
                 panic!("result {seq} did not complete");
             };
@@ -890,10 +753,10 @@ mod tests {
 
     #[test]
     fn wrong_seq_is_orphaned() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let _entry = table.register(activity(), 5);
         let pkt = result_packet(4, &[]);
-        assert!(matches!(table.deliver(pkt), Deliver::Orphan(_)));
+        assert!(!table.deliver(pkt));
     }
 
     #[test]
@@ -901,7 +764,7 @@ mod tests {
         // Regression for the reassembly rewrite: the completion path
         // must tolerate any arrival order and duplicated fragments
         // (the old expect()-based code assumed a clean interleaving).
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let entry = table.register(activity(), 9);
         // A reordered final fragment arriving first is buffered, and
         // none of them asks for an ack.
@@ -921,7 +784,7 @@ mod tests {
 
     #[test]
     fn fragment_index_out_of_range_is_orphaned_not_a_panic() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let _entry = table.register(activity(), 9);
         assert_eq!(deliver_fragment(&table, 9, &full(1), 0, 3, false), Delivered::Accepted);
         // Claims fragment 7 of 3 — malformed; must be orphaned.
@@ -934,7 +797,7 @@ mod tests {
 
     #[test]
     fn a_window_in_one_run_completes_its_result_and_orphans_what_follows() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let entry = table.register(activity(), 4);
         // One datagram: the whole result, a copy of its last fragment,
         // and a fragment of an earlier call's result.
@@ -963,16 +826,16 @@ mod tests {
 
     #[test]
     fn unknown_activity_is_orphaned() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let pkt = result_packet(1, &[]);
-        assert!(matches!(table.deliver(pkt), Deliver::Orphan(_)));
+        assert!(!table.deliver(pkt));
     }
 
     #[test]
     fn ack_reports_in_progress() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let entry = table.register(activity(), 9);
-        assert!(matches!(table.deliver(ack_packet(9)), Deliver::Accepted));
+        assert!(table.deliver(ack_packet(9)));
         assert!(matches!(
             entry.wait(Instant::now() + Duration::from_secs(1)),
             Wait::Acked { last: true, .. }
@@ -986,7 +849,7 @@ mod tests {
 
     #[test]
     fn fragments_reassemble_in_any_order() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let entry = table.register(activity(), 2);
         assert_eq!(deliver_fragment(&table, 2, &full(4), 1, 3, false), Delivered::Accepted);
         assert_eq!(deliver_fragment(&table, 2, &full(1), 0, 3, false), Delivered::Accepted);
@@ -1000,7 +863,7 @@ mod tests {
 
     #[test]
     fn duplicate_fragment_is_idempotent() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let entry = table.register(activity(), 2);
         for _ in 0..3 {
             let _ = deliver_fragment(&table, 2, &full(1), 0, 2, false);
@@ -1014,14 +877,11 @@ mod tests {
 
     #[test]
     fn late_duplicate_result_after_completion_is_orphaned() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let entry = table.register(activity(), 3);
-        assert!(matches!(table.deliver(result_packet(3, &[1])), Deliver::Accepted));
+        assert!(table.deliver(result_packet(3, &[1])));
         // A duplicate of the same result (e.g. server retransmission).
-        assert!(matches!(
-            table.deliver(result_packet(3, &[1])),
-            Deliver::Orphan(_)
-        ));
+        assert!(!table.deliver(result_packet(3, &[1])));
         assert!(matches!(
             entry.wait(Instant::now() + Duration::from_secs(1)),
             Wait::Complete(_)
@@ -1030,7 +890,7 @@ mod tests {
 
     #[test]
     fn concurrent_wait_and_deliver() {
-        let table = Arc::new(CallTable::new());
+        let table = Arc::new(ShardedCallTable::new(1));
         let entry = table.register(activity(), 1);
         let t2 = Arc::clone(&table);
         let h = std::thread::spawn(move || {
@@ -1057,7 +917,7 @@ mod tests {
             Delivered::Accepted => None,
             Delivered::Orphan => panic!("orphaned"),
         };
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let entry = table.register(activity(), 6);
         // Fragment 0 lost: an edge that asks finds no prefix to name.
         assert_eq!(acked(deliver_fragment(&table, 6, &full(2), 2, 4, true)), None);
@@ -1079,13 +939,13 @@ mod tests {
 
     #[test]
     fn deliver_records_spec_transitions() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let _entry = table.register(activity(), 5);
         let _ = table.deliver(result_packet(5, &[1]));
         // A duplicate of the completed result orphans.
         let _ = table.deliver(result_packet(5, &[1]));
         assert_eq!(
-            ProtocolWitness::union(&[&table.witness]),
+            ProtocolWitness::union(&[table.witness()]),
             [
                 "caller-open Result last_fragment -> complete-call",
                 "caller-orphan Result last_fragment -> recycle-orphan",
@@ -1123,15 +983,33 @@ mod tests {
         let table = ShardedCallTable::new(4);
         let id = activity();
         let entry = table.register(id, 5);
-        assert_eq!(table.shard(id).outstanding(), 1);
+        let home = shard_for(id, 4);
+        for (shard, entries) in table.entries.iter().enumerate() {
+            let holds = entries.lock().iter().flatten().any(|e| e.id == id);
+            assert_eq!(holds, shard == home, "shard {shard} of 4, home {home}");
+        }
         assert_eq!(table.outstanding(), 1);
-        assert!(matches!(table.deliver(result_packet(5, &[1])), Deliver::Accepted));
+        assert!(table.deliver(result_packet(5, &[1])));
         match entry.wait(Instant::now() + Duration::from_secs(1)) {
             Wait::Complete(a) => assert_eq!(a.data(), &[1]),
             other => panic!("unexpected {other:?}"),
         }
         table.unregister(id);
         assert_eq!(table.outstanding(), 0);
+    }
+
+    #[test]
+    fn an_own_entry_of_another_activity_is_passed_over() {
+        let table = ShardedCallTable::new(1);
+        let other = table.register(ActivityId::new(7, 1, 2), 5);
+        let entry = table.register(activity(), 5);
+        let pkt = result_packet(5, &[1]);
+        assert!(table.deliver_frame(&pkt.rpc, pkt.data(), Some(&other)));
+        assert!(other.state.lock().outcome.is_none(), "another activity's entry was written");
+        match entry.wait(Instant::now() + Duration::from_secs(1)) {
+            Wait::Complete(a) => assert_eq!(a.data(), &[1]),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

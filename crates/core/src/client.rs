@@ -375,9 +375,9 @@ impl Client {
             data_len: 0,
             ..*header
         };
-        let send_probe = || {
-            let builder = shared.ctx.builder_from(&probe, remote);
-            shared.ctx.send_built(&builder, &[], remote)
+        let send_probe = |out: &mut Batch| {
+            out.encode(&shared.ctx.builder_from(&probe, remote), &[], remote)?;
+            flush(out)
         };
 
         while let Some((index, ask)) = window.advance() {
@@ -474,7 +474,7 @@ impl Client {
                                 return Err(RpcError::CallFailed { transmissions });
                             }
                             asked = false;
-                            send_probe()?;
+                            send_probe(&mut bufs.out)?;
                             continue;
                         }
                         if transmissions >= cfg.max_transmissions {
@@ -484,12 +484,13 @@ impl Client {
                         if let Some(ack) = hole {
                             // The result has a hole: name the prefix held.
                             asked = true;
-                            shared.ctx.send_ack(&ack, remote)?;
+                            shared.ctx.encode_ack(&mut bufs.out, &ack, remote)?;
+                            flush(&mut bufs.out)?;
                         } else if count > 1 && !asked {
                             // Where is the call's hole? The server answers a
                             // probe with the prefix it holds.
                             asked = true;
-                            send_probe()?;
+                            send_probe(&mut bufs.out)?;
                         } else {
                             // Again, with please-ack, so the server answers
                             // even while the call executes.
@@ -546,7 +547,7 @@ impl Drop for ClientInner {
         // ack that will never come), and take the slots' entries out of
         // the call table.
         let slots = std::mem::take(&mut *self.activities.free.lock());
-        for slot in slots {
+        for mut slot in slots {
             self.shared.calls.remove(slot.activity);
             if let Some(res) = slot.last_result {
                 let mut ack = firefly_wire::RpcHeader::ack_for(&res);
@@ -557,7 +558,9 @@ impl Drop for ClientInner {
                 // mid-transfer fragment ack and never frees retention.
                 ack.fragment = ack.fragment_count.saturating_sub(1);
                 ack.flags.last_fragment = true;
-                let _ = self.shared.ctx.send_ack(&ack, self.remote);
+                let out = &mut slot.bufs.out;
+                let _ = self.shared.ctx.encode_ack(out, &ack, self.remote);
+                let _ = out.send(&*self.shared.ctx.transport);
             }
         }
     }

@@ -1,4 +1,4 @@
-//! Endpoints: one transport, one buffer pool, one receive role.
+//! Endpoints: one transport, one call table, one receive role.
 //!
 //! An `Endpoint` is this reproduction's Firefly: it can export services
 //! (server role) and bind clients (caller role) simultaneously over one
@@ -6,11 +6,14 @@
 //! interrupt of §3.1.3, and whichever thread holds the endpoint's
 //! receive role ([`crate::role`]) runs the interrupt routine's work —
 //! validate headers and the UDP checksum, consult the call table or the
-//! server dispatcher, recycle buffers on the fly — through the one
-//! `process_datagram` below. That thread is the waiting caller itself
-//! when it can be, and otherwise the resident receiver (`demux_loop`),
-//! which also executes measured-short single-packet calls to completion
-//! instead of waking a worker for them.
+//! server dispatcher — through the one `process_datagram` below. That
+//! thread is the waiting caller itself when it can be, and otherwise the
+//! resident receiver (`demux_loop`), which also executes measured-short
+//! calls to completion instead of waking a worker for them. It never
+//! waits for a buffer: a new call bound for a worker that finds the
+//! server's pool dry is shed like a lost packet. Every frame it answers with — a
+//! result, an ack, a probe response — is queued on its batch and goes
+//! to the transport with it.
 
 use crate::calltable::{CallEntry, Delivered, ShardedCallTable, Wait, SHARDS};
 use crate::client::Client;
@@ -25,7 +28,7 @@ use crate::stats::RpcStats;
 use crate::transport::{Transport, MAX_DATAGRAM_LEN};
 use crate::{Result, RpcError};
 use firefly_idl::InterfaceDef;
-use firefly_pool::ShardedPool;
+use firefly_pool::BufferPool;
 use firefly_wire::{coalesced_frame_len, ActivityId, FrameView, PacketType, RpcHeader};
 use firefly_sync::Mutex;
 use std::net::SocketAddr;
@@ -49,14 +52,6 @@ pub(crate) struct EndpointShared {
     /// unique across every client bound through this endpoint.
     pub next_thread: std::sync::atomic::AtomicU16,
 }
-
-/// Size of an endpoint's packet-buffer pool. It holds nothing but the
-/// single-packet calls handed to server threads, each copied out of the
-/// datagram it landed in: callers and results take no pool buffer.
-const POOL_SIZE: usize = 64;
-
-// Each pool shard gets at least a couple of buffers.
-const _: () = assert!(POOL_SIZE >= 2 * SHARDS);
 
 /// The address space of an endpoint's activities: the wall clock's
 /// nanoseconds, the endpoint's address and a process-wide count of
@@ -87,16 +82,10 @@ impl Endpoint {
     /// Creates an endpoint over `transport` and starts its resident
     /// receiver and server threads.
     pub fn new(transport: Arc<dyn Transport>, config: Config) -> Result<Arc<Endpoint>> {
-        let pool = ShardedPool::new(POOL_SIZE, SHARDS);
         // lint:allow(no-alloc-on-fast-path): once per endpoint.
         let stats = Arc::new(RpcStats::default());
         // lint:allow(no-alloc-on-fast-path): once per endpoint.
-        let ctx = Arc::new(SendCtx::new(
-            transport,
-            pool,
-            Arc::clone(&stats),
-            config.trace_capacity,
-        ));
+        let ctx = Arc::new(SendCtx::new(transport, Arc::clone(&stats), config.trace_capacity));
         ctx.tracer.set_enabled(config.trace);
         // A stable nonzero machine id from the transport address.
         let addr = ctx.transport.local_addr();
@@ -261,9 +250,10 @@ impl Endpoint {
         self.shared.ctx.tracer.report()
     }
 
-    /// The shared (sharded) packet-buffer pool.
-    pub fn pool(&self) -> &ShardedPool {
-        &self.shared.ctx.pool
+    /// The server's packet-buffer pool: it carries only the
+    /// single-packet calls handed to server threads.
+    pub fn pool(&self) -> &BufferPool {
+        self.shared.server.pool()
     }
 
     /// The distinct protocol.toml transition rows this endpoint has
@@ -324,9 +314,9 @@ impl Drop for Endpoint {
 /// or a result fragment is copied from there into its call entry, a call
 /// the resident runs itself is read in place, and only a call handed to
 /// a server thread is copied into a pool buffer — and the batch it sends
-/// the server's frames through
-/// (the results it executes, a result window an ack opens, a fragment
-/// sent again). The resident receiver allocates its own when it starts;
+/// every frame it answers with through (the results it executes, a
+/// result window an ack opens, a fragment sent again, the acks and probe
+/// responses it owes). The resident receiver allocates its own when it starts;
 /// a caller's lives in its activity slot, so every call the activity
 /// makes reuses it, and a call that service code makes on the resident,
 /// which receives for itself, brings its own instead of overwriting the
@@ -334,7 +324,7 @@ impl Drop for Endpoint {
 pub(crate) struct RoleBuffers {
     datagram: Box<[u8]>,
     /// Also where a caller encodes the windows of its own multi-packet
-    /// calls, between its waits.
+    /// calls, its probes and its acks, between its waits.
     pub out: Batch,
 }
 
@@ -354,21 +344,19 @@ impl RoleBuffers {
 /// datagram.
 struct Receiving<'a> {
     out: &'a mut Batch,
-    /// Whether this is the resident receiver. It executes measured-short
-    /// calls itself, and waits for the pool buffer a call it hands over
-    /// is copied into; a caller thread holding the role does neither:
-    /// every call it receives goes to the workers, or is dropped when no
-    /// pool buffer is free.
+    /// Whether this is the resident receiver, which executes
+    /// measured-short calls itself; every call a caller thread holding
+    /// the role receives goes to the workers.
     resident: bool,
     /// The call entry of the waiting caller that is doing the receiving;
     /// a packet for it is delivered there directly and needs no wake-up.
     own: Option<&'a CallEntry>,
 }
 
-impl Receiving<'_> {
+impl<'a> Receiving<'a> {
     /// The receiving thread's own entry, if the packet `rpc` heads is
     /// for it.
-    fn owns(&self, rpc: &RpcHeader) -> Option<&CallEntry> {
+    fn owns(&self, rpc: &RpcHeader) -> Option<&'a CallEntry> {
         self.own.filter(|entry| entry.activity() == rpc.activity)
     }
 }
@@ -391,7 +379,8 @@ impl EndpointShared {
     /// whole endpoint until its own packet arrives: that packet then
     /// completes the entry with no condvar signal, other activities'
     /// packets are delivered and woken as the resident receiver would,
-    /// and incoming calls go to the server workers. When the role is
+    /// and incoming calls go to the server workers. What it answers with
+    /// goes out after each datagram. When the role is
     /// taken, or [`POLLS_BEFORE_BLOCK`] attempts found nothing, it
     /// parks on the entry.
     pub fn wait_on(&self, entry: &CallEntry, deadline: Instant, bufs: &mut RoleBuffers) -> Wait {
@@ -404,13 +393,11 @@ impl EndpointShared {
         self.role.wait_receiving(entry, deadline, POLLS_BEFORE_BLOCK, || {
             match self.ctx.transport.try_recv(datagram) {
                 Ok(Some((n, src))) => {
-                    if process_datagram(self, &mut rx, &datagram[..n], src) {
-                        Polled::Datagram
-                    } else {
-                        // The pool is dry: park, and leave receiving to
-                        // the resident, which waits for buffers.
-                        Polled::Closed
-                    }
+                    process_datagram(self, &mut rx, &datagram[..n], src);
+                    // A send failure is loss on the wire; the timers
+                    // recover it.
+                    let _ = rx.out.send(&*self.ctx.transport);
+                    Polled::Datagram
                 }
                 Ok(None) => Polled::Empty,
                 Err(_) => Polled::Closed,
@@ -429,7 +416,7 @@ impl EndpointShared {
 /// result of the first datagram's inline calls is sent at once — a lone
 /// caller never waits for a batch — and the rest of the burst's results
 /// go out packed when the drain ends. It takes a pool buffer only for a
-/// call it hands to a server thread, and holds none while it waits.
+/// call it hands to a server thread, and never waits for one.
 fn demux_loop(shared: Arc<EndpointShared>) {
     let stats = &shared.ctx.stats;
     let transport = &*shared.ctx.transport;
@@ -508,16 +495,9 @@ fn demux_loop(shared: Arc<EndpointShared>) {
 /// the body; a single-packet result's data is copied once, into its call
 /// entry's result frame; an ack or a probe is its header. Only a
 /// single-packet call that goes to a server thread is copied into a pool
-/// buffer, since it must outlive the datagram. False when a waiting
-/// caller found the pool dry for such a call: that frame and the rest of
-/// the datagram are dropped, like any lost packet, and retransmission
-/// recovers them.
-fn process_datagram(
-    shared: &EndpointShared,
-    rx: &mut Receiving,
-    datagram: &[u8],
-    src: SocketAddr,
-) -> bool {
+/// buffer, since it must outlive the datagram — or shed, when none is
+/// free, without holding up the frames after it.
+fn process_datagram(shared: &EndpointShared, rx: &mut Receiving, datagram: &[u8], src: SocketAddr) {
     let stats = &shared.ctx.stats;
     let mut rest = datagram;
     let mut first: Option<ActivityId> = None;
@@ -571,17 +551,11 @@ fn process_datagram(
         if let Some(done) = run.take() {
             hand_over(shared, rx, done.frames(), src);
         }
-        if !process_frame(shared, rx, &view, frame, src) {
-            // A waiting caller never blocks for a buffer with the role
-            // in hand.
-            RpcStats::bump(&stats.validation_drops);
-            return false;
-        }
+        process_frame(shared, rx, &view, frame, src);
     }
     if let Some(done) = run {
         hand_over(shared, rx, done.frames(), src);
     }
-    true
 }
 
 /// Consecutive fragments of one transfer in the datagram being processed,
@@ -620,7 +594,7 @@ impl<'d> Run<'d> {
 /// Hands a run of fragments of one transfer to the side it is for: a
 /// call's to the server, a result's to the call table — which tells,
 /// fragment by fragment, what each became, for the counters and the acks
-/// the sender asked for.
+/// the sender asked for (queued on the receiving thread's batch).
 fn hand_over(shared: &EndpointShared, rx: &mut Receiving, run: &[Fragment<'_>], src: SocketAddr) {
     let Some(first) = run.first() else {
         return;
@@ -631,23 +605,15 @@ fn hand_over(shared: &EndpointShared, rx: &mut Receiving, run: &[Fragment<'_>], 
     }
     let stats = &shared.ctx.stats;
     let own = rx.owns(&first.rpc);
-    shared.calls.deliver_fragments(run, own.is_some(), |delivered| match delivered {
+    let out = &mut *rx.out;
+    shared.calls.deliver_fragments(run, own, |delivered| match delivered {
         Delivered::Orphan => RpcStats::bump(&stats.orphan_results),
         Delivered::Accepted => count_result(stats, own.is_some()),
         Delivered::AcceptedNeedsAck(ack) => {
             count_result(stats, own.is_some());
-            let _ = shared.ctx.send_ack(&ack, src);
+            let _ = shared.ctx.encode_ack(out, &ack, src);
         }
     });
-}
-
-/// Delivers a caller-bound frame: into `own`, the receiving thread's own
-/// entry, when it is for that; else through the call table.
-fn deliver(shared: &EndpointShared, own: Option<&CallEntry>, rpc: &RpcHeader, data: &[u8]) -> bool {
-    match own {
-        Some(entry) => shared.calls.deliver_own(entry, rpc, data),
-        None => shared.calls.deliver_frame(rpc, data, false),
-    }
 }
 
 /// Counts a result packet or fragment the call table took:
@@ -664,24 +630,23 @@ fn count_result(stats: &RpcStats, own: bool) {
 }
 
 /// Demultiplexes one frame validated where it landed — routing, direct
-/// wakeup (§3.1.3). False when a waiting caller found no pool buffer for
-/// a call it would hand over.
+/// wakeup (§3.1.3).
 fn process_frame(
     shared: &EndpointShared,
     rx: &mut Receiving,
     view: &FrameView<'_>,
     frame: &[u8],
     src: SocketAddr,
-) -> bool {
+) {
     let stats = &shared.ctx.stats;
     let server = &shared.server;
     let rpc = &view.rpc;
     match rpc.packet_type {
-        PacketType::Call => return server.handle_call(view, frame, src, rx.out, rx.resident),
+        PacketType::Call => server.handle_call(view, frame, src, rx.out, rx.resident),
         PacketType::Probe => server.handle_probe(rpc, src, rx.out),
         PacketType::Result => {
             let own = rx.owns(rpc);
-            if deliver(shared, own, rpc, view.data) {
+            if shared.calls.deliver_frame(rpc, view.data, own) {
                 count_result(stats, own.is_some());
             } else {
                 RpcStats::bump(&stats.orphan_results);
@@ -695,7 +660,7 @@ fn process_frame(
             } else {
                 RpcStats::bump(&stats.acks_received);
                 let own = rx.owns(rpc);
-                if deliver(shared, own, rpc, view.data) {
+                if shared.calls.deliver_frame(rpc, view.data, own) {
                     if own.is_none() {
                         RpcStats::bump(&stats.direct_wakeups);
                     }
@@ -708,7 +673,6 @@ fn process_frame(
             }
         }
     }
-    true
 }
 
 #[cfg(test)]
@@ -773,20 +737,25 @@ mod tests {
             .collect()
     }
 
-    /// What the peer receives of type `ty` within ten seconds.
-    fn next_of(peer: &LoopbackStation, ty: PacketType) -> Frame {
+    /// The next frame the peer receives, within ten seconds.
+    fn next_frame(peer: &LoopbackStation) -> Frame {
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut buf = vec![0; MAX_DATAGRAM_LEN];
         loop {
-            assert!(Instant::now() < deadline, "no {ty:?} came");
+            assert!(Instant::now() < deadline, "nothing came");
             match peer.try_recv(&mut buf).unwrap() {
-                Some((n, _)) => {
-                    let frame = Frame::parse(&buf[..n]).unwrap();
-                    if frame.rpc.packet_type == ty {
-                        return frame;
-                    }
-                }
+                Some((n, _)) => return Frame::parse(&buf[..n]).unwrap(),
                 None => std::thread::yield_now(),
+            }
+        }
+    }
+
+    /// What the peer receives of type `ty` within ten seconds.
+    fn next_of(peer: &LoopbackStation, ty: PacketType) -> Frame {
+        loop {
+            let frame = next_frame(peer);
+            if frame.rpc.packet_type == ty {
+                return frame;
             }
         }
     }
@@ -848,9 +817,13 @@ mod tests {
         let datagram = [sum_call(a, 1, &data, Some(1)), sum_call(b, 1, &data, None)].concat();
         assert_eq!(datagram.len(), 6);
         peer.send(&datagram.concat(), server.address()).unwrap();
-        let ack = next_of(&peer, PacketType::Ack);
+        // The ack goes out when the resident is done with the datagram,
+        // and a worker may send a result before that.
+        let (acks, results): (Vec<_>, Vec<_>) = (0..3)
+            .map(|_| next_frame(&peer))
+            .partition(|f| f.rpc.packet_type == PacketType::Ack);
+        let [ack] = &acks[..] else { panic!("{} acks", acks.len()) };
         assert_eq!((ack.rpc.activity, ack.rpc.fragment), (a, 1));
-        let results = [next_of(&peer, PacketType::Result), next_of(&peer, PacketType::Result)];
         let mut done: Vec<ActivityId> = results.iter().map(|r| r.rpc.activity).collect();
         done.sort_by_key(|id| id.thread);
         assert_eq!(done, [a, b]);

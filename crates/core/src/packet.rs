@@ -1,6 +1,13 @@
-//! Received packets: a pool buffer plus its validated headers — or, for a
-//! fragment of a multi-packet call or result, its validated header and
-//! data where they landed.
+//! Received packets: the one kind that outlives its datagram, and the
+//! fragments read where they landed.
+//!
+//! Every frame is validated and read where it landed in the receiving
+//! thread's datagram buffer. Only one kind of frame must outlive that
+//! buffer: a single-packet call handed to a server thread, which the
+//! receiving thread copies into a buffer of the server's pool and wraps
+//! as a [`Packet`] — or sheds, when the pool is dry. A fragment of a
+//! multi-packet call or result is a [`Fragment`]: its validated header
+//! and its data borrowed where they landed, copied once, into the body.
 
 use firefly_pool::{PacketBuf, BUFFER_SIZE};
 use firefly_wire::{FrameView, PacketType, RpcHeader, DATA_OFFSET};

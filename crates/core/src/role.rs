@@ -71,8 +71,8 @@ pub enum Polled {
     Datagram,
     /// Nothing was waiting.
     Empty,
-    /// The transport cannot be polled right now (shut down, or no
-    /// receive buffer): stop polling and park.
+    /// The transport cannot be polled (it is shut down): stop polling
+    /// and park.
     Closed,
 }
 
@@ -318,7 +318,7 @@ impl ReceiveRole {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calltable::CallTable;
+    use crate::calltable::ShardedCallTable;
     use crate::packet::Packet;
     use firefly_pool::BufferPool;
     use firefly_wire::{ActivityId, FrameBuilder, PacketType};
@@ -344,7 +344,7 @@ mod tests {
 
     #[test]
     fn a_caller_parks_while_the_resident_holds_and_asks_for_the_role() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let role = ReceiveRole::new(table.parked_counter());
         let entry = table.register(activity(), 1);
         let mut received = 0;
@@ -361,7 +361,7 @@ mod tests {
 
     #[test]
     fn a_caller_with_the_role_polls_until_its_own_packet_arrives() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let pool = BufferPool::new(1);
         let role = ReceiveRole::new(table.parked_counter());
         role.holder.store(FREE, Ordering::SeqCst);
@@ -373,7 +373,8 @@ mod tests {
             if polls < 3 {
                 return Polled::Empty;
             }
-            table.deliver_from(pkt.take().unwrap(), true);
+            let pkt = pkt.take().unwrap();
+            table.deliver_frame(&pkt.rpc, pkt.data(), Some(&*entry));
             Polled::Datagram
         });
         assert!(matches!(waited, Wait::Complete(_)));
@@ -384,7 +385,7 @@ mod tests {
 
     #[test]
     fn a_spent_budget_hands_the_role_to_the_resident() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let role = ReceiveRole::new(table.parked_counter());
         role.holder.store(FREE, Ordering::SeqCst);
         let entry = table.register(activity(), 1);
@@ -399,7 +400,7 @@ mod tests {
     fn other_waiters_traffic_does_not_keep_a_caller_past_its_deadline() {
         // Its own packet was lost; every receive brings a datagram for
         // somebody else, so the budget of empty polls is never spent.
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let role = ReceiveRole::new(table.parked_counter());
         role.holder.store(FREE, Ordering::SeqCst);
         let entry = table.register(activity(), 1);
@@ -421,7 +422,7 @@ mod tests {
 
     #[test]
     fn the_resident_waiting_on_an_entry_of_its_own_receives_for_it() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let pool = BufferPool::new(1);
         let role = ReceiveRole::new(table.parked_counter());
         role.adopt_resident();
@@ -434,7 +435,8 @@ mod tests {
             if polls < 100 {
                 return Polled::Empty;
             }
-            table.deliver_from(pkt.take().unwrap(), true);
+            let pkt = pkt.take().unwrap();
+            table.deliver_frame(&pkt.rpc, pkt.data(), Some(&*entry));
             Polled::Datagram
         });
         assert!(matches!(waited, Wait::Complete(_)));
@@ -450,7 +452,7 @@ mod tests {
 
     #[test]
     fn a_delivery_takes_the_waiter_out_of_the_parked_count_at_once() {
-        let table = CallTable::new();
+        let table = ShardedCallTable::new(1);
         let pool = BufferPool::new(1);
         let role = ReceiveRole::new(table.parked_counter());
         let entry = table.register(activity(), 1);
@@ -465,7 +467,7 @@ mod tests {
 
     #[test]
     fn the_ceded_resident_returns_when_idle_and_ends_on_shutdown() {
-        let role = ReceiveRole::new(CallTable::new().parked_counter());
+        let role = ReceiveRole::new(ShardedCallTable::new(1).parked_counter());
         // Idle: free and unused for a whole tick.
         let started = Instant::now();
         assert!(role.cede());

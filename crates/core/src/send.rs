@@ -8,7 +8,6 @@ use crate::stats::RpcStats;
 use crate::trace::Tracer;
 use crate::transport::Transport;
 use crate::Result;
-use firefly_pool::ShardedPool;
 use firefly_sync::Mutex;
 use firefly_wire::{FrameBuilder, MacAddr, PacketType, RpcHeader, DATA_OFFSET};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
@@ -115,7 +114,6 @@ struct Combined {
 /// Everything needed to build and send frames from one endpoint.
 pub(crate) struct SendCtx {
     pub transport: Arc<dyn Transport>,
-    pub pool: ShardedPool,
     pub stats: Arc<RpcStats>,
     /// Per-call step tracer (the live latency account); rides here so
     /// both the caller path and the server path reach it through the
@@ -140,7 +138,6 @@ pub(crate) struct SendCtx {
 impl SendCtx {
     pub fn new(
         transport: Arc<dyn Transport>,
-        pool: ShardedPool,
         stats: Arc<RpcStats>,
         trace_capacity: usize,
     ) -> SendCtx {
@@ -149,7 +146,6 @@ impl SendCtx {
             src_mac: mac_for(&addr),
             src_ip: ipv4_of(&addr),
             transport,
-            pool,
             stats,
             tracer: Tracer::new(trace_capacity),
             witness: crate::witness::ProtocolWitness::default(),
@@ -271,16 +267,10 @@ impl SendCtx {
             .call_failed(hdr.flags.call_failed)
     }
 
-    /// Builds and sends a small frame (header-only or short data).
-    pub fn send_built(&self, builder: &FrameBuilder, data: &[u8], dst: SocketAddr) -> Result<()> {
-        let frame = builder.build(data)?;
-        self.transport.send(frame.bytes(), dst)?;
-        Ok(())
-    }
-
-    /// Sends an explicit acknowledgement described by `ack`.
-    pub fn send_ack(&self, ack: &RpcHeader, dst: SocketAddr) -> Result<()> {
-        self.send_built(&self.builder_from(ack, dst), &[], dst)?;
+    /// Queues on `out` an explicit acknowledgement described by `ack`,
+    /// to go to the transport with the rest of the batch.
+    pub fn encode_ack(&self, out: &mut Batch, ack: &RpcHeader, dst: SocketAddr) -> Result<()> {
+        out.encode(&self.builder_from(ack, dst), &[], dst)?;
         RpcStats::bump(&self.stats.acks_sent);
         Ok(())
     }
@@ -302,7 +292,6 @@ mod tests {
     #[test]
     fn builder_from_copies_every_header_field() {
         use firefly_wire::{ActivityId, Frame, PacketFlags, PacketType, RpcHeader};
-        let pool = ShardedPool::new(1, 1);
         let stats = Arc::new(RpcStats::default());
         let a: SocketAddr = "127.0.0.1:9".parse().unwrap();
         // A loopback-ish transport stub is unnecessary: build the frame
@@ -320,7 +309,7 @@ mod tests {
             }
             fn shutdown(&self) {}
         }
-        let ctx = SendCtx::new(Arc::new(Nop(a)), pool, stats, 8);
+        let ctx = SendCtx::new(Arc::new(Nop(a)), stats, 8);
         let hdr = RpcHeader {
             packet_type: PacketType::Result,
             flags: PacketFlags {

@@ -8,8 +8,12 @@
 //! thread that may run it. Every call frame comes validated where it
 //! landed in the receiving thread's datagram. A single-packet call
 //! (`handle_call`) is read there by the receiving thread when it runs
-//! the call itself, and copied into a pool buffer only when it goes to a
-//! server thread. The fragments of a multi-packet call come as a run
+//! the call itself. One bound for a server thread must outlive the
+//! datagram: it is copied into a buffer of the server's one pool, taken
+//! before its activity is touched — or, when none is free, shed like a
+//! lost packet (`calls_shed`) for the caller's retransmission to
+//! recover. The receiving thread never waits for a buffer, and the pool
+//! carries nothing else. The fragments of a multi-packet call come as a run
 //! (`handle_call_fragments`): the activity is found, locked and marked
 //! used (a clock read) once for the run, and each fragment's data is
 //! copied straight from the datagram into the call's reassembly — no
@@ -66,8 +70,8 @@ use crate::trace::{Stamp, TraceRecord};
 use crate::witness::{Action, State};
 use crate::{Result, RpcError};
 use firefly_idl::{CompiledStub, Written};
-use firefly_pool::PacketBuf;
-use firefly_sync::{Mutex, MutexGuard, RwLock};
+use firefly_pool::BufferPool;
+use firefly_sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use firefly_wire::{
     ActivityId, FrameBuilder, FrameView, PacketType, RpcHeader, DATA_OFFSET, MAX_FRAME_LEN,
     MAX_SINGLE_PACKET_DATA,
@@ -175,24 +179,6 @@ fn activity_key(id: ActivityId) -> u64 {
     u64::from(id.machine) << 32 | u64::from(id.space) << 16 | u64::from(id.thread)
 }
 
-/// A fresh call as the receiving thread holds it.
-enum Landed<'d> {
-    /// A single-packet call, validated where it landed: its frame and
-    /// the data region in it.
-    Frame { frame: &'d [u8], data: &'d [u8] },
-    /// A multi-packet call, reassembled.
-    Body(Vec<u8>),
-}
-
-impl Landed<'_> {
-    fn data(&self) -> &[u8] {
-        match self {
-            Landed::Frame { data, .. } => data,
-            Landed::Body(data) => data,
-        }
-    }
-}
-
 /// Where a call packet stands against its activity's slot — one
 /// decision for single packets and fragments alike.
 enum Seen {
@@ -275,6 +261,12 @@ struct Work {
     queued_at: u64,
 }
 
+/// Size of the server's packet-buffer pool. It holds nothing but the
+/// single-packet calls handed to server threads, each copied out of the
+/// datagram it landed in: callers, results and calls the receiving
+/// thread runs itself take no pool buffer.
+pub(crate) const POOL_SIZE: usize = 64;
+
 /// What the endpoint exports, and who may call it: read once per call.
 #[derive(Default)]
 struct Exports {
@@ -292,6 +284,9 @@ pub(crate) struct ServerSide {
     /// What handing a call to a worker costs here, in ns (enqueue to
     /// pick-up), 0 while unmeasured; see [`note_handoff`].
     handoff_ns: AtomicU64,
+    /// The buffers single-packet calls bound for a worker are copied
+    /// into.
+    pool: BufferPool,
     ctx: Arc<SendCtx>,
 }
 
@@ -303,6 +298,7 @@ impl ServerSide {
             activities: Mutex::default(),
             queues: WorkQueues::new(workers),
             handoff_ns: AtomicU64::new(0),
+            pool: BufferPool::new(POOL_SIZE),
             ctx,
         })
     }
@@ -321,6 +317,11 @@ impl ServerSide {
                     .spawn(move || me.worker_loop(i))
             })
             .collect()
+    }
+
+    /// The pool calls handed to server threads are copied into.
+    pub fn pool(&self) -> &BufferPool {
+        &self.pool
     }
 
     /// Stops all workers once their queued work is drained.
@@ -467,11 +468,12 @@ impl ServerSide {
     /// `out` is the receiving thread's own batch, for what it sends;
     /// `inline` says whether that thread may run service code (the
     /// resident receiver may, a caller thread holding the receive role
-    /// may not). A call that goes to a server thread is copied into a
-    /// pool buffer: a thread that may not run service code takes one
-    /// first, and the call is dropped, like a lost packet, when none is
-    /// free (false); the resident takes one only when it hands the call
-    /// over, and waits for one.
+    /// may not). Who runs the call is decided first, with the exports
+    /// read once. A call bound for a server thread then takes the pool
+    /// buffer it is copied into, before its activity is touched. When
+    /// none is free, a call already seen is answered as usual — its
+    /// answer needs no buffer — and a new one is shed, like a lost
+    /// packet: it leaves no trace but `calls_shed`.
     pub(crate) fn handle_call(
         &self,
         view: &FrameView<'_>,
@@ -479,58 +481,52 @@ impl ServerSide {
         src: SocketAddr,
         out: &mut Batch,
         inline: bool,
-    ) -> bool {
+    ) {
         // Stamp receipt first, before any protocol work, so the server
         // account starts at the receive boundary (0 with tracing off).
         let received_at = self.ctx.tracer.stamp_if_enabled();
         let rpc = view.rpc;
-        let copy = if inline {
-            None
+        let exports = self.exports.read();
+        let service = exports.services.get(&rpc.interface_uid);
+        let here = inline && service.is_some_and(|entry| self.runs_inline(entry, rpc.procedure));
+        let copy = if here { None } else { self.pool.alloc().ok() };
+        let dry = !here && copy.is_none();
+        let act = if dry {
+            self.find(rpc.activity)
         } else {
-            self.call_copy(rpc.activity)
+            Some(self.activity(rpc.activity))
         };
-        if !inline && copy.is_none() {
-            return false;
-        }
-        RpcStats::bump(&self.ctx.stats.calls_received);
-        let act = self.activity(rpc.activity);
+        let Some(act) = act else {
+            RpcStats::bump(&self.ctx.stats.calls_shed);
+            return;
+        };
         let mut st = act.state.lock();
-        st.last_used = Instant::now();
         match seen(&st, &rpc) {
+            Seen::New if dry => {
+                RpcStats::bump(&self.ctx.stats.calls_shed);
+                return;
+            }
             Seen::New => {}
             old => {
+                drop(exports);
+                RpcStats::bump(&self.ctx.stats.calls_received);
+                st.last_used = Instant::now();
                 self.answer_old(st, old, &rpc, src, out);
-                return true;
+                return;
             }
         }
-        let frame_out = self.begin_call(&mut st, rpc.call_seq);
+        RpcStats::bump(&self.ctx.stats.calls_received);
+        st.last_used = Instant::now();
+        let result = self.begin_call(&mut st, rpc.call_seq);
         drop(st);
-        let landed = Landed::Frame {
-            frame,
-            data: view.data,
-        };
-        self.run_call(&rpc, landed, src, act, frame_out, received_at, out, inline, copy);
-        true
-    }
-
-    /// The pool buffer a call of `activity` handed to a server thread is
-    /// copied into: from the activity's shard ([`shard_for`]), or the next
-    /// one with a buffer free; `None` when every shard is dry.
-    fn call_copy(&self, activity: ActivityId) -> Option<PacketBuf> {
-        let pool = &self.ctx.pool;
-        let home = shard_for(activity, pool.shard_count());
-        pool.alloc_from(home).ok()
-    }
-
-    /// [`ServerSide::call_copy`] for the resident receiver, which waits
-    /// for a buffer. The pool holds nothing but call copies, so the wait
-    /// ends when a server thread is done with one.
-    fn wait_for_copy(&self, activity: ActivityId) -> PacketBuf {
-        let pool = &self.ctx.pool;
-        let home = shard_for(activity, pool.shard_count());
-        loop {
-            if let Ok(buf) = pool.alloc_timeout_from(home, Duration::from_millis(100)) {
-                return buf;
+        self.ctx.witness.record(State::ServerNew, &rpc, Action::Dispatch);
+        match copy {
+            None => self.run_here(exports, &rpc, view.data, src, &act, result, received_at, out),
+            Some(mut buf) => {
+                drop(exports);
+                buf.fill_from(frame);
+                let call = Assembled::Single(Packet::validated(buf, rpc, view.data.len()));
+                self.enqueue(call, src, act, result, received_at);
             }
         }
     }
@@ -542,10 +538,10 @@ impl ServerSide {
     /// The activity is found, locked and marked used (a clock read) once
     /// for the run, and each fragment is decided and taken in turn, its data
     /// copied from the datagram straight into the call's reassembly. The
-    /// guard is given up only for what hits the wire (an ack, a
-    /// duplicate's answer) or runs the completed call, and taken again
-    /// for the next fragment, so every fragment sees and does exactly
-    /// what it would alone. `out` and `inline` as for
+    /// guard is given up only for a duplicate's answer or to run the
+    /// completed call, and taken again for the next fragment, so every
+    /// fragment sees and does exactly what it would alone. An ack a
+    /// fragment asks for is queued on `out`. `out` and `inline` as for
     /// [`ServerSide::handle_call`].
     pub(crate) fn handle_call_fragments(
         &self,
@@ -595,33 +591,40 @@ impl ServerSide {
                 continue;
             }
             RpcStats::bump(&stats.fragments_received);
-            // Only a fragment that asks is acked — after the activity
-            // guard drops, since the ack hits the wire — with the prefix
-            // held, if there is one. The Result acks a whole call.
+            // Only a fragment that asks is acked — on `out`, to go with
+            // the receiving thread's batch — with the prefix held, if
+            // there is one. The Result acks a whole call.
             let ack = crate::fragment::prefix_ack(&rpc, reass).filter(|_| rpc.flags.please_ack);
             let Accepted::Complete(data) = accepted else {
-                if let Some(ack) = ack {
-                    drop(st);
-                    witness.record(State::ServerNew, &rpc, Action::AssembleAck);
-                    let _ = self.ctx.send_ack(&ack, src);
-                } else {
-                    witness.record(State::ServerNew, &rpc, Action::Assemble);
-                    held = Some(st);
+                match ack {
+                    Some(ack) => {
+                        witness.record(State::ServerNew, &rpc, Action::AssembleAck);
+                        let _ = self.ctx.encode_ack(out, &ack, src);
+                    }
+                    None => witness.record(State::ServerNew, &rpc, Action::Assemble),
                 }
+                held = Some(st);
                 continue;
             };
             st.reassembly = None;
-            let frame = self.begin_call(&mut st, rpc.call_seq);
+            let result = self.begin_call(&mut st, rpc.call_seq);
             drop(st);
-            let act = Arc::clone(&act);
-            let body = Landed::Body(data);
-            self.run_call(&rpc, body, src, act, frame, received_at, out, inline, None);
+            witness.record(State::ServerNew, &rpc, Action::Dispatch);
+            let exports = self.exports.read();
+            let service = exports.services.get(&rpc.interface_uid);
+            if inline && service.is_some_and(|entry| self.runs_inline(entry, rpc.procedure)) {
+                self.run_here(exports, &rpc, &data, src, &act, result, received_at, out);
+            } else {
+                drop(exports);
+                let call = Assembled::Owned { rpc, data };
+                self.enqueue(call, src, Arc::clone(&act), result, received_at);
+            }
         }
     }
 
-    /// Answers a call packet of a round already seen, releasing the
-    /// activity guard first if it sends: a stale one is dropped; a
-    /// duplicate of the current call gets the retained result again, an
+    /// Answers a call packet of a round already seen, on `out`: a stale
+    /// one is dropped; a duplicate of the current call gets the retained
+    /// result again (sent at once, with the activity guard released), an
     /// ack that the call is executing, or nothing.
     fn answer_old(
         &self,
@@ -658,7 +661,7 @@ impl ServerSide {
                 fragment: rpc.fragment_count.saturating_sub(1),
                 ..RpcHeader::ack_for(rpc)
             };
-            let _ = self.ctx.send_ack(&whole, src);
+            let _ = self.ctx.encode_ack(out, &whole, src);
         } else {
             // Dropped without answer: still executing (no ack asked),
             // or the result was already delivered and released.
@@ -671,53 +674,25 @@ impl ServerSide {
         }
     }
 
-    /// Gets a fresh call executed by the cheapest thread that may run
-    /// it, with the activity's result `frame`: the receiving thread
-    /// itself when it may run service code (`inline`) and the procedure
-    /// is measured short, else the worker owning the activity's shard,
-    /// with the call copied into a pool buffer — `copy`, if the receiving
-    /// thread took one — if it is still where it landed.
+    /// Executes a fresh call on the receiving thread, which has found
+    /// it may, under the `exports` it decided by: the call reached its
+    /// executing thread without queueing.
     #[allow(clippy::too_many_arguments)]
-    fn run_call(
+    fn run_here(
         &self,
+        exports: RwLockReadGuard<'_, Exports>,
         rpc: &RpcHeader,
-        landed: Landed<'_>,
+        data: &[u8],
         src: SocketAddr,
-        act: Arc<Activity>,
-        mut frame: Box<[u8]>,
+        act: &Activity,
+        frame: Box<[u8]>,
         received_at: u64,
         out: &mut Batch,
-        inline: bool,
-        copy: Option<PacketBuf>,
     ) {
-        self.ctx.witness.record(State::ServerNew, rpc, Action::Dispatch);
-        if inline {
-            let exports = self.exports.read();
-            let service = exports.services.get(&rpc.interface_uid);
-            if service.is_some_and(|entry| self.runs_inline(entry, rpc.procedure)) {
-                // Reached its executing thread without queueing.
-                RpcStats::bump(&self.ctx.stats.direct_wakeups);
-                RpcStats::bump(&self.ctx.stats.inline_calls);
-                let mut span = self.ctx.tracer.server_span(rpc.procedure, received_at);
-                let data = landed.data();
-                let outcome =
-                    self.execute(&exports, service, rpc, data, src, &mut frame, &mut span, out);
-                drop(exports);
-                self.finish(rpc, src, &act, span, outcome, frame, out);
-                return;
-            }
-        }
-        let call = match landed {
-            Landed::Body(data) => Assembled::Owned { rpc: *rpc, data },
-            Landed::Frame { frame: bytes, data } => {
-                // Only the resident hands a call over without a buffer in
-                // hand, and it waits for one.
-                let mut buf = copy.unwrap_or_else(|| self.wait_for_copy(rpc.activity));
-                buf.fill_from(bytes);
-                Assembled::Single(Packet::validated(buf, *rpc, data.len()))
-            }
-        };
-        self.enqueue(call, src, act, frame, received_at);
+        RpcStats::bump(&self.ctx.stats.direct_wakeups);
+        RpcStats::bump(&self.ctx.stats.inline_calls);
+        let span = self.ctx.tracer.server_span(rpc.procedure, received_at);
+        self.run(exports, rpc, data, src, act, frame, span, out);
     }
 
     /// Marks a new call in progress and takes the previous retained
@@ -795,7 +770,7 @@ impl ServerSide {
                 Some(None) => record(State::ServerAssembling, Action::DropSilent),
                 Some(Some(ack)) => {
                     record(State::ServerAssembling, Action::AckPrefix);
-                    let _ = self.ctx.send_ack(&ack, src);
+                    let _ = self.ctx.encode_ack(out, &ack, src);
                 }
                 None => record(State::ServerUnknown, Action::DropSilent),
             }
@@ -818,9 +793,7 @@ impl ServerSide {
                 data_len: 0,
                 ..*rpc
             };
-            let _ = self
-                .ctx
-                .send_built(&self.ctx.builder_from(&response, src), &[], src);
+            let _ = out.encode(&self.ctx.builder_from(&response, src), &[], src);
             RpcStats::bump(&self.ctx.stats.probes_answered);
         } else {
             // Result delivered and released: stay silent (the caller's
@@ -946,18 +919,33 @@ impl ServerSide {
     /// queue its result on the thread's batch `out`.
     fn dispatch(&self, work: Work, out: &mut Batch) {
         let Work {
-            call, src, act, mut frame, received_at, ..
+            call, src, act, frame, received_at, ..
         } = work;
         let rpc = call.rpc();
         // The server half of the latency account: `Received` carries the
         // receive stamp, `Dispatched` is stamped here — the queue wait.
-        let mut span = self.ctx.tracer.server_span(rpc.procedure, received_at);
-        let exports = self.exports.read();
+        let span = self.ctx.tracer.server_span(rpc.procedure, received_at);
+        self.run(self.exports.read(), rpc, call.data(), src, &act, frame, span, out);
+    }
+
+    /// Executes a call under `exports` and finishes it, with the guard
+    /// released before the result goes out.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &self,
+        exports: RwLockReadGuard<'_, Exports>,
+        rpc: &RpcHeader,
+        data: &[u8],
+        src: SocketAddr,
+        act: &Activity,
+        mut frame: Box<[u8]>,
+        mut span: crate::trace::Span<'_>,
+        out: &mut Batch,
+    ) {
         let service = exports.services.get(&rpc.interface_uid);
-        let data = call.data();
         let outcome = self.execute(&exports, service, rpc, data, src, &mut frame, &mut span, out);
         drop(exports);
-        self.finish(rpc, src, &act, span, outcome, frame, out);
+        self.finish(rpc, src, act, span, outcome, frame, out);
     }
 
     /// Ends a call's execution: closes its trace record, retains what
@@ -1119,22 +1107,21 @@ impl ServerSide {
 mod tests {
     use super::*;
     use crate::transport::LoopbackNet;
-    use firefly_pool::ShardedPool;
     use std::collections::HashSet;
     use std::hash::BuildHasher;
 
     fn server() -> Arc<ServerSide> {
         let station = LoopbackNet::new().station(1);
         let stats = Arc::new(RpcStats::default());
-        let ctx = SendCtx::new(station, ShardedPool::new(1, 1), stats, 0);
+        let ctx = SendCtx::new(station, stats, 0);
         ServerSide::new(Arc::new(ctx), 1)
     }
 
     #[test]
     fn a_call_dropped_for_want_of_a_buffer_is_not_received() {
         let server = server();
-        // The pool's one buffer is out.
-        let _held = server.ctx.pool.alloc_from(0).unwrap();
+        // Every pool buffer is out.
+        let _held: Vec<_> = (0..POOL_SIZE).map(|_| server.pool.alloc().unwrap()).collect();
         let frame = firefly_wire::FrameBuilder::new(PacketType::Call)
             .activity(ActivityId::new(5, 1, 2))
             .call_seq(1)
@@ -1144,9 +1131,59 @@ mod tests {
         let view = FrameView::parse(&frame).unwrap();
         let src = "10.0.0.2:3072".parse().unwrap();
         let mut out = Batch::default();
-        assert!(!server.handle_call(&view, &frame, src, &mut out, false));
-        assert_eq!(server.ctx.stats.calls_received(), 0);
-        assert_eq!(server.activity_count(), 0, "the dropped call made an activity");
+        // A caller thread holding the receive role, then the resident:
+        // the procedure is unmeasured, so either hands it to a worker.
+        for (shed, inline) in [(1, false), (2, true)] {
+            server.handle_call(&view, &frame, src, &mut out, inline);
+            assert_eq!(server.ctx.stats.calls_shed(), shed);
+            assert_eq!(server.ctx.stats.calls_received(), 0);
+            assert_eq!(server.activity_count(), 0, "the shed call made an activity");
+            assert!(out.is_empty(), "the shed call was answered");
+        }
+    }
+
+    #[test]
+    fn a_dry_pool_still_answers_a_call_already_seen() {
+        let server = server();
+        let call = |seq| {
+            firefly_wire::FrameBuilder::new(PacketType::Call)
+                .activity(ActivityId::new(5, 1, 2))
+                .call_seq(seq)
+                .please_ack(true)
+                .build(&[])
+                .unwrap()
+                .into_bytes()
+        };
+        let frame = call(1);
+        let view = FrameView::parse(&frame).unwrap();
+        let src = "10.0.0.2:3072".parse().unwrap();
+        let mut out = Batch::default();
+        // Queued for a worker, with one buffer; then every other is out.
+        server.handle_call(&view, &frame, src, &mut out, true);
+        let _held: Vec<_> = std::iter::from_fn(|| server.pool.alloc().ok()).collect();
+        let stats = &server.ctx.stats;
+        // A retransmission while it waits is acked as executing.
+        server.handle_call(&view, &frame, src, &mut out, true);
+        assert_eq!(out.len(), 1, "the executing call's duplicate was not acked");
+        assert_eq!(stats.duplicate_calls(), 1);
+        // Run it (a failure: nothing is exported), then the buffer it
+        // held is out too.
+        let work = server.queues.pop(0, &mut VecDeque::new()).unwrap();
+        let mut sent = Batch::default();
+        server.dispatch(work, &mut sent);
+        assert!(!sent.is_empty(), "the call left no result");
+        let _last = server.pool.alloc().unwrap();
+        // A retransmission now gets the retained result again.
+        server.handle_call(&view, &frame, src, &mut out, true);
+        assert_eq!(stats.duplicate_calls(), 2);
+        assert_eq!(stats.retransmissions(), 1, "the retained result was not resent");
+        // A new call of the activity is shed, and leaves it as it was.
+        let next = call(2);
+        server.handle_call(&FrameView::parse(&next).unwrap(), &next, src, &mut out, true);
+        assert_eq!(stats.calls_shed(), 1);
+        assert_eq!(stats.calls_received(), 3);
+        server.handle_call(&view, &frame, src, &mut out, true);
+        assert_eq!(stats.retransmissions(), 2, "the shed call moved the activity on");
     }
 
     #[test]

@@ -49,10 +49,16 @@ counters! {
     retransmissions,
     /// Result packets received that completed a waiting call.
     results_received,
-    /// Call packets received by the server side. A call a receiving
-    /// caller thread finds no pool buffer for is not one of them: it
-    /// counts in `validation_drops`.
+    /// Call packets received by the server side. A shed call is not one
+    /// of them: it counts in `calls_shed`.
     calls_received,
+    /// New single-packet calls bound for a server thread that found no
+    /// pool buffer to be copied into, and were dropped like a lost packet
+    /// — leaving their activity as it was — for the caller's
+    /// retransmission to recover. A duplicate of a call already seen
+    /// needs no buffer and is answered as usual. The receiving thread
+    /// never waits for a buffer.
+    calls_shed,
     /// Duplicate call packets answered from the retained result.
     duplicate_calls,
     /// Duplicate or orphaned result packets dropped.
@@ -64,8 +70,7 @@ counters! {
     /// Probe packets answered.
     probes_answered,
     /// Frames dropped because validation failed (bad checksum, bad
-    /// header), and the rest of a coalesced datagram a receiving caller
-    /// thread found no buffer for (it never waits for one).
+    /// header).
     validation_drops,
     /// Frames dropped because the packet-type byte is not a known type.
     /// Split from `validation_drops` so the chaos garbage-frame mix can

@@ -191,26 +191,23 @@ fn sharded_dispatch_survives_fault_mix_exactly_once() {
 
         assert_conserved(&[&server, &caller]);
 
-        // Shutdown leak check, per shard: keep a pool handle, tear the
-        // endpoints down (shutdown joins the demux and every worker),
-        // and verify each shard's outstanding count returns to zero.
+        // Shutdown leak check: keep a pool handle, tear the endpoints
+        // down (shutdown joins the demux and every worker), and verify
+        // the pool's outstanding count returns to zero.
         let server_pool = server.pool().clone();
         let caller_pool = caller.pool().clone();
         drop(client);
         drop(caller);
         drop(server);
         for (side, pool) in [("server", &server_pool), ("caller", &caller_pool)] {
-            for shard in 0..pool.shard_count() {
-                let outstanding = pool.shard(shard).stats().outstanding();
-                prop_assert_eq!(
-                    outstanding,
-                    0,
-                    "{} pool shard {} leaked {} buffer(s) at shutdown",
-                    side,
-                    shard,
-                    outstanding
-                );
-            }
+            let outstanding = pool.stats().outstanding();
+            prop_assert_eq!(
+                outstanding,
+                0,
+                "{} pool leaked {} buffer(s) at shutdown",
+                side,
+                outstanding
+            );
         }
         Ok(())
     });

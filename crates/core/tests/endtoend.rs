@@ -9,6 +9,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+#[path = "support/conservation.rs"]
+mod conservation;
+use conservation::assert_conserved;
+
 /// Builds the paper's Test service: Null, MaxResult, MaxArg.
 fn test_service() -> Arc<dyn firefly_rpc::Service> {
     ServiceBuilder::new(test_interface())
@@ -1004,6 +1008,52 @@ fn a_forged_element_count_fails_its_call_and_nothing_else() {
     // The demux thread holds one receive buffer while it blocks.
     assert!(server.pool().stats().outstanding() <= 1, "server leaks buffers");
     assert!(caller.pool().stats().outstanding() <= 1, "caller leaks buffers");
+}
+
+#[test]
+fn a_dry_pool_sheds_a_worker_call_and_the_resident_keeps_hearing() {
+    // With every server pool buffer held, a call bound for a worker (an
+    // unmeasured procedure) has nowhere to be copied. It is shed like a
+    // lost packet, and the resident receiver goes on hearing: a measured
+    // Null from another client is run at once. Once the buffers are
+    // back, the shed call's retransmission gets through. The body runs
+    // on its own thread so that a deaf resident fails this test instead
+    // of hanging the suite.
+    let (report, reports) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (_net, server, caller) = loopback_pair(Config::fast_retry());
+        let bind = || caller.bind(&test_interface(), server.address()).unwrap();
+        let (warm, worker_bound, null) = (bind(), bind(), bind());
+        for _ in 0..50 {
+            warm.call("Null", &[]).unwrap();
+        }
+        let stats = server.stats();
+        let mut held = Vec::new();
+        while let Ok(buf) = server.pool().alloc() {
+            held.push(buf);
+        }
+        assert_eq!(held.len(), server.pool().capacity());
+        let received = stats.calls_received();
+        let max_arg = std::thread::spawn(move || {
+            worker_bound.call("MaxArg", &[Value::char_array(1440)])
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while stats.calls_shed() == 0 {
+            assert!(std::time::Instant::now() < deadline, "nothing shed; stats:\n{stats}");
+            std::thread::yield_now();
+        }
+        assert_eq!(stats.calls_received(), received, "a shed call was received");
+        let inline = stats.inline_calls();
+        null.call("Null", &[]).unwrap();
+        assert_eq!(stats.inline_calls(), inline + 1, "stats:\n{stats}");
+        drop(held);
+        max_arg.join().unwrap().unwrap();
+        assert_conserved(&[&server, &caller]);
+        report.send(()).unwrap();
+    });
+    reports
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the resident went deaf, or a call failed");
 }
 
 #[test]
