@@ -15,7 +15,7 @@ use crate::server::ServerSide;
 use crate::service::ServiceBuilder;
 use crate::{Result, RpcError};
 use firefly_idl::{parse_interface, InterfaceDef, Value};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// The binder's own interface definition.
 pub const BINDER_SOURCE: &str = "\
@@ -26,9 +26,11 @@ DEFINITION MODULE Binder;
 END Binder.
 ";
 
-/// Parses [`BINDER_SOURCE`].
-pub fn binder_interface() -> InterfaceDef {
-    parse_interface(BINDER_SOURCE).expect("built-in Binder interface parses")
+/// [`BINDER_SOURCE`], parsed once per process: every endpoint exports
+/// it and every checked bind binds it.
+pub fn binder_interface() -> &'static InterfaceDef {
+    static PARSED: OnceLock<InterfaceDef> = OnceLock::new();
+    PARSED.get_or_init(|| parse_interface(BINDER_SOURCE).expect("built-in Binder interface parses"))
 }
 
 /// Formats an interface UID the way the binder transmits it.
@@ -44,7 +46,7 @@ pub(crate) fn binder_service(server: &Arc<ServerSide>) -> Result<Arc<dyn crate::
     let for_count: Weak<ServerSide> = Arc::downgrade(server);
     let for_lookup = for_count.clone();
     let for_describe = for_count.clone();
-    ServiceBuilder::new(binder_interface())
+    ServiceBuilder::new(binder_interface().clone())
         .on_call("Count", move |_args, w| {
             let server = for_count.upgrade().ok_or(RpcError::Shutdown)?;
             w.next_value(&Value::Integer(server.exported().len() as i32))?;
@@ -80,8 +82,9 @@ mod tests {
     #[test]
     fn binder_interface_is_stable() {
         let a = binder_interface();
-        let b = binder_interface();
+        let b = parse_interface(BINDER_SOURCE).unwrap();
         assert_eq!(a.uid(), b.uid());
+        assert!(std::ptr::eq(a, binder_interface()), "parsed twice");
         assert_eq!(a.procedures().len(), 3);
     }
 

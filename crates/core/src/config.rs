@@ -10,13 +10,16 @@ use std::time::Duration;
 /// prices turning them off); a received zero checksum is still accepted.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Number of server threads kept waiting for incoming calls.
+    /// The most server threads the endpoint starts (at least one).
     ///
-    /// The fast path requires "having enough server threads waiting"
-    /// (§3.1); when all are busy, call packets take the slow path through
-    /// the work queue. Defaults to the machine's available parallelism
-    /// (clamped to [1, 4]): the Firefly ran one Receiver per processor,
-    /// and extra workers on fewer cores only contend for them.
+    /// None runs at first: a call handed off when every server thread
+    /// started is busy starts one more, up to this cap, and those
+    /// started wait for calls until shutdown. The fast path requires
+    /// "having enough server threads waiting" (§3.1); at the cap, with
+    /// all busy, call packets take the slow path through the work queue.
+    /// Defaults to the machine's available parallelism (clamped to
+    /// [1, 4]): the Firefly ran one Receiver per processor, and extra
+    /// workers on fewer cores only contend for them.
     pub server_threads: usize,
     /// First retransmission timeout; doubles on every retry.
     pub retransmit_initial: Duration,
@@ -37,7 +40,7 @@ pub struct Config {
     /// default: the disabled cost is one relaxed atomic load per call.
     pub trace: bool,
     /// Capacity (in records) of the per-endpoint completed-trace ring
-    /// buffer, preallocated at endpoint creation.
+    /// buffer, allocated when tracing is first enabled.
     pub trace_capacity: usize,
 }
 

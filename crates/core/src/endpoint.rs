@@ -72,15 +72,19 @@ fn space_nonce(addr: &SocketAddr) -> u16 {
 }
 
 /// A caller/server endpoint bound to one transport.
+///
+/// It runs one thread from the start, the resident receiver; its server
+/// threads start on demand, when a call is handed off and every one
+/// started is busy, up to `Config::server_threads` (docs/SHARDING.md).
 pub struct Endpoint {
     shared: Arc<EndpointShared>,
     demux: Mutex<Option<JoinHandle<()>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Endpoint {
     /// Creates an endpoint over `transport` and starts its resident
-    /// receiver and server threads.
+    /// receiver. No server thread, pool slab or trace ring slot is made
+    /// before something uses it.
     pub fn new(transport: Arc<dyn Transport>, config: Config) -> Result<Arc<Endpoint>> {
         // lint:allow(no-alloc-on-fast-path): once per endpoint.
         let stats = Arc::new(RpcStats::default());
@@ -95,7 +99,6 @@ impl Endpoint {
         // Every endpoint exports the built-in binder, so callers can
         // verify interfaces before their first real call.
         server.export(crate::binder::binder_service(&server)?)?;
-        let workers = server.spawn_workers()?;
         let calls = ShardedCallTable::new(SHARDS);
         // lint:allow(no-alloc-on-fast-path): once per endpoint.
         let shared = Arc::new(EndpointShared {
@@ -113,7 +116,6 @@ impl Endpoint {
         let endpoint = Arc::new(Endpoint {
             shared: Arc::clone(&shared),
             demux: Mutex::new(None),
-            workers: Mutex::new(workers),
         });
         let demux = {
             let shared = Arc::clone(&shared);
@@ -158,7 +160,7 @@ impl Endpoint {
     /// already occurred".
     pub fn bind_checked(&self, interface: &InterfaceDef, remote: SocketAddr) -> Result<Client> {
         use firefly_idl::Value;
-        let binder = self.bind(&crate::binder::binder_interface(), remote)?;
+        let binder = self.bind(crate::binder::binder_interface(), remote)?;
         let r = binder.call(
             "Describe",
             // lint:allow(no-alloc-on-fast-path): binder handshake runs
@@ -284,20 +286,19 @@ impl Endpoint {
         self.shared.server.handoff_estimate()
     }
 
-    /// Stops the receiver and server threads and unblocks the transport.
+    /// Stops the receiver and every server thread started, and
+    /// unblocks the transport.
     pub fn shutdown(&self) {
         self.shared.ctx.transport.shutdown();
         self.shared.role.shutdown();
+        // Joins the server threads; from here on a call handed off is
+        // shed.
         self.shared.server.shutdown();
-        // Take the handles out under the guards, join after they drop:
+        // Take the handle out under the guard, join after it drops:
         // joining a thread that is itself draining the transport while
-        // holding these mutexes would deadlock against `Drop` callers.
+        // holding this mutex would deadlock against `Drop` callers.
         let demux = self.demux.lock().take();
         if let Some(h) = demux {
-            let _ = h.join();
-        }
-        let workers = std::mem::take(&mut *self.workers.lock());
-        for h in workers {
             let _ = h.join();
         }
     }

@@ -45,7 +45,14 @@
 //! * otherwise a **server thread**: "if the interrupt routine can find a
 //!   server thread … it attaches the buffer containing the call packet
 //!   to the call table entry and awakens the server thread directly"
-//!   (§3.1.3).
+//!   (§3.1.3). Server threads start on demand: a call handed off when
+//!   every thread started is busy starts one more, up to
+//!   `Config::server_threads`, so an endpoint that only calls, or whose
+//!   calls all run on the receiving thread, runs none. Whether a thread
+//!   is there, or can be started, is decided with the pool buffer, before
+//!   the activity is touched; a call that finds none — after shutdown, or
+//!   when the OS refuses a thread and none runs — is shed like one that
+//!   finds the pool dry.
 //!
 //! Either way the executing thread plays `Receiver`: it up-calls the
 //! interface stub, which up-calls the service procedure, marshals the
@@ -78,8 +85,9 @@ use firefly_wire::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The retained result of an activity's last call, kept for
@@ -280,7 +288,17 @@ pub(crate) struct ServerSide {
     activities: Mutex<HashMap<u64, Arc<Activity>>>,
     /// Per-worker receive queues with ascending-index work stealing;
     /// the demux enqueues each call on `shard_for(activity)`'s queue.
+    /// There is one queue per server thread there may be; an idle
+    /// thread steals from the queues of threads not started.
     queues: WorkQueues<Work>,
+    /// The server threads started so far, in start order (thread `i`
+    /// owns queue `i`), joined at shutdown.
+    threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Server threads with no call in hand: looking for one, parked, or
+    /// done executing the last and sending its result.
+    free: AtomicUsize,
+    /// This server side, for the threads it starts to share.
+    me: Weak<ServerSide>,
     /// What handing a call to a worker costs here, in ns (enqueue to
     /// pick-up), 0 while unmeasured; see [`note_handoff`].
     handoff_ns: AtomicU64,
@@ -291,32 +309,62 @@ pub(crate) struct ServerSide {
 }
 
 impl ServerSide {
+    /// A server side that starts up to `workers` server threads (at
+    /// least one), none of them yet.
     pub fn new(ctx: Arc<SendCtx>, workers: usize) -> Arc<ServerSide> {
         // lint:allow(no-alloc-on-fast-path): once per endpoint.
-        Arc::new(ServerSide {
+        Arc::new_cyclic(|me| ServerSide {
             exports: RwLock::default(),
             activities: Mutex::default(),
             queues: WorkQueues::new(workers),
+            threads: Mutex::default(),
+            free: AtomicUsize::new(0),
+            me: Weak::clone(me),
             handoff_ns: AtomicU64::new(0),
             pool: BufferPool::new(POOL_SIZE),
             ctx,
         })
     }
 
-    /// Spawns one server thread per work queue; they wait for calls
-    /// until shutdown. Fails with the underlying I/O error if the OS
-    /// refuses a thread.
-    pub fn spawn_workers(self: &Arc<Self>) -> std::io::Result<Vec<std::thread::JoinHandle<()>>> {
-        (0..self.queues.worker_count())
-            .map(|i| {
-                let me = Arc::clone(self);
-                std::thread::Builder::new()
-                    // lint:allow(no-alloc-on-fast-path): one-time worker
-                    // naming at endpoint startup, not the per-call path.
-                    .name(format!("firefly-server-{i}"))
-                    .spawn(move || me.worker_loop(i))
-            })
-            .collect()
+    /// Whether a call handed off now will be taken by a server thread:
+    /// one is free; or every one started is busy and one more is started
+    /// for it here, below the cap; or, at the cap, a busy one will get to
+    /// it. False after shutdown, and when no thread runs and the OS
+    /// refuses one. Decided before the call's activity is touched.
+    fn worker_ready(&self) -> bool {
+        if self.queues.is_down() {
+            return false;
+        }
+        if self.free.load(Ordering::Relaxed) > 0 {
+            return true;
+        }
+        let mut threads = self.threads.lock();
+        // Read again under the lock, which `shutdown` takes after setting
+        // it: a thread is started only if `shutdown` will find it.
+        if self.queues.is_down() {
+            return false;
+        }
+        let started = threads.len();
+        if started < self.queues.worker_count() {
+            if let Some(thread) = self.start_worker(started) {
+                threads.push(thread);
+                RpcStats::bump(&self.ctx.stats.workers_started);
+                return true;
+            }
+        }
+        started > 0
+    }
+
+    /// Starts server thread `i`, which serves queue `i` first; `None`
+    /// when the OS refuses a thread.
+    fn start_worker(&self, i: usize) -> Option<JoinHandle<()>> {
+        let me = self.me.upgrade()?;
+        std::thread::Builder::new()
+            // lint:allow(no-alloc-on-fast-path): once per server thread,
+            // at most `Config::server_threads` per endpoint.
+            .name(format!("firefly-server-{i}"))
+            .spawn(move || me.worker_loop(i))
+            .ok()
     }
 
     /// The pool calls handed to server threads are copied into.
@@ -324,9 +372,16 @@ impl ServerSide {
         &self.pool
     }
 
-    /// Stops all workers once their queued work is drained.
+    /// Stops the server threads once their queued work is drained, and
+    /// joins every one started — one started while this runs included.
     pub fn shutdown(&self) {
         self.queues.shutdown();
+        // Taken out under the guard, joined after it drops: a receiving
+        // thread deciding a hand-off meanwhile must not wait on a join.
+        let threads = std::mem::take(&mut *self.threads.lock());
+        for thread in threads {
+            let _ = thread.join();
+        }
     }
 
     /// Looks up an exported service by interface UID.
@@ -470,10 +525,11 @@ impl ServerSide {
     /// resident receiver may, a caller thread holding the receive role
     /// may not). Who runs the call is decided first, with the exports
     /// read once. A call bound for a server thread then takes the pool
-    /// buffer it is copied into, before its activity is touched. When
-    /// none is free, a call already seen is answered as usual — its
-    /// answer needs no buffer — and a new one is shed, like a lost
-    /// packet: it leaves no trace but `calls_shed`.
+    /// buffer it is copied into and makes sure of a thread to take it
+    /// (starting one if every one started is busy), before its activity
+    /// is touched. When either is missing, a call already seen is
+    /// answered as usual — its answer needs neither — and a new one is
+    /// shed, like a lost packet: it leaves no trace but `calls_shed`.
     pub(crate) fn handle_call(
         &self,
         view: &FrameView<'_>,
@@ -490,6 +546,7 @@ impl ServerSide {
         let service = exports.services.get(&rpc.interface_uid);
         let here = inline && service.is_some_and(|entry| self.runs_inline(entry, rpc.procedure));
         let copy = if here { None } else { self.pool.alloc().ok() };
+        let copy = copy.filter(|_| self.worker_ready());
         let dry = !here && copy.is_none();
         let act = if dry {
             self.find(rpc.activity)
@@ -516,12 +573,17 @@ impl ServerSide {
             }
         }
         RpcStats::bump(&self.ctx.stats.calls_received);
-        st.last_used = Instant::now();
+        // The one clock read of a call run here: when its activity was
+        // last used, and where its service-time sample starts.
+        let now = Instant::now();
+        st.last_used = now;
         let result = self.begin_call(&mut st, rpc.call_seq);
         drop(st);
         self.ctx.witness.record(State::ServerNew, &rpc, Action::Dispatch);
         match copy {
-            None => self.run_here(exports, &rpc, view.data, src, &act, result, received_at, out),
+            None => {
+                self.run_here(exports, &rpc, view.data, src, &act, result, received_at, now, out);
+            }
             Some(mut buf) => {
                 drop(exports);
                 buf.fill_from(frame);
@@ -542,7 +604,10 @@ impl ServerSide {
     /// completed call, and taken again for the next fragment, so every
     /// fragment sees and does exactly what it would alone. An ack a
     /// fragment asks for is queued on `out`. `out` and `inline` as for
-    /// [`ServerSide::handle_call`].
+    /// [`ServerSide::handle_call`]: who runs the call the run may
+    /// complete is decided first, and a run bound for a server thread
+    /// when none is there or can be started is shed whole, before its
+    /// activity is touched.
     pub(crate) fn handle_call_fragments(
         &self,
         run: &[Fragment<'_>],
@@ -555,6 +620,15 @@ impl ServerSide {
         };
         let stats = &self.ctx.stats;
         let witness = &self.ctx.witness;
+        let here = inline && {
+            let exports = self.exports.read();
+            let service = exports.services.get(&first.rpc.interface_uid);
+            service.is_some_and(|entry| self.runs_inline(entry, first.rpc.procedure))
+        };
+        if !here && !self.worker_ready() {
+            stats.calls_shed.fetch_add(run.len() as u64, Ordering::Relaxed);
+            return;
+        }
         let act = self.activity(first.rpc.activity);
         let mut st = act.state.lock();
         st.last_used = Instant::now();
@@ -610,12 +684,10 @@ impl ServerSide {
             let result = self.begin_call(&mut st, rpc.call_seq);
             drop(st);
             witness.record(State::ServerNew, &rpc, Action::Dispatch);
-            let exports = self.exports.read();
-            let service = exports.services.get(&rpc.interface_uid);
-            if inline && service.is_some_and(|entry| self.runs_inline(entry, rpc.procedure)) {
-                self.run_here(exports, &rpc, &data, src, &act, result, received_at, out);
+            if here {
+                let (exports, now) = (self.exports.read(), Instant::now());
+                self.run_here(exports, &rpc, &data, src, &act, result, received_at, now, out);
             } else {
-                drop(exports);
                 let call = Assembled::Owned { rpc, data };
                 self.enqueue(call, src, Arc::clone(&act), result, received_at);
             }
@@ -676,7 +748,9 @@ impl ServerSide {
 
     /// Executes a fresh call on the receiving thread, which has found
     /// it may, under the `exports` it decided by: the call reached its
-    /// executing thread without queueing.
+    /// executing thread without queueing. `started` is where the call's
+    /// service-time sample starts: for a single packet, the clock read
+    /// that marked its activity used.
     #[allow(clippy::too_many_arguments)]
     fn run_here(
         &self,
@@ -687,12 +761,13 @@ impl ServerSide {
         act: &Activity,
         frame: Box<[u8]>,
         received_at: u64,
+        started: Instant,
         out: &mut Batch,
     ) {
         RpcStats::bump(&self.ctx.stats.direct_wakeups);
         RpcStats::bump(&self.ctx.stats.inline_calls);
         let span = self.ctx.tracer.server_span(rpc.procedure, received_at);
-        self.run(exports, rpc, data, src, act, frame, span, out);
+        self.run(exports, rpc, data, src, act, frame, span, started, false, out);
     }
 
     /// Marks a new call in progress and takes the previous retained
@@ -905,19 +980,34 @@ impl ServerSide {
         let mut local = VecDeque::new();
         // What the call being executed sends, reused from call to call.
         let mut out = Batch::default();
-        while let Some(work) = self.queues.pop(worker, &mut local) {
-            let waited = self.ctx.tracer.now_nanos().saturating_sub(work.queued_at);
-            note_handoff(&self.handoff_ns, waited);
-            self.dispatch(work, &mut out);
+        // Whether this thread counts as free. A thread just started does
+        // not: the call it was started for is waiting for it.
+        let mut free = false;
+        loop {
             // Each call's result goes out when the call ends: nothing
             // waits behind the next item.
             self.transmit(&mut out);
+            let work = self.queues.pop(worker, &mut local);
+            if free {
+                self.free.fetch_sub(1, Ordering::Relaxed);
+            }
+            let Some(work) = work else {
+                return;
+            };
+            let waited = self.ctx.tracer.now_nanos().saturating_sub(work.queued_at);
+            note_handoff(&self.handoff_ns, waited);
+            free = local.is_empty();
+            self.dispatch(work, free, &mut out);
         }
     }
 
     /// The Receiver on a server thread: execute one handed-over call and
-    /// queue its result on the thread's batch `out`.
-    fn dispatch(&self, work: Work, out: &mut Batch) {
+    /// queue its result on the thread's batch `out`. With `then_free`
+    /// (nothing else in hand) the thread counts as free once the call has
+    /// executed, before its result goes out: a caller's next call, which
+    /// that result may prompt at once, then finds it free instead of
+    /// starting another thread.
+    fn dispatch(&self, work: Work, then_free: bool, out: &mut Batch) {
         let Work {
             call, src, act, frame, received_at, ..
         } = work;
@@ -925,11 +1015,16 @@ impl ServerSide {
         // The server half of the latency account: `Received` carries the
         // receive stamp, `Dispatched` is stamped here — the queue wait.
         let span = self.ctx.tracer.server_span(rpc.procedure, received_at);
-        self.run(self.exports.read(), rpc, call.data(), src, &act, frame, span, out);
+        // The service-time sample starts here, past the queue wait.
+        let started = Instant::now();
+        let exports = self.exports.read();
+        self.run(exports, rpc, call.data(), src, &act, frame, span, started, then_free, out);
     }
 
     /// Executes a call under `exports` and finishes it, with the guard
-    /// released before the result goes out.
+    /// released before the result goes out. `started` is where the
+    /// call's service-time sample starts; `then_free` as for
+    /// [`ServerSide::dispatch`].
     #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
@@ -940,11 +1035,18 @@ impl ServerSide {
         act: &Activity,
         mut frame: Box<[u8]>,
         mut span: crate::trace::Span<'_>,
+        started: Instant,
+        then_free: bool,
         out: &mut Batch,
     ) {
+        RpcStats::bump(&self.ctx.stats.calls_executed);
         let service = exports.services.get(&rpc.interface_uid);
-        let outcome = self.execute(&exports, service, rpc, data, src, &mut frame, &mut span, out);
+        let outcome =
+            self.execute(&exports, service, rpc, data, src, started, &mut frame, &mut span, out);
         drop(exports);
+        if then_free {
+            self.free.fetch_add(1, Ordering::Relaxed);
+        }
         self.finish(rpc, src, act, span, outcome, frame, out);
     }
 
@@ -1034,7 +1136,8 @@ impl ServerSide {
     /// the result: a single packet already queued for transmission, or a
     /// [`Transfer`] for [`ServerSide::finish`] to start. `service` is
     /// the call's interface as `exports` has it, looked up once by the
-    /// thread that runs the call.
+    /// thread that runs the call; `started` is where its service-time
+    /// sample starts.
     #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
@@ -1043,11 +1146,11 @@ impl ServerSide {
         rpc: &RpcHeader,
         data: &[u8],
         src: SocketAddr,
+        started: Instant,
         frame: &mut [u8],
         span: &mut crate::trace::Span<'_>,
         out: &mut Batch,
     ) -> Result<Retained> {
-        let started = self.ctx.tracer.now_nanos();
         // The authorization hook runs after duplicate filtering, before
         // any service code (§7's "structural hooks").
         if let Some(gate) = exports.gate.as_ref() {
@@ -1078,8 +1181,7 @@ impl ServerSide {
         let written = writer.finish()?;
         drop(args);
         if let Some(estimate) = entry.service_ns.get(rpc.procedure as usize) {
-            let took = self.ctx.tracer.now_nanos().saturating_sub(started);
-            note_service_time(estimate, took);
+            note_service_time(estimate, started.elapsed().as_nanos() as u64);
         }
         span.stamp(Stamp::StubDone);
 
@@ -1109,12 +1211,46 @@ mod tests {
     use crate::transport::LoopbackNet;
     use std::collections::HashSet;
     use std::hash::BuildHasher;
+    use std::sync::mpsc;
 
     fn server() -> Arc<ServerSide> {
         let station = LoopbackNet::new().station(1);
         let stats = Arc::new(RpcStats::default());
         let ctx = SendCtx::new(station, stats, 0);
         ServerSide::new(Arc::new(ctx), 1)
+    }
+
+    /// A server exporting `Gate.Wait()`, which returns once a message
+    /// comes on the returned sender; and the frame of call `seq` of it
+    /// from one activity, asking for an ack.
+    fn gated_server() -> (Arc<ServerSide>, mpsc::Sender<()>, impl Fn(u32) -> Vec<u8>) {
+        let iface = firefly_idl::parse_interface(
+            "DEFINITION MODULE Gate; PROCEDURE Wait(); END Gate.",
+        )
+        .unwrap();
+        let (open, gate) = mpsc::channel();
+        let gate = Mutex::new(gate);
+        let service = crate::ServiceBuilder::new(iface.clone())
+            .on_call("Wait", move |_args, _w| {
+                let _ = gate.lock().recv();
+                Ok(())
+            })
+            .build()
+            .unwrap();
+        let server = server();
+        server.export(service).unwrap();
+        let call = move |seq| {
+            firefly_wire::FrameBuilder::new(PacketType::Call)
+                .activity(ActivityId::new(5, 1, 2))
+                .call_seq(seq)
+                .interface(iface.uid(), iface.version())
+                .procedure(0)
+                .please_ack(true)
+                .build(&[])
+                .unwrap()
+                .into_bytes()
+        };
+        (server, open, call)
     }
 
     #[test]
@@ -1140,50 +1276,86 @@ mod tests {
             assert_eq!(server.activity_count(), 0, "the shed call made an activity");
             assert!(out.is_empty(), "the shed call was answered");
         }
+        assert_eq!(server.ctx.stats.workers_started(), 0, "a thread started for a shed call");
+    }
+
+    #[test]
+    fn a_call_handed_off_after_shutdown_is_shed() {
+        let server = server();
+        server.shutdown();
+        let src = "10.0.0.2:3072".parse().unwrap();
+        let mut out = Batch::default();
+        let call = |fragment, count| {
+            firefly_wire::FrameBuilder::new(PacketType::Call)
+                .activity(ActivityId::new(5, 1, 2))
+                .call_seq(1)
+                .fragment(fragment, count)
+                .build(&[0; 8])
+                .unwrap()
+                .into_bytes()
+        };
+        // A single packet, then a run of two fragments: with no server
+        // thread to take them, and none to be started, both are shed.
+        let single = call(0, 1);
+        server.handle_call(&FrameView::parse(&single).unwrap(), &single, src, &mut out, true);
+        let frames = [call(0, 2), call(1, 2)];
+        let views: Vec<_> = frames.iter().map(|f| FrameView::parse(f).unwrap()).collect();
+        let run: Vec<_> = views.iter().map(|v| Fragment::of(v).unwrap()).collect();
+        server.handle_call_fragments(&run, src, &mut out, true);
+        let stats = &server.ctx.stats;
+        assert_eq!((stats.calls_shed(), stats.calls_received()), (3, 0));
+        assert_eq!(server.activity_count(), 0, "a shed call made an activity");
+        assert_eq!(stats.workers_started(), 0);
+        assert!(server.queues.is_empty(), "a call was queued for nobody");
+        assert_eq!(server.pool.stats().outstanding(), 0);
+        assert!(out.is_empty(), "a shed call was answered");
     }
 
     #[test]
     fn a_dry_pool_still_answers_a_call_already_seen() {
-        let server = server();
-        let call = |seq| {
-            firefly_wire::FrameBuilder::new(PacketType::Call)
-                .activity(ActivityId::new(5, 1, 2))
-                .call_seq(seq)
-                .please_ack(true)
-                .build(&[])
-                .unwrap()
-                .into_bytes()
-        };
+        let (server, open, call) = gated_server();
         let frame = call(1);
         let view = FrameView::parse(&frame).unwrap();
         let src = "10.0.0.2:3072".parse().unwrap();
         let mut out = Batch::default();
-        // Queued for a worker, with one buffer; then every other is out.
-        server.handle_call(&view, &frame, src, &mut out, true);
-        let _held: Vec<_> = std::iter::from_fn(|| server.pool.alloc().ok()).collect();
+        // Every call comes to a caller thread holding the receive role,
+        // which runs none itself: `Wait` may come to look fast enough for
+        // the resident, and would block it.
+        // Handed to a server thread, started for it, with one buffer,
+        // which it keeps while the procedure waits; then every other
+        // buffer is out.
+        server.handle_call(&view, &frame, src, &mut out, false);
         let stats = &server.ctx.stats;
-        // A retransmission while it waits is acked as executing.
-        server.handle_call(&view, &frame, src, &mut out, true);
+        assert_eq!(stats.workers_started(), 1);
+        let _held: Vec<_> = std::iter::from_fn(|| server.pool.alloc().ok()).collect();
+        // A retransmission while it runs is acked as executing.
+        server.handle_call(&view, &frame, src, &mut out, false);
         assert_eq!(out.len(), 1, "the executing call's duplicate was not acked");
         assert_eq!(stats.duplicate_calls(), 1);
-        // Run it (a failure: nothing is exported), then the buffer it
-        // held is out too.
-        let work = server.queues.pop(0, &mut VecDeque::new()).unwrap();
-        let mut sent = Batch::default();
-        server.dispatch(work, &mut sent);
-        assert!(!sent.is_empty(), "the call left no result");
-        let _last = server.pool.alloc().unwrap();
+        // Let it finish; then the buffer it held is out too.
+        open.send(()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let _last = loop {
+            match server.pool.alloc() {
+                Ok(buf) => break buf,
+                Err(_) => assert!(Instant::now() < deadline, "the call never ended"),
+            }
+            std::thread::yield_now();
+        };
+        assert_eq!(stats.calls_executed(), 1);
         // A retransmission now gets the retained result again.
-        server.handle_call(&view, &frame, src, &mut out, true);
+        server.handle_call(&view, &frame, src, &mut out, false);
         assert_eq!(stats.duplicate_calls(), 2);
         assert_eq!(stats.retransmissions(), 1, "the retained result was not resent");
         // A new call of the activity is shed, and leaves it as it was.
         let next = call(2);
-        server.handle_call(&FrameView::parse(&next).unwrap(), &next, src, &mut out, true);
+        server.handle_call(&FrameView::parse(&next).unwrap(), &next, src, &mut out, false);
         assert_eq!(stats.calls_shed(), 1);
         assert_eq!(stats.calls_received(), 3);
-        server.handle_call(&view, &frame, src, &mut out, true);
+        server.handle_call(&view, &frame, src, &mut out, false);
         assert_eq!(stats.retransmissions(), 2, "the shed call moved the activity on");
+        assert_eq!(stats.workers_started(), 1);
+        server.shutdown();
     }
 
     #[test]

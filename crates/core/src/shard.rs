@@ -63,9 +63,14 @@ impl<T> WorkQueues<T> {
         }
     }
 
-    /// Number of per-worker queues.
+    /// Number of per-worker queues: the most workers there can be.
     pub fn worker_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// Whether [`WorkQueues::shutdown`] was called.
+    pub fn is_down(&self) -> bool {
+        self.down.load(Ordering::Acquire)
     }
 
     /// Enqueues an item on worker `target`'s queue (wrapped), waking a

@@ -53,12 +53,23 @@ counters! {
     /// of them: it counts in `calls_shed`.
     calls_received,
     /// New single-packet calls bound for a server thread that found no
-    /// pool buffer to be copied into, and were dropped like a lost packet
-    /// — leaving their activity as it was — for the caller's
-    /// retransmission to recover. A duplicate of a call already seen
-    /// needs no buffer and is answered as usual. The receiving thread
-    /// never waits for a buffer.
+    /// pool buffer to be copied into, or no server thread to take them
+    /// (after shutdown, or when none runs and the OS refuses one), and
+    /// were dropped like a lost packet — leaving their activity as it
+    /// was — for the caller's retransmission to recover; and the call
+    /// fragments of a run shed whole for want of a server thread. A
+    /// duplicate of a call already seen needs neither and is answered as
+    /// usual. The receiving thread never waits for a buffer or a thread.
     calls_shed,
+    /// Calls the server ran — gate, stub and procedure, on the receiving
+    /// thread or a server thread — once each, whatever the outcome: a
+    /// call refused or failed counts too. Between two endpoints at
+    /// quiescence, `calls_completed ≤ calls_executed ≤ calls_completed +
+    /// calls_failed`.
+    calls_executed,
+    /// Server threads started: each at a hand-off that found every one
+    /// started busy, never more than `Config::server_threads`.
+    workers_started,
     /// Duplicate call packets answered from the retained result.
     duplicate_calls,
     /// Duplicate or orphaned result packets dropped.

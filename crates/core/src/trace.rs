@@ -8,13 +8,15 @@
 //! preallocated slots at the step boundaries of §3.1 — Starter, marshal,
 //! Transporter send, wire wait, unmarshal, Ender on the caller;
 //! demux hand-off, server stub, result send on the server — and completed
-//! records drain into a preallocated ring buffer per endpoint.
+//! records drain into a ring buffer per endpoint, allocated when its
+//! tracing is first enabled.
 //!
 //! Fast-path discipline (enforced by `firefly-lint`, see `lint.toml`):
 //!
 //! * **no allocation** on the write path — the record is a stack-local
-//!   `Copy` struct, the ring slots are preallocated at endpoint creation,
-//!   and a push is a single array-slot overwrite;
+//!   `Copy` struct, the ring slots are allocated once, when tracing is
+//!   first enabled (before any span can record), and a push is a single
+//!   array-slot overwrite;
 //! * **no panics** — stamping and pushing are total functions;
 //! * **no new lock-order classes above the leaves** — the ring mutex
 //!   (`ring`) is the last class in the global order (`calltable → pool →
@@ -40,7 +42,8 @@ use std::time::Instant;
 pub const STAMP_SLOTS: usize = 8;
 
 /// Default ring capacity per endpoint (records, not bytes); at ~80 bytes
-/// per record this is ~80 KiB, preallocated once at endpoint creation.
+/// per record this is ~80 KiB, allocated once, when the endpoint's
+/// tracing is first enabled.
 pub const DEFAULT_RING_CAPACITY: usize = 1024;
 
 /// Which half of the RPC a record describes.
@@ -195,10 +198,14 @@ impl TraceRecord {
     }
 }
 
-/// The preallocated completed-record ring: fixed capacity, overwrites
-/// the oldest record when full (counting what it dropped).
+/// The completed-record ring: fixed capacity, overwrites the oldest
+/// record when full (counting what it dropped). Its slots are allocated
+/// once, by [`Ring::make`], when tracing is first enabled; an untraced
+/// endpoint never pays for them.
 struct Ring {
+    /// The slots: empty until made, then `capacity` long for good.
     records: Vec<TraceRecord>,
+    capacity: usize,
     /// Next slot to write.
     head: usize,
     /// Number of valid records (≤ capacity).
@@ -208,23 +215,34 @@ struct Ring {
 }
 
 impl Ring {
+    /// A ring of `capacity` records whose slots are not made yet.
     fn with_capacity(capacity: usize) -> Ring {
-        // lint:allow(no-alloc-on-fast-path): preallocated once at
-        // endpoint creation (bind time, §3.1); the per-call push below
-        // only overwrites these slots.
-        let mut records = Vec::with_capacity(capacity);
-        for _ in 0..capacity {
-            records.push(TraceRecord::empty());
-        }
         Ring {
-            records,
+            // lint:allow(no-alloc-on-fast-path): an empty Vec allocates
+            // nothing; `make` allocates the slots, once.
+            records: Vec::new(),
+            capacity,
             head: 0,
             len: 0,
             dropped: 0,
         }
     }
 
+    /// Allocates the slots, the first time only: a ring made keeps its
+    /// records, so tracing turned off and on again loses none.
+    fn make(&mut self) {
+        if self.records.len() != self.capacity {
+            // lint:allow(no-alloc-on-fast-path): once per endpoint, when
+            // tracing is first enabled; the per-call push below only
+            // overwrites these slots.
+            self.records = vec![TraceRecord::empty(); self.capacity];
+        }
+    }
+
     fn push(&mut self, rec: TraceRecord) {
+        // A tracer never enabled is pushed to only directly
+        // ([`Tracer::push`]); its ring is made then.
+        self.make();
         let cap = self.records.len();
         if cap == 0 {
             self.dropped += 1;
@@ -264,7 +282,8 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Creates a tracer with a ring of `capacity` records, disabled.
+    /// Creates a tracer with a ring of `capacity` records, disabled; the
+    /// ring's slots are allocated when tracing is first enabled.
     pub fn new(capacity: usize) -> Tracer {
         Tracer {
             enabled: AtomicBool::new(false),
@@ -275,8 +294,13 @@ impl Tracer {
     }
 
     /// Turns tracing on or off. Spans created while disabled are inert;
-    /// flipping the flag never affects protocol behaviour.
+    /// flipping the flag never affects protocol behaviour. The first
+    /// time it is turned on the ring's slots are allocated, before any
+    /// span can record.
     pub fn set_enabled(&self, on: bool) {
+        if on {
+            self.ring.lock().make();
+        }
         self.enabled.store(on, Ordering::Relaxed);
     }
 
@@ -285,9 +309,10 @@ impl Tracer {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Ring capacity in records.
+    /// Ring capacity in records, whether its slots are allocated yet or
+    /// not.
     pub fn capacity(&self) -> usize {
-        self.ring.lock().records.len()
+        self.ring.lock().capacity
     }
 
     /// Labels the ring lock for `firefly-check` with its lint
@@ -681,6 +706,21 @@ mod tests {
         }
         assert!((report.caller.total.mean() - 6.0).abs() < 0.05);
         assert!((report.caller.accounted_mean_us() - 6.0).abs() < 0.05);
+    }
+
+    #[test]
+    fn the_ring_is_allocated_when_tracing_is_first_enabled() {
+        let tracer = Tracer::new(4);
+        assert_eq!(tracer.capacity(), 4);
+        assert!(tracer.ring.lock().records.is_empty(), "allocated while off");
+        tracer.set_enabled(true);
+        assert_eq!(tracer.ring.lock().records.len(), 4);
+        tracer.push(TraceRecord::empty());
+        tracer.set_enabled(false);
+        tracer.set_enabled(true);
+        let mut seen = 0;
+        tracer.drain(|_| seen += 1);
+        assert_eq!(seen, 1, "turning tracing on again lost a record");
     }
 
     #[test]

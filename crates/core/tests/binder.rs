@@ -25,7 +25,7 @@ fn binder_answers_lookup_and_describe() {
     let caller = Endpoint::new(net.station(2), Config::default()).unwrap();
     server.export(test_service()).unwrap();
 
-    let binder = caller.bind(&binder_interface(), server.address()).unwrap();
+    let binder = caller.bind(binder_interface(), server.address()).unwrap();
 
     // Count includes the binder itself plus the Test interface.
     let r = binder.call("Count", &[]).unwrap();
@@ -107,7 +107,7 @@ fn binder_is_dogfood() {
     let net = LoopbackNet::new();
     let server = Endpoint::new(net.station(1), Config::default()).unwrap();
     let caller = Endpoint::new(net.station(2), Config::default()).unwrap();
-    let binder = caller.bind(&binder_interface(), server.address()).unwrap();
+    let binder = caller.bind(binder_interface(), server.address()).unwrap();
     binder.call("Count", &[]).unwrap();
     assert_eq!(caller.stats().calls_completed(), 1);
     assert_eq!(server.stats().calls_received(), 1);

@@ -12,28 +12,58 @@ use std::time::{Duration, Instant};
 ///   wake-ups results caused;
 /// * no pool buffer is out: the pool holds only calls on their way to
 ///   a server thread, and a retained result is in its activity's own
-///   frame.
+///   frame;
+///
+/// and that, with every call the test made sent between `endpoints`,
+/// their calls ran exactly once: summed over them, calls completed ≤
+/// calls executed ≤ calls completed + calls failed. (A completed call
+/// ran once; a failed one at most once.)
 ///
 /// What is still in flight when the test's last call returns settles
 /// first — a worker finishing a call, a late duplicate being answered —
 /// so the laws are given ten seconds to hold.
 pub fn assert_conserved(endpoints: &[&Endpoint]) {
     for (i, endpoint) in endpoints.iter().enumerate() {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let broken = broken_laws(endpoint);
-            if broken.is_empty() {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "endpoint {i}: {}\nstats:\n{}",
-                broken.join("; "),
-                endpoint.stats()
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        hold(&format!("endpoint {i}"), || broken_laws(endpoint), endpoint);
     }
+    if let Some(first) = endpoints.first() {
+        hold("the endpoints together", || ran_once(endpoints), first);
+    }
+}
+
+/// Waits up to ten seconds for `broken` to come back empty, and fails
+/// naming `who` and `shown`'s counters if it never does.
+fn hold(who: &str, broken: impl Fn() -> Vec<String>, shown: &Endpoint) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let broken = broken();
+        if broken.is_empty() {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{who}: {}\nstats:\n{}",
+            broken.join("; "),
+            shown.stats()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The exactly-once law of `endpoints` together, if it is broken.
+fn ran_once(endpoints: &[&Endpoint]) -> Vec<String> {
+    let sum = |count: fn(&Endpoint) -> u64| endpoints.iter().map(|e| count(e)).sum::<u64>();
+    let completed = sum(|e| e.stats().calls_completed());
+    let failed = sum(|e| e.stats().calls_failed());
+    let executed = sum(|e| e.stats().calls_executed());
+    if completed <= executed && executed <= completed + failed {
+        return Vec::new();
+    }
+    vec![format!(
+        "calls_executed {executed} outside [calls_completed {completed}, \
+         calls_completed + calls_failed {}]",
+        completed + failed
+    )]
 }
 
 /// The laws `endpoint`'s counters break right now.

@@ -92,6 +92,35 @@ fn runtime_toggle_controls_recording() {
     assert_eq!(caller.stats().trace_records(), 1);
 }
 
+/// The ring is made when tracing is first turned on and kept: turning it
+/// off and on again loses no record, and the ring's size is the
+/// configured one throughout.
+#[test]
+fn tracing_on_off_and_on_again_keeps_every_record() {
+    let (_server, caller, client) = loopback_pair(Config::default());
+    let capacity = Config::default().trace_capacity;
+    assert_eq!(caller.tracer().capacity(), capacity);
+    client.call("Null", &[]).unwrap();
+    caller.set_tracing(true);
+    for _ in 0..3 {
+        client.call("MaxResult", &[Value::char_array(1440)]).unwrap();
+    }
+    caller.set_tracing(false);
+    client.call("Null", &[]).unwrap();
+    caller.set_tracing(true);
+    for _ in 0..2 {
+        client.call("Null", &[]).unwrap();
+    }
+    assert_eq!(caller.tracer().capacity(), capacity);
+    let mut records = Vec::new();
+    let dropped = caller.tracer().drain(|r| records.push(*r));
+    assert_eq!(dropped, 0);
+    let procedures: Vec<u16> = records.iter().map(|r| r.procedure).collect();
+    assert_eq!(procedures, [1, 1, 1, 0, 0], "records lost or reordered");
+    assert!(records.iter().all(TraceRecord::is_complete));
+    assert_eq!(caller.stats().trace_records(), 5);
+}
+
 /// `Endpoint::trace_report` aggregates per-step histograms whose step
 /// sum equals the records' own spans (contiguous steps, no gaps).
 #[test]

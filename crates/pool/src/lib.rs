@@ -10,12 +10,13 @@
 //! This crate reproduces that discipline in safe Rust:
 //!
 //! * a [`BufferPool`] is created once with a fixed number of 1514-byte
-//!   buffers and shared (`Arc`-cloned) by every component — caller stubs,
+//!   buffers, each made on the pool's first take that finds no slab to
+//!   reuse, and shared (`Arc`-cloned) by every component — caller stubs,
 //!   server stubs, transports and the demultiplexer, the moral equivalents
 //!   of user spaces and the Nub;
 //! * [`PacketBuf`] hands out exclusive access to one buffer and returns it
-//!   to the free list on drop, so the fast path allocates **nothing** from
-//!   the general-purpose heap;
+//!   to the free list on drop, so once a slab is made the fast path
+//!   allocates **nothing** from the general-purpose heap for it again;
 //! * [`PoolStats`] counts allocations, frees, recycles and exhaustions so
 //!   tests can prove the zero-allocation property;
 //! * [`BufferPool::recycle_to_receive_queue`] and
@@ -81,6 +82,7 @@ pub struct PoolStats {
     recycles: u64,
     exhaustions: u64,
     high_water: u64,
+    made: u64,
 }
 
 impl PoolStats {
@@ -111,6 +113,12 @@ impl PoolStats {
         self.high_water
     }
 
+    /// Slabs made so far: never more than the capacity, and no more than
+    /// were ever out at once.
+    pub fn made(&self) -> u64 {
+        self.made
+    }
+
     /// Buffers currently held by users (allocs − frees − recycles).
     pub fn outstanding(&self) -> u64 {
         self.allocs
@@ -119,26 +127,31 @@ impl PoolStats {
     }
 }
 
-/// Everything a pool shard shares, under its one lock: both lists and
-/// the counters that describe them, so every operation is one
-/// acquisition and the counters are plain integers that always agree
-/// with the lists.
+/// Everything a pool shard shares, under its one lock: both lists, the
+/// slabs not made yet and the counters that describe them, so every
+/// operation is one acquisition and the counters are plain integers that
+/// always agree with the lists.
 struct Slabs {
     free: Vec<Box<[u8]>>,
     /// Buffers parked on the simulated controller's receive queue.
     receive_queue: VecDeque<Box<[u8]>>,
+    /// Slabs of the capacity not made yet: free, but not in `free`.
+    unmade: usize,
     stats: PoolStats,
 }
 
 impl Slabs {
     /// Hands out a slab from the preferred list, falling back to the
-    /// other one, and accounts for the outcome.
+    /// other one and then to making one of those not made yet, and
+    /// accounts for the outcome. A made slab is always reused first, so
+    /// a pool makes only as many as were ever out at once.
     fn take(&mut self, receive_queue_first: bool) -> Option<Box<[u8]>> {
-        let slab = if receive_queue_first {
+        let reused = if receive_queue_first {
             self.receive_queue.pop_front().or_else(|| self.free.pop())
         } else {
             self.free.pop().or_else(|| self.receive_queue.pop_front())
         };
+        let slab = reused.or_else(|| self.make());
         if slab.is_some() {
             self.stats.allocs += 1;
             self.stats.high_water = self.stats.high_water.max(self.stats.outstanding());
@@ -146,6 +159,21 @@ impl Slabs {
             self.stats.exhaustions += 1;
         }
         slab
+    }
+
+    /// Makes one of the slabs not made yet, if any is left.
+    fn make(&mut self) -> Option<Box<[u8]>> {
+        self.unmade = self.unmade.checked_sub(1)?;
+        self.stats.made += 1;
+        // lint:allow(no-alloc-on-fast-path): at most `capacity` times per
+        // pool, each the first take that finds no made slab free; every
+        // later take reuses the slab.
+        Some(vec![0u8; BUFFER_SIZE].into_boxed_slice())
+    }
+
+    /// Free buffers, made or not.
+    fn free_count(&self) -> usize {
+        self.free.len() + self.unmade
     }
 }
 
@@ -166,29 +194,30 @@ impl fmt::Debug for BufferPool {
         let slabs = self.inner.slabs.lock();
         f.debug_struct("BufferPool")
             .field("capacity", &self.inner.capacity)
-            .field("free", &slabs.free.len())
+            .field("free", &slabs.free_count())
             .field("outstanding", &slabs.stats.outstanding())
             .finish()
     }
 }
 
 impl BufferPool {
-    /// Creates a pool with `capacity` pre-allocated 1514-byte buffers.
+    /// Creates a pool of `capacity` 1514-byte buffers, none made yet.
     ///
-    /// All allocation happens here, once; the fast path only moves buffers
-    /// between lists.
+    /// A slab is made by the first take that finds no made one free, and
+    /// never more than `capacity` of them: a pool nobody takes from costs
+    /// no slab, and one whose takers hold at most `k` buffers at a time
+    /// makes `k`. After that the fast path only moves buffers between
+    /// lists.
     pub fn new(capacity: usize) -> Self {
-        let free = (0..capacity)
-            // lint:allow(no-alloc-on-fast-path): the one-time slab
-            // allocation at pool construction; never per packet.
-            .map(|_| vec![0u8; BUFFER_SIZE].into_boxed_slice())
-            .collect();
         BufferPool {
             // lint:allow(no-alloc-on-fast-path): once per pool.
             inner: Arc::new(PoolInner {
                 slabs: Mutex::new(Slabs {
-                    free,
+                    // lint:allow(no-alloc-on-fast-path): an empty Vec
+                    // allocates nothing; slabs are made by the takes.
+                    free: Vec::new(),
                     receive_queue: VecDeque::new(),
+                    unmade: capacity,
                     stats: PoolStats::default(),
                 }),
                 available: Condvar::new(),
@@ -202,9 +231,11 @@ impl BufferPool {
         self.inner.capacity
     }
 
-    /// Number of buffers currently on the free list.
+    /// Number of free buffers: those on the free list and those not
+    /// made yet, so `capacity − free − receive queue = outstanding`
+    /// holds from the start.
     pub fn free_count(&self) -> usize {
-        self.inner.slabs.lock().free.len()
+        self.inner.slabs.lock().free_count()
     }
 
     /// Number of buffers parked on the receive queue.
@@ -398,6 +429,7 @@ impl ShardedPool {
             sum.recycles += st.recycles;
             sum.exhaustions += st.exhaustions;
             sum.high_water += st.high_water;
+            sum.made += st.made;
         }
         sum
     }
@@ -586,6 +618,27 @@ mod tests {
         assert_eq!(pool.stats().allocs(), 1);
         assert_eq!(pool.stats().frees(), 1);
         assert_eq!(pool.stats().outstanding(), 0);
+    }
+
+    #[test]
+    fn slabs_are_made_on_first_take_and_never_past_capacity() {
+        let pool = BufferPool::new(3);
+        assert_eq!((pool.stats().made(), pool.free_count()), (0, 3));
+        let a = pool.alloc().unwrap();
+        drop(a);
+        // The made slab is reused before another is made.
+        let a = pool.alloc().unwrap();
+        assert_eq!(pool.stats().made(), 1);
+        let b = pool.take_receive_buffer().unwrap();
+        let c = pool.alloc().unwrap();
+        assert_eq!((pool.stats().made(), pool.free_count()), (3, 0));
+        assert_eq!(pool.alloc().unwrap_err(), PoolError::Exhausted);
+        pool.recycle_to_receive_queue(b);
+        // capacity − free − receive queue = outstanding, made or not.
+        assert_eq!(pool.capacity() - pool.free_count() - pool.receive_queue_len(), 2);
+        assert_eq!(pool.stats().outstanding(), 2);
+        drop((a, c));
+        assert_eq!(pool.stats().made(), 3);
     }
 
     #[test]

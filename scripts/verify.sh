@@ -6,8 +6,8 @@
 # keeps it that way).
 #
 # Usage:
-#   scripts/verify.sh            # offline release build + full test suite + tools
-#   FIREFLY_VERIFY_LINT=1 scripts/verify.sh   # also run fmt + clippy
+#   scripts/verify.sh            # offline release build + full test suite + tools + clippy
+#   FIREFLY_VERIFY_LINT=1 scripts/verify.sh   # also run cargo fmt --check
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
@@ -71,20 +71,24 @@ run firefly-bench latency_account --smoke
 echo "==> firefly-bench gate"
 run firefly-bench gate
 
-# Opt-in: rustfmt/clippy may be absent from a minimal toolchain, and
-# their absence must not fail the hermetic check.
+# Clippy runs whenever it is installed: the workspace is clean under
+# -D warnings. It may be absent from a minimal toolchain, and its absence
+# must not fail the hermetic check.
+if cargo clippy --version >/dev/null 2>&1; then
+    echo "==> cargo clippy"
+    cargo clippy --offline --workspace --all-targets -- -D warnings
+else
+    echo "==> clippy not installed; skipping lint"
+fi
+
+# Opt-in: the tree is not rustfmt-clean yet (a mechanical reformat is a
+# change of its own), and rustfmt may be absent too.
 if [[ "${FIREFLY_VERIFY_LINT:-0}" == "1" ]]; then
     if command -v rustfmt >/dev/null 2>&1; then
         echo "==> cargo fmt --check"
         cargo fmt --all --check
     else
         echo "==> rustfmt not installed; skipping fmt check"
-    fi
-    if cargo clippy --version >/dev/null 2>&1; then
-        echo "==> cargo clippy"
-        cargo clippy --offline --workspace --all-targets -- -D warnings
-    else
-        echo "==> clippy not installed; skipping lint"
     fi
 fi
 
