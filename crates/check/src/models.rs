@@ -29,7 +29,7 @@ use firefly_rpc::trace::{TraceRecord, Tracer};
 use firefly_sync::atomic as checked_atomic;
 use firefly_sync::{channel, Condvar, Mutex};
 use firefly_wire::{ActivityId, FrameBuilder, FrameView, PacketType};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -266,49 +266,69 @@ fn make_trace_ring() -> ModelRun {
     }
 }
 
-/// MPMC channel: two senders, two receivers, three messages. Receivers
-/// drain until disconnect; every message is received exactly once and
-/// both receivers terminate (single-wakeup discipline must not strand a
-/// receiver after the last sender hangs up).
+/// MPMC channel, as the server's hand-off uses it: two senders, two
+/// receivers, three messages, and a close. Sender 0 sends two messages
+/// and closes, so the close can come with a message still queued;
+/// sender 1's one message may come before or after it. A third sender
+/// outlives the schedule, as the server's queue keeps one until it is
+/// dropped: only the close can end the receivers. Every message
+/// accepted is received exactly once, and both receivers end. Until
+/// sender 1 begins its send, nothing can wake a receiver, so one that
+/// sender 0 finds parked before its first send (`parked` takes the
+/// channel's lock: the receivers may run first) is still parked when
+/// that send lands: the send must report it.
 fn make_channel() -> ModelRun {
     let (tx0, rx0) = channel::unbounded::<u32>();
     let tx1 = tx0.clone();
     let rx1 = rx0.clone();
+    // Clones taken pre-hook; the label-phase drops' counter updates are
+    // invisible to the scheduler (no tid registered yet), and so is the
+    // kept sender's drop after the schedule.
+    let kept = tx0.clone();
+    let probe = rx0.clone();
+    let chan = rx0.clone();
+    let accepted = Arc::new(AtomicU64::new(0));
     let received = Arc::new(AtomicU64::new(0));
+    let s1_began = Arc::new(AtomicBool::new(false));
 
-    let label = {
-        // Clone taken pre-hook; the label-phase drop's counter update is
-        // invisible to the scheduler (no tid registered yet).
-        let chan = rx0.clone();
-        Box::new(move || chan.check_labels()) as Box<dyn FnOnce() + Send>
+    let label = Box::new(move || chan.check_labels()) as Box<dyn FnOnce() + Send>;
+    let s0 = {
+        let accepted = Arc::clone(&accepted);
+        let s1_began = Arc::clone(&s1_began);
+        Box::new(move || {
+            let parked = probe.parked();
+            let woke = tx0.send(1).expect("receivers alive");
+            if !s1_began.load(Ordering::Relaxed) {
+                assert!(woke || parked == 0, "a send missed a parked receiver");
+            }
+            tx0.send(2).expect("receivers alive");
+            tx0.close();
+            accepted.fetch_add(3, Ordering::Relaxed);
+        }) as Box<dyn FnOnce() + Send>
     };
-    let s0 = Box::new(move || {
-        tx0.send(1).expect("receivers alive");
-        tx0.send(2).expect("receivers alive");
-    }) as Box<dyn FnOnce() + Send>;
-    let s1 = Box::new(move || {
-        tx1.send(3).expect("receivers alive");
-    }) as Box<dyn FnOnce() + Send>;
-    let r0 = {
+    let s1 = {
+        let accepted = Arc::clone(&accepted);
+        Box::new(move || {
+            s1_began.store(true, Ordering::Relaxed);
+            if tx1.send(3).is_ok() {
+                accepted.fetch_add(3, Ordering::Relaxed);
+            }
+        }) as Box<dyn FnOnce() + Send>
+    };
+    let receiver = |rx: channel::Receiver<u32>| {
         let received = Arc::clone(&received);
         Box::new(move || {
-            while let Ok(v) = rx0.recv() {
+            while let Ok(v) = rx.recv() {
                 received.fetch_add(u64::from(v), Ordering::Relaxed);
             }
         }) as Box<dyn FnOnce() + Send>
     };
-    let r1 = {
-        let received = Arc::clone(&received);
-        Box::new(move || {
-            while let Ok(v) = rx1.recv() {
-                received.fetch_add(u64::from(v), Ordering::Relaxed);
-            }
-        }) as Box<dyn FnOnce() + Send>
-    };
+    let (r0, r1) = (receiver(rx0), receiver(rx1));
     let finale = Box::new(move || {
+        drop(kept);
         assert_eq!(
             received.load(Ordering::Relaxed),
-            6,
+            accepted.load(Ordering::Relaxed),
             "message lost or duplicated"
         );
     }) as Box<dyn FnOnce() + Send>;
@@ -792,7 +812,7 @@ pub fn structure_models() -> Vec<Model> {
         },
         Model {
             name: "channel",
-            about: "MPMC channel: no lost messages, receivers terminate on disconnect",
+            about: "MPMC channel: no lost messages, a close drains the queue, receivers terminate",
             make: make_channel,
         },
         Model {

@@ -66,7 +66,6 @@
 //! (`handle_result_ack`). Loss is the caller's to notice: its hole
 //! report, duplicate call or probe gets the missing fragment again.
 
-use crate::calltable::shard_for;
 use crate::fragment::{Accepted, Acked, Reassembly, Window};
 use crate::packet::{Assembled, Fragment, Packet};
 use crate::send::{Batch, SendCtx};
@@ -286,13 +285,10 @@ struct Exports {
 pub(crate) struct ServerSide {
     exports: RwLock<Exports>,
     activities: Mutex<HashMap<u64, Arc<Activity>>>,
-    /// Per-worker receive queues with ascending-index work stealing;
-    /// the demux enqueues each call on `shard_for(activity)`'s queue.
-    /// There is one queue per server thread there may be; an idle
-    /// thread steals from the queues of threads not started.
+    /// The one queue calls are handed to server threads on; whichever
+    /// thread looks next takes the next call.
     queues: WorkQueues<Work>,
-    /// The server threads started so far, in start order (thread `i`
-    /// owns queue `i`), joined at shutdown.
+    /// The server threads started so far, joined at shutdown.
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Server threads with no call in hand: looking for one, parked, or
     /// done executing the last and sending its result.
@@ -355,15 +351,14 @@ impl ServerSide {
         started > 0
     }
 
-    /// Starts server thread `i`, which serves queue `i` first; `None`
-    /// when the OS refuses a thread.
+    /// Starts server thread `i`; `None` when the OS refuses a thread.
     fn start_worker(&self, i: usize) -> Option<JoinHandle<()>> {
         let me = self.me.upgrade()?;
         std::thread::Builder::new()
             // lint:allow(no-alloc-on-fast-path): once per server thread,
             // at most `Config::server_threads` per endpoint.
             .name(format!("firefly-server-{i}"))
-            .spawn(move || me.worker_loop(i))
+            .spawn(move || me.worker_loop())
             .ok()
     }
 
@@ -788,11 +783,10 @@ impl ServerSide {
         })
     }
 
-    /// Routes a call to the worker owning its activity's shard, with the
-    /// activity's result frame. A `true` from the push means a parked
-    /// worker was woken directly — the paper's direct-handoff fast path;
-    /// `false` means every worker was busy and the call waits in the
-    /// queue (the slow path).
+    /// Hands a call to the server threads, with the activity's result
+    /// frame. A `true` from the push means a parked thread was woken
+    /// directly — the paper's direct-handoff fast path; `false` means
+    /// none was parked and the call waits in the queue (the slow path).
     fn enqueue(
         &self,
         call: Assembled,
@@ -801,7 +795,6 @@ impl ServerSide {
         frame: Box<[u8]>,
         received_at: u64,
     ) {
-        let target = shard_for(call.rpc().activity, self.queues.worker_count());
         let work = Work {
             call,
             src,
@@ -810,7 +803,7 @@ impl ServerSide {
             received_at,
             queued_at: self.ctx.tracer.now_nanos(),
         };
-        if self.queues.push(target, work) {
+        if self.queues.push(0, work) {
             RpcStats::bump(&self.ctx.stats.direct_wakeups);
         } else {
             RpcStats::bump(&self.ctx.stats.slow_path_queued);
@@ -974,10 +967,7 @@ impl ServerSide {
         let _ = out.send(&*self.ctx.transport);
     }
 
-    fn worker_loop(self: Arc<Self>, worker: usize) {
-        // The worker's private batch: a whole queue drained (own or
-        // stolen) is processed from here without further locking.
-        let mut local = VecDeque::new();
+    fn worker_loop(self: Arc<Self>) {
         // What the call being executed sends, reused from call to call.
         let mut out = Batch::default();
         // Whether this thread counts as free. A thread just started does
@@ -987,7 +977,7 @@ impl ServerSide {
             // Each call's result goes out when the call ends: nothing
             // waits behind the next item.
             self.transmit(&mut out);
-            let work = self.queues.pop(worker, &mut local);
+            let work = self.queues.pop(0, &mut VecDeque::new());
             if free {
                 self.free.fetch_sub(1, Ordering::Relaxed);
             }
@@ -996,18 +986,17 @@ impl ServerSide {
             };
             let waited = self.ctx.tracer.now_nanos().saturating_sub(work.queued_at);
             note_handoff(&self.handoff_ns, waited);
-            free = local.is_empty();
-            self.dispatch(work, free, &mut out);
+            free = true;
+            self.dispatch(work, &mut out);
         }
     }
 
     /// The Receiver on a server thread: execute one handed-over call and
-    /// queue its result on the thread's batch `out`. With `then_free`
-    /// (nothing else in hand) the thread counts as free once the call has
-    /// executed, before its result goes out: a caller's next call, which
-    /// that result may prompt at once, then finds it free instead of
-    /// starting another thread.
-    fn dispatch(&self, work: Work, then_free: bool, out: &mut Batch) {
+    /// queue its result on the thread's batch `out`. The thread counts
+    /// as free once the call has executed, before its result goes out:
+    /// a caller's next call, which that result may prompt at once, then
+    /// finds it free instead of starting another thread.
+    fn dispatch(&self, work: Work, out: &mut Batch) {
         let Work {
             call, src, act, frame, received_at, ..
         } = work;
@@ -1018,13 +1007,14 @@ impl ServerSide {
         // The service-time sample starts here, past the queue wait.
         let started = Instant::now();
         let exports = self.exports.read();
-        self.run(exports, rpc, call.data(), src, &act, frame, span, started, then_free, out);
+        self.run(exports, rpc, call.data(), src, &act, frame, span, started, true, out);
     }
 
     /// Executes a call under `exports` and finishes it, with the guard
     /// released before the result goes out. `started` is where the
-    /// call's service-time sample starts; `then_free` as for
-    /// [`ServerSide::dispatch`].
+    /// call's service-time sample starts; `then_free` says a server
+    /// thread runs it, counted free once it has executed (see
+    /// [`ServerSide::dispatch`]).
     #[allow(clippy::too_many_arguments)]
     fn run(
         &self,

@@ -20,6 +20,20 @@ use crate::{Result, RpcError};
 pub type Handler = Box<dyn Fn(&[ServerArg<'_>], &mut ResultWriter<'_>) -> Result<()> + Send + Sync>;
 
 /// One exported interface instance.
+///
+/// # Procedures that block
+///
+/// A procedure whose calls are measured faster than handing a call to a
+/// server thread runs on the endpoint's resident receiver, the thread
+/// that hears its packets (docs/SHARDING.md, "Who receives"). If such a
+/// procedure then blocks — on a channel, a lock, a barrier — the
+/// endpoint is deaf for as long as it blocks: no call, result or ack
+/// reaches it meanwhile. Nothing demotes it yet. A procedure that may
+/// block must therefore be slow from its first call. For the same
+/// reason the `server.rs` unit test
+/// `a_dry_pool_still_answers_a_call_already_seen`, whose procedure waits
+/// on a channel, hands its calls to `ServerSide::handle_call` with
+/// `inline = false`.
 pub trait Service: Send + Sync {
     /// The interface this service implements.
     fn interface(&self) -> &InterfaceDef;
@@ -66,6 +80,10 @@ impl ServiceBuilder {
     }
 
     /// Registers the implementation of one procedure by name.
+    ///
+    /// A procedure once measured fast runs on the resident receiver: if
+    /// it then blocks, the endpoint is deaf for as long as it blocks
+    /// (see [`Service`], "Procedures that block").
     pub fn on_call<F>(mut self, name: &str, f: F) -> Self
     where
         F: Fn(&[ServerArg<'_>], &mut ResultWriter<'_>) -> Result<()> + Send + Sync + 'static,

@@ -1,194 +1,92 @@
-//! Per-worker work queues with ascending-index work stealing.
+//! The server's hand-off queue: one FIFO that every server thread takes
+//! calls from.
 //!
-//! The seed runtime funneled every incoming call through one shared
-//! MPMC channel — one lock and one condvar contended by the demux
-//! thread and every server worker. This module replaces it for the
-//! server dispatch path: each worker owns a receive queue (`shards[w]`,
-//! one lock each), the demultiplexer enqueues to the queue picked by
-//! [`crate::calltable::shard_for`] of the call's activity id, and an
-//! idle worker whose own queue is empty **steals the entire backlog**
-//! of another queue, scanning victims in ascending index order.
+//! A call the receiving thread does not run itself is sent on one
+//! [`firefly_sync::channel`], and whichever server thread looks next
+//! takes it — the paper's "awakens the server thread directly" (§3.1.3)
+//! when one is parked. The seed runtime had one shared channel too; per-worker
+//! queues with whole-queue stealing replaced it while every call went
+//! to a worker, and the demultiplexer and the workers contended for the
+//! one lock. That argument lapsed once the resident receiver ran the
+//! calls itself: about one call in a thousand reaches a worker
+//! (docs/SHARDING.md, "What it bought"), and per-worker queues only
+//! let a call wait behind one busy worker while another was idle. One
+//! queue is what eRPC's background threads and nanoPU's load balancer
+//! aim for, and it is the channel the checker's `channel` model runs.
 //!
-//! Why whole-queue stealing: taking the victim's whole deque with
-//! `mem::take` holds exactly one queue lock, preserves FIFO order
-//! within the stolen batch (so replies within one activity can never
-//! reorder — see tests/sharding.rs), and moves a burst of work in one
-//! lock acquisition. No two queue locks are ever held at once, so the
-//! ascending scan is only the order victims are visited in, not a lock
-//! discipline (docs/SHARDING.md).
-//!
-//! Parking uses an epoch counter under a separate lock: a worker
-//! records the epoch, scans every queue, and parks only if the epoch is
-//! unchanged when it takes the park lock — any enqueue between scan and
-//! park bumps the epoch and is therefore never lost. Enqueues skip the
-//! condvar notification entirely when no worker is parked (the common
-//! saturated case), keeping the hot path to one queue lock plus one
-//! park-lock tap.
+//! A thread that finds the queue empty polls it a few times, yielding
+//! the processor between polls, before it parks: a parked thread costs
+//! its waker a futex call and a scheduling round trip, and under a
+//! steady stream the next call comes within a few yields.
 
-use firefly_sync::{Condvar, Mutex};
+use firefly_sync::channel::{unbounded, Receiver, Sender};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
 
-/// Parking state shared by all workers: `epoch` counts enqueues (and
-/// shutdown), `idle` counts workers currently parked or committing to
-/// park.
-#[derive(Debug, Default)]
-struct ParkState {
-    epoch: u64,
-    idle: usize,
-}
-
-/// Per-worker receive queues with work stealing; the server's
-/// replacement for the single shared work channel.
+/// The one hand-off queue of a server's threads.
+///
+/// `push`'s `target` and `pop`'s `worker` and `local` are unused: they
+/// named the per-worker queues this replaced, and the repo benchmark
+/// still calls with them.
 #[derive(Debug)]
 pub struct WorkQueues<T> {
-    /// One receive queue per worker. The field is named `shards` so the
-    /// lint lock-order rule classifies `shards[w].lock()` under the
-    /// `shard` class; no two of these locks are ever held at once.
-    shards: Vec<Mutex<VecDeque<T>>>,
-    park: Mutex<ParkState>,
-    ready: Condvar,
-    down: AtomicBool,
+    tx: Sender<T>,
+    rx: Receiver<T>,
+    workers: usize,
 }
 
 impl<T> WorkQueues<T> {
-    /// Creates queues for `workers` workers (at least one).
+    /// A queue for up to `workers` server threads (at least one).
     pub fn new(workers: usize) -> WorkQueues<T> {
+        let (tx, rx) = unbounded();
         WorkQueues {
-            shards: (0..workers.max(1)).map(|_| Mutex::new(VecDeque::new())).collect(),
-            park: Mutex::new(ParkState::default()),
-            ready: Condvar::new(),
-            down: AtomicBool::new(false),
+            tx,
+            rx,
+            workers: workers.max(1),
         }
     }
 
-    /// Number of per-worker queues: the most workers there can be.
+    /// The most server threads there may be.
     pub fn worker_count(&self) -> usize {
-        self.shards.len()
+        self.workers
     }
 
     /// Whether [`WorkQueues::shutdown`] was called.
     pub fn is_down(&self) -> bool {
-        self.down.load(Ordering::Acquire)
+        self.rx.is_closed()
     }
 
-    /// Enqueues an item on worker `target`'s queue (wrapped), waking a
-    /// parked worker if any. Returns `true` when a worker was idle —
-    /// the direct-handoff case the paper's fast path counts on.
-    pub fn push(&self, target: usize, item: T) -> bool {
-        let w = target % self.shards.len();
-        self.shards[w].lock().push_back(item);
-        let idle = {
-            let mut park = self.park.lock();
-            park.epoch = park.epoch.wrapping_add(1);
-            park.idle
-        };
-        if idle > 0 {
-            self.ready.notify_one();
-            true
-        } else {
-            false
-        }
+    /// Queues an item, waking a parked thread if any. Returns `true`
+    /// when one was parked — the direct hand-off the paper's fast path
+    /// counts on. An item pushed after shutdown is dropped.
+    pub fn push(&self, _target: usize, item: T) -> bool {
+        self.tx.send(item).unwrap_or(false)
     }
 
-    /// Takes the entire backlog of queue `victim` into `local`,
-    /// preserving FIFO order. Returns `true` if anything was taken.
-    fn drain_into(&self, victim: usize, local: &mut VecDeque<T>) -> bool {
-        let mut q = self.shards[victim].lock();
-        if q.is_empty() {
-            return false;
-        }
-        if local.is_empty() {
-            std::mem::swap(&mut *q, local);
-        } else {
-            local.extend(q.drain(..));
-        }
-        true
-    }
-
-    /// Empty rescans (each yielding the processor) a worker performs
-    /// before parking on the condvar. A parked worker costs its waker a
-    /// futex syscall and a scheduling round trip; during a steady call
-    /// stream the next item arrives within a few yields, so this brief
-    /// cooperative poll keeps the hand-off futex-free without holding
-    /// the processor hostage (`yield_now` runs anyone else runnable).
+    /// Empty polls (each yielding the processor) before a thread parks.
     const POLLS_BEFORE_PARK: u32 = 32;
 
-    /// Dequeues the next item for worker `worker`, blocking until one
-    /// arrives. `local` is the worker's private batch (stack-owned by
-    /// the worker loop): items drained from a queue are processed from
-    /// it without further locking. Returns `None` once [`shutdown`] was
-    /// called and every queue (and the local batch) is empty.
-    ///
-    /// [`shutdown`]: WorkQueues::shutdown
-    pub fn pop(&self, worker: usize, local: &mut VecDeque<T>) -> Option<T> {
-        let n = self.shards.len();
-        let me = worker % n;
-        let mut polls = 0u32;
-        loop {
-            if let Some(item) = local.pop_front() {
-                return Some(item);
+    /// The next item, blocking until one arrives. Returns `None` once
+    /// [`WorkQueues::shutdown`] was called and the queue is empty.
+    pub fn pop(&self, _worker: usize, _local: &mut VecDeque<T>) -> Option<T> {
+        for _ in 0..Self::POLLS_BEFORE_PARK {
+            match self.rx.try_recv() {
+                Ok(Some(item)) => return Some(item),
+                Ok(None) => std::thread::yield_now(),
+                Err(_) => return None,
             }
-            // Record the epoch before scanning: any push after this
-            // point either lands in a queue we have not scanned yet or
-            // changes the epoch and aborts the park below.
-            let epoch = self.park.lock().epoch;
-            if self.drain_into(me, local) {
-                polls = 0;
-                continue;
-            }
-            // Steal scan, ascending victim index (skipping our own,
-            // already-drained queue). One queue lock at a time.
-            let mut stole = false;
-            for victim in 0..n {
-                if victim != me && self.drain_into(victim, local) {
-                    stole = true;
-                    break;
-                }
-            }
-            if stole {
-                polls = 0;
-                continue;
-            }
-            if self.down.load(Ordering::Acquire) {
-                return None;
-            }
-            if polls < Self::POLLS_BEFORE_PARK {
-                polls += 1;
-                std::thread::yield_now();
-                continue;
-            }
-            let mut park = self.park.lock();
-            if park.epoch != epoch {
-                continue;
-            }
-            park.idle += 1;
-            // Coarse deadline only: a changed epoch plus notify is the
-            // real wake condition; spurious timeouts just rescan.
-            self.ready
-                .wait_until(&mut park, Instant::now() + Duration::from_secs(3600));
-            park.idle -= 1;
-            polls = 0;
         }
+        self.rx.recv().ok()
     }
 
-    /// Marks the queues shut down and wakes every parked worker. Queued
-    /// work is still drained: workers exit only once every queue is
-    /// empty, matching the old channel's complete-pending-work
-    /// semantics.
+    /// Shuts the queue down and wakes every parked thread. What is
+    /// queued is still taken: `pop` returns `None` only once it is empty.
     pub fn shutdown(&self) {
-        self.down.store(true, Ordering::Release);
-        {
-            let mut park = self.park.lock();
-            park.epoch = park.epoch.wrapping_add(1);
-        }
-        self.ready.notify_all();
+        self.tx.close();
     }
 
-    /// Total queued items across all queues (racy, for introspection).
+    /// Queued items (racy, for introspection).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|q| q.lock().len()).sum()
+        self.rx.len()
     }
 
     /// True when no items are queued (racy, for tests).
@@ -196,9 +94,9 @@ impl<T> WorkQueues<T> {
         self.len() == 0
     }
 
-    /// Number of currently parked workers (racy, for stats).
+    /// Threads parked waiting for an item (racy, for stats).
     pub fn idle_workers(&self) -> usize {
-        self.park.lock().idle
+        self.rx.parked()
     }
 }
 
@@ -206,9 +104,10 @@ impl<T> WorkQueues<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
-    fn push_pop_round_trip_on_own_queue() {
+    fn push_pop_round_trip() {
         let q = WorkQueues::new(2);
         let mut local = VecDeque::new();
         assert!(!q.push(0, 1)); // no worker parked yet
@@ -219,18 +118,38 @@ mod tests {
     }
 
     #[test]
-    fn idle_worker_steals_from_busy_queue_in_order() {
+    fn items_come_out_in_push_order_whatever_the_target() {
         let q = WorkQueues::new(4);
         for i in 0..5 {
-            q.push(2, i);
+            q.push(i % 4, i);
         }
-        // Worker 0's own queue is empty: it must steal queue 2's whole
-        // backlog, preserving FIFO order.
         let mut local = VecDeque::new();
         for i in 0..5 {
             assert_eq!(q.pop(0, &mut local), Some(i));
         }
         assert!(q.is_empty());
+    }
+
+    /// Two calls queued for one worker: while the worker that took the
+    /// first runs it, another worker must get the second, not find it
+    /// held behind the first in a private batch.
+    #[test]
+    fn an_idle_worker_takes_a_call_queued_behind_a_busy_one() {
+        let q = Arc::new(WorkQueues::new(2));
+        q.push(0, 'a');
+        q.push(0, 'b');
+        let mut held = VecDeque::new();
+        assert_eq!(q.pop(0, &mut held), Some('a'));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let other = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let _ = tx.send(q.pop(1, &mut VecDeque::new()));
+            })
+        };
+        let got = rx.recv_timeout(Duration::from_secs(2));
+        assert_eq!(got, Ok(Some('b')), "worker 1 got {got:?}; worker 0 holds {held:?}");
+        other.join().unwrap();
     }
 
     #[test]
@@ -242,8 +161,6 @@ mod tests {
             q2.pop(1, &mut local)
         });
         firefly_sync::test_sleep();
-        // Pushed to worker 0's queue; parked worker 1 must still wake
-        // (global notify) and steal it.
         q.push(0, 42u32);
         assert_eq!(t.join().unwrap(), Some(42));
     }
@@ -254,13 +171,11 @@ mod tests {
         q.push(0, "a");
         q.push(1, "b");
         q.shutdown();
+        assert!(q.is_down());
+        assert!(!q.push(0, "late"), "a push after shutdown was queued");
         let mut local = VecDeque::new();
-        let mut got = vec![
-            q.pop(0, &mut local).unwrap(),
-            q.pop(0, &mut local).unwrap(),
-        ];
-        got.sort_unstable();
-        assert_eq!(got, ["a", "b"]);
+        assert_eq!(q.pop(0, &mut local), Some("a"));
+        assert_eq!(q.pop(1, &mut local), Some("b"));
         assert_eq!(q.pop(0, &mut local), None);
     }
 

@@ -226,10 +226,8 @@ mod tests {
             "crates/sim/src/engine.rs",
             &c.fast_path_files
         ));
-        // channel.rs is deliberately outside the fast path (the demux
-        // hand-off never blocks on an unbounded channel's send side,
-        // and its recv runs on worker threads).
-        assert!(!Config::path_matches(
+        // The server's hand-off is a channel: `worker_loop` reaches it.
+        assert!(Config::path_matches(
             "crates/sync/src/channel.rs",
             &c.fast_path_files
         ));

@@ -10,7 +10,10 @@
 //!
 //! Disconnection mirrors `crossbeam::channel`: `recv` fails once the
 //! queue is empty and every [`Sender`] is gone; `send` fails once every
-//! [`Receiver`] is gone (the message is returned in the error).
+//! [`Receiver`] is gone (the message is returned in the error). A
+//! [`Sender::close`] ends the channel while both ends live, as the
+//! server's shutdown does: sends fail from then on, and receivers take
+//! what is queued, then fail as on a disconnect.
 
 use crate::atomic::AtomicUsize;
 use crate::{Condvar, Mutex};
@@ -19,7 +22,8 @@ use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Error returned by [`Sender::send`] when all receivers are gone.
+/// Error returned by [`Sender::send`] when all receivers are gone or the
+/// channel is closed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 
@@ -30,7 +34,7 @@ impl<T> fmt::Display for SendError<T> {
 }
 
 /// Error returned by [`Receiver::recv`] when the channel is empty and
-/// all senders are gone.
+/// closed, or all senders are gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
 
@@ -43,16 +47,27 @@ impl fmt::Display for RecvError {
 impl std::error::Error for RecvError {}
 
 struct Chan<T> {
-    queue: Mutex<VecDeque<T>>,
+    queue: Mutex<Queue<T>>,
     ready: Condvar,
     senders: AtomicUsize,
     receivers: AtomicUsize,
 }
 
+/// The messages, and whether [`Sender::close`] was called.
+struct Queue<T> {
+    items: VecDeque<T>,
+    closed: bool,
+}
+
 /// Creates an unbounded channel; both halves are cloneable.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+    // lint:allow(no-alloc-on-fast-path): once per channel — a server's
+    // hand-off queue or a loopback station — made before its traffic.
     let chan = Arc::new(Chan {
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(Queue {
+            items: VecDeque::new(),
+            closed: false,
+        }),
         ready: Condvar::new(),
         senders: AtomicUsize::new(1),
         receivers: AtomicUsize::new(1),
@@ -71,14 +86,32 @@ pub struct Sender<T> {
 }
 
 impl<T> Sender<T> {
-    /// Enqueues a message, waking one waiting receiver.
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
+    /// Enqueues a message, waking one waiting receiver. `Ok(true)` says
+    /// a receiver was parked in [`Receiver::recv`] when the message
+    /// landed: the direct hand-off.
+    pub fn send(&self, value: T) -> Result<bool, SendError<T>> {
         if self.chan.receivers.load(Ordering::Acquire) == 0 {
             return Err(SendError(value));
         }
-        self.chan.queue.lock().push_back(value);
+        let parked = {
+            let mut queue = self.chan.queue.lock();
+            if queue.closed {
+                return Err(SendError(value));
+            }
+            queue.items.push_back(value);
+            // Exact here: a receiver parks and leaves holding this lock.
+            self.chan.ready.waiters()
+        };
         self.chan.ready.notify_one();
-        Ok(())
+        Ok(parked > 0)
+    }
+
+    /// Closes the channel for every end: later sends fail, and every
+    /// receiver, parked ones included, takes what is queued and then
+    /// fails.
+    pub fn close(&self) {
+        self.chan.queue.lock().closed = true;
+        self.chan.ready.notify_all();
     }
 }
 
@@ -115,20 +148,20 @@ pub struct Receiver<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Dequeues the next message, blocking until one arrives or every
-    /// sender disconnects.
+    /// Dequeues the next message, blocking until one arrives, or the
+    /// channel is closed or every sender disconnects.
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut queue = self.chan.queue.lock();
         loop {
-            if let Some(value) = queue.pop_front() {
+            if let Some(value) = queue.items.pop_front() {
                 return Ok(value);
             }
-            if self.chan.senders.load(Ordering::Acquire) == 0 {
+            if self.chan.senders.load(Ordering::Acquire) == 0 || queue.closed {
                 return Err(RecvError);
             }
-            // No deadline channel-side: disconnection or a message is the
-            // only wake condition, so park for a coarse interval and
-            // re-check (spurious wakeups are harmless here).
+            // No deadline channel-side: a message, a close or the last
+            // disconnect is the only wake condition, so park for a coarse
+            // interval and re-check (spurious wakeups are harmless here).
             self.chan.ready.wait_until(
                 &mut queue,
                 std::time::Instant::now() + std::time::Duration::from_secs(3600),
@@ -140,15 +173,15 @@ impl<T> Receiver<T> {
     ///
     /// Returns `Ok(Some(_))` when a message was waiting, `Ok(None)` when
     /// the queue is momentarily empty, and `Err(RecvError)` once it is
-    /// empty *and* every sender has disconnected. The demultiplexer's
-    /// batched drain uses this to pull a burst of already-arrived frames
-    /// after one blocking [`Receiver::recv`].
+    /// empty *and* closed or every sender has disconnected. A loopback
+    /// station's nonblocking receive is this, and a server thread polls
+    /// with it before it parks in [`Receiver::recv`].
     pub fn try_recv(&self) -> Result<Option<T>, RecvError> {
         let mut queue = self.chan.queue.lock();
-        if let Some(value) = queue.pop_front() {
+        if let Some(value) = queue.items.pop_front() {
             return Ok(Some(value));
         }
-        if self.chan.senders.load(Ordering::Acquire) == 0 {
+        if self.chan.senders.load(Ordering::Acquire) == 0 || queue.closed {
             return Err(RecvError);
         }
         Ok(None)
@@ -166,7 +199,19 @@ impl<T> Receiver<T> {
 
     /// Number of queued messages (racy, for tests and introspection).
     pub fn len(&self) -> usize {
-        self.chan.queue.lock().len()
+        self.chan.queue.lock().items.len()
+    }
+
+    /// Whether [`Sender::close`] was called.
+    pub fn is_closed(&self) -> bool {
+        self.chan.queue.lock().closed
+    }
+
+    /// Number of receivers parked in [`Receiver::recv`], read under the
+    /// channel's lock (racy once returned, for stats and tests).
+    pub fn parked(&self) -> usize {
+        let _queue = self.chan.queue.lock();
+        self.chan.ready.waiters()
     }
 
     /// True when no messages are queued (racy, for tests).
@@ -288,6 +333,18 @@ mod tests {
         tx.send("x").unwrap();
         drop(tx);
         assert_eq!(rx.try_recv(), Ok(Some("x")));
+        assert_eq!(rx.try_recv(), Err(RecvError));
+    }
+
+    #[test]
+    fn close_fails_sends_and_drains_before_receives_fail() {
+        let (tx, rx) = unbounded();
+        tx.send(1).unwrap();
+        tx.close();
+        assert!(rx.is_closed());
+        assert_eq!(tx.send(2), Err(SendError(2)));
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(rx.recv(), Err(RecvError));
         assert_eq!(rx.try_recv(), Err(RecvError));
     }
 

@@ -284,9 +284,9 @@ impl Condvar {
         WaitTimeoutResult(result.timed_out())
     }
 
-    /// Threads currently registered in [`Condvar::wait_until`].
-    #[cfg(test)]
-    fn waiters(&self) -> usize {
+    /// Threads currently registered in [`Condvar::wait_until`]: exact
+    /// while the waiters' mutex is held, a racy count otherwise.
+    pub fn waiters(&self) -> usize {
         self.waiters.load(Ordering::Relaxed)
     }
 }

@@ -7,11 +7,9 @@
 //! 2. Duplicate call packets are dispatched exactly once no matter
 //!    which worker ends up executing the call (duplicate filtering
 //!    lives in the per-activity state, not in any one worker).
-//! 3. Whole-queue work stealing never reorders items within one
-//!    victim queue. One activity always enqueues on its home shard, so
-//!    per-queue FIFO is exactly "replies within one activity never
-//!    reorder" — the property `WorkQueues::drain_into` buys by taking
-//!    the backlog with a single `mem::swap`.
+//! 3. The server's one hand-off queue never reorders one producer's
+//!    items, whatever queue index they are pushed with and whichever
+//!    worker pops them: it is a single FIFO channel.
 
 use firefly_idl::{parse_interface, Value};
 use firefly_propcheck::{check, prop_assert, prop_assert_eq};
@@ -134,12 +132,11 @@ fn duplicate_call_packets_dispatch_exactly_once() {
     });
 }
 
-/// Draining a stolen queue never reorders work within one victim queue:
-/// a thief whose own queue stays empty consumes every other queue's
-/// backlog, and within each victim the items come out in exactly the
-/// order they were pushed. Since one activity always enqueues on its
-/// single home shard, this is the "replies within one activity never
-/// reorder" guarantee.
+/// The hand-off queue keeps each producer's order: items pushed with
+/// random queue indices, as the per-worker queues it replaced took
+/// them, come out to one worker in exactly the order each index's
+/// producer pushed them. (The index is unused now; the test's name is
+/// the property it held those queues to.)
 #[test]
 fn stealing_preserves_fifo_order_within_each_queue() {
     check("steal_preserves_per_queue_fifo", 16, |g| {
