@@ -30,7 +30,7 @@ use firefly_sync::atomic as checked_atomic;
 use firefly_sync::{channel, Condvar, Mutex};
 use firefly_wire::{ActivityId, FrameBuilder, FrameView, PacketType};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Far-future deadline: timeouts are ignored under the checker (a
@@ -266,35 +266,44 @@ fn make_trace_ring() -> ModelRun {
     }
 }
 
-/// MPMC channel, as the server's hand-off uses it: two senders, two
-/// receivers, three messages, and a close. Sender 0 sends two messages
-/// and closes, so the close can come with a message still queued;
-/// sender 1's one message may come before or after it. A third sender
-/// outlives the schedule, as the server's queue keeps one until it is
-/// dropped: only the close can end the receivers. Every message
-/// accepted is received exactly once, and both receivers end. Until
-/// sender 1 begins its send, nothing can wake a receiver, so one that
-/// sender 0 finds parked before its first send (`parked` takes the
-/// channel's lock: the receivers may run first) is still parked when
-/// that send lands: the send must report it.
+/// MPMC channel, as the server's hand-off and the loopback stations use
+/// it: two senders, two receivers, three messages. Sender 0 sends two
+/// messages and then ends the channel one of two ways, so that each way
+/// is the only one that can end the receivers:
+/// - sender 1 still running: sender 0 closes, possibly with a message
+///   still queued, and keeps its sender past the schedule, as the
+///   server's queue does; sender 1's message may land before or after
+///   the close;
+/// - sender 1 finished: no close; sender 0 hangs up too, and the last
+///   sender's drop must wake receivers that may both be parked.
+///
+/// Either way every message accepted is received exactly once, and both
+/// receivers end. Until sender 1 begins its send, nothing can wake a
+/// receiver, so one that sender 0 finds parked before its first send
+/// (`parked` takes the channel's lock: the receivers may run first) is
+/// still parked when that send lands: the send must report it.
 fn make_channel() -> ModelRun {
     let (tx0, rx0) = channel::unbounded::<u32>();
     let tx1 = tx0.clone();
     let rx1 = rx0.clone();
     // Clones taken pre-hook; the label-phase drops' counter updates are
-    // invisible to the scheduler (no tid registered yet), and so is the
-    // kept sender's drop after the schedule.
-    let kept = tx0.clone();
+    // invisible to the scheduler (no tid registered yet).
     let probe = rx0.clone();
     let chan = rx0.clone();
     let accepted = Arc::new(AtomicU64::new(0));
     let received = Arc::new(AtomicU64::new(0));
     let s1_began = Arc::new(AtomicBool::new(false));
+    let s1_done = Arc::new(AtomicBool::new(false));
+    // Dropped after the schedule, invisible to the scheduler like the
+    // clones above.
+    let kept = Arc::new(OnceLock::new());
 
     let label = Box::new(move || chan.check_labels()) as Box<dyn FnOnce() + Send>;
     let s0 = {
         let accepted = Arc::clone(&accepted);
         let s1_began = Arc::clone(&s1_began);
+        let s1_done = Arc::clone(&s1_done);
+        let kept = Arc::clone(&kept);
         Box::new(move || {
             let parked = probe.parked();
             let woke = tx0.send(1).expect("receivers alive");
@@ -302,8 +311,11 @@ fn make_channel() -> ModelRun {
                 assert!(woke || parked == 0, "a send missed a parked receiver");
             }
             tx0.send(2).expect("receivers alive");
-            tx0.close();
             accepted.fetch_add(3, Ordering::Relaxed);
+            if !s1_done.load(Ordering::Relaxed) {
+                tx0.close();
+                let _ = kept.set(tx0);
+            }
         }) as Box<dyn FnOnce() + Send>
     };
     let s1 = {
@@ -313,6 +325,7 @@ fn make_channel() -> ModelRun {
             if tx1.send(3).is_ok() {
                 accepted.fetch_add(3, Ordering::Relaxed);
             }
+            s1_done.store(true, Ordering::Relaxed);
         }) as Box<dyn FnOnce() + Send>
     };
     let receiver = |rx: channel::Receiver<u32>| {

@@ -784,9 +784,11 @@ impl ServerSide {
     }
 
     /// Hands a call to the server threads, with the activity's result
-    /// frame. A `true` from the push means a parked thread was woken
-    /// directly — the paper's direct-handoff fast path; `false` means
-    /// none was parked and the call waits in the queue (the slow path).
+    /// frame. An `Ok(true)` from the queue means a parked thread was
+    /// woken directly — the paper's direct-handoff fast path; `Ok(false)`
+    /// means none was parked and the call waits in the queue (the slow
+    /// path). A refusal means `shutdown` ran since `worker_ready` said
+    /// yes: nobody will take the call, and it is shed.
     fn enqueue(
         &self,
         call: Assembled,
@@ -803,11 +805,12 @@ impl ServerSide {
             received_at,
             queued_at: self.ctx.tracer.now_nanos(),
         };
-        if self.queues.push(0, work) {
-            RpcStats::bump(&self.ctx.stats.direct_wakeups);
-        } else {
-            RpcStats::bump(&self.ctx.stats.slow_path_queued);
-        }
+        let counter = match self.queues.offer(work) {
+            Ok(true) => &self.ctx.stats.direct_wakeups,
+            Ok(false) => &self.ctx.stats.slow_path_queued,
+            Err(_) => &self.ctx.stats.calls_shed,
+        };
+        RpcStats::bump(counter);
     }
 
     /// Interrupt-level handling of a probe.
@@ -1299,6 +1302,32 @@ mod tests {
         assert!(server.queues.is_empty(), "a call was queued for nobody");
         assert_eq!(server.pool.stats().outstanding(), 0);
         assert!(out.is_empty(), "a shed call was answered");
+    }
+
+    /// `shutdown` may run between `worker_ready`'s yes and the hand-off:
+    /// the queue then refuses the call, which counts as shed, not queued.
+    #[test]
+    fn a_call_the_closed_queue_refuses_is_shed() {
+        let server = server();
+        let frame = firefly_wire::FrameBuilder::new(PacketType::Call)
+            .activity(ActivityId::new(5, 1, 2))
+            .call_seq(1)
+            .build(&[0; 8])
+            .unwrap()
+            .into_bytes();
+        let view = FrameView::parse(&frame).unwrap();
+        let mut buf = server.pool.alloc().unwrap();
+        buf.fill_from(&frame);
+        let call = Assembled::Single(Packet::validated(buf, view.rpc, view.data.len()));
+        let act = server.activity(view.rpc.activity);
+        server.shutdown();
+        let src = "10.0.0.2:3072".parse().unwrap();
+        server.enqueue(call, src, act, vec![0; MAX_FRAME_LEN].into_boxed_slice(), 0);
+        let stats = &server.ctx.stats;
+        assert_eq!(stats.calls_shed(), 1);
+        assert_eq!((stats.slow_path_queued(), stats.direct_wakeups()), (0, 0));
+        assert!(server.queues.is_empty());
+        assert_eq!(server.pool.stats().outstanding(), 0, "the refused call kept its buffer");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! its waker a futex call and a scheduling round trip, and under a
 //! steady stream the next call comes within a few yields.
 
-use firefly_sync::channel::{unbounded, Receiver, Sender};
+use firefly_sync::channel::{unbounded, Receiver, SendError, Sender};
 use std::collections::VecDeque;
 
 /// The one hand-off queue of a server's threads.
@@ -55,11 +55,17 @@ impl<T> WorkQueues<T> {
         self.rx.is_closed()
     }
 
-    /// Queues an item, waking a parked thread if any. Returns `true`
-    /// when one was parked — the direct hand-off the paper's fast path
-    /// counts on. An item pushed after shutdown is dropped.
+    /// Queues an item, waking a parked thread if any: `Ok(true)` when
+    /// one was parked — the direct hand-off the paper's fast path counts
+    /// on. After shutdown the item is refused and given back.
+    pub fn offer(&self, item: T) -> Result<bool, T> {
+        self.tx.send(item).map_err(|SendError(item)| item)
+    }
+
+    /// [`WorkQueues::offer`], dropping an item refused after shutdown:
+    /// `false` then, as when it was queued with no thread parked.
     pub fn push(&self, _target: usize, item: T) -> bool {
-        self.tx.send(item).unwrap_or(false)
+        self.offer(item).unwrap_or(false)
     }
 
     /// Empty polls (each yielding the processor) before a thread parks.
@@ -172,6 +178,7 @@ mod tests {
         q.push(1, "b");
         q.shutdown();
         assert!(q.is_down());
+        assert_eq!(q.offer("late"), Err("late"), "an offer after shutdown was queued");
         assert!(!q.push(0, "late"), "a push after shutdown was queued");
         let mut local = VecDeque::new();
         assert_eq!(q.pop(0, &mut local), Some("a"));

@@ -60,6 +60,8 @@ counters! {
     /// fragments of a run shed whole for want of a server thread. A
     /// duplicate of a call already seen needs neither and is answered as
     /// usual. The receiving thread never waits for a buffer or a thread.
+    /// Also a call received whose hand-off `shutdown` overtook: it
+    /// counts in `calls_received` too, and is never executed.
     calls_shed,
     /// Calls the server ran — gate, stub and procedure, on the receiving
     /// thread or a server thread — once each, whatever the outcome: a
