@@ -14,7 +14,7 @@
 use firefly_idl::{test_interface, Value};
 use firefly_metrics::table::{fnum, Align, Table};
 use firefly_metrics::Stopwatch;
-use firefly_rpc::trace::{Role, RoleReport, TraceRecord, TraceReport};
+use firefly_rpc::trace::{step_table, Role, TraceRecord, TraceReport};
 use firefly_rpc::transport::LoopbackNet;
 use firefly_rpc::{Config, Endpoint, ServiceBuilder};
 
@@ -52,75 +52,25 @@ impl Account {
 
     /// Renders the caller-side account as a paper-style table.
     pub fn caller_table(&self) -> Table {
-        let mut t = Table::new(&["Step", "Mean µs", "p50", "p95", "p99"])
-            .title(&format!(
-                "Latency account: {} ({} calls, {} kept)",
-                self.procedure, self.calls, self.kept
-            ))
-            .aligns(&[
-                Align::Left,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-            ]);
-        for (name, h) in &self.report.caller.steps {
-            t.row_owned(vec![
-                name.to_string(),
-                fnum(h.mean(), 2),
-                fnum(h.percentile(50.0), 2),
-                fnum(h.percentile(95.0), 2),
-                fnum(h.percentile(99.0), 2),
-            ]);
-        }
-        t.row_owned(vec![
-            "TOTAL accounted (step sum)".into(),
-            fnum(self.accounted_mean_us, 2),
-            "".into(),
-            "".into(),
-            "".into(),
-        ]);
-        t.row_owned(vec![
-            "Measured end-to-end (stopwatch)".into(),
-            fnum(self.measured_mean_us, 2),
-            "".into(),
-            "".into(),
-            "".into(),
-        ]);
-        t.row_owned(vec![
-            "Accounted / measured".into(),
-            format!("{:.1}%", self.coverage() * 100.0),
-            "".into(),
-            "".into(),
-            "".into(),
-        ]);
+        let title = format!(
+            "Latency account: {} ({} calls, {} kept)",
+            self.procedure, self.calls, self.kept
+        );
+        let mut t = step_table(&title, "Step", &self.report.caller);
+        t.row(&["TOTAL accounted (step sum)", &fnum(self.accounted_mean_us, 2)]);
+        t.row(&["Measured end-to-end (stopwatch)", &fnum(self.measured_mean_us, 2)]);
+        t.row(&["Accounted / measured", &format!("{:.1}%", self.coverage() * 100.0)]);
         t
     }
 
     /// Renders the server-side breakdown of the caller's "Wire + server
     /// + wakeup" step.
     pub fn server_table(&self) -> Table {
-        let mut t = Table::new(&["Server step", "Mean µs", "p50", "p95", "p99"])
-            .title(&format!(
-                "Inside \"Wire + server + wakeup\": {} ({} server records)",
-                self.procedure, self.report.server.records
-            ))
-            .aligns(&[
-                Align::Left,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-            ]);
-        for (name, h) in &self.report.server.steps {
-            t.row_owned(vec![
-                name.to_string(),
-                fnum(h.mean(), 2),
-                fnum(h.percentile(50.0), 2),
-                fnum(h.percentile(95.0), 2),
-                fnum(h.percentile(99.0), 2),
-            ]);
-        }
+        let title = format!(
+            "Inside \"Wire + server + wakeup\": {} ({} server records)",
+            self.procedure, self.report.server.records
+        );
+        let mut t = step_table(&title, "Server step", &self.report.server);
         let wire_step = self
             .report
             .caller
@@ -130,53 +80,12 @@ impl Account {
             .map(|(_, h)| h.mean())
             .unwrap_or(0.0);
         let server_total = self.report.server.accounted_mean_us();
-        t.row_owned(vec![
-            "Wire transit + result delivery (residual)".into(),
-            fnum((wire_step - server_total).max(0.0), 2),
-            "".into(),
-            "".into(),
-            "".into(),
+        t.row(&[
+            "Wire transit + result delivery (residual)",
+            &fnum((wire_step - server_total).max(0.0), 2),
         ]);
         t
     }
-}
-
-/// Drives `calls` traced calls of `procedure` over a fresh loopback pair
-/// and returns the paired account.
-///
-/// `args` travel on every call; `warmup` untimed calls run first so the
-/// account describes the steady state (pools warm, activity registered,
-/// caches hot), matching the paper's measurement discipline.
-/// Renders one role's per-step histograms as a paper-style table.
-/// Shared by the `latency_account` experiment and the RPC exerciser, which
-/// drains [`Endpoint::trace_report`](firefly_rpc::Endpoint) directly.
-pub fn role_table(title: &str, role: &RoleReport) -> Table {
-    let mut t = Table::new(&["Step", "Mean µs", "p50", "p95", "p99"])
-        .title(title)
-        .aligns(&[
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ]);
-    for (name, h) in &role.steps {
-        t.row_owned(vec![
-            name.to_string(),
-            fnum(h.mean(), 2),
-            fnum(h.percentile(50.0), 2),
-            fnum(h.percentile(95.0), 2),
-            fnum(h.percentile(99.0), 2),
-        ]);
-    }
-    t.row_owned(vec![
-        "TOTAL (step sum)".into(),
-        fnum(role.accounted_mean_us(), 2),
-        "".into(),
-        "".into(),
-        "".into(),
-    ]);
-    t
 }
 
 /// A flat "top offenders" profile: every caller- and server-side step
@@ -244,6 +153,12 @@ pub fn folded_stacks(procedure: &str, report: &TraceReport) -> Vec<String> {
     lines
 }
 
+/// Drives `calls` traced calls of `procedure` over a fresh loopback pair
+/// and returns the paired account.
+///
+/// `args` travel on every call; `warmup` untimed calls run first so the
+/// account describes the steady state (pools warm, activity registered,
+/// caches hot), matching the paper's measurement discipline.
 pub fn run_account(procedure: &str, args: &[Value], calls: usize, warmup: usize) -> Account {
     // Ring sized so no record of the measured window is ever dropped.
     let config = Config {

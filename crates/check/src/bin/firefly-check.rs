@@ -8,9 +8,10 @@
 //!
 //! `verify [ROOT]` is what scripts/verify.sh and tier-1 run: the smoke
 //! run above, `firefly-lint`'s static analysis of the workspace at ROOT,
-//! and the three static-vs-dynamic gates between them (lock edges,
-//! publications, protocol transitions — see `firefly_check::gates`), in
-//! one process.
+//! and the two static-vs-dynamic gates between them (publications and
+//! protocol transitions — see `firefly_check::gates`), in one process.
+//! Lock order has no gate: `firefly-lint`'s rank rule owns it, and a
+//! model that inverts two locks fails its schedule.
 //!
 //! `--dpor` swaps DFS for sleep-set + source-set dynamic partial-order
 //! reduction; each DPOR run prints a

@@ -1,28 +1,26 @@
-//! The three static-vs-dynamic cross-validation gates: pure functions
-//! over `firefly-lint`'s [`Engine`] (lock order), its static
-//! [`Analysis`], the generated protocol table ([`TRANSITIONS`]) and the
-//! checker's dynamic [`Report`], in one process.
+//! The two static-vs-dynamic cross-validation gates: pure functions
+//! over `firefly-lint`'s static [`Analysis`], the generated protocol
+//! table ([`TRANSITIONS`]) and the checker's dynamic [`Report`], in one
+//! process.
 //!
-//! 1. **Lock edges** — every class-level lock edge observed dynamically
-//!    must already be in the static lock graph and respect the
-//!    configured rank order. A dynamic edge the static graph lacks means
-//!    the linter's receiver map went stale.
-//! 2. **Publications** — every atomic location class on which the race
+//! 1. **Publications** — every atomic location class on which the race
 //!    detector consumed a release→acquire edge must name a location the
 //!    static atomic-publication pass proved paired.
-//! 3. **Protocol transitions** — the observed `(state, packet-type,
+//! 2. **Protocol transitions** — the observed `(state, packet-type,
 //!    flags) -> action` rows must be exactly the legal table that
 //!    `crates/core/build.rs` generates from protocol.toml: a row outside
 //!    it is illegal, a legal row not observed is a coverage gap.
+//!
+//! Lock order is not a gate: `firefly-lint`'s rank rule owns it, and the
+//! scheduler fails any schedule that closes a cycle among the locks it
+//! actually acquires (a lock-order inversion, `bug-abba`).
 //!
 //! [`verify`] is the whole pipeline — analysis, smoke run, gates — and
 //! is what `firefly-check verify` and the tier-1 test both call.
 
 use crate::smoke::{self, Report};
 use crate::Explorer;
-use firefly_lint::config::LockClass;
 use firefly_lint::dataflow::LocationSummary;
-use firefly_lint::lockgraph::LockEdge;
 use firefly_lint::{Analysis, Engine};
 use firefly_rpc::witness::TRANSITIONS;
 use std::collections::BTreeSet;
@@ -49,51 +47,7 @@ impl Findings {
     }
 }
 
-/// Gate 1: observed lock edges against the static lock graph.
-pub fn lock_edges(
-    order: &[LockClass],
-    static_edges: &[LockEdge],
-    observed: &BTreeSet<(String, String)>,
-) -> Findings {
-    let mut found = Findings::default();
-    let rank = |class: &str| order.iter().position(|c| c.name == class);
-    let ranks: Vec<&str> = order.iter().map(|c| c.name.as_str()).collect();
-    let static_classified: BTreeSet<(&str, &str)> = static_edges
-        .iter()
-        .map(|e| (e.from.as_str(), e.to.as_str()))
-        .filter(|(f, t)| f != t && rank(f).is_some() && rank(t).is_some())
-        .collect();
-    for (f, t) in observed {
-        let (Some(rf), Some(rt)) = (rank(f), rank(t)) else {
-            continue; // unclassified endpoint: outside the static model
-        };
-        if rf > rt {
-            found.problems.push(format!(
-                "dynamic edge {f} -> {t} violates rank order {ranks:?}"
-            ));
-        } else if f != t && !static_classified.contains(&(f.as_str(), t.as_str())) {
-            found.problems.push(format!(
-                "dynamic edge {f} -> {t} missing from the static lock graph \
-                 (firefly-lint's receiver map is stale)"
-            ));
-        }
-    }
-    for (f, t) in &static_classified {
-        let mark = if observed.contains(&(f.to_string(), t.to_string())) {
-            "observed"
-        } else {
-            "not observed dynamically"
-        };
-        found.notes.push(format!("static edge {f} -> {t}: {mark}"));
-    }
-    found.notes.push(format!(
-        "{} observed lock edge(s) checked against the static graph",
-        observed.len()
-    ));
-    found
-}
-
-/// Gate 2: observed publication classes against statically paired
+/// Gate 1: observed publication classes against statically paired
 /// atomic locations, matched by name.
 pub fn publications(locations: &[LocationSummary], observed: &BTreeSet<String>) -> Findings {
     let mut found = Findings::default();
@@ -115,7 +69,7 @@ pub fn publications(locations: &[LocationSummary], observed: &BTreeSet<String>) 
     found
 }
 
-/// Gate 3: observed protocol transitions against the legal table.
+/// Gate 2: observed protocol transitions against the legal table.
 pub fn protocol(legal: &[&str], observed: &BTreeSet<String>) -> Findings {
     let mut found = Findings::default();
     let off_spec: Vec<&String> = observed
@@ -147,25 +101,24 @@ pub fn protocol(legal: &[&str], observed: &BTreeSet<String>) -> Findings {
     found
 }
 
-/// All three gates over one static analysis and one dynamic report.
-pub fn all(engine: &Engine, analysis: &Analysis, report: &Report) -> Findings {
-    let mut found = lock_edges(&engine.config.lock_order, &analysis.lock_edges, &report.edges);
-    found.merge(publications(&analysis.dataflow.locations, &report.publications));
+/// Both gates over one static analysis and one dynamic report.
+pub fn all(analysis: &Analysis, report: &Report) -> Findings {
+    let mut found = publications(&analysis.dataflow.locations, &report.publications);
     found.merge(protocol(&TRANSITIONS, &report.transitions));
     found
 }
 
-/// Static analysis of the tree at `root`, the smoke run, then the three
+/// Static analysis of the tree at `root`, the smoke run, then the two
 /// gates, narrated to `out`. `Ok(true)` only when the tree is lint-clean,
 /// the smoke run held, and no gate objected.
 pub fn verify(root: &Path, out: &mut dyn Write) -> io::Result<bool> {
     let engine = Engine::for_root(root);
     let analysis = engine.analyze(root)?;
     let report = smoke::run(&Explorer::new(), &smoke::Spec::smoke(), out);
-    let found = all(&engine, &analysis, &report);
+    let found = all(&analysis, &report);
     writeln!(
         out,
-        "firefly-check: static-vs-dynamic gates (lock edges, publications, protocol)"
+        "firefly-check: static-vs-dynamic gates (publications, protocol)"
     )?;
     for note in &found.notes {
         writeln!(out, "    {note}")?;

@@ -21,11 +21,11 @@
 //! Failures (deadlock, lost wakeup, lock-order inversion, invariant
 //! panic, step budget) come with the decision list and deterministic
 //! event trace of the failing schedule. Passing schedules contribute
-//! their observed lock edges and publication classes, which
-//! [`smoke::run`] unions with the protocol rows of the
-//! [`scenario`] drivers into one typed [`smoke::Report`] and [`gates`]
-//! cross-validates in-process against `firefly-lint`'s static analysis
-//! (`firefly-check verify`, tests/verify.rs).
+//! their publication classes, which [`smoke::run`] unions with the
+//! protocol rows of the [`scenario`] drivers into one typed
+//! [`smoke::Report`] and [`gates`] cross-validates in-process against
+//! `firefly-lint`'s static analysis (`firefly-check verify`,
+//! tests/verify.rs).
 
 #![forbid(unsafe_code)]
 
@@ -129,8 +129,6 @@ pub struct Outcome {
     pub parks: usize,
     /// The first failure, if any (exploration stops there).
     pub failure: Option<FailureReport>,
-    /// Class-level lock edges observed across all passing schedules.
-    pub edges: BTreeSet<(String, String)>,
     /// Atomic location classes on which a release→acquire publication
     /// edge was consumed in at least one passing schedule.
     pub publications: BTreeSet<String>,
@@ -214,7 +212,6 @@ impl Explorer {
             pruned: 0,
             parks: 0,
             failure: None,
-            edges: BTreeSet::new(),
             publications: BTreeSet::new(),
             digest: FNV_OFFSET,
         };
@@ -246,9 +243,6 @@ impl Explorer {
                     trace: result.trace,
                 });
                 return outcome;
-            }
-            for edge in result.named_edges {
-                outcome.edges.insert(edge);
             }
             outcome.publications.extend(result.publications);
             outcome.parks += result.parks;
@@ -321,7 +315,6 @@ impl Explorer {
             pruned: 0,
             parks: 0,
             failure: None,
-            edges: BTreeSet::new(),
             publications: BTreeSet::new(),
             digest: FNV_OFFSET,
         };
@@ -360,9 +353,6 @@ impl Explorer {
                         trace: result.trace,
                     });
                     return outcome;
-                }
-                for edge in result.named_edges {
-                    outcome.edges.insert(edge);
                 }
                 outcome.publications.extend(result.publications.iter().cloned());
                 outcome.parks += result.parks;

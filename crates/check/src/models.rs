@@ -804,8 +804,8 @@ fn make_bug_race_notify() -> ModelRun {
     }
 }
 
-/// The clean models: every schedule must pass; their observed lock
-/// edges feed the static-vs-dynamic diff.
+/// The clean models: every schedule must pass; their publication
+/// classes feed the static-vs-dynamic gates.
 pub fn structure_models() -> Vec<Model> {
     vec![
         Model {

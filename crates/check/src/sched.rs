@@ -318,14 +318,6 @@ impl Obj {
         }
     }
 
-    /// Class-level name for edge reporting: the label when present
-    /// (several locks share one class), the unique name otherwise.
-    fn class(&self) -> String {
-        match self.label {
-            Some(l) => l.to_string(),
-            None => self.name(),
-        }
-    }
 }
 
 #[derive(Default)]
@@ -338,8 +330,6 @@ struct Core {
     next_index: usize,
     /// Addr-level "held → acquired" edges of this schedule.
     edges: BTreeSet<(usize, usize)>,
-    /// Class-level edges, accumulated as they are observed.
-    named_edges: BTreeSet<(String, String)>,
     running: Option<usize>,
     aborting: bool,
     failure: Option<Failure>,
@@ -385,8 +375,6 @@ pub struct ScheduleResult {
     /// rest), so a model that claims to cover a wait/notify protocol
     /// must show it parked somewhere.
     pub parks: usize,
-    /// Class-level lock edges observed.
-    pub named_edges: BTreeSet<(String, String)>,
     /// Per-step records (granted thread, alternatives, run slice).
     pub steps: Vec<StepRec>,
     /// True when the schedule was abandoned as sleep-set-redundant.
@@ -457,7 +445,6 @@ impl Sched {
             decisions: std::mem::take(&mut core.decisions),
             trace: std::mem::take(&mut core.trace),
             parks: core.parks,
-            named_edges: std::mem::take(&mut core.named_edges),
             steps: std::mem::take(&mut core.step_recs),
             redundant: core.redundant,
             decision_sleeps: std::mem::take(&mut core.decision_sleeps),
@@ -671,14 +658,6 @@ impl Sched {
                         return;
                     }
                     core.edges.insert((h, lock));
-                    let (from, to) = {
-                        let held_class = core.objs.get(&h).map(Obj::class);
-                        let lock_class = core.objs.get(&lock).map(Obj::class);
-                        (held_class, lock_class)
-                    };
-                    if let (Some(from), Some(to)) = (from, to) {
-                        core.named_edges.insert((from, to));
-                    }
                 }
                 let name = Self::obj_name(core, lock);
                 if let Some(o) = core.objs.get_mut(&lock) {

@@ -3,8 +3,8 @@
 //! drivers, then every seeded-bug model, which must each *fail* with a
 //! schedule that replays. One function, [`run`], drives it and hands
 //! back the dynamic evidence the cross-validation gates
-//! ([`crate::gates`]) read: observed lock edges, publication classes and
-//! protocol transitions. The `firefly-check` binary's default mode and
+//! ([`crate::gates`]) read: publication classes and protocol
+//! transitions. The `firefly-check` binary's default mode and
 //! `verify` subcommand, and the tier-1 test in `tests/verify.rs`, all
 //! call it.
 
@@ -58,8 +58,6 @@ pub struct Report {
     /// Every structure model passed, both protocol drivers drove their
     /// rows, and every seeded bug was caught and replayed.
     pub ok: bool,
-    /// Lock edges by lock label (`calltable` → `pool`).
-    pub edges: BTreeSet<(String, String)>,
     /// Atomic location classes on which a release→acquire publication
     /// edge was consumed.
     pub publications: BTreeSet<String>,
@@ -214,7 +212,6 @@ pub fn run(explorer: &Explorer, spec: &Spec, out: &mut dyn Write) -> Report {
                     dpor_line(out, &outcome);
                 }
                 report.ok &= summarize(out, &outcome, false, spec.verbose);
-                report.edges.extend(outcome.edges);
                 report.publications.extend(outcome.publications);
             }
         }

@@ -17,8 +17,8 @@
 
 use firefly_idl::ast::{Mode, TypeExpr};
 use firefly_idl::{parse_interface, InterfaceDef, Value};
-use firefly_metrics::table::{fnum, Align, Table};
-use firefly_rpc::trace::{RoleReport, TraceReport};
+use firefly_metrics::table::fnum;
+use firefly_rpc::trace::{step_table, TraceReport};
 use firefly_rpc::transport::UdpTransport;
 use firefly_rpc::{Config, Endpoint, ServiceBuilder};
 use std::net::SocketAddr;
@@ -257,25 +257,6 @@ fn spawn_stdin_watcher(stop: Arc<AtomicBool>) {
     });
 }
 
-fn role_rows(t: &mut Table, role: &RoleReport) {
-    for (name, h) in &role.steps {
-        t.row_owned(vec![
-            name.to_string(),
-            fnum(h.mean(), 2),
-            fnum(h.percentile(50.0), 2),
-            fnum(h.percentile(95.0), 2),
-            fnum(h.percentile(99.0), 2),
-        ]);
-    }
-    t.row_owned(vec![
-        "TOTAL (step sum)".into(),
-        fnum(role.accounted_mean_us(), 2),
-        "".into(),
-        "".into(),
-        "".into(),
-    ]);
-}
-
 /// The shutdown report: every step's latency histogram, merged over
 /// the entire serve lifetime.
 fn print_final_report(total: &TraceReport) {
@@ -283,37 +264,16 @@ fn print_final_report(total: &TraceReport) {
         println!("shutting down: no traced calls");
         return;
     }
-    if total.server.records > 0 {
-        let mut t = Table::new(&["Step", "Mean µs", "p50", "p95", "p99"])
-            .title(&format!(
-                "Shutdown trace report: {} server calls",
-                total.server.records
-            ))
-            .aligns(&[
-                Align::Left,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-            ]);
-        role_rows(&mut t, &total.server);
-        print!("{t}");
-    }
-    if total.caller.records > 0 {
-        let mut t = Table::new(&["Step", "Mean µs", "p50", "p95", "p99"])
-            .title(&format!(
-                "Shutdown trace report: {} caller records",
-                total.caller.records
-            ))
-            .aligns(&[
-                Align::Left,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-            ]);
-        role_rows(&mut t, &total.caller);
-        print!("{t}");
+    for (role, what) in [
+        (&total.server, "server calls"),
+        (&total.caller, "caller records"),
+    ] {
+        if role.records > 0 {
+            let title = format!("Shutdown trace report: {} {what}", role.records);
+            let mut t = step_table(&title, "Step", role);
+            t.row(&["TOTAL (step sum)", &fnum(role.accounted_mean_us(), 2)]);
+            print!("{t}");
+        }
     }
     if total.dropped > 0 {
         println!("({} records dropped by the ring)", total.dropped);

@@ -32,6 +32,7 @@
 //! account. See `docs/TRACING.md` for the record format and the mapping
 //! from steps to the paper's rows.
 
+use firefly_metrics::table::{fnum, Table};
 use firefly_metrics::Histogram;
 use firefly_sync::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -509,6 +510,24 @@ impl RoleReport {
     pub fn accounted_mean_us(&self) -> f64 {
         self.steps.iter().map(|(_, h)| h.mean()).sum()
     }
+}
+
+/// One role's per-step histograms as a paper-style table under `title`:
+/// a row per step with its mean, p50, p95 and p99 in µs, the step names
+/// under the `step` header. Callers append their own total rows.
+pub fn step_table(title: &str, step: &str, role: &RoleReport) -> Table {
+    let mut t = Table::new(&[step, "Mean µs", "p50", "p95", "p99"]).title(title);
+    for (name, h) in &role.steps {
+        let [mean, p50, p95, p99] = [
+            h.mean(),
+            h.percentile(50.0),
+            h.percentile(95.0),
+            h.percentile(99.0),
+        ]
+        .map(|us| fnum(us, 2));
+        t.row(&[name, &mean, &p50, &p95, &p99]);
+    }
+    t
 }
 
 /// A drained, aggregated account: per-step histograms for both roles.

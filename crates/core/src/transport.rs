@@ -24,7 +24,10 @@
 //!   instant delivery, with injectable loss, duplication, corruption and
 //!   delay for protocol tests (the paper's §5 "lost packet" pathology is
 //!   reproduced this way). It sends a batch frame by frame, so its faults
-//!   strike single fragments.
+//!   strike single fragments. Each station draws its frames' faults from
+//!   its own stream, seeded from the segment's seed and the station id,
+//!   so how one station's frames fare does not depend on when the other
+//!   stations send.
 //!
 //! [`Endpoint`]: crate::Endpoint
 //! [`Client`]: crate::Client
@@ -313,9 +316,9 @@ enum Msg {
 struct NetInner {
     stations: Mutex<HashMap<SocketAddr, Sender<Msg>>>,
     faults: Mutex<FaultPlan>,
-    rng: Mutex<Rng>,
-    frames_sent: Mutex<u64>,
-    frames_dropped: Mutex<u64>,
+    seed: u64,
+    frames_sent: AtomicU64,
+    frames_dropped: AtomicU64,
 }
 
 /// An in-process "private Ethernet" connecting any number of stations.
@@ -341,7 +344,8 @@ impl LoopbackNet {
         Self::with_seed(0x5eed_f1ef)
     }
 
-    /// Creates a segment whose fault decisions use the given seed.
+    /// Creates a segment whose stations' fault streams derive from the
+    /// given seed.
     pub fn with_seed(seed: u64) -> LoopbackNet {
         LoopbackNet {
             // lint:allow(no-alloc-on-fast-path): once per simulated
@@ -349,9 +353,9 @@ impl LoopbackNet {
             inner: Arc::new(NetInner {
                 stations: Mutex::new(HashMap::new()),
                 faults: Mutex::new(FaultPlan::default()),
-                rng: Mutex::new(Rng::new(seed)),
-                frames_sent: Mutex::new(0),
-                frames_dropped: Mutex::new(0),
+                seed,
+                frames_sent: AtomicU64::new(0),
+                frames_dropped: AtomicU64::new(0),
             }),
         }
     }
@@ -363,12 +367,12 @@ impl LoopbackNet {
 
     /// Total frames offered to the segment.
     pub fn frames_sent(&self) -> u64 {
-        *self.inner.frames_sent.lock()
+        self.inner.frames_sent.load(Ordering::Relaxed)
     }
 
     /// Frames dropped by loss injection.
     pub fn frames_dropped(&self) -> u64 {
-        *self.inner.frames_dropped.lock()
+        self.inner.frames_dropped.load(Ordering::Relaxed)
     }
 
     /// Attaches a new station with the given small id; its address is
@@ -387,6 +391,8 @@ impl LoopbackNet {
             "station {id} already attached"
         );
         stations.insert(addr, tx);
+        let mut state = u64::from(id);
+        let rng = Mutex::new(Rng::new(self.inner.seed ^ firefly_rng::splitmix64(&mut state)));
         // lint:allow(no-alloc-on-fast-path): once per station attached,
         // before any traffic.
         Arc::new(LoopbackStation {
@@ -395,31 +401,37 @@ impl LoopbackNet {
             net: self.clone(),
             addr,
             rx,
+            rng,
             down: AtomicBool::new(false),
         })
     }
 
-    fn deliver(&self, frame: &[u8], src: SocketAddr, dst: SocketAddr) -> io::Result<()> {
-        *self.inner.frames_sent.lock() += 1;
+    /// Offers `frame` from `src` to `dst`, drawing its faults from the
+    /// sending station's `rng`.
+    fn deliver(
+        &self,
+        frame: &[u8],
+        src: SocketAddr,
+        dst: SocketAddr,
+        rng: &Mutex<Rng>,
+    ) -> io::Result<()> {
+        self.inner.frames_sent.fetch_add(1, Ordering::Relaxed);
         // lint:allow(no-alloc-on-fast-path): LoopbackNet is the simulated
         // Ethernet for tests; it copies the frame so fault injection can
         // corrupt or duplicate it without aliasing the sender's buffer.
         let plan = self.inner.faults.lock().clone();
         // lint:allow(no-alloc-on-fast-path): see above — simulation copy.
         let mut frame = frame.to_vec();
-        {
-            let mut rng = self.inner.rng.lock();
+        let copies = {
+            let mut rng = rng.lock();
             if plan.loss > 0.0 && rng.f64() < plan.loss {
-                *self.inner.frames_dropped.lock() += 1;
+                self.inner.frames_dropped.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
             }
             if plan.corrupt > 0.0 && rng.f64() < plan.corrupt && !frame.is_empty() {
                 let i = rng.range_usize(0..frame.len());
                 frame[i] ^= 0x01;
             }
-        }
-        let copies = {
-            let mut rng = self.inner.rng.lock();
             if plan.duplicate > 0.0 && rng.f64() < plan.duplicate {
                 2
             } else {
@@ -434,7 +446,7 @@ impl LoopbackNet {
                 Some(tx) => tx.clone(),
                 None => {
                     // Like a real Ethernet: frames to absent stations vanish.
-                    *self.inner.frames_dropped.lock() += 1;
+                    self.inner.frames_dropped.fetch_add(1, Ordering::Relaxed);
                     return Ok(());
                 }
             }
@@ -478,6 +490,8 @@ pub struct LoopbackStation {
     net: LoopbackNet,
     addr: SocketAddr,
     rx: Receiver<Msg>,
+    /// This station's fault stream.
+    rng: Mutex<Rng>,
     down: AtomicBool,
 }
 
@@ -486,7 +500,7 @@ impl Transport for LoopbackStation {
         if self.down.load(Ordering::Acquire) {
             return Err(aborted());
         }
-        self.net.deliver(frame, self.addr, dst)
+        self.net.deliver(frame, self.addr, dst, &self.rng)
     }
 
     fn recv(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {

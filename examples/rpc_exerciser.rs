@@ -10,11 +10,11 @@
 #![forbid(unsafe_code)]
 
 use firefly::idl::{test_interface, Value};
+use firefly::metrics::table::fnum;
 use firefly::metrics::{megabits_per_sec, rpcs_per_sec, Stopwatch, Table};
-use firefly::rpc::trace::TraceReport;
+use firefly::rpc::trace::{step_table, TraceReport};
 use firefly::rpc::transport::UdpTransport;
 use firefly::rpc::{Client, Config, Endpoint, ServiceBuilder};
-use firefly_bench::account::role_table;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -106,20 +106,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{t}");
     for (name, report) in [("Null", &null_report), ("MaxResult", &max_report)] {
-        println!(
-            "{}",
-            role_table(
-                &format!("{name}: caller steps ({} records)", report.caller.records),
-                &report.caller
-            )
-        );
-        println!(
-            "{}",
-            role_table(
-                &format!("{name}: server steps ({} records)", report.server.records),
-                &report.server
-            )
-        );
+        for (role, side) in [(&report.caller, "caller"), (&report.server, "server")] {
+            let title = format!("{name}: {side} steps ({} records)", role.records);
+            let mut t = step_table(&title, "Step", role);
+            t.row(&["TOTAL (step sum)", &fnum(role.accounted_mean_us(), 2)]);
+            println!("{t}");
+        }
     }
     println!(
         "retransmissions: {}, slow-path queueing: {}",

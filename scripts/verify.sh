@@ -31,7 +31,7 @@ budgeted() {
 echo "==> cargo build --release --offline (workspace)"
 cargo build --release --offline --workspace
 
-# Includes tier-1's root suite: the three static-vs-dynamic gates on the
+# Includes tier-1's root suite: the two static-vs-dynamic gates on the
 # live workspace (tests/verify.rs), DPOR's reduction on the pool model
 # (a fifth of DFS's schedules or fewer, tests/check.rs) and the
 # ledger's gate on typed values (tests/bench_gate.rs).
@@ -53,7 +53,7 @@ budgeted 5000 run firefly-lint --summary
 # Dynamic checking plus cross-validation in one process: bounded
 # schedule exploration of the structure models, the seeded-bug fixtures
 # (each caught with a replayable schedule), the caller drill and the
-# wire scenario, and the three gates against firefly-lint's analysis
+# wire scenario, and the two gates against firefly-lint's analysis
 # (docs/CHECKING.md). The budget is about twice the measured time
 # (three runs on a 2-vCPU VM at load average 2.2: 1027, 984, 1063 ms).
 echo "==> firefly-check verify"

@@ -1,22 +1,13 @@
 //! Tier-1 gate for `firefly-check`, the deterministic concurrency
 //! checker: the seeded-bug fixtures must be caught with replayable
-//! schedules, the clean structure models must pass, exploration must be
-//! deterministic under a fixed seed, and every lock edge observed
-//! dynamically must be consistent with the static lock graph computed
-//! by `firefly-lint` (gate one of `firefly_check::gates`).
+//! schedules, the clean structure models must pass, and exploration
+//! must be deterministic under a fixed seed.
 
-use std::collections::BTreeSet;
 use std::mem::discriminant;
-use std::path::PathBuf;
 
 use firefly_check::sched::Failure;
-use firefly_check::{gates, models, Explorer, Mode};
-use firefly_lint::Engine;
+use firefly_check::{models, Explorer, Mode};
 use firefly_propcheck::check;
-
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-}
 
 /// Every seeded bug is detected within a bounded DFS, and re-running
 /// the printed decision list reproduces the same failure kind — the
@@ -118,9 +109,8 @@ fn structure_models_pass_every_schedule() {
 }
 
 /// Determinism: the same seed and model produce byte-identical schedule
-/// traces (compared via the FNV digest over every event line), the same
-/// schedule count, and the same observed edge set — across two
-/// independent explorers.
+/// traces (compared via the FNV digest over every event line) and the
+/// same schedule count — across two independent explorers.
 #[test]
 fn same_seed_produces_identical_exploration() {
     check("same seed, same schedules", 6, |g| {
@@ -135,9 +125,9 @@ fn same_seed_produces_identical_exploration() {
                     model.name, a.digest, b.digest
                 ));
             }
-            if a.schedules != b.schedules || a.edges != b.edges {
+            if a.schedules != b.schedules {
                 return Err(format!(
-                    "{}: schedule count or edge set diverged under seed {seed:#x}",
+                    "{}: schedule count diverged under seed {seed:#x}",
                     model.name
                 ));
             }
@@ -150,7 +140,7 @@ fn same_seed_produces_identical_exploration() {
 /// DPOR must reach the same verdict as plain DFS — a pass stays a pass
 /// and a seeded bug stays caught with the same failure kind. When both
 /// modes exhaust the schedule space they must also observe the same
-/// lock-edge set (pruning drops redundant interleavings, never
+/// publication classes (pruning drops redundant interleavings, never
 /// behaviors), and DPOR itself is deterministic: two runs produce the
 /// same digest, schedule count, and pruned count.
 #[test]
@@ -191,11 +181,11 @@ fn dpor_agrees_with_dfs_on_every_model() {
                     ));
                 }
             }
-            if dfs.exhausted && dpor.exhausted && dfs.edges != dpor.edges {
+            if dfs.exhausted && dpor.exhausted && dfs.publications != dpor.publications {
                 return Err(format!(
-                    "{}: exhaustive DFS and DPOR observed different lock-edge \
-                     sets: {:?} vs {:?}",
-                    model.name, dfs.edges, dpor.edges
+                    "{}: exhaustive DFS and DPOR observed different publication \
+                     classes: {:?} vs {:?}",
+                    model.name, dfs.publications, dpor.publications
                 ));
             }
         }
@@ -305,38 +295,6 @@ fn receive_role_strands_no_waiter() {
         "receive-role (random): {}",
         rand.failure.map(|f| f.failure.to_string()).unwrap_or_default()
     );
-}
-
-/// Cross-validation against the static lock graph: every class-level
-/// edge the checker observes dynamically must already be present in
-/// `firefly-lint`'s static graph (same classified endpoints), and must
-/// respect the configured rank order — the first of the three gates in
-/// `firefly_check::gates` (tests/verify.rs runs all three on the full
-/// smoke report; this one pins the lock gate to a plain DFS pass).
-/// The other direction too: every ranked edge the static graph claims
-/// must be observed by some model. Today the runtime nests no two
-/// ranked locks, and both sides agree on that.
-#[test]
-fn observed_edges_are_a_subset_of_the_static_lock_graph() {
-    let explorer = Explorer::new();
-    let mut observed: BTreeSet<(String, String)> = BTreeSet::new();
-    for model in models::structure_models() {
-        let dfs = explorer.explore(&model, &Mode::Dfs { max_schedules: 400 });
-        assert!(dfs.failure.is_none(), "{}: unexpected failure", model.name);
-        observed.extend(dfs.edges);
-    }
-
-    let root = workspace_root();
-    let engine = Engine::for_root(&root);
-    let analysis = engine.analyze(&root).expect("walk workspace");
-    let found = gates::lock_edges(&engine.config.lock_order, &analysis.lock_edges, &observed);
-    assert!(found.passed(), "{:#?}", found.problems);
-    let unexercised: Vec<&String> = found
-        .notes
-        .iter()
-        .filter(|n| n.ends_with("not observed dynamically"))
-        .collect();
-    assert!(unexercised.is_empty(), "no model drives {unexercised:#?}");
 }
 
 /// Stress the instrumented MPMC channel beyond what schedule

@@ -1,6 +1,6 @@
-//! Tier-1 home of the three static-vs-dynamic cross-validation gates
+//! Tier-1 home of the two static-vs-dynamic cross-validation gates
 //! (`firefly_check::gates`, docs/CHECKING.md): the live workspace must
-//! pass all of them — the same call `firefly-check verify` makes — and
+//! pass both — the same call `firefly-check verify` makes — and
 //! each gate must reject its seeded inconsistency. Everything runs
 //! in-process on typed values, so no missing tool can skip it.
 
@@ -8,14 +8,12 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use firefly_check::gates;
-use firefly_lint::config::LockClass;
 use firefly_lint::dataflow::LocationSummary;
-use firefly_lint::lockgraph::LockEdge;
 use firefly_rpc::witness::{Action, ProtocolWitness, State, TRANSITIONS};
 use firefly_wire::{ActivityId, PacketType, RpcHeader};
 
 /// `firefly-check verify` on this checkout: lint-clean, every model and
-/// seeded bug as expected, all three gates quiet, and every row of
+/// seeded bug as expected, both gates quiet, and every row of
 /// protocol.toml observed.
 #[test]
 fn live_workspace_passes_all_three_gates() {
@@ -59,71 +57,8 @@ fn packet_types_match_the_spec_both_ways() {
     );
 }
 
-fn order() -> Vec<LockClass> {
-    ["calltable", "shard", "pool"]
-        .into_iter()
-        .map(|name| LockClass {
-            name: name.to_string(),
-            receivers: Vec::new(),
-        })
-        .collect()
-}
-
-fn static_edge(from: &str, to: &str) -> LockEdge {
-    LockEdge {
-        from: from.to_string(),
-        to: to.to_string(),
-        path: "src/lib.rs".to_string(),
-        line: 1,
-    }
-}
-
 fn set<T: Ord + Clone>(items: &[T]) -> BTreeSet<T> {
     items.iter().cloned().collect()
-}
-
-fn edge(from: &str, to: &str) -> (String, String) {
-    (from.to_string(), to.to_string())
-}
-
-#[test]
-fn lock_gate_accepts_ranked_static_edges() {
-    let found = gates::lock_edges(
-        &order(),
-        &[static_edge("calltable", "pool")],
-        &set(&[
-            edge("calltable", "pool"),
-            edge("src/lib.rs::scratch", "pool"), // unclassified: outside the model
-        ]),
-    );
-    assert!(found.passed(), "{found:?}");
-    assert!(
-        found
-            .notes
-            .contains(&"static edge calltable -> pool: observed".to_string()),
-        "{found:?}"
-    );
-}
-
-#[test]
-fn lock_gate_rejects_an_edge_the_static_graph_lacks() {
-    let observed = set(&[edge("calltable", "pool")]);
-    let found = gates::lock_edges(&order(), &[], &observed);
-    assert_eq!(found.problems.len(), 1, "{found:?}");
-    assert!(
-        found.problems[0].contains("missing from the static lock graph"),
-        "{found:?}"
-    );
-    // Present statically but against the rank order is a violation too.
-    let found = gates::lock_edges(
-        &order(),
-        &[static_edge("pool", "calltable")],
-        &set(&[edge("pool", "calltable")]),
-    );
-    assert!(
-        found.problems[0].contains("violates rank order"),
-        "{found:?}"
-    );
 }
 
 #[test]
