@@ -168,14 +168,15 @@ fn make_calltable() -> ModelRun {
     }
 }
 
-/// Pool acquire/release/recycle: three threads contend for two buffers;
-/// one recycles straight onto the controller receive queue (§3.2), one
-/// reclaims from it. The finale proves conservation — every slab is back
-/// on the free list or the receive queue, and the outstanding counter
-/// agrees.
+/// Pool acquire/release/recycle: three threads contend for two buffers
+/// and never wait for one — a take that finds the pool dry gets
+/// `Exhausted` and goes on, as the server sheds a call. One recycles
+/// straight onto the controller receive queue (§3.2), one reclaims from
+/// it. The finale proves conservation — every slab is back on the free
+/// list or the receive queue, the outstanding counter agrees, and each
+/// of the four takes counted once, as an allocation or an exhaustion.
 fn make_pool() -> ModelRun {
     let pool = BufferPool::new(2);
-    const HOUR: Duration = Duration::from_secs(3600);
 
     let label = {
         let pool = pool.clone();
@@ -183,27 +184,22 @@ fn make_pool() -> ModelRun {
     };
     let t0 = {
         let pool = pool.clone();
-        Box::new(move || {
-            let buf = pool.alloc_timeout(HOUR).expect("t0 alloc");
-            drop(buf);
-        }) as Box<dyn FnOnce() + Send>
+        Box::new(move || drop(pool.alloc())) as Box<dyn FnOnce() + Send>
     };
     let t1 = {
         let pool = pool.clone();
         Box::new(move || {
-            let buf = pool.alloc_timeout(HOUR).expect("t1 alloc");
-            pool.recycle_to_receive_queue(buf);
+            if let Ok(buf) = pool.alloc() {
+                pool.recycle_to_receive_queue(buf);
+            }
         }) as Box<dyn FnOnce() + Send>
     };
     let t2 = {
         let pool = pool.clone();
         Box::new(move || {
-            let buf = pool.alloc_timeout(HOUR).expect("t2 alloc");
-            drop(buf);
+            drop(pool.alloc());
             // Reclaim from the receive queue if the recycler beat us.
-            if let Ok(buf2) = pool.take_receive_buffer() {
-                drop(buf2);
-            }
+            drop(pool.take_receive_buffer());
         }) as Box<dyn FnOnce() + Send>
     };
     let finale = Box::new(move || {
@@ -212,7 +208,9 @@ fn make_pool() -> ModelRun {
             2,
             "slab leaked or double-released"
         );
-        assert_eq!(pool.stats().outstanding(), 0, "outstanding counter drifted");
+        let stats = pool.stats();
+        assert_eq!(stats.outstanding(), 0, "outstanding counter drifted");
+        assert_eq!(stats.allocs() + stats.exhaustions(), 4, "a take went uncounted");
     }) as Box<dyn FnOnce() + Send>;
     ModelRun {
         label,
@@ -815,7 +813,7 @@ pub fn structure_models() -> Vec<Model> {
         },
         Model {
             name: "pool",
-            about: "buffer pool acquire/release/recycle via receive queue (paper §3.2)",
+            about: "buffer pool take/release/recycle via receive queue, no waiting (paper §3.2)",
             make: make_pool,
         },
         Model {

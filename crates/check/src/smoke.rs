@@ -6,11 +6,45 @@
 //! ([`crate::gates`]) read: publication classes and protocol
 //! transitions. The `firefly-check` binary's default mode and
 //! `verify` subcommand, and the tier-1 test in `tests/verify.rs`, all
-//! call it.
+//! call it. The wire scenario runs on a thread of its own and fails as
+//! hung past [`WIRE_SCENARIO_BOUND`], so a lost wakeup in the runtime
+//! fails the run instead of stalling it.
 
 use crate::{models, render_failure, scenario, Explorer, Mode, Model, Outcome};
 use std::collections::BTreeSet;
 use std::io::Write;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread;
+use std::time::Duration;
+
+/// How long the wire scenario, the one phase that runs the runtime on
+/// real threads, may take before it counts as hung. A healthy run of
+/// the whole `verify` takes 1.2–3.2 s on a 2-vCPU VM; a runtime thread
+/// that misses its wakeup parks for ever instead, and the endpoint's
+/// shutdown waits on it.
+pub const WIRE_SCENARIO_BOUND: Duration = Duration::from_secs(30);
+
+/// Runs `phase` on a thread of its own and waits at most `bound` for its
+/// result. Past the bound the phase is reported as hung, naming it, and
+/// its thread is left where it is blocked. The result comes back over a
+/// `std` channel, not over the runtime's own, which may be the code
+/// that lost the wakeup.
+fn bounded<T: Send + 'static>(
+    name: &str,
+    bound: Duration,
+    phase: impl FnOnce() -> Result<T, String> + Send + 'static,
+) -> Result<T, String> {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || tx.send(phase()));
+    match rx.recv_timeout(bound) {
+        Ok(result) => result,
+        Err(RecvTimeoutError::Timeout) => Err(format!(
+            "{name}: no result within {} s: a thread is blocked for good (a lost wakeup?)",
+            bound.as_secs_f64()
+        )),
+        Err(RecvTimeoutError::Disconnected) => Err(format!("{name}: panicked")),
+    }
+}
 
 /// How hard to explore.
 #[derive(Debug, Clone)]
@@ -219,7 +253,11 @@ pub fn run(explorer: &Explorer, spec: &Spec, out: &mut dyn Write) -> Report {
         // the real sharded call table through every caller row, a live
         // endpoint through every server row.
         report.transitions.extend(scenario::caller_transitions());
-        match scenario::wire_transitions() {
+        match bounded(
+            "wire scenario",
+            WIRE_SCENARIO_BOUND,
+            scenario::wire_transitions,
+        ) {
             Ok(rows) => report.transitions.extend(rows),
             Err(e) => {
                 let _ = writeln!(out, "FAIL  {e}");
@@ -238,4 +276,20 @@ pub fn run(explorer: &Explorer, spec: &Spec, out: &mut dyn Write) -> Report {
         report.ok &= caught && replay_reproduces(out, explorer, &model, &outcome);
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_phase_past_its_bound_fails_by_name() {
+        let never = || -> Result<(), String> {
+            loop {
+                thread::park();
+            }
+        };
+        let err = bounded("stuck phase", Duration::from_millis(50), never).unwrap_err();
+        assert!(err.starts_with("stuck phase: no result within 0.05 s"), "{err}");
+    }
 }

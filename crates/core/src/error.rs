@@ -18,8 +18,6 @@ pub enum RpcError {
     Wire(firefly_wire::WireError),
     /// A marshalling error.
     Idl(firefly_idl::IdlError),
-    /// The packet buffer pool was exhausted.
-    Pool(firefly_pool::PoolError),
     /// An I/O error from the transport.
     Io(std::io::Error),
     /// The endpoint is shutting down.
@@ -49,7 +47,6 @@ impl fmt::Display for RpcError {
             RpcError::Remote(m) => write!(f, "remote error: {m}"),
             RpcError::Wire(e) => write!(f, "wire error: {e}"),
             RpcError::Idl(e) => write!(f, "marshalling error: {e}"),
-            RpcError::Pool(e) => write!(f, "buffer pool error: {e}"),
             RpcError::Io(e) => write!(f, "transport error: {e}"),
             RpcError::Shutdown => write!(f, "endpoint shut down"),
             RpcError::Binding(m) => write!(f, "binding error: {m}"),
@@ -67,7 +64,6 @@ impl std::error::Error for RpcError {
         match self {
             RpcError::Wire(e) => Some(e),
             RpcError::Idl(e) => Some(e),
-            RpcError::Pool(e) => Some(e),
             RpcError::Io(e) => Some(e),
             _ => None,
         }
@@ -83,12 +79,6 @@ impl From<firefly_wire::WireError> for RpcError {
 impl From<firefly_idl::IdlError> for RpcError {
     fn from(e: firefly_idl::IdlError) -> Self {
         RpcError::Idl(e)
-    }
-}
-
-impl From<firefly_pool::PoolError> for RpcError {
-    fn from(e: firefly_pool::PoolError) -> Self {
-        RpcError::Pool(e)
     }
 }
 
@@ -121,8 +111,6 @@ mod tests {
 
     #[test]
     fn conversions() {
-        let e: RpcError = firefly_pool::PoolError::Exhausted.into();
-        assert!(matches!(e, RpcError::Pool(_)));
         let e: RpcError = firefly_wire::WireError::FrameTooLong(2000).into();
         assert!(matches!(e, RpcError::Wire(_)));
     }

@@ -52,21 +52,6 @@ impl Packet {
     pub fn data(&self) -> &[u8] {
         &self.buf[DATA_OFFSET..DATA_OFFSET + self.data_len]
     }
-
-    /// Length of the data region.
-    pub fn data_len(&self) -> usize {
-        self.data_len
-    }
-
-    /// Total frame length on the wire.
-    pub fn wire_len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Consumes the packet, returning its buffer (for recycling).
-    pub fn into_buf(self) -> PacketBuf {
-        self.buf
-    }
 }
 
 /// The most fragments handed over as one run: a window, which is as many
@@ -180,8 +165,6 @@ mod tests {
     fn data_read_in_place() {
         let p = packet_with_data(&[1, 2, 3, 4]);
         assert_eq!(p.data(), &[1, 2, 3, 4]);
-        assert_eq!(p.data_len(), 4);
-        assert_eq!(p.wire_len(), 78);
         assert_eq!(p.rpc.call_seq, 9);
     }
 
@@ -211,14 +194,14 @@ mod tests {
     }
 
     #[test]
-    fn into_buf_releases_to_pool() {
+    fn a_dropped_packet_releases_its_buffer() {
         let pool = BufferPool::new(1);
         let frame = FrameBuilder::new(PacketType::Call).build(&[]).unwrap();
         let mut buf = pool.alloc().unwrap();
         buf.fill_from(frame.bytes());
         let p = Packet::from_buf(buf).unwrap();
         assert_eq!(pool.free_count(), 0);
-        drop(p.into_buf());
+        drop(p);
         assert_eq!(pool.free_count(), 1);
     }
 }

@@ -246,7 +246,7 @@ mod tests {
             &c.atomic_files
         ));
         assert!(c.allow_relaxed.iter().any(|a| a == "INSTALLED"));
-        assert!(c.pool_allocs.iter().any(|a| a == "alloc_timeout_from"));
+        assert!(c.pool_allocs.iter().any(|a| a == "alloc_from"));
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //!
 //! * a [`BufferPool`] is created once with a fixed number of 1514-byte
 //!   buffers, each made on the pool's first take that finds no slab to
-//!   reuse, and shared (`Arc`-cloned) by every component — caller stubs,
-//!   server stubs, transports and the demultiplexer, the moral equivalents
-//!   of user spaces and the Nub;
+//!   reuse. The runtime keeps one per endpoint, on its server side: it
+//!   holds the copy of a single-packet call on its way from the thread
+//!   that received it to the server thread that runs it;
+//! * a take never waits: a pool found dry fails it at once with
+//!   [`PoolError::Exhausted`] (the server sheds that call like a lost
+//!   packet), and a give-back is one lock and a push;
 //! * [`PacketBuf`] hands out exclusive access to one buffer and returns it
 //!   to the free list on drop, so once a slab is made the fast path
 //!   allocates **nothing** from the general-purpose heap for it again;
@@ -41,12 +44,11 @@
 // No unsafe anywhere in this crate — see DESIGN.md ("Unsafe policy").
 #![forbid(unsafe_code)]
 
-use firefly_sync::{Condvar, Mutex};
+use firefly_sync::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The size of every pool buffer: one maximal Ethernet frame.
 pub const BUFFER_SIZE: usize = 1514;
@@ -56,15 +58,12 @@ pub const BUFFER_SIZE: usize = 1514;
 pub enum PoolError {
     /// No free buffers; the pool is fixed-size by design.
     Exhausted,
-    /// A blocking allocation timed out.
-    Timeout,
 }
 
 impl fmt::Display for PoolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PoolError::Exhausted => write!(f, "packet buffer pool exhausted"),
-            PoolError::Timeout => write!(f, "timed out waiting for a packet buffer"),
         }
     }
 }
@@ -179,7 +178,6 @@ impl Slabs {
 
 struct PoolInner {
     slabs: Mutex<Slabs>,
-    available: Condvar,
     capacity: usize,
 }
 
@@ -220,7 +218,6 @@ impl BufferPool {
                     unmade: capacity,
                     stats: PoolStats::default(),
                 }),
-                available: Condvar::new(),
                 capacity,
             }),
         }
@@ -278,28 +275,6 @@ impl BufferPool {
         self.take(false)
     }
 
-    /// Allocates a buffer, blocking up to `timeout` for one to be freed.
-    /// The clock is read only once the pool has been found dry.
-    pub fn alloc_timeout(&self, timeout: Duration) -> Result<PacketBuf, PoolError> {
-        let mut deadline = None;
-        let mut slabs = self.inner.slabs.lock();
-        loop {
-            if let Some(slab) = slabs.take(false) {
-                drop(slabs);
-                return Ok(self.wrap(slab));
-            }
-            let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
-            if self
-                .inner
-                .available
-                .wait_until(&mut slabs, deadline)
-                .timed_out()
-            {
-                return Err(PoolError::Timeout);
-            }
-        }
-    }
-
     /// Moves a buffer straight onto the controller receive queue.
     ///
     /// The paper: "when putting the newly arrived packet into the call
@@ -313,10 +288,9 @@ impl BufferPool {
     }
 
     fn recycle_slab(&self, slab: Box<[u8]>) {
-        self.put_back(|slabs| {
-            slabs.receive_queue.push_back(slab);
-            slabs.stats.recycles += 1;
-        });
+        let mut slabs = self.inner.slabs.lock();
+        slabs.receive_queue.push_back(slab);
+        slabs.stats.recycles += 1;
     }
 
     /// Takes a buffer from the receive queue (what the controller does when
@@ -327,29 +301,20 @@ impl BufferPool {
     }
 
     fn return_slab(&self, slab: Box<[u8]>) {
-        self.put_back(|slabs| {
-            slabs.free.push(slab);
-            slabs.stats.frees += 1;
-        });
-    }
-
-    /// Puts a slab back under the shard lock, then wakes one blocked
-    /// allocator (either list satisfies it) with the lock released —
-    /// which costs a system call only when one is actually parked.
-    fn put_back(&self, put: impl FnOnce(&mut Slabs)) {
-        put(&mut self.inner.slabs.lock());
-        self.inner.available.notify_one();
+        let mut slabs = self.inner.slabs.lock();
+        slabs.free.push(slab);
+        slabs.stats.frees += 1;
     }
 }
 
 /// A pool split into independent shards, each a full [`BufferPool`] with
 /// its own lock, free list and receive queue.
 ///
-/// The shard for a call is chosen by the runtime as a pure function of
-/// the activity id (see `firefly_rpc::calltable::shard_for`), so a
-/// caller thread and the demultiplexer touching the same call always
-/// agree on which shard's locks they contend on — and calls on
-/// different shards contend on nothing. A [`PacketBuf`] always returns
+/// Its user picks the shard for a call as a pure function of the
+/// activity id (as `firefly_rpc::calltable::shard_for` picks a
+/// call-table shard), so two threads touching the same call always
+/// agree on which shard's lock they contend on — and calls on different
+/// shards contend on nothing. A [`PacketBuf`] always returns
 /// to the shard that allocated it (its owning [`BufferPool`]), so
 /// cross-shard borrowing during exhaustion cannot leak buffers between
 /// shards.
@@ -456,31 +421,6 @@ impl ShardedPool {
                     }
                 }
                 Err(PoolError::Exhausted)
-            }
-        }
-    }
-
-    /// Allocates from the home shard with a deadline, scanning the other
-    /// shards between short blocking waits on the home shard. The
-    /// deadline starts at the first scan that finds every shard dry.
-    pub fn alloc_timeout_from(&self, idx: usize, timeout: Duration) -> Result<PacketBuf, PoolError> {
-        let mut deadline = None;
-        loop {
-            if let Ok(buf) = self.alloc_from(idx) {
-                return Ok(buf);
-            }
-            let now = Instant::now();
-            let deadline = *deadline.get_or_insert(now + timeout);
-            if now >= deadline {
-                return Err(PoolError::Timeout);
-            }
-            // Every shard was empty at the instant of the scan: park
-            // briefly on the home shard (frees there wake us directly;
-            // frees elsewhere are caught by the rescan).
-            let slice = Duration::from_millis(10).min(deadline - now);
-            match self.shard(idx).alloc_timeout(slice) {
-                Ok(buf) => return Ok(buf),
-                Err(_) => continue,
             }
         }
     }
@@ -693,27 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn blocking_alloc_wakes_on_free() {
-        let pool = BufferPool::new(1);
-        let held = pool.alloc().unwrap();
-        let p2 = pool.clone();
-        let t = std::thread::spawn(move || p2.alloc_timeout(Duration::from_secs(5)).is_ok());
-        firefly_sync::test_sleep();
-        drop(held);
-        assert!(t.join().unwrap());
-    }
-
-    #[test]
-    fn blocking_alloc_times_out() {
-        let pool = BufferPool::new(1);
-        let _held = pool.alloc().unwrap();
-        assert_eq!(
-            pool.alloc_timeout(Duration::from_millis(10)).unwrap_err(),
-            PoolError::Timeout
-        );
-    }
-
-    #[test]
     fn high_water_tracks_peak() {
         let pool = BufferPool::new(3);
         let a = pool.alloc().unwrap();
@@ -761,26 +680,8 @@ mod tests {
         let pool = ShardedPool::new(4, 2);
         let held: Vec<_> = (0..4).map(|i| pool.alloc_from(i).unwrap()).collect();
         assert_eq!(pool.alloc_from(0).unwrap_err(), PoolError::Exhausted);
-        assert_eq!(
-            pool.alloc_timeout_from(0, Duration::from_millis(10))
-                .unwrap_err(),
-            PoolError::Timeout
-        );
         drop(held);
         assert_eq!(pool.free_count(), 4);
-    }
-
-    #[test]
-    fn sharded_pool_blocking_alloc_wakes_on_home_free() {
-        let pool = ShardedPool::new(2, 2);
-        let a = pool.alloc_from(0).unwrap();
-        let _b = pool.alloc_from(1).unwrap();
-        let p2 = pool.clone();
-        let t =
-            std::thread::spawn(move || p2.alloc_timeout_from(0, Duration::from_secs(5)).is_ok());
-        firefly_sync::test_sleep();
-        drop(a);
-        assert!(t.join().unwrap());
     }
 
     #[test]

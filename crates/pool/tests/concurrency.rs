@@ -4,7 +4,6 @@ use firefly_pool::{BufferPool, PoolError, BUFFER_SIZE};
 use firefly_propcheck::{check, prop_assert_eq};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 #[test]
 fn hammering_from_many_threads_preserves_capacity() {
@@ -17,19 +16,20 @@ fn hammering_from_many_threads_preserves_capacity() {
         handles.push(thread::spawn(move || {
             barrier.wait();
             for i in 0..500 {
-                match pool.alloc_timeout(Duration::from_secs(2)) {
-                    Ok(mut b) => {
-                        b.set_len(74);
-                        b[0] = t as u8;
-                        b[73] = (i % 251) as u8;
-                        // Exercise both release paths.
-                        if i % 3 == 0 {
-                            let p = b.pool().clone();
-                            p.recycle_to_receive_queue(b);
-                        }
+                // A take never waits: a dry pool is retried.
+                let mut b = loop {
+                    match pool.alloc() {
+                        Ok(b) => break b,
+                        Err(PoolError::Exhausted) => thread::yield_now(),
                     }
-                    Err(PoolError::Timeout) => panic!("starved"),
-                    Err(e) => panic!("unexpected: {e}"),
+                };
+                b.set_len(74);
+                b[0] = t as u8;
+                b[73] = (i % 251) as u8;
+                // Exercise both release paths.
+                if i % 3 == 0 {
+                    let p = b.pool().clone();
+                    p.recycle_to_receive_queue(b);
                 }
             }
         }));

@@ -32,9 +32,10 @@ echo "==> cargo build --release --offline (workspace)"
 cargo build --release --offline --workspace
 
 # Includes tier-1's root suite: the two static-vs-dynamic gates on the
-# live workspace (tests/verify.rs), DPOR's reduction on the pool model
-# (a fifth of DFS's schedules or fewer, tests/check.rs) and the
-# ledger's gate on typed values (tests/bench_gate.rs).
+# live workspace (tests/verify.rs), DPOR's reduction on the call-table
+# model (DFS given five times DPOR's runs does not exhaust it,
+# tests/check.rs) and the ledger's gate on typed values
+# (tests/bench_gate.rs).
 echo "==> cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 

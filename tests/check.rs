@@ -193,68 +193,51 @@ fn dpor_agrees_with_dfs_on_every_model() {
     });
 }
 
-/// The pool model is the checker's cover for the waiter gate: three
-/// allocators over two buffers, each blocking for as long as it takes.
-/// Both explorers must exhaust it, and — because a notify with no
-/// registered waiter is not an event any more — they must be *seen* to
-/// park an allocator that a later give-back then wakes (a passing
-/// schedule with a park in it has exactly that: nothing else ends it).
-///
-/// It is also the evidence that partial-order reduction reduces, on
-/// production code: DPOR's explored + pruned runs must stay within a
-/// fifth of the schedules plain DFS needs to exhaust the same model.
-#[test]
-fn pool_model_exhausts_and_reaches_the_parked_waiter() {
-    let explorer = Explorer::new();
-    let model = models::find("pool").expect("pool model registered");
-    let mut runs = Vec::new();
-    for mode in [
-        Mode::Dfs { max_schedules: 50_000 },
-        Mode::Dpor { max_schedules: 50_000 },
-    ] {
-        let outcome = explorer.explore(&model, &mode);
-        assert!(
-            outcome.failure.is_none(),
-            "pool ({mode:?}): {}",
-            outcome.failure.map(|f| f.failure.to_string()).unwrap_or_default()
-        );
-        assert!(
-            outcome.exhausted,
-            "pool ({mode:?}) not exhausted in {} schedule(s)",
-            outcome.schedules
-        );
-        assert!(
-            outcome.parks > 0,
-            "pool ({mode:?}): no schedule parked an allocator — the gated notify is untested"
-        );
-        runs.push(outcome.schedules + outcome.pruned);
-    }
-    let (dfs, dpor) = (runs[0], runs[1]);
-    assert!(
-        dpor * 5 <= dfs,
-        "DPOR pruning regressed: {dpor} explored + pruned against {dfs} DFS schedules"
-    );
-}
-
 /// The call-table model runs to exhaustion: DPOR explores every
 /// schedule of one activity's entry carrying two calls, with a late ack,
 /// a late result-fragment run and a late duplicate result of call 0
 /// delivered around call 1, and in none of them is a late packet taken
 /// into the reused entry or call 1 completed with bytes not its own.
+///
+/// It is also the checker's cover for the waiter gate, on the structure
+/// every remote call parks on: because a notify with no registered
+/// waiter is not an event, the caller must be *seen* to park on its
+/// entry and be woken by a later delivery (a passing schedule with a
+/// park in it has exactly that: nothing else ends it). And it is the
+/// evidence that partial-order reduction reduces, on production code:
+/// plain DFS given five times DPOR's explored + pruned runs must still
+/// not exhaust the model.
 #[test]
 fn calltable_model_exhausts_under_dpor() {
     let explorer = Explorer::new();
     let model = models::find("calltable").expect("calltable model registered");
-    let outcome = explorer.explore(&model, &Mode::Dpor { max_schedules: 20_000 });
+    let dpor = explorer.explore(&model, &Mode::Dpor { max_schedules: 20_000 });
     assert!(
-        outcome.failure.is_none(),
+        dpor.failure.is_none(),
         "calltable (dpor): {}",
-        outcome.failure.map(|f| f.failure.to_string()).unwrap_or_default()
+        dpor.failure.map(|f| f.failure.to_string()).unwrap_or_default()
     );
     assert!(
-        outcome.exhausted,
+        dpor.exhausted,
         "calltable (dpor) not exhausted in {} schedule(s)",
-        outcome.schedules
+        dpor.schedules
+    );
+    assert!(
+        dpor.parks > 0,
+        "calltable (dpor): no schedule parked the caller — the gated notify is untested"
+    );
+    let runs = dpor.schedules + dpor.pruned;
+    let dfs = explorer.explore(&model, &Mode::Dfs { max_schedules: 5 * runs });
+    assert!(
+        dfs.failure.is_none(),
+        "calltable (dfs): {}",
+        dfs.failure.map(|f| f.failure.to_string()).unwrap_or_default()
+    );
+    assert!(
+        !dfs.exhausted,
+        "DPOR pruning regressed: plain DFS exhausted in {} schedule(s), \
+         within five times DPOR's {runs} explored + pruned",
+        dfs.schedules
     );
 }
 

@@ -346,6 +346,70 @@ fn every_lock_class_receiver_is_acquired_in_scope() {
     );
 }
 
+/// Every name the live `[pool-lifecycle]` section tracks exists in that
+/// section's `files`: each `allocs` and `sinks` name is a `fn` defined
+/// there, and each `accounted` name a field. A name that matches
+/// nothing tracks a path that does not exist, and the rule checks
+/// buffers against nothing.
+#[test]
+fn every_pool_lifecycle_name_exists_in_scope() {
+    let root = workspace_root();
+    let config = Engine::for_root(&root).config;
+    let mut sources = Vec::new();
+    for scope in &config.pool_files {
+        collect_rust_sources(&root.join(scope), &mut sources);
+    }
+    assert!(!sources.is_empty(), "no sources under {:?}", config.pool_files);
+    let fns = config.pool_allocs.iter().chain(&config.pool_sinks);
+    let mut missing: Vec<String> = fns
+        .filter(|name| !sources.iter().any(|text| defines_fn(text, name)))
+        .map(|name| format!("fn `{name}`"))
+        .collect();
+    missing.extend(
+        config
+            .pool_accounted
+            .iter()
+            .filter(|name| !sources.iter().any(|text| has_field(text, name)))
+            .map(|name| format!("field `{name}`")),
+    );
+    assert!(
+        missing.is_empty(),
+        "lint.toml's [pool-lifecycle] names what {:?} does not define: {missing:?}",
+        config.pool_files
+    );
+}
+
+/// Does `text` define a function `name` outside a comment?
+fn defines_fn(text: &str, name: &str) -> bool {
+    let def = format!("fn {name}");
+    code_lines(text).any(|line| {
+        line.match_indices(&def).any(|(at, _)| {
+            let before = line[..at].chars().next_back();
+            let after = line[at + def.len()..].chars().next();
+            !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+                && matches!(after, Some('(' | '<'))
+        })
+    })
+}
+
+/// Does `text` declare a field `name` outside a comment: a line that
+/// reads `name: ` or `pub name: ` (with any visibility)?
+fn has_field(text: &str, name: &str) -> bool {
+    let decl = format!("{name}: ");
+    code_lines(text).any(|line| {
+        let line = line.trim_start();
+        let line = match line.strip_prefix("pub") {
+            Some(rest) => rest.split_once(' ').map_or(rest, |(_, field)| field),
+            None => line,
+        };
+        line.starts_with(&decl)
+    })
+}
+
+fn code_lines(text: &str) -> impl Iterator<Item = &str> {
+    text.lines().filter(|line| !line.trim_start().starts_with("//"))
+}
+
 fn collect_rust_sources(path: &Path, out: &mut Vec<String>) {
     if path.is_dir() {
         for entry in fs::read_dir(path).expect("read scope dir") {
@@ -360,25 +424,23 @@ fn collect_rust_sources(path: &Path, out: &mut Vec<String>) {
 /// an optional index, then `.lock()`, `.read()` or `.write()`?
 fn acquires(text: &str, receiver: &str) -> bool {
     let ident = |c: char| c.is_alphanumeric() || c == '_';
-    text.lines()
-        .filter(|line| !line.trim_start().starts_with("//"))
-        .any(|line| {
-            line.match_indices(receiver).any(|(at, _)| {
-                if line[..at].chars().next_back().is_some_and(ident) {
-                    return false;
+    code_lines(text).any(|line| {
+        line.match_indices(receiver).any(|(at, _)| {
+            if line[..at].chars().next_back().is_some_and(ident) {
+                return false;
+            }
+            let mut rest = &line[at + receiver.len()..];
+            if rest.starts_with('[') {
+                match rest.find(']') {
+                    Some(close) => rest = &rest[close + 1..],
+                    None => return false,
                 }
-                let mut rest = &line[at + receiver.len()..];
-                if rest.starts_with('[') {
-                    match rest.find(']') {
-                        Some(close) => rest = &rest[close + 1..],
-                        None => return false,
-                    }
-                }
-                [".lock()", ".read()", ".write()"]
-                    .iter()
-                    .any(|call| rest.starts_with(call))
-            })
+            }
+            [".lock()", ".read()", ".write()"]
+                .iter()
+                .any(|call| rest.starts_with(call))
         })
+    })
 }
 
 /// A seeded violation inside a trace-module analog proves the scope is
