@@ -18,9 +18,9 @@
 //! `dpor <model> explored N schedule(s), pruned M, exhausted B` line.
 //!
 //! Single-model runs for debugging:
-//!   firefly-check --model pool --schedules 5000
-//!   firefly-check --model pool --seed 0xdecafbad --schedules 500
-//!   firefly-check --model pool --dpor
+//!   firefly-check --model calltable --schedules 5000
+//!   firefly-check --model calltable --seed 0xdecafbad --schedules 500
+//!   firefly-check --model calltable --dpor
 //!   firefly-check --model bug-abba --replay 0,1,1 --verbose
 
 #![forbid(unsafe_code)]

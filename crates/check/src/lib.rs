@@ -2,9 +2,8 @@
 //! concurrency checker (mini-loom) for the in-tree sync layer.
 //!
 //! The paper's fast path works only because its concurrency discipline
-//! holds: a shared packet-buffer pool recycled on the fly (§3.2), a
-//! shared call table with slot reuse, and a demultiplexer that wakes
-//! exactly one waiting thread. `firefly-lint` checks that discipline
+//! holds: a shared call table with slot reuse (§3.1.3), and a
+//! demultiplexer that wakes exactly one waiting thread. `firefly-lint` checks that discipline
 //! *statically*; this crate checks it *dynamically* by running small
 //! models of those structures under a cooperative scheduler
 //! ([`sched::Sched`], installed through `firefly_sync::hook`) and

@@ -2,11 +2,14 @@
 //! production types, explored by the [`crate::Explorer`].
 //!
 //! Structure models exercise the paper's mechanisms with their actual
-//! implementations — call-table slot reuse (§3.1.3), pool recycling
-//! through the controller receive queue (§3.2), the trace ring, the
-//! MPMC channel and the receive role — and must pass every schedule.
-//! Each runs `firefly_rpc`, `firefly_pool` or `firefly_sync` code; none
-//! is a hand-written copy of it. Bug models seed one classic
+//! implementations — call-table slot reuse (§3.1.3), the trace ring,
+//! the MPMC channel and the receive role — and must pass every
+//! schedule. Each runs `firefly_rpc` or `firefly_sync` code; none is a
+//! hand-written copy of it. The packet buffer pool needs no model of
+//! its own: every operation is one critical section of its one lock,
+//! and a buffer gives its slab back in `Drop`. The call-table model
+//! draws its packets from a real `BufferPool`, labels its lock, and
+//! finds no buffer out at its finale. Bug models seed one classic
 //! concurrency defect each (ABBA deadlock, notify-before-wait lost
 //! wakeup, a waiter gate registered after the mutex release,
 //! check-then-act double release, and three happens-before
@@ -164,57 +167,6 @@ fn make_calltable() -> ModelRun {
     ModelRun {
         label,
         threads: vec![caller, demux],
-        finale,
-    }
-}
-
-/// Pool acquire/release/recycle: three threads contend for two buffers
-/// and never wait for one — a take that finds the pool dry gets
-/// `Exhausted` and goes on, as the server sheds a call. One recycles
-/// straight onto the controller receive queue (§3.2), one reclaims from
-/// it. The finale proves conservation — every slab is back on the free
-/// list or the receive queue, the outstanding counter agrees, and each
-/// of the four takes counted once, as an allocation or an exhaustion.
-fn make_pool() -> ModelRun {
-    let pool = BufferPool::new(2);
-
-    let label = {
-        let pool = pool.clone();
-        Box::new(move || pool.check_labels()) as Box<dyn FnOnce() + Send>
-    };
-    let t0 = {
-        let pool = pool.clone();
-        Box::new(move || drop(pool.alloc())) as Box<dyn FnOnce() + Send>
-    };
-    let t1 = {
-        let pool = pool.clone();
-        Box::new(move || {
-            if let Ok(buf) = pool.alloc() {
-                pool.recycle_to_receive_queue(buf);
-            }
-        }) as Box<dyn FnOnce() + Send>
-    };
-    let t2 = {
-        let pool = pool.clone();
-        Box::new(move || {
-            drop(pool.alloc());
-            // Reclaim from the receive queue if the recycler beat us.
-            drop(pool.take_receive_buffer());
-        }) as Box<dyn FnOnce() + Send>
-    };
-    let finale = Box::new(move || {
-        assert_eq!(
-            pool.free_count() + pool.receive_queue_len(),
-            2,
-            "slab leaked or double-released"
-        );
-        let stats = pool.stats();
-        assert_eq!(stats.outstanding(), 0, "outstanding counter drifted");
-        assert_eq!(stats.allocs() + stats.exhaustions(), 4, "a take went uncounted");
-    }) as Box<dyn FnOnce() + Send>;
-    ModelRun {
-        label,
-        threads: vec![t0, t1, t2],
         finale,
     }
 }
@@ -810,11 +762,6 @@ pub fn structure_models() -> Vec<Model> {
             name: "calltable",
             about: "call-table slot reuse + late-duplicate orphaning (paper §3.1.3)",
             make: make_calltable,
-        },
-        Model {
-            name: "pool",
-            about: "buffer pool take/release/recycle via receive queue, no waiting (paper §3.2)",
-            make: make_pool,
         },
         Model {
             name: "trace-ring",

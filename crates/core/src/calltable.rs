@@ -260,10 +260,10 @@ pub const SHARDS: usize = 4;
 
 /// Pure shard-selection function: maps an activity id to a shard index.
 ///
-/// Both layers that shard by activity — the caller-side call table and
-/// the server's work queues — use this one function, so a retransmission
-/// or a duplicate (the id is in the packet header) lands where its first
-/// copy did. FNV-1a over the id's three fields spreads the sequential
+/// The caller-side call table routes by this one function (the
+/// server's hand-off is one queue and is not sharded), so a
+/// retransmission or a duplicate (the id is in the packet header) lands
+/// in the shard its first copy did. FNV-1a over the id's three fields spreads the sequential
 /// `thread` counters that [`crate::client::ActivityPool`] mints.
 pub fn shard_for(activity: ActivityId, shards: usize) -> usize {
     if shards <= 1 {

@@ -112,16 +112,16 @@ fn fragments_survive_fault_mix() {
     });
 }
 
-/// The sharded dispatch path under a full fault mix: several concurrent
-/// caller activities (spread by `shard_for` over per-worker queues, with
-/// stealing between them) drive a 4-worker server through loss,
-/// duplication and delay-induced reordering. Every call's service
-/// procedure must run exactly once — duplicate filtering lives in the
-/// per-activity state, so neither a retransmission nor a steal to
-/// another worker can double-dispatch — and when the endpoints shut
-/// down, every shard of the server's buffer pool must get all of its
-/// buffers back: retained results, reassembly state and in-flight
-/// receive buffers all return to their home shard.
+/// The dispatch path under a full fault mix: several concurrent caller
+/// activities (spread by `shard_for` over the caller's call-table
+/// shards, their calls handed to server threads through the one
+/// hand-off queue) drive a 4-thread server through loss, duplication
+/// and delay-induced reordering. Every call's service procedure must
+/// run exactly once — duplicate filtering lives in the per-activity
+/// state, so neither a retransmission nor a duplicate taken by another
+/// server thread can double-dispatch — and when the endpoints shut
+/// down, each endpoint's buffer pool must have all of its buffers
+/// back.
 #[test]
 fn sharded_dispatch_survives_fault_mix_exactly_once() {
     use std::sync::atomic::{AtomicU64, Ordering};

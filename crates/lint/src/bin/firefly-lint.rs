@@ -43,7 +43,7 @@ fn print_summary(analysis: &Analysis) {
     println!(
         "firefly-lint: {} diagnostic(s) [{}] | fast-path {} fns/{} files | \
          lock edges {} | condvar pairs {} | atomic locations {} | \
-         pool defs {} | suppressions {} | timings {timing_part}",
+         suppressions {} | timings {timing_part}",
         analysis.diagnostics.len(),
         family_part,
         analysis.fast_path_functions.len(),
@@ -51,7 +51,6 @@ fn print_summary(analysis: &Analysis) {
         analysis.lock_edges.len(),
         analysis.dataflow.condvar_pairs.len(),
         analysis.dataflow.locations.len(),
-        analysis.dataflow.buffer_defs,
         analysis.suppressions
     );
 }

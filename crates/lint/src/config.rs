@@ -27,7 +27,7 @@ pub struct LockClass {
 }
 
 /// Full engine configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
     /// Fast-path entry points as `path::fn` pairs — the roots of the
     /// call-graph reachability walk (Starter, Transporter, demux,
@@ -67,23 +67,6 @@ pub struct Config {
     /// protocol proof (comment in lint.toml / at the site); hook.rs's
     /// disabled-path `INSTALLED` load is the canonical member.
     pub allow_relaxed: Vec<String>,
-    /// Path prefixes where `pool-lifecycle` applies.
-    pub pool_files: Vec<String>,
-    /// Pool receiver fields (an alloc off one of these is a tracked
-    /// buffer definition; retention inside one is accounted).
-    pub pool_receivers: Vec<String>,
-    /// Method names that allocate a tracked buffer from a pool.
-    pub pool_allocs: Vec<String>,
-    /// Method names that return a tracked buffer to its pool.
-    pub pool_sinks: Vec<String>,
-    /// Container receiver fields where retention is accounted (the
-    /// pool's own queues, the call table's `Retained` slot, result
-    /// delivery): a buffer held there still counts as outstanding in
-    /// the pool's own stats.
-    pub pool_accounted: Vec<String>,
-    /// Type names that move pool ownership across a call boundary when
-    /// taken by value — the interprocedural leg of the tracking.
-    pub buffer_types: Vec<String>,
 }
 
 impl Default for Config {
@@ -124,12 +107,6 @@ impl Config {
             condvar_files: list("condvar-protocol", "files"),
             atomic_files: list("atomic-publication", "files"),
             allow_relaxed: list("atomic-publication", "allow_relaxed"),
-            pool_files: list("pool-lifecycle", "files"),
-            pool_receivers: list("pool-lifecycle", "pools"),
-            pool_allocs: list("pool-lifecycle", "allocs"),
-            pool_sinks: list("pool-lifecycle", "sinks"),
-            pool_accounted: list("pool-lifecycle", "accounted"),
-            buffer_types: list("pool-lifecycle", "buffer_types"),
         }
     }
 
@@ -246,7 +223,32 @@ mod tests {
             &c.atomic_files
         ));
         assert!(c.allow_relaxed.iter().any(|a| a == "INSTALLED"));
-        assert!(c.pool_allocs.iter().any(|a| a == "alloc_from"));
+    }
+
+    /// Every `[section]` of the workspace file feeds the config:
+    /// without it, `from_toml` returns something else. A section no
+    /// field reads would be ignored silently, however wrong it is.
+    #[test]
+    fn every_workspace_section_is_read() {
+        let text = include_str!("../../../lint.toml");
+        let lines: Vec<&str> = text.lines().collect();
+        let is_header = |line: &str| {
+            let line = strip_toml_comment(line).trim();
+            line.starts_with('[') && line.ends_with(']')
+        };
+        let headers: Vec<usize> = (0..lines.len()).filter(|&i| is_header(lines[i])).collect();
+        assert!(!headers.is_empty(), "lint.toml has no sections");
+        let whole = Config::from_toml(text);
+        for (k, &start) in headers.iter().enumerate() {
+            let end = headers.get(k + 1).copied().unwrap_or(lines.len());
+            let without = [&lines[..start], &lines[end..]].concat().join("\n");
+            assert_ne!(
+                Config::from_toml(&without),
+                whole,
+                "lint.toml section {} is read by no Config field",
+                lines[start].trim()
+            );
+        }
     }
 
     #[test]
@@ -299,25 +301,11 @@ files = ["src"]
 [atomic-publication]
 files = ["src"]
 allow_relaxed = ["SANCTIONED"]
-
-[pool-lifecycle]
-files = ["src"]
-pools = ["pool"]
-allocs = ["alloc"]
-sinks = ["recycle"]
-accounted = ["free"]
-buffer_types = ["Buf"]
 "#;
         let c = Config::from_toml(toml);
         assert_eq!(c.condvar_files, vec!["src"]);
         assert_eq!(c.atomic_files, vec!["src"]);
         assert_eq!(c.allow_relaxed, vec!["SANCTIONED"]);
-        assert_eq!(c.pool_files, vec!["src"]);
-        assert_eq!(c.pool_receivers, vec!["pool"]);
-        assert_eq!(c.pool_allocs, vec!["alloc"]);
-        assert_eq!(c.pool_sinks, vec!["recycle"]);
-        assert_eq!(c.pool_accounted, vec!["free"]);
-        assert_eq!(c.buffer_types, vec!["Buf"]);
     }
 
     #[test]

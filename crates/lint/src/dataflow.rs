@@ -21,13 +21,6 @@
 //!   the location is allowlisted (`[atomic-publication].allow_relaxed`
 //!   in lint.toml sanctions hook.rs's disabled-path `INSTALLED` load,
 //!   whose proof is the comment at that site).
-//! * **pool lifecycle** — every pool buffer definition (an alloc-method
-//!   call bound with `let`, or a by-value `PacketBuf` parameter — the
-//!   interprocedural hand-off) has its uses classified: reaching a
-//!   sink (`recycle`, `recycle_to_receive_queue`, `drop`), returning
-//!   to the caller, or accounted retention is fine; being pushed into
-//!   a container outside the accounted set, or `forget`, is a
-//!   leak-on-error-path shape (`pool-lifecycle`).
 //!
 //! Everything degrades conservatively on token streams that are not
 //! valid Rust: unknown shapes produce no facts, never a panic — the
@@ -98,55 +91,12 @@ pub struct AtomicSite {
     pub spin: bool,
 }
 
-/// How a tracked buffer came to exist in a function.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BufferOrigin {
-    /// `let b = pool.alloc...()` — `callee` is the alloc method.
-    Alloc { callee: String },
-    /// A by-value `PacketBuf` parameter: ownership crossed a call edge
-    /// into this function.
-    Param,
-}
-
-/// One classified use of a tracked buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BufferUse {
-    /// Reached a sink (`recycle`, `recycle_to_receive_queue`, `drop`).
-    Sink { line: usize },
-    /// Returned to the caller (ownership transferred back).
-    Returned { line: usize },
-    /// Pushed/inserted into a container; `accounted` when the container
-    /// chain includes an accounted receiver.
-    Retained {
-        container: String,
-        accounted: bool,
-        line: usize,
-    },
-    /// Moved into another call (`callee(b)`), tracked in the callee via
-    /// its own by-value parameter definition.
-    MovedTo { callee: String, line: usize },
-    /// `forget(b)` — the destructor (and the slab return) never runs.
-    Forgotten { line: usize },
-}
-
-/// One tracked buffer definition with its classified uses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BufferDef {
-    pub path: String,
-    pub line: usize,
-    pub func: String,
-    pub name: String,
-    pub origin: BufferOrigin,
-    pub uses: Vec<BufferUse>,
-}
-
 /// Dataflow facts accumulated across the workspace walk.
 #[derive(Debug, Default)]
 pub struct DataflowFacts {
     pub waits: Vec<WaitSite>,
     pub notifies: Vec<NotifySite>,
     pub atomics: Vec<AtomicSite>,
-    pub buffers: Vec<BufferDef>,
     /// `(file, fn) → mutex receivers locked anywhere in the fn` — the
     /// one-level interprocedural step for the notify rule.
     pub fn_locks: BTreeMap<(String, String), BTreeSet<String>>,
@@ -159,7 +109,6 @@ impl DataflowFacts {
         self.waits.extend(other.waits);
         self.notifies.extend(other.notifies);
         self.atomics.extend(other.atomics);
-        self.buffers.extend(other.buffers);
         for (k, v) in other.fn_locks {
             self.fn_locks.entry(k).or_default().extend(v);
         }
@@ -183,7 +132,6 @@ pub struct Summary {
     /// Workspace condvar→mutex pairings observed at wait sites.
     pub condvar_pairs: Vec<(String, Vec<String>)>,
     pub locations: Vec<LocationSummary>,
-    pub buffer_defs: usize,
 }
 
 const WAIT_CALLEES: &[&str] = &["wait", "wait_until", "wait_timeout"];
@@ -202,7 +150,6 @@ const RMW_CALLEES: &[&str] = &[
     "compare_exchange",
     "compare_exchange_weak",
 ];
-const RETAIN_CALLEES: &[&str] = &["push", "push_back", "push_front", "insert"];
 
 fn releasing(tag: &str) -> bool {
     matches!(tag, "Release" | "AcqRel" | "SeqCst")
@@ -263,10 +210,9 @@ fn chain_idents(tokens: &[Token], mut k: usize) -> Vec<usize> {
 }
 
 /// The `let [mut] NAME =` binding whose right-hand side is the call
-/// whose method identifier sits at `j` — tolerant of trailing `?` /
-/// method position inside larger expressions (unlike the stricter
-/// guard-lifetime extractor, which requires the call to end the
-/// statement).
+/// whose method identifier sits at `j` — tolerant of method position
+/// inside larger expressions (unlike the stricter guard-lifetime
+/// extractor, which requires the call to end the statement).
 fn binding_of(tokens: &[Token], j: usize) -> Option<String> {
     let start = j.checked_sub(2)?;
     let chain = chain_idents(tokens, start);
@@ -279,48 +225,13 @@ fn binding_of(tokens: &[Token], j: usize) -> Option<String> {
     if tokens[name].kind != TokenKind::Ident {
         return None;
     }
-    // `let NAME =`, `let mut NAME =`, or a pattern binding like
-    // `if let Ok(NAME) =` / `let Some(NAME) =`: accept the identifier
-    // directly left of `=`, or the last identifier inside a pattern's
-    // parens.
     let before = name.checked_sub(1)?;
-    match tokens[before].text.as_str() {
-        "let" => Some(tokens[name].text.clone()),
-        "mut" if before >= 1 && tokens[before - 1].text == "let" => Some(tokens[name].text.clone()),
-        ")" => {
-            // Pattern: walk back over the parens to check for `let`.
-            let mut depth = 0usize;
-            let mut k = before;
-            let mut inner: Option<String> = None;
-            loop {
-                match tokens[k].text.as_str() {
-                    ")" => depth += 1,
-                    "(" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {
-                        if inner.is_none() && tokens[k].kind == TokenKind::Ident {
-                            inner = Some(tokens[k].text.clone());
-                        }
-                    }
-                }
-                k = k.checked_sub(1)?;
-            }
-            // tokens[name] was actually the last pattern segment; the
-            // ident before the `(` is the constructor (Ok/Some).
-            let ctor = k.checked_sub(1)?;
-            let let_pos = ctor.checked_sub(1)?;
-            if tokens[let_pos].text == "let" && tokens[name].kind == TokenKind::Ident {
-                Some(tokens[name].text.clone())
-            } else {
-                inner
-            }
-        }
-        _ => None,
-    }
+    let bound = match tokens[before].text.as_str() {
+        "let" => true,
+        "mut" => before >= 1 && tokens[before - 1].text == "let",
+        _ => false,
+    };
+    bound.then(|| tokens[name].text.clone())
 }
 
 /// Scans one prepared source file, appending facts. Scope gating (which
@@ -329,8 +240,7 @@ fn binding_of(tokens: &[Token], j: usize) -> Option<String> {
 pub fn scan_file(file: &SourceFile, config: &Config, facts: &mut DataflowFacts) {
     let in_condvar = Config::path_matches(&file.rel_path, &config.condvar_files);
     let in_atomic = Config::path_matches(&file.rel_path, &config.atomic_files);
-    let in_pool = Config::path_matches(&file.rel_path, &config.pool_files);
-    if !in_condvar && !in_atomic && !in_pool {
+    if !in_condvar && !in_atomic {
         return;
     }
     let toks = &file.tokens.tokens;
@@ -338,7 +248,7 @@ pub fn scan_file(file: &SourceFile, config: &Config, facts: &mut DataflowFacts) 
         if file.is_test_line(f.line) {
             continue;
         }
-        scan_function(file, toks, &f, config, facts, in_condvar, in_atomic, in_pool);
+        scan_function(file, toks, &f, facts, in_condvar, in_atomic);
     }
 }
 
@@ -351,16 +261,13 @@ pub fn scan_text(rel_path: &str, text: &str, config: &Config) -> DataflowFacts {
     facts
 }
 
-#[allow(clippy::too_many_arguments)]
 fn scan_function(
     file: &SourceFile,
     toks: &[Token],
     f: &crate::scope::FnItem,
-    config: &Config,
     facts: &mut DataflowFacts,
     in_condvar: bool,
     in_atomic: bool,
-    in_pool: bool,
 ) {
     let close = f.close.min(toks.len().saturating_sub(1));
     if f.open >= toks.len() || f.open > close {
@@ -394,35 +301,6 @@ fn scan_function(
     let mut acquired: BTreeSet<String> = BTreeSet::new();
     let mut callees: BTreeSet<String> = BTreeSet::new();
     let fn_key = (file.rel_path.clone(), f.name.clone());
-
-    // By-value buffer parameters: `name: PacketBuf` in the signature.
-    if in_pool {
-        if let Some(sig_open) = (0..f.open).rev().find(|&k| toks[k].text == "(") {
-            let sig_close = match_paren(toks, sig_open).min(f.open);
-            let mut k = sig_open + 1;
-            while k + 2 < sig_close {
-                if toks[k].kind == TokenKind::Ident
-                    && toks[k + 1].text == ":"
-                    && toks[k + 2].kind == TokenKind::Ident
-                    && config.buffer_types.iter().any(|t| t == &toks[k + 2].text)
-                    && toks.get(k + 3).map(|t| t.text.as_str()) != Some(":")
-                {
-                    let def = BufferDef {
-                        path: file.rel_path.clone(),
-                        line: toks[k].line,
-                        func: f.name.clone(),
-                        name: toks[k].text.clone(),
-                        origin: BufferOrigin::Param,
-                        uses: Vec::new(),
-                    };
-                    facts
-                        .buffers
-                        .push(track_uses(def, toks, f.open, close, file, config));
-                }
-                k += 1;
-            }
-        }
-    }
 
     let mut j = f.open;
     while j <= close {
@@ -538,133 +416,8 @@ fn scan_function(
                 }
             }
         }
-        // Pool alloc bindings.
-        if in_pool && method && config.pool_allocs.iter().any(|a| a == &t.text) {
-            if let Some(name) = binding_of(toks, j) {
-                let def = BufferDef {
-                    path: file.rel_path.clone(),
-                    line: t.line,
-                    func: f.name.clone(),
-                    name,
-                    origin: BufferOrigin::Alloc {
-                        callee: t.text.clone(),
-                    },
-                    uses: Vec::new(),
-                };
-                let args_end = match_paren(toks, j + 1);
-                facts
-                    .buffers
-                    .push(track_uses(def, toks, args_end + 1, close, file, config));
-            }
-        }
         j += 1;
     }
-}
-
-/// Classifies every use of `def.name` in `[start, close]`.
-fn track_uses(
-    mut def: BufferDef,
-    toks: &[Token],
-    start: usize,
-    close: usize,
-    file: &SourceFile,
-    config: &Config,
-) -> BufferDef {
-    // Stack of enclosing calls: (callee name, callee token index).
-    let mut call_stack: Vec<Option<(String, usize)>> = Vec::new();
-    let mut j = start;
-    while j <= close && j < toks.len() {
-        let t = &toks[j];
-        match t.text.as_str() {
-            "(" => {
-                let callee = j.checked_sub(1).and_then(|k| {
-                    let c = &toks[k];
-                    if c.kind == TokenKind::Ident && (k == 0 || toks[k - 1].text != "fn") {
-                        Some((c.text.clone(), k))
-                    } else {
-                        None
-                    }
-                });
-                call_stack.push(callee);
-            }
-            ")" => {
-                call_stack.pop();
-            }
-            _ => {}
-        }
-        if t.kind != TokenKind::Ident || t.text != def.name || file.is_test_line(t.line) {
-            j += 1;
-            continue;
-        }
-        // Shadowing / patterns: a fresh `let name` rebinds; stop there.
-        if j >= 1 && matches!(toks[j - 1].text.as_str(), "let" | "mut") {
-            break;
-        }
-        let next = toks.get(j + 1).map(|x| x.text.as_str());
-        let prev = j.checked_sub(1).map(|k| toks[k].text.as_str());
-        if next == Some(".") {
-            // Method use: only sinks consume; everything else borrows.
-            if let Some(m) = toks.get(j + 2) {
-                if m.kind == TokenKind::Ident && config.pool_sinks.iter().any(|s| s == &m.text) {
-                    def.uses.push(BufferUse::Sink { line: t.line });
-                }
-            }
-            j += 1;
-            continue;
-        }
-        if prev == Some("&") || prev == Some(".") {
-            j += 1; // borrow, or a field of the same name on something else
-            continue;
-        }
-        if prev == Some("return") {
-            def.uses.push(BufferUse::Returned { line: t.line });
-            j += 1;
-            continue;
-        }
-        // Argument position: the innermost enclosing call decides.
-        if let Some(Some((callee, callee_at))) = call_stack.last() {
-            let line = t.line;
-            if config.pool_sinks.iter().any(|s| s == callee) || callee == "drop" {
-                def.uses.push(BufferUse::Sink { line });
-            } else if callee == "forget" {
-                def.uses.push(BufferUse::Forgotten { line });
-            } else if matches!(callee.as_str(), "Ok" | "Some" | "Err") {
-                def.uses.push(BufferUse::Returned { line });
-            } else if RETAIN_CALLEES.contains(&callee.as_str()) {
-                // Container = the receiver chain of the retaining call.
-                let chain = callee_at
-                    .checked_sub(2)
-                    .map(|k| chain_idents(toks, k))
-                    .unwrap_or_default();
-                let fields: Vec<&str> = chain
-                    .iter()
-                    .filter(|&&k| toks.get(k + 1).map(|x| x.text.as_str()) != Some("("))
-                    .map(|&k| toks[k].text.as_str())
-                    .collect();
-                let accounted = fields.iter().any(|f| {
-                    config.pool_accounted.iter().any(|a| a == f)
-                        || config.pool_receivers.iter().any(|p| p == f)
-                });
-                let container = fields
-                    .last()
-                    .copied()
-                    .unwrap_or(callee.as_str())
-                    .to_string();
-                def.uses.push(BufferUse::Retained {
-                    container,
-                    accounted,
-                    line,
-                });
-            } else {
-                def.uses.push(BufferUse::MovedTo {
-                    callee: callee.clone(),
-                    line,
-                });
-            }
-        }
-        j += 1;
-    }
-    def
 }
 
 /// Runs the workspace-level evaluation over the accumulated facts,
@@ -832,72 +585,14 @@ pub fn evaluate(facts: &DataflowFacts, config: &Config) -> (Vec<Diagnostic>, Sum
         }
     }
 
-    // --- pool lifecycle --------------------------------------------
-    for def in &facts.buffers {
-        for u in &def.uses {
-            match u {
-                BufferUse::Retained {
-                    container,
-                    accounted: false,
-                    line,
-                } => {
-                    diags.push(Diagnostic {
-                        rule: name::POOL_LIFECYCLE,
-                        path: def.path.clone(),
-                        line: *line,
-                        message: format!(
-                            "pool buffer `{}` ({}) is retained in `{container}`, \
-                             which is outside the accounted set — on this path the \
-                             slab never returns to the pool (leak shape); recycle \
-                             it, return it, or add the container to \
-                             lint.toml [pool-lifecycle].accounted with a proof",
-                            def.name,
-                            origin_label(&def.origin),
-                        ),
-                        witness: vec![
-                            format!("{}:{}", def.path, def.line),
-                            format!("{}:{}", def.path, line),
-                        ],
-                    });
-                }
-                BufferUse::Forgotten { line } => {
-                    diags.push(Diagnostic {
-                        rule: name::POOL_LIFECYCLE,
-                        path: def.path.clone(),
-                        line: *line,
-                        message: format!(
-                            "pool buffer `{}` ({}) is leaked via `forget` — the \
-                             slab never returns to the pool",
-                            def.name,
-                            origin_label(&def.origin),
-                        ),
-                        witness: vec![
-                            format!("{}:{}", def.path, def.line),
-                            format!("{}:{}", def.path, line),
-                        ],
-                    });
-                }
-                _ => {}
-            }
-        }
-    }
-
     let summary = Summary {
         condvar_pairs: pairs
             .into_iter()
             .map(|(c, m)| (c, m.into_iter().collect()))
             .collect(),
         locations,
-        buffer_defs: facts.buffers.len(),
     };
     (diags, summary)
-}
-
-fn origin_label(origin: &BufferOrigin) -> String {
-    match origin {
-        BufferOrigin::Alloc { callee } => format!("allocated via `{callee}`"),
-        BufferOrigin::Param => "received by value — the caller moved ownership here".to_string(),
-    }
 }
 
 #[cfg(test)]
@@ -1026,58 +721,6 @@ mod tests {
         );
         let (d, _) = evaluate(&f, &config);
         assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn leaked_alloc_into_unaccounted_container_is_flagged() {
-        let d = run(
-            "pub fn f(p: &P, stash: &S) -> Result<(), E> { \
-             let b = p.pool.alloc()?; \
-             if failing() { stash.lock().push(b); return Err(E); } \
-             b.recycle(); Ok(()) }",
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, name::POOL_LIFECYCLE);
-        assert_eq!(d[0].witness.len(), 2);
-    }
-
-    #[test]
-    fn recycle_and_return_paths_are_clean() {
-        let d = run(
-            "pub fn f(p: &P) -> Result<PacketBuf, E> { \
-             let b = p.pool.alloc()?; \
-             if done() { return Ok(b); } \
-             b.recycle(); Err(E) }",
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn accounted_retention_is_clean() {
-        let d = run(
-            "pub fn f(p: &P) { \
-             let b = p.pool.alloc().unwrap_or_default(); \
-             p.receive_queue.lock().push_back(b); }",
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn by_value_param_leak_is_flagged_interprocedurally() {
-        let d = run(
-            "pub fn stash_it(stash: &S, b: PacketBuf) { stash.lock().push(b); }",
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, name::POOL_LIFECYCLE);
-    }
-
-    #[test]
-    fn forget_is_flagged() {
-        let d = run(
-            "pub fn f(p: &P) { let b = p.pool.alloc().ok(); std::mem::forget(b); }",
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("forget"));
     }
 
     #[test]

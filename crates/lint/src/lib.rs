@@ -18,8 +18,6 @@
 //!   protocol, from the interprocedural dataflow pass ([`dataflow`])
 //! - `atomic-publication` — release/acquire pairing for cross-thread
 //!   atomics ([`dataflow`])
-//! - `pool-lifecycle` — every pool alloc reaches a sink, a return, or
-//!   accounted retention ([`dataflow`])
 //!
 //! Suppression: `// lint:allow(<rule>): <justification>` on the same
 //! line or the line above, `// lint:allow-file(<rule>): <reason>` for a
@@ -126,7 +124,7 @@ pub struct Analysis {
     /// Every recorded lock-graph edge.
     pub lock_edges: Vec<LockEdge>,
     /// Aggregated dataflow facts (condvar pairings, atomic location
-    /// summaries, pool counts) for `--summary` and the static↔dynamic
+    /// summaries) for `--summary` and the static↔dynamic
     /// publication gate.
     pub dataflow: dataflow::Summary,
     /// Number of `lint:allow` markers in the workspace.
@@ -367,7 +365,7 @@ impl Engine {
         stamp(&mut timings, "fast-path");
 
         // Workspace rules: the dataflow families (condvar protocol,
-        // atomic publication, pool lifecycle) evaluate over the merged
+        // atomic publication) evaluate over the merged
         // facts so pairings resolve across files.
         let (df_diags, df_summary) = dataflow::evaluate(&facts.dataflow, &self.config);
         for d in df_diags {

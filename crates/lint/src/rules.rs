@@ -34,8 +34,6 @@ pub mod name {
     pub const CONDVAR_NOTIFY: &str = "condvar-notify-write";
     /// `Relaxed` where release/acquire pairing is required.
     pub const ATOMIC_PUBLICATION: &str = "atomic-publication";
-    /// A pool buffer that escapes the alloc→recycle/return lifecycle.
-    pub const POOL_LIFECYCLE: &str = "pool-lifecycle";
 }
 
 /// The rule family a diagnostic belongs to, for the `--summary`
@@ -44,7 +42,6 @@ pub fn family(rule: &str) -> &'static str {
     match rule {
         name::CONDVAR_WAIT_LOOP | name::CONDVAR_NOTIFY => "condvar-protocol",
         name::ATOMIC_PUBLICATION => "atomic-publication",
-        name::POOL_LIFECYCLE => "pool-lifecycle",
         name::LOCK_ORDER | name::LOCK_CYCLE | name::NO_BLOCKING => "locking",
         name::NO_PANIC | name::NO_ALLOC | name::STALE_SCOPE => "fast-path",
         _ => "hygiene",
@@ -121,7 +118,10 @@ fn no_panic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// Paper rationale: §3.2 — packet buffers live in a shared pool so the
 /// fast path copies and allocates nothing ("This strategy eliminates
 /// the need for extra address mapping operations or copying when doing
-/// RPC"). Tables VI–VII account for every microsecond; a stray
+/// RPC"). The runtime gets the same effect from per-activity frames: a
+/// caller's slot and call-table entry, a server activity and a local
+/// caller's thread each make their frames once and reuse them from call
+/// to call. Tables VI–VII account for every microsecond; a stray
 /// allocation would not show up in the account but would show up in
 /// the latency.
 fn no_alloc(file: &SourceFile, config: &Config, out: &mut Vec<Diagnostic>) {
@@ -159,8 +159,8 @@ fn no_alloc(file: &SourceFile, config: &Config, out: &mut Vec<Diagnostic>) {
                 name::NO_ALLOC,
                 tok.line,
                 format!(
-                    "`{what}` allocates on the fast path; use the shared buffer pool \
-                     (zero-copy) instead"
+                    "`{what}` allocates on the fast path; use a per-activity frame, \
+                     reused from call to call, instead"
                 ),
             ));
         }

@@ -183,7 +183,8 @@ fn char_literal_soup_never_drifts_line_numbers() {
 
 /// The interprocedural dataflow engine must be total and deterministic
 /// on arbitrary token streams: scanning Rust-ish soup (biased toward
-/// the wait/notify/atomic/pool constructs it models) never panics, and
+/// the wait/notify/atomic constructs it models, plus bindings, calls
+/// and returns around them) never panics, and
 /// scanning + evaluating the same text twice yields identical facts,
 /// diagnostics, and summaries.
 #[test]

@@ -92,9 +92,9 @@ impl Frame {
             ip: view.ip,
             udp: view.udp,
             rpc: view.rpc,
-            // lint:allow(no-alloc-on-fast-path): `Frame::decode` builds
+            // lint:allow(no-alloc-on-fast-path): `Frame::parse` builds
             // an owned frame for tools and tests; the runtime parses
-            // packets in place in the pooled buffer instead.
+            // frames in place in the datagram buffer (`FrameView`).
             data: view.data.to_vec(),
         })
     }

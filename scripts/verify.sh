@@ -55,8 +55,10 @@ budgeted 5000 run firefly-lint --summary
 # schedule exploration of the structure models, the seeded-bug fixtures
 # (each caught with a replayable schedule), the caller drill and the
 # wire scenario, and the two gates against firefly-lint's analysis
-# (docs/CHECKING.md). The budget is about twice the measured time
-# (three runs on a 2-vCPU VM at load average 2.2: 1027, 984, 1063 ms).
+# (docs/CHECKING.md). The standalone release binary on a 2-vCPU VM
+# took 437-786 ms over 8 runs (median 702 ms); the budget is under
+# three times that median. In a phase of heavy host CPU steal, single
+# runs took up to 4.1 s.
 echo "==> firefly-check verify"
 budgeted 2000 run firefly-check verify
 

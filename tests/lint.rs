@@ -117,13 +117,6 @@ files = ["src"]
 [atomic-publication]
 files = ["src"]
 allow_relaxed = ["SANCTIONED"]
-
-[pool-lifecycle]
-files = ["src"]
-pools = ["pool"]
-allocs = ["alloc"]
-sinks = ["recycle"]
-accounted = ["free", "receive_queue", "retained"]
 "#;
 
 #[test]
@@ -346,66 +339,6 @@ fn every_lock_class_receiver_is_acquired_in_scope() {
     );
 }
 
-/// Every name the live `[pool-lifecycle]` section tracks exists in that
-/// section's `files`: each `allocs` and `sinks` name is a `fn` defined
-/// there, and each `accounted` name a field. A name that matches
-/// nothing tracks a path that does not exist, and the rule checks
-/// buffers against nothing.
-#[test]
-fn every_pool_lifecycle_name_exists_in_scope() {
-    let root = workspace_root();
-    let config = Engine::for_root(&root).config;
-    let mut sources = Vec::new();
-    for scope in &config.pool_files {
-        collect_rust_sources(&root.join(scope), &mut sources);
-    }
-    assert!(!sources.is_empty(), "no sources under {:?}", config.pool_files);
-    let fns = config.pool_allocs.iter().chain(&config.pool_sinks);
-    let mut missing: Vec<String> = fns
-        .filter(|name| !sources.iter().any(|text| defines_fn(text, name)))
-        .map(|name| format!("fn `{name}`"))
-        .collect();
-    missing.extend(
-        config
-            .pool_accounted
-            .iter()
-            .filter(|name| !sources.iter().any(|text| has_field(text, name)))
-            .map(|name| format!("field `{name}`")),
-    );
-    assert!(
-        missing.is_empty(),
-        "lint.toml's [pool-lifecycle] names what {:?} does not define: {missing:?}",
-        config.pool_files
-    );
-}
-
-/// Does `text` define a function `name` outside a comment?
-fn defines_fn(text: &str, name: &str) -> bool {
-    let def = format!("fn {name}");
-    code_lines(text).any(|line| {
-        line.match_indices(&def).any(|(at, _)| {
-            let before = line[..at].chars().next_back();
-            let after = line[at + def.len()..].chars().next();
-            !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
-                && matches!(after, Some('(' | '<'))
-        })
-    })
-}
-
-/// Does `text` declare a field `name` outside a comment: a line that
-/// reads `name: ` or `pub name: ` (with any visibility)?
-fn has_field(text: &str, name: &str) -> bool {
-    let decl = format!("{name}: ");
-    code_lines(text).any(|line| {
-        let line = line.trim_start();
-        let line = match line.strip_prefix("pub") {
-            Some(rest) => rest.split_once(' ').map_or(rest, |(_, field)| field),
-            None => line,
-        };
-        line.starts_with(&decl)
-    })
-}
-
 fn code_lines(text: &str) -> impl Iterator<Item = &str> {
     text.lines().filter(|line| !line.trim_start().starts_with("//"))
 }
@@ -487,11 +420,10 @@ files = ["src"]
     );
 }
 
-/// Each lint-v3 dataflow rule family must flag its seeded violation:
-/// wait outside a predicate loop, notify with no state write under the
-/// paired mutex, relaxed publication against a release/acquire
-/// protocol, and a pool alloc leaked into an unaccounted container on
-/// an error path.
+/// Each dataflow rule family must flag its seeded violation: wait
+/// outside a predicate loop, notify with no state write under the
+/// paired mutex, and relaxed publication against a release/acquire
+/// protocol.
 #[test]
 fn binary_flags_each_seeded_dataflow_violation() {
     let seeded: &[(&str, &str, &str)] = &[
@@ -513,16 +445,6 @@ fn binary_flags_each_seeded_dataflow_violation() {
             "relaxed-publish",
             "pub fn w(s: &S) { s.flag.store(1, Ordering::Release); }\n\
              pub fn r(s: &S) -> u32 { s.flag.load(Ordering::Relaxed) }\n",
-        ),
-        (
-            "pool-lifecycle",
-            "leaked-alloc-on-error-path",
-            "pub fn f(p: &P, stash: &S) -> Result<(), E> {\n\
-             let b = p.pool.alloc()?;\n\
-             if failing() { stash.lock().push(b); return Err(E); }\n\
-             b.recycle();\n\
-             Ok(())\n\
-             }\n",
         ),
     ];
     for (rule, tag, source) in seeded {
