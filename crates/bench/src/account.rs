@@ -15,8 +15,10 @@ use firefly_idl::{test_interface, Value};
 use firefly_metrics::table::{fnum, Align, Table};
 use firefly_metrics::Stopwatch;
 use firefly_rpc::trace::{step_table, Role, TraceRecord, TraceReport};
-use firefly_rpc::transport::LoopbackNet;
-use firefly_rpc::{Config, Endpoint, ServiceBuilder};
+use firefly_rpc::transport::{LoopbackNet, UdpTransport};
+use firefly_rpc::{Config, Endpoint, Service, ServiceBuilder};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Fraction of the slowest calls dropped before comparing accounted and
 /// measured means. A call descheduled between the stopwatch start and
@@ -153,6 +155,20 @@ pub fn folded_stacks(procedure: &str, report: &TraceReport) -> Vec<String> {
     lines
 }
 
+/// The paper's test interface, served: `Null` and `MaxArg` return nothing,
+/// `MaxResult` 1440 bytes.
+fn test_service() -> Arc<dyn Service> {
+    ServiceBuilder::new(test_interface())
+        .on_call("Null", |_a, _w| Ok(()))
+        .on_call("MaxResult", |_a, w| {
+            w.next_bytes(1440)?.fill(0xab);
+            Ok(())
+        })
+        .on_call("MaxArg", |_a, _w| Ok(()))
+        .build()
+        .expect("test service")
+}
+
 /// Drives `calls` traced calls of `procedure` over a fresh loopback pair
 /// and returns the paired account.
 ///
@@ -169,16 +185,7 @@ pub fn run_account(procedure: &str, args: &[Value], calls: usize, warmup: usize)
     let net = LoopbackNet::new();
     let server = Endpoint::new(net.station(1), config.clone()).expect("server endpoint");
     let caller = Endpoint::new(net.station(2), config).expect("caller endpoint");
-    let service = ServiceBuilder::new(test_interface())
-        .on_call("Null", |_a, _w| Ok(()))
-        .on_call("MaxResult", |_a, w| {
-            w.next_bytes(1440)?.fill(0xab);
-            Ok(())
-        })
-        .on_call("MaxArg", |_a, _w| Ok(()))
-        .build()
-        .expect("test service");
-    server.export(service).expect("export");
+    server.export(test_service()).expect("export");
     let client = caller
         .bind(&test_interface(), server.address())
         .expect("bind");
@@ -260,6 +267,118 @@ pub fn run_account(procedure: &str, args: &[Value], calls: usize, warmup: usize)
     }
 }
 
+/// The steps of one set-up over UDP, in the order a rig takes them: what
+/// `rpcbench`'s `setup_s` times, from the first bind to the first result,
+/// and then a second call for comparison.
+pub const SETUP_STEPS: [&str; 8] = [
+    "bind the server's socket",
+    "bind the caller's socket",
+    "Endpoint::new (server)",
+    "Endpoint::new (caller)",
+    "build and export the service",
+    "bind the stub",
+    "first call (Null)",
+    "second call (Null)",
+];
+
+/// The steps up to the first result, which `setup_s` times.
+const TO_FIRST_RESULT: usize = 7;
+
+/// Per-step times of repeated set-ups in one process, µs.
+pub struct SetupAccount {
+    /// The set-ups timed.
+    pub rounds: usize,
+    /// Each step of the first set-up.
+    pub first: [f64; SETUP_STEPS.len()],
+    /// Each step's fastest over every set-up.
+    pub fastest: [f64; SETUP_STEPS.len()],
+    /// The first set-up from its first bind to its first result.
+    pub first_total: f64,
+    /// The fastest set-up from its first bind to its first result.
+    pub fastest_total: f64,
+}
+
+impl SetupAccount {
+    /// Renders the account: one row per step, then the set-up's total.
+    pub fn table(&self) -> Table {
+        let fastest = format!("fastest of {} (us)", self.rounds);
+        let title = format!(
+            "Set-up account: a Null() rig over UDP, {} set-ups",
+            self.rounds
+        );
+        let mut t = Table::new(&["Step", "first set-up (us)", &fastest]).title(&title);
+        for (i, step) in SETUP_STEPS.iter().enumerate() {
+            t.row(&[step, &fnum(self.first[i], 1), &fnum(self.fastest[i], 1)]);
+        }
+        t.row(&[
+            "first bind to first result (setup_s)",
+            &fnum(self.first_total, 1),
+            &fnum(self.fastest_total, 1),
+        ]);
+        t
+    }
+}
+
+/// Sets a Null() rig up over UDP `rounds` times through the public API
+/// alone, as `rpcbench`'s `setup_rounds` does, and times each step. Each
+/// rig is dropped, its endpoints shut down, before the next is made. Run
+/// it before anything else in the process makes an endpoint, or its first
+/// set-up is not the process's first.
+pub fn run_setup_account(rounds: usize) -> SetupAccount {
+    let rounds = rounds.max(1);
+    let mut first = [0.0; SETUP_STEPS.len()];
+    let mut fastest = [f64::INFINITY; SETUP_STEPS.len()];
+    let (mut first_total, mut fastest_total) = (0.0, f64::INFINITY);
+    for round in 0..rounds {
+        let steps = set_up_once();
+        let total = steps[..TO_FIRST_RESULT].iter().sum::<f64>();
+        if round == 0 {
+            (first, first_total) = (steps, total);
+        }
+        for (best, step) in fastest.iter_mut().zip(steps) {
+            *best = best.min(step);
+        }
+        fastest_total = fastest_total.min(total);
+    }
+    SetupAccount {
+        rounds,
+        first,
+        fastest,
+        first_total,
+        fastest_total,
+    }
+}
+
+/// One set-up, each of [`SETUP_STEPS`] timed, µs.
+fn set_up_once() -> [f64; SETUP_STEPS.len()] {
+    let mut steps = [0.0; SETUP_STEPS.len()];
+    let mut at = Instant::now();
+    let mut lap = |step: usize| {
+        let now = Instant::now();
+        steps[step] = (now - at).as_secs_f64() * 1e6;
+        at = now;
+    };
+    let server_socket = UdpTransport::localhost().expect("server socket");
+    lap(0);
+    let caller_socket = UdpTransport::localhost().expect("caller socket");
+    lap(1);
+    let server = Endpoint::new(server_socket, Config::default()).expect("server endpoint");
+    lap(2);
+    let caller = Endpoint::new(caller_socket, Config::default()).expect("caller endpoint");
+    lap(3);
+    server.export(test_service()).expect("export");
+    lap(4);
+    let client = caller
+        .bind(&test_interface(), server.address())
+        .expect("bind");
+    lap(5);
+    client.call("Null", &[]).expect("first call");
+    lap(6);
+    client.call("Null", &[]).expect("second call");
+    lap(7);
+    steps
+}
+
 /// The two procedures the paper's latency tables account for: `Null()`
 /// (Table VII) and a MaxResult-style call (Table VIII's large-transfer
 /// analog). Returns `(procedure, args)` pairs for [`run_account`].
@@ -285,5 +404,23 @@ mod tests {
         // Accounted time can never exceed what the stopwatch saw by much;
         // the strict ±10% bound lives in tests/latency_account.rs.
         assert!(account.coverage() > 0.5 && account.coverage() < 1.5);
+    }
+
+    #[test]
+    fn setup_account_times_every_step_of_every_round() {
+        let account = run_setup_account(3);
+        assert_eq!(account.rounds, 3);
+        for (i, step) in SETUP_STEPS.iter().enumerate() {
+            assert!(
+                account.first[i] > 0.0,
+                "{step} of the first set-up took no time"
+            );
+            assert!(
+                account.fastest[i] > 0.0 && account.fastest[i] <= account.first[i],
+                "{step}"
+            );
+        }
+        assert!(account.fastest_total <= account.first_total);
+        assert_eq!(account.table().len(), SETUP_STEPS.len() + 1);
     }
 }

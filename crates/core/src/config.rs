@@ -11,11 +11,13 @@ use std::time::Duration;
 /// prices turning them off); a received zero checksum is still accepted.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// The most server threads the endpoint starts (at least one).
+    /// The most server threads the endpoint takes (at least one).
     ///
-    /// None runs at first: a call handed off when every server thread
-    /// started is busy starts one more, up to this cap, and those
-    /// started wait for calls until shutdown. The fast path requires
+    /// None runs at first: a new call handed off when every server thread
+    /// taken is busy takes one more, up to this cap — one of the
+    /// process's idle server threads when one is waiting, a new thread
+    /// otherwise — and those taken wait for calls until shutdown, when
+    /// they go back idle. The fast path requires
     /// "having enough server threads waiting" (§3.1); at the cap, with
     /// all busy, call packets take the slow path through the work queue.
     /// Defaults to the machine's available parallelism (clamped to

@@ -20,6 +20,7 @@ use crate::client::Client;
 use crate::config::Config;
 use crate::local::LocalClient;
 use crate::packet::{Fragment, MAX_RUN};
+use crate::reservoir::{Running, RECEIVERS};
 use crate::role::{Polled, ReceiveRole};
 use crate::send::{Batch, SendCtx};
 use crate::server::ServerSide;
@@ -34,7 +35,6 @@ use firefly_sync::Mutex;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// State shared between an endpoint, its clients, and its resident
@@ -74,17 +74,21 @@ fn space_nonce(addr: &SocketAddr) -> u16 {
 /// A caller/server endpoint bound to one transport.
 ///
 /// It runs one thread from the start, the resident receiver; its server
-/// threads start on demand, when a call is handed off and every one
-/// started is busy, up to `Config::server_threads` (docs/SHARDING.md).
+/// threads join on demand, when a new call is handed off and every one
+/// taken is busy, up to `Config::server_threads`. Each is one of the
+/// process's idle RPC threads of its kind when one is waiting, and a new
+/// thread only when none is; at shutdown each goes back idle
+/// (docs/SHARDING.md, "The threads an endpoint runs").
 pub struct Endpoint {
     shared: Arc<EndpointShared>,
-    demux: Mutex<Option<JoinHandle<()>>>,
+    demux: Mutex<Option<Running>>,
 }
 
 impl Endpoint {
     /// Creates an endpoint over `transport` and starts its resident
-    /// receiver. No server thread, pool slab or trace ring slot is made
-    /// before something uses it.
+    /// receiver, on an idle `firefly-demux` thread when the process has
+    /// one (a wake) and on a new thread otherwise. No server thread, pool
+    /// slab or trace ring slot is taken before something uses it.
     pub fn new(transport: Arc<dyn Transport>, config: Config) -> Result<Arc<Endpoint>> {
         // lint:allow(no-alloc-on-fast-path): once per endpoint.
         let stats = Arc::new(RpcStats::default());
@@ -119,9 +123,7 @@ impl Endpoint {
         });
         let demux = {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("firefly-demux".into())
-                .spawn(move || demux_loop(shared))?
+            RECEIVERS.run(move || demux_loop(shared))?
         };
         *endpoint.demux.lock() = Some(demux);
         Ok(endpoint)
@@ -286,20 +288,21 @@ impl Endpoint {
         self.shared.server.handoff_estimate()
     }
 
-    /// Stops the receiver and every server thread started, and
-    /// unblocks the transport.
+    /// Stops the receiver and every server thread taken, and unblocks
+    /// the transport. It returns once their loops have ended and dropped
+    /// what they held of the endpoint; the threads go back idle.
     pub fn shutdown(&self) {
         self.shared.ctx.transport.shutdown();
         self.shared.role.shutdown();
-        // Joins the server threads; from here on a call handed off is
-        // shed.
+        // Waits for the server threads' loops; from here on a call
+        // handed off is shed.
         self.shared.server.shutdown();
-        // Take the handle out under the guard, join after it drops:
-        // joining a thread that is itself draining the transport while
+        // Take the handle out under the guard, wait after it drops:
+        // waiting for a loop that is itself draining the transport while
         // holding this mutex would deadlock against `Drop` callers.
         let demux = self.demux.lock().take();
-        if let Some(h) = demux {
-            let _ = h.join();
+        if let Some(demux) = demux {
+            demux.wait();
         }
     }
 }

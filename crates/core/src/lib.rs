@@ -35,8 +35,10 @@
 //! ```
 //!
 //! An [`Endpoint`] owns one transport, one buffer pool, one receive role
-//! with its resident receiver thread, a pool of server threads, a
-//! caller-side call table and a server-side dispatcher; it can act as
+//! with its resident receiver thread, the server threads it takes on
+//! demand, a caller-side call table and a server-side dispatcher; its
+//! threads come from, and go back to, the process's idle RPC threads
+//! (`reservoir`). It can act as
 //! caller and server simultaneously, like a Firefly. [`Client`]s are
 //! created by binding an interface to a remote endpoint; services are
 //! exported with [`Endpoint::export`].
@@ -99,6 +101,7 @@ pub mod error;
 pub mod fragment;
 pub mod local;
 pub mod packet;
+pub(crate) mod reservoir;
 pub mod role;
 pub(crate) mod send;
 pub mod server;

@@ -10,10 +10,10 @@
 //! (`handle_call`) is read there by the receiving thread when it runs
 //! the call itself. One bound for a server thread must outlive the
 //! datagram: it is copied into a buffer of the server's one pool, taken
-//! before its activity is touched — or, when none is free, shed like a
-//! lost packet (`calls_shed`) for the caller's retransmission to
-//! recover. The receiving thread never waits for a buffer, and the pool
-//! carries nothing else. The fragments of a multi-packet call come as a run
+//! once the call is known to be new and before it touches its activity
+//! — or, when none is free, shed like a lost packet (`calls_shed`) for
+//! the caller's retransmission to recover. The receiving thread never
+//! waits for a buffer, and the pool carries nothing else. The fragments of a multi-packet call come as a run
 //! (`handle_call_fragments`): the activity is found, locked and marked
 //! used (a clock read) once for the run, and each fragment's data is
 //! copied straight from the datagram into the call's reassembly — no
@@ -45,14 +45,17 @@
 //! * otherwise a **server thread**: "if the interrupt routine can find a
 //!   server thread … it attaches the buffer containing the call packet
 //!   to the call table entry and awakens the server thread directly"
-//!   (§3.1.3). Server threads start on demand: a call handed off when
-//!   every thread started is busy starts one more, up to
-//!   `Config::server_threads`, so an endpoint that only calls, or whose
-//!   calls all run on the receiving thread, runs none. Whether a thread
-//!   is there, or can be started, is decided with the pool buffer, before
-//!   the activity is touched; a call that finds none — after shutdown, or
-//!   when the OS refuses a thread and none runs — is shed like one that
-//!   finds the pool dry.
+//!   (§3.1.3). Server threads are taken on demand: a new call handed off
+//!   when every thread taken is busy takes one more, up to
+//!   `Config::server_threads` — an idle server thread of the process
+//!   when one waits (`crate::reservoir`), a new one otherwise — so an
+//!   endpoint that only calls, or whose calls all run on the receiving
+//!   thread, takes none. A call of a round already seen is answered
+//!   first, and takes neither a buffer nor a thread. Whether a thread is
+//!   there, or can be taken, is decided with the pool buffer, before a
+//!   new call touches its activity; one that finds none — after
+//!   shutdown, or when the OS refuses a thread and none runs — is shed
+//!   like one that finds the pool dry.
 //!
 //! Either way the executing thread plays `Receiver`: it up-calls the
 //! interface stub, which up-calls the service procedure, marshals the
@@ -68,6 +71,7 @@
 
 use crate::fragment::{Accepted, Acked, Reassembly, Window};
 use crate::packet::{Assembled, Fragment, Packet};
+use crate::reservoir::{Running, SERVERS};
 use crate::send::{Batch, SendCtx};
 use crate::service::Service;
 use crate::shard::WorkQueues;
@@ -87,7 +91,6 @@ use std::net::SocketAddr;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The retained result of an activity's last call, kept for
@@ -300,12 +303,13 @@ pub(crate) struct ServerSide {
     /// The one queue calls are handed to server threads on; whichever
     /// thread looks next takes the next call.
     queues: WorkQueues<Work>,
-    /// The server threads started so far, joined at shutdown.
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    /// The worker loops running on server threads taken so far, waited
+    /// for at shutdown.
+    threads: Mutex<Vec<Running>>,
     /// Server threads with no call in hand: looking for one, parked, or
     /// done executing the last and sending its result.
     free: AtomicUsize,
-    /// This server side, for the threads it starts to share.
+    /// This server side, for the worker loops it starts to share.
     me: Weak<ServerSide>,
     /// What handing a call to a worker costs here, in ns (enqueue to
     /// pick-up), 0 while unmeasured; see [`note_handoff`].
@@ -317,7 +321,7 @@ pub(crate) struct ServerSide {
 }
 
 impl ServerSide {
-    /// A server side that starts up to `workers` server threads (at
+    /// A server side that takes up to `workers` server threads (at
     /// least one), none of them yet.
     pub fn new(ctx: Arc<SendCtx>, workers: usize) -> Arc<ServerSide> {
         // lint:allow(no-alloc-on-fast-path): once per endpoint.
@@ -334,11 +338,12 @@ impl ServerSide {
         })
     }
 
-    /// Whether a call handed off now will be taken by a server thread:
-    /// one is free; or every one started is busy and one more is started
-    /// for it here, below the cap; or, at the cap, a busy one will get to
-    /// it. False after shutdown, and when no thread runs and the OS
-    /// refuses one. Decided before the call's activity is touched.
+    /// Whether a new call handed off now will be taken by a server
+    /// thread: one is free; or every one taken is busy and one more is
+    /// taken for it here, below the cap — an idle server thread of the
+    /// process, or a new one; or, at the cap, a busy one will get to it.
+    /// False after shutdown, and when no thread runs and the OS refuses
+    /// one.
     fn worker_ready(&self) -> bool {
         if self.queues.is_down() {
             return false;
@@ -346,32 +351,32 @@ impl ServerSide {
         if self.free.load(Ordering::Relaxed) > 0 {
             return true;
         }
+        let cap = self.queues.worker_count();
+        if self.threads.lock().len() >= cap {
+            return true;
+        }
+        // The idle thread is taken before `threads` is locked: the
+        // reservoir's lock is never taken under it.
+        let thread = SERVERS.reserve();
         let mut threads = self.threads.lock();
         // Read again under the lock, which `shutdown` takes after setting
-        // it: a thread is started only if `shutdown` will find it.
+        // it: a loop is started only if `shutdown` will wait for it.
         if self.queues.is_down() {
             return false;
         }
-        let started = threads.len();
-        if started < self.queues.worker_count() {
-            if let Some(thread) = self.start_worker(started) {
-                threads.push(thread);
+        let taken = threads.len();
+        if taken < cap {
+            let started = self
+                .me
+                .upgrade()
+                .map(|me| thread.run(move || me.worker_loop()));
+            if let Some(Ok(running)) = started {
+                threads.push(running);
                 RpcStats::bump(&self.ctx.stats.workers_started);
                 return true;
             }
         }
-        started > 0
-    }
-
-    /// Starts server thread `i`; `None` when the OS refuses a thread.
-    fn start_worker(&self, i: usize) -> Option<JoinHandle<()>> {
-        let me = self.me.upgrade()?;
-        std::thread::Builder::new()
-            // lint:allow(no-alloc-on-fast-path): once per server thread,
-            // at most `Config::server_threads` per endpoint.
-            .name(format!("firefly-server-{i}"))
-            .spawn(move || me.worker_loop())
-            .ok()
+        taken > 0
     }
 
     /// The pool calls handed to server threads are copied into.
@@ -379,15 +384,17 @@ impl ServerSide {
         &self.pool
     }
 
-    /// Stops the server threads once their queued work is drained, and
-    /// joins every one started — one started while this runs included.
+    /// Stops the worker loops once their queued work is drained, and
+    /// waits for every one started — one started while this runs
+    /// included — to end; their threads go back idle.
     pub fn shutdown(&self) {
         self.queues.shutdown();
-        // Taken out under the guard, joined after it drops: a receiving
-        // thread deciding a hand-off meanwhile must not wait on a join.
+        // Taken out under the guard, waited for after it drops: a
+        // receiving thread deciding a hand-off meanwhile must not wait
+        // on a loop.
         let threads = std::mem::take(&mut *self.threads.lock());
         for thread in threads {
-            let _ = thread.join();
+            thread.wait();
         }
     }
 
@@ -531,12 +538,13 @@ impl ServerSide {
     /// `inline` says whether that thread may run service code (the
     /// resident receiver may, a caller thread holding the receive role
     /// may not). Who runs the call is decided first, with the exports
-    /// read once. A call bound for a server thread then takes the pool
-    /// buffer it is copied into and makes sure of a thread to take it
-    /// (starting one if every one started is busy), before its activity
-    /// is touched. When either is missing, a call already seen is
-    /// answered as usual — its answer needs neither — and a new one is
-    /// shed, like a lost packet: it leaves no trace but `calls_shed`.
+    /// read once. A call of an activity already seen is then classified,
+    /// and one of a round already seen is answered as usual: its answer
+    /// needs neither a buffer nor a thread. Only a new call bound for a
+    /// server thread takes the pool buffer it is copied into and makes
+    /// sure of a thread to take it (taking one if every one taken is
+    /// busy); when either is missing it is shed, like a lost packet, and
+    /// leaves no trace but `calls_shed`.
     pub(crate) fn handle_call(
         &self,
         view: &FrameView<'_>,
@@ -552,33 +560,62 @@ impl ServerSide {
         let exports = self.exports.read();
         let service = exports.services.get(&rpc.interface_uid);
         let here = inline && service.is_some_and(|entry| self.runs_inline(entry, rpc.procedure));
-        let copy = if here { None } else { self.pool.alloc().ok() };
-        let copy = copy.filter(|_| self.worker_ready());
-        let dry = !here && copy.is_none();
-        let act = if dry {
-            self.find(rpc.activity)
-        } else {
-            Some(self.activity(rpc.activity))
-        };
-        let Some(act) = act else {
-            RpcStats::bump(&self.ctx.stats.calls_shed);
-            return;
-        };
-        let mut st = act.state.lock();
-        match seen(&st, &rpc) {
-            Seen::New if dry => {
-                RpcStats::bump(&self.ctx.stats.calls_shed);
-                return;
-            }
-            Seen::New => {}
-            old => {
-                drop(exports);
-                RpcStats::bump(&self.ctx.stats.calls_received);
-                st.last_used = Instant::now();
-                self.answer_old(st, old, &rpc, src, out);
-                return;
+        let found = self.find(rpc.activity);
+        if let Some(act) = &found {
+            let mut st = act.state.lock();
+            match seen(&st, &rpc) {
+                // A call run here goes on under the guard it was
+                // classified under.
+                Seen::New if here => {
+                    return self.begin(exports, st, act, None, view, src, received_at, out);
+                }
+                Seen::New => {}
+                old => {
+                    drop(exports);
+                    RpcStats::bump(&self.ctx.stats.calls_received);
+                    st.last_used = Instant::now();
+                    self.answer_old(st, old, &rpc, src, out);
+                    return;
+                }
             }
         }
+        // A new call. Only the receiving thread moves an activity to a
+        // new round, so it is still new when its guard is taken again.
+        let copy = if here {
+            None
+        } else {
+            match self.pool.alloc().ok().filter(|_| self.worker_ready()) {
+                Some(mut buf) => {
+                    buf.fill_from(frame);
+                    Some(buf)
+                }
+                None => {
+                    RpcStats::bump(&self.ctx.stats.calls_shed);
+                    return;
+                }
+            }
+        };
+        let act = found.unwrap_or_else(|| self.activity(rpc.activity));
+        let st = act.state.lock();
+        self.begin(exports, st, &act, copy, view, src, received_at, out);
+    }
+
+    /// Begins a new single-packet call under its activity's guard `st`:
+    /// runs it here when there is no `copy` of it, and hands the copy to
+    /// the server threads otherwise.
+    #[allow(clippy::too_many_arguments)]
+    fn begin(
+        &self,
+        exports: RwLockReadGuard<'_, Exports>,
+        mut st: MutexGuard<'_, ActState>,
+        act: &Arc<Activity>,
+        copy: Option<firefly_pool::PacketBuf>,
+        view: &FrameView<'_>,
+        src: SocketAddr,
+        received_at: u64,
+        out: &mut Batch,
+    ) {
+        let rpc = view.rpc;
         RpcStats::bump(&self.ctx.stats.calls_received);
         // The one clock read of a call run here: when its activity was
         // last used, and where its service-time sample starts.
@@ -589,13 +626,12 @@ impl ServerSide {
         self.ctx.witness.record(State::ServerNew, &rpc, Action::Dispatch);
         match copy {
             None => {
-                self.run_here(exports, &rpc, view.data, src, &act, result, received_at, now, out);
+                self.run_here(exports, &rpc, view.data, src, act, result, received_at, now, out);
             }
-            Some(mut buf) => {
+            Some(buf) => {
                 drop(exports);
-                buf.fill_from(frame);
                 let call = Assembled::Single(Packet::validated(buf, rpc, view.data.len()));
-                self.enqueue(call, src, act, result, received_at);
+                self.enqueue(call, src, Arc::clone(act), result, received_at);
             }
         }
     }
@@ -612,9 +648,9 @@ impl ServerSide {
     /// fragment sees and does exactly what it would alone. An ack a
     /// fragment asks for is queued on `out`. `out` and `inline` as for
     /// [`ServerSide::handle_call`]: who runs the call the run may
-    /// complete is decided first, and a run bound for a server thread
-    /// when none is there or can be started is shed whole, before its
-    /// activity is touched.
+    /// complete is decided first, and a run of a new call bound for a
+    /// server thread when none is there or can be taken is shed whole,
+    /// before its activity is touched.
     pub(crate) fn handle_call_fragments(
         &self,
         run: &[Fragment<'_>],
@@ -632,11 +668,15 @@ impl ServerSide {
             let service = exports.services.get(&first.rpc.interface_uid);
             service.is_some_and(|entry| self.runs_inline(entry, first.rpc.procedure))
         };
-        if !here && !self.worker_ready() {
+        // The fragments of a run are of one call, so the first classifies
+        // it: only a new call takes a thread.
+        let found = self.find(first.rpc.activity);
+        let new = |act: &Arc<Activity>| matches!(seen(&act.state.lock(), &first.rpc), Seen::New);
+        if !here && found.as_ref().is_none_or(new) && !self.worker_ready() {
             stats.calls_shed.fetch_add(run.len() as u64, Ordering::Relaxed);
             return;
         }
-        let act = self.activity(first.rpc.activity);
+        let act = found.unwrap_or_else(|| self.activity(first.rpc.activity));
         let mut st = act.state.lock();
         st.last_used = Instant::now();
         let mut held = Some(st);
@@ -985,8 +1025,8 @@ impl ServerSide {
     fn worker_loop(self: Arc<Self>) {
         // What the call being executed sends, reused from call to call.
         let mut out = Batch::default();
-        // Whether this thread counts as free. A thread just started does
-        // not: the call it was started for is waiting for it.
+        // Whether this thread counts as free. A thread just taken does
+        // not: the call it was taken for is waiting for it.
         let mut free = false;
         loop {
             // Each call's result goes out when the call ends: nothing

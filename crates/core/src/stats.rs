@@ -69,8 +69,9 @@ counters! {
     /// quiescence, `calls_completed ≤ calls_executed ≤ calls_completed +
     /// calls_failed`.
     calls_executed,
-    /// Server threads started: each at a hand-off that found every one
-    /// started busy, never more than `Config::server_threads`.
+    /// Server threads taken, whether new or idle ones of the process:
+    /// each at a new call's hand-off that found every one taken busy,
+    /// never more than `Config::server_threads`.
     workers_started,
     /// Duplicate call packets answered from the retained result.
     duplicate_calls,

@@ -1,7 +1,7 @@
-//! An endpoint makes only what its traffic uses: a server thread starts
-//! at a hand-off that finds every one started busy, up to
+//! An endpoint takes only what its traffic uses: a server thread at a new
+//! call's hand-off that finds every one taken busy, up to
 //! `Config::server_threads`, and a pool slab at the first take that finds
-//! none to reuse. An endpoint that only calls makes neither.
+//! none to reuse. An endpoint that only calls takes neither.
 
 use firefly_idl::{parse_interface, InterfaceDef, Value};
 use firefly_rpc::transport::{LoopbackNet, Transport, UdpTransport};
@@ -163,4 +163,24 @@ fn an_exporter_starts_threads_at_hand_offs_and_never_more_than_its_cap() {
     assert_eq!(stats.workers_started(), 2, "stats:\n{stats}");
     assert_eq!((stats.calls_executed(), stats.inline_calls()), (4, 0));
     assert_eq!(stats.calls_shed(), 0);
+}
+
+#[test]
+fn a_retransmitted_call_takes_no_thread() {
+    // A caller whose first timeout is 5 ms retransmits the call held on
+    // the one server thread taken for it: the duplicate is answered as
+    // executing, and no second thread is taken only to say so.
+    let net = LoopbackNet::new();
+    let (server, gate, open) = exporter(net.station(1), 2);
+    let caller = Endpoint::new(net.station(2), Config::fast_retry()).unwrap();
+    let client = caller.bind(&interface(), server.address()).unwrap();
+    let held = std::thread::spawn(move || client.call("Hold", &[Value::Integer(7)]).unwrap());
+    wait_until("the call never ran", || gate.entered.load(Ordering::SeqCst) == 1);
+    wait_until("no retransmission came", || server.stats().duplicate_calls() >= 1);
+    open.send(()).unwrap();
+    assert_eq!(held.join().unwrap()[0].as_integer(), Some(7));
+    let stats = server.stats();
+    assert_eq!(stats.workers_started(), 1, "stats:\n{stats}");
+    assert!(stats.duplicate_calls() >= 1, "stats:\n{stats}");
+    assert_eq!((stats.calls_executed(), stats.calls_shed()), (1, 0));
 }

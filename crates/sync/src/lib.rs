@@ -71,8 +71,8 @@ fn hook_addr<T: ?Sized>(x: &T) -> usize {
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
 impl<T> Mutex<T> {
-    /// Creates a new unlocked mutex.
-    pub fn new(value: T) -> Mutex<T> {
+    /// Creates a new unlocked mutex; usable in a `static`.
+    pub const fn new(value: T) -> Mutex<T> {
         Mutex(std::sync::Mutex::new(value))
     }
 }
