@@ -111,9 +111,8 @@ impl Detector {
         std::mem::take(&mut self.publications)
     }
 
-    /// `tid` acquired `lock` (exclusive or shared, or reacquired it on
-    /// waking from a condvar): it learns everything the last releaser
-    /// knew.
+    /// `tid` acquired `lock` (or reacquired it on waking from a
+    /// condvar): it learns everything the last releaser knew.
     pub fn lock_acquired(&mut self, tid: usize, lock: usize) {
         if let Some(release) = self.locks.get(&lock) {
             self.threads[tid].join(release);

@@ -132,7 +132,7 @@ enum ThreadState {
     /// The one currently executing thread.
     Running,
     /// Parked at `before_lock`.
-    WantsLock { lock: usize, shared: bool },
+    WantsLock { lock: usize },
     /// Parked in a condvar wait; `lock` is the released paired lock.
     Waiting { cond: usize, lock: usize },
     /// Notified; must reacquire `lock` before running again.
@@ -304,7 +304,6 @@ struct Obj {
     index: usize,
     label: Option<&'static str>,
     owner: Option<usize>,
-    readers: Vec<usize>,
 }
 
 impl Obj {
@@ -524,7 +523,6 @@ impl Sched {
                     index,
                     label: None,
                     owner: None,
-                    readers: Vec::new(),
                 },
             );
         }
@@ -544,8 +542,6 @@ impl Sched {
         if let Some(o) = core.objs.get_mut(&lock) {
             if o.owner == Some(tid) {
                 o.owner = None;
-            } else if let Some(p) = o.readers.iter().position(|&r| r == tid) {
-                o.readers.remove(p);
             }
         }
     }
@@ -554,15 +550,9 @@ impl Sched {
         match core.states[t] {
             ThreadState::Idle => true,
             ThreadState::WantsAtomic { .. } => true,
-            ThreadState::WantsLock { lock, shared } => match core.objs.get(&lock) {
-                Some(o) if shared => o.owner.is_none(),
-                Some(o) => o.owner.is_none() && o.readers.is_empty(),
-                None => true,
-            },
-            ThreadState::Notified { lock } => match core.objs.get(&lock) {
-                Some(o) => o.owner.is_none() && o.readers.is_empty(),
-                None => true,
-            },
+            ThreadState::WantsLock { lock } | ThreadState::Notified { lock } => {
+                core.objs.get(&lock).is_none_or(|o| o.owner.is_none())
+            }
             _ => false,
         }
     }
@@ -644,7 +634,7 @@ impl Sched {
     /// cycle in this schedule's edge graph.
     fn grant(&self, core: &mut Core, tid: usize) {
         match core.states[tid].clone() {
-            ThreadState::WantsLock { lock, shared } => {
+            ThreadState::WantsLock { lock } => {
                 for h in core.held[tid].clone() {
                     if h == lock {
                         continue;
@@ -661,11 +651,7 @@ impl Sched {
                 }
                 let name = Self::obj_name(core, lock);
                 if let Some(o) = core.objs.get_mut(&lock) {
-                    if shared {
-                        o.readers.push(tid);
-                    } else {
-                        o.owner = Some(tid);
-                    }
+                    o.owner = Some(tid);
                 }
                 core.held[tid].push(lock);
                 core.trace.push(format!("t{tid} acquires {name}"));
@@ -824,7 +810,7 @@ impl Scheduler for Sched {
         }
     }
 
-    fn before_lock(&self, lock: usize, shared: bool) {
+    fn before_lock(&self, lock: usize) {
         let Some(tid) = tid() else { return };
         let mut core = self.lock_core();
         if core.aborting {
@@ -836,9 +822,8 @@ impl Scheduler for Sched {
         }
         Self::ensure_obj(&mut core, lock, ObjKind::Lock);
         let name = Self::obj_name(&core, lock);
-        let mode = if shared { "shared" } else { "excl" };
-        core.trace.push(format!("t{tid} wants {name} ({mode})"));
-        core.states[tid] = ThreadState::WantsLock { lock, shared };
+        core.trace.push(format!("t{tid} wants {name}"));
+        core.states[tid] = ThreadState::WantsLock { lock };
         core.running = None;
         self.pick_next(&mut core);
         self.block_until_granted(core, tid);

@@ -11,14 +11,15 @@
 //! # Architecture (mirrors §3.1 of the paper)
 //!
 //! ```text
-//!  caller program ──▶ caller stub ──▶ Starter    (get pool buffer)
+//!  caller program ──▶ caller stub ──▶ Starter    (take the activity's
+//!                                                 slot: its frames)
 //!                                  ─▶ marshal    (firefly-idl engines)
 //!                                  ─▶ Transporter(register in call table,
 //!                                                 send, receive the result
 //!                                                 itself or await wakeup,
 //!                                                 retransmit on timeout)
 //!                                  ─▶ unmarshal
-//!                                  ─▶ Ender      (recycle the buffer)
+//!                                  ─▶ Ender      (give the slot back)
 //!
 //!  holder of the receive role (the "Ethernet interrupt routine": a
 //!  waiting caller, else the endpoint's resident receiver — see `role`):

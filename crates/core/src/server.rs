@@ -32,8 +32,9 @@
 //! frame kept for the next call. The next call's arrival acknowledges
 //! the result and lends the frame again; an explicit ack of the last
 //! result frees it. No result takes a pool buffer, and a call the
-//! receiving thread runs itself takes none at all. The exported service
-//! is looked up once per call, by the thread that runs it.
+//! receiving thread runs itself takes none at all. A call runs under the
+//! snapshot of the exports its receiver took: no lock is held while a
+//! procedure runs, so an `export` meanwhile waits for nothing.
 //!
 //! The executing thread is:
 //!
@@ -81,7 +82,7 @@ use crate::witness::{Action, State};
 use crate::{Result, RpcError};
 use firefly_idl::{CompiledStub, Written};
 use firefly_pool::BufferPool;
-use firefly_sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use firefly_sync::{Mutex, MutexGuard};
 use firefly_wire::{
     ActivityId, FrameBuilder, FrameView, PacketType, RpcHeader, DATA_OFFSET, MAX_FRAME_LEN,
     MAX_SINGLE_PACKET_DATA,
@@ -276,6 +277,8 @@ struct Work {
     act: Arc<Activity>,
     /// The activity's result frame, lent for this call's result.
     frame: Box<[u8]>,
+    /// The exports the call was received under, which it runs under.
+    exports: Arc<Exports>,
     /// Receive stamp ([`crate::trace`] nanos); 0 when tracing was off at
     /// receipt.
     received_at: u64,
@@ -289,16 +292,20 @@ struct Work {
 /// thread runs itself take no pool buffer.
 pub(crate) const POOL_SIZE: usize = 64;
 
-/// What the endpoint exports, and who may call it: read once per call.
-#[derive(Default)]
+/// What the endpoint exports, and who may call it: a snapshot, taken
+/// once per call. An export or a new gate changes it in place if no call
+/// holds it and replaces it with a changed copy otherwise
+/// (`Arc::make_mut`): a call finishes under the snapshot it began with.
+#[derive(Clone, Default)]
 struct Exports {
-    services: HashMap<u64, ServiceEntry>,
+    services: HashMap<u64, Arc<ServiceEntry>>,
     gate: Option<Arc<dyn crate::auth::CallGate>>,
 }
 
 /// The server half of an endpoint.
 pub(crate) struct ServerSide {
-    exports: RwLock<Exports>,
+    /// The current exports, locked only to take or change the snapshot.
+    exports: Mutex<Arc<Exports>>,
     activities: Mutex<HashMap<u64, Arc<Activity>>>,
     /// The one queue calls are handed to server threads on; whichever
     /// thread looks next takes the next call.
@@ -326,7 +333,7 @@ impl ServerSide {
     pub fn new(ctx: Arc<SendCtx>, workers: usize) -> Arc<ServerSide> {
         // lint:allow(no-alloc-on-fast-path): once per endpoint.
         Arc::new_cyclic(|me| ServerSide {
-            exports: RwLock::default(),
+            exports: Mutex::default(),
             activities: Mutex::default(),
             queues: WorkQueues::new(workers),
             threads: Mutex::default(),
@@ -398,13 +405,15 @@ impl ServerSide {
         }
     }
 
+    /// The exports as they stand.
+    fn exports(&self) -> Arc<Exports> {
+        Arc::clone(&self.exports.lock())
+    }
+
     /// Looks up an exported service by interface UID.
     pub fn service_for(&self, uid: u64) -> Option<Arc<dyn Service>> {
-        self.exports
-            .read()
-            .services
-            .get(&uid)
-            .map(|e| Arc::clone(&e.service))
+        let services = &self.exports().services;
+        services.get(&uid).map(|e| Arc::clone(&e.service))
     }
 
     /// See [`crate::Endpoint::service_time_estimate`].
@@ -420,11 +429,8 @@ impl ServerSide {
     }
 
     fn service_ns(&self, uid: u64, procedure: u16) -> u64 {
-        self.exports
-            .read()
-            .services
-            .get(&uid)
-            .map_or(0, |e| e.service_ns(procedure))
+        let services = &self.exports().services;
+        services.get(&uid).map_or(0, |e| e.service_ns(procedure))
     }
 
     /// Whether the receiving thread should execute a call of `procedure`
@@ -438,9 +444,10 @@ impl ServerSide {
         service != 0 && service < self.handoff_ns.load(Ordering::Relaxed)
     }
 
-    /// Installs (or clears) the authorization gate.
+    /// Installs (or clears) the authorization gate for the calls
+    /// received from now on.
     pub fn set_gate(&self, gate: Option<Arc<dyn crate::auth::CallGate>>) {
-        self.exports.write().gate = gate;
+        Arc::make_mut(&mut self.exports.lock()).gate = gate;
     }
 
     /// Reclaims per-activity state idle for longer than `max_idle`.
@@ -468,8 +475,7 @@ impl ServerSide {
 
     /// Lists exported interfaces as `(name, uid, version)`.
     pub fn exported(&self) -> Vec<(String, u64, u16)> {
-        self.exports
-            .read()
+        self.exports()
             .services
             .iter()
             // lint:allow(no-alloc-on-fast-path): introspection for the
@@ -485,24 +491,24 @@ impl ServerSide {
         let interface = service.interface().clone();
         let stubs = CompiledStub::for_interface(&interface);
         let service_ns = stubs.iter().map(|_| AtomicU64::new(0)).collect();
-        let mut exports = self.exports.write();
-        let services = &mut exports.services;
-        if services.contains_key(&interface.uid()) {
+        let mut exports = self.exports.lock();
+        if exports.services.contains_key(&interface.uid()) {
             return Err(RpcError::Binding(format!(
                 "interface `{}` is already exported",
                 interface.name()
             )));
         }
-        services.insert(
-            interface.uid(),
-            ServiceEntry {
-                service,
-                stubs,
-                service_ns,
-                name: interface.name().to_string(),
-                version: interface.version(),
-            },
-        );
+        // lint:allow(no-alloc-on-fast-path): once per export. The entry
+        // is shared by every later snapshot, its estimates with it.
+        let entry = Arc::new(ServiceEntry {
+            service,
+            stubs,
+            service_ns,
+            name: interface.name().to_string(),
+            version: interface.version(),
+        });
+        let services = &mut Arc::make_mut(&mut exports).services;
+        services.insert(interface.uid(), entry);
         Ok(())
     }
 
@@ -537,14 +543,14 @@ impl ServerSide {
     /// `out` is the receiving thread's own batch, for what it sends;
     /// `inline` says whether that thread may run service code (the
     /// resident receiver may, a caller thread holding the receive role
-    /// may not). Who runs the call is decided first, with the exports
-    /// read once. A call of an activity already seen is then classified,
-    /// and one of a round already seen is answered as usual: its answer
-    /// needs neither a buffer nor a thread. Only a new call bound for a
-    /// server thread takes the pool buffer it is copied into and makes
-    /// sure of a thread to take it (taking one if every one taken is
-    /// busy); when either is missing it is shed, like a lost packet, and
-    /// leaves no trace but `calls_shed`.
+    /// may not). Who runs the call is decided first, by the snapshot of
+    /// the exports it then runs under. A call of an activity already seen
+    /// is then classified, and one of a round already seen is answered as
+    /// usual: its answer needs neither a buffer nor a thread. Only a new
+    /// call bound for a server thread takes the pool buffer it is copied
+    /// into and makes sure of a thread to take it (taking one if every one
+    /// taken is busy); when either is missing it is shed, like a lost
+    /// packet, and leaves no trace but `calls_shed`.
     pub(crate) fn handle_call(
         &self,
         view: &FrameView<'_>,
@@ -557,7 +563,7 @@ impl ServerSide {
         // account starts at the receive boundary (0 with tracing off).
         let received_at = self.ctx.tracer.stamp_if_enabled();
         let rpc = view.rpc;
-        let exports = self.exports.read();
+        let exports = self.exports();
         let service = exports.services.get(&rpc.interface_uid);
         let here = inline && service.is_some_and(|entry| self.runs_inline(entry, rpc.procedure));
         let found = self.find(rpc.activity);
@@ -571,7 +577,6 @@ impl ServerSide {
                 }
                 Seen::New => {}
                 old => {
-                    drop(exports);
                     RpcStats::bump(&self.ctx.stats.calls_received);
                     st.last_used = Instant::now();
                     self.answer_old(st, old, &rpc, src, out);
@@ -606,7 +611,7 @@ impl ServerSide {
     #[allow(clippy::too_many_arguments)]
     fn begin(
         &self,
-        exports: RwLockReadGuard<'_, Exports>,
+        exports: Arc<Exports>,
         mut st: MutexGuard<'_, ActState>,
         act: &Arc<Activity>,
         copy: Option<firefly_pool::PacketBuf>,
@@ -626,12 +631,11 @@ impl ServerSide {
         self.ctx.witness.record(State::ServerNew, &rpc, Action::Dispatch);
         match copy {
             None => {
-                self.run_here(exports, &rpc, view.data, src, act, result, received_at, now, out);
+                self.run_here(&exports, &rpc, view.data, src, act, result, received_at, now, out);
             }
             Some(buf) => {
-                drop(exports);
                 let call = Assembled::Single(Packet::validated(buf, rpc, view.data.len()));
-                self.enqueue(call, src, Arc::clone(act), result, received_at);
+                self.enqueue(call, src, Arc::clone(act), result, exports, received_at);
             }
         }
     }
@@ -663,11 +667,9 @@ impl ServerSide {
         };
         let stats = &self.ctx.stats;
         let witness = &self.ctx.witness;
-        let here = inline && {
-            let exports = self.exports.read();
-            let service = exports.services.get(&first.rpc.interface_uid);
-            service.is_some_and(|entry| self.runs_inline(entry, first.rpc.procedure))
-        };
+        let exports = self.exports();
+        let service = exports.services.get(&first.rpc.interface_uid);
+        let here = inline && service.is_some_and(|e| self.runs_inline(e, first.rpc.procedure));
         // The fragments of a run are of one call, so the first classifies
         // it: only a new call takes a thread.
         let found = self.find(first.rpc.activity);
@@ -732,11 +734,12 @@ impl ServerSide {
             drop(st);
             witness.record(State::ServerNew, &rpc, Action::Dispatch);
             if here {
-                let (exports, now) = (self.exports.read(), Instant::now());
-                self.run_here(exports, &rpc, &data, src, &act, result, received_at, now, out);
+                let now = Instant::now();
+                self.run_here(&exports, &rpc, &data, src, &act, result, received_at, now, out);
             } else {
                 let call = Assembled::Owned { rpc, data };
-                self.enqueue(call, src, Arc::clone(&act), result, received_at);
+                let exports = Arc::clone(&exports);
+                self.enqueue(call, src, Arc::clone(&act), result, exports, received_at);
             }
         }
     }
@@ -801,7 +804,7 @@ impl ServerSide {
     #[allow(clippy::too_many_arguments)]
     fn run_here(
         &self,
-        exports: RwLockReadGuard<'_, Exports>,
+        exports: &Exports,
         rpc: &RpcHeader,
         data: &[u8],
         src: SocketAddr,
@@ -836,7 +839,7 @@ impl ServerSide {
     }
 
     /// Hands a call to the server threads, with the activity's result
-    /// frame. An `Ok(true)` from the queue means a parked thread was
+    /// frame and the exports it runs under. An `Ok(true)` from the queue means a parked thread was
     /// woken directly — the paper's direct-handoff fast path; `Ok(false)`
     /// means none was parked and the call waits in the queue (the slow
     /// path). A refusal means `shutdown` ran since `worker_ready` said
@@ -847,6 +850,7 @@ impl ServerSide {
         src: SocketAddr,
         act: Arc<Activity>,
         frame: Box<[u8]>,
+        exports: Arc<Exports>,
         received_at: u64,
     ) {
         let work = Work {
@@ -854,6 +858,7 @@ impl ServerSide {
             src,
             act,
             frame,
+            exports,
             received_at,
             queued_at: self.ctx.tracer.now_nanos(),
         };
@@ -1053,7 +1058,7 @@ impl ServerSide {
     /// finds it free instead of starting another thread.
     fn dispatch(&self, work: Work, out: &mut Batch) {
         let Work {
-            call, src, act, frame, received_at, ..
+            call, src, act, frame, exports, received_at, ..
         } = work;
         let rpc = call.rpc();
         // The server half of the latency account: `Received` carries the
@@ -1061,19 +1066,17 @@ impl ServerSide {
         let span = self.ctx.tracer.server_span(rpc.procedure, received_at);
         // The service-time sample starts here, past the queue wait.
         let started = Instant::now();
-        let exports = self.exports.read();
-        self.run(exports, rpc, call.data(), src, &act, frame, span, started, true, out);
+        self.run(&exports, rpc, call.data(), src, &act, frame, span, started, true, out);
     }
 
-    /// Executes a call under `exports` and finishes it, with the guard
-    /// released before the result goes out. `started` is where the
-    /// call's service-time sample starts; `then_free` says a server
+    /// Executes a call under `exports` and finishes it. `started` is
+    /// where the call's service-time sample starts; `then_free` says a server
     /// thread runs it, counted free once it has executed (see
     /// [`ServerSide::dispatch`]).
     #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
-        exports: RwLockReadGuard<'_, Exports>,
+        exports: &Exports,
         rpc: &RpcHeader,
         data: &[u8],
         src: SocketAddr,
@@ -1085,10 +1088,7 @@ impl ServerSide {
         out: &mut Batch,
     ) {
         RpcStats::bump(&self.ctx.stats.calls_executed);
-        let service = exports.services.get(&rpc.interface_uid);
-        let outcome =
-            self.execute(&exports, service, rpc, data, src, started, &mut frame, &mut span, out);
-        drop(exports);
+        let outcome = self.execute(exports, rpc, data, src, started, &mut frame, &mut span, out);
         if then_free {
             self.free.fetch_add(1, Ordering::Relaxed);
         }
@@ -1179,15 +1179,13 @@ impl ServerSide {
     /// Runs the stub + service on the call's `data`, marshalling the
     /// result straight into the activity's result `frame`, and hands back
     /// the result: a single packet already queued for transmission, or a
-    /// [`Transfer`] for [`ServerSide::finish`] to start. `service` is
-    /// the call's interface as `exports` has it, looked up once by the
-    /// thread that runs the call; `started` is where its service-time
-    /// sample starts.
+    /// [`Transfer`] for [`ServerSide::finish`] to start, judged by the
+    /// gate of `exports` and run by the service it has for the call's
+    /// interface. `started` is where its service-time sample starts.
     #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
         exports: &Exports,
-        service: Option<&ServiceEntry>,
         rpc: &RpcHeader,
         data: &[u8],
         src: SocketAddr,
@@ -1202,7 +1200,7 @@ impl ServerSide {
             gate.authorize(rpc.activity, rpc.interface_uid, rpc.procedure)
                 .map_err(|reason| RpcError::Remote(format!("call refused: {reason}")))?;
         }
-        let entry = service.ok_or_else(|| {
+        let entry = exports.services.get(&rpc.interface_uid).ok_or_else(|| {
             RpcError::Remote(format!("no such interface {:#x}", rpc.interface_uid))
         })?;
         if entry.version != rpc.interface_version {
@@ -1381,7 +1379,8 @@ mod tests {
         let act = server.activity(view.rpc.activity);
         server.shutdown();
         let src = "10.0.0.2:3072".parse().unwrap();
-        server.enqueue(call, src, act, vec![0; MAX_FRAME_LEN].into_boxed_slice(), 0);
+        let frame = vec![0; MAX_FRAME_LEN].into_boxed_slice();
+        server.enqueue(call, src, act, frame, server.exports(), 0);
         let stats = &server.ctx.stats;
         assert_eq!(stats.calls_shed(), 1);
         assert_eq!((stats.slow_path_queued(), stats.direct_wakeups()), (0, 0));

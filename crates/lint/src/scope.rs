@@ -59,9 +59,21 @@ pub fn functions(tokens: &[Token]) -> Vec<FnItem> {
             continue;
         };
         // The body `{` is the first brace after the signature; a `;`
-        // first means a bodyless declaration.
-        let Some(open) = (i + 2..tokens.len()).find(|&j| matches!(tokens[j].text.as_str(), "{" | ";"))
-        else {
+        // first means a bodyless declaration. A `;` inside brackets is
+        // an array type's (`b: &[u8; 4]`), not the end of a declaration.
+        let mut brackets = 0usize;
+        let Some(open) = (i + 2..tokens.len()).find(|&j| match tokens[j].text.as_str() {
+            "[" => {
+                brackets += 1;
+                false
+            }
+            "]" => {
+                brackets = brackets.saturating_sub(1);
+                false
+            }
+            ";" => brackets == 0,
+            t => t == "{",
+        }) else {
             break;
         };
         if tokens[open].text == ";" {
@@ -453,5 +465,13 @@ mod tests {
         let fns = functions(&toks);
         assert_eq!(fns.len(), 1);
         assert_eq!(fns[0].name, "b");
+    }
+
+    #[test]
+    fn an_array_type_in_a_signature_does_not_end_it() {
+        let toks = tokenize("fn a(b: &[u8; 4]) -> [u8; 2] { } fn c(&self);").tokens;
+        let fns = functions(&toks);
+        assert_eq!(fns.len(), 1);
+        assert_eq!(fns[0].name, "a");
     }
 }

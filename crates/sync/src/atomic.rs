@@ -133,7 +133,7 @@ mod tests {
 
     impl hook::Scheduler for Recorder {
         fn on_label(&self, _lock: usize, _label: &'static str) {}
-        fn before_lock(&self, _lock: usize, _shared: bool) {}
+        fn before_lock(&self, _lock: usize) {}
         fn after_unlock(&self, _lock: usize) {}
         fn cond_wait(&self, _cond: usize, _lock: usize) {}
         fn notify(&self, _cond: usize, _all: bool) {}

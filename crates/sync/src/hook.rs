@@ -101,8 +101,8 @@ pub trait Scheduler: Sync {
     /// Attaches a stable label (e.g. a lock-order class name) to a lock.
     fn on_label(&self, lock: usize, label: &'static str);
     /// The thread is about to acquire `lock`; returns once the schedule
-    /// grants the acquisition. `shared` is true for read locks.
-    fn before_lock(&self, lock: usize, shared: bool);
+    /// grants the acquisition.
+    fn before_lock(&self, lock: usize);
     /// The thread released `lock` (the real lock is already free).
     fn after_unlock(&self, lock: usize);
     /// The thread atomically released `lock` and waits on `cond`;
@@ -196,7 +196,7 @@ mod tests {
 
     impl Scheduler for Counter {
         fn on_label(&self, _lock: usize, _label: &'static str) {}
-        fn before_lock(&self, _lock: usize, _shared: bool) {
+        fn before_lock(&self, _lock: usize) {
             self.0.fetch_add(1, Ordering::Relaxed);
         }
         fn after_unlock(&self, _lock: usize) {}

@@ -81,7 +81,7 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking the current thread until it is free.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         if let Some(h) = hook::current() {
-            h.before_lock(hook_addr(self), false);
+            h.before_lock(hook_addr(self));
         }
         MutexGuard {
             lock: self,
@@ -297,134 +297,6 @@ impl fmt::Debug for Condvar {
     }
 }
 
-/// A readers-writer lock whose `read()`/`write()` return guards
-/// directly, ignoring poisoning.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new unlocked lock.
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        if let Some(h) = hook::current() {
-            h.before_lock(hook_addr(self), true);
-        }
-        RwLockReadGuard {
-            lock: self,
-            inner: Some(self.0.read().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        if let Some(h) = hook::current() {
-            h.before_lock(hook_addr(self), false);
-        }
-        RwLockWriteGuard {
-            lock: self,
-            inner: Some(self.0.write().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
-
-    /// Names this lock for the concurrency checker, like
-    /// [`Mutex::check_label`].
-    pub fn check_label(&self, label: &'static str) {
-        if let Some(h) = hook::current() {
-            h.on_label(hook_addr(self), label);
-        }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-/// RAII shared-access guard for [`RwLock`]. The `Option` exists only so
-/// `Drop` can release the real lock before reporting to the scheduler.
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-    inner: Option<std::sync::RwLockReadGuard<'a, T>>,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // lint:allow(no-panic-on-fast-path): the Option is Some for the
-        // guard's whole life; only Drop takes it.
-        self.inner.as_ref().expect("read guard present")
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        let inner = self.inner.take();
-        let was_held = inner.is_some();
-        drop(inner);
-        if was_held {
-            if let Some(h) = hook::current() {
-                h.after_unlock(hook_addr(self.lock));
-            }
-        }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockReadGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
-/// RAII exclusive-access guard for [`RwLock`]; see [`RwLockReadGuard`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-    inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // lint:allow(no-panic-on-fast-path): the Option is Some for the
-        // guard's whole life; only Drop takes it.
-        self.inner.as_ref().expect("write guard present")
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // lint:allow(no-panic-on-fast-path): same invariant as Deref.
-        self.inner.as_mut().expect("write guard present")
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        let inner = self.inner.take();
-        let was_held = inner.is_some();
-        drop(inner);
-        if was_held {
-            if let Some(h) = hook::current() {
-                h.after_unlock(hook_addr(self.lock));
-            }
-        }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockWriteGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
-
 /// Sleeps for the cross-thread settling interval tests use to let a
 /// spawned thread reach its blocking point: 20 ms by default,
 /// overridable through `FIREFLY_TEST_SLEEP_MS` for slow CI machines
@@ -600,17 +472,5 @@ mod tests {
             side.join().unwrap();
         }
         assert_eq!(pair.1.waiters(), 0);
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(*a, *b);
-        }
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
     }
 }

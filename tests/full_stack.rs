@@ -4,7 +4,7 @@
 use firefly::idl::{parse_interface, Value};
 use firefly::rpc::transport::{FaultPlan, LoopbackNet, UdpTransport};
 use firefly::rpc::{Config, Endpoint, RpcError, ServiceBuilder};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 #[path = "../crates/core/tests/support/conservation.rs"]
@@ -532,4 +532,97 @@ fn a_procedure_that_panics_on_a_server_thread_fails_its_call_only() {
     assert_panicked(c.call_with_deadline("Risky", &[Value::Integer(-1)], Duration::from_secs(5)));
     assert_eq!(server.stats().inline_calls(), 0, "the first call ran on the receiver");
     assert_serves_on(&server, &caller, &iface);
+}
+
+/// A service whose `Hold()` says it has begun on the first channel and
+/// then waits for a message on the second (or for its sender to go),
+/// plus a `Null()`.
+fn holder() -> (
+    firefly::idl::InterfaceDef,
+    Arc<dyn firefly::rpc::Service>,
+    mpsc::Receiver<()>,
+    mpsc::Sender<()>,
+) {
+    let iface = parse_interface(
+        "DEFINITION MODULE Holder;
+           PROCEDURE Null();
+           PROCEDURE Hold();
+         END Holder.",
+    )
+    .unwrap();
+    let (entered, began) = mpsc::channel();
+    let (release, gate) = mpsc::channel::<()>();
+    let gate = Mutex::new(gate);
+    let service = ServiceBuilder::new(iface.clone())
+        .on_call("Null", |_args, _w| Ok(()))
+        .on_call("Hold", move |_args, _w| {
+            let _ = entered.send(());
+            let _ = gate.lock().unwrap().recv();
+            Ok(())
+        })
+        .build()
+        .unwrap();
+    (iface, service, began, release)
+}
+
+#[test]
+fn a_running_procedure_holds_up_no_export_gate_or_call() {
+    // The exports used to sit behind a read guard held for a call's
+    // whole run, and a reader waits behind a waiting writer: an export
+    // made while `Hold` ran waited for it, and every packet meanwhile
+    // waited behind the export — the `Null` ran out its deadline.
+    let cfg = Config {
+        server_threads: 4,
+        retransmit_initial: Duration::from_secs(1),
+        ..Config::default()
+    };
+    let server = Endpoint::new(UdpTransport::localhost().unwrap(), cfg.clone()).unwrap();
+    let caller = Endpoint::new(UdpTransport::localhost().unwrap(), cfg).unwrap();
+    let (iface, service, began, release) = holder();
+    server.export(service).unwrap();
+    let c = caller.bind(&iface, server.address()).unwrap();
+    let held = {
+        let c = caller.bind(&iface, server.address()).unwrap();
+        std::thread::spawn(move || c.call("Hold", &[]))
+    };
+    let begun = began.recv_timeout(Duration::from_secs(10));
+    begun.expect("Hold began");
+
+    // A second export from another thread. The checks hold in either
+    // order; the settle interval lets an export that would wait for
+    // `Hold` be waiting when the `Null` is sent.
+    let (calc, calculator) = calculator();
+    let (exported_tx, exported) = mpsc::channel();
+    let exporter = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || exported_tx.send(server.export(calculator)))
+    };
+    firefly_sync::test_sleep();
+    c.call_with_deadline("Null", &[], Duration::from_secs(2))
+        .expect("a Null is answered while Hold runs and an export is made");
+    exported
+        .recv_timeout(Duration::from_secs(2))
+        .expect("the export returns while Hold runs")
+        .unwrap();
+
+    // The binder's procedures read the exports while Hold runs.
+    let calc = caller
+        .bind_checked(&calc, server.address())
+        .expect("the binder answers while Hold runs");
+    let sum = calc.call("Add", &[Value::Integer(40), Value::Integer(2)]);
+    assert_eq!(sum.unwrap(), vec![Value::Integer(42)]);
+
+    // So does a new gate, and it judges the next call.
+    let refuse = |_, _, _| Err("closed for the test".to_string());
+    server.set_call_gate(Some(Arc::new(firefly::rpc::auth::GateFn(refuse))));
+    match c.call_with_deadline("Null", &[], Duration::from_secs(2)) {
+        Err(RpcError::Remote(m)) => assert!(m.contains("call refused: closed for the test"), "{m}"),
+        other => panic!("the gate let a Null through: {other:?}"),
+    }
+
+    // Hold was admitted before the gate, and returns once released.
+    release.send(()).unwrap();
+    held.join().unwrap().expect("Hold returns");
+    exporter.join().unwrap().unwrap();
+    assert_conserved(&[&server, &caller]);
 }

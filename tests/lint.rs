@@ -65,6 +65,22 @@ fn computed_reachability_covers_the_historical_scope() {
     );
 }
 
+/// No lock is taken under another anywhere in the live workspace: the
+/// lock graph has no edge, so no order between two locks needs keeping.
+/// An edge named here is a guard held over another acquisition.
+#[test]
+fn the_workspace_nests_no_lock() {
+    let root = workspace_root();
+    let engine = Engine::for_root(&root);
+    let analysis = engine.analyze(&root).expect("walk workspace");
+    let edges: Vec<String> = analysis
+        .lock_edges
+        .iter()
+        .map(|e| format!("{} → {} ({}:{})", e.from, e.to, e.path, e.line))
+        .collect();
+    assert!(edges.is_empty(), "nested lock acquisitions: {edges:?}");
+}
+
 /// Runs the built binary against a throwaway tree containing `files`
 /// and returns (exit_code, stderr).
 fn run_binary_on(tag: &str, files: &[(&str, &str)]) -> (i32, String) {

@@ -64,8 +64,8 @@ fn shard_assignment_is_a_pure_function_of_the_activity_id() {
 /// duplication, with several concurrent caller activities spread over
 /// several server workers, every call executes its service procedure
 /// exactly one time. The filter is the per-activity sequence state the
-/// demux consults before enqueueing — whichever worker (owner or
-/// thief) dispatches the call, the duplicate never reaches a second
+/// demux consults before enqueueing — whichever worker takes the call
+/// from the one hand-off queue, the duplicate never reaches a second
 /// worker as runnable work.
 #[test]
 fn duplicate_call_packets_dispatch_exactly_once() {
@@ -95,7 +95,7 @@ fn duplicate_call_packets_dispatch_exactly_once() {
         let mut cfg = Config::fast_retry();
         cfg.max_transmissions = 40;
         cfg.retransmit_max = Duration::from_millis(50);
-        cfg.server_threads = 4; // several workers, so steals can happen
+        cfg.server_threads = 4; // several workers, so calls run side by side
         let server = Endpoint::new(net.station(1), cfg.clone()).unwrap();
         let caller = Endpoint::new(net.station(2), cfg).unwrap();
         server.export(service).unwrap();
@@ -110,8 +110,9 @@ fn duplicate_call_packets_dispatch_exactly_once() {
         const THREADS: usize = 4;
         const CALLS: u64 = 8;
         std::thread::scope(|s| {
-            // Each OS thread is its own activity, so the calls spread
-            // over the shards (and therefore over the workers).
+            // Each OS thread is its own activity, so several calls are
+            // at the server at once; those handed off are taken from the
+            // one queue by whichever worker looks next.
             for t in 0..THREADS {
                 let client = client.clone();
                 s.spawn(move || {
