@@ -11,9 +11,9 @@
 //!    `crates/core/build.rs` generates from protocol.toml: a row outside
 //!    it is illegal, a legal row not observed is a coverage gap.
 //!
-//! Lock order is not a gate: `firefly-lint`'s rank rule owns it, and the
-//! scheduler fails any schedule that closes a cycle among the locks it
-//! actually acquires (a lock-order inversion, `bug-abba`).
+//! Lock nesting is not a gate: `firefly-lint`'s `nested-lock` rule owns
+//! it, and the scheduler fails any schedule that closes a cycle among
+//! the locks it actually acquires (a lock inversion, `bug-abba`).
 //!
 //! [`verify`] is the whole pipeline — analysis, smoke run, gates — and
 //! is what `firefly-check verify` and the tier-1 test both call.

@@ -17,7 +17,7 @@
 //! * **Replay mode** re-executes one schedule from an explicit
 //!   decision list — the failure report prints exactly this list.
 //!
-//! Failures (deadlock, lost wakeup, lock-order inversion, invariant
+//! Failures (deadlock, lost wakeup, lock inversion, invariant
 //! panic, step budget) come with the decision list and deterministic
 //! event trace of the failing schedule. Passing schedules contribute
 //! their publication classes, which [`smoke::run`] unions with the
@@ -47,7 +47,7 @@ use std::sync::Once;
 /// bodies per schedule.
 pub struct ModelRun {
     /// Runs once per schedule with the hook installed (before any
-    /// thread spawns) to attach lock-class labels via `check_label`.
+    /// thread spawns) to attach lock labels via `check_label`.
     pub label: Box<dyn FnOnce() + Send>,
     /// The model's threads; index order is thread id order.
     pub threads: Vec<Box<dyn FnOnce() + Send>>,

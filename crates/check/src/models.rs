@@ -302,8 +302,9 @@ fn make_channel() -> ModelRun {
     }
 }
 
-/// Seeded bug: classic ABBA lock-order inversion. Must be reported as
-/// `LockInversion` (the static linter's lock-cycle rule, caught
+/// Seeded bug: classic ABBA lock inversion. Must be reported as
+/// `LockInversion` (either nesting alone is the static linter's
+/// `nested-lock` diagnostic; the cycle they make is caught
 /// dynamically).
 fn make_bug_abba() -> ModelRun {
     let a = Arc::new(Mutex::new(0u32));
@@ -787,7 +788,7 @@ pub fn bug_models() -> Vec<Model> {
     vec![
         Model {
             name: "bug-abba",
-            about: "seeded ABBA lock-order inversion (expected: LockInversion)",
+            about: "seeded ABBA lock inversion (expected: LockInversion)",
             make: make_bug_abba,
         },
         Model {

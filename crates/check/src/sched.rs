@@ -107,7 +107,7 @@ impl std::fmt::Display for Failure {
             Failure::Deadlock => f.write_str("deadlock"),
             Failure::LostWakeup => f.write_str("lost wakeup"),
             Failure::LockInversion { earlier, later } => {
-                write!(f, "lock-order inversion: {later} acquired under {earlier}")
+                write!(f, "lock inversion: {later} acquired under {earlier}")
             }
             Failure::Invariant { message } => {
                 // Assert messages span lines; keep the report one line.

@@ -139,8 +139,9 @@ pub struct CallEntry {
 }
 
 impl CallEntry {
-    /// Labels this entry's state lock for `firefly-check` with its lint
-    /// lock-order class ("calltable"). No-op outside a checked schedule.
+    /// Labels this entry's state lock for `firefly-check` ("calltable"),
+    /// a stable name for its trace lines and publication classes. No-op
+    /// outside a checked schedule.
     pub fn check_labels(&self) {
         self.state.check_label("calltable");
     }
@@ -333,8 +334,9 @@ impl ShardedCallTable {
         &self.witness
     }
 
-    /// Labels every shard's lock for `firefly-check` with its lint
-    /// lock-order class ("calltable"). No-op outside a checked schedule.
+    /// Labels every shard's lock for `firefly-check` ("calltable"), a
+    /// stable name for its trace lines and publication classes. No-op
+    /// outside a checked schedule.
     pub fn check_labels(&self) {
         for entries in &self.entries {
             entries.check_label("calltable");
@@ -421,6 +423,8 @@ impl ShardedCallTable {
     pub fn outstanding(&self) -> usize {
         let open = |entries: &Mutex<Entries>| {
             let entries = entries.lock();
+            // lint:allow(nested-lock): the shard's lock, then an entry's,
+            // never the reverse: no path takes a shard under an entry.
             entries.iter().flatten().filter(|e| e.state.lock().open).count()
         };
         self.entries.iter().map(open).sum()

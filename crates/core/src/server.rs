@@ -462,6 +462,9 @@ impl ServerSide {
         let mut map = self.activities.lock();
         let before = map.len();
         map.retain(|_, act| {
+            // lint:allow(nested-lock): the table's lock, then an
+            // activity's, never the reverse: no path takes the table
+            // under an activity.
             let st = act.state.lock();
             st.in_progress || st.last_used.elapsed() < max_idle
         });
@@ -564,7 +567,7 @@ impl ServerSide {
         let received_at = self.ctx.tracer.stamp_if_enabled();
         let rpc = view.rpc;
         let exports = self.exports();
-        let service = exports.services.get(&rpc.interface_uid);
+        let service = exports.services.get(&rpc.interface_uid).map(Arc::as_ref);
         let here = inline && service.is_some_and(|entry| self.runs_inline(entry, rpc.procedure));
         let found = self.find(rpc.activity);
         if let Some(act) = &found {
@@ -573,7 +576,9 @@ impl ServerSide {
                 // A call run here goes on under the guard it was
                 // classified under.
                 Seen::New if here => {
-                    return self.begin(exports, st, act, None, view, src, received_at, out);
+                    return self.begin(
+                        &exports, service, st, act, None, view, src, received_at, out,
+                    );
                 }
                 Seen::New => {}
                 old => {
@@ -602,16 +607,18 @@ impl ServerSide {
         };
         let act = found.unwrap_or_else(|| self.activity(rpc.activity));
         let st = act.state.lock();
-        self.begin(exports, st, &act, copy, view, src, received_at, out);
+        self.begin(&exports, service, st, &act, copy, view, src, received_at, out);
     }
 
     /// Begins a new single-packet call under its activity's guard `st`:
-    /// runs it here when there is no `copy` of it, and hands the copy to
-    /// the server threads otherwise.
+    /// runs it here, by the `service` found in `exports`, when there is
+    /// no `copy` of it, and hands the copy to the server threads
+    /// otherwise.
     #[allow(clippy::too_many_arguments)]
     fn begin(
         &self,
-        exports: Arc<Exports>,
+        exports: &Arc<Exports>,
+        service: Option<&ServiceEntry>,
         mut st: MutexGuard<'_, ActState>,
         act: &Arc<Activity>,
         copy: Option<firefly_pool::PacketBuf>,
@@ -631,10 +638,13 @@ impl ServerSide {
         self.ctx.witness.record(State::ServerNew, &rpc, Action::Dispatch);
         match copy {
             None => {
-                self.run_here(&exports, &rpc, view.data, src, act, result, received_at, now, out);
+                self.run_here(
+                    exports, service, &rpc, view.data, src, act, result, received_at, now, out,
+                );
             }
             Some(buf) => {
                 let call = Assembled::Single(Packet::validated(buf, rpc, view.data.len()));
+                let exports = Arc::clone(exports);
                 self.enqueue(call, src, Arc::clone(act), result, exports, received_at);
             }
         }
@@ -679,67 +689,77 @@ impl ServerSide {
             return;
         }
         let act = found.unwrap_or_else(|| self.activity(first.rpc.activity));
-        let mut st = act.state.lock();
-        st.last_used = Instant::now();
-        let mut held = Some(st);
-        for f in run {
-            // The server account of a multi-packet call starts at the
-            // receipt of the fragment that completes it (0 with tracing
-            // off): reassembly is the caller's send step.
-            let received_at = self.ctx.tracer.stamp_if_enabled();
-            RpcStats::bump(&stats.calls_received);
-            let rpc = f.rpc;
-            let mut st = match held.take() {
-                Some(st) => st,
-                None => act.state.lock(),
-            };
-            match seen(&st, &rpc) {
-                Seen::New => {}
-                old => {
-                    self.answer_old(st, old, &rpc, src, out);
+        let mut rest = run.iter();
+        // One pass per guard: a pass ends where its guard is given up.
+        while !rest.as_slice().is_empty() {
+            let mut st = act.state.lock();
+            if rest.len() == run.len() {
+                st.last_used = Instant::now();
+            }
+            for f in rest.by_ref() {
+                // The server account of a multi-packet call starts at the
+                // receipt of the fragment that completes it (0 with
+                // tracing off): reassembly is the caller's send step.
+                let received_at = self.ctx.tracer.stamp_if_enabled();
+                RpcStats::bump(&stats.calls_received);
+                let rpc = f.rpc;
+                match seen(&st, &rpc) {
+                    Seen::New => {}
+                    old => {
+                        self.answer_old(st, old, &rpc, src, out);
+                        break;
+                    }
+                }
+                let reass = match &mut st.reassembly {
+                    Some((seq, r)) if *seq == rpc.call_seq => r,
+                    // A different (or no) sequence in the slot: start
+                    // fresh. `Option::insert` hands back the new value
+                    // without an expect(), so this path cannot panic the
+                    // receiver.
+                    slot => {
+                        &mut slot.insert((rpc.call_seq, Reassembly::new(rpc.fragment_count))).1
+                    }
+                };
+                let accepted = reass.accept(rpc.fragment, rpc.fragment_count, f.data);
+                if accepted == Accepted::Refused {
+                    RpcStats::bump(&stats.validation_drops);
                     continue;
                 }
-            }
-            let reass = match &mut st.reassembly {
-                Some((seq, r)) if *seq == rpc.call_seq => r,
-                // A different (or no) sequence in the slot: start fresh.
-                // `Option::insert` hands back the new value without an
-                // expect(), so this path cannot panic the receiver.
-                slot => &mut slot.insert((rpc.call_seq, Reassembly::new(rpc.fragment_count))).1,
-            };
-            let accepted = reass.accept(rpc.fragment, rpc.fragment_count, f.data);
-            if accepted == Accepted::Refused {
-                RpcStats::bump(&stats.validation_drops);
-                held = Some(st);
-                continue;
-            }
-            RpcStats::bump(&stats.fragments_received);
-            // Only a fragment that asks is acked — on `out`, to go with
-            // the receiving thread's batch — with the prefix held, if
-            // there is one. The Result acks a whole call.
-            let ack = crate::fragment::prefix_ack(&rpc, reass).filter(|_| rpc.flags.please_ack);
-            let Accepted::Complete(data) = accepted else {
-                match ack {
-                    Some(ack) => {
-                        witness.record(State::ServerNew, &rpc, Action::AssembleAck);
-                        let _ = self.ctx.encode_ack(out, &ack, src);
+                RpcStats::bump(&stats.fragments_received);
+                // Only a fragment that asks is acked — on `out`, to go
+                // with the receiving thread's batch — with the prefix
+                // held, if there is one. The Result acks a whole call.
+                let ack =
+                    crate::fragment::prefix_ack(&rpc, reass).filter(|_| rpc.flags.please_ack);
+                let Accepted::Complete(data) = accepted else {
+                    match ack {
+                        Some(ack) => {
+                            witness.record(State::ServerNew, &rpc, Action::AssembleAck);
+                            let _ = self.ctx.encode_ack(out, &ack, src);
+                        }
+                        None => witness.record(State::ServerNew, &rpc, Action::Assemble),
                     }
-                    None => witness.record(State::ServerNew, &rpc, Action::Assemble),
+                    continue;
+                };
+                st.reassembly = None;
+                let result = self.begin_call(&mut st, rpc.call_seq);
+                drop(st);
+                witness.record(State::ServerNew, &rpc, Action::Dispatch);
+                if here {
+                    // The completing fragment's header is the call that
+                    // runs, so its interface names the service, as it
+                    // names the one the gate is asked about.
+                    let service = exports.services.get(&rpc.interface_uid).map(Arc::as_ref);
+                    let now = Instant::now();
+                    self.run_here(
+                        &exports, service, &rpc, &data, src, &act, result, received_at, now, out,
+                    );
+                } else {
+                    let call = Assembled::Owned { rpc, data };
+                    let exports = Arc::clone(&exports);
+                    self.enqueue(call, src, Arc::clone(&act), result, exports, received_at);
                 }
-                held = Some(st);
-                continue;
-            };
-            st.reassembly = None;
-            let result = self.begin_call(&mut st, rpc.call_seq);
-            drop(st);
-            witness.record(State::ServerNew, &rpc, Action::Dispatch);
-            if here {
-                let now = Instant::now();
-                self.run_here(&exports, &rpc, &data, src, &act, result, received_at, now, out);
-            } else {
-                let call = Assembled::Owned { rpc, data };
-                let exports = Arc::clone(&exports);
-                self.enqueue(call, src, Arc::clone(&act), result, exports, received_at);
+                break;
             }
         }
     }
@@ -797,14 +817,15 @@ impl ServerSide {
     }
 
     /// Executes a fresh call on the receiving thread, which has found
-    /// it may, under the `exports` it decided by: the call reached its
-    /// executing thread without queueing. `started` is where the call's
-    /// service-time sample starts: for a single packet, the clock read
-    /// that marked its activity used.
+    /// it may, under the `exports` and by the `service` it decided by:
+    /// the call reached its executing thread without queueing. `started`
+    /// is where the call's service-time sample starts: for a single
+    /// packet, the clock read that marked its activity used.
     #[allow(clippy::too_many_arguments)]
     fn run_here(
         &self,
         exports: &Exports,
+        service: Option<&ServiceEntry>,
         rpc: &RpcHeader,
         data: &[u8],
         src: SocketAddr,
@@ -817,7 +838,7 @@ impl ServerSide {
         RpcStats::bump(&self.ctx.stats.direct_wakeups);
         RpcStats::bump(&self.ctx.stats.inline_calls);
         let span = self.ctx.tracer.server_span(rpc.procedure, received_at);
-        self.run(exports, rpc, data, src, act, frame, span, started, false, out);
+        self.run(exports, service, rpc, data, src, act, frame, span, started, false, out);
     }
 
     /// Marks a new call in progress and takes the previous retained
@@ -1066,17 +1087,20 @@ impl ServerSide {
         let span = self.ctx.tracer.server_span(rpc.procedure, received_at);
         // The service-time sample starts here, past the queue wait.
         let started = Instant::now();
-        self.run(&exports, rpc, call.data(), src, &act, frame, span, started, true, out);
+        let service = exports.services.get(&rpc.interface_uid).map(Arc::as_ref);
+        self.run(&exports, service, rpc, call.data(), src, &act, frame, span, started, true, out);
     }
 
-    /// Executes a call under `exports` and finishes it. `started` is
-    /// where the call's service-time sample starts; `then_free` says a server
-    /// thread runs it, counted free once it has executed (see
-    /// [`ServerSide::dispatch`]).
+    /// Executes a call under `exports`, by the `service` found there for
+    /// its interface (`None`: none is exported), and finishes it.
+    /// `started` is where the call's service-time sample starts;
+    /// `then_free` says a server thread runs it, counted free once it has
+    /// executed (see [`ServerSide::dispatch`]).
     #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
         exports: &Exports,
+        service: Option<&ServiceEntry>,
         rpc: &RpcHeader,
         data: &[u8],
         src: SocketAddr,
@@ -1088,7 +1112,8 @@ impl ServerSide {
         out: &mut Batch,
     ) {
         RpcStats::bump(&self.ctx.stats.calls_executed);
-        let outcome = self.execute(exports, rpc, data, src, started, &mut frame, &mut span, out);
+        let outcome =
+            self.execute(exports, service, rpc, data, src, started, &mut frame, &mut span, out);
         if then_free {
             self.free.fetch_add(1, Ordering::Relaxed);
         }
@@ -1180,12 +1205,14 @@ impl ServerSide {
     /// result straight into the activity's result `frame`, and hands back
     /// the result: a single packet already queued for transmission, or a
     /// [`Transfer`] for [`ServerSide::finish`] to start, judged by the
-    /// gate of `exports` and run by the service it has for the call's
-    /// interface. `started` is where its service-time sample starts.
+    /// gate of `exports` and run by `service`, what `exports` has for the
+    /// call's interface. `started` is where its service-time sample
+    /// starts.
     #[allow(clippy::too_many_arguments)]
     fn execute(
         &self,
         exports: &Exports,
+        service: Option<&ServiceEntry>,
         rpc: &RpcHeader,
         data: &[u8],
         src: SocketAddr,
@@ -1200,9 +1227,10 @@ impl ServerSide {
             gate.authorize(rpc.activity, rpc.interface_uid, rpc.procedure)
                 .map_err(|reason| RpcError::Remote(format!("call refused: {reason}")))?;
         }
-        let entry = exports.services.get(&rpc.interface_uid).ok_or_else(|| {
+        let entry = service.ok_or_else(|| {
             RpcError::Remote(format!("no such interface {:#x}", rpc.interface_uid))
         })?;
+        debug_assert_eq!(entry.service.interface().uid(), rpc.interface_uid);
         if entry.version != rpc.interface_version {
             return Err(RpcError::Remote(format!(
                 "interface version mismatch: have {}, caller wants {}",
@@ -1386,6 +1414,74 @@ mod tests {
         assert_eq!((stats.slow_path_queued(), stats.direct_wakeups()), (0, 0));
         assert!(server.queues.is_empty());
         assert_eq!(server.pool.stats().outstanding(), 0, "the refused call kept its buffer");
+    }
+
+    /// A run is grouped by activity and sequence, not by interface: when
+    /// its fragments name different interfaces, the call that runs is the
+    /// completing fragment's, and so is the service its gate was asked
+    /// about.
+    #[test]
+    fn a_run_runs_the_interface_its_gate_was_asked_about() {
+        let server = server();
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let ifaces: Vec<_> = ["Open", "Shut"]
+            .into_iter()
+            .map(|name| {
+                let iface = firefly_idl::parse_interface(&format!(
+                    "DEFINITION MODULE {name}; PROCEDURE Put(VAR IN b: ARRAY OF CHAR); END {name}."
+                ))
+                .unwrap();
+                let log = Arc::clone(&ran);
+                let service = crate::ServiceBuilder::new(iface.clone())
+                    .on_call("Put", move |_args, _w| {
+                        log.lock().push(name);
+                        Ok(())
+                    })
+                    .build()
+                    .unwrap();
+                server.export(service).unwrap();
+                iface
+            })
+            .collect();
+        let (open, shut) = (&ifaces[0], &ifaces[1]);
+        // `Shut.Put` is measured cheap enough to run inline, and refused.
+        server.handoff_ns.store(10_000, Ordering::Relaxed);
+        server.exports().services[&shut.uid()].service_ns[0].store(1, Ordering::Relaxed);
+        let refused = shut.uid();
+        server.set_gate(Some(Arc::new(crate::auth::GateFn(move |_, uid, _| {
+            if uid == refused {
+                Err("shut".into())
+            } else {
+                Ok(())
+            }
+        }))));
+        // `Put` of two fragments: the first names `Shut`, the completing
+        // one `Open`.
+        let mut args = vec![0; MAX_SINGLE_PACKET_DATA + 64];
+        let arg = firefly_idl::Value::Bytes(vec![7; MAX_SINGLE_PACKET_DATA]);
+        let len = CompiledStub::for_interface(open)[0].marshal_call(&[arg], &mut args).unwrap();
+        let frames: Vec<_> = [shut, open]
+            .into_iter()
+            .zip(0..)
+            .map(|(iface, i)| {
+                FrameBuilder::new(PacketType::Call)
+                    .activity(ActivityId::new(5, 1, 2))
+                    .call_seq(1)
+                    .interface(iface.uid(), iface.version())
+                    .procedure(0)
+                    .fragment(i, 2)
+                    .build(crate::fragment::chunk(&args[..len], i))
+                    .unwrap()
+                    .into_bytes()
+            })
+            .collect();
+        let views: Vec<_> = frames.iter().map(|f| FrameView::parse(f).unwrap()).collect();
+        let run: Vec<_> = views.iter().map(|v| Fragment::of(v).unwrap()).collect();
+        let src = "10.0.0.2:3072".parse().unwrap();
+        let mut out = Batch::default();
+        server.handle_call_fragments(&run, src, &mut out, true);
+        assert_eq!(server.ctx.stats.inline_calls(), 1);
+        assert_eq!(*ran.lock(), ["Open"], "a stub other than the authorized one ran");
     }
 
     #[test]

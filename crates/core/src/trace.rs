@@ -18,9 +18,9 @@
 //!   first enabled (before any span can record), and a push is a single
 //!   array-slot overwrite;
 //! * **no panics** — stamping and pushing are total functions;
-//! * **no new lock-order classes above the leaves** — the ring mutex
-//!   (`ring`) is the last class in the global order (`calltable → pool →
-//!   stats → trace`) and is only ever taken with no other lock held;
+//! * **no nested locks** — the ring mutex (`ring`) is only ever taken
+//!   with no other lock held, and nothing is taken under it (the lint's
+//!   `nested-lock` rule);
 //! * **no behaviour change** — tracing never touches protocol state;
 //!   with tracing disabled the entire cost is one relaxed atomic load
 //!   per call.
@@ -316,8 +316,9 @@ impl Tracer {
         self.ring.lock().capacity
     }
 
-    /// Labels the ring lock for `firefly-check` with its lint
-    /// lock-order class ("trace"). No-op outside a checked schedule.
+    /// Labels the ring lock for `firefly-check` ("trace"), a stable name
+    /// for its trace lines and publication classes. No-op outside a
+    /// checked schedule.
     pub fn check_labels(&self) {
         self.ring.check_label("trace");
     }

@@ -17,7 +17,7 @@
 //! cells are shared by the receiver, every worker and every caller, so a
 //! row that has already fired must not dirty its cache line again.
 //! Deliberately free of locks, so recording can sit inside lock-held
-//! regions without entering the lint lock graph.
+//! regions without nesting a lock (the lint's `nested-lock` rule).
 
 use firefly_wire::{PacketFlags, PacketType, RpcHeader};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};

@@ -7,8 +7,8 @@
 //!
 //! `--summary` prints one line for CI logs (diagnostic count by family,
 //! fast-path size, pairing counts) and exits with the same code. The
-//! lock graph and atomic locations are read in-process, as typed
-//! values, by `firefly-check verify`.
+//! atomic locations are read in-process, as typed values, by
+//! `firefly-check verify`.
 
 #![forbid(unsafe_code)]
 
@@ -42,13 +42,12 @@ fn print_summary(analysis: &Analysis) {
         .join(" ");
     println!(
         "firefly-lint: {} diagnostic(s) [{}] | fast-path {} fns/{} files | \
-         lock edges {} | condvar pairs {} | atomic locations {} | \
+         condvar pairs {} | atomic locations {} | \
          suppressions {} | timings {timing_part}",
         analysis.diagnostics.len(),
         family_part,
         analysis.fast_path_functions.len(),
         analysis.fast_path_files.len(),
-        analysis.lock_edges.len(),
         analysis.dataflow.condvar_pairs.len(),
         analysis.dataflow.locations.len(),
         analysis.suppressions

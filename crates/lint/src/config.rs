@@ -1,8 +1,8 @@
 //! Lint configuration, parsed from `lint.toml`.
 //!
 //! The checked-in `lint.toml` at the workspace root is the one copy of
-//! the fast-path entry points and scope snapshot, the global lock
-//! order, the blocking-call list and the dataflow scopes.
+//! the fast-path entry points and scope snapshot, the guard rules'
+//! scope and blocking-call list, and the dataflow scopes.
 //! [`Config::default`] is that file, compiled in, so the rule tests and
 //! the live engine read the same text; a tree with a `lint.toml` of its
 //! own (a fixture tree) gets exactly what its file says, and a key the
@@ -14,17 +14,6 @@
 //! the file can carry commentary for future rules.
 
 use std::collections::HashMap;
-
-/// One lock class: a rank in the global order plus the receiver field
-/// names that acquire it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockClass {
-    /// Class name as declared in the order (e.g. `calltable`).
-    pub name: String,
-    /// Identifiers of fields whose `.lock()`/`.read()`/`.write()`
-    /// acquire this class (e.g. `entries`, `state`).
-    pub receivers: Vec<String>,
-}
 
 /// Full engine configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,13 +34,9 @@ pub struct Config {
     /// there is exempt from `no-alloc-on-fast-path`, because error
     /// paths are off the fast path by definition.
     pub error_markers: Vec<String>,
-    /// Lock classes in their global acquisition order.
-    pub lock_order: Vec<LockClass>,
-    /// Path prefixes where `lock-order` applies (and where lock-graph
-    /// edges are recorded).
-    pub lock_files: Vec<String>,
-    /// Path prefixes where `no-blocking-under-lock` applies.
-    pub blocking_files: Vec<String>,
+    /// Path prefixes where the guard rules (`nested-lock`,
+    /// `no-blocking-under-lock`) apply.
+    pub guard_files: Vec<String>,
     /// Called identifiers that can block the current thread. `send` is
     /// special-cased in the rule (only `transport.send`/`socket.send`
     /// block; channel sends are unbounded and never do).
@@ -81,28 +66,15 @@ impl Config {
     /// key it lacks leaves the field empty.
     pub fn from_toml(text: &str) -> Config {
         let sections = parse_sections(text);
-        let get = |section: &str, key: &str| sections.get(section)?.get(key).cloned();
-        let list = |section: &str, key: &str| get(section, key).unwrap_or_default();
-        let lock_order = list("lock-order", "order")
-            .into_iter()
-            .map(|name| LockClass {
-                receivers: list("lock-order", &name),
-                name,
-            })
-            .collect();
-        let lock_files = list("lock-order", "files");
-        // The blocking rule rides the lock scope unless it declares its
-        // own.
-        let blocking_files =
-            get("no-blocking-under-lock", "files").unwrap_or_else(|| lock_files.clone());
+        let list = |section: &str, key: &str| {
+            sections.get(section).and_then(|s| s.get(key)).cloned().unwrap_or_default()
+        };
         Config {
             fast_path_entry_points: list("fast-path", "entry_points"),
             fast_path_files: list("fast-path", "files"),
             fast_path_stop_files: list("fast-path", "stop_files"),
             error_markers: list("no-alloc-on-fast-path", "error_markers"),
-            lock_order,
-            lock_files,
-            blocking_files,
+            guard_files: list("no-blocking-under-lock", "files"),
             blocking_calls: list("no-blocking-under-lock", "blocking"),
             condvar_files: list("condvar-protocol", "files"),
             atomic_files: list("atomic-publication", "files"),
@@ -208,7 +180,10 @@ mod tests {
             "crates/sync/src/channel.rs",
             &c.fast_path_files
         ));
-        // (The lock order itself is held by tests/lint.rs.)
+        assert!(Config::path_matches(
+            "crates/sync/src/channel.rs",
+            &c.guard_files
+        ));
         assert!(c.blocking_calls.iter().any(|b| b == "wait_until"));
         assert!(Config::path_matches(
             "crates/pool/src/lib.rs",
@@ -252,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn absent_keys_are_empty_and_blocking_follows_the_lock_scope() {
+    fn absent_keys_are_empty() {
         let toml = r#"
 # a comment
 [fast-path]
@@ -262,33 +237,22 @@ files = [
     "c",
 ]
 stop_files = ["d"]
-
-[lock-order]
-order = ["alpha", "beta"]
-alpha = ["x"]
-beta = ["y", "z"]
-files = ["src"]
 "#;
         let c = Config::from_toml(toml);
         assert_eq!(c.fast_path_entry_points, vec!["a/b.rs::run"]);
         assert_eq!(c.fast_path_files, vec!["a/b.rs", "c"]);
         assert_eq!(c.fast_path_stop_files, vec!["d"]);
-        assert_eq!(c.lock_order.len(), 2);
-        assert_eq!(c.lock_order[1].name, "beta");
-        assert_eq!(c.lock_order[1].receivers, vec!["y", "z"]);
-        assert_eq!(c.lock_files, vec!["src"]);
-        // Without its own section the blocking scope follows lock-order.
-        assert_eq!(c.blocking_files, vec!["src"]);
         // Nothing is inherited from the workspace file.
+        assert!(c.guard_files.is_empty());
         assert!(c.error_markers.is_empty());
         assert!(c.blocking_calls.is_empty());
     }
 
     #[test]
-    fn blocking_section_overrides_scope_and_calls() {
+    fn the_blocking_section_scopes_both_guard_rules() {
         let toml = "[no-blocking-under-lock]\nfiles = [\"x\"]\nblocking = [\"recv\"]\n";
         let c = Config::from_toml(toml);
-        assert_eq!(c.blocking_files, vec!["x"]);
+        assert_eq!(c.guard_files, vec!["x"]);
         assert_eq!(c.blocking_calls, vec!["recv"]);
     }
 

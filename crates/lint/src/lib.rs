@@ -2,16 +2,15 @@
 //!
 //! The paper's performance argument rests on invariants the compiler
 //! cannot check: the packet fast path never allocates or panics, and
-//! locks are taken in one global order. This crate enforces them with a
-//! lightweight comment- and string-aware tokenizer — no rustc internals,
-//! no external parser, std only.
+//! no lock is taken while another is held. This crate enforces them
+//! with a lightweight comment- and string-aware tokenizer — no rustc
+//! internals, no external parser, std only.
 //!
 //! Rules (see docs/LINTS.md for the full rationale):
 //! - `no-panic-on-fast-path` / `no-alloc-on-fast-path` — scoped by the
 //!   computed fast-path reachability set (see [`callgraph`])
-//! - `lock-order` — guard-lifetime aware (see [`scope`])
-//! - `lock-cycle` — cycles in the workspace lock graph ([`lockgraph`])
-//! - `no-blocking-under-lock`
+//! - `nested-lock` / `no-blocking-under-lock` — guard-lifetime aware
+//!   (see [`scope`])
 //! - `stale-scope` — lint.toml's fast-path snapshot vs the computed set
 //! - `no-sleep-in-lib`
 //! - `condvar-wait-loop` / `condvar-notify-write` — the condvar
@@ -29,7 +28,6 @@
 pub mod callgraph;
 pub mod config;
 pub mod dataflow;
-pub mod lockgraph;
 pub mod rules;
 pub mod scope;
 pub mod source;
@@ -42,7 +40,6 @@ use std::path::Path;
 
 use callgraph::CallGraph;
 use config::Config;
-use lockgraph::{LockEdge, LockGraph};
 use source::SourceFile;
 
 /// One lint finding.
@@ -93,8 +90,6 @@ struct Allow {
 /// by the workspace-level rules after every file has been seen.
 #[derive(Default)]
 pub struct Facts {
-    /// Observed nested lock acquisitions.
-    pub lock_graph: LockGraph,
     /// Fn definitions and call sites.
     pub call_graph: CallGraph,
     /// Def-use sites for the dataflow rule families.
@@ -105,7 +100,6 @@ impl Facts {
     /// Merges another (per-file or per-worker) accumulation into this
     /// one; all underlying structures union deterministically.
     pub fn merge(&mut self, other: Facts) {
-        self.lock_graph.merge(other.lock_graph);
         self.call_graph.merge(other.call_graph);
         self.dataflow.merge(other.dataflow);
     }
@@ -121,8 +115,6 @@ pub struct Analysis {
     pub fast_path_functions: Vec<(String, String)>,
     /// Files containing at least one reachable function.
     pub fast_path_files: Vec<String>,
-    /// Every recorded lock-graph edge.
-    pub lock_edges: Vec<LockEdge>,
     /// Aggregated dataflow facts (condvar pairings, atomic location
     /// summaries) for `--summary` and the static↔dynamic
     /// publication gate.
@@ -131,7 +123,7 @@ pub struct Analysis {
     pub suppressions: usize,
     /// Wall-clock per analysis stage, microseconds, in execution order.
     /// Stage names match rule families where one stage implements one
-    /// family (`locking`, `fast-path`, `dataflow`).
+    /// family (`fast-path`, `dataflow`).
     pub timings: Vec<(String, u128)>,
 }
 
@@ -161,8 +153,8 @@ impl Engine {
     }
 
     /// Lints one Rust source file given its workspace-relative path.
-    /// Workspace-level rules (`lock-cycle`, `stale-scope`) need the
-    /// whole tree and only run in [`Engine::analyze`].
+    /// The workspace-level rule (`stale-scope`) needs the whole tree
+    /// and only runs in [`Engine::analyze`].
     pub fn check_source_text(&self, rel_path: &str, text: &str) -> Vec<Diagnostic> {
         let mut facts = Facts::default();
         let (mut diags, allows) = self.check_one(rel_path, text, &mut facts);
@@ -205,13 +197,13 @@ impl Engine {
     /// `target/`, VCS metadata, and lint test fixtures (which contain
     /// violations on purpose). Returns
     /// just the diagnostics; [`Engine::analyze`] also exposes the
-    /// computed fast-path set and lock graph.
+    /// computed fast-path set and the dataflow summary.
     pub fn run(&self, root: &Path) -> io::Result<Vec<Diagnostic>> {
         Ok(self.analyze(root)?.diagnostics)
     }
 
     /// Full two-pass analysis: the per-file rules (pass 1, which also
-    /// accumulates the call graph and lock graph), then the
+    /// accumulates the call graph and dataflow facts), then the
     /// workspace-level rules over the accumulated facts (pass 2).
     pub fn analyze(&self, root: &Path) -> io::Result<Analysis> {
         let mut diags = Vec::new();
@@ -293,27 +285,6 @@ impl Engine {
                 .is_some_and(|(_, allows)| is_suppressed(d, allows))
         };
 
-        // Workspace rule: lock-cycle.
-        for cycle in facts.lock_graph.cycles() {
-            let d = Diagnostic {
-                rule: rules::name::LOCK_CYCLE,
-                path: cycle.at.path.clone(),
-                line: cycle.at.line,
-                message: format!(
-                    "lock acquisition cycle {} — two threads interleaving these \
-                     paths can deadlock; pick one order and declare it in \
-                     lint.toml [lock-order]",
-                    cycle.nodes.join(" → ")
-                ),
-                witness: Vec::new(),
-            };
-            if !suppressed(&d) {
-                diags.push(d);
-            }
-        }
-
-        stamp(&mut timings, "locking");
-
         // Workspace rule: stale-scope (skipped when no entry point
         // resolves, e.g. on fixture trees that configure none).
         let reachable = facts.call_graph.reachable(
@@ -377,13 +348,10 @@ impl Engine {
 
         let suppressions = allows_by_path.iter().map(|(_, allows)| allows.len()).sum();
         diags.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-        let mut lock_edges: Vec<LockEdge> = facts.lock_graph.edges().cloned().collect();
-        lock_edges.sort();
         Ok(Analysis {
             diagnostics: diags,
             fast_path_functions: reachable.into_iter().collect(),
             fast_path_files: computed_files.into_iter().collect(),
-            lock_edges,
             dataflow: df_summary,
             suppressions,
             timings,

@@ -15,10 +15,8 @@ pub mod name {
     pub const NO_PANIC: &str = "no-panic-on-fast-path";
     /// Heap allocation on the fast path.
     pub const NO_ALLOC: &str = "no-alloc-on-fast-path";
-    /// Overlapping guards acquired against the global order.
-    pub const LOCK_ORDER: &str = "lock-order";
-    /// A cycle in the workspace lock graph (deadlock potential).
-    pub const LOCK_CYCLE: &str = "lock-cycle";
+    /// A lock acquired while another guard is live.
+    pub const NESTED_LOCK: &str = "nested-lock";
     /// A call that can block while a lock guard is live.
     pub const NO_BLOCKING: &str = "no-blocking-under-lock";
     /// lint.toml's fast-path snapshot disagrees with the computed
@@ -42,7 +40,7 @@ pub fn family(rule: &str) -> &'static str {
     match rule {
         name::CONDVAR_WAIT_LOOP | name::CONDVAR_NOTIFY => "condvar-protocol",
         name::ATOMIC_PUBLICATION => "atomic-publication",
-        name::LOCK_ORDER | name::LOCK_CYCLE | name::NO_BLOCKING => "locking",
+        name::NESTED_LOCK | name::NO_BLOCKING => "locking",
         name::NO_PANIC | name::NO_ALLOC | name::STALE_SCOPE => "fast-path",
         _ => "hygiene",
     }
@@ -60,7 +58,7 @@ pub(crate) fn is_test_path(rel_path: &str) -> bool {
 }
 
 /// Runs every source-level rule over one file, contributing call-graph
-/// and lock-graph facts to `facts` for the workspace-level rules.
+/// and dataflow facts to `facts` for the workspace-level rules.
 pub fn check_source(file: &SourceFile, config: &Config, facts: &mut Facts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if is_test_path(&file.rel_path) {
@@ -71,7 +69,7 @@ pub fn check_source(file: &SourceFile, config: &Config, facts: &mut Facts) -> Ve
         no_panic(file, &mut out);
         no_alloc(file, config, &mut out);
     }
-    guard_rules(file, config, facts, &mut out);
+    guard_rules(file, config, &mut out);
     no_sleep(file, &mut out);
     crate::dataflow::scan_file(file, config, &mut facts.dataflow);
     out
@@ -169,12 +167,12 @@ fn no_alloc(file: &SourceFile, config: &Config, out: &mut Vec<Diagnostic>) {
 
 /// The flow-aware guard rules, one shared walk per function body:
 ///
-/// * `lock-order` — fires only when a guard of a later-ranked class is
-///   provably **live** while an earlier-ranked class is acquired.
-///   Sequential (drop-then-relock) acquisitions no longer fire.
-/// * lock-graph edges — every live-guard→new-acquisition pair feeds the
-///   workspace lock graph, whose cycles become `lock-cycle`
-///   diagnostics in the engine's workspace pass.
+/// * `nested-lock` — no lock acquired while any other guard is provably
+///   **live**. Sequential (drop-then-relock, scope-then-relock)
+///   acquisitions do not fire. With no two locks ever held together,
+///   no order between them needs keeping, and no cycle can form; a
+///   nesting that must stay (a table's lock, then an entry's) carries a
+///   `lint:allow` naming the one direction it is taken in.
 /// * `no-blocking-under-lock` — no call that can block the thread
 ///   (`recv`, `wait`, `park`, `test_sleep`, transport sends, `join`)
 ///   while any guard is live. Condvar waits are exempt for the guard
@@ -182,32 +180,19 @@ fn no_alloc(file: &SourceFile, config: &Config, out: &mut Vec<Diagnostic>) {
 ///   but still fire for any *other* live guard.
 ///
 /// Paper rationale: the §3.1.3 interrupt routine takes the call-table
-/// lock and the buffer-pool lock back to back on every packet; an
-/// inversion anywhere else in the runtime deadlocks the demultiplexer,
-/// and blocking while holding protocol state stalls every call on the
-/// endpoint (the paper's demux runs in the receive interrupt).
-fn guard_rules(file: &SourceFile, config: &Config, facts: &mut Facts, out: &mut Vec<Diagnostic>) {
-    let in_lock_scope = Config::path_matches(&file.rel_path, &config.lock_files);
-    let in_blocking_scope = Config::path_matches(&file.rel_path, &config.blocking_files);
-    if !in_lock_scope && !in_blocking_scope {
+/// lock and the buffer-pool lock back to back on every packet, so the
+/// paper has to rank its locks; here no function nests two but a
+/// table's lock, then an entry's. The walk is intraprocedural: a lock
+/// a callee takes under its caller's guard is not seen (the one such
+/// nesting is `threads`, then `Idle::next`, through
+/// `ServerSide::worker_ready`). Blocking while
+/// holding protocol state stalls every call on the endpoint (the
+/// paper's demux runs in the receive interrupt).
+fn guard_rules(file: &SourceFile, config: &Config, out: &mut Vec<Diagnostic>) {
+    if !Config::path_matches(&file.rel_path, &config.guard_files) {
         return;
     }
     let toks = &file.tokens.tokens;
-    let rank_of = |ident: &str| -> Option<(usize, &crate::config::LockClass)> {
-        config
-            .lock_order
-            .iter()
-            .enumerate()
-            .find(|(_, class)| class.receivers.iter().any(|r| r == ident))
-    };
-    // Lock-graph node: the global class name for classified receivers,
-    // file-namespaced otherwise so unrelated private locks never alias.
-    let node_of = |g: &LiveGuard| -> String {
-        match rank_of(&g.receiver) {
-            Some((_, class)) => class.name.clone(),
-            None => format!("{}::{}", file.rel_path, g.receiver),
-        }
-    };
     let is_blocking = |callee: &str, receiver: Option<&str>| -> bool {
         if callee == "send" {
             // Only transport/socket sends block; channel sends are
@@ -216,7 +201,6 @@ fn guard_rules(file: &SourceFile, config: &Config, facts: &mut Facts, out: &mut 
         }
         config.blocking_calls.iter().any(|b| b == callee)
     };
-    let mut diags: Vec<Diagnostic> = Vec::new();
     for f in functions(toks) {
         walk_guards(
             toks,
@@ -226,39 +210,14 @@ fn guard_rules(file: &SourceFile, config: &Config, facts: &mut Facts, out: &mut 
             &is_blocking,
             &mut |ev| match ev {
                 GuardEvent::Acquire { guard, live } => {
-                    if !in_lock_scope {
-                        return;
-                    }
-                    let new_node = node_of(guard);
-                    for held in live {
-                        facts.lock_graph.record(
-                            node_of(held),
-                            new_node.clone(),
-                            &file.rel_path,
-                            guard.line,
-                        );
-                    }
-                    let Some((rank, class)) = rank_of(&guard.receiver) else {
-                        return;
-                    };
-                    let class = class.name.as_str();
-                    if let Some((held, held_class)) = live
-                        .iter()
-                        .filter_map(|g| rank_of(&g.receiver).map(|(r, c)| (g, (r, c.name.as_str()))))
-                        .filter(|(_, (r, _))| *r > rank)
-                        .map(|(g, (_, c))| (g, c))
-                        .next_back()
-                    {
-                        let order: Vec<&str> =
-                            config.lock_order.iter().map(|c| c.name.as_str()).collect();
-                        diags.push(file.diagnostic(
-                            name::LOCK_ORDER,
+                    if let Some(held) = live.last() {
+                        out.push(file.diagnostic(
+                            name::NESTED_LOCK,
                             guard.line,
                             format!(
-                                "`{class}` lock acquired while a `{held_class}` guard \
-                                 (line {}) is still held; the global order is {}",
-                                held.line,
-                                order.join(" → ")
+                                "`{}` lock acquired while the `{}` guard (line {}) is \
+                                 still held; release it first",
+                                guard.receiver, held.receiver, held.line
                             ),
                         ));
                     }
@@ -269,9 +228,6 @@ fn guard_rules(file: &SourceFile, config: &Config, facts: &mut Facts, out: &mut 
                     args,
                     live,
                 } => {
-                    if !in_blocking_scope || live.is_empty() {
-                        return;
-                    }
                     // A condvar wait atomically releases the guard it is
                     // handed; find that guard among the argument tokens.
                     let released: Option<&LiveGuard> =
@@ -290,7 +246,7 @@ fn guard_rules(file: &SourceFile, config: &Config, facts: &mut Facts, out: &mut 
                         .filter(|g| !released.is_some_and(|r| std::ptr::eq(*g, r)))
                         .collect();
                     if let Some(held) = still_held.first() {
-                        diags.push(file.diagnostic(
+                        out.push(file.diagnostic(
                             name::NO_BLOCKING,
                             line,
                             format!(
@@ -304,7 +260,6 @@ fn guard_rules(file: &SourceFile, config: &Config, facts: &mut Facts, out: &mut 
             },
         );
     }
-    out.append(&mut diags);
 }
 
 /// `thread::sleep` is banned in library code (tests exempt). Timing

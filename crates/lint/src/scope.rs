@@ -1,9 +1,9 @@
 //! Function extraction and a brace-scoped guard-lifetime model.
 //!
-//! The flow-aware rules (`lock-order`, `lock-cycle`,
-//! `no-blocking-under-lock`) need to know which lock guards are *live*
-//! at each point of a function body, not merely which acquisitions
-//! appear earlier in token order. This module provides:
+//! The flow-aware rules (`nested-lock`, `no-blocking-under-lock`)
+//! need to know which lock guards are *live* at each point of a
+//! function body, not merely which acquisitions appear earlier in token
+//! order. This module provides:
 //!
 //! * [`functions`] — every `fn` item in a token stream with its body
 //!   brace range (nested `fn` items get their own entry).
@@ -16,9 +16,13 @@
 //!
 //! * `let [mut] NAME = recv.lock();` (chain ending exactly at the
 //!   call, `;` right after) births a **named** guard that dies at
-//!   `drop(NAME)` or at the end of the enclosing brace block.
-//!   Shadowing does not kill the shadowed guard — Rust drops it at
-//!   scope end, so both stay live.
+//!   `drop(NAME)` or at the end of the enclosing brace block; so does
+//!   `let [mut] NAME = Some(recv.lock());`, a guard kept in an
+//!   `Option`. Shadowing does not kill the shadowed guard — Rust drops
+//!   it at scope end, so both stay live. A guard reached any other way
+//!   (moved into another binding, taken back out with `Option::take`,
+//!   bound by a `match`) is not followed: hold a guard under one name
+//!   from its `let` to its `drop`.
 //! * Any other `.lock()` / `.read()` / `.write()` births a
 //!   **temporary** guard that dies at the next `;`. For
 //!   `if let Some(x) = m.lock().pop()` scrutinees this is a
@@ -172,17 +176,26 @@ fn receiver_of(tokens: &[Token], j: usize) -> Option<String> {
 }
 
 /// True when the acquisition whose `lock/read/write` ident sits at `j`
-/// is the whole right-hand side of a `let` binding: the call's `()`
-/// is immediately followed by `;`, and the receiver chain is preceded
-/// by `let [mut] NAME =`. Returns the binding name.
+/// is the whole right-hand side of a `let` binding, bare or wrapped in
+/// `Some(..)`: the call's `()` is followed by `;` (or by `) ;` closing
+/// the `Some`), and the receiver chain is preceded by `let [mut] NAME =`
+/// (or `let [mut] NAME = Some (`). Returns the binding name.
 fn binding_name(tokens: &[Token], j: usize) -> Option<String> {
-    // `recv . lock ( ) ;` — the `;` must immediately follow the call.
-    if tokens.get(j + 3).map(|t| t.text.as_str()) != Some(";") {
-        return None;
-    }
+    let text = |i: usize| tokens.get(i).map(|t| t.text.as_str());
     // Walk the receiver chain backwards: ident ([...])? (. ident ([...])?)*.
     let k = chain_head(tokens, j.checked_sub(2)?)?;
-    let eq = k.checked_sub(1)?;
+    // `recv . lock ( ) ;` — the `;` must immediately follow the call —
+    // or `Some ( recv . lock ( ) ) ;`.
+    let eq = match text(j + 3)? {
+        ";" => k.checked_sub(1)?,
+        ")" if text(j + 4) == Some(";")
+            && text(k.checked_sub(1)?) == Some("(")
+            && text(k.checked_sub(2)?) == Some("Some") =>
+        {
+            k.checked_sub(3)?
+        }
+        _ => return None,
+    };
     if tokens[eq].text != "=" {
         return None;
     }
@@ -409,6 +422,16 @@ mod tests {
         assert_eq!(ev[0].0, "acquire:demux");
         assert_eq!(ev[1].0, "block:recv");
         assert!(ev[1].1.is_empty());
+    }
+
+    #[test]
+    fn a_guard_kept_in_an_option_is_named() {
+        let ev = body_events("fn f() { let mut held = Some(x.state.lock()); q.recv(); }");
+        assert_eq!(ev[1].0, "block:recv");
+        assert_eq!(ev[1].1, vec![Some("held".to_string())]);
+        // A value computed under the lock is not a guard.
+        let ev = body_events("fn f() { let n = Some(x.state.lock().len()); q.recv(); }");
+        assert!(ev[1].1.is_empty(), "{ev:?}");
     }
 
     #[test]

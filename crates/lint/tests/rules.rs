@@ -65,27 +65,28 @@ fn no_alloc_justified_allow_suppresses() {
 }
 
 #[test]
-fn lock_order_fires_on_inversion_only() {
-    let diags = lint(include_str!("fixtures/lock_order_fire.rs"));
-    // `inverted` takes pool before calltable — one diagnostic; the
-    // `in_order` function below it is clean.
-    assert_eq!(rules_of(&diags), vec![name::LOCK_ORDER]);
+fn nested_lock_fires_on_nesting_only() {
+    let diags = lint(include_str!("fixtures/nested_lock_fire.rs"));
+    // `element_then_container` takes the table's lock under an entry's
+    // — one diagnostic; `one_at_a_time` below it is clean.
+    assert_eq!(rules_of(&diags), vec![name::NESTED_LOCK]);
     assert_eq!(diags[0].line, 3);
-    assert!(diags[0].message.contains("calltable"));
+    assert!(diags[0].message.contains("activities"));
+    assert!(diags[0].message.contains("line 2"));
 }
 
 #[test]
-fn lock_order_justified_allow_suppresses() {
-    let diags = lint(include_str!("fixtures/lock_order_allow.rs"));
+fn nested_lock_justified_allow_suppresses() {
+    let diags = lint(include_str!("fixtures/nested_lock_allow.rs"));
     assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]
-fn lock_order_accepts_drop_then_relock_without_suppression() {
-    // The guard-lifetime analysis must see that `drop(buf)` (and a
-    // closing brace) end the pool guard before the calltable lock is
+fn nested_lock_accepts_drop_then_relock_without_suppression() {
+    // The guard-lifetime analysis must see that `drop(st)` (and a
+    // closing brace) end the entry's guard before the table's lock is
     // taken — no `lint:allow` anywhere in this fixture.
-    let diags = lint(include_str!("fixtures/lock_order_drop_relock.rs"));
+    let diags = lint(include_str!("fixtures/nested_lock_drop_relock.rs"));
     assert!(diags.is_empty(), "{diags:?}");
 }
 

@@ -245,8 +245,9 @@ impl BufferPool {
         self.inner.slabs.lock().stats
     }
 
-    /// Labels this pool's lock for `firefly-check` with its lint
-    /// lock-order class ("pool"). No-op outside a checked schedule.
+    /// Labels this pool's lock for `firefly-check` ("pool"), a stable
+    /// name for its trace lines and publication classes. No-op outside a
+    /// checked schedule.
     pub fn check_labels(&self) {
         self.inner.slabs.check_label("pool");
     }

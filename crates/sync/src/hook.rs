@@ -98,7 +98,8 @@ impl From<Ordering> for OrderTag {
 /// about. All methods may block the calling thread (that is the point);
 /// implementations must not call back into instrumented primitives.
 pub trait Scheduler: Sync {
-    /// Attaches a stable label (e.g. a lock-order class name) to a lock.
+    /// Attaches a stable label to a lock: its name in trace lines and
+    /// publication classes.
     fn on_label(&self, lock: usize, label: &'static str);
     /// The thread is about to acquire `lock`; returns once the schedule
     /// grants the acquisition.

@@ -96,8 +96,9 @@ impl<T: ?Sized> Mutex<T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Names this lock for the concurrency checker (e.g. with its
-    /// lint lock-order class). No-op without an installed scheduler.
+    /// Names this lock for the concurrency checker: a stable name for
+    /// its trace lines and publication classes. No-op without an
+    /// installed scheduler.
     pub fn check_label(&self, label: &'static str) {
         if let Some(h) = hook::current() {
             h.on_label(hook_addr(self), label);

@@ -65,22 +65,6 @@ fn computed_reachability_covers_the_historical_scope() {
     );
 }
 
-/// No lock is taken under another anywhere in the live workspace: the
-/// lock graph has no edge, so no order between two locks needs keeping.
-/// An edge named here is a guard held over another acquisition.
-#[test]
-fn the_workspace_nests_no_lock() {
-    let root = workspace_root();
-    let engine = Engine::for_root(&root);
-    let analysis = engine.analyze(&root).expect("walk workspace");
-    let edges: Vec<String> = analysis
-        .lock_edges
-        .iter()
-        .map(|e| format!("{} → {} ({}:{})", e.from, e.to, e.path, e.line))
-        .collect();
-    assert!(edges.is_empty(), "nested lock acquisitions: {edges:?}");
-}
-
 /// Runs the built binary against a throwaway tree containing `files`
 /// and returns (exit_code, stderr).
 fn run_binary_on(tag: &str, files: &[(&str, &str)]) -> (i32, String) {
@@ -117,12 +101,6 @@ const FIXTURE_LINT_TOML: &str = r#"
 entry_points = []
 files = ["src"]
 
-[lock-order]
-order = ["calltable", "pool"]
-calltable = ["entries"]
-pool = ["free"]
-files = ["src"]
-
 [no-blocking-under-lock]
 files = ["src"]
 blocking = ["recv", "wait", "wait_until", "park", "test_sleep", "join"]
@@ -149,7 +127,7 @@ fn binary_flags_each_seeded_rule_violation() {
             "pub fn f(d: &[u8]) -> Vec<u8> { d.to_vec() }\n",
         ),
         (
-            "lock-order",
+            "nested-lock",
             "src/lib.rs",
             "pub fn f(p: &P, t: &T) { let _a = p.free.lock(); let _b = t.entries.lock(); }\n",
         ),
@@ -184,25 +162,74 @@ fn binary_flags_each_seeded_rule_violation() {
     }
 }
 
-/// Two functions acquiring the same two (unclassed) locks in opposite
-/// orders form a cycle in the workspace lock graph.
+/// Two functions acquiring the same two locks in opposite orders: each
+/// nesting is a diagnostic on its own, so no graph is needed to see the
+/// cycle they would make together.
 #[test]
-fn binary_flags_a_seeded_lock_cycle() {
+fn binary_flags_a_seeded_nested_lock() {
     let (code, stderr) = run_binary_on(
-        "lock-cycle",
+        "nested-lock",
         &[
             ("lint.toml", FIXTURE_LINT_TOML),
             (
                 "src/lib.rs",
-                "pub fn f(x: &S) { let a = x.alpha.lock(); let b = x.beta.lock(); drop(b); drop(a); }\n\
-                 pub fn g(x: &S) { let b = x.beta.lock(); let a = x.alpha.lock(); drop(a); drop(b); }\n",
+                "pub fn f(x: &S) {\n\
+                 let a = x.alpha.lock();\n\
+                 let b = x.beta.lock();\n\
+                 drop(b);\n\
+                 drop(a);\n\
+                 }\n\
+                 pub fn g(x: &S) {\n\
+                 let b = x.beta.lock();\n\
+                 let a = x.alpha.lock();\n\
+                 drop(a);\n\
+                 drop(b);\n\
+                 }\n",
             ),
         ],
     );
-    assert_eq!(code, 1, "seeded lock cycle should exit 1:\n{stderr}");
+    assert_eq!(code, 1, "seeded nesting should exit 1:\n{stderr}");
+    for line in [3, 9] {
+        assert!(
+            stderr.contains(&format!("src/lib.rs:{line}: [nested-lock]")),
+            "stderr should name `nested-lock` at line {line}:\n{stderr}"
+        );
+    }
+}
+
+/// A table's lock, then an entry's, is the one nesting the runtime
+/// keeps, each site with a justified allow; an entry's lock, then its
+/// table's, is the inversion that could deadlock against it. A ranked
+/// order that puts both in one class cannot see this pair.
+#[test]
+fn binary_flags_an_element_then_container_nesting() {
+    let (code, stderr) = run_binary_on(
+        "element-container",
+        &[
+            ("lint.toml", FIXTURE_LINT_TOML),
+            (
+                "src/lib.rs",
+                "pub fn prune(t: &T) -> usize {\n\
+                 let map = t.activities.lock();\n\
+                 // lint:allow(nested-lock): the table's lock, then an entry's.\n\
+                 map.values().filter(|act| act.state.lock().idle).count()\n\
+                 }\n\
+                 pub fn touch(t: &T, act: &A) -> usize {\n\
+                 let st = act.state.lock();\n\
+                 let map = t.activities.lock();\n\
+                 usize::from(st.idle) + map.len()\n\
+                 }\n",
+            ),
+        ],
+    );
+    assert_eq!(code, 1, "an entry-then-table nesting should exit 1:\n{stderr}");
     assert!(
-        stderr.contains("lock-cycle"),
-        "stderr should name `lock-cycle`:\n{stderr}"
+        stderr.contains("src/lib.rs:8: [nested-lock]"),
+        "stderr should name `nested-lock` at the entry-then-table site:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("src/lib.rs:4:"),
+        "the allowed table-then-entry site must stay quiet:\n{stderr}"
     );
 }
 
@@ -234,8 +261,9 @@ files = ["src/lib.rs"]
     );
 }
 
-/// Dropping the lower-ranked guard before acquiring the higher-ranked
-/// lock is legal — the guard-lifetime analysis must not need an allow.
+/// Dropping one guard (or closing its scope) before acquiring the next
+/// lock is no nesting — the guard-lifetime analysis must not need an
+/// allow.
 #[test]
 fn binary_accepts_drop_then_relock_without_suppression() {
     let (code, stderr) = run_binary_on(
@@ -311,7 +339,7 @@ fn binary_exempts_condvar_wait_for_the_released_guard_only() {
 
 /// The workspace `lint.toml` — what both `Engine::for_root` and the
 /// compiled-in `Config::default()` read — must keep the trace write
-/// path in scope and the ring mutex last in the lock order.
+/// path in scope.
 #[test]
 fn workspace_config_covers_the_trace_module() {
     let config = Engine::for_root(&workspace_root()).config;
@@ -322,79 +350,11 @@ fn workspace_config_covers_the_trace_module() {
         ),
         "trace.rs fell out of the fast-path scope"
     );
-    let order: Vec<&str> = config.lock_order.iter().map(|c| c.name.as_str()).collect();
-    assert_eq!(order, ["calltable", "pool", "trace"]);
-    let last = config.lock_order.last().expect("a lock order");
-    assert_eq!(last.receivers, ["ring"]);
-}
-
-/// Every receiver the live `[lock-order]` class map names is acquired
-/// somewhere in that section's `files`: a receiver that names no
-/// `.lock()`, `.read()` or `.write()` there ranks a lock that does not
-/// exist, and the order it states is checked against nothing.
-#[test]
-fn every_lock_class_receiver_is_acquired_in_scope() {
-    let root = workspace_root();
-    let config = Engine::for_root(&root).config;
-    let mut sources = Vec::new();
-    for scope in &config.lock_files {
-        collect_rust_sources(&root.join(scope), &mut sources);
-    }
-    assert!(!sources.is_empty(), "no sources under {:?}", config.lock_files);
-    let unacquired: Vec<String> = config
-        .lock_order
-        .iter()
-        .flat_map(|class| class.receivers.iter().map(move |r| (class, r)))
-        .filter(|(_, receiver)| !sources.iter().any(|text| acquires(text, receiver)))
-        .map(|(class, receiver)| format!("{}: `{receiver}`", class.name))
-        .collect();
-    assert!(
-        unacquired.is_empty(),
-        "lint.toml ranks receivers never locked in {:?}: {unacquired:?}",
-        config.lock_files
-    );
-}
-
-fn code_lines(text: &str) -> impl Iterator<Item = &str> {
-    text.lines().filter(|line| !line.trim_start().starts_with("//"))
-}
-
-fn collect_rust_sources(path: &Path, out: &mut Vec<String>) {
-    if path.is_dir() {
-        for entry in fs::read_dir(path).expect("read scope dir") {
-            collect_rust_sources(&entry.expect("dir entry").path(), out);
-        }
-    } else if path.extension().is_some_and(|e| e == "rs") {
-        out.push(fs::read_to_string(path).expect("read source"));
-    }
-}
-
-/// Does `text` acquire `receiver` outside a comment: the identifier,
-/// an optional index, then `.lock()`, `.read()` or `.write()`?
-fn acquires(text: &str, receiver: &str) -> bool {
-    let ident = |c: char| c.is_alphanumeric() || c == '_';
-    code_lines(text).any(|line| {
-        line.match_indices(receiver).any(|(at, _)| {
-            if line[..at].chars().next_back().is_some_and(ident) {
-                return false;
-            }
-            let mut rest = &line[at + receiver.len()..];
-            if rest.starts_with('[') {
-                match rest.find(']') {
-                    Some(close) => rest = &rest[close + 1..],
-                    None => return false,
-                }
-            }
-            [".lock()", ".read()", ".write()"]
-                .iter()
-                .any(|call| rest.starts_with(call))
-        })
-    })
 }
 
 /// A seeded violation inside a trace-module analog proves the scope is
-/// live: an allocation on the record push path and a lock inversion
-/// through the ring mutex must both be flagged.
+/// live: an allocation on the record push path and a lock taken under
+/// the ring mutex must both be flagged.
 #[test]
 fn binary_flags_seeded_trace_module_violations() {
     const TRACE_LINT_TOML: &str = r#"
@@ -402,10 +362,7 @@ fn binary_flags_seeded_trace_module_violations() {
 entry_points = []
 files = ["src/trace.rs"]
 
-[lock-order]
-order = ["calltable", "trace"]
-calltable = ["entries"]
-trace = ["ring"]
+[no-blocking-under-lock]
 files = ["src"]
 "#;
     let (code, stderr) = run_binary_on(
@@ -431,8 +388,8 @@ files = ["src"]
         "allocation on the trace push path not flagged:\n{stderr}"
     );
     assert!(
-        stderr.contains("lock-order"),
-        "lock inversion under the ring mutex not flagged:\n{stderr}"
+        stderr.contains("src/trace.rs:4: [nested-lock] `entries` lock acquired while the `ring` guard"),
+        "a lock taken under the ring mutex not flagged:\n{stderr}"
     );
 }
 
