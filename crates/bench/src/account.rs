@@ -11,9 +11,10 @@
 //! `latency_account` experiment prints it; `tests/latency_account.rs`
 //! asserts the ±10% bound so the account cannot silently rot.
 
-use firefly_idl::{test_interface, Value};
+use firefly_idl::{test_interface, InterfaceDef, Value};
 use firefly_metrics::table::{fnum, Align, Table};
 use firefly_metrics::Stopwatch;
+use firefly_rpc::binder::binder_interface;
 use firefly_rpc::trace::{step_table, Role, TraceRecord, TraceReport};
 use firefly_rpc::transport::{LoopbackNet, UdpTransport};
 use firefly_rpc::{Config, Endpoint, Service, ServiceBuilder};
@@ -157,8 +158,8 @@ pub fn folded_stacks(procedure: &str, report: &TraceReport) -> Vec<String> {
 
 /// The paper's test interface, served: `Null` and `MaxArg` return nothing,
 /// `MaxResult` 1440 bytes.
-fn test_service() -> Arc<dyn Service> {
-    ServiceBuilder::new(test_interface())
+fn test_service(interface: &InterfaceDef) -> Arc<dyn Service> {
+    ServiceBuilder::new(interface.clone())
         .on_call("Null", |_a, _w| Ok(()))
         .on_call("MaxResult", |_a, w| {
             w.next_bytes(1440)?.fill(0xab);
@@ -185,10 +186,9 @@ pub fn run_account(procedure: &str, args: &[Value], calls: usize, warmup: usize)
     let net = LoopbackNet::new();
     let server = Endpoint::new(net.station(1), config.clone()).expect("server endpoint");
     let caller = Endpoint::new(net.station(2), config).expect("caller endpoint");
-    server.export(test_service()).expect("export");
-    let client = caller
-        .bind(&test_interface(), server.address())
-        .expect("bind");
+    let interface = test_interface();
+    server.export(test_service(&interface)).expect("export");
+    let client = caller.bind(&interface, server.address()).expect("bind");
 
     for _ in 0..warmup {
         client.call(procedure, args).expect("warmup call");
@@ -268,21 +268,28 @@ pub fn run_account(procedure: &str, args: &[Value], calls: usize, warmup: usize)
 }
 
 /// The steps of one set-up over UDP, in the order a rig takes them: what
-/// `rpcbench`'s `setup_s` times, from the first bind to the first result,
-/// and then a second call for comparison.
-pub const SETUP_STEPS: [&str; 8] = [
+/// `rpcbench`'s `setup_s` times, from the first `Config` to the first
+/// result, and then a second call for comparison. The first two are done
+/// once per process, the first time anything needs them (a rig's
+/// `Config::default()`, its first `Endpoint::new`); the account does
+/// them as steps of their own, so that every later set-up finds them
+/// done.
+pub const SETUP_STEPS: [&str; 11] = [
+    "Config::default() (processor count, once per process)",
+    "binder_interface() (binder parse, once per process)",
     "bind the server's socket",
     "bind the caller's socket",
     "Endpoint::new (server)",
     "Endpoint::new (caller)",
-    "build and export the service",
+    "build the service",
+    "export it",
     "bind the stub",
     "first call (Null)",
     "second call (Null)",
 ];
 
 /// The steps up to the first result, which `setup_s` times.
-const TO_FIRST_RESULT: usize = 7;
+const TO_FIRST_RESULT: usize = 10;
 
 /// Per-step times of repeated set-ups in one process, µs.
 pub struct SetupAccount {
@@ -311,7 +318,7 @@ impl SetupAccount {
             t.row(&[step, &fnum(self.first[i], 1), &fnum(self.fastest[i], 1)]);
         }
         t.row(&[
-            "first bind to first result (setup_s)",
+            "first Config to first result (setup_s)",
             &fnum(self.first_total, 1),
             &fnum(self.fastest_total, 1),
         ]);
@@ -349,8 +356,10 @@ pub fn run_setup_account(rounds: usize) -> SetupAccount {
     }
 }
 
-/// One set-up, each of [`SETUP_STEPS`] timed, µs.
+/// One set-up, each of [`SETUP_STEPS`] timed, µs. The interface is
+/// parsed before the clock starts, as `rpcbench` parses its own.
 fn set_up_once() -> [f64; SETUP_STEPS.len()] {
+    let interface = test_interface();
     let mut steps = [0.0; SETUP_STEPS.len()];
     let mut at = Instant::now();
     let mut lap = |step: usize| {
@@ -358,24 +367,28 @@ fn set_up_once() -> [f64; SETUP_STEPS.len()] {
         steps[step] = (now - at).as_secs_f64() * 1e6;
         at = now;
     };
-    let server_socket = UdpTransport::localhost().expect("server socket");
+    let config = Config::default();
     lap(0);
-    let caller_socket = UdpTransport::localhost().expect("caller socket");
+    binder_interface();
     lap(1);
-    let server = Endpoint::new(server_socket, Config::default()).expect("server endpoint");
+    let server_socket = UdpTransport::localhost().expect("server socket");
     lap(2);
-    let caller = Endpoint::new(caller_socket, Config::default()).expect("caller endpoint");
+    let caller_socket = UdpTransport::localhost().expect("caller socket");
     lap(3);
-    server.export(test_service()).expect("export");
+    let server = Endpoint::new(server_socket, config.clone()).expect("server endpoint");
     lap(4);
-    let client = caller
-        .bind(&test_interface(), server.address())
-        .expect("bind");
+    let caller = Endpoint::new(caller_socket, config).expect("caller endpoint");
     lap(5);
-    client.call("Null", &[]).expect("first call");
+    let service = test_service(&interface);
     lap(6);
-    client.call("Null", &[]).expect("second call");
+    server.export(service).expect("export");
     lap(7);
+    let client = caller.bind(&interface, server.address()).expect("bind");
+    lap(8);
+    client.call("Null", &[]).expect("first call");
+    lap(9);
+    client.call("Null", &[]).expect("second call");
+    lap(10);
     steps
 }
 

@@ -17,7 +17,8 @@ fn measure_real(n: usize) -> StubTimes {
     let iface = parse_interface(&src).unwrap();
     let args: Vec<Value> = (0..n).map(|i| Value::Integer(i as i32)).collect();
     StubTimes::measure(
-        iface.procedure("P").unwrap(),
+        &iface,
+        "P",
         200_000,
         64.max(4 * n),
         |buf| {

@@ -15,7 +15,8 @@ fn measure_real(len: usize) -> StubTimes {
     // The caller's variable: the one copy of a VAR OUT array is into it.
     let mut variable = vec![0u8; len];
     StubTimes::measure(
-        iface.procedure("P").unwrap(),
+        &iface,
+        "P",
         100_000,
         len + 16,
         |buf| {

@@ -12,7 +12,8 @@ fn measure_real(v: &Value) -> StubTimes {
     let iface = parse_interface("DEFINITION MODULE M; PROCEDURE P(t: Text.T); END M.").unwrap();
     let args = vec![v.clone()];
     StubTimes::measure(
-        iface.procedure("P").unwrap(),
+        &iface,
+        "P",
         100_000,
         512,
         |buf| {

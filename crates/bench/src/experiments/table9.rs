@@ -46,7 +46,8 @@ pub fn main(args: &Args) {
     let out = vec![Value::Bytes(vec![0xabu8; 1440])];
     let array = vec![0xabu8; 1440];
     let times = StubTimes::measure(
-        iface.procedure("MaxResult").unwrap(),
+        &iface,
+        "MaxResult",
         50_000,
         1500,
         |buf| {

@@ -9,7 +9,7 @@
 // No unsafe anywhere in this crate — see DESIGN.md ("Unsafe policy").
 #![forbid(unsafe_code)]
 
-use firefly_idl::{CompiledStub, InterpStub, ProcedureDef, StubEngine};
+use firefly_idl::{InterfaceDef, InterpStub, StubEngine};
 use firefly_metrics::{Stopwatch, Table};
 use std::sync::Arc;
 
@@ -95,21 +95,25 @@ impl StubTimes {
     /// Column headings matching [`StubTimes::cells`].
     pub const COLUMNS: [&'static str; 3] = ["typed ns", "dynamic ns", "interpreted ns"];
 
-    /// Times `typed` and, over both engines of `procedure`, `round`;
-    /// each gets the same `buf_len`-byte packet buffer to work in.
+    /// Times `typed` and, over both engines of `interface`'s
+    /// `procedure` (its compiled stub and an interpreter of the same
+    /// plan), `round`; each gets the same `buf_len`-byte packet buffer to
+    /// work in.
     pub fn measure(
-        procedure: &ProcedureDef,
+        interface: &InterfaceDef,
+        procedure: &str,
         iters: u32,
         buf_len: usize,
         mut typed: impl FnMut(&mut [u8]),
         round: impl Fn(&dyn StubEngine, &mut [u8]),
     ) -> StubTimes {
-        let compiled = CompiledStub::new(procedure.name(), Arc::clone(procedure.plan()));
+        let procedure = interface.procedure(procedure).expect("the procedure is declared");
+        let compiled = &interface.stubs()[procedure.index() as usize];
         let interp = InterpStub::new(procedure.name(), Arc::clone(procedure.plan()));
         let mut buf = vec![0u8; buf_len];
         StubTimes {
             typed: time_ns(iters, || typed(&mut buf)),
-            dynamic: time_ns(iters, || round(&compiled, &mut buf)),
+            dynamic: time_ns(iters, || round(compiled, &mut buf)),
             interpreted: time_ns(iters, || round(&interp, &mut buf)),
         }
     }

@@ -12,9 +12,9 @@
 //! lookup + verification + bind in one step.
 
 use crate::server::ServerSide;
-use crate::service::ServiceBuilder;
+use crate::service::Service;
 use crate::{Result, RpcError};
-use firefly_idl::{parse_interface, InterfaceDef, Value};
+use firefly_idl::{parse_interface, InterfaceDef, ResultWriter, ServerArg, Value};
 use std::sync::{Arc, OnceLock, Weak};
 
 /// The binder's own interface definition.
@@ -38,41 +38,56 @@ pub fn uid_hex(uid: u64) -> String {
     format!("{uid:016x}")
 }
 
-/// Builds the binder service over a server side.
+/// The binder's procedures, by on-wire index ([`BINDER_SOURCE`]'s
+/// order).
+const COUNT: u16 = 0;
+const LOOKUP: u16 = 1;
+const DESCRIBE: u16 = 2;
+
+/// The binder service of one endpoint's server side.
 ///
 /// Holds only a weak reference: the binder lives *inside* the service
 /// table it describes, and a strong reference would leak the endpoint.
-pub(crate) fn binder_service(server: &Arc<ServerSide>) -> Result<Arc<dyn crate::Service>> {
-    let for_count: Weak<ServerSide> = Arc::downgrade(server);
-    let for_lookup = for_count.clone();
-    let for_describe = for_count.clone();
-    ServiceBuilder::new(binder_interface().clone())
-        .on_call("Count", move |_args, w| {
-            let server = for_count.upgrade().ok_or(RpcError::Shutdown)?;
-            w.next_value(&Value::Integer(server.exported().len() as i32))?;
-            Ok(())
-        })
-        .on_call("Lookup", move |args, w| {
-            let server = for_lookup.upgrade().ok_or(RpcError::Shutdown)?;
-            let name = args[0].value().and_then(Value::as_text).unwrap_or("");
-            let found = server.exported().iter().any(|(n, _, _)| n == name);
-            w.next_value(&Value::Boolean(found))?;
-            Ok(())
-        })
-        .on_call("Describe", move |args, w| {
-            let server = for_describe.upgrade().ok_or(RpcError::Shutdown)?;
-            let name = args[0].value().and_then(Value::as_text).unwrap_or("");
-            let entry = server
-                .exported()
-                .into_iter()
-                .find(|(n, _, _)| n == name)
-                .ok_or_else(|| RpcError::Remote(format!("no interface named `{name}`")))?;
-            let hex = uid_hex(entry.1);
-            w.next_bytes(hex.len())?.copy_from_slice(hex.as_bytes());
-            w.next_value(&Value::Integer(entry.2 as i32))?;
-            Ok(())
-        })
-        .build()
+pub(crate) struct Binder {
+    server: Weak<ServerSide>,
+}
+
+impl Binder {
+    pub(crate) fn new(server: &Arc<ServerSide>) -> Binder {
+        Binder {
+            server: Arc::downgrade(server),
+        }
+    }
+}
+
+impl Service for Binder {
+    fn interface(&self) -> &InterfaceDef {
+        binder_interface()
+    }
+
+    fn dispatch(&self, index: u16, args: &[ServerArg<'_>], w: &mut ResultWriter<'_>) -> Result<()> {
+        let server = self.server.upgrade().ok_or(RpcError::Shutdown)?;
+        let name = || {
+            args.first()
+                .and_then(ServerArg::value)
+                .and_then(Value::as_text)
+                .unwrap_or("")
+        };
+        match index {
+            COUNT => w.next_value(&Value::Integer(server.export_count() as i32))?,
+            LOOKUP => w.next_value(&Value::Boolean(server.find_export(name()).is_some()))?,
+            DESCRIBE => {
+                let (uid, version) = server
+                    .find_export(name())
+                    .ok_or_else(|| RpcError::Remote(format!("no interface named `{}`", name())))?;
+                let hex = uid_hex(uid);
+                w.next_bytes(hex.len())?.copy_from_slice(hex.as_bytes());
+                w.next_value(&Value::Integer(i32::from(version)))?;
+            }
+            _ => return Err(RpcError::Remote(format!("no procedure #{index}"))),
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -86,6 +101,14 @@ mod tests {
         assert_eq!(a.uid(), b.uid());
         assert!(std::ptr::eq(a, binder_interface()), "parsed twice");
         assert_eq!(a.procedures().len(), 3);
+    }
+
+    #[test]
+    fn procedure_indexes_follow_the_source() {
+        let a = binder_interface();
+        assert_eq!(a.procedure("Count").unwrap().index(), COUNT);
+        assert_eq!(a.procedure("Lookup").unwrap().index(), LOOKUP);
+        assert_eq!(a.procedure("Describe").unwrap().index(), DESCRIBE);
     }
 
     #[test]

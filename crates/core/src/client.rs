@@ -23,8 +23,18 @@
 //! [`crate::local`]): its call-table entry, the heap frame a one-packet
 //! call is marshalled and encoded in, the result frame its entry copies a
 //! one-packet result into, and the buffers it receives and sends windows
-//! with. A remote call therefore takes no pool buffer, makes no hash
-//! lookup and allocates nothing.
+//! with. A remote call therefore takes no pool buffer and makes no hash
+//! lookup.
+//!
+//! What it allocates depends on what it carries. Counted with a counting
+//! global allocator in a program apart from this workspace, a
+//! `Null()` makes no allocation per call. A `MaxResult(b)` through the
+//! dynamic API makes two, the owned `Vec<Value>` it returns and that
+//! value's bytes. A 5760-byte `Blob` echo makes eight, about 28.9 KB,
+//! six of them the runtime's own: the spilled argument and result
+//! buffers and the reassembled bodies. No test pins these counts: a
+//! counting allocator needs `unsafe`, which every crate here forbids
+//! (DESIGN.md §7).
 
 use crate::calltable::{CallEntry, Wait};
 use crate::endpoint::{EndpointShared, RoleBuffers};
@@ -33,7 +43,7 @@ use crate::packet::Assembled;
 use crate::send::Batch;
 use crate::stats::RpcStats;
 use crate::{Result, RpcError};
-use firefly_idl::{ArgReader, ArgWriter, CompiledStub, IdlError, InterfaceDef, Value};
+use firefly_idl::{ArgReader, ArgWriter, IdlError, InterfaceDef, Value};
 use firefly_pool::BUFFER_SIZE;
 use firefly_wire::{ActivityId, PacketFlags, PacketType, RpcHeader, DATA_OFFSET};
 use firefly_sync::Mutex;
@@ -108,8 +118,8 @@ pub struct Client {
 
 struct ClientInner {
     shared: Arc<EndpointShared>,
+    /// The bound interface, whose stubs the calls run.
     interface: InterfaceDef,
-    stubs: Vec<CompiledStub>,
     remote: SocketAddr,
     activities: ActivityPool,
 }
@@ -120,7 +130,6 @@ impl Client {
         interface: InterfaceDef,
         remote: SocketAddr,
     ) -> Client {
-        let stubs = CompiledStub::for_interface(&interface);
         Client {
             // lint:allow(no-alloc-on-fast-path): once per binding.
             inner: Arc::new(ClientInner {
@@ -132,7 +141,6 @@ impl Client {
                 },
                 shared,
                 interface,
-                stubs,
                 remote,
             }),
         }
@@ -187,7 +195,8 @@ impl Client {
     ) -> Result<Vec<Value>> {
         let stub = self
             .inner
-            .stubs
+            .interface
+            .stubs()
             .get(index as usize)
             .ok_or_else(|| IdlError::NoSuchProcedure(format!("#{index}")))?;
         self.call_inner(

@@ -102,7 +102,8 @@ impl Endpoint {
         let server = ServerSide::new(Arc::clone(&ctx), config.server_threads);
         // Every endpoint exports the built-in binder, so callers can
         // verify interfaces before their first real call.
-        server.export(crate::binder::binder_service(&server)?)?;
+        // lint:allow(no-alloc-on-fast-path): once per endpoint.
+        server.export(Arc::new(crate::binder::Binder::new(&server)))?;
         let calls = ShardedCallTable::new(SHARDS);
         // lint:allow(no-alloc-on-fast-path): once per endpoint.
         let shared = Arc::new(EndpointShared {
@@ -146,8 +147,8 @@ impl Endpoint {
     pub fn bind(&self, interface: &InterfaceDef, remote: SocketAddr) -> Result<Client> {
         Ok(Client::new(
             Arc::clone(&self.shared),
-            // lint:allow(no-alloc-on-fast-path): bind-time setup (§3.1);
-            // the stub keeps its own copy of the interface definition.
+            // lint:allow(no-alloc-on-fast-path): an `InterfaceDef` clone
+            // shares everything, its stubs included, and allocates nothing.
             interface.clone(),
             remote,
         ))
@@ -201,9 +202,9 @@ impl Endpoint {
         // A local call takes no pool buffer: it marshals through frames
         // the calling thread keeps (local.rs), so the client needs no
         // pool handle.
-        // lint:allow(no-alloc-on-fast-path): bind-time setup; the local
-        // client holds its own interface copy.
-        LocalClient::new(interface.clone(), service)
+        // lint:allow(no-alloc-on-fast-path): an `InterfaceDef` clone
+        // shares everything, its stubs included, and allocates nothing.
+        Ok(LocalClient::new(interface.clone(), service))
     }
 
     /// Reclaims server-side state for caller activities idle longer than
@@ -684,7 +685,7 @@ mod tests {
     use super::*;
     use crate::transport::{LoopbackNet, LoopbackStation};
     use crate::ServiceBuilder;
-    use firefly_idl::{parse_interface, CompiledStub, Value};
+    use firefly_idl::{parse_interface, Value};
     use firefly_wire::{Frame, FrameBuilder, DATA_OFFSET};
 
     fn sum_interface() -> InterfaceDef {
@@ -694,6 +695,28 @@ mod tests {
              END Frag.",
         )
         .unwrap()
+    }
+
+    #[test]
+    fn export_bind_and_bind_local_share_the_interfaces_stubs() {
+        let net = LoopbackNet::new();
+        let server = Endpoint::new(net.station(1), Config::default()).unwrap();
+        let caller = Endpoint::new(net.station(2), Config::default()).unwrap();
+        let iface = sum_interface();
+        let service = ServiceBuilder::new(iface.clone())
+            .on_call("Sum", |_args, w| Ok(w.next_value(&Value::Integer(0))?))
+            .build()
+            .unwrap();
+        server.export(service).unwrap();
+        let compiled = iface.stubs();
+        let exported = server.shared.server.exported_stubs(iface.uid()).unwrap();
+        assert!(Arc::ptr_eq(compiled, &exported), "export");
+        let remote = caller.bind(&iface, server.address()).unwrap();
+        assert!(Arc::ptr_eq(compiled, remote.interface().stubs()), "bind");
+        let local = server.bind_local(&iface).unwrap();
+        assert!(Arc::ptr_eq(compiled, local.interface().stubs()), "bind_local");
+        // A copy parsed apart is compiled apart.
+        assert!(!Arc::ptr_eq(compiled, sum_interface().stubs()));
     }
 
     /// An endpoint exporting `Sum`, which adds up its argument's bytes,
@@ -720,7 +743,7 @@ mod tests {
     fn sum_call(activity: ActivityId, seq: u32, data: &[u8], ask: Option<u16>) -> Vec<Vec<u8>> {
         let iface = sum_interface();
         let mut args = vec![0; data.len() + 64];
-        let len = CompiledStub::for_interface(&iface)[0]
+        let len = iface.stubs()[0]
             .marshal_call(&[Value::Bytes(data.to_vec())], &mut args)
             .unwrap();
         let args = &args[..len];
@@ -795,7 +818,8 @@ mod tests {
         peer.send(&frames[1], server.address()).unwrap();
         let result = next_of(&peer, PacketType::Result);
         assert_eq!(result.rpc.call_seq, 1);
-        let stub = &CompiledStub::for_interface(&sum_interface())[0];
+        let iface = sum_interface();
+        let stub = &iface.stubs()[0];
         assert_eq!(stub.unmarshal_result(&result.data).unwrap(), [Value::Integer(expected)]);
         assert_eq!(executed.load(Ordering::SeqCst), 1);
         assert_eq!(stats.fragments_received(), 4);

@@ -40,19 +40,14 @@ use std::sync::Arc;
 /// A caller stub bound to a service in this process via shared memory.
 #[derive(Clone)]
 pub struct LocalClient {
+    /// The bound interface, whose stubs the calls run.
     interface: InterfaceDef,
     service: Arc<dyn Service>,
-    stubs: Arc<[CompiledStub]>,
 }
 
 impl LocalClient {
-    pub(crate) fn new(interface: InterfaceDef, service: Arc<dyn Service>) -> Result<LocalClient> {
-        let stubs: Arc<[CompiledStub]> = CompiledStub::for_interface(&interface).into();
-        Ok(LocalClient {
-            interface,
-            service,
-            stubs,
-        })
+    pub(crate) fn new(interface: InterfaceDef, service: Arc<dyn Service>) -> LocalClient {
+        LocalClient { interface, service }
     }
 
     /// The bound interface.
@@ -78,7 +73,8 @@ impl LocalClient {
     }
 
     fn stub(&self, index: u16) -> Result<&CompiledStub> {
-        self.stubs
+        self.interface
+            .stubs()
             .get(index as usize)
             .ok_or_else(|| IdlError::NoSuchProcedure(format!("#{index}")).into())
     }
@@ -240,7 +236,7 @@ mod tests {
     }
 
     fn local_client() -> LocalClient {
-        LocalClient::new(test_interface(), test_service()).unwrap()
+        LocalClient::new(test_interface(), test_service())
     }
 
     /// An endpoint exporting the test service, and a local binding to it.
@@ -313,7 +309,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        let c = LocalClient::new(iface, service).unwrap();
+        let c = LocalClient::new(iface, service);
         let blob = vec![1u8; 10_000];
         let r = c.call("Sum", &[Value::Bytes(blob)]).unwrap();
         assert_eq!(r[0], Value::Integer(10_000));
@@ -364,7 +360,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        let _ = client.set(LocalClient::new(iface, service).unwrap());
+        let _ = client.set(LocalClient::new(iface, service));
         let c = client.get().unwrap();
         let data: Vec<u8> = (0..600u32).map(|i| (i * 7 % 251) as u8).collect();
         let expected: Vec<u8> = data.iter().map(|b| b.wrapping_add(2)).collect();

@@ -214,11 +214,11 @@ fn seen(st: &ActState, rpc: &RpcHeader) -> Seen {
 
 struct ServiceEntry {
     service: Arc<dyn Service>,
-    stubs: Vec<CompiledStub>,
+    /// The interface's own stubs, shared with every binding of it.
+    stubs: Arc<[CompiledStub]>,
     /// Per-procedure service-time estimate in ns (gate + stub + service
     /// code), 0 while unmeasured; see [`note_service_time`].
-    service_ns: Vec<AtomicU64>,
-    name: String,
+    service_ns: Box<[AtomicU64]>,
     version: u16,
 }
 
@@ -476,26 +476,38 @@ impl ServerSide {
         self.activities.lock().len()
     }
 
-    /// Lists exported interfaces as `(name, uid, version)`.
-    pub fn exported(&self) -> Vec<(String, u64, u16)> {
-        self.exports()
-            .services
+    /// How many interfaces are exported, the binder's own included.
+    pub fn export_count(&self) -> usize {
+        self.exports().services.len()
+    }
+
+    /// The UID and version of the exported interface called `name`.
+    pub fn find_export(&self, name: &str) -> Option<(u64, u16)> {
+        let services = &self.exports().services;
+        services
             .iter()
-            // lint:allow(no-alloc-on-fast-path): introspection for the
-            // binder and tooling, never on the per-call path.
-            .map(|(uid, e)| (e.name.clone(), *uid, e.version))
-            .collect()
+            .find(|(_, e)| e.service.interface().name() == name)
+            .map(|(uid, e)| (*uid, e.version))
+    }
+
+    /// The stubs the export of `uid` runs its calls with.
+    #[cfg(test)]
+    pub(crate) fn exported_stubs(&self, uid: u64) -> Option<Arc<[CompiledStub]>> {
+        let services = &self.exports().services;
+        services.get(&uid).map(|e| Arc::clone(&e.stubs))
     }
 
     /// Registers an exported service.
     pub fn export(&self, service: Arc<dyn Service>) -> Result<()> {
+        let interface = service.interface();
+        let uid = interface.uid();
+        let version = interface.version();
+        let stubs = Arc::clone(interface.stubs());
         // lint:allow(no-alloc-on-fast-path): export happens once at
         // bind time (§3.1), before any call traffic.
-        let interface = service.interface().clone();
-        let stubs = CompiledStub::for_interface(&interface);
         let service_ns = stubs.iter().map(|_| AtomicU64::new(0)).collect();
         let mut exports = self.exports.lock();
-        if exports.services.contains_key(&interface.uid()) {
+        if exports.services.contains_key(&uid) {
             return Err(RpcError::Binding(format!(
                 "interface `{}` is already exported",
                 interface.name()
@@ -507,11 +519,10 @@ impl ServerSide {
             service,
             stubs,
             service_ns,
-            name: interface.name().to_string(),
-            version: interface.version(),
+            version,
         });
         let services = &mut Arc::make_mut(&mut exports).services;
-        services.insert(interface.uid(), entry);
+        services.insert(uid, entry);
         Ok(())
     }
 
@@ -793,8 +804,8 @@ impl ServerSide {
             // retransmission": answer the duplicate from it —
             // mid-transfer, with the first fragment not acknowledged.
             witness.record(State::ServerDupRetained, rpc, Action::RetransmitResult);
-            self.transmit(out);
             RpcStats::bump(&self.ctx.stats.retransmissions);
+            self.transmit(out);
         } else if executing && rpc.flags.please_ack {
             // The call is executing; tell the caller to stop
             // retransmitting: the ack names the whole call.
@@ -930,9 +941,9 @@ impl ServerSide {
         drop(st);
         if resent {
             record(State::ServerRetained, Action::RetransmitResult);
-            self.transmit(out);
             RpcStats::bump(&self.ctx.stats.retransmissions);
             RpcStats::bump(&self.ctx.stats.probes_answered);
+            self.transmit(out);
             return;
         }
         if executing {
@@ -1001,8 +1012,8 @@ impl ServerSide {
                 drop(st);
                 record(State::ServerKnown, Action::ResendHole);
                 if queued {
-                    self.transmit(out);
                     RpcStats::bump(&self.ctx.stats.retransmissions);
+                    self.transmit(out);
                 }
             }
             Acked::Stale => record(State::ServerUnknown, Action::DropStale),
@@ -1032,8 +1043,8 @@ impl ServerSide {
             }
         }
         drop(st);
-        self.transmit(out);
         self.ctx.stats.fragments_sent.fetch_add(sent, Ordering::Relaxed);
+        self.transmit(out);
         if let Some(record) = finished {
             // The account's boundary is the hand-off of the last fragment.
             self.ctx.tracer.finish_detached(record, Stamp::ResultSent);
@@ -1043,7 +1054,8 @@ impl ServerSide {
 
     /// Hands what `out` holds to the transport, with no lock held. A send
     /// failure is indistinguishable from loss on the wire; the caller's
-    /// retransmission recovers either.
+    /// retransmission recovers either. What it sends is counted before:
+    /// a caller holding the last frame reads no count short.
     fn transmit(&self, out: &mut Batch) {
         let _ = out.send(&*self.ctx.transport);
     }
@@ -1459,7 +1471,7 @@ mod tests {
         // one `Open`.
         let mut args = vec![0; MAX_SINGLE_PACKET_DATA + 64];
         let arg = firefly_idl::Value::Bytes(vec![7; MAX_SINGLE_PACKET_DATA]);
-        let len = CompiledStub::for_interface(open)[0].marshal_call(&[arg], &mut args).unwrap();
+        let len = open.stubs()[0].marshal_call(&[arg], &mut args).unwrap();
         let frames: Vec<_> = [shut, open]
             .into_iter()
             .zip(0..)

@@ -8,7 +8,6 @@
 //! generated server stub module plus the server program's procedures.
 
 use firefly_idl::{InterfaceDef, ResultWriter, ServerArg};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::{Result, RpcError};
@@ -78,19 +77,27 @@ pub trait Service: Send + Sync {
 /// ```
 pub struct ServiceBuilder {
     interface: InterfaceDef,
-    handlers: HashMap<String, Handler>,
+    /// One slot per procedure, at its on-wire index.
+    handlers: Vec<Option<Handler>>,
+    /// The first name registered that the interface does not declare.
+    unknown: Option<String>,
 }
 
 impl ServiceBuilder {
     /// Starts building a service for `interface`.
     pub fn new(interface: InterfaceDef) -> ServiceBuilder {
+        let handlers = interface.procedures().iter().map(|_| None).collect();
         ServiceBuilder {
             interface,
-            handlers: HashMap::new(),
+            handlers,
+            unknown: None,
         }
     }
 
-    /// Registers the implementation of one procedure by name.
+    /// Registers the implementation of one procedure by name, resolved
+    /// through the interface's own name table. Registering a name again
+    /// replaces its handler; a name the interface does not declare fails
+    /// [`ServiceBuilder::build`].
     ///
     /// A procedure once measured fast runs on the resident receiver: if
     /// it then blocks, the endpoint is deaf for as long as it blocks
@@ -102,26 +109,30 @@ impl ServiceBuilder {
     where
         F: Fn(&[ServerArg<'_>], &mut ResultWriter<'_>) -> Result<()> + Send + Sync + 'static,
     {
-        self.handlers.insert(name.to_string(), Box::new(f));
+        match self.interface.procedure(name) {
+            Ok(p) => self.handlers[p.index() as usize] = Some(Box::new(f)),
+            Err(_) => {
+                self.unknown.get_or_insert_with(|| name.to_string());
+            }
+        }
         self
     }
 
     /// Finishes the build, requiring a handler for every declared
-    /// procedure.
-    pub fn build(mut self) -> Result<Arc<dyn Service>> {
-        let mut table: Vec<(String, Handler)> = Vec::new();
-        for p in self.interface.procedures() {
-            match self.handlers.remove(p.name()) {
-                Some(h) => table.push((p.name().to_string(), h)),
-                None => {
-                    return Err(RpcError::Binding(format!(
-                        "no handler for procedure `{}`",
-                        p.name()
-                    )))
-                }
-            }
-        }
-        if let Some(extra) = self.handlers.keys().next() {
+    /// procedure and none for an undeclared one.
+    pub fn build(self) -> Result<Arc<dyn Service>> {
+        let procedures = self.interface.procedures();
+        let table = self
+            .handlers
+            .into_iter()
+            .zip(procedures)
+            .map(|(handler, p)| {
+                handler.ok_or_else(|| {
+                    RpcError::Binding(format!("no handler for procedure `{}`", p.name()))
+                })
+            })
+            .collect::<Result<_>>()?;
+        if let Some(extra) = self.unknown {
             return Err(RpcError::Binding(format!(
                 "handler `{extra}` does not match any procedure"
             )));
@@ -135,7 +146,8 @@ impl ServiceBuilder {
 
 struct BuiltService {
     interface: InterfaceDef,
-    table: Vec<(String, Handler)>,
+    /// Each procedure's handler, at its on-wire index.
+    table: Box<[Handler]>,
 }
 
 impl Service for BuiltService {
@@ -149,7 +161,7 @@ impl Service for BuiltService {
         args: &[ServerArg<'_>],
         results: &mut ResultWriter<'_>,
     ) -> Result<()> {
-        let (_, handler) = self
+        let handler = self
             .table
             .get(index as usize)
             .ok_or_else(|| RpcError::Remote(format!("no procedure #{index}")))?;
@@ -169,7 +181,13 @@ mod tests {
             .build()
             .err()
             .expect("missing handlers must fail");
-        assert!(e.to_string().contains("MaxResult") || e.to_string().contains("no handler"));
+        // The first procedure without a handler, in declaration order.
+        assert!(matches!(e, RpcError::Binding(_)), "{e:?}");
+        assert!(
+            e.to_string()
+                .contains("no handler for procedure `MaxResult`"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -182,7 +200,29 @@ mod tests {
             .build()
             .err()
             .expect("extra handler must fail");
-        assert!(e.to_string().contains("Bogus"));
+        assert!(matches!(e, RpcError::Binding(_)), "{e:?}");
+        assert!(
+            e.to_string()
+                .contains("handler `Bogus` does not match any procedure"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn registering_a_name_twice_keeps_the_last_handler() {
+        let service = ServiceBuilder::new(test_interface())
+            .on_call("Null", |_a, _w| Err(RpcError::Remote("first".into())))
+            .on_call("MaxResult", |_a, _w| Ok(()))
+            .on_call("MaxArg", |_a, _w| Ok(()))
+            .on_call("Null", |_a, _w| Err(RpcError::Remote("second".into())))
+            .build()
+            .unwrap();
+        let iface = firefly_idl::test_interface();
+        let plan = std::sync::Arc::clone(iface.procedure("Null").unwrap().plan());
+        let mut buf = vec![0u8; 8];
+        let mut w = ResultWriter::new(&plan, &mut buf);
+        let e = service.dispatch(0, &[], &mut w).unwrap_err();
+        assert_eq!(e.to_string(), RpcError::Remote("second".into()).to_string());
     }
 
     #[test]

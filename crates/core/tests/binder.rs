@@ -45,6 +45,47 @@ fn binder_answers_lookup_and_describe() {
 }
 
 #[test]
+fn a_fresh_endpoints_binder_counts_and_describes_itself() {
+    let net = LoopbackNet::new();
+    let server = Endpoint::new(net.station(1), Config::default()).unwrap();
+    let caller = Endpoint::new(net.station(2), Config::default()).unwrap();
+    let binder = caller.bind(binder_interface(), server.address()).unwrap();
+
+    let r = binder.call("Count", &[]).unwrap();
+    assert_eq!(r[0], Value::Integer(1));
+    let r = binder.call("Lookup", &[Value::text("Binder")]).unwrap();
+    assert_eq!(r[0], Value::Boolean(true));
+    let r = binder
+        .call(
+            "Describe",
+            &[Value::text("Binder"), Value::Bytes(Vec::new())],
+        )
+        .unwrap();
+    assert_eq!(
+        r[0].as_bytes().unwrap(),
+        uid_hex(binder_interface().uid()).as_bytes()
+    );
+    assert_eq!(
+        r[1],
+        Value::Integer(i32::from(binder_interface().version()))
+    );
+
+    // Describing a name nobody exports fails that call only.
+    let err = binder
+        .call(
+            "Describe",
+            &[Value::text("Ghost"), Value::Bytes(Vec::new())],
+        )
+        .unwrap_err();
+    match err {
+        RpcError::Remote(m) => assert!(m.contains("no interface named `Ghost`"), "{m}"),
+        other => panic!("unexpected: {other}"),
+    }
+    server.export(test_service()).unwrap();
+    assert_eq!(binder.call("Count", &[]).unwrap()[0], Value::Integer(2));
+}
+
+#[test]
 fn bind_checked_accepts_matching_interface() {
     let net = LoopbackNet::new();
     let server = Endpoint::new(net.station(1), Config::default()).unwrap();

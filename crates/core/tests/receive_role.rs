@@ -317,7 +317,7 @@ impl RawCaller {
     fn call_get(&self, seq: u32, n: i32) {
         let iface = interface();
         let get = iface.procedure("Get").unwrap().index();
-        let stubs = firefly_idl::CompiledStub::for_interface(&iface);
+        let stubs = iface.stubs();
         let mut data = [0u8; 64];
         let args = [Value::Integer(n), Value::Bytes(Vec::new())];
         let len = stubs[get as usize].marshal_call(&args, &mut data).unwrap();

@@ -408,21 +408,14 @@ pub struct CompiledStub {
 }
 
 impl CompiledStub {
-    /// Compiles the stub for one procedure.
+    /// Compiles the stub for one procedure. An interface compiles one
+    /// per procedure when it is built ([`InterfaceDef::from_ast`](crate::InterfaceDef::from_ast)):
+    /// take those from [`InterfaceDef::stubs`](crate::InterfaceDef::stubs).
     pub fn new(name: &str, plan: Arc<MarshalPlan>) -> Self {
         CompiledStub {
             plan,
             name: name.to_string(),
         }
-    }
-
-    /// Builds compiled stubs for every procedure of an interface.
-    pub fn for_interface(interface: &crate::InterfaceDef) -> Vec<CompiledStub> {
-        interface
-            .procedures()
-            .iter()
-            .map(|p| CompiledStub::new(p.name(), Arc::clone(p.plan())))
-            .collect()
     }
 
     /// Writes the call packet: what [`StubEngine::marshal_call`] does,
@@ -541,7 +534,7 @@ pub(crate) mod tests {
         let i = parse_interface(src).unwrap();
         let p = i.procedure(proc_name).unwrap();
         (
-            CompiledStub::new(p.name(), Arc::clone(p.plan())),
+            i.stubs()[p.index() as usize].clone(),
             InterpStub::new(p.name(), Arc::clone(p.plan())),
         )
     }
@@ -778,7 +771,7 @@ pub(crate) mod tests {
         // tail-open-array optimization — no count prefix.
         let i = crate::test_interface();
         let p = i.procedure("MaxResult").unwrap();
-        let c = CompiledStub::new(p.name(), Arc::clone(p.plan()));
+        let c = &i.stubs()[p.index() as usize];
         let mut buf = vec![0u8; 0];
         let n = c
             .marshal_call(&[Value::char_array(1440)], &mut buf)
@@ -873,7 +866,7 @@ pub(crate) mod tests {
     fn max_arg_is_tail_in_call_packet() {
         let i = crate::test_interface();
         let p = i.procedure("MaxArg").unwrap();
-        let c = CompiledStub::new(p.name(), Arc::clone(p.plan()));
+        let c = &i.stubs()[p.index() as usize];
         let mut buf = vec![0u8; 1440];
         let n = c
             .marshal_call(&[Value::char_array(1440)], &mut buf)

@@ -8,6 +8,7 @@
 //! (§3.1.3).
 
 use crate::ast::{Module, ParamDecl, TypeExpr};
+use crate::engine::CompiledStub;
 use crate::plan::MarshalPlan;
 use crate::{IdlError, Result};
 use std::collections::HashMap;
@@ -57,19 +58,24 @@ impl ProcedureDef {
     }
 }
 
-/// A complete interface: name, UID, and procedures with their plans.
+/// A complete interface: name, UID, procedures with their plans, and
+/// the compiled stubs every export and binding of it shares.
+///
+/// Everything in it is shared: a clone allocates nothing.
 #[derive(Debug, Clone)]
 pub struct InterfaceDef {
-    name: String,
+    name: Arc<str>,
     uid: u64,
     version: u16,
     procedures: Arc<[ProcedureDef]>,
     by_name: Arc<HashMap<String, u16>>,
+    stubs: Arc<[CompiledStub]>,
 }
 
 impl InterfaceDef {
-    /// Builds an interface from a parsed module, computing plans and the
-    /// UID, and rejecting duplicate procedure names.
+    /// Builds an interface from a parsed module, computing plans, the
+    /// UID and the compiled stubs, and rejecting duplicate procedure
+    /// names. This is the one place stubs are compiled.
     pub fn from_ast(module: Module) -> Result<InterfaceDef> {
         let uid = Self::compute_uid(&module);
         // lint:allow(no-alloc-on-fast-path): stub-compile time, once per
@@ -97,14 +103,19 @@ impl InterfaceDef {
                 plan: Arc::new(plan),
             });
         }
+        let stubs = procedures
+            .iter()
+            .map(|p| CompiledStub::new(&p.name, Arc::clone(&p.plan)))
+            .collect();
         Ok(InterfaceDef {
-            name: module.name,
+            name: module.name.into(),
             uid,
             version: INTERFACE_VERSION,
             procedures: procedures.into(),
             // lint:allow(no-alloc-on-fast-path): once per interface,
             // when it is compiled.
             by_name: Arc::new(by_name),
+            stubs,
         })
     }
 
@@ -162,6 +173,13 @@ impl InterfaceDef {
         &self.procedures
     }
 
+    /// The compiled stub of every procedure, indexed like
+    /// [`InterfaceDef::procedures`]: made once, when the interface is
+    /// built, and shared by every clone of it.
+    pub fn stubs(&self) -> &Arc<[CompiledStub]> {
+        &self.stubs
+    }
+
     /// Looks a procedure up by name.
     pub fn procedure(&self, name: &str) -> Result<&ProcedureDef> {
         let idx = self
@@ -190,6 +208,19 @@ mod tests {
         assert_eq!(i.procedure_by_index(1).unwrap().name(), "MaxResult");
         assert!(i.procedure("Missing").is_err());
         assert!(i.procedure_by_index(9).is_err());
+    }
+
+    #[test]
+    fn stubs_are_compiled_once_and_shared_by_clones() {
+        let i = crate::test_interface();
+        assert_eq!(i.stubs().len(), i.procedures().len());
+        for (stub, p) in i.stubs().iter().zip(i.procedures()) {
+            assert!(std::sync::Arc::ptr_eq(
+                crate::StubEngine::plan(stub),
+                p.plan()
+            ));
+        }
+        assert!(std::sync::Arc::ptr_eq(i.stubs(), i.clone().stubs()));
     }
 
     #[test]

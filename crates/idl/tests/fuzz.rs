@@ -1,7 +1,7 @@
 //! Robustness: the parser and unmarshallers must reject garbage without
 //! panicking — stubs face wire data from untrusted peers.
 
-use firefly_idl::{parse_interface, CompiledStub, InterpStub, StubEngine, Value};
+use firefly_idl::{parse_interface, InterpStub, StubEngine, Value};
 use firefly_propcheck::{check, prop_assert, Gen};
 use std::sync::Arc;
 
@@ -62,7 +62,7 @@ fn hostile_packets_are_refused_without_panic_or_outsized_allocation() {
     // `ArgReader::count`'s, unit-tested there: before this bound a
     // four-byte packet asked for 137 GB and aborted the process.
     let iface = parse_interface(SHAPES).unwrap();
-    let stubs = CompiledStub::for_interface(&iface);
+    let stubs = iface.stubs();
     check("hostile_packets", 2048, |g| {
         let mut data = g.bytes(0..96);
         // Often, a length field that lies: all ones, or just too large.
@@ -72,7 +72,7 @@ fn hostile_packets_are_refused_without_panic_or_outsized_allocation() {
             data[at..at + 4].copy_from_slice(&lie.to_be_bytes());
         }
         let budget = 16 * data.len() + 64;
-        for stub in &stubs {
+        for stub in stubs.iter() {
             if let Ok(args) = stub.unmarshal_call(&data) {
                 let held: usize = args.iter().filter_map(|a| a.value()).map(footprint).sum();
                 prop_assert!(held <= budget, "call decoded to {held} bytes from {}", data.len());
@@ -93,7 +93,7 @@ fn hostile_packets_are_refused_without_panic_or_outsized_allocation() {
 fn a_four_byte_forged_count_is_an_error_in_both_directions() {
     let iface = parse_interface(SHAPES).unwrap();
     let p = iface.procedure("OpenArrays").unwrap();
-    let stub = CompiledStub::new(p.name(), Arc::clone(p.plan()));
+    let stub = &iface.stubs()[p.index() as usize];
     let forged = [0xff, 0xff, 0xff, 0xf0];
     assert!(stub.unmarshal_call(&forged).is_err());
     assert!(stub.unmarshal_result(&forged).is_err());

@@ -9,7 +9,7 @@ fn engines(src: &str, name: &str) -> (CompiledStub, InterpStub) {
     let i = parse_interface(src).unwrap();
     let p = i.procedure(name).unwrap();
     (
-        CompiledStub::new(p.name(), Arc::clone(p.plan())),
+        i.stubs()[p.index() as usize].clone(),
         InterpStub::new(p.name(), Arc::clone(p.plan())),
     )
 }

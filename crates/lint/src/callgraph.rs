@@ -21,12 +21,18 @@
 //! 4. otherwise the name is ambiguous (`new`, `send`, `recv`, ...) and
 //!    the edge is dropped — reachability must come from a resolvable
 //!    path or the entry-point snapshot instead.
+//!
+//! Before any of that, a bare call of a name the function binds itself
+//! — a parameter (`read: impl FnOnce(..)`, then `read(&mut r)`) or a
+//! `let` — is a call of that local, not of any definition, and makes no
+//! edge. (A method call, `x.read()`, or a path, `m::read()`, of the same
+//! name still does.)
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::scope::functions;
+use crate::scope::{functions, FnItem};
 use crate::source::SourceFile;
-use crate::tokenizer::TokenKind;
+use crate::tokenizer::{Token, TokenKind};
 
 /// Call-site and definition facts extracted from one file.
 #[derive(Debug, Default)]
@@ -64,6 +70,32 @@ const NON_CALLEES: &[&str] = &[
     "ok_or", "ok_or_else", "is_some", "is_none", "is_ok", "is_err", "copy_from_slice",
 ];
 
+/// The names `f` binds itself: its parameters (`name:` after `(`, `,`
+/// or `mut` in the signature) and its simple `let [mut] name` bindings.
+fn local_names<'t>(toks: &'t [Token], f: &FnItem) -> BTreeSet<&'t str> {
+    let text = |j: usize| toks.get(j).map_or("", |t| t.text.as_str());
+    let ident = |j: usize| toks.get(j).is_some_and(|t| t.kind == TokenKind::Ident);
+    let mut out = BTreeSet::new();
+    for j in f.start + 2..f.open.min(toks.len()) {
+        if ident(j)
+            && matches!(text(j - 1), "(" | "," | "mut")
+            && text(j + 1) == ":"
+            && text(j + 2) != ":"
+        {
+            out.insert(text(j));
+        }
+    }
+    for j in f.open..f.close.min(toks.len()) {
+        if text(j) == "let" {
+            let name = if text(j + 1) == "mut" { j + 2 } else { j + 1 };
+            if ident(name) && text(name) != "mut" {
+                out.insert(text(name));
+            }
+        }
+    }
+    out
+}
+
 impl CallGraph {
     /// Extracts definitions and call sites from one parsed file.
     /// Test lines are skipped: a test calling a helper must not pull
@@ -78,15 +110,18 @@ impl CallGraph {
                 .entry(f.name.clone())
                 .or_default()
                 .insert(file.rel_path.clone());
+            let locals = local_names(toks, &f);
             let key = (file.rel_path.clone(), f.name.clone());
             let callees = self.calls.entry(key).or_default();
             for j in f.open..f.close.min(toks.len()) {
                 let t = &toks[j];
+                let prev = if j >= 1 { toks[j - 1].text.as_str() } else { "" };
                 if t.kind != TokenKind::Ident
                     || file.is_test_line(t.line)
                     || toks.get(j + 1).map(|x| x.text.as_str()) != Some("(")
-                    || (j >= 1 && toks[j - 1].text == "fn")
+                    || prev == "fn"
                     || NON_CALLEES.contains(&t.text.as_str())
+                    || (locals.contains(t.text.as_str()) && prev != "." && prev != ":")
                 {
                     continue;
                 }
@@ -252,6 +287,22 @@ mod tests {
             &["crates/idl/src".into()],
         );
         assert!(!r.iter().any(|(f, _)| f.starts_with("crates/idl")));
+    }
+
+    #[test]
+    fn a_call_of_a_parameter_or_let_binding_makes_no_edge() {
+        let g = graph(&[
+            (
+                "crates/a/src/x.rs",
+                "fn entry(read: impl Fn(u8)) { read(1); let send = |b| b; send(2); r.write(3); }",
+            ),
+            ("crates/b/src/y.rs", "fn read() {} fn send() {} fn write() {}"),
+        ]);
+        let r = g.reachable(&["crates/a/src/x.rs::entry".into()], &[]);
+        assert!(!r.contains(&("crates/b/src/y.rs".into(), "read".into())), "{r:?}");
+        assert!(!r.contains(&("crates/b/src/y.rs".into(), "send".into())), "{r:?}");
+        // A method call of a name that is no local still resolves.
+        assert!(r.contains(&("crates/b/src/y.rs".into(), "write".into())), "{r:?}");
     }
 
     #[test]

@@ -41,6 +41,8 @@ pub struct FnItem {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
+    /// Token index of the `fn` keyword.
+    pub start: usize,
     /// Token index of the body `{`.
     pub open: usize,
     /// Token index of the matching `}`.
@@ -87,6 +89,7 @@ pub fn functions(tokens: &[Token]) -> Vec<FnItem> {
         out.push(FnItem {
             name: name_tok.text.clone(),
             line: tokens[i].line,
+            start: i,
             open,
             close: match_brace(tokens, open),
         });

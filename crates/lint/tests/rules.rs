@@ -2,8 +2,10 @@
 //! fixture files in `tests/fixtures/`, plus a property test that the
 //! tokenizer total-functions over arbitrary byte soup.
 
+use firefly_lint::callgraph::CallGraph;
 use firefly_lint::config::Config;
 use firefly_lint::rules::name;
+use firefly_lint::source::SourceFile;
 use firefly_lint::tokenizer::tokenize;
 use firefly_lint::{Diagnostic, Engine};
 
@@ -101,6 +103,25 @@ fn no_sleep_fires_outside_tests_only() {
 fn no_sleep_justified_allow_suppresses() {
     let diags = lint(include_str!("fixtures/no_sleep_allow.rs"));
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn stale_scope_ignores_a_call_of_a_local_closure() {
+    // `codec.rs::read_all` calls its parameter `read`; a function named
+    // `read` in another package must not join the fast path through it.
+    // Before the resolver knew locals, this walk reached `layers.rs`.
+    let mut graph = CallGraph::default();
+    for (path, text) in [
+        ("crates/core/src/client.rs", "fn call() { read_all(&[]); count_all(&[]); }"),
+        ("crates/idl/src/codec.rs", include_str!("fixtures/callgraph_local_call.rs")),
+        ("rpcbench/src/layers.rs", "fn read() {} fn scan() {}"),
+    ] {
+        graph.add_file(&SourceFile::new(path, text));
+    }
+    let reachable = graph.reachable(&["crates/core/src/client.rs::call".into()], &[]);
+    let files = CallGraph::reachable_files(&reachable);
+    assert!(files.contains("crates/idl/src/codec.rs"), "{files:?}");
+    assert!(!files.contains("rpcbench/src/layers.rs"), "{files:?}");
 }
 
 #[test]

@@ -1,11 +1,10 @@
 //! Cross-crate assertions of the paper's quantitative claims — the
 //! fidelity checklist of DESIGN.md §6.
 
-use firefly::idl::{test_interface, CompiledStub, Value};
+use firefly::idl::{test_interface, Value};
 use firefly::sim::workload::{run, Procedure, WorkloadSpec};
 use firefly::sim::{CostModel, Improvement};
 use firefly::wire::{FrameBuilder, PacketType, MAX_FRAME_LEN, MIN_FRAME_LEN, RPC_HEADERS_LEN};
-use std::sync::Arc;
 
 #[test]
 fn abstract_claim_frame_sizes() {
@@ -19,7 +18,7 @@ fn abstract_claim_frame_sizes() {
     assert_eq!(null_call.len(), 74);
     let iface = test_interface();
     let p = iface.procedure("MaxResult").unwrap();
-    let stub = CompiledStub::new(p.name(), Arc::clone(p.plan()));
+    let stub = &iface.stubs()[p.index() as usize];
     let mut data = vec![0u8; 1440];
     let n = stub
         .marshal_result(&[Value::Bytes(vec![1; 1440])], &mut data)
