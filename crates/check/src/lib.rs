@@ -324,18 +324,6 @@ impl Explorer {
         loop {
             let (result, finale_err) =
                 self.run_one_plan(model, prefix.clone(), None, sleep.clone(), sleep_from);
-            if std::env::var_os("FIREFLY_DPOR_DEBUG").is_some() {
-                eprintln!(
-                    "RUN prefix={prefix:?} sleep={sleep:?} from={sleep_from} redundant={} decisions={:?}",
-                    result.redundant, result.decisions
-                );
-                for (si, s) in result.steps.iter().enumerate() {
-                    eprintln!(
-                        "  step {si}: t{} di={:?} cursor={} enabled={:?} ops={:?}",
-                        s.tid, s.decision_index, s.pick_cursor, s.enabled, s.ops
-                    );
-                }
-            }
             if result.redundant {
                 outcome.pruned += 1;
             } else {
@@ -462,9 +450,6 @@ impl Explorer {
             nodes.truncate(k + 1);
             prefix = nodes.iter().map(|n| n.chosen).collect();
             sleep_from = prefix.len() - 1;
-            if std::env::var_os("FIREFLY_DPOR_DEBUG").is_some() {
-                eprintln!("BRANCH k={k} choice={choice} sleep={sleep:?}");
-            }
         }
     }
 

@@ -66,7 +66,8 @@ pub enum Stamp {
     // Caller-side boundaries, in call order.
     /// Entry to the call path, after procedure lookup.
     CallStart,
-    /// Starter done: a pool packet buffer is in hand.
+    /// Starter done: the caller's activity slot, with its call frame,
+    /// is taken (the step's label keeps the paper's "call buffer").
     BufferAcquired,
     /// Arguments marshalled into the call packet (or the heap staging
     /// buffer for multi-packet calls).
@@ -77,7 +78,8 @@ pub enum Stamp {
     ResultReceived,
     /// Result values unmarshalled.
     UnmarshalDone,
-    /// Ender done: the call buffer is recycled to the receive queue.
+    /// Ender done: the activity slot, with its result frame, is given
+    /// back (the step's label keeps the paper's "recycle buffer").
     CallEnd,
     // Server-side boundaries, in call order.
     /// The demux thread accepted the (complete) call packet.

@@ -132,7 +132,13 @@ fn sequential_calls_reuse_one_activity() {
 
 #[test]
 fn concurrent_callers_from_many_threads() {
-    let (_net, server, caller) = loopback_pair(Config::default());
+    // A first timer a busy host cannot overrun, so no spurious
+    // retransmission reaches the server as a second call.
+    let cfg = Config {
+        retransmit_initial: Duration::from_secs(5),
+        ..Config::default()
+    };
+    let (_net, server, caller) = loopback_pair(cfg);
     let client = caller.bind(&test_interface(), server.address()).unwrap();
     let completed = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::new();
@@ -366,8 +372,14 @@ fn multi_packet_survives_loss() {
 fn works_over_real_udp_localhost() {
     let server_t = UdpTransport::localhost().unwrap();
     let caller_t = UdpTransport::localhost().unwrap();
-    let server = Endpoint::new(server_t, Config::default()).unwrap();
-    let caller = Endpoint::new(caller_t, Config::default()).unwrap();
+    // A first timer a busy host cannot overrun (see
+    // `healthy_run_has_zero_retransmissions_and_all_fast_path`).
+    let cfg = Config {
+        retransmit_initial: Duration::from_secs(5),
+        ..Config::default()
+    };
+    let server = Endpoint::new(server_t, cfg.clone()).unwrap();
+    let caller = Endpoint::new(caller_t, cfg).unwrap();
     server.export(test_service()).unwrap();
     let client = caller.bind(&test_interface(), server.address()).unwrap();
     client.call("Null", &[]).unwrap();

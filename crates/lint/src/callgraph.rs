@@ -3,12 +3,12 @@
 //!
 //! The fast-path rules (`no-panic-on-fast-path`, `no-alloc-on-fast-path`)
 //! used to rely on a hand-maintained file list in `lint.toml`. That list
-//! is now a *snapshot* of a computed set: this module extracts every
-//! `fn` definition and call site from the token streams, resolves call
-//! names to definitions, and walks reachability from the configured
-//! entry points (Starter/Transporter/demux/Ender). The `stale-scope`
-//! rule compares the snapshot against the computed set so the two can
-//! never drift silently.
+//! is now a *snapshot* of a computed set: every `fn` definition and the
+//! call events of its body walk ([`crate::scope::walk`]) land here,
+//! call names resolve to definitions, and reachability is walked from
+//! the configured entry points (Starter/Transporter/demux/Ender). The
+//! `stale-scope` rule compares the snapshot against the computed set so
+//! the two can never drift silently.
 //!
 //! Name resolution is tiered and conservative:
 //!
@@ -24,15 +24,16 @@
 //!
 //! Before any of that, a bare call of a name the function binds itself
 //! — a parameter (`read: impl FnOnce(..)`, then `read(&mut r)`) or a
-//! `let` — is a call of that local, not of any definition, and makes no
-//! edge. (A method call, `x.read()`, or a path, `m::read()`, of the same
-//! name still does.)
+//! `let` — is a call of that local, not of any definition: the walk
+//! reports no call for it, so it makes no edge. (A method call,
+//! `x.read()`, or a path, `m::read()`, of the same name still does.)
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::scope::{functions, FnItem};
+use crate::config::Config;
+use crate::rules::check_source;
 use crate::source::SourceFile;
-use crate::tokenizer::{Token, TokenKind};
+use crate::Facts;
 
 /// Call-site and definition facts extracted from one file.
 #[derive(Debug, Default)]
@@ -70,64 +71,27 @@ const NON_CALLEES: &[&str] = &[
     "ok_or", "ok_or_else", "is_some", "is_none", "is_ok", "is_err", "copy_from_slice",
 ];
 
-/// The names `f` binds itself: its parameters (`name:` after `(`, `,`
-/// or `mut` in the signature) and its simple `let [mut] name` bindings.
-fn local_names<'t>(toks: &'t [Token], f: &FnItem) -> BTreeSet<&'t str> {
-    let text = |j: usize| toks.get(j).map_or("", |t| t.text.as_str());
-    let ident = |j: usize| toks.get(j).is_some_and(|t| t.kind == TokenKind::Ident);
-    let mut out = BTreeSet::new();
-    for j in f.start + 2..f.open.min(toks.len()) {
-        if ident(j)
-            && matches!(text(j - 1), "(" | "," | "mut")
-            && text(j + 1) == ":"
-            && text(j + 2) != ":"
-        {
-            out.insert(text(j));
-        }
-    }
-    for j in f.open..f.close.min(toks.len()) {
-        if text(j) == "let" {
-            let name = if text(j + 1) == "mut" { j + 2 } else { j + 1 };
-            if ident(name) && text(name) != "mut" {
-                out.insert(text(name));
-            }
-        }
-    }
-    out
-}
-
 impl CallGraph {
-    /// Extracts definitions and call sites from one parsed file.
-    /// Test lines are skipped: a test calling a helper must not pull
-    /// the helper onto the fast path.
+    /// Records the definition of `name` in `path` and the calls its
+    /// body makes. [`check_source`] records no test function: a test
+    /// calling a helper must not pull the helper onto the fast path.
+    pub(crate) fn add_fn(&mut self, path: &str, name: &str, callees: BTreeSet<String>) {
+        self.defs
+            .entry(name.to_string())
+            .or_default()
+            .insert(path.to_string());
+        self.calls
+            .entry((path.to_string(), name.to_string()))
+            .or_default()
+            .extend(callees);
+    }
+
+    /// Adds one file's definitions and calls: its per-file pass
+    /// ([`check_source`]) run alone.
     pub fn add_file(&mut self, file: &SourceFile) {
-        let toks = &file.tokens.tokens;
-        for f in functions(toks) {
-            if file.is_test_line(f.line) {
-                continue;
-            }
-            self.defs
-                .entry(f.name.clone())
-                .or_default()
-                .insert(file.rel_path.clone());
-            let locals = local_names(toks, &f);
-            let key = (file.rel_path.clone(), f.name.clone());
-            let callees = self.calls.entry(key).or_default();
-            for j in f.open..f.close.min(toks.len()) {
-                let t = &toks[j];
-                let prev = if j >= 1 { toks[j - 1].text.as_str() } else { "" };
-                if t.kind != TokenKind::Ident
-                    || file.is_test_line(t.line)
-                    || toks.get(j + 1).map(|x| x.text.as_str()) != Some("(")
-                    || prev == "fn"
-                    || NON_CALLEES.contains(&t.text.as_str())
-                    || (locals.contains(t.text.as_str()) && prev != "." && prev != ":")
-                {
-                    continue;
-                }
-                callees.insert(t.text.clone());
-            }
-        }
+        let mut facts = Facts::default();
+        check_source(file, &Config::default(), &mut facts);
+        self.merge(facts.call_graph);
     }
 
     /// Merges another (per-file or per-worker) graph into this one.
@@ -150,7 +114,7 @@ impl CallGraph {
 
     /// Resolves a called name from `from_file` to defining files.
     fn resolve(&self, from_file: &str, name: &str) -> Vec<String> {
-        let Some(files) = self.defs.get(name) else {
+        let Some(files) = self.defs.get(name).filter(|_| !NON_CALLEES.contains(&name)) else {
             return Vec::new();
         };
         if files.contains(from_file) {

@@ -1,17 +1,19 @@
-//! Interprocedural def-use dataflow over the token streams.
+//! Interprocedural def-use dataflow over the body walk's events.
 //!
 //! The guard-lifetime model in [`crate::scope`] answers "which locks
 //! are live *here*". This module answers flow questions that span
-//! statements and functions:
+//! statements and functions, from the facts the same walk reports
+//! (`rules::check_source` turns its events into the sites below):
 //!
 //! * **condvar protocol** — every `Condvar::wait*` must sit inside a
 //!   predicate loop, and every `notify_one`/`notify_all` must be
 //!   reachable only after the mutex its waiters re-check was acquired
 //!   (the lost-wakeup shape `firefly-check`'s `bug-notify` fixture
 //!   catches dynamically). Wait sites establish the condvar→mutex
-//!   pairing workspace-wide; notify sites are then checked against it,
-//!   following same-file callees one level so helper-acquire patterns
-//!   resolve.
+//!   pairing workspace-wide — the mutex is the receiver of the guard
+//!   `let`-bound to the name the wait is handed; notify sites are then
+//!   checked against it, following same-file callees one level so
+//!   helper-acquire patterns resolve.
 //! * **atomic publication** — accesses through the `firefly_sync::
 //!   atomic` wrappers (recognized by a literal `Ordering` tag in the
 //!   argument list) are grouped by location identifier. A `Relaxed`
@@ -21,28 +23,14 @@
 //!   the location is allowlisted (`[atomic-publication].allow_relaxed`
 //!   in lint.toml sanctions hook.rs's disabled-path `INSTALLED` load,
 //!   whose proof is the comment at that site).
-//!
-//! Everything degrades conservatively on token streams that are not
-//! valid Rust: unknown shapes produce no facts, never a panic — the
-//! propcheck totality property in `crates/lint/tests/rules.rs` holds
-//! the scan to that on arbitrary byte soup.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::config::Config;
-use crate::rules::name;
-use crate::scope::functions;
-use crate::source::{match_paren, SourceFile};
-use crate::tokenizer::{Token, TokenKind};
-use crate::Diagnostic;
-
-/// Atomic access kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AtomicKind {
-    Load,
-    Store,
-    Rmw,
-}
+use crate::rules::{check_source, name};
+use crate::scope::AtomicKind;
+use crate::source::SourceFile;
+use crate::{Diagnostic, Facts};
 
 /// One `Condvar::wait*` call site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,10 +56,12 @@ pub struct NotifySite {
     pub func: String,
     pub cond: String,
     /// Mutex receivers acquired earlier in the same function (token
-    /// order), i.e. the state writes this notify can be downstream of.
+    /// order, `x[i]` read as `x`), i.e. the state writes this notify
+    /// can be downstream of.
     pub acquired_before: BTreeSet<String>,
-    /// Function names called before the notify — followed one level
-    /// (same file) so a helper that takes the paired mutex counts.
+    /// Function names called before the notify (the walk's call
+    /// events: no call of a local) — followed one level (same file) so
+    /// a helper that takes the paired mutex counts.
     pub callees_before: BTreeSet<String>,
 }
 
@@ -134,23 +124,6 @@ pub struct Summary {
     pub locations: Vec<LocationSummary>,
 }
 
-const WAIT_CALLEES: &[&str] = &["wait", "wait_until", "wait_timeout"];
-const NOTIFY_CALLEES: &[&str] = &["notify_one", "notify_all"];
-const ORDERING_TAGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-const RMW_CALLEES: &[&str] = &[
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_or",
-    "fetch_and",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "fetch_update",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
-
 fn releasing(tag: &str) -> bool {
     matches!(tag, "Release" | "AcqRel" | "SeqCst")
 }
@@ -159,265 +132,12 @@ fn acquiring(tag: &str) -> bool {
     matches!(tag, "Acquire" | "AcqRel" | "SeqCst")
 }
 
-/// Walks a receiver chain backwards from `k` (the token just before a
-/// `.method` dot), stepping over `(...)` and `[...]` groups, and
-/// returns the indices of the chain's identifier segments, head first:
-/// for `self.inner.free.lock().push` entered at the `)` this yields
-/// `[self, inner, free, lock]` positions.
-fn chain_idents(tokens: &[Token], mut k: usize) -> Vec<usize> {
-    let mut idents = Vec::new();
-    loop {
-        match tokens.get(k).map(|t| t.text.as_str()) {
-            Some(")") | Some("]") => {
-                // Skip back over the balanced group.
-                let close = tokens[k].text.clone();
-                let open = if close == ")" { "(" } else { "[" };
-                let mut depth = 0usize;
-                loop {
-                    let Some(t) = tokens.get(k) else { return idents };
-                    if t.text == close {
-                        depth += 1;
-                    } else if t.text == open {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    let Some(prev) = k.checked_sub(1) else { return idents };
-                    k = prev;
-                }
-                let Some(prev) = k.checked_sub(1) else { return idents };
-                k = prev;
-            }
-            _ => {}
-        }
-        let Some(t) = tokens.get(k) else {
-            break;
-        };
-        if t.kind != TokenKind::Ident {
-            break;
-        }
-        idents.push(k);
-        let Some(dot) = k.checked_sub(1) else { break };
-        if tokens[dot].text != "." {
-            break;
-        }
-        let Some(prev) = dot.checked_sub(1) else { break };
-        k = prev;
-    }
-    idents.reverse();
-    idents
-}
-
-/// The `let [mut] NAME =` binding whose right-hand side is the call
-/// whose method identifier sits at `j` — tolerant of method position
-/// inside larger expressions (unlike the stricter guard-lifetime
-/// extractor, which requires the call to end the statement).
-fn binding_of(tokens: &[Token], j: usize) -> Option<String> {
-    let start = j.checked_sub(2)?;
-    let chain = chain_idents(tokens, start);
-    let head = *chain.first()?;
-    let eq = head.checked_sub(1)?;
-    if tokens[eq].text != "=" {
-        return None;
-    }
-    let name = eq.checked_sub(1)?;
-    if tokens[name].kind != TokenKind::Ident {
-        return None;
-    }
-    let before = name.checked_sub(1)?;
-    let bound = match tokens[before].text.as_str() {
-        "let" => true,
-        "mut" => before >= 1 && tokens[before - 1].text == "let",
-        _ => false,
-    };
-    bound.then(|| tokens[name].text.clone())
-}
-
-/// Scans one prepared source file, appending facts. Scope gating (which
-/// rule families apply to which path prefixes) happens here so the
-/// workspace pairing maps only ever see in-scope sites.
-pub fn scan_file(file: &SourceFile, config: &Config, facts: &mut DataflowFacts) {
-    let in_condvar = Config::path_matches(&file.rel_path, &config.condvar_files);
-    let in_atomic = Config::path_matches(&file.rel_path, &config.atomic_files);
-    if !in_condvar && !in_atomic {
-        return;
-    }
-    let toks = &file.tokens.tokens;
-    for f in functions(toks) {
-        if file.is_test_line(f.line) {
-            continue;
-        }
-        scan_function(file, toks, &f, facts, in_condvar, in_atomic);
-    }
-}
-
-/// Convenience for tests and properties: scan raw text under a given
-/// workspace-relative path.
+/// The dataflow facts of one file's per-file pass
+/// ([`crate::rules::check_source`]) over `text` at `rel_path`.
 pub fn scan_text(rel_path: &str, text: &str, config: &Config) -> DataflowFacts {
-    let file = SourceFile::new(rel_path, text);
-    let mut facts = DataflowFacts::default();
-    scan_file(&file, config, &mut facts);
-    facts
-}
-
-fn scan_function(
-    file: &SourceFile,
-    toks: &[Token],
-    f: &crate::scope::FnItem,
-    facts: &mut DataflowFacts,
-    in_condvar: bool,
-    in_atomic: bool,
-) {
-    let close = f.close.min(toks.len().saturating_sub(1));
-    if f.open >= toks.len() || f.open > close {
-        return;
-    }
-    // Pre-pass: guard bindings `let [mut] NAME = CHAIN.lock()` →
-    // NAME → mutex receiver field.
-    let mut guard_mutex: BTreeMap<String, String> = BTreeMap::new();
-    for j in f.open..=close {
-        if toks[j].kind == TokenKind::Ident
-            && toks[j].text == "lock"
-            && j >= 2
-            && toks[j - 1].text == "."
-            && toks.get(j + 1).map(|t| t.text.as_str()) == Some("(")
-            && toks.get(j + 2).map(|t| t.text.as_str()) == Some(")")
-            && toks[j - 2].kind == TokenKind::Ident
-        {
-            if let Some(name) = binding_of(toks, j) {
-                guard_mutex.insert(name, toks[j - 2].text.clone());
-            }
-        }
-    }
-
-    // Main pass state.
-    // Brace stack: true for loop bodies. Loop keyword pending until its
-    // body `{` at paren depth 0.
-    let mut brace_stack: Vec<bool> = Vec::new();
-    let mut pending_loop = false;
-    let mut pending_while: Option<()> = None; // in a while condition
-    let mut paren_depth = 0usize;
-    let mut acquired: BTreeSet<String> = BTreeSet::new();
-    let mut callees: BTreeSet<String> = BTreeSet::new();
-    let fn_key = (file.rel_path.clone(), f.name.clone());
-
-    let mut j = f.open;
-    while j <= close {
-        let t = &toks[j];
-        match t.text.as_str() {
-            "(" => paren_depth += 1,
-            ")" => paren_depth = paren_depth.saturating_sub(1),
-            "{" if paren_depth == 0 => {
-                brace_stack.push(pending_loop);
-                pending_loop = false;
-                pending_while = None;
-            }
-            "}" if paren_depth == 0 => {
-                brace_stack.pop();
-            }
-            _ => {}
-        }
-        if t.kind != TokenKind::Ident || file.is_test_line(t.line) {
-            j += 1;
-            continue;
-        }
-        match t.text.as_str() {
-            "loop" | "for" => {
-                pending_loop = true;
-                j += 1;
-                continue;
-            }
-            "while" => {
-                pending_loop = true;
-                pending_while = Some(());
-                j += 1;
-                continue;
-            }
-            _ => {}
-        }
-        let is_call = toks.get(j + 1).map(|x| x.text.as_str()) == Some("(")
-            && (j == 0 || toks[j - 1].text != "fn");
-        if is_call {
-            callees.insert(t.text.clone());
-        }
-        let method = is_call && j >= 2 && toks[j - 1].text == "."
-            && toks[j - 2].kind == TokenKind::Ident;
-        // Track lock acquisitions for the notify rule.
-        if method && matches!(t.text.as_str(), "lock" | "read" | "write") {
-            acquired.insert(toks[j - 2].text.clone());
-            facts
-                .fn_locks
-                .entry(fn_key.clone())
-                .or_default()
-                .insert(toks[j - 2].text.clone());
-        }
-        // Condvar wait/notify sites.
-        if in_condvar && method && WAIT_CALLEES.contains(&t.text.as_str()) {
-            let args_end = match_paren(toks, j + 1).min(toks.len().saturating_sub(1));
-            // Only a condvar-style wait counts: the guard is passed as
-            // `&mut g`. An ordinary method that happens to be named
-            // `wait` (`entry.wait(deadline)`) has no such argument and
-            // is not part of the protocol.
-            let guard_arg = (j + 2..args_end).find_map(|k| {
-                (toks[k].text == "&"
-                    && toks.get(k + 1).map(|x| x.text.as_str()) == Some("mut")
-                    && toks.get(k + 2).map(|x| x.kind) == Some(TokenKind::Ident))
-                .then(|| toks[k + 2].text.clone())
-            });
-            if let Some(guard) = guard_arg {
-                facts.waits.push(WaitSite {
-                    path: file.rel_path.clone(),
-                    line: t.line,
-                    func: f.name.clone(),
-                    cond: toks[j - 2].text.clone(),
-                    mutex: guard_mutex.get(&guard).cloned(),
-                    in_loop: brace_stack.iter().any(|&l| l),
-                });
-            }
-        }
-        if in_condvar && method && NOTIFY_CALLEES.contains(&t.text.as_str()) {
-            facts.notifies.push(NotifySite {
-                path: file.rel_path.clone(),
-                line: t.line,
-                func: f.name.clone(),
-                cond: toks[j - 2].text.clone(),
-                acquired_before: acquired.clone(),
-                callees_before: callees.clone(),
-            });
-        }
-        // Atomic accesses: a method call whose args carry a literal
-        // Ordering tag.
-        if in_atomic && method {
-            let kind = match t.text.as_str() {
-                "load" => Some(AtomicKind::Load),
-                "store" => Some(AtomicKind::Store),
-                s if RMW_CALLEES.contains(&s) => Some(AtomicKind::Rmw),
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                let args_end = match_paren(toks, j + 1);
-                let tag = toks[j + 2..=args_end.min(toks.len().saturating_sub(1))]
-                    .iter()
-                    .find(|a| {
-                        a.kind == TokenKind::Ident && ORDERING_TAGS.contains(&a.text.as_str())
-                    })
-                    .map(|a| a.text.clone());
-                if let Some(ordering) = tag {
-                    facts.atomics.push(AtomicSite {
-                        path: file.rel_path.clone(),
-                        line: t.line,
-                        func: f.name.clone(),
-                        location: toks[j - 2].text.clone(),
-                        kind,
-                        ordering,
-                        spin: pending_while.is_some() && kind == AtomicKind::Load,
-                    });
-                }
-            }
-        }
-        j += 1;
-    }
+    let mut facts = Facts::default();
+    check_source(&SourceFile::new(rel_path, text), config, &mut facts);
+    facts.dataflow
 }
 
 /// Runs the workspace-level evaluation over the accumulated facts,

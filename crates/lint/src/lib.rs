@@ -10,7 +10,8 @@
 //! - `no-panic-on-fast-path` / `no-alloc-on-fast-path` — scoped by the
 //!   computed fast-path reachability set (see [`callgraph`])
 //! - `nested-lock` / `no-blocking-under-lock` — guard-lifetime aware
-//!   (see [`scope`])
+//!   (see [`scope`], whose one walk per function body also feeds the
+//!   call graph and the dataflow facts)
 //! - `stale-scope` — lint.toml's fast-path snapshot vs the computed set
 //! - `no-sleep-in-lib`
 //! - `condvar-wait-loop` / `condvar-notify-write` — the condvar
@@ -88,7 +89,7 @@ struct Allow {
 
 /// Cross-file facts accumulated while walking the workspace, consumed
 /// by the workspace-level rules after every file has been seen.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Facts {
     /// Fn definitions and call sites.
     pub call_graph: CallGraph,

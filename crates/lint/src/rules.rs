@@ -2,12 +2,14 @@
 //! [`Diagnostic`]s; suppression filtering happens in the engine, not
 //! here.
 
+use std::collections::BTreeSet;
+
 use crate::config::Config;
-use crate::scope::{functions, walk_guards, GuardEvent, LiveGuard};
+use crate::dataflow::{AtomicSite, NotifySite, WaitSite};
+use crate::scope::{functions, walk, Event, GuardEvent};
 use crate::source::SourceFile;
-use crate::Diagnostic;
-use crate::Facts;
 use crate::tokenizer::TokenKind;
+use crate::{Diagnostic, Facts};
 
 /// Rule name constants, shared by rules, suppressions and tests.
 pub mod name {
@@ -58,20 +60,106 @@ pub(crate) fn is_test_path(rel_path: &str) -> bool {
 }
 
 /// Runs every source-level rule over one file, contributing call-graph
-/// and dataflow facts to `facts` for the workspace-level rules.
+/// and dataflow facts to `facts` for the workspace-level rules. The
+/// file's functions are extracted once and each body is walked once
+/// ([`walk`]); the guard rules, the dataflow facts and the call graph
+/// all read that walk's events.
 pub fn check_source(file: &SourceFile, config: &Config, facts: &mut Facts) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     if is_test_path(&file.rel_path) {
         return out;
     }
-    facts.call_graph.add_file(file);
-    if Config::path_matches(&file.rel_path, &config.fast_path_files) {
+    let path = &file.rel_path;
+    if Config::path_matches(path, &config.fast_path_files) {
         no_panic(file, &mut out);
         no_alloc(file, config, &mut out);
     }
-    guard_rules(file, config, &mut out);
     no_sleep(file, &mut out);
-    crate::dataflow::scan_file(file, config, &mut facts.dataflow);
+    let guards = Config::path_matches(path, &config.guard_files);
+    let condvar = Config::path_matches(path, &config.condvar_files);
+    let atomic = Config::path_matches(path, &config.atomic_files);
+    let is_blocking = |callee: &str, receiver: Option<&str>| -> bool {
+        if callee == "send" {
+            // Only transport/socket sends block; channel sends are
+            // unbounded by design and never do.
+            return matches!(receiver, Some("transport" | "socket"));
+        }
+        config.blocking_calls.iter().any(|b| b == callee)
+    };
+    let toks = &file.tokens.tokens;
+    let dataflow = &mut facts.dataflow;
+    for f in functions(toks)
+        .iter()
+        .filter(|f| !file.is_test_line(f.line))
+    {
+        let mut callees = BTreeSet::new();
+        let mut acquired = BTreeSet::new();
+        let func = &f.name;
+        walk(
+            toks,
+            f,
+            &|line| file.is_test_line(line),
+            &is_blocking,
+            &mut |ev| match ev {
+                Event::Call(callee) => {
+                    callees.insert(callee.to_string());
+                }
+                Event::Guard(g) => {
+                    if let GuardEvent::Acquire { guard, .. } = &g {
+                        acquired.insert(guard.receiver.clone());
+                    }
+                    if guards {
+                        guard_rules(file, &g, &mut out);
+                    }
+                }
+                Event::Wait {
+                    cond,
+                    mutex,
+                    in_loop,
+                    line,
+                } if condvar => dataflow.waits.push(WaitSite {
+                    path: path.clone(),
+                    line,
+                    func: func.clone(),
+                    cond: cond.to_string(),
+                    mutex: mutex.map(str::to_string),
+                    in_loop,
+                }),
+                Event::Notify { cond, line } if condvar => dataflow.notifies.push(NotifySite {
+                    path: path.clone(),
+                    line,
+                    func: func.clone(),
+                    cond: cond.to_string(),
+                    acquired_before: acquired.clone(),
+                    callees_before: callees.clone(),
+                }),
+                Event::Atomic {
+                    location,
+                    kind,
+                    ordering,
+                    spin,
+                    line,
+                } if atomic => dataflow.atomics.push(AtomicSite {
+                    path: path.clone(),
+                    line,
+                    func: func.clone(),
+                    location: location.to_string(),
+                    kind,
+                    ordering: ordering.to_string(),
+                    spin,
+                }),
+                _ => {}
+            },
+        );
+        if condvar && !acquired.is_empty() {
+            dataflow
+                .fn_locks
+                .entry((path.clone(), func.clone()))
+                .or_default()
+                .extend(acquired);
+        }
+        facts.call_graph.add_fn(path, func, callees);
+    }
     out
 }
 
@@ -165,7 +253,7 @@ fn no_alloc(file: &SourceFile, config: &Config, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The flow-aware guard rules, one shared walk per function body:
+/// The flow-aware guard rules, read from each body's guard events:
 ///
 /// * `nested-lock` — no lock acquired while any other guard is provably
 ///   **live**. Sequential (drop-then-relock, scope-then-relock)
@@ -188,77 +276,41 @@ fn no_alloc(file: &SourceFile, config: &Config, out: &mut Vec<Diagnostic>) {
 /// `ServerSide::worker_ready`). Blocking while
 /// holding protocol state stalls every call on the endpoint (the
 /// paper's demux runs in the receive interrupt).
-fn guard_rules(file: &SourceFile, config: &Config, out: &mut Vec<Diagnostic>) {
-    if !Config::path_matches(&file.rel_path, &config.guard_files) {
-        return;
-    }
-    let toks = &file.tokens.tokens;
-    let is_blocking = |callee: &str, receiver: Option<&str>| -> bool {
-        if callee == "send" {
-            // Only transport/socket sends block; channel sends are
-            // unbounded by design and never do.
-            return matches!(receiver, Some("transport" | "socket"));
+fn guard_rules(file: &SourceFile, ev: &GuardEvent<'_>, out: &mut Vec<Diagnostic>) {
+    match *ev {
+        GuardEvent::Acquire { guard, live } => {
+            if let Some(held) = live.last() {
+                out.push(file.diagnostic(
+                    name::NESTED_LOCK,
+                    guard.line,
+                    format!(
+                        "`{}` lock acquired while the `{}` guard (line {}) is \
+                         still held; release it first",
+                        guard.receiver, held.receiver, held.line
+                    ),
+                ));
+            }
         }
-        config.blocking_calls.iter().any(|b| b == callee)
-    };
-    for f in functions(toks) {
-        walk_guards(
-            toks,
-            f.open,
-            f.close,
-            &|line| file.is_test_line(line),
-            &is_blocking,
-            &mut |ev| match ev {
-                GuardEvent::Acquire { guard, live } => {
-                    if let Some(held) = live.last() {
-                        out.push(file.diagnostic(
-                            name::NESTED_LOCK,
-                            guard.line,
-                            format!(
-                                "`{}` lock acquired while the `{}` guard (line {}) is \
-                                 still held; release it first",
-                                guard.receiver, held.receiver, held.line
-                            ),
-                        ));
-                    }
-                }
-                GuardEvent::Blocking {
-                    callee,
+        GuardEvent::Blocking {
+            callee,
+            line,
+            released,
+            live,
+        } => {
+            // A condvar wait atomically releases the guard it is handed.
+            let held = (0..live.len()).find(|&k| Some(k) != released);
+            if let Some(held) = held.map(|k| &live[k]) {
+                out.push(file.diagnostic(
+                    name::NO_BLOCKING,
                     line,
-                    args,
-                    live,
-                } => {
-                    // A condvar wait atomically releases the guard it is
-                    // handed; find that guard among the argument tokens.
-                    let released: Option<&LiveGuard> =
-                        if matches!(callee, "wait" | "wait_until" | "wait_timeout") {
-                            toks[args.0..args.1.min(toks.len())]
-                                .iter()
-                                .filter(|t| t.kind == TokenKind::Ident)
-                                .find_map(|t| {
-                                    live.iter().find(|g| g.name.as_deref() == Some(&t.text))
-                                })
-                        } else {
-                            None
-                        };
-                    let still_held: Vec<&LiveGuard> = live
-                        .iter()
-                        .filter(|g| !released.is_some_and(|r| std::ptr::eq(*g, r)))
-                        .collect();
-                    if let Some(held) = still_held.first() {
-                        out.push(file.diagnostic(
-                            name::NO_BLOCKING,
-                            line,
-                            format!(
-                                "`{callee}` can block while the `{}` guard (line {}) is \
-                                 held; drop the guard before blocking",
-                                held.receiver, held.line
-                            ),
-                        ));
-                    }
-                }
-            },
-        );
+                    format!(
+                        "`{callee}` can block while the `{}` guard (line {}) is \
+                         held; drop the guard before blocking",
+                        held.receiver, held.line
+                    ),
+                ));
+            }
+        }
     }
 }
 

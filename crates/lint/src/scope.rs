@@ -1,18 +1,15 @@
-//! Function extraction and a brace-scoped guard-lifetime model.
+//! Function extraction and the one walk over a function body.
 //!
-//! The flow-aware rules (`nested-lock`, `no-blocking-under-lock`)
-//! need to know which lock guards are *live* at each point of a
-//! function body, not merely which acquisitions appear earlier in token
-//! order. This module provides:
+//! Every rule that reads a function body reads it through [`walk`]: a
+//! single forward pass that keeps the live lock guards, the loop
+//! context and the function's own bindings, and reports each fact it
+//! meets as an [`Event`] — a call site, a lock acquisition, a blocking
+//! call, a condvar wait or notify, an atomic access with an `Ordering`
+//! tag. `rules::check_source` extracts a file's [`functions`] once and
+//! hands each body's events to the guard rules, the dataflow facts and
+//! the call graph, so each syntactic fact has one reading.
 //!
-//! * [`functions`] — every `fn` item in a token stream with its body
-//!   brace range (nested `fn` items get their own entry).
-//! * [`walk_guards`] — a single forward pass over one body that
-//!   maintains the set of live guards and reports two kinds of events
-//!   to a visitor: each lock acquisition (with the guards live at that
-//!   moment) and each potentially-blocking call (likewise).
-//!
-//! The lifetime model is deliberately simple and errs conservative:
+//! The guard-lifetime model is deliberately simple and errs conservative:
 //!
 //! * `let [mut] NAME = recv.lock();` (chain ending exactly at the
 //!   call, `;` right after) births a **named** guard that dies at
@@ -30,9 +27,46 @@
 //!   of the `if let` in old editions); the first `;` inside the block
 //!   is where the approximation lands, which only ever *extends* the
 //!   modeled lifetime relative to a plain statement.
+//!
+//! A nested `fn` item is a function of its own: the walk of the
+//! enclosing body steps over it, so its calls, locks and waits belong
+//! to it alone.
+//!
+//! Everything degrades conservatively on token streams that are not
+//! valid Rust: unknown shapes produce no events, never a panic — the
+//! propcheck totality property in `crates/lint/tests/rules.rs` holds
+//! the per-file pass to that on arbitrary token soup.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::source::{match_brace, match_paren};
 use crate::tokenizer::{Token, TokenKind};
+
+/// Condvar waits; each atomically releases the guard it is handed.
+const WAIT_CALLEES: &[&str] = &["wait", "wait_until", "wait_timeout"];
+const NOTIFY_CALLEES: &[&str] = &["notify_one", "notify_all"];
+const ORDERING_TAGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+const RMW_CALLEES: &[&str] = &[
+    "swap",
+    "fetch_add",
+    "fetch_sub",
+    "fetch_or",
+    "fetch_and",
+    "fetch_xor",
+    "fetch_max",
+    "fetch_min",
+    "fetch_update",
+    "compare_exchange",
+    "compare_exchange_weak",
+];
+
+/// Atomic access kinds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AtomicKind {
+    Load,
+    Store,
+    Rmw,
+}
 
 /// One `fn` item with its body token range.
 #[derive(Debug, Clone)]
@@ -49,53 +83,50 @@ pub struct FnItem {
     pub close: usize,
 }
 
-/// Extracts every `fn` item that has a body. Trait-method declarations
-/// (ending in `;`) are skipped. Scanning resumes *inside* each body, so
-/// nested `fn` items are extracted too.
-pub fn functions(tokens: &[Token]) -> Vec<FnItem> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].kind != TokenKind::Ident || tokens[i].text != "fn" {
-            i += 1;
-            continue;
-        }
-        let Some(name_tok) = tokens.get(i + 1).filter(|t| t.kind == TokenKind::Ident) else {
-            i += 1;
-            continue;
-        };
-        // The body `{` is the first brace after the signature; a `;`
-        // first means a bodyless declaration. A `;` inside brackets is
-        // an array type's (`b: &[u8; 4]`), not the end of a declaration.
-        let mut brackets = 0usize;
-        let Some(open) = (i + 2..tokens.len()).find(|&j| match tokens[j].text.as_str() {
-            "[" => {
-                brackets += 1;
-                false
-            }
-            "]" => {
-                brackets = brackets.saturating_sub(1);
-                false
-            }
-            ";" => brackets == 0,
-            t => t == "{",
-        }) else {
-            break;
-        };
-        if tokens[open].text == ";" {
-            i = open + 1;
-            continue;
-        }
-        out.push(FnItem {
-            name: name_tok.text.clone(),
-            line: tokens[i].line,
-            start: i,
-            open,
-            close: match_brace(tokens, open),
-        });
-        i = open + 1;
+/// The body `{` of the `fn` item whose keyword sits at `i`, if it has
+/// one: the first brace after the signature. A `;` first means a
+/// bodyless declaration; a `;` inside brackets is an array type's
+/// (`b: &[u8; 4]`), not the end of a declaration.
+fn body_open(tokens: &[Token], i: usize) -> Option<usize> {
+    let item = tokens[i].kind == TokenKind::Ident
+        && tokens[i].text == "fn"
+        && tokens
+            .get(i + 1)
+            .is_some_and(|t| t.kind == TokenKind::Ident);
+    if !item {
+        return None;
     }
-    out
+    let mut brackets = 0usize;
+    let end = (i + 2..tokens.len()).find(|&j| match tokens[j].text.as_str() {
+        "[" => {
+            brackets += 1;
+            false
+        }
+        "]" => {
+            brackets = brackets.saturating_sub(1);
+            false
+        }
+        ";" => brackets == 0,
+        t => t == "{",
+    })?;
+    (tokens[end].text == "{").then_some(end)
+}
+
+/// Extracts every `fn` item that has a body, nested ones included.
+/// Trait-method declarations (ending in `;`) have none.
+pub fn functions(tokens: &[Token]) -> Vec<FnItem> {
+    (0..tokens.len())
+        .filter_map(|i| {
+            let open = body_open(tokens, i)?;
+            Some(FnItem {
+                name: tokens[i + 1].text.clone(),
+                line: tokens[i].line,
+                start: i,
+                open,
+                close: match_brace(tokens, open),
+            })
+        })
+        .collect()
 }
 
 /// A guard that is live at some point of the walk.
@@ -107,9 +138,11 @@ pub struct LiveGuard {
     pub receiver: String,
     /// 1-based line of the acquisition.
     pub line: usize,
+    /// Brace depth of its birth: the guard dies when that scope closes.
+    depth: usize,
 }
 
-/// One event reported to the [`walk_guards`] visitor.
+/// A lock acquisition or a blocking call, with the guards live at it.
 pub enum GuardEvent<'a> {
     /// A `.lock()`/`.read()`/`.write()` acquisition. `live` is the set
     /// of guards held *before* this one; the new guard itself is
@@ -119,14 +152,46 @@ pub enum GuardEvent<'a> {
         live: &'a [LiveGuard],
     },
     /// A call that can block (`callee` is the called identifier).
-    /// `args` are the token indices of the call's argument list
-    /// (exclusive of the parens) so visitors can detect condvar-style
-    /// calls that atomically release one of the live guards.
+    /// `released` indexes the guard in `live` that a condvar wait is
+    /// handed (`&mut g`) and atomically releases.
     Blocking {
         callee: &'a str,
         line: usize,
-        args: (usize, usize),
+        released: Option<usize>,
         live: &'a [LiveGuard],
+    },
+}
+
+/// One fact the [`walk`] reports.
+pub enum Event<'a> {
+    /// A call of `callee` — a method, a path or a bare name — except a
+    /// bare call of a name the function binds itself: a parameter
+    /// (`read: impl FnOnce(..)`, then `read(&mut r)`) or an earlier
+    /// `let` calls that local, not any definition.
+    Call(&'a str),
+    /// A lock acquisition or a blocking call.
+    Guard(GuardEvent<'a>),
+    /// A condvar wait handed a guard (`cond.wait(&mut g)`). `mutex` is
+    /// the receiver of the last guard `let`-bound to that name, live or
+    /// not (a guard given up with `drop(g)` and re-taken by assignment,
+    /// `g = m.lock();`, still names `m`); `in_loop` is true inside a
+    /// `loop`/`while`/`for` body.
+    Wait {
+        cond: &'a str,
+        mutex: Option<&'a str>,
+        in_loop: bool,
+        line: usize,
+    },
+    /// `cond.notify_one()` / `cond.notify_all()`.
+    Notify { cond: &'a str, line: usize },
+    /// A method call on `location` whose arguments carry a literal
+    /// `Ordering` tag; `spin` marks a load in a `while` condition.
+    Atomic {
+        location: &'a str,
+        kind: AtomicKind,
+        ordering: &'a str,
+        spin: bool,
+        line: usize,
     },
 }
 
@@ -218,15 +283,207 @@ fn binding_name(tokens: &[Token], j: usize) -> Option<String> {
     }
 }
 
-/// Walks the body token range `[open, close]` of one function,
-/// maintaining guard lifetimes, and calls `visit` at every acquisition
-/// and every potentially-blocking call.
+/// The parameters `f` binds: `name:` after `(`, `,` or `mut` in its
+/// signature.
+fn params<'t>(tokens: &'t [Token], f: &FnItem) -> BTreeSet<&'t str> {
+    let text = |j: usize| tokens.get(j).map_or("", |t| t.text.as_str());
+    (f.start + 2..f.open)
+        .filter(|&j| {
+            tokens[j].kind == TokenKind::Ident
+                && matches!(text(j - 1), "(" | "," | "mut")
+                && text(j + 1) == ":"
+                && text(j + 2) != ":"
+        })
+        .map(text)
+        .collect()
+}
+
+/// Walks the body of `f` once, keeping guard lifetimes, loop context
+/// and the function's own bindings, and calls `visit` at every
+/// [`Event`].
 ///
 /// `is_blocking(callee, receiver)` decides whether a call can block —
 /// `receiver` is the ident before a `.` for method calls, `None` for
 /// bare/path calls. Lines for which `skip_line` returns true (test
 /// code) produce no events and no guards.
-pub fn walk_guards(
+pub fn walk(
+    tokens: &[Token],
+    f: &FnItem,
+    skip_line: &dyn Fn(usize) -> bool,
+    is_blocking: &dyn Fn(&str, Option<&str>) -> bool,
+    visit: &mut dyn FnMut(Event<'_>),
+) {
+    let text = |i: usize| tokens.get(i).map_or("", |t| t.text.as_str());
+    let mut locals = params(tokens, f);
+    let mut live: Vec<LiveGuard> = Vec::new();
+    // Guard binding name → receiver, for the waits.
+    let mut bound: BTreeMap<String, String> = BTreeMap::new();
+    // One entry per open brace: true for a loop body. A loop keyword
+    // waits for its body's `{` outside parentheses (a closure in the
+    // loop head has braces of its own).
+    let mut loops: Vec<bool> = Vec::new();
+    let (mut parens, mut pending_loop, mut in_while) = (0usize, false, false);
+    let mut j = f.open;
+    while j <= f.close && j < tokens.len() {
+        let t = &tokens[j];
+        match t.text.as_str() {
+            "(" => parens += 1,
+            ")" => parens = parens.saturating_sub(1),
+            "{" => {
+                loops.push(pending_loop && parens == 0);
+                if parens == 0 {
+                    (pending_loop, in_while) = (false, false);
+                }
+            }
+            "}" => {
+                // Kill every guard born in the closing scope.
+                live.retain(|g| g.depth < loops.len());
+                loops.pop();
+            }
+            // Temporaries die at the end of their statement.
+            ";" => live.retain(|g| g.name.is_some()),
+            _ => {}
+        }
+        if j > f.open {
+            if let Some(open) = body_open(tokens, j) {
+                j = match_brace(tokens, open) + 1;
+                continue;
+            }
+        }
+        if t.kind != TokenKind::Ident || skip_line(t.line) {
+            j += 1;
+            continue;
+        }
+        match t.text.as_str() {
+            "loop" | "for" | "while" => {
+                pending_loop = true;
+                in_while |= t.text == "while";
+                j += 1;
+                continue;
+            }
+            // `let [mut] NAME` followed by `=`, `:` or `;` (not a
+            // pattern such as `let Some(x)`) binds a local.
+            "let" => {
+                let name = if text(j + 1) == "mut" { j + 2 } else { j + 1 };
+                if tokens.get(name).is_some_and(|n| n.kind == TokenKind::Ident)
+                    && matches!(text(name + 1), "=" | ":" | ";")
+                {
+                    locals.insert(text(name));
+                }
+            }
+            // `drop(NAME)` kills the most recent guard bound to NAME.
+            "drop" if text(j + 1) == "(" && text(j + 3) == ")" => {
+                let arg = text(j + 2);
+                if let Some(k) = live.iter().rposition(|g| g.name.as_deref() == Some(arg)) {
+                    live.remove(k);
+                }
+            }
+            _ => {}
+        }
+        let prev = text(j.wrapping_sub(1));
+        if text(j + 1) != "(" || prev == "fn" {
+            j += 1;
+            continue;
+        }
+        let dot = prev == ".";
+        if dot || prev == ":" || !locals.contains(t.text.as_str()) {
+            visit(Event::Call(&t.text));
+        }
+        // Acquisition: `recv.lock()` / `.read()` / `.write()`.
+        if dot && matches!(t.text.as_str(), "lock" | "read" | "write") && text(j + 2) == ")" {
+            if let Some(receiver) = receiver_of(tokens, j) {
+                let name = binding_name(tokens, j);
+                if let Some(name) = &name {
+                    bound.insert(name.clone(), receiver.clone());
+                }
+                let guard = LiveGuard {
+                    name,
+                    receiver,
+                    line: t.line,
+                    depth: loops.len(),
+                };
+                visit(Event::Guard(GuardEvent::Acquire {
+                    guard: &guard,
+                    live: &live,
+                }));
+                live.push(guard);
+                j += 2; // to the `)`
+            }
+            j += 1;
+            continue;
+        }
+        let method = t.text.as_str();
+        let line = t.line;
+        let receiver = tokens
+            .get(j.wrapping_sub(2))
+            .filter(|r| dot && r.kind == TokenKind::Ident)
+            .map(|r| r.text.as_str());
+        let args_end = match_paren(tokens, j + 1);
+        // A condvar wait is handed its guard as `&mut g`. An ordinary
+        // method that happens to be named `wait` (`entry.wait(deadline)`)
+        // has no such argument and is no part of the protocol.
+        let handed = WAIT_CALLEES
+            .contains(&method)
+            .then(|| {
+                (j + 2..args_end).find(|&k| {
+                    text(k) == "&"
+                        && text(k + 1) == "mut"
+                        && tokens
+                            .get(k + 2)
+                            .is_some_and(|g| g.kind == TokenKind::Ident)
+                })
+            })
+            .flatten()
+            .map(|k| text(k + 2));
+        if is_blocking(method, receiver) {
+            visit(Event::Guard(GuardEvent::Blocking {
+                callee: method,
+                line,
+                released: handed
+                    .and_then(|h| live.iter().rposition(|g| g.name.as_deref() == Some(h))),
+                live: &live,
+            }));
+        }
+        match receiver {
+            Some(cond) if handed.is_some() => visit(Event::Wait {
+                cond,
+                mutex: handed.and_then(|h| bound.get(h)).map(String::as_str),
+                in_loop: loops.contains(&true),
+                line,
+            }),
+            Some(cond) if NOTIFY_CALLEES.contains(&method) => visit(Event::Notify { cond, line }),
+            Some(location) => {
+                let kind = match method {
+                    "load" => Some(AtomicKind::Load),
+                    "store" => Some(AtomicKind::Store),
+                    m if RMW_CALLEES.contains(&m) => Some(AtomicKind::Rmw),
+                    _ => None,
+                };
+                let ordering = kind.and_then(|_| {
+                    tokens[j + 2..=args_end].iter().find(|a| {
+                        a.kind == TokenKind::Ident && ORDERING_TAGS.contains(&a.text.as_str())
+                    })
+                });
+                if let (Some(kind), Some(ordering)) = (kind, ordering) {
+                    visit(Event::Atomic {
+                        location,
+                        kind,
+                        ordering: &ordering.text,
+                        spin: in_while && kind == AtomicKind::Load,
+                        line,
+                    });
+                }
+            }
+            None => {}
+        }
+        j += 1;
+    }
+}
+
+/// The guard events of the body `[open, close]`: [`walk`] with the
+/// other events dropped.
+#[cfg(test)]
+fn walk_guards(
     tokens: &[Token],
     open: usize,
     close: usize,
@@ -234,128 +491,18 @@ pub fn walk_guards(
     is_blocking: &dyn Fn(&str, Option<&str>) -> bool,
     visit: &mut dyn FnMut(GuardEvent<'_>),
 ) {
-    let mut live: Vec<LiveGuard> = Vec::new();
-    // Per-guard birth scope depth, parallel to `live`.
-    let mut born_at: Vec<usize> = Vec::new();
-    let mut temp: Vec<bool> = Vec::new();
-    let mut depth = 0usize;
-    let mut j = open;
-    while j <= close && j < tokens.len() {
-        let t = &tokens[j];
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                // Kill every guard born in the closing scope.
-                let mut k = 0;
-                while k < live.len() {
-                    if born_at[k] >= depth {
-                        live.remove(k);
-                        born_at.remove(k);
-                        temp.remove(k);
-                    } else {
-                        k += 1;
-                    }
-                }
-                depth = depth.saturating_sub(1);
-            }
-            ";" => {
-                // Temporaries die at the end of their statement.
-                let mut k = 0;
-                while k < live.len() {
-                    if temp[k] {
-                        live.remove(k);
-                        born_at.remove(k);
-                        temp.remove(k);
-                    } else {
-                        k += 1;
-                    }
-                }
-            }
-            _ => {}
+    let f = FnItem {
+        name: String::new(),
+        line: 0,
+        start: open,
+        open,
+        close,
+    };
+    walk(tokens, &f, skip_line, is_blocking, &mut |ev| {
+        if let Event::Guard(g) = ev {
+            visit(g);
         }
-        // Skip nested fn bodies: their guards are a separate frame.
-        if t.kind == TokenKind::Ident && t.text == "fn" && j > open {
-            if let Some(inner_open) =
-                (j + 1..close).find(|&k| matches!(tokens[k].text.as_str(), "{" | ";"))
-            {
-                if tokens[inner_open].text == "{" {
-                    j = match_brace(tokens, inner_open) + 1;
-                    continue;
-                }
-            }
-        }
-        if t.kind != TokenKind::Ident || skip_line(t.line) {
-            j += 1;
-            continue;
-        }
-        // `drop(NAME)` kills the most recent guard bound to NAME.
-        if t.text == "drop"
-            && tokens.get(j + 1).map(|x| x.text.as_str()) == Some("(")
-            && tokens.get(j + 3).map(|x| x.text.as_str()) == Some(")")
-        {
-            if let Some(arg) = tokens.get(j + 2).filter(|x| x.kind == TokenKind::Ident) {
-                if let Some(k) = live
-                    .iter()
-                    .rposition(|g| g.name.as_deref() == Some(arg.text.as_str()))
-                {
-                    live.remove(k);
-                    born_at.remove(k);
-                    temp.remove(k);
-                }
-            }
-            j += 1;
-            continue;
-        }
-        let calls = tokens.get(j + 1).map(|x| x.text.as_str()) == Some("(");
-        let receiver_dot = j >= 1 && tokens[j - 1].text == ".";
-        // Acquisition: `recv.lock()` / `.read()` / `.write()`.
-        if calls
-            && receiver_dot
-            && matches!(t.text.as_str(), "lock" | "read" | "write")
-            && tokens.get(j + 2).map(|x| x.text.as_str()) == Some(")")
-        {
-            let Some(receiver) = receiver_of(tokens, j) else {
-                j += 1;
-                continue;
-            };
-            let name = binding_name(tokens, j);
-            let guard = LiveGuard {
-                name: name.clone(),
-                receiver,
-                line: t.line,
-            };
-            visit(GuardEvent::Acquire {
-                guard: &guard,
-                live: &live,
-            });
-            temp.push(name.is_none());
-            born_at.push(depth);
-            live.push(guard);
-            j += 3; // past `( )`
-            continue;
-        }
-        // Blocking call: method (`x.recv(`) or bare/path (`park(`).
-        if calls && tokens.get(j.wrapping_sub(1)).map(|x| x.text.as_str()) != Some("fn") {
-            let receiver = if receiver_dot {
-                tokens
-                    .get(j.wrapping_sub(2))
-                    .filter(|r| r.kind == TokenKind::Ident && j >= 2)
-                    .map(|r| r.text.as_str())
-            } else {
-                None
-            };
-            if is_blocking(&t.text, receiver) {
-                let close_paren = match_paren(tokens, j + 1);
-                visit(GuardEvent::Blocking {
-                    callee: &t.text,
-                    line: t.line,
-                    args: (j + 2, close_paren),
-                    live: &live,
-                });
-            }
-        }
-        j += 1;
-    }
+    });
 }
 
 #[cfg(test)]

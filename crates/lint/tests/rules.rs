@@ -4,10 +4,10 @@
 
 use firefly_lint::callgraph::CallGraph;
 use firefly_lint::config::Config;
-use firefly_lint::rules::name;
+use firefly_lint::rules::{check_source, name};
 use firefly_lint::source::SourceFile;
 use firefly_lint::tokenizer::tokenize;
-use firefly_lint::{Diagnostic, Engine};
+use firefly_lint::{dataflow, Diagnostic, Engine, Facts};
 
 /// Lints a fixture as if it lived at a fast-path location so every
 /// path-scoped rule is in force.
@@ -93,6 +93,19 @@ fn nested_lock_accepts_drop_then_relock_without_suppression() {
 }
 
 #[test]
+fn no_blocking_fires_on_a_batch_send_under_a_guard() {
+    // Every frame the runtime sends leaves through `send_batch`.
+    let diags = lint(include_str!("fixtures/no_blocking_send_batch.rs"));
+    assert_eq!(rules_of(&diags), vec![name::NO_BLOCKING]);
+    assert_eq!(diags[0].line, 3);
+    assert!(
+        diags[0].message.contains("send_batch"),
+        "{}",
+        diags[0].message
+    );
+}
+
+#[test]
 fn no_sleep_fires_outside_tests_only() {
     let diags = lint(include_str!("fixtures/no_sleep_fire.rs"));
     assert_eq!(rules_of(&diags), vec![name::NO_SLEEP]);
@@ -122,6 +135,45 @@ fn stale_scope_ignores_a_call_of_a_local_closure() {
     let files = CallGraph::reachable_files(&reachable);
     assert!(files.contains("crates/idl/src/codec.rs"), "{files:?}");
     assert!(!files.contains("rpcbench/src/layers.rs"), "{files:?}");
+}
+
+#[test]
+fn condvar_notify_reads_an_indexed_mutex_as_the_guard_rules_do() {
+    // The waiters' mutex is `slots[i]`: `poke` notifies without it,
+    // `fill` after it.
+    let diags = lint(include_str!("fixtures/condvar_indexed_mutex.rs"));
+    assert_eq!(rules_of(&diags), vec![name::CONDVAR_NOTIFY], "{diags:?}");
+    assert_eq!(diags[0].line, 17);
+    assert!(diags[0].message.contains("`slots`"), "{}", diags[0].message);
+}
+
+#[test]
+fn a_nested_fn_owns_its_calls_locks_and_waits() {
+    let path = "crates/core/src/client.rs";
+    let src = include_str!("fixtures/nested_fn_attribution.rs");
+    // `outer` takes no lock of its own, so its notify is flagged.
+    let diags = lint(src);
+    assert_eq!(rules_of(&diags), vec![name::CONDVAR_NOTIFY], "{diags:?}");
+    assert_eq!(diags[0].line, 11);
+    assert!(diags[0].message.contains("`outer`"), "{}", diags[0].message);
+    let facts = dataflow::scan_text(path, src, &Config::default());
+    let waits: Vec<&str> = facts.waits.iter().map(|w| w.func.as_str()).collect();
+    assert_eq!(waits, ["inner"]);
+    // Nothing calls `inner`, so nothing it calls is reachable.
+    let mut graph = CallGraph::default();
+    graph.add_file(&SourceFile::new(path, src));
+    let reachable = graph.reachable(&[format!("{path}::outer")], &[]);
+    assert!(
+        !reachable.iter().any(|(_, f)| f == "settle"),
+        "{reachable:?}"
+    );
+}
+
+#[test]
+fn a_closure_parameter_named_like_a_lock_helper_excuses_no_notify() {
+    let diags = lint(include_str!("fixtures/closure_param_notify.rs"));
+    assert_eq!(rules_of(&diags), vec![name::CONDVAR_NOTIFY], "{diags:?}");
+    assert_eq!(diags[0].line, 17);
 }
 
 #[test]
@@ -208,7 +260,9 @@ fn char_literal_soup_never_drifts_line_numbers() {
 /// the wait/notify/atomic constructs it models, plus bindings, calls
 /// and returns around them) never panics, and
 /// scanning + evaluating the same text twice yields identical facts,
-/// diagnostics, and summaries.
+/// diagnostics, and summaries. So must the whole per-file pass that
+/// produces those facts (`check_source` into fresh `Facts`): its
+/// diagnostics and every fact it records, the call graph included.
 #[test]
 fn dataflow_engine_is_total_and_deterministic_on_token_soup() {
     const PIECES: &[&str] = &[
@@ -242,6 +296,11 @@ fn dataflow_engine_is_total_and_deterministic_on_token_soup() {
         "/*",
         "'a",
         "?",
+        "let mut s = self.m[i].lock();",
+        "fn g(read: impl Fn()) {",
+        "read();",
+        "drop(g);",
+        "t.transport.send_batch(b, r);",
     ];
     let config = Config::default();
     firefly_propcheck::check("dataflow-total-deterministic", 300, |g| {
@@ -263,6 +322,18 @@ fn dataflow_engine_is_total_and_deterministic_on_token_soup() {
         }
         if format!("{diags_a:?}") != format!("{diags_b:?}") {
             return Err(format!("non-deterministic diagnostics for {text:?}"));
+        }
+        let pass = || {
+            let mut facts = Facts::default();
+            let diags = check_source(
+                &SourceFile::new("crates/core/src/client.rs", &text),
+                &config,
+                &mut facts,
+            );
+            format!("{diags:?} {facts:?}")
+        };
+        if pass() != pass() {
+            return Err(format!("non-deterministic per-file pass for {text:?}"));
         }
         Ok(())
     });
