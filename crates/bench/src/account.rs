@@ -9,7 +9,9 @@
 //! measurement with its drained trace record, and reports the per-step
 //! means next to an accounted-vs-measured comparison. The
 //! `latency_account` experiment prints it; `tests/latency_account.rs`
-//! asserts the ±10% bound so the account cannot silently rot.
+//! asserts the ±10% bound so the account cannot silently rot. Beside it,
+//! [`run_udp_account`] counts what the same calls cost in system calls
+//! over real sockets.
 
 use firefly_idl::{test_interface, InterfaceDef, Value};
 use firefly_metrics::table::{fnum, Align, Table};
@@ -19,7 +21,7 @@ use firefly_rpc::trace::{step_table, Role, TraceRecord, TraceReport};
 use firefly_rpc::transport::{LoopbackNet, UdpTransport};
 use firefly_rpc::{Config, Endpoint, Service, ServiceBuilder};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Fraction of the slowest calls dropped before comparing accounted and
 /// measured means. A call descheduled between the stopwatch start and
@@ -267,6 +269,102 @@ pub fn run_account(procedure: &str, args: &[Value], calls: usize, warmup: usize)
     }
 }
 
+/// The system calls one call costs over real UDP sockets, per call and
+/// per side: what [`UdpTransport::counts`] gives, read before and after
+/// the measured calls.
+pub struct UdpAccount {
+    /// Procedure name as called.
+    pub procedure: String,
+    /// Calls measured (after warmup).
+    pub calls: usize,
+    /// The caller's socket, then the server's: datagrams sent, datagrams
+    /// received, empty polls, blocking-mode flips, each per call.
+    pub per_call: [[f64; 4]; 2],
+}
+
+impl UdpAccount {
+    /// The four counts, as [`UdpAccount::per_call`] orders them.
+    pub const COUNTS: [&'static str; 4] = [
+        "datagrams sent",
+        "datagrams received",
+        "empty polls (nonblocking receives that found nothing)",
+        "mode flips (blocking <-> nonblocking)",
+    ];
+
+    /// Renders the account: one row per count, caller and server.
+    pub fn table(&self) -> Table {
+        let title = format!(
+            "System calls per call over UDP: {} ({} calls)",
+            self.procedure, self.calls
+        );
+        let mut t = Table::new(&["Per call", "caller", "server"]).title(&title);
+        for (i, count) in Self::COUNTS.iter().enumerate() {
+            t.row(&[
+                count,
+                &fnum(self.per_call[0][i], 4),
+                &fnum(self.per_call[1][i], 4),
+            ]);
+        }
+        t
+    }
+}
+
+/// Drives `calls` untraced calls of `procedure` between two endpoints on
+/// localhost UDP sockets, after `warmup` untimed ones, and counts the
+/// system calls each socket made for them.
+pub fn run_udp_account(procedure: &str, args: &[Value], calls: usize, warmup: usize) -> UdpAccount {
+    let sockets = [
+        UdpTransport::localhost().expect("caller socket"),
+        UdpTransport::localhost().expect("server socket"),
+    ];
+    // A thread stalled on a busy machine must not count as a lost packet:
+    // the account is of the calls, not of retransmissions.
+    let config = Config {
+        retransmit_initial: Duration::from_secs(5),
+        ..Config::default()
+    };
+    let server = Endpoint::new(sockets[1].clone(), config.clone()).expect("server endpoint");
+    let caller = Endpoint::new(sockets[0].clone(), config).expect("caller endpoint");
+    let interface = test_interface();
+    server.export(test_service(&interface)).expect("export");
+    let client = caller.bind(&interface, server.address()).expect("bind");
+    for _ in 0..warmup {
+        client.call(procedure, args).expect("warmup call");
+    }
+    let counts = |socket: &UdpTransport| {
+        let c = socket.counts();
+        [
+            c.datagrams_sent,
+            c.datagrams_received,
+            c.empty_polls,
+            c.mode_flips,
+        ]
+    };
+    let before = sockets.each_ref().map(|s| counts(s));
+    for _ in 0..calls {
+        client.call(procedure, args).expect("measured call");
+    }
+    // The server counts a datagram once `sendto` has returned, which can
+    // be after the caller received it: wait until it has counted every
+    // one the caller did.
+    let mut after = sockets.each_ref().map(|s| counts(s));
+    for _ in 0..100_000 {
+        if after[1][0] - before[1][0] >= after[0][1] - before[0][1] {
+            break;
+        }
+        std::thread::yield_now();
+        after = sockets.each_ref().map(|s| counts(s));
+    }
+    let per_call = std::array::from_fn(|side| {
+        std::array::from_fn(|i| (after[side][i] - before[side][i]) as f64 / calls.max(1) as f64)
+    });
+    UdpAccount {
+        procedure: procedure.to_string(),
+        calls,
+        per_call,
+    }
+}
+
 /// The steps of one set-up over UDP, in the order a rig takes them: what
 /// `rpcbench`'s `setup_s` times, from the first `Config` to the first
 /// result, and then a second call for comparison. The first two are done
@@ -417,6 +515,16 @@ mod tests {
         // Accounted time can never exceed what the stopwatch saw by much;
         // the strict ±10% bound lives in tests/latency_account.rs.
         assert!(account.coverage() > 0.5 && account.coverage() < 1.5);
+    }
+
+    #[test]
+    fn udp_account_counts_a_datagram_each_way_per_null() {
+        let account = run_udp_account("Null", &[], 50, 10);
+        let [caller, server] = account.per_call;
+        // One call packet out and one result packet back per call.
+        assert_eq!((caller[0], caller[1]), (1.0, 1.0), "{caller:?}");
+        assert_eq!((server[0], server[1]), (1.0, 1.0), "{server:?}");
+        assert_eq!(account.table().len(), UdpAccount::COUNTS.len());
     }
 
     #[test]

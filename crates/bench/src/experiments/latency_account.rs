@@ -7,7 +7,10 @@
 //! `setup_s` rounds do, with the process's first set-up beside the
 //! fastest. Then, for each procedure, the caller-side step table (mean +
 //! p50/p95/p99 per step), an "accounted vs measured" comparison in the
-//! paper's style, and the server-side breakdown of the wire step.
+//! paper's style, the server-side breakdown of the wire step, and, over
+//! real UDP sockets on localhost, the system calls each side makes per
+//! call (`UdpTransport::counts`: datagrams each way, empty polls and
+//! blocking-mode flips).
 //!
 //! Flags:
 //!   --markdown   emit Markdown instead of aligned text (EXPERIMENTS.md)
@@ -20,7 +23,7 @@
 //!                instead of tables: `proc;role;step total-us`
 
 use crate::account::{
-    folded_stacks, paper_procedures, profile_table, run_account, run_setup_account,
+    folded_stacks, paper_procedures, profile_table, run_account, run_setup_account, run_udp_account,
 };
 use crate::{emit, Args};
 
@@ -55,6 +58,10 @@ pub fn main(args: &Args) {
         }
         emit(&account.caller_table(), args.mode);
         emit(&account.server_table(), args.mode);
+        emit(
+            &run_udp_account(procedure, &call_args, calls, warmup).table(),
+            args.mode,
+        );
         if profile {
             emit(
                 &profile_table(

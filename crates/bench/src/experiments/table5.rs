@@ -24,8 +24,12 @@ fn measure_real(v: &Value) -> StubTimes {
         },
         |stub, buf| {
             let n = stub.marshal_call(&args, buf).unwrap();
-            // The server-side unmarshal performs the Text.T allocation.
-            std::hint::black_box(stub.unmarshal_call(&buf[..n]).unwrap());
+            // The server-side unmarshal performs the Text.T allocation,
+            // and the server stub lends the text from its frame.
+            stub.lend_call_args(&buf[..n], &mut |a| {
+                std::hint::black_box(a);
+            })
+            .unwrap();
         },
     )
 }

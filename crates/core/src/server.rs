@@ -1254,22 +1254,22 @@ impl ServerSide {
             .get(rpc.procedure as usize)
             .ok_or_else(|| RpcError::Remote(format!("no procedure #{}", rpc.procedure)))?;
 
-        // Unmarshal in place: CHAR arrays borrow the call packet.
-        let args = stub.unmarshal_call(data)?;
-
         // Marshal the result straight into the result frame; large
         // results spill to the heap transparently.
         let mut writer = stub.result_writer(frame.get_mut(DATA_OFFSET..).unwrap_or_default());
-        // A procedure that panics fails its own call: unwinding further
+        // Unmarshal in place, onto the stub's own frame (CHAR arrays
+        // borrow the call packet), and run the procedure there. A
+        // procedure that panics fails its own call: unwinding further
         // would end the receiver (the endpoint goes deaf) or the server
         // thread (the call stays in progress for ever). What it half
         // wrote is dropped with `writer`.
-        let dispatched = panic::catch_unwind(AssertUnwindSafe(|| {
-            entry.service.dispatch(rpc.procedure, &args, &mut writer)
-        }));
+        let dispatched = stub.with_call_args(data, |args| {
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                entry.service.dispatch(rpc.procedure, args, &mut writer)
+            }))
+        })?;
         dispatched.map_err(|payload| procedure_panicked(&*payload))??;
         let written = writer.finish()?;
-        drop(args);
         if let Some(estimate) = entry.service_ns.get(rpc.procedure as usize) {
             note_service_time(estimate, started.elapsed().as_nanos() as u64);
         }

@@ -668,32 +668,54 @@ fn fragment_of(kind: PacketType, index: u16) -> impl Fn(&RpcHeader) -> bool {
 }
 
 /// Timers slow enough that only a real loss fires one: a retransmission
-/// the fault did not cause would fail the exact counts below.
+/// the fault did not cause would fail the exact counts below. A tenth of
+/// a second was not: on a busy two-processor machine a thread stalled
+/// that long between a hole's repair and the result, the caller's timer
+/// asked again, and the server sent its result twice. At a second (and
+/// no backoff past it), a case waits a second or more for each silence
+/// its loss takes to find, so the tests that use these timers run their
+/// cases at once, each on a network of its own.
 fn patient() -> Config {
     Config {
-        retransmit_initial: Duration::from_millis(100),
+        retransmit_initial: Duration::from_secs(1),
+        retransmit_max: Duration::from_secs(1),
         ..Config::default()
     }
 }
 
+/// Runs `case` for every one of `cases`, each on a thread of its own, and
+/// fails if any does.
+fn all_at_once<T: Send>(cases: impl IntoIterator<Item = T>, case: impl Fn(T) + Sync) {
+    std::thread::scope(|s| {
+        for c in cases {
+            let case = &case;
+            s.spawn(move || case(c));
+        }
+    });
+}
+
 #[test]
 fn a_lost_fragment_is_the_only_one_sent_again() {
-    for index in 0..4 {
-        // A call fragment: the caller's timer asks where the hole is (a
-        // probe, answered with the prefix the server holds — or, while
-        // fragment 0 is the hole, not at all) and sends that one again.
+    let cases = [PacketType::Call, PacketType::Result].map(|kind| (0..4).map(move |i| (kind, i)));
+    all_at_once(cases.into_iter().flatten(), |(kind, index)| {
         let (caller, server) =
-            echo_with_one_fault(patient(), BLOB, false, fragment_of(PacketType::Call, index));
-        assert_eq!((caller.fragments, caller.retransmissions), (4, 1), "call fragment {index}");
-        assert_eq!((server.fragments, server.retransmissions), (4, 0), "call fragment {index}");
-        // A result fragment: the caller's timer names the prefix it holds
-        // (or probes, while fragment 0 is the hole), and the server sends
-        // that one again.
-        let (caller, server) =
-            echo_with_one_fault(patient(), BLOB, false, fragment_of(PacketType::Result, index));
-        assert_eq!((caller.fragments, caller.retransmissions), (4, 0), "result fragment {index}");
-        assert_eq!((server.fragments, server.retransmissions), (4, 1), "result fragment {index}");
-    }
+            echo_with_one_fault(patient(), BLOB, false, fragment_of(kind, index));
+        let what = format!("{kind:?} fragment {index}");
+        if kind == PacketType::Call {
+            // A call fragment: the caller's timer asks where the hole is
+            // (a probe, answered with the prefix the server holds — or,
+            // while fragment 0 is the hole, not at all) and sends that
+            // one again.
+            assert_eq!((caller.fragments, caller.retransmissions), (4, 1), "{what}");
+            assert_eq!((server.fragments, server.retransmissions), (4, 0), "{what}");
+        } else {
+            // A result fragment: the caller's timer names the prefix it
+            // holds (or probes, while fragment 0 is the hole), and the
+            // server sends that one again.
+            assert_eq!((caller.fragments, caller.retransmissions), (4, 0), "{what}");
+            assert_eq!((server.fragments, server.retransmissions), (4, 1), "{what}");
+        }
+    });
 }
 
 #[test]
@@ -723,7 +745,7 @@ fn a_lost_window_edge_ack_costs_a_timeout_not_a_fragment() {
     // Two windows each way: the edge of the first asks for an ack.
     let fragments = u64::from(WINDOW) + 2;
     let size = fragments as usize * 1440;
-    for acks_result in [false, true] {
+    all_at_once([false, true], |acks_result| {
         let edge_ack = move |h: &RpcHeader| {
             h.packet_type == PacketType::Ack && h.flags.acks_result == acks_result
         };
@@ -734,7 +756,7 @@ fn a_lost_window_edge_ack_costs_a_timeout_not_a_fragment() {
         assert_eq!((caller.fragments, caller.retransmissions), (fragments, 0), "{what}");
         assert_eq!((server.fragments, server.retransmissions), (fragments, 0), "{what}");
         assert!(caller.acks >= 1 && server.acks >= 1, "{what}: {caller:?} {server:?}");
-    }
+    });
 }
 
 #[test]
@@ -745,14 +767,14 @@ fn a_hole_where_a_window_begins_is_found_by_the_timer() {
     // has the hole sent again: still only the lost fragment.
     let fragments = 2 * u64::from(WINDOW) + 2;
     let size = fragments as usize * 1440;
-    for kind in [PacketType::Call, PacketType::Result] {
+    all_at_once([PacketType::Call, PacketType::Result], |kind| {
         let (caller, server) =
             echo_with_one_fault(patient(), size, false, fragment_of(kind, WINDOW));
         let resent = |sender| (fragments, u64::from(kind == sender));
         let what = format!("{kind:?} fragment {WINDOW}");
         assert_eq!((caller.fragments, caller.retransmissions), resent(PacketType::Call), "{what}");
         assert_eq!((server.fragments, server.retransmissions), resent(PacketType::Result), "{what}");
-    }
+    });
 }
 
 #[test]
@@ -855,33 +877,32 @@ fn a_lost_window_datagram_is_found_one_fragment_per_round_trip() {
     // fragments of it. The caller's timer finds the first hole; after
     // that each prefix ack names the next, and each fragment is sent
     // again once — twice for the first, if that copy is lost too.
-    for kind in [PacketType::Call, PacketType::Result] {
-        for then_one in [false, true] {
-            let window = Arc::new(AtomicBool::new(true));
-            let second = Arc::new(AtomicBool::new(then_one));
-            let (caller, server) = echo_through(patient(), BLOB, |inner| {
-                Arc::new(WindowLoss {
-                    inner,
-                    kind,
-                    window: Arc::clone(&window),
-                    then_one: Arc::clone(&second),
-                })
-            });
-            let what = format!("{kind:?} window, then one more: {then_one}");
-            assert!(!window.load(Ordering::SeqCst), "{what}: no window was lost");
-            assert!(!second.load(Ordering::SeqCst), "{what}: no second fragment was lost");
-            assert_eq!((caller.fragments, server.fragments), (4, 4), "{what}");
-            let again = 4 + u64::from(then_one);
-            let expected = match kind {
-                PacketType::Call => (again, 0),
-                // The server's first re-send lost, the caller's next
-                // silence sends the call's first fragment again, and the
-                // server answers the duplicate from the retained result.
-                _ => (u64::from(then_one), again),
-            };
-            assert_eq!((caller.retransmissions, server.retransmissions), expected, "{what}");
-        }
-    }
+    let cases = [PacketType::Call, PacketType::Result].map(|kind| [(kind, false), (kind, true)]);
+    all_at_once(cases.into_iter().flatten(), |(kind, then_one)| {
+        let window = Arc::new(AtomicBool::new(true));
+        let second = Arc::new(AtomicBool::new(then_one));
+        let (caller, server) = echo_through(patient(), BLOB, |inner| {
+            Arc::new(WindowLoss {
+                inner,
+                kind,
+                window: Arc::clone(&window),
+                then_one: Arc::clone(&second),
+            })
+        });
+        let what = format!("{kind:?} window, then one more: {then_one}");
+        assert!(!window.load(Ordering::SeqCst), "{what}: no window was lost");
+        assert!(!second.load(Ordering::SeqCst), "{what}: no second fragment was lost");
+        assert_eq!((caller.fragments, server.fragments), (4, 4), "{what}");
+        let again = 4 + u64::from(then_one);
+        let expected = match kind {
+            PacketType::Call => (again, 0),
+            // The server's first re-send lost, the caller's next
+            // silence sends the call's first fragment again, and the
+            // server answers the duplicate from the retained result.
+            _ => (u64::from(then_one), again),
+        };
+        assert_eq!((caller.retransmissions, server.retransmissions), expected, "{what}");
+    });
 }
 
 #[test]
@@ -1031,12 +1052,48 @@ fn a_dry_pool_sheds_a_worker_call_and_the_resident_keeps_hearing() {
     // back, the shed call's retransmission gets through. The body runs
     // on its own thread so that a deaf resident fails this test instead
     // of hanging the suite.
+    //
+    // Nothing here waits on the clock. The Nulls come from an endpoint
+    // whose timer never runs out in a test's time, so a stalled thread
+    // sends no duplicate for the server to count; they are made until
+    // the server's estimates say Null runs on the resident, which no
+    // later call before the measured one can change (the shed calls run
+    // nothing); and the shed call's own endpoint retries every 100 ms
+    // for as long as the buffers are held.
     let (report, reports) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let (_net, server, caller) = loopback_pair(Config::fast_retry());
-        let bind = || caller.bind(&test_interface(), server.address()).unwrap();
-        let (warm, worker_bound, null) = (bind(), bind(), bind());
-        for _ in 0..50 {
+        let never = Duration::from_secs(3600);
+        let net = LoopbackNet::new();
+        let server = Endpoint::new(net.station(1), Config::default()).unwrap();
+        server.export(test_service()).unwrap();
+        let unhurried = Config {
+            retransmit_initial: never,
+            retransmit_max: never,
+            ..Config::default()
+        };
+        let caller = Endpoint::new(net.station(2), unhurried).unwrap();
+        let retrying = Config {
+            max_transmissions: u32::MAX,
+            ..Config::fast_retry()
+        };
+        let shed_caller = Endpoint::new(net.station(3), retrying).unwrap();
+        let bind = |from: &Endpoint| from.bind(&test_interface(), server.address()).unwrap();
+        let (warm, null, worker_bound) = (bind(&caller), bind(&caller), bind(&shed_caller));
+        let uid = test_interface().uid();
+        let null_index = test_interface().procedure("Null").unwrap().index();
+        let runs_inline = || match (
+            server.service_time_estimate(uid, null_index),
+            server.handoff_estimate(),
+        ) {
+            (Some(service), Some(handoff)) => service < handoff,
+            _ => false,
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while !runs_inline() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "Null never ran on the resident"
+            );
             warm.call("Null", &[]).unwrap();
         }
         let stats = server.stats();
@@ -1046,12 +1103,13 @@ fn a_dry_pool_sheds_a_worker_call_and_the_resident_keeps_hearing() {
         }
         assert_eq!(held.len(), server.pool().capacity());
         let received = stats.calls_received();
-        let max_arg = std::thread::spawn(move || {
-            worker_bound.call("MaxArg", &[Value::char_array(1440)])
-        });
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let max_arg =
+            std::thread::spawn(move || worker_bound.call("MaxArg", &[Value::char_array(1440)]));
         while stats.calls_shed() == 0 {
-            assert!(std::time::Instant::now() < deadline, "nothing shed; stats:\n{stats}");
+            assert!(
+                std::time::Instant::now() < deadline,
+                "nothing shed; stats:\n{stats}"
+            );
             std::thread::yield_now();
         }
         assert_eq!(stats.calls_received(), received, "a shed call was received");
@@ -1060,7 +1118,7 @@ fn a_dry_pool_sheds_a_worker_call_and_the_resident_keeps_hearing() {
         assert_eq!(stats.inline_calls(), inline + 1, "stats:\n{stats}");
         drop(held);
         max_arg.join().unwrap().unwrap();
-        assert_conserved(&[&server, &caller]);
+        assert_conserved(&[&server, &caller, &shed_caller]);
         report.send(()).unwrap();
     });
     reports

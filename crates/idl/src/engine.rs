@@ -37,7 +37,7 @@ use std::sync::Arc;
 // ---------------------------------------------------------------------
 
 #[inline]
-fn put_scalar(w: &mut ArgWriter<'_>, kind: ScalarKind, v: &Value) -> Result<()> {
+pub(crate) fn put_scalar(w: &mut ArgWriter<'_>, kind: ScalarKind, v: &Value) -> Result<()> {
     match (kind, v) {
         (ScalarKind::Integer, Value::Integer(i)) => w.put_i32(*i),
         (ScalarKind::Cardinal, Value::Cardinal(c)) => w.put_u32(*c),
@@ -54,12 +54,27 @@ fn put_scalar(w: &mut ArgWriter<'_>, kind: ScalarKind, v: &Value) -> Result<()> 
 
 #[inline]
 fn read_scalar(r: &mut ArgReader<'_>, kind: ScalarKind) -> Result<Value> {
+    read_scalar_into(r, kind, |v| v)
+}
+
+/// Reads a scalar and hands it to `put` in the arm that read it, so that
+/// each kind's value goes where `put` stores it straight from registers.
+/// (Built first and stored after a common join, a `Value` is assembled
+/// in a stack temporary by narrow stores and copied out by wide loads,
+/// which the processor cannot forward: that stall was most of a scalar
+/// argument's decoding.)
+#[inline(always)]
+fn read_scalar_into<T>(
+    r: &mut ArgReader<'_>,
+    kind: ScalarKind,
+    put: impl FnOnce(Value) -> T,
+) -> Result<T> {
     Ok(match kind {
-        ScalarKind::Integer => Value::Integer(r.i32()?),
-        ScalarKind::Cardinal => Value::Cardinal(r.u32()?),
-        ScalarKind::Char => Value::Char(r.char()?),
-        ScalarKind::Boolean => Value::Boolean(r.bool()?),
-        ScalarKind::Real => Value::Real(r.real()?),
+        ScalarKind::Integer => put(Value::Integer(r.i32()?)),
+        ScalarKind::Cardinal => put(Value::Cardinal(r.u32()?)),
+        ScalarKind::Char => put(Value::Char(r.char()?)),
+        ScalarKind::Boolean => put(Value::Boolean(r.bool()?)),
+        ScalarKind::Real => put(Value::Real(r.real()?)),
     })
 }
 
@@ -274,14 +289,25 @@ impl<'a> ServerArg<'a> {
 }
 
 /// How many arguments [`ServerArgs`] holds without touching the heap.
-/// Measured, not assumed: the list is returned by value, and past 128
-/// bytes every move of it is a call to `memcpy` instead of a few inline
-/// stores — four 32-byte slots and a length (136 bytes) decoded *slower*
-/// than the `Vec` they replaced (one array argument 34 ns against 23),
-/// three (104 bytes) as fast or faster. Three covers the paper's
-/// `Null`/`MaxResult`/`MaxArg`, a `Text.T` and an array echo; four
-/// integers take the heap, as every call did before.
+/// The runtime no longer makes one: its server stubs lend the decoded
+/// arguments from their own frame ([`CompiledStub::with_call_args`],
+/// [`FRAME_ARGS`]). A `ServerArgs` is what [`StubEngine::unmarshal_call`]
+/// returns by value, to a bench's stub cycle or a test, and for a value
+/// that moves the size was measured: past 128 bytes every move of it is a
+/// call to `memcpy` instead of a few inline stores — four 32-byte slots
+/// and a length (136 bytes) decoded *slower* than the `Vec` they
+/// replaced (one array argument 34 ns against 23), three (104 bytes) as
+/// fast or faster.
 const INLINE_ARGS: usize = 3;
+
+/// How many arguments [`CompiledStub::with_call_args`] decodes into an
+/// array on its own stack frame; a procedure with more takes the heap.
+/// The array never moves, but every call fills and drops all of it:
+/// four slots covered `local_args`' three shapes ≈ 5 ns a call faster
+/// than eight did. Four covers the paper's procedures: `Null`,
+/// `MaxResult` and `MaxArg`, Table II's calls of up to four integers
+/// and Table V's text.
+pub const FRAME_ARGS: usize = 4;
 
 /// The unmarshalled call arguments, one per declared parameter
 /// ([`ServerArg::Out`] where nothing travels in the call packet): a
@@ -299,6 +325,15 @@ enum Repr<'a> {
     Heap(Vec<ServerArg<'a>>),
 }
 
+/// `arity` slots, all [`ServerArg::Out`] until decoded.
+fn heap_args<'a>(arity: usize) -> Vec<ServerArg<'a>> {
+    // lint:allow(no-alloc-on-fast-path): only a procedure with more
+    // parameters than the stub's inline slots; sized by its arity.
+    let mut v = Vec::with_capacity(arity);
+    v.resize_with(arity, || ServerArg::Out);
+    v
+}
+
 impl<'a> ServerArgs<'a> {
     /// `arity` arguments, all [`ServerArg::Out`] until decoded.
     pub(crate) fn with_arity(arity: usize) -> Self {
@@ -308,7 +343,7 @@ impl<'a> ServerArgs<'a> {
                 slots: [const { ServerArg::Out }; INLINE_ARGS],
             }
         } else {
-            Repr::Heap((0..arity).map(|_| ServerArg::Out).collect())
+            Repr::Heap(heap_args(arity))
         })
     }
 }
@@ -353,6 +388,15 @@ pub trait StubEngine: Send + Sync {
     /// Unmarshals the call packet into server-side arguments, one per
     /// declared parameter; CHAR arrays are borrowed in place.
     fn unmarshal_call<'a>(&self, data: &'a [u8]) -> Result<ServerArgs<'a>>;
+
+    /// Unmarshals the call packet and lends the arguments to `run`, as
+    /// the runtime's server stubs do ([`CompiledStub::with_call_args`]).
+    /// An engine with no lending path of its own lends what
+    /// [`StubEngine::unmarshal_call`] returns.
+    fn lend_call_args(&self, data: &[u8], run: &mut dyn FnMut(&[ServerArg<'_>])) -> Result<()> {
+        run(&self.unmarshal_call(data)?);
+        Ok(())
+    }
 
     /// Marshals server outputs (one value per result-direction parameter,
     /// in plan order) into the result packet; returns bytes written.
@@ -426,7 +470,7 @@ impl CompiledStub {
         for p in &self.plan.call_seq {
             // Scalars here; everything else is an out-of-line (recursive)
             // call. The same split is in `read_result` and
-            // `unmarshal_call`.
+            // `decode_call`.
             match &p.op {
                 MarshalOp::Scalar(k) => put_scalar(w, *k, &args[p.index])?,
                 op => marshal_one_value(w, op, &args[p.index])?,
@@ -445,10 +489,10 @@ impl CompiledStub {
         // the 32-byte allocation did.)
         let mut values = Vec::with_capacity(self.plan.result_seq.len());
         for p in &self.plan.result_seq {
-            values.push(match &p.op {
-                MarshalOp::Scalar(k) => read_scalar(r, *k)?,
-                op => unmarshal_one_value(r, op)?,
-            });
+            match &p.op {
+                MarshalOp::Scalar(k) => read_scalar_into(r, *k, |v| values.push(v))?,
+                op => values.push(unmarshal_one_value(r, op)?),
+            }
         }
         Ok(values)
     }
@@ -459,22 +503,62 @@ impl CompiledStub {
         ArgWriter::fill(out, |w| self.write_call(args, w))
     }
 
-    /// See [`StubEngine::unmarshal_call`].
+    /// The server stub's one decode loop: reads the call packet into
+    /// `slots` (one per declared parameter, each [`ServerArg::Out`] on
+    /// entry), CHAR arrays borrowed in place, and checks the packet was
+    /// read to its end.
+    #[inline]
+    fn decode_call<'a>(&self, data: &'a [u8], slots: &mut [ServerArg<'a>]) -> Result<()> {
+        let mut r = ArgReader::new(data);
+        for p in &self.plan.call_seq {
+            // Each arm stores its own argument (see `read_scalar_into`).
+            let slot = &mut slots[p.index];
+            match &p.op {
+                MarshalOp::FixedBytes(n) => *slot = ServerArg::Bytes(r.bytes(*n)?),
+                MarshalOp::OpenBytes => *slot = ServerArg::Bytes(r.open_bytes()?),
+                MarshalOp::OpenBytesTail => *slot = ServerArg::Bytes(r.rest()),
+                MarshalOp::Scalar(k) => {
+                    read_scalar_into(&mut r, *k, |v| *slot = ServerArg::Val(v))?
+                }
+                MarshalOp::Text => *slot = ServerArg::Val(Value::Text(r.text()?.map(Arc::from))),
+                op => *slot = ServerArg::Val(unmarshal_one_value(&mut r, op)?),
+            }
+        }
+        r.finish()
+    }
+
+    /// Decodes the call packet and lends the arguments, one per declared
+    /// parameter, to `run`: what the runtime's server stubs do. The list
+    /// is an array on this function's own frame (the LRPC argument stack
+    /// of the paper's footnote 1), on the heap only past [`FRAME_ARGS`]
+    /// parameters, and it never moves. The same arguments, or the same
+    /// error, as [`CompiledStub::unmarshal_call`]; `run` is not called
+    /// for a call that does not decode.
+    #[inline]
+    pub fn with_call_args<'a, R>(
+        &self,
+        data: &'a [u8],
+        run: impl FnOnce(&[ServerArg<'a>]) -> R,
+    ) -> Result<R> {
+        let arity = self.plan.arity;
+        if arity <= FRAME_ARGS {
+            let mut frame = [const { ServerArg::Out }; FRAME_ARGS];
+            let slots = &mut frame[..arity];
+            self.decode_call(data, slots)?;
+            Ok(run(slots))
+        } else {
+            let mut slots = heap_args(arity);
+            self.decode_call(data, &mut slots)?;
+            Ok(run(&slots))
+        }
+    }
+
+    /// See [`StubEngine::unmarshal_call`]: the decode loop of
+    /// [`CompiledStub::with_call_args`], into a list returned by value.
     #[inline]
     pub fn unmarshal_call<'a>(&self, data: &'a [u8]) -> Result<ServerArgs<'a>> {
         let mut args = ServerArgs::with_arity(self.plan.arity);
-        let slots: &mut [ServerArg<'a>] = &mut args;
-        let mut r = ArgReader::new(data);
-        for p in &self.plan.call_seq {
-            slots[p.index] = match &p.op {
-                MarshalOp::FixedBytes(n) => ServerArg::Bytes(r.bytes(*n)?),
-                MarshalOp::OpenBytes => ServerArg::Bytes(r.open_bytes()?),
-                MarshalOp::OpenBytesTail => ServerArg::Bytes(r.rest()),
-                MarshalOp::Scalar(k) => ServerArg::Val(read_scalar(&mut r, *k)?),
-                op => ServerArg::Val(unmarshal_one_value(&mut r, op)?),
-            };
-        }
-        r.finish()?;
+        self.decode_call(data, &mut args)?;
         Ok(args)
     }
 
@@ -514,6 +598,10 @@ impl StubEngine for CompiledStub {
 
     fn unmarshal_call<'a>(&self, data: &'a [u8]) -> Result<ServerArgs<'a>> {
         CompiledStub::unmarshal_call(self, data)
+    }
+
+    fn lend_call_args(&self, data: &[u8], run: &mut dyn FnMut(&[ServerArg<'_>])) -> Result<()> {
+        self.with_call_args(data, |args| run(args))
     }
 
     fn marshal_result(&self, outputs: &[Value], out: &mut [u8]) -> Result<usize> {
@@ -619,6 +707,44 @@ pub(crate) mod tests {
         assert_eq!(server[1].value(), Some(&Value::Integer(5)));
         assert_eq!(server[2].bytes(), Some(&[7u8, 8][..]));
         assert_eq!(server.iter().filter(|a| a.value().is_some()).count(), 1);
+    }
+
+    #[test]
+    fn lent_arguments_are_the_returned_ones_on_the_frame_and_past_it() {
+        // Nine parameters take the heap; two stay on the frame.
+        let c = compiled(RICH, "Everything");
+        let mut buf = vec![0u8; 256];
+        let n = c.marshal_call(&rich_args(), &mut buf).unwrap();
+        let returned = c.unmarshal_call(&buf[..n]).unwrap();
+        assert!(returned.len() > FRAME_ARGS);
+        assert!(c
+            .with_call_args(&buf[..n], |lent| lent == &returned[..])
+            .unwrap());
+        let c = compiled(
+            "DEFINITION MODULE T; PROCEDURE P(a: INTEGER; VAR IN b: ARRAY OF CHAR); END T.",
+            "P",
+        );
+        let n = c
+            .marshal_call(&[Value::Integer(-3), Value::Bytes(vec![4, 5])], &mut buf)
+            .unwrap();
+        let lent = c.with_call_args(&buf[..n], |lent| {
+            (
+                lent[0].value().cloned(),
+                lent[1].bytes().map(<[u8]>::to_vec),
+            )
+        });
+        assert_eq!(lent.unwrap(), (Some(Value::Integer(-3)), Some(vec![4, 5])));
+    }
+
+    #[test]
+    fn a_call_that_does_not_decode_runs_nothing() {
+        let c = compiled("DEFINITION MODULE T; PROCEDURE P(x: INTEGER); END T.", "P");
+        let mut ran = false;
+        for data in [&[0u8, 0, 0][..], &[0, 0, 0, 1, 9]] {
+            let e = c.with_call_args(data, |_| ran = true).unwrap_err();
+            assert_eq!(Some(e), c.unmarshal_call(data).err());
+        }
+        assert!(!ran);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! same for a typed procedure that should not see a writer.
 
 use crate::codec::{wire_count, ArgWriter};
-use crate::engine::{encoded_size, marshal_one_value};
-use crate::plan::{MarshalOp, MarshalPlan, PlannedParam};
+use crate::engine::{encoded_size, marshal_one_value, put_scalar};
+use crate::plan::{MarshalOp, MarshalPlan, PlannedParam, ScalarKind};
 use crate::value::Value;
 use crate::{IdlError, Result};
 
@@ -130,6 +130,23 @@ impl<'a> ResultWriter<'a> {
                 "result of {size} bytes wrote {n}"
             ))),
         });
+        self.settle(put, start)
+    }
+
+    /// Writes a scalar result straight into its slot: its size is its
+    /// kind's, and `put_scalar` writes exactly that many bytes or, for a
+    /// value of another kind, none.
+    #[inline]
+    fn next_scalar(&mut self, kind: ScalarKind, v: &Value) -> Result<()> {
+        let start = self.pos;
+        let put = put_scalar(&mut ArgWriter::new(self.reserve(kind.size())), kind, v);
+        self.settle(put, start)
+    }
+
+    /// Moves past the result just written, or, if `put` failed, back to
+    /// `start`, where it began.
+    #[inline]
+    fn settle(&mut self, put: Result<()>, start: usize) -> Result<()> {
         match put {
             Ok(()) => self.next += 1,
             Err(_) => {
@@ -177,8 +194,10 @@ impl<'a> ResultWriter<'a> {
     /// Writes the next result parameter from a value (scalars, texts,
     /// scalar arrays, records; a CHAR array is copied in).
     pub fn next_value(&mut self, v: &Value) -> Result<()> {
-        let op = self.next_op()?;
-        self.put_sized(encoded_size(op, v), |w| marshal_one_value(w, op, v))
+        match self.next_op()? {
+            MarshalOp::Scalar(kind) => self.next_scalar(*kind, v),
+            op => self.put_sized(encoded_size(op, v), |w| marshal_one_value(w, op, v)),
+        }
     }
 
     /// Writes the next result parameter through the codec, with no
@@ -315,6 +334,35 @@ mod tests {
             "size must be exact"
         );
         assert!(matches!(w.finish(), Err(IdlError::Marshal(_))));
+    }
+
+    #[test]
+    fn a_scalar_of_another_kind_is_refused_where_it_would_go() {
+        let c = compiled(
+            "DEFINITION MODULE T; PROCEDURE P(VAR OUT t: Text.T; VAR OUT r: LONGREAL): BOOLEAN; END T.",
+            "P",
+        );
+        // In the packet, and after a spill: the refused scalar writes
+        // nothing, and the right one then goes where it would have.
+        for size in [32, 4] {
+            let mut buf = vec![0u8; size];
+            let mut w = c.result_writer(&mut buf);
+            w.next_value(&Value::text("ab")).unwrap();
+            assert!(w.next_value(&Value::Integer(1)).is_err());
+            w.next_value(&Value::Real(0.5)).unwrap();
+            assert!(w.next_value(&Value::Char(1)).is_err());
+            w.next_value(&Value::Boolean(true)).unwrap();
+            let written = w.finish().unwrap();
+            assert_eq!(written.len(), 4 + 2 + 8 + 1, "{size}-byte packet");
+            let data = match &written {
+                Written::InPlace { len } => &buf[..*len],
+                Written::Spilled(v) => &v[..],
+            };
+            assert_eq!(
+                c.unmarshal_result(data).unwrap(),
+                [Value::text("ab"), Value::Real(0.5), Value::Boolean(true)]
+            );
+        }
     }
 
     #[test]

@@ -448,3 +448,64 @@ fn compiled_interpreted_and_typed_stubs_are_one_wire_format() {
         Ok(())
     });
 }
+
+#[test]
+fn lent_arguments_equal_returned_arguments_or_errors() {
+    // The runtime's server stubs decode onto their own frame and lend the
+    // arguments (`with_call_args`); a bench's stub cycle takes them by
+    // value (`unmarshal_call`). One decode loop is behind both, so for any
+    // plan — fewer parameters than the frame holds, as many, or more —
+    // and any packet — whole, cut short, or with bytes left over — they
+    // give equal arguments, or the same error and no call of the
+    // procedure.
+    const MODES: [&str; 4] = ["", "VAR IN ", "VAR OUT ", "VAR "];
+    let most = firefly_idl::engine::FRAME_ARGS + 3;
+    check("lent_arguments_equal_returned_arguments", 256, |g| {
+        let params: Vec<(usize, Ty)> = g.vec(0..most + 1, |g| (g.usize_in(0..4), gen_ty(g, 0)));
+        let decls: Vec<String> = params
+            .iter()
+            .enumerate()
+            .map(|(i, (mode, ty))| format!("{}p{i}: {}", MODES[*mode], modula(ty)))
+            .collect();
+        let source = format!(
+            "DEFINITION MODULE G; PROCEDURE P({}); END G.",
+            decls.join("; ")
+        );
+        let (comp, _) = engines(&source, "P");
+        let args: Vec<Value> = params.iter().map(|(_, ty)| gen_value(g, ty)).collect();
+        let mut buf = vec![0u8; 8192];
+        let n = comp.marshal_call(&args, &mut buf).unwrap();
+        let mut data = buf[..n].to_vec();
+        let packet = match g.usize_in(0..3) {
+            0 => "whole",
+            1 => {
+                data.truncate(g.usize_in(0..n.max(1)));
+                "cut short"
+            }
+            _ => {
+                data.extend(g.bytes(1..5));
+                "with bytes left over"
+            }
+        };
+        let returned = comp.unmarshal_call(&data);
+        let mut ran = false;
+        let lent = comp.with_call_args(&data, |lent| {
+            ran = true;
+            returned.as_ref().is_ok_and(|r| lent == &r[..])
+        });
+        match (&returned, lent) {
+            (Ok(r), Ok(same)) => {
+                prop_assert_eq!(r.len(), params.len(), "{source}");
+                prop_assert_eq!(same, true, "{packet}: lent arguments differ: {source}");
+            }
+            (Err(e), Err(f)) => {
+                prop_assert_eq!(e, &f, "{packet}: {source}");
+                prop_assert_eq!(ran, false, "{packet}: ran on a refused call: {source}");
+            }
+            (r, l) => {
+                return Err(format!("{packet}: returned {r:?}, lent {l:?}: {source}"));
+            }
+        }
+        Ok(())
+    });
+}

@@ -16,10 +16,13 @@
 //!   `drop(NAME)` or at the end of the enclosing brace block; so does
 //!   `let [mut] NAME = Some(recv.lock());`, a guard kept in an
 //!   `Option`. Shadowing does not kill the shadowed guard — Rust drops
-//!   it at scope end, so both stay live. A guard reached any other way
+//!   it at scope end, so both stay live. `NAME = recv.lock();` on a
+//!   name so bound re-takes the guard: it lives to the end of the
+//!   `let`'s scope, and the guard it replaces (if not dropped already)
+//!   dies once the new one is taken. A guard reached any other way
 //!   (moved into another binding, taken back out with `Option::take`,
 //!   bound by a `match`) is not followed: hold a guard under one name
-//!   from its `let` to its `drop`.
+//!   from its `let` to its `drop`, re-taking it only into that name.
 //! * Any other `.lock()` / `.read()` / `.write()` births a
 //!   **temporary** guard that dies at the next `;`. For
 //!   `if let Some(x) = m.lock().pop()` scrutinees this is a
@@ -243,12 +246,13 @@ fn receiver_of(tokens: &[Token], j: usize) -> Option<String> {
     (recv.kind == TokenKind::Ident).then(|| recv.text.clone())
 }
 
-/// True when the acquisition whose `lock/read/write` ident sits at `j`
-/// is the whole right-hand side of a `let` binding, bare or wrapped in
-/// `Some(..)`: the call's `()` is followed by `;` (or by `) ;` closing
-/// the `Some`), and the receiver chain is preceded by `let [mut] NAME =`
-/// (or `let [mut] NAME = Some (`). Returns the binding name.
-fn binding_name(tokens: &[Token], j: usize) -> Option<String> {
+/// How the acquisition whose `lock/read/write` ident sits at `j` is
+/// bound when it is the whole right-hand side of `NAME = ...`, bare or
+/// wrapped in `Some(..)`: the call's `()` is followed by `;` (or by `) ;`
+/// closing the `Some`), and the receiver chain is preceded by `NAME =`
+/// (or `NAME = Some (`). Returns the name, and whether a `let [mut]`
+/// declares it there (`false`: an assignment to an existing binding).
+fn binding_name(tokens: &[Token], j: usize) -> Option<(String, bool)> {
     let text = |i: usize| tokens.get(i).map(|t| t.text.as_str());
     // Walk the receiver chain backwards: ident ([...])? (. ident ([...])?)*.
     let k = chain_head(tokens, j.checked_sub(2)?)?;
@@ -271,16 +275,12 @@ fn binding_name(tokens: &[Token], j: usize) -> Option<String> {
     if tokens[name].kind != TokenKind::Ident {
         return None;
     }
-    let before = name.checked_sub(1)?;
-    let is_let = tokens[before].text == "let"
-        || (tokens[before].text == "mut"
-            && before >= 1
-            && tokens[before - 1].text == "let");
-    if is_let {
-        Some(tokens[name].text.clone())
-    } else {
-        None
-    }
+    let before = name.checked_sub(1).map_or("", |b| tokens[b].text.as_str());
+    let is_let = before == "let"
+        || (before == "mut" && name >= 2 && tokens[name - 2].text == "let");
+    // An assignment is a statement of its own: `NAME` starts it.
+    let is_assignment = matches!(before, "" | ";" | "{" | "}");
+    (is_let || is_assignment).then(|| (tokens[name].text.clone(), is_let))
 }
 
 /// The parameters `f` binds: `name:` after `(`, `,` or `mut` in its
@@ -316,8 +316,9 @@ pub fn walk(
     let text = |i: usize| tokens.get(i).map_or("", |t| t.text.as_str());
     let mut locals = params(tokens, f);
     let mut live: Vec<LiveGuard> = Vec::new();
-    // Guard binding name → receiver, for the waits.
-    let mut bound: BTreeMap<String, String> = BTreeMap::new();
+    // Guard binding name → receiver (for the waits) and the brace depth
+    // of its `let`, where a guard re-taken into it by assignment lives.
+    let mut bound: BTreeMap<String, (String, usize)> = BTreeMap::new();
     // One entry per open brace: true for a loop body. A loop keyword
     // waits for its body's `{` outside parentheses (a closure in the
     // loop head has braces of its own).
@@ -392,20 +393,40 @@ pub fn walk(
         // Acquisition: `recv.lock()` / `.read()` / `.write()`.
         if dot && matches!(t.text.as_str(), "lock" | "read" | "write") && text(j + 2) == ")" {
             if let Some(receiver) = receiver_of(tokens, j) {
-                let name = binding_name(tokens, j);
-                if let Some(name) = &name {
-                    bound.insert(name.clone(), receiver.clone());
-                }
+                // A guard bound by `let` lives to the end of its scope;
+                // one re-taken by assignment into a guard binding
+                // (`g = m.lock();` after `drop(g)`) to the end of the
+                // binding's scope. Assigned to anything else, it is a
+                // temporary.
+                let (name, depth, retaken) = match binding_name(tokens, j) {
+                    Some((name, true)) => {
+                        bound.insert(name.clone(), (receiver.clone(), loops.len()));
+                        (Some(name), loops.len(), false)
+                    }
+                    Some((name, false)) if bound.contains_key(&name) => {
+                        let depth = bound[&name].1;
+                        bound.insert(name.clone(), (receiver.clone(), depth));
+                        (Some(name), depth, true)
+                    }
+                    _ => (None, loops.len(), false),
+                };
                 let guard = LiveGuard {
                     name,
                     receiver,
                     line: t.line,
-                    depth: loops.len(),
+                    depth,
                 };
                 visit(Event::Guard(GuardEvent::Acquire {
                     guard: &guard,
                     live: &live,
                 }));
+                // The guard an assignment replaces is dropped once the
+                // new one is taken.
+                if retaken {
+                    if let Some(k) = live.iter().rposition(|g| g.name == guard.name) {
+                        live.remove(k);
+                    }
+                }
                 live.push(guard);
                 j += 2; // to the `)`
             }
@@ -447,7 +468,7 @@ pub fn walk(
         match receiver {
             Some(cond) if handed.is_some() => visit(Event::Wait {
                 cond,
-                mutex: handed.and_then(|h| bound.get(h)).map(String::as_str),
+                mutex: handed.and_then(|h| bound.get(h)).map(|(m, _)| m.as_str()),
                 in_loop: loops.contains(&true),
                 line,
             }),
@@ -554,6 +575,28 @@ mod tests {
         let ev = body_events("fn f() { let g = x.free.lock(); drop(g); q.recv(); }");
         assert_eq!(ev[1].0, "block:recv");
         assert!(ev[1].1.is_empty());
+    }
+
+    #[test]
+    fn a_guard_retaken_by_assignment_lives_to_the_end_of_its_let_scope() {
+        // `next_job`'s shape: the guard is given up and taken again
+        // inside a block, and the wait after the block holds it.
+        let ev = body_events(
+            "fn f() { let mut g = x.free.lock(); loop { if c { drop(g); g = x.free.lock(); continue; } q.recv(); } q.recv(); }",
+        );
+        assert_eq!(ev[1].0, "acquire:free");
+        assert!(ev[1].1.is_empty(), "dropped before the re-take: {ev:?}");
+        assert_eq!(ev[2].0, "block:recv");
+        assert_eq!(ev[2].1, vec![Some("g".to_string())]);
+        assert_eq!(ev[3].1, vec![Some("g".to_string())]);
+        // Re-taken with the old guard still held: both are live at the
+        // acquisition, one after it.
+        let ev = body_events("fn f() { let mut g = x.free.lock(); g = x.free.lock(); q.recv(); }");
+        assert_eq!(ev[1].1, vec![Some("g".to_string())]);
+        assert_eq!(ev[2].1, vec![Some("g".to_string())]);
+        // Assigned to a name no guard was bound to, it is a temporary.
+        let ev = body_events("fn f() { let mut n = 0; n = x.free.lock(); q.recv(); }");
+        assert!(ev[1].1.is_empty(), "{ev:?}");
     }
 
     #[test]

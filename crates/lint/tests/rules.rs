@@ -106,6 +106,15 @@ fn no_blocking_fires_on_a_batch_send_under_a_guard() {
 }
 
 #[test]
+fn no_blocking_fires_on_a_send_under_a_guard_retaken_by_assignment() {
+    // `st = t.state.lock();` after `drop(st)` takes the guard again, for
+    // the rest of the scope `st` was declared in, not just the `if`.
+    let diags = lint(include_str!("fixtures/no_blocking_retaken_guard.rs"));
+    assert_eq!(rules_of(&diags), vec![name::NO_BLOCKING]);
+    assert_eq!(diags[0].line, 8);
+}
+
+#[test]
 fn no_sleep_fires_outside_tests_only() {
     let diags = lint(include_str!("fixtures/no_sleep_fire.rs"));
     assert_eq!(rules_of(&diags), vec![name::NO_SLEEP]);

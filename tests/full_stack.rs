@@ -626,3 +626,57 @@ fn a_running_procedure_holds_up_no_export_gate_or_call() {
     exporter.join().unwrap().unwrap();
     assert_conserved(&[&server, &caller]);
 }
+
+#[test]
+fn a_procedure_with_more_parameters_than_the_stub_frame_holds_runs_locally_and_remotely() {
+    // The server stub decodes up to `FRAME_ARGS` arguments onto its own
+    // stack; past that it takes the heap. Integers, then a text and an
+    // in-place array, then the sum and the text's length back.
+    let ints = firefly::idl::engine::FRAME_ARGS;
+    let decls: Vec<String> = (0..ints).map(|i| format!("a{i}: INTEGER")).collect();
+    let iface = parse_interface(&format!(
+        "DEFINITION MODULE Wide;
+           PROCEDURE Sum({}; t: Text.T; VAR IN b: ARRAY OF CHAR; VAR OUT n: INTEGER): INTEGER;
+         END Wide.",
+        decls.join("; ")
+    ))
+    .unwrap();
+    let service = ServiceBuilder::new(iface.clone())
+        .on_call("Sum", move |args, w| {
+            assert_eq!(args.len(), ints + 3);
+            let sum = args[..ints]
+                .iter()
+                .map(|a| a.value().and_then(Value::as_integer).unwrap())
+                .sum::<i32>()
+                + args[ints + 1]
+                    .bytes()
+                    .unwrap()
+                    .iter()
+                    .map(|&b| i32::from(b))
+                    .sum::<i32>();
+            let len = args[ints].value().and_then(Value::as_text).unwrap().len();
+            w.next_value(&Value::Integer(len as i32))?;
+            w.next_value(&Value::Integer(sum))?;
+            Ok(())
+        })
+        .build()
+        .unwrap();
+    let mut args: Vec<Value> = (1..=ints as i32).map(Value::Integer).collect();
+    args.extend([
+        Value::text("wide"),
+        Value::Bytes(vec![10, 20]),
+        Value::Integer(0),
+    ]);
+    let expected = vec![
+        Value::Integer(4),
+        Value::Integer((1..=ints as i32).sum::<i32>() + 30),
+    ];
+
+    let (server, caller, _) = udp_pair();
+    server.export(service).unwrap();
+    let local = server.bind_local(&iface).unwrap();
+    assert_eq!(local.call("Sum", &args).unwrap(), expected, "local");
+    let remote = caller.bind(&iface, server.address()).unwrap();
+    assert_eq!(remote.call("Sum", &args).unwrap(), expected, "remote");
+    assert_conserved(&[&server, &caller]);
+}
